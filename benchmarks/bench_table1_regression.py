@@ -14,8 +14,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import write_bench_json, write_result
+from repro.api import ValuationSession
 from repro.cluster.costmodel import paper_cost_model
-from repro.core import build_regression_portfolio, sweep_cpu_counts
+from repro.core import build_regression_portfolio
 
 #: the CPU counts of Table I
 TABLE1_CPUS = [2, 4, 6, 8, 10, 16, 32, 64, 96, 128, 160, 192, 224, 256]
@@ -51,8 +52,10 @@ def test_table1_regression_speedup(benchmark, regression_jobs):
     import time as time_module
 
     def regenerate():
-        return sweep_cpu_counts(regression_jobs, TABLE1_CPUS, strategy="serialized_load",
-                                label="serialized load (Table I)")
+        return ValuationSession().sweep(
+            regression_jobs, TABLE1_CPUS, strategy="serialized_load",
+            label="serialized load (Table I)",
+        ).table
 
     start = time_module.perf_counter()
     table = benchmark.pedantic(regenerate, rounds=1, iterations=1)
@@ -94,7 +97,9 @@ def test_table1_single_configuration_cost(benchmark, regression_jobs):
     """Micro-benchmark: one 256-CPU simulated run of the regression suite."""
 
     def run_once():
-        return sweep_cpu_counts(regression_jobs, [256], strategy="serialized_load")
+        return ValuationSession().sweep(
+            regression_jobs, [256], strategy="serialized_load"
+        ).table
 
     table = benchmark(run_once)
     assert table.row_for(256).time > 0

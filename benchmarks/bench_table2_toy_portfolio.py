@@ -17,8 +17,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import write_bench_json, write_result
+from repro.api import ValuationSession
 from repro.cluster.costmodel import paper_cost_model
-from repro.core import build_toy_portfolio, compare_strategies, format_comparison_table
+from repro.core import build_toy_portfolio, format_comparison_table
 
 #: the CPU counts of Table II
 TABLE2_CPUS = [2, 4, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 36, 40, 45, 50]
@@ -43,7 +44,7 @@ def test_table2_strategy_comparison(benchmark, toy_jobs):
     import time as time_module
 
     def regenerate():
-        return compare_strategies(toy_jobs, TABLE2_CPUS)
+        return ValuationSession().compare(toy_jobs, TABLE2_CPUS).tables
 
     start = time_module.perf_counter()
     tables = benchmark.pedantic(regenerate, rounds=1, iterations=1)
@@ -100,10 +101,10 @@ def test_table2_strategy_comparison(benchmark, toy_jobs):
 
 def test_table2_single_strategy_sweep(benchmark, toy_jobs):
     """Micro-benchmark: the serialized-load column alone."""
-    from repro.core import sweep_cpu_counts
-
     def run():
-        return sweep_cpu_counts(toy_jobs, [2, 8, 32, 50], strategy="serialized_load")
+        return ValuationSession().sweep(
+            toy_jobs, [2, 8, 32, 50], strategy="serialized_load"
+        ).table
 
     table = benchmark(run)
     assert table.row_for(2).time > table.row_for(50).time

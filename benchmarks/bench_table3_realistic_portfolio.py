@@ -18,12 +18,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import write_bench_json, write_result
+from repro.api import ValuationSession
 from repro.cluster.costmodel import paper_cost_model
-from repro.core import (
-    build_realistic_portfolio,
-    compare_strategies,
-    format_comparison_table,
-)
+from repro.core import build_realistic_portfolio, format_comparison_table
 
 #: the CPU counts of Table III
 TABLE3_CPUS = [2, 4, 6, 8, 10, 16, 32, 64, 96, 128, 160, 192, 224, 256, 320, 384, 512]
@@ -47,7 +44,7 @@ def test_table3_realistic_portfolio(benchmark, realistic_jobs):
     import time as time_module
 
     def regenerate():
-        return compare_strategies(realistic_jobs, TABLE3_CPUS)
+        return ValuationSession().compare(realistic_jobs, TABLE3_CPUS).tables
 
     start = time_module.perf_counter()
     tables = benchmark.pedantic(regenerate, rounds=1, iterations=1)

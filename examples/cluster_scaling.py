@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import sys
 
+from repro.api import ValuationSession
 from repro.cluster import paper_cost_model
 from repro.core import (
     build_realistic_portfolio,
     build_regression_portfolio,
     build_toy_portfolio,
-    compare_strategies,
-    format_comparison_table,
-    sweep_cpu_counts,
 )
 
 TABLE1_CPUS = [2, 4, 6, 8, 10, 16, 32, 64, 96, 128, 160, 192, 224, 256]
@@ -39,7 +37,7 @@ def table1(cpus: list[int]) -> None:
     jobs = portfolio.build_jobs(cost_model=paper_cost_model())
     print(f"{len(jobs)} regression problems, "
           f"{sum(j.compute_cost for j in jobs):.0f}s of single-worker work")
-    print(sweep_cpu_counts(jobs, cpus, strategy="serialized_load").format())
+    print(ValuationSession().sweep(jobs, cpus, strategy="serialized_load").format())
 
 
 def table2(cpus: list[int]) -> None:
@@ -48,11 +46,10 @@ def table2(cpus: list[int]) -> None:
     print("=" * 72)
     portfolio = build_toy_portfolio(n_options=10_000)
     jobs = portfolio.build_jobs(cost_model=paper_cost_model())
-    tables = compare_strategies(jobs, cpus)
-    print(format_comparison_table(tables.values()))
+    print(ValuationSession().compare(jobs, cpus).format())
     print("\nNote: the NFS column of the paper is biased by the server cache "
           "surviving between runs; rerun with share_nfs_cache=False in "
-          "repro.core.compare_strategies for cold-cache numbers.")
+          "ValuationSession.compare for cold-cache numbers.")
 
 
 def table3(cpus: list[int]) -> None:
@@ -63,8 +60,7 @@ def table3(cpus: list[int]) -> None:
     jobs = portfolio.build_jobs(cost_model=paper_cost_model())
     print(f"portfolio composition: {portfolio.count_by_category()}")
     print(f"total single-worker work: {sum(j.compute_cost for j in jobs):.0f}s")
-    tables = compare_strategies(jobs, cpus)
-    print(format_comparison_table(tables.values()))
+    print(ValuationSession().compare(jobs, cpus).format())
 
 
 if __name__ == "__main__":

@@ -80,7 +80,6 @@ from repro._version import __version__
 _LAZY_EXPORTS = {
     # unified API (repro.api)
     "ValuationSession": "repro.api",
-    "JobHandle": "repro.api",
     "PricingFuture": "repro.api",
     "JobSet": "repro.api",
     "StreamingRun": "repro.api",
@@ -128,10 +127,6 @@ _LAZY_EXPORTS = {
     "build_realistic_portfolio": "repro.core",
     "build_regression_portfolio": "repro.core",
     "RunReport": "repro.core",
-    "run_jobs": "repro.core",
-    "run_portfolio": "repro.core",
-    "sweep_cpu_counts": "repro.core",
-    "compare_strategies": "repro.core",
     "SpeedupTable": "repro.core",
     "format_comparison_table": "repro.core",
     "portfolio_value": "repro.core",

@@ -1,17 +1,13 @@
 """Frame-protocol gating of the remote worker wire format.
 
 ``repro.serial.frames`` defines the ``FRAME_*`` kind constants both ends of
-the TCP protocol share.  Four hand-kept invariants have guarded every
-protocol bump (v1 -> v4) so far; this checker enforces them mechanically:
+the TCP protocol share.  Three invariants guard every new frame kind; this
+checker enforces them mechanically:
 
 * every ``FRAME_*`` kind has a **unique** integer value
   (``frame-duplicate-kind``);
 * every kind is a member of ``_KNOWN_KINDS`` so ``decode_header`` accepts
   it (``frame-unregistered-kind``);
-* every kind added after protocol v1 has a ``_KIND_SINCE`` entry, so
-  ``encode_frame`` refuses to send it to a peer too old to understand it
-  (``frame-ungated-kind``) -- the v1 baseline (``HELLO``/``JOB``/
-  ``RESULT``/``STOP``) is frozen history and hardcoded here;
 * every kind is referenced by **both** consumers: the worker's dispatch
   loop (``cluster/worker.py``) and the master-side backend
   (``cluster/backends/remote.py``), so a new frame cannot ship with a
@@ -42,8 +38,6 @@ CONSUMERS = (
     ("the worker dispatch loop", "cluster/worker.py"),
     ("the master-side RemoteBackend", "cluster/backends/remote.py"),
 )
-#: kinds present since protocol v1 -- frozen history, exempt from _KIND_SINCE
-V1_KINDS = frozenset({"FRAME_HELLO", "FRAME_JOB", "FRAME_RESULT", "FRAME_STOP"})
 
 
 def _frame_constants(tree: ast.Module) -> dict[str, tuple[int, ast.Assign]]:
@@ -75,39 +69,20 @@ def _module_binding(tree: ast.Module, name: str) -> ast.expr | None:
     return None
 
 
-def _kind_since(tree: ast.Module) -> dict[str, int]:
-    """``_KIND_SINCE`` entries: FRAME name -> first protocol version."""
-    value = _module_binding(tree, "_KIND_SINCE")
-    gated: dict[str, int] = {}
-    if isinstance(value, ast.Dict):
-        for key, version in zip(value.keys, value.values):
-            if (
-                isinstance(key, ast.Name)
-                and isinstance(version, ast.Constant)
-                and isinstance(version.value, int)
-            ):
-                gated[key.id] = version.value
-    return gated
-
-
 @register_checker("frame-protocol")
 class FrameProtocolChecker(Checker):
-    """Unique, version-gated and handled-on-both-ends ``FRAME_*`` kinds."""
+    """Unique, registered and handled-on-both-ends ``FRAME_*`` kinds."""
 
     name = "frame-protocol"
     description = (
-        "every FRAME_* kind is unique, in _KNOWN_KINDS, version-gated in "
-        "_KIND_SINCE, and handled by both the worker and the master backend"
+        "every FRAME_* kind is unique, in _KNOWN_KINDS, and handled by both "
+        "the worker and the master backend"
     )
     rules = {
         "frame-duplicate-kind": "two FRAME_* constants share a kind value",
         "frame-unregistered-kind": (
             "a FRAME_* constant is missing from _KNOWN_KINDS, so "
             "decode_header rejects it"
-        ),
-        "frame-ungated-kind": (
-            "a post-v1 FRAME_* constant has no _KIND_SINCE entry (or one "
-            "above PROTOCOL_VERSION), so encode_frame cannot version-gate it"
         ),
         "frame-unhandled-kind": (
             "a FRAME_* constant is never referenced by a protocol consumer "
@@ -140,14 +115,6 @@ class FrameProtocolChecker(Checker):
 
         known_value = _module_binding(tree, "_KNOWN_KINDS")
         known = _collected_names(known_value) if known_value is not None else set()
-        gated = _kind_since(tree)
-        protocol_version = _module_binding(tree, "PROTOCOL_VERSION")
-        max_version = (
-            protocol_version.value
-            if isinstance(protocol_version, ast.Constant)
-            and isinstance(protocol_version.value, int)
-            else None
-        )
 
         consumer_names: list[tuple[str, str, set[str] | None]] = []
         for label, suffix in CONSUMERS:
@@ -168,25 +135,6 @@ class FrameProtocolChecker(Checker):
                     f"{name} (kind {value}) is not in _KNOWN_KINDS; "
                     f"decode_header would reject the frame as unknown",
                 )
-            if name not in V1_KINDS:
-                since = gated.get(name)
-                if since is None:
-                    yield self.finding(
-                        frames,
-                        node,
-                        "frame-ungated-kind",
-                        f"{name} (kind {value}) post-dates protocol v1 but "
-                        f"has no _KIND_SINCE entry; encode_frame cannot "
-                        f"refuse to send it to an older peer",
-                    )
-                elif max_version is not None and since > max_version:
-                    yield self.finding(
-                        frames,
-                        node,
-                        "frame-ungated-kind",
-                        f"{name} claims to exist since protocol v{since}, "
-                        f"but PROTOCOL_VERSION is only {max_version}",
-                    )
             for label, suffix, names in consumer_names:
                 if names is not None and name not in names:
                     yield self.finding(

@@ -5,11 +5,9 @@ One facade (:class:`ValuationSession`) plus immutable configuration values
 normalized result hierarchy (:class:`PriceResult`, :class:`RunResult`,
 :class:`SweepResult`, :class:`ComparisonResult`) and the streaming job
 lifecycle (:class:`PricingFuture`, :class:`JobSet`, :class:`StreamingRun`,
-:class:`CancelToken`).  Everything the legacy free functions in
-:mod:`repro.core.runner` did is reachable from here, and new capabilities
-(futures via :meth:`ValuationSession.submit_many`, completion-order
-streaming via :meth:`ValuationSession.stream`, named backend selection)
-only exist here.
+:class:`CancelToken`): runs, sweeps and strategy comparisons, futures via
+:meth:`ValuationSession.submit_many`, completion-order streaming via
+:meth:`ValuationSession.stream` and named backend selection all start here.
 """
 
 from repro.api.config import BackendSpec, RunConfig, SweepConfig
@@ -31,11 +29,10 @@ from repro.api.results import (
     SweepResult,
     ValuationResult,
 )
-from repro.api.session import JobHandle, ValuationSession
+from repro.api.session import ValuationSession
 
 __all__ = [
     "ValuationSession",
-    "JobHandle",
     "PricingFuture",
     "JobSet",
     "StreamingRun",

@@ -2,10 +2,9 @@
 
 These frozen dataclasses carry everything a
 :class:`~repro.api.session.ValuationSession` needs to build backends,
-schedulers and sweeps, replacing the positional backend/strategy/scheduler
-plumbing of the free functions in :mod:`repro.core.runner`.  They are plain
-values: hashable-by-content where possible, safe to share between sessions
-and cheap to derive variants from with :func:`dataclasses.replace`.
+schedulers and sweeps.  They are plain values: hashable-by-content where
+possible, safe to share between sessions and cheap to derive variants from
+with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from repro.cluster.backends import WorkerBackend, create_backend, list_backends
 from repro.core.scheduler import SCHEDULERS, Scheduler
 from repro.core.strategies import STRATEGIES
 from repro.errors import ValuationError
+from repro.pricing.kernel import DEFAULT_KERNEL, KERNELS
 
 __all__ = ["BackendSpec", "RetryPolicy", "RunConfig", "SweepConfig"]
 
@@ -192,11 +192,12 @@ class RunConfig:
     cost_model: Any | None = field(default=None, compare=False)
     batch: bool = False
     batch_group_size: int | None = None
-    #: Monte-Carlo evaluation strategy for shared-path batch jobs: "loop"
-    #: (per-group, per-member arithmetic) or "stacked" (all groups of a plan
-    #: as one stacked-array computation).  Bit-identical prices either way;
-    #: the kernel never enters simulation signatures or cache digests.
-    kernel: str = "loop"
+    #: Monte-Carlo evaluation strategy for shared-path batch jobs: "stacked"
+    #: (all groups of a plan as one stacked-array computation) or the
+    #: reference "loop" kernel (per-group, per-member arithmetic).
+    #: Bit-identical prices either way; the kernel never enters simulation
+    #: signatures or cache digests.
+    kernel: str = DEFAULT_KERNEL
     #: smallest signature family coalesced into a ProblemBatch.  The default
     #: (``None``) keeps the planner's threshold of 2; scenario-grid campaigns
     #: (:mod:`repro.pricing.scenarios`) set 1 so even singleton cells ride
@@ -212,8 +213,6 @@ class RunConfig:
             raise ValuationError("RunConfig.batch_group_size must be >= 2 when given")
         if self.min_group_size is not None and self.min_group_size < 1:
             raise ValuationError("RunConfig.min_group_size must be >= 1 when given")
-        from repro.pricing.kernel import KERNELS
-
         if self.kernel not in KERNELS:
             raise ValuationError(
                 f"unknown kernel {self.kernel!r}; known: {list(KERNELS)}"

@@ -28,15 +28,12 @@ objects whose ``result()`` pumps the loop only until that job answers,
 is a thin drain over the same pipeline.  Cache hits resolve their futures
 immediately; coalesced :class:`~repro.pricing.batch.ProblemBatch` super-jobs
 resolve every member future when the batch is collected.
-
-The legacy free functions in :mod:`repro.core.runner` still exist as thin
-shims delegating here, so both spellings stay equivalent.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -63,10 +60,7 @@ from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
 from repro.serial import serialize
 
-__all__ = ["ValuationSession", "JobHandle"]
-
-#: backward-compatible name: handles *are* futures since the streaming redesign
-JobHandle = PricingFuture
+__all__ = ["ValuationSession"]
 
 #: backend names whose workers execute payloads in this process tree and can
 #: therefore share an on-disk result cache via the ``cache_dir`` option
@@ -87,6 +81,12 @@ def _coerce_cache(cache: "ResultCache | str | Path | bool | None") -> ResultCach
         f"cache must be a ResultCache, a directory path or a bool, "
         f"got {type(cache).__name__}"
     )
+
+
+def _merged_config(config: RunConfig | None, **overrides: Any) -> RunConfig:
+    """``config`` (default ``RunConfig()``) with every non-``None`` override applied."""
+    given = {name: value for name, value in overrides.items() if value is not None}
+    return replace(config or RunConfig(), **given)
 
 
 @dataclass
@@ -381,22 +381,18 @@ class ValuationSession:
         self,
         jobs: list[Job],
         problem_by_id: dict[int, PricingProblem],
+        options: RunConfig,
         *,
         strategy_name: str,
-        batch: bool,
-        batch_group_size: int | None,
         run_cache: ResultCache | None,
         backend: WorkerBackend,
         portfolio: Portfolio | None,
-        cost_model: CostModel | None = None,
-        kernel: str = "loop",
-        min_group_size: int | None = None,
     ) -> _RunPlan:
         """Apply the cache pass and batch coalescing to a prepared job list."""
         if not jobs:
             raise SchedulingError("cannot schedule an empty job list")
         executing = getattr(backend, "requires_payload", True)
-        if batch and strategy_name == "nfs" and executing:
+        if options.batch and strategy_name == "nfs" and executing:
             raise ValuationError(
                 "batch=True cannot be combined with the nfs strategy on an "
                 "executing backend: coalesced batch jobs have no per-position "
@@ -432,11 +428,9 @@ class ValuationSession:
                     job for job in plan.jobs if job.job_id not in plan.cached_results
                 ]
 
-        if batch:
+        if options.batch:
             plan.jobs, plan.batch_members = self._coalesce_jobs(
-                plan.jobs, problem_by_id, batch_group_size,
-                cost_model or self.cost_model, kernel=kernel,
-                min_group_size=min_group_size,
+                plan.jobs, problem_by_id, options
             )
         return plan
 
@@ -525,23 +519,21 @@ class ValuationSession:
     def _source_plan(
         self,
         source: Portfolio | Sequence[Job],
+        options: RunConfig,
         *,
         strategy_name: str,
-        batch: bool,
-        batch_group_size: int | None,
-        run_cache: ResultCache | None,
         store: Any,
-        attach_problems: bool | None,
-        cost_model: CostModel | None,
-        kernel: str = "loop",
-        min_group_size: int | None = None,
     ) -> _RunPlan:
         """Build the campaign plan for a portfolio or prepared job list."""
+        run_cache = self._resolve_run_cache(options.cache)
         backend = self._acquire_backend(strategy_name, cache=run_cache)
         if isinstance(source, Portfolio):
-            if batch and attach_problems is None and store is None:
+            attach_problems = options.attach_problems
+            if options.batch and attach_problems is None and store is None:
                 attach_problems = True  # batch execution ships the problems
-            jobs = self._portfolio_jobs(source, backend, store, attach_problems, cost_model)
+            jobs = self._portfolio_jobs(
+                source, backend, store, attach_problems, options.cost_model
+            )
             portfolio: Portfolio | None = source
             problem_by_id = {
                 job.job_id: position.problem for job, position in zip(jobs, source)
@@ -555,15 +547,11 @@ class ValuationSession:
         return self._prepare_plan(
             jobs,
             problem_by_id,
+            options,
             strategy_name=strategy_name,
-            batch=batch,
-            batch_group_size=batch_group_size,
             run_cache=run_cache,
             backend=backend,
             portfolio=portfolio,
-            cost_model=cost_model,
-            kernel=kernel,
-            min_group_size=min_group_size,
         )
 
     # -- portfolio runs ----------------------------------------------------------
@@ -597,55 +585,30 @@ class ValuationSession:
         :class:`CancelToken`) withdraws still-queued positions, which the
         result marks as ``"cancelled before dispatch"`` errors.
         """
-        cost_model: CostModel | None = None
-        scheduler_factory: Callable[[], Scheduler] | None = None
-        retry: RetryPolicy | None = None
-        if config is not None:
-            strategy = strategy if strategy is not None else config.strategy
-            if scheduler is None and config.scheduler is not None:
-                scheduler_factory = config.scheduler_factory()
-            retry = config.retry
-            if attach_problems is None:
-                attach_problems = config.attach_problems
-            cost_model = config.cost_model
-            if batch is None:
-                batch = config.batch
-            if batch_group_size is None:
-                batch_group_size = config.batch_group_size
-            if kernel is None:
-                kernel = config.kernel
-            if min_group_size is None:
-                min_group_size = config.min_group_size
-            if cache is None:
-                cache = config.cache
-            if progress is None:
-                progress = config.progress
-            if cancel is None:
-                cancel = config.cancel
-        batch = bool(batch)
-        run_cache = self._resolve_run_cache(cache)
-        strategy_name = self._strategy_name(strategy)
+        options = _merged_config(
+            config, attach_problems=attach_problems, batch=batch,
+            batch_group_size=batch_group_size, kernel=kernel,
+            min_group_size=min_group_size, cache=cache, progress=progress,
+            cancel=cancel,
+        )
+        if strategy is None and config is not None:
+            strategy = config.strategy
+        scheduler_factory: Callable[[], Scheduler] = (
+            options.scheduler_factory()
+            if scheduler is None and options.scheduler is not None
+            else self._new_scheduler
+        )
 
         def make_runner() -> Scheduler:
-            if scheduler is not None:
-                return scheduler
-            if scheduler_factory is not None:
-                return scheduler_factory()
-            return self._new_scheduler()
+            return scheduler if scheduler is not None else scheduler_factory()
 
         plan = self._source_plan(
-            source,
-            strategy_name=strategy_name,
-            batch=batch,
-            batch_group_size=batch_group_size,
-            run_cache=run_cache,
-            store=store,
-            attach_problems=attach_problems,
-            cost_model=cost_model,
-            kernel=kernel or "loop",
-            min_group_size=min_group_size,
+            source, options, strategy_name=self._strategy_name(strategy), store=store
         )
-        core, jobs = self._make_core(plan, make_runner(), strategy, progress, cancel)
+        core, jobs = self._make_core(
+            plan, make_runner(), strategy, options.progress, options.cancel
+        )
+        retry = options.retry
         if (
             retry is not None
             and retry.max_attempts > 1
@@ -653,7 +616,7 @@ class ValuationSession:
         ):
             return self._run_with_retry(
                 plan, core, jobs, retry, make_runner,
-                strategy=strategy, progress=progress, cancel=cancel,
+                strategy=strategy, progress=options.progress, cancel=options.cancel,
             )
         return core.finish()
 
@@ -821,38 +784,21 @@ class ValuationSession:
         :class:`~repro.api.futures.JobSet` is reachable as ``.jobs`` for
         ``as_completed()`` / ``wait()`` access to individual futures.
         """
-        if config is not None:
-            strategy = strategy if strategy is not None else config.strategy
-            if attach_problems is None:
-                attach_problems = config.attach_problems
-            if batch is None:
-                batch = config.batch
-            if batch_group_size is None:
-                batch_group_size = config.batch_group_size
-            if kernel is None:
-                kernel = config.kernel
-            if min_group_size is None:
-                min_group_size = config.min_group_size
-            if cache is None:
-                cache = config.cache
-            if progress is None:
-                progress = config.progress
-            if cancel is None:
-                cancel = config.cancel
+        options = _merged_config(
+            config, attach_problems=attach_problems, batch=batch,
+            batch_group_size=batch_group_size, kernel=kernel,
+            min_group_size=min_group_size, cache=cache, progress=progress,
+            cancel=cancel,
+        )
+        if strategy is None and config is not None:
+            strategy = config.strategy
         runner = self._new_scheduler()
         plan = self._source_plan(
-            source,
-            strategy_name=self._strategy_name(strategy),
-            batch=bool(batch),
-            batch_group_size=batch_group_size,
-            run_cache=self._resolve_run_cache(cache),
-            store=store,
-            attach_problems=attach_problems,
-            cost_model=config.cost_model if config is not None else None,
-            kernel=kernel or "loop",
-            min_group_size=min_group_size,
+            source, options, strategy_name=self._strategy_name(strategy), store=store
         )
-        core, jobs = self._make_core(plan, runner, strategy, progress, cancel)
+        core, jobs = self._make_core(
+            plan, runner, strategy, options.progress, options.cancel
+        )
         return StreamingRun(core, jobs)
 
     # -- risk campaigns ----------------------------------------------------------
@@ -1051,17 +997,15 @@ class ValuationSession:
         self,
         jobs: list[Job],
         problem_by_id: Mapping[int, PricingProblem],
-        batch_group_size: int | None,
-        cost_model: CostModel | None = None,
-        kernel: str = "loop",
-        min_group_size: int | None = None,
+        options: RunConfig,
     ) -> tuple[list[Job], dict[int, tuple[int, ...]]]:
         """Merge shared-simulation jobs into :class:`ProblemBatch` super-jobs."""
-        model = cost_model or self.cost_model
+        model = options.cost_model or self.cost_model
+        min_group_size = options.min_group_size
         plan = plan_batches(
             [problem_by_id.get(job.job_id) for job in jobs],
             min_group_size=min_group_size if min_group_size is not None else 2,
-            max_group_size=batch_group_size,
+            max_group_size=options.batch_group_size,
         )
         group_by_first: dict[int, Any] = {g.indices[0]: g for g in plan.groups}
         grouped = {index for group in plan.groups for index in group.indices}
@@ -1073,7 +1017,8 @@ class ValuationSession:
                 member_jobs = [jobs[i] for i in group.indices]
                 problems = [problem_by_id[j.job_id] for j in member_jobs]
                 bundle = ProblemBatch(
-                    problems, keys=[j.job_id for j in member_jobs], kernel=kernel
+                    problems, keys=[j.job_id for j in member_jobs],
+                    kernel=options.kernel,
                 )
                 super_job = Job(
                     job_id=job.job_id,
@@ -1228,9 +1173,8 @@ class ValuationSession:
         plan = self._prepare_plan(
             jobs,
             problem_by_id,
+            RunConfig(),
             strategy_name=strategy_name,
-            batch=False,
-            batch_group_size=None,
             run_cache=self._cache,
             backend=backend,
             portfolio=None,
@@ -1424,7 +1368,9 @@ class ValuationSession:
                 job.job_id: job.problem for job in jobs if job.problem is not None
             }
         if batch:
-            jobs, _members = self._coalesce_jobs(jobs, problem_by_id, batch_group_size)
+            jobs, _members = self._coalesce_jobs(
+                jobs, problem_by_id, RunConfig(batch_group_size=batch_group_size)
+            )
         return jobs
 
     def _simulated_backend(

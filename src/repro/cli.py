@@ -170,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--kernel",
         choices=("loop", "stacked"),
-        default="loop",
+        default=None,
         help="Monte-Carlo evaluation kernel for --batch groups: 'loop' "
         "prices members one by one against the shared paths, 'stacked' "
-        "evaluates whole groups as one stacked-array computation "
-        "(bit-identical prices, much faster on large families)",
+        "(the default) evaluates whole groups as one stacked-array "
+        "computation (bit-identical prices, much faster on large families)",
     )
     run.add_argument(
         "--cache",
@@ -368,7 +368,7 @@ def _cmd_table(table: str, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_with_progress(session, portfolio, batch: bool, kernel: str = "loop"):
+def _run_with_progress(session, portfolio, batch: bool, kernel: str | None):
     """Stream a portfolio run, rendering per-position completion lines.
 
     Results land in completion order (the paper's master collecting from any

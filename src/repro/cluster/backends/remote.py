@@ -30,7 +30,7 @@ The pool is *elastic*, not just damage-tolerant:
   (one that answers neither a :data:`~repro.serial.frames.FRAME_PING` nor a
   result inside the window) into an ordinary death within seconds, instead
   of stalling ``collect`` for its full timeout;
-* **identity** -- a ``secret`` arms the protocol-v4 HMAC-SHA256 handshake,
+* **identity** -- a ``secret`` arms the HMAC-SHA256 handshake,
   so the master only dispatches jobs to workers that proved knowledge of
   the shared secret (and vice versa).
 
@@ -64,6 +64,7 @@ from repro.cluster.backends.base import (
     PreparedMessage,
     WorkerBackend,
 )
+from repro.cluster.worker import decode_hello
 from repro.errors import ClusterError, CollectTimeoutError, SerializationError, WorkerLostError
 from repro.serial import Serial, serialize, xdr
 from repro.serial.frames import (
@@ -197,9 +198,6 @@ class _Connection:
     address: str
     sock: socket.socket
     assembler: FrameAssembler = field(default_factory=FrameAssembler)
-    #: protocol version this peer greeted with (frames to it are encoded at
-    #: this version, so a v3 worker keeps working under a v4 master)
-    version: int = PROTOCOL_VERSION
     alive: bool = True
     stop_sent: bool = False
     #: detached on purpose -- never re-dialed by the reconnect policy
@@ -225,22 +223,13 @@ class _InFlight:
 
     Every record keeps the wire ``entry`` dictionary (chunk members share
     payload bytes with their batch frame); the solo frame is encoded
-    lazily -- at the receiving connection's protocol version -- on the
-    dispatch and death-redispatch paths.
+    lazily, on the dispatch and death-redispatch paths.
     """
 
     worker_id: int
     conn_index: int
     entry: dict[str, Any]
     frame: bytes | None = None
-
-    def frame_for(self, version: int) -> bytes:
-        if version != PROTOCOL_VERSION:
-            # rare (old-protocol peer): encode fresh, don't poison the cache
-            return encode_frame(FRAME_JOB, xdr.encode(self.entry), version=version)
-        if self.frame is None:
-            self.frame = encode_frame(FRAME_JOB, xdr.encode(self.entry))
-        return self.frame
 
 
 class RemoteBackend(WorkerBackend):
@@ -273,7 +262,7 @@ class RemoteBackend(WorkerBackend):
         socket.  ``None`` disables the probe (a wedged worker then costs
         the full ``collect`` timeout).
     secret:
-        Shared secret arming the protocol-v4 HMAC-SHA256 handshake: every
+        Shared secret arming the HMAC-SHA256 handshake: every
         worker must prove knowledge of the secret at connect time, before
         any job is dispatched.  Workers that require a secret are refused
         when ``secret`` is ``None`` -- loudly, at connect.
@@ -350,7 +339,7 @@ class RemoteBackend(WorkerBackend):
                     f"worker {address} did not greet with a hello frame "
                     f"(is it a repro-worker?)"
                 )
-            version = self._handshake(sock, address, frame[1])
+            self._handshake(sock, address, frame[1])
         except (SerializationError, OSError) as exc:
             # OSError covers the silent peer: connect_timeout is still armed,
             # so a listener that never greets surfaces here, wrapped
@@ -362,44 +351,35 @@ class RemoteBackend(WorkerBackend):
         # bounds every later sendall; recv never blocks on it because the
         # selector only hands over sockets with data pending
         sock.settimeout(self._send_timeout)
-        return _Connection(
-            address=address, sock=sock, version=version, last_recv=time.monotonic()
-        )
+        return _Connection(address=address, sock=sock, last_recv=time.monotonic())
 
-    def _handshake(self, sock: socket.socket, address: str, hello: bytes) -> int:
-        """Finish the greeting: negotiate the version, run the v4 auth.
+    def _handshake(self, sock: socket.socket, address: str, hello: bytes) -> None:
+        """Finish the greeting: check the hello, run the shared-secret auth.
 
-        Returns the protocol version to *speak* on this connection (the
-        worker's hello version, capped at ours).  Raises
-        :class:`~repro.errors.ClusterError` on any authentication problem --
-        before a single job frame is sent.
+        Raises :class:`~repro.errors.ClusterError` on an unreadable or
+        foreign-version hello and on any authentication problem -- before a
+        single job frame is sent.
         """
-        try:
-            greeting = xdr.decode(hello)
-        except SerializationError:
-            greeting = {}
-        if not isinstance(greeting, dict):
-            greeting = {}
-        try:
-            version = int(greeting.get("version", PROTOCOL_VERSION))
-        except (TypeError, ValueError):
-            version = PROTOCOL_VERSION
-        version = min(version, PROTOCOL_VERSION)
-        requires_secret = bool(greeting.get("auth", False))
+        greeting = decode_hello(hello)
+        if greeting is None:
+            raise ClusterError(
+                f"worker {address} sent a hello this master cannot read as a "
+                f"protocol v{PROTOCOL_VERSION} greeting; upgrade whichever "
+                f"end is older"
+            )
         if self._secret is None:
-            if requires_secret:
+            if greeting.get("auth", False):
                 raise ClusterError(
                     f"worker {address} requires a shared secret; pass "
                     f"secret=... to the remote backend (or unset the "
                     f"worker's --secret)"
                 )
-            return version
+            return
         worker_nonce = greeting.get("nonce")
-        if version < 4 or not isinstance(worker_nonce, bytes):
+        if not isinstance(worker_nonce, bytes):
             raise ClusterError(
-                f"this master requires a shared secret, but worker {address} "
-                f"speaks protocol v{version} without handshake support; "
-                f"upgrade the worker or drop the secret"
+                f"this master requires a shared secret, but the hello of "
+                f"worker {address} carries no handshake nonce"
             )
         master_nonce = os.urandom(16)
         sock.sendall(
@@ -428,7 +408,6 @@ class RemoteBackend(WorkerBackend):
                 f"worker {address} failed the shared-secret handshake "
                 f"(wrong secret)"
             )
-        return version
 
     # -- WorkerBackend contract --------------------------------------------------
     @property
@@ -480,11 +459,11 @@ class RemoteBackend(WorkerBackend):
     ) -> None:
         """Ship a whole chunk as **one** TCP frame (chunked scheduling).
 
-        A protocol-v5 worker answers the chunk with one coalesced
-        :data:`~repro.serial.frames.FRAME_RESULT_BATCH` message; older
-        workers send one result frame per member.  Either way, for death
-        recovery each member is tracked with its own single-job entry: if
-        the connection dies mid-chunk, the unanswered members are
+        The worker answers the chunk with one coalesced
+        :data:`~repro.serial.frames.FRAME_RESULT_BATCH` message (per-member
+        result frames only when the coalesced answer cannot be encoded).
+        For death recovery each member is tracked with its own single-job
+        entry: if the connection dies mid-chunk, the unanswered members are
         redispatched individually to the survivors (an answered member is
         never re-sent).
         """
@@ -509,9 +488,7 @@ class RemoteBackend(WorkerBackend):
             return
         conn = self._conns[conn_index]
         try:
-            frame = encode_frame(
-                FRAME_JOB_BATCH, xdr.encode({"jobs": entries}), version=conn.version
-            )
+            frame = encode_frame(FRAME_JOB_BATCH, xdr.encode({"jobs": entries}))
         except SerializationError:
             # the combined chunk overflows the frame-size guard; individual
             # jobs may still fit, so degrade to per-job dispatch rather than
@@ -601,9 +578,7 @@ class RemoteBackend(WorkerBackend):
             self._pongs.pop(index, None)
             conn = self._conns[index]
             try:
-                conn.sock.sendall(
-                    encode_frame(FRAME_PING, token, version=conn.version)
-                )
+                conn.sock.sendall(encode_frame(FRAME_PING, token))
             except OSError:
                 self._on_conn_dead(index)
                 continue
@@ -757,7 +732,9 @@ class RemoteBackend(WorkerBackend):
         conn = self._conns[conn_index]
         record.conn_index = conn_index
         self._inflight[job_id] = record
-        frame = record.frame_for(conn.version)
+        if record.frame is None:
+            record.frame = encode_frame(FRAME_JOB, xdr.encode(record.entry))
+        frame = record.frame
         try:
             conn.sock.sendall(frame)
         except OSError:
@@ -807,9 +784,8 @@ class RemoteBackend(WorkerBackend):
 
     def _absorb_result(self, payload: bytes, batch: bool = False) -> None:
         decoded = xdr.decode(payload)
-        # a v5 worker coalesces one FRAME_JOB_BATCH's answers into a single
-        # FRAME_RESULT_BATCH message; its members absorb exactly like the
-        # per-member result frames an older worker would have sent
+        # a FRAME_RESULT_BATCH carries one FRAME_JOB_BATCH's answers; its
+        # members absorb exactly like single result frames
         answers = decoded["results"] if batch else [decoded]
         for answer in answers:
             self._absorb_answer(answer)
@@ -949,9 +925,7 @@ class RemoteBackend(WorkerBackend):
             if now - conn.last_recv > self._liveness_timeout:
                 token = os.urandom(8)
                 try:
-                    conn.sock.sendall(
-                        encode_frame(FRAME_PING, token, version=conn.version)
-                    )
+                    conn.sock.sendall(encode_frame(FRAME_PING, token))
                 except OSError:
                     self._on_conn_dead(index)
                     continue
@@ -983,6 +957,6 @@ class RemoteBackend(WorkerBackend):
             return
         conn.stop_sent = True
         try:
-            conn.sock.sendall(encode_frame(FRAME_STOP, version=conn.version))
+            conn.sock.sendall(encode_frame(FRAME_STOP))
         except OSError:  # the worker is already gone; nothing left to stop
             pass

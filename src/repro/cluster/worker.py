@@ -55,7 +55,6 @@ from repro.serial.frames import (
     auth_proof,
     encode_frame,
     read_frame,
-    read_frame_versioned,
     verify_proof,
 )
 
@@ -71,7 +70,7 @@ def _hello_payload(nonce: bytes, secret: str | None) -> bytes:
             "role": "repro-worker",
             "pid": os.getpid(),
             "version": PROTOCOL_VERSION,
-            # v4 handshake material: the master proves its secret over this
+            # handshake material: the master proves its secret over this
             # nonce; ``auth`` tells secretless masters to fail loudly instead
             # of dispatching jobs a protected worker would silently drop
             "nonce": nonce,
@@ -80,9 +79,24 @@ def _hello_payload(nonce: bytes, secret: str | None) -> bytes:
     )
 
 
+def decode_hello(payload: bytes) -> dict[str, Any] | None:
+    """The greeting dictionary of a current-protocol worker, else ``None``.
+
+    A hello that does not decode, is not a dictionary or announces another
+    ``version`` is not a peer this end can talk to: the master refuses the
+    connection and :func:`probe_worker` reports the worker dead.
+    """
+    try:
+        greeting = xdr.decode(payload)
+    except (SerializationError, ValueError):  # ValueError: non-UTF-8 strings
+        return None
+    if not isinstance(greeting, dict) or greeting.get("version") != PROTOCOL_VERSION:
+        return None
+    return greeting
+
+
 def _result_frame(
-    job_id: int, result: Any, elapsed: float, error: str | None,
-    version: int = PROTOCOL_VERSION,
+    job_id: int, result: Any, elapsed: float, error: str | None
 ) -> bytes:
     try:
         return encode_frame(
@@ -90,7 +104,6 @@ def _result_frame(
             xdr.encode(
                 {"job_id": job_id, "result": result, "elapsed": elapsed, "error": error}
             ),
-            version=version,
         )
     except SerializationError as exc:
         # a result the codec cannot ship must degrade to an error answer,
@@ -106,26 +119,24 @@ def _result_frame(
                     "error": f"result not transmissible: {exc}",
                 }
             ),
-            version=version,
         )
 
 
 class _ComputeLane:
     """The pricing half of one connection, on its own thread.
 
-    Since protocol v4 the receive loop must stay responsive while a job
-    computes -- an in-campaign liveness :data:`FRAME_PING` that waits behind
-    a 30-second Monte-Carlo job looks exactly like a wedged worker to the
-    master.  So job frames are queued here and priced off-thread, and the
-    receive loop keeps draining the socket (answering pings instantly).
-    Results are sent under a lock shared with the receive loop so frames
-    never interleave on the wire.
+    The receive loop must stay responsive while a job computes -- an
+    in-campaign liveness :data:`FRAME_PING` that waits behind a 30-second
+    Monte-Carlo job looks exactly like a wedged worker to the master.  So
+    job frames are queued here and priced off-thread, and the receive loop
+    keeps draining the socket (answering pings instantly).  Results are sent
+    under a lock shared with the receive loop so frames never interleave on
+    the wire.
 
-    Since protocol v5 the members of one dispatched :data:`FRAME_JOB_BATCH`
-    stay together through the lane: their results coalesce into a single
-    :data:`FRAME_RESULT_BATCH` answer when the master's negotiated version
-    allows it, and degrade to the classic per-member :data:`FRAME_RESULT`
-    frames otherwise (old master, or a batch the codec cannot ship whole).
+    The members of one dispatched :data:`FRAME_JOB_BATCH` stay together
+    through the lane: their results coalesce into a single
+    :data:`FRAME_RESULT_BATCH` answer, degrading to per-member
+    :data:`FRAME_RESULT` frames only for a batch the codec cannot ship whole.
     """
 
     def __init__(self, conn: socket.socket, cache: Any, send_lock: threading.Lock):
@@ -139,15 +150,13 @@ class _ComputeLane:
         )
         self._thread.start()
 
-    def submit(self, job_id: int, payload_kind: str, payload: Any,
-               version: int = PROTOCOL_VERSION) -> None:
+    def submit(self, job_id: int, payload_kind: str, payload: Any) -> None:
         """Queue one singly-dispatched job; answered with one result frame."""
-        self._jobs.put(("single", [(job_id, payload_kind, payload)], version))
+        self._jobs.put((False, [(job_id, payload_kind, payload)]))
 
-    def submit_batch(self, entries: list[tuple[int, str, Any]],
-                     version: int = PROTOCOL_VERSION) -> None:
+    def submit_batch(self, entries: list[tuple[int, str, Any]]) -> None:
         """Queue the members of one job-batch frame as a coalescing unit."""
-        self._jobs.put(("batch", entries, version))
+        self._jobs.put((True, entries))
 
     def finish(self) -> None:
         """Price everything queued, send the results, then stop the lane."""
@@ -171,7 +180,7 @@ class _ComputeLane:
             item = self._jobs.get()
             if item is None:
                 return
-            mode, entries, version = item
+            coalesce, entries = item
             answers = []
             for job_id, payload_kind, payload in entries:
                 result, elapsed, error = execute_payload(
@@ -181,13 +190,11 @@ class _ComputeLane:
                     {"job_id": job_id, "result": result,
                      "elapsed": elapsed, "error": error}
                 )
-            if mode == "batch" and version >= 5:
+            if coalesce:
                 try:
                     self._send(
                         encode_frame(
-                            FRAME_RESULT_BATCH,
-                            xdr.encode({"results": answers}),
-                            version=version,
+                            FRAME_RESULT_BATCH, xdr.encode({"results": answers})
                         )
                     )
                     continue
@@ -200,7 +207,7 @@ class _ComputeLane:
                 self._send(
                     _result_frame(
                         answer["job_id"], answer["result"],
-                        answer["elapsed"], answer["error"], version=version,
+                        answer["elapsed"], answer["error"],
                     )
                 )
 
@@ -208,7 +215,7 @@ class _ComputeLane:
 def _authenticate_master(
     conn: socket.socket, secret: str, nonce: bytes, log
 ) -> bool:
-    """Worker side of the v4 challenge/response; ``True`` iff the peer is in.
+    """Worker side of the challenge/response; ``True`` iff the peer is in.
 
     The master must open with a :data:`FRAME_CHALLENGE` whose proof is
     HMAC-SHA256(secret, our hello ``nonce``); we answer its challenge nonce
@@ -218,16 +225,15 @@ def _authenticate_master(
     """
     while True:
         try:
-            frame = read_frame_versioned(conn.recv)
+            frame = read_frame(conn.recv)
         except SerializationError as exc:
             log(f"dropping connection during handshake: {exc}")
             return False
         if frame is None:
             return False
-        kind, payload, header_version = frame
-        version = min(header_version, PROTOCOL_VERSION)
+        kind, payload = frame
         if kind == FRAME_PING:
-            conn.sendall(encode_frame(FRAME_PONG, payload, version=version))
+            conn.sendall(encode_frame(FRAME_PONG, payload))
             continue
         if kind == FRAME_STOP:
             return False  # clean goodbye; nothing was authenticated
@@ -251,9 +257,7 @@ def _authenticate_master(
             return False
         conn.sendall(
             encode_frame(
-                FRAME_AUTH,
-                xdr.encode({"proof": auth_proof(secret, master_nonce)}),
-                version=version,
+                FRAME_AUTH, xdr.encode({"proof": auth_proof(secret, master_nonce)})
             )
         )
         return True
@@ -277,27 +281,22 @@ def _handle_connection(
     try:
         while True:
             try:
-                frame = read_frame_versioned(conn.recv)
+                frame = read_frame(conn.recv)
             except SerializationError as exc:
                 log(f"dropping connection: {exc}")
                 return False
             if frame is None:  # master closed the socket without a stop frame
                 return False
-            kind, payload, header_version = frame
-            # the master stamps its frames at the connection's negotiated
-            # version (capped by our hello), so replying at the same version
-            # keeps an older master's strict header check satisfied -- and
-            # gates whether it can digest coalesced result batches
-            version = min(header_version, PROTOCOL_VERSION)
+            kind, payload = frame
             if kind == FRAME_STOP:
                 return True
             if kind == FRAME_PING:
-                # keepalive (protocol v3): echo the opaque token straight back
+                # keepalive: echo the opaque token straight back
                 # -- answered here, off the compute lane, so a master's
                 # liveness probe is not stuck behind a long job
                 with send_lock:
                     # repro-lint: disable=lock-blocking-call -- the pong must not interleave with a result frame the compute lane is writing; the lock is the write serializer
-                    conn.sendall(encode_frame(FRAME_PONG, payload, version=version))
+                    conn.sendall(encode_frame(FRAME_PONG, payload))
                 continue
             if kind == FRAME_CHALLENGE:
                 # the master wants an authenticated pool but this worker has
@@ -313,10 +312,8 @@ def _handle_connection(
                 continue
             try:
                 decoded = xdr.decode(payload)
-                # a batch frame is one message carrying a whole chunk; since
-                # protocol v5 the chunk also answers as one coalesced
-                # FRAME_RESULT_BATCH message (older masters still get one
-                # result frame per member)
+                # a batch frame is one message carrying a whole chunk, and
+                # answers as one coalesced FRAME_RESULT_BATCH message
                 entries = decoded["jobs"] if kind == FRAME_JOB_BATCH else [decoded]
                 parsed = [
                     (int(entry["job_id"]), entry["kind"], entry["payload"])
@@ -326,10 +323,9 @@ def _handle_connection(
                 log(f"dropping connection on undecodable job frame: {exc}")
                 return False
             if kind == FRAME_JOB_BATCH:
-                lane.submit_batch(parsed, version)
+                lane.submit_batch(parsed)
             else:
-                for job_id, payload_kind, job_payload in parsed:
-                    lane.submit(job_id, payload_kind, job_payload, version)
+                lane.submit(*parsed[0])
     finally:
         # on a clean stop the queue is already priced (the master collects
         # every result before stopping workers), so this join is instant;
@@ -406,7 +402,7 @@ def serve(
     after the first connection ends -- useful for tests and one-shot
     deployments.  ``cache_dir`` opens the shared on-disk result cache every
     other executing backend understands (see :mod:`repro.pricing.cache`).
-    ``secret`` arms the protocol-v4 HMAC handshake: every master connection
+    ``secret`` arms the HMAC-SHA256 handshake: every master connection
     must prove knowledge of the shared secret before any job is accepted.
 
     ``workers=N`` forks ``N`` pricing processes behind the one listening
@@ -725,16 +721,13 @@ def probe_worker(address: str, *, timeout: float = 5.0) -> bool:
         with socket.create_connection((host, int(port_text)), timeout=timeout) as conn:
             conn.settimeout(timeout)
             frame = read_frame(conn.recv)
-            if frame is None or frame[0] != FRAME_HELLO:
+            if (
+                frame is None
+                or frame[0] != FRAME_HELLO
+                or decode_hello(frame[1]) is None
+            ):
                 return False
-            # speak the worker's own hello version so a not-yet-upgraded v3
-            # worker still probes as alive (its header check is strict)
-            try:
-                version = int(xdr.decode(frame[1]).get("version", PROTOCOL_VERSION))
-            except (SerializationError, TypeError, ValueError):
-                version = PROTOCOL_VERSION
-            version = min(version, PROTOCOL_VERSION)
-            conn.sendall(encode_frame(FRAME_PING, token, version=version))
+            conn.sendall(encode_frame(FRAME_PING, token))
             while True:
                 frame = read_frame(conn.recv)
                 if frame is None:
@@ -742,7 +735,7 @@ def probe_worker(address: str, *, timeout: float = 5.0) -> bool:
                 if frame[0] == FRAME_PONG:
                     if frame[1] != token:
                         return False
-                    conn.sendall(encode_frame(FRAME_STOP, version=version))
+                    conn.sendall(encode_frame(FRAME_STOP))
                     return True
     except (OSError, ValueError, SerializationError):
         return False
@@ -771,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="open the shared on-disk result cache in DIR")
     parser.add_argument("--secret", default=None, metavar="SECRET",
                         help="require masters to prove this shared secret in "
-                        "an HMAC-SHA256 handshake (protocol v4) before any "
+                        "an HMAC-SHA256 handshake before any "
                         f"job is accepted; defaults to ${SECRET_ENV_VAR} "
                         "when set (prefer the environment variable: argv is "
                         "world-readable in `ps`)")

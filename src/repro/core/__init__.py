@@ -6,7 +6,7 @@ Layers on top of :mod:`repro.pricing`, :mod:`repro.serial` and
 * portfolios and the three benchmark workloads (:mod:`repro.core.portfolio`);
 * the three problem-transmission strategies (:mod:`repro.core.strategies`);
 * the Robin-Hood scheduler and its extensions (:mod:`repro.core.scheduler`);
-* the runner and CPU-count sweeps (:mod:`repro.core.runner`);
+* the run report (:mod:`repro.core.runner`);
 * speedup tables in the paper's format (:mod:`repro.core.speedup`);
 * the non-regression workload (:mod:`repro.core.regression`);
 * portfolio risk measures (:mod:`repro.core.risk`).
@@ -36,13 +36,7 @@ from repro.core.risk import (
     scenario_jobs,
     sensitivity_sweep,
 )
-from repro.core.runner import (
-    RunReport,
-    compare_strategies,
-    run_jobs,
-    run_portfolio,
-    sweep_cpu_counts,
-)
+from repro.core.runner import RunReport
 from repro.core.scheduler import (
     SCHEDULERS,
     ChunkedPolicy,
@@ -105,10 +99,6 @@ __all__ = [
     "SCHEDULERS",
     # runner / speedup
     "RunReport",
-    "run_jobs",
-    "run_portfolio",
-    "sweep_cpu_counts",
-    "compare_strategies",
     "SpeedupTable",
     "SpeedupRow",
     "speedup_ratio",

@@ -1,36 +1,19 @@
-"""Run portfolios against a backend and sweep cluster sizes.
+"""The canonical :class:`RunReport` of one portfolio valuation.
 
-This used to be the top layer of the benchmark; it now hosts the canonical
-:class:`RunReport` plus **thin deprecation shims** -- :func:`run_jobs`,
-:func:`run_portfolio`, :func:`sweep_cpu_counts` and
-:func:`compare_strategies` delegate to the unified
-:class:`~repro.api.session.ValuationSession` facade, which is the preferred
-entry point for new code::
-
-    from repro.api import ValuationSession
-
-    session = ValuationSession(backend="simulated", strategy="serialized_load")
-    result = session.sweep(portfolio, cpu_counts=[2, 4, 8])
-
-The shims keep the historical signatures and return the unwrapped
-:class:`RunReport` / :class:`~repro.core.speedup.SpeedupTable` objects, so
-existing scripts and the whole seed test-suite keep working unchanged.
+Runs and CPU-count sweeps are driven by
+:class:`~repro.api.session.ValuationSession`; this module holds the report
+object every execution path folds its :class:`ScheduleOutcome` into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.cluster.backends.base import Job, WorkerBackend
-from repro.cluster.costmodel import CostModel
-from repro.cluster.simcluster.comm import STRATEGY_NAMES, CommunicationModel
-from repro.core.portfolio import Portfolio
-from repro.core.scheduler import Scheduler, ScheduleOutcome
-from repro.core.speedup import SpeedupTable
-from repro.core.strategies import TransmissionStrategy
+from repro.cluster.backends.base import Job
+from repro.core.scheduler import ScheduleOutcome
 
-__all__ = ["RunReport", "run_jobs", "run_portfolio", "sweep_cpu_counts", "compare_strategies"]
+__all__ = ["RunReport"]
 
 
 @dataclass
@@ -110,121 +93,3 @@ class RunReport:
             category_times=category_times,
             extra=dict(outcome.stats.extra),
         )
-
-
-def run_jobs(
-    jobs: Sequence[Job],
-    backend: WorkerBackend,
-    strategy: TransmissionStrategy | str = "serialized_load",
-    scheduler: Scheduler | None = None,
-) -> RunReport:
-    """Value a prepared job list on a backend and return the report.
-
-    .. deprecated:: 1.0
-        Thin shim over :meth:`repro.api.session.ValuationSession.run`.
-    """
-    from repro.api.session import ValuationSession
-
-    session = ValuationSession(backend=backend, strategy=strategy, scheduler=scheduler)
-    return session.run(jobs).report
-
-
-def run_portfolio(
-    portfolio: Portfolio,
-    backend: WorkerBackend,
-    strategy: TransmissionStrategy | str = "serialized_load",
-    scheduler: Scheduler | None = None,
-    cost_model: CostModel | None = None,
-    store=None,
-    attach_problems: bool | None = None,
-) -> RunReport:
-    """Value a :class:`Portfolio` on a backend.
-
-    ``attach_problems`` defaults to ``True`` for executing backends without a
-    problem store (so workers can rebuild the problems from memory) and
-    ``False`` otherwise.
-
-    .. deprecated:: 1.0
-        Thin shim over :meth:`repro.api.session.ValuationSession.run`.
-    """
-    from repro.api.session import ValuationSession
-
-    session = ValuationSession(
-        backend=backend, strategy=strategy, scheduler=scheduler, cost_model=cost_model
-    )
-    return session.run(portfolio, store=store, attach_problems=attach_problems).report
-
-
-def sweep_cpu_counts(
-    jobs: Sequence[Job],
-    cpu_counts: Sequence[int],
-    strategy: str = "serialized_load",
-    scheduler_factory: Callable[[], Scheduler] | None = None,
-    comm: CommunicationModel | None = None,
-    share_nfs_cache: bool = True,
-    label: str | None = None,
-    comm_factory: Callable[[], CommunicationModel] | None = None,
-) -> SpeedupTable:
-    """Simulate the same workload over several cluster sizes.
-
-    Reproduces one column of the paper's tables: for each ``n_cpus`` a fresh
-    simulated cluster with ``n_cpus - 1`` workers is driven by the scheduler,
-    and the virtual makespans are collected into a :class:`SpeedupTable`.
-
-    ``share_nfs_cache=True`` reuses the same :class:`CommunicationModel`
-    (hence the same NFS server cache) across the sweep, as happened on the
-    paper's physical cluster where successive experiments re-read the same
-    portfolio files; pass ``False`` to model independent cold runs (built by
-    ``comm_factory`` when given, otherwise by copying ``comm`` with a cold
-    cache -- custom NFS settings are preserved either way).
-
-    .. deprecated:: 1.0
-        Thin shim over :meth:`repro.api.session.ValuationSession.sweep`.
-    """
-    from repro.api.session import ValuationSession
-
-    session = ValuationSession(
-        backend="simulated",
-        strategy=strategy,
-        scheduler=scheduler_factory,
-        comm=comm,
-        comm_factory=comm_factory,
-    )
-    return session.sweep(
-        jobs,
-        cpu_counts,
-        strategy=strategy,
-        share_nfs_cache=share_nfs_cache,
-        label=label,
-    ).table
-
-
-def compare_strategies(
-    jobs: Sequence[Job],
-    cpu_counts: Sequence[int],
-    strategies: Sequence[str] = STRATEGY_NAMES,
-    scheduler_factory: Callable[[], Scheduler] | None = None,
-    comm_factory: Callable[[], CommunicationModel] | None = None,
-    share_nfs_cache: bool = True,
-) -> dict[str, SpeedupTable]:
-    """Run the CPU-count sweep for several transmission strategies.
-
-    This reproduces the full layout of Tables II and III (one Time and one
-    Speedup-ratio column per strategy).  Each strategy gets its own
-    communication model (hence its own NFS cache history), mirroring the
-    paper where the three columns come from separate experiment campaigns.
-
-    .. deprecated:: 1.0
-        Thin shim over :meth:`repro.api.session.ValuationSession.compare`.
-    """
-    from repro.api.session import ValuationSession
-
-    session = ValuationSession(
-        backend="simulated", scheduler=scheduler_factory, comm_factory=comm_factory
-    )
-    return session.compare(
-        jobs,
-        cpu_counts,
-        strategies=strategies,
-        share_nfs_cache=share_nfs_cache,
-    ).tables

@@ -201,7 +201,7 @@ class ProblemBatch:
         self,
         problems: Sequence[PricingProblem],
         keys: Sequence[int] | None = None,
-        kernel: str = "loop",
+        kernel: str | None = None,
     ):
         problems = list(problems)
         if len(problems) < 1:
@@ -304,7 +304,7 @@ class ProblemBatch:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProblemBatch":
         problems = [PricingProblem.from_dict(entry) for entry in data["problems"]]
-        return cls(problems, keys=data.get("keys"), kernel=data.get("kernel", "loop"))
+        return cls(problems, keys=data.get("keys"), kernel=data.get("kernel"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"ProblemBatch(n={len(self.problems)}, signature={self.signature.mode!r})"
@@ -320,7 +320,7 @@ def price_problems(
     min_group_size: int = 2,
     max_group_size: int | None = None,
     cache: "ResultCache | None" = None,
-    kernel: str = "loop",
+    kernel: str | None = None,
 ) -> list[PricingResult]:
     """Price ``problems`` with shared-path grouping, in input order.
 

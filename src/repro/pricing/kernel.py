@@ -30,7 +30,7 @@ member per batch.  This module is the vectorized alternative -- the
 Every vectorized expression mirrors the loop kernel's IEEE operation
 sequence -- same draws in the same order, same parenthesisation, same
 per-batch accumulation -- so prices and per-path samples are **bit-identical**
-to ``kernel="loop"``.  The claim is enforced mechanically by the
+to the ``"loop"`` kernel.  The claim is enforced mechanically by the
 ``tests/differential`` suite, which asserts ``np.array_equal`` over a matrix
 of (model x product x antithetic x batch shape) coordinates.
 
@@ -68,6 +68,7 @@ from repro.pricing.rng import AntitheticGenerator, RandomGenerator, create_gener
 
 __all__ = [
     "KERNELS",
+    "DEFAULT_KERNEL",
     "resolve_kernel",
     "run_groups",
     "price_many_stacked",
@@ -76,6 +77,11 @@ __all__ = [
 
 #: the evaluation kernels selectable through RunConfig / price_many
 KERNELS = ("loop", "stacked")
+
+#: the kernel every entry point runs when the caller names none (the only
+#: place the choice is made: callers pass ``None`` through to
+#: :func:`resolve_kernel`)
+DEFAULT_KERNEL = "stacked"
 
 #: memory budget for one stacked simulation chunk, in float64 elements
 #: (~128 MiB); a cohort whose groups would exceed it is split into chunks,
@@ -99,9 +105,9 @@ GroupSpec = tuple[MonteCarloEuropean, Model, Sequence[Product]]
 
 
 def resolve_kernel(kernel: str | None) -> str:
-    """Normalise and validate a kernel name (``None`` means ``"loop"``)."""
+    """Normalise and validate a kernel name (``None`` means the default)."""
     if kernel is None:
-        return "loop"
+        return DEFAULT_KERNEL
     kernel = str(kernel).lower()
     if kernel not in KERNELS:
         raise PricingError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")

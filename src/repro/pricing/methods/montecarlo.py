@@ -263,7 +263,7 @@ class MonteCarloEuropean(PricingMethod):
         model: Model,
         products: Sequence[Product],
         *,
-        kernel: str = "loop",
+        kernel: str | None = None,
         sample_sink: Any = None,
     ) -> list[PricingResult]:
         """Price several products against **one** shared simulated path set.
@@ -292,15 +292,14 @@ class MonteCarloEuropean(PricingMethod):
             return []
         for product in products:
             self.check_supports(model, product)
+        from repro.pricing.kernel import price_many_stacked, resolve_kernel
+
+        kernel = resolve_kernel(kernel)
         start = time.perf_counter()
         if kernel == "loop":
             results = self._price_shared(model, products, sample_sink=sample_sink)
-        elif kernel == "stacked":
-            from repro.pricing.kernel import price_many_stacked
-
-            results = price_many_stacked(self, model, products, sample_sink=sample_sink)
         else:
-            raise PricingError(f"unknown kernel {kernel!r}; expected 'loop' or 'stacked'")
+            results = price_many_stacked(self, model, products, sample_sink=sample_sink)
         elapsed = time.perf_counter() - start
         _stamp_and_validate(self, model, products, results, elapsed)
         return results

@@ -42,7 +42,6 @@ from repro.errors import SerializationError
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "FRAME_HELLO",
     "FRAME_JOB",
     "FRAME_RESULT",
@@ -60,7 +59,6 @@ __all__ = [
     "decode_header",
     "FrameAssembler",
     "read_frame",
-    "read_frame_versioned",
     "auth_proof",
     "verify_proof",
 ]
@@ -69,30 +67,9 @@ __all__ = [
 FRAME_MAGIC = b"RWF\x01"
 _MAGIC = FRAME_MAGIC
 
-#: bump on any incompatible change to the frame layout *or* the payload
-#: dictionaries; both ends refuse to talk across versions.
-#: v2 added :data:`FRAME_JOB_BATCH` (chunked dispatch: several jobs in one
-#: message) -- a v1 peer would silently drop batch frames, so the whole
-#: protocol is gated on the version instead.
-#: v3 added the :data:`FRAME_PING` / :data:`FRAME_PONG` keepalive so an idle
-#: master (e.g. the ``repro-serve`` daemon between campaigns) can detect dead
-#: workers without dispatching a job -- an older worker would treat a ping as
-#: an unknown kind, so the keepalive is version-gated like everything else.
-#: v4 added the optional HMAC-SHA256 handshake (:data:`FRAME_CHALLENGE` /
-#: :data:`FRAME_AUTH`) plus a ``nonce`` in the worker hello; it is the first
-#: *backwards-compatible* bump -- see :data:`MIN_PROTOCOL_VERSION`.
-#: v5 added :data:`FRAME_RESULT_BATCH` (chunked collection: a worker answers
-#: one :data:`FRAME_JOB_BATCH` with one coalesced result message instead of
-#: one frame per member -- the collection-side mirror of the paper's "send a
-#: single large message" advice).  Backwards compatible: a worker replying
-#: to a v3/v4 master keeps sending per-member :data:`FRAME_RESULT` frames.
+#: stamped in every frame header; both ends refuse any other stamp, so bump
+#: it on any change to the frame layout or the payload dictionaries.
 PROTOCOL_VERSION = 5
-
-#: oldest peer version this end still decodes.  A v4 master speaks v3 on a
-#: connection whose worker greeted at v3 (no handshake frames, same job and
-#: result payloads), so upgrading the master fleet before the workers is
-#: safe -- as long as no shared secret is configured, which v3 cannot carry.
-MIN_PROTOCOL_VERSION = 3
 
 #: worker -> master greeting sent once per connection (worker identity)
 FRAME_HELLO = 1
@@ -104,25 +81,24 @@ FRAME_RESULT = 3
 #: the paper's empty message of Fig. 4
 FRAME_STOP = 4
 #: master -> worker: a whole chunk of jobs in one message (payload:
-#: ``{"jobs": [job dictionary, ...]}``); the worker answers with one
-#: :data:`FRAME_RESULT` per member, so collection stays incremental --
-#: "it is always advisable to send a single large message rather [than]
-#: several smaller messages"
+#: ``{"jobs": [job dictionary, ...]}``), answered with one
+#: :data:`FRAME_RESULT_BATCH` -- "it is always advisable to send a single
+#: large message rather [than] several smaller messages"
 FRAME_JOB_BATCH = 5
 #: master -> worker: liveness probe (payload: opaque token bytes, echoed
 #: back verbatim); cheap enough to send between campaigns
 FRAME_PING = 6
 #: worker -> master: keepalive answer carrying the ping's token unchanged
 FRAME_PONG = 7
-#: master -> worker (v4): authentication challenge.  Payload:
+#: master -> worker: authentication challenge.  Payload:
 #: ``{"nonce": master_nonce, "proof": HMAC-SHA256(secret, worker_nonce)}`` --
 #: the master proves knowledge of the shared secret over the nonce the
 #: worker published in its hello, and challenges the worker back
 FRAME_CHALLENGE = 8
-#: worker -> master (v4): handshake answer.  Payload:
+#: worker -> master: handshake answer.  Payload:
 #: ``{"proof": HMAC-SHA256(secret, master_nonce)}``
 FRAME_AUTH = 9
-#: worker -> master (v5): a whole chunk of priced jobs in one message
+#: worker -> master: a whole chunk of priced jobs in one message
 #: (payload: ``{"results": [result dictionary, ...]}``) -- the worker's
 #: answer to one :data:`FRAME_JOB_BATCH`, coalesced so 1600 cheap jobs do
 #: not cost 1600 small result messages
@@ -143,44 +119,19 @@ FRAME_HEADER_BYTES = _HEADER.size
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
-#: frame kinds that only exist from a given protocol version on; encoding
-#: one for an older peer is a programming error, caught before the send
-_KIND_SINCE = {FRAME_JOB_BATCH: 2, FRAME_PING: 3, FRAME_PONG: 3,
-               FRAME_CHALLENGE: 4, FRAME_AUTH: 4, FRAME_RESULT_BATCH: 5}
-
-
 def encode_frame(
-    kind: int,
-    payload: bytes = b"",
-    *,
-    version: int = PROTOCOL_VERSION,
-    max_bytes: int = MAX_FRAME_BYTES,
+    kind: int, payload: bytes = b"", *, max_bytes: int = MAX_FRAME_BYTES
 ) -> bytes:
-    """Frame ``payload`` as one self-delimiting message.
-
-    ``version`` stamps the header; a master talking to an old worker passes
-    the version that worker greeted with (any value in
-    ``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]``) so the peer's strict
-    header check accepts the frame.
-    """
+    """Frame ``payload`` as one self-delimiting message."""
     if kind not in _KNOWN_KINDS:
         raise SerializationError(f"unknown frame kind {kind!r}")
-    if not MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION:
-        raise SerializationError(
-            f"cannot encode protocol v{version} frames (this end supports "
-            f"v{MIN_PROTOCOL_VERSION}..v{PROTOCOL_VERSION})"
-        )
-    if version < _KIND_SINCE.get(kind, 1):
-        raise SerializationError(
-            f"frame kind {kind} does not exist in protocol v{version}"
-        )
     payload = bytes(payload)
     if len(payload) > max_bytes:
         raise SerializationError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{max_bytes}-byte limit"
         )
-    return _HEADER.pack(_MAGIC, version, kind, len(payload)) + payload
+    return _HEADER.pack(_MAGIC, PROTOCOL_VERSION, kind, len(payload)) + payload
 
 
 def decode_header(header: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> tuple[int, int]:
@@ -190,20 +141,6 @@ def decode_header(header: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> tuple[i
     protocol-version mismatch, unknown frame kind or oversized payload --
     before a single payload byte is consumed.
     """
-    _, kind, length = _decode_header_versioned(header, max_bytes=max_bytes)
-    return kind, length
-
-
-def _decode_header_versioned(
-    header: bytes, *, max_bytes: int = MAX_FRAME_BYTES
-) -> tuple[int, int, int]:
-    """:func:`decode_header`, but also returning the header's stamped version.
-
-    The version is how a *worker* learns what its master speaks: the master
-    caps outgoing frames at the version the worker's hello announced, so the
-    stamp on any received frame is the connection's negotiated version and
-    gates whether coalesced :data:`FRAME_RESULT_BATCH` replies are allowed.
-    """
     if len(header) < FRAME_HEADER_BYTES:
         raise SerializationError(
             f"truncated frame header: got {len(header)} of {FRAME_HEADER_BYTES} bytes"
@@ -211,10 +148,10 @@ def _decode_header_versioned(
     magic, version, kind, length = _HEADER.unpack(header[:FRAME_HEADER_BYTES])
     if magic != _MAGIC:
         raise SerializationError(f"bad frame magic {magic!r}: not a repro worker stream")
-    if not MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION:
+    if version != PROTOCOL_VERSION:
         raise SerializationError(
             f"frame protocol version mismatch: peer speaks v{version}, "
-            f"this end speaks v{MIN_PROTOCOL_VERSION}..v{PROTOCOL_VERSION}"
+            f"this end speaks v{PROTOCOL_VERSION}"
         )
     if kind not in _KNOWN_KINDS:
         raise SerializationError(f"unknown frame kind {kind}")
@@ -223,7 +160,7 @@ def _decode_header_versioned(
             f"frame announces a {length}-byte payload, above the "
             f"{max_bytes}-byte limit"
         )
-    return version, kind, length
+    return kind, length
 
 
 class FrameAssembler:
@@ -286,23 +223,6 @@ def read_frame(
     first header byte returns ``None``; an end of stream mid-frame raises
     :class:`SerializationError` (the peer died mid-message).
     """
-    frame = read_frame_versioned(read, max_bytes=max_bytes)
-    if frame is None:
-        return None
-    kind, payload, _ = frame
-    return kind, payload
-
-
-def read_frame_versioned(
-    read: Callable[[int], bytes], *, max_bytes: int = MAX_FRAME_BYTES
-) -> tuple[int, bytes, int] | None:
-    """:func:`read_frame` returning ``(kind, payload, header_version)``.
-
-    The extra version element is what the worker's receive loop uses to cap
-    its replies (and to decide whether the master understands coalesced
-    :data:`FRAME_RESULT_BATCH` answers): the master stamps every outgoing
-    frame at the connection's negotiated version.
-    """
 
     def _read_exactly(n: int, *, at_message_boundary: bool) -> bytes | None:
         chunks = bytearray()
@@ -320,12 +240,12 @@ def read_frame_versioned(
     header = _read_exactly(FRAME_HEADER_BYTES, at_message_boundary=True)
     if header is None:
         return None
-    version, kind, length = _decode_header_versioned(header, max_bytes=max_bytes)
+    kind, length = decode_header(header, max_bytes=max_bytes)
     if length == 0:
-        return kind, b"", version
+        return kind, b""
     payload = _read_exactly(length, at_message_boundary=False)
     assert payload is not None
-    return kind, payload, version
+    return kind, payload
 
 
 def auth_proof(secret: str | bytes, nonce: bytes) -> bytes:

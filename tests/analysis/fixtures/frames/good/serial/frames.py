@@ -11,5 +11,3 @@ FRAME_PING = 5
 _KNOWN_KINDS = frozenset(
     (FRAME_HELLO, FRAME_JOB, FRAME_RESULT, FRAME_STOP, FRAME_PING)
 )
-
-_KIND_SINCE = {FRAME_PING: 3}

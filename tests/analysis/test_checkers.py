@@ -90,8 +90,6 @@ def test_frame_protocol_bad_fixture():
     result = lint_fixture("frames/bad", checkers=["frame-protocol"])
     assert rule_lines(result) == [
         ("frame-duplicate-kind", "serial/frames.py", 8),
-        ("frame-ungated-kind", "serial/frames.py", 9),
-        ("frame-ungated-kind", "serial/frames.py", 10),
         ("frame-unhandled-kind", "serial/frames.py", 9),
         ("frame-unhandled-kind", "serial/frames.py", 10),
         ("frame-unhandled-kind", "serial/frames.py", 10),

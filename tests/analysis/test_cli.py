@@ -67,7 +67,6 @@ def test_list_rules_covers_every_builtin_rule(capsys):
         "lock-unguarded-write",
         "frame-duplicate-kind",
         "frame-unregistered-kind",
-        "frame-ungated-kind",
         "frame-unhandled-kind",
         "frozen-self-mutation",
         "frozen-mutation",

@@ -2,8 +2,7 @@
 
 The acceptance bar of the unified API: reproduce the quickstart price
 (10.4506), a full portfolio run and a Table-II-style strategy comparison
-through the session alone, with results identical to the legacy free
-functions the session replaced.
+through the session alone.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.api import (
 from repro.cluster.backends import SequentialBackend
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import CommunicationModel, NFSModel
-from repro.core import compare_strategies, run_portfolio, sweep_cpu_counts
 from repro.core.portfolio import build_toy_portfolio
 from repro.errors import SchedulingError, ValuationError
 from repro.pricing import (
@@ -106,15 +104,13 @@ class TestPrice:
 
 
 class TestRun:
-    def test_portfolio_run_matches_legacy(self, toy_portfolio):
+    def test_named_backend_run_matches_instance_backend(self, toy_portfolio):
         session = ValuationSession(backend="local", strategy="serialized_load")
         result = session.run(toy_portfolio)
-        legacy = run_portfolio(
-            toy_portfolio, SequentialBackend(), strategy="serialized_load"
-        )
+        by_instance = ValuationSession(SequentialBackend()).run(toy_portfolio)
         assert isinstance(result, RunResult)
         assert result.ok and result.n_errors == 0
-        assert result.prices() == pytest.approx(legacy.prices())
+        assert result.prices() == pytest.approx(by_instance.prices())
         assert result.value() == pytest.approx(
             sum(
                 pos.quantity * result.prices()[i]
@@ -224,13 +220,13 @@ class TestSubmitMany:
 
 
 class TestSweep:
-    def test_sweep_matches_legacy_sweep(self, toy_jobs):
+    def test_sweep_defaults_to_the_session_strategy(self, toy_jobs):
         session = ValuationSession(backend="simulated")
         result = session.sweep(toy_jobs, [2, 4, 8])
-        legacy = sweep_cpu_counts(toy_jobs, [2, 4, 8], strategy="serialized_load")
+        explicit = session.sweep(toy_jobs, [2, 4, 8], strategy="serialized_load")
         assert isinstance(result, SweepResult)
-        assert result.times() == pytest.approx(legacy.times())
-        assert result.ratios() == pytest.approx(legacy.ratios())
+        assert result.times() == pytest.approx(explicit.times())
+        assert result.ratios() == pytest.approx(explicit.ratios())
         assert result.label == "serialized_load"
         assert result.best_cpu_count() in (2, 4, 8)
         assert "Speedup" in result.format()
@@ -278,20 +274,20 @@ class TestNFSCacheSettingsFix:
         for n_cpus in (2, 4):
             assert custom.times()[n_cpus] > default.times()[n_cpus] * 1.5
 
-    def test_comm_factory_threads_through_legacy_shim(self, toy_jobs):
+    def test_session_comm_factory_builds_one_model_per_cold_run(self, toy_jobs):
         calls: list[int] = []
 
         def factory() -> CommunicationModel:
             calls.append(1)
             return self._slow_nfs_comm()
 
-        table = sweep_cpu_counts(
-            toy_jobs, [2, 4], strategy="nfs",
-            share_nfs_cache=False, comm_factory=factory,
+        table = ValuationSession(comm_factory=factory).sweep(
+            toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=False
         )
         assert len(calls) >= 2  # one fresh model per CPU count
-        default = sweep_cpu_counts(toy_jobs, [2, 4], strategy="nfs",
-                                   share_nfs_cache=False)
+        default = ValuationSession().sweep(
+            toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=False
+        )
         assert table.times()[2] > default.times()[2] * 1.5
 
     def test_cold_copy_preserves_constants_and_clears_cache(self):
@@ -306,14 +302,14 @@ class TestNFSCacheSettingsFix:
 
 
 class TestCompare:
-    def test_compare_matches_legacy(self, toy_jobs):
+    def test_compare_is_one_sweep_per_strategy(self, toy_jobs):
         session = ValuationSession()
         result = session.compare(toy_jobs, [2, 4], strategies=("full_load", "nfs"))
-        legacy = compare_strategies(toy_jobs, [2, 4], strategies=("full_load", "nfs"))
         assert isinstance(result, ComparisonResult)
-        assert set(result.strategies) == set(legacy)
+        assert set(result.strategies) == {"full_load", "nfs"}
         for name in result.strategies:
-            assert result[name].times() == pytest.approx(legacy[name].times())
+            alone = session.sweep(toy_jobs, [2, 4], strategy=name)
+            assert result[name].times() == pytest.approx(alone.times())
         assert result.ok
 
     def test_table_layout_and_lookup(self, toy_portfolio):

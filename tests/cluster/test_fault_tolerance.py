@@ -18,9 +18,8 @@ import pytest
 from repro.api import BackendSpec, ValuationSession
 from repro.api.config import RetryPolicy, RunConfig
 from repro.cluster.backends import Job, PAYLOAD_SERIAL, PreparedMessage
-from repro.cluster.backends.execution import execute_payload
 from repro.cluster.backends.remote import ReconnectPolicy, RemoteBackend
-from repro.cluster.worker import spawn_local_workers
+from repro.cluster.worker import probe_worker, serve, spawn_local_workers
 from repro.core.portfolio import Portfolio, Position
 from repro.errors import (
     ClusterError,
@@ -33,12 +32,9 @@ from repro.serial import serialize, xdr
 from repro.serial.frames import (
     FRAME_HELLO,
     FRAME_JOB,
-    FRAME_PING,
-    FRAME_PONG,
-    FRAME_RESULT,
-    FRAME_STOP,
-    FrameAssembler,
+    PROTOCOL_VERSION,
     encode_frame,
+    read_frame,
 )
 
 
@@ -87,9 +83,7 @@ class _MuteWorker:
         except OSError:
             return
         with conn:
-            conn.sendall(
-                encode_frame(FRAME_HELLO, xdr.encode({"role": "repro-worker"}))
-            )
+            conn.sendall(_hello())
             self._release.wait(60.0)
 
     def drop(self) -> None:
@@ -103,62 +97,43 @@ class _MuteWorker:
         self._thread.join(timeout=5.0)
 
 
-class _FakeV3Worker:
-    """A single-connection worker frozen at protocol v3: no nonce in its
-    hello, no challenge/response support -- but it prices jobs correctly."""
+def _restamped(frame: bytes, version: int) -> bytes:
+    """``frame`` with its header's protocol-version stamp overwritten."""
+    return frame[:4] + version.to_bytes(2, "big") + frame[6:]
 
-    def __init__(self):
+
+def _hello(version: int = PROTOCOL_VERSION) -> bytes:
+    return encode_frame(
+        FRAME_HELLO, xdr.encode({"role": "repro-worker", "pid": 0, "version": version})
+    )
+
+
+class _ForeignWorker:
+    """Greets every connection with fixed hello bytes and records whatever
+    the master writes afterwards (nothing, if it refuses the peer)."""
+
+    def __init__(self, hello: bytes):
+        self._hello = hello
+        self.received = b""
         self._server = socket.create_server(("127.0.0.1", 0))
         self.address = f"127.0.0.1:{self._server.getsockname()[1]}"
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self) -> None:
-        try:
-            conn, _ = self._server.accept()
-        except OSError:
-            return
-        with conn:
-            conn.sendall(
-                encode_frame(
-                    FRAME_HELLO,
-                    xdr.encode({"role": "repro-worker", "pid": 0, "version": 3}),
-                    version=3,
-                )
-            )
-            assembler = FrameAssembler()
-            while True:
+        while True:
+            try:
+                conn, _ = self._server.accept()
+            except OSError:
+                return
+            with conn:
+                conn.settimeout(5.0)
                 try:
-                    data = conn.recv(65536)
+                    conn.sendall(self._hello)
+                    while data := conn.recv(65536):
+                        self.received += data
                 except OSError:
-                    return
-                if not data:
-                    return
-                assembler.feed(data)
-                for kind, payload in assembler:
-                    if kind == FRAME_STOP:
-                        return
-                    if kind == FRAME_PING:
-                        conn.sendall(encode_frame(FRAME_PONG, payload, version=3))
-                    elif kind == FRAME_JOB:
-                        entry = xdr.decode(payload)
-                        result, elapsed, error = execute_payload(
-                            entry["kind"], entry["payload"]
-                        )
-                        conn.sendall(
-                            encode_frame(
-                                FRAME_RESULT,
-                                xdr.encode(
-                                    {
-                                        "job_id": entry["job_id"],
-                                        "result": result,
-                                        "elapsed": elapsed,
-                                        "error": error,
-                                    }
-                                ),
-                                version=3,
-                            )
-                        )
+                    pass
 
     def close(self) -> None:
         self._server.close()
@@ -372,26 +347,77 @@ class TestAuthenticatedHandshake:
             with pytest.raises(ClusterError, match="requires a shared secret"):
                 RemoteBackend(pool.hosts, connect_timeout=5.0)
 
-    def test_v3_worker_interoperates_without_secrets(self):
-        worker = _FakeV3Worker()
-        try:
-            problem = _make_problem()
-            backend = RemoteBackend([worker.address], connect_timeout=5.0)
-            _dispatch(backend, 0, 0, problem)
-            done = backend.collect(timeout=30.0)
-            backend.finalize()
-            assert done.error is None
-            assert done.result["price"] == problem.compute().price
-        finally:
-            worker.close()
 
-    def test_v3_worker_cannot_join_a_secret_pool(self):
-        worker = _FakeV3Worker()
+#: every stamp but PROTOCOL_VERSION is foreign: both old generations and a future one
+FOREIGN_VERSIONS = [3, 4, PROTOCOL_VERSION + 1]
+
+
+class TestForeignPeerRefused:
+    """One protocol version: a peer at any other stamp, or one whose hello
+    does not decode, is refused before a job frame is sent or executed."""
+
+    @pytest.mark.parametrize(
+        "hello",
+        [_restamped(_hello(v), v) for v in FOREIGN_VERSIONS]  # foreign header stamp
+        + [_hello(v) for v in FOREIGN_VERSIONS]  # current header, foreign greeting
+        + [
+            encode_frame(FRAME_HELLO, b"\x00not an xdr payload"),
+            encode_frame(FRAME_HELLO, xdr.encode(["not", "a", "dict"])),
+            encode_frame(FRAME_HELLO, xdr.encode({"role": "repro-worker"})),
+        ],
+        ids=[f"header-v{v}" for v in FOREIGN_VERSIONS]
+        + [f"greeting-v{v}" for v in FOREIGN_VERSIONS]
+        + ["garbage", "non-dict", "no-version"],
+    )
+    def test_master_refuses_a_foreign_worker(self, hello):
+        worker = _ForeignWorker(hello)
         try:
-            with pytest.raises(ClusterError, match="without handshake support"):
-                RemoteBackend([worker.address], secret="tok", connect_timeout=5.0)
+            with pytest.raises(ClusterError, match="handshake|hello"):
+                RemoteBackend([worker.address], connect_timeout=5.0)
+            assert probe_worker(worker.address, timeout=5.0) is False
         finally:
             worker.close()
+        # not a byte -- let alone a FRAME_JOB* -- was written to the peer
+        assert worker.received == b""
+
+    @pytest.mark.parametrize("version", FOREIGN_VERSIONS)
+    def test_worker_drops_a_foreign_master(self, version, monkeypatch, capsys):
+        import repro.cluster.backends.execution as execution
+
+        executed = []
+        monkeypatch.setattr(
+            execution, "execute_payload",
+            lambda *args, **kwargs: executed.append(args) or (None, 0.0, None),
+        )
+        ports: list[int] = []
+        listening = threading.Event()
+        thread = threading.Thread(
+            target=serve,
+            kwargs={
+                "host": "127.0.0.1", "port": 0, "once": True, "quiet": False,
+                "ready": lambda port: (ports.append(port), listening.set()),
+            },
+            daemon=True,
+        )
+        thread.start()
+        assert listening.wait(10.0)
+        data = serialize(_make_problem()).to_bytes()
+        job = encode_frame(
+            FRAME_JOB,
+            xdr.encode({"job_id": 0, "kind": PAYLOAD_SERIAL, "payload": data}),
+        )
+        with socket.create_connection(("127.0.0.1", ports[0]), timeout=10.0) as conn:
+            assert read_frame(conn.recv)[0] == FRAME_HELLO
+            conn.sendall(_restamped(job, version))
+            try:
+                answer = read_frame(conn.recv)
+            except ConnectionResetError:  # closed with our payload unread
+                answer = None
+            assert answer is None  # hung up, no result frame
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert executed == []
+        assert "version mismatch" in capsys.readouterr().err
 
 
 class TestRetryPolicy:

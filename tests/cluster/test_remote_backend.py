@@ -20,7 +20,12 @@ from repro.errors import (
 )
 from repro.pricing import PricingProblem
 from repro.serial import serialize, xdr
-from repro.serial.frames import FRAME_HELLO, encode_frame
+from repro.serial.frames import FRAME_HELLO, PROTOCOL_VERSION, encode_frame
+
+#: what a fake worker sends to pass the master's greeting check
+_HELLO = encode_frame(
+    FRAME_HELLO, xdr.encode({"role": "repro-worker", "version": PROTOCOL_VERSION})
+)
 
 
 def _make_problem(strike: float = 100.0) -> PricingProblem:
@@ -258,13 +263,12 @@ class TestWorkerDeath:
     def test_losing_every_worker_raises_retryable_error(self):
         # deterministic total-pool loss: both "workers" greet correctly and
         # then drop the connection without ever answering a job
-        hello = encode_frame(FRAME_HELLO, xdr.encode({"role": "repro-worker"}))
         servers, threads, ports = [], [], []
         hold = threading.Event()
 
         def _dying_worker(server):
             conn, _ = server.accept()
-            conn.sendall(hello)
+            conn.sendall(_HELLO)
             hold.wait(30.0)  # let both connections establish first
             conn.close()
 
@@ -302,7 +306,6 @@ class TestWorkerDeath:
         # not a crashed run; with no survivors that surfaces as WorkerLostError
         from repro.serial.frames import FRAME_RESULT
 
-        hello = encode_frame(FRAME_HELLO, xdr.encode({"role": "repro-worker"}))
         server = socket.socket()
         server.bind(("127.0.0.1", 0))
         server.listen(1)
@@ -310,7 +313,7 @@ class TestWorkerDeath:
 
         def _confused_worker():
             conn, _ = server.accept()
-            conn.sendall(hello)
+            conn.sendall(_HELLO)
             conn.recv(1 << 20)  # swallow the job
             conn.sendall(encode_frame(FRAME_RESULT, b"this is not xdr"))
             conn.close()
@@ -328,7 +331,6 @@ class TestWorkerDeath:
 
     def test_collect_timeout_on_silent_worker(self):
         # a "worker" that greets correctly and then never answers
-        hello = encode_frame(FRAME_HELLO, xdr.encode({"role": "repro-worker"}))
         server = socket.socket()
         server.bind(("127.0.0.1", 0))
         server.listen(1)
@@ -337,7 +339,7 @@ class TestWorkerDeath:
 
         def _mute_worker():
             conn, _ = server.accept()
-            conn.sendall(hello)
+            conn.sendall(_HELLO)
             stop.wait(30.0)
             conn.close()
 

@@ -1,11 +1,9 @@
-"""Tests of the v5 coalesced result frames (``FRAME_RESULT_BATCH``).
+"""Tests of the coalesced result frames (``FRAME_RESULT_BATCH``).
 
 One dispatched :data:`FRAME_JOB_BATCH` answers as **one** coalesced result
-message when the master speaks protocol v5, and degrades to the classic
-per-member :data:`FRAME_RESULT` frames for older masters -- the worker
-learns the negotiated version from the master's own frame headers, never
-from configuration.  The end-to-end case is the ablation workload: a
-1600-cheap-job portfolio shipped in chunks over real TCP workers.
+message, degrading to per-member :data:`FRAME_RESULT` frames only when a
+member's result cannot be shipped.  The end-to-end case is the ablation
+workload: a 1600-cheap-job portfolio shipped in chunks over real TCP workers.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from repro.serial.frames import (
     FRAME_RESULT_BATCH,
     FRAME_STOP,
     encode_frame,
-    read_frame_versioned,
+    read_frame,
 )
 
 
@@ -40,7 +38,7 @@ def _make_problem(strike: float = 100.0) -> PricingProblem:
     return problem
 
 
-def _batch_frame(problems, version: int) -> bytes:
+def _batch_frame(problems) -> bytes:
     entries = [
         {
             "job_id": index,
@@ -49,49 +47,26 @@ def _batch_frame(problems, version: int) -> bytes:
         }
         for index, problem in enumerate(problems)
     ]
-    return encode_frame(FRAME_JOB_BATCH, xdr.encode({"jobs": entries}), version=version)
+    return encode_frame(FRAME_JOB_BATCH, xdr.encode({"jobs": entries}))
 
 
 class TestCoalescedReply:
-    def test_v5_master_gets_one_result_batch_frame(self):
+    def test_job_batch_gets_one_result_batch_frame(self):
         problems = [_make_problem(k) for k in (90.0, 100.0, 110.0)]
         reference = [p.compute().price for p in problems]
         with spawn_local_workers(1) as pool:
             host, port = pool.hosts[0].rsplit(":", 1)
             with socket.create_connection((host, int(port)), timeout=10.0) as conn:
-                kind, _, hello_version = read_frame_versioned(conn.recv)
+                kind, _ = read_frame(conn.recv)
                 assert kind == FRAME_HELLO
-                assert hello_version >= 5
-                conn.sendall(_batch_frame(problems, version=5))
-                kind, payload, version = read_frame_versioned(conn.recv)
+                conn.sendall(_batch_frame(problems))
+                kind, payload = read_frame(conn.recv)
                 assert kind == FRAME_RESULT_BATCH
-                assert version == 5
                 answers = xdr.decode(payload)["results"]
                 assert [a["job_id"] for a in answers] == [0, 1, 2]
                 assert [a["result"]["price"] for a in answers] == reference
                 assert all(a["error"] is None for a in answers)
-                conn.sendall(encode_frame(FRAME_STOP, version=5))
-
-    def test_v4_master_gets_per_member_result_frames(self):
-        problems = [_make_problem(k) for k in (95.0, 105.0)]
-        reference = [p.compute().price for p in problems]
-        with spawn_local_workers(1) as pool:
-            host, port = pool.hosts[0].rsplit(":", 1)
-            with socket.create_connection((host, int(port)), timeout=10.0) as conn:
-                kind, _, _ = read_frame_versioned(conn.recv)
-                assert kind == FRAME_HELLO
-                # an older master stamps its frames at v4; the worker must
-                # answer with frames that master can parse -- one per member
-                conn.sendall(_batch_frame(problems, version=4))
-                seen = {}
-                for _ in problems:
-                    kind, payload, version = read_frame_versioned(conn.recv)
-                    assert kind == FRAME_RESULT
-                    assert version == 4
-                    answer = xdr.decode(payload)
-                    seen[answer["job_id"]] = answer["result"]["price"]
-                assert seen == {0: reference[0], 1: reference[1]}
-                conn.sendall(encode_frame(FRAME_STOP, version=4))
+                conn.sendall(encode_frame(FRAME_STOP))
 
     def test_untransmissible_member_degrades_to_per_member_frames(self, monkeypatch):
         # one member whose result the codec cannot ship poisons the whole
@@ -126,15 +101,15 @@ class TestCoalescedReply:
         assert listening.wait(10.0)
         problems = [_make_problem(k) for k in (90.0, 100.0, 110.0)]
         with socket.create_connection(("127.0.0.1", ports[0]), timeout=10.0) as conn:
-            assert read_frame_versioned(conn.recv)[0] == FRAME_HELLO
-            conn.sendall(_batch_frame(problems, version=5))
+            assert read_frame(conn.recv)[0] == FRAME_HELLO
+            conn.sendall(_batch_frame(problems))
             answers = {}
             for _ in problems:
-                kind, payload, _ = read_frame_versioned(conn.recv)
+                kind, payload = read_frame(conn.recv)
                 assert kind == FRAME_RESULT  # coalescing was abandoned
                 answer = xdr.decode(payload)
                 answers[answer["job_id"]] = answer
-            conn.sendall(encode_frame(FRAME_STOP, version=5))
+            conn.sendall(encode_frame(FRAME_STOP))
         assert answers[0]["error"] is None
         assert "not transmissible" in answers[1]["error"]
         assert answers[1]["result"] is None
@@ -145,7 +120,7 @@ class TestCoalescedReply:
 class TestEndToEndChunkedPortfolio:
     def test_ablation_portfolio_over_coalescing_workers(self):
         # the ablation workload: 1600 cheap closed-form jobs, chunk-dispatched
-        # so every wave is one FRAME_JOB_BATCH and (since v5) one coalesced
+        # so every wave is one FRAME_JOB_BATCH and one coalesced
         # FRAME_RESULT_BATCH answer per chunk
         portfolio = build_toy_portfolio(n_options=1600)
         reference = ValuationSession(backend="local").run(portfolio)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import ValuationSession
 from repro.cluster.backends import Job, SequentialBackend
-from repro.core.runner import RunReport, run_jobs
+from repro.core.runner import RunReport
 from repro.core.scheduler import (
     RobinHoodPolicy,
     ScheduleOutcome,
@@ -67,7 +67,7 @@ def _job(job_id: int, problem: PricingProblem) -> Job:
 class TestRunReportErrors:
     def test_worker_error_lands_in_report_errors(self):
         jobs = [_job(0, _good_problem()), _job(1, _failing_problem())]
-        report = run_jobs(jobs, SequentialBackend(), strategy="serialized_load")
+        report = ValuationSession(SequentialBackend(), "serialized_load").run(jobs).report
         assert report.n_jobs == 2
         assert set(report.errors) == {1}
         assert "IncompatibleMethodError" in report.errors[1]
@@ -93,7 +93,7 @@ class TestRunReportErrors:
 
     def test_from_outcome_splits_errors_and_categories(self):
         jobs = [_job(0, _good_problem()), _job(1, _failing_problem())]
-        report = run_jobs(jobs, SequentialBackend())
+        report = ValuationSession(SequentialBackend()).run(jobs).report
         assert isinstance(report, RunReport)
         assert report.category_times["error_paths"] >= 0.0
 
@@ -149,12 +149,12 @@ class TestPartialCompletion:
     def test_dropped_result_raises_scheduling_error(self):
         jobs = [_job(i, _good_problem()) for i in range(3)]
         with pytest.raises(SchedulingError, match="2 results for 3 dispatched jobs"):
-            run_jobs(jobs, SequentialBackend(), scheduler=_LossyScheduler())
+            ValuationSession(SequentialBackend(), scheduler=_LossyScheduler()).run(jobs)
 
     def test_empty_outcome_raises_scheduling_error(self):
         jobs = [_job(0, _good_problem())]
         with pytest.raises(SchedulingError, match="0 results for 1 dispatched jobs"):
-            run_jobs(jobs, SequentialBackend(), scheduler=_EmptyScheduler())
+            ValuationSession(SequentialBackend(), scheduler=_EmptyScheduler()).run(jobs)
 
     def test_session_path_raises_identically(self):
         session = ValuationSession(backend="local", scheduler=_LossyScheduler())

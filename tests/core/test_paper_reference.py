@@ -81,13 +81,16 @@ class TestCompareWithPaper:
     def test_simulated_table_iii_is_close_to_the_paper(self):
         """End-to-end: the simulated realistic portfolio stays within a factor
         ~1.5 of every published serialized-load row."""
+        from repro.api import ValuationSession
         from repro.cluster.costmodel import paper_cost_model
-        from repro.core import build_realistic_portfolio, sweep_cpu_counts
+        from repro.core import build_realistic_portfolio
 
         jobs = build_realistic_portfolio(profile="paper").build_jobs(
             cost_model=paper_cost_model()
         )
-        measured = sweep_cpu_counts(jobs, [2, 16, 128, 256, 512], strategy="serialized_load")
+        measured = ValuationSession().sweep(
+            jobs, [2, 16, 128, 256, 512], strategy="serialized_load"
+        ).table
         comparison = compare_with_paper(measured, paper_speedup_table("III"))
         assert comparison.n_common_rows == 5
         assert comparison.max_time_ratio < 1.5

@@ -1,16 +1,16 @@
-"""Tests of the portfolio runner and the CPU-count sweeps."""
+"""Tests of the run report and the CPU-count sweeps, through the session."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import ValuationSession
 from repro.cluster.backends import MultiprocessingBackend, SequentialBackend
 from repro.cluster.costmodel import paper_cost_model
-from repro.cluster.simcluster import ClusterSpec, CommunicationModel, SimulatedClusterBackend
+from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core.portfolio import build_toy_portfolio
-from repro.core.runner import RunReport, compare_strategies, run_jobs, run_portfolio, sweep_cpu_counts
+from repro.core.runner import RunReport
 from repro.core.scheduler import ChunkedRobinHoodScheduler
-from repro.errors import SchedulingError
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def toy_jobs():
 class TestRunPortfolio:
     def test_sequential_execution_produces_prices(self):
         portfolio = build_toy_portfolio(n_options=12)
-        report = run_portfolio(portfolio, SequentialBackend(), strategy="serialized_load")
+        report = ValuationSession(SequentialBackend(), "serialized_load").run(portfolio).report
         assert report.n_jobs == 12
         assert not report.errors
         prices = report.prices()
@@ -34,22 +34,20 @@ class TestRunPortfolio:
 
     def test_multiprocessing_matches_sequential(self):
         portfolio = build_toy_portfolio(n_options=16)
-        sequential = run_portfolio(portfolio, SequentialBackend(), strategy="serialized_load")
-        parallel = run_portfolio(
-            portfolio, MultiprocessingBackend(n_workers=2), strategy="serialized_load"
-        )
+        sequential = ValuationSession(SequentialBackend()).run(portfolio)
+        parallel = ValuationSession(MultiprocessingBackend(n_workers=2)).run(portfolio)
         assert parallel.prices() == pytest.approx(sequential.prices())
 
     def test_store_based_run_with_nfs_strategy(self, tmp_path):
         portfolio = build_toy_portfolio(n_options=10)
         store = portfolio.to_store(tmp_path / "store")
-        report = run_portfolio(portfolio, SequentialBackend(), strategy="nfs", store=store)
+        report = ValuationSession(SequentialBackend(), "nfs").run(portfolio, store=store)
         assert not report.errors
         assert len(report.prices()) == 10
 
     def test_simulated_run_reports_virtual_time(self, toy_jobs):
         backend = SimulatedClusterBackend(ClusterSpec.from_cpu_count(4))
-        report = run_jobs(toy_jobs, backend, strategy="serialized_load")
+        report = ValuationSession(backend, "serialized_load").run(toy_jobs).report
         assert report.total_time > 0
         assert report.n_workers == 3
         assert report.results[0] is None  # timing-only simulation
@@ -58,7 +56,7 @@ class TestRunPortfolio:
 
     def test_report_from_outcome_consistency(self, toy_jobs):
         backend = SimulatedClusterBackend(ClusterSpec.from_cpu_count(4))
-        report = run_jobs(toy_jobs, backend)
+        report = ValuationSession(backend).run(toy_jobs).report
         assert isinstance(report, RunReport)
         assert report.n_jobs == len(toy_jobs)
         assert report.bytes_sent > 0
@@ -71,7 +69,7 @@ class TestSweeps:
         jobs = build_toy_portfolio(n_options=64).build_jobs(
             cost_model=paper_cost_model().with_scale(2000.0)
         )
-        table = sweep_cpu_counts(jobs, [2, 3, 5, 9], strategy="serialized_load")
+        table = ValuationSession().sweep(jobs, [2, 3, 5, 9], strategy="serialized_load").table
         times = table.times()
         assert times[2] > times[3] > times[5] > times[9]
         assert table.row_for(2).ratio == pytest.approx(1.0)
@@ -79,28 +77,23 @@ class TestSweeps:
             assert 0.5 < row.ratio <= 1.05
 
     def test_sweep_custom_scheduler(self, toy_jobs):
-        table = sweep_cpu_counts(
-            toy_jobs,
-            [2, 4],
-            strategy="nfs",
-            scheduler_factory=lambda: ChunkedRobinHoodScheduler(chunk_size=10),
+        session = ValuationSession(
+            scheduler=lambda: ChunkedRobinHoodScheduler(chunk_size=10)
         )
+        table = session.sweep(toy_jobs, [2, 4], strategy="nfs")
         assert set(table.times()) == {2, 4}
 
-    def test_sweep_requires_cpu_counts(self, toy_jobs):
-        with pytest.raises(SchedulingError):
-            sweep_cpu_counts(toy_jobs, [])
-
     def test_shared_nfs_cache_reproduces_the_table_ii_artefact(self, toy_jobs):
-        shared = sweep_cpu_counts(toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=True)
+        session = ValuationSession()
+        shared = session.sweep(toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=True)
         # with a shared server cache, the 4-CPU run benefits from the files
         # the 2-CPU run already touched: the apparent speedup is super-linear
-        assert shared.row_for(4).ratio > 1.0
-        cold = sweep_cpu_counts(toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=False)
-        assert cold.row_for(4).ratio < shared.row_for(4).ratio
+        assert shared.ratios()[4] > 1.0
+        cold = session.sweep(toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=False)
+        assert cold.ratios()[4] < shared.ratios()[4]
 
     def test_compare_strategies_covers_all_three(self, toy_jobs):
-        tables = compare_strategies(toy_jobs, [2, 4, 8])
+        tables = ValuationSession().compare(toy_jobs, [2, 4, 8]).tables
         assert set(tables) == {"full_load", "nfs", "serialized_load"}
         for table in tables.values():
             assert table.cpu_counts() == [2, 4, 8]
@@ -108,7 +101,9 @@ class TestSweeps:
     def test_serialized_load_beats_full_load_everywhere(self, toy_jobs):
         """The paper: 'The only objective comparison is between the full load
         and serialized load, the latter is always the faster.'"""
-        tables = compare_strategies(toy_jobs, [2, 4, 8, 16], strategies=("full_load", "serialized_load"))
+        tables = ValuationSession().compare(
+            toy_jobs, [2, 4, 8, 16], strategies=("full_load", "serialized_load")
+        ).tables
         for n_cpus in (2, 4, 8, 16):
             assert (
                 tables["serialized_load"].row_for(n_cpus).time

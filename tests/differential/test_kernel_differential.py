@@ -280,7 +280,7 @@ class TestKernelSelection:
     def test_resolve_kernel(self):
         from repro.errors import PricingError
 
-        assert resolve_kernel(None) == "loop"
+        assert resolve_kernel(None) == "stacked"
         assert resolve_kernel("loop") == "loop"
         assert resolve_kernel("stacked") == "stacked"
         with pytest.raises(PricingError):

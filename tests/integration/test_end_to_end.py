@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ValuationSession
 from repro.cluster import MultiprocessingBackend, SequentialBackend, mpi, paper_cost_model
 from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core import (
     build_realistic_portfolio,
     build_toy_portfolio,
     portfolio_value,
-    run_portfolio,
 )
 from repro.serial import Serial, sload
 
@@ -30,22 +30,22 @@ class TestPortfolioAcrossBackends:
 
     @pytest.fixture(scope="class")
     def reference_prices(self, portfolio, store):
-        report = run_portfolio(
-            portfolio, SequentialBackend(), strategy="serialized_load", store=store
+        report = ValuationSession(SequentialBackend(), "serialized_load").run(
+            portfolio, store=store
         )
         assert not report.errors
         return report.prices()
 
     @pytest.mark.parametrize("strategy", ["full_load", "nfs", "serialized_load"])
     def test_sequential_strategies_agree(self, portfolio, store, reference_prices, strategy):
-        report = run_portfolio(portfolio, SequentialBackend(), strategy=strategy, store=store)
+        report = ValuationSession(SequentialBackend(), strategy).run(portfolio, store=store)
         assert not report.errors
         assert report.prices() == pytest.approx(reference_prices)
 
     @pytest.mark.parametrize("strategy", ["full_load", "nfs", "serialized_load"])
     def test_multiprocessing_strategies_agree(self, portfolio, store, reference_prices, strategy):
         backend = MultiprocessingBackend(n_workers=2)
-        report = run_portfolio(portfolio, backend, strategy=strategy, store=store)
+        report = ValuationSession(backend, strategy).run(portfolio, store=store)
         assert not report.errors
         assert report.prices() == pytest.approx(reference_prices)
 
@@ -54,9 +54,7 @@ class TestPortfolioAcrossBackends:
             ClusterSpec.homogeneous(4), strategy="serialized_load", execute=True
         )
         jobs = portfolio.build_jobs(store=store, attach_problems=True)
-        from repro.core import run_jobs
-
-        report = run_jobs(jobs, backend, strategy="serialized_load")
+        report = ValuationSession(backend, "serialized_load").run(jobs)
         assert not report.errors
         assert report.prices() == pytest.approx(reference_prices)
         assert report.total_time > 0  # virtual seconds

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ValuationSession
 from repro.cluster.costmodel import paper_cost_model
 from repro.core import (
     build_realistic_portfolio,
     build_regression_portfolio,
     build_toy_portfolio,
-    compare_strategies,
-    sweep_cpu_counts,
 )
 
 
@@ -48,9 +47,9 @@ class TestTable1Shape:
     then the short total workload caps the achievable speedup."""
 
     def test_linear_then_plateau(self, regression_jobs):
-        table = sweep_cpu_counts(
+        table = ValuationSession().sweep(
             regression_jobs, [2, 4, 8, 16, 64, 256], strategy="serialized_load"
-        )
+        ).table
         # near-linear regime at small CPU counts
         assert table.row_for(4).ratio > 0.9
         assert table.row_for(8).ratio > 0.8
@@ -75,7 +74,7 @@ class TestTable2Shape:
 
     @pytest.fixture(scope="class")
     def tables(self, toy_jobs):
-        return compare_strategies(toy_jobs, [2, 4, 8, 12, 16, 24, 32, 50])
+        return ValuationSession().compare(toy_jobs, [2, 4, 8, 12, 16, 24, 32, 50]).tables
 
     def test_serialized_load_always_beats_full_load(self, tables):
         for n_cpus in tables["full_load"].cpu_counts():
@@ -128,9 +127,9 @@ class TestTable3Shape:
 
     @pytest.fixture(scope="class")
     def tables(self, realistic_jobs):
-        return compare_strategies(realistic_jobs, [2, 8, 26, 51], strategies=(
+        return ValuationSession().compare(realistic_jobs, [2, 8, 26, 51], strategies=(
             "full_load", "nfs", "serialized_load",
-        ))
+        )).tables
 
     def test_strategies_within_a_few_percent(self, tables):
         """'The computation times ... are fairly the same no matter how the

@@ -214,6 +214,19 @@ class TestProblemBatch:
             k: v["price"] for k, v in restored.items()
         }
 
+    def test_unnamed_kernel_is_the_single_sourced_default(self):
+        from repro.api import RunConfig
+        from repro.pricing.kernel import DEFAULT_KERNEL
+
+        assert DEFAULT_KERNEL == "stacked"
+        batch = ProblemBatch([_mc_problem(90.0), _mc_problem(110.0)])
+        assert batch.kernel == DEFAULT_KERNEL
+        wire = batch.to_dict()
+        del wire["kernel"]
+        assert ProblemBatch.from_dict(wire).kernel == DEFAULT_KERNEL
+        assert RunConfig().kernel == DEFAULT_KERNEL
+        assert ProblemBatch([_mc_problem(90.0)], kernel="loop").kernel == "loop"
+
     def test_compute_with_cache_skips_members(self):
         cache = ResultCache()
         batch = ProblemBatch([_mc_problem(90.0), _mc_problem(110.0)])

@@ -19,7 +19,7 @@ class TestLazyNamespace:
 
     def test_dir_covers_lazy_names(self):
         listing = dir(repro)
-        for name in ("ValuationSession", "PricingProblem", "Portfolio", "run_portfolio"):
+        for name in ("ValuationSession", "PricingProblem", "Portfolio", "RunReport"):
             assert name in listing
 
     def test_unknown_attribute_raises(self):
