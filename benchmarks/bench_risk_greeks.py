@@ -4,8 +4,9 @@ The workload is the paper's daily-risk motivation on a 50-position
 single-model Monte-Carlo call ladder:
 
 * **Greek ladder**: the full finite-difference report (delta, gamma, vega,
-  rho, theta) for every position.  The serial bump-and-revalue oracle pays
-  ~8 simulations per position (400 Sobol draws in all); the batched CRN
+  rho, theta) for every position.  The serial oracle of ``tests/oracles``
+  (every cell priced alone) pays 8 simulations per position (400 Sobol
+  draws in all); the batched CRN
   scenario grid (:mod:`repro.pricing.scenarios`) expands the same ladder
   into one ``price_problems(kernel="stacked")`` campaign whose spot/vol/rate
   bumps all share **one** draw cohort (the theta roll-down is the second),
@@ -43,6 +44,7 @@ from benchmarks.conftest import write_bench_json  # noqa: E402
 from repro.core.portfolio import Portfolio, Position  # noqa: E402
 from repro.core.risk import historical_var, portfolio_greeks  # noqa: E402
 from repro.pricing import PricingProblem  # noqa: E402
+from tests.oracles import solo_cell_pricer  # noqa: E402
 
 #: full-profile sizes (the acceptance configuration)
 FULL_POSITIONS = 50
@@ -57,6 +59,10 @@ SMOKE_VAR_PATHS = 8_000
 
 MIN_LADDER_SPEEDUP = 5.0
 MIN_VAR_SPEEDUP = 3.0
+#: the batched ladder runs ~0.2 s, short enough that a cold first call
+#: (imports, page faults on the stacked arrays) moved the single-shot ratio
+#: between 3.6x and 8.3x on one machine: both sides take their best of three
+LADDER_REPEATS = 3
 
 _GREEK_FIELDS = ("total_value", "total_delta", "total_gamma", "total_vega",
                  "total_rho", "total_theta")
@@ -83,19 +89,25 @@ def build_ladder_book(n_positions: int, n_paths: int) -> Portfolio:
     return portfolio
 
 
+def _best_ladder(n_positions: int, n_paths: int, **options):
+    """Best wall time of ``portfolio_greeks`` over fresh books, and its report."""
+    best = float("inf")
+    for _ in range(LADDER_REPEATS):
+        book = build_ladder_book(n_positions, n_paths)
+        start = time.perf_counter()
+        report = portfolio_greeks(book, **options)
+        best = min(best, time.perf_counter() - start)
+    return best, report
+
+
 def run_risk_benchmark(
     n_positions: int, ladder_paths: int, var_scenarios: int, var_paths: int
 ) -> dict:
     """Time the serial oracle against the batched CRN engine on both campaigns."""
-    ladder_book = build_ladder_book(n_positions, ladder_paths)
-
-    start = time.perf_counter()
-    serial = portfolio_greeks(ladder_book, engine="serial")
-    ladder_serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched = portfolio_greeks(ladder_book, engine="batched")
-    ladder_batched_s = time.perf_counter() - start
+    ladder_serial_s, serial = _best_ladder(
+        n_positions, ladder_paths, price_grid=solo_cell_pricer
+    )
+    ladder_batched_s, batched = _best_ladder(n_positions, ladder_paths)
 
     base_prices_identical = all(
         b.price == s.price for b, s in zip(batched.positions, serial.positions)
@@ -108,11 +120,11 @@ def run_risk_benchmark(
     returns = np.random.default_rng(42).normal(0.0, 0.012, var_scenarios).tolist()
 
     start = time.perf_counter()
-    var_serial = historical_var(var_book, returns, engine="serial")
+    var_serial = historical_var(var_book, returns, price_grid=solo_cell_pricer)
     var_serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    var_batched = historical_var(var_book, returns, engine="batched")
+    var_batched = historical_var(var_book, returns)
     var_batched_s = time.perf_counter() - start
 
     var_identical = (
@@ -176,9 +188,9 @@ def main(argv: list[str] | None = None) -> int:
     for key, value in payload.items():
         print(f"  {key} = {value}")
     for flag, message in (
-        ("base_prices_identical", "base prices differ between engines"),
+        ("base_prices_identical", "base prices differ from the serial oracle"),
         ("greeks_identical", "assembled Greeks differ from the serial oracle"),
-        ("var_identical", "VaR scenario values differ between engines"),
+        ("var_identical", "VaR scenario values differ from the serial oracle"),
     ):
         if not payload[flag]:
             print(f"FAIL: {message}", file=sys.stderr)

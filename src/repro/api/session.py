@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -804,12 +805,11 @@ class ValuationSession:
     # -- risk campaigns ----------------------------------------------------------
     def _run_scenario_grid(
         self,
-        name: str,
         problems: Sequence[PricingProblem],
         scenarios: Sequence[Any],
         *,
         on_missing: str,
-        kernel: str,
+        name: str,
         config: RunConfig | None,
     ) -> list[dict[str, float]]:
         """Price (problems x scenarios) as one batched campaign on the backend.
@@ -818,10 +818,12 @@ class ValuationSession:
         ``batch=True, min_group_size=1``: cells sharing a simulation signature
         coalesce into :class:`~repro.pricing.batch.ProblemBatch` super-jobs
         (which ride the shm transport on local backends and the wire protocol
-        on remote ones), and the stacked kernel prices each super-job's
+        on remote ones), and the kernel of ``config`` prices each super-job's
         members against one shared path set.  Returns one ``{scenario name:
         price}`` mapping per input problem, exactly like
-        :func:`repro.pricing.scenarios.price_scenarios`.
+        :func:`repro.pricing.scenarios.price_scenarios` -- bound to ``name``
+        and ``config`` it is the ``price_grid`` the :mod:`repro.core.risk`
+        measures take.
         """
         from repro.core.portfolio import Position
         from repro.pricing.scenarios import collect_cell_prices, expand_scenarios
@@ -837,10 +839,7 @@ class ValuationSession:
             for index, problem in enumerate(expanded)
         ]
         grid = Portfolio(name=f"{name}_scenarios", positions=grid_positions)
-        result = self.run(
-            grid, config=config, batch=True,
-            kernel=kernel, min_group_size=1,
-        )
+        result = self.run(grid, config=config, batch=True, min_group_size=1)
         prices = result.prices()
         missing = [index for index in range(len(expanded)) if index not in prices]
         if missing:
@@ -859,49 +858,25 @@ class ValuationSession:
         vol_bump: float = 0.01,
         rate_bump: float = 0.0001,
         theta_bump: float = 1.0 / 365.0,
-        kernel: str = "stacked",
         config: RunConfig | None = None,
     ) -> "Any":
         """Full finite-difference Greek ladder of a portfolio, batched.
 
-        Expands every position against one
-        :func:`~repro.pricing.scenarios.greek_ladder`, runs the cells as a
-        single scenario campaign on the session backend and assembles a
-        :class:`~repro.core.risk.PortfolioRiskReport`.  Numbers are
-        bit-identical to :func:`repro.core.risk.portfolio_greeks` on the
-        same book; the campaign parallelises over workers like any other
+        :func:`repro.core.risk.portfolio_greeks` with the scenario grid
+        priced as a single campaign on the session backend: same
+        :class:`~repro.core.risk.PortfolioRiskReport`, bit-identical
+        numbers, and the cells parallelise over workers like any other
         batched run.
         """
-        from repro.core.risk import _aggregate_greeks
-        from repro.pricing.scenarios import (
-            VOL_PARAM,
-            greek_ladder,
-            greeks_from_prices,
-        )
+        from repro.core.risk import portfolio_greeks
 
-        positions = portfolio.positions
-        if not positions:
-            raise ValuationError("cannot compute Greeks of an empty portfolio")
-        ladder = greek_ladder(
-            spot_bump=spot_bump, vol_bump=vol_bump, rate_bump=rate_bump,
-            theta_bump=theta_bump, vol_param=VOL_PARAM,
+        return portfolio_greeks(
+            portfolio, spot_bump=spot_bump, vol_bump=vol_bump,
+            rate_bump=rate_bump, theta_bump=theta_bump,
+            price_grid=partial(
+                self._run_scenario_grid, name=portfolio.name, config=config
+            ),
         )
-        grids = self._run_scenario_grid(
-            portfolio.name, [position.problem for position in positions], ladder,
-            on_missing="skip", kernel=kernel, config=config,
-        )
-        pairs = [
-            (
-                position,
-                greeks_from_prices(
-                    position.problem.model, position.problem.product, grid,
-                    spot_bump=spot_bump, vol_bump=vol_bump,
-                    rate_bump=rate_bump, theta_bump=theta_bump,
-                ),
-            )
-            for position, grid in zip(positions, grids)
-        ]
-        return _aggregate_greeks(pairs)
 
     def risk(
         self,
@@ -912,75 +887,34 @@ class ValuationSession:
         bumps: Sequence[float] | None = None,
         relative: bool = True,
         confidence: float = 0.99,
-        kernel: str = "stacked",
         config: RunConfig | None = None,
     ) -> dict[Any, Any]:
         """Run a risk campaign (historical VaR or a sensitivity sweep), batched.
 
-        ``spot_returns`` runs a historical VaR campaign (same summary dict as
-        :func:`repro.core.risk.historical_var`); ``param`` + ``bumps`` runs a
-        sensitivity sweep (same ``{bump: value}`` mapping as
-        :func:`repro.core.risk.sensitivity_sweep`).  Either way the whole
-        (positions x scenarios) grid prices as one batched campaign on the
-        session backend, with positions lacking the bumped parameter valued
-        unbumped in every scenario.
+        ``spot_returns`` runs :func:`repro.core.risk.historical_var` (same
+        summary dict); ``param`` + ``bumps`` runs
+        :func:`repro.core.risk.sensitivity_sweep` (same ``{bump: value}``
+        mapping).  Either way the whole (positions x scenarios) grid prices
+        as one batched campaign on the session backend.
         """
-        positions = portfolio.positions
-        if not positions:
-            raise ValuationError("cannot run a risk campaign on an empty portfolio")
+        from repro.core.risk import historical_var, sensitivity_sweep
+
         if (spot_returns is None) == (param is None or bumps is None):
             raise ValuationError(
                 "risk() needs either spot_returns=... (historical VaR) or "
                 "param=... and bumps=... (sensitivity sweep)"
             )
-        problems = [position.problem for position in positions]
-
-        if spot_returns is not None:
-            from repro.core.risk import _var_summary
-            from repro.pricing.scenarios import historical_scenarios
-
-            if not 0.5 < confidence < 1.0:
-                raise ValuationError("confidence must lie in (0.5, 1)")
-            returns = [float(r) for r in spot_returns]
-            if not returns:
-                raise ValuationError("need at least one historical return")
-            scenarios = historical_scenarios(returns)
-            grids = self._run_scenario_grid(
-                portfolio.name, problems, scenarios,
-                on_missing="base", kernel=kernel, config=config,
-            )
-            base_value = sum(
-                position.quantity * grid["base"]
-                for position, grid in zip(positions, grids)
-            )
-            import numpy as np
-
-            scenario_values = np.asarray([
-                sum(
-                    position.quantity * grid[scenario.name]
-                    for position, grid in zip(positions, grids)
-                )
-                for scenario in scenarios[1:]
-            ])
-            return _var_summary(float(base_value), scenario_values, confidence)
-
-        from repro.pricing.scenarios import shock_scenarios
-
-        assert param is not None and bumps is not None
-        scenarios = shock_scenarios(bumps, param=param, relative=relative)
-        if not scenarios:
-            return {}
-        grids = self._run_scenario_grid(
-            portfolio.name, problems, scenarios,
-            on_missing="base", kernel=kernel, config=config,
+        price_grid = partial(
+            self._run_scenario_grid, name=portfolio.name, config=config
         )
-        return {
-            float(bump): sum(
-                position.quantity * grid[scenario.name]
-                for position, grid in zip(positions, grids)
+        if spot_returns is not None:
+            return historical_var(
+                portfolio, spot_returns, confidence, price_grid=price_grid
             )
-            for scenario, bump in zip(scenarios, bumps)
-        }
+        assert param is not None and bumps is not None
+        return sensitivity_sweep(
+            portfolio, param, bumps, relative, price_grid=price_grid
+        )
 
     # -- batch & cache helpers ---------------------------------------------------
     def _resolve_run_cache(self, cache: bool | None) -> ResultCache | None:

@@ -15,8 +15,6 @@ subcommand is a thin veneer over the unified
   console script in :mod:`repro.cluster.worker`);
 * ``repro-bench risk`` -- portfolio Greeks and a historical-VaR campaign on
   the CRN scenario-grid engine (:mod:`repro.pricing.scenarios`);
-  ``--smoke`` cross-checks the batched grid against the serial
-  bump-and-revalue oracle and fails loudly on any bit difference;
 * ``repro-bench sweep`` -- simulate one portfolio over a list of CPU counts
   and print the speedup table.
 """
@@ -224,20 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument(
         "--seed", type=int, default=0, help="seed for the synthetic return history"
     )
-    risk.add_argument(
-        "--kernel",
-        choices=("loop", "stacked"),
-        default="stacked",
-        help="Monte-Carlo kernel behind the batched scenario grid",
-    )
-    risk.add_argument(
-        "--smoke",
-        action="store_true",
-        help="differential check: also run the serial bump-and-revalue oracle "
-        "and verify the batched engine matches it bit-for-bit (exit 1 on "
-        "mismatch)",
-    )
-
     sweep = sub.add_parser(
         "sweep", help="simulate one portfolio over a list of CPU counts"
     )
@@ -504,24 +488,21 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     returns = np.random.default_rng(args.seed).normal(0.0, 0.01, args.var_scenarios)
 
     start = time.perf_counter()
-    batched = portfolio_greeks(portfolio, engine="batched", kernel=args.kernel)
+    greeks = portfolio_greeks(portfolio)
     greeks_elapsed = time.perf_counter() - start
-    print(f"portfolio Greeks (batched CRN engine, {args.positions} positions):")
+    print(f"portfolio Greeks (CRN scenario grid, {args.positions} positions):")
     print(
-        f"  value = {batched.total_value:.4f}  delta = {batched.total_delta:.4f}  "
-        f"gamma = {batched.total_gamma:.6f}"
+        f"  value = {greeks.total_value:.4f}  delta = {greeks.total_delta:.4f}  "
+        f"gamma = {greeks.total_gamma:.6f}"
     )
     print(
-        f"  vega  = {batched.total_vega:.4f}  rho   = {batched.total_rho:.4f}  "
-        f"theta = {batched.total_theta:.4f}"
+        f"  vega  = {greeks.total_vega:.4f}  rho   = {greeks.total_rho:.4f}  "
+        f"theta = {greeks.total_theta:.4f}"
     )
     print(f"  elapsed {greeks_elapsed:.3f}s")
 
     start = time.perf_counter()
-    var = historical_var(
-        portfolio, returns.tolist(), confidence=args.confidence,
-        engine="batched", kernel=args.kernel,
-    )
+    var = historical_var(portfolio, returns.tolist(), confidence=args.confidence)
     var_elapsed = time.perf_counter() - start
     print(
         f"historical VaR ({args.var_scenarios} scenarios, "
@@ -532,43 +513,6 @@ def _cmd_risk(args: argparse.Namespace) -> int:
         f"ES = {var['expected_shortfall']:.4f}  worst = {var['worst_loss']:.4f}"
     )
     print(f"  elapsed {var_elapsed:.3f}s")
-
-    if not args.smoke:
-        return 0
-
-    # differential smoke: the serial bump-and-revalue oracle must agree
-    # bit-for-bit (the CRN grid replays the very same seeded draws)
-    start = time.perf_counter()
-    serial = portfolio_greeks(portfolio, engine="serial")
-    serial_var = historical_var(
-        portfolio, returns.tolist(), confidence=args.confidence, engine="serial"
-    )
-    serial_elapsed = time.perf_counter() - start
-    failures = []
-    for field in ("total_value", "total_delta", "total_gamma", "total_vega",
-                  "total_rho", "total_theta"):
-        got, want = getattr(batched, field), getattr(serial, field)
-        if got != want:
-            failures.append(f"{field}: batched {got!r} != serial {want!r}")
-    for pair in zip(batched.positions, serial.positions):
-        if pair[0].price != pair[1].price:
-            failures.append(
-                f"position {pair[0].label!r}: base price {pair[0].price!r} "
-                f"!= {pair[1].price!r}"
-            )
-    for key in ("base_value", "var", "expected_shortfall", "worst_loss"):
-        if var[key] != serial_var[key]:
-            failures.append(f"VaR {key}: batched {var[key]!r} != serial {serial_var[key]!r}")
-    print(
-        f"smoke: serial oracle elapsed {serial_elapsed:.3f}s "
-        f"(speedup {serial_elapsed / max(greeks_elapsed + var_elapsed, 1e-9):.1f}x)"
-    )
-    if failures:
-        for line in failures:
-            print(f"  MISMATCH {line}", file=sys.stderr)
-        print("smoke: FAIL", file=sys.stderr)
-        return 1
-    print("smoke: PASS (batched CRN risk == serial bump-and-revalue)")
     return 0
 
 

@@ -18,14 +18,18 @@ portfolio-level risk numbers:
 * :func:`historical_var` -- one-day value-at-risk from historical spot
   returns, revaluing the portfolio under each historical shock.
 
-Each measure has two engines.  ``engine="batched"`` (default) expands the
-(portfolio x scenarios) grid through :mod:`repro.pricing.scenarios` and
-prices it as one stacked-kernel campaign: every bumped cell of a position
+Every measure is *scenario set -> priced grid -> fold*.  The scenario sets
+and the grid come from :mod:`repro.pricing.scenarios`; the one thing that
+varies is who prices the grid, the keyword-only ``price_grid`` argument:
+:func:`~repro.pricing.scenarios.price_scenarios` (default) prices it in
+process as one stacked-kernel campaign -- every bumped cell of a position
 joins its base's draw cohort, so a Greek ladder or a thousand-scenario VaR
 campaign costs a couple of simulations instead of one per cell, with common
-random numbers by construction.  ``engine="serial"`` is the original
-position-by-position bump-and-revalue loop, kept as the differential oracle
-(base prices agree with ``==``).
+random numbers by construction -- and
+:meth:`ValuationSession.greeks <repro.api.session.ValuationSession.greeks>`
+/ ``.risk`` pass the session's backend-distributed pricer.  The
+position-by-position bump-and-revalue references these measures are tested
+against (with ``==``) live in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,17 @@ import numpy as np
 from repro.core.portfolio import Portfolio, Position
 from repro.errors import PortfolioError
 from repro.pricing.engine import PricingProblem
-from repro.pricing.greeks import GreekReport, bump_model, compute_greeks
+from repro.pricing.greeks import GreekReport
+from repro.pricing.scenarios import (
+    VOL_PARAM,
+    Scenario,
+    expand_scenarios,
+    greek_ladder,
+    greeks_from_prices,
+    historical_scenarios,
+    price_scenarios,
+    shock_scenarios,
+)
 
 __all__ = [
     "PositionRisk",
@@ -49,6 +63,10 @@ __all__ = [
     "scenario_jobs",
     "historical_var",
 ]
+
+#: ``price_grid(problems, scenarios, on_missing=...)`` -> one ``{scenario
+#: name: price}`` mapping per problem (the signature of ``price_scenarios``)
+GridPricer = Callable[..., list[dict[str, float]]]
 
 
 @dataclass
@@ -110,13 +128,6 @@ def portfolio_value(
     return total
 
 
-def _truncated(portfolio: Portfolio, max_positions: int | None) -> list[Position]:
-    positions = portfolio.positions
-    if max_positions is not None:
-        positions = positions[:max_positions]
-    return positions
-
-
 def _aggregate_greeks(
     pairs: Sequence[tuple[Position, GreekReport]],
 ) -> PortfolioRiskReport:
@@ -157,85 +168,63 @@ def _aggregate_greeks(
     )
 
 
+def _positions(portfolio: Portfolio, measure: str) -> list[Position]:
+    positions = portfolio.positions
+    if not positions:
+        raise PortfolioError(f"cannot compute {measure} of an empty portfolio")
+    return positions
+
+
+def _scenario_values(
+    positions: Sequence[Position],
+    grids: Sequence[dict[str, float]],
+    scenarios: Sequence[Scenario],
+) -> list[float]:
+    """Portfolio value ``sum_i quantity_i * price_i`` under each scenario."""
+    return [
+        sum(
+            position.quantity * grid[scenario.name]
+            for position, grid in zip(positions, grids)
+        )
+        for scenario in scenarios
+    ]
+
+
 def portfolio_greeks(
     portfolio: Portfolio,
     spot_bump: float = 0.01,
     vol_bump: float = 0.01,
-    max_positions: int | None = None,
     *,
     rate_bump: float = 0.0001,
     theta_bump: float = 1.0 / 365.0,
-    engine: str = "batched",
-    kernel: str = "stacked",
+    price_grid: GridPricer = price_scenarios,
 ) -> PortfolioRiskReport:
     """Bump-and-revalue Greeks aggregated over the portfolio.
 
-    ``engine="batched"`` expands the whole book against one
-    :func:`~repro.pricing.scenarios.greek_ladder` and prices it as a single
+    The whole book is expanded against one
+    :func:`~repro.pricing.scenarios.greek_ladder` and priced as a single
     scenario campaign: all bumped cells of the stackable positions share
     their base's draw cohort, so a 50-position single-model ladder costs two
-    simulations instead of ~500 serial repricings.  Positions whose model
-    has no volatility-like parameter simply report ``vega=None`` (their
-    cells are skipped), matching the serial behaviour.
-
-    ``max_positions`` truncates the portfolio (useful for smoke tests on the
-    realistic portfolio, where full Greeks would require ~10x the pricing
-    work of a plain valuation).
+    simulations instead of ~400 repricings.  Positions whose model has no
+    volatility-like parameter simply report ``vega=None`` (their cells are
+    skipped).
     """
-    positions = _truncated(portfolio, max_positions)
-    if not positions:
-        raise PortfolioError("cannot compute Greeks of an empty portfolio")
-
-    if engine == "batched":
-        from repro.pricing.scenarios import (
-            VOL_PARAM,
-            greek_ladder,
-            greeks_from_prices,
-            price_scenarios,
+    positions = _positions(portfolio, "Greeks")
+    bumps = {"spot_bump": spot_bump, "vol_bump": vol_bump,
+             "rate_bump": rate_bump, "theta_bump": theta_bump}
+    ladder = greek_ladder(**bumps, vol_param=VOL_PARAM)
+    grids = price_grid(
+        [position.problem for position in positions], ladder, on_missing="skip"
+    )
+    return _aggregate_greeks([
+        (
+            position,
+            greeks_from_prices(
+                position.problem.model, position.problem.product, prices, **bumps
+            ),
         )
-
-        ladder = greek_ladder(
-            spot_bump=spot_bump, vol_bump=vol_bump, rate_bump=rate_bump,
-            theta_bump=theta_bump, vol_param=VOL_PARAM,
-        )
-        problems = [position.problem for position in positions]
-        grids = price_scenarios(
-            problems, ladder, kernel=kernel, on_missing="skip"
-        )
-        pairs = [
-            (
-                position,
-                greeks_from_prices(
-                    position.problem.model, position.problem.product, prices,
-                    spot_bump=spot_bump, vol_bump=vol_bump,
-                    rate_bump=rate_bump, theta_bump=theta_bump,
-                ),
-            )
-            for position, prices in zip(positions, grids)
-        ]
-        return _aggregate_greeks(pairs)
-
-    pairs = []
-    for position in positions:
-        problem = position.problem
-        report: GreekReport = compute_greeks(
-            problem.model, problem.product, problem.method,
-            spot_bump=spot_bump, vol_bump=vol_bump, rate_bump=rate_bump,
-            theta_bump=theta_bump, engine="serial",
-        )
-        pairs.append((position, report))
-    return _aggregate_greeks(pairs)
-
-
-def _bumped_problem(problem: PricingProblem, param: str, bump: float, relative: bool) -> PricingProblem:
-    """Copy a problem with one bumped model parameter."""
-    bumped_model = bump_model(problem.model, param, bump, relative=relative)
-    clone = PricingProblem(label=problem.label)
-    clone.set_asset(problem.asset)
-    clone.set_model(bumped_model)
-    clone.set_option(problem.product)
-    clone.set_method(problem.method)
-    return clone
+        for position, prices in zip(positions, grids)
+    ])
 
 
 def sensitivity_sweep(
@@ -243,60 +232,24 @@ def sensitivity_sweep(
     param: str,
     bumps: Sequence[float],
     relative: bool = True,
-    max_positions: int | None = None,
-    value_function: Callable[[Portfolio], float] | None = None,
     *,
-    engine: str = "batched",
-    kernel: str = "stacked",
+    price_grid: GridPricer = price_scenarios,
 ) -> dict[float, float]:
     """Portfolio value as a function of a bumped model parameter.
 
     Positions whose model does not expose ``param`` are kept unbumped (their
     value still enters the total), so the sweep is well defined on mixed
-    portfolios.  The batched engine prices the whole (positions x bumps)
-    grid as one stacked campaign; passing ``value_function`` forces the
-    serial per-scenario loop, since an arbitrary valuer cannot be expressed
-    as batched cell prices.
+    portfolios.  The whole (positions x bumps) grid prices as one campaign.
     """
-    positions = _truncated(portfolio, max_positions)
-
-    if engine == "batched" and value_function is None and positions:
-        from repro.pricing.scenarios import price_scenarios, shock_scenarios
-
-        scenarios = shock_scenarios(bumps, param=param, relative=relative)
-        if not scenarios:
-            return {}
-        problems = [position.problem for position in positions]
-        grids = price_scenarios(
-            problems, scenarios, kernel=kernel, on_missing="base"
-        )
-        out: dict[float, float] = {}
-        for scenario, bump in zip(scenarios, bumps):
-            out[float(bump)] = sum(
-                position.quantity * grid[scenario.name]
-                for position, grid in zip(positions, grids)
-            )
-        return out
-
-    valuer = value_function or portfolio_value
-    out = {}
-    for bump in bumps:
-        bumped_positions = []
-        for position in positions:
-            try:
-                bumped = _bumped_problem(position.problem, param, bump, relative)
-            except Exception:
-                bumped = position.problem
-            bumped_positions.append(
-                Position(
-                    problem=bumped,
-                    quantity=position.quantity,
-                    category=position.category,
-                    label=position.label,
-                )
-            )
-        out[float(bump)] = valuer(Portfolio(name=f"{portfolio.name}_bump", positions=bumped_positions))
-    return out
+    positions = _positions(portfolio, "a sensitivity sweep")
+    scenarios = shock_scenarios(bumps, param=param, relative=relative)
+    if not scenarios:
+        return {}
+    grids = price_grid(
+        [position.problem for position in positions], scenarios, on_missing="base"
+    )
+    values = _scenario_values(positions, grids, scenarios)
+    return {float(bump): value for bump, value in zip(bumps, values)}
 
 
 def scenario_jobs(
@@ -304,7 +257,6 @@ def scenario_jobs(
     param: str,
     bumps: Sequence[float],
     relative: bool = True,
-    max_positions: int | None = None,
 ) -> list[PricingProblem]:
     """Expand a portfolio into one pricing problem per (position, scenario).
 
@@ -312,19 +264,13 @@ def scenario_jobs(
     portfolio of a few thousand claims times a few hundred parameter
     scenarios yields the ~10^6 atomic computations of a full risk run.  The
     returned problems can be wrapped into a :class:`Portfolio` and fed to the
-    cluster runner like any other workload.
+    cluster runner like any other workload.  A position whose model lacks
+    ``param`` is skipped; the grid stays dense for the rest.
     """
-    positions = _truncated(portfolio, max_positions)
-    problems: list[PricingProblem] = []
-    for position in positions:
-        for bump in bumps:
-            try:
-                clone = _bumped_problem(position.problem, param, bump, relative)
-            # repro-lint: disable=except-swallow -- a position whose model lacks the bumped parameter is skipped by design; the sensitivity grid stays dense for the rest
-            except Exception:
-                continue
-            clone.label = f"{position.label}|{param}{bump:+g}"
-            problems.append(clone)
+    scenarios = shock_scenarios(bumps, param=param, relative=relative)
+    problems, _ = expand_scenarios(
+        [position.problem for position in portfolio], scenarios, on_missing="skip"
+    )
     return problems
 
 
@@ -332,10 +278,8 @@ def historical_var(
     portfolio: Portfolio,
     spot_returns: Sequence[float],
     confidence: float = 0.99,
-    max_positions: int | None = None,
     *,
-    engine: str = "batched",
-    kernel: str = "stacked",
+    price_grid: GridPricer = price_scenarios,
 ) -> dict[str, Any]:
     """One-day historical value-at-risk of the portfolio.
 
@@ -344,65 +288,23 @@ def historical_var(
     scenario and the VaR is the ``confidence``-quantile of the loss
     distribution relative to the base value.
 
-    The batched engine prices base and all shocked states as **one**
-    scenario campaign: spot shocks leave the time grid and method untouched,
-    so a thousand historical scenarios of a stackable book share a single
-    draw cohort instead of a thousand portfolio revaluations.
+    Base and all shocked states price as **one** scenario campaign: spot
+    shocks leave the time grid and method untouched, so a thousand
+    historical scenarios of a stackable book share a single draw cohort
+    instead of a thousand portfolio revaluations.
     """
     if not 0.5 < confidence < 1.0:
         raise PortfolioError("confidence must lie in (0.5, 1)")
-    returns = np.asarray(list(spot_returns), dtype=float)
-    if returns.size == 0:
+    returns = [float(shock) for shock in spot_returns]
+    if not returns:
         raise PortfolioError("need at least one historical return")
-    positions = _truncated(portfolio, max_positions)
-
-    if engine == "batched" and positions:
-        from repro.pricing.scenarios import historical_scenarios, price_scenarios
-
-        scenarios = historical_scenarios(returns.tolist())
-        problems = [position.problem for position in positions]
-        grids = price_scenarios(
-            problems, scenarios, kernel=kernel, on_missing="base"
-        )
-        base_value = sum(
-            position.quantity * grid["base"]
-            for position, grid in zip(positions, grids)
-        )
-        scenario_values = np.asarray([
-            sum(
-                position.quantity * grid[scenario.name]
-                for position, grid in zip(positions, grids)
-            )
-            for scenario in scenarios[1:]
-        ])
-    else:
-        base_portfolio = Portfolio(name=f"{portfolio.name}_base", positions=positions)
-        base_value = portfolio_value(base_portfolio)
-
-        values = []
-        for shock in returns:
-            shocked_positions = []
-            for position in positions:
-                try:
-                    bumped = _bumped_problem(position.problem, "spot", float(shock), relative=True)
-                except Exception:
-                    bumped = position.problem
-                shocked_positions.append(
-                    Position(problem=bumped, quantity=position.quantity,
-                             category=position.category, label=position.label)
-                )
-            values.append(
-                portfolio_value(Portfolio(name="scenario", positions=shocked_positions))
-            )
-        scenario_values = np.asarray(values)
-
-    return _var_summary(float(base_value), scenario_values, confidence)
-
-
-def _var_summary(
-    base_value: float, scenario_values: np.ndarray, confidence: float
-) -> dict[str, Any]:
-    """Loss-distribution summary shared by the engines (and the session API)."""
+    positions = _positions(portfolio, "a historical VaR")
+    scenarios = historical_scenarios(returns)
+    grids = price_grid(
+        [position.problem for position in positions], scenarios, on_missing="base"
+    )
+    base_value, *shocked = _scenario_values(positions, grids, scenarios)
+    scenario_values = np.asarray(shocked)
     losses = base_value - scenario_values
     var = float(np.quantile(losses, confidence))
     expected_shortfall = float(losses[losses >= var].mean()) if np.any(losses >= var) else var

@@ -8,16 +8,11 @@ of :mod:`repro.core.risk` ("it is necessary to price the contingent claims
 for various values of these model parameters to measure their sensibilities
 to the parameters").
 
-Two engines evaluate the same ladder:
-
-* ``engine="batched"`` (default) expands the bumps through
-  :mod:`repro.pricing.scenarios` and prices them as one
-  ``kernel="stacked"`` campaign -- Monte-Carlo bumps share **one** draw
-  cohort with the base (common random numbers by construction), so a full
-  ladder costs two simulations instead of ten;
-* ``engine="serial"`` is the pre-batch bump-and-revalue loop, kept verbatim
-  as the differential oracle (``tests/differential`` compares the two with
-  ``==`` on base prices).
+The ladder is expanded through :mod:`repro.pricing.scenarios` and priced as
+one stacked-kernel campaign -- Monte-Carlo bumps share **one** draw cohort
+with the base (common random numbers by construction), so a full ladder
+costs two simulations instead of eight.  The bump-by-bump revaluation
+reference it is tested against (with ``==``) lives in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -36,9 +31,6 @@ __all__ = ["GreekReport", "bump_model", "maturity_step", "compute_greeks"]
 #: model parameters recognised as "volatility-like" for vega bumps, in the
 #: order they are looked up
 _VOL_PARAMS = ("volatility", "base_volatility", "volatilities", "v0")
-
-#: the ladder evaluation engines (serial is the differential oracle)
-_ENGINES = ("batched", "serial")
 
 
 @dataclass
@@ -110,8 +102,6 @@ def compute_greeks(
     *,
     theta_bump: float = 1.0 / 365.0,
     compute_theta: bool = True,
-    engine: str = "batched",
-    kernel: str = "stacked",
 ) -> GreekReport:
     """Bump-and-revalue Greeks.
 
@@ -128,91 +118,20 @@ def compute_greeks(
         half the maturity so the rolled-down product stays alive.  Theta is
         the one-sided difference ``(price(T - dt) - price(T)) / dt`` --
         negative for plain long options, as time decay should be.
-    engine:
-        ``"batched"`` prices the whole ladder as one stacked-kernel scenario
-        campaign; ``"serial"`` reprices bump by bump (the oracle path).
-    kernel:
-        Plan-level kernel of the batched engine (``"stacked"`` or ``"loop"``).
 
     Notes
     -----
     For Monte-Carlo methods the bumped estimates share random numbers with
     the base (common random numbers), which keeps the finite-difference
-    Greeks usable despite the statistical noise.  Under the batched engine
-    this is structural, not conventional: all bump scenarios of a stackable
-    model join the base problem's **draw cohort** in the stacked kernel
+    Greeks usable despite the statistical noise.  This is structural, not
+    conventional: all bump scenarios of a stackable model join the base
+    problem's **draw cohort** in the stacked kernel
     (:func:`repro.pricing.kernel.run_groups`), so every estimate consumes
     the *same* normal stream object with per-scenario drift/vol broadcast.
-    The serial path achieves the same stream only because each revaluation
-    re-draws from an identically-seeded generator; the prices agree bit for
-    bit either way, which is exactly what the differential suite enforces.
+    Repricing bump by bump from identically-seeded generators gives the same
+    prices bit for bit, which is exactly what the differential suite
+    enforces.
     """
-    if engine not in _ENGINES:
-        raise PricingError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    if engine == "batched":
-        return _compute_greeks_batched(
-            model, product, method, spot_bump=spot_bump, vol_bump=vol_bump,
-            rate_bump=rate_bump, theta_bump=theta_bump, compute_vega=compute_vega,
-            compute_rho=compute_rho, compute_theta=compute_theta, kernel=kernel,
-        )
-
-    base = method.price(model, product).price
-
-    up = bump_model(model, "spot", spot_bump, relative=True)
-    down = bump_model(model, "spot", -spot_bump, relative=True)
-    price_up = method.price(up, product).price
-    price_down = method.price(down, product).price
-    h = float(np.asarray(model.spot).mean()) * spot_bump
-    delta = (price_up - price_down) / (2.0 * h)
-    gamma = (price_up - 2.0 * base + price_down) / h**2
-
-    vega = None
-    if compute_vega:
-        vol_param = _vol_param(model)
-        if vol_param is not None:
-            vol_up = bump_model(model, vol_param, vol_bump)
-            vol_down = bump_model(model, vol_param, -vol_bump)
-            vega = (
-                method.price(vol_up, product).price - method.price(vol_down, product).price
-            ) / (2.0 * vol_bump)
-
-    rho = None
-    if compute_rho:
-        rate_up = bump_model(model, "rate", rate_bump)
-        rate_down = bump_model(model, "rate", -rate_bump)
-        rho = (
-            method.price(rate_up, product).price - method.price(rate_down, product).price
-        ) / (2.0 * rate_bump)
-
-    theta = None
-    if compute_theta:
-        step = maturity_step(product.maturity, theta_bump)
-        params = product.to_params()
-        params["maturity"] = product.maturity - step
-        shorter = type(product).from_params(params)
-        theta = (method.price(model, shorter).price - base) / step
-
-    return GreekReport(price=base, delta=float(delta), gamma=float(gamma),
-                       vega=None if vega is None else float(vega),
-                       rho=None if rho is None else float(rho),
-                       theta=None if theta is None else float(theta))
-
-
-def _compute_greeks_batched(
-    model: Model,
-    product: Product,
-    method: PricingMethod,
-    *,
-    spot_bump: float,
-    vol_bump: float,
-    rate_bump: float,
-    theta_bump: float,
-    compute_vega: bool,
-    compute_rho: bool,
-    compute_theta: bool,
-    kernel: str,
-) -> GreekReport:
-    """One-position ladder through the scenario-grid engine."""
     # imported lazily: scenarios builds on this module (no import cycle)
     from repro.pricing.engine import PricingProblem
     from repro.pricing.scenarios import (
@@ -227,7 +146,7 @@ def _compute_greeks_batched(
         theta_bump=theta_bump, compute_vega=compute_vega, compute_rho=compute_rho,
         compute_theta=compute_theta, vol_param=_vol_param(model),
     )
-    prices = price_scenarios([problem], scenarios, kernel=kernel)[0]
+    prices = price_scenarios([problem], scenarios)[0]
     return greeks_from_prices(
         model, product, prices, spot_bump=spot_bump, vol_bump=vol_bump,
         rate_bump=rate_bump, theta_bump=theta_bump,

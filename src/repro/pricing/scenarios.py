@@ -38,8 +38,9 @@ Building blocks:
   kernel still clusters them into shared-draw cohorts), and return one
   ``{scenario name: price}`` mapping per input problem;
 * :func:`greeks_from_prices` -- assemble finite-difference Greeks from a
-  priced ladder with exactly the serial path's IEEE expressions, so the
-  batched Greeks match the serial oracle bit for bit when the prices do.
+  priced ladder with exactly the IEEE expressions of the bump-and-revalue
+  reference in ``tests/oracles``, so the Greeks match that oracle bit for
+  bit when the prices do.
 
 This module is under the repro-lint determinism contract: it never reads a
 wall clock or an entropy source.  All randomness is the seeded generators
@@ -49,6 +50,7 @@ Monte-Carlo layer, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -149,8 +151,14 @@ def greek_ladder(
 
     Base + up/down spot (relative), up/down volatility (absolute, on
     ``vol_param``; pass ``None`` to drop the vega axis entirely), up/down
-    rate (absolute) and the one-sided maturity roll-down for theta.
+    rate (absolute) and the one-sided maturity roll-down for theta.  Every
+    bump is a finite-difference step the assembled Greeks divide by, so each
+    must be finite and non-zero.
     """
+    for name, bump in (("spot_bump", spot_bump), ("vol_bump", vol_bump),
+                       ("rate_bump", rate_bump), ("theta_bump", theta_bump)):
+        if not math.isfinite(bump) or bump == 0.0:
+            raise PricingError(f"{name} must be finite and non-zero, got {bump!r}")
     scenarios = [
         Scenario(name="base"),
         Scenario(name="spot_up", target="model", param="spot",
@@ -343,10 +351,11 @@ def greeks_from_prices(
 ) -> GreekReport:
     """Finite-difference Greeks from a priced :func:`greek_ladder`.
 
-    The expressions replicate the serial bump-and-revalue path operation for
-    operation (same differences, same parenthesisation), so when the ladder
-    prices are bit-identical to serial repricing -- which the stacked
-    kernel's CRN cohorts guarantee -- the assembled Greeks are too.
+    The expressions replicate the bump-and-revalue reference of
+    ``tests/oracles`` operation for operation (same differences, same
+    parenthesisation), so when the ladder prices are bit-identical to
+    repricing cell by cell -- which the stacked kernel's CRN cohorts
+    guarantee -- the assembled Greeks are too.
     Scenarios absent from ``prices`` (skipped cells, trimmed ladders)
     assemble to ``None``.
     """

@@ -148,14 +148,11 @@ class PricingService:
     def greeks_single(self, body: Mapping[str, Any]) -> dict[str, Any]:
         """Full finite-difference Greek ladder for one problem, CRN-batched.
 
-        The default ``engine="batched"`` expands the problem into a common-
-        random-number scenario grid (:mod:`repro.pricing.scenarios`) and
-        prices the whole ladder through the stacked kernel; ``engine=
-        "serial"`` runs the bump-and-revalue oracle instead.  Both return
-        the same numbers bit-for-bit.
+        The problem is expanded into a common-random-number scenario grid
+        (:mod:`repro.pricing.scenarios`) and the whole ladder priced through
+        the stacked kernel.
         """
         problem = problem_from_request(body)
-        engine = str(body.get("engine", "batched"))
         started = time.perf_counter()
         report = compute_greeks(
             problem.model,
@@ -165,15 +162,12 @@ class PricingService:
             vol_bump=float(body.get("vol_bump", 0.01)),
             rate_bump=float(body.get("rate_bump", 0.0001)),
             theta_bump=float(body.get("theta_bump", 1.0 / 365.0)),
-            engine=engine,
-            kernel=str(body.get("kernel", "stacked")),
         )
         self.count("greek_ladders")
         return {
             **report.as_dict(),
             "label": problem.label,
             "method": problem.method_name,
-            "engine": engine,
             "elapsed_s": time.perf_counter() - started,
         }
 

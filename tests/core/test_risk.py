@@ -15,6 +15,8 @@ from repro.core.risk import (
 )
 from repro.errors import PortfolioError
 from repro.pricing import PricingProblem, analytics
+from tests.oracles import serial_greeks, solo_cell_pricer
+from tests.oracles.books import mixed_book
 
 
 def _bs_position(option, method, quantity, label, **params):
@@ -77,8 +79,8 @@ class TestPortfolioGreeks:
         assert set(report.by_category) == {"CallEuro", "PutEuro", "CallDownOutEuro"}
         assert len(report.positions) == 3
 
-    def test_max_positions_truncation(self, book):
-        report = portfolio_greeks(book, max_positions=1)
+    def test_subset_truncation(self, book):
+        report = portfolio_greeks(book.subset(1))
         assert len(report.positions) == 1
 
     def test_empty_portfolio_rejected(self):
@@ -139,3 +141,45 @@ class TestHistoricalVar:
             historical_var(book, [], confidence=0.99)
         with pytest.raises(PortfolioError):
             historical_var(book, [0.01], confidence=0.3)
+
+    def test_empty_portfolio_rejected(self):
+        with pytest.raises(PortfolioError):
+            historical_var(Portfolio(name="empty"), [0.01])
+        with pytest.raises(PortfolioError):
+            sensitivity_sweep(Portfolio(name="empty"), "spot", [0.01])
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("rng_kind", ["pcg64", "sobol"])
+class TestSerialOracleDifferential:
+    """Every measure == its solo-cell serial reference, bit for bit."""
+
+    def test_portfolio_greeks(self, rng_kind, antithetic):
+        book = mixed_book(rng_kind, antithetic)
+        report = portfolio_greeks(book)
+        assert report == portfolio_greeks(book, price_grid=solo_cell_pricer)
+        assert report.positions[-1].vega is None  # no volatility-like parameter
+        for position, row in zip(book, report.positions):
+            problem = position.problem
+            serial = serial_greeks(problem.model, problem.product, problem.method)
+            assert (row.price, row.delta, row.gamma, row.vega, row.rho, row.theta) == (
+                serial.price, serial.delta, serial.gamma, serial.vega, serial.rho,
+                serial.theta,
+            )
+
+    def test_historical_var(self, rng_kind, antithetic):
+        book = mixed_book(rng_kind, antithetic)
+        returns = np.random.default_rng(3).normal(0.0, 0.015, size=12)
+        assert historical_var(book, returns, confidence=0.9) == historical_var(
+            book, returns, confidence=0.9, price_grid=solo_cell_pricer
+        )
+
+    def test_sensitivity_sweep(self, rng_kind, antithetic):
+        book = mixed_book(rng_kind, antithetic)
+        bumps = [-0.02, 0.0, 0.02]
+        sweep = sensitivity_sweep(book, "volatility", bumps, relative=False)
+        assert sweep == sensitivity_sweep(
+            book, "volatility", bumps, relative=False, price_grid=solo_cell_pricer
+        )
+        # the sigma-only position has no "volatility": valued unbumped throughout
+        assert sweep[0.0] == portfolio_value(book)

@@ -2,11 +2,11 @@
 
 Two families:
 
-* **differential** -- the batched grid must reproduce the serial
-  bump-and-revalue oracle *bit for bit* on base prices, and the assembled
-  finite-difference Greeks must match across the antithetic and Sobol
-  axes (the CRN cohorts replay the very same seeded draws, so there is no
-  tolerance to hide behind);
+* **differential** -- the scenario grid must reproduce the serial
+  bump-and-revalue oracle of ``tests/oracles`` *bit for bit* on base
+  prices, and the assembled finite-difference Greeks must match across
+  the antithetic and Sobol axes (the CRN cohorts replay the very same
+  seeded draws, so there is no tolerance to hide behind);
 * **properties** -- scenario expansion is a row-major partition of the
   (problems x scenarios) grid, and cell coordinates round-trip from the
   flat list back to (problem, scenario).
@@ -37,6 +37,7 @@ from repro.pricing.scenarios import (
     price_scenarios,
     shock_scenarios,
 )
+from tests.oracles import serial_greeks
 
 try:
     from hypothesis import given, settings
@@ -81,20 +82,16 @@ def _cf_problem(strike: float = 100.0) -> PricingProblem:
 
 
 class TestDifferentialGreeks:
-    """Batched CRN ladder == serial bump-and-revalue oracle, bit for bit."""
+    """CRN ladder == serial bump-and-revalue oracle, bit for bit."""
 
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("rng_kind", ["pcg64", "sobol"])
-    def test_batched_matches_serial_oracle(self, antithetic, rng_kind):
+    def test_ladder_matches_serial_oracle(self, antithetic, rng_kind):
         problem = _mc_problem(
             105.0, seed=11, n_paths=16_000, antithetic=antithetic, rng_kind=rng_kind
         )
-        serial = compute_greeks(
-            problem.model, problem.product, problem.method, engine="serial"
-        )
-        batched = compute_greeks(
-            problem.model, problem.product, problem.method, engine="batched"
-        )
+        serial = serial_greeks(problem.model, problem.product, problem.method)
+        batched = compute_greeks(problem.model, problem.product, problem.method)
         assert batched.price == serial.price  # base draws are literally shared
         assert batched.delta == serial.delta
         assert batched.gamma == serial.gamma
@@ -116,9 +113,8 @@ class TestDifferentialGreeks:
         report = greeks_from_prices(
             _cf_problem().model, _cf_problem().product, grid
         )
-        serial = compute_greeks(
-            _cf_problem().model, _cf_problem().product,
-            _cf_problem().method, engine="serial",
+        serial = serial_greeks(
+            _cf_problem().model, _cf_problem().product, _cf_problem().method
         )
         assert report.price == serial.price
         assert report.delta == serial.delta
@@ -133,14 +129,12 @@ class TestDifferentialGreeks:
 
 
 class TestThetaRegression:
-    """GreekReport.theta: maturity-bump theta in both engines."""
+    """GreekReport.theta: maturity-bump theta, production and oracle."""
 
-    @pytest.mark.parametrize("engine", ["serial", "batched"])
-    def test_long_call_theta_negative(self, engine):
+    @pytest.mark.parametrize("greeks", [serial_greeks, compute_greeks])
+    def test_long_call_theta_negative(self, greeks):
         problem = _mc_problem(100.0, seed=7)
-        report = compute_greeks(
-            problem.model, problem.product, problem.method, engine=engine
-        )
+        report = greeks(problem.model, problem.product, problem.method)
         assert report.theta is not None
         assert report.theta < 0.0  # a long vanilla call loses value with time
 
@@ -159,10 +153,9 @@ class TestThetaRegression:
     def test_theta_step_clamped_near_expiry(self):
         # a product one hour from expiry cannot be rolled a whole day down
         problem = _mc_problem(100.0, maturity=1.0 / (365.0 * 24.0))
-        report = compute_greeks(
-            problem.model, problem.product, problem.method, engine="batched"
-        )
+        report = compute_greeks(problem.model, problem.product, problem.method)
         assert report.theta is not None  # clamped step keeps maturity positive
+        assert report == serial_greeks(problem.model, problem.product, problem.method)
 
     def test_theta_can_be_skipped(self):
         problem = _cf_problem()
@@ -225,6 +218,16 @@ class TestStandardSets:
     def test_shock_scenarios_keep_duplicate_bumps_distinct(self):
         scenarios = shock_scenarios([-0.1, 0.0, 0.1, 0.1])
         assert len({s.name for s in scenarios}) == 4
+
+    @pytest.mark.parametrize("name", ["spot_bump", "vol_bump", "rate_bump", "theta_bump"])
+    @pytest.mark.parametrize("bump", [0.0, float("nan"), float("inf")])
+    def test_greek_ladder_rejects_degenerate_bumps(self, name, bump):
+        # the assembled Greeks divide by every bump: 0 was a ZeroDivisionError
+        with pytest.raises(PricingError, match=name):
+            greek_ladder(**{name: bump})
+        problem = _cf_problem()
+        with pytest.raises(PricingError, match=name):
+            compute_greeks(problem.model, problem.product, problem.method, **{name: bump})
 
     def test_historical_scenarios_lead_with_base(self):
         scenarios = historical_scenarios([0.01, -0.02])

@@ -21,6 +21,7 @@ from repro.api import ValuationSession
 from repro.core.portfolio import Portfolio, Position
 from repro.serve import ReproServer, ServerConfig
 from repro.serve.service import PricingService
+from tests.oracles import serial_greeks
 
 TOKEN = "test-secret"
 
@@ -209,27 +210,33 @@ class TestGreeksEndpoint:
         body["method_params"] = {"n_paths": 20_000, "seed": 7}
         status, report = _request(server.url + "/v1/greeks", body)
         assert status == 200
-        assert report["engine"] == "batched"
+        assert "engine" not in report
         assert 0.0 < report["delta"] < 1.0
         assert report["gamma"] > 0.0
         assert report["vega"] > 0.0
         assert report["theta"] < 0.0  # long vanilla call decays
 
-    def test_batched_matches_serial_engine_bit_for_bit(self, server):
+    def test_matches_serial_oracle_bit_for_bit(self, server):
+        from repro.serve.parse import problem_from_request
+
         body = _position_body(104.0)
         body["method"] = "MC_European"
         body["method_params"] = {"n_paths": 20_000, "seed": 3}
-        _, batched = _request(server.url + "/v1/greeks", body)
-        _, serial = _request(server.url + "/v1/greeks", {**body, "engine": "serial"})
-        for key in ("price", "delta", "gamma", "vega", "rho", "theta"):
-            assert batched[key] == serial[key]
-
-    def test_bad_engine_400(self, server):
-        status, response = _request(
-            server.url + "/v1/greeks", _position_body(100.0, engine="nope")
+        _, report = _request(server.url + "/v1/greeks", {**body, "spot_bump": 0.02})
+        problem = problem_from_request(body)
+        serial = serial_greeks(
+            problem.model, problem.product, problem.method, spot_bump=0.02
         )
-        assert status == 400
-        assert "engine" in response["error"]
+        for key, value in serial.as_dict().items():
+            assert report[key] == value
+
+    @pytest.mark.parametrize("name", ["spot_bump", "vol_bump", "rate_bump"])
+    def test_zero_bump_400(self, server, name):
+        status, response = _request(
+            server.url + "/v1/greeks", _position_body(100.0, **{name: 0})
+        )
+        assert status == 400  # was a ZeroDivisionError -> 500
+        assert name in response["error"]
 
     def test_requires_auth(self, server):
         status, _ = _request(
