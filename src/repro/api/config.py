@@ -133,11 +133,12 @@ class RetryPolicy:
     A :class:`~repro.errors.WorkerLostError` carries the ``job_ids`` that
     were still unresolved when the pool died.  With a retry policy on the
     :class:`RunConfig`, the session catches that error, rebuilds a fresh
-    backend from its :class:`BackendSpec` and transparently resubmits only
-    the unresolved positions -- up to ``max_attempts`` total attempts, with
+    backend from its :class:`BackendSpec` and re-attaches the still-pending
+    futures to it -- up to ``max_attempts`` total attempts, with
     ``backoff * backoff_factor**(k-1)`` seconds before the ``k``-th retry so
-    crashed workers have time to come back.  Results from all attempts merge
-    into one submission-ordered report, bit-identical to a clean run.
+    crashed workers have time to come back.  The report folds from the same
+    futures as a clean run and is bit-identical to one.  Applies wherever a
+    campaign is drained: ``run(...)`` and ``stream(...).result()``.
     """
 
     max_attempts: int = 3
@@ -185,10 +186,10 @@ class RunConfig:
     session's :class:`BackendSpec`.
     """
 
-    strategy: str = "serialized_load"
+    #: transmission strategy; ``None`` (default) keeps the session's
+    strategy: str | None = None
     scheduler: str | None = None
     scheduler_options: tuple[tuple[str, Any], ...] = ()
-    attach_problems: bool | None = None
     cost_model: Any | None = field(default=None, compare=False)
     batch: bool = False
     batch_group_size: int | None = None
@@ -222,7 +223,7 @@ class RunConfig:
                 "RunConfig.retry must be a RetryPolicy (or None), got "
                 f"{type(self.retry).__name__}"
             )
-        if self.strategy not in STRATEGIES:
+        if self.strategy is not None and self.strategy not in STRATEGIES:
             raise ValuationError(
                 f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}"
             )
@@ -254,7 +255,8 @@ class SweepConfig:
     """
 
     cpu_counts: tuple[int, ...] = (2, 4, 8, 16)
-    strategy: str = "serialized_load"
+    #: transmission strategy; ``None`` (default) keeps the session's
+    strategy: str | None = None
     share_nfs_cache: bool = True
     label: str | None = None
     batch: bool = False
@@ -266,7 +268,7 @@ class SweepConfig:
             raise ValuationError("SweepConfig.cpu_counts must not be empty")
         if any(n < 2 for n in self.cpu_counts):
             raise ValuationError("cpu_counts must be >= 2 (one master + workers)")
-        if self.strategy not in STRATEGIES:
+        if self.strategy is not None and self.strategy not in STRATEGIES:
             raise ValuationError(
                 f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}"
             )

@@ -1,9 +1,8 @@
 """First-class futures over the streaming master loop.
 
 The paper's master collects results *incrementally* -- ``MPI_Probe`` on any
-source, then ``MPI_Recv_Obj`` -- but until this module the public API was
-batch-synchronous: every submission resolved through one blocking gather.
-This module is the user-facing half of the streaming redesign:
+source, then ``MPI_Recv_Obj`` -- and this module is the user-facing surface
+of that loop:
 
 * :class:`PricingFuture` -- the deferred result of one submitted problem,
   with the ``concurrent.futures``-style surface (``done()``, ``result()``,
@@ -21,31 +20,22 @@ This module is the user-facing half of the streaming redesign:
   :class:`~repro.api.config.RunConfig`: queued jobs are withdrawn, in-flight
   jobs finish, the run result marks the withdrawn positions as cancelled.
 
-The machinery underneath (:class:`_StreamCore`) drives one
-:class:`~repro.core.scheduler.ScheduleStream` and routes every collected
-event -- plain results, expanded :class:`~repro.pricing.batch.ProblemBatch`
-members, worker errors -- to the right future.  Cache hits never enter the
-stream at all: their futures are born resolved.
+The :class:`~repro.api.campaign.Campaign` underneath drives the stream and
+resolves these futures; they are the campaign's only per-position record.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.api.results import PriceResult
-from repro.errors import (
-    CollectTimeoutError,
-    FutureTimeoutError,
-    JobCancelledError,
-    ValuationError,
-)
+from repro.errors import FutureTimeoutError, JobCancelledError, ValuationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.campaign import Campaign
     from repro.api.results import RunResult
-    from repro.cluster.backends.base import CompletedJob, Job
-    from repro.core.scheduler import ScheduleStream
 
 __all__ = [
     "PricingFuture",
@@ -115,7 +105,7 @@ class PricingFuture:
     * *unsubmitted* -- queued by :meth:`ValuationSession.submit_many`;
       nothing executes until the first ``result()``/``wait`` pumps the
       session, which starts the campaign lazily;
-    * *streaming* -- attached to a live :class:`_StreamCore`; reading the
+    * *streaming* -- attached to a live campaign; reading the
       future collects results **only until this job answers**, leaving the
       rest of the batch in flight;
     * *resolved* -- born done (cache hits) or collected.
@@ -143,7 +133,7 @@ class PricingFuture:
         self.job_id = job_id
         self.label = label
         self.method = method
-        self._core: _StreamCore | None = None
+        self._core: Campaign | None = None
         self._starter = starter
         self._state = _PENDING
         self._result: dict[str, Any] | None = None
@@ -408,182 +398,6 @@ class JobSet(Sequence):
         return f"JobSet({len(self._futures)} futures, {self.n_done} done)"
 
 
-class _StreamCore:
-    """Routes one :class:`ScheduleStream`'s events to their futures.
-
-    The session builds a core per campaign with the member map of coalesced
-    :class:`~repro.pricing.batch.ProblemBatch` super-jobs, the progress
-    callback and the cancellation token; the core owns nothing else -- final
-    report assembly stays in the session via ``finalize_cb``.
-    """
-
-    def __init__(
-        self,
-        stream: "ScheduleStream | None",
-        futures: Mapping[int, PricingFuture],
-        batch_members: Mapping[int, tuple[int, ...]] | None = None,
-        total: int | None = None,
-        progress: Callable[[StreamProgress], None] | None = None,
-        cancel: CancelToken | None = None,
-        finalize_cb: Callable[..., "RunResult"] | None = None,
-    ) -> None:
-        self._stream = stream
-        self._futures = dict(futures)
-        self._batch_members = dict(batch_members or {})
-        self._progress = progress
-        self._cancel = cancel
-        self._finalize_cb = finalize_cb
-        self._run_result: "RunResult | None" = None
-        self._total = total if total is not None else len(self._futures)
-        self._n_reported = 0
-        # cache hits were resolved before the stream existed: report them
-        for future in list(self._futures.values()):
-            if future.done():
-                self._n_reported += 1
-                self._report(future)
-
-    # -- bookkeeping -------------------------------------------------------------
-    @property
-    def exhausted(self) -> bool:
-        return self._stream is None or self._stream.remaining == 0
-
-    @property
-    def finished(self) -> bool:
-        """Whether the campaign was fully assembled (backend finalized)."""
-        return self._run_result is not None
-
-    def attach(self, futures: Mapping[int, PricingFuture]) -> None:
-        for future in futures.values():
-            future._core = self
-
-    def _report(self, future: PricingFuture, cancelled: bool = False) -> None:
-        if self._progress is None:
-            return
-        self._progress(
-            StreamProgress(
-                done=self._n_reported,
-                total=self._total,
-                job_id=future.job_id,
-                label=future.label,
-                result=future.price_result(),
-                error=future._error,
-                cancelled=cancelled,
-            )
-        )
-
-    def _resolve_future(
-        self, job_id: int, result: dict[str, Any] | None, error: str | None
-    ) -> list[PricingFuture]:
-        future = self._futures.get(job_id)
-        if future is None or future.done():
-            return []
-        future._resolve(result, error)
-        self._n_reported += 1
-        self._report(future)
-        return [future]
-
-    def _resolve_completed(self, done: "CompletedJob") -> list[PricingFuture]:
-        members = self._batch_members.get(done.job_id)
-        if members is None:
-            return self._resolve_future(done.job_id, done.result, done.error)
-        resolved: list[PricingFuture] = []
-        result = done.result
-        if isinstance(result, dict) and result.get("batch"):
-            entries = result.get("results", {})
-            for member in members:
-                entry = entries.get(str(member), entries.get(member))
-                if isinstance(entry, dict) and "error" in entry:
-                    resolved += self._resolve_future(member, None, entry["error"])
-                else:
-                    resolved += self._resolve_future(member, entry, None)
-        else:
-            # failed (or payload-less) batch job: propagate to every member
-            for member in members:
-                resolved += self._resolve_future(member, result, done.error)
-        return resolved
-
-    # -- cancellation ------------------------------------------------------------
-    def cancel_job(self, job_id: int) -> bool:
-        if self._stream is None:
-            return False
-        # a batch member cannot be withdrawn alone: its super-job may carry
-        # siblings that were not cancelled
-        for members in self._batch_members.values():
-            if job_id in members:
-                return False
-        return self._stream.cancel_job(job_id)
-
-    def _apply_cancel_token(self) -> None:
-        if self._cancel is None or not self._cancel.cancelled:
-            return
-        if self._stream is None:
-            return
-        for job in self._stream.cancel_pending():
-            for member in self._batch_members.get(job.job_id, (job.job_id,)):
-                future = self._futures.get(member)
-                if future is not None and not future.done():
-                    future._mark_cancelled()
-                    self._n_reported += 1
-                    self._report(future, cancelled=True)
-
-    # -- pumping -----------------------------------------------------------------
-    def pump(self, timeout: float | None = None) -> list[PricingFuture]:
-        """Collect one event from the stream; return the futures it resolved."""
-        self._apply_cancel_token()
-        if self.exhausted:
-            return []
-        assert self._stream is not None
-        try:
-            done = self._stream.collect_next(timeout)
-        except CollectTimeoutError as exc:
-            raise FutureTimeoutError(str(exc)) from exc
-        resolved = self._resolve_completed(done)
-        if self.exhausted and self._finalize_cb is not None:
-            # the last event was just collected: stop the workers and
-            # finalize the backend now, so campaigns drained through
-            # futures/iteration alone never leak worker processes
-            self.finish()
-        return resolved
-
-    def pump_until(self, future: PricingFuture, timeout: float | None = None) -> None:
-        """Pump the stream until ``future`` resolves -- never a full gather."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not future.done():
-            if self.exhausted:
-                raise ValuationError(
-                    f"stream exhausted but job {future.job_id} never resolved"
-                )
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise FutureTimeoutError(
-                        f"job {future.job_id} still pending after {timeout}s"
-                    )
-            self.pump(remaining)
-
-    def drain(self) -> None:
-        while not self.exhausted:
-            self.pump()
-
-    def finish(self) -> "RunResult":
-        """Drain the stream and assemble the final submission-ordered result."""
-        if self._run_result is not None:
-            return self._run_result
-        self.drain()
-        if self._run_result is not None:
-            # the drain's last pump auto-finished the campaign already
-            return self._run_result
-        outcome = None
-        cancelled: list["Job"] = []
-        if self._stream is not None:
-            outcome = self._stream.finish()
-            cancelled = self._stream.cancelled_jobs
-        assert self._finalize_cb is not None
-        self._run_result = self._finalize_cb(outcome, cancelled)
-        return self._run_result
-
-
 class StreamingRun:
     """A live streaming valuation, as returned by :meth:`ValuationSession.stream`.
 
@@ -595,9 +409,9 @@ class StreamingRun:
     simply drains the rest synchronously.
     """
 
-    def __init__(self, core: _StreamCore, jobs: JobSet) -> None:
-        self._core = core
-        self._jobs = jobs
+    def __init__(self, campaign: Campaign) -> None:
+        self._core = campaign
+        self._jobs = campaign.jobs
 
     @property
     def jobs(self) -> JobSet:

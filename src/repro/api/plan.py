@@ -1,0 +1,153 @@
+"""Campaign planning: job building -> cache pass -> batch coalescing.
+
+:func:`build_plan` is the one place where a portfolio (or a prepared job
+list) becomes the jobs a campaign dispatches.  Every session entry point --
+``run``, ``stream``, ``submit_many``, ``sweep``, ``compare`` -- plans through
+it; the resulting :class:`CampaignPlan` is plain data that a
+:class:`~repro.api.campaign.Campaign` executes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
+
+from repro.api.config import RunConfig
+from repro.cluster.backends import Job
+from repro.cluster.costmodel import CostModel
+from repro.core.portfolio import Portfolio
+from repro.errors import SchedulingError
+from repro.pricing.batch import ProblemBatch, batch_digest, plan_batches
+from repro.pricing.cache import ResultCache, problem_digest
+from repro.pricing.engine import PricingProblem
+
+__all__ = ["CampaignPlan", "build_plan"]
+
+
+@dataclass
+class CampaignPlan:
+    """Everything one campaign needs, prepared before anything executes."""
+
+    #: jobs to dispatch (cache hits removed, batches coalesced)
+    jobs: list[Job]
+    #: submission-ordered ids of every position (pre-coalescing, pre-cache)
+    original_ids: list[int]
+    problem_by_id: dict[int, PricingProblem]
+    cached_results: dict[int, dict[str, Any]] = field(default_factory=dict)
+    digests: dict[int, str] = field(default_factory=dict)
+    #: super-job id -> the positions its :class:`ProblemBatch` carries
+    batch_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    run_cache: ResultCache | None = None
+    portfolio: Portfolio | None = None
+
+
+def build_plan(
+    source: Portfolio | Sequence[Job],
+    options: RunConfig,
+    *,
+    executing: bool,
+    cost_model: CostModel,
+    run_cache: ResultCache | None = None,
+    store: Any = None,
+) -> CampaignPlan:
+    """Plan one campaign over ``source``.
+
+    ``executing`` says whether the backend prices the problems (vs. advancing
+    virtual time).  Portfolio jobs carry their problem when it does and no
+    ``store`` holds them as files, and whenever ``options.batch`` coalesces
+    them (batch jobs ship their members' problems).  With a ``run_cache`` on
+    an executing backend, positions already priced are answered here and
+    never dispatched.
+    """
+    if isinstance(source, Portfolio):
+        jobs = source.build_jobs(
+            cost_model=cost_model,
+            store=store,
+            attach_problems=store is None and (executing or options.batch),
+        )
+        portfolio: Portfolio | None = source
+        problem_by_id = {
+            job.job_id: position.problem for job, position in zip(jobs, source)
+        }
+    else:
+        jobs = list(source)
+        portfolio = None
+        problem_by_id = {
+            job.job_id: job.problem for job in jobs if job.problem is not None
+        }
+    if not jobs:
+        raise SchedulingError("cannot schedule an empty job list")
+    plan = CampaignPlan(
+        jobs=jobs,
+        original_ids=[job.job_id for job in jobs],
+        problem_by_id=problem_by_id,
+        run_cache=run_cache,
+        portfolio=portfolio,
+    )
+
+    # cache pass: positions already priced never reach the backend
+    if run_cache is not None and executing:
+        for job in jobs:
+            problem = problem_by_id.get(job.job_id)
+            if problem is None:
+                continue
+            digest = problem_digest(problem)
+            plan.digests[job.job_id] = digest
+            hit = run_cache.get(digest)
+            if hit is not None:
+                entry = hit.as_dict()
+                entry["cache_hit"] = True
+                plan.cached_results[job.job_id] = entry
+        if plan.cached_results:
+            plan.jobs = [job for job in jobs if job.job_id not in plan.cached_results]
+
+    if options.batch:
+        plan.jobs, plan.batch_members = _coalesce_jobs(
+            plan.jobs, problem_by_id, options, cost_model
+        )
+    return plan
+
+
+def _coalesce_jobs(
+    jobs: list[Job],
+    problem_by_id: Mapping[int, PricingProblem],
+    options: RunConfig,
+    cost_model: CostModel,
+) -> tuple[list[Job], dict[int, tuple[int, ...]]]:
+    """Merge shared-simulation jobs into :class:`ProblemBatch` super-jobs."""
+    min_group_size = options.min_group_size
+    batches = plan_batches(
+        [problem_by_id.get(job.job_id) for job in jobs],
+        min_group_size=min_group_size if min_group_size is not None else 2,
+        max_group_size=options.batch_group_size,
+    )
+    group_by_first = {group.indices[0]: group for group in batches.groups}
+    grouped = {index for group in batches.groups for index in group.indices}
+    out: list[Job] = []
+    members_map: dict[int, tuple[int, ...]] = {}
+    for index, job in enumerate(jobs):
+        group = group_by_first.get(index)
+        if group is not None:
+            member_jobs = [jobs[i] for i in group.indices]
+            bundle = ProblemBatch(
+                [problem_by_id[j.job_id] for j in member_jobs],
+                keys=[j.job_id for j in member_jobs],
+                kernel=options.kernel,
+            )
+            out.append(
+                Job(
+                    job_id=job.job_id,
+                    path=f"/virtual/batch/{batch_digest(bundle)[:16]}.pb",
+                    file_size=sum(j.file_size for j in member_jobs),
+                    # one shared simulation plus cheap per-member payoff sweeps
+                    compute_cost=cost_model.estimate_batch_jobs(
+                        [j.compute_cost for j in member_jobs]
+                    ),
+                    category=job.category,
+                    problem=bundle,
+                )
+            )
+            members_map[job.job_id] = tuple(j.job_id for j in member_jobs)
+        elif index not in grouped:
+            out.append(job)
+    return out, members_map

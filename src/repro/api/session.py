@@ -20,43 +20,41 @@ whole workflow as methods::
     tables  = session.compare(portfolio, cpu_counts=[2, 4])   # -> ComparisonResult
     futures = session.submit_many(problems)                # -> JobSet of futures
 
-Since the streaming redesign, **every execution path flows through the
-incremental master loop** (:class:`~repro.core.scheduler.ScheduleStream`):
-``submit_many`` returns real :class:`~repro.api.futures.PricingFuture`
-objects whose ``result()`` pumps the loop only until that job answers,
-``stream`` yields results in completion order, and the synchronous ``run``
-is a thin drain over the same pipeline.  Cache hits resolve their futures
-immediately; coalesced :class:`~repro.pricing.batch.ProblemBatch` super-jobs
-resolve every member future when the batch is collected.
+The session resolves options and owns the backend lifecycle; every campaign
+-- ``run``, ``stream``, ``submit_many`` -- is planned by
+:func:`repro.api.plan.build_plan`, executed by a
+:class:`repro.api.campaign.Campaign` over the incremental master loop
+(:class:`~repro.core.scheduler.ScheduleStream`) and answered through
+:class:`~repro.api.futures.PricingFuture` objects, from which the campaign
+folds the final report.  ``run(...)`` is ``stream(...).result()``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.api.config import BackendSpec, RetryPolicy, RunConfig, SweepConfig
+from repro.api.campaign import Campaign
+from repro.api.config import BackendSpec, RunConfig, SweepConfig
 from repro.api.futures import (
     CancelToken,
     JobSet,
     PricingFuture,
     StreamingRun,
     StreamProgress,
-    _StreamCore,
 )
+from repro.api.plan import build_plan
 from repro.api.results import ComparisonResult, PriceResult, RunResult, SweepResult
 from repro.cluster.backends import Job, WorkerBackend, create_backend
 from repro.cluster.costmodel import CostModel, paper_cost_model
 from repro.cluster.simcluster.comm import STRATEGY_NAMES, CommunicationModel
 from repro.core.portfolio import Portfolio
-from repro.core.runner import RunReport
 from repro.core.scheduler import SCHEDULERS, RobinHoodScheduler, Scheduler
+from repro.core.speedup import SpeedupTable
 from repro.core.strategies import TransmissionStrategy, get_strategy
-from repro.errors import ClusterError, SchedulingError, ValuationError, WorkerLostError
-from repro.pricing.batch import ProblemBatch, batch_digest, plan_batches
+from repro.errors import SchedulingError, ValuationError
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
 from repro.serial import serialize
@@ -82,32 +80,6 @@ def _coerce_cache(cache: "ResultCache | str | Path | bool | None") -> ResultCach
         f"cache must be a ResultCache, a directory path or a bool, "
         f"got {type(cache).__name__}"
     )
-
-
-def _merged_config(config: RunConfig | None, **overrides: Any) -> RunConfig:
-    """``config`` (default ``RunConfig()``) with every non-``None`` override applied."""
-    given = {name: value for name, value in overrides.items() if value is not None}
-    return replace(config or RunConfig(), **given)
-
-
-@dataclass
-class _RunPlan:
-    """Everything one campaign needs, prepared before anything executes."""
-
-    backend: WorkerBackend
-    executing: bool
-    strategy_name: str
-    #: jobs to dispatch (cache hits removed, batches coalesced)
-    jobs: list[Job]
-    #: submission-ordered ids of every position (pre-coalescing, pre-cache)
-    original_ids: list[int]
-    n_total: int
-    problem_by_id: dict[int, PricingProblem]
-    cached_results: dict[int, dict[str, Any]] = field(default_factory=dict)
-    digests: dict[int, str] = field(default_factory=dict)
-    batch_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    run_cache: ResultCache | None = None
-    portfolio: Portfolio | None = None
 
 
 class ValuationSession:
@@ -189,19 +161,15 @@ class ValuationSession:
         self._cache = _coerce_cache(cache)
         self._pending: list[tuple[PricingProblem, PricingFuture, str]] = []
         self._pending_by_digest: dict[str, PricingFuture] = {}
-        self._active_cores: list[_StreamCore] = []
+        self._active_cores: list[Campaign] = []
         self._next_job_id = 0
-        self._validate()
-
-    # -- configuration helpers ---------------------------------------------------
-    def _validate(self) -> None:
-        if isinstance(self.strategy, str):
-            get_strategy(self.strategy)  # raises SchedulingError on bad names
+        self._resolve_strategy()  # raises SchedulingError on bad names
         if isinstance(self.scheduler, str) and self.scheduler not in SCHEDULERS:
             raise ValuationError(
                 f"unknown scheduler {self.scheduler!r}; known: {sorted(SCHEDULERS)}"
             )
 
+    # -- configuration helpers ---------------------------------------------------
     @property
     def backend_spec(self) -> BackendSpec | None:
         """The spec used to build backends (``None`` for instance sessions)."""
@@ -215,9 +183,7 @@ class ValuationSession:
     def with_options(self, **changes: Any) -> "ValuationSession":
         """A new session sharing this one's choices, with ``changes`` applied."""
         current: dict[str, Any] = {
-            "backend": self._backend_spec
-            if self._backend_spec is not None
-            else self._backend_instance,
+            "backend": self._backend_spec or self._backend_instance,
             "strategy": self.strategy,
             "scheduler": self.scheduler,
             "cost_model": self.cost_model,
@@ -237,9 +203,21 @@ class ValuationSession:
             return SCHEDULERS[self.scheduler]()
         return self.scheduler()
 
-    def _strategy_name(self, strategy: str | TransmissionStrategy | None) -> str:
+    def _resolve_strategy(
+        self, strategy: str | TransmissionStrategy | None = None
+    ) -> TransmissionStrategy:
         chosen = strategy if strategy is not None else self.strategy
-        return chosen if isinstance(chosen, str) else chosen.name
+        return get_strategy(chosen) if isinstance(chosen, str) else chosen
+
+    def _resolve_run_cache(self, cache: bool | None) -> ResultCache | None:
+        if cache is False:
+            return None
+        if cache is True and self._cache is None:
+            raise ValuationError(
+                "cache=True was requested but the session has no result cache; "
+                "construct the session with cache=True / a directory / a ResultCache"
+            )
+        return self._cache
 
     def _acquire_backend(
         self, strategy_name: str, cache: ResultCache | None = None
@@ -267,46 +245,6 @@ class ValuationSession:
             # when the run bypasses caching via cache=False)
             extra["cache_dir"] = str(cache.directory)
         return self._backend_spec.create(strategy=strategy_name, **extra)
-
-    # -- the synchronous engine (simulated-cluster sweeps) -----------------------
-    def _execute_jobs(
-        self,
-        jobs: Sequence[Job],
-        backend: WorkerBackend,
-        strategy: str | TransmissionStrategy | None,
-        scheduler: Scheduler | None = None,
-    ) -> RunReport:
-        """Dispatch ``jobs`` run-to-completion, check and normalise the report.
-
-        Only simulated-cluster sweeps go through here (``run()`` there is
-        ``stream().finish()`` anyway); everything else flows through the
-        streaming pipeline of :meth:`_make_core`.
-        """
-        chosen = strategy if strategy is not None else self.strategy
-        strategy_obj = get_strategy(chosen) if isinstance(chosen, str) else chosen
-        runner = scheduler or self._new_scheduler()
-        outcome = runner.run(jobs, backend, strategy_obj)
-        if len(outcome.completed) != len(jobs):
-            raise SchedulingError(
-                f"scheduler returned {len(outcome.completed)} results for {len(jobs)} jobs"
-            )
-        return RunReport.from_outcome(outcome, jobs, strategy_obj.name)
-
-    def _portfolio_jobs(
-        self,
-        portfolio: Portfolio,
-        backend: WorkerBackend,
-        store: Any = None,
-        attach_problems: bool | None = None,
-        cost_model: CostModel | None = None,
-    ) -> list[Job]:
-        if attach_problems is None:
-            attach_problems = getattr(backend, "requires_payload", True) and store is None
-        return portfolio.build_jobs(
-            cost_model=cost_model or self.cost_model,
-            store=store,
-            attach_problems=attach_problems,
-        )
 
     # -- pricing -----------------------------------------------------------------
     def price(
@@ -377,185 +315,66 @@ class ValuationSession:
             result, label=problem.label, method=problem.method_name
         )
 
-    # -- campaign preparation ----------------------------------------------------
-    def _prepare_plan(
+    # -- portfolio runs ----------------------------------------------------------
+    def _open_campaign(
         self,
-        jobs: list[Job],
-        problem_by_id: dict[int, PricingProblem],
-        options: RunConfig,
+        source: Portfolio | Sequence[Job],
         *,
-        strategy_name: str,
-        run_cache: ResultCache | None,
-        backend: WorkerBackend,
-        portfolio: Portfolio | None,
-    ) -> _RunPlan:
-        """Apply the cache pass and batch coalescing to a prepared job list."""
-        if not jobs:
-            raise SchedulingError("cannot schedule an empty job list")
+        strategy: str | TransmissionStrategy | None = None,
+        scheduler: Scheduler | None = None,
+        store: Any = None,
+        config: RunConfig | None = None,
+        futures: Mapping[int, PricingFuture] | None = None,
+        **overrides: Any,
+    ) -> Campaign:
+        """Resolve the options, acquire a backend, plan and open one campaign.
+
+        Precedence, most specific first: a keyword given to the call, the
+        ``config`` field, the session's own choice.
+        """
+        given = {name: value for name, value in overrides.items() if value is not None}
+        options = replace(config or RunConfig(), **given)
+        strategy_obj = self._resolve_strategy(
+            strategy if strategy is not None else options.strategy
+        )
+        make_runner: Callable[[], Scheduler]
+        if scheduler is not None:
+            make_runner = lambda: scheduler
+        elif options.scheduler is not None:
+            make_runner = options.scheduler_factory()
+        else:
+            make_runner = self._new_scheduler
+        run_cache = self._resolve_run_cache(options.cache)
+        new_backend = partial(self._acquire_backend, strategy_obj.name, run_cache)
+        backend = new_backend()
         executing = getattr(backend, "requires_payload", True)
-        if options.batch and strategy_name == "nfs" and executing:
+        if options.batch and strategy_obj.name == "nfs" and executing:
             raise ValuationError(
                 "batch=True cannot be combined with the nfs strategy on an "
                 "executing backend: coalesced batch jobs have no per-position "
                 "problem files"
             )
-        plan = _RunPlan(
-            backend=backend,
-            executing=executing,
-            strategy_name=strategy_name,
-            jobs=list(jobs),
-            original_ids=[job.job_id for job in jobs],
-            n_total=len(jobs),
-            problem_by_id=problem_by_id,
-            run_cache=run_cache,
-            portfolio=portfolio,
-        )
-
-        # cache pass: positions already priced never reach the backend
-        if run_cache is not None and executing:
-            for job in plan.jobs:
-                problem = problem_by_id.get(job.job_id)
-                if problem is None:
-                    continue
-                digest = problem_digest(problem)
-                plan.digests[job.job_id] = digest
-                hit = run_cache.get(digest)
-                if hit is not None:
-                    entry = hit.as_dict()
-                    entry["cache_hit"] = True
-                    plan.cached_results[job.job_id] = entry
-            if plan.cached_results:
-                plan.jobs = [
-                    job for job in plan.jobs if job.job_id not in plan.cached_results
-                ]
-
-        if options.batch:
-            plan.jobs, plan.batch_members = self._coalesce_jobs(
-                plan.jobs, problem_by_id, options
-            )
-        return plan
-
-    def _make_core(
-        self,
-        plan: _RunPlan,
-        scheduler: Scheduler,
-        strategy: str | TransmissionStrategy | None,
-        progress: Callable[[StreamProgress], None] | None = None,
-        cancel: CancelToken | None = None,
-    ) -> tuple[_StreamCore, JobSet]:
-        """Build the streaming core and fresh futures for a prepared plan."""
-        futures: dict[int, PricingFuture] = {}
-        for job_id in plan.original_ids:
-            problem = plan.problem_by_id.get(job_id)
-            futures[job_id] = PricingFuture(
-                job_id,
-                label=getattr(problem, "label", None),
-                method=getattr(problem, "method_name", None),
-            )
-        core = self._attach_campaign(
-            plan, futures, runner=scheduler, strategy=strategy,
-            progress=progress, cancel=cancel,
-        )
-        return core, JobSet([futures[job_id] for job_id in plan.original_ids])
-
-    def _assemble_run_result(
-        self,
-        plan: _RunPlan,
-        dispatched: list[Job],
-        outcome: Any,
-        cancelled_jobs: list[Job],
-    ) -> RunResult:
-        """Fold a drained stream back into a deterministic :class:`RunResult`."""
-        if outcome is not None:
-            if len(outcome.completed) + len(cancelled_jobs) != len(dispatched):
-                raise SchedulingError(
-                    f"stream collected {len(outcome.completed)} results for "
-                    f"{len(dispatched)} dispatched jobs "
-                    f"({len(cancelled_jobs)} cancelled)"
-                )
-            report = RunReport.from_outcome(outcome, dispatched, plan.strategy_name)
-        else:
-            # every position was answered from the cache: nothing to dispatch
-            stats = plan.backend.finalize()
-            report = RunReport(
-                n_jobs=0,
-                n_workers=stats.n_workers,
-                strategy=plan.strategy_name,
-                scheduler="cache",
-                total_time=stats.total_time,
-                master_busy=stats.master_busy,
-                worker_busy=dict(stats.worker_busy),
-                bytes_sent=stats.bytes_sent,
-            )
-        return self._postprocess_report(report, plan, cancelled_jobs)
-
-    def _postprocess_report(
-        self, report: RunReport, plan: _RunPlan, cancelled_jobs: Sequence[Job] = ()
-    ) -> RunResult:
-        """Expand batches, merge cache hits, mark cancellations, fix ordering."""
-        if plan.batch_members:
-            report = self._expand_batch_report(report, plan.batch_members)
-        for job in cancelled_jobs:
-            for member in plan.batch_members.get(job.job_id, (job.job_id,)):
-                report.results[member] = None
-                report.errors[member] = "cancelled before dispatch"
-        if plan.cached_results:
-            report.results.update(plan.cached_results)
-            report.n_jobs = plan.n_total
-        # deterministic submission ordering, whatever order results landed in
-        report.results = {
-            job_id: report.results[job_id]
-            for job_id in plan.original_ids
-            if job_id in report.results
-        }
-        report.errors = {
-            job_id: report.errors[job_id]
-            for job_id in plan.original_ids
-            if job_id in report.errors
-        }
-        if plan.run_cache is not None and plan.executing:
-            self._store_run_results(plan.run_cache, report, plan.digests)
-        return RunResult(report=report, portfolio=plan.portfolio)
-
-    def _source_plan(
-        self,
-        source: Portfolio | Sequence[Job],
-        options: RunConfig,
-        *,
-        strategy_name: str,
-        store: Any,
-    ) -> _RunPlan:
-        """Build the campaign plan for a portfolio or prepared job list."""
-        run_cache = self._resolve_run_cache(options.cache)
-        backend = self._acquire_backend(strategy_name, cache=run_cache)
-        if isinstance(source, Portfolio):
-            attach_problems = options.attach_problems
-            if options.batch and attach_problems is None and store is None:
-                attach_problems = True  # batch execution ships the problems
-            jobs = self._portfolio_jobs(
-                source, backend, store, attach_problems, options.cost_model
-            )
-            portfolio: Portfolio | None = source
-            problem_by_id = {
-                job.job_id: position.problem for job, position in zip(jobs, source)
-            }
-        else:
-            jobs = list(source)
-            portfolio = None
-            problem_by_id = {
-                job.job_id: job.problem for job in jobs if job.problem is not None
-            }
-        return self._prepare_plan(
-            jobs,
-            problem_by_id,
+        plan = build_plan(
+            source,
             options,
-            strategy_name=strategy_name,
+            executing=executing,
+            cost_model=options.cost_model or self.cost_model,
             run_cache=run_cache,
-            backend=backend,
-            portfolio=portfolio,
+            store=store,
+        )
+        return Campaign(
+            plan,
+            backend,
+            strategy_obj,
+            make_runner,
+            futures=futures,
+            progress=options.progress,
+            cancel=options.cancel,
+            # only a name/spec session can rebuild the pool a retry needs
+            retry=options.retry if self._backend_spec is not None else None,
+            new_backend=new_backend,
         )
 
-    # -- portfolio runs ----------------------------------------------------------
     def run(
         self,
         source: Portfolio | Sequence[Job],
@@ -563,7 +382,6 @@ class ValuationSession:
         strategy: str | TransmissionStrategy | None = None,
         scheduler: Scheduler | None = None,
         store: Any = None,
-        attach_problems: bool | None = None,
         config: RunConfig | None = None,
         batch: bool | None = None,
         batch_group_size: int | None = None,
@@ -575,188 +393,23 @@ class ValuationSession:
     ) -> RunResult:
         """Value a portfolio (or a prepared job list) on the session backend.
 
-        A thin synchronous wrapper over the streaming core: the whole
-        campaign is streamed through the incremental master loop and drained
-        to completion.  ``batch=True`` coalesces positions with equal
-        simulation signatures into shared-path
-        :class:`~repro.pricing.batch.ProblemBatch` jobs; prices are
-        bit-identical to the unbatched run (on the simulated backend the
-        batch-aware cost model prices one shared simulation per group).
-        ``progress`` is called once per collected position; ``cancel`` (a
-        :class:`CancelToken`) withdraws still-queued positions, which the
-        result marks as ``"cancelled before dispatch"`` errors.
+        ``stream(...).result()`` in one call: the same campaign, drained to
+        completion (``scheduler`` additionally accepts a ready-made
+        :class:`~repro.core.scheduler.Scheduler` for this one run).
+        ``batch=True`` coalesces positions with equal simulation signatures
+        into shared-path :class:`~repro.pricing.batch.ProblemBatch` jobs;
+        prices are bit-identical to the unbatched run (on the simulated
+        backend the batch-aware cost model prices one shared simulation per
+        group).  ``progress`` is called once per collected position;
+        ``cancel`` (a :class:`CancelToken`) withdraws still-queued positions,
+        which the result marks as ``"cancelled before dispatch"`` errors.
         """
-        options = _merged_config(
-            config, attach_problems=attach_problems, batch=batch,
-            batch_group_size=batch_group_size, kernel=kernel,
-            min_group_size=min_group_size, cache=cache, progress=progress,
-            cancel=cancel,
-        )
-        if strategy is None and config is not None:
-            strategy = config.strategy
-        scheduler_factory: Callable[[], Scheduler] = (
-            options.scheduler_factory()
-            if scheduler is None and options.scheduler is not None
-            else self._new_scheduler
-        )
-
-        def make_runner() -> Scheduler:
-            return scheduler if scheduler is not None else scheduler_factory()
-
-        plan = self._source_plan(
-            source, options, strategy_name=self._strategy_name(strategy), store=store
-        )
-        core, jobs = self._make_core(
-            plan, make_runner(), strategy, options.progress, options.cancel
-        )
-        retry = options.retry
-        if (
-            retry is not None
-            and retry.max_attempts > 1
-            and self._backend_spec is not None
-        ):
-            return self._run_with_retry(
-                plan, core, jobs, retry, make_runner,
-                strategy=strategy, progress=options.progress, cancel=options.cancel,
-            )
-        return core.finish()
-
-    # -- pool-loss retry layer ---------------------------------------------------
-    def _run_with_retry(
-        self,
-        plan: _RunPlan,
-        core: _StreamCore,
-        jobs: JobSet,
-        retry: RetryPolicy,
-        make_runner: Callable[[], Scheduler],
-        *,
-        strategy: str | TransmissionStrategy | None,
-        progress: Callable[[StreamProgress], None] | None,
-        cancel: CancelToken | None,
-    ) -> RunResult:
-        """Drain the campaign, resubmitting pool losses per the retry policy.
-
-        Each :class:`~repro.errors.WorkerLostError` consumes one attempt:
-        results already collected are harvested from the resolved futures, a
-        fresh backend is built from the session's :class:`BackendSpec` after
-        the policy's backoff, and only the unresolved positions go back out.
-        A backend that cannot even be rebuilt (workers still down at
-        connect time) consumes an attempt too, so the backoff schedule also
-        paces re-connection storms.  Results from every attempt merge into
-        one submission-ordered report, bit-identical to a clean run.
-        """
-        settled: dict[int, tuple[dict[str, Any] | None, str | None]] = {}
-        cur_plan, cur_core = plan, core
-        cur_futures: dict[int, PricingFuture] = {f.job_id: f for f in jobs}
-        retries = 0
-        last_error: Exception | None = None
-        for attempt in range(1, retry.max_attempts + 1):
-            if cur_core is not None:
-                try:
-                    result = cur_core.finish()
-                except WorkerLostError as exc:
-                    last_error = exc
-                    for job_id, future in cur_futures.items():
-                        if future.done() and job_id not in settled:
-                            settled[job_id] = (future._result, future._error)
-                    try:
-                        cur_plan.backend.finalize()
-                    # repro-lint: disable=except-swallow -- best-effort teardown of a pool that WorkerLostError already proved dead; any error here is noise on the retry path
-                    except Exception:
-                        pass  # the pool is already gone; nothing to release
-                else:
-                    return self._merge_retry_result(plan, result, settled, retries)
-            if attempt == retry.max_attempts:
-                break
-            delay = retry.delay(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            try:
-                cur_plan = self._retry_plan(plan, settled)
-                cur_core, retry_jobs = self._make_core(
-                    cur_plan, make_runner(), strategy, progress, cancel
-                )
-                cur_futures = {f.job_id: f for f in retry_jobs}
-                retries += 1
-            except ClusterError as exc:
-                # the replacement pool could not even be dialed: consume the
-                # attempt and let the backoff schedule pace the next try
-                last_error = exc
-                cur_core = None
-        assert last_error is not None
-        raise last_error
-
-    def _retry_plan(
-        self,
-        plan: _RunPlan,
-        settled: Mapping[int, tuple[dict[str, Any] | None, str | None]],
-    ) -> _RunPlan:
-        """A fresh-backend plan covering only the still-unresolved positions."""
-        unresolved = [jid for jid in plan.original_ids if jid not in settled]
-        if not unresolved:
-            raise SchedulingError(
-                "worker pool lost but every position already resolved"
-            )
-        unresolved_set = set(unresolved)
-        backend = self._acquire_backend(plan.strategy_name, cache=plan.run_cache)
-        retry_jobs = [
-            job
-            for job in plan.jobs
-            if any(
-                member in unresolved_set
-                for member in plan.batch_members.get(job.job_id, (job.job_id,))
-            )
-        ]
-        return _RunPlan(
-            backend=backend,
-            executing=getattr(backend, "requires_payload", True),
-            strategy_name=plan.strategy_name,
-            jobs=retry_jobs,
-            original_ids=unresolved,
-            n_total=len(unresolved),
-            problem_by_id=plan.problem_by_id,
-            digests={
-                jid: digest
-                for jid, digest in plan.digests.items()
-                if jid in unresolved_set
-            },
-            batch_members={
-                job.job_id: plan.batch_members[job.job_id]
-                for job in retry_jobs
-                if job.job_id in plan.batch_members
-            },
-            run_cache=plan.run_cache,
-            portfolio=None,
-        )
-
-    def _merge_retry_result(
-        self,
-        plan: _RunPlan,
-        result: RunResult,
-        settled: Mapping[int, tuple[dict[str, Any] | None, str | None]],
-        retries: int,
-    ) -> RunResult:
-        """Fold earlier attempts' harvested results into the final report."""
-        if retries == 0:
-            return result
-        report = result.report
-        results = dict(report.results)
-        errors = dict(report.errors)
-        for job_id, (entry, error) in settled.items():
-            if error is not None:
-                errors.setdefault(job_id, error)
-                results.setdefault(job_id, None)
-            else:
-                results.setdefault(job_id, entry)
-        report.results = {
-            jid: results[jid] for jid in plan.original_ids if jid in results
-        }
-        report.errors = {
-            jid: errors[jid] for jid in plan.original_ids if jid in errors
-        }
-        report.n_jobs = plan.n_total
-        report.extra["retries"] = retries
-        return RunResult(report=report, portfolio=plan.portfolio)
+        return self._open_campaign(
+            source, strategy=strategy, scheduler=scheduler, store=store,
+            config=config, batch=batch, batch_group_size=batch_group_size,
+            kernel=kernel, min_group_size=min_group_size, cache=cache,
+            progress=progress, cancel=cancel,
+        ).finish()
 
     def stream(
         self,
@@ -764,7 +417,6 @@ class ValuationSession:
         *,
         strategy: str | TransmissionStrategy | None = None,
         store: Any = None,
-        attach_problems: bool | None = None,
         config: RunConfig | None = None,
         batch: bool | None = None,
         batch_group_size: int | None = None,
@@ -785,22 +437,14 @@ class ValuationSession:
         :class:`~repro.api.futures.JobSet` is reachable as ``.jobs`` for
         ``as_completed()`` / ``wait()`` access to individual futures.
         """
-        options = _merged_config(
-            config, attach_problems=attach_problems, batch=batch,
-            batch_group_size=batch_group_size, kernel=kernel,
-            min_group_size=min_group_size, cache=cache, progress=progress,
-            cancel=cancel,
+        return StreamingRun(
+            self._open_campaign(
+                source, strategy=strategy, store=store, config=config,
+                batch=batch, batch_group_size=batch_group_size, kernel=kernel,
+                min_group_size=min_group_size, cache=cache, progress=progress,
+                cancel=cancel,
+            )
         )
-        if strategy is None and config is not None:
-            strategy = config.strategy
-        runner = self._new_scheduler()
-        plan = self._source_plan(
-            source, options, strategy_name=self._strategy_name(strategy), store=store
-        )
-        core, jobs = self._make_core(
-            plan, runner, strategy, options.progress, options.cancel
-        )
-        return StreamingRun(core, jobs)
 
     # -- risk campaigns ----------------------------------------------------------
     def _run_scenario_grid(
@@ -916,109 +560,6 @@ class ValuationSession:
             portfolio, param, bumps, relative, price_grid=price_grid
         )
 
-    # -- batch & cache helpers ---------------------------------------------------
-    def _resolve_run_cache(self, cache: bool | None) -> ResultCache | None:
-        if cache is False:
-            return None
-        if cache is True and self._cache is None:
-            raise ValuationError(
-                "cache=True was requested but the session has no result cache; "
-                "construct the session with cache=True / a directory / a ResultCache"
-            )
-        return self._cache
-
-    def _coalesce_jobs(
-        self,
-        jobs: list[Job],
-        problem_by_id: Mapping[int, PricingProblem],
-        options: RunConfig,
-    ) -> tuple[list[Job], dict[int, tuple[int, ...]]]:
-        """Merge shared-simulation jobs into :class:`ProblemBatch` super-jobs."""
-        model = options.cost_model or self.cost_model
-        min_group_size = options.min_group_size
-        plan = plan_batches(
-            [problem_by_id.get(job.job_id) for job in jobs],
-            min_group_size=min_group_size if min_group_size is not None else 2,
-            max_group_size=options.batch_group_size,
-        )
-        group_by_first: dict[int, Any] = {g.indices[0]: g for g in plan.groups}
-        grouped = {index for group in plan.groups for index in group.indices}
-        out: list[Job] = []
-        members_map: dict[int, tuple[int, ...]] = {}
-        for index, job in enumerate(jobs):
-            group = group_by_first.get(index)
-            if group is not None:
-                member_jobs = [jobs[i] for i in group.indices]
-                problems = [problem_by_id[j.job_id] for j in member_jobs]
-                bundle = ProblemBatch(
-                    problems, keys=[j.job_id for j in member_jobs],
-                    kernel=options.kernel,
-                )
-                super_job = Job(
-                    job_id=job.job_id,
-                    path=f"/virtual/batch/{batch_digest(bundle)[:16]}.pb",
-                    file_size=sum(j.file_size for j in member_jobs),
-                    # one shared simulation plus cheap per-member payoff sweeps
-                    compute_cost=model.estimate_batch_jobs(
-                        [j.compute_cost for j in member_jobs]
-                    ),
-                    category=job.category,
-                    problem=bundle,
-                )
-                out.append(super_job)
-                members_map[job.job_id] = tuple(j.job_id for j in member_jobs)
-            elif index not in grouped:
-                out.append(job)
-        return out, members_map
-
-    def _expand_batch_report(
-        self, report: RunReport, batch_members: Mapping[int, tuple[int, ...]]
-    ) -> RunReport:
-        """Rewrite a report over super-jobs into per-position results."""
-        results: dict[int, dict[str, Any] | None] = {}
-        member_errors: dict[int, str] = {}
-        for job_id, result in report.results.items():
-            members = batch_members.get(job_id)
-            if members is None:
-                results[job_id] = result
-            elif isinstance(result, dict) and result.get("batch"):
-                for key, entry in result["results"].items():
-                    if isinstance(entry, dict) and "error" in entry:
-                        results[int(key)] = None
-                        member_errors[int(key)] = entry["error"]
-                    else:
-                        results[int(key)] = entry
-            else:  # failed (or payload-less) batch job: propagate to members
-                for member in members:
-                    results[member] = None
-        errors: dict[int, str] = dict(member_errors)
-        for job_id, message in report.errors.items():
-            members = batch_members.get(job_id)
-            if members is None:
-                errors[job_id] = message
-            else:
-                for member in members:
-                    errors[member] = message
-        report.results = results
-        report.errors = errors
-        report.n_jobs += sum(len(members) - 1 for members in batch_members.values())
-        return report
-
-    @staticmethod
-    def _store_run_results(
-        run_cache: ResultCache, report: RunReport, digests: Mapping[int, str]
-    ) -> None:
-        for job_id, result in report.results.items():
-            if (
-                result is None
-                or result.get("cache_hit")
-                or result.get("price") is None
-                or job_id in report.errors
-                or job_id not in digests
-            ):
-                continue
-            run_cache.put(digests[job_id], result)
-
     # -- futures-based submission ------------------------------------------------
     def submit_many(
         self,
@@ -1100,70 +641,13 @@ class ValuationSession:
             )
             for problem, future, category in pending
         ]
-        strategy_name = self._strategy_name(None)
-        runner = self._new_scheduler()
-        backend = self._acquire_backend(strategy_name, cache=self._cache)
-        problem_by_id = {future.job_id: problem for problem, future, _ in pending}
-        plan = self._prepare_plan(
-            jobs,
-            problem_by_id,
-            RunConfig(),
-            strategy_name=strategy_name,
-            run_cache=self._cache,
-            backend=backend,
-            portfolio=None,
+        campaign = self._open_campaign(
+            jobs, futures={future.job_id: future for _, future, _ in pending}
         )
-        futures = {future.job_id: future for _, future, _ in pending}
-        core = self._attach_campaign(plan, futures, runner=runner)
         self._pending = []
         self._pending_by_digest = {}
-        self._active_cores = [
-            live for live in self._active_cores if not live.finished
-        ]
-        self._active_cores.append(core)
-
-    def _attach_campaign(
-        self,
-        plan: _RunPlan,
-        futures: dict[int, PricingFuture],
-        runner: Scheduler | None = None,
-        strategy: str | TransmissionStrategy | None = None,
-        progress: Callable[[StreamProgress], None] | None = None,
-        cancel: CancelToken | None = None,
-    ) -> _StreamCore:
-        """Wire futures onto a prepared plan and open the schedule stream."""
-        runner = runner or self._new_scheduler()
-        # cache hits resolve immediately -- they never enter the stream
-        for job_id, entry in plan.cached_results.items():
-            futures[job_id]._resolve(entry, None)
-        chosen = strategy if strategy is not None else plan.strategy_name
-        strategy_obj = get_strategy(chosen) if isinstance(chosen, str) else chosen
-        dispatched = list(plan.jobs)
-        stream = (
-            runner.stream(dispatched, plan.backend, strategy_obj)
-            if dispatched
-            else None
-        )
-
-        def _finalize(outcome: Any, cancelled_jobs: list[Job]) -> RunResult:
-            return self._assemble_run_result(plan, dispatched, outcome, cancelled_jobs)
-
-        core = _StreamCore(
-            stream,
-            futures,
-            batch_members=plan.batch_members,
-            total=plan.n_total,
-            progress=progress,
-            cancel=cancel,
-            finalize_cb=_finalize,
-        )
-        core.attach(futures)
-        if stream is None:
-            # nothing to dispatch (every position answered from the cache):
-            # finalize the backend right away instead of waiting for a
-            # result()/gather() that may never come
-            core.finish()
-        return core
+        self._active_cores = [live for live in self._active_cores if not live.finished]
+        self._active_cores.append(campaign)
 
     def gather(self) -> RunResult:
         """Drain every submitted problem and return the campaign's result.
@@ -1180,12 +664,9 @@ class ValuationSession:
             raise ValuationError(
                 "every pending submission was cancelled before gathering"
             )
-        result: RunResult | None = None
-        for core in self._active_cores:
-            result = core.finish()
+        results = [campaign.finish() for campaign in self._active_cores]
         self._active_cores = []
-        assert result is not None
-        return result
+        return results[-1]
 
     # -- sweeps and comparisons --------------------------------------------------
     def sweep(
@@ -1230,12 +711,16 @@ class ValuationSession:
             share_nfs_cache = True
         if not cpu_counts:
             raise SchedulingError("cpu_counts must not be empty")
-        strategy_name = self._strategy_name(strategy)
-        jobs = self._sweep_jobs(source, batch=bool(batch), batch_group_size=batch_group_size)
+        strategy_obj = self._resolve_strategy(strategy)
+        jobs = self._simulation_jobs(source, bool(batch), batch_group_size)
         comm_factory = comm_factory or self.comm_factory
         base_comm = comm if comm is not None else self.comm
         if base_comm is None:
             base_comm = comm_factory() if comm_factory else CommunicationModel()
+        sim_options: dict[str, Any] = {}
+        if self._backend_spec is not None and self._backend_spec.name == "simulated":
+            sim_options.update(self._backend_spec.options)
+        sim_options.pop("comm", None)
         times: dict[int, float] = {}
         for n_cpus in cpu_counts:
             if share_nfs_cache:
@@ -1244,12 +729,18 @@ class ValuationSession:
                 run_comm = comm_factory()
             else:
                 run_comm = base_comm.cold_copy()
-            backend = self._simulated_backend(n_cpus, strategy_name, run_comm)
-            report = self._execute_jobs(jobs, backend, strategy_name)
-            times[n_cpus] = report.total_time
-        from repro.core.speedup import SpeedupTable
-
-        return SweepResult(SpeedupTable.from_times(label or strategy_name, times))
+            backend = create_backend(
+                "simulated", n_workers=n_cpus - 1, strategy=strategy_obj.name,
+                comm=run_comm, **sim_options,
+            )
+            outcome = self._new_scheduler().run(jobs, backend, strategy_obj)
+            if len(outcome.completed) != len(jobs):
+                raise SchedulingError(
+                    f"scheduler returned {len(outcome.completed)} results "
+                    f"for {len(jobs)} jobs"
+                )
+            times[n_cpus] = outcome.total_time
+        return SweepResult(SpeedupTable.from_times(label or strategy_obj.name, times))
 
     def compare(
         self,
@@ -1270,7 +761,7 @@ class ValuationSession:
         regenerates the tables with shared-simulation batching.
         """
         comm_factory = comm_factory or self.comm_factory
-        jobs = self._sweep_jobs(source, batch=batch, batch_group_size=batch_group_size)
+        jobs = self._simulation_jobs(source, batch, batch_group_size)
         tables: dict[str, Any] = {}
         for strategy in strategies:
             comm = comm_factory() if comm_factory else CommunicationModel()
@@ -1285,42 +776,16 @@ class ValuationSession:
             ).table
         return ComparisonResult(tables)
 
-    def _sweep_jobs(
-        self,
-        source: Portfolio | Sequence[Job],
-        batch: bool = False,
-        batch_group_size: int | None = None,
+    def _simulation_jobs(
+        self, source: Portfolio | Sequence[Job], batch: bool, batch_group_size: int | None
     ) -> list[Job]:
-        if isinstance(source, Portfolio):
-            jobs = source.build_jobs(cost_model=self.cost_model)
-            problem_by_id = {
-                job.job_id: position.problem for job, position in zip(jobs, source)
-            }
-        else:
-            jobs = list(source)
-            problem_by_id = {
-                job.job_id: job.problem for job in jobs if job.problem is not None
-            }
-        if batch:
-            jobs, _members = self._coalesce_jobs(
-                jobs, problem_by_id, RunConfig(batch_group_size=batch_group_size)
-            )
-        return jobs
-
-    def _simulated_backend(
-        self, n_cpus: int, strategy_name: str, comm: CommunicationModel
-    ) -> WorkerBackend:
-        options: dict[str, Any] = {}
-        if self._backend_spec is not None and self._backend_spec.name == "simulated":
-            options.update(dict(self._backend_spec.options))
-        options.pop("comm", None)
-        return create_backend(
-            "simulated",
-            n_workers=n_cpus - 1,
-            strategy=strategy_name,
-            comm=comm,
-            **options,
-        )
+        """The jobs a simulated sweep replays: planned like a run, never executed."""
+        return build_plan(
+            source,
+            RunConfig(batch=batch, batch_group_size=batch_group_size),
+            executing=False,
+            cost_model=self.cost_model,
+        ).jobs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         backend = (
@@ -1330,5 +795,5 @@ class ValuationSession:
         )
         return (
             f"ValuationSession(backend={backend!r}, "
-            f"strategy={self._strategy_name(None)!r}, pending={self.n_pending})"
+            f"strategy={self._resolve_strategy().name!r}, pending={self.n_pending})"
         )

@@ -18,8 +18,8 @@ Two extensions ride on the same payload plumbing:
 * a payload may decode to a :class:`~repro.pricing.batch.ProblemBatch` -- a
   whole shared-simulation family shipped as one message; the worker prices
   every member against one path set and returns a ``{"batch": True,
-  "results": {...}}`` dictionary which the session expands back into
-  per-position results;
+  "results": {...}}`` dictionary which :func:`decode_batch_reply` (the only
+  reader of that format) expands back into per-position results;
 * an optional worker-side :class:`~repro.pricing.cache.ResultCache` answers
   digest hits without pricing (hits are marked ``"cache_hit": True`` so hit
   rates can be reported).
@@ -28,7 +28,7 @@ Two extensions ride on the same payload plumbing:
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Sequence
 
 from repro.cluster.backends.base import PAYLOAD_PATH, PAYLOAD_PROBLEM, PAYLOAD_SERIAL
 from repro.errors import ClusterError
@@ -38,7 +38,12 @@ from repro.pricing.engine import PricingProblem
 from repro.serial import Serial
 from repro.serial import load as load_problem_file
 
-__all__ = ["materialize_problem", "execute_payload", "make_worker_cache"]
+__all__ = [
+    "materialize_problem",
+    "execute_payload",
+    "decode_batch_reply",
+    "make_worker_cache",
+]
 
 
 def make_worker_cache(cache_dir: str | None) -> ResultCache | None:
@@ -106,3 +111,29 @@ def execute_payload(
     except Exception as exc:  # noqa: BLE001 - worker must survive bad jobs
         elapsed = time.perf_counter() - start
         return None, elapsed, f"{type(exc).__name__}: {exc}"
+
+
+def decode_batch_reply(
+    reply: dict[str, Any] | None, error: str | None, members: Sequence[int]
+) -> dict[int, tuple[dict[str, Any] | None, str | None]]:
+    """``(entry, error)`` for every expected member of a batch job's answer.
+
+    ``reply`` is what :func:`execute_payload` returned for a
+    :class:`ProblemBatch`.  A job that failed as a whole (or ran on a
+    timing-only backend) has no per-member entries, so every member shares
+    its ``error``; a member the reply does not mention is an error too --
+    never a silent ``None``.
+    """
+    if not (isinstance(reply, dict) and reply.get("batch")):
+        return {member: (None, error) for member in members}
+    entries = reply["results"]
+    decoded: dict[int, tuple[dict[str, Any] | None, str | None]] = {}
+    for member in members:
+        entry = entries.get(str(member))
+        if entry is None:
+            decoded[member] = (None, "missing from batch reply")
+        elif "error" in entry:
+            decoded[member] = (None, entry["error"])
+        else:
+            decoded[member] = (entry, None)
+    return decoded

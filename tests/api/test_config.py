@@ -71,7 +71,7 @@ class TestBackendSpec:
 class TestRunConfig:
     def test_defaults(self):
         config = RunConfig()
-        assert config.strategy == "serialized_load"
+        assert config.strategy is None  # "the session's strategy"
         assert config.scheduler is None
 
     def test_unknown_strategy_rejected(self):

@@ -10,20 +10,24 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
+    FIRST_COMPLETED,
     BackendSpec,
+    CancelToken,
     ComparisonResult,
     PriceResult,
+    ResultCache,
     RunConfig,
     RunResult,
     SweepConfig,
     SweepResult,
     ValuationSession,
 )
-from repro.cluster.backends import SequentialBackend
+from repro.api.config import RetryPolicy
+from repro.cluster.backends import SequentialBackend, execute_payload
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import CommunicationModel, NFSModel
-from repro.core.portfolio import build_toy_portfolio
-from repro.errors import SchedulingError, ValuationError
+from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
+from repro.errors import SchedulingError, ValuationError, WorkerLostError
 from repro.pricing import (
     BlackScholesModel,
     ClosedFormCall,
@@ -340,3 +344,190 @@ class TestSessionValidation:
     def test_backend_spec_accepted(self, toy_portfolio):
         session = ValuationSession(backend=BackendSpec("local", 2))
         assert session.run(toy_portfolio).ok
+
+
+def _stream_result(session, source, **options):
+    streamed = session.stream(source, **options)
+    list(streamed)  # completion order first, then the assembled result
+    return streamed.result()
+
+
+DRAINS = pytest.mark.parametrize("drain", [ValuationSession.run, _stream_result])
+
+
+class TestOneOptionPath:
+    """``run`` and ``stream`` resolve their options through one path."""
+
+    @DRAINS
+    def test_the_whole_run_config_is_honoured(self, drain, toy_portfolio):
+        session = ValuationSession(backend="simulated")
+        result = drain(session, toy_portfolio, config=RunConfig(scheduler="static_block"))
+        assert result.report.scheduler == "static_block"
+        bad = RunConfig(scheduler="chunked_robin_hood", scheduler_options={"chunk_size": 0})
+        with pytest.raises(SchedulingError):
+            drain(session, toy_portfolio, config=bad)
+
+    @DRAINS
+    def test_config_does_not_override_the_session_strategy(self, drain, toy_portfolio):
+        session = ValuationSession(backend="simulated", strategy="nfs")
+        config = RunConfig(retry=RetryPolicy())
+        assert drain(session, toy_portfolio, config=config).strategy == "nfs"
+        explicit = RunConfig(strategy="full_load")  # explicit values still win
+        assert drain(session, toy_portfolio, config=explicit).strategy == "full_load"
+
+    def test_sweep_config_does_not_override_the_session_strategy(self, toy_portfolio):
+        session = ValuationSession(backend="simulated", strategy="nfs")
+        config = SweepConfig(cpu_counts=(2, 4))
+        assert session.sweep(toy_portfolio, config=config).label == "nfs"
+
+
+def _mc_family(n: int = 6) -> list[PricingProblem]:
+    """``n`` Monte-Carlo calls sharing one simulation signature."""
+    family = []
+    for index in range(n):
+        problem = PricingProblem(label=f"fam_{index}")
+        problem.set_asset("equity")
+        problem.set_model("BlackScholes1D", **BS_PARAMS)
+        problem.set_option("CallEuro", strike=90.0 + 4.0 * index, maturity=1.0)
+        problem.set_method("MC_European", n_paths=1_500, seed=4)
+        family.append(problem)
+    return family
+
+
+def _book(problems: list[PricingProblem]) -> Portfolio:
+    return Portfolio(
+        name="family",
+        positions=[Position(problem=p, category="mc", label=p.label) for p in problems],
+    )
+
+
+@DRAINS
+def test_missing_batch_member_is_reported_not_dropped(monkeypatch, drain):
+    # submit_many campaigns never coalesce, so run/stream are the batch paths
+    def lossy(kind, payload, cache=None):
+        result, elapsed, error = execute_payload(kind, payload, cache=cache)
+        if result is not None and result.get("batch"):
+            del result["results"]["3"]
+        return result, elapsed, error
+
+    monkeypatch.setattr("repro.cluster.backends.local.execute_payload", lossy)
+    result = drain(ValuationSession(backend="local"), _book(_mc_family(4)), batch=True)
+    assert not result.ok and result.n_jobs == 4
+    assert list(result.report.results) == [0, 1, 2, 3]
+    assert result.report.results[3] is None
+    assert result.errors == {3: "missing from batch reply"}
+
+
+@pytest.mark.parametrize("spelling", ["run", "stream_result"])
+def test_pool_loss_is_retried_wherever_the_campaign_is_drained(monkeypatch, spelling):
+    book = _book(_mc_family(6))
+    reference = ValuationSession(backend="local").run(book).prices()
+    collects = []
+    collect = SequentialBackend.collect
+
+    def dying(self, timeout=None):
+        collects.append(self)
+        if len(collects) == 3:
+            raise WorkerLostError("pool died")
+        return collect(self, timeout)
+
+    monkeypatch.setattr(SequentialBackend, "collect", dying)
+    session = ValuationSession(backend="local")
+    config = RunConfig(retry=RetryPolicy(max_attempts=2))
+    if spelling == "run":
+        result = session.run(book, config=config)
+    else:
+        result = session.stream(book, config=config).result()
+    assert result.ok and result.report.extra["retries"] == 1
+    assert collects[0] is not collects[-1]  # the pending futures moved to a fresh backend
+    assert list(result.report.results) == list(range(6))
+    assert result.prices() == reference
+
+
+def _failing_call() -> PricingProblem:
+    from repro.pricing.engine import register_product
+    from repro.pricing.products.vanilla import EuropeanCall
+
+    class FailingMatrixCall(EuropeanCall):
+        option_name = "FailingMatrixCallTest"
+
+        def terminal_payoff(self, spot):
+            raise ArithmeticError("payoff exploded")
+
+    register_product(FailingMatrixCall)
+    problem = _mc_family(1)[0]
+    problem.label = "bad"
+    problem.set_option(FailingMatrixCall(strike=100.0, maturity=1.0))
+    return problem
+
+
+class TestFuturesAndReportCannotDisagree:
+    """The futures are the campaign's only per-position record."""
+
+    #: scenario -> the drive modes that can express it
+    SCENARIOS = {
+        "plain": ("run", "stream", "submit_many"),
+        "batch": ("run", "stream"),
+        "half_cached": ("run", "stream", "submit_many"),
+        "cancel_token": ("run", "stream"),
+        "future_cancel": ("stream", "submit_many"),
+        "failing_member": ("run", "stream", "submit_many"),
+    }
+
+    @staticmethod
+    def _drive(mode, backend, scenario):
+        """One campaign of ``scenario`` through ``mode``: (result, futures or None)."""
+        problems = _mc_family(6)
+        if scenario == "failing_member":
+            problems.append(_failing_call())
+        cache = None
+        if scenario == "half_cached":
+            cache = ResultCache()
+            ValuationSession(backend="local", cache=cache).run(_book(problems[::2]))
+        session = ValuationSession(backend=backend, n_workers=2, cache=cache)
+        if mode == "submit_many":
+            futures = session.submit_many(problems)
+            if scenario == "future_cancel":
+                # one collected event starts the campaign; the tail is still queued
+                futures.wait(return_when=FIRST_COMPLETED)
+                assert futures[-1].cancel()
+            return session.gather(), futures
+        options = {"batch": scenario in ("batch", "failing_member")}
+        if scenario == "cancel_token":
+            token = CancelToken()
+            options.update(cancel=token, progress=lambda tick: token.cancel())
+        if mode == "run":
+            return session.run(_book(problems), **options), None
+        streamed = session.stream(_book(problems), **options)
+        if scenario == "future_cancel":
+            assert streamed.jobs[-1].cancel()
+        list(streamed)
+        return streamed.result(), streamed.jobs
+
+    @pytest.mark.parametrize("backend", ["local", "multiprocessing"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_position_agrees(self, scenario, backend):
+        reports = {}
+        for mode in self.SCENARIOS[scenario]:
+            result, futures = self._drive(mode, backend, scenario)
+            report = reports[mode] = result.report
+            n_positions = 7 if scenario == "failing_member" else 6
+            assert report.n_jobs == n_positions
+            assert list(report.results) == list(range(n_positions))
+            assert list(report.errors) == sorted(report.errors)
+            for future in futures or ():
+                held = "cancelled before dispatch" if future.cancelled() else future._error
+                assert report.errors.get(future.job_id) == held
+                assert report.results[future.job_id] == future._result
+        if scenario == "future_cancel":
+            assert reports["stream"].errors == {5: "cancelled before dispatch"}
+        elif scenario == "cancel_token":
+            assert len(reports["run"].errors) == 3  # initial wave + one refill ran
+        elif scenario == "failing_member":
+            assert reports["run"].errors == {6: "ArithmeticError: payoff exploded"}
+        else:
+            assert not reports["run"].errors
+        first, *others = reports.values()
+        for other in others:  # result entries carry wall-clock fields: compare the prices
+            assert other.prices() == first.prices()
+            assert other.errors == first.errors

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import RunConfig, ValuationSession
+from repro.api.plan import build_plan
 from repro.core.portfolio import Portfolio
 from repro.core.risk import historical_var, portfolio_greeks, sensitivity_sweep
 from repro.errors import PortfolioError, ValuationError
@@ -75,15 +76,15 @@ class TestSameErrors:
 def test_config_kernel_reaches_the_dispatched_batches(monkeypatch, kernel):
     session = ValuationSession(backend="local")
     dispatched: list[ProblemBatch] = []
-    make_core = session._make_core
 
-    def spy(plan, *args, **kwargs):
+    def spy(*args, **kwargs):
+        plan = build_plan(*args, **kwargs)
         dispatched.extend(
             job.problem for job in plan.jobs if isinstance(job.problem, ProblemBatch)
         )
-        return make_core(plan, *args, **kwargs)
+        return plan
 
-    monkeypatch.setattr(session, "_make_core", spy)
+    monkeypatch.setattr("repro.api.session.build_plan", spy)
     config = RunConfig(kernel=kernel)
     greeks = session.greeks(mixed_book(), config=config)
     var = session.risk(mixed_book(), spot_returns=RETURNS, confidence=0.75, config=config)
