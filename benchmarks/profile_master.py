@@ -1,0 +1,59 @@
+"""Ranked master-CPU budget of one ``benchmarks/e2e`` repeat.
+
+    python3 benchmarks/profile_master.py var_campaign_mp
+
+Runs the workload's warm-up, then one full-size repeat on its real backend
+under ``cProfile`` (the master thread only; the workers are other processes)
+and prints where the master's non-waiting time went.  ``cProfile`` taxes every
+Python call, so read the table for its ranking and call counts, not for
+absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The numbers
+in ``docs/performance.md`` are this script's output.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import pstats
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from benchmarks.e2e.harness import execute, make_session, set_up  # noqa: E402
+from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
+
+#: cumulative time of every function of that name: the layers of one campaign
+LAYERS = (
+    "expand_scenarios", "build_jobs", "_coalesce_jobs", "prepare", "dispatch",
+    "decode_result", "_assemble", "deepcopy",
+)
+#: where the master sleeps: queue reads poll(), the remote selector epoll()s
+_WAITS = ("<method 'poll' of 'select.poll' objects>", "<method 'poll' of 'select.epoll' objects>")
+
+
+def main(name: str) -> None:
+    workload = WORKLOADS[name]
+    pool, inputs = set_up(workload, seed=1, smoke=False)
+    profile = cProfile.Profile()
+    try:
+        profile.runcall(execute, workload, make_session(workload, pool), inputs)
+    finally:
+        if pool is not None:
+            pool.stop()
+    stats = pstats.Stats(profile).stats
+
+    def cumulative(function: str) -> float:
+        return sum(row[3] for key, row in stats.items() if key[2] == function)
+
+    waiting = sum(cumulative(wait) for wait in _WAITS)
+    busy = max(row[3] for row in stats.values()) - waiting
+    rows = {layer: cumulative(layer) for layer in LAYERS}
+    rows["collect (minus waiting)"] = cumulative("collect") - waiting
+    print(f"{name}: {busy:.2f} s profiled on the master, not waiting")
+    for layer, seconds in sorted(rows.items(), key=lambda item: -item[1]):
+        print(f"  {layer:26s} {seconds:6.2f} s  {seconds / busy:6.1%}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1] if len(sys.argv) > 1 else "var_campaign_mp")

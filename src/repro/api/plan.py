@@ -17,7 +17,7 @@ from repro.cluster.backends import Job
 from repro.cluster.costmodel import CostModel
 from repro.core.portfolio import Portfolio
 from repro.errors import SchedulingError
-from repro.pricing.batch import ProblemBatch, batch_digest, plan_batches
+from repro.pricing.batch import ProblemBatch, plan_batches
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
 
@@ -55,9 +55,11 @@ def build_plan(
     ``executing`` says whether the backend prices the problems (vs. advancing
     virtual time).  Portfolio jobs carry their problem when it does and no
     ``store`` holds them as files, and whenever ``options.batch`` coalesces
-    them (batch jobs ship their members' problems).  With a ``run_cache`` on
-    an executing backend, positions already priced are answered here and
-    never dispatched.
+    them.  Nothing is serialized here on an executing backend: a job's bytes
+    are made when it is first dispatched (:meth:`Job.wire_bytes`), so a
+    position folded into a :class:`ProblemBatch` is only ever written as a
+    member of its batch.  With a ``run_cache`` on an executing backend,
+    positions already priced are answered here and never dispatched.
     """
     if isinstance(source, Portfolio):
         jobs = source.build_jobs(
@@ -103,7 +105,7 @@ def build_plan(
 
     if options.batch:
         plan.jobs, plan.batch_members = _coalesce_jobs(
-            plan.jobs, problem_by_id, options, cost_model
+            plan.jobs, problem_by_id, options, cost_model, executing
         )
     return plan
 
@@ -113,8 +115,14 @@ def _coalesce_jobs(
     problem_by_id: Mapping[int, PricingProblem],
     options: RunConfig,
     cost_model: CostModel,
+    executing: bool,
 ) -> tuple[list[Job], dict[int, tuple[int, ...]]]:
-    """Merge shared-simulation jobs into :class:`ProblemBatch` super-jobs."""
+    """Merge shared-simulation jobs into :class:`ProblemBatch` super-jobs.
+
+    A super-job that will be sent is sized by its own bytes; one that only
+    advances virtual time keeps the sum of its members' stand-alone sizes
+    (the simulated tables are pinned to it).
+    """
     min_group_size = options.min_group_size
     batches = plan_batches(
         [problem_by_id.get(job.job_id) for job in jobs],
@@ -137,8 +145,10 @@ def _coalesce_jobs(
             out.append(
                 Job(
                     job_id=job.job_id,
-                    path=f"/virtual/batch/{batch_digest(bundle)[:16]}.pb",
-                    file_size=sum(j.file_size for j in member_jobs),
+                    path=f"/virtual/batch/{group.signature.model_digest[:16]}_{job.job_id:06d}.pb",
+                    file_size=(
+                        None if executing else sum(j.file_size for j in member_jobs)
+                    ),
                     # one shared simulation plus cheap per-member payoff sweeps
                     compute_cost=cost_model.estimate_batch_jobs(
                         [j.compute_cost for j in member_jobs]

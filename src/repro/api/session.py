@@ -57,7 +57,6 @@ from repro.core.strategies import TransmissionStrategy, get_strategy
 from repro.errors import SchedulingError, ValuationError
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
-from repro.serial import serialize
 
 __all__ = ["ValuationSession"]
 
@@ -634,7 +633,6 @@ class ValuationSession:
             Job(
                 job_id=future.job_id,
                 path=f"/virtual/session/{future.job_id:06d}.pb",
-                file_size=serialize(problem).nbytes + 4,
                 compute_cost=self.cost_model.estimate(problem),
                 category=category,
                 problem=problem,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ClusterError
+from repro.serial import serialize
 
 __all__ = [
     "PAYLOAD_SERIAL",
@@ -46,7 +47,6 @@ PAYLOAD_PROBLEM = "problem"
 _VALID_PAYLOAD_KINDS = (PAYLOAD_SERIAL, PAYLOAD_PATH, PAYLOAD_PROBLEM)
 
 
-@dataclass
 class Job:
     """One unit of work: a pricing problem to value.
 
@@ -58,23 +58,77 @@ class Job:
         Problem file path (may be virtual when the run is simulation-only).
     file_size:
         Size in bytes of the serialized problem (drives message sizes and
-        NFS read sizes in the simulation).
+        NFS read sizes in the simulation).  When not given it is read off
+        :meth:`wire_bytes`.
     compute_cost:
         Estimated compute time in seconds on a reference node (from
         :class:`repro.cluster.costmodel.CostModel`).
     category:
         Free-form tag ("vanilla", "barrier_pde", ...) used in reports.
     problem:
-        Optional in-memory :class:`~repro.pricing.engine.PricingProblem`;
-        required by executing backends when no file was written.
+        Optional in-memory :class:`~repro.pricing.engine.PricingProblem` (or
+        :class:`~repro.pricing.batch.ProblemBatch`); required by executing
+        backends when no file was written.
+
+    The serialized form of ``problem`` is made once, on first need, and kept
+    with the job (:meth:`wire_bytes`): the size is read off it, the
+    serialized-load strategy sends it, and a retry or re-dispatch re-sends
+    it -- the paper's ``sload`` argument applied to in-memory problems.
     """
 
-    job_id: int
-    path: str
-    file_size: int
-    compute_cost: float
-    category: str = "generic"
-    problem: Any | None = None
+    __slots__ = ("job_id", "path", "compute_cost", "category", "_problem", "_file_size", "_wire")
+
+    def __init__(
+        self,
+        job_id: int,
+        path: str,
+        file_size: int | None = None,
+        compute_cost: float = 0.0,
+        category: str = "generic",
+        problem: Any | None = None,
+    ) -> None:
+        self.job_id = job_id
+        self.path = path
+        self.compute_cost = compute_cost
+        self.category = category
+        self._file_size = file_size
+        self.problem = problem
+
+    @property
+    def problem(self) -> Any | None:
+        return self._problem
+
+    @problem.setter
+    def problem(self, problem: Any | None) -> None:
+        self._problem = problem
+        self._wire: bytes | None = None  # bytes of another problem are never sent
+
+    def wire_bytes(self) -> bytes:
+        """The serialized ``problem`` as it travels (made once, then kept)."""
+        if self._wire is None:
+            if self.problem is None:
+                raise ClusterError(f"job {self.job_id} has no in-memory problem to serialize")
+            self._wire = serialize(self.problem).to_bytes()
+        return self._wire
+
+    @property
+    def file_size(self) -> int:
+        if self._file_size is None:
+            # the 4 extra bytes are historical; the simulated tables pin them
+            self._file_size = len(self.wire_bytes()) + 4
+        return self._file_size
+
+    def drop_problem(self) -> None:
+        """Keep the size, forget the problem and its bytes (simulation-only
+        plans replay sizes and costs, they never send anything)."""
+        self._file_size = self.file_size
+        self.problem = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Job(job_id={self.job_id!r}, path={self.path!r}, "
+            f"compute_cost={self.compute_cost!r}, category={self.category!r})"
+        )
 
 
 @dataclass

@@ -289,10 +289,11 @@ def encode_result(
 def decode_result(obj: Any, registry: SegmentRegistry) -> Any:
     """Resolve the handles of :func:`encode_result`, consuming the segments."""
     if isinstance(obj, dict):
-        if set(obj) == {_ARRAY_KEY}:
-            return registry.consume_array(obj[_ARRAY_KEY])
-        if set(obj) == {_BYTES_KEY}:
-            return registry.consume_bytes(obj[_BYTES_KEY])
+        if len(obj) == 1:  # a handle is a one-key dict; most dicts are not
+            if _ARRAY_KEY in obj:
+                return registry.consume_array(obj[_ARRAY_KEY])
+            if _BYTES_KEY in obj:
+                return registry.consume_bytes(obj[_BYTES_KEY])
         return {key: decode_result(value, registry) for key, value in obj.items()}
     if isinstance(obj, list):
         return [decode_result(value, registry) for value in obj]

@@ -45,7 +45,7 @@ from repro.cluster.costmodel import CostModel, paper_cost_model
 from repro.errors import PortfolioError
 from repro.pricing.engine import PricingProblem
 from repro.pricing.models.multi_asset import flat_correlation
-from repro.serial import ProblemStore, serialize
+from repro.serial import ProblemStore
 
 __all__ = [
     "Position",
@@ -177,7 +177,9 @@ class Portfolio:
             serialized problem (simulation-only runs, no disk I/O).
         attach_problems:
             Attach the in-memory problem to each job (needed by executing
-            backends when no store is used).
+            backends when no store is used).  An attached problem is
+            serialized when its bytes or size are first needed, once (see
+            :meth:`Job.wire_bytes`); without it the size is taken now.
         """
         model = cost_model or paper_cost_model()
         jobs: list[Job] = []
@@ -193,17 +195,18 @@ class Portfolio:
                 file_size = paths[index].stat().st_size
             else:
                 path = f"{virtual_prefix}/{self.name}_{index:06d}.pb"
-                file_size = serialize(position.problem).nbytes + 4
-            jobs.append(
-                Job(
-                    job_id=index,
-                    path=path,
-                    file_size=int(file_size),
-                    compute_cost=model.estimate(position.problem),
-                    category=position.category,
-                    problem=position.problem if attach_problems else None,
-                )
+                file_size = None
+            job = Job(
+                job_id=index,
+                path=path,
+                file_size=file_size,
+                compute_cost=model.estimate(position.problem),
+                category=position.category,
+                problem=position.problem,
             )
+            if not attach_problems:
+                job.drop_problem()
+            jobs.append(job)
         return jobs
 
 

@@ -88,22 +88,21 @@ class FullLoadStrategy(TransmissionStrategy):
 
 
 class SerializedLoadStrategy(TransmissionStrategy):
-    """``sload``: wrap the file bytes directly as a Serial object and send it."""
+    """``sload``: send bytes that are already in serial form, as they are."""
 
     name = "serialized_load"
 
     def _prepare(self, job: Job) -> PreparedMessage:
         if job.path and _is_real_file(job):
-            serial = sload(job.path)
+            data = sload(job.path).to_bytes()
         elif job.problem is not None:
-            # no file: serializing the in-memory object is the closest
-            # equivalent (no wasteful rebuild happens either way)
-            serial = serialize(job.problem)
+            # no file: the bytes kept with the job play its part -- made
+            # once, re-sent as they are on a retry or re-dispatch
+            data = job.wire_bytes()
         else:
             raise SchedulingError(
                 f"job {job.job_id} has neither a readable file nor an in-memory problem"
             )
-        data = serial.to_bytes()
         return PreparedMessage(kind=PAYLOAD_SERIAL, payload=data, nbytes=len(data))
 
 

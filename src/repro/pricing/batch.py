@@ -35,10 +35,11 @@ enable.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.errors import PricingError
+from repro.errors import PricingError, SerializationError
 from repro.pricing.cache import problem_digest, stable_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.kernel import resolve_kernel
@@ -86,7 +87,14 @@ def simulation_signature(problem: PricingProblem) -> SimulationSignature | None:
     ``None`` means the problem cannot take part in shared-path pricing (not a
     Monte-Carlo European method, incomplete problem, unsupported pair); it is
     then priced individually by the fallback path of :func:`price_problems`.
+    Memoized on the problem until one of its legs is replaced.
     """
+    if problem._signature_cache is None:
+        problem._signature_cache = (_compute_signature(problem),)
+    return problem._signature_cache[0]
+
+
+def _compute_signature(problem: PricingProblem) -> SimulationSignature | None:
     if not problem.is_complete:
         return None
     method = problem.method
@@ -100,7 +108,7 @@ def simulation_signature(problem: PricingProblem) -> SimulationSignature | None:
     return SimulationSignature(
         model_digest=model.param_digest(),
         method_name=method.method_name,
-        method_digest=stable_digest(method.to_params()),
+        method_digest=method.param_digest(),
         mode=mode,
         n_steps=n_steps,
         maturity=product.maturity,
@@ -195,6 +203,11 @@ class ProblemBatch:
     member order.  The class round-trips through the XDR serializer (codec
     registered in :mod:`repro.serial`), so every transmission strategy that
     serializes problems can carry batches unchanged.
+
+    Equal signatures mean equal model and method parameters, so the wire
+    form (:meth:`wire_view`) carries **one** model and **one** method header
+    and a ``{label, asset, option}`` entry per member, and the rebuilt
+    members share one :class:`Model` and one :class:`PricingMethod` object.
     """
 
     def __init__(
@@ -294,24 +307,78 @@ class ProblemBatch:
         return out
 
     # -- serialization ----------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
+    def wire_view(self) -> dict[str, Any]:
+        """The batch as the codec writes it (read-only, like
+        :meth:`PricingProblem.wire_view`): the shared model and method once,
+        then one unpriced ``{label, asset, option}`` entry per member."""
+        first = self.problems[0].wire_view()
         return {
-            "problems": [problem.to_dict() for problem in self.problems],
-            "keys": list(self.keys),
+            "model": first["model"],
+            "method": first["method"],
+            "members": [
+                {"label": problem.label, "asset": problem.asset,
+                 "option": problem._option_view()}
+                for problem in self.problems
+            ],
+            "keys": self.keys,
             "kernel": self.kernel,
         }
 
+    def to_dict(self) -> dict[str, Any]:
+        """An independent deep copy of :meth:`wire_view`."""
+        return copy.deepcopy(self.wire_view())
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ProblemBatch":
-        problems = [PricingProblem.from_dict(entry) for entry in data["problems"]]
-        return cls(problems, keys=data.get("keys"), kernel=data.get("kernel"))
+        """Rebuild a batch; a payload of the wrong shape raises
+        :class:`~repro.errors.SerializationError` naming the field."""
+        members, keys = data.get("members"), data.get("keys")
+        if not isinstance(members, list) or not members:
+            raise SerializationError("ProblemBatch payload: 'members' must be a non-empty list")
+        if (
+            not isinstance(keys, list)
+            or len(keys) != len(members)
+            or not all(isinstance(key, int) for key in keys)
+        ):
+            raise SerializationError(
+                "ProblemBatch payload: 'keys' must list one integer per member"
+            )
+        header_legs = {leg: _named_leg(data, leg) for leg in ("model", "method")}
+        # every member is a shallow copy of the header problem with its own
+        # option: one Model and one PricingMethod object serve them all
+        header = PricingProblem.from_dict(header_legs)
+        problems = []
+        for index, entry in enumerate(members):
+            if not isinstance(entry, dict):
+                raise SerializationError(f"ProblemBatch payload: members[{index}] must be a dict")
+            option = _named_leg(entry, "option", f"members[{index}].")
+            problem = copy.copy(header)
+            problem.label = entry.get("label")
+            problem.set_asset(entry.get("asset", "equity"))
+            problem.set_option(option["name"], **option["params"])
+            problems.append(problem)
+        return cls(problems, keys=keys, kernel=data.get("kernel"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"ProblemBatch(n={len(self.problems)}, signature={self.signature.mode!r})"
 
 
+def _named_leg(data: dict[str, Any], field: str, where: str = "") -> dict[str, Any]:
+    """The ``{name, params}`` entry ``data[field]`` of a batch payload."""
+    entry = data.get(field)
+    if (
+        not isinstance(entry, dict)
+        or not isinstance(entry.get("name"), str)
+        or not isinstance(entry.get("params"), dict)
+    ):
+        raise SerializationError(
+            f"ProblemBatch payload: '{where}{field}' must be a {{name, params}} dict"
+        )
+    return entry
+
+
 def batch_digest(batch: ProblemBatch) -> str:
-    """Stable digest of a whole batch (used for virtual job paths)."""
+    """Stable digest of a whole batch (its members' digests, in order)."""
     return stable_digest([problem_digest(problem) for problem in batch.problems])
 
 

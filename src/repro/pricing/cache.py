@@ -98,9 +98,8 @@ def problem_digest(problem: "PricingProblem") -> str:
     bulk of the parameters -- e.g. a 40x40 correlation matrix), and the full
     digest is cached on the problem until one of its legs is replaced.
     """
-    cached = problem.__dict__.get("_digest_cache")
-    if cached is not None:
-        return cached
+    if problem._digest_cache is not None:
+        return problem._digest_cache
     model, product, method = problem.model, problem.product, problem.method
     digest = stable_digest(
         {
@@ -109,7 +108,7 @@ def problem_digest(problem: "PricingProblem") -> str:
             "method": {"name": method.method_name, "params": method.to_params()},
         }
     )
-    problem.__dict__["_digest_cache"] = digest
+    problem._digest_cache = digest
     return digest
 
 

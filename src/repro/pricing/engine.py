@@ -18,8 +18,9 @@ engine ("it is an easy task to add any new pricing algorithms using the
 Premia framework").
 
 A :class:`PricingProblem` is fully described by a plain dictionary
-(:meth:`PricingProblem.to_dict`), which is what the :mod:`repro.serial` layer
-encodes into architecture-independent problem files.
+(:meth:`PricingProblem.wire_view`; :meth:`PricingProblem.to_dict` is its deep
+copy), which is what the :mod:`repro.serial` layer encodes into
+architecture-independent problem files.
 """
 
 from __future__ import annotations
@@ -198,17 +199,29 @@ class PricingProblem:
         self.asset: str = "equity"
         self.label = label
         self._model_name: str | None = None
-        self._model_params: dict[str, Any] = {}
+        #: parameter dicts as given by name; ``None`` after a leg was set from
+        #: an instance, until :meth:`wire_view` asks the instance for them
+        self._model_params: dict[str, Any] | None = {}
         self._product_name: str | None = None
-        self._product_params: dict[str, Any] = {}
+        self._product_params: dict[str, Any] | None = {}
         self._method_name: str | None = None
-        self._method_params: dict[str, Any] = {}
+        self._method_params: dict[str, Any] | None = {}
         self._model: Model | None = None
         self._product: Product | None = None
         self._method: PricingMethod | None = None
         self._result: PricingResult | None = None
+        self._leg_replaced()
 
     # -- setters ----------------------------------------------------------------
+    def _leg_replaced(self) -> None:
+        """Forget what was derived from the (model, option, method) triple:
+        the result and the memos of :func:`repro.pricing.cache.problem_digest`
+        and :func:`repro.pricing.batch.simulation_signature` (the latter a
+        1-tuple, ``None`` being a valid signature)."""
+        self._result = None
+        self._digest_cache: str | None = None
+        self._signature_cache: tuple[Any] | None = None
+
     def set_asset(self, name: str) -> "PricingProblem":
         if name not in ASSET_CLASSES:
             raise RegistryError(
@@ -221,39 +234,36 @@ class PricingProblem:
         if isinstance(name, Model):
             self._model = name
             self._model_name = name.model_name
-            self._model_params = name.to_params()
+            self._model_params = None
         else:
             self._model_name = name
             self._model_params = params
             self._model = _build_model(name, params)
-        self._result = None
-        self._digest_cache = None  # invalidate the memoized problem digest
+        self._leg_replaced()
         return self
 
     def set_option(self, name: str | Product, **params: Any) -> "PricingProblem":
         if isinstance(name, Product):
             self._product = name
             self._product_name = name.option_name
-            self._product_params = name.to_params()
+            self._product_params = None
         else:
             self._product_name = name
             self._product_params = params
             self._product = _build_product(name, params)
-        self._result = None
-        self._digest_cache = None  # invalidate the memoized problem digest
+        self._leg_replaced()
         return self
 
     def set_method(self, name: str | PricingMethod, **params: Any) -> "PricingProblem":
         if isinstance(name, PricingMethod):
             self._method = name
             self._method_name = name.method_name
-            self._method_params = name.to_params()
+            self._method_params = None
         else:
             self._method_name = name
             self._method_params = params
             self._method = _build_method(name, params)
-        self._result = None
-        self._digest_cache = None  # invalidate the memoized problem digest
+        self._leg_replaced()
         return self
 
     @classmethod
@@ -340,27 +350,37 @@ class PricingProblem:
         return self._result
 
     # -- serialization ----------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
+    def wire_view(self) -> dict[str, Any]:
         """Plain-dictionary description (model/option/method names + params).
 
         The dictionary only contains numbers, strings, lists and nested
         dictionaries, so the :mod:`repro.serial` XDR encoder can write it
-        without type-specific hooks.
+        without type-specific hooks.  It is a **read-only view**: the
+        parameter dictionaries are the problem's own, shared for an encoder
+        that only reads them.  :meth:`to_dict` is the copy callers may edit.
         """
+        if self._model_params is None:
+            self._model_params = self.model.to_params()
+        if self._method_params is None:
+            self._method_params = self.method.to_params()
         return {
             "asset": self.asset,
             "label": self.label,
-            "model": {"name": self._model_name, "params": copy.deepcopy(self._model_params)},
-            "option": {
-                "name": self._product_name,
-                "params": copy.deepcopy(self._product_params),
-            },
-            "method": {
-                "name": self._method_name,
-                "params": copy.deepcopy(self._method_params),
-            },
+            "model": {"name": self._model_name, "params": self._model_params},
+            "option": self._option_view(),
+            "method": {"name": self._method_name, "params": self._method_params},
             "result": None if self._result is None else self._result.as_dict(),
         }
+
+    def _option_view(self) -> dict[str, Any]:
+        """The option leg of :meth:`wire_view` (all a batch member writes)."""
+        if self._product_params is None:
+            self._product_params = self.product.to_params()
+        return {"name": self._product_name, "params": self._product_params}
+
+    def to_dict(self) -> dict[str, Any]:
+        """An independent deep copy of :meth:`wire_view`."""
+        return copy.deepcopy(self.wire_view())
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PricingProblem":
@@ -384,7 +404,7 @@ class PricingProblem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PricingProblem):
             return NotImplemented
-        a, b = self.to_dict(), other.to_dict()
+        a, b = self.wire_view(), other.wire_view()
         a.pop("result"), b.pop("result")
         return a == b
 

@@ -146,6 +146,20 @@ class PricingMethod(abc.ABC):
     def from_params(cls, params: dict[str, Any]) -> "PricingMethod":
         return cls(**params)
 
+    def param_digest(self) -> str:
+        """Memoized stable SHA-256 digest of the method parameters.
+
+        The method leg of the batch planner's grouping key; like models,
+        methods are treated as immutable once constructed.
+        """
+        cached = self.__dict__.get("_digest_cache")
+        if cached is None:
+            from repro.pricing.cache import stable_digest
+
+            cached = stable_digest(self.to_params())
+            self.__dict__["_digest_cache"] = cached
+        return cached
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PricingMethod):
             return NotImplemented

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -218,26 +218,37 @@ def apply_scenario(problem: PricingProblem, scenario: Scenario) -> PricingProble
     problem cannot realise the scenario (unknown model parameter, no
     volatility-like parameter for :data:`VOL_PARAM`).
     """
+    return _apply(problem, scenario, _bumped_model)
+
+
+def _bumped_model(model: "Model", scenario: Scenario) -> "Model":
+    """``model`` under a ``target="model"`` scenario."""
+    param = scenario.param
+    if param == VOL_PARAM:
+        param = _vol_param(model)
+        if param is None:
+            raise PricingError(
+                f"model {model.model_name!r} has no volatility-like "
+                f"parameter to bump"
+            )
+    assert param is not None
+    return bump_model(model, param, scenario.bump, relative=scenario.relative)
+
+
+def _apply(
+    problem: PricingProblem,
+    scenario: Scenario,
+    bumped_model: "Callable[[Model, Scenario], Model]",
+) -> PricingProblem:
     if not problem.is_complete:
         raise PricingError("scenario expansion needs fully-specified problems")
     if scenario.target == "base":
         return problem
     label = f"{problem.label}|{scenario.name}" if problem.label else scenario.name
     if scenario.target == "model":
-        param = scenario.param
-        if param == VOL_PARAM:
-            resolved = _vol_param(problem.model)
-            if resolved is None:
-                raise PricingError(
-                    f"model {problem.model.model_name!r} has no volatility-like "
-                    f"parameter to bump"
-                )
-            param = resolved
-        assert param is not None
-        bumped = bump_model(problem.model, param, scenario.bump,
-                            relative=scenario.relative)
         return PricingProblem.from_instances(
-            bumped, problem.product, problem.method, asset=problem.asset, label=label
+            bumped_model(problem.model, scenario), problem.product, problem.method,
+            asset=problem.asset, label=label,
         )
     # maturity roll-down: clone the product one calendar step closer to expiry
     product = problem.product
@@ -263,6 +274,11 @@ def expand_scenarios(
     ``"skip"`` drops the cell (its Greek assembles to ``None``), ``"base"``
     prices the *unbumped* problem in the cell (mixed-portfolio sweeps and
     VaR keep every position's value in every scenario total).
+
+    Within one scenario, positions whose base models have equal parameters
+    share **one** bumped model object (as :func:`apply_scenario` shares the
+    product and the method): a book on one underlying builds one model per
+    scenario, not one per cell.
     """
     if on_missing not in _ON_MISSING:
         raise PricingError(
@@ -271,12 +287,21 @@ def expand_scenarios(
     names = [scenario.name for scenario in scenarios]
     if len(set(names)) != len(names):
         raise PricingError("scenario names must be unique within one grid")
+    shared: dict[tuple[str, str], "Model"] = {}
+
+    def shared_bump(model: "Model", scenario: Scenario) -> "Model":
+        key = (model.param_digest(), scenario.name)
+        bumped = shared.get(key)
+        if bumped is None:
+            bumped = shared[key] = _bumped_model(model, scenario)
+        return bumped
+
     expanded: list[PricingProblem] = []
     cells: list[ScenarioCell] = []
     for i, problem in enumerate(problems):
         for j, scenario in enumerate(scenarios):
             try:
-                cell_problem = apply_scenario(problem, scenario)
+                cell_problem = _apply(problem, scenario, shared_bump)
             except PricingError:
                 if on_missing == "raise":
                     raise

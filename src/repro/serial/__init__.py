@@ -33,11 +33,12 @@ from repro.serial.serial import Serial, serialize, unserialize
 from repro.serial.store import ProblemStore, load, save, sload
 from repro.serial.xdr import decode, encode, register_codec, registered_type_names
 
-# register the pricing-layer codecs so problems round-trip through XDR
+# register the pricing-layer codecs so problems round-trip through XDR; the
+# encoder only reads, so it takes the non-copying wire views
 register_codec(
     "PricingProblem",
     PricingProblem,
-    lambda problem: problem.to_dict(),
+    PricingProblem.wire_view,
     PricingProblem.from_dict,
 )
 register_codec(
@@ -49,7 +50,7 @@ register_codec(
 register_codec(
     "ProblemBatch",
     ProblemBatch,
-    lambda batch: batch.to_dict(),
+    ProblemBatch.wire_view,
     ProblemBatch.from_dict,
 )
 

@@ -1,0 +1,162 @@
+"""Each problem is XDR-encoded at most once per campaign.
+
+The master keeps the wire bytes of a job from its first dispatch on
+(:meth:`repro.cluster.backends.Job.wire_bytes`), so neither planning, nor a
+retry, nor folding a position into a :class:`~repro.pricing.batch.ProblemBatch`
+may encode a problem a second time.  The spy counts calls of the codec
+registry's ``PricingProblem`` / ``ProblemBatch`` encoders in the master
+process (worker processes decode, they never encode problems).
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from collections import Counter
+
+import pytest
+
+from repro.api import BackendSpec, RunConfig, ValuationSession
+from repro.api.config import RetryPolicy
+from repro.api.plan import build_plan
+from repro.cluster.worker import spawn_local_workers
+from repro.core.portfolio import Portfolio, Position
+from repro.pricing import PricingProblem
+from repro.serial import xdr
+
+N_FAMILIES = 2
+FAMILY_SIZE = 3
+N_SINGLES = 2
+N_POSITIONS = N_FAMILIES * FAMILY_SIZE + N_SINGLES
+
+
+def _problem(strike: float, method: str, seed: int = 0) -> PricingProblem:
+    problem = PricingProblem(label=f"{method}_{seed}_K{strike}")
+    problem.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.2)
+    problem.set_option("CallEuro", strike=strike, maturity=1.0)
+    if method == "CF_Call":
+        problem.set_method("CF_Call")
+    else:
+        problem.set_method("MC_European", n_paths=2_000, n_steps=1, seed=seed)
+    return problem
+
+
+def _book() -> Portfolio:
+    """Two shared-simulation families (one per seed) and two closed forms."""
+    problems = [
+        _problem(90.0 + 5 * k, "MC_European", seed=seed)
+        for seed in range(N_FAMILIES)
+        for k in range(FAMILY_SIZE)
+    ] + [_problem(95.0 + 10 * k, "CF_Call") for k in range(N_SINGLES)]
+    return Portfolio(name="once", positions=[Position(p, label=p.label) for p in problems])
+
+
+@pytest.fixture
+def encodes(monkeypatch) -> Counter:
+    """Count master-side codec encodes by registered type name."""
+    counts: Counter = Counter()
+    for name in ("PricingProblem", "ProblemBatch"):
+        cls, to_dict, from_dict = xdr._CODECS[name]
+
+        def counting(value, _name=name, _to_dict=to_dict):
+            counts[_name] += 1
+            return _to_dict(value)
+
+        monkeypatch.setitem(xdr._CODECS, name, (cls, counting, from_dict))
+    return counts
+
+
+@pytest.fixture
+def encodes_at_plan_time(monkeypatch, encodes) -> list[int]:
+    """Encodes seen by the time :func:`build_plan` returns, per campaign."""
+    seen: list[int] = []
+
+    def spy(*args, **kwargs):
+        plan = build_plan(*args, **kwargs)
+        seen.append(sum(encodes.values()))
+        return plan
+
+    monkeypatch.setattr("repro.api.session.build_plan", spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def loopback_pool():
+    with spawn_local_workers(2) as pool:
+        yield pool
+
+
+def _session(backend: str, pool) -> ValuationSession:
+    if backend == "remote":
+        return ValuationSession(backend=BackendSpec("remote", options={"hosts": pool.hosts}))
+    return ValuationSession(backend=backend, n_workers=2)
+
+
+def _drive(session: ValuationSession, drive: str, book: Portfolio, **options):
+    if drive == "run":
+        return session.run(book, **options)
+    if drive == "stream":
+        return session.stream(book, **options).result()
+    assert not options  # submit_many has no batch= (see CHANGES, PR 14)
+    session.submit_many(position.problem for position in book)
+    return session.gather()
+
+
+@pytest.mark.parametrize("backend", ["local", "multiprocessing", "remote"])
+@pytest.mark.parametrize("drive", ["run", "stream", "submit_gather"])
+def test_plain_campaign_encodes_each_position_once(
+    backend, drive, encodes, encodes_at_plan_time, loopback_pool
+):
+    result = _drive(_session(backend, loopback_pool), drive, _book())
+    assert result.ok and result.n_jobs == N_POSITIONS
+    assert encodes == {"PricingProblem": N_POSITIONS}
+    assert encodes_at_plan_time == [0]
+
+
+@pytest.mark.parametrize("backend", ["local", "multiprocessing", "remote"])
+@pytest.mark.parametrize("drive", ["run", "stream"])
+def test_batched_campaign_encodes_groups_not_members(
+    backend, drive, encodes, encodes_at_plan_time, loopback_pool
+):
+    result = _drive(_session(backend, loopback_pool), drive, _book(), batch=True)
+    assert result.ok and result.n_jobs == N_POSITIONS
+    # one encode per dispatched unit: a batch per family, the singles alone
+    assert encodes == {"ProblemBatch": N_FAMILIES, "PricingProblem": N_SINGLES}
+    assert encodes_at_plan_time == [0]
+
+
+def test_simulated_plan_sizes_members_once_and_sends_nothing(encodes):
+    # virtual time needs stand-alone sizes (the tables are pinned to them):
+    # one encode per position at plan time, none for the batches
+    session = ValuationSession(backend="simulated", n_workers=2)
+    assert session.run(_book(), batch=True).n_jobs == N_POSITIONS
+    assert encodes == {"PricingProblem": N_POSITIONS}
+
+
+def test_retry_after_pool_loss_adds_no_encodes(encodes):
+    book = Portfolio(name="retry", positions=[
+        Position(_problem(80.0 + 3 * k, "MC_European", seed=7), label=f"p{k}")
+        for k in range(10)
+    ])
+    with spawn_local_workers(1) as pool:
+        spec = BackendSpec("remote", options={
+            "hosts": pool.hosts, "connect_timeout": 5.0, "send_timeout": 30.0})
+        session = ValuationSession(backend=spec)
+        killed = threading.Event()
+
+        def on_progress(event):
+            if not killed.is_set():
+                killed.set()
+                pool.kill(0)
+                threading.Thread(
+                    target=lambda: (time.sleep(0.8), pool.restart(0)), daemon=True
+                ).start()
+
+        config = RunConfig(
+            retry=RetryPolicy(max_attempts=5, backoff=0.6, backoff_factor=1.5),
+            progress=on_progress,
+        )
+        result = session.run(book, config=config)
+    assert result.ok and result.report.extra.get("retries", 0) >= 1
+    # the re-dispatched jobs re-send the bytes kept from the first dispatch
+    assert encodes == {"PricingProblem": len(book)}

@@ -163,6 +163,16 @@ class TestEncodeDecode:
         assert registry.n_tracked == 0
         assert _segments_with_prefix("tshmcodec") == []
 
+    def test_only_a_lone_marker_key_is_a_handle(self):
+        registry = SegmentRegistry("tshmlone")
+        tree = {
+            "one_key": {"price": 1.0},
+            "marker_and_more": {"__shm_array__": {"name": "nope"}, "price": 1.0},
+            "empty": {},
+        }
+        assert decode_result(tree, registry) == tree
+        registry.close()
+
     def test_threshold_keeps_small_buffers_inline(self):
         registry = SegmentRegistry("tshmthresh")
         small = np.ones(4)

@@ -13,7 +13,7 @@ from repro.core.strategies import (
     SerializedLoadStrategy,
     get_strategy,
 )
-from repro.errors import SchedulingError
+from repro.errors import ClusterError, SchedulingError
 from repro.pricing import PricingProblem
 from repro.serial import Serial, save, serialize
 
@@ -78,6 +78,45 @@ class TestSerializedLoad:
         assert Serial.from_bytes(full.payload).unserialize() == Serial.from_bytes(
             sload.payload
         ).unserialize()
+
+
+class TestKeptWireBytes:
+    """``sload`` for in-memory problems: serialized once, kept with the job."""
+
+    def test_serialized_load_resends_the_kept_bytes(self, problem):
+        job = Job(job_id=3, path="", compute_cost=1e-3, problem=problem)
+        first = SerializedLoadStrategy().prepare(job)
+        again = SerializedLoadStrategy().prepare(job)
+        assert first.payload is again.payload is job.wire_bytes()
+        assert first.payload == serialize(problem).to_bytes()
+
+    def test_full_load_stays_the_wasteful_baseline(self, problem):
+        job = Job(job_id=3, path="", compute_cost=1e-3, problem=problem)
+        first, again = FullLoadStrategy().prepare(job), FullLoadStrategy().prepare(job)
+        assert first.payload == again.payload and first.payload is not again.payload
+
+    def test_file_size_is_read_off_the_bytes_unless_given(self, problem):
+        job = Job(job_id=3, path="", compute_cost=1e-3, problem=problem)
+        # the simulated tables are pinned to this historical size
+        assert job.file_size == serialize(problem).nbytes + 4 == len(job.wire_bytes()) + 4
+        assert Job(job_id=4, path="", file_size=17, compute_cost=1e-3).file_size == 17
+
+    def test_a_job_without_a_problem_has_no_bytes(self, problem):
+        job = Job(job_id=3, path="", compute_cost=1e-3, problem=problem)
+        size = job.file_size
+        job.drop_problem()
+        assert job.problem is None and job.file_size == size
+        with pytest.raises(ClusterError):
+            job.wire_bytes()
+
+    def test_replacing_the_problem_drops_its_bytes(self, problem):
+        job = Job(job_id=3, path="", compute_cost=1e-3, problem=problem)
+        stale = job.wire_bytes()
+        other = PricingProblem.from_dict(problem.to_dict())
+        other.set_option("PutEuro", strike=90.0, maturity=0.5)
+        job.problem = other
+        assert job.wire_bytes() != stale
+        assert Serial.from_bytes(job.wire_bytes()).unserialize() == other
 
 
 class TestNFS:
