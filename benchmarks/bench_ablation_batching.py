@@ -21,7 +21,13 @@ import pytest
 from benchmarks.conftest import write_result
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
-from repro.core import ChunkedRobinHoodScheduler, RobinHoodScheduler, build_toy_portfolio, get_strategy
+from repro.core import (
+    ChunkedPolicy,
+    RobinHoodPolicy,
+    ScheduleStream,
+    build_toy_portfolio,
+    get_strategy,
+)
 from repro.serial import serialize
 
 N_WORKERS = 32
@@ -35,11 +41,8 @@ def toy_jobs():
 
 def _run_chunked(jobs, chunk_size, strategy="serialized_load"):
     backend = SimulatedClusterBackend(ClusterSpec.homogeneous(N_WORKERS), strategy=strategy)
-    if chunk_size == 1:
-        scheduler = RobinHoodScheduler()
-    else:
-        scheduler = ChunkedRobinHoodScheduler(chunk_size=chunk_size)
-    return scheduler.run(jobs, backend, get_strategy(strategy)).total_time
+    policy = RobinHoodPolicy() if chunk_size == 1 else ChunkedPolicy(chunk_size=chunk_size)
+    return ScheduleStream(jobs, backend, get_strategy(strategy), policy).finish().total_time
 
 
 def test_batching_chunk_size_sweep(benchmark, toy_jobs):

@@ -19,6 +19,13 @@ mid-run and joins a replacement later, all in deterministic virtual time, so
 the benchmark answers "how gracefully does each policy degrade when the
 cluster shrinks under it?" without a single real socket.
 
+The full profile also replays the paper's own books (``paper_books`` in the
+JSON): the realistic portfolio (scale 0.25) on 64 workers, where dynamic
+balancing must beat the static baseline and chunking *hurts* (it trades
+balancing granularity for latency), and 5,000 cheap toy options on 32
+workers, where the conclusion's two refinements -- chunked messages and
+:func:`~repro.core.scheduler.simulate_hierarchical` sub-masters -- pay off.
+
 Results land in ``benchmarks/results/BENCH_scheduler_ablation.json`` and
 ``benchmarks/results/BENCH_churn.json``.
 
@@ -42,11 +49,17 @@ from benchmarks.conftest import write_bench_json  # noqa: E402
 from repro.cluster.backends.base import Job  # noqa: E402
 from repro.cluster.chaos import ChurnSchedule  # noqa: E402
 from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend  # noqa: E402
+from repro.cluster.costmodel import paper_cost_model  # noqa: E402
+from repro.core.portfolio import build_realistic_portfolio, build_toy_portfolio  # noqa: E402
 from repro.core.scheduler import (  # noqa: E402
-    ChunkedRobinHoodScheduler,
-    RobinHoodScheduler,
-    StaticBlockScheduler,
-    WorkStealingScheduler,
+    ChunkedPolicy,
+    DispatchPolicy,
+    RobinHoodPolicy,
+    ScheduleOutcome,
+    ScheduleStream,
+    StaticBlockPolicy,
+    WorkStealingPolicy,
+    simulate_hierarchical,
 )
 from repro.core.strategies import get_strategy  # noqa: E402
 
@@ -82,27 +95,65 @@ def build_skewed_jobs(n_cheap: int, n_expensive: int) -> list[Job]:
     ]
 
 
+def _drain(
+    policy: DispatchPolicy, jobs: list[Job], n_workers: int, churn: ChurnSchedule | None = None
+) -> ScheduleOutcome:
+    """One simulated run: the same streaming path the futures API uses."""
+    backend = SimulatedClusterBackend(
+        ClusterSpec.homogeneous(n_workers), strategy=STRATEGY_NAME, churn=churn
+    )
+    return ScheduleStream(jobs, backend, get_strategy(STRATEGY_NAME), policy).finish()
+
+
+def _makespan(policy: DispatchPolicy, jobs: list[Job], n_workers: int) -> float:
+    return round(_drain(policy, jobs, n_workers).total_time, 6)
+
+
+def run_paper_books() -> dict:
+    """The paper's books: where each refinement of the conclusion helps or hurts."""
+    realistic = build_realistic_portfolio(profile="paper", scale=0.25).build_jobs(
+        cost_model=paper_cost_model()
+    )
+    cheap = build_toy_portfolio(n_options=5_000).build_jobs(cost_model=paper_cost_model())
+
+    def hierarchical(jobs: list[Job], n_workers: int) -> float:
+        return round(simulate_hierarchical(jobs, n_workers, n_groups=4)["total_time"], 6)
+
+    return {
+        "realistic_x0.25": {
+            "n_jobs": len(realistic),
+            "n_workers": 64,
+            "ideal_makespan_s": round(sum(job.compute_cost for job in realistic) / 64, 6),
+            "virtual_makespan_s": {
+                "static_block": _makespan(StaticBlockPolicy(), realistic, 64),
+                "robin_hood": _makespan(RobinHoodPolicy(), realistic, 64),
+                "chunked_robin_hood(8)": _makespan(ChunkedPolicy(8), realistic, 64),
+                "hierarchical(4 groups)": hierarchical(realistic, 64),
+            },
+        },
+        "toy_5000_cheap": {
+            "n_jobs": len(cheap),
+            "n_workers": 32,
+            "virtual_makespan_s": {
+                "robin_hood": _makespan(RobinHoodPolicy(), cheap, 32),
+                "chunked_robin_hood(25)": _makespan(ChunkedPolicy(25), cheap, 32),
+                "hierarchical(4 groups)": hierarchical(cheap, 32),
+            },
+        },
+    }
+
+
 def run_scheduler_ablation(n_cheap: int, n_expensive: int, n_workers: int) -> dict:
     jobs = build_skewed_jobs(n_cheap, n_expensive)
-    strategy = get_strategy(STRATEGY_NAME)
-    schedulers = {
-        "static_block": StaticBlockScheduler(),
-        "robin_hood": RobinHoodScheduler(),
-        f"chunked_robin_hood({CHUNK_SIZE})": ChunkedRobinHoodScheduler(
-            chunk_size=CHUNK_SIZE
-        ),
-        "work_stealing": WorkStealingScheduler(),
+    policies = {
+        "static_block": StaticBlockPolicy(),
+        "robin_hood": RobinHoodPolicy(),
+        f"chunked_robin_hood({CHUNK_SIZE})": ChunkedPolicy(chunk_size=CHUNK_SIZE),
+        "work_stealing": WorkStealingPolicy(),
     }
-    times: dict[str, float] = {}
-    for name, scheduler in schedulers.items():
-        backend = SimulatedClusterBackend(
-            ClusterSpec.homogeneous(n_workers), strategy=STRATEGY_NAME
-        )
-        # every scheduler is stream().finish(): this drives the same
-        # streaming path the futures API uses
-        times[name] = round(
-            scheduler.stream(jobs, backend, strategy).finish().total_time, 6
-        )
+    times = {
+        name: _makespan(policy, jobs, n_workers) for name, policy in policies.items()
+    }
 
     ideal = sum(job.compute_cost for job in jobs) / n_workers
     return {
@@ -137,30 +188,20 @@ def _churn_schedule(n_workers: int, ideal: float) -> ChurnSchedule:
 def run_churn_ablation(n_cheap: int, n_expensive: int, n_workers: int) -> dict:
     """The churn axis: the same skewed workload, with workers dying under it."""
     jobs = build_skewed_jobs(n_cheap, n_expensive)
-    strategy = get_strategy(STRATEGY_NAME)
     ideal = sum(job.compute_cost for job in jobs) / n_workers
     schedulers = {
-        "robin_hood": RobinHoodScheduler,
-        "work_stealing": WorkStealingScheduler,
+        "robin_hood": RobinHoodPolicy,
+        "work_stealing": WorkStealingPolicy,
     }
     baseline: dict[str, float] = {}
     churned: dict[str, float] = {}
     counters: dict[str, dict] = {}
-    for name, scheduler_cls in schedulers.items():
-        backend = SimulatedClusterBackend(
-            ClusterSpec.homogeneous(n_workers), strategy=STRATEGY_NAME
-        )
-        out = scheduler_cls().stream(jobs, backend, strategy).finish()
+    for name, policy_cls in schedulers.items():
+        out = _drain(policy_cls(), jobs, n_workers)
         assert len(out.completed) == len(jobs)
         baseline[name] = round(out.stats.total_time, 6)
 
-        schedule = _churn_schedule(n_workers, ideal)
-        backend = SimulatedClusterBackend(
-            ClusterSpec.homogeneous(n_workers),
-            strategy=STRATEGY_NAME,
-            churn=schedule,
-        )
-        out = scheduler_cls().stream(jobs, backend, strategy).finish()
+        out = _drain(policy_cls(), jobs, n_workers, _churn_schedule(n_workers, ideal))
         assert len(out.completed) == len(jobs)
         churned[name] = round(out.stats.total_time, 6)
         counters[name] = {
@@ -221,6 +262,24 @@ def _check(payload: dict) -> list[str]:
         failures.append("work stealing must beat the static baseline")
     if not times["work_stealing"] <= 1.25 * times["robin_hood"]:
         failures.append("work stealing must land in robin hood's league")
+    if "paper_books" in payload:
+        book = payload["paper_books"]["realistic_x0.25"]
+        times = book["virtual_makespan_s"]
+        if not times["robin_hood"] < times["static_block"]:
+            failures.append("realistic book: robin hood must beat the static baseline")
+        # batching trades balancing granularity for latency: on this
+        # expensive, heterogeneous book it *hurts* -- it only pays off for
+        # cheap jobs, which qualifies the conclusion's suggestion
+        if not times["chunked_robin_hood(8)"] > times["robin_hood"]:
+            failures.append("realistic book: chunking must cost balancing granularity")
+        if not times["robin_hood"] < 1.5 * book["ideal_makespan_s"]:
+            failures.append("realistic book: robin hood must land near the ideal bound")
+        times = payload["paper_books"]["toy_5000_cheap"]["virtual_makespan_s"]
+        # fewer, larger messages and sub-masters both relieve the master
+        if not times["chunked_robin_hood(25)"] < times["robin_hood"]:
+            failures.append("cheap book: chunked messages must beat per-job dispatch")
+        if not times["hierarchical(4 groups)"] < times["robin_hood"]:
+            failures.append("cheap book: sub-masters must relieve the master bottleneck")
     return failures
 
 
@@ -232,6 +291,7 @@ def test_scheduler_ablation_emits_bench_json(benchmark):
         rounds=1,
         iterations=1,
     )
+    payload["paper_books"] = run_paper_books()
     write_bench_json("scheduler_ablation", payload)
     assert not _check(payload)
 
@@ -268,6 +328,8 @@ def main(argv: list[str] | None = None) -> int:
         failures = _check_churn(payload)
     else:
         payload = run_scheduler_ablation(*sizes)
+        if not smoke:
+            payload["paper_books"] = run_paper_books()
         name = "scheduler_ablation_smoke" if smoke else "scheduler_ablation"
         path = write_bench_json(name, payload)
         print(f"wrote {path}")

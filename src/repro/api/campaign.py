@@ -23,7 +23,7 @@ from repro.api.results import RunResult
 from repro.cluster.backends import CompletedJob, Job, WorkerBackend
 from repro.cluster.backends.execution import decode_batch_reply
 from repro.core.runner import RunReport
-from repro.core.scheduler import ScheduleOutcome, Scheduler, ScheduleStream
+from repro.core.scheduler import DispatchPolicy, ScheduleOutcome, ScheduleStream
 from repro.core.strategies import TransmissionStrategy
 from repro.errors import (
     ClusterError,
@@ -41,8 +41,8 @@ class Campaign:
     """Executes one :class:`~repro.api.plan.CampaignPlan` through its futures.
 
     ``futures`` are the positions' pre-existing futures (``submit_many``);
-    without them the campaign mints one per position.  ``make_runner``
-    builds the scheduler of each stream the campaign opens.  With a
+    without them the campaign mints one per position.  ``new_policy``
+    builds the fresh dispatch policy of each stream the campaign opens.  With a
     ``retry`` policy, :meth:`finish` survives losing the whole worker pool:
     the still-pending futures are re-attached to a stream on a backend built
     by ``new_backend``.
@@ -53,7 +53,7 @@ class Campaign:
         plan: CampaignPlan,
         backend: WorkerBackend,
         strategy: TransmissionStrategy,
-        make_runner: Callable[[], Scheduler],
+        new_policy: Callable[[], DispatchPolicy],
         *,
         futures: Mapping[int, PricingFuture] | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
@@ -64,7 +64,7 @@ class Campaign:
         self.plan = plan
         self._backend = backend
         self._strategy = strategy
-        self._make_runner = make_runner
+        self._new_policy = new_policy
         self._progress = progress
         self._cancel = cancel
         self._retry = retry
@@ -97,8 +97,8 @@ class Campaign:
 
     def _open_stream(self, jobs: Sequence[Job]) -> None:
         self._dispatched = list(jobs)
-        self._stream = self._make_runner().stream(
-            self._dispatched, self._backend, self._strategy
+        self._stream = ScheduleStream(
+            self._dispatched, self._backend, self._strategy, self._new_policy()
         )
 
     # -- bookkeeping -------------------------------------------------------------

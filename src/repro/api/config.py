@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.cluster.backends import WorkerBackend, create_backend, list_backends
-from repro.core.scheduler import SCHEDULERS, Scheduler
+from repro.core.scheduler import DispatchPolicy, policy_factory
 from repro.core.strategies import STRATEGIES
 from repro.errors import ValuationError
 from repro.pricing.kernel import DEFAULT_KERNEL, KERNELS
@@ -188,7 +188,9 @@ class RunConfig:
 
     #: transmission strategy; ``None`` (default) keeps the session's
     strategy: str | None = None
-    scheduler: str | None = None
+    #: registered name (``scheduler_options`` are its keyword options) or a
+    #: zero-argument factory of fresh policies; ``None`` keeps the session's
+    scheduler: str | Callable[[], DispatchPolicy] | None = None
     scheduler_options: tuple[tuple[str, Any], ...] = ()
     cost_model: Any | None = field(default=None, compare=False)
     batch: bool = False
@@ -227,21 +229,12 @@ class RunConfig:
             raise ValuationError(
                 f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}"
             )
-        if self.scheduler is not None and self.scheduler not in SCHEDULERS:
-            raise ValuationError(
-                f"unknown scheduler {self.scheduler!r}; known: {sorted(SCHEDULERS)}"
-            )
         if isinstance(self.scheduler_options, Mapping):
             object.__setattr__(
                 self, "scheduler_options", _frozen_options(self.scheduler_options)
             )
-
-    def scheduler_factory(self) -> Callable[[], Scheduler]:
-        """A factory producing a fresh scheduler per run (default Robin-Hood)."""
-        name = self.scheduler or "robin_hood"
-        cls = SCHEDULERS[name]
-        options = dict(self.scheduler_options)
-        return lambda: cls(**options)
+        # unknown names and options without a name fail here, not mid-campaign
+        policy_factory(self.scheduler, self.scheduler_options)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from repro.cluster.backends import Job, WorkerBackend, create_backend
 from repro.cluster.costmodel import CostModel, paper_cost_model
 from repro.cluster.simcluster.comm import STRATEGY_NAMES, CommunicationModel
 from repro.core.portfolio import Portfolio
-from repro.core.scheduler import SCHEDULERS, RobinHoodScheduler, Scheduler
+from repro.core.scheduler import DispatchPolicy, ScheduleStream, policy_factory
 from repro.core.speedup import SpeedupTable
 from repro.core.strategies import TransmissionStrategy, get_strategy
 from repro.errors import SchedulingError, ValuationError
@@ -102,12 +102,11 @@ class ValuationSession:
         Worker count for name/spec backends (ignored for instances).
     scheduler:
         ``None`` (Robin-Hood), a scheduler name from
-        :data:`~repro.core.scheduler.SCHEDULERS`, a
-        :class:`~repro.core.scheduler.Scheduler` instance, or a zero-argument
-        factory returning fresh schedulers.  Every registered scheduler
-        streams (they are all policies over the one incremental master
-        loop), so ``stream``/``submit_many``/``progress``/``cancel`` work
-        with any of them.
+        :data:`~repro.core.scheduler.SCHEDULERS`, or a zero-argument callable
+        returning a fresh :class:`~repro.core.scheduler.DispatchPolicy` (a
+        policy class is one).  Every scheduler is a policy over the one
+        incremental master loop, so ``stream``/``submit_many``/``progress``/
+        ``cancel`` work with any of them.
     cost_model:
         :class:`~repro.cluster.costmodel.CostModel` used to estimate per-job
         compute costs when building jobs from portfolios / submissions
@@ -137,7 +136,7 @@ class ValuationSession:
         strategy: str | TransmissionStrategy = "serialized_load",
         *,
         n_workers: int | None = None,
-        scheduler: str | Scheduler | Callable[[], Scheduler] | None = None,
+        scheduler: str | Callable[[], DispatchPolicy] | None = None,
         cost_model: CostModel | None = None,
         comm: CommunicationModel | None = None,
         comm_factory: Callable[[], CommunicationModel] | None = None,
@@ -163,10 +162,7 @@ class ValuationSession:
         self._active_cores: list[Campaign] = []
         self._next_job_id = 0
         self._resolve_strategy()  # raises SchedulingError on bad names
-        if isinstance(self.scheduler, str) and self.scheduler not in SCHEDULERS:
-            raise ValuationError(
-                f"unknown scheduler {self.scheduler!r}; known: {sorted(SCHEDULERS)}"
-            )
+        policy_factory(scheduler)  # raises ValuationError on bad spellings
 
     # -- configuration helpers ---------------------------------------------------
     @property
@@ -192,15 +188,6 @@ class ValuationSession:
         }
         current.update(changes)
         return ValuationSession(**current)
-
-    def _new_scheduler(self) -> Scheduler:
-        if self.scheduler is None:
-            return RobinHoodScheduler()
-        if isinstance(self.scheduler, Scheduler):
-            return self.scheduler
-        if isinstance(self.scheduler, str):
-            return SCHEDULERS[self.scheduler]()
-        return self.scheduler()
 
     def _resolve_strategy(
         self, strategy: str | TransmissionStrategy | None = None
@@ -320,7 +307,7 @@ class ValuationSession:
         source: Portfolio | Sequence[Job],
         *,
         strategy: str | TransmissionStrategy | None = None,
-        scheduler: Scheduler | None = None,
+        scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
         config: RunConfig | None = None,
         futures: Mapping[int, PricingFuture] | None = None,
@@ -332,17 +319,16 @@ class ValuationSession:
         ``config`` field, the session's own choice.
         """
         given = {name: value for name, value in overrides.items() if value is not None}
+        if scheduler is not None:
+            # the keyword replaces the config's scheduler and its options
+            given.update(scheduler=scheduler, scheduler_options=())
         options = replace(config or RunConfig(), **given)
         strategy_obj = self._resolve_strategy(
             strategy if strategy is not None else options.strategy
         )
-        make_runner: Callable[[], Scheduler]
-        if scheduler is not None:
-            make_runner = lambda: scheduler
-        elif options.scheduler is not None:
-            make_runner = options.scheduler_factory()
-        else:
-            make_runner = self._new_scheduler
+        new_policy = policy_factory(
+            options.scheduler or self.scheduler, options.scheduler_options
+        )
         run_cache = self._resolve_run_cache(options.cache)
         new_backend = partial(self._acquire_backend, strategy_obj.name, run_cache)
         backend = new_backend()
@@ -365,7 +351,7 @@ class ValuationSession:
             plan,
             backend,
             strategy_obj,
-            make_runner,
+            new_policy,
             futures=futures,
             progress=options.progress,
             cancel=options.cancel,
@@ -379,7 +365,7 @@ class ValuationSession:
         source: Portfolio | Sequence[Job],
         *,
         strategy: str | TransmissionStrategy | None = None,
-        scheduler: Scheduler | None = None,
+        scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
         config: RunConfig | None = None,
         batch: bool | None = None,
@@ -393,8 +379,8 @@ class ValuationSession:
         """Value a portfolio (or a prepared job list) on the session backend.
 
         ``stream(...).result()`` in one call: the same campaign, drained to
-        completion (``scheduler`` additionally accepts a ready-made
-        :class:`~repro.core.scheduler.Scheduler` for this one run).
+        completion.  ``scheduler`` (spelled like the session's) overrides the
+        config's and the session's scheduler for this one run.
         ``batch=True`` coalesces positions with equal simulation signatures
         into shared-path :class:`~repro.pricing.batch.ProblemBatch` jobs;
         prices are bit-identical to the unbatched run (on the simulated
@@ -415,6 +401,7 @@ class ValuationSession:
         source: Portfolio | Sequence[Job],
         *,
         strategy: str | TransmissionStrategy | None = None,
+        scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
         config: RunConfig | None = None,
         batch: bool | None = None,
@@ -438,10 +425,10 @@ class ValuationSession:
         """
         return StreamingRun(
             self._open_campaign(
-                source, strategy=strategy, store=store, config=config,
-                batch=batch, batch_group_size=batch_group_size, kernel=kernel,
-                min_group_size=min_group_size, cache=cache, progress=progress,
-                cancel=cancel,
+                source, strategy=strategy, scheduler=scheduler, store=store,
+                config=config, batch=batch, batch_group_size=batch_group_size,
+                kernel=kernel, min_group_size=min_group_size, cache=cache,
+                progress=progress, cancel=cancel,
             )
         )
 
@@ -719,6 +706,7 @@ class ValuationSession:
         if self._backend_spec is not None and self._backend_spec.name == "simulated":
             sim_options.update(self._backend_spec.options)
         sim_options.pop("comm", None)
+        new_policy = policy_factory(self.scheduler)
         times: dict[int, float] = {}
         for n_cpus in cpu_counts:
             if share_nfs_cache:
@@ -731,7 +719,7 @@ class ValuationSession:
                 "simulated", n_workers=n_cpus - 1, strategy=strategy_obj.name,
                 comm=run_comm, **sim_options,
             )
-            outcome = self._new_scheduler().run(jobs, backend, strategy_obj)
+            outcome = ScheduleStream(jobs, backend, strategy_obj, new_policy()).finish()
             if len(outcome.completed) != len(jobs):
                 raise SchedulingError(
                     f"scheduler returned {len(outcome.completed)} results "

@@ -67,15 +67,15 @@ def _parse_opt_value(text: str):
     return text
 
 
-def _scheduler_factory(args: argparse.Namespace):
-    """Build a validated scheduler factory from --scheduler/--scheduler-opt.
+def _cli_policy_factory(args: argparse.Namespace):
+    """The validated policy factory behind --scheduler/--scheduler-opt.
 
     Validation rides on :class:`~repro.api.config.RunConfig` (the same path
-    programmatic configuration uses): unknown names fail there, bad option
-    values fail on the eager trial construction below.  Returns ``None``
-    when no scheduler flags were given.
+    programmatic configuration uses): unknown names and options without a
+    name fail there, bad option values fail on the eager trial construction.
     """
     from repro.api import RunConfig
+    from repro.core.scheduler import policy_factory
 
     options: dict = {}
     for pair in args.scheduler_opt or []:
@@ -83,12 +83,8 @@ def _scheduler_factory(args: argparse.Namespace):
         if not sep or not key:
             raise ValueError(f"--scheduler-opt {pair!r} is not KEY=VALUE")
         options[key] = _parse_opt_value(value)
-    if options and not args.scheduler:
-        raise ValueError("--scheduler-opt needs --scheduler")
-    if not args.scheduler:
-        return None
     config = RunConfig(scheduler=args.scheduler, scheduler_options=options)
-    factory = config.scheduler_factory()
+    factory = policy_factory(config.scheduler, config.scheduler_options)
     factory()  # fail on bad options here, with the constructor's message
     return factory
 
@@ -302,16 +298,6 @@ def _cmd_price(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_scheduler(args: argparse.Namespace):
-    """``(factory, error)``: the validated scheduler factory or a message."""
-    from repro.errors import ReproError
-
-    try:
-        return _scheduler_factory(args), None
-    except (ValueError, TypeError, ReproError) as exc:
-        return None, str(exc)
-
-
 def _cmd_table(table: str, args: argparse.Namespace) -> int:
     from repro.api import ValuationSession
     from repro.cluster import paper_cost_model
@@ -321,12 +307,8 @@ def _cmd_table(table: str, args: argparse.Namespace) -> int:
         build_toy_portfolio,
     )
 
-    scheduler, error = _resolve_scheduler(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     session = ValuationSession(
-        backend="simulated", cost_model=paper_cost_model(), scheduler=scheduler
+        backend="simulated", cost_model=paper_cost_model(), scheduler=args.scheduler
     )
     if table == "table1":
         cpus = args.cpus or [2, 4, 6, 8, 10, 16, 32, 64, 96, 128, 160, 192, 224, 256]
@@ -399,10 +381,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.hosts and args.backend != "remote":
         print("error: --hosts only applies to --backend remote", file=sys.stderr)
         return 2
-    scheduler, error = _resolve_scheduler(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     portfolio = _build_cli_portfolio(args)
     cache: object = args.cache_dir if args.cache_dir else bool(args.cache)
     with ExitStack() as stack:
@@ -424,7 +402,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             backend=args.backend,
             strategy=args.strategy,
             n_workers=args.workers,
-            scheduler=scheduler,
+            scheduler=args.scheduler,
             cache=cache,
             backend_options=backend_options,
         )
@@ -519,19 +497,16 @@ def _cmd_risk(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import ValuationSession
 
-    scheduler, error = _resolve_scheduler(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     portfolio = _build_cli_portfolio(args)
     session = ValuationSession(
-        backend="simulated", strategy=args.strategy, scheduler=scheduler
+        backend="simulated", strategy=args.strategy, scheduler=args.scheduler
     )
     result = session.sweep(
         portfolio,
         args.cpus,
         share_nfs_cache=not args.cold_nfs_cache,
         label=f"{args.portfolio}/{args.strategy}",
+        batch=args.batch,
     )
     print(result.format())
     best = result.best_cpu_count()
@@ -541,8 +516,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of the ``repro-bench`` console script."""
+    from repro.errors import ReproError
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "scheduler"):
+        # table*/run/sweep: the name and its options become the validated
+        # policy factory their session takes
+        try:
+            args.scheduler = _cli_policy_factory(args)
+        except (ValueError, TypeError, ReproError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "price":

@@ -40,17 +40,12 @@ from repro.core.runner import RunReport
 from repro.core.scheduler import (
     SCHEDULERS,
     ChunkedPolicy,
-    ChunkedRobinHoodScheduler,
     DispatchPolicy,
     RobinHoodPolicy,
-    RobinHoodScheduler,
     ScheduleOutcome,
     ScheduleStream,
-    Scheduler,
     StaticBlockPolicy,
-    StaticBlockScheduler,
     WorkStealingPolicy,
-    WorkStealingScheduler,
     register_scheduler,
     simulate_hierarchical,
 )
@@ -82,11 +77,6 @@ __all__ = [
     "get_strategy",
     "STRATEGIES",
     # schedulers
-    "Scheduler",
-    "RobinHoodScheduler",
-    "StaticBlockScheduler",
-    "ChunkedRobinHoodScheduler",
-    "WorkStealingScheduler",
     "DispatchPolicy",
     "RobinHoodPolicy",
     "StaticBlockPolicy",

@@ -8,51 +8,49 @@ two refinements: "gather several pricing problems and send them all together
 to reduce the communication latency" and "divide the nodes into sub-groups,
 each group having its own master".
 
-Since the streaming-first redesign there is exactly **one** master loop --
-:class:`ScheduleStream`, the paper's Fig. 4 in pull-driven form -- and every
-scheduling variant is a :class:`DispatchPolicy` strategy object plugged into
-it: how the initial wave is shaped, how a freed worker is refilled, and
-whether several jobs travel as one message.  The shipped policies are
+There is exactly **one** master loop -- :class:`ScheduleStream`, the paper's
+Fig. 4 in pull-driven form -- and a scheduler *is* the
+:class:`DispatchPolicy` plugged into it: how the initial wave is shaped, how
+a freed worker is refilled, and whether several jobs travel as one message.
+Running a scheduler is ``ScheduleStream(jobs, backend, strategy,
+policy).finish()``.  The shipped policies, registered in :data:`SCHEDULERS`
+under their ``name`` (extensible through :func:`register_scheduler`), are
 
 * :class:`RobinHoodPolicy` -- the paper's dynamic loop: one job per slave,
   refill the slave that just answered;
-* :class:`StaticBlockPolicy` -- full pre-partition into contiguous blocks,
-  no refill (the baseline the dynamic strategy is compared against);
-* :class:`ChunkedPolicy` -- Robin Hood over ``chunk_size``-job chunks, each
-  chunk shipped as a single message (the conclusion's first refinement);
-* :class:`WorkStealingPolicy` -- static per-worker blocks plus dynamic
-  stealing: an idle worker refills from the tail of the most-loaded
-  worker's still-queued block;
-* :class:`PriorityPolicy` -- Robin Hood over a priority-ordered queue:
-  urgent jobs reach the slaves first, equal priorities keep submission
-  order (the policy the ``repro-serve`` daemon uses to honour per-request
-  priorities -- the plugin surface carrying a product feature).
+* :class:`StaticBlockPolicy` -- contiguous pre-partition, no refill (the
+  baseline the dynamic strategy is compared against);
+* :class:`ChunkedPolicy` -- Robin Hood over chunks, one message per chunk
+  (the conclusion's first refinement);
+* :class:`WorkStealingPolicy` -- static blocks plus stealing from the tail
+  of the most-loaded worker's still-queued block;
+* :class:`PriorityPolicy` -- Robin Hood over a priority-ordered queue (how
+  the ``repro-serve`` daemon honours per-position priorities).
 
-Each policy is wrapped by a thin :class:`Scheduler` shell
-(``supports_streaming = True`` across the board; ``run()`` is literally
-``stream(...).finish()``), registered in :data:`SCHEDULERS` and extensible
-through :func:`register_scheduler`.  :func:`simulate_hierarchical` builds the
-conclusion's second refinement (sub-masters) on top of the same loop.
-
-All schedulers drive a :class:`~repro.cluster.backends.base.WorkerBackend`
-through the same dispatch/collect interface, so the same code path runs on
-the sequential backend, on real ``multiprocessing`` workers, on remote
-``repro-worker`` TCP pools and on the simulated cluster.
+Everywhere above this module a scheduler is spelled as a registered name or
+a zero-argument callable returning a fresh policy; :func:`policy_factory` is
+the one place that spelling is resolved.  :func:`simulate_hierarchical`
+builds the conclusion's second refinement (sub-masters) on the same loop,
+which drives every :class:`~repro.cluster.backends.base.WorkerBackend` --
+sequential, ``multiprocessing``, remote TCP pools, the simulated cluster --
+through one dispatch/collect interface.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.cluster.backends.base import BackendStats, CompletedJob, Job, WorkerBackend
 from repro.cluster.simcluster.comm import CommunicationModel
 from repro.cluster.simcluster.node import ClusterSpec
 from repro.cluster.simcluster.simulator import SimulatedClusterBackend
-from repro.core.strategies import TransmissionStrategy
-from repro.errors import SchedulingError
+from repro.core.strategies import TransmissionStrategy, get_strategy
+from repro.errors import SchedulingError, ValuationError
 
 __all__ = [
     "ScheduleOutcome",
@@ -63,26 +61,20 @@ __all__ = [
     "ChunkedPolicy",
     "WorkStealingPolicy",
     "PriorityPolicy",
-    "Scheduler",
-    "RobinHoodScheduler",
-    "StaticBlockScheduler",
-    "ChunkedRobinHoodScheduler",
-    "WorkStealingScheduler",
-    "PriorityScheduler",
-    "simulate_hierarchical",
-    "register_scheduler",
     "SCHEDULERS",
+    "register_scheduler",
+    "policy_factory",
+    "simulate_hierarchical",
 ]
 
 
 @dataclass
 class ScheduleOutcome:
-    """Everything the scheduler hands back to the runner."""
+    """Everything a drained :class:`ScheduleStream` hands back to the runner."""
 
     completed: list[CompletedJob]
     stats: BackendStats
     scheduler_name: str
-    extra: dict[str, Any] = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:
@@ -91,13 +83,6 @@ class ScheduleOutcome:
     @property
     def errors(self) -> list[CompletedJob]:
         return [job for job in self.completed if job.error is not None]
-
-
-def _prepare(backend: WorkerBackend, strategy: TransmissionStrategy, job: Job):
-    """Prepare the real payload only for backends that execute it."""
-    if getattr(backend, "requires_payload", True):
-        return strategy.prepare(job)
-    return None
 
 
 def _check_jobs(jobs: Sequence[Job]) -> None:
@@ -116,14 +101,15 @@ class DispatchPolicy(abc.ABC):
     A policy owns the master-side queue: it decides the initial wave (which
     worker receives which jobs before anything is collected), the refill rule
     (what a freed worker gets after each answer), and whether a wave travels
-    as one message per job (``chunked = False`` -> ``backend.dispatch``) or
-    as one message per chunk (``chunked = True`` ->
-    ``backend.dispatch_batch``).  The stream handles everything else --
-    collection, accounting, cancellation bookkeeping, termination -- so a new
-    scheduling variant is a policy plus a thin :class:`Scheduler` shell (see
-    ``docs/schedulers.md`` for a worked example).
+    as one message per job or per chunk (:attr:`chunked`).  The stream does
+    everything else -- collection, accounting, cancellation bookkeeping,
+    termination -- so a new scheduling variant is one policy class (worked
+    example in ``docs/schedulers.md``).  A policy holds the state of **one**
+    stream: every stream gets a fresh instance.
     """
 
+    #: what :attr:`ScheduleOutcome.scheduler_name` (and ``RunReport.scheduler``)
+    #: reports; equal to the name the policy is registered under
     name: str = "abstract"
     #: when ``True`` every wave ships through ``backend.dispatch_batch``
     #: (one message per chunk -- the conclusion's latency refinement);
@@ -146,34 +132,86 @@ class DispatchPolicy(abc.ABC):
         policy is responsible for its own outstanding-work bookkeeping.
         """
 
+    @property
     @abc.abstractmethod
-    def queued_jobs(self) -> list[Job]:
-        """Jobs still held master-side (not yet dispatched)."""
+    def n_queued(self) -> int:
+        """Jobs still held master-side; read once per collection, keep it O(1)."""
 
     @abc.abstractmethod
     def withdraw(self, job_id: int) -> Job | None:
         """Remove a still-queued job from the plan; ``None`` if not queued."""
 
+    @abc.abstractmethod
     def withdraw_all(self) -> list[Job]:
         """Remove every still-queued job (in-flight ones keep running)."""
-        return [job for job in list(self.queued_jobs())
-                if self.withdraw(job.job_id) is not None]
-
-    @property
-    def n_queued(self) -> int:
-        """How many jobs are still queued.
-
-        The stream reads this once per collection, so concrete policies
-        override it with an O(1) counter; this default recount is only a
-        correctness fallback for third-party policies.
-        """
-        return len(self.queued_jobs())
-
-    def outcome_extra(self) -> dict[str, Any]:
-        """Policy-specific entries for :attr:`ScheduleOutcome.extra`."""
-        return {}
 
 
+#: registered dispatch-policy factories (usually the policy class), by name:
+#: the schedulers usable from sessions, configs, the CLI and the benchmarks
+SCHEDULERS: dict[str, Callable[..., DispatchPolicy]] = {}
+
+_Factory = TypeVar("_Factory", bound=Callable[..., DispatchPolicy])
+
+
+def register_scheduler(name: str, factory: _Factory | None = None) -> Any:
+    """Register a policy factory (usually the class itself) under ``name``.
+
+    Either call directly (``register_scheduler("mine", MyPolicy)``) or use
+    as a decorator factory::
+
+        @register_scheduler("mine")
+        class MyPolicy(RobinHoodPolicy):
+            name = "mine"
+
+    Registered names are accepted wherever a scheduler is spelled as a string
+    (``ValuationSession(scheduler=...)``, ``RunConfig(scheduler=...)``, the
+    ``repro-bench --scheduler`` flags); ``RunConfig.scheduler_options`` /
+    ``--scheduler-opt`` become keyword arguments of the factory.
+    """
+    if not name:
+        raise SchedulingError("scheduler names must be non-empty strings")
+
+    def _register(fn: _Factory) -> _Factory:
+        SCHEDULERS[name] = fn
+        return fn
+
+    if factory is not None:
+        return _register(factory)
+    return _register
+
+
+def policy_factory(
+    scheduler: str | Callable[[], DispatchPolicy] | None = None,
+    options: Mapping[str, Any] | Iterable[tuple[str, Any]] = (),
+) -> Callable[[], DispatchPolicy]:
+    """Resolve a scheduler spelling into a factory of fresh policies.
+
+    ``scheduler`` is a name registered in :data:`SCHEDULERS` (``options``
+    are keyword arguments for its factory), a zero-argument callable
+    returning a fresh :class:`DispatchPolicy` (a policy class is one, so is
+    ``partial(PriorityPolicy, priority=...)``), or ``None`` for the paper's
+    Robin Hood.  The session, the run configuration, the CLI and the serving
+    daemon all resolve through this one function.
+    """
+    if isinstance(scheduler, str):
+        if scheduler not in SCHEDULERS:
+            raise ValuationError(f"unknown scheduler {scheduler!r}; known: {sorted(SCHEDULERS)}")
+        return partial(SCHEDULERS[scheduler], **dict(options))
+    if dict(options):
+        raise ValuationError("scheduler options need a registered scheduler name")
+    if scheduler is None:
+        return RobinHoodPolicy
+    if isinstance(scheduler, DispatchPolicy) or not callable(scheduler):
+        # policies hold per-stream state and a retry opens a second stream
+        raise ValuationError(
+            f"scheduler= got a {type(scheduler).__name__} instance; pass a "
+            "registered name, the policy class or a zero-argument factory "
+            "(every stream needs a fresh policy)"
+        )
+    return scheduler
+
+
+@register_scheduler("robin_hood")
 class RobinHoodPolicy(DispatchPolicy):
     """The paper's dynamic loop: one job per slave, refill whoever answers."""
 
@@ -194,9 +232,6 @@ class RobinHoodPolicy(DispatchPolicy):
             return [self._queue.popleft()]
         return None
 
-    def queued_jobs(self) -> list[Job]:
-        return list(self._queue)
-
     @property
     def n_queued(self) -> int:
         return len(self._queue)
@@ -214,47 +249,42 @@ class RobinHoodPolicy(DispatchPolicy):
         return dropped
 
 
+@register_scheduler("static_block")
 class StaticBlockPolicy(DispatchPolicy):
     """Full pre-partition into contiguous blocks, one per worker, no refill.
 
     Everything is dispatched in the initial wave, so nothing is ever queued
-    master-side: ``cancel_pending`` finds nothing to withdraw and the worker
-    that drew the expensive block becomes the critical path.  This is the
+    master-side: cancellation finds nothing to withdraw and the worker that
+    drew the expensive block becomes the critical path.  This is the
     baseline of the scheduler ablation benchmark.
     """
 
     name = "static_block"
 
     def plan(self, jobs: Sequence[Job], n_workers: int) -> None:
-        n_jobs = len(jobs)
-        self._assignments: list[tuple[int, Job]] = [
-            (min(index * n_workers // n_jobs, n_workers - 1), job)
-            for index, job in enumerate(jobs)
-        ]
+        self._jobs = jobs
+        self._n_workers = n_workers
 
     def initial_wave(self) -> Iterator[tuple[int, list[Job]]]:
-        assignments, self._assignments = self._assignments, []
-        for worker_id, job in assignments:
-            yield worker_id, [job]
+        n_jobs, n_workers = len(self._jobs), self._n_workers
+        for index, job in enumerate(self._jobs):
+            yield min(index * n_workers // n_jobs, n_workers - 1), [job]
 
     def refill(self, worker_id: int) -> list[Job] | None:
         return None
 
-    def queued_jobs(self) -> list[Job]:
-        return [job for _, job in self._assignments]
-
     @property
     def n_queued(self) -> int:
-        return len(self._assignments)
+        return 0
 
     def withdraw(self, job_id: int) -> Job | None:
-        for entry in self._assignments:
-            if entry[1].job_id == job_id:
-                self._assignments.remove(entry)
-                return entry[1]
         return None
 
+    def withdraw_all(self) -> list[Job]:
+        return []
 
+
+@register_scheduler("chunked_robin_hood")
 class ChunkedPolicy(DispatchPolicy):
     """Robin Hood over ``chunk_size``-job chunks, one message per chunk.
 
@@ -267,13 +297,14 @@ class ChunkedPolicy(DispatchPolicy):
     it has drained its whole previous chunk.
     """
 
-    name = "chunked"
+    name = "chunked_robin_hood"
     chunked = True
 
-    def __init__(self, chunk_size: int = 8):
-        if chunk_size < 1:
-            raise SchedulingError("chunk_size must be >= 1")
-        self.chunk_size = int(chunk_size)
+    def __init__(self, chunk_size: int = 8) -> None:
+        # bool is an int subclass; 2.5 must not be silently truncated to 2
+        if type(chunk_size) is not int or chunk_size < 1:
+            raise SchedulingError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
+        self.chunk_size = chunk_size
 
     def plan(self, jobs: Sequence[Job], n_workers: int) -> None:
         self._queue: deque[list[Job]] = deque(
@@ -301,9 +332,6 @@ class ChunkedPolicy(DispatchPolicy):
             return self._next_chunk(worker_id)
         return None
 
-    def queued_jobs(self) -> list[Job]:
-        return [job for chunk in self._queue for job in chunk]
-
     @property
     def n_queued(self) -> int:
         return self._queued_count
@@ -325,10 +353,8 @@ class ChunkedPolicy(DispatchPolicy):
         self._queued_count = 0
         return dropped
 
-    def outcome_extra(self) -> dict[str, Any]:
-        return {"chunk_size": self.chunk_size}
 
-
+@register_scheduler("work_stealing")
 class WorkStealingPolicy(DispatchPolicy):
     """Static per-worker blocks plus dynamic stealing from the loaded tail.
 
@@ -386,9 +412,6 @@ class WorkStealingPolicy(DispatchPolicy):
         job = self._next_for(worker_id)
         return [job] if job is not None else None
 
-    def queued_jobs(self) -> list[Job]:
-        return [job for queue in self._queues for job in queue]
-
     @property
     def n_queued(self) -> int:
         return self._queued_count
@@ -410,13 +433,14 @@ class WorkStealingPolicy(DispatchPolicy):
         return dropped
 
 
-class PriorityPolicy(DispatchPolicy):
+@register_scheduler("priority")
+class PriorityPolicy(RobinHoodPolicy):
     """Robin Hood over a priority-ordered queue.
 
-    The master queue is sorted once at :meth:`plan` time by descending
-    priority, ties broken by submission order, and then drained exactly like
-    :class:`RobinHoodPolicy`: one job per slave up front, refill whoever
-    answers.  With no priorities (or all equal) the policy *is* Robin Hood.
+    The jobs are sorted once at :meth:`plan` time by descending priority,
+    ties broken by submission order, and then drained by the inherited Robin
+    Hood loop: one job per slave up front, refill whoever answers.  With no
+    priorities (or all equal) the policy *is* Robin Hood.
 
     Parameters
     ----------
@@ -431,9 +455,9 @@ class PriorityPolicy(DispatchPolicy):
 
     def __init__(
         self,
-        priority: Any | Callable[[Job], float] | None = None,
+        priority: Mapping[int, float] | Callable[[Job], float] | None = None,
         default: float = 0.0,
-    ):
+    ) -> None:
         if priority is not None and not callable(priority) and not hasattr(priority, "get"):
             raise SchedulingError(
                 "priority must be a {job_id: priority} mapping or a "
@@ -450,49 +474,21 @@ class PriorityPolicy(DispatchPolicy):
         return float(self._priority.get(job.job_id, self._default))
 
     def plan(self, jobs: Sequence[Job], n_workers: int) -> None:
-        ordered = sorted(
-            enumerate(jobs), key=lambda pair: (-self.priority_of(pair[1]), pair[0])
-        )
-        self._queue: deque[Job] = deque(job for _, job in ordered)
-        self._n_workers = n_workers
-
-    def initial_wave(self) -> Iterator[tuple[int, list[Job]]]:
-        for worker_id in range(min(self._n_workers, len(self._queue))):
-            yield worker_id, [self._queue.popleft()]
-
-    def refill(self, worker_id: int) -> list[Job] | None:
-        if self._queue:
-            return [self._queue.popleft()]
-        return None
-
-    def queued_jobs(self) -> list[Job]:
-        return list(self._queue)
-
-    @property
-    def n_queued(self) -> int:
-        return len(self._queue)
-
-    def withdraw(self, job_id: int) -> Job | None:
-        for job in self._queue:
-            if job.job_id == job_id:
-                self._queue.remove(job)
-                return job
-        return None
-
-    def withdraw_all(self) -> list[Job]:
-        dropped = list(self._queue)
-        self._queue.clear()
-        return dropped
+        keyed = [(-self.priority_of(job), index, job) for index, job in enumerate(jobs)]
+        for key, _, job in keyed:
+            if not math.isfinite(key):
+                # a NaN compares false both ways and would mis-sort the queue
+                raise SchedulingError(f"job {job.job_id} has a non-finite priority ({-key!r})")
+        super().plan([job for _, _, job in sorted(keyed)], n_workers)
 
 
 class ScheduleStream:
     """Pull-driven incremental form of the paper's master loop (Fig. 4).
 
     This is the **only** master loop in the system: every scheduler is a
-    :class:`DispatchPolicy` plugged into it, and the historical
-    run-to-completion spelling is just a stream drained in one call
-    (``Scheduler.run`` is ``stream(...).finish()``).  The futures API
-    (:mod:`repro.api.futures`) builds on the same object:
+    :class:`DispatchPolicy` plugged into it, and running one to completion
+    is just a stream drained in one call (``ScheduleStream(...).finish()``).
+    The futures API (:mod:`repro.api.futures`) builds on the same object:
 
     * construction sends the policy's initial wave (one job per slave for
       Robin Hood, the full pre-partition for static blocks, one chunk per
@@ -505,10 +501,9 @@ class ScheduleStream:
     * :meth:`finish` drains whatever is left, sends the stop messages and
       finalizes the backend into the familiar :class:`ScheduleOutcome`.
 
-    Driving a stream to exhaustion performs the exact same backend call
-    sequence as the historical run-to-completion loops did -- on the
-    simulated backend the virtual times are bit-identical for every shipped
-    policy (the scheduler/backend matrix test pins this).
+    A drained stream makes the same backend calls, in the same order, as the
+    historical run-to-completion loops: the scheduler/backend matrix test
+    pins the simulated virtual times bit for bit.
     """
 
     def __init__(
@@ -517,14 +512,13 @@ class ScheduleStream:
         backend: WorkerBackend,
         strategy: TransmissionStrategy,
         policy: DispatchPolicy | None = None,
-        scheduler_name: str | None = None,
-    ):
+    ) -> None:
         _check_jobs(jobs)
         self.backend = backend
         self.strategy = strategy
         self.policy = policy if policy is not None else RobinHoodPolicy()
-        self.scheduler_name = scheduler_name or self.policy.name
-        self.n_jobs = len(jobs)
+        # real payloads are prepared only for backends that execute them
+        self._executing: bool = getattr(backend, "requires_payload", True)
         self._in_flight = 0
         self._completed: list[CompletedJob] = []
         self._cancelled: list[Job] = []
@@ -537,18 +531,13 @@ class ScheduleStream:
     def _dispatch(self, worker_id: int, wave: list[Job]) -> None:
         if not wave:
             return
+        prepare = self.strategy.prepare if self._executing else None
         if self.policy.chunked:
-            messages = (
-                [_prepare(self.backend, self.strategy, job) for job in wave]
-                if getattr(self.backend, "requires_payload", True)
-                else None
-            )
+            messages = [prepare(job) for job in wave] if prepare else None
             self.backend.dispatch_batch(worker_id, wave, messages)
         else:
             for job in wave:
-                self.backend.dispatch(
-                    worker_id, job, _prepare(self.backend, self.strategy, job)
-                )
+                self.backend.dispatch(worker_id, job, prepare(job) if prepare else None)
         self._in_flight += len(wave)
 
     # -- state -------------------------------------------------------------------
@@ -632,179 +621,10 @@ class ScheduleStream:
         # tell every slave to stop working (the empty message of Fig. 4)
         for worker_id in range(self.backend.n_workers):
             self.backend.send_stop(worker_id)
-        stats = self.backend.finalize()
         self._outcome = ScheduleOutcome(
-            completed=self._completed,
-            stats=stats,
-            scheduler_name=self.scheduler_name,
-            extra=self.policy.outcome_extra(),
+            self._completed, self.backend.finalize(), self.policy.name
         )
         return self._outcome
-
-
-class Scheduler(abc.ABC):
-    """Thin shell pairing a name with a :class:`DispatchPolicy` factory.
-
-    Every scheduler streams: :meth:`stream` opens the one master loop with a
-    fresh policy, and :meth:`run` is ``stream(...).finish()``.  Subclasses
-    only provide :meth:`make_policy` (plus constructor parameters the policy
-    needs) and a :attr:`name`.
-    """
-
-    name: str = "abstract"
-    #: every policy-backed scheduler collects one answer at a time; kept as
-    #: an attribute so duck-typed third-party schedulers can advertise it too
-    supports_streaming: bool = True
-
-    @abc.abstractmethod
-    def make_policy(self) -> DispatchPolicy:
-        """A fresh dispatch policy for one run (policies are stateful)."""
-
-    def stream(
-        self,
-        jobs: Sequence[Job],
-        backend: WorkerBackend,
-        strategy: TransmissionStrategy,
-    ) -> ScheduleStream:
-        """An incremental :class:`ScheduleStream` over ``jobs``."""
-        return ScheduleStream(
-            jobs, backend, strategy,
-            policy=self.make_policy(), scheduler_name=self.name,
-        )
-
-    def run(
-        self,
-        jobs: Sequence[Job],
-        backend: WorkerBackend,
-        strategy: TransmissionStrategy,
-    ) -> ScheduleOutcome:
-        """Dispatch every job, collect every result, finalize the backend."""
-        # the run-to-completion loop is the streamed loop, drained
-        return self.stream(jobs, backend, strategy).finish()
-
-
-#: named schedulers usable from the command line and the benchmarks
-SCHEDULERS: dict[str, Any] = {}
-
-
-def register_scheduler(name: str, factory: Callable[..., Scheduler] | None = None):
-    """Register a scheduler factory (usually the class itself) under ``name``.
-
-    Either call directly (``register_scheduler("mine", MyScheduler)``) or use
-    as a decorator factory::
-
-        @register_scheduler("mine")
-        class MyScheduler(Scheduler):
-            name = "mine"
-            def make_policy(self):
-                return MyPolicy()
-
-    Registered names are accepted everywhere a scheduler is spelled as a
-    string: ``ValuationSession(scheduler=...)``, ``RunConfig(scheduler=...)``
-    and the ``repro-bench --scheduler`` family of CLI flags.
-    """
-    if not name:
-        raise SchedulingError("scheduler names must be non-empty strings")
-
-    def _register(fn: Callable[..., Scheduler]) -> Callable[..., Scheduler]:
-        SCHEDULERS[name] = fn
-        return fn
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-@register_scheduler("robin_hood")
-class RobinHoodScheduler(Scheduler):
-    """The paper's dynamic master/worker loop (Fig. 4)."""
-
-    name = "robin_hood"
-
-    def make_policy(self) -> DispatchPolicy:
-        return RobinHoodPolicy()
-
-
-@register_scheduler("static_block")
-class StaticBlockScheduler(Scheduler):
-    """Pre-partition the portfolio into contiguous blocks, one per worker.
-
-    No dynamic balancing: a worker that drew the expensive block becomes the
-    critical path.  Used as the baseline of the scheduler ablation benchmark.
-    """
-
-    name = "static_block"
-
-    def make_policy(self) -> DispatchPolicy:
-        return StaticBlockPolicy()
-
-
-@register_scheduler("chunked_robin_hood")
-class ChunkedRobinHoodScheduler(Scheduler):
-    """Robin Hood dispatching ``chunk_size`` jobs per message.
-
-    "The first idea is to gather several pricing problems and send them all
-    together to reduce the communication latency: it is always advisable to
-    send a single large message rather [than] several smaller messages."
-    Chunks go down the wire through ``WorkerBackend.dispatch_batch``: one
-    queue message on the multiprocessing backend, one TCP frame on the
-    remote backend, and a single charged message latency on the simulated
-    cluster.
-    """
-
-    name = "chunked_robin_hood"
-
-    def __init__(self, chunk_size: int = 8):
-        if chunk_size < 1:
-            raise SchedulingError("chunk_size must be >= 1")
-        self.chunk_size = int(chunk_size)
-
-    def make_policy(self) -> DispatchPolicy:
-        return ChunkedPolicy(chunk_size=self.chunk_size)
-
-
-@register_scheduler("work_stealing")
-class WorkStealingScheduler(Scheduler):
-    """Static blocks with dynamic stealing from the most-loaded tail.
-
-    Combines the locality of :class:`StaticBlockScheduler` (each worker owns
-    a contiguous block) with the adaptivity of Robin Hood: a worker that
-    drains its own block steals the last still-queued job of whichever
-    worker has the most estimated compute left.
-    """
-
-    name = "work_stealing"
-
-    def make_policy(self) -> DispatchPolicy:
-        return WorkStealingPolicy()
-
-
-@register_scheduler("priority")
-class PriorityScheduler(Scheduler):
-    """Robin Hood dispatching the highest-priority queued job first.
-
-    ``priority`` is a ``{job_id: priority}`` mapping or a ``job -> priority``
-    callable; higher values are dispatched earlier, ties keep submission
-    order, and with no priorities at all the behaviour is plain Robin Hood.
-    This is how the ``repro-serve`` daemon honours per-position request
-    priorities without a dedicated master loop -- the
-    :class:`DispatchPolicy` plugin surface carries the feature.
-    """
-
-    name = "priority"
-
-    def __init__(
-        self,
-        priority: Any | Callable[[Job], float] | None = None,
-        default: float = 0.0,
-    ):
-        # validate eagerly, not at plan() time inside a running campaign
-        PriorityPolicy(priority=priority, default=default)
-        self.priority = priority
-        self.default = float(default)
-
-    def make_policy(self) -> DispatchPolicy:
-        return PriorityPolicy(priority=self.priority, default=self.default)
 
 
 def simulate_hierarchical(
@@ -826,14 +646,10 @@ def simulate_hierarchical(
     The global master deals jobs to ``n_groups`` sub-masters round-robin (a
     cheap name-only message per job); each sub-master then runs its own Robin
     Hood loop over its share of the workers.  Each group uses an independent
-    :class:`SimulatedClusterBackend`; the reported makespan is the slowest
-    group, plus the global master's dealing time.
-
-    Returns a dictionary with ``total_time``, ``group_times`` and
-    ``master_dealing_time``.
+    :class:`SimulatedClusterBackend`; the reported makespan
+    (``total_time``) is the slowest of ``group_times`` plus the global
+    master's ``master_dealing_time``.
     """
-    from repro.core.strategies import get_strategy
-
     if n_groups < 1:
         raise SchedulingError("n_groups must be >= 1")
     if n_workers < n_groups:
@@ -852,15 +668,13 @@ def simulate_hierarchical(
     group_sizes = [n_workers // n_groups] * n_groups
     for i in range(n_workers % n_groups):
         group_sizes[i] += 1
-    group_jobs: list[list[Job]] = [[] for _ in range(n_groups)]
-    for index, job in enumerate(jobs):
-        group_jobs[index % n_groups].append(job)
+    group_jobs = [list(jobs[group::n_groups]) for group in range(n_groups)]
 
-    scheduler: Scheduler
-    if chunk_size > 1:
-        scheduler = ChunkedRobinHoodScheduler(chunk_size=chunk_size)
-    else:
-        scheduler = RobinHoodScheduler()
+    new_policy = (
+        policy_factory("chunked_robin_hood", {"chunk_size": chunk_size})
+        if chunk_size > 1
+        else policy_factory("robin_hood")
+    )
 
     group_times: list[float] = []
     for size, sub_jobs in zip(group_sizes, group_jobs):
@@ -872,8 +686,10 @@ def simulate_hierarchical(
             strategy=strategy_name,
             comm=CommunicationModel(network=base_comm.network, nfs=base_comm.nfs),
         )
-        outcome = scheduler.run(sub_jobs, backend, get_strategy(strategy_name))
-        group_times.append(outcome.total_time)
+        stream = ScheduleStream(
+            sub_jobs, backend, get_strategy(strategy_name), new_policy()
+        )
+        group_times.append(stream.finish().total_time)
 
     return {
         "total_time": dealing_time + max(group_times),

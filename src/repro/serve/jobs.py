@@ -63,7 +63,7 @@ class JobRecord:
         self.portfolio = portfolio
         self.total = len(portfolio)
         self.priority = float(priority)
-        #: per-position priorities (job index -> priority) for PriorityScheduler
+        #: per-position priorities (job index -> priority) for PriorityPolicy
         self.priorities = dict(priorities) if priorities else None
         self.batch = bool(batch)
         self.cancel = CancelToken()

@@ -19,13 +19,14 @@ raises (and surfaces to the client as HTTP 400) before a job is enqueued.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 from repro.core.portfolio import Portfolio, Position
 from repro.errors import ServeError
 from repro.pricing import PricingProblem
 
-__all__ = ["problem_from_request", "portfolio_from_request"]
+__all__ = ["finite_number", "problem_from_request", "portfolio_from_request"]
 
 _PROBLEM_KEYS = ("model", "option", "method")
 
@@ -35,6 +36,21 @@ def _params(body: Mapping[str, Any], key: str) -> dict[str, Any]:
     if not isinstance(params, Mapping):
         raise ServeError(f"{key!r} must be a JSON object of parameters")
     return dict(params)
+
+
+def finite_number(value: Any, field: str) -> float:
+    """``value`` as a finite float, or a :class:`ServeError` naming ``field``.
+
+    ``json.loads`` admits ``NaN``/``Infinity`` and clients send strings; a
+    bare ``float()`` would surface those as HTTP 500 or a mis-sorted queue.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ServeError(f"{field} must be a finite number, got {value!r}")
+    return number
 
 
 def problem_from_request(body: Mapping[str, Any]) -> PricingProblem:
@@ -60,7 +76,7 @@ def portfolio_from_request(
     The body's ``positions`` list maps one entry to one
     :class:`~repro.core.portfolio.Position`, in submission order -- position
     index *is* the scheduler job id, so the returned priority mapping plugs
-    straight into :class:`~repro.core.scheduler.PriorityScheduler`.  The
+    straight into :class:`~repro.core.scheduler.PriorityPolicy`.  The
     mapping is ``None`` when no position names a priority.
     """
     if not isinstance(body, Mapping):
@@ -81,11 +97,15 @@ def portfolio_from_request(
         portfolio.add(
             Position(
                 problem=problem,
-                quantity=float(entry.get("quantity", 1.0)),
+                quantity=finite_number(
+                    entry.get("quantity", 1.0), f"positions[{index}].quantity"
+                ),
                 category=str(entry.get("category", "generic")),
                 label=str(label),
             )
         )
         if entry.get("priority") is not None:
-            priorities[index] = float(entry["priority"])
+            priorities[index] = finite_number(
+                entry["priority"], f"positions[{index}].priority"
+            )
     return portfolio, (priorities or None)

@@ -13,7 +13,7 @@ service amortizes it across *requests*.  It owns
 * a single executor thread draining a priority queue of submitted runs
   (cross-request ordering), each run driven through a fresh
   :class:`~repro.api.session.ValuationSession` whose per-position priorities
-  ride the :class:`~repro.core.scheduler.PriorityScheduler` policy
+  ride the :class:`~repro.core.scheduler.PriorityPolicy`
   (within-request ordering);
 * an optional keepalive monitor that pings idle remote workers
   (:func:`~repro.cluster.worker.probe_worker`, protocol v3) so dead TCP
@@ -29,16 +29,17 @@ import heapq
 import itertools
 import threading
 import time
+from functools import partial
 from typing import Any, Mapping
 
 from repro.api.session import ValuationSession
-from repro.core.scheduler import PriorityScheduler, Scheduler
+from repro.core.scheduler import PriorityPolicy
 from repro.errors import ReproError, ServeError
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.greeks import compute_greeks
 from repro.serve.config import ServerConfig
 from repro.serve.jobs import JobRecord, JobTable
-from repro.serve.parse import portfolio_from_request, problem_from_request
+from repro.serve.parse import finite_number, portfolio_from_request, problem_from_request
 
 __all__ = ["PricingService"]
 
@@ -181,7 +182,7 @@ class PricingService:
                 "per-position priorities cannot be combined with batch=true "
                 "(batching regroups positions into shared-path super-jobs)"
             )
-        priority = float(body.get("priority", 0.0))
+        priority = finite_number(body.get("priority", 0.0), "priority")
         record = self.jobs.create(
             portfolio, priority=priority, priorities=priorities, batch=batch
         )
@@ -248,9 +249,8 @@ class PricingService:
 
     def _execute(self, record: JobRecord) -> None:
         record.mark_running()
-        scheduler: Scheduler | None = None
-        if record.priorities:
-            scheduler = PriorityScheduler(priority=record.priorities)
+        priorities = record.priorities
+        scheduler = partial(PriorityPolicy, priority=priorities) if priorities else None
         try:
             session = self._make_session()
             result = session.run(

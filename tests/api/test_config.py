@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import BackendSpec, RunConfig, SweepConfig
 from repro.cluster.backends import SequentialBackend
-from repro.core.scheduler import ChunkedRobinHoodScheduler
+from repro.core.scheduler import ChunkedPolicy, policy_factory
 from repro.errors import ValuationError
 
 
@@ -82,15 +82,25 @@ class TestRunConfig:
         with pytest.raises(ValuationError):
             RunConfig(scheduler="fifo")
 
-    def test_scheduler_factory_builds_fresh_configured_instances(self):
+    def test_policy_factory_builds_fresh_configured_policies(self):
         config = RunConfig(
             scheduler="chunked_robin_hood", scheduler_options={"chunk_size": 5}
         )
-        factory = config.scheduler_factory()
+        factory = policy_factory(config.scheduler, config.scheduler_options)
         first, second = factory(), factory()
-        assert isinstance(first, ChunkedRobinHoodScheduler)
+        assert isinstance(first, ChunkedPolicy)
         assert first is not second
         assert first.chunk_size == 5
+
+    def test_scheduler_options_need_a_scheduler(self):
+        # the options used to be dropped silently
+        for scheduler in (None, ChunkedPolicy):
+            with pytest.raises(ValuationError, match="need a registered scheduler name"):
+                RunConfig(scheduler=scheduler, scheduler_options={"chunk_size": 4})
+
+    def test_policy_instance_rejected(self):
+        with pytest.raises(ValuationError, match="pass a registered name, the policy class"):
+            RunConfig(scheduler=ChunkedPolicy(chunk_size=4))
 
 
 class TestSweepConfig:

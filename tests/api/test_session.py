@@ -7,6 +7,8 @@ through the session alone.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.api import (
@@ -27,6 +29,7 @@ from repro.cluster.backends import SequentialBackend, execute_payload
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import CommunicationModel, NFSModel
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
+from repro.core.scheduler import ChunkedPolicy, WorkStealingPolicy
 from repro.errors import SchedulingError, ValuationError, WorkerLostError
 from repro.pricing import (
     BlackScholesModel,
@@ -341,6 +344,17 @@ class TestSessionValidation:
         with pytest.raises(ValuationError):
             ValuationSession(scheduler="fifo")
 
+    def test_policy_instance_rejected_everywhere(self, toy_portfolio):
+        # policies hold per-stream state and a retry opens a second stream
+        message = "pass a registered name, the policy class or a zero-argument factory"
+        with pytest.raises(ValuationError, match=message):
+            ValuationSession(scheduler=WorkStealingPolicy())
+        session = ValuationSession(backend="simulated")
+        with pytest.raises(ValuationError, match=message):
+            session.run(toy_portfolio, scheduler=WorkStealingPolicy())
+        with pytest.raises(ValuationError, match=message):
+            session.stream(toy_portfolio, scheduler=WorkStealingPolicy())
+
     def test_backend_spec_accepted(self, toy_portfolio):
         session = ValuationSession(backend=BackendSpec("local", 2))
         assert session.run(toy_portfolio).ok
@@ -374,6 +388,35 @@ class TestOneOptionPath:
         assert drain(session, toy_portfolio, config=config).strategy == "nfs"
         explicit = RunConfig(strategy="full_load")  # explicit values still win
         assert drain(session, toy_portfolio, config=explicit).strategy == "full_load"
+
+    @pytest.mark.parametrize(
+        ("spec", "name"),
+        [
+            ("work_stealing", "work_stealing"),
+            (WorkStealingPolicy, "work_stealing"),
+            (partial(ChunkedPolicy, chunk_size=3), "chunked_robin_hood"),
+        ],
+    )
+    def test_run_is_stream_result_for_a_per_call_scheduler(self, spec, name, toy_portfolio):
+        session = ValuationSession(backend="simulated")
+        ran = session.run(toy_portfolio, scheduler=spec).report
+        streamed = session.stream(toy_portfolio, scheduler=spec).result().report
+        assert ran == streamed
+        assert ran.scheduler == name
+
+    @DRAINS
+    def test_scheduler_precedence_keyword_config_session(self, drain, toy_portfolio):
+        session = ValuationSession(backend="simulated", scheduler="static_block")
+        config = RunConfig(scheduler="chunked_robin_hood", scheduler_options={"chunk_size": 4})
+        assert drain(session, toy_portfolio).report.scheduler == "static_block"
+        assert drain(session, toy_portfolio, config=config).report.scheduler == (
+            "chunked_robin_hood"
+        )
+        # the keyword replaces the config's scheduler *and* its options
+        both = drain(session, toy_portfolio, config=config, scheduler="work_stealing")
+        assert both.report.scheduler == "work_stealing"
+        plain = ValuationSession(backend="simulated")
+        assert drain(plain, toy_portfolio).report.scheduler == "robin_hood"
 
     def test_sweep_config_does_not_override_the_session_strategy(self, toy_portfolio):
         session = ValuationSession(backend="simulated", strategy="nfs")

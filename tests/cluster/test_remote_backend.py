@@ -394,7 +394,9 @@ class TestMultiProcessServer:
             assert remote.report.n_workers == 2
 
     def test_chunked_scheduling_over_a_multi_process_server(self):
-        from repro.core.scheduler import ChunkedRobinHoodScheduler
+        from functools import partial
+
+        from repro.core.scheduler import ChunkedPolicy
 
         portfolio = build_toy_portfolio(n_options=8)
         reference = ValuationSession(backend="local").run(portfolio)
@@ -402,7 +404,7 @@ class TestMultiProcessServer:
             session = ValuationSession(
                 backend="remote",
                 backend_options={"hosts": pool.hosts * 2},
-                scheduler=ChunkedRobinHoodScheduler(chunk_size=3),
+                scheduler=partial(ChunkedPolicy, chunk_size=3),
             )
             assert session.run(portfolio).prices() == reference.prices()
 

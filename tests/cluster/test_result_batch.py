@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import socket
 import threading
+from functools import partial
 
 from repro.api import ValuationSession
 from repro.cluster.backends import PAYLOAD_SERIAL
 from repro.cluster.worker import spawn_local_workers
 from repro.core import build_toy_portfolio
-from repro.core.scheduler import ChunkedRobinHoodScheduler
+from repro.core.scheduler import ChunkedPolicy
 from repro.pricing import PricingProblem
 from repro.serial import serialize, xdr
 from repro.serial.frames import (
@@ -128,7 +129,7 @@ class TestEndToEndChunkedPortfolio:
             session = ValuationSession(
                 backend="remote",
                 backend_options={"hosts": pool.hosts},
-                scheduler=ChunkedRobinHoodScheduler(chunk_size=100),
+                scheduler=partial(ChunkedPolicy, chunk_size=100),
             )
             remote = session.run(portfolio)
         assert remote.prices() == reference.prices()

@@ -14,12 +14,7 @@ import pytest
 from repro.api import ValuationSession
 from repro.cluster.backends import Job, SequentialBackend
 from repro.core.runner import RunReport
-from repro.core.scheduler import (
-    RobinHoodPolicy,
-    ScheduleOutcome,
-    ScheduleStream,
-    Scheduler,
-)
+from repro.core.scheduler import ScheduleOutcome, ScheduleStream
 from repro.cluster.backends.base import BackendStats
 from repro.errors import SchedulingError, ValuationError
 from repro.pricing import (
@@ -108,7 +103,7 @@ class _DroppingStream(ScheduleStream):
         return ScheduleOutcome(
             completed=outcome.completed[: len(outcome.completed) - self.drop],
             stats=outcome.stats,
-            scheduler_name=self.scheduler_name,
+            scheduler_name=outcome.scheduler_name,
         )
 
 
@@ -118,46 +113,28 @@ class _EmptyingStream(_DroppingStream):
         return ScheduleOutcome(
             completed=[],
             stats=BackendStats(total_time=0.0, n_jobs=0, n_workers=0),
-            scheduler_name=self.scheduler_name,
+            scheduler_name=outcome.scheduler_name,
         )
-
-
-class _LossyScheduler(Scheduler):
-    """Completes every job but drops the last result on the floor."""
-
-    name = "lossy"
-    stream_cls = _DroppingStream
-
-    def make_policy(self):
-        return RobinHoodPolicy()
-
-    def stream(self, jobs, backend, strategy):
-        return self.stream_cls(
-            jobs, backend, strategy,
-            policy=self.make_policy(), scheduler_name=self.name,
-        )
-
-
-class _EmptyScheduler(_LossyScheduler):
-    """Reports an outcome with nothing completed at all."""
-
-    name = "empty"
-    stream_cls = _EmptyingStream
 
 
 class TestPartialCompletion:
-    def test_dropped_result_raises_scheduling_error(self):
+    """The campaign's exactly-once count check, fed a stream that loses results."""
+
+    def test_dropped_result_raises_scheduling_error(self, monkeypatch):
+        monkeypatch.setattr("repro.api.campaign.ScheduleStream", _DroppingStream)
         jobs = [_job(i, _good_problem()) for i in range(3)]
         with pytest.raises(SchedulingError, match="2 results for 3 dispatched jobs"):
-            ValuationSession(SequentialBackend(), scheduler=_LossyScheduler()).run(jobs)
+            ValuationSession(SequentialBackend()).run(jobs)
 
-    def test_empty_outcome_raises_scheduling_error(self):
+    def test_empty_outcome_raises_scheduling_error(self, monkeypatch):
+        monkeypatch.setattr("repro.api.campaign.ScheduleStream", _EmptyingStream)
         jobs = [_job(0, _good_problem())]
         with pytest.raises(SchedulingError, match="0 results for 1 dispatched jobs"):
-            ValuationSession(SequentialBackend(), scheduler=_EmptyScheduler()).run(jobs)
+            ValuationSession(SequentialBackend()).run(jobs)
 
-    def test_session_path_raises_identically(self):
-        session = ValuationSession(backend="local", scheduler=_LossyScheduler())
+    def test_session_path_raises_identically(self, monkeypatch):
+        monkeypatch.setattr("repro.api.campaign.ScheduleStream", _DroppingStream)
+        session = ValuationSession(backend="local")
         with pytest.raises(SchedulingError):
             session.run([_job(i, _good_problem()) for i in range(2)])
 

@@ -10,7 +10,7 @@ from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core.portfolio import build_toy_portfolio
 from repro.core.runner import RunReport
-from repro.core.scheduler import ChunkedRobinHoodScheduler
+from repro.core.scheduler import ChunkedPolicy
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ class TestSweeps:
 
     def test_sweep_custom_scheduler(self, toy_jobs):
         session = ValuationSession(
-            scheduler=lambda: ChunkedRobinHoodScheduler(chunk_size=10)
+            scheduler=lambda: ChunkedPolicy(chunk_size=10)
         )
         table = session.sweep(toy_jobs, [2, 4], strategy="nfs")
         assert set(table.times()) == {2, 4}

@@ -5,17 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.backends.base import Job
-from repro.cluster.simcluster import ClusterSpec, CommunicationModel, SimulatedClusterBackend
+from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core.scheduler import (
     SCHEDULERS,
-    ChunkedRobinHoodScheduler,
-    PriorityScheduler,
-    RobinHoodScheduler,
-    StaticBlockScheduler,
+    ChunkedPolicy,
+    DispatchPolicy,
+    PriorityPolicy,
+    RobinHoodPolicy,
+    StaticBlockPolicy,
     simulate_hierarchical,
 )
 from repro.core.strategies import get_strategy
 from repro.errors import SchedulingError
+from tests.scheduling import run_policy
 
 
 def _jobs(costs):
@@ -39,7 +41,7 @@ STRATEGY = get_strategy("serialized_load")
 class TestRobinHood:
     def test_all_jobs_completed_once(self):
         jobs = _jobs([0.1] * 25)
-        outcome = RobinHoodScheduler().run(jobs, _backend(4), STRATEGY)
+        outcome = run_policy(RobinHoodPolicy(), jobs, _backend(4), STRATEGY)
         assert sorted(c.job_id for c in outcome.completed) == list(range(25))
         assert outcome.total_time > 0
         assert outcome.scheduler_name == "robin_hood"
@@ -47,12 +49,12 @@ class TestRobinHood:
 
     def test_fewer_jobs_than_workers(self):
         jobs = _jobs([0.1, 0.2])
-        outcome = RobinHoodScheduler().run(jobs, _backend(8), STRATEGY)
+        outcome = run_policy(RobinHoodPolicy(), jobs, _backend(8), STRATEGY)
         assert len(outcome.completed) == 2
 
     def test_single_worker(self):
         jobs = _jobs([0.1] * 5)
-        outcome = RobinHoodScheduler().run(jobs, _backend(1), STRATEGY)
+        outcome = run_policy(RobinHoodPolicy(), jobs, _backend(1), STRATEGY)
         assert len(outcome.completed) == 5
         assert outcome.total_time >= 0.5
 
@@ -61,14 +63,14 @@ class TestRobinHood:
         # a workload where one contiguous block is much heavier than the others
         costs = [0.01] * 60 + [1.0] * 20
         jobs = _jobs(costs)
-        robin = RobinHoodScheduler().run(jobs, _backend(4), STRATEGY).total_time
-        static = StaticBlockScheduler().run(jobs, _backend(4), STRATEGY).total_time
+        robin = run_policy(RobinHoodPolicy(), jobs, _backend(4), STRATEGY).total_time
+        static = run_policy(StaticBlockPolicy(), jobs, _backend(4), STRATEGY).total_time
         assert robin < static
 
     def test_heterogeneous_workers_fast_one_does_more(self):
         jobs = _jobs([0.2] * 30)
         backend = _backend(None, speeds=[4.0, 1.0])
-        outcome = RobinHoodScheduler().run(jobs, backend, STRATEGY)
+        outcome = run_policy(RobinHoodPolicy(), jobs, backend, STRATEGY)
         per_worker = {}
         for completed in outcome.completed:
             per_worker[completed.worker_id] = per_worker.get(completed.worker_id, 0) + 1
@@ -76,55 +78,58 @@ class TestRobinHood:
 
     def test_empty_job_list_rejected(self):
         with pytest.raises(SchedulingError):
-            RobinHoodScheduler().run([], _backend(2), STRATEGY)
+            run_policy(RobinHoodPolicy(), [], _backend(2), STRATEGY)
 
     def test_duplicate_job_ids_rejected(self):
         jobs = _jobs([0.1, 0.1])
         jobs[1].job_id = jobs[0].job_id
         with pytest.raises(SchedulingError):
-            RobinHoodScheduler().run(jobs, _backend(2), STRATEGY)
+            run_policy(RobinHoodPolicy(), jobs, _backend(2), STRATEGY)
 
 
 class TestStaticBlock:
     def test_all_jobs_completed(self):
         jobs = _jobs([0.05] * 17)
-        outcome = StaticBlockScheduler().run(jobs, _backend(4), STRATEGY)
+        outcome = run_policy(StaticBlockPolicy(), jobs, _backend(4), STRATEGY)
         assert sorted(c.job_id for c in outcome.completed) == list(range(17))
         assert outcome.scheduler_name == "static_block"
 
     def test_matches_robin_hood_on_homogeneous_work(self):
         """With identical jobs the two schedulers should be comparable."""
         jobs = _jobs([0.25] * 32)
-        robin = RobinHoodScheduler().run(jobs, _backend(4), STRATEGY).total_time
-        static = StaticBlockScheduler().run(jobs, _backend(4), STRATEGY).total_time
+        robin = run_policy(RobinHoodPolicy(), jobs, _backend(4), STRATEGY).total_time
+        static = run_policy(StaticBlockPolicy(), jobs, _backend(4), STRATEGY).total_time
         assert static == pytest.approx(robin, rel=0.15)
 
 
 class TestChunkedRobinHood:
     def test_all_jobs_completed(self):
         jobs = _jobs([0.01] * 53)
-        outcome = ChunkedRobinHoodScheduler(chunk_size=8).run(jobs, _backend(4), STRATEGY)
+        outcome = run_policy(ChunkedPolicy(chunk_size=8), jobs, _backend(4), STRATEGY)
         assert sorted(c.job_id for c in outcome.completed) == list(range(53))
-        assert outcome.extra["chunk_size"] == 8
+        assert outcome.scheduler_name == "chunked_robin_hood"
 
     def test_batching_reduces_makespan_for_cheap_jobs(self):
         """The conclusion's first improvement: fewer, larger messages."""
         jobs = _jobs([1e-4] * 1000)
-        single = RobinHoodScheduler().run(jobs, _backend(8, strategy="nfs"), get_strategy("nfs"))
-        chunked = ChunkedRobinHoodScheduler(chunk_size=25).run(
-            jobs, _backend(8, strategy="nfs"), get_strategy("nfs")
+        nfs = get_strategy("nfs")
+        single = run_policy(RobinHoodPolicy(), jobs, _backend(8, strategy="nfs"), nfs)
+        chunked = run_policy(
+            ChunkedPolicy(chunk_size=25), jobs, _backend(8, strategy="nfs"), nfs
         )
         assert chunked.total_time < single.total_time
 
     def test_chunk_size_one_equivalent_to_robin_hood(self):
         jobs = _jobs([0.02] * 40)
-        plain = RobinHoodScheduler().run(jobs, _backend(3), STRATEGY).total_time
-        chunked = ChunkedRobinHoodScheduler(chunk_size=1).run(jobs, _backend(3), STRATEGY).total_time
+        plain = run_policy(RobinHoodPolicy(), jobs, _backend(3), STRATEGY).total_time
+        chunked = run_policy(ChunkedPolicy(chunk_size=1), jobs, _backend(3), STRATEGY).total_time
         assert chunked == pytest.approx(plain, rel=0.05)
 
-    def test_invalid_chunk_size(self):
+    @pytest.mark.parametrize("chunk_size", [0, -3, 2.5, True, "4"])
+    def test_invalid_chunk_size(self, chunk_size):
+        # 2.5 and True used to be truncated by int() into a working chunk size
         with pytest.raises(SchedulingError):
-            ChunkedRobinHoodScheduler(chunk_size=0)
+            ChunkedPolicy(chunk_size=chunk_size)
 
 
 class TestHierarchical:
@@ -141,7 +146,7 @@ class TestHierarchical:
         master is the bottleneck, sub-masters distribute that load."""
         jobs = _jobs([1e-4] * 3000)
         flat_backend = _backend(32)
-        flat = RobinHoodScheduler().run(jobs, flat_backend, STRATEGY).total_time
+        flat = run_policy(RobinHoodPolicy(), jobs, flat_backend, STRATEGY).total_time
         hierarchical = simulate_hierarchical(jobs, n_workers=32, n_groups=4)["total_time"]
         assert hierarchical < flat
 
@@ -158,14 +163,14 @@ class TestHierarchical:
 class TestPriority:
     def test_all_jobs_completed(self):
         jobs = _jobs([0.1] * 20)
-        outcome = PriorityScheduler().run(jobs, _backend(4), STRATEGY)
+        outcome = run_policy(PriorityPolicy(), jobs, _backend(4), STRATEGY)
         assert sorted(c.job_id for c in outcome.completed) == list(range(20))
         assert outcome.scheduler_name == "priority"
 
     def test_equal_priorities_match_robin_hood(self):
         jobs = _jobs([0.05 * (i % 5 + 1) for i in range(30)])
-        robin = RobinHoodScheduler().run(jobs, _backend(3), STRATEGY)
-        priority = PriorityScheduler().run(jobs, _backend(3), STRATEGY)
+        robin = run_policy(RobinHoodPolicy(), jobs, _backend(3), STRATEGY)
+        priority = run_policy(PriorityPolicy(), jobs, _backend(3), STRATEGY)
         # no priorities at all means the policy *is* Robin Hood: identical
         # dispatch order, bit-identical simulated virtual time
         assert [c.job_id for c in priority.completed] == [
@@ -176,23 +181,31 @@ class TestPriority:
     def test_high_priority_jobs_run_first(self):
         jobs = _jobs([0.1] * 12)
         urgent = {9, 10, 11}
-        outcome = PriorityScheduler(priority={job_id: 1.0 for job_id in urgent}).run(
-            jobs, _backend(1), STRATEGY
-        )
+        policy = PriorityPolicy(priority={job_id: 1.0 for job_id in urgent})
+        outcome = run_policy(policy, jobs, _backend(1), STRATEGY)
         assert [c.job_id for c in outcome.completed[:3]] == sorted(urgent)
         # ties keep submission order behind the urgent ones
         assert [c.job_id for c in outcome.completed[3:]] == list(range(9))
 
     def test_callable_priority(self):
         jobs = _jobs([0.1] * 8)
-        outcome = PriorityScheduler(priority=lambda job: job.job_id).run(
-            jobs, _backend(1), STRATEGY
-        )
+        policy = PriorityPolicy(priority=lambda job: job.job_id)
+        outcome = run_policy(policy, jobs, _backend(1), STRATEGY)
         assert [c.job_id for c in outcome.completed] == list(range(7, -1, -1))
 
     def test_invalid_priority_rejected(self):
         with pytest.raises(SchedulingError):
-            PriorityScheduler(priority=42)
+            PriorityPolicy(priority=42)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_priority_rejected(self, bad):
+        # NaN compares false both ways: {0: nan, 3: 2.0} used to dispatch
+        # job 0 *before* job 3
+        jobs = _jobs([0.1] * 5)
+        with pytest.raises(SchedulingError, match="non-finite priority"):
+            run_policy(PriorityPolicy(priority={0: bad, 3: 2.0}), jobs, _backend(1), STRATEGY)
+        with pytest.raises(SchedulingError, match="non-finite priority"):
+            run_policy(PriorityPolicy(default=bad), jobs, _backend(1), STRATEGY)
 
 
 def test_scheduler_registry():
@@ -203,6 +216,8 @@ def test_scheduler_registry():
         "work_stealing",
         "priority",
     }
-    # the streaming-first contract: every registered scheduler streams
-    for cls in SCHEDULERS.values():
-        assert cls.supports_streaming is True
+    # the registry holds policy factories, registered under the policy's name
+    for name, factory in SCHEDULERS.items():
+        policy = factory()
+        assert isinstance(policy, DispatchPolicy)
+        assert policy.name == name

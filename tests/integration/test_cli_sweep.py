@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cli import build_parser, main
 
 
@@ -67,9 +65,26 @@ class TestSweepExecution:
         assert code == 0
         assert "Speedup table" in capsys.readouterr().out
 
+    def test_batch_flag_reaches_the_sweep(self, capsys):
+        # --batch used to be parsed and silently ignored
+        from repro.api import ValuationSession
+        from repro.core import PORTFOLIO_BUILDERS
+
+        argv = ["sweep", "--portfolio", "regression", "--cpus", "2", "4"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--batch"]) == 0
+        batched = capsys.readouterr().out
+        assert batched != plain
+        expected = ValuationSession(backend="simulated").sweep(
+            PORTFOLIO_BUILDERS["regression"](profile="fast"), [2, 4],
+            label="regression/serialized_load", batch=True,
+        )
+        assert batched.startswith(expected.format())
+
     def test_scheduler_opt_without_scheduler_is_rejected(self, capsys):
         assert main(["sweep", "--scheduler-opt", "chunk_size=4"]) == 2
-        assert "--scheduler-opt needs --scheduler" in capsys.readouterr().err
+        assert "options need a registered scheduler name" in capsys.readouterr().err
 
     def test_bad_scheduler_option_value_is_rejected(self, capsys):
         code = main([

@@ -19,6 +19,7 @@ The acceptance bar is *bit-identical* behaviour:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 import pytest
 
@@ -28,11 +29,13 @@ from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core.portfolio import build_toy_portfolio
 from repro.core.scheduler import (
     SCHEDULERS,
-    ChunkedRobinHoodScheduler,
-    StaticBlockScheduler,
-    WorkStealingScheduler,
+    ChunkedPolicy,
+    ScheduleStream,
+    StaticBlockPolicy,
+    WorkStealingPolicy,
 )
 from repro.core.strategies import get_strategy
+from tests.scheduling import run_policy
 from repro.cluster.backends.base import Job
 from repro.cluster.costmodel import paper_cost_model
 
@@ -149,9 +152,9 @@ _LEGACY = {
 }
 
 _NEW = {
-    "robin_hood": lambda: SCHEDULERS["robin_hood"](),
-    "static_block": lambda: StaticBlockScheduler(),
-    "chunked_robin_hood": lambda: ChunkedRobinHoodScheduler(chunk_size=5),
+    "robin_hood": SCHEDULERS["robin_hood"],
+    "static_block": StaticBlockPolicy,
+    "chunked_robin_hood": partial(ChunkedPolicy, chunk_size=5),
 }
 
 
@@ -162,7 +165,7 @@ def _events(completed):
 
 
 class TestGoldenVirtualTimes:
-    """stream().finish() must not move a single virtual-time event."""
+    """ScheduleStream(...).finish() must not move a single virtual-time event."""
 
     @pytest.mark.parametrize("name", sorted(_LEGACY))
     @pytest.mark.parametrize("n_workers", [1, 3, 4, 7])
@@ -170,24 +173,22 @@ class TestGoldenVirtualTimes:
         jobs = _jobs()
         golden_completed, golden_stats = _LEGACY[name](jobs, _sim_backend(n_workers))
 
-        outcome = _NEW[name]().run(_jobs(), _sim_backend(n_workers), STRATEGY)
+        outcome = run_policy(_NEW[name](), _jobs(), _sim_backend(n_workers), STRATEGY)
         assert _events(outcome.completed) == _events(golden_completed)
         assert outcome.stats.total_time == golden_stats.total_time
         assert outcome.stats.master_busy == golden_stats.master_busy
         assert outcome.stats.worker_busy == golden_stats.worker_busy
         assert outcome.stats.bytes_sent == golden_stats.bytes_sent
 
-        streamed = _NEW[name]().stream(_jobs(), _sim_backend(n_workers), STRATEGY)
+        streamed = ScheduleStream(_jobs(), _sim_backend(n_workers), STRATEGY, _NEW[name]())
         collected = list(streamed)  # one event at a time, interleaved refills
         finished = streamed.finish()
         assert _events(collected) == _events(golden_completed)
         assert finished.stats.total_time == golden_stats.total_time
 
-    def test_chunked_outcome_still_reports_chunk_size(self):
-        outcome = ChunkedRobinHoodScheduler(chunk_size=5).run(
-            _jobs(), _sim_backend(3), STRATEGY
-        )
-        assert outcome.extra == {"chunk_size": 5}
+    def test_chunked_outcome_reports_its_registered_name(self):
+        outcome = run_policy(ChunkedPolicy(chunk_size=5), _jobs(), _sim_backend(3), STRATEGY)
+        assert outcome.scheduler_name == "chunked_robin_hood"
 
 
 @pytest.fixture(scope="module")
@@ -241,9 +242,9 @@ class TestSchedulerBackendMatrix:
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
     def test_run_equals_stream_finish_on_simulated_virtual_time(self, scheduler):
-        jobs = _jobs()
-        run_outcome = SCHEDULERS[scheduler]().run(jobs, _sim_backend(4), STRATEGY)
-        stream = SCHEDULERS[scheduler]().stream(_jobs(), _sim_backend(4), STRATEGY)
+        run_outcome = run_policy(SCHEDULERS[scheduler](), _jobs(), _sim_backend(4), STRATEGY)
+        stream = ScheduleStream(_jobs(), _sim_backend(4), STRATEGY, SCHEDULERS[scheduler]())
+        assert len(list(stream)) == len(COSTS)  # one event at a time
         stream_outcome = stream.finish()
         assert stream_outcome.stats.total_time == run_outcome.stats.total_time
         assert _events(stream_outcome.completed) == _events(run_outcome.completed)
@@ -251,36 +252,34 @@ class TestSchedulerBackendMatrix:
 
 class TestWorkStealing:
     def test_completes_every_job_once(self):
-        outcome = WorkStealingScheduler().run(_jobs(), _sim_backend(4), STRATEGY)
+        outcome = run_policy(WorkStealingPolicy(), _jobs(), _sim_backend(4), STRATEGY)
         assert sorted(c.job_id for c in outcome.completed) == list(range(len(COSTS)))
 
     def test_beats_static_on_skewed_blocks(self):
         # one contiguous block is far heavier than the others: the static
         # owner becomes the critical path; stealing drains its tail
         costs = [0.01] * 30 + [1.0] * 10
-        static = StaticBlockScheduler().run(_jobs(costs), _sim_backend(4), STRATEGY)
-        stealing = WorkStealingScheduler().run(_jobs(costs), _sim_backend(4), STRATEGY)
+        static = run_policy(StaticBlockPolicy(), _jobs(costs), _sim_backend(4), STRATEGY)
+        stealing = run_policy(WorkStealingPolicy(), _jobs(costs), _sim_backend(4), STRATEGY)
         assert stealing.total_time < static.total_time
 
     def test_idle_workers_steal_in_the_initial_wave(self):
         # more workers than jobs: workers without a block of their own must
         # still receive work immediately
-        outcome = WorkStealingScheduler().run(
-            _jobs([0.5, 0.5]), _sim_backend(6), STRATEGY
-        )
+        outcome = run_policy(WorkStealingPolicy(), _jobs([0.5, 0.5]), _sim_backend(6), STRATEGY)
         assert len(outcome.completed) == 2
 
 
 class TestMidStreamCancellation:
     @pytest.mark.parametrize("scheduler_name", ["chunked_robin_hood", "work_stealing"])
     def test_cancel_pending_mid_stream(self, scheduler_name):
-        scheduler = (
-            ChunkedRobinHoodScheduler(chunk_size=4)
+        policy = (
+            ChunkedPolicy(chunk_size=4)
             if scheduler_name == "chunked_robin_hood"
-            else WorkStealingScheduler()
+            else WorkStealingPolicy()
         )
         jobs = _jobs([0.1] * 20)
-        stream = scheduler.stream(jobs, _sim_backend(2), STRATEGY)
+        stream = ScheduleStream(jobs, _sim_backend(2), STRATEGY, policy)
         stream.collect_next()
         dropped = stream.cancel_pending()
         assert dropped  # something was still queued master-side
@@ -292,17 +291,16 @@ class TestMidStreamCancellation:
     def test_static_block_has_nothing_to_cancel(self):
         # the static policy dispatches everything in the initial wave, so a
         # mid-stream cancel finds nothing queued and the run still completes
-        stream = StaticBlockScheduler().stream(
-            _jobs([0.1] * 8), _sim_backend(2), STRATEGY
+        stream = ScheduleStream(
+            _jobs([0.1] * 8), _sim_backend(2), STRATEGY, StaticBlockPolicy()
         )
         stream.collect_next()
         assert stream.cancel_pending() == []
         assert len(stream.finish().completed) == 8
 
     def test_cancel_job_withdraws_only_queued_chunk_members(self):
-        scheduler = ChunkedRobinHoodScheduler(chunk_size=3)
         jobs = _jobs([0.1] * 12)
-        stream = scheduler.stream(jobs, _sim_backend(2), STRATEGY)
+        stream = ScheduleStream(jobs, _sim_backend(2), STRATEGY, ChunkedPolicy(chunk_size=3))
         # jobs 0..5 went out in the initial two chunks; the rest are queued
         assert stream.cancel_job(0) is False
         assert stream.cancel_job(11) is True
@@ -324,7 +322,7 @@ class TestMidStreamCancellation:
 
         scheduler = (
             # small chunks so work is still queued master-side mid-stream
-            ChunkedRobinHoodScheduler(chunk_size=2)
+            partial(ChunkedPolicy, chunk_size=2)
             if scheduler_name == "chunked_robin_hood"
             else scheduler_name
         )
@@ -353,7 +351,7 @@ class TestChunkedDispatchDownTheWire:
         session = ValuationSession(
             backend="multiprocessing",
             n_workers=2,
-            scheduler=ChunkedRobinHoodScheduler(chunk_size=4),
+            scheduler=partial(ChunkedPolicy, chunk_size=4),
         )
         assert session.run(portfolio).prices() == reference_prices
 
@@ -363,7 +361,7 @@ class TestChunkedDispatchDownTheWire:
         session = ValuationSession(
             backend="remote",
             backend_options={"hosts": worker_pool.hosts},
-            scheduler=ChunkedRobinHoodScheduler(chunk_size=4),
+            scheduler=partial(ChunkedPolicy, chunk_size=4),
         )
         assert session.run(portfolio).prices() == reference_prices
 
@@ -377,10 +375,8 @@ class TestChunkedDispatchDownTheWire:
         # backends built sequentially: each loopback server handles one
         # master connection at a time
         per_job = create_backend("remote", hosts=worker_pool.hosts)
-        solo = SCHEDULERS["robin_hood"]().run(jobs(), per_job, STRATEGY)
+        solo = run_policy(SCHEDULERS["robin_hood"](), jobs(), per_job, STRATEGY)
         chunked = create_backend("remote", hosts=worker_pool.hosts)
-        batched = ChunkedRobinHoodScheduler(chunk_size=4).run(
-            jobs(), chunked, STRATEGY
-        )
+        batched = run_policy(ChunkedPolicy(chunk_size=4), jobs(), chunked, STRATEGY)
         assert batched.stats.bytes_sent < solo.stats.bytes_sent
         assert len(batched.completed) == len(solo.completed) == 8

@@ -166,6 +166,31 @@ class TestErrors:
         assert status == 400
         assert "NotAModel" in body["error"]
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("priority", "high"),
+            ("quantity", "two"),
+            ("priority", float("nan")),
+            ("quantity", float("inf")),
+        ],
+    )
+    def test_non_finite_position_numbers_400(self, server, field, value):
+        # a bare float() surfaced the strings as HTTP 500 and admitted NaN
+        # (which json.loads accepts) into the priority queue
+        run_body = {
+            "positions": [_position_body(50.0), _position_body(51.0, **{field: value})]
+        }
+        status, body = _request(server.url + "/v1/run", run_body)
+        assert status == 400
+        assert f"positions[1].{field}" in body["error"]
+
+    def test_non_finite_request_priority_400(self, server):
+        run_body = {"positions": [_position_body(50.0)], "priority": "urgent"}
+        status, body = _request(server.url + "/v1/run", run_body)
+        assert status == 400
+        assert "priority must be a finite number" in body["error"]
+
     def test_oversized_body_413(self):
         config = ServerConfig(port=0, max_body_bytes=512)
         with ReproServer(config) as small:
