@@ -1,11 +1,12 @@
 """Shared helpers of the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables (or an ablation) on the
-simulated cluster, times the regeneration with ``pytest-benchmark`` and writes
-the regenerated table to ``benchmarks/results/`` so the rows can be compared
-with the published numbers (see EXPERIMENTS.md).
+simulated cluster and times the regeneration with ``pytest-benchmark``; the
+paper's tables are compared with the published numbers of
+``repro.core.paper_reference`` (``bench_paper_tables.py``), the ablations
+write their text tables to ``benchmarks/results/``.
 
-Benchmarks additionally emit machine-readable ``BENCH_<name>.json`` files
+Benchmarks emit machine-readable ``BENCH_<name>.json`` files
 (:func:`write_bench_json`) with wall times, speedups and cache hit rates, so
 the performance trajectory of the repository can be tracked from PR to PR by
 diffing the committed JSON.

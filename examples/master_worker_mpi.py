@@ -1,13 +1,27 @@
 #!/usr/bin/env python
-"""The paper's Fig. 4/5 master/slave script, ported to the MPI-like facade.
+"""The paper's Fig. 4/5 master/slave script, on the production worker contract.
 
-The original Nsp script spawns slaves, sends each of them serialized
-``PremiaModel`` objects, probes for answers from any source, and keeps
-feeding the fastest slaves until the portfolio is exhausted (the "Robin Hood"
-loop).  This example is a line-for-line port to
-:mod:`repro.cluster.mpi`: ``send_obj`` / ``recv_obj`` / ``probe`` play the
-roles of ``MPI_Send_Obj`` / ``MPI_Recv_Obj`` / ``MPI_Probe``, and problems
-travel as serialized buffers exactly as in the paper.
+The original Nsp script spawns slaves, sends each of them a serialized
+``PremiaModel`` object, probes for answers from any source, and keeps
+feeding whichever slave answers until the portfolio is exhausted (the "Robin
+Hood" loop).  This example is a line-for-line port onto the four calls of
+:class:`~repro.cluster.backends.WorkerBackend` that the library's own master
+loop (:class:`~repro.core.scheduler.ScheduleStream`) is written with:
+
+=================================  ==========================================
+MPINSP listing (Fig. 3-5)          here
+=================================  ==========================================
+``NSP_spawn`` of the slaves        ``create_backend("multiprocessing", ...)``
+``send_premia_pb`` (``sload`` +    ``strategy.prepare(job)`` (serialized
+``MPI_Pack`` + ``MPI_Send``)       load) + ``backend.dispatch(slave, ...)``
+``MPI_Probe(-1, -1)`` +            ``backend.collect()``
+``MPI_Recv_Obj``
+the empty stop message             ``backend.send_stop(slave)``
+=================================  ==========================================
+
+The slaves are real worker processes running the library's worker loop
+(receive, rebuild, compute, answer); the prices they return are checked
+against an in-process ``backend="local"`` valuation of the same book.
 
 Run with:  python examples/master_worker_mpi.py
 """
@@ -17,67 +31,64 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.cluster import mpi
-from repro.core import build_toy_portfolio
-from repro.serial import Serial, sload
-
-TAG_NAME = 1
-TAG_PROBLEM = 2
-TAG_RESULT = 3
+from repro.api import ValuationSession
+from repro.cluster.backends import Job, WorkerBackend, create_backend
+from repro.core import TransmissionStrategy, build_toy_portfolio, get_strategy
 
 
-def slave(comm: mpi.Communicator) -> None:
-    """Slave part of Fig. 4: receive problems until the empty name arrives."""
-    while True:
-        name = comm.recv_obj(source=0, tag=TAG_NAME)
-        if name == "":
-            break
-        packed = comm.recv(source=0, tag=TAG_PROBLEM)      # MPI_Recv of the packed object
-        problem = mpi.unpack(packed)                        # MPI_Unpack + unserialize
-        result = problem.compute()
-        comm.send_obj({"name": name, "price": result.price}, dest=0, tag=TAG_RESULT)
+def send_premia_pb(
+    backend: WorkerBackend, strategy: TransmissionStrategy, job: Job, slave: int
+) -> None:
+    """Fig. 5's send_premia_pb: sload the file, pack it, send it to one slave."""
+    backend.dispatch(slave, job, strategy.prepare(job))
 
 
-def send_problem(comm: mpi.Communicator, path: Path, dest: int) -> None:
-    """Fig. 5's send_premia_pb: load, serialize, pack, send name then object."""
-    serial: Serial = sload(path)                            # serialized load (sload)
-    comm.send_obj(str(path), dest=dest, tag=TAG_NAME)       # send the name
-    comm.send(mpi.pack(serial), dest=dest, tag=TAG_PROBLEM)  # send the packed object
+def master(jobs: list[Job], n_slaves: int) -> dict[int, float]:
+    """The master part of Fig. 4; returns ``{job_id: price}``."""
+    strategy = get_strategy("serialized_load")
+    prices: dict[int, float] = {}
+
+    with create_backend("multiprocessing", n_workers=n_slaves) as backend:
+
+        def receive() -> int:
+            done = backend.collect()    # MPI_Probe from any source + MPI_Recv_Obj
+            prices[done.job_id] = done.result["price"]
+            return done.worker_id
+
+        queue = list(jobs)
+        # first send one job to each slave
+        in_flight = min(n_slaves, len(queue))
+        for slave in range(in_flight):
+            send_premia_pb(backend, strategy, queue.pop(0), slave)
+
+        # Robin Hood: whoever answers gets the next job
+        while queue:
+            slave = receive()
+            send_premia_pb(backend, strategy, queue.pop(0), slave)
+
+        # drain the remaining answers
+        for _ in range(in_flight):
+            receive()
+
+        # tell all slaves to stop working
+        for slave in range(n_slaves):
+            backend.send_stop(slave)
+    return prices
 
 
 def main(n_slaves: int = 3, n_problems: int = 24) -> None:
     portfolio = build_toy_portfolio(n_options=n_problems)
     with tempfile.TemporaryDirectory() as tmp:
         store = portfolio.to_store(Path(tmp) / "problems")
-        paths = store.paths()
-        results: list[dict] = []
+        jobs = portfolio.build_jobs(store=store)
+        prices = master(jobs, n_slaves)
+        names = {job.job_id: Path(job.path).name for job in jobs}
 
-        with mpi.spawn(n_slaves, slave) as comm:
-            queue = list(paths)
-            # first send one job to each slave
-            for rank in range(1, min(n_slaves, len(queue)) + 1):
-                send_problem(comm, queue.pop(0), dest=rank)
-            in_flight = min(n_slaves, n_problems)
-
-            # Robin Hood: whoever answers gets the next job
-            while queue:
-                status = comm.probe(source=mpi.ANY_SOURCE, tag=TAG_RESULT)
-                results.append(comm.recv_obj(source=status.source, tag=TAG_RESULT))
-                send_problem(comm, queue.pop(0), dest=status.source)
-
-            # drain the remaining answers
-            for _ in range(in_flight):
-                results.append(comm.recv_obj(source=mpi.ANY_SOURCE, tag=TAG_RESULT))
-
-            # tell all slaves to stop working
-            for rank in range(1, n_slaves + 1):
-                comm.send_obj("", dest=rank, tag=TAG_NAME)
-
-        print(f"priced {len(results)} problems with {n_slaves} slaves")
-        total = sum(entry["price"] for entry in results)
-        print(f"sum of prices: {total:.4f}")
-        for entry in results[:5]:
-            print(f"  {Path(entry['name']).name}: {entry['price']:.4f}")
+    assert prices == ValuationSession(backend="local").run(portfolio).prices()
+    print(f"priced {len(prices)} problems with {n_slaves} slaves")
+    print(f"sum of prices: {sum(prices.values()):.4f}")
+    for job_id in sorted(prices)[:5]:
+        print(f"  {names[job_id]}: {prices[job_id]:.4f}")
 
 
 if __name__ == "__main__":

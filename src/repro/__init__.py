@@ -6,8 +6,8 @@ Testing Parallel Architecture"* (Chancelier, Lapeyre, Lelong).  It provides:
 
 ``repro.api``
     The **unified entry point**: the :class:`~repro.api.session.ValuationSession`
-    facade plus typed configuration (``BackendSpec``, ``RunConfig``,
-    ``SweepConfig``) and a normalized result hierarchy, unifying pricing,
+    facade plus typed configuration (``BackendSpec``, ``RunConfig``) and a
+    normalized result hierarchy, unifying pricing,
     portfolio runs, batch submission and cluster sweeps the way Premia's
     ``PremiaModel`` object unified pricing.
 
@@ -24,7 +24,7 @@ Testing Parallel Architecture"* (Chancelier, Lapeyre, Lelong).  It provides:
     compressed serial buffers.
 
 ``repro.cluster``
-    An MPI-like message passing API with several execution backends,
+    The master/worker execution backends (the MPI substitute),
     resolvable by registered name (:func:`~repro.cluster.backends.list_backends`
     enumerates them; the built-ins run in-process, on local worker
     processes, on remote ``repro-worker`` TCP servers, and on a
@@ -87,7 +87,6 @@ _LAZY_EXPORTS = {
     "CancelToken": "repro.api",
     "BackendSpec": "repro.api",
     "RunConfig": "repro.api",
-    "SweepConfig": "repro.api",
     "ValuationResult": "repro.api",
     "PriceResult": "repro.api",
     "RunResult": "repro.api",

@@ -1,7 +1,7 @@
 """No mutation of frozen config dataclasses.
 
-``BackendSpec``, ``RunConfig``, ``SweepConfig``, ``ServerConfig``,
-``RetryPolicy`` (and every other ``@dataclass(frozen=True)``) are frozen on
+``BackendSpec``, ``RunConfig``, ``ServerConfig``, ``RetryPolicy``,
+``PaperTable`` (and every other ``@dataclass(frozen=True)``) are frozen on
 purpose: sessions hash them, retries rebuild backends from them, and a
 mutation anywhere would silently fork the configuration two subsystems
 think they share.  Python only enforces this at runtime -- on the exact

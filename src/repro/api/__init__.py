@@ -1,16 +1,16 @@
 """``repro.api`` -- the unified, typed entry point of the package.
 
 One facade (:class:`ValuationSession`) plus immutable configuration values
-(:class:`BackendSpec`, :class:`RunConfig`, :class:`SweepConfig`), a
-normalized result hierarchy (:class:`PriceResult`, :class:`RunResult`,
-:class:`SweepResult`, :class:`ComparisonResult`) and the streaming job
+(:class:`BackendSpec`, :class:`RunConfig`), a normalized result hierarchy
+(:class:`PriceResult`, :class:`RunResult`, :class:`SweepResult`,
+:class:`ComparisonResult`) and the streaming job
 lifecycle (:class:`PricingFuture`, :class:`JobSet`, :class:`StreamingRun`,
 :class:`CancelToken`): runs, sweeps and strategy comparisons, futures via
 :meth:`ValuationSession.submit_many`, completion-order streaming via
 :meth:`ValuationSession.stream` and named backend selection all start here.
 """
 
-from repro.api.config import BackendSpec, RunConfig, SweepConfig
+from repro.api.config import BackendSpec, RunConfig
 from repro.pricing.cache import ResultCache
 from repro.api.futures import (
     ALL_COMPLETED,
@@ -43,7 +43,6 @@ __all__ = [
     "FIRST_EXCEPTION",
     "BackendSpec",
     "RunConfig",
-    "SweepConfig",
     "ResultCache",
     "ValuationResult",
     "PriceResult",

@@ -83,7 +83,7 @@ class Campaign:
                 )
         self._futures = dict(futures)
         for future in self._futures.values():
-            future._core = self
+            future._campaign = self
         for job_id, entry in plan.cached_results.items():
             self._resolve_future(job_id, entry, None)
         self._stream: ScheduleStream | None = None

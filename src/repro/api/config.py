@@ -1,8 +1,8 @@
 """Typed, immutable configuration objects of the unified API.
 
 These frozen dataclasses carry everything a
-:class:`~repro.api.session.ValuationSession` needs to build backends,
-schedulers and sweeps.  They are plain values: hashable-by-content where
+:class:`~repro.api.session.ValuationSession` needs to build backends
+and schedulers.  They are plain values: hashable-by-content where
 possible, safe to share between sessions and cheap to derive variants from
 with :func:`dataclasses.replace`.
 """
@@ -18,7 +18,7 @@ from repro.core.strategies import STRATEGIES
 from repro.errors import ValuationError
 from repro.pricing.kernel import DEFAULT_KERNEL, KERNELS
 
-__all__ = ["BackendSpec", "RetryPolicy", "RunConfig", "SweepConfig"]
+__all__ = ["BackendSpec", "RetryPolicy", "RunConfig"]
 
 
 def _frozen_options(options: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
@@ -235,35 +235,3 @@ class RunConfig:
             )
         # unknown names and options without a name fail here, not mid-campaign
         policy_factory(self.scheduler, self.scheduler_options)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """How a CPU-count sweep over the simulated cluster is executed.
-
-    ``batch=True`` coalesces shared-simulation families before sweeping, so
-    the paper's tables can be regenerated "with batching" (the batch-aware
-    cost model charges one shared path simulation per family plus a
-    per-member payoff sweep).
-    """
-
-    cpu_counts: tuple[int, ...] = (2, 4, 8, 16)
-    #: transmission strategy; ``None`` (default) keeps the session's
-    strategy: str | None = None
-    share_nfs_cache: bool = True
-    label: str | None = None
-    batch: bool = False
-    batch_group_size: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cpu_counts", tuple(self.cpu_counts))
-        if not self.cpu_counts:
-            raise ValuationError("SweepConfig.cpu_counts must not be empty")
-        if any(n < 2 for n in self.cpu_counts):
-            raise ValuationError("cpu_counts must be >= 2 (one master + workers)")
-        if self.strategy is not None and self.strategy not in STRATEGIES:
-            raise ValuationError(
-                f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}"
-            )
-        if self.batch_group_size is not None and self.batch_group_size < 2:
-            raise ValuationError("SweepConfig.batch_group_size must be >= 2 when given")

@@ -115,7 +115,7 @@ class PricingFuture:
         "job_id",
         "label",
         "method",
-        "_core",
+        "_campaign",
         "_starter",
         "_state",
         "_result",
@@ -133,7 +133,7 @@ class PricingFuture:
         self.job_id = job_id
         self.label = label
         self.method = method
-        self._core: Campaign | None = None
+        self._campaign: Campaign | None = None
         self._starter = starter
         self._state = _PENDING
         self._result: dict[str, Any] | None = None
@@ -147,7 +147,7 @@ class PricingFuture:
 
     def running(self) -> bool:
         """Whether the job was handed to a live backend and is unresolved."""
-        return self._state == _PENDING and self._core is not None
+        return self._state == _PENDING and self._campaign is not None
 
     def cancelled(self) -> bool:
         return self._state == _CANCELLED
@@ -163,7 +163,7 @@ class PricingFuture:
             return True
         if self._state == _DONE:
             return False
-        if self._core is not None and not self._core.cancel_job(self.job_id):
+        if self._campaign is not None and not self._campaign.cancel_job(self.job_id):
             return False
         self._mark_cancelled()
         return True
@@ -178,12 +178,12 @@ class PricingFuture:
     def _ensure_pumpable(self) -> None:
         if self._state != _PENDING:
             return
-        if self._core is None and self._starter is not None:
+        if self._campaign is None and self._starter is not None:
             # not cleared on failure: a failed campaign start (e.g. an
             # incomplete problem breaking job building) must be retryable
             # with the same root-cause exception
             self._starter()
-        if self._core is not None:
+        if self._campaign is not None:
             self._starter = None
         elif self._state == _PENDING:
             raise ValuationError(
@@ -206,8 +206,8 @@ class PricingFuture:
         if self._state != _DONE:
             self._ensure_pumpable()
             if self._state == _PENDING:
-                assert self._core is not None
-                self._core.pump_until(self, timeout)
+                assert self._campaign is not None
+                self._campaign.pump_until(self, timeout)
         if self._state == _CANCELLED:
             raise JobCancelledError(f"job {self.job_id} was cancelled")
         if self._error is not None:
@@ -343,8 +343,8 @@ class JobSet(Sequence):
                     )
             head = pending[0]
             head._ensure_pumpable()
-            if head._core is not None and not head.done():
-                head._core.pump(remaining)
+            if head._campaign is not None and not head.done():
+                head._campaign.pump(remaining)
 
     def wait(
         self,
@@ -410,7 +410,7 @@ class StreamingRun:
     """
 
     def __init__(self, campaign: Campaign) -> None:
-        self._core = campaign
+        self._campaign = campaign
         self._jobs = campaign.jobs
 
     @property
@@ -438,7 +438,7 @@ class StreamingRun:
 
     def result(self) -> "RunResult":
         """Drain outstanding work and return the submission-ordered result."""
-        return self._core.finish()
+        return self._campaign.finish()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"StreamingRun({self.n_done}/{self.n_total} collected)"

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.api.campaign import Campaign
-from repro.api.config import BackendSpec, RunConfig, SweepConfig
+from repro.api.config import BackendSpec, RunConfig
 from repro.api.futures import (
     CancelToken,
     JobSet,
@@ -159,7 +159,7 @@ class ValuationSession:
         self._cache = _coerce_cache(cache)
         self._pending: list[tuple[PricingProblem, PricingFuture, str]] = []
         self._pending_by_digest: dict[str, PricingFuture] = {}
-        self._active_cores: list[Campaign] = []
+        self._campaigns: list[Campaign] = []
         self._next_job_id = 0
         self._resolve_strategy()  # raises SchedulingError on bad names
         policy_factory(scheduler)  # raises ValuationError on bad spellings
@@ -631,8 +631,8 @@ class ValuationSession:
         )
         self._pending = []
         self._pending_by_digest = {}
-        self._active_cores = [live for live in self._active_cores if not live.finished]
-        self._active_cores.append(campaign)
+        self._campaigns = [live for live in self._campaigns if not live.finished]
+        self._campaigns.append(campaign)
 
     def gather(self) -> RunResult:
         """Drain every submitted problem and return the campaign's result.
@@ -642,30 +642,27 @@ class ValuationSession:
         result of the most recent one is returned (every campaign is still
         drained, so all futures resolve).
         """
-        if not self._pending and not self._active_cores:
+        if not self._pending and not self._campaigns:
             raise ValuationError("no pending submissions to gather")
         self._start_pending_campaign()
-        if not self._active_cores:
+        if not self._campaigns:
             raise ValuationError(
                 "every pending submission was cancelled before gathering"
             )
-        results = [campaign.finish() for campaign in self._active_cores]
-        self._active_cores = []
+        results = [campaign.finish() for campaign in self._campaigns]
+        self._campaigns = []
         return results[-1]
 
     # -- sweeps and comparisons --------------------------------------------------
     def sweep(
         self,
         source: Portfolio | Sequence[Job],
-        cpu_counts: Sequence[int] | None = None,
+        cpu_counts: Sequence[int],
         *,
         strategy: str | None = None,
-        share_nfs_cache: bool | None = None,
+        share_nfs_cache: bool = True,
         label: str | None = None,
-        comm: CommunicationModel | None = None,
-        comm_factory: Callable[[], CommunicationModel] | None = None,
-        config: SweepConfig | None = None,
-        batch: bool | None = None,
+        batch: bool = False,
         batch_group_size: int | None = None,
     ) -> SweepResult:
         """Simulate the same workload over several cluster sizes.
@@ -674,59 +671,20 @@ class ValuationSession:
         whatever the session backend is.  ``share_nfs_cache=True`` (default)
         reuses one :class:`CommunicationModel` across the sweep, reproducing
         the paper's warm-NFS-cache artefact; ``False`` gives every CPU count
-        an independent cold run built by ``comm_factory`` when provided, or
-        by :meth:`CommunicationModel.cold_copy` otherwise -- either way any
-        customised NFS settings are preserved.
+        an independent cold run built by the session's ``comm_factory`` when
+        it has one, or by :meth:`CommunicationModel.cold_copy` of its ``comm``
+        otherwise -- either way any customised NFS settings are preserved.
 
         ``batch=True`` coalesces shared-simulation families with the
         batch-aware cost model (one shared path simulation plus per-member
         payoff sweeps), regenerating the paper's tables "with batching".
         """
-        if config is not None:
-            cpu_counts = cpu_counts if cpu_counts is not None else config.cpu_counts
-            strategy = strategy or config.strategy
-            if share_nfs_cache is None:
-                share_nfs_cache = config.share_nfs_cache
-            label = label or config.label
-            if batch is None:
-                batch = config.batch
-            if batch_group_size is None:
-                batch_group_size = config.batch_group_size
-        if share_nfs_cache is None:
-            share_nfs_cache = True
-        if not cpu_counts:
-            raise SchedulingError("cpu_counts must not be empty")
         strategy_obj = self._resolve_strategy(strategy)
-        jobs = self._simulation_jobs(source, bool(batch), batch_group_size)
-        comm_factory = comm_factory or self.comm_factory
-        base_comm = comm if comm is not None else self.comm
-        if base_comm is None:
-            base_comm = comm_factory() if comm_factory else CommunicationModel()
-        sim_options: dict[str, Any] = {}
-        if self._backend_spec is not None and self._backend_spec.name == "simulated":
-            sim_options.update(self._backend_spec.options)
-        sim_options.pop("comm", None)
-        new_policy = policy_factory(self.scheduler)
-        times: dict[int, float] = {}
-        for n_cpus in cpu_counts:
-            if share_nfs_cache:
-                run_comm = base_comm
-            elif comm_factory is not None:
-                run_comm = comm_factory()
-            else:
-                run_comm = base_comm.cold_copy()
-            backend = create_backend(
-                "simulated", n_workers=n_cpus - 1, strategy=strategy_obj.name,
-                comm=run_comm, **sim_options,
-            )
-            outcome = ScheduleStream(jobs, backend, strategy_obj, new_policy()).finish()
-            if len(outcome.completed) != len(jobs):
-                raise SchedulingError(
-                    f"scheduler returned {len(outcome.completed)} results "
-                    f"for {len(jobs)} jobs"
-                )
-            times[n_cpus] = outcome.total_time
-        return SweepResult(SpeedupTable.from_times(label or strategy_obj.name, times))
+        jobs = self._simulation_jobs(source, batch, batch_group_size)
+        shared = None
+        if share_nfs_cache:
+            shared = self.comm if self.comm is not None else self._own_comm()
+        return SweepResult(self._sweep_column(jobs, cpu_counts, strategy_obj, shared, label))
 
     def compare(
         self,
@@ -735,7 +693,6 @@ class ValuationSession:
         *,
         strategies: Sequence[str] = STRATEGY_NAMES,
         share_nfs_cache: bool = True,
-        comm_factory: Callable[[], CommunicationModel] | None = None,
         batch: bool = False,
         batch_group_size: int | None = None,
     ) -> ComparisonResult:
@@ -743,24 +700,63 @@ class ValuationSession:
 
         Reproduces the full layout of the paper's Tables II and III.  Each
         strategy gets its own communication model (its own NFS cache
-        history), built by ``comm_factory`` when provided.  ``batch=True``
-        regenerates the tables with shared-simulation batching.
+        history) carrying the session's ``comm`` / ``comm_factory`` settings.
+        ``batch=True`` regenerates the tables with shared-simulation batching.
         """
-        comm_factory = comm_factory or self.comm_factory
         jobs = self._simulation_jobs(source, batch, batch_group_size)
-        tables: dict[str, Any] = {}
-        for strategy in strategies:
-            comm = comm_factory() if comm_factory else CommunicationModel()
-            tables[strategy] = self.sweep(
-                jobs,
-                cpu_counts,
-                strategy=strategy,
-                share_nfs_cache=share_nfs_cache,
-                comm=comm,
-                comm_factory=comm_factory,
-                label=strategy,
-            ).table
-        return ComparisonResult(tables)
+        return ComparisonResult(
+            {
+                strategy: self._sweep_column(
+                    jobs, cpu_counts, self._resolve_strategy(strategy),
+                    self._own_comm() if share_nfs_cache else None, strategy,
+                )
+                for strategy in strategies
+            }
+        )
+
+    def _own_comm(self) -> CommunicationModel:
+        """A model with its own cold NFS cache that keeps the session's settings."""
+        if self.comm_factory is not None:
+            return self.comm_factory()
+        if self.comm is not None:
+            return self.comm.cold_copy()
+        return CommunicationModel()
+
+    def _sweep_column(
+        self,
+        jobs: list[Job],
+        cpu_counts: Sequence[int],
+        strategy: TransmissionStrategy,
+        shared_comm: CommunicationModel | None,
+        label: str | None,
+    ) -> SpeedupTable:
+        """One strategy's simulated makespan per CPU count.
+
+        ``shared_comm`` carries one NFS cache history through the whole
+        column; ``None`` gives every CPU count a cold model of its own.
+        """
+        if not cpu_counts:
+            raise SchedulingError("cpu_counts must not be empty")
+        sim_options: dict[str, Any] = {}
+        if self._backend_spec is not None and self._backend_spec.name == "simulated":
+            sim_options.update(self._backend_spec.options)
+        sim_options.pop("comm", None)
+        new_policy = policy_factory(self.scheduler)
+        times: dict[int, float] = {}
+        for n_cpus in cpu_counts:
+            backend = create_backend(
+                "simulated", n_workers=n_cpus - 1, strategy=strategy.name,
+                comm=shared_comm if shared_comm is not None else self._own_comm(),
+                **sim_options,
+            )
+            outcome = ScheduleStream(jobs, backend, strategy, new_policy()).finish()
+            if len(outcome.completed) != len(jobs):
+                raise SchedulingError(
+                    f"scheduler returned {len(outcome.completed)} results "
+                    f"for {len(jobs)} jobs"
+                )
+            times[n_cpus] = outcome.total_time
+        return SpeedupTable.from_times(label or strategy.name, times)
 
     def _simulation_jobs(
         self, source: Portfolio | Sequence[Job], batch: bool, batch_group_size: int | None

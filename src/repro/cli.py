@@ -8,7 +8,8 @@ subcommand is a thin veneer over the unified
   and schedulers;
 * ``repro-bench price`` -- price one option from the command line;
 * ``repro-bench table1|table2|table3`` -- regenerate the paper's tables on
-  the simulated cluster;
+  the simulated cluster (one subcommand per entry of
+  :data:`repro.core.paper_reference.PAPER_TABLES`);
 * ``repro-bench run`` -- actually value a (scaled-down) portfolio, either on
   local multiprocessing workers or on remote TCP workers
   (``--backend remote --hosts host:port ...``; see the ``repro-worker``
@@ -113,12 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     price.add_argument("--rate", type=float, default=0.05)
     price.add_argument("--volatility", type=float, default=0.2)
 
-    for table, help_text in (
-        ("table1", "regenerate Table I (non-regression tests speedup)"),
-        ("table2", "regenerate Table II (toy portfolio, strategy comparison)"),
-        ("table3", "regenerate Table III (realistic portfolio, strategy comparison)"),
-    ):
-        cmd = sub.add_parser(table, help=help_text)
+    from repro.core.paper_reference import PAPER_TABLES
+
+    for table in PAPER_TABLES.values():
+        cmd = sub.add_parser(
+            table.key, help=f"regenerate {table.title} ({table.summary})"
+        )
         cmd.add_argument(
             "--cpus",
             type=int,
@@ -298,38 +299,26 @@ def _cmd_price(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(table: str, args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     from repro.api import ValuationSession
     from repro.cluster import paper_cost_model
-    from repro.core import (
-        build_realistic_portfolio,
-        build_regression_portfolio,
-        build_toy_portfolio,
-    )
+    from repro.core.paper_reference import PAPER_TABLES
 
+    table = PAPER_TABLES[args.command]
     session = ValuationSession(
         backend="simulated", cost_model=paper_cost_model(), scheduler=args.scheduler
     )
-    if table == "table1":
-        cpus = args.cpus or [2, 4, 6, 8, 10, 16, 32, 64, 96, 128, 160, 192, 224, 256]
-        portfolio = build_regression_portfolio(profile="paper")
-        result = session.sweep(
-            portfolio, cpus, strategy=args.strategy or "serialized_load",
-            batch=args.batch,
-        )
-        print(result.format())
+    strategies = [args.strategy] if args.strategy else table.strategies
+    comparison = session.compare(
+        table.build_book(), args.cpus or table.cpu_counts,
+        strategies=strategies, batch=args.batch,
+    )
+    if len(table.strategies) == 1:
+        # Table I publishes one column: the paper's single-table layout
+        print(comparison[strategies[0]].format())
         return 0
-
-    if table == "table2":
-        cpus = args.cpus or [2, 4, 8, 10, 12, 14, 16, 18, 20, 24, 28, 32, 36, 40, 45, 50]
-        portfolio = build_toy_portfolio(n_options=10_000)
-    else:
-        cpus = args.cpus or [2, 4, 6, 8, 10, 16, 32, 64, 96, 128, 160, 192, 224, 256, 320, 384, 512]
-        portfolio = build_realistic_portfolio(profile="paper")
-    strategies = [args.strategy] if args.strategy else ["full_load", "nfs", "serialized_load"]
-    comparison = session.compare(portfolio, cpus, strategies=strategies, batch=args.batch)
     if args.batch:
-        print(f"({table} regenerated with shared-simulation batching)")
+        print(f"({table.key} regenerated with shared-simulation batching)")
     print(comparison.format())
     return 0
 
@@ -532,16 +521,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_list()
     if args.command == "price":
         return _cmd_price(args)
-    if args.command in ("table1", "table2", "table3"):
-        return _cmd_table(args.command, args)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "risk":
         return _cmd_risk(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    return _cmd_table(args)  # every other subcommand is a PAPER_TABLES key
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,10 +1,7 @@
-"""``repro.cluster`` -- message passing and execution backends (MPI substitute).
+"""``repro.cluster`` -- execution backends and the cluster model (MPI substitute).
 
-Three layers:
+Two layers:
 
-* :mod:`repro.cluster.mpi` -- an MPI-2-like API (spawn, send/recv of
-  serialized objects, pack/unpack, probe) reproducing the programming model
-  of the paper's Nsp listings on top of threads;
 * :mod:`repro.cluster.backends` -- the master/worker execution backends used
   by the benchmark runner, resolved by registered name (the built-ins cover
   sequential, ``multiprocessing``, remote TCP workers and the simulated
@@ -16,7 +13,6 @@ Three layers:
   cost model) that reproduces the paper's speedup tables at laptop scale.
 """
 
-from repro.cluster import mpi
 from repro.cluster.backends import (
     BackendStats,
     CompletedJob,
@@ -39,7 +35,6 @@ from repro.cluster.simcluster import (
 )
 
 __all__ = [
-    "mpi",
     "Job",
     "PreparedMessage",
     "CompletedJob",

@@ -7,7 +7,8 @@ Layers on top of :mod:`repro.pricing`, :mod:`repro.serial` and
 * the three problem-transmission strategies (:mod:`repro.core.strategies`);
 * the Robin-Hood scheduler and its extensions (:mod:`repro.core.scheduler`);
 * the run report (:mod:`repro.core.runner`);
-* speedup tables in the paper's format (:mod:`repro.core.speedup`);
+* speedup tables in the paper's format (:mod:`repro.core.speedup`) and the
+  published Tables I--III as one registry (:mod:`repro.core.paper_reference`);
 * the non-regression workload (:mod:`repro.core.regression`);
 * portfolio risk measures (:mod:`repro.core.risk`).
 """
@@ -16,6 +17,8 @@ from repro.core.paper_reference import (
     PAPER_TABLE_I,
     PAPER_TABLE_II,
     PAPER_TABLE_III,
+    PAPER_TABLES,
+    PaperTable,
     compare_with_paper,
     paper_speedup_table,
 )
@@ -106,6 +109,8 @@ __all__ = [
     "PAPER_TABLE_I",
     "PAPER_TABLE_II",
     "PAPER_TABLE_III",
+    "PaperTable",
+    "PAPER_TABLES",
     "paper_speedup_table",
     "compare_with_paper",
 ]

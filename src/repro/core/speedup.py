@@ -7,8 +7,8 @@ and the ratio is normalised so that the 2-CPU row (one worker) equals 1:
 
 ``ratio(n) = T(2 CPUs) / ((n - 1) * T(n CPUs))``
 
-which reproduces the numbers of the published tables (e.g. Table I:
-``838.004 / (3 * 285.356) = 0.9789`` for 4 CPUs).
+which reproduces the ratios printed in the published tables (0.9789 for the
+4-CPU row of Table I, from the times in :mod:`repro.core.paper_reference`).
 """
 
 from __future__ import annotations

@@ -41,10 +41,6 @@ class ClusterError(ReproError):
     """Base class for errors raised by the cluster / MPI substrate."""
 
 
-class CommunicatorError(ClusterError):
-    """Raised on invalid use of a communicator (bad rank, closed comm...)."""
-
-
 class CollectTimeoutError(ClusterError):
     """Raised by a real backend's ``collect(timeout=...)`` when no worker
     answered in time.  The jobs stay in flight; collection can be retried."""

@@ -131,11 +131,15 @@ class PricingMethod(abc.ABC):
         result.elapsed = time.perf_counter() - start
         result.method_name = self.method_name
         if not np.isfinite(result.price):
-            raise IncompatibleMethodError(
-                f"method {self.method_name!r} produced a non-finite price for "
-                f"{product.option_name!r} under {model.model_name!r}"
-            )
+            raise self.non_finite_price(model, product)
         return result
+
+    def non_finite_price(self, model: Model, product: Product) -> IncompatibleMethodError:
+        """The error every pricing path raises instead of returning inf/NaN."""
+        return IncompatibleMethodError(
+            f"method {self.method_name!r} produced a non-finite price for "
+            f"{product.option_name!r} under {model.model_name!r}"
+        )
 
     # -- serialization ----------------------------------------------------------------
     def to_params(self) -> dict[str, Any]:

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import IncompatibleMethodError, PricingError
+from repro.errors import PricingError
 from repro.pricing.methods.base import PricingMethod, PricingResult
 from repro.pricing.models.base import Model, MultiAssetModel
 from repro.pricing.models.black_scholes import BlackScholesModel
@@ -49,10 +49,7 @@ def _stamp_and_validate(
         result.elapsed = share
         result.method_name = method.method_name
         if not np.isfinite(result.price):
-            raise IncompatibleMethodError(
-                f"method {method.method_name!r} produced a non-finite price for "
-                f"{product.option_name!r} under {model.model_name!r}"
-            )
+            raise method.non_finite_price(model, product)
 
 
 def price_groups_stacked(
@@ -396,6 +393,10 @@ class MonteCarloEuropean(PricingMethod):
         n_steps: int,
     ) -> PricingResult:
         n = n_samples
+        if not np.isfinite(member.sum_payoff):
+            # the price below would be non-finite too; fail before the
+            # variance terms compute inf - inf
+            raise self.non_finite_price(model, member.product)
         mean_payoff = member.sum_payoff / n
         var_payoff = max(member.sum_payoff2 / n - mean_payoff**2, 0.0)
 

@@ -45,6 +45,7 @@ from repro.errors import (
 from repro.serve.auth import RateLimiter, token_matches
 from repro.serve.config import ServerConfig
 from repro.serve.dashboard import DASHBOARD_HTML
+from repro.serve.parse import finite_number
 from repro.serve.service import PricingService
 from repro.serve.sse import format_sse
 
@@ -217,12 +218,15 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         if not isinstance(body, dict):
             raise ServeError("request body must be a JSON object")
+        timeout = None
+        if body.get("wait"):  # validated before the run is enqueued
+            timeout = finite_number(body.get("timeout", 300.0), "timeout")
+            if timeout <= 0:
+                raise ServeError(f"timeout must be > 0, got {timeout!r}")
         record = self.service.submit_run(body)
-        if body.get("wait"):
-            timeout = float(body.get("timeout", 300.0))
-            if not record.wait_terminal(timeout=timeout):
-                self._send_json(202, record.snapshot(include_result=False))
-                return
+        if timeout is not None and not record.wait_terminal(timeout=timeout):
+            self._send_json(202, record.snapshot(include_result=False))
+            return
         self._send_json(202 if not record.terminal else 200, record.snapshot())
 
     def _get_job(self, job_id: str) -> None:

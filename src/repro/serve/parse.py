@@ -62,9 +62,18 @@ def problem_from_request(body: Mapping[str, Any]) -> PricingProblem:
         raise ServeError(f"request is missing {', '.join(missing)}")
     problem = PricingProblem(label=body.get("label"))
     problem.set_asset(str(body.get("asset", "equity")))
-    problem.set_model(str(body["model"]), **_params(body, "model_params"))
-    problem.set_option(str(body["option"]), **_params(body, "option_params"))
-    problem.set_method(str(body["method"]), **_params(body, "method_params"))
+    for leg, setter in (
+        ("model", problem.set_model),
+        ("option", problem.set_option),
+        ("method", problem.set_method),
+    ):
+        params = _params(body, f"{leg}_params")
+        try:
+            setter(str(body[leg]), **params)
+        except (TypeError, ValueError) as exc:
+            # a constructor choking on a parameter value ("spot": "abc", an
+            # unknown keyword...) is the client's mistake, not a server fault
+            raise ServeError(f"invalid {leg}_params for {body[leg]!r}: {exc}") from None
     return problem
 
 

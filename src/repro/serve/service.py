@@ -43,6 +43,9 @@ from repro.serve.parse import finite_number, portfolio_from_request, problem_fro
 
 __all__ = ["PricingService"]
 
+#: optional bump sizes of ``POST /v1/greeks`` (defaults: ``compute_greeks``)
+_GREEK_BUMPS = ("spot_bump", "vol_bump", "rate_bump", "theta_bump")
+
 
 class PricingService:
     """Everything the daemon does between accepting and answering HTTP."""
@@ -159,10 +162,7 @@ class PricingService:
             problem.model,
             problem.product,
             problem.method,
-            spot_bump=float(body.get("spot_bump", 0.01)),
-            vol_bump=float(body.get("vol_bump", 0.01)),
-            rate_bump=float(body.get("rate_bump", 0.0001)),
-            theta_bump=float(body.get("theta_bump", 1.0 / 365.0)),
+            **{b: finite_number(body[b], b) for b in _GREEK_BUMPS if b in body},
         )
         self.count("greek_ladders")
         return {

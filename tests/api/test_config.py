@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import BackendSpec, RunConfig, SweepConfig
+from repro.api import BackendSpec, RunConfig
 from repro.cluster.backends import SequentialBackend
 from repro.core.scheduler import ChunkedPolicy, policy_factory
 from repro.errors import ValuationError
@@ -101,21 +101,3 @@ class TestRunConfig:
     def test_policy_instance_rejected(self):
         with pytest.raises(ValuationError, match="pass a registered name, the policy class"):
             RunConfig(scheduler=ChunkedPolicy(chunk_size=4))
-
-
-class TestSweepConfig:
-    def test_cpu_counts_coerced_to_tuple(self):
-        config = SweepConfig(cpu_counts=[2, 4, 8])
-        assert config.cpu_counts == (2, 4, 8)
-
-    def test_empty_cpu_counts_rejected(self):
-        with pytest.raises(ValuationError):
-            SweepConfig(cpu_counts=())
-
-    def test_single_cpu_rejected(self):
-        with pytest.raises(ValuationError):
-            SweepConfig(cpu_counts=(1, 2))
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValuationError):
-            SweepConfig(cpu_counts=(2, 4), strategy="osmosis")

@@ -195,9 +195,9 @@ class TestCampaignLifecycle:
         session = ValuationSession(backend="multiprocessing", n_workers=2)
         futures = session.submit_many([_call_problem(90.0), _call_problem(110.0)])
         futures.prices()
-        core = session._active_cores[-1]
-        assert core.finished
-        backend = core._stream.backend
+        campaign = session._campaigns[-1]
+        assert campaign.finished
+        backend = campaign._stream.backend
         assert all(not process.is_alive() for process in backend._processes)
 
     def test_fully_iterated_stream_finalizes_the_backend(self):
@@ -207,7 +207,7 @@ class TestCampaignLifecycle:
         streamed = session.stream(build_toy_portfolio(n_options=6))
         collected = list(streamed)
         assert len(collected) == 6
-        backend = streamed._core._stream.backend
+        backend = streamed._campaign._stream.backend
         assert all(not process.is_alive() for process in backend._processes)
         assert streamed.result().n_jobs == 6  # result still assembles
 

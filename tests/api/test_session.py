@@ -20,7 +20,6 @@ from repro.api import (
     ResultCache,
     RunConfig,
     RunResult,
-    SweepConfig,
     SweepResult,
     ValuationSession,
 )
@@ -242,11 +241,21 @@ class TestSweep:
         result = ValuationSession().sweep(toy_portfolio, [2, 4])
         assert result.cpu_counts() == [2, 4]
 
-    def test_sweep_with_config(self, toy_jobs):
-        config = SweepConfig(cpu_counts=(2, 4), strategy="nfs", label="tbl")
-        result = ValuationSession().sweep(toy_jobs, config=config)
+    def test_sweep_with_strategy_and_label_keywords(self, toy_jobs):
+        result = ValuationSession().sweep(toy_jobs, (2, 4), strategy="nfs", label="tbl")
         assert result.label == "tbl"
         assert result.cpu_counts() == [2, 4]
+
+    @pytest.mark.parametrize("removed", ["config", "comm", "comm_factory"])
+    def test_sweep_has_one_spelling(self, toy_jobs, removed):
+        # the sweep-config object and the per-call comm overrides are gone:
+        # the keywords and the session's comm / comm_factory are the one spelling
+        with pytest.raises(TypeError, match=removed):
+            ValuationSession().sweep(toy_jobs, [2, 4], **{removed: None})
+
+    def test_compare_takes_no_comm_factory(self, toy_jobs):
+        with pytest.raises(TypeError, match="comm_factory"):
+            ValuationSession().compare(toy_jobs, [2, 4], comm_factory=CommunicationModel)
 
     def test_empty_cpu_counts_raise_scheduling_error(self, toy_jobs):
         with pytest.raises(SchedulingError):
@@ -296,6 +305,18 @@ class TestNFSCacheSettingsFix:
             toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=False
         )
         assert table.times()[2] > default.times()[2] * 1.5
+
+    @pytest.mark.parametrize("share_nfs_cache", [True, False])
+    def test_compare_columns_keep_the_session_comm_settings(self, toy_jobs, share_nfs_cache):
+        # compare used to give every column a default CommunicationModel
+        # unless the session had a comm_factory; a session comm counts too
+        session = ValuationSession(comm=self._slow_nfs_comm())
+        column = session.compare(
+            toy_jobs, [2, 4], strategies=["nfs"], share_nfs_cache=share_nfs_cache
+        )["nfs"]
+        same = session.sweep(toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=False)
+        assert column.times()[2] == same.times()[2]  # both start cold
+        assert not session.comm.nfs.is_cached(toy_jobs[0].path)  # on a copy
 
     def test_cold_copy_preserves_constants_and_clears_cache(self):
         comm = self._slow_nfs_comm()
@@ -418,10 +439,9 @@ class TestOneOptionPath:
         plain = ValuationSession(backend="simulated")
         assert drain(plain, toy_portfolio).report.scheduler == "robin_hood"
 
-    def test_sweep_config_does_not_override_the_session_strategy(self, toy_portfolio):
+    def test_sweep_without_a_strategy_keeps_the_session_strategy(self, toy_portfolio):
         session = ValuationSession(backend="simulated", strategy="nfs")
-        config = SweepConfig(cpu_counts=(2, 4))
-        assert session.sweep(toy_portfolio, config=config).label == "nfs"
+        assert session.sweep(toy_portfolio, (2, 4)).label == "nfs"
 
 
 def _mc_family(n: int = 6) -> list[PricingProblem]:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ValuationSession
+from repro.cluster.costmodel import paper_cost_model
 from repro.core.paper_reference import (
     PAPER_TABLE_I,
     PAPER_TABLE_II,
     PAPER_TABLE_III,
+    PAPER_TABLES,
     compare_with_paper,
     paper_speedup_table,
 )
@@ -18,6 +21,27 @@ from repro.errors import PortfolioError
 class TestPublishedData:
     def test_table_i_has_all_cpu_counts(self):
         assert sorted(PAPER_TABLE_I) == [2, 4, 6, 8, 10, 16, 32, 64, 96, 128, 160, 192, 224, 256]
+
+    def test_registry_keys_are_the_cli_commands(self):
+        assert list(PAPER_TABLES) == ["table1", "table2", "table3"]
+        assert all(table.key == key for key, table in PAPER_TABLES.items())
+
+    @pytest.mark.parametrize("key", sorted(PAPER_TABLES))
+    def test_cpu_counts_and_strategies_are_derived_from_the_published_rows(self, key):
+        table = PAPER_TABLES[key]
+        union = set()
+        for rows in table.published.values():
+            union |= set(rows)
+        assert table.cpu_counts == sorted(union)
+        assert table.strategies == tuple(table.published)
+        assert set(table.tolerance) == set(table.published)
+
+    def test_table_i_is_the_one_column_case(self):
+        table = PAPER_TABLES["table1"]
+        assert table.strategies == ("serialized_load",)
+        assert table.published["serialized_load"] is PAPER_TABLE_I
+        assert table.reference("serialized_load").label == "paper Table I"
+        assert PAPER_TABLES["table3"].cpu_counts[-1] == 512  # past the NFS column's 256
 
     def test_table_ii_strategies_and_rows(self):
         assert set(PAPER_TABLE_II) == {"full_load", "nfs", "serialized_load"}
@@ -78,20 +102,34 @@ class TestCompareWithPaper:
         with pytest.raises(PortfolioError):
             compare_with_paper(measured, paper_speedup_table("I"))
 
-    def test_simulated_table_iii_is_close_to_the_paper(self):
-        """End-to-end: the simulated realistic portfolio stays within a factor
-        ~1.5 of every published serialized-load row."""
-        from repro.api import ValuationSession
-        from repro.cluster.costmodel import paper_cost_model
-        from repro.core import build_realistic_portfolio
 
-        jobs = build_realistic_portfolio(profile="paper").build_jobs(
-            cost_model=paper_cost_model()
-        )
+_PINNED = [(key, strategy) for key in sorted(PAPER_TABLES) for strategy in PAPER_TABLES[key].strategies]
+
+
+class TestSimulatedTablesArePinnedToThePaper:
+    """Every published column, regenerated full-size on the simulated cluster,
+    stays within the tolerance its :class:`PaperTable` record states."""
+
+    @pytest.fixture(scope="class")
+    def jobs_of(self):
+        built = {}
+
+        def jobs(key):
+            if key not in built:
+                built[key] = PAPER_TABLES[key].build_book().build_jobs(
+                    cost_model=paper_cost_model()
+                )
+            return built[key]
+
+        return jobs
+
+    @pytest.mark.parametrize("key, strategy", _PINNED)
+    def test_full_size_column_within_the_recorded_tolerance(self, jobs_of, key, strategy):
+        table = PAPER_TABLES[key]
+        reference = table.reference(strategy)
         measured = ValuationSession().sweep(
-            jobs, [2, 16, 128, 256, 512], strategy="serialized_load"
+            jobs_of(key), reference.cpu_counts(), strategy=strategy
         ).table
-        comparison = compare_with_paper(measured, paper_speedup_table("III"))
-        assert comparison.n_common_rows == 5
-        assert comparison.max_time_ratio < 1.5
-        assert comparison.mean_ratio_difference < 0.1
+        comparison = compare_with_paper(measured, reference)
+        assert comparison.n_common_rows == len(table.published[strategy])
+        assert comparison.max_time_ratio <= table.tolerance[strategy]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.paper_reference import PAPER_TABLE_I, PAPER_TABLE_III
 from repro.core.speedup import SpeedupTable, format_comparison_table, speedup_ratio
 from repro.errors import PortfolioError
 
@@ -14,15 +15,15 @@ class TestSpeedupRatio:
 
     def test_paper_table_i_values(self):
         """Reproduce the published ratios of Table I from its times."""
-        t2 = 838.004
-        assert speedup_ratio(t2, 1, 285.356, 3) == pytest.approx(0.9789, abs=2e-4)
-        assert speedup_ratio(t2, 1, 67.9677, 15) == pytest.approx(0.821963, abs=1e-5)
-        assert speedup_ratio(t2, 1, 31.3172, 255) == pytest.approx(0.104935, abs=1e-5)
+        t = PAPER_TABLE_I
+        assert speedup_ratio(t[2], 1, t[4], 3) == pytest.approx(0.9789, abs=2e-4)
+        assert speedup_ratio(t[2], 1, t[16], 15) == pytest.approx(0.821963, abs=1e-5)
+        assert speedup_ratio(t[2], 1, t[256], 255) == pytest.approx(0.104935, abs=1e-5)
 
     def test_paper_table_iii_values(self):
-        t2 = 5770.16
-        assert speedup_ratio(t2, 1, 1980.35, 3) == pytest.approx(0.971238, abs=1e-5)
-        assert speedup_ratio(t2, 1, 24.4743, 255) == pytest.approx(0.924566, abs=1e-5)
+        t = PAPER_TABLE_III["full_load"]
+        assert speedup_ratio(t[2], 1, t[4], 3) == pytest.approx(0.971238, abs=1e-5)
+        assert speedup_ratio(t[2], 1, t[256], 255) == pytest.approx(0.924566, abs=1e-5)
 
     def test_invalid_inputs(self):
         with pytest.raises(PortfolioError):

@@ -3,17 +3,20 @@ layers."""
 
 from __future__ import annotations
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.api import ValuationSession
-from repro.cluster import MultiprocessingBackend, SequentialBackend, mpi, paper_cost_model
+from repro.cluster import MultiprocessingBackend, SequentialBackend, paper_cost_model
 from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core import (
     build_realistic_portfolio,
     build_toy_portfolio,
     portfolio_value,
 )
-from repro.serial import Serial, sload
+from repro.core.paper_reference import PAPER_TABLES
 
 
 class TestPortfolioAcrossBackends:
@@ -67,51 +70,18 @@ class TestPortfolioAcrossBackends:
 
 class TestFig4MasterWorkerScript:
     """Behavioural reproduction of the paper's Fig. 4/5 master/slave listing
-    on the MPI facade, shipping serialized problems end to end."""
+    (``examples/master_worker_mpi.py``) over real worker processes, shipping
+    serialized problems end to end."""
 
-    def test_robin_hood_with_serialized_problems(self, tmp_path):
-        portfolio = build_toy_portfolio(n_options=18)
+    @pytest.mark.parametrize("n_problems", [18, 2])  # 2: fewer jobs than slaves
+    def test_robin_hood_with_serialized_problems(self, tmp_path, n_problems):
+        example = Path(__file__).resolve().parents[2] / "examples" / "master_worker_mpi.py"
+        master = runpy.run_path(str(example))["master"]
+        portfolio = build_toy_portfolio(n_options=n_problems)
         store = portfolio.to_store(tmp_path / "problems")
-        paths = store.paths()
-        expected = {
-            str(path): store.load(i).compute().price for i, path in enumerate(paths)
-        }
+        expected = {index: store.load(index).compute().price for index in range(n_problems)}
 
-        TAG_NAME, TAG_PROBLEM, TAG_RESULT = 1, 2, 3
-
-        def slave(comm):
-            while True:
-                name = comm.recv_obj(source=0, tag=TAG_NAME)
-                if name == "":
-                    break
-                packed = comm.recv(source=0, tag=TAG_PROBLEM)
-                problem = mpi.unpack(packed)
-                result = problem.compute()
-                comm.send_obj({"name": name, "price": result.price}, dest=0, tag=TAG_RESULT)
-
-        def send_problem(comm, path, dest):
-            serial: Serial = sload(path)
-            comm.send_obj(str(path), dest=dest, tag=TAG_NAME)
-            comm.send(mpi.pack(serial), dest=dest, tag=TAG_PROBLEM)
-
-        n_slaves = 3
-        results = {}
-        with mpi.spawn(n_slaves, slave) as comm:
-            queue = list(paths)
-            for rank in range(1, n_slaves + 1):
-                send_problem(comm, queue.pop(0), rank)
-            while queue:
-                status = comm.probe(source=mpi.ANY_SOURCE, tag=TAG_RESULT)
-                answer = comm.recv_obj(source=status.source, tag=TAG_RESULT)
-                results[answer["name"]] = answer["price"]
-                send_problem(comm, queue.pop(0), status.source)
-            for _ in range(n_slaves):
-                answer = comm.recv_obj(source=mpi.ANY_SOURCE, tag=TAG_RESULT)
-                results[answer["name"]] = answer["price"]
-            for rank in range(1, n_slaves + 1):
-                comm.send_obj("", dest=rank, tag=TAG_NAME)
-
-        assert results == pytest.approx(expected)
+        assert master(portfolio.build_jobs(store=store), n_slaves=3) == expected
 
 
 class TestCommandLine:
@@ -129,13 +99,23 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "price  = 10.45" in out
 
-    def test_table1_command_quick(self, capsys):
+    @pytest.mark.parametrize("key", sorted(PAPER_TABLES))
+    def test_table_commands_print_the_registry_sweep(self, capsys, key):
+        """``repro-bench <key>`` is ``session.compare`` over ``PAPER_TABLES[key]``."""
         from repro.cli import main
 
-        assert main(["table1", "--cpus", "2", "4", "8"]) == 0
+        assert main([key, "--cpus", "2", "4", "8"]) == 0
         out = capsys.readouterr().out
-        assert "Speedup" in out
-        assert " 8 " in out or "     8" in out
+
+        table = PAPER_TABLES[key]
+        session = ValuationSession(backend="simulated", cost_model=paper_cost_model())
+        book = table.build_book()
+        if key == "table1":  # the one-column table keeps SpeedupTable's layout
+            expected = session.sweep(book, [2, 4, 8], strategy="serialized_load").format()
+            assert "Speedup" in expected
+        else:
+            expected = session.compare(book, [2, 4, 8], strategies=table.strategies).format()
+        assert out == expected + "\n"
 
     def test_run_command(self, capsys):
         from repro.cli import main

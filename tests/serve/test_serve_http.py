@@ -158,13 +158,20 @@ class TestErrors:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
 
-    def test_invalid_problem_400(self, server):
-        status, body = _request(
-            server.url + "/v1/price",
-            {"model": "NotAModel", "option": "CallEuro", "method": "CF_Call"},
-        )
+    @pytest.mark.parametrize(
+        ("changes", "named"),
+        [
+            ({"model": "NotAModel"}, "NotAModel"),
+            # constructor failures used to escape as HTTP 500
+            ({"model_params": {"spot": "abc", "rate": 0.05, "volatility": 0.2}}, "model_params"),
+            ({"option_params": {"strike": 100.0, "maturity": 1.0, "colour": 3}}, "option_params"),
+            ({"method": "MC_European", "method_params": {"n_paths": "many"}}, "method_params"),
+        ],
+    )
+    def test_invalid_problem_400(self, server, changes, named):
+        status, body = _request(server.url + "/v1/price", _position_body(100.0, **changes))
         assert status == 400
-        assert "NotAModel" in body["error"]
+        assert named in body["error"]
 
     @pytest.mark.parametrize(
         ("field", "value"),
@@ -185,11 +192,27 @@ class TestErrors:
         assert status == 400
         assert f"positions[1].{field}" in body["error"]
 
-    def test_non_finite_request_priority_400(self, server):
-        run_body = {"positions": [_position_body(50.0)], "priority": "urgent"}
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"priority": "urgent"}, "priority must be a finite number"),
+            # a bare float() answered 500 for the string and waited on NaN
+            ({"wait": True, "timeout": "soon"}, "timeout must be a finite number"),
+            ({"wait": True, "timeout": float("nan")}, "timeout must be a finite number"),
+            ({"wait": True, "timeout": 0}, "timeout must be > 0"),
+        ],
+    )
+    def test_non_finite_request_numbers_400(self, server, fields, message):
+        def submitted() -> int:
+            return _request(server.url + "/v1/stats")[1]["requests"].get("runs_submitted", 0)
+
+        before = submitted()
+        run_body = {"positions": [_position_body(50.0)], **fields}
         status, body = _request(server.url + "/v1/run", run_body)
         assert status == 400
-        assert "priority must be a finite number" in body["error"]
+        assert message in body["error"]
+        # refused before anything was enqueued
+        assert submitted() == before
 
     def test_oversized_body_413(self):
         config = ServerConfig(port=0, max_body_bytes=512)
@@ -255,12 +278,23 @@ class TestGreeksEndpoint:
         for key, value in serial.as_dict().items():
             assert report[key] == value
 
-    @pytest.mark.parametrize("name", ["spot_bump", "vol_bump", "rate_bump"])
-    def test_zero_bump_400(self, server, name):
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("spot_bump", 0),  # was a ZeroDivisionError -> 500
+            ("vol_bump", 0),
+            ("rate_bump", 0),
+            ("spot_bump", "abc"),  # was a bare float() ValueError -> 500
+            ("vol_bump", [1]),  # ... TypeError -> 500
+            ("rate_bump", float("inf")),
+            ("theta_bump", float("nan")),
+        ],
+    )
+    def test_unusable_bump_400(self, server, name, value):
         status, response = _request(
-            server.url + "/v1/greeks", _position_body(100.0, **{name: 0})
+            server.url + "/v1/greeks", _position_body(100.0, **{name: value})
         )
-        assert status == 400  # was a ZeroDivisionError -> 500
+        assert status == 400
         assert name in response["error"]
 
     def test_requires_auth(self, server):

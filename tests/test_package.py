@@ -42,7 +42,7 @@ class TestErrorHierarchy:
     def test_specific_errors_are_distinct(self):
         assert not issubclass(errors.PricingError, errors.ClusterError)
         assert issubclass(errors.IncompatibleMethodError, errors.PricingError)
-        assert issubclass(errors.CommunicatorError, errors.ClusterError)
+        assert issubclass(errors.CollectTimeoutError, errors.ClusterError)
 
 
 class TestCLIParser:
