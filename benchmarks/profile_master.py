@@ -4,7 +4,9 @@
 
 Runs the workload's warm-up, then one full-size repeat on its real backend
 under ``cProfile`` (the master thread only; the workers are other processes)
-and prints where the master's non-waiting time went.  ``cProfile`` taxes every
+and prints where the master's non-waiting time went, then what the workers
+made of it: their idle share and the in-flight window the run reached
+(``RunReport.peak_window``).  ``cProfile`` taxes every
 Python call, so read the table for its ranking and call counts, not for
 absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The numbers
 in ``docs/performance.md`` are this script's output.
@@ -35,9 +37,19 @@ _WAITS = ("<method 'poll' of 'select.poll' objects>", "<method 'poll' of 'select
 def main(name: str) -> None:
     workload = WORKLOADS[name]
     pool, inputs = set_up(workload, seed=1, smoke=False)
+    session = make_session(workload, pool)
+    reports = []
+    run = session.run
+
+    def recording_run(*args, **kwargs):  # a risk campaign returns a summary, not its report
+        result = run(*args, **kwargs)
+        reports.append(result.report)
+        return result
+
+    session.run = recording_run
     profile = cProfile.Profile()
     try:
-        profile.runcall(execute, workload, make_session(workload, pool), inputs)
+        profile.runcall(execute, workload, session, inputs)
     finally:
         if pool is not None:
             pool.stop()
@@ -53,6 +65,10 @@ def main(name: str) -> None:
     print(f"{name}: {busy:.2f} s profiled on the master, not waiting")
     for layer, seconds in sorted(rows.items(), key=lambda item: -item[1]):
         print(f"  {layer:26s} {seconds:6.2f} s  {seconds / busy:6.1%}")
+    for report in reports:
+        idle = 1.0 - sum(report.worker_busy.values()) / (report.total_time * report.n_workers)
+        print(f"  workers idle {idle:.1%} of {report.total_time:.2f} s x {report.n_workers}; "
+              f"peak in-flight window {report.peak_window}")
 
 
 if __name__ == "__main__":

@@ -411,6 +411,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"batch={'on' if args.batch else 'off'})"
             )
     print(f"portfolio value = {result.value():.2f}")
+    if report.peak_window:  # empty when the cache answered every position
+        # most jobs each worker held at once: 1 is Fig. 4's one job per slave
+        print(f"peak in-flight window = {report.peak_window}")
     if session.cache is not None:
         stats = session.cache.stats
         print(

@@ -181,6 +181,14 @@ class WorkerBackend(abc.ABC):
     #: (True for executing backends; the simulated backend models the
     #: preparation cost instead and accepts ``message=None``)
     requires_payload: bool = True
+    #: whether every worker runs beside the master behind its own FIFO inbox
+    #: (a process, a host), so that a job sent to a busy worker waits *there*
+    #: and starts the moment the worker is free.  Only then is there a
+    #: hand-off for :class:`~repro.core.scheduler.ScheduleStream`'s in-flight
+    #: window to hide; backends that compute inside :meth:`dispatch` or only
+    #: advance a virtual clock keep the conservative default and Fig. 4's
+    #: one job per slave.
+    queues_jobs: bool = False
 
     @property
     @abc.abstractmethod

@@ -36,11 +36,15 @@ from repro.cluster.shm import (
     encode_result,
     shm_available,
 )
-from repro.errors import ClusterError, CollectTimeoutError
+from repro.errors import ClusterError, CollectTimeoutError, WorkerLostError
 
 __all__ = ["MultiprocessingBackend", "worker_main"]
 
 _STOP = "__stop__"
+
+#: longest single wait on the result queue; each time one elapses empty the
+#: master checks its worker processes, so a death costs this, not the timeout
+_DEATH_CHECK_S = 0.5
 
 
 def worker_main(
@@ -110,6 +114,8 @@ class MultiprocessingBackend(WorkerBackend):
         costs more than it saves for small messages).
     """
 
+    queues_jobs = True  # each process blocks on its own task queue
+
     def __init__(
         self,
         n_workers: int = 2,
@@ -153,6 +159,9 @@ class MultiprocessingBackend(WorkerBackend):
         for process in self._processes:
             process.start()
         self._in_flight = 0
+        #: ids dispatched to each worker and not answered yet: what a dead
+        #: process strands
+        self._held: list[set[int]] = [set() for _ in range(self._n_workers)]
         self._n_jobs = 0
         self._bytes_sent = 0
         self._busy: dict[int, float] = {i: 0.0 for i in range(self._n_workers)}
@@ -188,6 +197,7 @@ class MultiprocessingBackend(WorkerBackend):
         self._task_queues[worker_id].put(
             (job.job_id, message.kind, self._outbound(message.payload))
         )
+        self._held[worker_id].add(job.job_id)
         self._in_flight += 1
         self._n_jobs += 1
         self._bytes_sent += message.nbytes
@@ -213,6 +223,7 @@ class MultiprocessingBackend(WorkerBackend):
                 for job, message in zip(jobs, messages)
             ]
         )
+        self._held[worker_id].update(job.job_id for job in jobs)
         self._in_flight += len(jobs)
         self._n_jobs += len(jobs)
         self._bytes_sent += sum(message.nbytes for message in messages)
@@ -223,14 +234,8 @@ class MultiprocessingBackend(WorkerBackend):
         if self._ready:
             job_id, worker_id, result, elapsed, error = self._ready.popleft()
         else:
-            try:
-                job_id, worker_id, result, elapsed, error = self._result_queue.get(
-                    timeout=timeout
-                )
-            except queue_module.Empty as exc:
-                raise CollectTimeoutError(
-                    f"timed out after {timeout}s waiting for a worker result"
-                ) from exc
+            job_id, worker_id, result, elapsed, error = self._wait_for_result(timeout)
+        self._held[worker_id].discard(job_id)
         self._in_flight -= 1
         self._busy[worker_id] += elapsed
         if self._registry is not None and error is None:
@@ -243,6 +248,38 @@ class MultiprocessingBackend(WorkerBackend):
             collected_at=time.perf_counter() - self._start,
             error=error,
         )
+
+    def _wait_for_result(self, timeout: float | None) -> tuple[int, int, Any, float, str | None]:
+        """Block on the result queue in slices, looking for deaths between them.
+
+        A result that is there is returned at once, as a plain ``get`` would;
+        only a slice that elapses empty pays for the look at the processes.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            wait = _DEATH_CHECK_S
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            try:
+                return self._result_queue.get(timeout=wait)
+            except queue_module.Empty:
+                pass
+            stranded = sorted(
+                job_id
+                for held, process in zip(self._held, self._processes)
+                if process.exitcode is not None
+                for job_id in held
+            )
+            if stranded:
+                raise WorkerLostError(
+                    f"a worker process died holding {len(stranded)} dispatched "
+                    f"jobs (resubmit them against a fresh backend)",
+                    job_ids=tuple(stranded),
+                )
+            if deadline is not None and time.monotonic() >= deadline:
+                raise CollectTimeoutError(
+                    f"timed out after {timeout}s waiting for a worker result"
+                )
 
     def poll(self) -> bool:
         if self._in_flight == 0:
@@ -258,11 +295,15 @@ class MultiprocessingBackend(WorkerBackend):
     def finalize(self) -> BackendStats:
         if not self._finalized:
             self._finalized = True
+            # a worker killed inside ``result_queue.put`` keeps the queue's
+            # shared write lock for ever and the survivors block behind it:
+            # after a death the run is lost anyway, so nobody is waited for
+            died = any(process.exitcode is not None for process in self._processes)
             for task_queue in self._task_queues:
                 task_queue.put(_STOP)
             for process in self._processes:
-                process.join(timeout=30.0)
-                if process.is_alive():  # pragma: no cover - defensive cleanup
+                process.join(timeout=0.0 if died else 30.0)
+                if process.is_alive():
                     process.terminate()
                     process.join(timeout=5.0)
             if self._registry is not None:

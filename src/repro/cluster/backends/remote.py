@@ -52,6 +52,7 @@ import os
 import selectors
 import socket
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -268,6 +269,8 @@ class RemoteBackend(WorkerBackend):
         when ``secret`` is ``None`` -- loudly, at connect.
     """
 
+    queues_jobs = True  # each connection's compute lane is a FIFO
+
     def __init__(
         self,
         hosts: Any,
@@ -300,8 +303,9 @@ class RemoteBackend(WorkerBackend):
         self._inflight: dict[int, _InFlight] = {}
         #: orphaned job ids awaiting redispatch; flushed only from blocking
         #: calls (dispatch/collect) so poll() can never stall on a send
-        self._redispatch: list[int] = []
-        self._ready: list[CompletedJob] = []
+        #: (an insertion-ordered set: a death can orphan a whole window per slot)
+        self._redispatch: dict[int, None] = {}
+        self._ready: deque[CompletedJob] = deque()
         #: conn index -> token of the last pong received (see ping_workers)
         self._pongs: dict[int, bytes] = {}
         self._n_jobs = 0
@@ -537,7 +541,7 @@ class RemoteBackend(WorkerBackend):
                 time.sleep(min(max(pause, 0.005), 0.5))
                 continue
             self._pump(self._cap_wait(wait))
-        return self._ready.pop(0)
+        return self._ready.popleft()
 
     def _cap_wait(self, wait: float | None) -> float | None:
         """Bound a selector wait so liveness/reconnect timers keep firing."""
@@ -555,7 +559,7 @@ class RemoteBackend(WorkerBackend):
 
     def try_collect(self) -> CompletedJob | None:
         if self.poll():
-            return self._ready.pop(0)
+            return self._ready.popleft()
         return None
 
     def ping_workers(self, timeout: float = 5.0) -> dict[str, bool]:
@@ -711,8 +715,7 @@ class RemoteBackend(WorkerBackend):
         """Queue an unroutable in-flight job for a later redispatch."""
         record.conn_index = _UNROUTED
         self._inflight[job_id] = record
-        if job_id not in self._redispatch:
-            self._redispatch.append(job_id)
+        self._redispatch.setdefault(job_id)
 
     def _send(self, job_id: int, record: _InFlight) -> bool:
         """Record ``job_id`` as in flight and push its frame down the wire.
@@ -851,8 +854,7 @@ class RemoteBackend(WorkerBackend):
                 # blocking call flushes it to a survivor (a sendall here
                 # could stall a nominally non-blocking poll())
                 entry.conn_index = _UNROUTED
-                if job_id not in self._redispatch:
-                    self._redispatch.append(job_id)
+                self._redispatch.setdefault(job_id)
         survivors = self._live_indices()
         if survivors:
             self._remap_route(index, survivors)
@@ -934,9 +936,8 @@ class RemoteBackend(WorkerBackend):
 
     def _flush_redispatch(self) -> None:
         """Re-send parked orphans (blocking contexts only)."""
-        pending, self._redispatch = self._redispatch, []
-        while pending:
-            job_id = pending.pop(0)
+        parked, self._redispatch = iter(self._redispatch), {}
+        for job_id in parked:
             entry = self._inflight.get(job_id)
             if entry is None or entry.conn_index != _UNROUTED:
                 continue  # answered meanwhile, or already re-sent
@@ -948,9 +949,8 @@ class RemoteBackend(WorkerBackend):
                 # (re-parked among its orphans): stop flushing this round
                 break
         # whatever was not attempted stays parked for the next flush
-        for job_id in pending:
-            if job_id not in self._redispatch:
-                self._redispatch.append(job_id)
+        for job_id in parked:
+            self._redispatch.setdefault(job_id)
 
     def _stop_conn(self, conn: _Connection) -> None:
         if not conn.alive or conn.stop_sent:

@@ -31,6 +31,10 @@ class RunReport:
     results: dict[int, dict[str, Any] | None] = field(default_factory=dict)
     errors: dict[int, str] = field(default_factory=dict)
     category_times: dict[str, float] = field(default_factory=dict)
+    #: ``{worker_id: most jobs it held at once}``: 1 is one job per slave
+    #: (always, on the simulated cluster); more is the in-flight window of
+    #: :class:`~repro.core.scheduler.ScheduleStream` opening on cheap jobs
+    peak_window: dict[int, int] = field(default_factory=dict)
     extra: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -91,5 +95,6 @@ class RunReport:
             results=results,
             errors=errors,
             category_times=category_times,
+            peak_window=dict(outcome.peak_window),
             extra=dict(outcome.stats.extra),
         )

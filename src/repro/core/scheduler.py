@@ -40,8 +40,10 @@ from __future__ import annotations
 
 import abc
 import math
+import statistics
+import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -75,6 +77,9 @@ class ScheduleOutcome:
     completed: list[CompletedJob]
     stats: BackendStats
     scheduler_name: str
+    #: ``{worker_id: most jobs it ever held at once}`` -- 1 is Fig. 4's one
+    #: job per slave; more means the in-flight window opened on that worker
+    peak_window: dict[int, int] = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:
@@ -115,6 +120,13 @@ class DispatchPolicy(abc.ABC):
     #: (one message per chunk -- the conclusion's latency refinement);
     #: otherwise one ``backend.dispatch`` call per job
     chunked: bool = False
+    #: ``True`` when :meth:`refill` is a pure "next job for this worker" that
+    #: may be asked several times per answer (or not at all): on backends
+    #: whose workers queue jobs (``WorkerBackend.queues_jobs``) the stream
+    #: then keeps a per-worker in-flight window and tops a freed worker up to
+    #: it.  Policies whose ``refill`` is once-per-answer bookkeeping (chunk
+    #: draining, static blocks) leave it ``False``.
+    windowed: bool = False
 
     @abc.abstractmethod
     def plan(self, jobs: Sequence[Job], n_workers: int) -> None:
@@ -126,7 +138,8 @@ class DispatchPolicy(abc.ABC):
 
     @abc.abstractmethod
     def refill(self, worker_id: int) -> list[Job] | None:
-        """The next wave for ``worker_id``, called once per collected job.
+        """The next wave for ``worker_id``, called once per collected job
+        (:attr:`windowed` policies: as often as the worker's window has room).
 
         Return ``None`` (or an empty list) to leave the worker idle; the
         policy is responsible for its own outstanding-work bookkeeping.
@@ -216,6 +229,7 @@ class RobinHoodPolicy(DispatchPolicy):
     """The paper's dynamic loop: one job per slave, refill whoever answers."""
 
     name = "robin_hood"
+    windowed = True
 
     def plan(self, jobs: Sequence[Job], n_workers: int) -> None:
         self._queue: deque[Job] = deque(jobs)
@@ -367,6 +381,7 @@ class WorkStealingPolicy(DispatchPolicy):
     """
 
     name = "work_stealing"
+    windowed = True
 
     def plan(self, jobs: Sequence[Job], n_workers: int) -> None:
         n_jobs = len(jobs)
@@ -482,6 +497,69 @@ class PriorityPolicy(RobinHoodPolicy):
         super().plan([job for _, _, job in sorted(keyed)], n_workers)
 
 
+# -- the per-worker in-flight window ------------------------------------------
+# Fig. 4 holds one job per slave, so every hand-off (result back, next job
+# out) is time the slave idles.  Where the workers queue what they are sent
+# the stream keeps more behind the running job, sized per job category from
+# its own timings; nothing here is settable.  The constants come from fixed-depth sweeps of
+# benchmarks/e2e (2 workers; busy_cores of 2 at depth 1 / 2 / 3 / 4 / 8):
+#   toy_cf_mp, 0.5 ms jobs, hand-off 0.3-0.45 ms:  1.67 / 1.85 / 1.90 / 1.93 / 1.94
+#   var_campaign_mp, 5 ms batches:                 1.62 / 1.77
+#   realistic_mp, 12-96 ms jobs:                   1.95 / 1.97, master_cpu_share up
+
+#: most jobs one worker ever holds: the sweep is flat past 4, and every job
+#: in a window is one that ``cancel_pending`` can no longer withdraw
+_WINDOW_CAP = 8
+#: solo round trips a category must show before its window opens; the median
+#: of the last that many is its hand-off (a worker's first answers carry its
+#: cold start, 5 ms against a typical 0.35 ms, and must not size anything)
+_HANDOFF_SAMPLES = 8
+#: typical hand-offs' worth of compute kept queued behind the running job:
+#: the slow tenth of toy_cf_mp's hand-offs take four times the median, and a
+#: cover of one (depth 2 there) leaves a third of the gain behind
+_HANDOFF_COVER = 4.0
+#: a hand-off under this share of the job's compute opens nothing: what it
+#: could gain is less than what a 12 ms+ job committed early costs at the
+#: tail of a run, while the VaR batches (share 0.08-0.11) still get a second job
+_NEGLIGIBLE_HANDOFF = 0.05
+#: weight of the newest job in a category's running mean compute time
+_SMOOTHING = 0.25
+
+_clock = time.perf_counter
+
+
+class _CategoryTimings:
+    """What one stream has measured of one job category, and the window it earns."""
+
+    __slots__ = ("compute", "handoffs", "typical", "window")
+
+    def __init__(self) -> None:
+        self.compute: float | None = None  # running mean, seconds
+        self.handoffs: deque[float] = deque(maxlen=_HANDOFF_SAMPLES)
+        self.typical: float | None = None  # median hand-off, once there are enough
+        self.window = 1
+
+    def observe(self, compute: float, handoff: float | None) -> None:
+        """Fold one answer in; ``handoff`` is ``None`` unless the job rode alone."""
+        if self.compute is not None:
+            compute = self.compute + _SMOOTHING * (compute - self.compute)
+        self.compute = compute
+        if handoff is not None:
+            self.handoffs.append(handoff)
+            if len(self.handoffs) == _HANDOFF_SAMPLES:
+                self.typical = statistics.median(self.handoffs)
+        typical = self.typical
+        if typical is None:
+            return
+        if typical <= _NEGLIGIBLE_HANDOFF * compute:
+            self.window = 1
+        elif _HANDOFF_COVER * typical >= (_WINDOW_CAP - 1) * compute:
+            self.window = _WINDOW_CAP
+        else:
+            # the running job, plus enough queued seconds to cover the hand-off
+            self.window = 1 + math.ceil(_HANDOFF_COVER * typical / compute)
+
+
 class ScheduleStream:
     """Pull-driven incremental form of the paper's master loop (Fig. 4).
 
@@ -504,6 +582,21 @@ class ScheduleStream:
     A drained stream makes the same backend calls, in the same order, as the
     historical run-to-completion loops: the scheduler/backend matrix test
     pins the simulated virtual times bit for bit.
+
+    **The in-flight window.**  Where the workers queue what they are sent
+    (``backend.queues_jobs``: worker processes, remote hosts) and the policy
+    is :attr:`~DispatchPolicy.windowed`, one job per slave is only the
+    *starting* state.  The stream times every job category as the answers
+    come in -- the worker-reported compute time, and the hand-off left of a
+    solo job's round trip once the compute is taken out -- and lets a worker
+    hold as many jobs of a kind as keep the hand-off covered by queued work
+    (never more than ``_WINDOW_CAP``; one, where the hand-off is negligible
+    against the compute or the kind has not been timed yet).
+    :attr:`ScheduleOutcome.peak_window` reports what a run reached.  A job
+    inside a worker's window is a dispatched job like any other:
+    :meth:`cancel_job` returns ``False`` for it, :meth:`cancel_pending`
+    leaves at most ``_WINDOW_CAP x n_workers`` jobs to drain, and a backend
+    that loses a worker loses (and re-sends, or reports) its whole window.
     """
 
     def __init__(
@@ -519,7 +612,18 @@ class ScheduleStream:
         self.policy = policy if policy is not None else RobinHoodPolicy()
         # real payloads are prepared only for backends that execute them
         self._executing: bool = getattr(backend, "requires_payload", True)
+        # no worker-side queue, no hand-off to hide: the simulated cluster and
+        # the in-process backend keep Fig. 4's one job per slave, and so do
+        # the policies whose refill is bookkeeping
+        self._windowed: bool = getattr(backend, "queues_jobs", False) and self.policy.windowed
         self._in_flight = 0
+        self._held = [0] * backend.n_workers  # jobs in flight, per worker
+        self._peak = [0] * backend.n_workers
+        self._timings: dict[str, _CategoryTimings] = {}
+        #: timings of the category last sent to each worker: they size its window
+        self._sizing = [_CategoryTimings()] * backend.n_workers
+        #: job id -> (its category's timings, dispatch stamp if it rode alone)
+        self._sent: dict[int, tuple[_CategoryTimings, float | None]] = {}
         self._completed: list[CompletedJob] = []
         self._cancelled: list[Job] = []
         self._outcome: ScheduleOutcome | None = None
@@ -538,7 +642,23 @@ class ScheduleStream:
         else:
             for job in wave:
                 self.backend.dispatch(worker_id, job, prepare(job) if prepare else None)
+        held = self._held[worker_id]
+        if self._windowed:
+            # only a job sent to an empty worker times the hand-off: behind
+            # another job its wait is queueing, not transport
+            stamp = _clock() if held == 0 else None
+            for job in wave:
+                timings = self._timings.get(job.category)
+                if timings is None:
+                    timings = self._timings[job.category] = _CategoryTimings()
+                self._sent[job.job_id] = (timings, stamp)
+                stamp = None
+            self._sizing[worker_id] = timings
         self._in_flight += len(wave)
+        held += len(wave)
+        self._held[worker_id] = held
+        if held > self._peak[worker_id]:
+            self._peak[worker_id] = held
 
     # -- state -------------------------------------------------------------------
     @property
@@ -564,9 +684,30 @@ class ScheduleStream:
     def _account(self, done: CompletedJob) -> CompletedJob:
         self._completed.append(done)
         self._in_flight -= 1
-        wave = self.policy.refill(done.worker_id)
-        if wave:
-            self._dispatch(done.worker_id, wave)
+        worker_id = done.worker_id
+        self._held[worker_id] -= 1
+        if not self._windowed:
+            wave = self.policy.refill(worker_id)
+            if wave:
+                self._dispatch(worker_id, wave)
+            return done
+        # The worker reports its compute time; the master stamps dispatch
+        # (once the backend has taken the job) and collection.  What is left
+        # of a solo round trip after the compute is the hand-off a queued
+        # successor would have hidden.
+        timings, sent_at = self._sent.pop(done.job_id)
+        timings.observe(
+            done.compute_time,
+            None if sent_at is None else max(0.0, _clock() - sent_at - done.compute_time),
+        )
+        # the worker's window is that of the category it was last sent: a
+        # closed one (1) makes exactly Fig. 4's call, one refill per answer;
+        # one that shrank drains before anything more is sent
+        while self._held[worker_id] < self._sizing[worker_id].window:
+            wave = self.policy.refill(worker_id)
+            if not wave:
+                break
+            self._dispatch(worker_id, wave)
         return done
 
     def collect_next(self, timeout: float | None = None) -> CompletedJob:
@@ -622,7 +763,10 @@ class ScheduleStream:
         for worker_id in range(self.backend.n_workers):
             self.backend.send_stop(worker_id)
         self._outcome = ScheduleOutcome(
-            self._completed, self.backend.finalize(), self.policy.name
+            self._completed,
+            self.backend.finalize(),
+            self.policy.name,
+            peak_window=dict(enumerate(self._peak)),
         )
         return self._outcome
 

@@ -53,10 +53,12 @@ class WorkerLostError(ClusterError):
     :class:`~repro.cluster.backends.remote.ReconnectPolicy` can still re-dial
     a dead host), the remote backend requeues the lost worker's in-flight
     jobs transparently; this error surfaces only when the *whole* pool is
-    gone for good.  It is retryable in the scheduling sense: :attr:`job_ids`
-    lists the jobs that were in flight, so a caller can rebuild a backend
-    against fresh workers and resubmit exactly those jobs -- which is what
-    the session layer does automatically under
+    gone for good.  The multiprocessing backend, whose survivors cannot be
+    trusted after a death, raises it as soon as one worker process dies
+    holding dispatched jobs.  It is retryable in the scheduling sense:
+    :attr:`job_ids` lists the jobs that were in flight, so a caller can
+    rebuild a backend against fresh workers and resubmit exactly those jobs
+    -- which is what the session layer does automatically under
     ``RunConfig(retry=RetryPolicy(...))``."""
 
     def __init__(self, message: str, job_ids: tuple[int, ...] = ()) -> None:

@@ -74,68 +74,115 @@ def registered_type_names() -> list[str]:
     return sorted(_CODECS)
 
 
-def _pad(data: bytes) -> bytes:
-    """Pad to a 4-byte boundary, XDR style."""
-    remainder = len(data) % 4
-    if remainder:
-        return data + b"\x00" * (4 - remainder)
-    return data
+_pack_u32 = struct.Struct(">I").pack
+_pack_i64 = struct.Struct(">q").pack
+_pack_f64 = struct.Struct(">d").pack
+
+#: the zero bytes that bring a block of ``len % 4 == index`` to a 4-byte
+#: boundary, XDR style
+_PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+
+
+def _encode_none(value: None, chunks: list[bytes]) -> None:
+    chunks.append(_TAG_NONE)
+
+
+def _encode_bool(value: bool, chunks: list[bytes]) -> None:
+    chunks.append(_TAG_TRUE if value else _TAG_FALSE)
+
+
+def _encode_int(value: int, chunks: list[bytes]) -> None:
+    if not -(2**63) <= value < 2**63:
+        raise SerializationError(f"integer {value} does not fit in 64 bits")
+    chunks.append(_TAG_INT + _pack_i64(value))
+
+
+def _encode_float(value: float, chunks: list[bytes]) -> None:
+    chunks.append(_TAG_FLOAT + _pack_f64(value))
+
+
+def _encode_str(value: str, chunks: list[bytes], tag: bytes = _TAG_STRING) -> None:
+    raw = value.encode("utf-8")
+    chunks.append(tag + _pack_u32(len(raw)) + raw + _PADDING[len(raw) & 3])
+
+
+def _encode_bytes(value: bytes | bytearray, chunks: list[bytes]) -> None:
+    # three chunks, so a job payload is not copied again just to be padded
+    chunks.append(_TAG_BYTES + _pack_u32(len(value)))
+    chunks.append(bytes(value))
+    chunks.append(_PADDING[len(value) & 3])
+
+
+def _encode_list(value: list | tuple, chunks: list[bytes]) -> None:
+    chunks.append(_TAG_LIST + _pack_u32(len(value)))
+    for item in value:
+        _ENCODERS.get(type(item), _encode_other)(item, chunks)
+
+
+def _encode_dict(value: dict, chunks: list[bytes]) -> None:
+    chunks.append(_TAG_DICT + _pack_u32(len(value)))
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise SerializationError(
+                f"dictionary keys must be strings, got {type(key).__name__}"
+            )
+        _encode_str(key, chunks, tag=b"")
+        _ENCODERS.get(type(item), _encode_other)(item, chunks)
+
+
+#: encoder by *exact* type; everything else (numpy scalars and arrays,
+#: subclasses such as ``IntEnum``, registered codecs) takes ``_encode_other``
+_ENCODERS: dict[type, Callable[[Any, list[bytes]], None]] = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    list: _encode_list,
+    tuple: _encode_list,
+    dict: _encode_dict,
+}
+
+
+def _encode_other(value: Any, chunks: list[bytes]) -> None:
+    """The ``isinstance`` ladder, for values the exact-type table misses."""
+    if isinstance(value, bool):  # bool before int: bool is a subclass of int
+        _encode_bool(value, chunks)
+    elif isinstance(value, (int, np.integer)):
+        _encode_int(int(value), chunks)
+    elif isinstance(value, (float, np.floating)):
+        _encode_float(float(value), chunks)
+    elif isinstance(value, str):
+        _encode_str(value, chunks)
+    elif isinstance(value, (bytes, bytearray)):
+        _encode_bytes(value, chunks)
+    elif isinstance(value, (list, tuple)):
+        _encode_list(value, chunks)
+    elif isinstance(value, dict):
+        _encode_dict(value, chunks)
+    elif isinstance(value, np.ndarray):
+        _encode_array(value, chunks)
+    else:
+        type_name = _CLASS_TO_NAME.get(type(value))
+        if type_name is None:
+            # fall back to a registered codec for a parent class, if any
+            for cls, parent_name in _CLASS_TO_NAME.items():
+                if isinstance(value, cls):
+                    type_name = parent_name
+                    break
+            else:
+                raise SerializationError(
+                    f"cannot encode value of unsupported type {type(value).__name__}"
+                )
+        _, to_dict, _ = _CODECS[type_name]
+        _encode_str(type_name, chunks, tag=_TAG_OBJECT)
+        _encode_into(to_dict(value), chunks)
 
 
 def _encode_into(value: Any, chunks: list[bytes]) -> None:
-    if value is None:
-        chunks.append(_TAG_NONE)
-    elif isinstance(value, bool):  # bool before int: bool is a subclass of int
-        chunks.append(_TAG_TRUE if value else _TAG_FALSE)
-    elif isinstance(value, (int, np.integer)):
-        ivalue = int(value)
-        if not -(2**63) <= ivalue < 2**63:
-            raise SerializationError(f"integer {ivalue} does not fit in 64 bits")
-        chunks.append(_TAG_INT + struct.pack(">q", ivalue))
-    elif isinstance(value, (float, np.floating)):
-        chunks.append(_TAG_FLOAT + struct.pack(">d", float(value)))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        chunks.append(_TAG_STRING + struct.pack(">I", len(raw)) + _pad(raw))
-    elif isinstance(value, (bytes, bytearray)):
-        raw = bytes(value)
-        chunks.append(_TAG_BYTES + struct.pack(">I", len(raw)) + _pad(raw))
-    elif isinstance(value, (list, tuple)):
-        chunks.append(_TAG_LIST + struct.pack(">I", len(value)))
-        for item in value:
-            _encode_into(item, chunks)
-    elif isinstance(value, dict):
-        chunks.append(_TAG_DICT + struct.pack(">I", len(value)))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise SerializationError(
-                    f"dictionary keys must be strings, got {type(key).__name__}"
-                )
-            raw = key.encode("utf-8")
-            chunks.append(struct.pack(">I", len(raw)) + _pad(raw))
-            _encode_into(item, chunks)
-    elif isinstance(value, np.ndarray):
-        _encode_array(value, chunks)
-    elif type(value) in _CLASS_TO_NAME:
-        type_name = _CLASS_TO_NAME[type(value)]
-        _, to_dict, _ = _CODECS[type_name]
-        raw_name = type_name.encode("utf-8")
-        chunks.append(_TAG_OBJECT + struct.pack(">I", len(raw_name)) + _pad(raw_name))
-        _encode_into(to_dict(value), chunks)
-    else:
-        # fall back to a registered codec for a parent class, if any
-        for cls, type_name in _CLASS_TO_NAME.items():
-            if isinstance(value, cls):
-                _, to_dict, _ = _CODECS[type_name]
-                raw_name = type_name.encode("utf-8")
-                chunks.append(
-                    _TAG_OBJECT + struct.pack(">I", len(raw_name)) + _pad(raw_name)
-                )
-                _encode_into(to_dict(value), chunks)
-                return
-        raise SerializationError(
-            f"cannot encode value of unsupported type {type(value).__name__}"
-        )
+    _ENCODERS.get(type(value), _encode_other)(value, chunks)
 
 
 def _encode_array(value: np.ndarray, chunks: list[bytes]) -> None:
@@ -151,11 +198,11 @@ def _encode_array(value: np.ndarray, chunks: list[bytes]) -> None:
     header = (
         _TAG_ARRAY
         + code.encode("ascii")
-        + struct.pack(">I", value.ndim)
-        + b"".join(struct.pack(">I", int(dim)) for dim in value.shape)
-        + struct.pack(">I", len(data))
+        + _pack_u32(value.ndim)
+        + b"".join(_pack_u32(int(dim)) for dim in value.shape)
+        + _pack_u32(len(data))
     )
-    chunks.append(header + _pad(data))
+    chunks.append(header + data + _PADDING[len(data) & 3])
 
 
 def encode(value: Any) -> bytes:

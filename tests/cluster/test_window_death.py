@@ -1,0 +1,158 @@
+"""A worker that dies holding a whole in-flight window.
+
+With more than one job per worker in flight, a death strands several jobs at
+once.  The remote backend must re-send each of them exactly once; the
+multiprocessing backend must notice the dead process at all (it used to sit
+out the full collect timeout) and name every stranded job in a retryable
+:class:`~repro.errors.WorkerLostError`.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import os
+import signal
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.api import ValuationSession
+from repro.api.config import RetryPolicy, RunConfig
+from repro.cluster.backends import PAYLOAD_SERIAL, Job, PreparedMessage
+from repro.cluster.backends.multiproc import MultiprocessingBackend
+from repro.cluster.backends.remote import RemoteBackend
+from repro.cluster.worker import spawn_local_workers
+from repro.core.portfolio import Portfolio, Position
+from repro.errors import ClusterError, WorkerLostError
+from repro.pricing import PricingProblem
+from repro.serial import serialize, xdr
+from repro.serial.frames import FRAME_HELLO, PROTOCOL_VERSION, encode_frame
+
+
+def _problem(strike: float, method: str = "CF_Call", **params) -> PricingProblem:
+    problem = PricingProblem(label=f"window_{strike:.0f}")
+    problem.set_asset("equity")
+    problem.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.2)
+    problem.set_option("CallEuro", strike=strike, maturity=1.0)
+    problem.set_method(method, **params)
+    return problem
+
+
+def _dispatch(backend, worker_id: int, job_id: int, problem: PricingProblem) -> None:
+    data = serialize(problem).to_bytes()
+    backend.dispatch(
+        worker_id,
+        Job(job_id=job_id, path="", file_size=len(data), compute_cost=1e-3),
+        PreparedMessage(kind=PAYLOAD_SERIAL, payload=data, nbytes=len(data)),
+    )
+
+
+def _kill(process) -> None:
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(timeout=10.0)
+    assert not process.is_alive()
+
+
+def _started_since(before) -> list:
+    """Worker processes started after ``before`` was taken, in start order."""
+    return sorted(set(mp.active_children()) - before, key=lambda process: process.pid)
+
+
+class TestRemoteWindow:
+    def test_a_dead_connection_resends_each_job_of_its_window_once(self):
+        """Three solo dispatches to one connection, then the connection dies."""
+        server = socket.create_server(("127.0.0.1", 0))
+        release = threading.Event()
+
+        def mute_worker() -> None:
+            # greets like a repro-worker, then holds every job unanswered
+            conn, _ = server.accept()
+            with conn:
+                conn.sendall(encode_frame(FRAME_HELLO, xdr.encode(
+                    {"role": "repro-worker", "pid": 0, "version": PROTOCOL_VERSION})))
+                release.wait(60.0)
+
+        thread = threading.Thread(target=mute_worker, daemon=True)
+        thread.start()
+        problems = [_problem(90.0 + 10 * k) for k in range(3)]
+        try:
+            with spawn_local_workers(1) as pool:
+                address = f"127.0.0.1:{server.getsockname()[1]}"
+                backend = RemoteBackend([address, pool.hosts[0]], connect_timeout=5.0)
+                for job_id, problem in enumerate(problems):
+                    _dispatch(backend, 0, job_id, problem)  # all into the mute worker
+                release.set()  # the connection drops with its window unanswered
+
+                collected = [backend.collect(timeout=30.0) for _ in problems]
+                with pytest.raises(ClusterError, match="no job in flight"):
+                    backend.collect(timeout=0.2)  # none is answered twice
+                stats = backend.finalize()
+        finally:
+            release.set()
+            server.close()
+            thread.join(timeout=5.0)
+        assert sorted(done.job_id for done in collected) == [0, 1, 2]
+        assert [done.error for done in collected] == [None] * 3
+        prices = {done.job_id: done.result["price"] for done in collected}
+        assert prices == {k: problem.compute().price for k, problem in enumerate(problems)}
+        assert stats.extra["redispatches"] == 3  # each re-sent exactly once
+        assert stats.n_jobs == 3
+
+
+class TestMultiprocessingDeath:
+    def test_a_killed_worker_surfaces_within_two_seconds(self):
+        before = set(mp.active_children())
+        backend = MultiprocessingBackend(n_workers=1)
+        try:
+            (process,) = _started_since(before)
+            _kill(process)
+            for job_id in range(3):
+                _dispatch(backend, 0, job_id, _problem(100.0 + job_id))
+            start = time.monotonic()
+            with pytest.raises(WorkerLostError) as excinfo:
+                backend.collect(timeout=60.0)
+            assert time.monotonic() - start < 2.0
+            assert excinfo.value.job_ids == (0, 1, 2)
+        finally:
+            backend.finalize()
+
+    def test_a_death_beside_a_live_worker_names_only_its_own_jobs(self):
+        before = set(mp.active_children())
+        backend = MultiprocessingBackend(n_workers=2)
+        try:
+            _kill(_started_since(before)[1])
+            _dispatch(backend, 0, 0, _problem(100.0))
+            _dispatch(backend, 1, 1, _problem(101.0))
+            _dispatch(backend, 1, 2, _problem(102.0))
+            assert backend.collect(timeout=30.0).job_id == 0  # the live worker answers
+            with pytest.raises(WorkerLostError) as excinfo:
+                backend.collect(timeout=60.0)
+            assert excinfo.value.job_ids == (1, 2)
+        finally:
+            backend.finalize()
+
+    def test_the_session_retries_a_death_to_a_bit_identical_report(self):
+        problems = [
+            _problem(80.0 + 3 * k, method="MC_European", n_paths=20_000, seed=7)
+            for k in range(12)
+        ]
+        portfolio = Portfolio(
+            positions=[Position(p, label=f"p{k}") for k, p in enumerate(problems)]
+        )
+        reference = ValuationSession(backend="local").run(portfolio).prices()
+        before = set(mp.active_children())
+        killed = threading.Event()
+
+        def on_progress(event) -> None:
+            if not killed.is_set():
+                killed.set()
+                os.kill(_started_since(before)[0].pid, signal.SIGKILL)
+
+        session = ValuationSession(backend="multiprocessing", n_workers=2)
+        config = RunConfig(retry=RetryPolicy(max_attempts=3), progress=on_progress)
+        report = session.run(portfolio, config=config).report
+        assert not report.errors
+        assert report.extra["retries"] == 1
+        assert report.prices() == reference
