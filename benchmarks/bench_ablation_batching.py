@@ -3,8 +3,9 @@
 Two optimisations the paper mentions without measuring:
 
 * "it is always advisable to send a single large message rather [than]
-  several smaller messages" -- the chunk-size sweep quantifies the gain of
-  batching on the master-bound toy workload;
+  several smaller messages" -- per-job dispatch against the chunks
+  :class:`~repro.core.scheduler.ChunkedPolicy` cuts from the book quantifies
+  the gain of batching on the master-bound toy workload;
 * "the possibility to compress the serialized buffer ... compression, which
   takes most of the CPU time, can be done off line when preparing a set of
   problems" -- the compression benchmark measures the size reduction of real
@@ -31,7 +32,6 @@ from repro.core import (
 from repro.serial import serialize
 
 N_WORKERS = 32
-CHUNK_SIZES = [1, 2, 5, 10, 25, 50, 100]
 
 
 @pytest.fixture(scope="module")
@@ -39,32 +39,46 @@ def toy_jobs():
     return build_toy_portfolio(n_options=5_000).build_jobs(cost_model=paper_cost_model())
 
 
-def _run_chunked(jobs, chunk_size, strategy="serialized_load"):
-    backend = SimulatedClusterBackend(ClusterSpec.homogeneous(N_WORKERS), strategy=strategy)
-    policy = RobinHoodPolicy() if chunk_size == 1 else ChunkedPolicy(chunk_size=chunk_size)
-    return ScheduleStream(jobs, backend, get_strategy(strategy), policy).finish().total_time
+class _CountingBackend(SimulatedClusterBackend):
+    """The simulated cluster, counting the master-to-worker messages."""
+
+    n_messages = 0
+
+    def dispatch_batch(self, worker_id, jobs, messages=None):
+        self.n_messages += 1
+        super().dispatch_batch(worker_id, jobs, messages)
 
 
-def test_batching_chunk_size_sweep(benchmark, toy_jobs):
-    """Makespan of the toy portfolio as a function of the batch size."""
+def _run(policy, jobs, strategy="serialized_load"):
+    """``(virtual makespan, messages sent)`` of one simulated run."""
+    backend = _CountingBackend(ClusterSpec.homogeneous(N_WORKERS), strategy=strategy)
+    outcome = ScheduleStream(jobs, backend, get_strategy(strategy), policy).finish()
+    return outcome.total_time, backend.n_messages
 
-    def sweep():
-        return {size: _run_chunked(toy_jobs, size) for size in CHUNK_SIZES}
 
-    times = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_batching_per_job_vs_derived_chunks(benchmark, toy_jobs):
+    """Makespan and message count of the toy portfolio, per job and chunked."""
+
+    def both():
+        return {
+            "per job": _run(RobinHoodPolicy(), toy_jobs),
+            "derived chunks": _run(ChunkedPolicy(), toy_jobs),
+        }
+
+    runs = benchmark.pedantic(both, rounds=1, iterations=1)
 
     lines = [f"Message batching -- 5,000 cheap options, {N_WORKERS} workers",
-             f"{'chunk size':>10}  {'time (s)':>10}  {'speedup vs unbatched':>20}"]
-    base = times[1]
-    for size in CHUNK_SIZES:
-        lines.append(f"{size:>10}  {times[size]:>10.3f}  {base / times[size]:>20.2f}x")
+             f"{'dispatch':>14}  {'messages':>8}  {'time (s)':>10}  {'speedup vs per job':>18}"]
+    base, base_messages = runs["per job"]
+    for name, (time, n_messages) in runs.items():
+        lines.append(f"{name:>14}  {n_messages:>8}  {time:>10.3f}  {base / time:>18.2f}x")
     write_result("ablation_batching.txt", "\n".join(lines))
 
-    # batching monotonically helps until the chunks are "large enough"
-    assert times[10] < times[1]
-    assert times[100] < times[1]
-    # diminishing returns: going from 25 to 100 changes little
-    assert times[100] == pytest.approx(times[25], rel=0.25)
+    time, n_messages = runs["derived chunks"]
+    assert base_messages == len(toy_jobs)
+    # fewer, larger messages relieve the master-bound run
+    assert n_messages < base_messages
+    assert time < base
 
 
 def test_compressed_problem_files(benchmark):
@@ -91,8 +105,8 @@ def test_compressed_problem_files(benchmark):
                   compute_cost=job.compute_cost, category=job.category)
         for job in jobs
     ]
-    plain_time = _run_chunked(jobs, 1)
-    compressed_time = _run_chunked(compressed_jobs, 1)
+    plain_time, _ = _run(RobinHoodPolicy(), jobs)
+    compressed_time, _ = _run(RobinHoodPolicy(), compressed_jobs)
 
     lines = [
         "Compressed serialization -- 500 toy problems",

@@ -188,10 +188,9 @@ class RunConfig:
 
     #: transmission strategy; ``None`` (default) keeps the session's
     strategy: str | None = None
-    #: registered name (``scheduler_options`` are its keyword options) or a
-    #: zero-argument factory of fresh policies; ``None`` keeps the session's
+    #: registered name or a zero-argument factory of fresh policies (a
+    #: configured one is ``partial(MyPolicy, ...)``); ``None`` keeps the session's
     scheduler: str | Callable[[], DispatchPolicy] | None = None
-    scheduler_options: tuple[tuple[str, Any], ...] = ()
     cost_model: Any | None = field(default=None, compare=False)
     batch: bool = False
     batch_group_size: int | None = None
@@ -229,9 +228,5 @@ class RunConfig:
             raise ValuationError(
                 f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}"
             )
-        if isinstance(self.scheduler_options, Mapping):
-            object.__setattr__(
-                self, "scheduler_options", _frozen_options(self.scheduler_options)
-            )
-        # unknown names and options without a name fail here, not mid-campaign
-        policy_factory(self.scheduler, self.scheduler_options)
+        # an unknown name fails here, not mid-campaign
+        policy_factory(self.scheduler)

@@ -307,7 +307,6 @@ class ValuationSession:
         source: Portfolio | Sequence[Job],
         *,
         strategy: str | TransmissionStrategy | None = None,
-        scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
         config: RunConfig | None = None,
         futures: Mapping[int, PricingFuture] | None = None,
@@ -319,16 +318,11 @@ class ValuationSession:
         ``config`` field, the session's own choice.
         """
         given = {name: value for name, value in overrides.items() if value is not None}
-        if scheduler is not None:
-            # the keyword replaces the config's scheduler and its options
-            given.update(scheduler=scheduler, scheduler_options=())
         options = replace(config or RunConfig(), **given)
         strategy_obj = self._resolve_strategy(
             strategy if strategy is not None else options.strategy
         )
-        new_policy = policy_factory(
-            options.scheduler or self.scheduler, options.scheduler_options
-        )
+        new_policy = policy_factory(options.scheduler or self.scheduler)
         run_cache = self._resolve_run_cache(options.cache)
         new_backend = partial(self._acquire_backend, strategy_obj.name, run_cache)
         backend = new_backend()

@@ -45,49 +45,6 @@ def _add_scheduler_args(cmd: argparse.ArgumentParser) -> None:
         help="registered scheduler name (see repro.core.scheduler.SCHEDULERS; "
         "default robin_hood)",
     )
-    cmd.add_argument(
-        "--scheduler-opt",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE",
-        help="scheduler constructor option, repeatable (e.g. "
-        "--scheduler chunked_robin_hood --scheduler-opt chunk_size=25); "
-        "values parse as int/float/bool when they look like one",
-    )
-
-
-def _parse_opt_value(text: str):
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _cli_policy_factory(args: argparse.Namespace):
-    """The validated policy factory behind --scheduler/--scheduler-opt.
-
-    Validation rides on :class:`~repro.api.config.RunConfig` (the same path
-    programmatic configuration uses): unknown names and options without a
-    name fail there, bad option values fail on the eager trial construction.
-    """
-    from repro.api import RunConfig
-    from repro.core.scheduler import policy_factory
-
-    options: dict = {}
-    for pair in args.scheduler_opt or []:
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--scheduler-opt {pair!r} is not KEY=VALUE")
-        options[key] = _parse_opt_value(value)
-    config = RunConfig(scheduler=args.scheduler, scheduler_options=options)
-    factory = policy_factory(config.scheduler, config.scheduler_options)
-    factory()  # fail on bad options here, with the constructor's message
-    return factory
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,17 +313,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
     from repro.api import ValuationSession
-    from repro.cluster.backends import list_backends
 
-    if args.backend not in list_backends():
-        # validated against the live registry, not a hard-coded list, so
-        # backends registered by plugins/sitecustomize work from the CLI too
-        print(
-            f"error: unknown backend {args.backend!r}; registered backends: "
-            f"{', '.join(list_backends())}",
-            file=sys.stderr,
-        )
-        return 2
     if args.hosts and args.backend != "remote":
         print("error: --hosts only applies to --backend remote", file=sys.stderr)
         return 2
@@ -512,25 +459,21 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "scheduler"):
-        # table*/run/sweep: the name and its options become the validated
-        # policy factory their session takes
-        try:
-            args.scheduler = _cli_policy_factory(args)
-        except (ValueError, TypeError, ReproError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "price":
-        return _cmd_price(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "risk":
-        return _cmd_risk(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_table(args)  # every other subcommand is a PAPER_TABLES key
+    try:
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "price":
+            return _cmd_price(args)
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "risk":
+            return _cmd_risk(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        return _cmd_table(args)  # every other subcommand is a PAPER_TABLES key
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -159,43 +159,7 @@ class SimulatedClusterBackend(WorkerBackend):
         return self._master_time
 
     def dispatch(self, worker_id: int, job: Job, message: PreparedMessage | None = None) -> None:
-        if self._finalized:
-            raise ClusterError("backend already finalized")
-        if not 0 <= worker_id < self.n_workers:
-            raise ClusterError(f"invalid worker id {worker_id}")
-
-        prep = self.comm.master_prep_time(self.strategy, job)
-        send = self.comm.send_time(self.strategy, job)
-        nbytes = self.comm.message_nbytes(self.strategy, job)
-        dispatched_at = self._master_time
-        self._master_time += prep + send
-        self._master_busy += prep + send
-        self._bytes_sent += nbytes
-
-        arrival = self._master_time
-        worker_prep = self.comm.worker_prep_time(self.strategy, job)
-        worker_id, start, done, compute = self._place(
-            worker_id, arrival, worker_prep, job
-        )
-
-        result: dict[str, Any] | None = None
-        error: str | None = None
-        if self.execute:
-            result, _elapsed, error = self._execute_job(job, message)
-
-        record = _InFlight(
-            job=job,
-            worker_id=worker_id,
-            dispatched_at=dispatched_at,
-            worker_start=start,
-            worker_done=done,
-            compute_time=compute,
-            result=result,
-            error=error,
-        )
-        self._events.push(done + self.comm.result_return_time(), "result", record)
-        self._in_flight += 1
-        self._n_jobs += 1
+        self.dispatch_batch(worker_id, [job], [message] if message is not None else None)
 
     def dispatch_batch(
         self,
@@ -203,12 +167,12 @@ class SimulatedClusterBackend(WorkerBackend):
         jobs: list[Job],
         messages: list[PreparedMessage] | None = None,
     ) -> None:
-        """Dispatch several jobs in a single message (chunked scheduling).
+        """Dispatch one message carrying ``jobs`` (a chunk, or a single job).
 
-        The master still pays the per-job preparation cost, but only one
-        network latency is charged for the whole chunk -- "it is always
-        advisable to send a single large message rather [than] several
-        smaller messages".
+        The master pays every job's preparation cost, but only one network
+        latency is charged for the whole message -- "it is always advisable
+        to send a single large message rather [than] several smaller
+        messages".
         """
         if self._finalized:
             raise ClusterError("backend already finalized")
@@ -220,6 +184,8 @@ class SimulatedClusterBackend(WorkerBackend):
         prep = sum(self.comm.master_prep_time(self.strategy, job) for job in jobs)
         nbytes = sum(self.comm.message_nbytes(self.strategy, job) for job in jobs)
         send = self.comm.network.transfer_time(nbytes)
+        # every member records the instant the master began preparing the message
+        dispatched_at = self._master_time
         self._master_time += prep + send
         self._master_busy += prep + send
         self._bytes_sent += nbytes
@@ -240,7 +206,7 @@ class SimulatedClusterBackend(WorkerBackend):
             record = _InFlight(
                 job=job,
                 worker_id=placed_id,
-                dispatched_at=arrival,
+                dispatched_at=dispatched_at,
                 worker_start=start,
                 worker_done=done,
                 compute_time=compute,

@@ -20,8 +20,8 @@ under their ``name`` (extensible through :func:`register_scheduler`), are
   refill the slave that just answered;
 * :class:`StaticBlockPolicy` -- contiguous pre-partition, no refill (the
   baseline the dynamic strategy is compared against);
-* :class:`ChunkedPolicy` -- Robin Hood over chunks, one message per chunk
-  (the conclusion's first refinement);
+* :class:`ChunkedPolicy` -- Robin Hood over chunks cut from the queue by
+  estimated cost, one message per chunk (the conclusion's first refinement);
 * :class:`WorkStealingPolicy` -- static blocks plus stealing from the tail
   of the most-loaded worker's still-queued block;
 * :class:`PriorityPolicy` -- Robin Hood over a priority-ordered queue (how
@@ -44,8 +44,8 @@ import statistics
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.cluster.backends.base import BackendStats, CompletedJob, Job, WorkerBackend
 from repro.cluster.simcluster.comm import CommunicationModel
@@ -104,22 +104,18 @@ class DispatchPolicy(abc.ABC):
     """How one :class:`ScheduleStream` shapes its dispatches.
 
     A policy owns the master-side queue: it decides the initial wave (which
-    worker receives which jobs before anything is collected), the refill rule
-    (what a freed worker gets after each answer), and whether a wave travels
-    as one message per job or per chunk (:attr:`chunked`).  The stream does
-    everything else -- collection, accounting, cancellation bookkeeping,
-    termination -- so a new scheduling variant is one policy class (worked
-    example in ``docs/schedulers.md``).  A policy holds the state of **one**
-    stream: every stream gets a fresh instance.
+    worker receives which jobs before anything is collected) and the refill
+    rule (what a freed worker gets after each answer); a wave of several
+    jobs travels as one message (``backend.dispatch_batch``).  The stream
+    does everything else -- collection, accounting, cancellation
+    bookkeeping, termination -- so a new scheduling variant is one policy
+    class (worked example in ``docs/schedulers.md``).  A policy holds the
+    state of **one** stream: every stream gets a fresh instance.
     """
 
     #: what :attr:`ScheduleOutcome.scheduler_name` (and ``RunReport.scheduler``)
     #: reports; equal to the name the policy is registered under
     name: str = "abstract"
-    #: when ``True`` every wave ships through ``backend.dispatch_batch``
-    #: (one message per chunk -- the conclusion's latency refinement);
-    #: otherwise one ``backend.dispatch`` call per job
-    chunked: bool = False
     #: ``True`` when :meth:`refill` is a pure "next job for this worker" that
     #: may be asked several times per answer (or not at all): on backends
     #: whose workers queue jobs (``WorkerBackend.queues_jobs``) the stream
@@ -161,9 +157,9 @@ class DispatchPolicy(abc.ABC):
 
 #: registered dispatch-policy factories (usually the policy class), by name:
 #: the schedulers usable from sessions, configs, the CLI and the benchmarks
-SCHEDULERS: dict[str, Callable[..., DispatchPolicy]] = {}
+SCHEDULERS: dict[str, Callable[[], DispatchPolicy]] = {}
 
-_Factory = TypeVar("_Factory", bound=Callable[..., DispatchPolicy])
+_Factory = TypeVar("_Factory", bound=Callable[[], DispatchPolicy])
 
 
 def register_scheduler(name: str, factory: _Factory | None = None) -> Any:
@@ -178,8 +174,8 @@ def register_scheduler(name: str, factory: _Factory | None = None) -> Any:
 
     Registered names are accepted wherever a scheduler is spelled as a string
     (``ValuationSession(scheduler=...)``, ``RunConfig(scheduler=...)``, the
-    ``repro-bench --scheduler`` flags); ``RunConfig.scheduler_options`` /
-    ``--scheduler-opt`` become keyword arguments of the factory.
+    ``repro-bench --scheduler`` flags) and are called with no argument; a
+    configured policy is spelled ``partial(MyPolicy, ...)``.
     """
     if not name:
         raise SchedulingError("scheduler names must be non-empty strings")
@@ -195,23 +191,19 @@ def register_scheduler(name: str, factory: _Factory | None = None) -> Any:
 
 def policy_factory(
     scheduler: str | Callable[[], DispatchPolicy] | None = None,
-    options: Mapping[str, Any] | Iterable[tuple[str, Any]] = (),
 ) -> Callable[[], DispatchPolicy]:
     """Resolve a scheduler spelling into a factory of fresh policies.
 
-    ``scheduler`` is a name registered in :data:`SCHEDULERS` (``options``
-    are keyword arguments for its factory), a zero-argument callable
-    returning a fresh :class:`DispatchPolicy` (a policy class is one, so is
-    ``partial(PriorityPolicy, priority=...)``), or ``None`` for the paper's
-    Robin Hood.  The session, the run configuration, the CLI and the serving
-    daemon all resolve through this one function.
+    ``scheduler`` is a name registered in :data:`SCHEDULERS`, a zero-argument
+    callable returning a fresh :class:`DispatchPolicy` (a policy class is
+    one, so is ``partial(PriorityPolicy, priority=...)``), or ``None`` for
+    the paper's Robin Hood.  The session, the run configuration, the CLI and
+    the serving daemon all resolve through this one function.
     """
     if isinstance(scheduler, str):
         if scheduler not in SCHEDULERS:
             raise ValuationError(f"unknown scheduler {scheduler!r}; known: {sorted(SCHEDULERS)}")
-        return partial(SCHEDULERS[scheduler], **dict(options))
-    if dict(options):
-        raise ValuationError("scheduler options need a registered scheduler name")
+        return SCHEDULERS[scheduler]
     if scheduler is None:
         return RobinHoodPolicy
     if isinstance(scheduler, DispatchPolicy) or not callable(scheduler):
@@ -298,45 +290,66 @@ class StaticBlockPolicy(DispatchPolicy):
         return []
 
 
+#: a chunk is capped at the estimated cost still queued over ``_FACTORING *
+#: n_workers``, so no chunk outweighs 1/_FACTORING of an even share of the
+#: book.  Virtual makespan over per-job Robin Hood's (simulated cluster,
+#: serialized load), capped with 1 / 2 / 4 / 8, and the messages sent at 2:
+#:   skewed book, 1,720 jobs, 64 workers:    1.015 / 1.013 / 1.068 / 1.087   589
+#:   realistic x0.25, 1,982 jobs, 64:        1.014 / 1.014 / 1.000 / 1.002   268
+#:   5,000 cheap options, 32 workers:        0.742 / 0.751 / 0.767 / 0.793   377
+#:   skewed, expensive band last, 64:        1.387 / 1.373 / 1.150 / 1.042   133
+#: A larger value buys the hostile ordering a tighter tail and charges every
+#: cheap book more messages; 2 (Hummel, Schonberg & Flynn's choice) bounds a
+#: chunk at half an even share, where 1 allows a whole one.
+_FACTORING = 2
+
+
 @register_scheduler("chunked_robin_hood")
-class ChunkedPolicy(DispatchPolicy):
-    """Robin Hood over ``chunk_size``-job chunks, one message per chunk.
+class ChunkedPolicy(RobinHoodPolicy):
+    """Robin Hood over chunks cut from the queue by cost, one message per chunk.
 
     "The first idea is to gather several pricing problems and send them all
     together to reduce the communication latency: it is always advisable to
     send a single large message rather [than] several smaller messages."
-    Chunks travel through ``backend.dispatch_batch``: natively one message
-    (queue item, TCP frame, simulated single-latency send) on backends that
-    implement it, a per-job loop everywhere else.  A worker is refilled once
-    it has drained its whole previous chunk.
+    A worker is refilled once it has drained its whole previous chunk, and
+    the chunk is cut when it is asked for (cost-weighted factoring
+    self-scheduling: Polychronopoulos & Kuck 1987; Hummel, Schonberg & Flynn
+    1992): jobs leave the queue head while their summed ``compute_cost``
+    stays within ``(cost still queued) / (_FACTORING * n_workers)``, at
+    least one job per chunk.  Chunks start large and shrink to single jobs,
+    so, communication aside, the makespan is at most ``even share * (1 +
+    1/_FACTORING) + largest job``.  A book with any cost that is not a
+    positive finite number is cut by count, every job weighing 1.  A
+    dispatched chunk cannot be withdrawn (``docs/schedulers.md``).
     """
 
     name = "chunked_robin_hood"
-    chunked = True
-
-    def __init__(self, chunk_size: int = 8) -> None:
-        # bool is an int subclass; 2.5 must not be silently truncated to 2
-        if type(chunk_size) is not int or chunk_size < 1:
-            raise SchedulingError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
-        self.chunk_size = chunk_size
+    #: ``refill`` is chunk-draining bookkeeping, called once per answer
+    windowed = False
 
     def plan(self, jobs: Sequence[Job], n_workers: int) -> None:
-        self._queue: deque[list[Job]] = deque(
-            list(jobs[i : i + self.chunk_size])
-            for i in range(0, len(jobs), self.chunk_size)
-        )
-        self._n_workers = n_workers
+        super().plan(jobs, n_workers)
+        weighable = all(math.isfinite(job.compute_cost) and job.compute_cost > 0 for job in jobs)
+        self._weight = attrgetter("compute_cost") if weighable else (lambda job: 1.0)
+        self._queued_cost = math.fsum(map(self._weight, jobs))
         self._outstanding: dict[int, int] = {}
-        self._queued_count = len(jobs)
 
     def _next_chunk(self, worker_id: int) -> list[Job]:
-        chunk = self._queue.popleft()
-        self._queued_count -= len(chunk)
-        self._outstanding[worker_id] = self._outstanding.get(worker_id, 0) + len(chunk)
+        cap = self._queued_cost / (_FACTORING * self._n_workers)
+        chunk = [self._queue.popleft()]
+        cost = self._weight(chunk[0])
+        while self._queue and cost + self._weight(self._queue[0]) <= cap:
+            job = self._queue.popleft()
+            cost += self._weight(job)
+            chunk.append(job)
+        self._queued_cost -= cost
+        self._outstanding[worker_id] = len(chunk)
         return chunk
 
     def initial_wave(self) -> Iterator[tuple[int, list[Job]]]:
-        for worker_id in range(min(self._n_workers, len(self._queue))):
+        for worker_id in range(self._n_workers):
+            if not self._queue:
+                break
             yield worker_id, self._next_chunk(worker_id)
 
     def refill(self, worker_id: int) -> list[Job] | None:
@@ -346,26 +359,15 @@ class ChunkedPolicy(DispatchPolicy):
             return self._next_chunk(worker_id)
         return None
 
-    @property
-    def n_queued(self) -> int:
-        return self._queued_count
-
     def withdraw(self, job_id: int) -> Job | None:
-        for chunk in self._queue:
-            for job in chunk:
-                if job.job_id == job_id:
-                    chunk.remove(job)
-                    self._queued_count -= 1
-                    if not chunk:
-                        self._queue.remove(chunk)
-                    return job
-        return None
+        job = super().withdraw(job_id)
+        if job is not None:
+            self._queued_cost -= self._weight(job)
+        return job
 
     def withdraw_all(self) -> list[Job]:
-        dropped = [job for chunk in self._queue for job in chunk]
-        self._queue.clear()
-        self._queued_count = 0
-        return dropped
+        self._queued_cost = 0.0
+        return super().withdraw_all()
 
 
 @register_scheduler("work_stealing")
@@ -636,12 +638,12 @@ class ScheduleStream:
         if not wave:
             return
         prepare = self.strategy.prepare if self._executing else None
-        if self.policy.chunked:
+        if len(wave) > 1:
+            # several jobs for one worker travel as one message
             messages = [prepare(job) for job in wave] if prepare else None
             self.backend.dispatch_batch(worker_id, wave, messages)
         else:
-            for job in wave:
-                self.backend.dispatch(worker_id, job, prepare(job) if prepare else None)
+            self.backend.dispatch(worker_id, wave[0], prepare(wave[0]) if prepare else None)
         held = self._held[worker_id]
         if self._windowed:
             # only a job sent to an empty worker times the hand-off: behind
@@ -778,7 +780,6 @@ def simulate_hierarchical(
     strategy_name: str = "serialized_load",
     comm: CommunicationModel | None = None,
     worker_speed: float = 1.0,
-    chunk_size: int = 1,
 ) -> dict[str, Any]:
     """Two-level master organisation evaluated on the simulated cluster.
 
@@ -814,12 +815,6 @@ def simulate_hierarchical(
         group_sizes[i] += 1
     group_jobs = [list(jobs[group::n_groups]) for group in range(n_groups)]
 
-    new_policy = (
-        policy_factory("chunked_robin_hood", {"chunk_size": chunk_size})
-        if chunk_size > 1
-        else policy_factory("robin_hood")
-    )
-
     group_times: list[float] = []
     for size, sub_jobs in zip(group_sizes, group_jobs):
         if not sub_jobs:
@@ -830,9 +825,7 @@ def simulate_hierarchical(
             strategy=strategy_name,
             comm=CommunicationModel(network=base_comm.network, nfs=base_comm.nfs),
         )
-        stream = ScheduleStream(
-            sub_jobs, backend, get_strategy(strategy_name), new_policy()
-        )
+        stream = ScheduleStream(sub_jobs, backend, get_strategy(strategy_name))
         group_times.append(stream.finish().total_time)
 
     return {

@@ -68,6 +68,11 @@ class _PayloadTooLarge(Exception):
     """Body over ``max_body_bytes`` -> HTTP 413 (not a plain bad request)."""
 
 
+def _refuse_constant(literal: str) -> Any:
+    """``json.loads`` hook: NaN / Infinity is refused before anything is priced or enqueued."""
+    raise ServeError(f"request body holds the non-finite number {literal}")
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes one request; all state lives on ``self.server.service``."""
 
@@ -129,7 +134,10 @@ class _Handler(BaseHTTPRequestHandler):
         return True
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not header.isdecimal():  # a sign is refused too: "-5"
+            raise ServeError(f"Content-Length must be a non-negative integer, got {header!r}")
+        length = int(header)
         if length > self.service.config.max_body_bytes:
             raise _PayloadTooLarge(
                 f"request body of {length} bytes exceeds the "
@@ -139,7 +147,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             raise ServeError("request body must be a JSON object")
         try:
-            return json.loads(raw)
+            return json.loads(raw, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise ServeError(f"request body is not valid JSON: {exc}") from None
 

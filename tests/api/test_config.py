@@ -82,22 +82,19 @@ class TestRunConfig:
         with pytest.raises(ValuationError):
             RunConfig(scheduler="fifo")
 
-    def test_policy_factory_builds_fresh_configured_policies(self):
-        config = RunConfig(
-            scheduler="chunked_robin_hood", scheduler_options={"chunk_size": 5}
-        )
-        factory = policy_factory(config.scheduler, config.scheduler_options)
+    def test_policy_factory_builds_fresh_policies(self):
+        factory = policy_factory(RunConfig(scheduler="chunked_robin_hood").scheduler)
         first, second = factory(), factory()
         assert isinstance(first, ChunkedPolicy)
         assert first is not second
-        assert first.chunk_size == 5
 
-    def test_scheduler_options_need_a_scheduler(self):
-        # the options used to be dropped silently
-        for scheduler in (None, ChunkedPolicy):
-            with pytest.raises(ValuationError, match="need a registered scheduler name"):
-                RunConfig(scheduler=scheduler, scheduler_options={"chunk_size": 4})
+    def test_the_scheduler_option_channel_is_gone(self):
+        # a configured policy is spelled partial(MyPolicy, ...)
+        with pytest.raises(TypeError):
+            RunConfig(scheduler="chunked_robin_hood", scheduler_options={"k": 4})
+        with pytest.raises(TypeError):
+            policy_factory("chunked_robin_hood", {"k": 4})
 
     def test_policy_instance_rejected(self):
         with pytest.raises(ValuationError, match="pass a registered name, the policy class"):
-            RunConfig(scheduler=ChunkedPolicy(chunk_size=4))
+            RunConfig(scheduler=ChunkedPolicy())

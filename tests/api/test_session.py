@@ -28,7 +28,7 @@ from repro.cluster.backends import SequentialBackend, execute_payload
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import CommunicationModel, NFSModel
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
-from repro.core.scheduler import ChunkedPolicy, WorkStealingPolicy
+from repro.core.scheduler import ChunkedPolicy, PriorityPolicy, WorkStealingPolicy
 from repro.errors import SchedulingError, ValuationError, WorkerLostError
 from repro.pricing import (
     BlackScholesModel,
@@ -135,8 +135,7 @@ class TestRun:
             result.value()
 
     def test_run_with_config_object(self, toy_portfolio):
-        config = RunConfig(strategy="nfs", scheduler="chunked_robin_hood",
-                           scheduler_options={"chunk_size": 4})
+        config = RunConfig(strategy="nfs", scheduler="chunked_robin_hood")
         session = ValuationSession(backend="simulated", n_workers=2)
         result = session.run(toy_portfolio, config=config)
         assert result.strategy == "nfs"
@@ -398,7 +397,7 @@ class TestOneOptionPath:
         session = ValuationSession(backend="simulated")
         result = drain(session, toy_portfolio, config=RunConfig(scheduler="static_block"))
         assert result.report.scheduler == "static_block"
-        bad = RunConfig(scheduler="chunked_robin_hood", scheduler_options={"chunk_size": 0})
+        bad = RunConfig(scheduler=partial(PriorityPolicy, priority=3))
         with pytest.raises(SchedulingError):
             drain(session, toy_portfolio, config=bad)
 
@@ -415,7 +414,7 @@ class TestOneOptionPath:
         [
             ("work_stealing", "work_stealing"),
             (WorkStealingPolicy, "work_stealing"),
-            (partial(ChunkedPolicy, chunk_size=3), "chunked_robin_hood"),
+            (ChunkedPolicy, "chunked_robin_hood"),
         ],
     )
     def test_run_is_stream_result_for_a_per_call_scheduler(self, spec, name, toy_portfolio):
@@ -428,12 +427,11 @@ class TestOneOptionPath:
     @DRAINS
     def test_scheduler_precedence_keyword_config_session(self, drain, toy_portfolio):
         session = ValuationSession(backend="simulated", scheduler="static_block")
-        config = RunConfig(scheduler="chunked_robin_hood", scheduler_options={"chunk_size": 4})
+        config = RunConfig(scheduler="chunked_robin_hood")
         assert drain(session, toy_portfolio).report.scheduler == "static_block"
         assert drain(session, toy_portfolio, config=config).report.scheduler == (
             "chunked_robin_hood"
         )
-        # the keyword replaces the config's scheduler *and* its options
         both = drain(session, toy_portfolio, config=config, scheduler="work_stealing")
         assert both.report.scheduler == "work_stealing"
         plain = ValuationSession(backend="simulated")

@@ -394,8 +394,6 @@ class TestMultiProcessServer:
             assert remote.report.n_workers == 2
 
     def test_chunked_scheduling_over_a_multi_process_server(self):
-        from functools import partial
-
         from repro.core.scheduler import ChunkedPolicy
 
         portfolio = build_toy_portfolio(n_options=8)
@@ -404,7 +402,7 @@ class TestMultiProcessServer:
             session = ValuationSession(
                 backend="remote",
                 backend_options={"hosts": pool.hosts * 2},
-                scheduler=partial(ChunkedPolicy, chunk_size=3),
+                scheduler=ChunkedPolicy,
             )
             assert session.run(portfolio).prices() == reference.prices()
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import socket
 import threading
-from functools import partial
 
 from repro.api import ValuationSession
 from repro.cluster.backends import PAYLOAD_SERIAL
@@ -129,7 +128,7 @@ class TestEndToEndChunkedPortfolio:
             session = ValuationSession(
                 backend="remote",
                 backend_options={"hosts": pool.hosts},
-                scheduler=partial(ChunkedPolicy, chunk_size=100),
+                scheduler=ChunkedPolicy,
             )
             remote = session.run(portfolio)
         assert remote.prices() == reference.prices()

@@ -73,13 +73,31 @@ class TestSimulatedBackendBasics:
         with pytest.raises(ClusterError):
             backend.finalize()
 
-    def test_traces_are_consistent(self):
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_traces_are_consistent(self, chunked):
         backend = SimulatedClusterBackend(ClusterSpec.homogeneous(2))
-        _run_robin_hood(backend, _jobs([0.1, 0.2, 0.3, 0.4]))
+        jobs = _jobs([0.1, 0.2, 0.3, 0.4])
+        if chunked:
+            backend.dispatch_batch(0, jobs[:2])
+            backend.dispatch_batch(1, jobs[2:])
+            for _ in jobs:
+                backend.collect()
+        else:
+            _run_robin_hood(backend, jobs)
         backend.finalize()
         for trace in backend.traces:
             assert trace.dispatched_at <= trace.worker_start < trace.worker_done
             assert trace.worker_done <= trace.collected_at
+        # solo or in a chunk, a job is dispatched the instant the master
+        # began preparing its message: the first message at time zero, the
+        # second once the first was sent
+        dispatched = {trace.job_id: trace.dispatched_at for trace in backend.traces}
+        assert dispatched[0] == 0.0
+        if chunked:
+            assert dispatched[1] == 0.0
+            assert 0.0 < dispatched[2] == dispatched[3]
+        else:
+            assert 0.0 < dispatched[1] < dispatched[2]
 
     def test_send_stop_advances_master_clock(self):
         backend = SimulatedClusterBackend(ClusterSpec.homogeneous(2))

@@ -158,8 +158,6 @@ _POLICIES = ("robin_hood", "priority", "work_stealing", "static_block", "chunked
 def _policy(name: str) -> DispatchPolicy:
     if name == "priority":
         return SCHEDULERS[name](priority=lambda job: job.job_id % 5)
-    if name == "chunked_robin_hood":
-        return SCHEDULERS[name](chunk_size=3)
     return SCHEDULERS[name]()
 
 
@@ -258,7 +256,7 @@ def test_a_mixed_book_sizes_each_category_separately():
 
 def test_chunked_and_static_policies_ignore_the_timings():
     categories = ["cf"] * 64
-    for name, expected in (("static_block", {0: 32, 1: 32}), ("chunked_robin_hood", {0: 3, 1: 3})):
+    for name, expected in (("static_block", {0: 32, 1: 32}), ("chunked_robin_hood", {0: 16, 1: 12})):
         peak, backend = _peak(categories, {"cf": 1e-3}, handoff=1e-3, name=name)
         assert peak == expected
         reference = FakeWorkers(2, {"cf": 1e-3}, 1e-3)

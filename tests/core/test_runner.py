@@ -77,9 +77,7 @@ class TestSweeps:
             assert 0.5 < row.ratio <= 1.05
 
     def test_sweep_custom_scheduler(self, toy_jobs):
-        session = ValuationSession(
-            scheduler=lambda: ChunkedPolicy(chunk_size=10)
-        )
+        session = ValuationSession(scheduler=ChunkedPolicy)
         table = session.sweep(toy_jobs, [2, 4], strategy="nfs")
         assert set(table.times()) == {2, 4}
 

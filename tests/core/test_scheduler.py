@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.bench_scheduler_ablation import (
+    FULL_CHEAP,
+    FULL_EXPENSIVE,
+    FULL_WORKERS,
+    build_skewed_jobs,
+)
 from repro.cluster.backends.base import Job
+from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
+from repro.core.portfolio import build_realistic_portfolio, build_toy_portfolio
 from repro.core.scheduler import (
     SCHEDULERS,
     ChunkedPolicy,
@@ -17,7 +25,7 @@ from repro.core.scheduler import (
 )
 from repro.core.strategies import get_strategy
 from repro.errors import SchedulingError
-from tests.scheduling import run_policy
+from tests.scheduling import cut_chunks, run_policy
 
 
 def _jobs(costs):
@@ -105,7 +113,7 @@ class TestStaticBlock:
 class TestChunkedRobinHood:
     def test_all_jobs_completed(self):
         jobs = _jobs([0.01] * 53)
-        outcome = run_policy(ChunkedPolicy(chunk_size=8), jobs, _backend(4), STRATEGY)
+        outcome = run_policy(ChunkedPolicy(), jobs, _backend(4), STRATEGY)
         assert sorted(c.job_id for c in outcome.completed) == list(range(53))
         assert outcome.scheduler_name == "chunked_robin_hood"
 
@@ -114,22 +122,64 @@ class TestChunkedRobinHood:
         jobs = _jobs([1e-4] * 1000)
         nfs = get_strategy("nfs")
         single = run_policy(RobinHoodPolicy(), jobs, _backend(8, strategy="nfs"), nfs)
-        chunked = run_policy(
-            ChunkedPolicy(chunk_size=25), jobs, _backend(8, strategy="nfs"), nfs
-        )
+        chunked = run_policy(ChunkedPolicy(), jobs, _backend(8, strategy="nfs"), nfs)
         assert chunked.total_time < single.total_time
 
-    def test_chunk_size_one_equivalent_to_robin_hood(self):
-        jobs = _jobs([0.02] * 40)
+    def test_fewer_jobs_than_the_cap_allows_is_robin_hood(self):
+        # 3 workers, 6 equal jobs: the cap (a sixth of the book) is one
+        # job, so every chunk is a single job and the run is Fig. 4's
+        jobs = _jobs([0.02] * 6)
         plain = run_policy(RobinHoodPolicy(), jobs, _backend(3), STRATEGY).total_time
-        chunked = run_policy(ChunkedPolicy(chunk_size=1), jobs, _backend(3), STRATEGY).total_time
-        assert chunked == pytest.approx(plain, rel=0.05)
+        chunked = run_policy(ChunkedPolicy(), jobs, _backend(3), STRATEGY).total_time
+        assert chunked == plain
 
-    @pytest.mark.parametrize("chunk_size", [0, -3, 2.5, True, "4"])
-    def test_invalid_chunk_size(self, chunk_size):
-        # 2.5 and True used to be truncated by int() into a working chunk size
-        with pytest.raises(SchedulingError):
-            ChunkedPolicy(chunk_size=chunk_size)
+    def test_takes_no_argument(self):
+        # the chunk size is cut from the book; there is nothing to set
+        with pytest.raises(TypeError):
+            ChunkedPolicy(chunk_size=8)
+        with pytest.raises(TypeError):
+            ChunkedPolicy(8)
+        assert not hasattr(DispatchPolicy, "chunked")
+
+    def test_chunks_shrink_as_the_queue_drains(self):
+        sizes = [len(chunk) for chunk in cut_chunks(_jobs([0.25] * 400), 4)]
+        assert sum(sizes) == 400
+        assert sizes[0] == 50  # an eighth of the book: 1 / (_FACTORING * 4)
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[-1] == 1
+
+    # derived chunks against per-job Robin Hood on the ablation's own books
+    # (benchmarks/bench_scheduler_ablation.py commits the same ratios)
+    def test_skewed_book_stays_within_a_tenth_of_robin_hood(self):
+        jobs = build_skewed_jobs(FULL_CHEAP, FULL_EXPENSIVE)
+        assert _over_robin_hood(jobs, FULL_WORKERS) <= 1.10
+
+    def test_expensive_tail_ordering_stays_bounded(self):
+        # the hostile order for any chunking: large early chunks of cheap
+        # jobs, the expensive band last (a fixed chunk of 8 reads 3.7)
+        jobs = build_skewed_jobs(FULL_CHEAP, FULL_EXPENSIVE)
+        costs = sorted(job.compute_cost for job in jobs)
+        assert _over_robin_hood(_jobs(costs), FULL_WORKERS) <= 1.5
+
+    def test_realistic_book_stays_within_a_twentieth_of_robin_hood(self):
+        jobs = build_realistic_portfolio(profile="paper", scale=0.25).build_jobs(
+            cost_model=paper_cost_model()
+        )
+        assert _over_robin_hood(jobs, 64) <= 1.05
+
+    def test_cheap_book_beats_robin_hood(self):
+        jobs = build_toy_portfolio(n_options=5_000).build_jobs(
+            cost_model=paper_cost_model()
+        )
+        assert _over_robin_hood(jobs, 32) <= 0.85
+
+
+def _over_robin_hood(jobs, n_workers):
+    """Makespan of the derived chunks over per-job Robin Hood's."""
+    chunked = run_policy(ChunkedPolicy(), jobs, _backend(n_workers), STRATEGY)
+    robin = run_policy(RobinHoodPolicy(), jobs, _backend(n_workers), STRATEGY)
+    assert len(chunked.completed) == len(jobs)
+    return chunked.total_time / robin.total_time
 
 
 class TestHierarchical:

@@ -10,12 +10,21 @@ deterministic dispatch order of identical cost structure).
 
 from __future__ import annotations
 
+import math
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.backends.base import Job
 from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
-from repro.core.scheduler import ChunkedPolicy, RobinHoodPolicy, StaticBlockPolicy
+from repro.core.scheduler import (
+    _FACTORING,
+    ChunkedPolicy,
+    RobinHoodPolicy,
+    StaticBlockPolicy,
+)
 from repro.core.strategies import get_strategy
 from tests.scheduling import run_policy
 
@@ -90,11 +99,96 @@ def test_robin_hood_within_graham_bound_of_static_blocks(costs, n_workers):
 
 
 @settings(max_examples=40, deadline=None)
-@given(costs=_costs, n_workers=_workers, chunk=st.integers(min_value=1, max_value=10))
-def test_chunked_scheduler_completes_everything(costs, n_workers, chunk):
-    outcome = _run(ChunkedPolicy(chunk_size=chunk), costs, n_workers)
+@given(costs=_costs, n_workers=_workers)
+def test_chunked_scheduler_completes_everything(costs, n_workers):
+    outcome = _run(ChunkedPolicy(), costs, n_workers)
     assert sorted(c.job_id for c in outcome.completed) == list(range(len(costs)))
     assert outcome.total_time >= max(costs)
+
+
+#: books the chunked policy cannot weigh: one bad estimate and it cuts by count
+_unweighable_costs = st.lists(
+    st.one_of(
+        st.floats(min_value=1e-4, max_value=2.0),
+        st.sampled_from([0.0, -1.0, math.nan, math.inf]),
+    ),
+    min_size=1,
+    max_size=60,
+).filter(lambda costs: not all(math.isfinite(c) and c > 0 for c in costs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    costs=_costs | _unweighable_costs,
+    n_workers=_workers,
+    withdrawals=st.lists(st.integers(min_value=0, max_value=70), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derived_chunks_respect_the_cap_and_the_queue_accounting(
+    costs, n_workers, withdrawals, seed
+):
+    """Drive :class:`ChunkedPolicy` like the stream does, in a random answer
+    order with ``withdraw`` calls in between, recounting the queue outside it."""
+    jobs = _jobs(costs)
+    by_count = not all(math.isfinite(c) and c > 0 for c in costs)
+    weights = {job.job_id: 1.0 if by_count else job.compute_cost for job in jobs}
+    queued = set(weights)  # neither dispatched nor withdrawn yet
+    dispatched: list[int] = []
+    held: dict[int, int] = {}  # worker -> jobs of its chunk not answered yet
+    rng = random.Random(seed)
+    policy = ChunkedPolicy()
+    policy.plan(jobs, n_workers)
+
+    def queued_cost():
+        return sum(weights[job_id] for job_id in sorted(queued))
+
+    def check_accounting():
+        assert policy.n_queued == len(queued)
+        assert policy._queued_cost == pytest.approx(queued_cost(), rel=1e-9, abs=1e-9)
+
+    def take(worker_id, wave, cap):
+        assert wave, "a chunk always holds at least one job"
+        ids = [job.job_id for job in wave]
+        assert queued.issuperset(ids)  # dispatched at most once, never after a withdraw
+        if len(ids) > 1:
+            assert sum(weights[job_id] for job_id in ids) <= cap * (1 + 1e-9) + 1e-12
+        queued.difference_update(ids)
+        dispatched.extend(ids)
+        held[worker_id] = len(ids)
+        check_accounting()
+
+    wave_iter = policy.initial_wave()
+    while True:
+        cap = queued_cost() / (_FACTORING * n_workers)  # in force for the next cut
+        try:
+            worker_id, wave = next(wave_iter)
+        except StopIteration:
+            break
+        take(worker_id, wave, cap)
+    if by_count:
+        # the first chunk is its share of the book *by count*
+        assert dispatched[: held[0]] == list(range(max(1, len(jobs) // (_FACTORING * n_workers))))
+
+    while held:
+        if withdrawals and rng.random() < 0.5:
+            job_id = withdrawals.pop()
+            withdrawn = policy.withdraw(job_id)
+            assert (withdrawn is not None) == (job_id in queued)
+            queued.discard(job_id)
+            check_accounting()
+        worker_id = rng.choice(sorted(held))
+        held[worker_id] -= 1
+        if not held[worker_id]:
+            del held[worker_id]
+        cap = queued_cost() / (_FACTORING * n_workers)
+        wave = policy.refill(worker_id)
+        if wave:
+            assert worker_id not in held  # only a drained worker is refilled
+            take(worker_id, wave, cap)
+    # every job left the queue exactly once: to a worker, or withdrawn
+    assert not queued and policy.n_queued == 0
+    assert len(dispatched) == len(set(dispatched))
+    assert policy.withdraw_all() == [] and policy._queued_cost == 0.0
 
 
 @settings(max_examples=40, deadline=None)

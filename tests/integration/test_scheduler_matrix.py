@@ -19,7 +19,6 @@ The acceptance bar is *bit-identical* behaviour:
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 
 import pytest
 
@@ -35,7 +34,7 @@ from repro.core.scheduler import (
     WorkStealingPolicy,
 )
 from repro.core.strategies import get_strategy
-from tests.scheduling import run_policy
+from tests.scheduling import cut_chunks, run_policy
 from repro.cluster.backends.base import Job
 from repro.cluster.costmodel import paper_cost_model
 
@@ -107,11 +106,10 @@ def _legacy_static_block(jobs, backend, strategy):
     return completed, backend.finalize()
 
 
-def _legacy_chunked(jobs, backend, strategy, chunk_size):
+def _legacy_chunked(jobs, backend, strategy):
     backend.on_run_start(len(jobs))
     completed = []
-    chunks = [list(jobs[i : i + chunk_size]) for i in range(0, len(jobs), chunk_size)]
-    queue = list(chunks)
+    queue = cut_chunks(jobs, backend.n_workers)
     outstanding = {}
 
     def dispatch_chunk(worker_id, chunk):
@@ -146,15 +144,13 @@ def _legacy_chunked(jobs, backend, strategy, chunk_size):
 _LEGACY = {
     "robin_hood": lambda jobs, backend: _legacy_robin_hood(jobs, backend, STRATEGY),
     "static_block": lambda jobs, backend: _legacy_static_block(jobs, backend, STRATEGY),
-    "chunked_robin_hood": lambda jobs, backend: _legacy_chunked(
-        jobs, backend, STRATEGY, chunk_size=5
-    ),
+    "chunked_robin_hood": lambda jobs, backend: _legacy_chunked(jobs, backend, STRATEGY),
 }
 
 _NEW = {
     "robin_hood": SCHEDULERS["robin_hood"],
     "static_block": StaticBlockPolicy,
-    "chunked_robin_hood": partial(ChunkedPolicy, chunk_size=5),
+    "chunked_robin_hood": ChunkedPolicy,
 }
 
 
@@ -187,7 +183,7 @@ class TestGoldenVirtualTimes:
         assert finished.stats.total_time == golden_stats.total_time
 
     def test_chunked_outcome_reports_its_registered_name(self):
-        outcome = run_policy(ChunkedPolicy(chunk_size=5), _jobs(), _sim_backend(3), STRATEGY)
+        outcome = run_policy(ChunkedPolicy(), _jobs(), _sim_backend(3), STRATEGY)
         assert outcome.scheduler_name == "chunked_robin_hood"
 
 
@@ -273,11 +269,7 @@ class TestWorkStealing:
 class TestMidStreamCancellation:
     @pytest.mark.parametrize("scheduler_name", ["chunked_robin_hood", "work_stealing"])
     def test_cancel_pending_mid_stream(self, scheduler_name):
-        policy = (
-            ChunkedPolicy(chunk_size=4)
-            if scheduler_name == "chunked_robin_hood"
-            else WorkStealingPolicy()
-        )
+        policy = SCHEDULERS[scheduler_name]()
         jobs = _jobs([0.1] * 20)
         stream = ScheduleStream(jobs, _sim_backend(2), STRATEGY, policy)
         stream.collect_next()
@@ -299,9 +291,11 @@ class TestMidStreamCancellation:
         assert len(stream.finish().completed) == 8
 
     def test_cancel_job_withdraws_only_queued_chunk_members(self):
-        jobs = _jobs([0.1] * 12)
-        stream = ScheduleStream(jobs, _sim_backend(2), STRATEGY, ChunkedPolicy(chunk_size=3))
-        # jobs 0..5 went out in the initial two chunks; the rest are queued
+        jobs = _jobs([0.25] * 12)
+        stream = ScheduleStream(jobs, _sim_backend(2), STRATEGY, ChunkedPolicy())
+        # jobs 0..4 went out in the initial two chunks (a quarter of the
+        # book, then a quarter of the rest); the others are queued
+        assert stream.cancel_job(4) is False
         assert stream.cancel_job(0) is False
         assert stream.cancel_job(11) is True
         outcome = stream.finish()
@@ -320,13 +314,7 @@ class TestMidStreamCancellation:
             if len(seen) == 3:
                 token.cancel()
 
-        scheduler = (
-            # small chunks so work is still queued master-side mid-stream
-            partial(ChunkedPolicy, chunk_size=2)
-            if scheduler_name == "chunked_robin_hood"
-            else scheduler_name
-        )
-        session = ValuationSession(backend="local", n_workers=2, scheduler=scheduler)
+        session = ValuationSession(backend="local", n_workers=2, scheduler=scheduler_name)
         result = session.run(portfolio, progress=progress, cancel=token)
         cancelled = [
             job_id
@@ -351,7 +339,7 @@ class TestChunkedDispatchDownTheWire:
         session = ValuationSession(
             backend="multiprocessing",
             n_workers=2,
-            scheduler=partial(ChunkedPolicy, chunk_size=4),
+            scheduler=ChunkedPolicy,
         )
         assert session.run(portfolio).prices() == reference_prices
 
@@ -361,14 +349,16 @@ class TestChunkedDispatchDownTheWire:
         session = ValuationSession(
             backend="remote",
             backend_options={"hosts": worker_pool.hosts},
-            scheduler=partial(ChunkedPolicy, chunk_size=4),
+            scheduler=ChunkedPolicy,
         )
         assert session.run(portfolio).prices() == reference_prices
 
     def test_remote_batch_frame_bytes_are_fewer_than_per_job(self, worker_pool):
         # one frame per chunk must save the per-job header/envelope overhead
+        # (32 jobs: the chunks cut for 2 workers open at 8 jobs; of 8 jobs,
+        # one chunk would hold 2 and the batch envelope would outweigh it)
         def jobs():
-            return build_toy_portfolio(n_options=8).build_jobs(
+            return build_toy_portfolio(n_options=32).build_jobs(
                 cost_model=paper_cost_model(), attach_problems=True
             )
 
@@ -377,6 +367,6 @@ class TestChunkedDispatchDownTheWire:
         per_job = create_backend("remote", hosts=worker_pool.hosts)
         solo = run_policy(SCHEDULERS["robin_hood"](), jobs(), per_job, STRATEGY)
         chunked = create_backend("remote", hosts=worker_pool.hosts)
-        batched = run_policy(ChunkedPolicy(chunk_size=4), jobs(), chunked, STRATEGY)
+        batched = run_policy(ChunkedPolicy(), jobs(), chunked, STRATEGY)
         assert batched.stats.bytes_sent < solo.stats.bytes_sent
-        assert len(batched.completed) == len(solo.completed) == 8
+        assert len(batched.completed) == len(solo.completed) == 32

@@ -148,15 +148,28 @@ class TestErrors:
         assert _request(server.url + "/v1/nope", {"x": 1})[0] == 404
         assert _request(server.url + "/v2/price", token=None)[0] == 401
 
-    def test_malformed_json_400(self, server):
-        request = urllib.request.Request(
-            server.url + "/v1/price",
-            data=b"{not json",
-            headers={"Authorization": f"Bearer {TOKEN}"},
-        )
+    @pytest.mark.parametrize(
+        ("data", "length", "message"),
+        [
+            (b"{not json", None, "not valid JSON"),
+            # int() on the header used to answer HTTP 500
+            (b"{}", "abc", "Content-Length must be a non-negative integer"),
+            (b"{}", "-5", "Content-Length must be a non-negative integer"),
+            # json.loads admits these; the position was priced first, refused after
+            (json.dumps(_position_body(100.0, quantity=float("nan"))).encode(), None,
+             "non-finite number NaN"),
+            (b'{"model_params": {"spot": -Infinity}}', None, "non-finite number -Infinity"),
+        ],
+    )
+    def test_malformed_json_400(self, server, data, length, message):
+        headers = {"Authorization": f"Bearer {TOKEN}"}
+        if length is not None:
+            headers["Content-Length"] = length
+        request = urllib.request.Request(server.url + "/v1/price", data=data, headers=headers)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+        assert message in json.loads(excinfo.value.read())["error"]
 
     @pytest.mark.parametrize(
         ("changes", "named"),
@@ -174,15 +187,16 @@ class TestErrors:
         assert named in body["error"]
 
     @pytest.mark.parametrize(
-        ("field", "value"),
+        ("field", "value", "message"),
         [
-            ("priority", "high"),
-            ("quantity", "two"),
-            ("priority", float("nan")),
-            ("quantity", float("inf")),
+            ("priority", "high", "positions[1].priority"),
+            ("quantity", "two", "positions[1].quantity"),
+            # the body reader refuses the literal before any field is looked at
+            ("priority", float("nan"), "non-finite number NaN"),
+            ("quantity", float("inf"), "non-finite number Infinity"),
         ],
     )
-    def test_non_finite_position_numbers_400(self, server, field, value):
+    def test_non_finite_position_numbers_400(self, server, field, value, message):
         # a bare float() surfaced the strings as HTTP 500 and admitted NaN
         # (which json.loads accepts) into the priority queue
         run_body = {
@@ -190,7 +204,7 @@ class TestErrors:
         }
         status, body = _request(server.url + "/v1/run", run_body)
         assert status == 400
-        assert f"positions[1].{field}" in body["error"]
+        assert message in body["error"]
 
     @pytest.mark.parametrize(
         ("fields", "message"),
@@ -198,7 +212,11 @@ class TestErrors:
             ({"priority": "urgent"}, "priority must be a finite number"),
             # a bare float() answered 500 for the string and waited on NaN
             ({"wait": True, "timeout": "soon"}, "timeout must be a finite number"),
-            ({"wait": True, "timeout": float("nan")}, "timeout must be a finite number"),
+            ({"wait": True, "timeout": float("nan")}, "non-finite number NaN"),
+            # /v1/run used to enqueue this one
+            ({"positions": [_position_body(50.0, model_params={
+                "spot": float("nan"), "rate": 0.05, "volatility": 0.2})]},
+             "non-finite number NaN"),
             ({"wait": True, "timeout": 0}, "timeout must be > 0"),
         ],
     )
@@ -295,7 +313,9 @@ class TestGreeksEndpoint:
             server.url + "/v1/greeks", _position_body(100.0, **{name: value})
         )
         assert status == 400
-        assert name in response["error"]
+        # the literals NaN / Infinity never reach the field checks
+        literal = isinstance(value, float)
+        assert ("non-finite number" if literal else name) in response["error"]
 
     def test_requires_auth(self, server):
         status, _ = _request(

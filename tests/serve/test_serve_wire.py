@@ -106,3 +106,13 @@ class TestPortfolioFromRequest:
         body = {"positions": [PROBLEM_BODY, {"model": "BlackScholes1D"}]}
         with pytest.raises(ServeError, match=r"positions\[1\]"):
             portfolio_from_request(body)
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("priority", float("nan")), ("quantity", float("inf"))]
+    )
+    def test_non_finite_numbers_name_their_field(self, field, value):
+        # over HTTP the body reader refuses the literals NaN / Infinity; a
+        # dict handed to the parser directly still gets the per-field check
+        body = {"positions": [PROBLEM_BODY, {**PROBLEM_BODY, field: value}]}
+        with pytest.raises(ServeError, match=rf"positions\[1\]\.{field}"):
+            portfolio_from_request(body)
