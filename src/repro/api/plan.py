@@ -1,10 +1,10 @@
 """Campaign planning: job building -> cache pass -> batch coalescing.
 
-:func:`build_plan` is the one place where a portfolio (or a prepared job
-list) becomes the jobs a campaign dispatches.  Every session entry point --
-``run``, ``stream``, ``submit_many``, ``sweep``, ``compare`` -- plans through
-it; the resulting :class:`CampaignPlan` is plain data that a
-:class:`~repro.api.campaign.Campaign` executes.
+:func:`build_plan` is the one place where a portfolio, a prepared job list
+or a scenario grid becomes the jobs a campaign dispatches.  Every session
+entry point -- ``run``, ``stream``, ``submit_many``, ``sweep``, ``compare``,
+``greeks``, ``risk`` -- plans through it; the resulting :class:`CampaignPlan`
+is plain data that a :class:`~repro.api.campaign.Campaign` executes.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from repro.api.config import RunConfig
 from repro.cluster.backends import Job
 from repro.cluster.costmodel import CostModel
 from repro.core.portfolio import Portfolio
+from repro.core.scheduler import cut_chunks
 from repro.errors import SchedulingError
 from repro.pricing.batch import ProblemBatch, plan_batches
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
+from repro.pricing.scenarios import ScenarioGrid
 
 __all__ = ["CampaignPlan", "build_plan"]
 
@@ -35,20 +37,22 @@ class CampaignPlan:
     problem_by_id: dict[int, PricingProblem]
     cached_results: dict[int, dict[str, Any]] = field(default_factory=dict)
     digests: dict[int, str] = field(default_factory=dict)
-    #: super-job id -> the positions its :class:`ProblemBatch` carries
+    #: super-job id -> the positions its :class:`ProblemBatch` (or the cells
+    #: its :class:`~repro.pricing.scenarios.ScenarioGrid` slice) carries
     batch_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
     run_cache: ResultCache | None = None
     portfolio: Portfolio | None = None
 
 
 def build_plan(
-    source: Portfolio | Sequence[Job],
+    source: Portfolio | Sequence[Job] | ScenarioGrid,
     options: RunConfig,
     *,
     executing: bool,
     cost_model: CostModel,
     run_cache: ResultCache | None = None,
     store: Any = None,
+    n_workers: int = 1,
 ) -> CampaignPlan:
     """Plan one campaign over ``source``.
 
@@ -60,7 +64,14 @@ def build_plan(
     position folded into a :class:`ProblemBatch` is only ever written as a
     member of its batch.  With a ``run_cache`` on an executing backend,
     positions already priced are answered here and never dispatched.
+
+    A :class:`~repro.pricing.scenarios.ScenarioGrid` is planned into slices
+    of its scenario list (:func:`_plan_grid`), sized for ``n_workers``.
     """
+    if isinstance(source, ScenarioGrid):
+        return _plan_grid(
+            source, options, cost_model, run_cache if executing else None, n_workers
+        )
     if isinstance(source, Portfolio):
         jobs = source.build_jobs(
             cost_model=cost_model,
@@ -89,17 +100,10 @@ def build_plan(
 
     # cache pass: positions already priced never reach the backend
     if run_cache is not None and executing:
-        for job in jobs:
-            problem = problem_by_id.get(job.job_id)
-            if problem is None:
-                continue
-            digest = problem_digest(problem)
-            plan.digests[job.job_id] = digest
-            hit = run_cache.get(digest)
-            if hit is not None:
-                entry = hit.as_dict()
-                entry["cache_hit"] = True
-                plan.cached_results[job.job_id] = entry
+        _cache_pass(
+            plan,
+            {job_id: problem_digest(problem) for job_id, problem in problem_by_id.items()},
+        )
         if plan.cached_results:
             plan.jobs = [job for job in jobs if job.job_id not in plan.cached_results]
 
@@ -107,6 +111,85 @@ def build_plan(
         plan.jobs, plan.batch_members = _coalesce_jobs(
             plan.jobs, problem_by_id, options, cost_model, executing
         )
+    return plan
+
+
+def _cache_pass(plan: CampaignPlan, digests: dict[int, str]) -> None:
+    """Answer from ``plan.run_cache`` every position whose digest it holds."""
+    assert plan.run_cache is not None
+    plan.digests = digests
+    for job_id, digest in digests.items():
+        hit = plan.run_cache.get(digest)
+        if hit is not None:
+            plan.cached_results[job_id] = {**hit.as_dict(), "cache_hit": True}
+
+
+def _plan_grid(
+    grid: ScenarioGrid,
+    options: RunConfig,
+    cost_model: CostModel,
+    run_cache: ResultCache | None,
+    n_workers: int,
+) -> CampaignPlan:
+    """Plan a scenario grid as slices of its scenario list -- no cell is built.
+
+    The positions are the grid's cells (``grid.columns()``, one future
+    each); the jobs are :meth:`ScenarioGrid.slice` s over one base book whose
+    bytes every slice re-sends.  Slice widths come from the chunk rule of
+    :mod:`repro.core.scheduler` (:func:`~repro.core.scheduler.cut_chunks`): a
+    scenario costs one shared-simulation batch over the cells it still has
+    to price, so the first slices are wide and the tail is single scenarios.
+    With a ``run_cache``, cells already priced are answered here; each slice
+    is told which of its cells to leave out, a slice with none left is not
+    sent, and :attr:`CampaignPlan.digests` lets the campaign write the new
+    cells back under the digests a plain run of the same problems would use.
+    """
+    columns = grid.columns()
+    plan = CampaignPlan(
+        jobs=[],
+        original_ids=[cell for column in columns for cell in column],
+        problem_by_id={},
+        run_cache=run_cache,
+    )
+    if not plan.original_ids:
+        raise SchedulingError("cannot schedule an empty job list")
+    if run_cache is not None:
+        _cache_pass(plan, {cell: grid.cell_digest(cell) for cell in plan.original_ids})
+    answered = plan.cached_results
+    base_costs = [cost_model.estimate(problem) for problem in grid.problems]
+    full_cost = cost_model.estimate_batch_jobs(base_costs)
+    costs = []
+    for column in columns:
+        cells = [cell for cell in column if cell not in answered] if answered else column
+        if len(cells) == len(base_costs):
+            costs.append(full_cost)
+        elif cells:
+            costs.append(cost_model.estimate_batch_jobs(
+                [base_costs[cell // grid.n_scenarios] for cell in cells]
+            ))
+        else:
+            costs.append(0.0)
+    start = 0
+    for width in cut_chunks(costs, n_workers):
+        stop = start + width
+        cells = [cell for column in columns[start:stop] for cell in column]
+        members = tuple(cell for cell in cells if cell not in answered)
+        if members:
+            part = grid.slice(
+                start, stop, kernel=options.kernel,
+                answered=[cell for cell in cells if cell in answered],
+            )
+            plan.jobs.append(
+                Job(
+                    job_id=members[0],
+                    path=f"/virtual/grid/{grid.offset + start:06d}_{width:04d}.sg",
+                    compute_cost=sum(costs[start:stop]),
+                    category="scenario",
+                    problem=part,
+                )
+            )
+            plan.batch_members[members[0]] = members
+        start = stop
     return plan
 
 

@@ -57,6 +57,7 @@ from repro.core.strategies import TransmissionStrategy, get_strategy
 from repro.errors import SchedulingError, ValuationError
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
+from repro.pricing.scenarios import Scenario, ScenarioGrid
 
 __all__ = ["ValuationSession"]
 
@@ -304,7 +305,7 @@ class ValuationSession:
     # -- portfolio runs ----------------------------------------------------------
     def _open_campaign(
         self,
-        source: Portfolio | Sequence[Job],
+        source: Portfolio | Sequence[Job] | ScenarioGrid,
         *,
         strategy: str | TransmissionStrategy | None = None,
         store: Any = None,
@@ -327,11 +328,12 @@ class ValuationSession:
         new_backend = partial(self._acquire_backend, strategy_obj.name, run_cache)
         backend = new_backend()
         executing = getattr(backend, "requires_payload", True)
-        if options.batch and strategy_obj.name == "nfs" and executing:
+        coalesced = options.batch or isinstance(source, ScenarioGrid)
+        if coalesced and strategy_obj.name == "nfs" and executing:
             raise ValuationError(
-                "batch=True cannot be combined with the nfs strategy on an "
-                "executing backend: coalesced batch jobs have no per-position "
-                "problem files"
+                "batch=True and risk campaigns cannot be combined with the nfs "
+                "strategy on an executing backend: coalesced batch jobs and "
+                "scenario-grid slices have no per-position problem files"
             )
         plan = build_plan(
             source,
@@ -340,6 +342,7 @@ class ValuationSession:
             cost_model=options.cost_model or self.cost_model,
             run_cache=run_cache,
             store=store,
+            n_workers=backend.n_workers,
         )
         return Campaign(
             plan,
@@ -430,49 +433,43 @@ class ValuationSession:
     def _run_scenario_grid(
         self,
         problems: Sequence[PricingProblem],
-        scenarios: Sequence[Any],
+        scenarios: Sequence[Scenario],
         *,
         on_missing: str,
-        name: str,
         config: RunConfig | None,
     ) -> list[dict[str, float]]:
-        """Price (problems x scenarios) as one batched campaign on the backend.
+        """Price (problems x scenarios) as one campaign of grid slices on the backend.
 
-        The expanded cells are wrapped into a synthetic portfolio and run with
-        ``batch=True, min_group_size=1``: cells sharing a simulation signature
-        coalesce into :class:`~repro.pricing.batch.ProblemBatch` super-jobs
-        (which ride the shm transport on local backends and the wire protocol
-        on remote ones), and the kernel of ``config`` prices each super-job's
-        members against one shared path set.  Returns one ``{scenario name:
-        price}`` mapping per input problem, exactly like
-        :func:`repro.pricing.scenarios.price_scenarios` -- bound to ``name``
-        and ``config`` it is the ``price_grid`` the :mod:`repro.core.risk`
-        measures take.
+        The campaign is described by the base problems and the scenarios, and
+        that is what travels: :func:`~repro.api.plan.build_plan` cuts the
+        scenario list into :class:`~repro.pricing.scenarios.ScenarioGrid`
+        slices over one base book, each worker expands its slice next to the
+        kernel of ``config`` and answers per cell.  No cell problem exists on
+        the master; a scenario the book cannot realise raises here, before a
+        backend is acquired.  Returns one ``{scenario name: price}`` mapping
+        per input problem, exactly like
+        :func:`repro.pricing.scenarios.price_scenarios` -- bound to ``config``
+        it is the ``price_grid`` the :mod:`repro.core.risk` measures take.
         """
-        from repro.core.portfolio import Position
-        from repro.pricing.scenarios import collect_cell_prices, expand_scenarios
-
-        expanded, cells = expand_scenarios(problems, scenarios, on_missing=on_missing)
-        grid_positions = [
-            Position(
-                problem=problem,
-                quantity=1.0,
-                category="scenario",
-                label=problem.label or f"cell{index:06d}",
-            )
-            for index, problem in enumerate(expanded)
-        ]
-        grid = Portfolio(name=f"{name}_scenarios", positions=grid_positions)
-        result = self.run(grid, config=config, batch=True, min_group_size=1)
+        grid = ScenarioGrid(problems, scenarios, on_missing=on_missing)
+        futures = {
+            cell: PricingFuture(cell, *grid.describe(cell))
+            for column in grid.columns()
+            for cell in column
+        }
+        result = self._open_campaign(grid, config=config, futures=futures).finish()
         prices = result.prices()
-        missing = [index for index in range(len(expanded)) if index not in prices]
+        missing = [cell for cell in futures if cell not in prices]
         if missing:
-            details = {i: result.report.errors.get(i) for i in missing[:5]}
+            details = {cell: result.report.errors.get(cell) for cell in missing[:5]}
             raise ValuationError(
                 f"{len(missing)} scenario cells failed to price: {details}"
             )
-        flat = [prices[index] for index in range(len(expanded))]
-        return collect_cell_prices(flat, cells, scenarios, len(problems))
+        priced: list[dict[str, float]] = [{} for _ in problems]
+        for cell, price in prices.items():
+            index, number = divmod(cell, len(scenarios))
+            priced[index][scenarios[number].name] = float(price)
+        return priced
 
     def greeks(
         self,
@@ -497,9 +494,7 @@ class ValuationSession:
         return portfolio_greeks(
             portfolio, spot_bump=spot_bump, vol_bump=vol_bump,
             rate_bump=rate_bump, theta_bump=theta_bump,
-            price_grid=partial(
-                self._run_scenario_grid, name=portfolio.name, config=config
-            ),
+            price_grid=partial(self._run_scenario_grid, config=config),
         )
 
     def risk(
@@ -528,9 +523,7 @@ class ValuationSession:
                 "risk() needs either spot_returns=... (historical VaR) or "
                 "param=... and bumps=... (sensitivity sweep)"
             )
-        price_grid = partial(
-            self._run_scenario_grid, name=portfolio.name, config=config
-        )
+        price_grid = partial(self._run_scenario_grid, config=config)
         if spot_returns is not None:
             return historical_var(
                 portfolio, spot_returns, confidence, price_grid=price_grid

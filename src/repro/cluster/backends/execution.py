@@ -15,11 +15,15 @@ ships back in the paper's script.
 
 Two extensions ride on the same payload plumbing:
 
-* a payload may decode to a :class:`~repro.pricing.batch.ProblemBatch` -- a
-  whole shared-simulation family shipped as one message; the worker prices
-  every member against one path set and returns a ``{"batch": True,
-  "results": {...}}`` dictionary which :func:`decode_batch_reply` (the only
-  reader of that format) expands back into per-position results;
+* a payload may decode to a *payload with members*: a
+  :class:`~repro.pricing.batch.ProblemBatch` (a whole shared-simulation
+  family shipped as one message, priced against one path set) or a
+  :class:`~repro.pricing.scenarios.ScenarioGrid` (a base book and a slice of
+  scenarios, expanded and priced on the worker).  Either answers
+  ``compute(cache=)`` with ``{member id: result dict}``, which travels back
+  as a ``{"batch": True, "results": {...}}`` dictionary that
+  :func:`decode_batch_reply` (the only reader of that format) expands back
+  into per-position results;
 * an optional worker-side :class:`~repro.pricing.cache.ResultCache` answers
   digest hits without pricing (hits are marked ``"cache_hit": True`` so hit
   rates can be reported).
@@ -35,6 +39,7 @@ from repro.errors import ClusterError
 from repro.pricing.batch import ProblemBatch
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
+from repro.pricing.scenarios import ScenarioGrid
 from repro.serial import Serial
 from repro.serial import load as load_problem_file
 
@@ -53,9 +58,15 @@ def make_worker_cache(cache_dir: str | None) -> ResultCache | None:
     return ResultCache(directory=cache_dir)
 
 
-def materialize_problem(kind: str, payload: Any) -> PricingProblem | ProblemBatch:
-    """Rebuild a :class:`PricingProblem` (or a whole :class:`ProblemBatch`)
-    from a transmitted payload."""
+#: the payloads that carry several positions and answer them in one reply
+_MEMBER_PAYLOADS = (ProblemBatch, ScenarioGrid)
+
+
+def materialize_problem(
+    kind: str, payload: Any
+) -> PricingProblem | ProblemBatch | ScenarioGrid:
+    """Rebuild a :class:`PricingProblem` (or a payload with members: a
+    :class:`ProblemBatch`, a :class:`ScenarioGrid`) from a transmitted payload."""
     if kind == PAYLOAD_PROBLEM:
         problem = payload
     elif kind == PAYLOAD_SERIAL:
@@ -67,10 +78,10 @@ def materialize_problem(kind: str, payload: Any) -> PricingProblem | ProblemBatc
         problem = load_problem_file(payload)
     else:
         raise ClusterError(f"unknown payload kind {kind!r}")
-    if not isinstance(problem, (PricingProblem, ProblemBatch)):
+    if not isinstance(problem, (PricingProblem, *_MEMBER_PAYLOADS)):
         raise ClusterError(
             f"payload decoded to {type(problem).__name__}, expected a "
-            f"PricingProblem or a ProblemBatch"
+            f"PricingProblem, a ProblemBatch or a ScenarioGrid"
         )
     return problem
 
@@ -78,7 +89,7 @@ def materialize_problem(kind: str, payload: Any) -> PricingProblem | ProblemBatc
 def execute_payload(
     kind: str, payload: Any, cache: ResultCache | None = None
 ) -> tuple[dict[str, Any] | None, float, str | None]:
-    """Rebuild and compute a problem (or a shared-simulation batch).
+    """Rebuild and compute a problem (or a payload with members).
 
     Returns ``(result_dict, compute_seconds, error_message)``; errors are
     captured rather than raised so a single bad problem does not bring the
@@ -87,12 +98,12 @@ def execute_payload(
     start = time.perf_counter()
     try:
         problem = materialize_problem(kind, payload)
-        if isinstance(problem, ProblemBatch):
+        if isinstance(problem, _MEMBER_PAYLOADS):
             member_results = problem.compute(cache=cache)
             elapsed = time.perf_counter() - start
             result = {
                 "batch": True,
-                "n_members": len(problem),
+                "n_members": len(member_results),
                 "results": {str(key): entry for key, entry in member_results.items()},
             }
             return result, elapsed, None
@@ -118,8 +129,8 @@ def decode_batch_reply(
 ) -> dict[int, tuple[dict[str, Any] | None, str | None]]:
     """``(entry, error)`` for every expected member of a batch job's answer.
 
-    ``reply`` is what :func:`execute_payload` returned for a
-    :class:`ProblemBatch`.  A job that failed as a whole (or ran on a
+    ``reply`` is what :func:`execute_payload` returned for a payload with
+    members.  A job that failed as a whole (or ran on a
     timing-only backend) has no per-member entries, so every member shares
     its ``error``; a member the reply does not mention is an error too --
     never a silent ``None``.

@@ -45,7 +45,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.cluster.backends.base import BackendStats, CompletedJob, Job, WorkerBackend
 from repro.cluster.simcluster.comm import CommunicationModel
@@ -66,6 +66,7 @@ __all__ = [
     "SCHEDULERS",
     "register_scheduler",
     "policy_factory",
+    "cut_chunks",
     "simulate_hierarchical",
 ]
 
@@ -304,6 +305,44 @@ class StaticBlockPolicy(DispatchPolicy):
 _FACTORING = 2
 
 
+def _weighable(costs: Iterable[float]) -> bool:
+    """Whether every cost is a positive finite number (else: cut by count)."""
+    return all(math.isfinite(cost) and cost > 0 for cost in costs)
+
+
+def cut_chunk(head: Iterable[float], queued: float, n_workers: int) -> tuple[int, float]:
+    """How many items leave a non-empty queue as its next chunk, and their weight.
+
+    ``head`` yields the queued weights from the head on, ``queued`` is their
+    total.  Items are taken while their summed weight stays within ``queued
+    / (_FACTORING * n_workers)``, at least one.
+    """
+    cap = queued / (_FACTORING * n_workers)
+    weights = iter(head)
+    count, cost = 1, next(weights)
+    for weight in weights:
+        if cost + weight > cap:
+            break
+        count += 1
+        cost += weight
+    return count, cost
+
+
+def cut_chunks(costs: Sequence[float], n_workers: int) -> list[int]:
+    """The lengths of all the chunks :func:`cut_chunk` cuts from ``costs``, in
+    order -- for a planner that must cut before anything is dispatched."""
+    weights = deque(costs if _weighable(costs) else [1.0] * len(costs))
+    queued = math.fsum(weights)
+    lengths = []
+    while weights:
+        count, cost = cut_chunk(weights, queued, n_workers)
+        for _ in range(count):
+            weights.popleft()
+        queued -= cost
+        lengths.append(count)
+    return lengths
+
+
 @register_scheduler("chunked_robin_hood")
 class ChunkedPolicy(RobinHoodPolicy):
     """Robin Hood over chunks cut from the queue by cost, one message per chunk.
@@ -329,22 +368,18 @@ class ChunkedPolicy(RobinHoodPolicy):
 
     def plan(self, jobs: Sequence[Job], n_workers: int) -> None:
         super().plan(jobs, n_workers)
-        weighable = all(math.isfinite(job.compute_cost) and job.compute_cost > 0 for job in jobs)
+        weighable = _weighable(job.compute_cost for job in jobs)
         self._weight = attrgetter("compute_cost") if weighable else (lambda job: 1.0)
         self._queued_cost = math.fsum(map(self._weight, jobs))
         self._outstanding: dict[int, int] = {}
 
     def _next_chunk(self, worker_id: int) -> list[Job]:
-        cap = self._queued_cost / (_FACTORING * self._n_workers)
-        chunk = [self._queue.popleft()]
-        cost = self._weight(chunk[0])
-        while self._queue and cost + self._weight(self._queue[0]) <= cap:
-            job = self._queue.popleft()
-            cost += self._weight(job)
-            chunk.append(job)
+        count, cost = cut_chunk(
+            map(self._weight, self._queue), self._queued_cost, self._n_workers
+        )
         self._queued_cost -= cost
-        self._outstanding[worker_id] = len(chunk)
-        return chunk
+        self._outstanding[worker_id] = count
+        return [self._queue.popleft() for _ in range(count)]
 
     def initial_wave(self) -> Iterator[tuple[int, list[Job]]]:
         for worker_id in range(self._n_workers):

@@ -347,24 +347,19 @@ class ProblemBatch:
         # every member is a shallow copy of the header problem with its own
         # option: one Model and one PricingMethod object serve them all
         header = PricingProblem.from_dict(header_legs)
-        problems = []
-        for index, entry in enumerate(members):
-            if not isinstance(entry, dict):
-                raise SerializationError(f"ProblemBatch payload: members[{index}] must be a dict")
-            option = _named_leg(entry, "option", f"members[{index}].")
-            problem = copy.copy(header)
-            problem.label = entry.get("label")
-            problem.set_asset(entry.get("asset", "equity"))
-            problem.set_option(option["name"], **option["params"])
-            problems.append(problem)
+        problems = [
+            _member(header, entry, f"members[{index}]") for index, entry in enumerate(members)
+        ]
         return cls(problems, keys=keys, kernel=data.get("kernel"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"ProblemBatch(n={len(self.problems)}, signature={self.signature.mode!r})"
 
 
-def _named_leg(data: dict[str, Any], field: str, where: str = "") -> dict[str, Any]:
-    """The ``{name, params}`` entry ``data[field]`` of a batch payload."""
+def _named_leg(
+    data: dict[str, Any], field: str, where: str = "", payload: str = "ProblemBatch"
+) -> dict[str, Any]:
+    """The ``{name, params}`` entry ``data[field]`` of a ``payload`` body."""
     entry = data.get(field)
     if (
         not isinstance(entry, dict)
@@ -372,9 +367,24 @@ def _named_leg(data: dict[str, Any], field: str, where: str = "") -> dict[str, A
         or not isinstance(entry.get("params"), dict)
     ):
         raise SerializationError(
-            f"ProblemBatch payload: '{where}{field}' must be a {{name, params}} dict"
+            f"{payload} payload: '{where}{field}' must be a {{name, params}} dict"
         )
     return entry
+
+
+def _member(
+    header: PricingProblem, entry: Any, where: str, payload: str = "ProblemBatch"
+) -> PricingProblem:
+    """A shallow copy of ``header`` (one model, one method) carrying the
+    ``{label, asset, option}`` of the ``payload`` entry at ``where``."""
+    if not isinstance(entry, dict):
+        raise SerializationError(f"{payload} payload: {where} must be a dict")
+    option = _named_leg(entry, "option", f"{where}.", payload)
+    problem = copy.copy(header)
+    problem.label = entry.get("label")
+    problem.set_asset(entry.get("asset", "equity"))
+    problem.set_option(option["name"], **option["params"])
+    return problem
 
 
 def batch_digest(batch: ProblemBatch) -> str:

@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "stable_digest",
     "model_digest",
+    "legs_digest",
     "problem_digest",
     "CacheStats",
     "ResultCache",
@@ -87,29 +88,35 @@ def model_digest(model: Any) -> str:
     return stable_digest({"model": model.model_name, "params": model.to_params()})
 
 
-def problem_digest(problem: "PricingProblem") -> str:
-    """Stable digest of a fully specified pricing problem (memoized).
+def legs_digest(model: Any, product: Any, method: Any) -> str:
+    """Stable digest of a ``(model, option, method)`` triple.
 
-    Keyed on the ``(model, option, method)`` names and ``to_params()``
-    dictionaries -- the same description the serializer writes to problem
-    files, so a problem loaded from disk digests identically to the one that
-    produced the file.  The model leg reuses the memoized
-    :meth:`~repro.pricing.models.base.Model.param_digest` (models carry the
-    bulk of the parameters -- e.g. a 40x40 correlation matrix), and the full
-    digest is cached on the problem until one of its legs is replaced.
+    Keyed on the names and ``to_params()`` dictionaries -- the same
+    description the serializer writes to problem files.  The model leg reuses
+    the memoized :meth:`~repro.pricing.models.base.Model.param_digest`
+    (models carry the bulk of the parameters -- e.g. a 40x40 correlation
+    matrix), so a scenario cell is addressed from its legs without a
+    :class:`~repro.pricing.engine.PricingProblem` being built for it.
     """
-    if problem._digest_cache is not None:
-        return problem._digest_cache
-    model, product, method = problem.model, problem.product, problem.method
-    digest = stable_digest(
+    return stable_digest(
         {
             "model": model.param_digest(),
             "option": {"name": product.option_name, "params": product.to_params()},
             "method": {"name": method.method_name, "params": method.to_params()},
         }
     )
-    problem._digest_cache = digest
-    return digest
+
+
+def problem_digest(problem: "PricingProblem") -> str:
+    """:func:`legs_digest` of a fully specified pricing problem (memoized).
+
+    A problem loaded from disk digests identically to the one that produced
+    the file; the digest is cached on the problem until one of its legs is
+    replaced.
+    """
+    if problem._digest_cache is None:
+        problem._digest_cache = legs_digest(problem.model, problem.product, problem.method)
+    return problem._digest_cache
 
 
 @dataclass

@@ -33,6 +33,9 @@ Building blocks:
   scenarios) into a flat problem list plus :class:`ScenarioCell`
   coordinates (the round-trip from flat index back to (position, scenario)
   is what the property tests pin);
+* :class:`ScenarioGrid` -- the grid as a dispatch unit: a base book and a
+  slice of scenarios that a cluster worker expands and prices itself, so a
+  risk campaign travels as its description instead of as its cells;
 * :func:`price_scenarios` -- expand, price through the batch planner with
   ``min_group_size=1`` (every cell is its own signature group; the stacked
   kernel still clusters them into shared-draw cohorts), and return one
@@ -52,14 +55,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import PricingError
-from repro.pricing.batch import price_problems
+from repro.errors import PricingError, SerializationError
+from repro.pricing.batch import _member, _named_leg, price_problems
+from repro.pricing.cache import legs_digest, problem_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.greeks import GreekReport, _vol_param, bump_model, maturity_step
+from repro.pricing.kernel import resolve_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pricing.cache import ResultCache
@@ -75,6 +80,7 @@ __all__ = [
     "historical_scenarios",
     "apply_scenario",
     "expand_scenarios",
+    "ScenarioGrid",
     "collect_cell_prices",
     "price_scenarios",
     "maturity_step",
@@ -122,6 +128,10 @@ class Scenario:
             )
         if self.target == "model" and not self.param:
             raise PricingError("a model scenario needs the bumped parameter name")
+        if not math.isfinite(self.bump):
+            raise PricingError(
+                f"scenario {self.name!r} needs a finite bump, got {self.bump!r}"
+            )
         if self.target == "maturity" and not self.bump > 0.0:
             raise PricingError("a maturity scenario needs a positive calendar step")
 
@@ -216,49 +226,122 @@ def apply_scenario(problem: PricingProblem, scenario: Scenario) -> PricingProble
     a fresh clone sharing the unbumped components, so the input problem is
     never mutated.  Raises :class:`~repro.errors.PricingError` when the
     problem cannot realise the scenario (unknown model parameter, no
-    volatility-like parameter for :data:`VOL_PARAM`).
+    volatility-like parameter for :data:`VOL_PARAM`) or the bump leaves the
+    model's domain (a non-positive spot or volatility).
     """
-    return _apply(problem, scenario, _bumped_model)
+    _check_grid([problem], [scenario], "raise")
+    cell = _apply(problem, scenario, _Bumps())
+    if cell is None:
+        raise _unrealisable(problem.model, scenario)
+    return cell
 
 
-def _bumped_model(model: "Model", scenario: Scenario) -> "Model":
-    """``model`` under a ``target="model"`` scenario."""
-    param = scenario.param
-    if param == VOL_PARAM:
-        param = _vol_param(model)
-        if param is None:
-            raise PricingError(
-                f"model {model.model_name!r} has no volatility-like "
-                f"parameter to bump"
-            )
-    assert param is not None
-    return bump_model(model, param, scenario.bump, relative=scenario.relative)
+def _bumped_param(model: "Model", scenario: Scenario) -> str | None:
+    """The parameter of ``model`` a ``target="model"`` scenario bumps, or
+    ``None`` when the model has none: the one realisability predicate."""
+    if scenario.param == VOL_PARAM:
+        return _vol_param(model)
+    return scenario.param if scenario.param in model.to_params() else None
+
+
+def _unrealisable(model: "Model", scenario: Scenario) -> PricingError:
+    if scenario.param == VOL_PARAM:
+        return PricingError(
+            f"model {model.model_name!r} has no volatility-like parameter to bump"
+        )
+    return PricingError(
+        f"model {model.model_name!r} has no parameter {scenario.param!r}; "
+        f"available: {sorted(model.to_params())}"
+    )
+
+
+class _Bumps:
+    """The bumped models of one grid, one per (base model parameters, scenario).
+
+    Whether a problem can realise a model scenario depends only on its
+    model's parameter names, and the bumped model only on its parameter
+    values: positions whose base models have equal parameters share **one**
+    answer and one bumped model object, so a book on one underlying costs one
+    model per scenario, not one per cell.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple[str, str], "Model | None"] = {}
+
+    def get(self, model: "Model", scenario: Scenario) -> "Model | None":
+        """``model`` under ``scenario``; ``None`` when it has no such parameter.
+
+        A bump the model has the parameter for but cannot take (spot or
+        volatility driven non-positive) is an error under every
+        ``on_missing``: falling back to the base state would report the
+        unbumped value as the scenario's.
+        """
+        key = (model.param_digest(), scenario.name)
+        if key not in self._memo:
+            param = _bumped_param(model, scenario)
+            if param is None:
+                self._memo[key] = None
+            else:
+                try:
+                    self._memo[key] = bump_model(
+                        model, param, scenario.bump, relative=scenario.relative
+                    )
+                except PricingError as exc:
+                    raise PricingError(
+                        f"scenario {scenario.name!r} bumps parameter {param!r} of "
+                        f"model {model.model_name!r} by {scenario.bump!r} into an "
+                        f"invalid state: {exc}"
+                    ) from exc
+        return self._memo[key]
+
+
+def _cell_label(problem: PricingProblem, scenario: Scenario) -> str:
+    return f"{problem.label}|{scenario.name}" if problem.label else scenario.name
+
+
+def _cell_legs(
+    problem: PricingProblem, scenario: Scenario, bumps: _Bumps
+) -> "tuple[Model, Product] | None":
+    """The (model, product) a cell prices; ``None`` when ``problem`` cannot
+    realise ``scenario``."""
+    if scenario.target == "base":
+        return problem.model, problem.product
+    if scenario.target == "model":
+        bumped = bumps.get(problem.model, scenario)
+        return None if bumped is None else (bumped, problem.product)
+    # maturity roll-down: clone the product one calendar step closer to expiry
+    product = problem.product
+    params = product.to_params()
+    params["maturity"] = product.maturity - maturity_step(product.maturity, scenario.bump)
+    return problem.model, type(product).from_params(params)
 
 
 def _apply(
-    problem: PricingProblem,
-    scenario: Scenario,
-    bumped_model: "Callable[[Model, Scenario], Model]",
-) -> PricingProblem:
-    if not problem.is_complete:
-        raise PricingError("scenario expansion needs fully-specified problems")
+    problem: PricingProblem, scenario: Scenario, bumps: _Bumps
+) -> PricingProblem | None:
+    """The cell's problem; ``None`` when ``problem`` cannot realise ``scenario``."""
     if scenario.target == "base":
         return problem
-    label = f"{problem.label}|{scenario.name}" if problem.label else scenario.name
-    if scenario.target == "model":
-        return PricingProblem.from_instances(
-            bumped_model(problem.model, scenario), problem.product, problem.method,
-            asset=problem.asset, label=label,
-        )
-    # maturity roll-down: clone the product one calendar step closer to expiry
-    product = problem.product
-    step = maturity_step(product.maturity, scenario.bump)
-    params = product.to_params()
-    params["maturity"] = product.maturity - step
-    shorter = type(product).from_params(params)
+    legs = _cell_legs(problem, scenario, bumps)
+    if legs is None:
+        return None
     return PricingProblem.from_instances(
-        problem.model, shorter, problem.method, asset=problem.asset, label=label
+        *legs, problem.method, asset=problem.asset, label=_cell_label(problem, scenario)
     )
+
+
+def _check_grid(
+    problems: Sequence[PricingProblem], scenarios: Sequence[Scenario], on_missing: str
+) -> None:
+    if on_missing not in _ON_MISSING:
+        raise PricingError(
+            f"unknown on_missing {on_missing!r}; expected one of {_ON_MISSING}"
+        )
+    names = [scenario.name for scenario in scenarios]
+    if len(set(names)) != len(names):
+        raise PricingError("scenario names must be unique within one grid")
+    if not all(problem.is_complete for problem in problems):
+        raise PricingError("scenario expansion needs fully-specified problems")
 
 
 def expand_scenarios(
@@ -270,47 +353,360 @@ def expand_scenarios(
 
     Cells are emitted problem-major then scenario-major, so the flat list is
     a row-major walk of the grid.  ``on_missing`` controls cells whose
-    scenario the problem cannot realise: ``"raise"`` propagates the error,
-    ``"skip"`` drops the cell (its Greek assembles to ``None``), ``"base"``
-    prices the *unbumped* problem in the cell (mixed-portfolio sweeps and
-    VaR keep every position's value in every scenario total).
+    scenario the problem cannot realise (its model has no such parameter):
+    ``"raise"`` raises, ``"skip"`` drops the cell (its Greek assembles to
+    ``None``), ``"base"`` prices the *unbumped* problem in the cell
+    (mixed-portfolio sweeps and VaR keep every position's value in every
+    scenario total).  A bump that drives a parameter the model *has* out of
+    its domain raises under every ``on_missing`` (see :class:`_Bumps`).
 
     Within one scenario, positions whose base models have equal parameters
     share **one** bumped model object (as :func:`apply_scenario` shares the
-    product and the method): a book on one underlying builds one model per
-    scenario, not one per cell.
+    product and the method).
     """
-    if on_missing not in _ON_MISSING:
-        raise PricingError(
-            f"unknown on_missing {on_missing!r}; expected one of {_ON_MISSING}"
-        )
-    names = [scenario.name for scenario in scenarios]
-    if len(set(names)) != len(names):
-        raise PricingError("scenario names must be unique within one grid")
-    shared: dict[tuple[str, str], "Model"] = {}
-
-    def shared_bump(model: "Model", scenario: Scenario) -> "Model":
-        key = (model.param_digest(), scenario.name)
-        bumped = shared.get(key)
-        if bumped is None:
-            bumped = shared[key] = _bumped_model(model, scenario)
-        return bumped
-
+    _check_grid(problems, scenarios, on_missing)
+    bumps = _Bumps()
     expanded: list[PricingProblem] = []
     cells: list[ScenarioCell] = []
     for i, problem in enumerate(problems):
         for j, scenario in enumerate(scenarios):
-            try:
-                cell_problem = _apply(problem, scenario, shared_bump)
-            except PricingError:
+            cell_problem = _apply(problem, scenario, bumps)
+            if cell_problem is None:
                 if on_missing == "raise":
-                    raise
+                    raise _unrealisable(problem.model, scenario)
                 if on_missing == "skip":
                     continue
                 cell_problem = problem
             expanded.append(cell_problem)
             cells.append(ScenarioCell(problem_index=i, scenario_index=j))
     return expanded, cells
+
+
+# -- the grid as a dispatch unit --------------------------------------------------
+
+
+def book_view(problems: Sequence[PricingProblem]) -> dict[str, Any]:
+    """A base book as the codec writes it (read-only, like
+    :meth:`PricingProblem.wire_view`): every distinct model and method header
+    once, then one ``{label, asset, model, method, option}`` entry per problem
+    naming its headers by index."""
+    models: list[dict[str, Any]] = []
+    methods: list[dict[str, Any]] = []
+    model_index: dict[str, int] = {}
+    method_index: dict[tuple[str, str], int] = {}
+    entries = []
+    for problem in problems:
+        model_key = problem.model.param_digest()
+        method_key = (problem.method.method_name, problem.method.param_digest())
+        if model_key not in model_index:
+            model_index[model_key] = len(models)
+            models.append(problem.wire_view()["model"])
+        if method_key not in method_index:
+            method_index[method_key] = len(methods)
+            methods.append(problem.wire_view()["method"])
+        entries.append({
+            "label": problem.label, "asset": problem.asset,
+            "model": model_index[model_key], "method": method_index[method_key],
+            "option": problem._option_view(),
+        })
+    return {"models": models, "methods": methods, "problems": entries}
+
+
+def _problems_from_book(view: Any) -> list[PricingProblem]:
+    """Rebuild the problems of :func:`book_view`; problems naming the same
+    headers share one :class:`Model` and one :class:`PricingMethod` object."""
+    if not isinstance(view, dict):
+        raise SerializationError("ScenarioGrid payload: 'book' must decode to a dict")
+    entries = view.get("problems")
+    if not isinstance(entries, list) or not entries:
+        raise SerializationError(
+            "ScenarioGrid payload: 'book.problems' must be a non-empty list"
+        )
+    legs: dict[str, list[dict[str, Any]]] = {}
+    for leg in ("model", "method"):
+        table = view.get(f"{leg}s")
+        if not isinstance(table, list):
+            raise SerializationError(f"ScenarioGrid payload: 'book.{leg}s' must be a list")
+        legs[leg] = [
+            _named_leg({leg: entry}, leg, f"book.{leg}s[{index}].", "ScenarioGrid")
+            for index, entry in enumerate(table)
+        ]
+    # every problem is a shallow copy of its (model, method) header with its
+    # own option, as the members of a ProblemBatch are
+    headers: dict[tuple[int, int], PricingProblem] = {}
+    problems = []
+    for index, entry in enumerate(entries):
+        where = f"book.problems[{index}]"
+        if not isinstance(entry, dict):
+            raise SerializationError(f"ScenarioGrid payload: {where} must be a dict")
+        pair = (entry.get("model"), entry.get("method"))
+        for leg, number in zip(legs, pair):
+            if not _is_count(number) or number >= len(legs[leg]):
+                raise SerializationError(
+                    f"ScenarioGrid payload: '{where}.{leg}' must index 'book.{leg}s'"
+                )
+        if pair not in headers:
+            headers[pair] = PricingProblem.from_dict(
+                {"model": legs["model"][pair[0]], "method": legs["method"][pair[1]]}
+            )
+        problems.append(_member(headers[pair], entry, where, "ScenarioGrid"))
+    return problems
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+class _Book:
+    """The base problems of a grid and their bytes, made once however many
+    slices re-send them (the paper's ``sload`` argument, as for
+    :meth:`repro.cluster.backends.Job.wire_bytes`)."""
+
+    __slots__ = ("problems", "_wire")
+
+    def __init__(self, problems: Sequence[PricingProblem], wire: bytes | None = None):
+        self.problems = list(problems)
+        self._wire = wire
+
+    def wire_bytes(self) -> bytes:
+        if self._wire is None:
+            # imported lazily: repro.serial registers this module's codec
+            from repro.serial import xdr
+
+            self._wire = xdr.encode(book_view(self.problems))
+        return self._wire
+
+
+class ScenarioGrid:
+    """(base problems) x (a slice of scenarios), priced next to the kernel.
+
+    A risk campaign is described by its base book and its scenario list;
+    the (problems x scenarios) cells only need to exist where they are
+    priced.  A grid is what the master ships instead of the cells: the base
+    book (bytes shared by every slice of one campaign), the slice's
+    :class:`Scenario` records and the slice's ``offset`` in the campaign's
+    full list of ``n_scenarios``.  :meth:`compute` expands and prices on the
+    worker and answers ``{cell id: result dict}``, a cell's id being
+    ``problem_index * n_scenarios + scenario_index`` in the full grid.
+    ``answered`` lists cells the master already holds (run-cache hits): they
+    are left out of the pricing, which never changes the other cells'
+    prices.
+
+    The master works on the same object without materialising a cell:
+    :meth:`columns` (which cells exist, decided per distinct base model),
+    :meth:`describe`, :meth:`cell_digest` and :meth:`slice`.
+    """
+
+    def __init__(
+        self,
+        problems: "Sequence[PricingProblem] | _Book",
+        scenarios: Sequence[Scenario],
+        *,
+        on_missing: str = "raise",
+        kernel: str | None = None,
+        offset: int = 0,
+        n_scenarios: int | None = None,
+        answered: Sequence[int] = (),
+    ):
+        book = problems if isinstance(problems, _Book) else _Book(problems)
+        if not book.problems:
+            raise PricingError("a ScenarioGrid needs at least one base problem")
+        _check_grid(book.problems, scenarios, on_missing)
+        self._book = book
+        self.scenarios = tuple(scenarios)
+        self.on_missing = on_missing
+        self.kernel = resolve_kernel(kernel)
+        self.offset = offset
+        self.n_scenarios = offset + len(self.scenarios) if n_scenarios is None else n_scenarios
+        if self.n_scenarios < offset + len(self.scenarios):
+            raise PricingError("a ScenarioGrid slice must lie inside its full scenario list")
+        self.answered = frozenset(answered)
+        self._bumps = _Bumps()
+        self._columns: list[list[int]] | None = None
+
+    @property
+    def problems(self) -> list[PricingProblem]:
+        return self._book.problems
+
+    @property
+    def label(self) -> str:
+        stop = self.offset + len(self.scenarios)
+        return f"grid[{len(self.problems)}x{self.offset}:{stop}/{self.n_scenarios}]"
+
+    # -- the master's view: cells without cell problems ----------------------------
+    def columns(self) -> list[list[int]]:
+        """The ids of the cells this grid answers, one list per scenario.
+
+        Whether a cell exists is decided once per (distinct base model,
+        scenario) -- never per cell: an unrealisable scenario raises under
+        ``on_missing="raise"``, empties its cells under ``"skip"`` and keeps
+        them (priced unbumped) under ``"base"``; a bump that invalidates the
+        model raises here, before anything is dispatched.
+        """
+        if self._columns is None:
+            rows_by_model: dict[str, list[int]] = {}
+            for index, problem in enumerate(self.problems):
+                rows_by_model.setdefault(problem.model.param_digest(), []).append(
+                    index * self.n_scenarios + self.offset
+                )
+            columns: list[list[int]] = [[] for _ in self.scenarios]
+            for rows in rows_by_model.values():
+                model = self.problems[rows[0] // self.n_scenarios].model
+                for j, scenario in enumerate(self.scenarios):
+                    if not self._realises(model, scenario):
+                        if self.on_missing == "raise":
+                            raise _unrealisable(model, scenario)
+                        if self.on_missing == "skip":
+                            continue
+                    columns[j].extend(row + j for row in rows)
+            if self.answered:
+                columns = [
+                    [cell for cell in column if cell not in self.answered]
+                    for column in columns
+                ]
+            self._columns = columns
+        return self._columns
+
+    def _realises(self, model: "Model", scenario: Scenario) -> bool:
+        return scenario.target != "model" or self._bumps.get(model, scenario) is not None
+
+    def _coordinates(self, cell_id: int) -> tuple[PricingProblem, Scenario]:
+        index, number = divmod(cell_id, self.n_scenarios)
+        return self.problems[index], self.scenarios[number - self.offset]
+
+    def describe(self, cell_id: int) -> tuple[str | None, str | None]:
+        """``(label, method name)`` of a cell: those of the problem
+        :func:`expand_scenarios` would put there."""
+        problem, scenario = self._coordinates(cell_id)
+        if scenario.target == "base" or not self._realises(problem.model, scenario):
+            return problem.label, problem.method_name
+        return _cell_label(problem, scenario), problem.method_name
+
+    def cell_digest(self, cell_id: int) -> str:
+        """:func:`~repro.pricing.cache.problem_digest` of the cell's problem,
+        from its legs: the bumped model's memoised digest is shared by every
+        cell of its (base model, scenario)."""
+        problem, scenario = self._coordinates(cell_id)
+        model, product = (
+            _cell_legs(problem, scenario, self._bumps) or (problem.model, problem.product)
+        )
+        return legs_digest(model, product, problem.method)
+
+    def slice(
+        self, start: int, stop: int, *, kernel: str | None = None,
+        answered: Sequence[int] = (),
+    ) -> "ScenarioGrid":
+        """Scenarios ``start:stop`` of this grid over the same base book
+        (and the same book bytes, once they are made)."""
+        part = ScenarioGrid(
+            self._book, self.scenarios[start:stop], on_missing=self.on_missing,
+            kernel=kernel, offset=self.offset + start, n_scenarios=self.n_scenarios,
+            answered=answered,
+        )
+        part._bumps = self._bumps  # what the book can realise was decided once
+        return part
+
+    # -- pricing -----------------------------------------------------------------
+    def compute(self, cache: "ResultCache | None" = None) -> dict[int, dict[str, Any]]:
+        """Expand, price as one stacked campaign, answer ``{cell id: result dict}``.
+
+        With a ``cache``, cells already stored are answered from it and left
+        out of the simulation; fresh results are written back.  If the
+        shared pass fails, the cells are priced one by one so only the bad
+        ones answer ``{"error": ...}`` (as a :class:`ProblemBatch` does).
+        """
+        expanded, cells = expand_scenarios(self.problems, self.scenarios, self.on_missing)
+        out: dict[int, dict[str, Any]] = {}
+        pending: list[tuple[int, PricingProblem]] = []
+        for problem, cell in zip(expanded, cells):
+            cell_id = (
+                cell.problem_index * self.n_scenarios + self.offset + cell.scenario_index
+            )
+            if cell_id in self.answered:
+                continue
+            cached = cache.get(problem_digest(problem)) if cache is not None else None
+            if cached is not None:
+                out[cell_id] = {**cached.as_dict(), "cache_hit": True}
+            else:
+                pending.append((cell_id, problem))
+        try:
+            results: Sequence[Any] = price_problems(
+                [problem for _, problem in pending], min_group_size=1, kernel=self.kernel
+            )
+        except Exception:  # noqa: BLE001 - isolate the failing cells below
+            results = [None] * len(pending)
+        for (cell_id, problem), result in zip(pending, results):
+            if result is None:
+                try:
+                    result = problem.compute()
+                except Exception as exc:  # noqa: BLE001 - per-cell error capture
+                    out[cell_id] = {"error": f"{type(exc).__name__}: {exc}"}
+                    continue
+            if cache is not None:
+                cache.put(problem_digest(problem), result)
+            out[cell_id] = result.as_dict()
+        return out
+
+    # -- serialization ----------------------------------------------------------
+    def wire_view(self) -> dict[str, Any]:
+        """The grid as the codec writes it: the book's bytes as they are, the
+        slice's scenarios as plain records."""
+        return {
+            "book": self._book.wire_bytes(),
+            "scenarios": [
+                {"name": scenario.name, "target": scenario.target, "param": scenario.param,
+                 "bump": scenario.bump, "relative": scenario.relative}
+                for scenario in self.scenarios
+            ],
+            "offset": self.offset,
+            "n_scenarios": self.n_scenarios,
+            "on_missing": self.on_missing,
+            "kernel": self.kernel,
+            "answered": sorted(self.answered),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "ScenarioGrid":
+        """Rebuild a grid; a payload of the wrong shape raises
+        :class:`~repro.errors.SerializationError` naming the field."""
+        from repro.serial import xdr
+
+        records = data.get("scenarios")
+        if not isinstance(records, list):
+            raise SerializationError("ScenarioGrid payload: 'scenarios' must be a list")
+        scenarios = []
+        for index, record in enumerate(records):
+            try:
+                scenarios.append(Scenario(**record))
+            except (TypeError, PricingError) as exc:
+                raise SerializationError(
+                    f"ScenarioGrid payload: scenarios[{index}] is not a scenario: {exc}"
+                ) from exc
+        for field in ("offset", "n_scenarios"):
+            if not _is_count(data.get(field)):
+                raise SerializationError(
+                    f"ScenarioGrid payload: '{field}' must be a non-negative integer"
+                )
+        answered = data.get("answered", [])
+        if not isinstance(answered, list) or not all(_is_count(cell) for cell in answered):
+            raise SerializationError(
+                "ScenarioGrid payload: 'answered' must list non-negative cell ids"
+            )
+        book = data.get("book")
+        if not isinstance(book, bytes):
+            raise SerializationError("ScenarioGrid payload: 'book' must be a byte block")
+        problems = _problems_from_book(xdr.decode(book))
+        try:
+            return cls(
+                _Book(problems, wire=book), scenarios, on_missing=data.get("on_missing"),
+                kernel=data.get("kernel"), offset=data["offset"],
+                n_scenarios=data["n_scenarios"], answered=answered,
+            )
+        except PricingError as exc:
+            raise SerializationError(f"ScenarioGrid payload: {exc}") from exc
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
+        return f"ScenarioGrid({self.label}, on_missing={self.on_missing!r})"
 
 
 def collect_cell_prices(

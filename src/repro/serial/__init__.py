@@ -9,15 +9,17 @@ by the remote TCP worker protocol (:mod:`repro.serial.frames`).
 
 Importing this package registers the codecs for
 :class:`~repro.pricing.engine.PricingProblem`,
-:class:`~repro.pricing.methods.base.PricingResult` and
-:class:`~repro.pricing.batch.ProblemBatch`, so pricing problems -- and whole
-shared-simulation batches of them -- can be saved, loaded and shipped across
-the cluster out of the box.
+:class:`~repro.pricing.methods.base.PricingResult`,
+:class:`~repro.pricing.batch.ProblemBatch` and
+:class:`~repro.pricing.scenarios.ScenarioGrid`, so pricing problems -- and
+whole shared-simulation batches and scenario-grid slices of them -- can be
+saved, loaded and shipped across the cluster out of the box.
 """
 
 from repro.pricing.batch import ProblemBatch
 from repro.pricing.engine import PricingProblem
 from repro.pricing.methods.base import PricingResult
+from repro.pricing.scenarios import ScenarioGrid
 from repro.serial import xdr
 from repro.serial.frames import (
     FRAME_HELLO,
@@ -52,6 +54,12 @@ register_codec(
     ProblemBatch,
     ProblemBatch.wire_view,
     ProblemBatch.from_dict,
+)
+register_codec(
+    "ScenarioGrid",
+    ScenarioGrid,
+    ScenarioGrid.wire_view,
+    ScenarioGrid.from_dict,
 )
 
 __all__ = [

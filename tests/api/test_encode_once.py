@@ -4,8 +4,9 @@ The master keeps the wire bytes of a job from its first dispatch on
 (:meth:`repro.cluster.backends.Job.wire_bytes`), so neither planning, nor a
 retry, nor folding a position into a :class:`~repro.pricing.batch.ProblemBatch`
 may encode a problem a second time.  The spy counts calls of the codec
-registry's ``PricingProblem`` / ``ProblemBatch`` encoders in the master
-process (worker processes decode, they never encode problems).
+registry's ``PricingProblem`` / ``ProblemBatch`` / ``ScenarioGrid`` encoders
+and of the base-book writer in the master process (worker processes decode,
+they never encode problems).
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from collections import Counter
 import pytest
 
 from repro.api import BackendSpec, RunConfig, ValuationSession
+from repro.api.campaign import Campaign
 from repro.api.config import RetryPolicy
 from repro.api.plan import build_plan
 from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import Portfolio, Position
-from repro.pricing import PricingProblem
+from repro.pricing import PricingProblem, scenarios
 from repro.serial import xdr
 
 N_FAMILIES = 2
@@ -55,7 +57,7 @@ def _book() -> Portfolio:
 def encodes(monkeypatch) -> Counter:
     """Count master-side codec encodes by registered type name."""
     counts: Counter = Counter()
-    for name in ("PricingProblem", "ProblemBatch"):
+    for name in ("PricingProblem", "ProblemBatch", "ScenarioGrid"):
         cls, to_dict, from_dict = xdr._CODECS[name]
 
         def counting(value, _name=name, _to_dict=to_dict):
@@ -63,6 +65,12 @@ def encodes(monkeypatch) -> Counter:
             return _to_dict(value)
 
         monkeypatch.setitem(xdr._CODECS, name, (cls, counting, from_dict))
+
+    def counting_book(problems, _book_view=scenarios.book_view):
+        counts["book"] += 1
+        return _book_view(problems)
+
+    monkeypatch.setattr(scenarios, "book_view", counting_book)
     return counts
 
 
@@ -133,6 +141,60 @@ def test_simulated_plan_sizes_members_once_and_sends_nothing(encodes):
     assert encodes == {"PricingProblem": N_POSITIONS}
 
 
+RETURNS = [0.01 * (k - 6) for k in range(12)]
+
+
+@pytest.mark.parametrize("backend", ["local", "multiprocessing", "remote"])
+def test_risk_campaign_encodes_the_base_book_once(
+    backend, encodes, encodes_at_plan_time, loopback_pool
+):
+    summary = _session(backend, loopback_pool).risk(_book(), spot_returns=RETURNS)
+    assert summary["n_scenarios"] == len(RETURNS)
+    # no cell and no batch is ever written: one book, one small wrapper per slice
+    n_slices = encodes.pop("ScenarioGrid")
+    assert 1 < n_slices <= len(RETURNS) + 1
+    assert encodes == {"book": 1}
+    assert encodes_at_plan_time == [0]
+
+
+def _kill_first_worker_once(pool, restart_after: float):
+    killed = threading.Event()
+
+    def on_progress(event):
+        if not killed.is_set():
+            killed.set()
+            pool.kill(0)
+            threading.Thread(
+                target=lambda: (time.sleep(restart_after), pool.restart(0)), daemon=True
+            ).start()
+
+    return on_progress
+
+
+def test_risk_retry_after_pool_loss_adds_no_encodes(encodes, monkeypatch):
+    reattached = []
+    reattach = Campaign._reattach
+    monkeypatch.setattr(
+        Campaign, "_reattach",
+        lambda self, retry, attempt: reattached.append(attempt) or reattach(self, retry, attempt),
+    )
+    with spawn_local_workers(1) as pool:
+        spec = BackendSpec("remote", options={
+            "hosts": pool.hosts, "connect_timeout": 5.0, "send_timeout": 30.0})
+        clean = ValuationSession(backend=spec).risk(_book(), spot_returns=RETURNS)
+        clean_encodes = dict(encodes)
+        encodes.clear()
+        config = RunConfig(
+            retry=RetryPolicy(max_attempts=5, backoff=0.6, backoff_factor=1.5),
+            progress=_kill_first_worker_once(pool, restart_after=0.8),
+        )
+        summary = ValuationSession(backend=spec).risk(
+            _book(), spot_returns=RETURNS, config=config)
+    assert reattached and summary == clean
+    # the re-dispatched slices re-send the bytes kept from their first dispatch
+    assert encodes == clean_encodes and encodes["book"] == 1
+
+
 def test_retry_after_pool_loss_adds_no_encodes(encodes):
     book = Portfolio(name="retry", positions=[
         Position(_problem(80.0 + 3 * k, "MC_European", seed=7), label=f"p{k}")
@@ -142,19 +204,9 @@ def test_retry_after_pool_loss_adds_no_encodes(encodes):
         spec = BackendSpec("remote", options={
             "hosts": pool.hosts, "connect_timeout": 5.0, "send_timeout": 30.0})
         session = ValuationSession(backend=spec)
-        killed = threading.Event()
-
-        def on_progress(event):
-            if not killed.is_set():
-                killed.set()
-                pool.kill(0)
-                threading.Thread(
-                    target=lambda: (time.sleep(0.8), pool.restart(0)), daemon=True
-                ).start()
-
         config = RunConfig(
             retry=RetryPolicy(max_attempts=5, backoff=0.6, backoff_factor=1.5),
-            progress=on_progress,
+            progress=_kill_first_worker_once(pool, restart_after=0.8),
         )
         result = session.run(book, config=config)
     assert result.ok and result.report.extra.get("retries", 0) >= 1

@@ -208,6 +208,73 @@ class TestSessionCache:
         assert session.cache is cache
 
 
+class TestRiskCampaignCache:
+    """A risk campaign's cells live in the run cache under the digests a plain
+    run of the same problems uses -- derived on the master without building
+    them."""
+
+    RETURNS = [0.01, -0.02, 0.004, -0.013, 0.007, -0.03]
+
+    @pytest.fixture
+    def dispatched(self, monkeypatch) -> list[list[int]]:
+        """Per campaign: how many cells each dispatched job carries."""
+        from repro.api.plan import build_plan
+
+        seen: list[list[int]] = []
+
+        def spy(*args, **kwargs):
+            plan = build_plan(*args, **kwargs)
+            seen.append([len(plan.batch_members.get(job.job_id, (1,))) for job in plan.jobs])
+            return plan
+
+        monkeypatch.setattr("repro.api.session.build_plan", spy)
+        return seen
+
+    @pytest.mark.parametrize("backend", ["local", "multiprocessing"])
+    def test_second_campaign_dispatches_nothing(self, backend, dispatched):
+        from tests.oracles.books import mixed_book
+
+        session = ValuationSession(backend=backend, n_workers=2, cache=True)
+        first = session.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75)
+        second = session.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75)
+        assert second == first
+        n_cells = 4 * (len(self.RETURNS) + 1)
+        assert sum(dispatched[0]) == n_cells and dispatched[1] == []
+        assert session.cache.stats.puts == n_cells
+        assert session.cache.stats.hits == n_cells
+
+    def test_half_warm_cache_dispatches_only_the_missing_cells(self, dispatched):
+        from repro.core.risk import historical_var
+        from tests.oracles.books import mixed_book
+
+        session = ValuationSession(backend="local", cache=True)
+        session.risk(mixed_book(), spot_returns=self.RETURNS[:3], confidence=0.75)
+        summary = session.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75)
+        assert summary == historical_var(mixed_book(), self.RETURNS, confidence=0.75)
+        # base + 3 returns were priced before: 3 new scenarios x 4 positions
+        assert sum(dispatched[0]) == 4 * 4 and sum(dispatched[1]) == 4 * 3
+
+    def test_a_cell_priced_by_risk_is_a_hit_for_run_and_vice_versa(self, dispatched):
+        from repro.pricing.scenarios import expand_scenarios, historical_scenarios
+        from tests.oracles.books import mixed_book
+
+        session = ValuationSession(backend="local", cache=True)
+        summary = session.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75)
+        cells, _ = expand_scenarios(
+            [position.problem for position in mixed_book()],
+            historical_scenarios(self.RETURNS), on_missing="base",
+        )
+        book = Portfolio(name="cells", positions=[Position(problem=p) for p in cells])
+        replay = session.run(book)
+        assert dispatched[1] == [] and replay.report.scheduler == "cache"
+        assert all(entry["cache_hit"] for entry in replay.report.results.values())
+
+        other = ValuationSession(backend="local", cache=True)
+        other.run(book)
+        assert other.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75) == summary
+        assert dispatched[3] == []
+
+
 class TestCliFlags:
     def test_run_parser_accepts_batch_and_cache(self):
         parser = build_parser()

@@ -8,17 +8,28 @@ import pytest
 
 from repro.api import RunConfig, ValuationSession
 from repro.api.plan import build_plan
+from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import Portfolio
 from repro.core.risk import historical_var, portfolio_greeks, sensitivity_sweep
-from repro.errors import PortfolioError, ValuationError
-from repro.pricing.batch import ProblemBatch
+from repro.errors import PortfolioError, PricingError, ValuationError
+from repro.pricing.scenarios import expand_scenarios, greek_ladder
+from repro.pricing.scenarios import ScenarioGrid
 from tests.oracles.books import mixed_book
 
 RETURNS = [0.01, -0.02, 0.004, -0.013, 0.007, -0.03, 0.011, -0.006]
 
 
-@pytest.fixture(params=["local", "multiprocessing"])
+@pytest.fixture(scope="module")
+def loopback_pool():
+    with spawn_local_workers(2) as pool:
+        yield pool
+
+
+@pytest.fixture(params=["local", "multiprocessing", "remote"])
 def session(request) -> ValuationSession:
+    if request.param == "remote":
+        hosts = request.getfixturevalue("loopback_pool").hosts
+        return ValuationSession(backend="remote", backend_options={"hosts": hosts})
     return ValuationSession(backend=request.param, n_workers=2)
 
 
@@ -50,6 +61,13 @@ class TestSameErrors:
     def local(self) -> ValuationSession:
         return ValuationSession(backend="local")
 
+    def test_a_bump_out_of_the_models_domain(self, session):
+        # raised on the master, before a backend exists -- never a base-state cell
+        with pytest.raises(PricingError, match="hist0001.*'spot'"):
+            session.risk(mixed_book(), spot_returns=[0.01, -1.5, -0.02], confidence=0.75)
+        with pytest.raises(PricingError, match=r"volatility\[0\].*'volatility'"):
+            session.risk(mixed_book(), param="volatility", bumps=[-0.5, 0.0], relative=False)
+
     def test_empty_portfolio(self, local):
         empty = Portfolio(name="empty")
         with pytest.raises(PortfolioError):
@@ -72,23 +90,50 @@ class TestSameErrors:
             local.risk(mixed_book(), spot_returns=RETURNS, param="spot", bumps=[0.01])
 
 
+def test_cell_futures_carry_the_labels_of_the_expanded_problems(session):
+    """No cell problem exists on the master, yet every progress event and
+    price result is labelled as the expanded cell would have been."""
+    book = mixed_book()
+    ladder = greek_ladder()
+    expanded, _cells = expand_scenarios(
+        [position.problem for position in book], ladder, on_missing="skip"
+    )
+    events = []
+    session.greeks(book, config=RunConfig(progress=events.append))
+    assert sorted(event.label for event in events) == sorted(p.label for p in expanded)
+    assert {event.label for event in events} >= {"mc_K95", "mc_K95|theta_down", "cf_put|vol_up"}
+    assert "sigma_only|vol_up" not in {event.label for event in events}  # skipped cell
+    assert {(event.result.label, event.result.method) for event in events} == {
+        (problem.label, problem.method_name) for problem in expanded
+    }
+    assert [event.done for event in events] == list(range(1, len(expanded) + 1))
+
+    # on_missing="base": an unrealisable cell keeps the base label it is priced under
+    events.clear()
+    session.risk(book, param="volatility", bumps=[0.01], relative=False,
+                 config=RunConfig(progress=events.append))
+    assert sorted(event.label for event in events) == [
+        "cf_put|volatility[0]+0.01", "mc_K105|volatility[0]+0.01",
+        "mc_K95|volatility[0]+0.01", "sigma_only",
+    ]
+
+
 @pytest.mark.parametrize("kernel", ["loop", "stacked"])
-def test_config_kernel_reaches_the_dispatched_batches(monkeypatch, kernel):
+def test_config_kernel_reaches_the_dispatched_grid_slices(monkeypatch, kernel):
     session = ValuationSession(backend="local")
-    dispatched: list[ProblemBatch] = []
+    dispatched: list[ScenarioGrid] = []
 
     def spy(*args, **kwargs):
         plan = build_plan(*args, **kwargs)
-        dispatched.extend(
-            job.problem for job in plan.jobs if isinstance(job.problem, ProblemBatch)
-        )
+        assert all(isinstance(job.problem, ScenarioGrid) for job in plan.jobs)
+        dispatched.extend(job.problem for job in plan.jobs)
         return plan
 
     monkeypatch.setattr("repro.api.session.build_plan", spy)
     config = RunConfig(kernel=kernel)
     greeks = session.greeks(mixed_book(), config=config)
     var = session.risk(mixed_book(), spot_returns=RETURNS, confidence=0.75, config=config)
-    assert dispatched and {batch.kernel for batch in dispatched} == {kernel}
+    assert dispatched and {part.kernel for part in dispatched} == {kernel}
     # either kernel replays the same IEEE operation sequence
     assert greeks == portfolio_greeks(mixed_book())
     assert var == historical_var(mixed_book(), RETURNS, confidence=0.75)

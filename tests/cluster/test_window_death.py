@@ -156,3 +156,47 @@ class TestMultiprocessingDeath:
         assert not report.errors
         assert report.extra["retries"] == 1
         assert report.prices() == reference
+
+
+class TestGridSlicesSurviveADeath:
+    """A slice is the re-dispatch unit of a risk campaign: a worker killed
+    while it holds slices costs no cell and answers none twice."""
+
+    RETURNS = [0.002 * (k % 11 - 5) for k in range(60)]
+
+    @staticmethod
+    def _book() -> Portfolio:
+        problems = [
+            _problem(85.0 + 5 * k, method="MC_European", n_paths=20_000, seed=7)
+            for k in range(6)
+        ]
+        return Portfolio(positions=[Position(p, label=f"p{k}") for k, p in enumerate(problems)])
+
+    def _check(self, session: ValuationSession, kill) -> None:
+        reference = ValuationSession(backend="local").risk(
+            self._book(), spot_returns=self.RETURNS)
+        answered: list[int] = []
+
+        def on_progress(event) -> None:
+            if not answered:
+                kill()
+            answered.append(event.job_id)
+
+        config = RunConfig(retry=RetryPolicy(max_attempts=3), progress=on_progress)
+        summary = session.risk(self._book(), spot_returns=self.RETURNS, config=config)
+        assert summary == reference
+        n_cells = 6 * (len(self.RETURNS) + 1)
+        assert sorted(answered) == list(range(n_cells))  # every cell, exactly once
+
+    def test_a_killed_multiprocessing_worker(self):
+        before = set(mp.active_children())
+        self._check(
+            ValuationSession(backend="multiprocessing", n_workers=2),
+            lambda: os.kill(_started_since(before)[0].pid, signal.SIGKILL),
+        )
+
+    def test_a_killed_remote_worker(self):
+        with spawn_local_workers(2) as pool:
+            session = ValuationSession(
+                backend="remote", backend_options={"hosts": pool.hosts, "connect_timeout": 5.0})
+            self._check(session, lambda: pool.kill(0))

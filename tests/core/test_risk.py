@@ -13,7 +13,7 @@ from repro.core.risk import (
     scenario_jobs,
     sensitivity_sweep,
 )
-from repro.errors import PortfolioError
+from repro.errors import PortfolioError, PricingError
 from repro.pricing import PricingProblem, analytics
 from tests.oracles import serial_greeks, solo_cell_pricer
 from tests.oracles.books import mixed_book
@@ -141,6 +141,15 @@ class TestHistoricalVar:
             historical_var(book, [], confidence=0.99)
         with pytest.raises(PortfolioError):
             historical_var(book, [0.01], confidence=0.3)
+
+    def test_a_return_below_minus_one_is_an_error_not_a_zero_loss(self):
+        # the -150 % scenario used to be priced at the unbumped state (loss 0)
+        with pytest.raises(PricingError, match="hist0001.*'spot'"):
+            historical_var(mixed_book(), [0.01, -1.5, -0.02], 0.75)
+
+    def test_a_sweep_through_negative_volatility_is_an_error(self):
+        with pytest.raises(PricingError, match=r"volatility\[0\].*'volatility'"):
+            sensitivity_sweep(mixed_book(), "volatility", [-0.5, 0.0], relative=False)
 
     def test_empty_portfolio_rejected(self):
         with pytest.raises(PortfolioError):

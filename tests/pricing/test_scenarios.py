@@ -183,6 +183,14 @@ class TestScenarioValidation:
         with pytest.raises(PricingError):
             Scenario(name="x", target="maturity", bump=0.0)
 
+    @pytest.mark.parametrize("bump", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_bump_rejected(self, bump):
+        # used to surface only after simulation, as a non-finite price
+        with pytest.raises(PricingError, match="finite bump"):
+            Scenario(name="x", target="model", param="spot", bump=bump, relative=True)
+        with pytest.raises(PricingError, match="hist0001"):
+            historical_scenarios([0.01, bump])
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(PricingError):
             expand_scenarios(
@@ -198,6 +206,32 @@ class TestScenarioValidation:
         problem = _cf_problem()
         bumped = apply_scenario(problem, scenario)  # BS model resolves fine
         assert bumped is not problem
+
+    @pytest.mark.parametrize("on_missing", ["raise", "skip", "base"])
+    @pytest.mark.parametrize("scenario", [
+        Scenario(name="crash", target="model", param="spot", bump=-1.5, relative=True),
+        Scenario(name="novol", target="model", param=VOL_PARAM, bump=-0.5),
+    ])
+    def test_invalid_bump_raises_under_every_on_missing(self, scenario, on_missing):
+        """Only "the model has no such parameter" is unrealisable; a bump out of
+        the model's domain used to fall back to the base state silently."""
+        param = "spot" if scenario.name == "crash" else "volatility"
+        with pytest.raises(PricingError, match=f"{scenario.name}.*{param}"):
+            expand_scenarios(
+                [_cf_problem()], [Scenario(name="base"), scenario], on_missing=on_missing
+            )
+        with pytest.raises(PricingError, match=f"{scenario.name}.*{param}"):
+            price_scenarios([_cf_problem()], [scenario], on_missing=on_missing)
+        with pytest.raises(PricingError, match=f"{scenario.name}.*{param}"):
+            apply_scenario(_cf_problem(), scenario)
+
+    def test_a_missing_parameter_is_still_skipped_or_based(self):
+        bad = Scenario(name="bad", target="model", param="skewness", bump=0.1)
+        problem = _cf_problem()
+        assert expand_scenarios([problem], [bad], on_missing="skip") == ([], [])
+        assert expand_scenarios([problem], [bad], on_missing="base")[0] == [problem]
+        with pytest.raises(PricingError, match="no parameter 'skewness'"):
+            expand_scenarios([problem], [bad])
 
     def test_base_scenario_returns_original_instance(self):
         problem = _cf_problem()

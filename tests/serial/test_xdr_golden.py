@@ -16,6 +16,7 @@ import pytest
 
 from repro.pricing import PricingProblem
 from repro.pricing.batch import ProblemBatch
+from repro.pricing.scenarios import ScenarioGrid, historical_scenarios
 from repro.serial import xdr
 
 
@@ -72,6 +73,10 @@ def golden_values() -> dict[str, object]:
             "job_id": 3,
             "payload": [ProblemBatch([_mc_call(90.0), _mc_call(110.0)], keys=[3, 4])],
         },
+        "grid_slice": ScenarioGrid(
+            [_mc_call(90.0), _mc_call(110.0)], historical_scenarios([0.01, -0.02, 0.005]),
+            on_missing="base",
+        ).slice(1, 3, kernel="loop", answered=[6]),
     }
 
 
@@ -107,6 +112,8 @@ GOLDEN = {
     "array_empty": "cee297e7dcc01773e78ec25df779ee8b4dfe7e80dd3fcfd4605e84e20875aee7",
     "problem": "55655ab2fdf2f352065ebb49082be86536c8bb9c78d035ec24fbde1b8e197ede",
     "nested_batch": "0072e5247abdf1fe074c0f9324c9a3afa9827c2b94a8251d5c97ce8688bc6720",
+    # pinned when the payload was introduced (wire protocol v7)
+    "grid_slice": "999301cfbe1c8cc6381f16f23d7e3bb7f7ccf46a66af63c37fef1f56ed705908",
 }
 
 
