@@ -4,11 +4,13 @@
 
 Runs the workload's warm-up, then one full-size repeat on its real backend
 under ``cProfile`` (the master thread only; the workers are other processes)
-and prints where the master's non-waiting time went, then what was sent --
-jobs dispatched, ``RunReport.bytes_sent`` per position (per cell of a risk
-campaign) and the widths of its scenario-grid slices -- and what the workers
-made of it: their idle share and the in-flight window the run reached
-(``RunReport.peak_window``).  ``cProfile`` taxes every
+and prints where the master's non-waiting time went, how many per-position
+Python objects it built (futures minted, result dictionaries received or
+materialised), then what was sent -- jobs dispatched, ``RunReport.bytes_sent``
+per position (per cell of a risk campaign) and the widths of its
+scenario-grid slices -- and what the workers made of it: their idle share and
+the in-flight window the run reached (``RunReport.peak_window``).
+``cProfile`` taxes every
 Python call, so read the table for its ranking and call counts, not for
 absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The numbers
 in ``docs/performance.md`` are this script's output.
@@ -26,14 +28,48 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from benchmarks.e2e.harness import execute, make_session, set_up  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
+from repro.api.futures import PricingFuture  # noqa: E402
+from repro.core.runner import ResultTable  # noqa: E402
+from repro.pricing.methods.base import ResultColumns  # noqa: E402
 from repro.pricing.scenarios import ScenarioGrid  # noqa: E402
 
-#: cumulative time of every function of that name: the layers of one campaign
+#: cumulative time of every function of that name (in the file ending so,
+#: where the name alone is ambiguous): the layers of one campaign, outbound
 #: (``columns`` decides which cells of a risk grid exist, ``build_plan`` turns
-#: a book or a grid into jobs)
-LAYERS = (
-    "columns", "build_plan", "prepare", "dispatch", "decode_result", "_assemble", "deepcopy",
-)
+#: a book or a grid into jobs) and back (the queue's unpickle, the shm walk,
+#: the write into the result table, the report)
+LAYERS = {
+    "columns": ("columns", ""),
+    "build_plan": ("build_plan", ""),
+    "_acquire_backend": ("_acquire_backend", ""),
+    "Campaign.__init__": ("__init__", "api/campaign.py"),
+    "prepare": ("prepare", ""),
+    "dispatch": ("dispatch", ""),
+    "queue unpickle": ("<built-in method _pickle.loads>", ""),
+    "decode_result": ("decode_result", ""),
+    "_resolve_completed": ("_resolve_completed", ""),
+    "_assemble": ("_assemble", ""),
+    "deepcopy": ("deepcopy", ""),
+}
+#: the per-position Python objects a master can build: a future, a result
+#: dictionary that arrived as one, a row dictionary materialised from columns
+_COUNTED = {
+    "futures minted": (PricingFuture, "__init__"),
+    "result dicts received": (ResultTable, "write"),
+    "row dicts materialised": (ResultColumns, "row"),
+}
+
+
+def _count_calls(counts: dict[str, int]) -> None:
+    for label, (owner, name) in _COUNTED.items():
+        original = getattr(owner, name)
+
+        def counting(*args, _label=label, _original=original, **kwargs):
+            counts[_label] += 1
+            return _original(*args, **kwargs)
+
+        counts[label] = 0
+        setattr(owner, name, counting)
 #: where the master sleeps: queue reads poll(), the remote selector epoll()s
 _WAITS = ("<method 'poll' of 'select.poll' objects>", "<method 'poll' of 'select.epoll' objects>")
 
@@ -50,6 +86,8 @@ def main(name: str) -> None:
         return campaigns[-1]
 
     session._open_campaign = recording
+    objects: dict[str, int] = {}
+    _count_calls(objects)
     profile = cProfile.Profile()
     try:
         profile.runcall(execute, workload, session, inputs)
@@ -58,16 +96,19 @@ def main(name: str) -> None:
             pool.stop()
     stats = pstats.Stats(profile).stats
 
-    def cumulative(function: str) -> float:
-        return sum(row[3] for key, row in stats.items() if key[2] == function)
+    def cumulative(function: str, file_suffix: str = "") -> float:
+        return sum(row[3] for key, row in stats.items()
+                   if key[2] == function and key[0].endswith(file_suffix))
 
     waiting = sum(cumulative(wait) for wait in _WAITS)
     busy = max(row[3] for row in stats.values()) - waiting
-    rows = {layer: cumulative(layer) for layer in LAYERS}
+    rows = {layer: cumulative(*where) for layer, where in LAYERS.items()}
     rows["collect (minus waiting)"] = cumulative("collect") - waiting
     print(f"{name}: {busy:.2f} s profiled on the master, not waiting")
     for layer, seconds in sorted(rows.items(), key=lambda item: -item[1]):
-        print(f"  {layer:26s} {seconds:6.2f} s  {seconds / busy:6.1%}")
+        print(f"  {layer:26s} {seconds:6.3f} s  {seconds / busy:6.1%}")
+    print("  per-position objects built: "
+          + ", ".join(f"{count} {label}" for label, count in objects.items()))
     for campaign in campaigns:
         report, jobs = campaign.finish().report, campaign.plan.jobs
         widths = [len(job.problem.scenarios) for job in jobs

@@ -1,28 +1,30 @@
-"""One valuation campaign: a plan, the stream dispatching it, a future per position.
+"""One valuation campaign: a plan, the stream dispatching it, one result table.
 
 A :class:`Campaign` drives one :class:`~repro.core.scheduler.ScheduleStream`
-and routes every collected event -- plain results, the members of a
-:class:`~repro.pricing.batch.ProblemBatch` reply, worker errors,
-cancellations -- to the position's :class:`~repro.api.futures.PricingFuture`.
-Cache hits never enter the stream: their futures are born resolved.  The
-futures are the only per-position record: :meth:`Campaign.finish` folds the
-final :class:`~repro.core.runner.RunReport` from them in submission order,
-taking only run statistics from the stream's outcome.
+and writes every collected event -- a plain result, the
+:class:`~repro.pricing.methods.base.ResultColumns` reply of a
+:class:`~repro.pricing.batch.ProblemBatch` or a scenario-grid slice, a worker
+error, a cancellation -- into its :class:`~repro.core.runner.ResultTable`.
+Cache hits never enter the stream: their rows are written at construction.
+The table is the only per-position record: a
+:class:`~repro.api.futures.PricingFuture` is a view of one row, minted for
+whoever asks for one, and :meth:`Campaign.finish` hands the table to the final
+:class:`~repro.core.runner.RunReport`, taking only run statistics from the
+stream's outcome.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.api.config import RetryPolicy
 from repro.api.futures import CancelToken, JobSet, PricingFuture, StreamProgress
 from repro.api.plan import CampaignPlan
-from repro.api.results import RunResult
+from repro.api.results import PriceResult, RunResult
 from repro.cluster.backends import CompletedJob, Job, WorkerBackend
-from repro.cluster.backends.execution import decode_batch_reply
-from repro.core.runner import RunReport
+from repro.core.runner import ResultTable, RunReport
 from repro.core.scheduler import DispatchPolicy, ScheduleOutcome, ScheduleStream
 from repro.core.strategies import TransmissionStrategy
 from repro.errors import (
@@ -33,19 +35,20 @@ from repro.errors import (
     ValuationError,
     WorkerLostError,
 )
+from repro.pricing.methods.base import ResultColumns
 
 __all__ = ["Campaign"]
 
 
 class Campaign:
-    """Executes one :class:`~repro.api.plan.CampaignPlan` through its futures.
+    """Executes one :class:`~repro.api.plan.CampaignPlan` into its result table.
 
-    ``futures`` are the positions' pre-existing futures (``submit_many``);
-    without them the campaign mints one per position.  ``new_policy``
-    builds the fresh dispatch policy of each stream the campaign opens.  With a
-    ``retry`` policy, :meth:`finish` survives losing the whole worker pool:
-    the still-pending futures are re-attached to a stream on a backend built
-    by ``new_backend``.
+    ``futures`` are positions' pre-existing futures (``submit_many``); any
+    other is minted when asked for (:meth:`future`, :attr:`jobs`).
+    ``new_policy`` builds the fresh dispatch policy of each stream the
+    campaign opens.  With a ``retry`` policy, :meth:`finish` survives losing
+    the whole worker pool: the dispatch units still pending are re-attached
+    to a stream on a backend built by ``new_backend``.
     """
 
     def __init__(
@@ -72,20 +75,13 @@ class Campaign:
         self._retries = 0
         self._n_reported = 0
         self._run_result: RunResult | None = None
-        if futures is None:
-            futures = {}
-            for job_id in plan.original_ids:
-                problem = plan.problem_by_id.get(job_id)
-                futures[job_id] = PricingFuture(
-                    job_id,
-                    label=getattr(problem, "label", None),
-                    method=getattr(problem, "method_name", None),
-                )
-        self._futures = dict(futures)
-        for future in self._futures.values():
+        self.table = ResultTable(plan.original_ids)
+        self._minted: dict[int, PricingFuture] = dict(futures or {})
+        for future in self._minted.values():
             future._campaign = self
         for job_id, entry in plan.cached_results.items():
-            self._resolve_future(job_id, entry, None)
+            self.table.write(job_id, entry, None)
+        self._settled(tuple(plan.cached_results))
         self._stream: ScheduleStream | None = None
         self._dispatched: list[Job] = []
         if plan.jobs:
@@ -102,10 +98,18 @@ class Campaign:
         )
 
     # -- bookkeeping -------------------------------------------------------------
+    def future(self, job_id: int) -> PricingFuture:
+        """The position's future, minted (and labelled) on first request."""
+        future = self._minted.get(job_id)
+        if future is None:
+            future = self._minted[job_id] = PricingFuture(job_id, *self.plan.describe(job_id))
+            future._campaign = self
+        return future
+
     @property
     def jobs(self) -> JobSet:
         """The positions' futures, in submission order."""
-        return JobSet([self._futures[job_id] for job_id in self.plan.original_ids])
+        return JobSet([self.future(job_id) for job_id in self.plan.original_ids])
 
     @property
     def exhausted(self) -> bool:
@@ -116,57 +120,78 @@ class Campaign:
         """Whether the campaign was fully assembled (backend finalized)."""
         return self._run_result is not None
 
-    def _report(self, future: PricingFuture, cancelled: bool = False) -> None:
-        self._n_reported += 1
-        if self._progress is None:
+    def _settled(self, job_ids: Sequence[int], cancelled: bool = False) -> None:
+        """Rows just written: wake the futures minted for them, tick ``progress``."""
+        if self._progress is None and not self._minted:
+            self._n_reported += len(job_ids)
             return
-        self._progress(
-            StreamProgress(
-                done=self._n_reported,
-                total=len(self.plan.original_ids),
-                job_id=future.job_id,
-                label=future.label,
-                result=future.price_result(),
-                error=future._error,
-                cancelled=cancelled,
-            )
-        )
-
-    def _resolve_future(
-        self, job_id: int, result: dict[str, Any] | None, error: str | None
-    ) -> None:
-        future = self._futures.get(job_id)
-        if future is None or future.done():
-            return
-        future._resolve(result, error)
-        self._report(future)
+        for job_id in job_ids:
+            self._n_reported += 1
+            future = self._minted.get(job_id)
+            if future is not None:
+                future._fire_callbacks()
+            if self._progress is not None:
+                label, method = self.plan.describe(job_id)
+                entry = self.table[job_id]
+                self._progress(
+                    StreamProgress(
+                        done=self._n_reported,
+                        total=len(self.plan.original_ids),
+                        job_id=job_id,
+                        label=label,
+                        result=None if entry is None else PriceResult.from_dict(
+                            entry, label=label, method=method, job_id=job_id
+                        ),
+                        error=self.table.error_of(job_id),
+                        cancelled=cancelled,
+                    )
+                )
 
     def _resolve_completed(self, done: CompletedJob) -> None:
+        table = self.table
         members = self.plan.batch_members.get(done.job_id)
         if members is None:
-            self._resolve_future(done.job_id, done.result, done.error)
-            return
-        decoded = decode_batch_reply(done.result, done.error, members)
-        for member, (entry, error) in decoded.items():
-            self._resolve_future(member, entry, error)
+            members = (done.job_id,)
+            if not table.write(done.job_id, done.result, done.error):
+                return  # a dispatch unit is answered once
+        elif table.status[table.row_of(done.job_id)] != table.PENDING:
+            return  # its rows are written together: its own id speaks for them
+        elif isinstance(done.result, ResultColumns):
+            try:
+                table.scatter(done.result, members)
+            except ClusterError as exc:
+                table.mark(members, table.FAILED, f"ClusterError: {exc}")
+        else:
+            # the job failed as a whole, or ran on a timing-only backend: its
+            # members share the job's error (or its absence of a result)
+            error = done.error
+            if error is None and done.result is not None:
+                error = (
+                    f"ClusterError: a {type(done.result).__name__} is not the "
+                    f"ResultColumns reply of a job with members"
+                )
+            table.mark(members, table.NO_RESULT if error is None else table.FAILED, error)
+        self._settled(members)
 
     # -- cancellation ------------------------------------------------------------
     def cancel_job(self, job_id: int) -> bool:
+        """Withdraw one still-queued position; its row is marked cancelled."""
         # a batch member cannot be withdrawn alone: its super-job (queued
         # under its first member's id) may carry siblings that were not cancelled
         if self._stream is None or job_id in self.plan.batch_members:
             return False
-        return self._stream.cancel_job(job_id)
+        if not self._stream.cancel_job(job_id):
+            return False
+        self.table.mark((job_id,), self.table.CANCELLED)
+        return True
 
     def _apply_cancel_token(self) -> None:
         if self._cancel is None or not self._cancel.cancelled or self._stream is None:
             return
         for job in self._stream.cancel_pending():
-            for member in self.plan.batch_members.get(job.job_id, (job.job_id,)):
-                future = self._futures.get(member)
-                if future is not None and not future.done():
-                    future._mark_cancelled()
-                    self._report(future, cancelled=True)
+            members = self.plan.batch_members.get(job.job_id, (job.job_id,))
+            self.table.mark(members, self.table.CANCELLED)
+            self._settled(members, cancelled=True)
 
     # -- pumping -----------------------------------------------------------------
     def pump(self, timeout: float | None = None) -> None:
@@ -207,8 +232,8 @@ class Campaign:
 
         Under a retry policy each :class:`~repro.errors.WorkerLostError`
         consumes one attempt and :meth:`_reattach` puts the still-pending
-        futures back out on a fresh backend, so results of every attempt land
-        in one report, bit-identical to a clean run.
+        dispatch units back out on a fresh backend, so results of every attempt
+        land in one table, bit-identical to a clean run.
         """
         attempt = 1
         while self._run_result is None:
@@ -228,7 +253,7 @@ class Campaign:
         # repro-lint: disable=except-swallow -- best-effort teardown of a pool that WorkerLostError already proved dead; any error here is noise on the retry path
         except Exception:
             pass  # the pool is already gone; nothing to release
-        members = self.plan.batch_members
+        table = self.table
         while True:
             delay = retry.delay(attempt)
             if delay > 0:
@@ -240,10 +265,8 @@ class Campaign:
                     [
                         job
                         for job in self.plan.jobs
-                        if not all(
-                            self._futures[member].done()
-                            for member in members.get(job.job_id, (job.job_id,))
-                        )
+                        # a unit's rows are written together: its own id speaks for them
+                        if table.status[table.row_of(job.job_id)] == table.PENDING
                     ]
                 )
             except ClusterError:
@@ -256,10 +279,10 @@ class Campaign:
                 return attempt
 
     def _assemble(self) -> RunResult:
-        """Fold the futures into the report; only run statistics come from the stream."""
+        """Hand the table to the report; only run statistics come from the stream."""
         if self._run_result is not None:
             return self._run_result
-        plan, dispatched = self.plan, self._dispatched
+        plan, dispatched, table = self.plan, self._dispatched, self.table
         if self._stream is None:
             outcome = ScheduleOutcome([], self._backend.finalize(), "cache")
         else:
@@ -270,32 +293,19 @@ class Campaign:
                     f"stream collected {len(outcome.completed)} results for "
                     f"{len(dispatched)} dispatched jobs ({n_cancelled} cancelled)"
                 )
-        results: dict[int, dict[str, Any] | None] = {}
-        errors: dict[int, str] = {}
-        for job_id in plan.original_ids:
-            future = self._futures[job_id]
-            if future.cancelled():
-                entry, error = None, "cancelled before dispatch"
-            elif future.done():
-                entry, error = future._result, future._error
-            else:
-                raise SchedulingError(f"job {job_id} was neither answered nor cancelled")
-            results[job_id] = entry
-            if error is not None:
-                errors[job_id] = error
-            elif (
-                job_id in plan.digests
-                and entry is not None
-                and entry.get("price") is not None
-                and not entry.get("cache_hit")
-            ):
-                assert plan.run_cache is not None
-                plan.run_cache.put(plan.digests[job_id], entry)
+        pending = table.ids[table.status == table.PENDING]
+        if len(pending):
+            raise SchedulingError(f"job {int(pending[0])} was neither answered nor cancelled")
+        if plan.digests:
+            assert plan.run_cache is not None
+            for job_id, entry in table.computed():
+                if job_id in plan.digests:
+                    plan.run_cache.put(plan.digests[job_id], entry)
         report = replace(
             RunReport.from_outcome(outcome, dispatched, self._strategy.name),
             n_jobs=len(plan.original_ids),
-            results=results,
-            errors=errors,
+            results=table,
+            errors=table.errors(),
         )
         if self._retries:
             report.extra["retries"] = self._retries

@@ -133,11 +133,11 @@ class RetryPolicy:
     A :class:`~repro.errors.WorkerLostError` carries the ``job_ids`` that
     were still unresolved when the pool died.  With a retry policy on the
     :class:`RunConfig`, the session catches that error, rebuilds a fresh
-    backend from its :class:`BackendSpec` and re-attaches the still-pending
-    futures to it -- up to ``max_attempts`` total attempts, with
+    backend from its :class:`BackendSpec` and re-attaches the dispatch units
+    still pending to it -- up to ``max_attempts`` total attempts, with
     ``backoff * backoff_factor**(k-1)`` seconds before the ``k``-th retry so
-    crashed workers have time to come back.  The report folds from the same
-    futures as a clean run and is bit-identical to one.  Applies wherever a
+    crashed workers have time to come back.  The report carries the same
+    result table as a clean run and is bit-identical to one.  Applies wherever a
     campaign is drained: ``run(...)`` and ``stream(...).result()``.
     """
 

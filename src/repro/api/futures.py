@@ -21,7 +21,8 @@ of that loop:
   jobs finish, the run result marks the withdrawn positions as cancelled.
 
 The :class:`~repro.api.campaign.Campaign` underneath drives the stream and
-resolves these futures; they are the campaign's only per-position record.
+keeps every position in one :class:`~repro.core.runner.ResultTable`; a future
+is a view of one of its rows, minted for whoever asks for one.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.api.results import PriceResult
+from repro.core.runner import ResultTable
 from repro.errors import FutureTimeoutError, JobCancelledError, ValuationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,10 +54,6 @@ __all__ = [
 ALL_COMPLETED = "ALL_COMPLETED"
 FIRST_COMPLETED = "FIRST_COMPLETED"
 FIRST_EXCEPTION = "FIRST_EXCEPTION"
-
-_PENDING = "pending"
-_DONE = "done"
-_CANCELLED = "cancelled"
 
 
 class CancelToken:
@@ -100,7 +98,9 @@ class StreamProgress:
 class PricingFuture:
     """Deferred result of one problem flowing through the streaming pipeline.
 
-    Futures are created in one of three states:
+    A future holds no result: it is a view ``(campaign, job_id)`` of one row
+    of the campaign's :class:`~repro.core.runner.ResultTable`, in one of
+    three states:
 
     * *unsubmitted* -- queued by :meth:`ValuationSession.submit_many`;
       nothing executes until the first ``result()``/``wait`` pumps the
@@ -108,7 +108,7 @@ class PricingFuture:
     * *streaming* -- attached to a live campaign; reading the
       future collects results **only until this job answers**, leaving the
       rest of the batch in flight;
-    * *resolved* -- born done (cache hits) or collected.
+    * *resolved* -- its row is written (a cache hit, or collected).
     """
 
     __slots__ = (
@@ -117,9 +117,7 @@ class PricingFuture:
         "method",
         "_campaign",
         "_starter",
-        "_state",
-        "_result",
-        "_error",
+        "_withdrawn",
         "_callbacks",
     )
 
@@ -135,22 +133,32 @@ class PricingFuture:
         self.method = method
         self._campaign: Campaign | None = None
         self._starter = starter
-        self._state = _PENDING
-        self._result: dict[str, Any] | None = None
-        self._error: str | None = None
+        #: cancelled before any campaign took the job (no row exists for it)
+        self._withdrawn = False
         self._callbacks: list[Callable[["PricingFuture"], None]] = []
 
     # -- state inspection --------------------------------------------------------
+    def _status(self) -> int:
+        """The row's :class:`~repro.core.runner.ResultTable` status."""
+        if self._campaign is None:
+            return ResultTable.CANCELLED if self._withdrawn else ResultTable.PENDING
+        table = self._campaign.table
+        return int(table.status[table.row_of(self.job_id)])
+
     def done(self) -> bool:
         """Whether the future is resolved (successfully, failed or cancelled)."""
-        return self._state in (_DONE, _CANCELLED)
+        return self._status() != ResultTable.PENDING
 
     def running(self) -> bool:
         """Whether the job was handed to a live backend and is unresolved."""
-        return self._state == _PENDING and self._campaign is not None
+        return self._campaign is not None and not self.done()
 
     def cancelled(self) -> bool:
-        return self._state == _CANCELLED
+        return self._status() == ResultTable.CANCELLED
+
+    def failed(self) -> bool:
+        """Whether the job failed on the worker (or in transport)."""
+        return self._status() == ResultTable.FAILED
 
     # -- cancellation ------------------------------------------------------------
     def cancel(self) -> bool:
@@ -159,24 +167,20 @@ class PricingFuture:
         An unsubmitted future cancels unconditionally (it never built a job);
         a streaming one only while it is still queued master-side.
         """
-        if self._state == _CANCELLED:
+        if self.cancelled():
             return True
-        if self._state == _DONE:
+        if self.done():
             return False
-        if self._campaign is not None and not self._campaign.cancel_job(self.job_id):
+        if self._campaign is None:
+            self._withdrawn = True
+        elif not self._campaign.cancel_job(self.job_id):
             return False
-        self._mark_cancelled()
-        return True
-
-    def _mark_cancelled(self) -> None:
-        if self._state != _PENDING:
-            return
-        self._state = _CANCELLED
         self._fire_callbacks()
+        return True
 
     # -- resolution --------------------------------------------------------------
     def _ensure_pumpable(self) -> None:
-        if self._state != _PENDING:
+        if self.done():
             return
         if self._campaign is None and self._starter is not None:
             # not cleared on failure: a failed campaign start (e.g. an
@@ -185,7 +189,7 @@ class PricingFuture:
             self._starter()
         if self._campaign is not None:
             self._starter = None
-        elif self._state == _PENDING:
+        elif not self.done():
             raise ValuationError(
                 f"future for job {self.job_id} is not attached to a run; "
                 f"was its session discarded before gathering?"
@@ -201,18 +205,19 @@ class PricingFuture:
         ``timeout`` seconds (retryable), and :class:`ValuationError` if the
         job failed on the worker.
         """
-        if self._state == _CANCELLED:
-            raise JobCancelledError(f"job {self.job_id} was cancelled")
-        if self._state != _DONE:
+        if not self.done():
             self._ensure_pumpable()
-            if self._state == _PENDING:
+            if not self.done():
                 assert self._campaign is not None
                 self._campaign.pump_until(self, timeout)
-        if self._state == _CANCELLED:
+        if self.cancelled():
             raise JobCancelledError(f"job {self.job_id} was cancelled")
-        if self._error is not None:
-            raise ValuationError(f"job {self.job_id} failed: {self._error}")
-        return self._result
+        assert self._campaign is not None
+        if self.failed():
+            raise ValuationError(
+                f"job {self.job_id} failed: {self._campaign.table.error_of(self.job_id)}"
+            )
+        return self._campaign.table[self.job_id]
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
         """The exception the job would raise from :meth:`result`, or ``None``."""
@@ -227,7 +232,7 @@ class PricingFuture:
     def price(self) -> float:
         """Shortcut to the job's price; raises if the run was timing-only."""
         result = self.result()
-        if result is None or "price" not in result:
+        if result is None:
             raise ValuationError(
                 f"job {self.job_id} returned no price (timing-only backend?)"
             )
@@ -241,16 +246,17 @@ class PricingFuture:
             return "cancelled"
         except ValuationError:
             pass
-        return self._error
+        if self._campaign is None:
+            return None
+        return self._campaign.table.error_of(self.job_id)
 
     def price_result(self) -> PriceResult | None:
         """The resolved result as a :class:`PriceResult` (``None`` if priceless)."""
-        if not self.done() or self._error is not None or self._state == _CANCELLED:
-            return None
-        if self._result is None or "price" not in self._result:
+        entry = None if self._campaign is None else self._campaign.table[self.job_id]
+        if entry is None:
             return None
         return PriceResult.from_dict(
-            self._result, label=self.label, method=self.method, job_id=self.job_id
+            entry, label=self.label, method=self.method, job_id=self.job_id
         )
 
     # -- callbacks ---------------------------------------------------------------
@@ -262,20 +268,13 @@ class PricingFuture:
             self._callbacks.append(fn)
 
     def _fire_callbacks(self) -> None:
+        """Run by whoever just settled this future's row (or withdrew it)."""
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
 
-    def _resolve(self, result: dict[str, Any] | None, error: str | None) -> None:
-        if self._state != _PENDING:
-            return
-        self._result = result
-        self._error = error
-        self._state = _DONE
-        self._fire_callbacks()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        state = self._state if self._error is None else "error"
+        state = ("pending", "done", "done", "error", "cancelled")[self._status()]
         return f"PricingFuture(job_id={self.job_id}, label={self.label!r}, {state})"
 
 
@@ -365,8 +364,7 @@ class JobSet(Sequence):
                 return True
             if return_when == FIRST_EXCEPTION:
                 return any(
-                    future.cancelled() or future._error is not None
-                    for future in done_futures
+                    future.cancelled() or future.failed() for future in done_futures
                 ) or len(done_futures) == len(self._unique())
             return len(done_futures) == len(self._unique())
 

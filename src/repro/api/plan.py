@@ -10,7 +10,7 @@ is plain data that a :class:`~repro.api.campaign.Campaign` executes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.api.config import RunConfig
 from repro.cluster.backends import Job
@@ -42,6 +42,17 @@ class CampaignPlan:
     batch_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
     run_cache: ResultCache | None = None
     portfolio: Portfolio | None = None
+    #: ``(label, method name)`` of a position no problem was built for (the
+    #: cells of a grid); the others are described by their problem
+    describe_cell: Callable[[int], tuple[str | None, str | None]] | None = None
+
+    def describe(self, job_id: int) -> tuple[str | None, str | None]:
+        """``(label, method name)`` of a position: what its future and its
+        progress ticks carry, worked out when one is asked for."""
+        if self.describe_cell is not None:
+            return self.describe_cell(job_id)
+        problem = self.problem_by_id.get(job_id)
+        return getattr(problem, "label", None), getattr(problem, "method_name", None)
 
 
 def build_plan(
@@ -133,7 +144,7 @@ def _plan_grid(
 ) -> CampaignPlan:
     """Plan a scenario grid as slices of its scenario list -- no cell is built.
 
-    The positions are the grid's cells (``grid.columns()``, one future
+    The positions are the grid's cells (``grid.columns()``, one table row
     each); the jobs are :meth:`ScenarioGrid.slice` s over one base book whose
     bytes every slice re-sends.  Slice widths come from the chunk rule of
     :mod:`repro.core.scheduler` (:func:`~repro.core.scheduler.cut_chunks`): a
@@ -150,6 +161,7 @@ def _plan_grid(
         original_ids=[cell for column in columns for cell in column],
         problem_by_id={},
         run_cache=run_cache,
+        describe_cell=grid.describe,
     )
     if not plan.original_ids:
         raise SchedulingError("cannot schedule an empty job list")

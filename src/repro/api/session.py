@@ -24,9 +24,10 @@ The session resolves options and owns the backend lifecycle; every campaign
 -- ``run``, ``stream``, ``submit_many`` -- is planned by
 :func:`repro.api.plan.build_plan`, executed by a
 :class:`repro.api.campaign.Campaign` over the incremental master loop
-(:class:`~repro.core.scheduler.ScheduleStream`) and answered through
-:class:`~repro.api.futures.PricingFuture` objects, from which the campaign
-folds the final report.  ``run(...)`` is ``stream(...).result()``.
+(:class:`~repro.core.scheduler.ScheduleStream`) into one
+:class:`~repro.core.runner.ResultTable`, which the final report carries and
+of which a :class:`~repro.api.futures.PricingFuture` is a one-row view.
+``run(...)`` is ``stream(...).result()``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.api.campaign import Campaign
 from repro.api.config import BackendSpec, RunConfig
@@ -444,32 +447,34 @@ class ValuationSession:
         that is what travels: :func:`~repro.api.plan.build_plan` cuts the
         scenario list into :class:`~repro.pricing.scenarios.ScenarioGrid`
         slices over one base book, each worker expands its slice next to the
-        kernel of ``config`` and answers per cell.  No cell problem exists on
-        the master; a scenario the book cannot realise raises here, before a
-        backend is acquired.  Returns one ``{scenario name: price}`` mapping
-        per input problem, exactly like
+        kernel of ``config`` and answers one record of columns.  No cell
+        problem, future or result dictionary exists on the master -- the fold
+        reads the result table's price column; a scenario the book cannot
+        realise raises here, before a backend is acquired.  Returns one
+        ``{scenario name: price}`` mapping per input problem, exactly like
         :func:`repro.pricing.scenarios.price_scenarios` -- bound to ``config``
         it is the ``price_grid`` the :mod:`repro.core.risk` measures take.
         """
         grid = ScenarioGrid(problems, scenarios, on_missing=on_missing)
-        futures = {
-            cell: PricingFuture(cell, *grid.describe(cell))
-            for column in grid.columns()
-            for cell in column
-        }
-        result = self._open_campaign(grid, config=config, futures=futures).finish()
-        prices = result.prices()
-        missing = [cell for cell in futures if cell not in prices]
-        if missing:
-            details = {cell: result.report.errors.get(cell) for cell in missing[:5]}
+        grid.columns()  # what the book cannot realise raises before a backend exists
+        campaign = self._open_campaign(grid, config=config)
+        report, table = campaign.finish().report, campaign.table
+        unpriced = table.ids[table.status != table.DONE]
+        if len(unpriced):
+            details = {cell: report.errors.get(cell) for cell in unpriced[:5].tolist()}
             raise ValuationError(
-                f"{len(missing)} scenario cells failed to price: {details}"
+                f"{len(unpriced)} scenario cells failed to price: {details}"
             )
-        priced: list[dict[str, float]] = [{} for _ in problems]
-        for cell, price in prices.items():
-            index, number = divmod(cell, len(scenarios))
-            priced[index][scenarios[number].name] = float(price)
-        return priced
+        # a cell's id is problem_index * n_scenarios + scenario_index: the
+        # price column, scattered by id, is the (problems x scenarios) matrix;
+        # a skipped cell was never a position and stays NaN (no price is)
+        flat = np.full(len(problems) * len(scenarios), np.nan)
+        flat[table.ids] = table.columns.price
+        names = [scenario.name for scenario in scenarios]
+        return [
+            {name: price for name, price in zip(names, row) if price == price}
+            for row in flat.reshape(len(problems), len(scenarios)).tolist()
+        ]
 
     def greeks(
         self,

@@ -20,10 +20,11 @@ Two extensions ride on the same payload plumbing:
   family shipped as one message, priced against one path set) or a
   :class:`~repro.pricing.scenarios.ScenarioGrid` (a base book and a slice of
   scenarios, expanded and priced on the worker).  Either answers
-  ``compute(cache=)`` with ``{member id: result dict}``, which travels back
-  as a ``{"batch": True, "results": {...}}`` dictionary that
-  :func:`decode_batch_reply` (the only reader of that format) expands back
-  into per-position results;
+  ``compute(cache=)`` with one
+  :class:`~repro.pricing.methods.base.ResultColumns` record -- a column per
+  result field, a row per member -- which travels back as it is and which
+  the master scatters into its per-position table
+  (:class:`~repro.core.runner.ResultTable`);
 * an optional worker-side :class:`~repro.pricing.cache.ResultCache` answers
   digest hits without pricing (hits are marked ``"cache_hit": True`` so hit
   rates can be reported).
@@ -32,13 +33,14 @@ Two extensions ride on the same payload plumbing:
 from __future__ import annotations
 
 import time
-from typing import Any, Sequence
+from typing import Any
 
 from repro.cluster.backends.base import PAYLOAD_PATH, PAYLOAD_PROBLEM, PAYLOAD_SERIAL
 from repro.errors import ClusterError
 from repro.pricing.batch import ProblemBatch
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
+from repro.pricing.methods.base import ResultColumns
 from repro.pricing.scenarios import ScenarioGrid
 from repro.serial import Serial
 from repro.serial import load as load_problem_file
@@ -46,7 +48,6 @@ from repro.serial import load as load_problem_file
 __all__ = [
     "materialize_problem",
     "execute_payload",
-    "decode_batch_reply",
     "make_worker_cache",
 ]
 
@@ -88,10 +89,11 @@ def materialize_problem(
 
 def execute_payload(
     kind: str, payload: Any, cache: ResultCache | None = None
-) -> tuple[dict[str, Any] | None, float, str | None]:
+) -> tuple[dict[str, Any] | ResultColumns | None, float, str | None]:
     """Rebuild and compute a problem (or a payload with members).
 
-    Returns ``(result_dict, compute_seconds, error_message)``; errors are
+    Returns ``(result, compute_seconds, error_message)`` -- ``result`` the
+    problem's result dictionary, or the members' :class:`ResultColumns`; errors are
     captured rather than raised so a single bad problem does not bring the
     whole worker down (the master records the error in the run report).
     """
@@ -99,14 +101,8 @@ def execute_payload(
     try:
         problem = materialize_problem(kind, payload)
         if isinstance(problem, _MEMBER_PAYLOADS):
-            member_results = problem.compute(cache=cache)
-            elapsed = time.perf_counter() - start
-            result = {
-                "batch": True,
-                "n_members": len(member_results),
-                "results": {str(key): entry for key, entry in member_results.items()},
-            }
-            return result, elapsed, None
+            members = problem.compute(cache=cache)
+            return members, time.perf_counter() - start, None
         if cache is not None:
             cached = cache.get(problem_digest(problem))
             if cached is not None:
@@ -122,29 +118,3 @@ def execute_payload(
     except Exception as exc:  # noqa: BLE001 - worker must survive bad jobs
         elapsed = time.perf_counter() - start
         return None, elapsed, f"{type(exc).__name__}: {exc}"
-
-
-def decode_batch_reply(
-    reply: dict[str, Any] | None, error: str | None, members: Sequence[int]
-) -> dict[int, tuple[dict[str, Any] | None, str | None]]:
-    """``(entry, error)`` for every expected member of a batch job's answer.
-
-    ``reply`` is what :func:`execute_payload` returned for a payload with
-    members.  A job that failed as a whole (or ran on a
-    timing-only backend) has no per-member entries, so every member shares
-    its ``error``; a member the reply does not mention is an error too --
-    never a silent ``None``.
-    """
-    if not (isinstance(reply, dict) and reply.get("batch")):
-        return {member: (None, error) for member in members}
-    entries = reply["results"]
-    decoded: dict[int, tuple[dict[str, Any] | None, str | None]] = {}
-    for member in members:
-        entry = entries.get(str(member))
-        if entry is None:
-            decoded[member] = (None, "missing from batch reply")
-        elif "error" in entry:
-            decoded[member] = (None, entry["error"])
-        else:
-            decoded[member] = (entry, None)
-    return decoded

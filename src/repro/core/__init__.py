@@ -39,7 +39,7 @@ from repro.core.risk import (
     scenario_jobs,
     sensitivity_sweep,
 )
-from repro.core.runner import RunReport
+from repro.core.runner import ResultTable, RunReport
 from repro.core.scheduler import (
     SCHEDULERS,
     ChunkedPolicy,
@@ -91,6 +91,7 @@ __all__ = [
     "ScheduleOutcome",
     "SCHEDULERS",
     # runner / speedup
+    "ResultTable",
     "RunReport",
     "SpeedupTable",
     "SpeedupRow",

@@ -2,18 +2,223 @@
 
 Runs and CPU-count sweeps are driven by
 :class:`~repro.api.session.ValuationSession`; this module holds the report
-object every execution path folds its :class:`ScheduleOutcome` into.
+object every execution path folds its :class:`ScheduleOutcome` into, and the
+:class:`ResultTable` a campaign keeps its positions in.
 """
 
 from __future__ import annotations
 
+import math
+from operator import itemgetter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from repro.cluster.backends.base import Job
 from repro.core.scheduler import ScheduleOutcome
+from repro.errors import ClusterError
+from repro.pricing.methods.base import FLOAT_COLUMNS, ResultColumns
 
-__all__ = ["RunReport"]
+__all__ = ["RunReport", "ResultTable"]
+
+_NAN = float("nan")
+
+
+#: the fields of a result dictionary, in the order :meth:`ResultTable.columns`
+#: folds them, and what stands in for one a backend leaves out
+_DEFAULTS = {"price": _NAN, "delta": None, "std_error": None, "confidence_interval": None,
+             "elapsed": 0.0, "n_evaluations": 0, "method_name": ""}
+_FIELDS = itemgetter(*_DEFAULTS)
+
+
+class ResultTable(Mapping):
+    """The master's one per-position store: result columns and a status byte.
+
+    The paper's master ``MPI_Recv_Obj`` s one result per job; here whatever a
+    dispatch unit answers lands in a table with a row per submitted position
+    -- the columns of a :class:`~repro.pricing.methods.base.ResultColumns`
+    sized to the campaign, a ``status`` byte (:attr:`PENDING`, :attr:`DONE`,
+    :attr:`NO_RESULT` for timing-only backends, :attr:`FAILED`,
+    :attr:`CANCELLED`) and a sparse error table.  A slice's reply is one
+    vectorised :meth:`scatter`, a single job's reply :meth:`write` s one row;
+    a row is written once (the campaign answers a dispatch unit once).
+    Single answers are set aside as they arrive, between two results of the
+    master loop, and folded into the columns in one pass by the first read.
+
+    It is also the report's ``results``: a read-only submission-ordered
+    ``Mapping[int, dict | None]`` that materialises a row's result dictionary
+    on access (``None`` for a position without one) and keeps none.
+    """
+
+    PENDING, DONE, NO_RESULT, FAILED, CANCELLED = range(5)
+
+    def __init__(self, ids: Sequence[int]) -> None:
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        self._columns = ResultColumns(
+            {
+                "ids": ids,
+                **{name: np.full(len(ids), _NAN) for name in FLOAT_COLUMNS},
+                "n_evaluations": np.zeros(len(ids), dtype=np.int64),
+                "method": np.zeros(len(ids), dtype=np.int64),
+                "cache_hit": np.zeros(len(ids), dtype=np.bool_),
+            },
+            [""],  # the method name of a row nothing was written to
+        )
+        self.ids = ids
+        self.status = np.zeros(len(ids), dtype=np.uint8)
+        #: row number -> the position's error message
+        self._errors: dict[int, str] = {}
+        self._row_by_id = {job_id: row for row, job_id in enumerate(ids.tolist())}
+        #: (row, result dictionary) of the single answers not folded yet
+        self._kept: list[tuple[int, dict[str, Any]]] = []
+
+    @property
+    def columns(self) -> ResultColumns:
+        """The table's columns (row ``i`` belongs to ``ids[i]``), up to date."""
+        if self._kept:
+            rows, entries = zip(*self._kept)
+            self._kept.clear()
+            rows = np.array(rows, dtype=np.intp)
+            try:
+                fields = list(map(_FIELDS, entries))
+            except KeyError:  # not every backend answers a whole as_dict()
+                fields = [_FIELDS({**_DEFAULTS, **entry}) for entry in entries]
+            price, delta, std_error, interval, elapsed, counts, names = zip(*fields)
+            columns = self._columns
+            columns.price[rows] = price
+            columns.delta[rows] = delta  # numpy stores a None as NaN
+            columns.std_error[rows] = std_error
+            columns.ci_low[rows], columns.ci_high[rows] = zip(
+                *(pair or (_NAN, _NAN) for pair in interval)
+            )
+            columns.elapsed[rows] = elapsed
+            columns.n_evaluations[rows] = counts
+            codes = {name: self._method_code(name) for name in set(names)}
+            columns.method[rows] = [codes[name] for name in names]
+            columns.cache_hit[rows] = [bool(entry.get("cache_hit")) for entry in entries]
+        return self._columns
+
+    # -- where a position lives --------------------------------------------------
+    def row_of(self, job_id: int) -> int:
+        return self._row_by_id[job_id]
+
+    def rows_of(self, job_ids: Sequence[int]) -> np.ndarray:
+        """Row numbers of ``job_ids``; an id the campaign never submitted is a
+        :class:`~repro.errors.ClusterError`."""
+        row_by_id = self._row_by_id
+        try:
+            return np.array([row_by_id[job_id] for job_id in job_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise ClusterError(
+                f"reply answers id {exc.args[0]}, which this campaign never submitted"
+            ) from None
+
+    def _method_code(self, name: str) -> int:
+        names = self._columns.method_names  # a handful at most
+        if name not in names:
+            names.append(name)
+        return names.index(name)
+
+    # -- writing -------------------------------------------------------------------
+    def write(self, job_id: int, entry: Any, error: str | None) -> bool:
+        """One job's own answer: a result dictionary, an error, or neither (a
+        timing-only backend).  An answer without a finite price is an error:
+        the columns keep NaN for *absent*.  ``False``, and nothing written,
+        if the row was settled before."""
+        row = self._row_by_id[job_id]
+        if self.status[row] != self.PENDING:
+            return False
+        if error is None and entry is not None:
+            try:
+                priced = math.isfinite(entry["price"])
+            except (KeyError, TypeError):
+                priced = False
+            if not priced:
+                error = f"ClusterError: the result of job {job_id} carries no finite price"
+        if error is not None or entry is None:
+            self._settle(row, self.NO_RESULT if error is None else self.FAILED, error)
+        else:
+            self._kept.append((row, entry))
+            self.status[row] = self.DONE
+        return True
+
+    def scatter(self, reply: ResultColumns, members: Sequence[int]) -> None:
+        """A dispatch unit's reply, one column assignment per field.
+
+        ``members`` are the positions the unit was sent to price.  A reply
+        that answers an id outside them, or one id twice, is rejected whole
+        with a :class:`~repro.errors.ClusterError` (nothing is written); a
+        member it leaves out fails as ``"missing from batch reply"``.
+        """
+        expected = self.rows_of(members)
+        rows = self.rows_of(reply.ids.tolist() + list(reply.errors))
+        unanswered = np.zeros(len(self.ids), dtype=np.bool_)
+        unanswered[expected] = True
+        if not unanswered[rows].all():
+            stray = self.ids[rows[~unanswered[rows]][0]]
+            raise ClusterError(f"reply answers id {int(stray)}, outside its job's members")
+        unanswered[rows] = False
+        missing = np.flatnonzero(unanswered)
+        if len(missing) != len(expected) - len(rows):
+            raise ClusterError("reply answers one id twice")
+        done = rows[: len(reply.ids)]
+        columns = self._columns  # a row is written once: none of these is set aside
+        for name in (*FLOAT_COLUMNS, "n_evaluations", "cache_hit"):
+            getattr(columns, name)[done] = getattr(reply, name)
+        codes = np.array([self._method_code(name) for name in reply.method_names], dtype=np.int64)
+        columns.method[done] = codes[reply.method]
+        self.status[done] = self.DONE
+        for row, message in zip(rows[len(reply.ids):].tolist(), reply.errors.values()):
+            self._settle(row, self.FAILED, message)
+        if len(missing):
+            self._settle(missing, self.FAILED, "missing from batch reply")
+
+    def mark(self, job_ids: Sequence[int], status: int, error: str | None = None) -> None:
+        """Settle ``job_ids`` without a result: failed (with ``error``),
+        cancelled, or answered by a timing-only backend."""
+        self._settle(self.rows_of(job_ids), status, error)
+
+    def _settle(self, rows: Any, status: int, error: str | None) -> None:
+        if error is not None:
+            self._errors.update(dict.fromkeys(np.atleast_1d(rows).tolist(), error))
+        self.status[rows] = status
+
+    # -- reading -------------------------------------------------------------------
+    def __getitem__(self, job_id: int) -> dict[str, Any] | None:
+        row = self.row_of(job_id)
+        return self.columns.row(row) if self.status[row] == self.DONE else None
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def error_of(self, job_id: int) -> str | None:
+        """The error message of a failed position (``None`` otherwise)."""
+        return self._errors.get(self.row_of(job_id))
+
+    def errors(self) -> dict[int, str]:
+        """``{job id: message}`` of every failed or cancelled position, in
+        submission order."""
+        out: dict[int, str] = {}
+        for row in np.flatnonzero(self.status >= self.FAILED).tolist():
+            out[int(self.ids[row])] = self._errors.get(row, "cancelled before dispatch")
+        return out
+
+    def prices(self) -> dict[int, float]:
+        """``{job id: price}`` of every priced position, in submission order."""
+        done = self.status == self.DONE
+        return dict(zip(self.ids[done].tolist(), self.columns.price[done].tolist()))
+
+    def computed(self) -> Iterator[tuple[int, dict[str, Any]]]:
+        """``(job id, result dictionary)`` of every position priced by this
+        run rather than answered from a cache."""
+        fresh = (self.status == self.DONE) & ~self.columns.cache_hit
+        for row in np.flatnonzero(fresh).tolist():
+            yield int(self.ids[row]), self.columns.row(row)
 
 
 @dataclass
@@ -28,7 +233,9 @@ class RunReport:
     master_busy: float
     worker_busy: dict[int, float]
     bytes_sent: int
-    results: dict[int, dict[str, Any] | None] = field(default_factory=dict)
+    #: job id -> result dictionary (``None`` without one), in submission
+    #: order; a campaign's report holds its :class:`ResultTable` here
+    results: Mapping[int, dict[str, Any] | None] = field(default_factory=dict)
     errors: dict[int, str] = field(default_factory=dict)
     category_times: dict[str, float] = field(default_factory=dict)
     #: ``{worker_id: most jobs it held at once}``: 1 is one job per slave
@@ -52,6 +259,8 @@ class RunReport:
 
     def prices(self) -> dict[int, float]:
         """Job id -> price, for runs that actually executed the problems."""
+        if isinstance(self.results, ResultTable):
+            return self.results.prices()
         return {
             job_id: result["price"]
             for job_id, result in self.results.items()

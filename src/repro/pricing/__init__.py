@@ -59,6 +59,7 @@ from repro.pricing.methods import (
     PDEEuropean,
     PricingMethod,
     PricingResult,
+    ResultColumns,
     TrinomialTree,
 )
 from repro.pricing.models import (
@@ -159,6 +160,7 @@ __all__ = [
     # methods
     "PricingMethod",
     "PricingResult",
+    "ResultColumns",
     "ClosedFormCall",
     "ClosedFormPut",
     "ClosedFormDigital",

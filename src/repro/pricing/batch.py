@@ -43,7 +43,7 @@ from repro.errors import PricingError, SerializationError
 from repro.pricing.cache import problem_digest, stable_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.kernel import resolve_kernel
-from repro.pricing.methods.base import PricingResult
+from repro.pricing.methods.base import PricingResult, ResultColumns
 from repro.pricing.methods.montecarlo import MonteCarloEuropean, price_groups_stacked
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -250,8 +250,8 @@ class ProblemBatch:
         return f"batch[{len(self.problems)}]@{self.signature.model_digest[:12]}"
 
     # -- pricing -----------------------------------------------------------------
-    def compute(self, cache: "ResultCache | None" = None) -> dict[int, dict[str, Any]]:
-        """Price all members and return ``{key: result_dict}``.
+    def compute(self, cache: "ResultCache | None" = None) -> ResultColumns:
+        """Price all members and answer one :class:`ResultColumns` keyed by ``keys``.
 
         With a ``cache``, members whose digest is already stored are answered
         from the cache and **excluded from the simulation** -- dropping
@@ -262,49 +262,28 @@ class ProblemBatch:
         If the shared pass fails (e.g. one member's payoff produces a
         non-finite price), the batch degrades to per-member pricing so a
         single bad member cannot fail its whole family: healthy members
-        still return results, the bad one returns an ``{"error": ...}``
-        entry (matching what an unbatched run would have reported).
+        still answer a row, the bad one an entry of ``errors`` (matching
+        what an unbatched run would have reported).
         """
-        out: dict[int, dict[str, Any]] = {}
+        hits: list[tuple[int, PricingResult]] = []
         pending: list[tuple[int, PricingProblem]] = []
         for key, problem in zip(self.keys, self.problems):
             cached = cache.get(problem_digest(problem)) if cache is not None else None
             if cached is not None:
                 problem._result = cached
-                entry = cached.as_dict()
-                entry["cache_hit"] = True
-                out[key] = entry
+                hits.append((key, cached))
             else:
                 pending.append((key, problem))
-        if not pending:
-            return out
-        method = pending[0][1].method
-        model = pending[0][1].model
-        try:
-            results = method.price_many(
-                model, [p.product for _, p in pending], kernel=self.kernel
-            )
-        except Exception:  # noqa: BLE001 - isolate the failing member below
-            results = None
-        if results is not None:
-            for (key, problem), result in zip(pending, results):
-                problem._result = result
-                if cache is not None:
-                    cache.put(problem_digest(problem), result)
-                out[key] = result.as_dict()
-            return out
-        # shared pass failed: price members individually so only the bad
-        # one(s) error (bit-identical either way -- same seeds, same code)
-        for key, problem in pending:
+        results: Sequence[PricingResult | None] = []
+        if pending:
+            method, model = pending[0][1].method, pending[0][1].model
             try:
-                result = problem.compute()
-            except Exception as exc:  # noqa: BLE001 - per-member error capture
-                out[key] = {"error": f"{type(exc).__name__}: {exc}"}
-                continue
-            if cache is not None:
-                cache.put(problem_digest(problem), result)
-            out[key] = result.as_dict()
-        return out
+                results = method.price_many(
+                    model, [p.product for _, p in pending], kernel=self.kernel
+                )
+            except Exception:  # noqa: BLE001 - isolate the failing member below
+                results = [None] * len(pending)
+        return answer_members(hits, pending, results, cache)
 
     # -- serialization ----------------------------------------------------------
     def wire_view(self) -> dict[str, Any]:
@@ -385,6 +364,40 @@ def _member(
     problem.set_asset(entry.get("asset", "equity"))
     problem.set_option(option["name"], **option["params"])
     return problem
+
+
+def answer_members(
+    hits: Sequence[tuple[int, PricingResult]],
+    pending: Sequence[tuple[int, PricingProblem]],
+    results: "Sequence[PricingResult | None]",
+    cache: "ResultCache | None" = None,
+) -> ResultColumns:
+    """The one reply of a payload with members.
+
+    ``hits`` were answered from the worker's cache; ``pending[i]`` was priced
+    to ``results[i]`` by the shared pass, or ``None`` where that pass failed:
+    such a member is priced alone here (bit-identical either way -- same
+    seeds, same code), so only the bad ones land in ``errors``.  Fresh
+    results are written back to ``cache``.
+    """
+    ids = [key for key, _ in hits]
+    answered = [result for _, result in hits]
+    errors: dict[int, str] = {}
+    for (key, problem), result in zip(pending, results):
+        if result is None:
+            try:
+                result = problem.compute()
+            except Exception as exc:  # noqa: BLE001 - per-member error capture
+                errors[key] = f"{type(exc).__name__}: {exc}"
+                continue
+        else:
+            problem._result = result
+        if cache is not None:
+            cache.put(problem_digest(problem), result)
+        ids.append(key)
+        answered.append(result)
+    cache_hits = [True] * len(hits) + [False] * (len(ids) - len(hits))
+    return ResultColumns.from_results(ids, answered, cache_hits, errors)
 
 
 def batch_digest(batch: ProblemBatch) -> str:

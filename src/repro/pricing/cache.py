@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pricing.methods.base import PricingResult
 
 __all__ = [
+    "CACHE_SCHEMA",
     "stable_digest",
     "model_digest",
     "legs_digest",
@@ -47,6 +48,13 @@ __all__ = [
     "CacheStats",
     "ResultCache",
 ]
+
+
+#: folded into every problem digest, so an entry written by a build whose
+#: result or wire layout differed is never read back as current.  Bump it with
+#: any change to what a digest addresses: 2 = columnar replies (protocol v8;
+#: the layouts of PR 15 and PR 20 went unsalted)
+CACHE_SCHEMA = 2
 
 
 def _canonical(value: Any) -> Any:
@@ -91,8 +99,9 @@ def model_digest(model: Any) -> str:
 def legs_digest(model: Any, product: Any, method: Any) -> str:
     """Stable digest of a ``(model, option, method)`` triple.
 
-    Keyed on the names and ``to_params()`` dictionaries -- the same
-    description the serializer writes to problem files.  The model leg reuses
+    Keyed on :data:`CACHE_SCHEMA` and the names and ``to_params()``
+    dictionaries -- the same description the serializer writes to problem
+    files.  The model leg reuses
     the memoized :meth:`~repro.pricing.models.base.Model.param_digest`
     (models carry the bulk of the parameters -- e.g. a 40x40 correlation
     matrix), so a scenario cell is addressed from its legs without a
@@ -100,6 +109,7 @@ def legs_digest(model: Any, product: Any, method: Any) -> str:
     """
     return stable_digest(
         {
+            "schema": CACHE_SCHEMA,
             "model": model.param_digest(),
             "option": {"name": product.option_name, "params": product.to_params()},
             "method": {"name": method.method_name, "params": method.to_params()},

@@ -1,6 +1,6 @@
 """Numerical pricing methods (the *method* layer of the Premia substitute)."""
 
-from repro.pricing.methods.base import PricingMethod, PricingResult
+from repro.pricing.methods.base import PricingMethod, PricingResult, ResultColumns
 from repro.pricing.methods.closed_form import (
     ClosedFormBarrier,
     ClosedFormBasketApprox,
@@ -37,6 +37,7 @@ METHOD_CLASSES: dict[str, type[PricingMethod]] = {
 __all__ = [
     "PricingMethod",
     "PricingResult",
+    "ResultColumns",
     "ClosedFormCall",
     "ClosedFormPut",
     "ClosedFormDigital",

@@ -17,16 +17,18 @@ from __future__ import annotations
 
 import abc
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import IncompatibleMethodError
+from repro.errors import IncompatibleMethodError, SerializationError
 from repro.pricing.models.base import Model
 from repro.pricing.products.base import Product
+from repro.pricing.validation import FiniteParams
 
-__all__ = ["PricingResult", "PricingMethod"]
+__all__ = ["PricingResult", "ResultColumns", "FLOAT_COLUMNS", "PricingMethod"]
 
 
 @dataclass
@@ -94,7 +96,200 @@ class PricingResult:
         )
 
 
-class PricingMethod(abc.ABC):
+_NAN = float("nan")
+
+#: the float64 columns of a :class:`ResultColumns`; all but ``price`` and
+#: ``elapsed`` are optional fields, absent (``None``) where they hold NaN
+FLOAT_COLUMNS = ("price", "delta", "std_error", "ci_low", "ci_high", "elapsed")
+#: every column with its dtype, in wire order
+_COLUMN_DTYPES: dict[str, np.dtype] = {
+    "ids": np.dtype(np.int64),
+    **{name: np.dtype(np.float64) for name in FLOAT_COLUMNS},
+    "n_evaluations": np.dtype(np.int64),
+    "method": np.dtype(np.int64),
+    "cache_hit": np.dtype(np.bool_),
+}
+
+
+class ResultColumns(Mapping):
+    """The results of many positions as one record of equal-length columns.
+
+    What a payload with members (:class:`~repro.pricing.batch.ProblemBatch`,
+    :class:`~repro.pricing.scenarios.ScenarioGrid`) answers, and what the
+    master's per-position store is made of: row ``i`` is the
+    :meth:`PricingResult.as_dict` of position ``ids[i]``, field by field --
+    ``price`` / ``delta`` / ``std_error`` / ``ci_low`` / ``ci_high`` /
+    ``elapsed`` (float64, carried bit for bit), ``n_evaluations`` (int64),
+    ``method`` (an index into ``method_names``) and ``cache_hit`` (bool).  A
+    position that failed has no row: it sits in the sparse ``errors``
+    ``{id: message}`` side-table.
+
+    An optional field that is ``None`` in the result (``delta`` of a
+    Monte-Carlo price, ``std_error`` of a PDE) is stored as NaN and reads
+    back as ``None``.  That encoding is lossless for ``price`` because
+    :meth:`PricingMethod.price` refuses to return a non-finite price, and a
+    NaN ``delta`` or ``std_error`` says exactly what ``None`` says.
+
+    The record is a read-only ``Mapping[int, dict]``: ``record[id]``
+    materialises the row's result dictionary (``{"error": message}`` for a
+    failed position) on access and stores nothing.
+    """
+
+    __slots__ = (*_COLUMN_DTYPES, "method_names", "errors", "_index")
+
+    ids: np.ndarray
+    price: np.ndarray
+    delta: np.ndarray
+    std_error: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    elapsed: np.ndarray
+    n_evaluations: np.ndarray
+    method: np.ndarray
+    cache_hit: np.ndarray
+
+    def __init__(
+        self,
+        columns: "Mapping[str, Any]",
+        method_names: Sequence[str] = (),
+        errors: "Mapping[int, str] | None" = None,
+    ) -> None:
+        """Check and adopt ``columns``; a record of the wrong shape raises
+        :class:`~repro.errors.SerializationError` naming the field."""
+        for name, dtype in _COLUMN_DTYPES.items():
+            column = columns.get(name)
+            if not isinstance(column, np.ndarray) or column.dtype != dtype or column.ndim != 1:
+                raise SerializationError(
+                    f"ResultColumns record: '{name}' must be a 1-d {dtype.name} array"
+                )
+            if len(column) != len(columns["ids"]):
+                raise SerializationError(
+                    f"ResultColumns record: '{name}' has {len(column)} rows "
+                    f"for {len(columns['ids'])} ids"
+                )
+            setattr(self, name, column)
+        if not isinstance(method_names, (list, tuple)) or not all(
+            isinstance(name, str) for name in method_names
+        ):
+            raise SerializationError(
+                "ResultColumns record: 'method_names' must be a list of strings"
+            )
+        self.method_names = list(method_names)
+        if len(self.ids) and not (
+            0 <= self.method.min() and self.method.max() < len(self.method_names)
+        ):
+            raise SerializationError(
+                "ResultColumns record: 'method' must index 'method_names'"
+            )
+        self.errors: dict[int, str] = dict(errors or {})
+        self._index: dict[int, int] | None = None
+
+    @classmethod
+    def from_results(
+        cls,
+        ids: Sequence[int],
+        results: "Sequence[PricingResult]",
+        cache_hits: Sequence[bool] | None = None,
+        errors: "Mapping[int, str] | None" = None,
+    ) -> "ResultColumns":
+        """One pass over ``results``: ``ids[i]`` was answered by ``results[i]``."""
+        names: dict[str, int] = {}
+        floats, counts, methods = [], [], []
+        for result in results:
+            ci = result.confidence_interval
+            floats.append((
+                result.price,
+                _NAN if result.delta is None else result.delta,
+                _NAN if result.std_error is None else result.std_error,
+                _NAN if ci is None else ci[0],
+                _NAN if ci is None else ci[1],
+                result.elapsed,
+            ))
+            counts.append(result.n_evaluations)
+            methods.append(names.setdefault(result.method_name, len(names)))
+        block = np.array(floats, dtype=np.float64).reshape(len(floats), len(FLOAT_COLUMNS))
+        columns: dict[str, np.ndarray] = {
+            name: np.ascontiguousarray(block[:, number])
+            for number, name in enumerate(FLOAT_COLUMNS)
+        }
+        columns["ids"] = np.array(ids, dtype=np.int64).reshape(-1)
+        columns["n_evaluations"] = np.array(counts, dtype=np.int64)
+        columns["method"] = np.array(methods, dtype=np.int64)
+        hits = [False] * len(floats) if cache_hits is None else cache_hits
+        columns["cache_hit"] = np.array(hits, dtype=np.bool_).reshape(-1)
+        return cls(columns, list(names), errors)
+
+    # -- the mapping view ------------------------------------------------------
+    def row(self, number: int) -> dict[str, Any]:
+        """Row ``number`` as the result dictionary :meth:`PricingResult.as_dict`
+        gives (plus ``"cache_hit": True`` where flagged)."""
+        delta, std_error, low = self.delta[number], self.std_error[number], self.ci_low[number]
+        entry = {
+            "price": float(self.price[number]),
+            "delta": None if delta != delta else float(delta),
+            "std_error": None if std_error != std_error else float(std_error),
+            "confidence_interval": None
+            if low != low
+            else [float(low), float(self.ci_high[number])],
+            "method_name": self.method_names[self.method[number]],
+            "n_evaluations": int(self.n_evaluations[number]),
+            "elapsed": float(self.elapsed[number]),
+        }
+        if self.cache_hit[number]:
+            entry["cache_hit"] = True
+        return entry
+
+    def __getitem__(self, key: int) -> dict[str, Any]:
+        if key in self.errors:
+            return {"error": self.errors[key]}
+        if self._index is None:
+            self._index = {job_id: number for number, job_id in enumerate(self.ids.tolist())}
+        return self.row(self._index[key])
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.ids.tolist()
+        yield from self.errors
+
+    def __len__(self) -> int:
+        return len(self.ids) + len(self.errors)
+
+    # -- serialization ----------------------------------------------------------
+    def to_dict(self) -> dict[str, Any]:
+        """The record as the codec writes it: the columns as they are, the
+        error table under string keys."""
+        view: dict[str, Any] = {name: getattr(self, name) for name in _COLUMN_DTYPES}
+        view["method_names"] = self.method_names
+        view["errors"] = {str(job_id): message for job_id, message in self.errors.items()}
+        return view
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "ResultColumns":
+        """Rebuild a record; one of the wrong shape raises
+        :class:`~repro.errors.SerializationError` naming the field."""
+        errors = data.get("errors")
+        if not isinstance(errors, dict) or not all(
+            isinstance(message, str) for message in errors.values()
+        ):
+            raise SerializationError(
+                "ResultColumns record: 'errors' must map ids to messages"
+            )
+        try:
+            by_id = {int(job_id): message for job_id, message in errors.items()}
+        except ValueError as exc:
+            raise SerializationError(
+                f"ResultColumns record: 'errors' key is not an id: {exc}"
+            ) from exc
+        return cls(data, data.get("method_names"), by_id)
+
+    def __reduce__(self) -> tuple[Any, tuple[Any]]:
+        # pickled through the same checked door as the codec uses
+        return type(self).from_dict, (self.to_dict(),)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
+        return f"ResultColumns({len(self.ids)} rows, {len(self.errors)} errors)"
+
+
+class PricingMethod(metaclass=FiniteParams):
     """Abstract base class of every pricing algorithm."""
 
     #: registry identifier, e.g. ``"CF_Call"`` or ``"MC_European"``

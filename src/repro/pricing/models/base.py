@@ -26,11 +26,12 @@ import numpy as np
 
 from repro.errors import PricingError
 from repro.pricing.rng import RandomGenerator
+from repro.pricing.validation import FiniteParams
 
 __all__ = ["Model", "DiffusionModel1D", "MultiAssetModel"]
 
 
-class Model(abc.ABC):
+class Model(metaclass=FiniteParams):
     """Abstract base class of all models."""
 
     #: registry identifier, e.g. ``"BlackScholes1D"``

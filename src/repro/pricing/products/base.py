@@ -23,6 +23,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import PricingError
+from repro.pricing.validation import FiniteParams
 
 __all__ = ["Product", "ExerciseStyle", "VanillaLike"]
 
@@ -34,7 +35,7 @@ class ExerciseStyle:
     AMERICAN = "american"
 
 
-class Product(abc.ABC):
+class Product(metaclass=FiniteParams):
     """Abstract base class of every product."""
 
     #: registry identifier, e.g. ``"CallEuro"``

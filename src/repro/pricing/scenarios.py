@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import PricingError, SerializationError
-from repro.pricing.batch import _member, _named_leg, price_problems
+from repro.pricing.batch import _member, _named_leg, answer_members, price_problems
 from repro.pricing.cache import legs_digest, problem_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.greeks import GreekReport, _vol_param, bump_model, maturity_step
@@ -68,6 +68,7 @@ from repro.pricing.kernel import resolve_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pricing.cache import ResultCache
+    from repro.pricing.methods.base import ResultColumns
     from repro.pricing.models.base import Model
     from repro.pricing.products.base import Product
 
@@ -486,7 +487,7 @@ class ScenarioGrid:
     book (bytes shared by every slice of one campaign), the slice's
     :class:`Scenario` records and the slice's ``offset`` in the campaign's
     full list of ``n_scenarios``.  :meth:`compute` expands and prices on the
-    worker and answers ``{cell id: result dict}``, a cell's id being
+    worker and answers one record of columns keyed by cell id, a cell's id being
     ``problem_index * n_scenarios + scenario_index`` in the full grid.
     ``answered`` lists cells the master already holds (run-cache hits): they
     are left out of the pricing, which never changes the other cells'
@@ -607,16 +608,17 @@ class ScenarioGrid:
         return part
 
     # -- pricing -----------------------------------------------------------------
-    def compute(self, cache: "ResultCache | None" = None) -> dict[int, dict[str, Any]]:
-        """Expand, price as one stacked campaign, answer ``{cell id: result dict}``.
+    def compute(self, cache: "ResultCache | None" = None) -> "ResultColumns":
+        """Expand, price as one stacked campaign, answer one
+        :class:`~repro.pricing.methods.base.ResultColumns` keyed by cell id.
 
         With a ``cache``, cells already stored are answered from it and left
         out of the simulation; fresh results are written back.  If the
         shared pass fails, the cells are priced one by one so only the bad
-        ones answer ``{"error": ...}`` (as a :class:`ProblemBatch` does).
+        ones land in ``errors`` (as a :class:`ProblemBatch` does).
         """
         expanded, cells = expand_scenarios(self.problems, self.scenarios, self.on_missing)
-        out: dict[int, dict[str, Any]] = {}
+        hits: list[tuple[int, Any]] = []
         pending: list[tuple[int, PricingProblem]] = []
         for problem, cell in zip(expanded, cells):
             cell_id = (
@@ -626,7 +628,7 @@ class ScenarioGrid:
                 continue
             cached = cache.get(problem_digest(problem)) if cache is not None else None
             if cached is not None:
-                out[cell_id] = {**cached.as_dict(), "cache_hit": True}
+                hits.append((cell_id, cached))
             else:
                 pending.append((cell_id, problem))
         try:
@@ -635,17 +637,7 @@ class ScenarioGrid:
             )
         except Exception:  # noqa: BLE001 - isolate the failing cells below
             results = [None] * len(pending)
-        for (cell_id, problem), result in zip(pending, results):
-            if result is None:
-                try:
-                    result = problem.compute()
-                except Exception as exc:  # noqa: BLE001 - per-cell error capture
-                    out[cell_id] = {"error": f"{type(exc).__name__}: {exc}"}
-                    continue
-            if cache is not None:
-                cache.put(problem_digest(problem), result)
-            out[cell_id] = result.as_dict()
-        return out
+        return answer_members(hits, pending, results, cache)
 
     # -- serialization ----------------------------------------------------------
     def wire_view(self) -> dict[str, Any]:

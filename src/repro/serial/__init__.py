@@ -10,15 +10,17 @@ by the remote TCP worker protocol (:mod:`repro.serial.frames`).
 Importing this package registers the codecs for
 :class:`~repro.pricing.engine.PricingProblem`,
 :class:`~repro.pricing.methods.base.PricingResult`,
-:class:`~repro.pricing.batch.ProblemBatch` and
-:class:`~repro.pricing.scenarios.ScenarioGrid`, so pricing problems -- and
-whole shared-simulation batches and scenario-grid slices of them -- can be
-saved, loaded and shipped across the cluster out of the box.
+:class:`~repro.pricing.batch.ProblemBatch`,
+:class:`~repro.pricing.scenarios.ScenarioGrid` and
+:class:`~repro.pricing.methods.base.ResultColumns`, so pricing problems --
+whole shared-simulation batches and scenario-grid slices of them, and the
+one record of columns such a payload answers -- can be saved, loaded and
+shipped across the cluster out of the box.
 """
 
 from repro.pricing.batch import ProblemBatch
 from repro.pricing.engine import PricingProblem
-from repro.pricing.methods.base import PricingResult
+from repro.pricing.methods.base import PricingResult, ResultColumns
 from repro.pricing.scenarios import ScenarioGrid
 from repro.serial import xdr
 from repro.serial.frames import (
@@ -60,6 +62,12 @@ register_codec(
     ScenarioGrid,
     ScenarioGrid.wire_view,
     ScenarioGrid.from_dict,
+)
+register_codec(
+    "ResultColumns",
+    ResultColumns,
+    ResultColumns.to_dict,
+    ResultColumns.from_dict,
 )
 
 __all__ = [

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -36,6 +37,7 @@ from repro.pricing import (
     EuropeanCall,
     PricingProblem,
 )
+from repro.pricing.methods.base import ResultColumns
 
 BS_PARAMS = {"spot": 100.0, "rate": 0.05, "volatility": 0.2}
 CALL_PARAMS = {"strike": 100.0, "maturity": 1.0}
@@ -467,8 +469,13 @@ def test_missing_batch_member_is_reported_not_dropped(monkeypatch, drain):
     # submit_many campaigns never coalesce, so run/stream are the batch paths
     def lossy(kind, payload, cache=None):
         result, elapsed, error = execute_payload(kind, payload, cache=cache)
-        if result is not None and result.get("batch"):
-            del result["results"]["3"]
+        if isinstance(result, ResultColumns):
+            keep = result.ids != 3
+            result = ResultColumns(
+                {name: column[keep] for name, column in result.to_dict().items()
+                 if isinstance(column, np.ndarray)},
+                result.method_names,
+            )
         return result, elapsed, error
 
     monkeypatch.setattr("repro.cluster.backends.local.execute_payload", lossy)
@@ -523,7 +530,7 @@ def _failing_call() -> PricingProblem:
 
 
 class TestFuturesAndReportCannotDisagree:
-    """The futures are the campaign's only per-position record."""
+    """A future is a view of the table row the report reads."""
 
     #: scenario -> the drive modes that can express it
     SCENARIOS = {
@@ -577,9 +584,12 @@ class TestFuturesAndReportCannotDisagree:
             assert list(report.results) == list(range(n_positions))
             assert list(report.errors) == sorted(report.errors)
             for future in futures or ():
-                held = "cancelled before dispatch" if future.cancelled() else future._error
+                held = "cancelled before dispatch" if future.cancelled() else future.error()
                 assert report.errors.get(future.job_id) == held
-                assert report.results[future.job_id] == future._result
+                if held is None:
+                    assert report.results[future.job_id] == future.result()
+                else:
+                    assert report.results[future.job_id] is None
         if scenario == "future_cancel":
             assert reports["stream"].errors == {5: "cancelled before dispatch"}
         elif scenario == "cancel_token":

@@ -12,7 +12,7 @@ from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import Portfolio
 from repro.core.risk import historical_var, portfolio_greeks, sensitivity_sweep
 from repro.errors import PortfolioError, PricingError, ValuationError
-from repro.pricing.scenarios import expand_scenarios, greek_ladder
+from repro.pricing.scenarios import expand_scenarios, greek_ladder, historical_scenarios
 from repro.pricing.scenarios import ScenarioGrid
 from tests.oracles.books import mixed_book
 
@@ -116,6 +116,27 @@ def test_cell_futures_carry_the_labels_of_the_expanded_problems(session):
         "cf_put|volatility[0]+0.01", "mc_K105|volatility[0]+0.01",
         "mc_K95|volatility[0]+0.01", "sigma_only",
     ]
+
+
+def test_the_futures_of_a_risk_campaign_are_labelled_like_the_expanded_cells():
+    book = mixed_book()
+    grid = ScenarioGrid(
+        [position.problem for position in book], historical_scenarios(RETURNS),
+        on_missing="base",
+    )
+    campaign = ValuationSession(backend="local")._open_campaign(grid)
+    jobs = campaign.jobs
+    assert [future.job_id for future in jobs] == [c for column in grid.columns() for c in column]
+    labels = {future.job_id: future.label for future in jobs}
+    n = grid.n_scenarios
+    assert labels[0] == book.positions[0].problem.label  # the base scenario keeps the base label
+    assert labels[1] == f"{book.positions[0].problem.label}|hist0000"
+    assert labels[2 * n + 3] == f"{book.positions[2].problem.label}|hist0002"
+    assert {future.method for future in jobs} == {p.problem.method_name for p in book}
+    assert not jobs[5].done() and jobs[5].price_result() is None
+    campaign.finish()
+    assert all(future.done() and future.result()["price"] > 0 for future in jobs)
+    assert jobs[5].price_result().label == labels[jobs[5].job_id]
 
 
 @pytest.mark.parametrize("kernel", ["loop", "stacked"])

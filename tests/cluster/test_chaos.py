@@ -232,6 +232,32 @@ class TestChaosProxy:
                 backend.finalize()
                 assert proxy.stats["truncations"] == 1
 
+    def test_a_reply_record_cut_mid_column_costs_no_cell(self):
+        """A scenario-grid slice answers one ``ResultColumns`` record per
+        frame: truncating one mid-array buries the link, the master re-dials
+        and the re-sent slices fill the table exactly as a clean run does."""
+        from repro.api import ValuationSession
+        from repro.core.portfolio import Portfolio, Position
+
+        def book() -> Portfolio:
+            return Portfolio(positions=[
+                Position(_make_problem(strike), label=f"p{strike:.0f}")
+                for strike in (85.0, 95.0, 105.0, 115.0)
+            ])
+
+        returns = [0.001 * (k - 20) for k in range(40)]
+        reference = ValuationSession(backend="local").risk(book(), spot_returns=returns)
+        with spawn_local_workers(1) as pool:
+            # s2c frame 0 is the hello; frame 2 is the second slice's reply
+            with ChaosProxy(pool.hosts[0], rules=[truncate_frame(2, direction="s2c")]) as proxy:
+                session = ValuationSession(backend="remote", backend_options={
+                    "hosts": [proxy.address],
+                    "reconnect": ReconnectPolicy(max_attempts=10, initial_backoff=0.05),
+                })
+                assert session.risk(book(), spot_returns=returns) == reference
+                assert proxy.stats["truncations"] == 1
+                assert proxy.stats["connections"] >= 2  # the re-dial went through
+
     def test_delay_rule_holds_a_frame_without_corruption(self):
         problem = _make_problem()
         with spawn_local_workers(1) as pool:

@@ -28,7 +28,15 @@ from repro.core.portfolio import Portfolio, Position
 from repro.errors import ClusterError, WorkerLostError
 from repro.pricing import PricingProblem
 from repro.serial import serialize, xdr
-from repro.serial.frames import FRAME_HELLO, PROTOCOL_VERSION, encode_frame
+from repro.serial.frames import (
+    FRAME_HELLO,
+    FRAME_JOB,
+    FRAME_JOB_BATCH,
+    FRAME_RESULT,
+    PROTOCOL_VERSION,
+    encode_frame,
+    read_frame,
+)
 
 
 def _problem(strike: float, method: str = "CF_Call", **params) -> PricingProblem:
@@ -172,10 +180,22 @@ class TestGridSlicesSurviveADeath:
         ]
         return Portfolio(positions=[Position(p, label=f"p{k}") for k, p in enumerate(problems)])
 
-    def _check(self, session: ValuationSession, kill) -> None:
+    def _check(self, session: ValuationSession, kill, monkeypatch) -> None:
+        from repro.core.runner import ResultTable
+
         reference = ValuationSession(backend="local").risk(
             self._book(), spot_returns=self.RETURNS)
         answered: list[int] = []
+        scattered: list[int] = []
+        scatter = ResultTable.scatter
+
+        def recording(table, reply, members):
+            # the rows a slice writes are all still pending: no status is set twice
+            assert not table.status[table.rows_of(members)].any()
+            scattered.extend(members)
+            return scatter(table, reply, members)
+
+        monkeypatch.setattr(ResultTable, "scatter", recording)
 
         def on_progress(event) -> None:
             if not answered:
@@ -187,16 +207,90 @@ class TestGridSlicesSurviveADeath:
         assert summary == reference
         n_cells = 6 * (len(self.RETURNS) + 1)
         assert sorted(answered) == list(range(n_cells))  # every cell, exactly once
+        assert sorted(scattered) == list(range(n_cells))  # and written once
 
-    def test_a_killed_multiprocessing_worker(self):
+    def test_a_killed_multiprocessing_worker(self, monkeypatch):
         before = set(mp.active_children())
         self._check(
             ValuationSession(backend="multiprocessing", n_workers=2),
             lambda: os.kill(_started_since(before)[0].pid, signal.SIGKILL),
+            monkeypatch,
         )
 
-    def test_a_killed_remote_worker(self):
+    def test_a_killed_remote_worker(self, monkeypatch):
         with spawn_local_workers(2) as pool:
             session = ValuationSession(
                 backend="remote", backend_options={"hosts": pool.hosts, "connect_timeout": 5.0})
-            self._check(session, lambda: pool.kill(0))
+            self._check(session, lambda: pool.kill(0), monkeypatch)
+
+
+class TestAMalformedReplyRecord:
+    """A worker answering a ``ResultColumns`` record of the wrong shape is a
+    confused peer: the record is refused where the result frame is decoded,
+    the connection is buried and its slices go to a survivor -- or, with no
+    survivor, come back as a retryable :class:`WorkerLostError`.  The master
+    loop never sees the record."""
+
+    RETURNS = [0.001 * (k + 1) for k in range(30)]
+
+    @staticmethod
+    def _confused_worker(server: socket.socket, stop: threading.Event) -> None:
+        """Greets like a repro-worker; answers every job with columns of unequal length."""
+        from repro.pricing.methods.base import PricingResult, ResultColumns
+
+        record = ResultColumns.from_results(
+            [0, 1], [PricingResult(price=1.0), PricingResult(price=2.0)]).to_dict()
+        record["price"] = record["price"][:1]
+        name = b"ResultColumns"
+        malformed = (b"O" + len(name).to_bytes(4, "big") + name + b"\x00" * 3
+                     + xdr.encode(record))
+        conn, _ = server.accept()
+        with conn:
+            conn.sendall(encode_frame(FRAME_HELLO, xdr.encode(
+                {"role": "repro-worker", "pid": 0, "version": PROTOCOL_VERSION})))
+            while not stop.is_set():
+                frame = read_frame(conn.recv)
+                if frame is None:
+                    return
+                kind, payload = frame
+                if kind not in (FRAME_JOB, FRAME_JOB_BATCH):
+                    continue
+                job = xdr.decode(payload)
+                job_id = job["job_id"] if kind == FRAME_JOB else job["jobs"][0]["job_id"]
+                # {"job_id": ..., "result": <the malformed object>, ...} by hand:
+                # xdr.encode would refuse to build it
+                fields = (("job_id", xdr.encode(job_id)), ("result", malformed),
+                          ("elapsed", xdr.encode(0.01)), ("error", xdr.encode(None)))
+                body = b"H" + len(fields).to_bytes(4, "big") + b"".join(
+                    len(key).to_bytes(4, "big") + key.encode() + b"\x00" * (-len(key) % 4) + value
+                    for key, value in fields)
+                conn.sendall(encode_frame(FRAME_RESULT, body))
+
+    def _run(self, hosts_after_confused: list[str], retry: RetryPolicy | None = None):
+        server = socket.create_server(("127.0.0.1", 0))
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=self._confused_worker, args=(server, stop), daemon=True)
+        thread.start()
+        try:
+            address = f"127.0.0.1:{server.getsockname()[1]}"
+            session = ValuationSession(backend="remote", backend_options={
+                "hosts": [address, *hosts_after_confused], "connect_timeout": 5.0})
+            return session.risk(
+                TestGridSlicesSurviveADeath._book(), spot_returns=self.RETURNS,
+                config=RunConfig(retry=retry))
+        finally:
+            stop.set()
+            server.close()
+            thread.join(timeout=5.0)
+
+    def test_its_slices_go_to_the_survivor_and_the_summary_is_the_clean_one(self):
+        reference = ValuationSession(backend="local").risk(
+            TestGridSlicesSurviveADeath._book(), spot_returns=self.RETURNS)
+        with spawn_local_workers(1) as pool:
+            assert self._run(list(pool.hosts)) == reference
+
+    def test_without_a_survivor_the_loss_is_typed_and_names_the_slices(self):
+        with pytest.raises(WorkerLostError) as excinfo:
+            self._run([])
+        assert excinfo.value.job_ids  # the slices it held: what a RetryPolicy resubmits

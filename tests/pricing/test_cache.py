@@ -75,6 +75,27 @@ class TestProblemDigest:
         other_model.set_model("BlackScholes1D", spot=100.0, rate=0.04, volatility=0.2)
         assert problem_digest(other_model) != base
 
+    def test_an_entry_written_under_another_schema_salt_misses_and_stays(
+        self, tmp_path, monkeypatch
+    ):
+        """A disk cache written by a build with another result / wire layout
+        is not trusted -- and not tidied away either: the read that misses
+        leaves the stranger's file alone."""
+        from repro.pricing import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "CACHE_SCHEMA", cache_module.CACHE_SCHEMA - 1)
+        stale = problem_digest(_mc_problem())
+        ResultCache(directory=tmp_path).put(stale, _result())
+        monkeypatch.undo()
+
+        current = problem_digest(_mc_problem())
+        assert current != stale
+        cache = ResultCache(directory=tmp_path)
+        assert cache.get(current) is None
+        assert (tmp_path / f"{stale}.json").exists() and cache.stats.corrupt == 0
+        cache.put(current, _result(11.0))
+        assert cache.get(current).price == 11.0 and cache.get(stale).price == 10.0
+
     def test_model_digest_matches_param_digest(self):
         problem = _mc_problem()
         assert problem.model.param_digest() == model_digest(problem.model)

@@ -8,8 +8,8 @@ import struct
 import pytest
 
 from repro.cluster.backends import PAYLOAD_SERIAL, execute_payload
-from repro.cluster.backends.execution import decode_batch_reply
 from repro.errors import PricingError, SerializationError
+from repro.pricing.methods.base import ResultColumns
 from repro.pricing.scenarios import (
     Scenario,
     ScenarioGrid,
@@ -114,13 +114,12 @@ class TestSlicesPriceWhatTheGridPrices:
         healthy = grid.compute()
         monkeypatch.setattr(ClosedFormPut, "_price", refuse)
         reply, _elapsed, error = execute_payload(PAYLOAD_SERIAL, serialize(grid).to_bytes())
-        assert error is None and reply["batch"] and reply["n_members"] == len(healthy)
-        decoded = decode_batch_reply(reply, None, sorted(healthy))
-        poisoned = {cell for cell, (_entry, err) in decoded.items() if err is not None}
-        assert poisoned == {2 * 3 + j for j in range(3)}  # the closed-form put's row
-        assert all("poisoned" in decoded[cell][1] for cell in poisoned)
-        assert all(decoded[cell][0]["price"] == healthy[cell]["price"]
-                   for cell in set(healthy) - poisoned)
+        assert error is None and isinstance(reply, ResultColumns)
+        assert sorted(reply) == sorted(healthy)
+        assert set(reply.errors) == {2 * 3 + j for j in range(3)}  # the closed-form put's row
+        assert all("poisoned" in message for message in reply.errors.values())
+        assert all(reply[cell]["price"] == healthy[cell]["price"]
+                   for cell in reply.ids.tolist())
 
 
 class TestConstruction:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.pricing import PricingProblem
 from repro.pricing.batch import ProblemBatch
+from repro.pricing.methods.base import PricingResult, ResultColumns
 from repro.pricing.scenarios import ScenarioGrid, historical_scenarios
 from repro.serial import xdr
 
@@ -35,6 +36,23 @@ def _mc_call(strike: float) -> PricingProblem:
     problem.set_option("CallEuro", strike=strike, maturity=1.0)
     problem.set_method("MC_European", n_paths=1000, n_steps=1, seed=7)
     return problem
+
+
+def _reply() -> ResultColumns:
+    """One reply with every kind of row: a full closed-form row, a Monte-Carlo
+    row without ``delta``, a cache hit and a failed member."""
+    return ResultColumns.from_results(
+        [12, 7, 30],
+        [
+            PricingResult(price=10.450583572185565, delta=0.6368306511756191,
+                          method_name="CF_Call", n_evaluations=1, elapsed=2.5e-05),
+            PricingResult(price=8.02, std_error=0.25, confidence_interval=(7.53, 8.51),
+                          method_name="MC_European", n_evaluations=1000, elapsed=0.0015),
+            PricingResult(price=-0.0, delta=5e-324, method_name="CF_Call"),
+        ],
+        cache_hits=[False, False, True],
+        errors={19: "ArithmeticError: payoff exploded"},
+    )
 
 
 def golden_values() -> dict[str, object]:
@@ -77,6 +95,7 @@ def golden_values() -> dict[str, object]:
             [_mc_call(90.0), _mc_call(110.0)], historical_scenarios([0.01, -0.02, 0.005]),
             on_missing="base",
         ).slice(1, 3, kernel="loop", answered=[6]),
+        "result_columns": {"job_id": 7, "result": _reply(), "elapsed": 0.25, "error": None},
     }
 
 
@@ -114,6 +133,8 @@ GOLDEN = {
     "nested_batch": "0072e5247abdf1fe074c0f9324c9a3afa9827c2b94a8251d5c97ce8688bc6720",
     # pinned when the payload was introduced (wire protocol v7)
     "grid_slice": "999301cfbe1c8cc6381f16f23d7e3bb7f7ccf46a66af63c37fef1f56ed705908",
+    # the reply of a payload with members, in its result frame (wire protocol v8)
+    "result_columns": "492ff3402fd2654a1e4c8155b6bf19554b34db44692f0304776897938b14b526",
 }
 
 
@@ -124,6 +145,16 @@ def _digest(value: object) -> str:
 @pytest.mark.parametrize("name", sorted(golden_values()))
 def test_encoded_bytes_match_the_isinstance_chain_encoder(name):
     assert _digest(golden_values()[name]) == GOLDEN[name]
+
+
+def test_the_pinned_reply_reads_back_row_for_row():
+    reply = xdr.decode(xdr.encode(golden_values()["result_columns"]))["result"]
+    assert isinstance(reply, ResultColumns) and list(reply) == [12, 7, 30, 19]
+    assert reply[12]["delta"] == 0.6368306511756191 and reply[12]["std_error"] is None
+    assert reply[7]["delta"] is None and reply[7]["confidence_interval"] == [7.53, 8.51]
+    assert reply[30]["cache_hit"] is True and "cache_hit" not in reply[7]
+    assert str(reply[30]["price"]) == "-0.0" and reply[30]["delta"] == 5e-324
+    assert reply[19] == {"error": "ArithmeticError: payoff exploded"}
 
 
 if __name__ == "__main__":

@@ -159,6 +159,10 @@ class TestErrors:
             (json.dumps(_position_body(100.0, quantity=float("nan"))).encode(), None,
              "non-finite number NaN"),
             (b'{"model_params": {"spot": -Infinity}}', None, "non-finite number -Infinity"),
+            # 1e999 is a number to the JSON grammar, so parse_constant never sees
+            # it; it overflows to inf and used to reach the model
+            (json.dumps(_position_body(100.0)).replace("0.2", "1e999").encode(), None,
+             "parameter 'volatility' must be finite"),
         ],
     )
     def test_malformed_json_400(self, server, data, length, message):
