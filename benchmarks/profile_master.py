@@ -7,9 +7,10 @@ under ``cProfile`` (the master thread only; the workers are other processes)
 and prints where the master's non-waiting time went, how many per-position
 Python objects it built (futures minted, result dictionaries received or
 materialised), then what was sent -- jobs dispatched, ``RunReport.bytes_sent``
-per position (per cell of a risk campaign) and the widths of its
-scenario-grid slices -- and what the workers made of it: their idle share and
-the in-flight window the run reached (``RunReport.peak_window``).
+per position (per cell of a risk campaign) and how many positions each of its
+slices (of a scenario grid, of a plain book) answers -- and what the workers
+made of it: their idle share and the in-flight window the run reached
+(``RunReport.peak_window``).
 ``cProfile`` taxes every
 Python call, so read the table for its ranking and call counts, not for
 absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The numbers
@@ -31,19 +32,20 @@ from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
 from repro.api.futures import PricingFuture  # noqa: E402
 from repro.core.runner import ResultTable  # noqa: E402
 from repro.pricing.methods.base import ResultColumns  # noqa: E402
-from repro.pricing.scenarios import ScenarioGrid  # noqa: E402
 
 #: cumulative time of every function of that name (in the file ending so,
 #: where the name alone is ambiguous): the layers of one campaign, outbound
 #: (``columns`` decides which cells of a risk grid exist, ``build_plan`` turns
-#: a book or a grid into jobs) and back (the queue's unpickle, the shm walk,
-#: the write into the result table, the report)
+#: a book or a grid into jobs, ``Job.wire_bytes`` is ``book_view`` of a slice's
+#: positions and the XDR encode of the view) and back (the queue's unpickle,
+#: the shm walk, the write into the result table, the report)
 LAYERS = {
     "columns": ("columns", ""),
     "build_plan": ("build_plan", ""),
     "_acquire_backend": ("_acquire_backend", ""),
     "Campaign.__init__": ("__init__", "api/campaign.py"),
     "prepare": ("prepare", ""),
+    "book encode": ("wire_bytes", "backends/base.py"),
     "dispatch": ("dispatch", ""),
     "queue unpickle": ("<built-in method _pickle.loads>", ""),
     "decode_result": ("decode_result", ""),
@@ -111,11 +113,11 @@ def main(name: str) -> None:
           + ", ".join(f"{count} {label}" for label, count in objects.items()))
     for campaign in campaigns:
         report, jobs = campaign.finish().report, campaign.plan.jobs
-        widths = [len(job.problem.scenarios) for job in jobs
-                  if isinstance(job.problem, ScenarioGrid)]
+        members = [len(campaign.plan.batch_members[job.job_id]) for job in jobs
+                   if job.job_id in campaign.plan.batch_members]
         print(f"  {len(jobs)} jobs dispatched for {report.n_jobs} positions, "
               f"{report.bytes_sent / report.n_jobs:.1f} B sent per position"
-              + (f"; slice widths {widths}" if widths else ""))
+              + (f"; positions answered per slice {members}" if members else ""))
         idle = 1.0 - sum(report.worker_busy.values()) / (report.total_time * report.n_workers)
         print(f"  workers idle {idle:.1%} of {report.total_time:.2f} s x {report.n_workers}; "
               f"peak in-flight window {report.peak_window}")

@@ -2,9 +2,10 @@
 
 A :class:`Campaign` drives one :class:`~repro.core.scheduler.ScheduleStream`
 and writes every collected event -- a plain result, the
-:class:`~repro.pricing.methods.base.ResultColumns` reply of a
-:class:`~repro.pricing.batch.ProblemBatch` or a scenario-grid slice, a worker
-error, a cancellation -- into its :class:`~repro.core.runner.ResultTable`.
+:class:`~repro.pricing.methods.base.ResultColumns` reply of a job with members
+(a :class:`~repro.pricing.batch.ProblemBatch`, a scenario-grid slice, a book
+slice), a worker error, a cancellation -- into its
+:class:`~repro.core.runner.ResultTable`.
 Cache hits never enter the stream: their rows are written at construction.
 The table is the only per-position record: a
 :class:`~repro.api.futures.PricingFuture` is a view of one row, minted for
@@ -18,6 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.api.config import RetryPolicy
 from repro.api.futures import CancelToken, JobSet, PricingFuture, StreamProgress
@@ -84,6 +87,8 @@ class Campaign:
         self._settled(tuple(plan.cached_results))
         self._stream: ScheduleStream | None = None
         self._dispatched: list[Job] = []
+        #: member id -> the job it travels in, built by the first cancel_job
+        self._carriers: dict[int, Job] | None = None
         if plan.jobs:
             self._open_stream(plan.jobs)
         else:
@@ -147,6 +152,13 @@ class Campaign:
                     )
                 )
 
+    def _awaited(self, job_id: int) -> bool:
+        """Whether the dispatch unit ``job_id`` is still to be answered: its
+        rows are written together, so its first member speaks for them."""
+        members = self.plan.batch_members.get(job_id, (job_id,))
+        table = self.table
+        return bool(members) and table.status[table.row_of(members[0])] == table.PENDING
+
     def _resolve_completed(self, done: CompletedJob) -> None:
         table = self.table
         members = self.plan.batch_members.get(done.job_id)
@@ -154,8 +166,8 @@ class Campaign:
             members = (done.job_id,)
             if not table.write(done.job_id, done.result, done.error):
                 return  # a dispatch unit is answered once
-        elif table.status[table.row_of(done.job_id)] != table.PENDING:
-            return  # its rows are written together: its own id speaks for them
+        elif not self._awaited(done.job_id):
+            return
         elif isinstance(done.result, ResultColumns):
             try:
                 table.scatter(done.result, members)
@@ -175,12 +187,34 @@ class Campaign:
 
     # -- cancellation ------------------------------------------------------------
     def cancel_job(self, job_id: int) -> bool:
-        """Withdraw one still-queued position; its row is marked cancelled."""
-        # a batch member cannot be withdrawn alone: its super-job (queued
-        # under its first member's id) may carry siblings that were not cancelled
-        if self._stream is None or job_id in self.plan.batch_members:
+        """Withdraw one position not yet sent; its row is marked cancelled.
+
+        A position that travels alone is taken off the master's queue.  A
+        member of a book slice is left out of the slice while that is still
+        queued (its bytes are made at its first dispatch), and the slice is
+        withdrawn with its last member.  ``False`` for anything a worker may
+        already hold, and for a member that cannot leave its job: one of a
+        dispatched slice, of a :class:`~repro.pricing.batch.ProblemBatch`, or
+        a cell of a scenario-grid slice.
+        """
+        if self._stream is None:
             return False
-        if not self._stream.cancel_job(job_id):
+        members_of = self.plan.batch_members
+        if self._carriers is None:
+            self._carriers = {
+                member: job for job in self.plan.jobs
+                for member in members_of.get(job.job_id, ())
+            }
+        carrier = self._carriers.get(job_id)
+        if carrier is None:
+            if not self._stream.cancel_job(job_id):
+                return False
+        elif self.plan.members_stand_alone and carrier.problem.leave_out(job_id):
+            left = tuple(member for member in members_of[carrier.job_id] if member != job_id)
+            members_of[carrier.job_id] = left
+            if not left:
+                self._stream.cancel_job(carrier.job_id)
+        else:
             return False
         self.table.mark((job_id,), self.table.CANCELLED)
         return True
@@ -253,7 +287,6 @@ class Campaign:
         # repro-lint: disable=except-swallow -- best-effort teardown of a pool that WorkerLostError already proved dead; any error here is noise on the retry path
         except Exception:
             pass  # the pool is already gone; nothing to release
-        table = self.table
         while True:
             delay = retry.delay(attempt)
             if delay > 0:
@@ -262,12 +295,7 @@ class Campaign:
             try:
                 self._backend = self._new_backend()
                 self._open_stream(
-                    [
-                        job
-                        for job in self.plan.jobs
-                        # a unit's rows are written together: its own id speaks for them
-                        if table.status[table.row_of(job.job_id)] == table.PENDING
-                    ]
+                    [job for job in self.plan.jobs if self._awaited(job.job_id)]
                 )
             except ClusterError:
                 # the replacement pool could not even be dialed: the attempt
@@ -307,7 +335,31 @@ class Campaign:
             results=table,
             errors=table.errors(),
         )
+        if plan.member_categories:
+            report.category_times = self._member_category_times(outcome)
         if self._retries:
             report.extra["retries"] = self._retries
         self._run_result = RunResult(report=report, portfolio=plan.portfolio)
         return self._run_result
+
+    def _member_category_times(self, outcome: ScheduleOutcome) -> dict[str, float]:
+        """Compute time by the positions' own categories, for book slices.
+
+        A slice is timed as a whole by its worker; that time is shared among
+        the categories of the positions it answered in proportion to the
+        ``elapsed`` their results carry (evenly where none carries any), so
+        the breakdown sums to what the per-position route would report.
+        """
+        categories = self.plan.member_categories
+        elapsed = np.nan_to_num(self.table.columns.elapsed)
+        times: dict[str, float] = {}
+        for done in outcome.completed:
+            members = self.plan.batch_members[done.job_id]
+            weights = elapsed[self.table.rows_of(members)]
+            if not weights.sum() > 0.0:
+                weights = np.ones_like(weights)
+            shares = weights * (done.compute_time / weights.sum())
+            for member, share in zip(members, shares.tolist()):
+                category = categories[member]
+                times[category] = times.get(category, 0.0) + share
+        return times

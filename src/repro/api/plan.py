@@ -1,4 +1,4 @@
-"""Campaign planning: job building -> cache pass -> batch coalescing.
+"""Campaign planning: job building -> cache pass -> slicing or batch coalescing.
 
 :func:`build_plan` is the one place where a portfolio, a prepared job list
 or a scenario grid becomes the jobs a campaign dispatches.  Every session
@@ -16,12 +16,13 @@ from repro.api.config import RunConfig
 from repro.cluster.backends import Job
 from repro.cluster.costmodel import CostModel
 from repro.core.portfolio import Portfolio
-from repro.core.scheduler import cut_chunks
+from repro.core.scheduler import DispatchPolicy, RobinHoodPolicy, cut_chunks
+from repro.core.strategies import is_real_file
 from repro.errors import SchedulingError
 from repro.pricing.batch import ProblemBatch, plan_batches
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
-from repro.pricing.scenarios import ScenarioGrid
+from repro.pricing.scenarios import Scenario, ScenarioGrid
 
 __all__ = ["CampaignPlan", "build_plan"]
 
@@ -37,9 +38,20 @@ class CampaignPlan:
     problem_by_id: dict[int, PricingProblem]
     cached_results: dict[int, dict[str, Any]] = field(default_factory=dict)
     digests: dict[int, str] = field(default_factory=dict)
-    #: super-job id -> the positions its :class:`ProblemBatch` (or the cells
-    #: its :class:`~repro.pricing.scenarios.ScenarioGrid` slice) carries
+    #: id of a job that travels with members -> the positions it still has to
+    #: answer: the family of a :class:`ProblemBatch`, the cells of a
+    #: scenario-grid slice, the positions of a book slice.  The job goes by
+    #: the id of the first member it was planned with; a book slice loses a
+    #: member cancelled while the slice is still queued
+    #: (:meth:`~repro.api.campaign.Campaign.cancel_job`)
     batch_members: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    #: whether a member may be left out of its still-queued job (the
+    #: positions of a book slice stand alone; a grid's cells fold into one
+    #: measure and a :class:`ProblemBatch` cannot drop a member)
+    members_stand_alone: bool = False
+    #: position id -> its job's category, where the positions travel in book
+    #: slices: what ``RunReport.category_times`` is still broken down by
+    member_categories: dict[int, str] = field(default_factory=dict)
     run_cache: ResultCache | None = None
     portfolio: Portfolio | None = None
     #: ``(label, method name)`` of a position no problem was built for (the
@@ -64,6 +76,9 @@ def build_plan(
     run_cache: ResultCache | None = None,
     store: Any = None,
     n_workers: int = 1,
+    queues_jobs: bool = False,
+    strategy: str = "serialized_load",
+    new_policy: Callable[[], DispatchPolicy] = RobinHoodPolicy,
 ) -> CampaignPlan:
     """Plan one campaign over ``source``.
 
@@ -77,7 +92,11 @@ def build_plan(
     positions already priced are answered here and never dispatched.
 
     A :class:`~repro.pricing.scenarios.ScenarioGrid` is planned into slices
-    of its scenario list (:func:`_plan_grid`), sized for ``n_workers``.
+    of its scenario list (:func:`_plan_grid`), sized for ``n_workers``; so are
+    the positions of a plain campaign whose messages cross a process boundary
+    (:func:`_travels_in_slices` reads ``queues_jobs``, the transmission
+    ``strategy`` and what ``new_policy``, the campaign's factory of dispatch
+    policies, makes for that).
     """
     if isinstance(source, ScenarioGrid):
         return _plan_grid(
@@ -118,11 +137,58 @@ def build_plan(
         if plan.cached_results:
             plan.jobs = [job for job in jobs if job.job_id not in plan.cached_results]
 
-    if options.batch:
+    if _travels_in_slices(plan, options, queues_jobs, store, strategy, new_policy):
+        _slice_book(plan, options, n_workers)
+    elif options.batch:
         plan.jobs, plan.batch_members = _coalesce_jobs(
             plan.jobs, problem_by_id, options, cost_model, executing
         )
     return plan
+
+
+def _travels_in_slices(
+    plan: CampaignPlan,
+    options: RunConfig,
+    queues_jobs: bool,
+    store: Any,
+    strategy: str,
+    new_policy: Callable[[], DispatchPolicy],
+) -> bool:
+    """Whether a plain campaign's positions are sent as book slices.
+
+    "It is always advisable to send a single large message rather [than]
+    several smaller messages" (the paper's conclusion) -- where there is a
+    message, and the policy does not deal in single positions:
+
+    1. the backend's workers queue what they are sent
+       (``WorkerBackend.queues_jobs``: processes, remote hosts).  The
+       in-process backend stays the per-position reference the parallel ones
+       are compared against, the simulated cluster keeps the per-position
+       virtual times Tables I-III are pinned to;
+    2. every position's problem is in memory: no ``store``, no problem file
+       behind a prepared job's path (a book without a store names none), and
+       not the ``nfs`` strategy, whose transmission is per file by definition;
+    3. the policy is the paper's Robin Hood itself -- the default, however it
+       was spelled -- which deals whatever it is given in submission order.
+       Every other policy, a subclass too, says something about single
+       positions (a priority each, contiguous blocks, stolen tails, chunks of
+       per-position messages, a sort key) and keeps them;
+    4. ``batch`` is not set: coalescing families into :class:`ProblemBatch`
+       jobs is the other way of sending several positions together.
+    """
+    return (
+        queues_jobs
+        and store is None
+        and strategy != "nfs"
+        and type(new_policy()) is RobinHoodPolicy
+        and not options.batch
+        and all(
+            isinstance(job.problem, PricingProblem)
+            and job.problem.is_complete
+            and (plan.portfolio is not None or not is_real_file(job))
+            for job in plan.jobs
+        )
+    )
 
 
 def _cache_pass(plan: CampaignPlan, digests: dict[int, str]) -> None:
@@ -133,6 +199,67 @@ def _cache_pass(plan: CampaignPlan, digests: dict[int, str]) -> None:
         hit = plan.run_cache.get(digest)
         if hit is not None:
             plan.cached_results[job_id] = {**hit.as_dict(), "cache_hit": True}
+
+
+def _cut_slices(
+    plan: CampaignPlan,
+    costs: Sequence[float],
+    n_workers: int,
+    kind: str,
+    cut: Callable[[int, int], tuple[tuple[int, ...], ScenarioGrid]],
+) -> None:
+    """Turn a list of unit costs into the plan's slice jobs.
+
+    A unit is what a campaign is cut along -- a scenario of a grid, a
+    position of a book -- and ``costs[i]`` its estimated seconds.  Widths come
+    from the chunk rule of :mod:`repro.core.scheduler`
+    (:func:`~repro.core.scheduler.cut_chunks`: the first slices wide, the
+    tail single units; by count where a cost is not a positive finite
+    number).  ``cut(start, stop)`` names the positions units ``start:stop``
+    still have to answer and builds the payload that prices them; a slice
+    with none left is not sent.  A slice goes by its first member's id.
+    """
+    start = 0
+    for width in cut_chunks(costs, n_workers):
+        stop = start + width
+        members, payload = cut(start, stop)
+        if members:
+            plan.jobs.append(
+                Job(
+                    job_id=members[0],
+                    path=f"/virtual/{kind}/{start:06d}_{width:04d}.sg",
+                    compute_cost=sum(costs[start:stop]),
+                    category=kind,
+                    problem=payload,
+                )
+            )
+            plan.batch_members[members[0]] = members
+        start = stop
+
+
+def _slice_book(plan: CampaignPlan, options: RunConfig, n_workers: int) -> None:
+    """Replace the plan's per-position jobs by book slices of them.
+
+    A book slice is a :class:`~repro.pricing.scenarios.ScenarioGrid` of some
+    positions under the base scenario alone, its ``rows`` the positions' ids:
+    every distinct model and method header travels once per slice, the worker
+    prices the slice as one stacked campaign (Monte-Carlo families that meet
+    in it share their draws, bit-identically) and answers one record of
+    columns.  The positions are those the cache pass left, cut by their jobs'
+    estimated costs.
+    """
+    jobs, base = plan.jobs, (Scenario(name="base"),)
+
+    def cut(start: int, stop: int) -> tuple[tuple[int, ...], ScenarioGrid]:
+        part = jobs[start:stop]
+        members = tuple(job.job_id for job in part)
+        return members, ScenarioGrid(
+            [job.problem for job in part], base, kernel=options.kernel, rows=members
+        )
+
+    plan.jobs, plan.members_stand_alone = [], True
+    plan.member_categories = {job.job_id: job.category for job in jobs}
+    _cut_slices(plan, [job.compute_cost for job in jobs], n_workers, "book", cut)
 
 
 def _plan_grid(
@@ -146,10 +273,8 @@ def _plan_grid(
 
     The positions are the grid's cells (``grid.columns()``, one table row
     each); the jobs are :meth:`ScenarioGrid.slice` s over one base book whose
-    bytes every slice re-sends.  Slice widths come from the chunk rule of
-    :mod:`repro.core.scheduler` (:func:`~repro.core.scheduler.cut_chunks`): a
-    scenario costs one shared-simulation batch over the cells it still has
-    to price, so the first slices are wide and the tail is single scenarios.
+    bytes every slice re-sends, cut by :func:`_cut_slices`: a scenario costs
+    one shared-simulation batch over the cells it still has to price.
     With a ``run_cache``, cells already priced are answered here; each slice
     is told which of its cells to leave out, a slice with none left is not
     sent, and :attr:`CampaignPlan.digests` lets the campaign write the new
@@ -181,27 +306,15 @@ def _plan_grid(
             ))
         else:
             costs.append(0.0)
-    start = 0
-    for width in cut_chunks(costs, n_workers):
-        stop = start + width
+
+    def cut(start: int, stop: int) -> tuple[tuple[int, ...], ScenarioGrid]:
         cells = [cell for column in columns[start:stop] for cell in column]
-        members = tuple(cell for cell in cells if cell not in answered)
-        if members:
-            part = grid.slice(
-                start, stop, kernel=options.kernel,
-                answered=[cell for cell in cells if cell in answered],
-            )
-            plan.jobs.append(
-                Job(
-                    job_id=members[0],
-                    path=f"/virtual/grid/{grid.offset + start:06d}_{width:04d}.sg",
-                    compute_cost=sum(costs[start:stop]),
-                    category="scenario",
-                    problem=part,
-                )
-            )
-            plan.batch_members[members[0]] = members
-        start = stop
+        return tuple(cell for cell in cells if cell not in answered), grid.slice(
+            start, stop, kernel=options.kernel,
+            answered=[cell for cell in cells if cell in answered],
+        )
+
+    _cut_slices(plan, costs, n_workers, "scenario", cut)
     return plan
 
 

@@ -346,6 +346,9 @@ class ValuationSession:
             run_cache=run_cache,
             store=store,
             n_workers=backend.n_workers,
+            queues_jobs=getattr(backend, "queues_jobs", False),
+            strategy=strategy_obj.name,
+            new_policy=new_policy,
         )
         return Campaign(
             plan,

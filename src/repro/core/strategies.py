@@ -41,6 +41,7 @@ __all__ = [
     "NFSStrategy",
     "InMemoryStrategy",
     "get_strategy",
+    "is_real_file",
     "STRATEGIES",
 ]
 
@@ -72,7 +73,7 @@ class FullLoadStrategy(TransmissionStrategy):
     name = "full_load"
 
     def _prepare(self, job: Job) -> PreparedMessage:
-        if job.path and _is_real_file(job):
+        if job.path and is_real_file(job):
             # the deliberately wasteful path of the paper: materialise the
             # object only to serialize it again immediately
             problem = sload(job.path).unserialize()
@@ -93,7 +94,7 @@ class SerializedLoadStrategy(TransmissionStrategy):
     name = "serialized_load"
 
     def _prepare(self, job: Job) -> PreparedMessage:
-        if job.path and _is_real_file(job):
+        if job.path and is_real_file(job):
             data = sload(job.path).to_bytes()
         elif job.problem is not None:
             # no file: the bytes kept with the job play its part -- made
@@ -137,8 +138,9 @@ class InMemoryStrategy(TransmissionStrategy):
         return PreparedMessage(kind=PAYLOAD_PROBLEM, payload=job.problem, nbytes=job.file_size)
 
 
-def _is_real_file(job: Job) -> bool:
-    """Whether the job's path points at an actual readable file."""
+def is_real_file(job: Job) -> bool:
+    """Whether the job's path points at an actual readable file (which the
+    file-reading strategies then send instead of ``job.problem``)."""
     import os
 
     return bool(job.path) and os.path.exists(job.path)

@@ -362,7 +362,7 @@ def _member(
     problem = copy.copy(header)
     problem.label = entry.get("label")
     problem.set_asset(entry.get("asset", "equity"))
-    problem.set_option(option["name"], **option["params"])
+    problem.set_leg_from_wire("option", option, f"{payload} payload: {where}.")
     return problem
 
 

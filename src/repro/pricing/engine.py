@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 from typing import Any
 
-from repro.errors import ProblemStateError, RegistryError
+from repro.errors import ProblemStateError, RegistryError, ReproError, SerializationError
 from repro.pricing.methods import METHOD_CLASSES, PricingMethod, PricingResult
 from repro.pricing.methods.longstaff_schwartz import LongstaffSchwartz
 from repro.pricing.models import MODEL_CLASSES, Model
@@ -382,19 +382,35 @@ class PricingProblem:
         """An independent deep copy of :meth:`wire_view`."""
         return copy.deepcopy(self.wire_view())
 
+    def set_leg_from_wire(self, leg: str, entry: Any, where: str = "") -> None:
+        """Set the ``model`` / ``option`` / ``method`` leg from its decoded
+        ``{name, params}`` entry (nothing, where the entry is empty).
+
+        The entry comes off a wire: whatever the named class makes of
+        parameters it was never written with -- an unknown keyword, a string
+        for a number -- is a :class:`~repro.errors.SerializationError` naming
+        the leg at ``where``, never the class's own ``TypeError``.
+        """
+        setter = {"model": self.set_model, "option": self.set_option,
+                  "method": self.set_method}[leg]
+        try:
+            entry = entry or {}
+            if entry.get("name"):
+                setter(entry["name"], **(entry.get("params") or {}))
+        except ReproError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - any constructor, any hostile parameter
+            raise SerializationError(
+                f"{where}'{leg}' does not build from {entry!r:.200}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PricingProblem":
         problem = cls(label=data.get("label"))
         problem.set_asset(data.get("asset", "equity"))
-        model = data.get("model") or {}
-        if model.get("name"):
-            problem.set_model(model["name"], **(model.get("params") or {}))
-        option = data.get("option") or {}
-        if option.get("name"):
-            problem.set_option(option["name"], **(option.get("params") or {}))
-        method = data.get("method") or {}
-        if method.get("name"):
-            problem.set_method(method["name"], **(method.get("params") or {}))
+        for leg in ("model", "option", "method"):
+            problem.set_leg_from_wire(leg, data.get(leg), "PricingProblem payload: ")
         result = data.get("result")
         if result is not None:
             problem._result = PricingResult.from_dict(result)

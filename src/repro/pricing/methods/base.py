@@ -84,16 +84,23 @@ class PricingResult:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PricingResult":
-        ci = data.get("confidence_interval")
-        return cls(
-            price=float(data["price"]),
-            delta=None if data.get("delta") is None else float(data["delta"]),
-            std_error=None if data.get("std_error") is None else float(data["std_error"]),
-            confidence_interval=None if ci is None else (float(ci[0]), float(ci[1])),
-            method_name=str(data.get("method_name", "")),
-            n_evaluations=int(data.get("n_evaluations", 0)),
-            elapsed=float(data.get("elapsed", 0.0)),
-        )
+        """Rebuild a result; a payload of the wrong shape raises
+        :class:`~repro.errors.SerializationError`."""
+        try:
+            ci = data.get("confidence_interval")
+            return cls(
+                price=float(data["price"]),
+                delta=None if data.get("delta") is None else float(data["delta"]),
+                std_error=None if data.get("std_error") is None else float(data["std_error"]),
+                confidence_interval=None if ci is None else (float(ci[0]), float(ci[1])),
+                method_name=str(data.get("method_name", "")),
+                n_evaluations=int(data.get("n_evaluations", 0)),
+                elapsed=float(data.get("elapsed", 0.0)),
+            )
+        except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise SerializationError(
+                f"PricingResult payload: {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 _NAN = float("nan")

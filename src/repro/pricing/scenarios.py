@@ -458,6 +458,19 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _checked_rows(rows: Any, n_problems: int) -> np.ndarray:
+    """``rows`` as the int64 column a grid keeps and writes."""
+    try:
+        column = np.asarray(rows)
+    except ValueError:  # a ragged list
+        column = np.empty(0)
+    if column.dtype.kind in "iu" and column.shape == (n_problems,):
+        column = column.astype(np.int64)
+        if column.min() >= 0 and len(np.unique(column)) == n_problems:
+            return column
+    raise PricingError("'rows' must name one distinct non-negative row per base problem")
+
+
 class _Book:
     """The base problems of a grid and their bytes, made once however many
     slices re-send them (the paper's ``sload`` argument, as for
@@ -488,10 +501,13 @@ class ScenarioGrid:
     :class:`Scenario` records and the slice's ``offset`` in the campaign's
     full list of ``n_scenarios``.  :meth:`compute` expands and prices on the
     worker and answers one record of columns keyed by cell id, a cell's id being
-    ``problem_index * n_scenarios + scenario_index`` in the full grid.
-    ``answered`` lists cells the master already holds (run-cache hits): they
-    are left out of the pricing, which never changes the other cells'
-    prices.
+    ``row * n_scenarios + scenario_index`` in the full grid.  A base problem's
+    row is its index, unless ``rows`` names the rows: a grid may then hold any
+    subset of a campaign's positions -- a *book slice* is some positions
+    under the base scenario alone, each cell's id the position's own.
+    ``answered`` lists cells the master already holds (run-cache hits) or no
+    longer wants (:meth:`leave_out`): they are left out of the pricing, which
+    never changes the other cells' prices.
 
     The master works on the same object without materialising a cell:
     :meth:`columns` (which cells exist, decided per distinct base model),
@@ -508,11 +524,14 @@ class ScenarioGrid:
         offset: int = 0,
         n_scenarios: int | None = None,
         answered: Sequence[int] = (),
+        rows: "Sequence[int] | np.ndarray | None" = None,
     ):
         book = problems if isinstance(problems, _Book) else _Book(problems)
         if not book.problems:
             raise PricingError("a ScenarioGrid needs at least one base problem")
         _check_grid(book.problems, scenarios, on_missing)
+        #: the full grid's row of each base problem (``None``: its index)
+        self.rows = None if rows is None else _checked_rows(rows, len(book.problems))
         self._book = book
         self.scenarios = tuple(scenarios)
         self.on_missing = on_missing
@@ -524,6 +543,7 @@ class ScenarioGrid:
         self.answered = frozenset(answered)
         self._bumps = _Bumps()
         self._columns: list[list[int]] | None = None
+        self._written = False
 
     @property
     def problems(self) -> list[PricingProblem]:
@@ -545,14 +565,13 @@ class ScenarioGrid:
         model raises here, before anything is dispatched.
         """
         if self._columns is None:
-            rows_by_model: dict[str, list[int]] = {}
-            for index, problem in enumerate(self.problems):
-                rows_by_model.setdefault(problem.model.param_digest(), []).append(
-                    index * self.n_scenarios + self.offset
-                )
+            by_model: dict[str, tuple["Model", list[int]]] = {}
+            for problem, first in zip(self.problems, self._first_cells()):
+                by_model.setdefault(
+                    problem.model.param_digest(), (problem.model, [])
+                )[1].append(first)
             columns: list[list[int]] = [[] for _ in self.scenarios]
-            for rows in rows_by_model.values():
-                model = self.problems[rows[0] // self.n_scenarios].model
+            for model, rows in by_model.values():
                 for j, scenario in enumerate(self.scenarios):
                     if not self._realises(model, scenario):
                         if self.on_missing == "raise":
@@ -568,11 +587,18 @@ class ScenarioGrid:
             self._columns = columns
         return self._columns
 
+    def _first_cells(self) -> list[int]:
+        """The id of each base problem's cell under this slice's first scenario."""
+        rows = range(len(self.problems)) if self.rows is None else self.rows.tolist()
+        return [row * self.n_scenarios + self.offset for row in rows]
+
     def _realises(self, model: "Model", scenario: Scenario) -> bool:
         return scenario.target != "model" or self._bumps.get(model, scenario) is not None
 
     def _coordinates(self, cell_id: int) -> tuple[PricingProblem, Scenario]:
         index, number = divmod(cell_id, self.n_scenarios)
+        if self.rows is not None:
+            index = int(np.flatnonzero(self.rows == index)[0])
         return self.problems[index], self.scenarios[number - self.offset]
 
     def describe(self, cell_id: int) -> tuple[str | None, str | None]:
@@ -602,10 +628,22 @@ class ScenarioGrid:
         part = ScenarioGrid(
             self._book, self.scenarios[start:stop], on_missing=self.on_missing,
             kernel=kernel, offset=self.offset + start, n_scenarios=self.n_scenarios,
-            answered=answered,
+            answered=answered, rows=self.rows,
         )
         part._bumps = self._bumps  # what the book can realise was decided once
         return part
+
+    def leave_out(self, cell_id: int) -> bool:
+        """Stop pricing ``cell_id``, as if it had been ``answered``.
+
+        ``False`` once :meth:`wire_view` has written the grid for a worker: a
+        job's bytes are made at its first dispatch and re-sent as they are.
+        """
+        if self._written:
+            return False
+        self.answered |= {cell_id}
+        self._columns = None
+        return True
 
     # -- pricing -----------------------------------------------------------------
     def compute(self, cache: "ResultCache | None" = None) -> "ResultColumns":
@@ -618,12 +656,11 @@ class ScenarioGrid:
         ones land in ``errors`` (as a :class:`ProblemBatch` does).
         """
         expanded, cells = expand_scenarios(self.problems, self.scenarios, self.on_missing)
+        first_cells = self._first_cells()
         hits: list[tuple[int, Any]] = []
         pending: list[tuple[int, PricingProblem]] = []
         for problem, cell in zip(expanded, cells):
-            cell_id = (
-                cell.problem_index * self.n_scenarios + self.offset + cell.scenario_index
-            )
+            cell_id = first_cells[cell.problem_index] + cell.scenario_index
             if cell_id in self.answered:
                 continue
             cached = cache.get(problem_digest(problem)) if cache is not None else None
@@ -642,8 +679,9 @@ class ScenarioGrid:
     # -- serialization ----------------------------------------------------------
     def wire_view(self) -> dict[str, Any]:
         """The grid as the codec writes it: the book's bytes as they are, the
-        slice's scenarios as plain records."""
-        return {
+        slice's scenarios as plain records, ``rows`` where the grid names them."""
+        self._written = True
+        view: dict[str, Any] = {
             "book": self._book.wire_bytes(),
             "scenarios": [
                 {"name": scenario.name, "target": scenario.target, "param": scenario.param,
@@ -656,6 +694,9 @@ class ScenarioGrid:
             "kernel": self.kernel,
             "answered": sorted(self.answered),
         }
+        if self.rows is not None:
+            view["rows"] = self.rows
+        return view
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioGrid":
@@ -692,7 +733,7 @@ class ScenarioGrid:
             return cls(
                 _Book(problems, wire=book), scenarios, on_missing=data.get("on_missing"),
                 kernel=data.get("kernel"), offset=data["offset"],
-                n_scenarios=data["n_scenarios"], answered=answered,
+                n_scenarios=data["n_scenarios"], answered=answered, rows=data.get("rows"),
             )
         except PricingError as exc:
             raise SerializationError(f"ScenarioGrid payload: {exc}") from exc

@@ -238,6 +238,15 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
 
+    def text(self, what: str) -> str:
+        """A length-prefixed padded UTF-8 string: a string value, a
+        dictionary key, the type name of a registered object."""
+        raw = self.take_padded(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"{what} {raw[:40]!r} is not UTF-8: {exc}") from exc
+
     @property
     def exhausted(self) -> bool:
         return self.pos >= len(self.data)
@@ -256,8 +265,7 @@ def _decode_from(reader: _Reader) -> Any:
     if tag == _TAG_FLOAT:
         return struct.unpack(">d", reader.take(8))[0]
     if tag == _TAG_STRING:
-        length = reader.u32()
-        return reader.take_padded(length).decode("utf-8")
+        return reader.text("string")
     if tag == _TAG_BYTES:
         length = reader.u32()
         return reader.take_padded(length)
@@ -268,24 +276,27 @@ def _decode_from(reader: _Reader) -> Any:
         length = reader.u32()
         out = {}
         for _ in range(length):
-            key_len = reader.u32()
-            key = reader.take_padded(key_len).decode("utf-8")
+            key = reader.text("dictionary key")
             out[key] = _decode_from(reader)
         return out
     if tag == _TAG_ARRAY:
-        code = reader.take(2).decode("ascii")
+        code = reader.take(2).decode("latin-1")
         if code not in _ARRAY_DTYPES:
             raise SerializationError(f"unknown array dtype code {code!r}")
         ndim = reader.u32()
         shape = tuple(reader.u32() for _ in range(ndim))
         nbytes = reader.u32()
         raw = reader.take_padded(nbytes)
-        arr = np.frombuffer(raw, dtype=_ARRAY_DTYPES[code]).reshape(shape)
+        try:
+            arr = np.frombuffer(raw, dtype=_ARRAY_DTYPES[code]).reshape(shape)
+        except ValueError as exc:
+            raise SerializationError(
+                f"array of shape {shape} does not fit its {nbytes} bytes: {exc}"
+            ) from exc
         # convert back to native byte order
         return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("="))
     if tag == _TAG_OBJECT:
-        name_len = reader.u32()
-        type_name = reader.take_padded(name_len).decode("utf-8")
+        type_name = reader.text("object type name")
         if type_name not in _CODECS:
             raise SerializationError(f"no codec registered for object type {type_name!r}")
         _, _, from_dict = _CODECS[type_name]
@@ -299,7 +310,10 @@ def _decode_from(reader: _Reader) -> Any:
 def decode(data: bytes) -> Any:
     """Decode a byte string produced by :func:`encode`."""
     reader = _Reader(bytes(data))
-    value = _decode_from(reader)
+    try:
+        value = _decode_from(reader)
+    except RecursionError as exc:
+        raise SerializationError("XDR stream nests deeper than the decoder recurses") from exc
     if not reader.exhausted:
         raise SerializationError(
             f"trailing bytes after decoding ({len(data) - reader.pos} left)"

@@ -3,7 +3,7 @@
 The master keeps the wire bytes of a job from its first dispatch on
 (:meth:`repro.cluster.backends.Job.wire_bytes`), so neither planning, nor a
 retry, nor folding a position into a :class:`~repro.pricing.batch.ProblemBatch`
-may encode a problem a second time.  The spy counts calls of the codec
+or a book slice may encode a problem a second time.  The spy counts calls of the codec
 registry's ``PricingProblem`` / ``ProblemBatch`` / ``ScenarioGrid`` encoders
 and of the base-book writer in the master process (worker processes decode,
 they never encode problems).
@@ -21,8 +21,10 @@ from repro.api import BackendSpec, RunConfig, ValuationSession
 from repro.api.campaign import Campaign
 from repro.api.config import RetryPolicy
 from repro.api.plan import build_plan
+from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import Portfolio, Position
+from repro.core.scheduler import cut_chunks
 from repro.pricing import PricingProblem, scenarios
 from repro.serial import xdr
 
@@ -100,6 +102,12 @@ def _session(backend: str, pool) -> ValuationSession:
     return ValuationSession(backend=backend, n_workers=2)
 
 
+def _n_book_slices(book: Portfolio, n_workers: int) -> int:
+    """How many book slices a default run on worker processes cuts ``book`` into."""
+    estimate = paper_cost_model().estimate
+    return len(cut_chunks([estimate(position.problem) for position in book], n_workers))
+
+
 def _drive(session: ValuationSession, drive: str, book: Portfolio, **options):
     if drive == "run":
         return session.run(book, **options)
@@ -117,7 +125,14 @@ def test_plain_campaign_encodes_each_position_once(
 ):
     result = _drive(_session(backend, loopback_pool), drive, _book())
     assert result.ok and result.n_jobs == N_POSITIONS
-    assert encodes == {"PricingProblem": N_POSITIONS}
+    if backend == "local":
+        assert encodes == {"PricingProblem": N_POSITIONS}
+    else:
+        # across a process boundary the book travels in slices: each slice and
+        # its book are written once, and no position is ever encoded alone
+        n_slices = _n_book_slices(_book(), 2)
+        assert 1 < n_slices < N_POSITIONS
+        assert encodes == {"ScenarioGrid": n_slices, "book": n_slices}
     assert encodes_at_plan_time == [0]
 
 
@@ -210,5 +225,6 @@ def test_retry_after_pool_loss_adds_no_encodes(encodes):
         )
         result = session.run(book, config=config)
     assert result.ok and result.report.extra.get("retries", 0) >= 1
-    # the re-dispatched jobs re-send the bytes kept from the first dispatch
-    assert encodes == {"PricingProblem": len(book)}
+    # the re-dispatched slices re-send the bytes kept from the first dispatch
+    n_slices = _n_book_slices(book, 1)
+    assert encodes == {"ScenarioGrid": n_slices, "book": n_slices}

@@ -224,6 +224,66 @@ class TestGridSlicesSurviveADeath:
             self._check(session, lambda: pool.kill(0), monkeypatch)
 
 
+class TestBookSlicesSurviveADeath:
+    """A book slice is the re-dispatch unit of a default run: a worker killed
+    while it holds slices costs no position and answers none twice."""
+
+    N_POSITIONS = 240
+
+    @classmethod
+    def _book(cls) -> Portfolio:
+        problems = [_problem(70.0 + 0.25 * k) for k in range(cls.N_POSITIONS - 6)] + [
+            _problem(85.0 + 5 * k, method="MC_European", n_paths=20_000, seed=7)
+            for k in range(6)
+        ]
+        return Portfolio(positions=[Position(p, label=f"p{k}") for k, p in enumerate(problems)])
+
+    def _check(self, session: ValuationSession, kill, monkeypatch) -> None:
+        from repro.core.runner import ResultTable
+
+        reference = ValuationSession(backend="local").run(self._book())
+        answered: list[int] = []
+        scattered: list[int] = []
+        scatter = ResultTable.scatter
+
+        def recording(table, reply, members):
+            # the rows a slice writes are all still pending: no status is set twice
+            assert not table.status[table.rows_of(members)].any()
+            scattered.extend(members)
+            return scatter(table, reply, members)
+
+        monkeypatch.setattr(ResultTable, "scatter", recording)
+
+        def on_progress(event) -> None:
+            if not answered:
+                kill()
+            answered.append(event.job_id)
+
+        config = RunConfig(retry=RetryPolicy(max_attempts=3), progress=on_progress)
+        campaign = session._open_campaign(self._book(), config=config)
+        assert len(campaign.plan.jobs) > 8 and campaign.plan.members_stand_alone
+        result = campaign.finish()
+        assert result.ok and result.prices() == reference.prices()
+        extra = result.report.extra  # the dead worker did hold slices
+        assert extra.get("retries", 0) + extra.get("redispatches", 0) >= 1
+        assert sorted(answered) == list(range(self.N_POSITIONS))  # every position, once
+        assert sorted(scattered) == list(range(self.N_POSITIONS))  # and written once
+
+    def test_a_killed_multiprocessing_worker(self, monkeypatch):
+        before = set(mp.active_children())
+        self._check(
+            ValuationSession(backend="multiprocessing", n_workers=2),
+            lambda: os.kill(_started_since(before)[0].pid, signal.SIGKILL),
+            monkeypatch,
+        )
+
+    def test_a_killed_remote_worker(self, monkeypatch):
+        with spawn_local_workers(2) as pool:
+            session = ValuationSession(
+                backend="remote", backend_options={"hosts": pool.hosts, "connect_timeout": 5.0})
+            self._check(session, lambda: pool.kill(0), monkeypatch)
+
+
 class TestAMalformedReplyRecord:
     """A worker answering a ``ResultColumns`` record of the wrong shape is a
     confused peer: the record is refused where the result frame is decoded,

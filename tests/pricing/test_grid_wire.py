@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.cluster.backends import PAYLOAD_SERIAL, execute_payload
@@ -122,6 +123,60 @@ class TestSlicesPriceWhatTheGridPrices:
                    for cell in reply.ids.tolist())
 
 
+class TestRows:
+    """``rows`` names the base problems' rows in the campaign's full grid: a
+    grid may hold any subset of the positions, a book slice under the base
+    scenario alone answers under the positions' own ids."""
+
+    ROWS = [40, 7, 19, 3]
+
+    def test_a_book_slice_answers_under_its_positions_ids(self):
+        part = ScenarioGrid(_problems(), [Scenario(name="base")], rows=self.ROWS, kernel="loop")
+        assert part.columns() == [self.ROWS]
+        alone = [problem.compute().price for problem in _problems()]
+        for grid in (part, unserialize(serialize(part))):
+            assert grid.rows.dtype == np.int64 and grid.rows.tolist() == self.ROWS
+            reply = grid.compute()
+            assert reply.ids.tolist() == self.ROWS and not reply.errors
+            assert reply.price.tolist() == alone
+        assert part.describe(19) == ("cf_put", "CF_Put")
+        assert part.cell_digest(3) == ScenarioGrid(
+            _problems(), [Scenario(name="base")]).cell_digest(3)
+
+    def test_a_cell_id_is_its_row_times_the_scenario_count_plus_its_scenario(self):
+        scenarios = historical_scenarios(RETURNS)
+        whole = ScenarioGrid(_problems(), scenarios, on_missing="base")
+        part = ScenarioGrid(_problems()[1:3], scenarios, on_missing="base", rows=[1, 2])
+        assert part.columns() == [column[1:3] for column in whole.columns()]
+        assert part.slice(2, 5).rows.tolist() == [1, 2]  # a scenario slice keeps the rows
+        everything, some = whole.compute(), part.slice(2, 5).compute()
+        assert sorted(some) == [row * len(scenarios) + j for row in (1, 2) for j in (2, 3, 4)]
+        assert all(some[cell]["price"] == everything[cell]["price"] for cell in some)
+
+    def test_grids_without_rows_are_written_as_before(self):
+        grid = ScenarioGrid(_problems(), historical_scenarios(RETURNS), on_missing="base")
+        assert grid.rows is None and "rows" not in grid.slice(1, 3).wire_view()
+        assert "rows" in ScenarioGrid(
+            _problems(), [Scenario(name="base")], rows=self.ROWS).wire_view()
+
+    @pytest.mark.parametrize("rows", [
+        [1, 2, 3], [1, 2, 3, 4, 5], [1, 2, 2, 3], [0, -1, 2, 3], [0.0, 1.0, 2.0, 3.0],
+        "abcd", [[0, 1], [2, 3]], [True, False, True, False], [1, [2], 3, 4],
+    ])
+    def test_validation(self, rows):
+        with pytest.raises(PricingError, match="'rows' must name one distinct"):
+            ScenarioGrid(_problems(), [Scenario(name="base")], rows=rows)
+
+    def test_a_cell_can_be_left_out_until_the_grid_is_written(self):
+        part = ScenarioGrid(_problems(), [Scenario(name="base")], rows=self.ROWS)
+        assert part.leave_out(19) and part.columns() == [[40, 7, 3]]
+        wire = serialize(part).to_bytes()
+        assert not part.leave_out(7)  # the bytes are made, and re-sent as they are
+        assert part.columns() == [[40, 7, 3]]
+        reply, _elapsed, error = execute_payload(PAYLOAD_SERIAL, wire)
+        assert error is None and reply.ids.tolist() == [40, 7, 3]
+
+
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(PricingError, match="at least one base problem"):
@@ -191,6 +246,10 @@ MALFORMED = [
     pytest.param(_with(n_scenarios="8"), "'n_scenarios'", id="count-not-an-int"),
     pytest.param(_with(n_scenarios=2), "inside its full scenario list", id="count-too-small"),
     pytest.param(_with(answered=[-4]), "'answered'", id="negative-answered-cell"),
+    pytest.param(_with(rows=np.array([0, 1, 2])), "'rows'", id="rows-too-few"),
+    pytest.param(_with(rows=np.array([0, 1, 1, 2])), "'rows'", id="rows-twice"),
+    pytest.param(_with(rows=np.array([0.0, 1.0, 2.0, 3.0])), "'rows'", id="rows-not-integers"),
+    pytest.param(_with(rows={"first": 0}), "'rows'", id="rows-not-a-column"),
     pytest.param(_without("book"), "'book'", id="no-book"),
     pytest.param(_with(book=xdr.encode([1, 2])), "'book'", id="book-not-a-dict"),
     pytest.param(_book_with(problems=[]), r"book\.problems", id="empty-book"),

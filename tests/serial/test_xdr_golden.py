@@ -17,7 +17,7 @@ import pytest
 from repro.pricing import PricingProblem
 from repro.pricing.batch import ProblemBatch
 from repro.pricing.methods.base import PricingResult, ResultColumns
-from repro.pricing.scenarios import ScenarioGrid, historical_scenarios
+from repro.pricing.scenarios import Scenario, ScenarioGrid, historical_scenarios
 from repro.serial import xdr
 
 
@@ -95,6 +95,10 @@ def golden_values() -> dict[str, object]:
             [_mc_call(90.0), _mc_call(110.0)], historical_scenarios([0.01, -0.02, 0.005]),
             on_missing="base",
         ).slice(1, 3, kernel="loop", answered=[6]),
+        "book_slice": ScenarioGrid(
+            [_mc_call(90.0), _mc_call(110.0), _mc_call(100.0)], [Scenario(name="base")],
+            kernel="loop", answered=[12], rows=[1004, 12, 7],
+        ),
         "result_columns": {"job_id": 7, "result": _reply(), "elapsed": 0.25, "error": None},
     }
 
@@ -131,8 +135,11 @@ GOLDEN = {
     "array_empty": "cee297e7dcc01773e78ec25df779ee8b4dfe7e80dd3fcfd4605e84e20875aee7",
     "problem": "55655ab2fdf2f352065ebb49082be86536c8bb9c78d035ec24fbde1b8e197ede",
     "nested_batch": "0072e5247abdf1fe074c0f9324c9a3afa9827c2b94a8251d5c97ce8688bc6720",
-    # pinned when the payload was introduced (wire protocol v7)
+    # pinned when the payload was introduced (wire protocol v7); a grid that
+    # names no rows is still written so
     "grid_slice": "999301cfbe1c8cc6381f16f23d7e3bb7f7ccf46a66af63c37fef1f56ed705908",
+    # a book slice: the same payload with its ``rows`` column (wire protocol v9)
+    "book_slice": "b63ed20e440a65cc0a591e4aa7cbc90b6f1ee96b80c334f25c2a7229676d23d1",
     # the reply of a payload with members, in its result frame (wire protocol v8)
     "result_columns": "492ff3402fd2654a1e4c8155b6bf19554b34db44692f0304776897938b14b526",
 }
