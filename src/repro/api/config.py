@@ -9,6 +9,8 @@ with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -19,6 +21,14 @@ from repro.errors import ValuationError
 from repro.pricing.kernel import DEFAULT_KERNEL, KERNELS
 
 __all__ = ["BackendSpec", "RetryPolicy", "RunConfig"]
+
+
+def _check_count(value: Any, field: str) -> None:
+    """A count is an integer of at least 1 (``True`` and ``2.5`` are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValuationError(f"{field} must be an int, got {value!r}")
+    if value < 1:
+        raise ValuationError(f"{field} must be >= 1")
 
 
 def _frozen_options(options: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
@@ -41,8 +51,7 @@ class BackendSpec:
     options: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValuationError("BackendSpec.n_workers must be >= 1")
+        _check_count(self.n_workers, "BackendSpec.n_workers")
         if isinstance(self.options, Mapping):
             object.__setattr__(self, "options", _frozen_options(self.options))
         if self.name == "remote":
@@ -146,12 +155,12 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValuationError("RetryPolicy.max_attempts must be >= 1")
-        if self.backoff < 0:
-            raise ValuationError("RetryPolicy.backoff must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValuationError("RetryPolicy.backoff_factor must be >= 1")
+        _check_count(self.max_attempts, "RetryPolicy.max_attempts")
+        # ``nan < 0`` is false, and a NaN delay is a ``time.sleep`` error mid-retry
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValuationError("RetryPolicy.backoff must be a finite number >= 0")
+        if not (math.isfinite(self.backoff_factor) and self.backoff_factor >= 1.0):
+            raise ValuationError("RetryPolicy.backoff_factor must be a finite number >= 1")
 
     def delay(self, attempt: int) -> float:
         """Seconds to sleep before retry number ``attempt`` (1-based)."""

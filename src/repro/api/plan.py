@@ -16,7 +16,7 @@ from repro.api.config import RunConfig
 from repro.cluster.backends import Job
 from repro.cluster.costmodel import CostModel
 from repro.core.portfolio import Portfolio
-from repro.core.scheduler import DispatchPolicy, RobinHoodPolicy, cut_chunks
+from repro.core.scheduler import ChunkedPolicy, DispatchPolicy, RobinHoodPolicy, cut_chunks
 from repro.core.strategies import is_real_file
 from repro.errors import SchedulingError
 from repro.pricing.batch import ProblemBatch, plan_batches
@@ -65,6 +65,21 @@ class CampaignPlan:
             return self.describe_cell(job_id)
         problem = self.problem_by_id.get(job_id)
         return getattr(problem, "label", None), getattr(problem, "method_name", None)
+
+    def dealer(self, new_policy: Callable[[], DispatchPolicy]) -> Callable[[], DispatchPolicy]:
+        """The factory of the policy that deals :attr:`jobs`: ``new_policy``,
+        but never :class:`ChunkedPolicy` over book slices, which it would cut
+        a second time."""
+        if self.members_stand_alone and type(new_policy()) is ChunkedPolicy:
+            return _SliceDealer
+        return new_policy
+
+
+class _SliceDealer(RobinHoodPolicy):
+    """Robin Hood over book slices -- the chunks, cut once, by the planner --
+    reporting as the chunked refinement that was asked for."""
+
+    name = ChunkedPolicy.name
 
 
 def build_plan(
@@ -169,10 +184,11 @@ def _travels_in_slices(
        behind a prepared job's path (a book without a store names none), and
        not the ``nfs`` strategy, whose transmission is per file by definition;
     3. the policy is the paper's Robin Hood itself -- the default, however it
-       was spelled -- which deals whatever it is given in submission order.
-       Every other policy, a subclass too, says something about single
-       positions (a priority each, contiguous blocks, stolen tails, chunks of
-       per-position messages, a sort key) and keeps them;
+       was spelled -- or its chunked refinement itself, which *asks* for
+       several positions per message: here the slice is that message, cut
+       once (:meth:`CampaignPlan.dealer`).  Every other policy, a subclass
+       of either too, says something about single positions (a priority
+       each, contiguous blocks, stolen tails, a sort key) and keeps them;
     4. ``batch`` is not set: coalescing families into :class:`ProblemBatch`
        jobs is the other way of sending several positions together.
     """
@@ -180,7 +196,7 @@ def _travels_in_slices(
         queues_jobs
         and store is None
         and strategy != "nfs"
-        and type(new_policy()) is RobinHoodPolicy
+        and type(new_policy()) in (RobinHoodPolicy, ChunkedPolicy)
         and not options.batch
         and all(
             isinstance(job.problem, PricingProblem)

@@ -32,12 +32,11 @@ of which a :class:`~repro.api.futures.PricingFuture` is a one-row view.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from repro.api.campaign import Campaign
 from repro.api.config import BackendSpec, RunConfig
@@ -330,31 +329,44 @@ class ValuationSession:
         run_cache = self._resolve_run_cache(options.cache)
         new_backend = partial(self._acquire_backend, strategy_obj.name, run_cache)
         backend = new_backend()
-        executing = getattr(backend, "requires_payload", True)
-        coalesced = options.batch or isinstance(source, ScenarioGrid)
-        if coalesced and strategy_obj.name == "nfs" and executing:
-            raise ValuationError(
-                "batch=True and risk campaigns cannot be combined with the nfs "
-                "strategy on an executing backend: coalesced batch jobs and "
-                "scenario-grid slices have no per-position problem files"
+        try:
+            executing = getattr(backend, "requires_payload", True)
+            if strategy_obj.name == "nfs" and executing:
+                if options.batch or isinstance(source, ScenarioGrid):
+                    raise ValuationError(
+                        "batch=True and risk campaigns cannot be combined with the "
+                        "nfs strategy on an executing backend: coalesced batch jobs "
+                        "and scenario-grid slices have no per-position problem files"
+                    )
+                if isinstance(source, Portfolio) and store is None:
+                    raise ValuationError(
+                        "the nfs strategy sends file names, and a portfolio names "
+                        "no problem file until it is saved: pass "
+                        "store=portfolio.to_store(directory) on an executing backend"
+                    )
+            plan = build_plan(
+                source,
+                options,
+                executing=executing,
+                cost_model=options.cost_model or self.cost_model,
+                run_cache=run_cache,
+                store=store,
+                n_workers=backend.n_workers,
+                queues_jobs=getattr(backend, "queues_jobs", False),
+                strategy=strategy_obj.name,
+                new_policy=new_policy,
             )
-        plan = build_plan(
-            source,
-            options,
-            executing=executing,
-            cost_model=options.cost_model or self.cost_model,
-            run_cache=run_cache,
-            store=store,
-            n_workers=backend.n_workers,
-            queues_jobs=getattr(backend, "queues_jobs", False),
-            strategy=strategy_obj.name,
-            new_policy=new_policy,
-        )
+        except BaseException:
+            # nothing was dispatched: stop the workers, if they are the session's
+            if self._backend_spec is not None:
+                with suppress(Exception):  # the planning error is the report
+                    backend.finalize()
+            raise
         return Campaign(
             plan,
             backend,
             strategy_obj,
-            new_policy,
+            plan.dealer(new_policy),
             futures=futures,
             progress=options.progress,
             cancel=options.cancel,
@@ -468,16 +480,7 @@ class ValuationSession:
             raise ValuationError(
                 f"{len(unpriced)} scenario cells failed to price: {details}"
             )
-        # a cell's id is problem_index * n_scenarios + scenario_index: the
-        # price column, scattered by id, is the (problems x scenarios) matrix;
-        # a skipped cell was never a position and stays NaN (no price is)
-        flat = np.full(len(problems) * len(scenarios), np.nan)
-        flat[table.ids] = table.columns.price
-        names = [scenario.name for scenario in scenarios]
-        return [
-            {name: price for name, price in zip(names, row) if price == price}
-            for row in flat.reshape(len(problems), len(scenarios)).tolist()
-        ]
+        return grid.price_rows(table.ids, table.columns.price)
 
     def greeks(
         self,

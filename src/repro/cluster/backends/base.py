@@ -223,12 +223,13 @@ class WorkerBackend(abc.ABC):
     ) -> None:
         """Send several jobs to one worker as a single logical message.
 
-        The chunked dispatch policy ships whole chunks through this method:
-        backends with a genuine bulk path override it to pay one message
-        cost per chunk (one queue item on the multiprocessing backend, one
-        TCP frame on the remote backend, a single charged send latency on
-        the simulated cluster).  The default simply loops :meth:`dispatch`
-        per job, so every backend accepts chunked scheduling out of the box.
+        The chunked dispatch policy ships whole chunks through this method.
+        Only the simulated cluster overrides it, to charge one send latency
+        per chunk: that virtual-time model is where the paper's refinement is
+        studied.  The default loops :meth:`dispatch` per job, so every
+        backend accepts chunked scheduling; on worker processes only a book
+        held as files gets here as a chunk (an in-memory one travels as book
+        slices dealt one at a time, ``repro.api.plan``).
 
         ``messages`` aligns index-for-index with ``jobs``; it is ``None``
         for backends with ``requires_payload = False``.

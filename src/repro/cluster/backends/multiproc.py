@@ -77,18 +77,13 @@ def worker_main(
         item = task_queue.get()
         if item == _STOP:
             break
-        # a list item is one chunked-dispatch message carrying several jobs
-        # (the conclusion's "send a single large message" refinement);
-        # results still go back one by one, so the master collects and
-        # refills incrementally whatever the dispatch granularity was
-        chunk = item if isinstance(item, list) else [item]
-        for job_id, kind, payload in chunk:
-            if registry is not None:
-                payload = decode_result(payload, registry)
-            result, elapsed, error = execute_payload(kind, payload, cache=cache)
-            if registry is not None and error is None:
-                result = encode_result(result, registry, shm_min_bytes)
-            result_queue.put((job_id, worker_id, result, elapsed, error))
+        job_id, kind, payload = item
+        if registry is not None:
+            payload = decode_result(payload, registry)
+        result, elapsed, error = execute_payload(kind, payload, cache=cache)
+        if registry is not None and error is None:
+            result = encode_result(result, registry, shm_min_bytes)
+        result_queue.put((job_id, worker_id, result, elapsed, error))
 
 
 class MultiprocessingBackend(WorkerBackend):
@@ -201,32 +196,6 @@ class MultiprocessingBackend(WorkerBackend):
         self._in_flight += 1
         self._n_jobs += 1
         self._bytes_sent += message.nbytes
-
-    def dispatch_batch(
-        self,
-        worker_id: int,
-        jobs: list[Job],
-        messages: list[PreparedMessage] | None = None,
-    ) -> None:
-        """Ship a whole chunk as **one** queue message (chunked scheduling)."""
-        if not 0 <= worker_id < self._n_workers:
-            raise ClusterError(f"invalid worker id {worker_id}")
-        if self._finalized:
-            raise ClusterError("backend already finalized")
-        if messages is None or len(messages) != len(jobs):
-            raise ClusterError(
-                "multiprocessing workers need one prepared payload per job"
-            )
-        self._task_queues[worker_id].put(
-            [
-                (job.job_id, message.kind, self._outbound(message.payload))
-                for job, message in zip(jobs, messages)
-            ]
-        )
-        self._held[worker_id].update(job.job_id for job in jobs)
-        self._in_flight += len(jobs)
-        self._n_jobs += len(jobs)
-        self._bytes_sent += sum(message.nbytes for message in messages)
 
     def collect(self, timeout: float | None = 300.0) -> CompletedJob:
         if self._in_flight == 0:

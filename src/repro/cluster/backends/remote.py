@@ -73,11 +73,9 @@ from repro.serial.frames import (
     FRAME_CHALLENGE,
     FRAME_HELLO,
     FRAME_JOB,
-    FRAME_JOB_BATCH,
     FRAME_PING,
     FRAME_PONG,
     FRAME_RESULT,
-    FRAME_RESULT_BATCH,
     FRAME_STOP,
     PROTOCOL_VERSION,
     FrameAssembler,
@@ -222,9 +220,8 @@ class _ReconnectState:
 class _InFlight:
     """A dispatched, not-yet-answered job (kept for redispatch on death).
 
-    Every record keeps the wire ``entry`` dictionary (chunk members share
-    payload bytes with their batch frame); the solo frame is encoded
-    lazily, on the dispatch and death-redispatch paths.
+    Every record keeps the wire ``entry`` dictionary; its frame is encoded
+    at the first send and kept for a death redispatch.
     """
 
     worker_id: int
@@ -455,64 +452,6 @@ class RemoteBackend(WorkerBackend):
         self._maybe_reconnect()
         self._flush_redispatch()
 
-    def dispatch_batch(
-        self,
-        worker_id: int,
-        jobs: list[Job],
-        messages: list[PreparedMessage] | None = None,
-    ) -> None:
-        """Ship a whole chunk as **one** TCP frame (chunked scheduling).
-
-        The worker answers the chunk with one coalesced
-        :data:`~repro.serial.frames.FRAME_RESULT_BATCH` message (per-member
-        result frames only when the coalesced answer cannot be encoded).
-        For death recovery each member is tracked with its own single-job
-        entry: if the connection dies mid-chunk, the unanswered members are
-        redispatched individually to the survivors (an answered member is
-        never re-sent).
-        """
-        if not 0 <= worker_id < self._n_workers:
-            raise ClusterError(f"invalid worker id {worker_id}")
-        if self._finalized:
-            raise ClusterError("backend already finalized")
-        if messages is None or len(messages) != len(jobs):
-            raise ClusterError("remote workers need one prepared payload per job")
-        entries = [
-            self._wire_entry(job, message) for job, message in zip(jobs, messages)
-        ]
-        conn_index = self._route_for(worker_id)
-        if conn_index is None:
-            # no live connection right now: park every member; the next
-            # blocking call redispatches them once a host is back
-            self._n_jobs += len(entries)
-            for entry in entries:
-                self._park(int(entry["job_id"]), _InFlight(worker_id, _UNROUTED, entry))
-            if not self._reconnect_pending():
-                self._raise_pool_lost()
-            return
-        conn = self._conns[conn_index]
-        try:
-            frame = encode_frame(FRAME_JOB_BATCH, xdr.encode({"jobs": entries}))
-        except SerializationError:
-            # the combined chunk overflows the frame-size guard; individual
-            # jobs may still fit, so degrade to per-job dispatch rather than
-            # kill a run that per-job framing completes
-            for job, message in zip(jobs, messages):
-                self.dispatch(worker_id, job, message)
-            return
-        self._n_jobs += len(jobs)
-        for entry in entries:
-            # the solo redispatch frame is only built if the connection dies
-            self._inflight[int(entry["job_id"])] = _InFlight(
-                worker_id, conn_index, entry
-            )
-        try:
-            conn.sock.sendall(frame)
-            self._bytes_sent += len(frame)
-        except OSError:
-            self._on_conn_dead(conn_index)
-        self._flush_redispatch()
-
     def collect(self, timeout: float | None = 300.0) -> CompletedJob:
         if not self._ready and not self._inflight:
             raise ClusterError("no job in flight")
@@ -711,12 +650,6 @@ class RemoteBackend(WorkerBackend):
         self._remap_route(conn_index, survivors)
         return self._route[worker_id]
 
-    def _park(self, job_id: int, record: _InFlight) -> None:
-        """Queue an unroutable in-flight job for a later redispatch."""
-        record.conn_index = _UNROUTED
-        self._inflight[job_id] = record
-        self._redispatch.setdefault(job_id)
-
     def _send(self, job_id: int, record: _InFlight) -> bool:
         """Record ``job_id`` as in flight and push its frame down the wire.
 
@@ -728,7 +661,10 @@ class RemoteBackend(WorkerBackend):
         """
         conn_index = self._route_for(record.worker_id)
         if conn_index is None:
-            self._park(job_id, record)
+            # parked: the next blocking call redispatches it once a host is back
+            record.conn_index = _UNROUTED
+            self._inflight[job_id] = record
+            self._redispatch.setdefault(job_id)
             if not self._reconnect_pending():
                 self._raise_pool_lost()
             return False
@@ -773,9 +709,9 @@ class RemoteBackend(WorkerBackend):
                 self._on_conn_dead(index)
                 continue
             for kind, payload in conn.assembler:
-                if kind in (FRAME_RESULT, FRAME_RESULT_BATCH):
+                if kind == FRAME_RESULT:
                     try:
-                        self._absorb_result(payload, batch=kind == FRAME_RESULT_BATCH)
+                        self._absorb_result(payload)
                     except (SerializationError, KeyError, TypeError, ValueError):
                         # well-framed but undecodable answer: the peer is
                         # confused, not the run -- bury it, requeue its jobs
@@ -785,15 +721,8 @@ class RemoteBackend(WorkerBackend):
                     self._pongs[index] = payload
                 # hello frames (reconnect chatter) and anything else: ignore
 
-    def _absorb_result(self, payload: bytes, batch: bool = False) -> None:
-        decoded = xdr.decode(payload)
-        # a FRAME_RESULT_BATCH carries one FRAME_JOB_BATCH's answers; its
-        # members absorb exactly like single result frames
-        answers = decoded["results"] if batch else [decoded]
-        for answer in answers:
-            self._absorb_answer(answer)
-
-    def _absorb_answer(self, answer: dict) -> None:
+    def _absorb_result(self, payload: bytes) -> None:
+        answer = xdr.decode(payload)
         job_id = int(answer["job_id"])
         entry = self._inflight.pop(job_id, None)
         if entry is None:

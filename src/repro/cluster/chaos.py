@@ -252,20 +252,21 @@ class ChaosProxy:
                 ).start()
 
     def _rule_for(self, link: _Link, direction: str) -> "ChaosRule | None":
-        """The first unfired rule matching this direction at this frame count."""
-        for index, rule in enumerate(self._rules):
-            if rule.direction not in (direction, BOTH):
-                continue
-            with self._lock:
+        """The first unfired rule matching this direction at this frame's number:
+        a frame is numbered here, under the lock, not once it is forwarded, so
+        the two pumps of a link never slip past a ``BOTH`` rule together."""
+        with self._lock:
+            seen = {**link.counts, BOTH: link.counts[C2S] + link.counts[S2C]}
+            link.counts[direction] += 1
+            for index, rule in enumerate(self._rules):
+                if rule.direction not in (direction, BOTH):
+                    continue
                 if rule.once and index in self._fired:
                     continue
-                count = link.counts[direction]
-                if rule.direction == BOTH:
-                    count = link.counts[C2S] + link.counts[S2C]
-                if count != rule.after_frames:
+                if seen[rule.direction] != rule.after_frames:
                     continue
                 self._fired.add(index)
-            return rule
+                return rule
         return None
 
     def _pump(self, link: _Link, direction: str, src: socket.socket, dst: socket.socket) -> None:
@@ -330,7 +331,6 @@ class ChaosProxy:
             link.kill()
             return False
         with self._lock:
-            link.counts[direction] += 1
             self.stats["frames_forwarded"] += 1
         return True
 

@@ -45,11 +45,9 @@ from repro.serial.frames import (
     FRAME_CHALLENGE,
     FRAME_HELLO,
     FRAME_JOB,
-    FRAME_JOB_BATCH,
     FRAME_PING,
     FRAME_PONG,
     FRAME_RESULT,
-    FRAME_RESULT_BATCH,
     FRAME_STOP,
     PROTOCOL_VERSION,
     auth_proof,
@@ -132,11 +130,6 @@ class _ComputeLane:
     keeps draining the socket (answering pings instantly).  Results are sent
     under a lock shared with the receive loop so frames never interleave on
     the wire.
-
-    The members of one dispatched :data:`FRAME_JOB_BATCH` stay together
-    through the lane: their results coalesce into a single
-    :data:`FRAME_RESULT_BATCH` answer, degrading to per-member
-    :data:`FRAME_RESULT` frames only for a batch the codec cannot ship whole.
     """
 
     def __init__(self, conn: socket.socket, cache: Any, send_lock: threading.Lock):
@@ -151,12 +144,8 @@ class _ComputeLane:
         self._thread.start()
 
     def submit(self, job_id: int, payload_kind: str, payload: Any) -> None:
-        """Queue one singly-dispatched job; answered with one result frame."""
-        self._jobs.put((False, [(job_id, payload_kind, payload)]))
-
-    def submit_batch(self, entries: list[tuple[int, str, Any]]) -> None:
-        """Queue the members of one job-batch frame as a coalescing unit."""
-        self._jobs.put((True, entries))
+        """Queue one job; answered with one result frame."""
+        self._jobs.put((job_id, payload_kind, payload))
 
     def finish(self) -> None:
         """Price everything queued, send the results, then stop the lane."""
@@ -180,36 +169,11 @@ class _ComputeLane:
             item = self._jobs.get()
             if item is None:
                 return
-            coalesce, entries = item
-            answers = []
-            for job_id, payload_kind, payload in entries:
-                result, elapsed, error = execute_payload(
-                    payload_kind, payload, cache=self._cache
-                )
-                answers.append(
-                    {"job_id": job_id, "result": result,
-                     "elapsed": elapsed, "error": error}
-                )
-            if coalesce:
-                try:
-                    self._send(
-                        encode_frame(
-                            FRAME_RESULT_BATCH, xdr.encode({"results": answers})
-                        )
-                    )
-                    continue
-                except SerializationError:
-                    # one untransmissible member poisons the whole coalesced
-                    # message: fall back to per-member frames, where
-                    # _result_frame degrades only the poisoned result
-                    pass
-            for answer in answers:
-                self._send(
-                    _result_frame(
-                        answer["job_id"], answer["result"],
-                        answer["elapsed"], answer["error"],
-                    )
-                )
+            job_id, payload_kind, payload = item
+            result, elapsed, error = execute_payload(
+                payload_kind, payload, cache=self._cache
+            )
+            self._send(_result_frame(job_id, result, elapsed, error))
 
 
 def _authenticate_master(
@@ -307,25 +271,16 @@ def _handle_connection(
                     "but this worker has none (start it with --secret)"
                 )
                 return False
-            if kind not in (FRAME_JOB, FRAME_JOB_BATCH):
+            if kind != FRAME_JOB:
                 log(f"ignoring unexpected frame kind {kind}")
                 continue
             try:
-                decoded = xdr.decode(payload)
-                # a batch frame is one message carrying a whole chunk, and
-                # answers as one coalesced FRAME_RESULT_BATCH message
-                entries = decoded["jobs"] if kind == FRAME_JOB_BATCH else [decoded]
-                parsed = [
-                    (int(entry["job_id"]), entry["kind"], entry["payload"])
-                    for entry in entries
-                ]
+                entry = xdr.decode(payload)
+                parsed = int(entry["job_id"]), entry["kind"], entry["payload"]
             except (SerializationError, KeyError, TypeError, ValueError) as exc:
                 log(f"dropping connection on undecodable job frame: {exc}")
                 return False
-            if kind == FRAME_JOB_BATCH:
-                lane.submit_batch(parsed)
-            else:
-                lane.submit(*parsed[0])
+            lane.submit(*parsed)
     finally:
         # on a clean stop the queue is already priced (the master collects
         # every result before stopping workers), so this join is instant;

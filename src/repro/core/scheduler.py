@@ -107,7 +107,8 @@ class DispatchPolicy(abc.ABC):
     A policy owns the master-side queue: it decides the initial wave (which
     worker receives which jobs before anything is collected) and the refill
     rule (what a freed worker gets after each answer); a wave of several
-    jobs travels as one message (``backend.dispatch_batch``).  The stream
+    jobs goes through ``backend.dispatch_batch`` (one message on the
+    simulated cluster, a message per job elsewhere).  The stream
     does everything else -- collection, accounting, cancellation
     bookkeeping, termination -- so a new scheduling variant is one policy
     class (worked example in ``docs/schedulers.md``).  A policy holds the
@@ -350,6 +351,10 @@ class ChunkedPolicy(RobinHoodPolicy):
     "The first idea is to gather several pricing problems and send them all
     together to reduce the communication latency: it is always advisable to
     send a single large message rather [than] several smaller messages."
+    The one message per chunk is the simulated cluster's (one charged send
+    latency); on worker processes the planner cuts an in-memory book into
+    slices by the same rule and plain Robin Hood deals them under this
+    policy's name (``repro.api.plan``, ``docs/schedulers.md``).
     A worker is refilled once it has drained its whole previous chunk, and
     the chunk is cut when it is asked for (cost-weighted factoring
     self-scheduling: Polychronopoulos & Kuck 1987; Hummel, Schonberg & Flynn
@@ -674,7 +679,6 @@ class ScheduleStream:
             return
         prepare = self.strategy.prepare if self._executing else None
         if len(wave) > 1:
-            # several jobs for one worker travel as one message
             messages = [prepare(job) for job in wave] if prepare else None
             self.backend.dispatch_batch(worker_id, wave, messages)
         else:

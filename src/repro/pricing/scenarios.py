@@ -36,9 +36,9 @@ Building blocks:
 * :class:`ScenarioGrid` -- the grid as a dispatch unit: a base book and a
   slice of scenarios that a cluster worker expands and prices itself, so a
   risk campaign travels as its description instead of as its cells;
-* :func:`price_scenarios` -- expand, price through the batch planner with
-  ``min_group_size=1`` (every cell is its own signature group; the stacked
-  kernel still clusters them into shared-draw cohorts), and return one
+* :func:`price_scenarios` -- a whole grid computed in this process
+  (:meth:`ScenarioGrid.compute`: every cell is its own signature group, and
+  the stacked kernel clusters them into shared-draw cohorts), folded to one
   ``{scenario name: price}`` mapping per input problem;
 * :func:`greeks_from_prices` -- assemble finite-difference Greeks from a
   priced ladder with exactly the IEEE expressions of the bump-and-revalue
@@ -676,6 +676,22 @@ class ScenarioGrid:
             results = [None] * len(pending)
         return answer_members(hits, pending, results, cache)
 
+    def price_rows(self, ids: np.ndarray, prices: np.ndarray) -> list[dict[str, float]]:
+        """Fold a whole grid's cell prices into one ``{scenario name: price}``
+        mapping per base problem.
+
+        A cell's id is ``problem_index * n_scenarios + scenario_index``: the
+        prices, scattered by id, are the (problems x scenarios) matrix; a
+        skipped cell was never priced and stays NaN (no price is).
+        """
+        flat = np.full(len(self.problems) * self.n_scenarios, np.nan)
+        flat[ids] = prices
+        names = [scenario.name for scenario in self.scenarios]
+        return [
+            {name: price for name, price in zip(names, row) if price == price}
+            for row in flat.reshape(len(self.problems), self.n_scenarios).tolist()
+        ]
+
     # -- serialization ----------------------------------------------------------
     def wire_view(self) -> dict[str, Any]:
         """The grid as the codec writes it: the book's bytes as they are, the
@@ -760,35 +776,24 @@ def collect_cell_prices(
 def price_scenarios(
     problems: Sequence[PricingProblem],
     scenarios: Sequence[Scenario],
-    kernel: str = "stacked",
     on_missing: str = "raise",
-    min_group_size: int = 1,
-    max_group_size: int | None = None,
-    cache: "ResultCache | None" = None,
 ) -> list[dict[str, float]]:
-    """Price a whole scenario grid as one batched campaign.
+    """Price a whole scenario grid in this process, as a worker prices a slice.
 
-    The expanded cells go through :func:`~repro.pricing.batch.price_problems`
-    with ``min_group_size=1``: bumped cells carry distinct model digests, so
-    each is its own plan group, and the stacked kernel clusters all groups
-    that share (scheme, time grid, rng kind, seed, antithetic, path counts)
-    into **one draw cohort** -- base and bumps consume the same normal
-    stream (common random numbers by construction).  Non-Monte-Carlo cells
-    (closed forms, trees, PDEs) fall through to per-problem pricing
-    unchanged, so grids over mixed books are always safe.
+    One :meth:`ScenarioGrid.compute` over the full scenario list: base and
+    bumps that share a simulation signature consume the same normal stream
+    (common random numbers by construction), cells of other methods are
+    priced alone, so grids over mixed books are always safe.  A cell that
+    fails to price raises :class:`~repro.errors.PricingError` naming it.
     """
-    problems = list(problems)
-    expanded, cells = expand_scenarios(problems, scenarios, on_missing=on_missing)
-    results = price_problems(
-        expanded,
-        min_group_size=min_group_size,
-        max_group_size=max_group_size,
-        cache=cache,
-        kernel=kernel,
-    )
-    return collect_cell_prices(
-        [result.price for result in results], cells, scenarios, len(problems)
-    )
+    grid = ScenarioGrid(problems, scenarios, on_missing=on_missing)
+    reply = grid.compute()
+    if reply.errors:
+        cell_id, message = next(iter(reply.errors.items()))
+        raise PricingError(
+            f"scenario cell {grid.describe(cell_id)[0]!r} failed to price: {message}"
+        )
+    return grid.price_rows(reply.ids, reply.price)
 
 
 # -- Greek assembly --------------------------------------------------------------

@@ -46,12 +46,10 @@ __all__ = [
     "FRAME_JOB",
     "FRAME_RESULT",
     "FRAME_STOP",
-    "FRAME_JOB_BATCH",
     "FRAME_PING",
     "FRAME_PONG",
     "FRAME_CHALLENGE",
     "FRAME_AUTH",
-    "FRAME_RESULT_BATCH",
     "FRAME_MAGIC",
     "FRAME_HEADER_BYTES",
     "MAX_FRAME_BYTES",
@@ -69,7 +67,7 @@ _MAGIC = FRAME_MAGIC
 
 #: stamped in every frame header; both ends refuse any other stamp, so bump
 #: it on any change to the frame layout or the payload dictionaries.
-PROTOCOL_VERSION = 9
+PROTOCOL_VERSION = 10
 
 #: worker -> master greeting sent once per connection (worker identity)
 FRAME_HELLO = 1
@@ -80,11 +78,6 @@ FRAME_RESULT = 3
 #: master -> worker: no more work, close the connection (empty payload) --
 #: the paper's empty message of Fig. 4
 FRAME_STOP = 4
-#: master -> worker: a whole chunk of jobs in one message (payload:
-#: ``{"jobs": [job dictionary, ...]}``), answered with one
-#: :data:`FRAME_RESULT_BATCH` -- "it is always advisable to send a single
-#: large message rather [than] several smaller messages"
-FRAME_JOB_BATCH = 5
 #: master -> worker: liveness probe (payload: opaque token bytes, echoed
 #: back verbatim); cheap enough to send between campaigns
 FRAME_PING = 6
@@ -98,15 +91,11 @@ FRAME_CHALLENGE = 8
 #: worker -> master: handshake answer.  Payload:
 #: ``{"proof": HMAC-SHA256(secret, master_nonce)}``
 FRAME_AUTH = 9
-#: worker -> master: a whole chunk of priced jobs in one message
-#: (payload: ``{"results": [result dictionary, ...]}``) -- the worker's
-#: answer to one :data:`FRAME_JOB_BATCH`, coalesced so 1600 cheap jobs do
-#: not cost 1600 small result messages
-FRAME_RESULT_BATCH = 10
 
+# 5 and 10 are unassigned (the chunk frames of protocols up to v9)
 _KNOWN_KINDS = frozenset(
-    (FRAME_HELLO, FRAME_JOB, FRAME_RESULT, FRAME_STOP, FRAME_JOB_BATCH,
-     FRAME_PING, FRAME_PONG, FRAME_CHALLENGE, FRAME_AUTH, FRAME_RESULT_BATCH)
+    (FRAME_HELLO, FRAME_JOB, FRAME_RESULT, FRAME_STOP,
+     FRAME_PING, FRAME_PONG, FRAME_CHALLENGE, FRAME_AUTH)
 )
 
 _HEADER = struct.Struct(">4sHHI")

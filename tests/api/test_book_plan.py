@@ -6,8 +6,10 @@ position the cache pass left is a member of exactly one slice, in submission
 order, no slice is empty and the widths are those of the scheduler's chunk
 rule over the remaining costs.  Each of the four conditions of
 :func:`repro.api.plan._travels_in_slices`, alone, gives the per-position plan
-object for object.  Nothing here prices; the last test counts what one
-full-size toy campaign on worker processes dispatches and receives.
+object for object; ``chunked_robin_hood`` -- the policy that asks for several
+positions per message -- plans the default's slices, and no chunk of several
+jobs reaches the backend.  The last tests count what one full-size toy
+campaign on worker processes dispatches and receives.
 """
 
 from __future__ import annotations
@@ -24,10 +26,19 @@ from repro.api import RunConfig, ValuationSession
 from repro.api.futures import PricingFuture
 from repro.api.plan import build_plan
 from repro.cluster.backends import Job
+from repro.cluster.backends.multiproc import MultiprocessingBackend
+from repro.cluster.backends.remote import RemoteBackend
 from repro.cluster.costmodel import paper_cost_model
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
 from repro.core.runner import ResultTable
-from repro.core.scheduler import SCHEDULERS, PriorityPolicy, RobinHoodPolicy, cut_chunks
+from repro.cluster.worker import spawn_local_workers
+from repro.core.scheduler import (
+    SCHEDULERS,
+    ChunkedPolicy,
+    PriorityPolicy,
+    RobinHoodPolicy,
+    cut_chunks,
+)
 from repro.pricing import PricingProblem
 from repro.pricing.batch import ProblemBatch
 from repro.pricing.cache import ResultCache, problem_digest
@@ -58,10 +69,15 @@ class LongestFirst(RobinHoodPolicy):
         super().plan(sorted(jobs, key=lambda job: -job.compute_cost), n_workers)
 
 
-#: every policy that is not the paper's Robin Hood itself
+#: the default, and the policy that asks for several positions per message
+SLICING = ("robin_hood", "chunked_robin_hood")
+
+#: every policy that is neither the paper's Robin Hood nor its chunked
+#: refinement itself: a subclass of either says something about single positions
 ORDERING = [
-    *(factory for name, factory in SCHEDULERS.items() if name != "robin_hood"),
+    *(factory for name, factory in SCHEDULERS.items() if name not in SLICING),
     LongestFirst,
+    type("ChunkedLongestFirst", (ChunkedPolicy,), {"plan": LongestFirst.plan}),
     partial(PriorityPolicy, priority={}),
 ]
 
@@ -155,6 +171,53 @@ def test_robin_hood_plans_the_same_however_it_is_spelled(spelling):
     jobs = _jobs([1.0] * 40)
     default, spelled = _plan(jobs), _plan(jobs, new_policy=spelling)
     assert default.batch_members and spelled.batch_members == default.batch_members
+
+
+class _Waves:
+    """Mixed into a backend: every wave of several jobs the stream hands it
+    (a wave of one goes through ``dispatch``)."""
+
+    def dispatch_batch(self, worker_id, jobs, messages=None):
+        self.waves = [*getattr(self, "waves", []), jobs]
+        super().dispatch_batch(worker_id, jobs, messages)
+
+
+@pytest.fixture(scope="module")
+def loopback_pool():
+    with spawn_local_workers(2) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("backend", ["multiprocessing", "remote"])
+@pytest.mark.parametrize(
+    "spelling", ["chunked_robin_hood", ChunkedPolicy, partial(ChunkedPolicy)],
+    ids=["name", "class", "partial"],
+)
+def test_chunked_plans_the_defaults_slices(spelling, backend, loopback_pool):
+    """On worker processes the slice is the chunk message: same slices, same
+    bytes, same prices as no scheduler at all, and a wave is one slice --
+    the planner's cut is the only one (400 equal positions on 2 workers is a
+    book where a second cut over the slices' summed costs would round apart).
+    """
+    def counting():
+        if backend == "remote":
+            return type("Counting", (_Waves, RemoteBackend), {})(loopback_pool.hosts)
+        return type("Counting", (_Waves, MultiprocessingBackend), {})(n_workers=2)
+
+    book = build_toy_portfolio(400)
+    reference = ValuationSession(backend="local").run(book)
+    default = ValuationSession(backend=counting())._open_campaign(book)
+    expected = default.finish()
+    engine = counting()
+    chunked = ValuationSession(backend=engine, scheduler=spelling)._open_campaign(book)
+    result = chunked.finish()
+    assert len(default.plan.jobs) > 10
+    assert chunked.plan.batch_members == default.plan.batch_members
+    assert result.report.scheduler == "chunked_robin_hood"
+    assert result.report.bytes_sent == expected.report.bytes_sent > 0
+    assert result.prices() == expected.prices() == reference.prices()
+    assert not hasattr(engine, "waves")  # no wave longer than 1
+    assert len(chunked._stream.completed) == len(default.plan.jobs)  # one reply a slice
 
 
 def test_a_book_without_a_store_is_not_looked_up_on_disk(monkeypatch):

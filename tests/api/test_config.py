@@ -6,7 +6,8 @@ import dataclasses
 
 import pytest
 
-from repro.api import BackendSpec, RunConfig
+from repro.api import BackendSpec, RunConfig, ValuationSession
+from repro.api.config import RetryPolicy
 from repro.cluster.backends import SequentialBackend
 from repro.core.scheduler import ChunkedPolicy, policy_factory
 from repro.errors import ValuationError
@@ -26,6 +27,22 @@ class TestBackendSpec:
     def test_invalid_worker_count(self):
         with pytest.raises(ValuationError):
             BackendSpec("local", 0)
+
+    @pytest.mark.parametrize("n_workers", [2.5, 2.0, True, "2", float("nan")])
+    def test_a_worker_count_is_an_int(self, n_workers):
+        """``2.5`` used to run "on 2 workers" and ``True`` on one."""
+        with pytest.raises(ValuationError, match="n_workers must be an int"):
+            BackendSpec("local", n_workers)
+        with pytest.raises(ValuationError, match="n_workers must be an int"):
+            ValuationSession(backend="multiprocessing", n_workers=n_workers)
+
+    def test_a_numpy_integer_is_a_worker_count(self):
+        import numpy as np
+
+        assert BackendSpec("local", np.int64(2)).n_workers == 2
+        assert RetryPolicy(max_attempts=np.int64(3)).max_attempts == 3
+        with pytest.raises(ValuationError, match="n_workers must be an int"):
+            BackendSpec("local", np.bool_(True))
 
     def test_coerce_string_validates_against_registry(self):
         spec = BackendSpec.coerce("local", n_workers=3)
@@ -66,6 +83,25 @@ class TestBackendSpec:
         assert isinstance(first, SequentialBackend)
         assert first is not second
         assert first.n_workers == 2
+
+
+class TestRetryPolicy:
+    @pytest.mark.parametrize("max_attempts", [1.5, 2.0, True, 0, -1])
+    def test_max_attempts_is_a_positive_int(self, max_attempts):
+        with pytest.raises(ValuationError, match="RetryPolicy.max_attempts"):
+            RetryPolicy(max_attempts=max_attempts)
+
+    @pytest.mark.parametrize("field", ["backoff", "backoff_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_backoffs_are_finite(self, field, value):
+        """``nan < 0`` is false: a NaN backoff made ``delay(1)`` NaN, a
+        ``time.sleep`` error in the middle of a retry."""
+        with pytest.raises(ValuationError, match=f"RetryPolicy.{field} must be a finite"):
+            RetryPolicy(**{field: value})
+
+    def test_delays_of_a_valid_policy(self):
+        policy = RetryPolicy(max_attempts=3, backoff=0.5, backoff_factor=2.0)
+        assert [policy.delay(k) for k in (0, 1, 2, 3)] == [0.0, 0.5, 1.0, 2.0]
 
 
 class TestRunConfig:

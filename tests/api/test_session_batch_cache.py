@@ -80,6 +80,37 @@ class TestBatchRuns:
         with pytest.raises(ValuationError, match="nfs"):
             session.run(mixed_portfolio, batch=True)
 
+    @pytest.mark.parametrize("backend", ["multiprocessing", "local"])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_nfs_without_a_store_is_refused_before_anything_is_dispatched(
+        self, mixed_portfolio, backend, batch
+    ):
+        """A portfolio without a store names no file: ``nfs`` used to "succeed"
+        with one worker-side ``cannot read problem file`` error per position.
+        Whichever check refuses the run, its worker processes are stopped."""
+        import multiprocessing
+
+        session = ValuationSession(backend=backend, n_workers=2, strategy="nfs")
+        with pytest.raises(ValuationError, match="nfs" if batch else "store="):
+            session.run(mixed_portfolio, batch=batch)
+        assert not multiprocessing.active_children()
+        assert all(not position.problem.has_result for position in mixed_portfolio)
+
+    def test_a_refused_run_leaves_the_callers_backend_usable(self, mixed_portfolio):
+        """Only a pool the session built from its spec is stopped on refusal."""
+        from repro.cluster.backends import create_backend
+
+        backend = create_backend("multiprocessing", n_workers=2)
+        try:
+            refused = ValuationSession(backend=backend, strategy="nfs")
+            with pytest.raises(ValuationError, match="store="):
+                refused.run(mixed_portfolio)
+            report = ValuationSession(backend=backend).run(mixed_portfolio)
+        finally:
+            backend.finalize()
+        local = ValuationSession(backend="local").run(mixed_portfolio)
+        assert report.prices() == local.prices()
+
     def test_bad_batch_group_size_rejected(self):
         with pytest.raises(ValuationError):
             RunConfig(batch=True, batch_group_size=1)

@@ -183,7 +183,8 @@ class TestMultiprocessingBackend:
 
 
 class TestDispatchBatch:
-    """The chunked dispatch contract: one logical message per chunk."""
+    """The chunked dispatch contract off the simulated cluster: the default
+    per-job loop (the simulator's one message per chunk: ``test_simulator.py``)."""
 
     def test_sequential_uses_the_default_per_job_loop(self):
         problems = [_make_problem(k) for k in (90.0, 100.0, 110.0)]
@@ -197,7 +198,7 @@ class TestDispatchBatch:
         assert [c.job_id for c in collected] == [0, 1, 2]
         assert all(c.error is None for c in collected)
 
-    def test_multiprocessing_ships_one_queue_message_per_chunk(self):
+    def test_multiprocessing_uses_the_default_per_job_loop(self):
         problems = [_make_problem(k) for k in (85.0, 95.0, 105.0, 115.0)]
         reference = [p.compute().price for p in problems]
         backend = MultiprocessingBackend(n_workers=2)
@@ -216,12 +217,3 @@ class TestDispatchBatch:
         assert stats.n_jobs == 4
         for index, price in enumerate(reference):
             assert collected[index].result["price"] == price
-
-    def test_multiprocessing_batch_needs_aligned_payloads(self):
-        backend = MultiprocessingBackend(n_workers=1)
-        try:
-            problem = _make_problem()
-            with pytest.raises(ClusterError, match="payload per job"):
-                backend.dispatch_batch(0, [_job(0, problem)], None)
-        finally:
-            backend.finalize()

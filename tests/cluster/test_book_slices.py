@@ -94,6 +94,26 @@ def test_compute_time_is_still_reported_by_the_positions_categories(backend, loo
         "even", "odd"]
 
 
+@pytest.mark.parametrize("strategy", ["serialized_load", "nfs"])
+@pytest.mark.parametrize("backend", ["multiprocessing", "remote"])
+def test_chunked_over_problem_files_keeps_the_per_position_route(
+    backend, strategy, loopback_pool, tmp_path
+):
+    """Positions held as files are not sliced, under ``chunked_robin_hood``
+    either: its chunks go through the backend's default ``dispatch_batch``
+    loop, a message (under ``nfs`` a file name) per position."""
+    book = build_toy_portfolio(60)
+    store = book.to_store(tmp_path / "store")
+    reference = ValuationSession(backend="local").run(book)
+    campaign = _session(
+        backend, loopback_pool, scheduler="chunked_robin_hood", strategy=strategy
+    )._open_campaign(book, store=store)
+    result = campaign.finish()
+    assert len(campaign.plan.jobs) == 60 and not campaign.plan.batch_members
+    assert max(result.report.peak_window.values()) > 1  # several positions a wave
+    assert reference.ok and result.ok and _fields(result) == _fields(reference)
+
+
 def _poisoned() -> PricingProblem:
     """Builds and travels fine, fails at ``compute()``: a closed-form call under Heston."""
     problem = PricingProblem(label="bad")

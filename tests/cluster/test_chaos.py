@@ -217,6 +217,25 @@ class TestChaosProxy:
                 assert proxy.stats["kills"] >= 1
                 assert proxy.stats["connections"] >= 2  # the re-dial went through
 
+    def test_two_pumps_cannot_slip_past_a_rule_together(self):
+        """A frame is numbered when it reaches the schedule, not once it is
+        forwarded: with both pumps of a link between check and send, the
+        second one used to read the first one's count and the rule never fired
+        (seen once as ``reconnects == 0`` in the test above)."""
+        import socket
+
+        from repro.cluster.chaos import _Link
+
+        ends = socket.socketpair()
+        try:
+            with ChaosProxy("127.0.0.1:1", rules=[kill_after(1)]) as proxy:
+                link = _Link(*ends)
+                assert proxy._rule_for(link, "c2s") is None  # frame 1, not yet sent
+                assert proxy._rule_for(link, "s2c").action == "kill"  # frame 2
+        finally:
+            for end in ends:
+                end.close()
+
     def test_truncated_frame_without_reconnect_loses_the_pool(self):
         with spawn_local_workers(1) as pool:
             with ChaosProxy(

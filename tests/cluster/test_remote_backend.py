@@ -415,35 +415,3 @@ class TestMultiProcessServer:
     def test_spawn_rejects_bad_workers_per_server(self):
         with pytest.raises(ClusterError, match="workers_per_server"):
             spawn_local_workers(1, workers_per_server=0)
-
-
-class TestChunkOversizeFallback:
-    def test_oversized_chunk_falls_back_to_per_job_frames(self, monkeypatch):
-        # a chunk whose combined payload overflows the frame guard must
-        # degrade to per-job FRAME_JOB dispatch, not kill the run
-        from repro.cluster.backends import remote as remote_mod
-        from repro.errors import SerializationError
-
-        real_encode = remote_mod.encode_frame
-
-        def overflowing(kind, payload=b"", **kwargs):
-            if kind == remote_mod.FRAME_JOB_BATCH:
-                raise SerializationError("frame payload exceeds the limit")
-            return real_encode(kind, payload, **kwargs)
-
-        problems = [_make_problem(k) for k in (90.0, 100.0, 110.0)]
-        reference = [p.compute().price for p in problems]
-        with spawn_local_workers(1) as pool:
-            backend = RemoteBackend(pool.hosts)
-            monkeypatch.setattr(remote_mod, "encode_frame", overflowing)
-            jobs, messages = [], []
-            for index, problem in enumerate(problems):
-                data = serialize(problem).to_bytes()
-                jobs.append(Job(job_id=index, path="", file_size=len(data),
-                                compute_cost=1e-3))
-                messages.append(PreparedMessage(kind=PAYLOAD_SERIAL,
-                                                payload=data, nbytes=len(data)))
-            backend.dispatch_batch(0, jobs, messages)
-            collected = {c.job_id: c for c in (backend.collect() for _ in range(3))}
-            backend.finalize()
-        assert [collected[i].result["price"] for i in range(3)] == reference

@@ -31,7 +31,6 @@ from repro.serial import serialize, xdr
 from repro.serial.frames import (
     FRAME_HELLO,
     FRAME_JOB,
-    FRAME_JOB_BATCH,
     FRAME_RESULT,
     PROTOCOL_VERSION,
     encode_frame,
@@ -313,10 +312,9 @@ class TestAMalformedReplyRecord:
                 if frame is None:
                     return
                 kind, payload = frame
-                if kind not in (FRAME_JOB, FRAME_JOB_BATCH):
+                if kind != FRAME_JOB:
                     continue
-                job = xdr.decode(payload)
-                job_id = job["job_id"] if kind == FRAME_JOB else job["jobs"][0]["job_id"]
+                job_id = xdr.decode(payload)["job_id"]
                 # {"job_id": ..., "result": <the malformed object>, ...} by hand:
                 # xdr.encode would refuse to build it
                 fields = (("job_id", xdr.encode(job_id)), ("result", malformed),

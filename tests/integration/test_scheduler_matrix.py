@@ -23,7 +23,6 @@ from collections import deque
 import pytest
 
 from repro.api import ValuationSession
-from repro.cluster.backends import create_backend
 from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core.portfolio import build_toy_portfolio
 from repro.core.scheduler import (
@@ -36,7 +35,6 @@ from repro.core.scheduler import (
 from repro.core.strategies import get_strategy
 from tests.scheduling import cut_chunks, run_policy
 from repro.cluster.backends.base import Job
-from repro.cluster.costmodel import paper_cost_model
 
 STRATEGY = get_strategy("serialized_load")
 
@@ -330,12 +328,11 @@ class TestMidStreamCancellation:
             assert len(result.prices()) + len(cancelled) == len(portfolio)
 
 
-class TestChunkedDispatchDownTheWire:
-    """The chunked policy rides the native bulk path of each backend."""
+class TestChunkedPolicyOnWorkerProcesses:
+    """The chunked policy over a process boundary prices what ``local`` does
+    (the book travels in the default's slices: ``tests/api/test_book_plan.py``)."""
 
-    def test_multiprocessing_chunks_travel_as_one_queue_message(
-        self, portfolio, reference_prices
-    ):
+    def test_multiprocessing_prices_match_local(self, portfolio, reference_prices):
         session = ValuationSession(
             backend="multiprocessing",
             n_workers=2,
@@ -343,30 +340,10 @@ class TestChunkedDispatchDownTheWire:
         )
         assert session.run(portfolio).prices() == reference_prices
 
-    def test_remote_chunks_travel_as_one_frame(
-        self, portfolio, reference_prices, worker_pool
-    ):
+    def test_remote_prices_match_local(self, portfolio, reference_prices, worker_pool):
         session = ValuationSession(
             backend="remote",
             backend_options={"hosts": worker_pool.hosts},
             scheduler=ChunkedPolicy,
         )
         assert session.run(portfolio).prices() == reference_prices
-
-    def test_remote_batch_frame_bytes_are_fewer_than_per_job(self, worker_pool):
-        # one frame per chunk must save the per-job header/envelope overhead
-        # (32 jobs: the chunks cut for 2 workers open at 8 jobs; of 8 jobs,
-        # one chunk would hold 2 and the batch envelope would outweigh it)
-        def jobs():
-            return build_toy_portfolio(n_options=32).build_jobs(
-                cost_model=paper_cost_model(), attach_problems=True
-            )
-
-        # backends built sequentially: each loopback server handles one
-        # master connection at a time
-        per_job = create_backend("remote", hosts=worker_pool.hosts)
-        solo = run_policy(SCHEDULERS["robin_hood"](), jobs(), per_job, STRATEGY)
-        chunked = create_backend("remote", hosts=worker_pool.hosts)
-        batched = run_policy(ChunkedPolicy(), jobs(), chunked, STRATEGY)
-        assert batched.stats.bytes_sent < solo.stats.bytes_sent
-        assert len(batched.completed) == len(solo.completed) == 32

@@ -76,17 +76,25 @@ class TestHeaderValidation:
         with pytest.raises(SerializationError, match="bad frame magic"):
             decode_header(bytes(frame))
 
-    @pytest.mark.parametrize("version", [1, 3, 4, PROTOCOL_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 3, 4, 9, PROTOCOL_VERSION + 1])
     def test_version_mismatch(self, version):
         # any stamp but ours is refused at the header, before a payload byte
+        # (9: the last protocol with chunk frames), naming both versions
+        assert PROTOCOL_VERSION == 10
         header = struct.pack(">4sHHI", b"RWF\x01", version, FRAME_JOB, 0)
-        with pytest.raises(SerializationError, match="version mismatch"):
+        with pytest.raises(
+            SerializationError, match=f"version mismatch: peer speaks v{version}, .* v10"
+        ):
             decode_header(header)
 
-    def test_unknown_kind(self):
-        header = struct.pack(">4sHHI", b"RWF\x01", PROTOCOL_VERSION, 99, 0)
-        with pytest.raises(SerializationError, match="unknown frame kind"):
+    @pytest.mark.parametrize("kind", [0, 5, 10, 11, 99])
+    def test_unknown_kind(self, kind):
+        # 5 and 10 were the chunk frames of protocol v9: unknown like any other
+        header = struct.pack(">4sHHI", b"RWF\x01", PROTOCOL_VERSION, kind, 0)
+        with pytest.raises(SerializationError, match=f"unknown frame kind {kind}"):
             decode_header(header)
+        with pytest.raises(SerializationError, match=f"unknown frame kind {kind}"):
+            encode_frame(kind, b"")
 
     def test_oversized_announcement_rejected_before_payload(self):
         # the header alone must be enough to refuse: no payload bytes exist
@@ -156,18 +164,3 @@ class TestReadFrame:
         # recv-style reads returning one byte at a time still assemble a frame
         data = encode_frame(FRAME_HELLO, b"abc")
         assert read_frame(_reader(data, chunk=1)) == (FRAME_HELLO, b"abc")
-
-
-class TestBatchFrames:
-    def test_job_batch_is_a_known_kind(self):
-        from repro.serial.frames import FRAME_JOB_BATCH
-
-        payload = xdr.encode(
-            {"jobs": [{"job_id": 0, "kind": "serial", "payload": b"x"},
-                      {"job_id": 1, "kind": "serial", "payload": b"y"}]}
-        )
-        frame = encode_frame(FRAME_JOB_BATCH, payload)
-        kind, length = decode_header(frame[:FRAME_HEADER_BYTES])
-        assert kind == FRAME_JOB_BATCH
-        decoded = xdr.decode(frame[FRAME_HEADER_BYTES:])
-        assert [entry["job_id"] for entry in decoded["jobs"]] == [0, 1]

@@ -9,6 +9,8 @@ byte string at all, by returning a value or raising a
 :class:`~repro.errors.ReproError` subclass -- never a raw ``UnicodeDecodeError``
 out of a string field or a ``TypeError`` out of a leg's constructor -- and
 without allocating past the limit the frame layer enforces on the stream.
+The frame layer itself lets through the header of one protocol version and
+eight frame kinds, and refuses every other before a payload byte is read.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.pricing.batch import ProblemBatch
 from repro.pricing.methods.base import PricingResult, ResultColumns
 from repro.pricing.scenarios import Scenario, ScenarioGrid, historical_scenarios
 from repro.serial import xdr
+from repro.serial.frames import PROTOCOL_VERSION, FrameAssembler, decode_header
 
 #: the limit the streams are decoded under (``max_bytes`` of the frame layer)
 MAX_BYTES = 1 << 20
@@ -162,3 +165,27 @@ class TestTheReproducedLeaks:
     def test_a_stream_nested_deeper_than_the_decoder_recurses(self):
         with pytest.raises(SerializationError, match="nests deeper"):
             xdr.decode((b"L" + struct.pack(">I", 1)) * 100_000 + b"N")
+
+
+#: hello, job, result, stop, ping, pong, challenge, auth (5 and 10, the chunk
+#: frames of protocol v9, are unknown kinds like any other)
+FRAME_KINDS = {1, 2, 3, 4, 6, 7, 8, 9}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    version=st.one_of(st.integers(0, 12), st.integers(0, 0xFFFF)),
+    kind=st.one_of(st.integers(0, 12), st.integers(0, 0xFFFF)),
+    length=st.integers(0, 0xFFFFFFFF),
+)
+def test_a_header_of_another_version_or_kind_is_refused(version, kind, length):
+    header = struct.pack(">4sHHI", b"RWF\x01", version, kind, length)
+    if version == PROTOCOL_VERSION == 10 and kind in FRAME_KINDS and length <= MAX_BYTES:
+        assert decode_header(header, max_bytes=MAX_BYTES) == (kind, length)
+        return
+    with pytest.raises(SerializationError) as refused:
+        decode_header(header, max_bytes=MAX_BYTES)
+    if version != PROTOCOL_VERSION:
+        assert f"v{version}" in str(refused.value) and "v10" in str(refused.value)
+    with pytest.raises(SerializationError):
+        FrameAssembler(max_bytes=MAX_BYTES).feed(header)
