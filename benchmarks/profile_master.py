@@ -6,8 +6,7 @@ Runs the workload's warm-up, then one full-size repeat on its real backend
 under ``cProfile`` (the master thread only; the workers are other processes)
 and prints where the master's non-waiting time went, how many per-position
 Python objects it built (futures minted, result dictionaries received or
-materialised) and whether a byte took the shared-memory path (segments the
-master published or consumed), then what was sent -- jobs dispatched,
+materialised), then what was sent -- jobs dispatched,
 ``RunReport.bytes_sent`` per position (per cell of a risk campaign) and how
 many positions each of its slices (of a scenario grid, of a plain book)
 answers -- and what the workers made of it: their idle share and the
@@ -31,7 +30,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from benchmarks.e2e.harness import execute, make_session, set_up  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
 from repro.api.futures import PricingFuture  # noqa: E402
-from repro.cluster.shm import SegmentRegistry  # noqa: E402
 from repro.core.runner import ResultTable  # noqa: E402
 from repro.pricing.methods.base import ResultColumns  # noqa: E402
 
@@ -40,7 +38,7 @@ from repro.pricing.methods.base import ResultColumns  # noqa: E402
 #: (``columns`` decides which cells of a risk grid exist, ``build_plan`` turns
 #: a book or a grid into jobs, ``Job.wire_bytes`` is ``book_view`` of a slice's
 #: positions and the XDR encode of the view) and back (the queue's unpickle,
-#: the shm walk, the write into the result table, the report)
+#: the write into the result table, the report)
 LAYERS = {
     "columns": ("columns", ""),
     "build_plan": ("build_plan", ""),
@@ -50,7 +48,6 @@ LAYERS = {
     "book encode": ("wire_bytes", "backends/base.py"),
     "dispatch": ("dispatch", ""),
     "queue unpickle": ("<built-in method _pickle.loads>", ""),
-    "decode_result": ("decode_result", ""),
     "_resolve_completed": ("_resolve_completed", ""),
     "_assemble": ("_assemble", ""),
     "deepcopy": ("deepcopy", ""),
@@ -62,26 +59,19 @@ _OBJECTS = {
     "result dicts received": (ResultTable, "write"),
     "row dicts materialised": (ResultColumns, "row"),
 }
-#: the shared-memory transport as the master sees it: a payload buffer of at
-#: least ``SHM_MIN_BYTES`` it hands a worker, a result array it takes from one
-_SHM = {
-    "published": (SegmentRegistry, "publish_bytes", "publish_array"),
-    "consumed": (SegmentRegistry, "consume_bytes", "consume_array"),
-}
 
 
 def _count_calls(counted: dict[str, tuple]) -> dict[str, int]:
-    """Count, per label, the calls of the ``(owner, *method names)`` it names."""
+    """Count, per label, the calls of the ``(owner, method name)`` it names."""
     counts = dict.fromkeys(counted, 0)
-    for label, (owner, *names) in counted.items():
-        for name in names:
-            original = getattr(owner, name)
+    for label, (owner, name) in counted.items():
+        original = getattr(owner, name)
 
-            def counting(*args, _label=label, _original=original, **kwargs):
-                counts[_label] += 1
-                return _original(*args, **kwargs)
+        def counting(*args, _label=label, _original=original, **kwargs):
+            counts[_label] += 1
+            return _original(*args, **kwargs)
 
-            setattr(owner, name, counting)
+        setattr(owner, name, counting)
     return counts
 
 
@@ -101,7 +91,7 @@ def main(name: str) -> None:
         return campaigns[-1]
 
     session._open_campaign = recording
-    objects, shm = _count_calls(_OBJECTS), _count_calls(_SHM)
+    objects = _count_calls(_OBJECTS)
     profile = cProfile.Profile()
     try:
         profile.runcall(execute, workload, session, inputs)
@@ -123,8 +113,6 @@ def main(name: str) -> None:
         print(f"  {layer:26s} {seconds:6.3f} s  {seconds / busy:6.1%}")
     print("  per-position objects built: "
           + ", ".join(f"{count} {label}" for label, count in objects.items()))
-    print(f"  shm: {shm['published']} segments published, "
-          f"{shm['consumed']} consumed on the master")
     for campaign in campaigns:
         report, jobs = campaign.finish().report, campaign.plan.jobs
         members = [len(campaign.plan.batch_members[job.job_id]) for job in jobs

@@ -45,7 +45,6 @@ from typing import Any, Callable
 
 from repro.cluster.backends.base import (
     PAYLOAD_PATH,
-    PAYLOAD_PROBLEM,
     PAYLOAD_SERIAL,
     BackendStats,
     CompletedJob,
@@ -70,7 +69,6 @@ __all__ = [
     "materialize_problem",
     "PAYLOAD_SERIAL",
     "PAYLOAD_PATH",
-    "PAYLOAD_PROBLEM",
     "BackendFactory",
     "register_backend",
     "create_backend",

@@ -27,7 +27,6 @@ from repro.serial import serialize
 __all__ = [
     "PAYLOAD_SERIAL",
     "PAYLOAD_PATH",
-    "PAYLOAD_PROBLEM",
     "Job",
     "PreparedMessage",
     "CompletedJob",
@@ -40,11 +39,8 @@ PAYLOAD_SERIAL = "serial"
 #: the master sends only a file name; the worker reads the shared file system
 #: (NFS strategy)
 PAYLOAD_PATH = "path"
-#: the master hands over an in-memory problem object (sequential backend,
-#: tests)
-PAYLOAD_PROBLEM = "problem"
 
-_VALID_PAYLOAD_KINDS = (PAYLOAD_SERIAL, PAYLOAD_PATH, PAYLOAD_PROBLEM)
+_VALID_PAYLOAD_KINDS = (PAYLOAD_SERIAL, PAYLOAD_PATH)
 
 
 class Job:

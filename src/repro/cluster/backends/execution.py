@@ -1,13 +1,12 @@
 """Worker-side job execution shared by the real backends.
 
 Both the sequential backend and the multiprocessing workers run the same
-three code paths as the paper's slave script (Fig. 4):
+two code paths as the paper's slave script (Fig. 4):
 
 * receive serialized bytes, unpack/unserialize, rebuild the problem
   (*full load* and *serialized load* strategies);
 * receive a file name and read the problem from the shared file system
-  (*NFS* strategy);
-* receive an in-memory problem object (sequential backend / tests).
+  (*NFS* strategy).
 
 After rebuilding the problem the worker calls ``compute()`` and returns the
 result as a plain dictionary, which is what ``MPI_Send_Obj(L(1)(3), 0, ...)``
@@ -35,7 +34,7 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.cluster.backends.base import PAYLOAD_PATH, PAYLOAD_PROBLEM, PAYLOAD_SERIAL
+from repro.cluster.backends.base import PAYLOAD_PATH, PAYLOAD_SERIAL
 from repro.errors import ClusterError
 from repro.pricing.batch import ProblemBatch
 from repro.pricing.cache import ResultCache, problem_digest
@@ -68,9 +67,7 @@ def materialize_problem(
 ) -> PricingProblem | ProblemBatch | ScenarioGrid:
     """Rebuild a :class:`PricingProblem` (or a payload with members: a
     :class:`ProblemBatch`, a :class:`ScenarioGrid`) from a transmitted payload."""
-    if kind == PAYLOAD_PROBLEM:
-        problem = payload
-    elif kind == PAYLOAD_SERIAL:
+    if kind == PAYLOAD_SERIAL:
         if isinstance(payload, Serial):
             problem = payload.unserialize()
         else:

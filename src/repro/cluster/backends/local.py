@@ -8,7 +8,6 @@ start-up would dominate.
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.cluster.backends.base import (
@@ -19,13 +18,6 @@ from repro.cluster.backends.base import (
     WorkerBackend,
 )
 from repro.cluster.backends.execution import execute_payload, make_worker_cache
-from repro.cluster.shm import (
-    SHM_MIN_BYTES,
-    SegmentRegistry,
-    decode_result,
-    encode_result,
-    shm_available,
-)
 from repro.errors import ClusterError
 
 __all__ = ["SequentialBackend"]
@@ -38,29 +30,13 @@ class SequentialBackend(WorkerBackend):
     behave identically, but every dispatch executes synchronously.
     ``cache_dir`` (optional) points at a shared on-disk result cache checked
     before each computation (see :mod:`repro.pricing.cache`).
-
-    ``use_shm`` (default off -- there is no process boundary to cross)
-    routes large result arrays through the same
-    :mod:`multiprocessing.shared_memory` publish/consume cycle as the
-    multiprocessing backend, so transport behaviour can be exercised and
-    audited without spawning workers.
     """
 
-    def __init__(
-        self,
-        n_workers: int = 1,
-        cache_dir: str | None = None,
-        use_shm: bool = False,
-        shm_min_bytes: int = SHM_MIN_BYTES,
-    ):
+    def __init__(self, n_workers: int = 1, cache_dir: str | None = None):
         if n_workers < 1:
             raise ClusterError("n_workers must be >= 1")
-        if use_shm and not shm_available():
-            raise ClusterError("use_shm=True but shared memory is unavailable here")
         self._n_workers = int(n_workers)
         self._cache = make_worker_cache(cache_dir)
-        self._registry = SegmentRegistry(f"rshm{os.getpid()}s") if use_shm else None
-        self._shm_min_bytes = int(shm_min_bytes)
         self._pending: list[CompletedJob] = []
         self._start = time.perf_counter()
         self._n_jobs = 0
@@ -79,13 +55,6 @@ class SequentialBackend(WorkerBackend):
         if not 0 <= worker_id < self._n_workers:
             raise ClusterError(f"invalid worker id {worker_id}")
         result, elapsed, error = execute_payload(message.kind, message.payload, cache=self._cache)
-        if self._registry is not None and error is None:
-            # full publish -> handle -> consume cycle, same as the worker
-            # transport, to keep the shm path honest under the tier-1 suite
-            result = decode_result(
-                encode_result(result, self._registry, self._shm_min_bytes),
-                self._registry,
-            )
         self._busy[worker_id] += elapsed
         self._bytes_sent += message.nbytes
         self._n_jobs += 1
@@ -110,8 +79,6 @@ class SequentialBackend(WorkerBackend):
 
     def finalize(self) -> BackendStats:
         self._finalized = True
-        if self._registry is not None:
-            self._registry.close()
         total = time.perf_counter() - self._start
         return BackendStats(
             total_time=total,

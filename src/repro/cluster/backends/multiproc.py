@@ -15,7 +15,6 @@ protocol to hundreds of nodes.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import queue as queue_module
 import time
 from collections import deque
@@ -29,13 +28,6 @@ from repro.cluster.backends.base import (
     WorkerBackend,
 )
 from repro.cluster.backends.execution import execute_payload, make_worker_cache
-from repro.cluster.shm import (
-    SHM_MIN_BYTES,
-    SegmentRegistry,
-    decode_result,
-    encode_result,
-    shm_available,
-)
 from repro.errors import ClusterError, CollectTimeoutError, WorkerLostError
 
 __all__ = ["MultiprocessingBackend", "worker_main"]
@@ -52,8 +44,6 @@ def worker_main(
     task_queue: Any,
     result_queue: Any,
     cache_dir: str | None = None,
-    shm_prefix: str | None = None,
-    shm_min_bytes: int = SHM_MIN_BYTES,
 ) -> None:
     """Slave loop: receive payloads, price them, send results back.
 
@@ -63,26 +53,14 @@ def worker_main(
     and returns the results to the master.  With a ``cache_dir`` every
     worker opens the same on-disk result cache, so repeated problems are
     answered without pricing.
-
-    With ``shm_prefix`` the worker joins the master's shared-memory
-    transport: inbound payloads may arrive as segment handles (consumed
-    here), and large result arrays are published back as segments instead
-    of being pickled through the result queue.
     """
     cache = make_worker_cache(cache_dir)
-    registry = (
-        SegmentRegistry(shm_prefix) if shm_prefix and shm_available() else None
-    )
     while True:
         item = task_queue.get()
         if item == _STOP:
             break
         job_id, kind, payload = item
-        if registry is not None:
-            payload = decode_result(payload, registry)
         result, elapsed, error = execute_payload(kind, payload, cache=cache)
-        if registry is not None and error is None:
-            result = encode_result(result, registry, shm_min_bytes)
         result_queue.put((job_id, worker_id, result, elapsed, error))
 
 
@@ -99,14 +77,6 @@ class MultiprocessingBackend(WorkerBackend):
     cache_dir:
         Optional shared on-disk result-cache directory opened by every
         worker (see :mod:`repro.pricing.cache`).
-    use_shm:
-        Route large payloads/result arrays through
-        :mod:`multiprocessing.shared_memory` instead of pickling them over
-        the queues.  ``None`` (default) auto-enables when the platform
-        supports it; ``False`` forces the plain pickle transport.
-    shm_min_bytes:
-        Buffers below this size stay on the pickle path (segment setup
-        costs more than it saves for small messages).
     """
 
     queues_jobs = True  # each process blocks on its own task queue
@@ -116,37 +86,17 @@ class MultiprocessingBackend(WorkerBackend):
         n_workers: int = 2,
         start_method: str | None = None,
         cache_dir: str | None = None,
-        use_shm: bool | None = None,
-        shm_min_bytes: int = SHM_MIN_BYTES,
     ):
         if n_workers < 1:
             raise ClusterError("n_workers must be >= 1")
         self._n_workers = int(n_workers)
-        self._use_shm = shm_available() if use_shm is None else bool(use_shm)
-        if self._use_shm and not shm_available():
-            raise ClusterError("use_shm=True but shared memory is unavailable here")
-        self._shm_min_bytes = int(shm_min_bytes)
-        self._registry: SegmentRegistry | None = None
-        shm_prefix: str | None = None
-        if self._use_shm:
-            # run-scoped prefix shared with every worker so the finalize
-            # sweep can reclaim segments leaked by a dying worker
-            shm_prefix = f"rshm{os.getpid()}x"
-            self._registry = SegmentRegistry(shm_prefix)
         ctx = mp.get_context(start_method) if start_method else mp.get_context()
         self._result_queue: Any = ctx.Queue()
         self._task_queues: list[Any] = [ctx.Queue() for _ in range(self._n_workers)]
         self._processes = [
             ctx.Process(
                 target=worker_main,
-                args=(
-                    i,
-                    self._task_queues[i],
-                    self._result_queue,
-                    cache_dir,
-                    shm_prefix,
-                    self._shm_min_bytes,
-                ),
+                args=(i, self._task_queues[i], self._result_queue, cache_dir),
                 daemon=True,
             )
             for i in range(self._n_workers)
@@ -170,28 +120,15 @@ class MultiprocessingBackend(WorkerBackend):
     def n_workers(self) -> int:
         return self._n_workers
 
-    @property
-    def uses_shm(self) -> bool:
-        """Whether the shared-memory transport is active on this backend."""
-        return self._registry is not None
-
     def on_run_start(self, n_jobs: int) -> None:
         self._start = time.perf_counter()
-
-    def _outbound(self, payload: Any) -> Any:
-        """Swap large payload buffers for shm handles before enqueueing."""
-        if self._registry is None:
-            return payload
-        return encode_result(payload, self._registry, self._shm_min_bytes)
 
     def dispatch(self, worker_id: int, job: Job, message: PreparedMessage) -> None:
         if not 0 <= worker_id < self._n_workers:
             raise ClusterError(f"invalid worker id {worker_id}")
         if self._finalized:
             raise ClusterError("backend already finalized")
-        self._task_queues[worker_id].put(
-            (job.job_id, message.kind, self._outbound(message.payload))
-        )
+        self._task_queues[worker_id].put((job.job_id, message.kind, message.payload))
         self._held[worker_id].add(job.job_id)
         self._in_flight += 1
         self._n_jobs += 1
@@ -207,8 +144,6 @@ class MultiprocessingBackend(WorkerBackend):
         self._held[worker_id].discard(job_id)
         self._in_flight -= 1
         self._busy[worker_id] += elapsed
-        if self._registry is not None and error is None:
-            result = decode_result(result, self._registry)
         return CompletedJob(
             job_id=job_id,
             worker_id=worker_id,
@@ -275,9 +210,6 @@ class MultiprocessingBackend(WorkerBackend):
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=5.0)
-            if self._registry is not None:
-                # reclaims anything a dead worker published but nobody consumed
-                self._registry.close()
         total = time.perf_counter() - self._start
         return BackendStats(
             total_time=total,

@@ -15,7 +15,7 @@ result frames with :mod:`selectors`:
   whatever already arrived without blocking -- ``MPI_Iprobe`` -- which is
   all the streaming futures API needs to work over the wire unchanged.
 
-The pool is *elastic*, not just damage-tolerant:
+A backend is one campaign's pool; these keep it alive for that campaign:
 
 * **death** -- the master keeps the wire entry of every in-flight job, so
   when a connection drops its jobs are redispatched to the surviving
@@ -24,8 +24,6 @@ The pool is *elastic*, not just damage-tolerant:
 * **rebirth** -- with a :class:`ReconnectPolicy` a dead host is re-dialed
   from the blocking calls (capped exponential backoff, bounded attempts)
   and, once back, gets its original logical slots again;
-* **growth/shrinkage** -- :meth:`RemoteBackend.attach_host` /
-  :meth:`~RemoteBackend.detach_host` add and retire capacity mid-run;
 * **liveness** -- a ``liveness_timeout`` turns a wedged-but-connected worker
   (one that answers neither a :data:`~repro.serial.frames.FRAME_PING` nor a
   result inside the window) into an ordinary death within seconds, instead
@@ -48,6 +46,8 @@ Build one through the registry --
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import selectors
 import socket
@@ -57,8 +57,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.cluster.backends.base import (
-    PAYLOAD_PROBLEM,
-    PAYLOAD_SERIAL,
     BackendStats,
     CompletedJob,
     Job,
@@ -67,7 +65,7 @@ from repro.cluster.backends.base import (
 )
 from repro.cluster.worker import decode_hello
 from repro.errors import ClusterError, CollectTimeoutError, SerializationError, WorkerLostError
-from repro.serial import Serial, serialize, xdr
+from repro.serial import Serial, xdr
 from repro.serial.frames import (
     FRAME_AUTH,
     FRAME_CHALLENGE,
@@ -132,6 +130,18 @@ def normalize_hosts(hosts: Any) -> tuple[str, ...]:
     return tuple(normalized)
 
 
+def _check_number(value: Any, field: str, low: float = 0.0, *, above: bool = False) -> None:
+    """A duration or factor is a finite number: ``nan < 0`` is false, and a NaN
+    or infinite wait is a ``time.sleep`` / selector error in mid-campaign."""
+    if (
+        not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or (value <= low if above else value < low)
+    ):
+        bound = ">" if above else ">="
+        raise ClusterError(f"{field} must be a finite number {bound} {low:g}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ReconnectPolicy:
     """How (and how hard) the master re-dials a dead worker host.
@@ -153,16 +163,14 @@ class ReconnectPolicy:
     max_backoff: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ClusterError("ReconnectPolicy needs max_attempts >= 1")
-        if self.initial_backoff < 0:
-            raise ClusterError("ReconnectPolicy needs initial_backoff >= 0")
-        if self.backoff_factor < 1.0:
-            raise ClusterError("ReconnectPolicy needs backoff_factor >= 1")
-        if self.max_backoff < self.initial_backoff:
-            raise ClusterError(
-                "ReconnectPolicy needs max_backoff >= initial_backoff"
-            )
+        attempts = self.max_attempts
+        if isinstance(attempts, bool) or not isinstance(attempts, numbers.Integral):
+            raise ClusterError(f"ReconnectPolicy.max_attempts must be an int, got {attempts!r}")
+        if attempts < 1:
+            raise ClusterError("ReconnectPolicy.max_attempts must be >= 1")
+        _check_number(self.initial_backoff, "ReconnectPolicy.initial_backoff")
+        _check_number(self.backoff_factor, "ReconnectPolicy.backoff_factor", 1.0)
+        _check_number(self.max_backoff, "ReconnectPolicy.max_backoff", self.initial_backoff)
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before dial number ``attempt`` (1-based)."""
@@ -199,8 +207,6 @@ class _Connection:
     assembler: FrameAssembler = field(default_factory=FrameAssembler)
     alive: bool = True
     stop_sent: bool = False
-    #: detached on purpose -- never re-dialed by the reconnect policy
-    detached: bool = False
     #: monotonic time of the last byte received (liveness bookkeeping)
     last_recv: float = 0.0
     #: outstanding liveness-ping token (None when not probing)
@@ -238,7 +244,7 @@ class RemoteBackend(WorkerBackend):
     hosts:
         Worker addresses (``"host:port"`` strings or ``(host, port)``
         pairs); one logical worker per address.  The scheduler-facing
-        ``n_workers`` is ``len(hosts)`` (plus any :meth:`attach_host`).
+        ``n_workers`` is ``len(hosts)``.
     connect_timeout:
         Seconds allowed for each TCP connect + protocol handshake (also
         per reconnect dial).
@@ -279,8 +285,10 @@ class RemoteBackend(WorkerBackend):
         secret: str | None = None,
     ):
         addresses = normalize_hosts(hosts)
-        if liveness_timeout is not None and liveness_timeout <= 0:
-            raise ClusterError("liveness_timeout must be positive (or None)")
+        _check_number(connect_timeout, "connect_timeout", above=True)
+        _check_number(send_timeout, "send_timeout", above=True)
+        if liveness_timeout is not None:
+            _check_number(liveness_timeout, "liveness_timeout", above=True)
         self._n_workers = len(addresses)
         self._connect_timeout = connect_timeout
         self._send_timeout = send_timeout
@@ -303,8 +311,6 @@ class RemoteBackend(WorkerBackend):
         #: (an insertion-ordered set: a death can orphan a whole window per slot)
         self._redispatch: dict[int, None] = {}
         self._ready: deque[CompletedJob] = deque()
-        #: conn index -> token of the last pong received (see ping_workers)
-        self._pongs: dict[int, bytes] = {}
         self._n_jobs = 0
         self._bytes_sent = 0
         self._reconnects = 0
@@ -431,15 +437,10 @@ class RemoteBackend(WorkerBackend):
     @staticmethod
     def _wire_entry(job: Job, message: PreparedMessage) -> dict[str, Any]:
         """The XDR-encodable job dictionary a worker expects on the wire."""
-        kind, payload = message.kind, message.payload
-        if kind == PAYLOAD_PROBLEM:
-            # in-memory objects cannot cross the wire as such; ship them
-            # serialized (the worker-side decode path is identical)
-            payload = serialize(payload).to_bytes()
-            kind = PAYLOAD_SERIAL
-        elif isinstance(payload, Serial):
+        payload = message.payload
+        if isinstance(payload, Serial):
             payload = payload.to_bytes()
-        return {"job_id": job.job_id, "kind": kind, "payload": payload}
+        return {"job_id": job.job_id, "kind": message.kind, "payload": payload}
 
     def dispatch(self, worker_id: int, job: Job, message: PreparedMessage) -> None:
         if not 0 <= worker_id < self._n_workers:
@@ -500,101 +501,6 @@ class RemoteBackend(WorkerBackend):
         if self.poll():
             return self._ready.popleft()
         return None
-
-    def ping_workers(self, timeout: float = 5.0) -> dict[str, bool]:
-        """Keepalive-probe every live connection; return address -> alive.
-
-        Sends a :data:`FRAME_PING` with a fresh token down each live
-        connection and waits up to ``timeout`` seconds for the matching
-        pongs.  A connection that fails the send or stays silent is declared
-        dead exactly as if it had dropped mid-campaign: its in-flight jobs
-        (if any) are requeued to the survivors.  This is how a long-lived
-        master notices dead TCP workers *between* campaigns, when no result
-        traffic would expose them.  Addresses whose connection was already
-        buried report ``False``.
-        """
-        if self._finalized:
-            raise ClusterError("backend already finalized")
-        token = os.urandom(8)
-        pending: set[int] = set()
-        for index in self._live_indices():
-            self._pongs.pop(index, None)
-            conn = self._conns[index]
-            try:
-                conn.sock.sendall(encode_frame(FRAME_PING, token))
-            except OSError:
-                self._on_conn_dead(index)
-                continue
-            pending.add(index)
-        deadline = time.monotonic() + timeout
-        while pending:
-            answered = {i for i in pending if self._pongs.get(i) == token}
-            pending -= answered
-            if not pending:
-                break
-            wait = deadline - time.monotonic()
-            if wait <= 0:
-                for index in sorted(pending):
-                    # silent past the deadline: bury it like a dropped socket
-                    self._on_conn_dead(index)
-                break
-            self._pump(wait)
-        live = set(self._live_indices())
-        return {
-            conn.address: index in live for index, conn in enumerate(self._conns)
-        }
-
-    # -- elasticity ---------------------------------------------------------------
-    def attach_host(self, address: Any, *, connect_timeout: float | None = None) -> int:
-        """Connect one more worker host mid-run; return its logical worker id.
-
-        The pool grows: ``n_workers`` increases by one and the new id routes
-        to the fresh connection.  Schedulers that planned against the old
-        ``n_workers`` simply ignore the extra slot until their next plan;
-        redispatched orphans and new streams use it immediately.
-        """
-        if self._finalized:
-            raise ClusterError("backend already finalized")
-        normalized = normalize_hosts([address])[0]
-        conn = self._connect(
-            normalized,
-            self._connect_timeout if connect_timeout is None else connect_timeout,
-        )
-        index = len(self._conns)
-        self._conns.append(conn)
-        self._selector.register(conn.sock, selectors.EVENT_READ, index)
-        worker_id = self._n_workers
-        self._n_workers += 1
-        self._route.append(index)
-        self._home.append(index)
-        self._busy[worker_id] = 0.0
-        return worker_id
-
-    def detach_host(self, address: Any) -> bool:
-        """Retire one worker host mid-run; ``True`` if a connection matched.
-
-        The connection gets a clean stop frame and is buried like a death --
-        its in-flight jobs are redispatched to the survivors -- but it is
-        marked *detached*, so a reconnect policy never re-dials it.  The
-        logical slot stays (remapped onto survivors); detaching the last
-        live host while jobs are in flight raises
-        :class:`~repro.errors.WorkerLostError` unless a reconnect of some
-        other host is still possible.
-        """
-        if self._finalized:
-            raise ClusterError("backend already finalized")
-        normalized = normalize_hosts([address])[0]
-        found = False
-        for index, conn in enumerate(self._conns):
-            if conn.address != normalized or conn.detached:
-                continue
-            conn.detached = True
-            self._redial.pop(index, None)  # a pending re-dial is cancelled too
-            found = True
-            if conn.alive:
-                self._stop_conn(conn)
-                self._on_conn_dead(index)
-        return found
 
     def send_stop(self, worker_id: int) -> None:
         conn = self._conns[self._route[worker_id]]
@@ -718,7 +624,7 @@ class RemoteBackend(WorkerBackend):
                         self._on_conn_dead(index)
                         break
                 elif kind == FRAME_PONG:
-                    self._pongs[index] = payload
+                    continue  # answered the liveness ping by arriving (above)
                 # hello frames (reconnect chatter) and anything else: ignore
 
     def _absorb_result(self, payload: bytes) -> None:
@@ -768,11 +674,7 @@ class RemoteBackend(WorkerBackend):
         except (KeyError, ValueError):  # pragma: no cover - defensive
             pass
         conn.sock.close()
-        if (
-            self._reconnect_policy is not None
-            and not conn.detached
-            and not self._finalized
-        ):
+        if self._reconnect_policy is not None and not self._finalized:
             self._redial[index] = _ReconnectState(
                 attempts=0,
                 next_try=time.monotonic() + self._reconnect_policy.backoff(1),

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster.backends.base import (
+    PAYLOAD_PATH,
+    PAYLOAD_SERIAL,
     BackendStats,
     CompletedJob,
     Job,
@@ -373,9 +375,9 @@ class SimulatedClusterBackend(WorkerBackend):
         if message is not None and message.payload is not None:
             return execute_payload(message.kind, message.payload)
         if job.problem is not None:
-            return execute_payload("problem", job.problem)
+            return execute_payload(PAYLOAD_SERIAL, job.wire_bytes())
         if job.path:
-            return execute_payload("path", job.path)
+            return execute_payload(PAYLOAD_PATH, job.path)
         raise SimulationError(
             f"execute=True but job {job.job_id} has neither a problem nor a file"
         )

@@ -666,9 +666,8 @@ def probe_worker(address: str, *, timeout: float = 5.0) -> bool:
     refused connection, dead endpoint, timeout, version mismatch.
 
     This is how an idle daemon (``repro-serve``) notices dead TCP workers
-    *between* campaigns instead of at next dispatch; a long-lived
-    :class:`~repro.cluster.backends.remote.RemoteBackend` uses
-    ``ping_workers()`` on its own live connections instead.
+    *between* campaigns instead of at next dispatch; inside a campaign the
+    backend's ``liveness_timeout`` pings its own connections.
     """
     host, _, port_text = address.rpartition(":")
     token = os.urandom(8)

@@ -56,7 +56,6 @@ from repro.core.speedup import SpeedupRow, SpeedupTable, format_comparison_table
 from repro.core.strategies import (
     STRATEGIES,
     FullLoadStrategy,
-    InMemoryStrategy,
     NFSStrategy,
     SerializedLoadStrategy,
     TransmissionStrategy,
@@ -76,7 +75,6 @@ __all__ = [
     "FullLoadStrategy",
     "SerializedLoadStrategy",
     "NFSStrategy",
-    "InMemoryStrategy",
     "get_strategy",
     "STRATEGIES",
     # schedulers

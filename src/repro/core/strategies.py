@@ -26,7 +26,6 @@ import time
 
 from repro.cluster.backends.base import (
     PAYLOAD_PATH,
-    PAYLOAD_PROBLEM,
     PAYLOAD_SERIAL,
     Job,
     PreparedMessage,
@@ -39,7 +38,6 @@ __all__ = [
     "FullLoadStrategy",
     "SerializedLoadStrategy",
     "NFSStrategy",
-    "InMemoryStrategy",
     "get_strategy",
     "is_real_file",
     "STRATEGIES",
@@ -120,22 +118,6 @@ class NFSStrategy(TransmissionStrategy):
         return PreparedMessage(
             kind=PAYLOAD_PATH, payload=job.path, nbytes=len(job.path.encode("utf-8"))
         )
-
-
-class InMemoryStrategy(TransmissionStrategy):
-    """Hand the in-memory problem object to the worker directly.
-
-    Not part of the paper's comparison (it cannot cross process boundaries);
-    used by the sequential backend in unit tests where serialization round
-    trips would only add noise.
-    """
-
-    name = "serialized_load"  # cost-model equivalent
-
-    def _prepare(self, job: Job) -> PreparedMessage:
-        if job.problem is None:
-            raise SchedulingError(f"job {job.job_id} has no in-memory problem")
-        return PreparedMessage(kind=PAYLOAD_PROBLEM, payload=job.problem, nbytes=job.file_size)
 
 
 def is_real_file(job: Job) -> bool:

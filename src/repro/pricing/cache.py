@@ -57,24 +57,12 @@ __all__ = [
 CACHE_SCHEMA = 2
 
 
-def _canonical(value: Any) -> Any:
-    """Reduce ``value`` to plain JSON types with a deterministic layout."""
-    if isinstance(value, dict):
-        return {str(key): _canonical(value[key]) for key in sorted(value, key=str)}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
+def _plain(value: Any) -> Any:
+    """``json.dumps`` hook: a NumPy value as the Python value it holds."""
     if isinstance(value, np.ndarray):
-        return [_canonical(item) for item in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        # repr round-trips doubles exactly, so 0.1 rebuilt from params
-        # hashes identically to the original 0.1
-        return float(value)
-    if value is None or isinstance(value, str):
-        return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
     raise PricingError(
         f"cannot build a stable digest from a {type(value).__name__} value"
     )
@@ -83,11 +71,16 @@ def _canonical(value: Any) -> Any:
 def stable_digest(value: Any) -> str:
     """SHA-256 hex digest of a canonical JSON rendering of ``value``.
 
-    Accepts anything made of dicts with sortable keys, lists/tuples, NumPy
+    Accepts anything made of dicts keyed by strings, lists/tuples, NumPy
     arrays/scalars, numbers, strings and ``None``.  The digest is stable
-    across processes, sessions and ``to_params`` round-trips.
+    across processes, sessions and ``to_params`` round-trips: keys are
+    sorted, and ``repr`` round-trips doubles exactly, so 0.1 rebuilt from
+    params hashes identically to the original 0.1.
     """
-    payload = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
+    try:
+        payload = json.dumps(value, sort_keys=True, separators=(",", ":"), default=_plain)
+    except TypeError as exc:  # keys json cannot sort or write
+        raise PricingError(f"cannot build a stable digest: {exc}") from exc
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

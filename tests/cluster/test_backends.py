@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster.backends import (
     PAYLOAD_PATH,
-    PAYLOAD_PROBLEM,
     PAYLOAD_SERIAL,
     Job,
     MultiprocessingBackend,
@@ -40,10 +39,6 @@ def _message(problem: PricingProblem) -> PreparedMessage:
 
 
 class TestExecution:
-    def test_materialize_from_problem(self):
-        problem = _make_problem()
-        assert materialize_problem(PAYLOAD_PROBLEM, problem) is problem
-
     def test_materialize_from_serial_bytes(self):
         problem = _make_problem()
         rebuilt = materialize_problem(PAYLOAD_SERIAL, serialize(problem).to_bytes())
@@ -60,9 +55,13 @@ class TestExecution:
             materialize_problem(PAYLOAD_SERIAL, serialize([1, 2, 3]).to_bytes())
         with pytest.raises(ClusterError):
             materialize_problem("telepathy", None)
+        with pytest.raises(ClusterError):  # bytes or a file name, nothing else
+            materialize_problem("problem", _make_problem())
 
     def test_execute_payload_success(self):
-        result, elapsed, error = execute_payload(PAYLOAD_PROBLEM, _make_problem())
+        result, elapsed, error = execute_payload(
+            PAYLOAD_SERIAL, serialize(_make_problem()).to_bytes()
+        )
         assert error is None
         assert result["price"] == pytest.approx(10.450584, abs=1e-6)
         assert elapsed >= 0

@@ -1,9 +1,9 @@
-"""Elastic-cluster fault tolerance: reconnects, liveness burials, the
-authenticated handshake, attach/detach, and the session retry layer.
+"""Remote-pool fault tolerance: reconnects, liveness burials, the
+authenticated handshake, and the session retry layer.
 
 The acceptance shape throughout: a campaign that loses workers mid-run must
-either finish bit-identical to an undisturbed run (when the elasticity
-machinery can save it) or fail loudly with a resubmittable
+either finish bit-identical to an undisturbed run (when the reconnect /
+liveness machinery can save it) or fail loudly with a resubmittable
 :class:`~repro.errors.WorkerLostError` (when it cannot).
 """
 
@@ -243,38 +243,9 @@ class TestCascadingFailures:
             assert [done.error for done in collected] == [None] * 6
             assert [done.result["price"] for done in collected] == reference
 
-    def test_ping_buries_a_busy_silent_worker_and_redispatches(self):
-        """ping_workers() must treat a silent worker *with jobs in flight*
-        as dead: its orphans redispatch and the campaign completes."""
-        mute = _MuteWorker()
-        try:
-            with spawn_local_workers(1) as pool:
-                backend = RemoteBackend([mute.address, pool.hosts[0]])
-                problems = [_make_problem(90.0 + 10 * k) for k in range(3)]
-                _dispatch(backend, 0, 0, problems[0])  # into the silent worker
-                _dispatch(backend, 0, 1, problems[1])
-                _dispatch(backend, 1, 2, problems[2])  # into the live worker
-                first = backend.collect(timeout=30.0)
-                assert first.job_id == 2
-
-                alive = backend.ping_workers(timeout=0.5)
-                assert alive == {mute.address: False, pool.hosts[0]: True}
-
-                rescued = _collect_sorted(backend, 2, timeout=30.0)
-                stats = backend.finalize()
-                assert [done.job_id for done in rescued] == [0, 1]
-                assert [done.error for done in rescued] == [None, None]
-                assert [done.result["price"] for done in rescued] == [
-                    problems[0].compute().price,
-                    problems[1].compute().price,
-                ]
-                assert stats.extra["redispatches"] >= 2
-        finally:
-            mute.close()
-
     def test_liveness_timeout_buries_mid_campaign(self):
         """With liveness_timeout set, collect() itself notices the wedged
-        worker -- no explicit ping call anywhere."""
+        worker."""
         mute = _MuteWorker()
         try:
             with spawn_local_workers(1) as pool:
@@ -291,33 +262,6 @@ class TestCascadingFailures:
                 assert stats.extra["liveness_buried"] >= 1
         finally:
             mute.close()
-
-
-class TestAttachDetach:
-    def test_pool_grows_and_shrinks_mid_run(self):
-        problems = [_make_problem(85.0 + 10 * k) for k in range(3)]
-        with spawn_local_workers(2) as pool:
-            backend = RemoteBackend([pool.hosts[0]])
-            assert backend.n_workers == 1
-
-            new_id = backend.attach_host(pool.hosts[1])
-            assert (new_id, backend.n_workers) == (1, 2)
-            _dispatch(backend, new_id, 0, problems[0])
-            done = backend.collect(timeout=30.0)
-            assert done.error is None
-
-            assert backend.detach_host(pool.hosts[1]) is True
-            assert backend.detach_host(pool.hosts[1]) is False  # already gone
-            # the logical slot stays valid, remapped onto the survivor
-            _dispatch(backend, new_id, 1, problems[1])
-            _dispatch(backend, 0, 2, problems[2])
-            rest = _collect_sorted(backend, 2, timeout=30.0)
-            backend.finalize()
-            assert [done.error for done in rest] == [None, None]
-            assert [done.result["price"] for done in rest] == [
-                problems[1].compute().price,
-                problems[2].compute().price,
-            ]
 
 
 class TestAuthenticatedHandshake:

@@ -1,10 +1,10 @@
-"""Tests of the v3 PING/PONG keepalive (worker probes, backend pings).
+"""Tests of the v3 PING/PONG keepalive (worker probes).
 
 Satellite of the serving work: a long-lived daemon sits idle between
-campaigns, so dead TCP workers must be detectable *between* runs -- either
-with a throwaway probe connection (:func:`probe_worker`, what the daemon's
-monitor uses) or on a live backend's existing connections
-(:meth:`RemoteBackend.ping_workers`).
+campaigns, so dead TCP workers must be detectable *between* runs -- with a
+throwaway probe connection (:func:`probe_worker`, what the daemon's monitor
+uses).  Inside a campaign the backend's ``liveness_timeout`` sends the same
+PING (``tests/cluster/test_fault_tolerance.py``).
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ from __future__ import annotations
 import socket
 import threading
 
-import pytest
-
-from repro.cluster.backends import create_backend
 from repro.cluster.worker import probe_worker, spawn_local_workers
-from repro.errors import ClusterError
 from repro.serial.frames import (
     FRAME_HELLO,
     FRAME_PING,
@@ -89,34 +85,3 @@ class TestProbeWorker:
                 kind, payload = next_frame()
                 assert kind == FRAME_PONG
                 assert payload == token
-
-
-class TestBackendPingWorkers:
-    def test_all_live(self):
-        with spawn_local_workers(2) as pool:
-            backend = create_backend("remote", hosts=pool.hosts)
-            try:
-                liveness = backend.ping_workers(timeout=10.0)
-                assert liveness == {host: True for host in pool.hosts}
-            finally:
-                backend.finalize()
-
-    def test_dead_worker_detected_and_marked(self):
-        with spawn_local_workers(2) as pool:
-            backend = create_backend("remote", hosts=pool.hosts)
-            try:
-                pool.kill(1)
-                liveness = backend.ping_workers(timeout=5.0)
-                assert liveness[pool.hosts[0]] is True
-                assert liveness[pool.hosts[1]] is False
-                # a second ping round only talks to the survivor
-                assert backend.ping_workers(timeout=5.0)[pool.hosts[0]] is True
-            finally:
-                backend.finalize()
-
-    def test_finalized_backend_refuses(self):
-        with spawn_local_workers(1) as pool:
-            backend = create_backend("remote", hosts=pool.hosts)
-            backend.finalize()
-            with pytest.raises(ClusterError):
-                backend.ping_workers()

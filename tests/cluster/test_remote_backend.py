@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import BackendSpec, ValuationSession
 from repro.cluster.backends import Job, PreparedMessage, PAYLOAD_SERIAL, create_backend
-from repro.cluster.backends.remote import RemoteBackend, normalize_hosts
+from repro.cluster.backends.remote import ReconnectPolicy, RemoteBackend, normalize_hosts
 from repro.cluster.worker import spawn_local_workers
 from repro.core import build_toy_portfolio
 from repro.errors import (
@@ -94,6 +94,57 @@ class TestBackendSpecValidation:
         probe.close()
         with pytest.raises(ClusterError, match="cannot connect"):
             RemoteBackend([f"127.0.0.1:{port}"], connect_timeout=2.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNumbersAreCheckedWhereTheyAreGiven:
+    """``nan < 0`` is false: a NaN backoff or timeout used to construct and
+    then fail as a ``time.sleep`` / selector ``ValueError`` mid-campaign."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_backoff", NAN),
+            ("max_backoff", INF),
+            ("initial_backoff", NAN),
+            ("backoff_factor", NAN),
+            ("backoff_factor", INF),
+            ("max_attempts", 2.5),
+            ("max_attempts", True),
+            ("max_attempts", NAN),
+        ],
+    )
+    def test_reconnect_policy_names_the_field(self, field, value):
+        with pytest.raises(ClusterError, match=f"ReconnectPolicy.{field}"):
+            ReconnectPolicy(**{field: value})
+        with pytest.raises(ClusterError, match=field):  # the option spelling
+            RemoteBackend(["127.0.0.1:1"], reconnect={field: value})
+
+    def test_valid_policies_still_construct(self):
+        assert ReconnectPolicy(max_attempts=3, initial_backoff=0, max_backoff=0).backoff(2) == 0
+        assert ReconnectPolicy(max_backoff=0.5).backoff(40) == 0.5
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("liveness_timeout", NAN),
+            ("liveness_timeout", INF),
+            ("liveness_timeout", 0),
+            ("connect_timeout", NAN),
+            ("connect_timeout", 0),
+            ("send_timeout", -1),
+            ("send_timeout", INF),
+        ],
+    )
+    def test_timeouts_are_refused_before_any_connect(self, field, value):
+        # nothing listens on port 1: a "cannot connect" would mean the check came late
+        with pytest.raises(ClusterError, match=f"{field} must be a finite number > 0"):
+            RemoteBackend(["127.0.0.1:1"], **{field: value})
+        spec = BackendSpec("remote", options={"hosts": ["127.0.0.1:1"], field: value})
+        with pytest.raises(ClusterError, match=field):
+            spec.create()
 
 
 class TestLoopbackPool:

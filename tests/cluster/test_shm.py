@@ -1,9 +1,11 @@
-"""Lifecycle tests for the shared-memory transport (:mod:`repro.cluster.shm`).
+"""Lifecycle tests for the shared-memory segments (:mod:`repro.cluster.shm`).
 
-The transport must never leak: every published segment is either consumed
-(attach + copy + unlink) or reclaimed by the finalize sweep, including when
-a worker dies between publish and consume.  And when shared memory is not
-available at all, everything must degrade to plain inline payloads.
+No backend sends through them (no message of any workload reaches
+``SHM_MIN_BYTES``); the module is the ``cluster.shm.*`` probe of
+``benchmarks/e2e``.  A registry must never leak: every published segment is
+either consumed (attach + copy + unlink) or reclaimed by the sweep.  And when
+shared memory is not available at all, everything must degrade to plain
+inline payloads.
 """
 
 from __future__ import annotations
@@ -14,13 +16,6 @@ import numpy as np
 import pytest
 
 import repro.cluster.shm as shm_module
-from repro.cluster.backends import (
-    PAYLOAD_SERIAL,
-    Job,
-    MultiprocessingBackend,
-    PreparedMessage,
-    SequentialBackend,
-)
 from repro.cluster.shm import (
     SHM_MIN_BYTES,
     SegmentRegistry,
@@ -28,9 +23,6 @@ from repro.cluster.shm import (
     encode_result,
     shm_available,
 )
-from repro.errors import ClusterError
-from repro.pricing import PricingProblem
-from repro.serial import serialize
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -43,25 +35,6 @@ def _segments_with_prefix(prefix: str) -> list[str]:
     if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-tmpfs platforms
         return []
     return sorted(entry for entry in os.listdir(_SHM_DIR) if entry.startswith(prefix))
-
-
-def _make_problem(strike: float = 100.0) -> PricingProblem:
-    problem = PricingProblem(label=f"shm_{strike:.0f}")
-    problem.set_asset("equity")
-    problem.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.2)
-    problem.set_option("CallEuro", strike=strike, maturity=1.0)
-    problem.set_method("CF_Call")
-    return problem
-
-
-def _job(job_id: int, problem: PricingProblem) -> Job:
-    return Job(job_id=job_id, path="", file_size=512, compute_cost=1e-3,
-               category="vanilla", problem=problem)
-
-
-def _message(problem: PricingProblem) -> PreparedMessage:
-    data = serialize(problem).to_bytes()
-    return PreparedMessage(kind=PAYLOAD_SERIAL, payload=data, nbytes=len(data))
 
 
 class TestSegmentRegistry:
@@ -192,67 +165,3 @@ class TestPickleFallback:
         tree = {"a": np.arange(10_000, dtype=float)}
         assert encode_result(tree, registry, min_bytes=1) is tree
         assert decode_result(tree, registry) == tree
-
-    def test_backends_reject_forced_shm_without_support(self, monkeypatch):
-        monkeypatch.setattr(shm_module, "_shared_memory", None)
-        with pytest.raises(ClusterError):
-            SequentialBackend(use_shm=True)
-        with pytest.raises(ClusterError):
-            MultiprocessingBackend(n_workers=1, use_shm=True)
-
-    def test_sequential_backend_falls_back_to_inline(self, monkeypatch):
-        monkeypatch.setattr(shm_module, "_shared_memory", None)
-        backend = SequentialBackend(n_workers=1)  # auto-detect: no shm
-        assert backend._registry is None
-        problem = _make_problem()
-        backend.dispatch(0, _job(0, problem), _message(problem))
-        done = backend.collect()
-        backend.finalize()
-        assert done.error is None
-        assert done.result["price"] == pytest.approx(10.450584, abs=1e-6)
-
-
-class TestBackendLifecycle:
-    def test_sequential_shm_cycle_is_clean(self):
-        backend = SequentialBackend(n_workers=1, use_shm=True, shm_min_bytes=1)
-        prefix = backend._registry.prefix
-        problem = _make_problem()
-        backend.dispatch(0, _job(0, problem), _message(problem))
-        done = backend.collect()
-        backend.finalize()
-        assert done.error is None
-        assert done.result["price"] == pytest.approx(10.450584, abs=1e-6)
-        assert _segments_with_prefix(prefix) == []
-
-    def test_multiproc_segments_unlinked_after_collection(self):
-        backend = MultiprocessingBackend(n_workers=2, use_shm=True, shm_min_bytes=1)
-        assert backend.uses_shm
-        prefix = backend._registry.prefix
-        problems = [_make_problem(k) for k in (90.0, 100.0, 110.0, 120.0)]
-        try:
-            for index, problem in enumerate(problems):
-                backend.dispatch(index % 2, _job(index, problem), _message(problem))
-            collected = {c.job_id: c for c in (backend.collect() for _ in problems)}
-        finally:
-            backend.finalize()
-        assert all(c.error is None for c in collected.values())
-        baseline = {i: p.compute().price for i, p in enumerate(problems)}
-        for index, price in baseline.items():
-            assert collected[index].result["price"] == price
-        # every payload segment was consumed by its worker, every result
-        # segment by the master -- nothing should survive the run
-        assert _segments_with_prefix(prefix) == []
-
-    def test_no_leak_after_worker_death(self):
-        backend = MultiprocessingBackend(n_workers=1, use_shm=True, shm_min_bytes=1)
-        prefix = backend._registry.prefix
-        process = backend._processes[0]
-        process.terminate()
-        process.join(timeout=10)
-        problem = _make_problem()
-        # the dispatch publishes a payload segment that no worker will ever
-        # attach -- exactly the leak shape the finalize sweep must reclaim
-        backend.dispatch(0, _job(0, problem), _message(problem))
-        assert _segments_with_prefix(prefix) != []
-        backend.finalize()
-        assert _segments_with_prefix(prefix) == []

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api import ValuationSession
 from repro.cluster.backends.base import (
-    PAYLOAD_PROBLEM,
+    PAYLOAD_SERIAL,
     BackendStats,
     CompletedJob,
     Job,
@@ -42,7 +42,7 @@ class _NoPayload:
     name = "serialized_load"
 
     def prepare(self, job: Job) -> PreparedMessage:
-        return PreparedMessage(kind=PAYLOAD_PROBLEM, payload=None, nbytes=0)
+        return PreparedMessage(kind=PAYLOAD_SERIAL, payload=None, nbytes=0)
 
 
 class FakeWorkers(WorkerBackend):
@@ -139,7 +139,7 @@ def _fig4_calls(policy: DispatchPolicy, jobs, backend: FakeWorkers):
 
     def send(worker_id, wave):
         for job in wave:
-            backend.dispatch(worker_id, job, PreparedMessage(PAYLOAD_PROBLEM, None, 0))
+            backend.dispatch(worker_id, job, PreparedMessage(PAYLOAD_SERIAL, None, 0))
         return len(wave)
 
     for worker_id, wave in policy.initial_wave():

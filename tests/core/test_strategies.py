@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.backends.base import PAYLOAD_PATH, PAYLOAD_PROBLEM, PAYLOAD_SERIAL, Job
+from repro.cluster.backends.base import PAYLOAD_PATH, PAYLOAD_SERIAL, Job
 from repro.core.strategies import (
     STRATEGIES,
     FullLoadStrategy,
-    InMemoryStrategy,
     NFSStrategy,
     SerializedLoadStrategy,
     get_strategy,
@@ -129,18 +128,6 @@ class TestNFS:
     def test_requires_a_file(self, memory_job):
         with pytest.raises(SchedulingError):
             NFSStrategy().prepare(memory_job)
-
-
-class TestInMemory:
-    def test_prepare(self, memory_job, problem):
-        message = InMemoryStrategy().prepare(memory_job)
-        assert message.kind == PAYLOAD_PROBLEM
-        assert message.payload is problem
-
-    def test_requires_problem(self, file_job):
-        file_job.problem = None
-        with pytest.raises(SchedulingError):
-            InMemoryStrategy().prepare(file_job)
 
 
 class TestRegistry:

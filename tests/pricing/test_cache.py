@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PricingError
 from repro.pricing import (
@@ -14,7 +18,7 @@ from repro.pricing import (
     stable_digest,
 )
 from repro.pricing.methods.base import PricingResult
-from repro.serial import serialize
+from repro.serial import serialize, xdr
 
 
 def _mc_problem(strike: float = 100.0, seed: int = 0) -> PricingProblem:
@@ -54,6 +58,123 @@ class TestStableDigest:
     def test_unsupported_type_raises(self):
         with pytest.raises(PricingError):
             stable_digest({"x": object()})
+        with pytest.raises(PricingError):
+            stable_digest({"x": np.complex128(1j)})  # .item() is no JSON value either
+
+    def test_keys_json_cannot_sort_or_write_raise(self):
+        with pytest.raises(PricingError):
+            stable_digest({1: "a", "b": 2})
+        with pytest.raises(PricingError):
+            stable_digest({(1, 2): "a"})
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+)
+#: what ``to_params()`` dictionaries are made of: scalars, vectors, matrices
+_vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4)
+_matrices = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+        min_size=1, max_size=3,
+    )
+)
+_trees = st.recursive(
+    st.one_of(_leaves, _vectors, _matrices),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _is_float_block(value) -> bool:
+    """A non-empty vector of floats, or a rectangular matrix of them."""
+    if not isinstance(value, list) or not value:
+        return False
+    if all(type(item) is float for item in value):
+        return True
+    return (
+        all(_is_float_block(row) and type(row[0]) is float for row in value)
+        and len({len(row) for row in value}) == 1
+    )
+
+
+def _disguised(value, rng: random.Random, numpy_bools: bool = True):
+    """The same content as another producer would spell it: keys inserted in
+    another order, tuples for lists, NumPy scalars and arrays for Python's."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        return {key: _disguised(value[key], rng, numpy_bools) for key in keys}
+    if isinstance(value, list):
+        if _is_float_block(value) and rng.random() < 0.5:
+            return np.array(value)
+        items = [_disguised(item, rng, numpy_bools) for item in value]
+        return tuple(items) if rng.random() < 0.5 else items
+    if rng.random() < 0.5:
+        return value
+    if isinstance(value, bool):
+        return np.bool_(value) if numpy_bools else value
+    if isinstance(value, int):
+        return np.int64(value)
+    if isinstance(value, float):
+        return np.float64(value)
+    return value
+
+
+class TestDigestAddressesContent:
+    """What the deleted Python walk (``_canonical``) promised, as a property."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_trees, seed=st.integers(0, 2**32 - 1))
+    def test_spelling_does_not_change_the_digest(self, tree, seed):
+        assert stable_digest(_disguised(tree, random.Random(seed))) == stable_digest(tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=_trees, seed=st.integers(0, 2**32 - 1))
+    def test_the_wire_does_not_change_the_digest(self, tree, seed):
+        # XDR writes NumPy integers and floats, not ``np.bool_``
+        sent = _disguised(tree, random.Random(seed), numpy_bools=False)
+        assert stable_digest(xdr.decode(xdr.encode(sent))) == stable_digest(tree)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        spots=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=5),
+        vol=st.floats(0.01, 2.0),
+        rho=st.floats(0.0, 0.9),
+        strike=st.floats(1.0, 1e4),
+        as_arrays=st.booleans(),
+    )
+    def test_a_problem_survives_to_params_xdr_from_params(
+        self, spots, vol, rho, strike, as_arrays
+    ):
+        from repro.pricing import flat_correlation
+
+        d = len(spots)
+        correlation = flat_correlation(d, rho)
+        problem = PricingProblem(label="digest")
+        problem.set_model(
+            "BlackScholesND",
+            spot=np.array(spots) if as_arrays else spots,
+            rate=0.03,
+            volatilities=[vol] * d,
+            correlation=correlation if as_arrays else correlation.tolist(),
+        )
+        problem.set_option("BasketPutEuro", strike=strike, maturity=1.0, weights=[1.0 / d] * d)
+        problem.set_method("MC_European", n_paths=100, seed=1)
+        for rebuilt in (
+            PricingProblem.from_dict(problem.to_dict()),
+            serialize(problem).unserialize(),
+            xdr.decode(xdr.encode(problem)),
+        ):
+            assert problem_digest(rebuilt) == problem_digest(problem)
+            assert model_digest(rebuilt.model) == model_digest(problem.model)
 
 
 class TestProblemDigest:
