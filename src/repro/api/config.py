@@ -179,11 +179,10 @@ class RunConfig:
     against one simulated path set.  ``cache`` overrides the session's
     result-cache usage for this run (``None`` keeps the session default,
     ``False`` bypasses the cache, ``True`` requires the session to have one).
-    ``batch_group_size`` caps how many positions one batch job may carry, so
-    large families still spread across parallel workers.
+    A family is never split: it travels as one batch job.
 
-    Two streaming-lifecycle hooks ride along (excluded from equality/hash,
-    like ``cost_model``): ``progress`` is called once per collected position
+    Two streaming-lifecycle hooks ride along (excluded from equality/hash):
+    ``progress`` is called once per collected position
     with a :class:`~repro.api.futures.StreamProgress`; ``cancel`` is a
     :class:`~repro.api.futures.CancelToken` that withdraws still-queued
     positions when fired (in-flight jobs finish; withdrawn positions are
@@ -200,9 +199,7 @@ class RunConfig:
     #: registered name or a zero-argument factory of fresh policies (a
     #: configured one is ``partial(MyPolicy, ...)``); ``None`` keeps the session's
     scheduler: str | Callable[[], DispatchPolicy] | None = None
-    cost_model: Any | None = field(default=None, compare=False)
     batch: bool = False
-    batch_group_size: int | None = None
     #: Monte-Carlo evaluation strategy for shared-path batch jobs: "stacked"
     #: (all groups of a plan as one stacked-array computation) or the
     #: reference "loop" kernel (per-group, per-member arithmetic).
@@ -220,8 +217,6 @@ class RunConfig:
     retry: RetryPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.batch_group_size is not None and self.batch_group_size < 2:
-            raise ValuationError("RunConfig.batch_group_size must be >= 2 when given")
         if self.min_group_size is not None and self.min_group_size < 1:
             raise ValuationError("RunConfig.min_group_size must be >= 1 when given")
         if self.kernel not in KERNELS:

@@ -341,7 +341,8 @@ def _coalesce_jobs(
     cost_model: CostModel,
     executing: bool,
 ) -> tuple[list[Job], dict[int, tuple[int, ...]]]:
-    """Merge shared-simulation jobs into :class:`ProblemBatch` super-jobs.
+    """Merge shared-simulation jobs into :class:`ProblemBatch` super-jobs, one
+    per family (a family is never split).
 
     A super-job that will be sent is sized by its own bytes; one that only
     advances virtual time keeps the sum of its members' stand-alone sizes
@@ -351,7 +352,6 @@ def _coalesce_jobs(
     batches = plan_batches(
         [problem_by_id.get(job.job_id) for job in jobs],
         min_group_size=min_group_size if min_group_size is not None else 2,
-        max_group_size=options.batch_group_size,
     )
     group_by_first = {group.indices[0]: group for group in batches.groups}
     grouped = {index for group in batches.groups for index in group.indices}

@@ -116,11 +116,8 @@ class ValuationSession:
         (default: the paper's calibrated model).
     comm:
         Shared :class:`CommunicationModel` for sweeps (warm NFS cache
-        semantics, the paper's experimental artefact).
-    comm_factory:
-        Factory producing a fresh :class:`CommunicationModel` per sweep run
-        or per compared strategy; this is how custom NFS settings survive
-        ``share_nfs_cache=False`` runs.
+        semantics, the paper's experimental artefact); a cold run gets a
+        :meth:`~CommunicationModel.cold_copy` of it, custom NFS settings kept.
     backend_options:
         Extra keyword options for the backend factory (e.g.
         ``{"start_method": "spawn"}`` for multiprocessing).
@@ -142,7 +139,6 @@ class ValuationSession:
         scheduler: str | Callable[[], DispatchPolicy] | None = None,
         cost_model: CostModel | None = None,
         comm: CommunicationModel | None = None,
-        comm_factory: Callable[[], CommunicationModel] | None = None,
         backend_options: Mapping[str, Any] | None = None,
         cache: ResultCache | str | Path | bool | None = None,
     ) -> None:
@@ -158,7 +154,6 @@ class ValuationSession:
         self.scheduler = scheduler
         self.cost_model = cost_model or paper_cost_model()
         self.comm = comm
-        self.comm_factory = comm_factory
         self._cache = _coerce_cache(cache)
         self._pending: list[tuple[PricingProblem, PricingFuture, str]] = []
         self._pending_by_digest: dict[str, PricingFuture] = {}
@@ -186,7 +181,6 @@ class ValuationSession:
             "scheduler": self.scheduler,
             "cost_model": self.cost_model,
             "comm": self.comm,
-            "comm_factory": self.comm_factory,
             "cache": self._cache,
         }
         current.update(changes)
@@ -348,7 +342,7 @@ class ValuationSession:
                 source,
                 options,
                 executing=executing,
-                cost_model=options.cost_model or self.cost_model,
+                cost_model=self.cost_model,
                 run_cache=run_cache,
                 store=store,
                 n_workers=backend.n_workers,
@@ -384,7 +378,6 @@ class ValuationSession:
         store: Any = None,
         config: RunConfig | None = None,
         batch: bool | None = None,
-        batch_group_size: int | None = None,
         kernel: str | None = None,
         min_group_size: int | None = None,
         cache: bool | None = None,
@@ -406,8 +399,8 @@ class ValuationSession:
         """
         return self._open_campaign(
             source, strategy=strategy, scheduler=scheduler, store=store,
-            config=config, batch=batch, batch_group_size=batch_group_size,
-            kernel=kernel, min_group_size=min_group_size, cache=cache,
+            config=config, batch=batch, kernel=kernel,
+            min_group_size=min_group_size, cache=cache,
             progress=progress, cancel=cancel,
         ).finish()
 
@@ -420,7 +413,6 @@ class ValuationSession:
         store: Any = None,
         config: RunConfig | None = None,
         batch: bool | None = None,
-        batch_group_size: int | None = None,
         kernel: str | None = None,
         min_group_size: int | None = None,
         cache: bool | None = None,
@@ -441,8 +433,8 @@ class ValuationSession:
         return StreamingRun(
             self._open_campaign(
                 source, strategy=strategy, scheduler=scheduler, store=store,
-                config=config, batch=batch, batch_group_size=batch_group_size,
-                kernel=kernel, min_group_size=min_group_size, cache=cache,
+                config=config, batch=batch, kernel=kernel,
+                min_group_size=min_group_size, cache=cache,
                 progress=progress, cancel=cancel,
             )
         )
@@ -661,7 +653,6 @@ class ValuationSession:
         share_nfs_cache: bool = True,
         label: str | None = None,
         batch: bool = False,
-        batch_group_size: int | None = None,
     ) -> SweepResult:
         """Simulate the same workload over several cluster sizes.
 
@@ -669,16 +660,15 @@ class ValuationSession:
         whatever the session backend is.  ``share_nfs_cache=True`` (default)
         reuses one :class:`CommunicationModel` across the sweep, reproducing
         the paper's warm-NFS-cache artefact; ``False`` gives every CPU count
-        an independent cold run built by the session's ``comm_factory`` when
-        it has one, or by :meth:`CommunicationModel.cold_copy` of its ``comm``
-        otherwise -- either way any customised NFS settings are preserved.
+        an independent cold run on a :meth:`CommunicationModel.cold_copy` of
+        the session's ``comm``, so any customised NFS settings are preserved.
 
         ``batch=True`` coalesces shared-simulation families with the
         batch-aware cost model (one shared path simulation plus per-member
         payoff sweeps), regenerating the paper's tables "with batching".
         """
         strategy_obj = self._resolve_strategy(strategy)
-        jobs = self._simulation_jobs(source, batch, batch_group_size)
+        jobs = self._simulation_jobs(source, batch)
         shared = None
         if share_nfs_cache:
             shared = self.comm if self.comm is not None else self._own_comm()
@@ -692,16 +682,15 @@ class ValuationSession:
         strategies: Sequence[str] = STRATEGY_NAMES,
         share_nfs_cache: bool = True,
         batch: bool = False,
-        batch_group_size: int | None = None,
     ) -> ComparisonResult:
         """Run the CPU-count sweep for several transmission strategies.
 
         Reproduces the full layout of the paper's Tables II and III.  Each
         strategy gets its own communication model (its own NFS cache
-        history) carrying the session's ``comm`` / ``comm_factory`` settings.
+        history) carrying the session's ``comm`` settings.
         ``batch=True`` regenerates the tables with shared-simulation batching.
         """
-        jobs = self._simulation_jobs(source, batch, batch_group_size)
+        jobs = self._simulation_jobs(source, batch)
         return ComparisonResult(
             {
                 strategy: self._sweep_column(
@@ -714,8 +703,6 @@ class ValuationSession:
 
     def _own_comm(self) -> CommunicationModel:
         """A model with its own cold NFS cache that keeps the session's settings."""
-        if self.comm_factory is not None:
-            return self.comm_factory()
         if self.comm is not None:
             return self.comm.cold_copy()
         return CommunicationModel()
@@ -756,15 +743,10 @@ class ValuationSession:
             times[n_cpus] = outcome.total_time
         return SpeedupTable.from_times(label or strategy.name, times)
 
-    def _simulation_jobs(
-        self, source: Portfolio | Sequence[Job], batch: bool, batch_group_size: int | None
-    ) -> list[Job]:
+    def _simulation_jobs(self, source: Portfolio | Sequence[Job], batch: bool) -> list[Job]:
         """The jobs a simulated sweep replays: planned like a run, never executed."""
         return build_plan(
-            source,
-            RunConfig(batch=batch, batch_group_size=batch_group_size),
-            executing=False,
-            cost_model=self.cost_model,
+            source, RunConfig(batch=batch), executing=False, cost_model=self.cost_model
         ).jobs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience

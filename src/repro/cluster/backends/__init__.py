@@ -26,8 +26,8 @@ built-in registrations are:
 ``"simulated"``
     :class:`~repro.cluster.simcluster.simulator.SimulatedClusterBackend` -- the
     discrete-event cluster model reproducing the paper's tables; accepts
-    ``comm`` (a :class:`~repro.cluster.simcluster.comm.CommunicationModel`),
-    ``execute`` and ``node_speed`` options.
+    ``comm`` (a :class:`~repro.cluster.simcluster.comm.CommunicationModel`)
+    and ``churn`` (a :class:`~repro.cluster.chaos.ChurnSchedule`) options.
 
 Use :func:`create_backend` to build one, :func:`list_backends` to enumerate
 the registered names and :func:`register_backend` (usable as a decorator
@@ -178,13 +178,13 @@ def _make_remote(
 def _make_simulated(
     n_workers: int = 2,
     strategy: str = "serialized_load",
-    node_speed: float = 1.0,
-    **options: Any,
+    comm: Any = None,
+    churn: Any = None,
 ) -> WorkerBackend:
     # imported lazily: the simulator pulls in the whole simcluster package,
     # which plain backend users (and `import repro`) should not pay for
     from repro.cluster.simcluster.node import ClusterSpec
     from repro.cluster.simcluster.simulator import SimulatedClusterBackend
 
-    spec = ClusterSpec.from_cpu_count(n_workers + 1, speed=node_speed)
-    return SimulatedClusterBackend(spec, strategy=strategy, **options)
+    spec = ClusterSpec.from_cpu_count(n_workers + 1)
+    return SimulatedClusterBackend(spec, strategy=strategy, comm=comm, churn=churn)

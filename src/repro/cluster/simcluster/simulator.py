@@ -21,8 +21,7 @@ jobs are expensive (Table III), master-bound flattening when jobs are cheap
 (Table II), and plateauing at the longest single job when the portfolio is
 small compared to the worker count (Table I).
 
-Set ``execute=True`` to also run the pricing code for real while keeping the
-virtual-time accounting -- useful for end-to-end tests on small portfolios.
+The simulated cluster prices nothing: a collected job carries no result.
 """
 
 from __future__ import annotations
@@ -31,15 +30,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster.backends.base import (
-    PAYLOAD_PATH,
-    PAYLOAD_SERIAL,
     BackendStats,
     CompletedJob,
     Job,
     PreparedMessage,
     WorkerBackend,
 )
-from repro.cluster.backends.execution import execute_payload
 from repro.cluster.simcluster.comm import CommunicationModel
 from repro.cluster.simcluster.events import EventQueue
 from repro.cluster.simcluster.node import ClusterSpec
@@ -70,8 +66,6 @@ class _InFlight:
     worker_start: float
     worker_done: float
     compute_time: float
-    result: dict[str, Any] | None = None
-    error: str | None = None
 
 
 class SimulatedClusterBackend(WorkerBackend):
@@ -89,11 +83,6 @@ class SimulatedClusterBackend(WorkerBackend):
         Gigabit-Ethernet + NFS cluster.  Reuse one instance across a CPU-count
         sweep to let the NFS cache persist between runs (the paper's Table II
         artefact); pass a fresh instance for independent runs.
-    execute:
-        When ``True`` the backend also runs the pricing code (needs jobs with
-        an in-memory problem or a real file).  Virtual time is still advanced
-        from the cost model, not from the measured time, so simulated results
-        stay machine-independent.
     churn:
         Optional :class:`~repro.cluster.chaos.ChurnSchedule`: workers die or
         join at virtual times.  A dispatch routed to a dead worker is
@@ -112,14 +101,12 @@ class SimulatedClusterBackend(WorkerBackend):
         cluster: ClusterSpec,
         strategy: str = "serialized_load",
         comm: CommunicationModel | None = None,
-        execute: bool = False,
         churn: Any = None,
     ):
         self.cluster = cluster
         self.strategy = strategy
         self.comm = comm if comm is not None else CommunicationModel()
         self.comm._check_strategy(strategy)
-        self.execute = bool(execute)
         self.churn = churn
 
         base = cluster.n_workers
@@ -161,7 +148,7 @@ class SimulatedClusterBackend(WorkerBackend):
         return self._master_time
 
     def dispatch(self, worker_id: int, job: Job, message: PreparedMessage | None = None) -> None:
-        self.dispatch_batch(worker_id, [job], [message] if message is not None else None)
+        self.dispatch_batch(worker_id, [job])
 
     def dispatch_batch(
         self,
@@ -193,18 +180,13 @@ class SimulatedClusterBackend(WorkerBackend):
         self._bytes_sent += nbytes
         arrival = self._master_time
 
-        for index, job in enumerate(jobs):
-            message = messages[index] if messages else None
+        for job in jobs:
             worker_prep = self.comm.worker_prep_time(self.strategy, job)
             # _place commits the worker's free time, so chunk members chain
             # on the same worker exactly as the sequential in-order model did
             placed_id, start, done, compute = self._place(
                 worker_id, arrival, worker_prep, job
             )
-            result: dict[str, Any] | None = None
-            error: str | None = None
-            if self.execute:
-                result, _elapsed, error = self._execute_job(job, message)
             record = _InFlight(
                 job=job,
                 worker_id=placed_id,
@@ -212,8 +194,6 @@ class SimulatedClusterBackend(WorkerBackend):
                 worker_start=start,
                 worker_done=done,
                 compute_time=compute,
-                result=result,
-                error=error,
             )
             self._events.push(done + self.comm.result_return_time(), "result", record)
             self._in_flight += 1
@@ -248,10 +228,9 @@ class SimulatedClusterBackend(WorkerBackend):
         return CompletedJob(
             job_id=record.job.job_id,
             worker_id=record.worker_id,
-            result=record.result,
+            result=None,
             compute_time=record.compute_time,
             collected_at=self._master_time,
-            error=record.error,
         )
 
     def send_stop(self, worker_id: int) -> None:
@@ -368,16 +347,3 @@ class SimulatedClusterBackend(WorkerBackend):
     def traces(self) -> list[SimulationTrace]:
         """Per-job timing records (dispatch/start/done/collect)."""
         return list(self._traces)
-
-    def _execute_job(
-        self, job: Job, message: PreparedMessage | None
-    ) -> tuple[dict[str, Any] | None, float, str | None]:
-        if message is not None and message.payload is not None:
-            return execute_payload(message.kind, message.payload)
-        if job.problem is not None:
-            return execute_payload(PAYLOAD_SERIAL, job.wire_bytes())
-        if job.path:
-            return execute_payload(PAYLOAD_PATH, job.path)
-        raise SimulationError(
-            f"execute=True but job {job.job_id} has neither a problem nor a file"
-        )

@@ -812,14 +812,7 @@ class ScheduleStream:
         return self._outcome
 
 
-def simulate_hierarchical(
-    jobs: Sequence[Job],
-    n_workers: int,
-    n_groups: int,
-    strategy_name: str = "serialized_load",
-    comm: CommunicationModel | None = None,
-    worker_speed: float = 1.0,
-) -> dict[str, Any]:
+def simulate_hierarchical(jobs: Sequence[Job], n_workers: int, n_groups: int) -> dict[str, Any]:
     """Two-level master organisation evaluated on the simulated cluster.
 
     "one way of encompassing this difficulty is to divide the nodes into
@@ -829,8 +822,9 @@ def simulate_hierarchical(
 
     The global master deals jobs to ``n_groups`` sub-masters round-robin (a
     cheap name-only message per job); each sub-master then runs its own Robin
-    Hood loop over its share of the workers.  Each group uses an independent
-    :class:`SimulatedClusterBackend`; the reported makespan
+    Hood loop over its share of the workers, sending ``serialized_load``
+    messages.  Each group uses an independent :class:`SimulatedClusterBackend`
+    on the paper's default cluster model; the reported makespan
     (``total_time``) is the slowest of ``group_times`` plus the global
     master's ``master_dealing_time``.
     """
@@ -839,12 +833,11 @@ def simulate_hierarchical(
     if n_workers < n_groups:
         raise SchedulingError("need at least one worker per group")
     _check_jobs(jobs)
-    base_comm = comm if comm is not None else CommunicationModel()
+    comm = CommunicationModel()
 
     # the global master only forwards file names to the sub-masters
     dealing_time = len(jobs) * (
-        base_comm.nfs_master_overhead
-        + base_comm.network.transfer_time(base_comm.name_message_bytes)
+        comm.nfs_master_overhead + comm.network.transfer_time(comm.name_message_bytes)
     )
 
     # split workers and jobs across groups (round-robin keeps the expensive
@@ -859,12 +852,8 @@ def simulate_hierarchical(
         if not sub_jobs:
             group_times.append(0.0)
             continue
-        backend = SimulatedClusterBackend(
-            ClusterSpec.homogeneous(size, speed=worker_speed),
-            strategy=strategy_name,
-            comm=CommunicationModel(network=base_comm.network, nfs=base_comm.nfs),
-        )
-        stream = ScheduleStream(sub_jobs, backend, get_strategy(strategy_name))
+        backend = SimulatedClusterBackend(ClusterSpec.homogeneous(size))
+        stream = ScheduleStream(sub_jobs, backend, get_strategy("serialized_load"))
         group_times.append(stream.finish().total_time)
 
     return {

@@ -20,7 +20,9 @@ This module provides the planning layer on top of
   groups and left-over singletons, preserving input order;
 * :class:`ProblemBatch` -- a serializable bundle of grouped problems that
   cluster workers price as one unit (registered with the XDR codec registry,
-  so it ships over every transmission strategy that serializes problems);
+  so it ships over every transmission strategy that serializes problems),
+  written as :func:`book_view` -- the one book format, which a scenario
+  grid's base book shares;
 * :func:`price_problems` -- the one-call convenience: plan, price groups via
   the shared-path engine, price singletons individually, return results in
   input order.
@@ -144,19 +146,15 @@ class BatchPlan:
 
 
 def plan_batches(
-    problems: Sequence[PricingProblem | None],
-    min_group_size: int = 2,
-    max_group_size: int | None = None,
+    problems: Sequence[PricingProblem | None], min_group_size: int = 2
 ) -> BatchPlan:
-    """Group ``problems`` by simulation signature.
+    """Group ``problems`` by simulation signature, in order of first member.
 
     ``None`` entries (jobs without an in-memory problem) and problems without
     a signature become singletons.  Groups smaller than ``min_group_size``
-    degrade to singletons (a one-member "group" would only add overhead);
-    ``max_group_size`` splits huge families into several groups so a parallel
-    backend can spread them over workers -- splitting never changes any price
-    because members are statistically independent read-only consumers of the
-    shared paths.
+    degrade to singletons (a one-member "group" would only add overhead).  A
+    family is never split: a plain run on worker processes already spreads a
+    large one over the workers in book slices.
 
     ``min_group_size=1`` keeps size-1 families as real groups.  That is the
     scenario-grid configuration (:mod:`repro.pricing.scenarios`): bumped
@@ -167,8 +165,6 @@ def plan_batches(
     """
     if min_group_size < 1:
         raise PricingError("min_group_size must be >= 1")
-    if max_group_size is not None and max_group_size < min_group_size:
-        raise PricingError("max_group_size must be >= min_group_size")
     by_signature: dict[SimulationSignature, list[int]] = {}
     singles: list[int] = []
     for index, problem in enumerate(problems):
@@ -182,15 +178,8 @@ def plan_batches(
     for signature, indices in by_signature.items():
         if len(indices) < min_group_size:
             singles.extend(indices)
-            continue
-        chunk = max_group_size or len(indices)
-        for start in range(0, len(indices), chunk):
-            part = indices[start : start + chunk]
-            if len(part) < min_group_size:
-                singles.extend(part)
-            else:
-                groups.append(BatchGroup(signature=signature, indices=tuple(part)))
-    groups.sort(key=lambda group: group.indices[0])
+        else:
+            groups.append(BatchGroup(signature=signature, indices=tuple(indices)))
     return BatchPlan(groups=tuple(groups), singles=tuple(sorted(singles)))
 
 
@@ -204,10 +193,11 @@ class ProblemBatch:
     registered in :mod:`repro.serial`), so every transmission strategy that
     serializes problems can carry batches unchanged.
 
-    Equal signatures mean equal model and method parameters, so the wire
-    form (:meth:`wire_view`) carries **one** model and **one** method header
-    and a ``{label, asset, option}`` entry per member, and the rebuilt
-    members share one :class:`Model` and one :class:`PricingMethod` object.
+    The wire form (:meth:`wire_view`) is the members' :func:`book_view`, the
+    one book format a scenario grid writes too: equal signatures mean equal
+    model and method parameters, so it carries **one** model and **one**
+    method header, and the rebuilt members share one :class:`Model` and one
+    :class:`PricingMethod` object.
     """
 
     def __init__(
@@ -288,20 +278,9 @@ class ProblemBatch:
     # -- serialization ----------------------------------------------------------
     def wire_view(self) -> dict[str, Any]:
         """The batch as the codec writes it (read-only, like
-        :meth:`PricingProblem.wire_view`): the shared model and method once,
-        then one unpriced ``{label, asset, option}`` entry per member."""
-        first = self.problems[0].wire_view()
-        return {
-            "model": first["model"],
-            "method": first["method"],
-            "members": [
-                {"label": problem.label, "asset": problem.asset,
-                 "option": problem._option_view()}
-                for problem in self.problems
-            ],
-            "keys": self.keys,
-            "kernel": self.kernel,
-        }
+        :meth:`PricingProblem.wire_view`): the members' :func:`book_view`,
+        their keys and the kernel."""
+        return {"book": book_view(self.problems), "keys": self.keys, "kernel": self.kernel}
 
     def to_dict(self) -> dict[str, Any]:
         """An independent deep copy of :meth:`wire_view`."""
@@ -311,25 +290,19 @@ class ProblemBatch:
     def from_dict(cls, data: dict[str, Any]) -> "ProblemBatch":
         """Rebuild a batch; a payload of the wrong shape raises
         :class:`~repro.errors.SerializationError` naming the field."""
-        members, keys = data.get("members"), data.get("keys")
-        if not isinstance(members, list) or not members:
-            raise SerializationError("ProblemBatch payload: 'members' must be a non-empty list")
+        problems, keys = _problems_from_book(data.get("book")), data.get("keys")
         if (
             not isinstance(keys, list)
-            or len(keys) != len(members)
+            or len(keys) != len(problems)
             or not all(isinstance(key, int) for key in keys)
         ):
             raise SerializationError(
                 "ProblemBatch payload: 'keys' must list one integer per member"
             )
-        header_legs = {leg: _named_leg(data, leg) for leg in ("model", "method")}
-        # every member is a shallow copy of the header problem with its own
-        # option: one Model and one PricingMethod object serve them all
-        header = PricingProblem.from_dict(header_legs)
-        problems = [
-            _member(header, entry, f"members[{index}]") for index, entry in enumerate(members)
-        ]
-        return cls(problems, keys=keys, kernel=data.get("kernel"))
+        try:
+            return cls(problems, keys=keys, kernel=data.get("kernel"))
+        except PricingError as exc:
+            raise SerializationError(f"ProblemBatch payload: {exc}") from exc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"ProblemBatch(n={len(self.problems)}, signature={self.signature.mode!r})"
@@ -364,6 +337,78 @@ def _member(
     problem.set_asset(entry.get("asset", "equity"))
     problem.set_leg_from_wire("option", option, f"{payload} payload: {where}.")
     return problem
+
+
+def book_view(problems: Sequence[PricingProblem]) -> dict[str, Any]:
+    """Problems as the codec writes them (read-only, like
+    :meth:`PricingProblem.wire_view`): every distinct model and method header
+    once, then one ``{label, asset, model, method, option}`` entry per problem
+    naming its headers by index.  The one book format: a
+    :class:`ProblemBatch` and a scenario grid's base book both write it."""
+    models: list[dict[str, Any]] = []
+    methods: list[dict[str, Any]] = []
+    model_index: dict[str, int] = {}
+    method_index: dict[tuple[str, str], int] = {}
+    entries = []
+    for problem in problems:
+        model_key = problem.model.param_digest()
+        method_key = (problem.method.method_name, problem.method.param_digest())
+        if model_key not in model_index:
+            model_index[model_key] = len(models)
+            models.append(problem.wire_view()["model"])
+        if method_key not in method_index:
+            method_index[method_key] = len(methods)
+            methods.append(problem.wire_view()["method"])
+        entries.append({
+            "label": problem.label, "asset": problem.asset,
+            "model": model_index[model_key], "method": method_index[method_key],
+            "option": problem._option_view(),
+        })
+    return {"models": models, "methods": methods, "problems": entries}
+
+
+def _problems_from_book(view: Any, payload: str = "ProblemBatch") -> list[PricingProblem]:
+    """Rebuild the problems of :func:`book_view` read off a ``payload`` body;
+    problems naming the same headers share one :class:`Model` and one
+    :class:`PricingMethod` object."""
+    if not isinstance(view, dict):
+        raise SerializationError(f"{payload} payload: 'book' must hold a dict")
+    entries = view.get("problems")
+    if not isinstance(entries, list) or not entries:
+        raise SerializationError(f"{payload} payload: 'book.problems' must be a non-empty list")
+    legs: dict[str, list[dict[str, Any]]] = {}
+    for leg in ("model", "method"):
+        table = view.get(f"{leg}s")
+        if not isinstance(table, list):
+            raise SerializationError(f"{payload} payload: 'book.{leg}s' must be a list")
+        legs[leg] = [
+            _named_leg({leg: entry}, leg, f"book.{leg}s[{index}].", payload)
+            for index, entry in enumerate(table)
+        ]
+    # every problem is a shallow copy of its (model, method) header with its
+    # own option
+    headers: dict[tuple[int, int], PricingProblem] = {}
+    problems = []
+    for index, entry in enumerate(entries):
+        where = f"book.problems[{index}]"
+        if not isinstance(entry, dict):
+            raise SerializationError(f"{payload} payload: {where} must be a dict")
+        pair = (entry.get("model"), entry.get("method"))
+        for leg, number in zip(legs, pair):
+            if not _is_count(number) or number >= len(legs[leg]):
+                raise SerializationError(
+                    f"{payload} payload: '{where}.{leg}' must index 'book.{leg}s'"
+                )
+        if pair not in headers:
+            headers[pair] = PricingProblem.from_dict(
+                {"model": legs["model"][pair[0]], "method": legs["method"][pair[1]]}
+            )
+        problems.append(_member(headers[pair], entry, where, payload))
+    return problems
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def answer_members(
@@ -408,8 +453,6 @@ def batch_digest(batch: ProblemBatch) -> str:
 def price_problems(
     problems: Sequence[PricingProblem],
     min_group_size: int = 2,
-    max_group_size: int | None = None,
-    cache: "ResultCache | None" = None,
     kernel: str | None = None,
 ) -> list[PricingResult]:
     """Price ``problems`` with shared-path grouping, in input order.
@@ -424,13 +467,12 @@ def price_problems(
     price_groups_stacked`): groups with identical simulation signatures up
     to model parameters share one normal-draw cohort instead of each
     re-drawing the same stream.  Prices stay bit-identical to the loop
-    kernel; with a ``cache`` (per-member hit accounting) the stacked path
-    degrades to per-group evaluation.
+    kernel.  A worker's result cache is consulted by the payloads
+    (:meth:`ProblemBatch.compute`, ``ScenarioGrid.compute``), not here.
     """
     kernel = resolve_kernel(kernel)
     problems = list(problems)
-    plan = plan_batches(problems, min_group_size=min_group_size,
-                        max_group_size=max_group_size)
+    plan = plan_batches(problems, min_group_size=min_group_size)
     results: dict[int, PricingResult] = {}
     batches = [
         ProblemBatch([problems[i] for i in group.indices],
@@ -438,7 +480,7 @@ def price_problems(
         for group in plan.groups
     ]
     stacked_done = False
-    if kernel == "stacked" and cache is None and batches:
+    if kernel == "stacked" and batches:
         try:
             per_group = price_groups_stacked(
                 [
@@ -457,7 +499,7 @@ def price_problems(
             stacked_done = True
     if not stacked_done:
         for batch in batches:
-            for key, entry in batch.compute(cache=cache).items():
+            for key, entry in batch.compute().items():
                 if "error" in entry:
                     # match unbatched semantics: computing this problem raises
                     raise PricingError(
@@ -467,13 +509,5 @@ def price_problems(
                 # compute() stored the full PricingResult on each member problem
                 results[key] = problems[key].get_method_results()
     for index in plan.singles:
-        problem = problems[index]
-        cached = cache.get(problem_digest(problem)) if cache is not None else None
-        if cached is not None:
-            problem._result = cached
-            results[index] = cached
-        else:
-            results[index] = problem.compute()
-            if cache is not None:
-                cache.put(problem_digest(problem), results[index])
+        results[index] = problems[index].compute()
     return [results[index] for index in range(len(problems))]

@@ -97,11 +97,8 @@ def compute_greeks(
     spot_bump: float = 0.01,
     vol_bump: float = 0.01,
     rate_bump: float = 0.0001,
-    compute_vega: bool = True,
-    compute_rho: bool = True,
     *,
     theta_bump: float = 1.0 / 365.0,
-    compute_theta: bool = True,
 ) -> GreekReport:
     """Bump-and-revalue Greeks.
 
@@ -110,7 +107,8 @@ def compute_greeks(
     spot_bump:
         Relative spot bump used for delta and gamma (default 1%).
     vol_bump:
-        Absolute bump of the volatility-like parameter (default 1 vol point).
+        Absolute bump of the volatility-like parameter (default 1 vol point);
+        a model with none reports ``vega=None``.
     rate_bump:
         Absolute bump of the interest rate (default 1 basis point).
     theta_bump:
@@ -143,8 +141,7 @@ def compute_greeks(
     problem = PricingProblem.from_instances(model, product, method)
     scenarios = greek_ladder(
         spot_bump=spot_bump, vol_bump=vol_bump, rate_bump=rate_bump,
-        theta_bump=theta_bump, compute_vega=compute_vega, compute_rho=compute_rho,
-        compute_theta=compute_theta, vol_param=_vol_param(model),
+        theta_bump=theta_bump, vol_param=_vol_param(model),
     )
     prices = price_scenarios([problem], scenarios)[0]
     return greeks_from_prices(

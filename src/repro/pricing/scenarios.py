@@ -60,7 +60,13 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import PricingError, SerializationError
-from repro.pricing.batch import _member, _named_leg, answer_members, price_problems
+from repro.pricing.batch import (
+    _is_count,
+    _problems_from_book,
+    answer_members,
+    book_view,
+    price_problems,
+)
 from repro.pricing.cache import legs_digest, problem_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.greeks import GreekReport, _vol_param, bump_model, maturity_step
@@ -153,9 +159,6 @@ def greek_ladder(
     vol_bump: float = 0.01,
     rate_bump: float = 0.0001,
     theta_bump: float = 1.0 / 365.0,
-    compute_vega: bool = True,
-    compute_rho: bool = True,
-    compute_theta: bool = True,
     vol_param: str | None = VOL_PARAM,
 ) -> tuple[Scenario, ...]:
     """The bump set behind a full finite-difference Greek report.
@@ -177,18 +180,16 @@ def greek_ladder(
         Scenario(name="spot_down", target="model", param="spot",
                  bump=-spot_bump, relative=True),
     ]
-    if compute_vega and vol_param is not None:
+    if vol_param is not None:
         scenarios += [
             Scenario(name="vol_up", target="model", param=vol_param, bump=vol_bump),
             Scenario(name="vol_down", target="model", param=vol_param, bump=-vol_bump),
         ]
-    if compute_rho:
-        scenarios += [
-            Scenario(name="rate_up", target="model", param="rate", bump=rate_bump),
-            Scenario(name="rate_down", target="model", param="rate", bump=-rate_bump),
-        ]
-    if compute_theta:
-        scenarios.append(Scenario(name="theta_down", target="maturity", bump=theta_bump))
+    scenarios += [
+        Scenario(name="rate_up", target="model", param="rate", bump=rate_bump),
+        Scenario(name="rate_down", target="model", param="rate", bump=-rate_bump),
+        Scenario(name="theta_down", target="maturity", bump=theta_bump),
+    ]
     return tuple(scenarios)
 
 
@@ -384,78 +385,6 @@ def expand_scenarios(
 
 
 # -- the grid as a dispatch unit --------------------------------------------------
-
-
-def book_view(problems: Sequence[PricingProblem]) -> dict[str, Any]:
-    """A base book as the codec writes it (read-only, like
-    :meth:`PricingProblem.wire_view`): every distinct model and method header
-    once, then one ``{label, asset, model, method, option}`` entry per problem
-    naming its headers by index."""
-    models: list[dict[str, Any]] = []
-    methods: list[dict[str, Any]] = []
-    model_index: dict[str, int] = {}
-    method_index: dict[tuple[str, str], int] = {}
-    entries = []
-    for problem in problems:
-        model_key = problem.model.param_digest()
-        method_key = (problem.method.method_name, problem.method.param_digest())
-        if model_key not in model_index:
-            model_index[model_key] = len(models)
-            models.append(problem.wire_view()["model"])
-        if method_key not in method_index:
-            method_index[method_key] = len(methods)
-            methods.append(problem.wire_view()["method"])
-        entries.append({
-            "label": problem.label, "asset": problem.asset,
-            "model": model_index[model_key], "method": method_index[method_key],
-            "option": problem._option_view(),
-        })
-    return {"models": models, "methods": methods, "problems": entries}
-
-
-def _problems_from_book(view: Any) -> list[PricingProblem]:
-    """Rebuild the problems of :func:`book_view`; problems naming the same
-    headers share one :class:`Model` and one :class:`PricingMethod` object."""
-    if not isinstance(view, dict):
-        raise SerializationError("ScenarioGrid payload: 'book' must decode to a dict")
-    entries = view.get("problems")
-    if not isinstance(entries, list) or not entries:
-        raise SerializationError(
-            "ScenarioGrid payload: 'book.problems' must be a non-empty list"
-        )
-    legs: dict[str, list[dict[str, Any]]] = {}
-    for leg in ("model", "method"):
-        table = view.get(f"{leg}s")
-        if not isinstance(table, list):
-            raise SerializationError(f"ScenarioGrid payload: 'book.{leg}s' must be a list")
-        legs[leg] = [
-            _named_leg({leg: entry}, leg, f"book.{leg}s[{index}].", "ScenarioGrid")
-            for index, entry in enumerate(table)
-        ]
-    # every problem is a shallow copy of its (model, method) header with its
-    # own option, as the members of a ProblemBatch are
-    headers: dict[tuple[int, int], PricingProblem] = {}
-    problems = []
-    for index, entry in enumerate(entries):
-        where = f"book.problems[{index}]"
-        if not isinstance(entry, dict):
-            raise SerializationError(f"ScenarioGrid payload: {where} must be a dict")
-        pair = (entry.get("model"), entry.get("method"))
-        for leg, number in zip(legs, pair):
-            if not _is_count(number) or number >= len(legs[leg]):
-                raise SerializationError(
-                    f"ScenarioGrid payload: '{where}.{leg}' must index 'book.{leg}s'"
-                )
-        if pair not in headers:
-            headers[pair] = PricingProblem.from_dict(
-                {"model": legs["model"][pair[0]], "method": legs["method"][pair[1]]}
-            )
-        problems.append(_member(headers[pair], entry, where, "ScenarioGrid"))
-    return problems
-
-
-def _is_count(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _checked_rows(rows: Any, n_problems: int) -> np.ndarray:
@@ -744,7 +673,7 @@ class ScenarioGrid:
         book = data.get("book")
         if not isinstance(book, bytes):
             raise SerializationError("ScenarioGrid payload: 'book' must be a byte block")
-        problems = _problems_from_book(xdr.decode(book))
+        problems = _problems_from_book(xdr.decode(book), "ScenarioGrid")
         try:
             return cls(
                 _Book(problems, wire=book), scenarios, on_missing=data.get("on_missing"),
@@ -815,7 +744,7 @@ def greeks_from_prices(
     parenthesisation), so when the ladder prices are bit-identical to
     repricing cell by cell -- which the stacked kernel's CRN cohorts
     guarantee -- the assembled Greeks are too.
-    Scenarios absent from ``prices`` (skipped cells, trimmed ladders)
+    Scenarios absent from ``prices`` (skipped cells, a ladder without vega)
     assemble to ``None``.
     """
     base = float(prices["base"])

@@ -67,7 +67,7 @@ _MAGIC = FRAME_MAGIC
 
 #: stamped in every frame header; both ends refuse any other stamp, so bump
 #: it on any change to the frame layout or the payload dictionaries.
-PROTOCOL_VERSION = 10
+PROTOCOL_VERSION = 11
 
 #: worker -> master greeting sent once per connection (worker identity)
 FRAME_HELLO = 1

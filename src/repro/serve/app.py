@@ -38,6 +38,7 @@ from repro.errors import (
     PortfolioError,
     PricingError,
     RegistryError,
+    ReproError,
     SchedulingError,
     ServeError,
     ValuationError,
@@ -426,27 +427,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Entry point of the ``repro-serve`` console script; bad options are one
+    ``error: ...`` line on stderr and exit code 2, as for ``repro-bench``."""
     args = build_parser().parse_args(argv)
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        backend=args.backend,
-        n_workers=args.workers,
-        hosts=tuple(h.strip() for h in args.hosts.split(",")) if args.hosts else (),
-        cache_dir=args.cache_dir,
-        cache_entries=args.cache_entries,
-        auth_token=args.auth_token or os.environ.get("REPRO_SERVE_TOKEN") or None,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        keepalive_interval=args.keepalive,
-        worker_secret=(
-            args.worker_secret or os.environ.get("REPRO_WORKER_SECRET") or None
-        )
-        if args.backend == "remote"
-        else None,
-        verbose=args.verbose,
-    )
-    server = ReproServer(config)
+    try:
+        server = ReproServer(ServerConfig(
+            host=args.host,
+            port=args.port,
+            backend=args.backend,
+            n_workers=args.workers,
+            hosts=tuple(h.strip() for h in args.hosts.split(",")) if args.hosts else (),
+            cache_dir=args.cache_dir,
+            cache_entries=args.cache_entries,
+            auth_token=args.auth_token or os.environ.get("REPRO_SERVE_TOKEN") or None,
+            rate_limit=args.rate_limit,
+            rate_burst=args.rate_burst,
+            keepalive_interval=args.keepalive,
+            worker_secret=(
+                args.worker_secret or os.environ.get("REPRO_WORKER_SECRET") or None
+            )
+            if args.backend == "remote"
+            else None,
+            verbose=args.verbose,
+        ))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"repro-serve listening on {server.url}", flush=True)
     try:
         server.serve_forever()

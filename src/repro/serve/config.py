@@ -10,6 +10,8 @@ directly.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import ServeError
@@ -96,16 +98,21 @@ class ServerConfig:
                 f"backend {self.backend!r} cannot be served; "
                 f"choose one of {', '.join(SERVABLE_BACKENDS)}"
             )
-        if self.n_workers < 1:
-            raise ServeError("repro-serve needs n_workers >= 1")
+        for name in ("n_workers", "cache_entries", "rate_burst", "max_body_bytes",
+                     "max_events_per_job"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ServeError(f"{name} must be an integer >= 1, got {value!r}")
+        # ``nan < 0`` is false: a NaN rate or interval would switch its feature off
+        for name in ("rate_limit", "keepalive_interval"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                math.isfinite(value) and value >= 0
+            ):
+                raise ServeError(f"{name} must be a finite number >= 0 (0 disables it), "
+                                 f"got {value!r}")
         if self.hosts and self.backend != "remote":
             raise ServeError("explicit worker hosts need backend='remote'")
-        if self.rate_limit < 0:
-            raise ServeError("rate_limit must be >= 0 (0 disables limiting)")
-        if self.rate_burst < 1:
-            raise ServeError("rate_burst must be >= 1")
-        if self.keepalive_interval < 0:
-            raise ServeError("keepalive_interval must be >= 0 (0 disables it)")
         if self.worker_secret is not None and self.backend != "remote":
             raise ServeError("worker_secret needs backend='remote'")
         object.__setattr__(self, "hosts", tuple(self.hosts))

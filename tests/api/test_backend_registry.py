@@ -47,8 +47,11 @@ class TestCreateBackend:
         assert backend.strategy == "nfs"
 
     def test_simulated_extra_options(self):
-        backend = create_backend("simulated", n_workers=1, execute=False, node_speed=2.0)
-        assert backend.cluster.n_workers == 1
+        from repro.cluster.simcluster import CommunicationModel
+
+        comm = CommunicationModel()
+        backend = create_backend("simulated", n_workers=1, comm=comm)
+        assert backend.cluster.n_workers == 1 and backend.comm is comm
 
     def test_unknown_name_lists_known_backends(self):
         with pytest.raises(ClusterError, match="local"):

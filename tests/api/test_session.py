@@ -143,13 +143,12 @@ class TestRun:
         assert result.strategy == "nfs"
         assert result.report.scheduler == "chunked_robin_hood"
 
-    def test_run_config_cost_model_drives_simulated_timings(self, toy_portfolio):
-        session = ValuationSession(backend="simulated", n_workers=2)
-        baseline = session.run(toy_portfolio)
-        scaled = session.run(
-            toy_portfolio,
-            config=RunConfig(cost_model=paper_cost_model().with_scale(1000.0)),
-        )
+    def test_session_cost_model_drives_simulated_timings(self, toy_portfolio):
+        baseline = ValuationSession(backend="simulated", n_workers=2).run(toy_portfolio)
+        scaled = ValuationSession(
+            backend="simulated", n_workers=2,
+            cost_model=paper_cost_model().with_scale(1000.0),
+        ).run(toy_portfolio)
         assert scaled.total_time > baseline.total_time * 100
 
     def test_backend_instance_sessions_are_one_shot(self, toy_portfolio):
@@ -250,7 +249,7 @@ class TestSweep:
     @pytest.mark.parametrize("removed", ["config", "comm", "comm_factory"])
     def test_sweep_has_one_spelling(self, toy_jobs, removed):
         # the sweep-config object and the per-call comm overrides are gone:
-        # the keywords and the session's comm / comm_factory are the one spelling
+        # the keywords and the session's comm are the one spelling
         with pytest.raises(TypeError, match=removed):
             ValuationSession().sweep(toy_jobs, [2, 4], **{removed: None})
 
@@ -291,26 +290,10 @@ class TestNFSCacheSettingsFix:
         for n_cpus in (2, 4):
             assert custom.times()[n_cpus] > default.times()[n_cpus] * 1.5
 
-    def test_session_comm_factory_builds_one_model_per_cold_run(self, toy_jobs):
-        calls: list[int] = []
-
-        def factory() -> CommunicationModel:
-            calls.append(1)
-            return self._slow_nfs_comm()
-
-        table = ValuationSession(comm_factory=factory).sweep(
-            toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=False
-        )
-        assert len(calls) >= 2  # one fresh model per CPU count
-        default = ValuationSession().sweep(
-            toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=False
-        )
-        assert table.times()[2] > default.times()[2] * 1.5
-
     @pytest.mark.parametrize("share_nfs_cache", [True, False])
     def test_compare_columns_keep_the_session_comm_settings(self, toy_jobs, share_nfs_cache):
-        # compare used to give every column a default CommunicationModel
-        # unless the session had a comm_factory; a session comm counts too
+        # compare used to give every column a default CommunicationModel:
+        # a session comm is carried to every column
         session = ValuationSession(comm=self._slow_nfs_comm())
         column = session.compare(
             toy_jobs, [2, 4], strategies=["nfs"], share_nfs_cache=share_nfs_cache

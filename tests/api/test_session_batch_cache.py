@@ -38,18 +38,9 @@ class TestBatchRuns:
         assert batched.prices() == plain.prices()
         assert batched.value() == plain.value()
 
-    def test_batch_group_size_split_is_price_neutral(self):
-        family = _mc_family(7)
-        plain = ValuationSession(backend="local").run(family)
-        split = ValuationSession(backend="local").run(
-            family, batch=True, batch_group_size=3
-        )
-        assert split.prices() == plain.prices()
-        assert split.n_jobs == len(family)
-
     def test_run_config_routes_batch_options(self):
         family = _mc_family(4)
-        config = RunConfig(batch=True, batch_group_size=2)
+        config = RunConfig(batch=True)
         result = ValuationSession(backend="local").run(family, config=config)
         plain = ValuationSession(backend="local").run(family)
         assert result.prices() == plain.prices()
@@ -70,7 +61,7 @@ class TestBatchRuns:
         family = _mc_family(12)
         session = ValuationSession(backend="simulated")
         plain = session.sweep(family, [2, 4])
-        batched = session.sweep(family, [2, 4], batch=True, batch_group_size=3)
+        batched = session.sweep(family, [2, 4], batch=True)
         assert all(
             batched.times()[n] < plain.times()[n] for n in (2, 4)
         )
@@ -111,10 +102,6 @@ class TestBatchRuns:
         local = ValuationSession(backend="local").run(mixed_portfolio)
         assert report.prices() == local.prices()
 
-    def test_bad_batch_group_size_rejected(self):
-        with pytest.raises(ValuationError):
-            RunConfig(batch=True, batch_group_size=1)
-
     def test_batched_run_isolates_member_errors(self):
         import numpy as np
 
@@ -147,7 +134,7 @@ class TestBatchRuns:
         family = _mc_family(5, n_paths=800)
         local = ValuationSession(backend="local").run(family, batch=True)
         remote = ValuationSession(backend="multiprocessing", n_workers=2).run(
-            family, batch=True, batch_group_size=3
+            family, batch=True
         )
         assert remote.ok
         assert remote.prices() == local.prices()

@@ -26,7 +26,7 @@ REPORTING = {
     # the virtual clock and per-job timing records the paper's tables are
     # read from, and the constructor arguments of the cluster model
     "SimulatedClusterBackend": {
-        "virtual_time", "traces", "cluster", "strategy", "comm", "execute", "churn",
+        "virtual_time", "traces", "cluster", "strategy", "comm", "churn",
     },
 }
 

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster.backends.base import Job
 from repro.cluster.simcluster import ClusterSpec, CommunicationModel, SimulatedClusterBackend
 from repro.errors import ClusterError
-from repro.pricing import PricingProblem
 
 
 def _jobs(costs, size=500):
@@ -198,25 +197,3 @@ class TestSimulatedTiming:
             batched.collect()
         batched_time = batched.finalize().total_time
         assert batched_time < single_time
-
-
-class TestSimulatedExecution:
-    def test_execute_mode_produces_real_prices(self):
-        problem = PricingProblem(label="exec")
-        problem.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.2)
-        problem.set_option("CallEuro", strike=100.0, maturity=1.0)
-        problem.set_method("CF_Call")
-        job = Job(job_id=0, path="", file_size=400, compute_cost=1e-3, problem=problem)
-        backend = SimulatedClusterBackend(ClusterSpec.homogeneous(1), execute=True)
-        backend.dispatch(0, job)
-        done = backend.collect()
-        backend.finalize()
-        assert done.error is None
-        assert done.result["price"] == pytest.approx(10.450584, abs=1e-6)
-
-    def test_execute_mode_without_problem_or_file_fails(self):
-        from repro.errors import SimulationError
-
-        backend = SimulatedClusterBackend(ClusterSpec.homogeneous(1), execute=True)
-        with pytest.raises(SimulationError):
-            backend.dispatch(0, Job(job_id=0, path="", file_size=10, compute_cost=1e-3))

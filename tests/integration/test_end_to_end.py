@@ -10,7 +10,6 @@ import pytest
 
 from repro.api import ValuationSession
 from repro.cluster import MultiprocessingBackend, SequentialBackend, paper_cost_model
-from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core import (
     build_realistic_portfolio,
     build_toy_portfolio,
@@ -51,16 +50,6 @@ class TestPortfolioAcrossBackends:
         report = ValuationSession(backend, strategy).run(portfolio, store=store)
         assert not report.errors
         assert report.prices() == pytest.approx(reference_prices)
-
-    def test_simulated_backend_in_execute_mode_agrees(self, portfolio, store, reference_prices):
-        backend = SimulatedClusterBackend(
-            ClusterSpec.homogeneous(4), strategy="serialized_load", execute=True
-        )
-        jobs = portfolio.build_jobs(store=store, attach_problems=True)
-        report = ValuationSession(backend, "serialized_load").run(jobs)
-        assert not report.errors
-        assert report.prices() == pytest.approx(reference_prices)
-        assert report.total_time > 0  # virtual seconds
 
     def test_portfolio_value_consistent(self, portfolio, reference_prices):
         value_from_cluster = portfolio_value(portfolio, reference_prices)

@@ -118,18 +118,15 @@ class TestPlanBatches:
         assert plan.n_grouped == 3
         assert plan.n_simulations_saved == 2
 
-    def test_max_group_size_splits_families(self):
+    def test_a_family_is_never_split(self):
         problems = [_mc_problem(80.0 + i) for i in range(7)]
-        plan = plan_batches(problems, max_group_size=3)
-        assert [len(group) for group in plan.groups] == [3, 3]
-        # the leftover single falls back to per-problem pricing
-        assert len(plan.singles) == 1
+        plan = plan_batches(problems)
+        assert [group.indices for group in plan.groups] == [tuple(range(7))]
+        assert plan.singles == ()
 
     def test_validation(self):
         with pytest.raises(PricingError):
             plan_batches([], min_group_size=0)
-        with pytest.raises(PricingError):
-            plan_batches([], min_group_size=3, max_group_size=2)
 
     def test_min_group_size_one_keeps_singletons_as_groups(self):
         # the scenario-grid configuration: every problem a distinct signature,

@@ -1,4 +1,5 @@
-"""The :class:`ProblemBatch` wire form: one model/method header, typed decode errors."""
+"""The :class:`ProblemBatch` wire form: the one book format (one model/method
+header), typed decode errors."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ import pytest
 from repro.cluster.backends import PAYLOAD_SERIAL, execute_payload
 from repro.errors import SerializationError
 from repro.pricing import PricingProblem, ProblemBatch
+from repro.pricing.batch import book_view
 from repro.serial import serialize, unserialize, xdr
 
-#: the parent commit's encoding of the 50-member batch below (483 B per member)
+#: the encoding of the 50-member batch below when every member carried its own
+#: model and method (483 B per member)
 _PARENT_BATCH_BYTES = 24_131
 
 
@@ -53,21 +56,28 @@ class TestWireForm:
             key: entry["price"] for key, entry in batch.compute().items()
         }
 
-    def test_header_is_written_once(self):
-        batch = ProblemBatch(_var_ladder())
+    def test_the_members_are_written_as_a_book_with_one_header(self):
+        problems = _var_ladder()
+        batch = ProblemBatch(problems)
         wire = batch.to_dict()
-        assert set(wire) == {"model", "method", "members", "keys", "kernel"}
-        assert all(set(member) == {"label", "asset", "option"} for member in wire["members"])
+        assert set(wire) == {"book", "keys", "kernel"}
+        assert wire["book"] == book_view(problems)  # the format a grid's base book has
+        assert len(wire["book"]["models"]) == len(wire["book"]["methods"]) == 1
+        assert all(
+            set(entry) == {"label", "asset", "model", "method", "option"}
+            for entry in wire["book"]["problems"]
+        )
+        # the header indices cost 42 B a member over v10's header-less entries
         nbytes = len(serialize(batch).to_bytes())
-        assert nbytes <= 0.4 * _PARENT_BATCH_BYTES
-        assert nbytes / len(batch) <= 0.4 * 483
+        assert nbytes <= 0.45 * _PARENT_BATCH_BYTES
+        assert nbytes / len(batch) <= 0.45 * 483
 
     def test_to_dict_is_a_copy_of_the_read_only_view(self):
         batch = ProblemBatch(_var_ladder(2))
         wire = batch.to_dict()
-        wire["model"]["params"]["spot"] = -1.0
-        wire["members"][0]["option"]["params"]["strike"] = -1.0
-        assert batch.to_dict()["model"]["params"]["spot"] == 101.3
+        wire["book"]["models"][0]["params"]["spot"] = -1.0
+        wire["book"]["problems"][0]["option"]["params"]["strike"] = -1.0
+        assert batch.to_dict()["book"]["models"][0]["params"]["spot"] == 101.3
         assert batch.problems[0].product.strike == 80.0
         assert batch.problems[0].to_dict()["option"]["params"]["strike"] == 80.0
 
@@ -86,20 +96,43 @@ def _with(**changes) -> dict:
     return {**_good(), **changes}
 
 
-def _member_with(**changes) -> dict:
+def _book_with(**changes) -> dict:
     wire = _good()
-    wire["members"][1] = {**wire["members"][1], **changes}
+    wire["book"] = {**wire["book"], **changes}
+    return wire
+
+
+def _entry_with(**changes) -> dict:
+    wire = _good()
+    wire["book"]["problems"][1] = {**wire["book"]["problems"][1], **changes}
+    return wire
+
+
+def _two_models() -> dict:
+    """Members that name different models: no shared simulation signature."""
+    wire = _good()
+    other = {**wire["book"]["models"][0]}
+    other["params"] = {**other["params"], "spot": 99.0}
+    wire["book"]["models"].append(other)
+    wire["book"]["problems"][1]["model"] = 1
     return wire
 
 
 MALFORMED = [
-    pytest.param({}, "members", id="empty"),
-    pytest.param(_with(members=[]), "members", id="no-members"),
+    pytest.param({}, "'book'", id="empty"),
+    pytest.param(_with(book=[1, 2]), "'book'", id="book-not-a-dict"),
+    pytest.param(_book_with(problems=[]), r"book\.problems", id="no-members"),
     pytest.param(_with(keys=[0]), "keys", id="keys-disagree"),
-    pytest.param(_with(members=[_good()["members"][0], 7]), r"members\[1\]", id="member-not-a-dict"),
-    pytest.param(_without("model"), "'model'", id="no-model"),
-    pytest.param(_with(method={"name": "MC_European"}), "'method'", id="method-without-params"),
-    pytest.param(_member_with(option=None), r"members\[1\]\.option", id="member-without-option"),
+    pytest.param(_book_with(problems=[_good()["book"]["problems"][0], 7]),
+                 r"book\.problems\[1\]", id="member-not-a-dict"),
+    pytest.param(_book_with(models=None), r"book\.models", id="no-model"),
+    pytest.param(_book_with(methods=[{"name": "MC_European"}]), r"book\.methods\[0\]\.method",
+                 id="method-without-params"),
+    pytest.param(_entry_with(method=3), r"book\.problems\[1\]\.method", id="method-out-of-range"),
+    pytest.param(_entry_with(option=None), r"book\.problems\[1\]\.option",
+                 id="member-without-option"),
+    pytest.param(_two_models(), "simulation signature", id="members-not-one-family"),
+    pytest.param(_with(kernel="nope"), "kernel", id="unknown-kernel"),
 ]
 
 

@@ -77,13 +77,6 @@ class TestComputeGreeks:
         report = compute_greeks(bs_model, atm_call, BinomialTree(n_steps=400))
         assert report.delta == pytest.approx(0.6368, abs=0.01)
 
-    def test_optional_greeks_can_be_skipped(self, bs_model, atm_call):
-        report = compute_greeks(bs_model, atm_call, ClosedFormCall(),
-                                compute_vega=False, compute_rho=False)
-        assert report.vega is None
-        assert report.rho is None
-        assert report.as_dict()["vega"] is None
-
     def test_heston_vega_uses_v0(self, heston_model, atm_call):
         from repro.pricing import FourierCOS
 

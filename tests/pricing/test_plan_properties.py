@@ -6,8 +6,8 @@ examples in ``test_batch.py``:
 * **partition** -- every input index appears exactly once, either in a
   group or in the singles list;
 * **signature cohesion** -- grouped members share one simulation
-  signature, and (without ``max_group_size``) signature-equal problems
-  always land in the same group or all degrade to singletons together;
+  signature, and signature-equal problems always land in the same group
+  (a family is never split) or all degrade to singletons together;
 * **permutation invariance** -- reordering the input only relabels
   indices; the partition itself (which problems share paths) is stable.
 
@@ -64,9 +64,9 @@ def _signature_key(spec: tuple[str, int, float]) -> int | None:
     return spec[1] if spec[0] == "mc" else None
 
 
-def _check_partition(specs, min_group_size=2, max_group_size=None):
+def _check_partition(specs):
     problems = [_build(spec) for spec in specs]
-    plan = plan_batches(problems, min_group_size=min_group_size, max_group_size=max_group_size)
+    plan = plan_batches(problems)
     covered = [index for group in plan.groups for index in group.indices]
     covered.extend(plan.singles)
     assert sorted(covered) == list(range(len(specs)))
@@ -116,12 +116,6 @@ def _check_permutation_invariance(specs, perm_seed):
     assert _shape(specs, plan) == _shape(permuted, permuted_plan)
 
 
-def _check_max_group_size(specs, max_group_size):
-    plan, _ = _check_partition(specs, max_group_size=max_group_size)
-    for group in plan.groups:
-        assert 2 <= len(group) <= max_group_size
-
-
 def _random_specs(rng: random.Random) -> list[tuple[str, int, float]]:
     return [rng.choice(_SPEC_POOL) for _ in range(rng.randrange(0, 13))]
 
@@ -145,11 +139,6 @@ if HAVE_HYPOTHESIS:
         def test_permutation_invariance(self, specs, perm_seed):
             _check_permutation_invariance(specs, perm_seed)
 
-        @settings(max_examples=25, deadline=None)
-        @given(specs=spec_lists, max_group_size=st.integers(2, 6))
-        def test_max_group_size_respected(self, specs, max_group_size):
-            _check_max_group_size(specs, max_group_size)
-
 else:  # pragma: no cover - exercised only without hypothesis
 
     class TestPlanProperties:
@@ -165,8 +154,3 @@ else:  # pragma: no cover - exercised only without hypothesis
         def test_permutation_invariance(self, case_seed):
             rng = random.Random(3000 + case_seed)
             _check_permutation_invariance(_random_specs(rng), rng.randrange(2**16))
-
-        @pytest.mark.parametrize("case_seed", range(25))
-        def test_max_group_size_respected(self, case_seed):
-            rng = random.Random(4000 + case_seed)
-            _check_max_group_size(_random_specs(rng), rng.randrange(2, 7))

@@ -157,14 +157,6 @@ class TestThetaRegression:
         assert report.theta is not None  # clamped step keeps maturity positive
         assert report == serial_greeks(problem.model, problem.product, problem.method)
 
-    def test_theta_can_be_skipped(self):
-        problem = _cf_problem()
-        report = compute_greeks(
-            problem.model, problem.product, problem.method, compute_theta=False
-        )
-        assert report.theta is None
-        assert report.as_dict()["theta"] is None
-
 
 class TestScenarioValidation:
     def test_empty_name_rejected(self):
@@ -244,10 +236,9 @@ class TestStandardSets:
         assert names == ["base", "spot_up", "spot_down", "vol_up", "vol_down",
                          "rate_up", "rate_down", "theta_down"]
 
-    def test_greek_ladder_trims(self):
-        names = [s.name for s in greek_ladder(compute_vega=False, compute_rho=False,
-                                              compute_theta=False)]
-        assert names == ["base", "spot_up", "spot_down"]
+    def test_greek_ladder_without_a_vol_param_has_no_vega_axis(self):
+        names = [s.name for s in greek_ladder(vol_param=None)]
+        assert names == ["base", "spot_up", "spot_down", "rate_up", "rate_down", "theta_down"]
 
     def test_shock_scenarios_keep_duplicate_bumps_distinct(self):
         scenarios = shock_scenarios([-0.1, 0.0, 0.1, 0.1])

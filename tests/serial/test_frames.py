@@ -76,14 +76,15 @@ class TestHeaderValidation:
         with pytest.raises(SerializationError, match="bad frame magic"):
             decode_header(bytes(frame))
 
-    @pytest.mark.parametrize("version", [1, 3, 4, 9, PROTOCOL_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 3, 4, 9, 10, PROTOCOL_VERSION + 1])
     def test_version_mismatch(self, version):
         # any stamp but ours is refused at the header, before a payload byte
-        # (9: the last protocol with chunk frames), naming both versions
-        assert PROTOCOL_VERSION == 10
+        # (9: the last protocol with chunk frames; 10: the last whose batch
+        # payload was not a book), naming both versions
+        assert PROTOCOL_VERSION == 11
         header = struct.pack(">4sHHI", b"RWF\x01", version, FRAME_JOB, 0)
         with pytest.raises(
-            SerializationError, match=f"version mismatch: peer speaks v{version}, .* v10"
+            SerializationError, match=f"version mismatch: peer speaks v{version}, .* v11"
         ):
             decode_header(header)
 

@@ -146,8 +146,8 @@ class TestTheReproducedLeaks:
 
     def test_a_batch_member_and_a_problem_leg(self):
         view = SEEDS["batch"].to_dict()
-        view["members"][1]["option"]["params"]["stqike"] = 1.0
-        with pytest.raises(SerializationError, match=r"members\[1\]\.'option'.*stqike"):
+        view["book"]["problems"][1]["option"]["params"]["stqike"] = 1.0
+        with pytest.raises(SerializationError, match=r"book\.problems\[1\]\.'option'.*stqike"):
             ProblemBatch.from_dict(view)
         view = SEEDS["problem"].to_dict()
         view["method"]["params"]["n_paths"] = "many"
@@ -180,12 +180,12 @@ FRAME_KINDS = {1, 2, 3, 4, 6, 7, 8, 9}
 )
 def test_a_header_of_another_version_or_kind_is_refused(version, kind, length):
     header = struct.pack(">4sHHI", b"RWF\x01", version, kind, length)
-    if version == PROTOCOL_VERSION == 10 and kind in FRAME_KINDS and length <= MAX_BYTES:
+    if version == PROTOCOL_VERSION == 11 and kind in FRAME_KINDS and length <= MAX_BYTES:
         assert decode_header(header, max_bytes=MAX_BYTES) == (kind, length)
         return
     with pytest.raises(SerializationError) as refused:
         decode_header(header, max_bytes=MAX_BYTES)
     if version != PROTOCOL_VERSION:
-        assert f"v{version}" in str(refused.value) and "v10" in str(refused.value)
+        assert f"v{version}" in str(refused.value) and "v11" in str(refused.value)
     with pytest.raises(SerializationError):
         FrameAssembler(max_bytes=MAX_BYTES).feed(header)

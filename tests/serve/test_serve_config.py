@@ -50,7 +50,60 @@ class TestServerConfig:
         with pytest.raises(ServeError):
             ServerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # a NaN rate used to switch limiting off (``nan > 0`` is false)
+            ("rate_limit", float("nan")),
+            ("rate_limit", float("inf")),
+            ("rate_limit", "10"),
+            # a NaN interval used to switch the keepalive monitor off
+            ("keepalive_interval", float("nan")),
+            ("keepalive_interval", float("inf")),
+            ("n_workers", 2.5),
+            ("n_workers", True),
+            ("rate_burst", 2.5),
+            ("rate_burst", True),
+            # used to fail later, inside PricingService, as a PricingError
+            ("cache_entries", 0),
+            ("cache_entries", -1),
+            # used to make every request a 413
+            ("max_body_bytes", -5),
+            ("max_body_bytes", 0),
+            ("max_events_per_job", 0),
+        ],
+    )
+    def test_every_number_is_checked_and_named(self, field, value):
+        with pytest.raises(ServeError, match=field):
+            ServerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["rate_limit", "keepalive_interval"])
+    def test_zero_still_disables_a_rate_or_an_interval(self, field):
+        assert getattr(ServerConfig(**{field: 0}), field) == 0
+
     def test_frozen(self):
         config = ServerConfig()
         with pytest.raises(AttributeError):
             config.port = 80
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--rate-limit", "nan"], "rate_limit"),
+            (["--rate-burst", "0"], "rate_burst"),
+            (["--keepalive", "inf"], "keepalive_interval"),
+            (["--workers", "0"], "n_workers"),
+            (["--cache-entries", "0"], "cache_entries"),
+            (["--backend", "simulated"], "simulated"),
+        ],
+    )
+    def test_bad_options_are_one_error_line_and_exit_2(self, capsys, argv, field):
+        from repro.serve.app import main
+
+        assert main(["--port", "0", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]

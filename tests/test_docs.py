@@ -1,4 +1,4 @@
-"""Documentation checks: links must resolve, quickstart snippets must run.
+"""Documentation checks: links must resolve, python snippets must run.
 
 Docs rot in two ways: relative links break when files move, and code
 snippets drift away from the API they illustrate.  Both are cheap to catch
@@ -6,9 +6,9 @@ mechanically, so this module
 
 * link-checks ``README.md`` and every page under ``docs/`` (relative
   targets must exist in the repository; external URLs are not fetched);
-* executes the fenced ``python`` blocks of every ``docs/*.md`` page
-  top-to-bottom in one namespace per file (doctest-style: later blocks may
-  use names defined by earlier ones), plus the README's Quickstart block.
+* executes the fenced ``python`` blocks of ``README.md`` and of every
+  ``docs/*.md`` page top-to-bottom in one namespace per file (doctest-style:
+  later blocks may use names defined by earlier ones).
 
 Writing a docs page therefore comes with a contract: every ```` ```python ````
 fence must actually run (use another info string -- ``text``, ``pycon`` --
@@ -112,8 +112,14 @@ def test_docs_python_snippets_execute(page: Path, _pristine_registries):
         exec(code, namespace)  # noqa: S102 - executing our own documentation
 
 
-def test_readme_quickstart_executes():
-    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    quickstart = text.split("## Quickstart", 1)[1]
-    block = _fenced_blocks(quickstart, "python")[0]
-    exec(compile(block, "README.md[quickstart]", "exec"), {"__name__": "readme_quickstart"})
+def test_readme_python_blocks_execute(tmp_path, monkeypatch):
+    """Every README ``python`` fence, in order, in one namespace (the
+    Quickstart defines what the later ones use), run from a temporary
+    directory so a relative path in an example lands there."""
+    blocks = _fenced_blocks((REPO_ROOT / "README.md").read_text(encoding="utf-8"), "python")
+    assert len(blocks) >= 5
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {"__name__": "readme_snippets"}
+    for index, block in enumerate(blocks):
+        code = compile(block, f"README.md[python block {index + 1}]", "exec", dont_inherit=True)
+        exec(code, namespace)  # noqa: S102 - executing our own documentation
