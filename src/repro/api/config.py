@@ -10,7 +10,6 @@ with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -19,16 +18,9 @@ from repro.core.scheduler import DispatchPolicy, policy_factory
 from repro.core.strategies import STRATEGIES
 from repro.errors import ValuationError
 from repro.pricing.kernel import DEFAULT_KERNEL, KERNELS
+from repro.pricing.validation import check_count
 
 __all__ = ["BackendSpec", "RetryPolicy", "RunConfig"]
-
-
-def _check_count(value: Any, field: str) -> None:
-    """A count is an integer of at least 1 (``True`` and ``2.5`` are not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValuationError(f"{field} must be an int, got {value!r}")
-    if value < 1:
-        raise ValuationError(f"{field} must be >= 1")
 
 
 def _frozen_options(options: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
@@ -51,7 +43,7 @@ class BackendSpec:
     options: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        _check_count(self.n_workers, "BackendSpec.n_workers")
+        check_count(self.n_workers, "BackendSpec.n_workers", error=ValuationError, floats=False)
         if isinstance(self.options, Mapping):
             object.__setattr__(self, "options", _frozen_options(self.options))
         if self.name == "remote":
@@ -155,7 +147,8 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        _check_count(self.max_attempts, "RetryPolicy.max_attempts")
+        check_count(self.max_attempts, "RetryPolicy.max_attempts", error=ValuationError,
+                    floats=False)
         # ``nan < 0`` is false, and a NaN delay is a ``time.sleep`` error mid-retry
         if not (math.isfinite(self.backoff) and self.backoff >= 0):
             raise ValuationError("RetryPolicy.backoff must be a finite number >= 0")

@@ -130,16 +130,21 @@ def create_backend(
 @register_backend("local")
 @register_backend("sequential")
 def _make_sequential(
-    n_workers: int = 1, strategy: str = "serialized_load", **options: Any
+    n_workers: int = 1, strategy: str = "serialized_load", cache_dir: str | None = None
 ) -> WorkerBackend:
-    return SequentialBackend(n_workers=n_workers, **options)
+    return SequentialBackend(n_workers=n_workers, cache_dir=cache_dir)
 
 
 @register_backend("multiprocessing")
 def _make_multiprocessing(
-    n_workers: int = 2, strategy: str = "serialized_load", **options: Any
+    n_workers: int = 2,
+    strategy: str = "serialized_load",
+    start_method: str | None = None,
+    cache_dir: str | None = None,
 ) -> WorkerBackend:
-    return MultiprocessingBackend(n_workers=n_workers, **options)
+    return MultiprocessingBackend(
+        n_workers=n_workers, start_method=start_method, cache_dir=cache_dir
+    )
 
 
 @register_backend("remote")
@@ -152,7 +157,6 @@ def _make_remote(
     reconnect: Any = None,
     liveness_timeout: float | None = None,
     secret: str | None = None,
-    **options: Any,
 ) -> WorkerBackend:
     # imported lazily so plain backend users do not pay for the socket layer
     from repro.cluster.backends.remote import RemoteBackend

@@ -19,6 +19,7 @@ from repro.cluster.backends.base import (
 )
 from repro.cluster.backends.execution import execute_payload, make_worker_cache
 from repro.errors import ClusterError
+from repro.pricing.validation import check_count
 
 __all__ = ["SequentialBackend"]
 
@@ -33,9 +34,7 @@ class SequentialBackend(WorkerBackend):
     """
 
     def __init__(self, n_workers: int = 1, cache_dir: str | None = None):
-        if n_workers < 1:
-            raise ClusterError("n_workers must be >= 1")
-        self._n_workers = int(n_workers)
+        self._n_workers = check_count(n_workers, "n_workers", error=ClusterError, floats=False)
         self._cache = make_worker_cache(cache_dir)
         self._pending: list[CompletedJob] = []
         self._start = time.perf_counter()

@@ -29,6 +29,7 @@ from repro.cluster.backends.base import (
 )
 from repro.cluster.backends.execution import execute_payload, make_worker_cache
 from repro.errors import ClusterError, CollectTimeoutError, WorkerLostError
+from repro.pricing.validation import check_count
 
 __all__ = ["MultiprocessingBackend", "worker_main"]
 
@@ -87,9 +88,7 @@ class MultiprocessingBackend(WorkerBackend):
         start_method: str | None = None,
         cache_dir: str | None = None,
     ):
-        if n_workers < 1:
-            raise ClusterError("n_workers must be >= 1")
-        self._n_workers = int(n_workers)
+        self._n_workers = check_count(n_workers, "n_workers", error=ClusterError, floats=False)
         ctx = mp.get_context(start_method) if start_method else mp.get_context()
         self._result_queue: Any = ctx.Queue()
         self._task_queues: list[Any] = [ctx.Queue() for _ in range(self._n_workers)]

@@ -65,6 +65,7 @@ from repro.cluster.backends.base import (
 )
 from repro.cluster.worker import decode_hello
 from repro.errors import ClusterError, CollectTimeoutError, SerializationError, WorkerLostError
+from repro.pricing.validation import check_count
 from repro.serial import Serial, xdr
 from repro.serial.frames import (
     FRAME_AUTH,
@@ -163,11 +164,8 @@ class ReconnectPolicy:
     max_backoff: float = 2.0
 
     def __post_init__(self) -> None:
-        attempts = self.max_attempts
-        if isinstance(attempts, bool) or not isinstance(attempts, numbers.Integral):
-            raise ClusterError(f"ReconnectPolicy.max_attempts must be an int, got {attempts!r}")
-        if attempts < 1:
-            raise ClusterError("ReconnectPolicy.max_attempts must be >= 1")
+        check_count(self.max_attempts, "ReconnectPolicy.max_attempts", error=ClusterError,
+                    floats=False)
         _check_number(self.initial_backoff, "ReconnectPolicy.initial_backoff")
         _check_number(self.backoff_factor, "ReconnectPolicy.backoff_factor", 1.0)
         _check_number(self.max_backoff, "ReconnectPolicy.max_backoff", self.initial_backoff)

@@ -139,10 +139,6 @@ class CostModel:
         peak = max(member_costs)
         return peak + self.batch_payoff_fraction * (sum(member_costs) - peak)
 
-    def estimate_batch(self, problems: list[PricingProblem]) -> float:
-        """Estimated compute time of pricing ``problems`` as one shared batch."""
-        return self.estimate_batch_jobs([self.estimate(p) for p in problems])
-
     def calibrate(self, problems: list[PricingProblem], measured: list[float]) -> "CostModel":
         """Refit the per-family rates from measured execution times.
 

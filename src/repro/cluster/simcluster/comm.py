@@ -104,10 +104,6 @@ class CommunicationModel:
             return self.name_message_bytes
         return job.file_size + self.message_header_bytes
 
-    def send_time(self, strategy: str, job: Job) -> float:
-        """Network time of the master-to-worker message."""
-        return self.network.transfer_time(self.message_nbytes(strategy, job))
-
     # -- worker side ------------------------------------------------------------
     def worker_prep_time(self, strategy: str, job: Job) -> float:
         """Worker-side time to obtain and rebuild the problem object."""

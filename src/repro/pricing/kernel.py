@@ -17,9 +17,11 @@ member per batch.  This module is the vectorized alternative -- the
 * **stacked simulation** -- the shared draw is expanded into a
   ``(n_groups, n_paths, n_steps + 1)`` path array in one numpy expression,
   with per-group drift/vol broadcast down the leading axis (see the
-  ``stacked_*`` samplers on the model classes).  Models without a stacked
-  sampler (Heston, Merton, custom subclasses) fall back to their own solo
-  sampler per cohort, still shared across identical-model groups;
+  ``stacked_*`` samplers on the model classes; a model's solo sampler is
+  the same function at one member, so the loop kernel draws identically).
+  Models without a stacked sampler (Heston, Merton, custom subclasses)
+  fall back to their own solo sampler per cohort, still shared across
+  identical-model groups;
 * **vectorized payoffs** -- members of a group are partitioned into payoff
   *families* (vanilla calls/puts, digitals, baskets with equal weights,
   barriers, Asians); each family evaluates all member payoffs as one masked
@@ -51,9 +53,7 @@ import numpy as np
 from repro.errors import PricingError
 from repro.pricing.methods.base import PricingResult
 from repro.pricing.methods.montecarlo import MonteCarloEuropean, _MemberState
-from repro.pricing.models.base import DiffusionModel1D, Model
-from repro.pricing.models.black_scholes import BlackScholesModel
-from repro.pricing.models.multi_asset import MultiAssetBlackScholesModel
+from repro.pricing.models.base import Model, StackedSampler
 from repro.pricing.products.asian import AsianOption
 from repro.pricing.products.barrier import BarrierOption
 from repro.pricing.products.base import Product
@@ -71,7 +71,6 @@ __all__ = [
     "DEFAULT_KERNEL",
     "resolve_kernel",
     "run_groups",
-    "price_many_stacked",
     "draw_digest",
 ]
 
@@ -267,38 +266,31 @@ def _build_group(
     )
 
 
-def _scheme(model: Model, mode_paths: bool) -> str | None:
-    """Stacked sampling scheme of a model, ``None`` for opaque samplers."""
+def _stacked_sampler(model: Model, mode_paths: bool) -> Callable[..., Any] | None:
+    """The stacked sampler a model's solo sampler runs, ``None`` if opaque.
+
+    A :class:`StackedSampler` samples alone as its one-member stack; a class
+    that overrides the solo sampler, or has none to stack (Heston, Merton),
+    is opaque.  Models sharing a sampler -- the function, hence the class
+    that defines it -- can share one stacked draw.
+    """
+    name = "simulate_paths" if mode_paths else "sample_terminal"
     cls = type(model)
-    if mode_paths:
-        impl = cls.simulate_paths
-        if impl is BlackScholesModel.simulate_paths:
-            return "bs1d"
-        if impl is MultiAssetBlackScholesModel.simulate_paths:
-            return "bsnd"
-        if impl is DiffusionModel1D.simulate_paths:
-            return "lv1d"
-    else:
-        impl = cls.sample_terminal
-        if impl is BlackScholesModel.sample_terminal:
-            return "bs1d"
-        if impl is MultiAssetBlackScholesModel.sample_terminal:
-            return "bsnd"
-        if impl is DiffusionModel1D.sample_terminal:
-            return "lv1d"
-    return None
+    if getattr(cls, name) is not getattr(StackedSampler, name):
+        return None
+    return getattr(cls, "stacked_" + name)
 
 
 def _cohort_key(group: _Group) -> tuple[Any, ...]:
     """Groups with equal keys consume identical draw streams when priced solo.
 
-    Stackable schemes share draws across *different* models (each solo run
-    would draw the same numbers from its same-seeded generator); opaque
-    models only share with bit-equal models, so the model digest joins the
-    key.
+    Models with one stacked sampler share draws across *different* models
+    (each solo run would draw the same numbers from its same-seeded
+    generator); opaque models only share with bit-equal models, so the model
+    digest joins the key.
     """
-    scheme = _scheme(group.model, group.mode_paths)
-    tag = scheme if scheme is not None else "opaque:" + group.model.param_digest()
+    sampler = _stacked_sampler(group.model, group.mode_paths)
+    tag = sampler if sampler is not None else "opaque:" + group.model.param_digest()
     method = group.method
     return (
         tag,
@@ -442,7 +434,7 @@ def _cohort_rng(
 
 
 def _simulate(
-    scheme: str | None,
+    sampler: Callable[..., Any] | None,
     models: list[Any],
     rng: RandomGenerator,
     batch: int,
@@ -451,31 +443,18 @@ def _simulate(
     mode_paths: bool,
 ) -> list[tuple[np.ndarray | None, np.ndarray]]:
     """One batch of simulation for every group: ``[(paths, terminal), ...]``."""
-    if scheme is None:
+    grid = times if mode_paths else maturity
+    if sampler is None:
         # opaque sampler: all cohort members carry bit-equal models (the
         # digest is part of the cohort key), so one solo simulation serves
         # every group -- each would have produced exactly this array
-        model = models[0]
-        if mode_paths:
-            paths = model.simulate_paths(rng, batch, times)
-            terminal = paths[:, -1] if paths.ndim == 2 else paths[:, -1, :]
-            return [(paths, terminal)] * len(models)
-        terminal = model.sample_terminal(rng, batch, maturity)
-        return [(None, terminal)] * len(models)
-    if scheme in ("bs1d", "lv1d"):
-        sampler = BlackScholesModel if scheme == "bs1d" else DiffusionModel1D
-        if mode_paths:
-            stacked = sampler.stacked_simulate_paths(models, rng, batch, times)
-            return [(stacked[g], stacked[g][:, -1]) for g in range(len(models))]
-        flat = sampler.stacked_sample_terminal(models, rng, batch, maturity)
-        return [(None, flat[g]) for g in range(len(models))]
+        solo = models[0].simulate_paths if mode_paths else models[0].sample_terminal
+        arrs = [solo(rng, batch, grid)] * len(models)
+    else:
+        arrs = sampler(models, rng, batch, grid)
     if mode_paths:
-        arrs = MultiAssetBlackScholesModel.stacked_simulate_paths(models, rng, batch, times)
-        return [(arr, arr[:, -1, :]) for arr in arrs]
-    terminals = MultiAssetBlackScholesModel.stacked_sample_terminal(
-        models, rng, batch, maturity
-    )
-    return [(None, arr) for arr in terminals]
+        return [(arr, arr[:, -1]) for arr in arrs]
+    return [(None, arr) for arr in arrs]
 
 
 # -- payoff evaluation ---------------------------------------------------------
@@ -584,29 +563,11 @@ def _accumulate_group(
             for i, j in enumerate(fam.indices):
                 group.sink(j, payoffs[i])
     for j in group.fallback:
-        member = group.members[j]
-        if group.mode_paths:
-            assert paths is not None
-            raw = member.product_adj.path_payoff(paths, times)
-        else:
-            raw = member.product_adj.terminal_payoff(terminal)
-        payoffs1 = np.asarray(raw, dtype=float)
-        if member.use_cv:
-            control1 = group.method._control_value(group.model, terminal, member.product_adj)
-        else:
-            control1 = None
-        if antithetic:
-            payoffs1 = 0.5 * (payoffs1[:half] + payoffs1[half:])
-            if control1 is not None:
-                control1 = 0.5 * (control1[:half] + control1[half:])
-        member.sum_payoff += payoffs1.sum()
-        member.sum_payoff2 += (payoffs1**2).sum()
-        if control1 is not None:
-            member.sum_control += control1.sum()
-            member.sum_control2 += (control1**2).sum()
-            member.sum_cross += (payoffs1 * control1).sum()
+        samples = group.method._fold_member(
+            group.model, group.members[j], paths, terminal, times, half
+        )
         if group.sink is not None:
-            group.sink(j, payoffs1)
+            group.sink(j, samples)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -624,7 +585,7 @@ def _run_chunk(
     mode_paths = groups[0].mode_paths
     n_steps = groups[0].n_steps
     maturity = groups[0].maturity
-    scheme = _scheme(model0, mode_paths)
+    sampler = _stacked_sampler(model0, mode_paths)
     models = [group.model for group in groups]
     times = np.linspace(0.0, maturity, n_steps + 1)
 
@@ -641,7 +602,7 @@ def _run_chunk(
         batch = min(method0.batch_size, n_total - n_done)
         if method0.antithetic:
             batch -= batch % 2
-        sims = _simulate(scheme, models, rng, batch, times, maturity, mode_paths)
+        sims = _simulate(sampler, models, rng, batch, times, maturity, mode_paths)
         half = batch // 2
         for group, (paths, terminal) in zip(groups, sims):
             _accumulate_group(group, paths, terminal, times, half)
@@ -706,17 +667,6 @@ def _tape_elements(group: _Group) -> int:
     n_total = method.n_paths + (method.n_paths % 2 if method.antithetic else 0)
     per_path = max(group.model.dimension, 1) * (group.n_steps if group.mode_paths else 1)
     return (n_total // 2 if method.antithetic else n_total) * per_path
-
-
-def price_many_stacked(
-    method: MonteCarloEuropean,
-    model: Model,
-    products: Sequence[Product],
-    sample_sink: SampleSink | None = None,
-) -> list[PricingResult]:
-    """Stacked-kernel equivalent of one ``price_many`` call (one group)."""
-    sinks = {0: sample_sink} if sample_sink is not None else None
-    return run_groups([(method, model, list(products))], sample_sinks=sinks)[0]
 
 
 def draw_digest(

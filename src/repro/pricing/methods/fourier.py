@@ -19,6 +19,7 @@ from repro.pricing.methods.base import PricingMethod, PricingResult
 from repro.pricing.models.base import Model
 from repro.pricing.products.base import Product
 from repro.pricing.products.vanilla import DigitalCall, DigitalPut, EuropeanCall, EuropeanPut
+from repro.pricing.validation import check_count
 
 __all__ = ["FourierCOS"]
 
@@ -68,7 +69,7 @@ class FourierCOS(PricingMethod):
             raise PricingError("n_terms must be at least 8")
         if truncation_width <= 0:
             raise PricingError("truncation_width must be positive")
-        self.n_terms = int(n_terms)
+        self.n_terms = check_count(n_terms, "n_terms")
         self.truncation_width = float(truncation_width)
 
     def to_params(self) -> dict[str, Any]:

@@ -26,6 +26,7 @@ from repro.pricing.models.heston import HestonModel
 from repro.pricing.products.american import AmericanBasketCall, AmericanBasketPut, AmericanCall, AmericanPut
 from repro.pricing.products.base import ExerciseStyle, Product
 from repro.pricing.rng import AntitheticGenerator, create_generator
+from repro.pricing.validation import check_count
 
 __all__ = ["LongstaffSchwartz"]
 
@@ -83,12 +84,12 @@ class LongstaffSchwartz(PricingMethod):
             raise PricingError("basis_degree must be >= 1")
         if heston_scheme not in ("alfonsi", "full_truncation"):
             raise PricingError(f"unknown heston_scheme: {heston_scheme!r}")
-        self.n_paths = int(n_paths)
-        self.n_steps = None if n_steps is None else int(n_steps)
-        self.basis_degree = int(basis_degree)
+        self.n_paths = check_count(n_paths, "n_paths")
+        self.n_steps = None if n_steps is None else check_count(n_steps, "n_steps")
+        self.basis_degree = check_count(basis_degree, "basis_degree")
         self.antithetic = bool(antithetic)
         self.rng_kind = str(rng_kind)
-        self.seed = int(seed)
+        self.seed = check_count(seed, "seed", 0)
         self.heston_scheme = heston_scheme
 
     def to_params(self) -> dict[str, Any]:

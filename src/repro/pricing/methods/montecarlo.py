@@ -32,6 +32,7 @@ from repro.pricing.products.barrier import BarrierOption
 from repro.pricing.products.base import ExerciseStyle, Product
 from repro.pricing.products.basket import BasketOption
 from repro.pricing.rng import AntitheticGenerator, create_generator
+from repro.pricing.validation import check_count
 
 __all__ = ["MonteCarloEuropean", "price_groups_stacked"]
 
@@ -54,22 +55,24 @@ def _stamp_and_validate(
 
 def price_groups_stacked(
     groups: Sequence[tuple["MonteCarloEuropean", Model, Sequence[Product]]],
+    sample_sinks: dict[int, Any] | None = None,
 ) -> list[list[PricingResult]]:
     """Price several shared-simulation groups through the stacked kernel.
 
-    The plan-level entry point used by batch pricing with
-    ``kernel="stacked"``: all groups go to
+    The one entry point of ``kernel="stacked"``, for batch pricing and
+    :meth:`MonteCarloEuropean.price_many` alike: all groups go to
     :func:`repro.pricing.kernel.run_groups` together, so groups whose
     methods draw identical random streams share one stacked simulation
     (cross-group draw cohorts).  Results are bit-identical to calling
-    ``method.price_many(model, products)`` per group; elapsed time is
-    measured here (the kernel module is wall-clock-free by contract) and
-    shared across each group's members.
+    ``method.price_many(model, products, kernel="loop")`` per group; elapsed
+    time is measured here (the kernel module is wall-clock-free by contract)
+    and shared across each group's members.  ``sample_sinks`` is passed to
+    :func:`~repro.pricing.kernel.run_groups`.
     """
     from repro.pricing.kernel import run_groups
 
     start = time.perf_counter()
-    all_results = run_groups(groups)
+    all_results = run_groups(groups, sample_sinks=sample_sinks)
     elapsed = time.perf_counter() - start
     n_members = sum(len(results) for results in all_results) or 1
     for (method, model, products), results in zip(groups, all_results):
@@ -144,14 +147,14 @@ class MonteCarloEuropean(PricingMethod):
             raise PricingError("n_steps must be >= 1 when given")
         if batch_size < 2:
             raise PricingError("batch_size must be at least 2")
-        self.n_paths = int(n_paths)
-        self.n_steps = None if n_steps is None else int(n_steps)
+        self.n_paths = check_count(n_paths, "n_paths")
+        self.n_steps = None if n_steps is None else check_count(n_steps, "n_steps")
         self.antithetic = bool(antithetic)
         self.control_variate = bool(control_variate)
         self.rng_kind = str(rng_kind)
-        self.seed = int(seed)
+        self.seed = check_count(seed, "seed", 0)
         self.barrier_correction = bool(barrier_correction)
-        self.batch_size = int(batch_size)
+        self.batch_size = check_count(batch_size, "batch_size")
 
     def to_params(self) -> dict[str, Any]:
         return {
@@ -289,14 +292,13 @@ class MonteCarloEuropean(PricingMethod):
             return []
         for product in products:
             self.check_supports(model, product)
-        from repro.pricing.kernel import price_many_stacked, resolve_kernel
+        from repro.pricing.kernel import resolve_kernel
 
-        kernel = resolve_kernel(kernel)
+        if resolve_kernel(kernel) == "stacked":
+            sinks = {0: sample_sink} if sample_sink is not None else None
+            return price_groups_stacked([(self, model, products)], sample_sinks=sinks)[0]
         start = time.perf_counter()
-        if kernel == "loop":
-            results = self._price_shared(model, products, sample_sink=sample_sink)
-        else:
-            results = price_many_stacked(self, model, products, sample_sink=sample_sink)
+        results = self._price_shared(model, products, sample_sink=sample_sink)
         elapsed = time.perf_counter() - start
         _stamp_and_validate(self, model, products, results, elapsed)
         return results
@@ -343,35 +345,15 @@ class MonteCarloEuropean(PricingMethod):
                 batch -= batch % 2
             if mode_paths:
                 paths = model.simulate_paths(rng, batch, times)
-                terminal = paths[:, -1] if paths.ndim == 2 else paths[:, -1, :]
+                terminal = paths[:, -1]
             else:
                 paths = None
                 terminal = model.sample_terminal(rng, batch, maturity)
             half = batch // 2
             for index, member in enumerate(members):
-                if mode_paths:
-                    payoffs = member.product_adj.path_payoff(paths, times)
-                else:
-                    payoffs = member.product_adj.terminal_payoff(terminal)
-                payoffs = np.asarray(payoffs, dtype=float)
-                if member.use_cv:
-                    control = self._control_value(model, terminal, member.product_adj)
-                else:
-                    control = None
-                if self.antithetic:
-                    # average each antithetic pair so that the variance
-                    # estimate reflects the actual (pairwise-coupled) estimator
-                    payoffs = 0.5 * (payoffs[:half] + payoffs[half:])
-                    if control is not None:
-                        control = 0.5 * (control[:half] + control[half:])
-                member.sum_payoff += payoffs.sum()
-                member.sum_payoff2 += (payoffs**2).sum()
-                if control is not None:
-                    member.sum_control += control.sum()
-                    member.sum_control2 += (control**2).sum()
-                    member.sum_cross += (payoffs * control).sum()
+                samples = self._fold_member(model, member, paths, terminal, times, half)
                 if sample_sink is not None:
-                    sample_sink(index, payoffs)
+                    sample_sink(index, samples)
             n_done += batch
             n_samples += half if self.antithetic else batch
 
@@ -383,6 +365,42 @@ class MonteCarloEuropean(PricingMethod):
             self._finalize_member(model, member, n_samples, n_paths_used, n_steps)
             for member in members
         ]
+
+    def _fold_member(
+        self,
+        model: Model,
+        member: _MemberState,
+        paths: np.ndarray | None,
+        terminal: np.ndarray,
+        times: np.ndarray,
+        half: int,
+    ) -> np.ndarray:
+        """Fold one simulated batch into ``member``'s accumulators.
+
+        ``paths`` is ``None`` for terminal-law sampling.  Returns the payoff
+        samples the estimator saw: antithetic pairs are averaged, so that the
+        variance estimate reflects the actual (pairwise-coupled) estimator.
+        """
+        if paths is not None:
+            payoffs = member.product_adj.path_payoff(paths, times)
+        else:
+            payoffs = member.product_adj.terminal_payoff(terminal)
+        payoffs = np.asarray(payoffs, dtype=float)
+        if member.use_cv:
+            control = self._control_value(model, terminal, member.product_adj)
+        else:
+            control = None
+        if self.antithetic:
+            payoffs = 0.5 * (payoffs[:half] + payoffs[half:])
+            if control is not None:
+                control = 0.5 * (control[:half] + control[half:])
+        member.sum_payoff += payoffs.sum()
+        member.sum_payoff2 += (payoffs**2).sum()
+        if control is not None:
+            member.sum_control += control.sum()
+            member.sum_control2 += (control**2).sum()
+            member.sum_cross += (payoffs * control).sum()
+        return payoffs
 
     def _finalize_member(
         self,

@@ -34,6 +34,7 @@ from repro.pricing.products.american import AmericanCall, AmericanPut
 from repro.pricing.products.barrier import BarrierOption
 from repro.pricing.products.base import ExerciseStyle, Product
 from repro.pricing.products.vanilla import DigitalCall, DigitalPut, EuropeanCall, EuropeanPut
+from repro.pricing.validation import check_count
 
 __all__ = ["PDEGrid", "PDEEuropean", "PDEBarrier", "PDEAmerican"]
 
@@ -274,8 +275,8 @@ class _PDEBase(PricingMethod):
             raise PricingError("n_time must be at least 1")
         if not 0.0 <= theta <= 1.0:
             raise PricingError("theta must lie in [0, 1]")
-        self.n_space = int(n_space)
-        self.n_time = int(n_time)
+        self.n_space = check_count(n_space, "n_space")
+        self.n_time = check_count(n_time, "n_time")
         self.theta = float(theta)
         self.n_std = float(n_std)
 

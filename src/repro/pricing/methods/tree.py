@@ -21,6 +21,7 @@ from repro.pricing.models.black_scholes import BlackScholesModel
 from repro.pricing.products.american import AmericanCall, AmericanPut
 from repro.pricing.products.base import ExerciseStyle, Product
 from repro.pricing.products.vanilla import EuropeanCall, EuropeanPut
+from repro.pricing.validation import check_count
 
 __all__ = ["BinomialTree", "TrinomialTree"]
 
@@ -42,7 +43,7 @@ class BinomialTree(PricingMethod):
     def __init__(self, n_steps: int = 500):
         if n_steps < 1:
             raise PricingError("n_steps must be >= 1")
-        self.n_steps = int(n_steps)
+        self.n_steps = check_count(n_steps, "n_steps")
 
     def to_params(self) -> dict[str, Any]:
         return {"n_steps": self.n_steps}
@@ -107,7 +108,7 @@ class TrinomialTree(PricingMethod):
             raise PricingError("n_steps must be >= 1")
         if stretch < 1.0:
             raise PricingError("stretch parameter must be >= 1")
-        self.n_steps = int(n_steps)
+        self.n_steps = check_count(n_steps, "n_steps")
         self.stretch = float(stretch)
 
     def to_params(self) -> dict[str, Any]:

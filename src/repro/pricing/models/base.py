@@ -7,7 +7,9 @@ assets.  Every model exposes:
   rate), ``dividend`` (continuous dividend yield);
 * Monte-Carlo sampling primitives (:meth:`Model.sample_terminal`,
   :meth:`Model.simulate_paths`) used by the Monte-Carlo and
-  Longstaff-Schwartz pricers;
+  Longstaff-Schwartz pricers; a :class:`StackedSampler` model has one
+  sampler, its ``stacked_*`` staticmethod, and samples alone as its
+  one-member stack;
 * optional analytic structure -- a local volatility function for PDE pricers
   (:class:`DiffusionModel1D.local_volatility`) and a characteristic function
   for Fourier pricers (:meth:`Model.log_char_function`).
@@ -28,7 +30,20 @@ from repro.errors import PricingError
 from repro.pricing.rng import RandomGenerator
 from repro.pricing.validation import FiniteParams
 
-__all__ = ["Model", "DiffusionModel1D", "MultiAssetModel"]
+__all__ = ["Model", "DiffusionModel1D", "MultiAssetModel", "StackedSampler", "time_grid_steps"]
+
+
+def time_grid_steps(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A simulation grid as floats and its steps, refused unless it starts
+    at 0 and increases strictly: a repeated time is a zero step, a
+    decreasing one the square root of a negative step."""
+    times = np.asarray(times, dtype=float)
+    if times[0] != 0.0:
+        raise PricingError("time grid must start at 0")
+    dts = np.diff(times)
+    if np.any(dts <= 0):
+        raise PricingError("time grid must be strictly increasing")
+    return times, dts
 
 
 class Model(metaclass=FiniteParams):
@@ -146,7 +161,29 @@ class Model(metaclass=FiniteParams):
         return f"{type(self).__name__}({params})"
 
 
-class DiffusionModel1D(Model):
+class StackedSampler:
+    """Solo sampling is the stacked sampler at one member.
+
+    A model class mixing this in has exactly one sampler per mode, the
+    staticmethods ``stacked_simulate_paths(models, rng, n_paths, times)`` and
+    ``stacked_sample_terminal(models, rng, n_paths, maturity)``, which draw
+    once for a whole stack of models; the solo calls below are a stack of one.
+    The stacked kernel (:mod:`repro.pricing.kernel`) recognises these two
+    methods: a class overriding either samples opaquely in that mode.
+    """
+
+    def simulate_paths(
+        self, rng: RandomGenerator, n_paths: int, times: np.ndarray
+    ) -> np.ndarray:
+        return type(self).stacked_simulate_paths([self], rng, n_paths, times)[0]
+
+    def sample_terminal(
+        self, rng: RandomGenerator, n_paths: int, maturity: float
+    ) -> np.ndarray:
+        return type(self).stacked_sample_terminal([self], rng, n_paths, maturity)[0]
+
+
+class DiffusionModel1D(StackedSampler, Model):
     """One-dimensional diffusion ``dS = (r - q) S dt + sigma(t, S) S dW``.
 
     Subclasses provide :meth:`local_volatility`; path simulation defaults to a
@@ -161,49 +198,7 @@ class DiffusionModel1D(Model):
     def local_volatility(self, t: float, s: np.ndarray) -> np.ndarray:
         """Return ``sigma(t, S)`` evaluated element-wise on ``s``."""
 
-    # -- Monte-Carlo defaults ----------------------------------------------
-    def simulate_paths(
-        self, rng: RandomGenerator, n_paths: int, times: np.ndarray
-    ) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise PricingError("time grid must start at 0")
-        n_steps = len(times) - 1
-        paths = np.empty((n_paths, n_steps + 1), dtype=float)
-        paths[:, 0] = self.spot
-        if n_steps == 0:
-            return paths
-        normals = rng.normals((n_paths, n_steps))
-        drift = self.rate - self.dividend
-        dts = np.diff(times)
-        sqrt_dts = np.sqrt(dts)  # hoisted: one vectorized sqrt for the grid
-        for k in range(n_steps):
-            s = paths[:, k]
-            sigma = self.local_volatility(times[k], s)
-            paths[:, k + 1] = s * np.exp(
-                (drift - 0.5 * sigma**2) * dts[k] + sigma * sqrt_dts[k] * normals[:, k]
-            )
-        return paths
-
-    def sample_terminal(
-        self, rng: RandomGenerator, n_paths: int, maturity: float
-    ) -> np.ndarray:
-        # generic fallback: Euler scheme with ~100 steps per year, streamed --
-        # only the current spot slice is held in memory instead of the full
-        # (n_paths, n_steps + 1) path matrix whose last column was all the
-        # caller wanted
-        n_steps = max(16, int(np.ceil(100 * maturity)))
-        dt = maturity / n_steps
-        sqrt_dt = float(np.sqrt(dt))
-        drift = self.rate - self.dividend
-        s = np.full(n_paths, float(self.spot))
-        for k in range(n_steps):
-            z = rng.normals((n_paths,))
-            sigma = self.local_volatility(k * dt, s)
-            s *= np.exp((drift - 0.5 * sigma**2) * dt + sigma * sqrt_dt * z)
-        return s
-
-    # -- stacked sampling (shared-draw kernel) ------------------------------
+    # -- sampling: one draw shared by a stack of models ----------------------
     @staticmethod
     def stacked_simulate_paths(
         models: "list[DiffusionModel1D]",
@@ -213,17 +208,14 @@ class DiffusionModel1D(Model):
     ) -> np.ndarray:
         """Log-Euler paths for several models from **one** shared normal draw.
 
-        Returns a ``(len(models), n_paths, len(times))`` array whose row ``g``
-        is bit-identical to ``models[g].simulate_paths(rng_g, n_paths, times)``
-        with a fresh generator ``rng_g`` in the same state: the single
-        ``(n_paths, n_steps)`` draw below is exactly what each solo call would
-        draw, and every arithmetic step applies the same scalar/row operations
-        in the same order (only broadcast over the leading group axis).
+        Returns a ``(len(models), n_paths, len(times))`` array.  The draw is
+        one ``(n_paths, n_steps)`` block whatever the stack's size, and the
+        update applies each model's drift and local volatility broadcast over
+        the leading group axis, so row ``g`` does not depend on the other
+        members: stacking changes no bit.
         """
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise PricingError("time grid must start at 0")
-        n_steps = len(times) - 1
+        times, dts = time_grid_steps(times)
+        n_steps = len(dts)
         n_groups = len(models)
         paths = np.empty((n_groups, n_paths, n_steps + 1), dtype=float)
         for g, model in enumerate(models):
@@ -232,7 +224,6 @@ class DiffusionModel1D(Model):
             return paths
         normals = rng.normals((n_paths, n_steps))
         drifts = np.array([model.rate - model.dividend for model in models])
-        dts = np.diff(times)
         sqrt_dts = np.sqrt(dts)
         for k in range(n_steps):
             s = paths[:, :, k]
@@ -254,9 +245,10 @@ class DiffusionModel1D(Model):
     ) -> np.ndarray:
         """Streamed-Euler terminal values for several models, shared draws.
 
-        Returns ``(len(models), n_paths)``; row ``g`` is bit-identical to the
-        solo :meth:`sample_terminal` of ``models[g]`` (same per-step draw
-        sequence, same update expression broadcast over the group axis).
+        Returns ``(len(models), n_paths)``: an Euler scheme with ~100 steps a
+        year (at least 16), one ``(n_paths,)`` draw per step, holding only
+        the current spot slice instead of the path matrix whose last column
+        is all the caller wants.
         """
         n_steps = max(16, int(np.ceil(100 * maturity)))
         dt = maturity / n_steps

@@ -12,7 +12,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import PricingError
-from repro.pricing.models.base import DiffusionModel1D
+from repro.pricing.models.base import DiffusionModel1D, time_grid_steps
 from repro.pricing.rng import RandomGenerator
 
 __all__ = ["BlackScholesModel"]
@@ -52,41 +52,7 @@ class BlackScholesModel(DiffusionModel1D):
         var = self.volatility**2 * maturity
         return np.exp(1j * u * mu - 0.5 * var * u**2)
 
-    # -- exact sampling ------------------------------------------------------
-    def sample_terminal(
-        self, rng: RandomGenerator, n_paths: int, maturity: float
-    ) -> np.ndarray:
-        """Exact lognormal sampling of ``S_T`` (no discretisation error)."""
-        z = rng.normals((n_paths,))
-        drift = (self.rate - self.dividend - 0.5 * self.volatility**2) * maturity
-        return self.spot * np.exp(drift + self.volatility * np.sqrt(maturity) * z)
-
-    def simulate_paths(
-        self, rng: RandomGenerator, n_paths: int, times: np.ndarray
-    ) -> np.ndarray:
-        """Exact simulation on an arbitrary time grid.
-
-        Because increments of the driving Brownian motion are independent,
-        the scheme is exact at the grid points (unlike the generic Euler
-        fallback of :class:`DiffusionModel1D`).
-        """
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise PricingError("time grid must start at 0")
-        dts = np.diff(times)
-        if np.any(dts <= 0):
-            raise PricingError("time grid must be strictly increasing")
-        n_steps = len(dts)
-        z = rng.normals((n_paths, n_steps))
-        drift = (self.rate - self.dividend - 0.5 * self.volatility**2) * dts
-        diffusion = self.volatility * np.sqrt(dts) * z
-        log_increments = drift[None, :] + diffusion
-        log_paths = np.concatenate(
-            [np.zeros((n_paths, 1)), np.cumsum(log_increments, axis=1)], axis=1
-        )
-        return self.spot * np.exp(log_paths)
-
-    # -- stacked sampling (shared-draw kernel) ------------------------------
+    # -- exact sampling: one draw shared by a stack of models ------------------
     @staticmethod
     def stacked_sample_terminal(
         models: "list[BlackScholesModel]",
@@ -94,12 +60,9 @@ class BlackScholesModel(DiffusionModel1D):
         n_paths: int,
         maturity: float,
     ) -> np.ndarray:
-        """Exact terminal sampling for several models from one shared draw.
-
-        Returns ``(len(models), n_paths)``; row ``g`` is bit-identical to
-        ``models[g].sample_terminal`` with a fresh generator in the same
-        state -- the expression below is the solo expression with the scalar
-        drift/volatility broadcast down the group axis.
+        """Exact lognormal sampling of ``S_T`` (no discretisation error) for
+        several models from one shared draw: ``(len(models), n_paths)``, the
+        drift and volatility broadcast down the group axis.
         """
         z = rng.normals((n_paths,))
         spots = np.array([model.spot for model in models])
@@ -121,19 +84,14 @@ class BlackScholesModel(DiffusionModel1D):
         n_paths: int,
         times: np.ndarray,
     ) -> np.ndarray:
-        """Exact path simulation for several models from one shared draw.
+        """Exact simulation on an arbitrary time grid for several models from
+        one shared draw: ``(len(models), n_paths, len(times))``.
 
-        Returns ``(len(models), n_paths, len(times))``; row ``g`` mirrors the
-        solo :meth:`simulate_paths` operation for operation (same cumulative
-        sum along the step axis, same exp/scale), so it is bit-identical to
-        what ``models[g]`` would simulate alone.
+        Because increments of the driving Brownian motion are independent,
+        the scheme is exact at the grid points (unlike the generic Euler
+        scheme of :class:`DiffusionModel1D`).
         """
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise PricingError("time grid must start at 0")
-        dts = np.diff(times)
-        if np.any(dts <= 0):
-            raise PricingError("time grid must be strictly increasing")
+        times, dts = time_grid_steps(times)
         n_steps = len(dts)
         n_groups = len(models)
         z = rng.normals((n_paths, n_steps))

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import PricingError
-from repro.pricing.models.base import Model
+from repro.pricing.models.base import Model, time_grid_steps
 from repro.pricing.rng import RandomGenerator
 
 __all__ = ["HestonModel"]
@@ -140,9 +140,7 @@ class HestonModel(Model):
         return_variance:
             When ``True`` return ``(asset_paths, variance_paths)``.
         """
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise PricingError("time grid must start at 0")
+        times, _ = time_grid_steps(times)
         if scheme not in ("full_truncation", "alfonsi"):
             raise PricingError(f"unknown Heston simulation scheme: {scheme!r}")
         n_steps = len(times) - 1

@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import PricingError
-from repro.pricing.models.base import Model
+from repro.pricing.models.base import Model, time_grid_steps
 from repro.pricing.rng import RandomGenerator
 
 __all__ = ["MertonJumpModel"]
@@ -103,10 +103,7 @@ class MertonJumpModel(Model):
     def simulate_paths(
         self, rng: RandomGenerator, n_paths: int, times: np.ndarray
     ) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise PricingError("time grid must start at 0")
-        dts = np.diff(times)
+        times, dts = time_grid_steps(times)
         n_steps = len(dts)
         paths = np.empty((n_paths, n_steps + 1))
         paths[:, 0] = self.spot

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import PricingError
-from repro.pricing.models.base import MultiAssetModel
+from repro.pricing.models.base import MultiAssetModel, StackedSampler, time_grid_steps
 from repro.pricing.rng import AntitheticGenerator, RandomGenerator, cholesky_factor
 
 __all__ = ["MultiAssetBlackScholesModel", "flat_correlation"]
@@ -42,7 +42,7 @@ def flat_correlation(dimension: int, rho: float) -> np.ndarray:
     return corr
 
 
-class MultiAssetBlackScholesModel(MultiAssetModel):
+class MultiAssetBlackScholesModel(StackedSampler, MultiAssetModel):
     """Correlated multi-asset geometric Brownian motion.
 
     ``dS_i = (r - q_i) S_i dt + sigma_i S_i dW_i``, with
@@ -81,53 +81,17 @@ class MultiAssetBlackScholesModel(MultiAssetModel):
             raise PricingError("all volatilities must be strictly positive")
         self.volatilities = vols
 
-    # -- exact sampling -----------------------------------------------------
-    def sample_terminal(
-        self, rng: RandomGenerator, n_paths: int, maturity: float
-    ) -> np.ndarray:
-        """Exact sampling of the terminal vector ``S_T`` -- shape ``(n, d)``."""
-        z = rng.correlated_normals(n_paths, self.correlation)
-        drift = (
-            self.rate - self.dividend_vector - 0.5 * self.volatilities**2
-        ) * maturity
-        diffusion = self.volatilities * np.sqrt(maturity) * z
-        return np.asarray(self.spot)[None, :] * np.exp(drift[None, :] + diffusion)
-
-    def simulate_paths(
-        self, rng: RandomGenerator, n_paths: int, times: np.ndarray
-    ) -> np.ndarray:
-        """Exact simulation on a grid -- shape ``(n_paths, n_times, d)``."""
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise PricingError("time grid must start at 0")
-        dts = np.diff(times)
-        if np.any(dts <= 0):
-            raise PricingError("time grid must be strictly increasing")
-        n_steps = len(dts)
-        d = self.dimension
-        paths = np.empty((n_paths, n_steps + 1, d))
-        paths[:, 0, :] = np.asarray(self.spot)[None, :]
-        log_s = np.log(np.asarray(self.spot, dtype=float))[None, :].repeat(n_paths, axis=0)
-        drift_rate = self.rate - self.dividend_vector - 0.5 * self.volatilities**2
-        sqrt_dts = np.sqrt(dts)  # hoisted out of the step loop
-        for k, dt in enumerate(dts):
-            z = rng.correlated_normals(n_paths, self.correlation)
-            log_s = log_s + (drift_rate * dt)[None, :] + self.volatilities * sqrt_dts[k] * z
-            paths[:, k + 1, :] = np.exp(log_s)
-        return paths
-
-    # -- stacked sampling (shared-draw kernel) ------------------------------
+    # -- exact sampling: one raw draw shared by a stack of models ---------------
     @staticmethod
     def _stacked_correlated(
         models: "list[MultiAssetBlackScholesModel]", rng: RandomGenerator, n_paths: int
     ) -> "list[np.ndarray]":
-        """One raw normal draw, correlated per model via its Cholesky factor.
+        """One raw ``(n_paths, d)`` normal draw, correlated per model as
+        ``z @ chol.T`` with its :func:`~repro.pricing.rng.cholesky_factor`.
 
-        Mirrors :meth:`RandomGenerator.correlated_normals` (and its
-        antithetic wrapper) exactly: the raw ``(n, d)`` draw is shared, and
-        each model's correlation is induced by the same ``z @ chol.T``
-        product (same :func:`~repro.pricing.rng.cholesky_factor`, including
-        the jitter fallback) that a solo simulation would compute.
+        Under an :class:`~repro.pricing.rng.AntitheticGenerator` the raw draw
+        is half as tall and each correlated half is mirrored, so a pair
+        shares its correlated draw up to sign.
         """
         chols = [cholesky_factor(model.correlation) for model in models]
         d = models[0].dimension
@@ -168,12 +132,8 @@ class MultiAssetBlackScholesModel(MultiAssetModel):
         n_paths: int,
         maturity: float,
     ) -> "list[np.ndarray]":
-        """Exact terminal sampling for several models from one raw draw.
-
-        Returns one ``(n_paths, d)`` array per model, each bit-identical to
-        the solo :meth:`sample_terminal` with a fresh generator in the same
-        state; only the underlying standard-normal draw is shared, the
-        per-model correlation/drift/diffusion arithmetic is the solo code.
+        """Exact sampling of the terminal vector ``S_T`` for several models
+        from one raw draw: one ``(n_paths, d)`` array per model.
         """
         zs = MultiAssetBlackScholesModel._stacked_correlated(models, rng, n_paths)
         out = []
@@ -192,17 +152,10 @@ class MultiAssetBlackScholesModel(MultiAssetModel):
         n_paths: int,
         times: np.ndarray,
     ) -> "list[np.ndarray]":
-        """Exact path simulation for several models from shared raw draws.
-
-        Returns one ``(n_paths, n_times, d)`` array per model; the per-step
-        raw draw is shared, everything else is the solo update expression.
+        """Exact simulation on a grid for several models from shared raw
+        draws: one ``(n_paths, n_times, d)`` array per model.
         """
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0:
-            raise PricingError("time grid must start at 0")
-        dts = np.diff(times)
-        if np.any(dts <= 0):
-            raise PricingError("time grid must be strictly increasing")
+        times, dts = time_grid_steps(times)
         n_steps = len(dts)
         d = models[0].dimension
         paths = []
@@ -228,11 +181,6 @@ class MultiAssetBlackScholesModel(MultiAssetModel):
         return paths
 
     # -- analytic helpers ------------------------------------------------------
-    def basket_forward(self, weights: np.ndarray, maturity: float) -> float:
-        """Forward value of the weighted basket ``sum_i w_i S_i``."""
-        weights = np.asarray(weights, dtype=float)
-        return float(np.sum(weights * self.forward(maturity)))
-
     def basket_lognormal_proxy(
         self, weights: np.ndarray, maturity: float
     ) -> tuple[float, float]:

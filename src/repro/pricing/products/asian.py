@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import PricingError
 from repro.pricing.products.base import ExerciseStyle, Product
+from repro.pricing.validation import check_count
 
 __all__ = ["AsianOption", "AsianCall", "AsianPut"]
 
@@ -54,7 +55,7 @@ class AsianOption(Product):
             raise PricingError("n_fixings must be >= 1")
         self.strike = float(strike)
         self.payoff_type = payoff_type
-        self.n_fixings = int(n_fixings)
+        self.n_fixings = check_count(n_fixings, "n_fixings")
 
     def average(self, paths: np.ndarray) -> np.ndarray:
         """Arithmetic average over the monitoring dates (excluding t=0)."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -41,10 +40,8 @@ def cholesky_factor(correlation: np.ndarray) -> np.ndarray:
 
     The matrix must be symmetric positive semi-definite; semi-definite
     matrices (e.g. perfectly correlated assets) get a tiny diagonal jitter
-    before factorisation.  Both :meth:`RandomGenerator.correlated_normals`
-    and the stacked kernel's multi-asset sampler go through this one
-    function, so the factor (including the fallback branch) is bit-identical
-    wherever correlated draws are produced.
+    before factorisation.  The multi-asset sampler correlates its draws with
+    this factor.
     """
     correlation = np.asarray(correlation, dtype=float)
     d = correlation.shape[0]
@@ -79,17 +76,6 @@ class RandomGenerator(abc.ABC):
         Used to give each worker of a parallel Monte-Carlo run its own
         stream so that results do not depend on the number of workers.
         """
-
-    def correlated_normals(self, n_samples: int, correlation: np.ndarray) -> np.ndarray:
-        """Return ``(n_samples, d)`` normals with the given correlation matrix.
-
-        The correlation matrix must be symmetric positive semi-definite; a
-        Cholesky factorisation (with a tiny jitter fallback for semi-definite
-        matrices) is used to induce the correlation.
-        """
-        chol = cholesky_factor(correlation)
-        z = self.normals((n_samples, chol.shape[0]))
-        return z @ chol.T
 
 
 class PseudoRandomGenerator(RandomGenerator):
@@ -222,19 +208,6 @@ class AntitheticGenerator(RandomGenerator):
 
     def spawn(self, n: int) -> list["AntitheticGenerator"]:
         return [AntitheticGenerator(g) for g in self.base.spawn(n)]
-
-    def correlated_normals(self, n_samples: int, correlation: np.ndarray) -> np.ndarray:
-        self._check_even(n_samples)
-        half = self.base.correlated_normals(n_samples // 2, correlation)
-        return np.concatenate([half, -half], axis=0)
-
-
-@dataclass(frozen=True)
-class _GeneratorSpec:
-    """Parsed generator specification (kind + seed)."""
-
-    kind: str
-    seed: int
 
 
 def create_generator(

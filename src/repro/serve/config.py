@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass
 
 from repro.errors import ServeError
+from repro.pricing.validation import check_count
 
 __all__ = ["SERVABLE_BACKENDS", "ServerConfig"]
 
@@ -100,9 +101,7 @@ class ServerConfig:
             )
         for name in ("n_workers", "cache_entries", "rate_burst", "max_body_bytes",
                      "max_events_per_job"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ServeError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(getattr(self, name), name, error=ServeError, floats=False)
         # ``nan < 0`` is false: a NaN rate or interval would switch its feature off
         for name in ("rate_limit", "keepalive_interval"):
             value = getattr(self, name)

@@ -14,7 +14,10 @@ import inspect
 import pytest
 
 from repro.api import RunConfig, ValuationSession
-from repro.cluster.backends import _BACKEND_REGISTRY
+from repro.api.config import RetryPolicy
+from repro.cluster import worker
+from repro.cluster.backends import _BACKEND_REGISTRY, MultiprocessingBackend, SequentialBackend
+from repro.cluster.backends.remote import ReconnectPolicy, RemoteBackend
 from repro.cluster.simcluster import SimulatedClusterBackend
 from repro.core.scheduler import simulate_hierarchical
 from repro.pricing.batch import plan_batches, price_problems
@@ -63,6 +66,37 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
         "host", "port", "backend", "n_workers", "hosts", "cache_dir", "cache_entries",
         "auth_token", "rate_limit", "rate_burst", "keepalive_interval", "worker_secret",
         "max_body_bytes", "max_events_per_job", "verbose")),
+    # The backend and worker surface.  Census of the values nothing outside
+    # tests/ sets (src/ only forwards them), the baseline for the next one:
+    # connect_timeout, send_timeout, start_method, workers_per_server and
+    # spawn_local_workers' timeout (set by no one); the four ReconnectPolicy
+    # fields appear outside tests/ only in a docs/fault_tolerance.md example.
+    'create_backend("local")': (_BACKEND_REGISTRY["local"], (
+        "n_workers", "strategy", "cache_dir")),
+    # only tests/ set: start_method
+    'create_backend("multiprocessing")': (_BACKEND_REGISTRY["multiprocessing"], (
+        "n_workers", "strategy", "start_method", "cache_dir")),
+    # only tests/ set: connect_timeout, send_timeout
+    'create_backend("remote")': (_BACKEND_REGISTRY["remote"], (
+        "n_workers", "strategy", "hosts", "connect_timeout", "send_timeout", "reconnect",
+        "liveness_timeout", "secret")),
+    "SequentialBackend": (SequentialBackend.__init__, ("n_workers", "cache_dir")),
+    # only tests/ set: start_method
+    "MultiprocessingBackend": (MultiprocessingBackend.__init__, (
+        "n_workers", "start_method", "cache_dir")),
+    # only tests/ set: connect_timeout, send_timeout
+    "RemoteBackend": (RemoteBackend.__init__, (
+        "hosts", "connect_timeout", "send_timeout", "reconnect", "liveness_timeout",
+        "secret")),
+    # only tests/ set: start_method, workers_per_server; no one sets timeout
+    "spawn_local_workers": (worker.spawn_local_workers, (
+        "n", "cache_dir", "start_method", "timeout", "workers_per_server", "secret")),
+    "cluster.worker.serve": (worker.serve, (
+        "host", "port", "cache_dir", "once", "ready", "quiet", "workers", "secret")),
+    # only tests/ (and a docs example) set: all four
+    "ReconnectPolicy": (ReconnectPolicy, (
+        "max_attempts", "initial_backoff", "backoff_factor", "max_backoff")),
+    "RetryPolicy": (RetryPolicy, ("max_attempts", "backoff", "backoff_factor")),
 }
 
 

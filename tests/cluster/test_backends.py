@@ -11,6 +11,7 @@ from repro.cluster.backends import (
     MultiprocessingBackend,
     PreparedMessage,
     SequentialBackend,
+    create_backend,
     execute_payload,
     materialize_problem,
 )
@@ -104,6 +105,17 @@ class TestSequentialBackend:
 
     def test_requires_payload_flag(self):
         assert SequentialBackend().requires_payload is True
+
+
+@pytest.mark.parametrize("name", ["local", "multiprocessing"])
+@pytest.mark.parametrize("n_workers", [2.5, True, 2.0])
+def test_a_worker_count_is_an_int(name, n_workers):
+    """``n_workers=2.5`` used to run 2 workers and ``True`` one."""
+    import multiprocessing
+
+    with pytest.raises(ClusterError, match="n_workers must be an int"):
+        create_backend(name, n_workers=n_workers)
+    assert not multiprocessing.active_children()  # refused before any spawn
 
 
 class TestMultiprocessingBackend:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.pricing.kernel import price_many_stacked, resolve_kernel, run_groups
-from repro.pricing.methods.montecarlo import MonteCarloEuropean
+from repro.pricing.kernel import resolve_kernel, run_groups
+from repro.pricing.methods.montecarlo import MonteCarloEuropean, price_groups_stacked
 from repro.pricing.models import (
     BlackScholesModel,
     CEVModel,
@@ -295,11 +295,11 @@ class TestKernelSelection:
             method.price_many(model, [EuropeanCall(strike=100.0, maturity=1.0)],
                               kernel="warp")
 
-    def test_price_many_stacked_entrypoint(self):
+    def test_price_groups_stacked_entrypoint(self):
         method = MonteCarloEuropean(n_paths=1001, seed=4)
         model = BlackScholesModel(spot=100.0, rate=0.03, volatility=0.2)
         products = [EuropeanCall(strike=100.0, maturity=1.0)]
-        direct = price_many_stacked(method, model, products)
+        [direct] = price_groups_stacked([(method, model, products)])
         via_price_many = method.price_many(model, products, kernel="stacked")
         assert_results_bit_equal(direct, via_price_many)
 

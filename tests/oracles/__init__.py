@@ -7,7 +7,9 @@ because each repricing re-draws from an identically-seeded generator), and
 :func:`solo_cell_pricer` prices every cell of a scenario grid alone with
 ``problem.compute()`` -- the same oracle ``benchmarks/e2e/harness.verify``
 uses.  Pass the latter as ``price_grid=`` to a :mod:`repro.core.risk`
-measure to get the measure's serial reference.
+measure to get the measure's serial reference.  :mod:`tests.oracles.samplers`
+holds the solo samplers the stackable models carried beside their stacked
+ones.
 """
 
 from __future__ import annotations

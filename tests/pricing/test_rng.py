@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.pricing.models import MultiAssetBlackScholesModel
 from repro.pricing.rng import (
     AntitheticGenerator,
     PseudoRandomGenerator,
     SobolGenerator,
+    cholesky_factor,
     create_generator,
 )
 
@@ -47,16 +49,9 @@ class TestPseudoRandomGenerator:
         corr = np.corrcoef(streams[0], streams[1])[0, 1]
         assert abs(corr) < 0.1
 
-    def test_correlated_normals_match_target_correlation(self):
-        corr = np.array([[1.0, 0.7], [0.7, 1.0]])
-        samples = PseudoRandomGenerator(seed=3).correlated_normals(200_000, corr)
-        empirical = np.corrcoef(samples.T)
-        assert empirical[0, 1] == pytest.approx(0.7, abs=0.01)
-
-    def test_correlated_normals_validates_shape(self):
-        gen = PseudoRandomGenerator(seed=0)
+    def test_cholesky_factor_validates_shape(self):
         with pytest.raises(ValueError):
-            gen.correlated_normals(10, np.ones((2, 3)))
+            cholesky_factor(np.ones((2, 3)))
 
 
 class TestSobolGenerator:
@@ -127,11 +122,15 @@ class TestAntitheticGenerator:
         assert samples.shape == (10, 7)
         np.testing.assert_allclose(samples[:5], -samples[5:])
 
-    def test_correlated_normals_mirrored(self):
+    def test_correlated_draws_mirrored(self):
         corr = np.array([[1.0, 0.5], [0.5, 1.0]])
+        model = MultiAssetBlackScholesModel(
+            spot=[100.0, 100.0], rate=0.0, volatilities=0.2, correlation=corr
+        )
         gen = AntitheticGenerator(PseudoRandomGenerator(seed=0))
-        samples = gen.correlated_normals(20, corr)
-        np.testing.assert_allclose(samples[:10], -samples[10:])
+        # log(S_T / S_0) = -sigma^2 / 2 + sigma z at T = 1, r = 0
+        draws = (np.log(model.sample_terminal(gen, 20, 1.0) / 100.0) + 0.02) / 0.2
+        np.testing.assert_allclose(draws[:10], -draws[10:], atol=1e-12)
 
 
 class TestFactory:

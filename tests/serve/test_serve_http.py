@@ -183,12 +183,25 @@ class TestErrors:
             ({"model_params": {"spot": "abc", "rate": 0.05, "volatility": 0.2}}, "model_params"),
             ({"option_params": {"strike": 100.0, "maturity": 1.0, "colour": 3}}, "option_params"),
             ({"method": "MC_European", "method_params": {"n_paths": "many"}}, "method_params"),
+            # used to price -- and cache -- as seed 1
+            ({"method": "MC_European", "method_params": {"seed": 1.5}},
+             "seed must be an int, got 1.5"),
         ],
     )
     def test_invalid_problem_400(self, server, changes, named):
         status, body = _request(server.url + "/v1/price", _position_body(100.0, **changes))
         assert status == 400
         assert named in body["error"]
+
+    def test_an_integral_float_count_is_its_int(self, server):
+        def mc(seed):
+            return _position_body(100.0, method="MC_European",
+                                  method_params={"n_paths": 2e3, "seed": seed})
+
+        (_, as_float), (_, as_int) = (_request(server.url + "/v1/price", mc(seed))
+                                      for seed in (1.0, 1))
+        assert as_float["digest"] == as_int["digest"]
+        assert as_float["price"] == as_int["price"]
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),
