@@ -8,9 +8,10 @@ Five subsystems promise determinism by construction:
 * ``pricing/batch`` -- shared-path batch pricing is bit-identical to solo
   pricing *because* every random number comes from the injected, seeded
   rng (:mod:`repro.pricing.rng`);
-* ``pricing/kernel`` -- the stacked Monte-Carlo kernel promises
-  bit-exactness with the loop kernel; a wall-clock or entropy read would
-  break the differential harness and the pinned draw digests;
+* ``pricing/kernel`` -- the Monte-Carlo estimator loop promises the same
+  bits under both its settings and against the per-group oracle; a
+  wall-clock or entropy read would break the differential harness and the
+  pinned draw digests;
 * ``pricing/scenarios`` -- the scenario-grid engine promises batched CRN
   Greeks bit-identical to the serial bump-and-revalue oracle; scenario
   expansion and Greek assembly must stay pure arithmetic over the seeded

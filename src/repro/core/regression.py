@@ -258,8 +258,10 @@ class RegressionSuite:
                 continue
             value = current[label]
             scale = max(abs(ref_price), atol)
-            rel = abs(value - ref_price) / scale
-            if abs(value - ref_price) > atol + rtol * scale:
+            diff = abs(value - ref_price)
+            # a zero reference under atol=0: any difference is infinitely relative
+            rel = diff / scale if scale else (float("inf") if diff else 0.0)
+            if diff > atol + rtol * scale:
                 mismatches.append(
                     RegressionMismatch(
                         label=label, reference=ref_price, computed=value, relative_error=rel

@@ -46,7 +46,7 @@ from repro.pricing.cache import problem_digest, stable_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.kernel import resolve_kernel
 from repro.pricing.methods.base import PricingResult, ResultColumns
-from repro.pricing.methods.montecarlo import MonteCarloEuropean, price_groups_stacked
+from repro.pricing.methods.montecarlo import MonteCarloEuropean, price_groups
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pricing.cache import ResultCache
@@ -462,12 +462,14 @@ def price_problems(
     (``problem.get_method_results()`` works afterwards), and prices are
     bit-identical to per-problem pricing for any grouping.
 
-    ``kernel="stacked"`` evaluates **all** groups of the plan as one
-    stacked-array computation (:func:`~repro.pricing.methods.montecarlo.
-    price_groups_stacked`): groups with identical simulation signatures up
-    to model parameters share one normal-draw cohort instead of each
-    re-drawing the same stream.  Prices stay bit-identical to the loop
-    kernel.  A worker's result cache is consulted by the payloads
+    **All** groups of the plan go through one
+    :func:`~repro.pricing.methods.montecarlo.price_groups` call: with
+    ``kernel="stacked"`` (the default) groups with identical simulation
+    signatures up to model parameters share one normal-draw cohort instead
+    of each re-drawing the same stream; ``kernel="loop"`` gives each group
+    its own.  Prices are bit-identical either way.  If that call fails, each
+    group is priced again on its own so the error names the failing member.
+    A worker's result cache is consulted by the payloads
     (:meth:`ProblemBatch.compute`, ``ScenarioGrid.compute``), not here.
     """
     kernel = resolve_kernel(kernel)
@@ -479,25 +481,23 @@ def price_problems(
                      keys=list(group.indices), kernel=kernel)
         for group in plan.groups
     ]
-    stacked_done = False
-    if kernel == "stacked" and batches:
-        try:
-            per_group = price_groups_stacked(
-                [
-                    (batch.problems[0].method, batch.problems[0].model,
-                     [problem.product for problem in batch.problems])
-                    for batch in batches
-                ]
-            )
-        except Exception:  # noqa: BLE001 - degrade to per-group evaluation
-            per_group = None
-        if per_group is not None:
-            for batch, group_results in zip(batches, per_group):
-                for key, problem, result in zip(batch.keys, batch.problems, group_results):
-                    problem._result = result
-                    results[key] = result
-            stacked_done = True
-    if not stacked_done:
+    try:
+        per_group = price_groups(
+            [
+                (batch.problems[0].method, batch.problems[0].model,
+                 [problem.product for problem in batch.problems])
+                for batch in batches
+            ],
+            kernel=kernel,
+        )
+    except Exception:  # noqa: BLE001 - degrade to per-group evaluation
+        per_group = None
+    if per_group is not None:
+        for batch, group_results in zip(batches, per_group):
+            for key, problem, result in zip(batch.keys, batch.problems, group_results):
+                problem._result = result
+                results[key] = result
+    else:
         for batch in batches:
             for key, entry in batch.compute().items():
                 if "error" in entry:

@@ -1,13 +1,20 @@
-"""Stacked-array Monte-Carlo kernel: many groups, one numpy computation.
+"""The Monte-Carlo European estimator loop: many groups, one numpy computation.
 
-The batch planner (:mod:`repro.pricing.batch`) already shares one simulated
-path set across every member of a group, but the evaluation itself remains a
-python-level loop: one ``simulate_paths`` call per group, one payoff call per
-member per batch.  This module is the vectorized alternative -- the
-``kernel="stacked"`` engine selected through
-:meth:`~repro.pricing.methods.montecarlo.MonteCarloEuropean.price_many`,
-:class:`~repro.pricing.batch.ProblemBatch` or
-:class:`~repro.api.config.RunConfig`:
+Every Monte-Carlo European price runs here -- a single problem, a
+shared-path group of :meth:`~repro.pricing.methods.montecarlo.
+MonteCarloEuropean.price_many`, a :class:`~repro.pricing.batch.ProblemBatch`
+and a whole batch plan -- through :func:`run_groups`, which simulates batch
+by batch and folds every member's payoff into its accumulators.  The
+``kernel`` value (:class:`~repro.api.config.RunConfig`, ``price_many``,
+``ProblemBatch``) does not choose another engine; it sets two properties of
+this one loop:
+
+* ``"stacked"`` (the default) -- **draw cohorts** across groups and
+  **payoff families** within a group, both described below;
+* ``"loop"`` -- every group is its own cohort and every member is folded
+  alone by ``MonteCarloEuropean._fold_member``, one after another.
+
+With ``"stacked"``:
 
 * **draw cohorts** -- groups of a plan whose methods share (rng kind, seed,
   antithetic flag, path counts, batching) and whose models share a stacked
@@ -18,7 +25,7 @@ member per batch.  This module is the vectorized alternative -- the
   ``(n_groups, n_paths, n_steps + 1)`` path array in one numpy expression,
   with per-group drift/vol broadcast down the leading axis (see the
   ``stacked_*`` samplers on the model classes; a model's solo sampler is
-  the same function at one member, so the loop kernel draws identically).
+  the same function at one member).
   Models without a stacked sampler (Heston, Merton, custom subclasses)
   fall back to their own solo sampler per cohort, still shared across
   identical-model groups;
@@ -27,14 +34,16 @@ member per batch.  This module is the vectorized alternative -- the
   barriers, Asians); each family evaluates all member payoffs as one masked
   array expression over the stacked terminal/path arrays, with per-member
   strike/barrier/rebate columns.  Unrecognised products fall back to the
-  per-member loop expressions.
+  per-member fold.
 
-Every vectorized expression mirrors the loop kernel's IEEE operation
+Every vectorized expression mirrors the per-member fold's IEEE operation
 sequence -- same draws in the same order, same parenthesisation, same
 per-batch accumulation -- so prices and per-path samples are **bit-identical**
-to the ``"loop"`` kernel.  The claim is enforced mechanically by the
+to ``"loop"``.  The claim is enforced mechanically by the
 ``tests/differential`` suite, which asserts ``np.array_equal`` over a matrix
-of (model x product x antithetic x batch shape) coordinates.
+of (model x product x antithetic x batch shape) coordinates, against each
+other and against the per-group loop production once had
+(``tests/oracles/estimator.py``).
 
 This module is under the repro-lint determinism contract: it never reads a
 wall clock or an entropy source; all randomness comes from the seeded
@@ -74,7 +83,7 @@ __all__ = [
     "draw_digest",
 ]
 
-#: the evaluation kernels selectable through RunConfig / price_many
+#: the settings of the estimator loop selectable through RunConfig / price_many
 KERNELS = ("loop", "stacked")
 
 #: the kernel every entry point runs when the caller names none (the only
@@ -136,8 +145,8 @@ def _family_key(product: Product, mode_paths: bool) -> tuple[Any, ...] | None:
     """Family key of a member, or ``None`` for the per-member fallback.
 
     The identity checks guard against subclasses overriding the payoff
-    hooks: a product only joins a vectorized family when the exact loop
-    expressions we mirror are the ones it would execute.
+    hooks: a product only joins a vectorized family when the exact
+    per-member fold expressions we mirror are the ones it would execute.
     """
     cls = type(product)
     if isinstance(product, BarrierOption):
@@ -207,7 +216,7 @@ def _build_families(
 
 @dataclass
 class _Group:
-    """One shared-simulation group prepared for the stacked engine."""
+    """One shared-simulation group prepared for the estimator loop."""
 
     method: MonteCarloEuropean
     model: Model
@@ -226,12 +235,13 @@ def _build_group(
     model: Model,
     products: Sequence[Product],
     sink: SampleSink | None,
+    kernel: str,
 ) -> _Group:
     products = list(products)
     if not products:
-        raise PricingError("a stacked group needs at least one product")
+        raise PricingError("a shared-path group needs at least one product")
     if not isinstance(method, MonteCarloEuropean):
-        raise PricingError("the stacked kernel only prices MonteCarloEuropean groups")
+        raise PricingError("the estimator loop only prices MonteCarloEuropean groups")
     for product in products:
         method.check_supports(model, product)
     n_steps = method._effective_steps(model, products[0])
@@ -252,7 +262,10 @@ def _build_group(
         )
         for product in products
     ]
-    families, fallback = _build_families(members, mode_paths)
+    if kernel == "stacked":
+        families, fallback = _build_families(members, mode_paths)
+    else:
+        families, fallback = [], list(range(len(members)))
     return _Group(
         method=method,
         model=model,
@@ -417,7 +430,8 @@ def _cohort_rng(
     tape: list | None = None,
     replay: bool = False,
 ) -> RandomGenerator:
-    """The cohort's generator -- identical to ``method._make_rng``.
+    """The cohort's generator: ``method``'s rng kind and seed, antithetic
+    when ``method`` is -- what each of the cohort's groups would draw alone.
 
     With a ``tape``, the base draws are recorded (first chunk) or replayed
     (later chunks) *below* the recording wrapper, so ``record`` observes the
@@ -469,9 +483,10 @@ def _family_payoffs(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Payoff matrix ``(n_members, batch)`` and shared control array.
 
-    Each row reproduces the member's loop-kernel payoff expression with the
-    member parameter broadcast as a column; the control variate (when used)
-    is the loop's ``_control_value`` observable, computed once per family.
+    Each row reproduces the member's ``_fold_member`` payoff expression with
+    the member parameter broadcast as a column; the control variate (when
+    used) is the fold's ``_control_value`` observable, computed once per
+    family.
     """
     strikes = fam.strikes[:, None]
     if fam.kind == "vanilla":
@@ -504,7 +519,7 @@ def _family_payoffs(
         else:
             payoffs = np.maximum(strikes - avg, 0.0)
         return payoffs, None
-    # barrier: (min <= B) is element-for-element the loop's (paths <= B).any()
+    # barrier: (min <= B) is element-for-element the fold's (paths <= B).any()
     assert fam.barriers is not None and fam.rebates is not None
     ref = lo if fam.is_down else hi
     assert ref is not None and paths is not None
@@ -531,7 +546,8 @@ def _accumulate_group(
     times: np.ndarray,
     half: int,
 ) -> None:
-    """Fold one batch into every member's accumulators (loop-identical)."""
+    """Fold one batch into every member's accumulators (bit-identical to
+    folding each member alone with ``_fold_member``)."""
     antithetic = group.method.antithetic
     lo = hi = None
     if paths is not None and paths.ndim == 2:
@@ -591,16 +607,21 @@ def _run_chunk(
 
     n_total = method0.n_paths
     if method0.antithetic and n_total % 2:
-        # same odd-n_paths parity fix as the loop kernel: simulate one extra
-        # path to complete the last antithetic pair, report exact counts
+        # odd n_paths: simulate one extra path to complete the last
+        # antithetic pair, report exact counts
         n_total += 1
 
     n_done = 0
     n_samples = 0
     rng = _cohort_rng(method0, max(model0.dimension, 1), record, tape, replay)
+    # simulate batch by batch (bounding memory) and evaluate every member's
+    # payoff against the same path array
     while n_done < n_total:
         batch = min(method0.batch_size, n_total - n_done)
         if method0.antithetic:
+            # keep antithetic pairs inside one batch; n_total is even, so
+            # flooring (rather than padding past batch_size) never stalls
+            # and the memory bound is respected even for odd batch sizes
             batch -= batch % 2
         sims = _simulate(sampler, models, rng, batch, times, maturity, mode_paths)
         half = batch // 2
@@ -609,6 +630,9 @@ def _run_chunk(
         n_done += batch
         n_samples += half if method0.antithetic else batch
 
+    # exact sample accounting: the estimator consumed n_samples
+    # (pair-averaged) samples, i.e. n_paths_used simulated paths -- no
+    # padded phantom paths are ever reported
     n_paths_used = 2 * n_samples if method0.antithetic else n_samples
     for group in groups:
         group.results = [
@@ -623,15 +647,18 @@ def run_groups(
     groups: Sequence[GroupSpec],
     sample_sinks: dict[int, SampleSink] | None = None,
     record: Callable[[bytes], None] | None = None,
+    kernel: str | None = None,
 ) -> list[list[PricingResult]]:
-    """Price every group of a plan through the stacked engine.
+    """Price every group of a plan through the one estimator loop.
 
     ``groups`` is a sequence of ``(method, model, products)`` tuples -- one
-    per shared-simulation group.  Groups are clustered into draw cohorts,
-    each cohort simulated as one stacked computation (chunked to a memory
-    budget), and each group's members evaluated family-vectorized.  Returns
-    one result list per group, in input order, bit-identical to
-    ``method.price_many(model, products)`` per group.
+    per shared-simulation group.  With ``kernel="stacked"`` (the default)
+    groups are clustered into draw cohorts, each cohort simulated as one
+    stacked computation (chunked to a memory budget), and each group's
+    members evaluated family-vectorized; with ``kernel="loop"`` every group
+    is its own cohort and its members are folded one by one.  Returns one
+    result list per group, in input order, bit-identical across ``kernel``
+    values and groupings.
 
     ``sample_sinks`` optionally maps a group index to a callable receiving
     ``(member_index, payoff_batch)`` for every batch -- the differential
@@ -639,13 +666,14 @@ def run_groups(
     ``record`` receives the raw bytes of every underlying random draw (see
     :func:`draw_digest`).
     """
+    kernel = resolve_kernel(kernel)
     built = []
     for gi, (method, model, products) in enumerate(groups):
         sink = sample_sinks.get(gi) if sample_sinks else None
-        built.append(_build_group(method, model, products, sink))
-    cohorts: dict[tuple[Any, ...], list[_Group]] = {}
-    for group in built:
-        cohorts.setdefault(_cohort_key(group), []).append(group)
+        built.append(_build_group(method, model, products, sink, kernel))
+    cohorts: dict[Any, list[_Group]] = {}
+    for gi, group in enumerate(built):
+        cohorts.setdefault(_cohort_key(group) if kernel == "stacked" else gi, []).append(group)
     for cohort in cohorts.values():
         chunks = _chunk_groups(cohort)
         tape = [] if len(chunks) > 1 and _tape_elements(cohort[0]) <= _MAX_TAPE_ELEMENTS \

@@ -65,11 +65,9 @@ class FourierCOS(PricingMethod):
     method_name = "FFT_COS"
 
     def __init__(self, n_terms: int = 256, truncation_width: float = 12.0):
-        if n_terms < 8:
-            raise PricingError("n_terms must be at least 8")
         if truncation_width <= 0:
             raise PricingError("truncation_width must be positive")
-        self.n_terms = check_count(n_terms, "n_terms")
+        self.n_terms = check_count(n_terms, "n_terms", 8)
         self.truncation_width = float(truncation_width)
 
     def to_params(self) -> dict[str, Any]:

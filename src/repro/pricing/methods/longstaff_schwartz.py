@@ -25,8 +25,8 @@ from repro.pricing.models.base import Model, MultiAssetModel
 from repro.pricing.models.heston import HestonModel
 from repro.pricing.products.american import AmericanBasketCall, AmericanBasketPut, AmericanCall, AmericanPut
 from repro.pricing.products.base import ExerciseStyle, Product
-from repro.pricing.rng import AntitheticGenerator, create_generator
-from repro.pricing.validation import check_count
+from repro.pricing.rng import AntitheticGenerator, create_generator, generator_kind
+from repro.pricing.validation import check_count, check_flag
 
 __all__ = ["LongstaffSchwartz"]
 
@@ -76,19 +76,13 @@ class LongstaffSchwartz(PricingMethod):
         seed: int = 0,
         heston_scheme: str = "alfonsi",
     ):
-        if n_paths < 10:
-            raise PricingError("n_paths must be at least 10")
-        if n_steps is not None and n_steps < 2:
-            raise PricingError("n_steps must be >= 2 when given")
-        if basis_degree < 1:
-            raise PricingError("basis_degree must be >= 1")
         if heston_scheme not in ("alfonsi", "full_truncation"):
             raise PricingError(f"unknown heston_scheme: {heston_scheme!r}")
-        self.n_paths = check_count(n_paths, "n_paths")
-        self.n_steps = None if n_steps is None else check_count(n_steps, "n_steps")
+        self.n_paths = check_count(n_paths, "n_paths", 10)
+        self.n_steps = None if n_steps is None else check_count(n_steps, "n_steps", 2)
         self.basis_degree = check_count(basis_degree, "basis_degree")
-        self.antithetic = bool(antithetic)
-        self.rng_kind = str(rng_kind)
+        self.antithetic = check_flag(antithetic, "antithetic")
+        self.rng_kind = generator_kind(rng_kind)
         self.seed = check_count(seed, "seed", 0)
         self.heston_scheme = heston_scheme
 

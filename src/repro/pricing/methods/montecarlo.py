@@ -24,59 +24,47 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import PricingError
 from repro.pricing.methods.base import PricingMethod, PricingResult
 from repro.pricing.models.base import Model, MultiAssetModel
 from repro.pricing.models.black_scholes import BlackScholesModel
 from repro.pricing.products.barrier import BarrierOption
 from repro.pricing.products.base import ExerciseStyle, Product
 from repro.pricing.products.basket import BasketOption
-from repro.pricing.rng import AntitheticGenerator, create_generator
-from repro.pricing.validation import check_count
+from repro.pricing.rng import generator_kind
+from repro.pricing.validation import check_count, check_flag
 
-__all__ = ["MonteCarloEuropean", "price_groups_stacked"]
-
-
-def _stamp_and_validate(
-    method: "MonteCarloEuropean",
-    model: Model,
-    products: list[Product],
-    results: list[PricingResult],
-    elapsed: float,
-) -> None:
-    """Share the wall-clock time across members and reject non-finite prices."""
-    share = elapsed / len(results)
-    for product, result in zip(products, results):
-        result.elapsed = share
-        result.method_name = method.method_name
-        if not np.isfinite(result.price):
-            raise method.non_finite_price(model, product)
+__all__ = ["MonteCarloEuropean", "price_groups"]
 
 
-def price_groups_stacked(
+def price_groups(
     groups: Sequence[tuple["MonteCarloEuropean", Model, Sequence[Product]]],
     sample_sinks: dict[int, Any] | None = None,
+    kernel: str | None = None,
 ) -> list[list[PricingResult]]:
-    """Price several shared-simulation groups through the stacked kernel.
+    """Price several shared-simulation groups through the one estimator loop.
 
-    The one entry point of ``kernel="stacked"``, for batch pricing and
-    :meth:`MonteCarloEuropean.price_many` alike: all groups go to
-    :func:`repro.pricing.kernel.run_groups` together, so groups whose
-    methods draw identical random streams share one stacked simulation
-    (cross-group draw cohorts).  Results are bit-identical to calling
-    ``method.price_many(model, products, kernel="loop")`` per group; elapsed
-    time is measured here (the kernel module is wall-clock-free by contract)
-    and shared across each group's members.  ``sample_sinks`` is passed to
+    The entry point of every Monte-Carlo European price -- a single
+    problem, :meth:`MonteCarloEuropean.price_many`, a
+    :class:`~repro.pricing.batch.ProblemBatch` and a batch plan alike: all
+    groups go to :func:`repro.pricing.kernel.run_groups` together, which
+    ``kernel`` configures (cross-group draw cohorts and payoff families for
+    ``"stacked"``, the default; one cohort per group, members folded one by
+    one, for ``"loop"``).  Elapsed time is measured here (the kernel module
+    is wall-clock-free by contract) and shared across all members; a
+    non-finite price is refused.  ``sample_sinks`` is passed to
     :func:`~repro.pricing.kernel.run_groups`.
     """
     from repro.pricing.kernel import run_groups
 
     start = time.perf_counter()
-    all_results = run_groups(groups, sample_sinks=sample_sinks)
-    elapsed = time.perf_counter() - start
-    n_members = sum(len(results) for results in all_results) or 1
+    all_results = run_groups(groups, sample_sinks=sample_sinks, kernel=kernel)
+    share = (time.perf_counter() - start) / (sum(map(len, all_results)) or 1)
     for (method, model, products), results in zip(groups, all_results):
-        _stamp_and_validate(method, model, list(products), results, elapsed * len(results) / n_members)
+        for product, result in zip(products, results):
+            result.elapsed = share
+            result.method_name = method.method_name
+            if not np.isfinite(result.price):
+                raise method.non_finite_price(model, product)
     return all_results
 
 
@@ -118,7 +106,8 @@ class MonteCarloEuropean(PricingMethod):
         Use the discounted terminal underlying as a control variate
         (default True; only applied to non-path-dependent payoffs).
     rng_kind / seed:
-        Random number generator family (``"pcg64"`` or ``"sobol"``) and seed.
+        Random number generator family (``"pcg64"`` or ``"sobol"``; an alias
+        such as ``"qmc"`` is stored under its canonical name) and seed.
     barrier_correction:
         Apply the Broadie-Glasserman continuity correction to barrier levels
         so that discretely monitored paths approximate a continuously
@@ -141,20 +130,14 @@ class MonteCarloEuropean(PricingMethod):
         barrier_correction: bool = True,
         batch_size: int = 65_536,
     ):
-        if n_paths < 2:
-            raise PricingError("n_paths must be at least 2")
-        if n_steps is not None and n_steps < 1:
-            raise PricingError("n_steps must be >= 1 when given")
-        if batch_size < 2:
-            raise PricingError("batch_size must be at least 2")
-        self.n_paths = check_count(n_paths, "n_paths")
+        self.n_paths = check_count(n_paths, "n_paths", 2)
         self.n_steps = None if n_steps is None else check_count(n_steps, "n_steps")
-        self.antithetic = bool(antithetic)
-        self.control_variate = bool(control_variate)
-        self.rng_kind = str(rng_kind)
+        self.antithetic = check_flag(antithetic, "antithetic")
+        self.control_variate = check_flag(control_variate, "control_variate")
+        self.rng_kind = generator_kind(rng_kind)
         self.seed = check_count(seed, "seed", 0)
-        self.barrier_correction = bool(barrier_correction)
-        self.batch_size = check_count(batch_size, "batch_size")
+        self.barrier_correction = check_flag(barrier_correction, "barrier_correction")
+        self.batch_size = check_count(batch_size, "batch_size", 2)
 
     def to_params(self) -> dict[str, Any]:
         return {
@@ -187,12 +170,6 @@ class MonteCarloEuropean(PricingMethod):
             n_fixings = getattr(product, "n_fixings", 12)
             return max(1, int(n_fixings))
         return 1
-
-    def _make_rng(self, dimension: int):
-        rng = create_generator(self.rng_kind, seed=self.seed, dimension=dimension)
-        if self.antithetic:
-            rng = AntitheticGenerator(rng)
-        return rng
 
     def _adjusted_product(self, model: Model, product: Product, n_steps: int) -> Product:
         """Apply the barrier continuity correction when appropriate."""
@@ -242,7 +219,7 @@ class MonteCarloEuropean(PricingMethod):
     def _price(self, model: Model, product: Product) -> PricingResult:
         # single-product pricing is the one-member case of the shared-path
         # engine, so batched portfolio pricing is bit-identical by construction
-        return self._price_shared(model, [product])[0]
+        return self.price_many(model, [product])[0]
 
     def shares_simulation(self, model: Model, a: Product, b: Product) -> bool:
         """Whether ``a`` and ``b`` can be priced against one shared path set.
@@ -276,11 +253,13 @@ class MonteCarloEuropean(PricingMethod):
         alone -- the paths are a deterministic function of (model, rng kind,
         seed, batching), which every member reproduces independently.
 
-        ``kernel`` selects the evaluation engine: ``"loop"`` (the per-member
-        python loop above) or ``"stacked"`` (the vectorized engine of
-        :mod:`repro.pricing.kernel`, bit-identical by construction and
-        enforced so by the differential test suite).  ``kernel`` is an
-        evaluation strategy, **not** a method parameter: it never enters
+        The products are one group of :func:`price_groups`, which runs the
+        one estimator loop, :func:`repro.pricing.kernel.run_groups`.
+        ``kernel`` sets two properties of that loop: ``"stacked"`` (the
+        default) evaluates members in vectorized payoff families, ``"loop"``
+        folds them one after another -- bit-identical either way, as the
+        differential test suite enforces.  ``kernel`` is an evaluation
+        strategy, **not** a method parameter: it never enters
         :meth:`to_params`, so digests, signatures and cache keys are
         unchanged by the choice.  ``sample_sink``, when given, receives
         ``(member_index, payoff_batch)`` for every simulated batch (payoffs
@@ -290,81 +269,8 @@ class MonteCarloEuropean(PricingMethod):
         products = list(products)
         if not products:
             return []
-        for product in products:
-            self.check_supports(model, product)
-        from repro.pricing.kernel import resolve_kernel
-
-        if resolve_kernel(kernel) == "stacked":
-            sinks = {0: sample_sink} if sample_sink is not None else None
-            return price_groups_stacked([(self, model, products)], sample_sinks=sinks)[0]
-        start = time.perf_counter()
-        results = self._price_shared(model, products, sample_sink=sample_sink)
-        elapsed = time.perf_counter() - start
-        _stamp_and_validate(self, model, products, results, elapsed)
-        return results
-
-    def _price_shared(
-        self, model: Model, products: list[Product], sample_sink: Any = None
-    ) -> list[PricingResult]:
-        n_steps = self._effective_steps(model, products[0])
-        maturity = products[0].maturity
-        mode_paths = products[0].path_dependent or n_steps > 1
-        for product in products[1:]:
-            if not self.shares_simulation(model, products[0], product):
-                raise PricingError(
-                    "products in a shared-path batch must induce the same "
-                    "simulation grid and sampling mode"
-                )
-        members = [
-            _MemberState(
-                product=product,
-                product_adj=self._adjusted_product(model, product, n_steps),
-                use_cv=self.control_variate and not product.path_dependent,
-                discount=model.discount_factor(product.maturity),
-            )
-            for product in products
-        ]
-
-        n_total = self.n_paths
-        if self.antithetic and n_total % 2:
-            n_total += 1
-
-        n_done = 0
-        n_samples = 0
-        rng = self._make_rng(dimension=max(model.dimension, 1))
-        times = np.linspace(0.0, maturity, n_steps + 1)
-
-        # simulate batch by batch (bounding memory) and evaluate every
-        # member's payoff against the same path array
-        while n_done < n_total:
-            batch = min(self.batch_size, n_total - n_done)
-            if self.antithetic:
-                # keep antithetic pairs inside one batch; n_total is even, so
-                # flooring (rather than padding past batch_size) never stalls
-                # and the memory bound is respected even for odd batch sizes
-                batch -= batch % 2
-            if mode_paths:
-                paths = model.simulate_paths(rng, batch, times)
-                terminal = paths[:, -1]
-            else:
-                paths = None
-                terminal = model.sample_terminal(rng, batch, maturity)
-            half = batch // 2
-            for index, member in enumerate(members):
-                samples = self._fold_member(model, member, paths, terminal, times, half)
-                if sample_sink is not None:
-                    sample_sink(index, samples)
-            n_done += batch
-            n_samples += half if self.antithetic else batch
-
-        # exact sample accounting: the estimator consumed n_samples
-        # (pair-averaged) samples, i.e. n_paths_used simulated paths -- no
-        # padded phantom paths are ever reported
-        n_paths_used = 2 * n_samples if self.antithetic else n_samples
-        return [
-            self._finalize_member(model, member, n_samples, n_paths_used, n_steps)
-            for member in members
-        ]
+        sinks = None if sample_sink is None else {0: sample_sink}
+        return price_groups([(self, model, products)], sample_sinks=sinks, kernel=kernel)[0]
 
     def _fold_member(
         self,

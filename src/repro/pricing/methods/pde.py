@@ -269,13 +269,9 @@ class _PDEBase(PricingMethod):
         theta: float = 0.5,
         n_std: float = 6.0,
     ):
-        if n_space < 10:
-            raise PricingError("n_space must be at least 10")
-        if n_time < 1:
-            raise PricingError("n_time must be at least 1")
         if not 0.0 <= theta <= 1.0:
             raise PricingError("theta must lie in [0, 1]")
-        self.n_space = check_count(n_space, "n_space")
+        self.n_space = check_count(n_space, "n_space", 10)
         self.n_time = check_count(n_time, "n_time")
         self.theta = float(theta)
         self.n_std = float(n_std)

@@ -41,8 +41,6 @@ class BinomialTree(PricingMethod):
     method_name = "TR_CoxRossRubinstein"
 
     def __init__(self, n_steps: int = 500):
-        if n_steps < 1:
-            raise PricingError("n_steps must be >= 1")
         self.n_steps = check_count(n_steps, "n_steps")
 
     def to_params(self) -> dict[str, Any]:
@@ -104,8 +102,6 @@ class TrinomialTree(PricingMethod):
     method_name = "TR_Trinomial"
 
     def __init__(self, n_steps: int = 300, stretch: float = np.sqrt(1.5)):
-        if n_steps < 1:
-            raise PricingError("n_steps must be >= 1")
         if stretch < 1.0:
             raise PricingError("stretch parameter must be >= 1")
         self.n_steps = check_count(n_steps, "n_steps")

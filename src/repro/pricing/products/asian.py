@@ -51,8 +51,6 @@ class AsianOption(Product):
             raise PricingError("strike must be strictly positive")
         if payoff_type not in ("call", "put"):
             raise PricingError("payoff_type must be 'call' or 'put'")
-        if n_fixings < 1:
-            raise PricingError("n_fixings must be >= 1")
         self.strike = float(strike)
         self.payoff_type = payoff_type
         self.n_fixings = check_count(n_fixings, "n_fixings")

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import Any
 
 import numpy as np
 from scipy import stats
 from scipy.stats import qmc
+
+from repro.errors import PricingError
 
 __all__ = [
     "RandomGenerator",
@@ -32,6 +35,7 @@ __all__ = [
     "AntitheticGenerator",
     "cholesky_factor",
     "create_generator",
+    "generator_kind",
 ]
 
 
@@ -210,6 +214,27 @@ class AntitheticGenerator(RandomGenerator):
         return [AntitheticGenerator(g) for g in self.base.spawn(n)]
 
 
+#: every accepted spelling of a generator kind (case-insensitive) -> its
+#: canonical name, the one a method stores and digests
+_KINDS = {
+    **dict.fromkeys(("pcg64", "pseudo", "mt", "random"), "pcg64"),
+    **dict.fromkeys(("sobol", "qmc", "quasi"), "sobol"),
+}
+
+
+def generator_kind(kind: Any) -> str:
+    """The canonical name (``"pcg64"`` / ``"sobol"``) of a generator kind.
+
+    Aliases price identically, so a method keeps the canonical name: one
+    stream, one digest, one batch group.  Anything else is a
+    :class:`~repro.errors.PricingError` naming ``rng_kind``.
+    """
+    canonical = _KINDS.get(kind.lower()) if isinstance(kind, str) else None
+    if canonical is None:
+        raise PricingError(f"rng_kind must be 'pcg64' or 'sobol' (or an alias), got {kind!r}")
+    return canonical
+
+
 def create_generator(
     kind: str = "pcg64", seed: int = 0, dimension: int = 1
 ) -> RandomGenerator:
@@ -218,15 +243,13 @@ def create_generator(
     Parameters
     ----------
     kind:
-        ``"pcg64"`` (default pseudo-random) or ``"sobol"`` (quasi-random).
+        ``"pcg64"`` (default pseudo-random) or ``"sobol"`` (quasi-random), or
+        an alias :func:`generator_kind` accepts.
     seed:
         Reproducibility seed.
     dimension:
         Problem dimension, only used for Sobol sequences.
     """
-    kind = kind.lower()
-    if kind in ("pcg64", "pseudo", "mt", "random"):
+    if generator_kind(kind) == "pcg64":
         return PseudoRandomGenerator(seed)
-    if kind in ("sobol", "qmc", "quasi"):
-        return SobolGenerator(dimension=dimension, seed=seed)
-    raise ValueError(f"unknown random generator kind: {kind!r}")
+    return SobolGenerator(dimension=dimension, seed=seed)

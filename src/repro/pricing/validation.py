@@ -13,8 +13,9 @@ leans on this: it writes NaN for *absent*, which is only sound if no leg can
 be built that prices to NaN.
 
 :func:`check_count` is the one integral check: for the legs' counts (paths,
-steps, seeds, grid sizes) and, raising their own error types, for the
-configuration objects' (worker counts, attempt counts, server limits).
+steps, seeds, grid sizes, with their minimums) and, raising their own error
+types, for the configuration objects' (worker counts, attempt counts, server
+limits).  :func:`check_flag` is its twin for the legs' boolean switches.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.errors import PricingError
 
-__all__ = ["FiniteParams", "check_count"]
+__all__ = ["FiniteParams", "check_count", "check_flag"]
 
 
 def check_count(
@@ -54,6 +55,18 @@ def check_count(
     if value < minimum:
         raise error(f"{field} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_flag(value: Any, field: str) -> bool:
+    """``value`` as a ``bool``, else a :class:`PricingError` naming ``field``.
+
+    Only ``bool`` and ``numpy.bool_`` pass: ``bool("false")`` is ``True``,
+    so a JSON ``"antithetic": "false"`` would price -- and cache -- as the
+    opposite of what it says.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise PricingError(f"{field} must be a bool, got {value!r}")
 
 
 def _is_finite(value: Any) -> bool:

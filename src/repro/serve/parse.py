@@ -23,7 +23,7 @@ import math
 from typing import Any, Mapping
 
 from repro.core.portfolio import Portfolio, Position
-from repro.errors import ServeError
+from repro.errors import PricingError, ServeError
 from repro.pricing import PricingProblem
 
 __all__ = ["finite_number", "problem_from_request", "portfolio_from_request"]
@@ -70,9 +70,10 @@ def problem_from_request(body: Mapping[str, Any]) -> PricingProblem:
         params = _params(body, f"{leg}_params")
         try:
             setter(str(body[leg]), **params)
-        except (TypeError, ValueError) as exc:
-            # a constructor choking on a parameter value ("spot": "abc", an
-            # unknown keyword...) is the client's mistake, not a server fault
+        except (TypeError, ValueError, PricingError) as exc:
+            # a constructor choking on or refusing a parameter value ("spot":
+            # "abc", "n_paths": "many", an unknown keyword...) is the client's
+            # mistake, not a server fault
             raise ServeError(f"invalid {leg}_params for {body[leg]!r}: {exc}") from None
     return problem
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.regression import (
@@ -86,3 +88,37 @@ class TestRegressionSuite:
         reference_path.write_text(json.dumps(reference))
         mismatches = suite.check_against_reference(reference_path)
         assert any(m.label == "bs/imaginary/NEW_Method" for m in mismatches)
+
+    def test_a_zero_reference_is_compared_exactly(self, suite, tmp_path):
+        import json
+
+        reference_path = tmp_path / "reference.json"
+        reference = suite.generate_reference(reference_path)
+        first_key = sorted(reference)[0]
+        reference_path.write_text(json.dumps({first_key: 0.0}))
+        [mismatch] = suite.check_against_reference(reference_path, rtol=1e-12, atol=0.0)
+        assert mismatch.label == first_key
+        assert mismatch.relative_error == float("inf")
+
+
+class TestCommittedReference:
+    """Every registered method's price, pinned across commits.
+
+    ``tests/data/regression_fast.json`` was written by
+    ``RegressionSuite("fast").generate_reference`` (JSON floats round-trip
+    exactly).  The ``rtol`` only absorbs last-bit BLAS / SIMD differences
+    between CPUs; any algorithmic change to a price fails here.  Regenerate
+    the file only for a change that is meant to move prices, and say so.
+    """
+
+    REFERENCE = Path(__file__).resolve().parents[1] / "data" / "regression_fast.json"
+
+    def test_the_reference_covers_the_suite(self):
+        import json
+
+        labels = {problem.label for problem in RegressionSuite(profile="fast").problems}
+        assert set(json.loads(self.REFERENCE.read_text())) == labels
+
+    def test_every_price_matches_the_reference(self):
+        suite = RegressionSuite(profile="fast")
+        assert suite.check_against_reference(self.REFERENCE, rtol=1e-12, atol=0.0) == []

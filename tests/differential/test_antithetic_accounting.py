@@ -43,7 +43,7 @@ def _stacked_run(n_paths: int, antithetic: bool, batch_size: int = 256):
 
 class TestAntitheticDrawCounts:
     def test_n_paths_one_is_rejected(self):
-        with pytest.raises(PricingError, match="n_paths must be at least 2"):
+        with pytest.raises(PricingError, match="n_paths must be >= 2, got 1"):
             MonteCarloEuropean(n_paths=1, seed=11)
 
     @pytest.mark.parametrize("n_paths", [2, 3, 999, 1000])

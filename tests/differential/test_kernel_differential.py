@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.pricing.kernel import resolve_kernel, run_groups
-from repro.pricing.methods.montecarlo import MonteCarloEuropean, price_groups_stacked
+from repro.pricing.methods.montecarlo import MonteCarloEuropean, price_groups
 from repro.pricing.models import (
     BlackScholesModel,
     CEVModel,
@@ -299,7 +299,7 @@ class TestKernelSelection:
         method = MonteCarloEuropean(n_paths=1001, seed=4)
         model = BlackScholesModel(spot=100.0, rate=0.03, volatility=0.2)
         products = [EuropeanCall(strike=100.0, maturity=1.0)]
-        [direct] = price_groups_stacked([(method, model, products)])
+        [direct] = price_groups([(method, model, products)], kernel="stacked")
         via_price_many = method.price_many(model, products, kernel="stacked")
         assert_results_bit_equal(direct, via_price_many)
 

@@ -9,7 +9,8 @@ because each repricing re-draws from an identically-seeded generator), and
 uses.  Pass the latter as ``price_grid=`` to a :mod:`repro.core.risk`
 measure to get the measure's serial reference.  :mod:`tests.oracles.samplers`
 holds the solo samplers the stackable models carried beside their stacked
-ones.
+ones, and :mod:`tests.oracles.estimator` the per-group Monte-Carlo
+estimator loop that ran beside the stacked engine's.
 """
 
 from __future__ import annotations

@@ -50,7 +50,14 @@ class TestRegistries:
         methods = compatible_methods(heston_model, AmericanPut(100.0, 1.0))
         assert methods == ["MC_AM_LongstaffSchwartz"]
 
-    def test_register_custom_method_and_alias(self, bs_model, atm_call):
+    def test_register_custom_method_and_alias(self, bs_model, atm_call, monkeypatch):
+        import repro.pricing.engine as engine
+
+        # the registries are module state: later tests (the regression suite
+        # walks every compatible method) must not see the test method
+        monkeypatch.setattr(engine, "_METHOD_REGISTRY", dict(engine._METHOD_REGISTRY))
+        monkeypatch.setattr(engine, "_METHOD_ALIASES", dict(engine._METHOD_ALIASES))
+
         class ConstantPrice(PricingMethod):
             method_name = "TEST_Constant"
 

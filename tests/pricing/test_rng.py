@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import PricingError
 from repro.pricing.models import MultiAssetBlackScholesModel
 from repro.pricing.rng import (
     AntitheticGenerator,
@@ -12,6 +13,7 @@ from repro.pricing.rng import (
     SobolGenerator,
     cholesky_factor,
     create_generator,
+    generator_kind,
 )
 
 
@@ -144,5 +146,54 @@ class TestFactory:
         assert gen.dimension == 5
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PricingError, match="rng_kind must be 'pcg64' or 'sobol'"):
             create_generator("xorshift")
+
+
+_MC_METHODS = ["MC_European", "MC_AM_LongstaffSchwartz"]
+
+
+class TestGeneratorKind:
+    """A method stores the canonical kind: checked where it is built, one
+    spelling per stream."""
+
+    @pytest.mark.parametrize(
+        ("alias", "canonical"),
+        [("pcg64", "pcg64"), ("PSEUDO", "pcg64"), ("mt", "pcg64"), ("random", "pcg64"),
+         ("sobol", "sobol"), ("qmc", "sobol"), ("Quasi", "sobol"), ("SOBOL", "sobol")],
+    )
+    def test_aliases_are_canonical(self, alias, canonical):
+        assert generator_kind(alias) == canonical
+
+    @pytest.mark.parametrize("family", _MC_METHODS)
+    @pytest.mark.parametrize("kind", ["bogus", "", None, 5])
+    def test_the_constructor_refuses_an_unknown_kind(self, family, kind):
+        from repro.pricing.engine import _build_method
+
+        # used to construct, then fail in create_generator with a bare ValueError
+        with pytest.raises(PricingError, match="rng_kind must be"):
+            _build_method(family, {"rng_kind": kind})
+
+    @pytest.mark.parametrize("family", _MC_METHODS)
+    def test_the_method_stores_the_canonical_kind(self, family):
+        from repro.pricing.engine import _build_method
+
+        assert _build_method(family, {"rng_kind": "QMC"}).to_params()["rng_kind"] == "sobol"
+
+    def test_aliases_share_one_digest_and_one_group(self):
+        from repro.pricing.batch import plan_batches
+        from repro.pricing.cache import problem_digest
+        from repro.pricing.engine import PricingProblem
+
+        def problem(kind: str) -> PricingProblem:
+            p = PricingProblem()
+            p.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.2)
+            p.set_option("CallEuro", strike=100.0, maturity=1.0)
+            p.set_method("MC_European", n_paths=1000, seed=3, rng_kind=kind)
+            return p
+
+        problems = [problem(kind) for kind in ("sobol", "qmc", "SOBOL")]
+        assert len({problem_digest(p) for p in problems}) == 1
+        plan = plan_batches(problems)
+        assert [group.indices for group in plan.groups] == [(0, 1, 2)]
+        assert len({p.compute().price for p in problems}) == 1

@@ -186,6 +186,12 @@ class TestErrors:
             # used to price -- and cache -- as seed 1
             ({"method": "MC_European", "method_params": {"seed": 1.5}},
              "seed must be an int, got 1.5"),
+            # used to answer 500: a bare ValueError once pricing started
+            ({"method": "MC_European", "method_params": {"rng_kind": "bogus"}},
+             "rng_kind must be 'pcg64' or 'sobol'"),
+            # used to price -- and cache -- as antithetic=True
+            ({"method": "MC_European", "method_params": {"antithetic": "false"}},
+             "antithetic must be a bool, got 'false'"),
         ],
     )
     def test_invalid_problem_400(self, server, changes, named):
