@@ -50,14 +50,14 @@ class BackendSpec:
             self._validate_remote_options()
 
     def _validate_remote_options(self) -> None:
-        """Check and normalise the remote backend's ``hosts`` option.
+        """Check and normalise the remote backend's ``hosts`` and ``reconnect`` options.
 
         The worker addresses are folded into a tuple of ``"host:port"``
         strings at spec-construction time, so a bad address fails *here* --
         with a clear message, before any socket is opened -- and the frozen
         spec stays hashable (a raw list value would not be).
         """
-        from repro.cluster.backends.remote import normalize_hosts
+        from repro.cluster.backends.remote import check_reconnect, normalize_hosts
         from repro.errors import ClusterError
 
         options = dict(self.options)
@@ -69,6 +69,7 @@ class BackendSpec:
             )
         try:
             options["hosts"] = normalize_hosts(options["hosts"])
+            check_reconnect(options.get("reconnect", False))
         except ClusterError as exc:
             raise ValuationError(str(exc)) from exc
         object.__setattr__(self, "options", _frozen_options(options))

@@ -65,7 +65,7 @@ __all__ = ["ValuationSession"]
 
 #: backend names whose workers execute payloads in this process tree and can
 #: therefore share an on-disk result cache via the ``cache_dir`` option
-_EXECUTING_BACKENDS = ("local", "sequential", "multiprocessing")
+_EXECUTING_BACKENDS = ("local", "multiprocessing")
 
 
 def _coerce_cache(cache: "ResultCache | str | Path | bool | None") -> ResultCache | None:
@@ -120,7 +120,7 @@ class ValuationSession:
         :meth:`~CommunicationModel.cold_copy` of it, custom NFS settings kept.
     backend_options:
         Extra keyword options for the backend factory (e.g.
-        ``{"start_method": "spawn"}`` for multiprocessing).
+        ``{"hosts": pool.hosts, "reconnect": True}`` for remote).
     cache:
         Digest-keyed result cache (see :mod:`repro.pricing.cache`).
         ``True`` builds an in-memory LRU, a path string / :class:`~pathlib.Path`

@@ -12,17 +12,18 @@ The registry is the source of truth -- :func:`list_backends` enumerates
 whatever is registered at runtime, including third-party engines.  The
 built-in registrations are:
 
-``"local"`` (alias ``"sequential"``)
+``"local"``
     :class:`~repro.cluster.backends.local.SequentialBackend` -- runs every job
     in the master process; the reference backend for exact-result tests.
 ``"multiprocessing"``
     :class:`~repro.cluster.backends.multiproc.MultiprocessingBackend` -- real
-    worker processes on the local machine; accepts a ``start_method`` option.
+    worker processes on the local machine.
 ``"remote"``
     :class:`~repro.cluster.backends.remote.RemoteBackend` -- ``repro-worker``
     TCP servers, possibly on other machines (the paper's actual deployment
     shape); needs a ``hosts`` option listing the worker addresses (see
-    :func:`repro.cluster.worker.spawn_local_workers` for a loopback pool).
+    :func:`repro.cluster.worker.spawn_local_workers` for a loopback pool)
+    and takes ``reconnect``, ``liveness_timeout`` and ``secret``.
 ``"simulated"``
     :class:`~repro.cluster.simcluster.simulator.SimulatedClusterBackend` -- the
     discrete-event cluster model reproducing the paper's tables; accepts
@@ -104,7 +105,7 @@ def register_backend(name: str, factory: BackendFactory | None = None):
 
 
 def list_backends() -> list[str]:
-    """Names of all registered execution backends (including aliases)."""
+    """Names of all registered execution backends."""
     return sorted(_BACKEND_REGISTRY)
 
 
@@ -128,8 +129,7 @@ def create_backend(
 
 
 @register_backend("local")
-@register_backend("sequential")
-def _make_sequential(
+def _make_local(
     n_workers: int = 1, strategy: str = "serialized_load", cache_dir: str | None = None
 ) -> WorkerBackend:
     return SequentialBackend(n_workers=n_workers, cache_dir=cache_dir)
@@ -139,12 +139,9 @@ def _make_sequential(
 def _make_multiprocessing(
     n_workers: int = 2,
     strategy: str = "serialized_load",
-    start_method: str | None = None,
     cache_dir: str | None = None,
 ) -> WorkerBackend:
-    return MultiprocessingBackend(
-        n_workers=n_workers, start_method=start_method, cache_dir=cache_dir
-    )
+    return MultiprocessingBackend(n_workers=n_workers, cache_dir=cache_dir)
 
 
 @register_backend("remote")
@@ -152,9 +149,7 @@ def _make_remote(
     n_workers: int = 2,
     strategy: str = "serialized_load",
     hosts: Any = None,
-    connect_timeout: float = 10.0,
-    send_timeout: float = 60.0,
-    reconnect: Any = None,
+    reconnect: bool = False,
     liveness_timeout: float | None = None,
     secret: str | None = None,
 ) -> WorkerBackend:
@@ -169,12 +164,7 @@ def _make_remote(
         )
     # one logical worker per address: the addresses, not n_workers, size the pool
     return RemoteBackend(
-        hosts,
-        connect_timeout=connect_timeout,
-        send_timeout=send_timeout,
-        reconnect=reconnect,
-        liveness_timeout=liveness_timeout,
-        secret=secret,
+        hosts, reconnect=reconnect, liveness_timeout=liveness_timeout, secret=secret
     )
 
 

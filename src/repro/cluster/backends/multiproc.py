@@ -71,10 +71,8 @@ class MultiprocessingBackend(WorkerBackend):
     Parameters
     ----------
     n_workers:
-        Number of slave processes to spawn.
-    start_method:
-        ``multiprocessing`` start method (``"fork"`` by default on Linux;
-        ``"spawn"`` is safer on macOS/Windows but slower to start).
+        Number of slave processes to start (the platform's default
+        ``multiprocessing`` context).
     cache_dir:
         Optional shared on-disk result-cache directory opened by every
         worker (see :mod:`repro.pricing.cache`).
@@ -85,11 +83,10 @@ class MultiprocessingBackend(WorkerBackend):
     def __init__(
         self,
         n_workers: int = 2,
-        start_method: str | None = None,
         cache_dir: str | None = None,
     ):
         self._n_workers = check_count(n_workers, "n_workers", error=ClusterError, floats=False)
-        ctx = mp.get_context(start_method) if start_method else mp.get_context()
+        ctx = mp.get_context()
         self._result_queue: Any = ctx.Queue()
         self._task_queues: list[Any] = [ctx.Queue() for _ in range(self._n_workers)]
         self._processes = [

@@ -21,8 +21,8 @@ A backend is one campaign's pool; these keep it alive for that campaign:
   when a connection drops its jobs are redispatched to the surviving
   workers and the run completes (the freed logical worker slot is remapped
   onto a live connection);
-* **rebirth** -- with a :class:`ReconnectPolicy` a dead host is re-dialed
-  from the blocking calls (capped exponential backoff, bounded attempts)
+* **rebirth** -- with ``reconnect=True`` a dead host is re-dialed from the
+  blocking calls (a fixed, capped exponential backoff over five dials)
   and, once back, gets its original logical slots again;
 * **liveness** -- a ``liveness_timeout`` turns a wedged-but-connected worker
   (one that answers neither a :data:`~repro.serial.frames.FRAME_PING` nor a
@@ -54,7 +54,7 @@ import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.cluster.backends.base import (
     BackendStats,
@@ -84,9 +84,23 @@ from repro.serial.frames import (
     verify_proof,
 )
 
-__all__ = ["ReconnectPolicy", "RemoteBackend", "normalize_hosts"]
+__all__ = ["RemoteBackend", "normalize_hosts"]
 
 _RECV_BYTES = 1 << 16
+
+#: seconds allowed for each TCP connect + handshake, re-dials included
+_CONNECT_TIMEOUT_S = 10.0
+#: seconds one frame send may block before its worker is declared lost: a
+#: partitioned worker whose TCP buffer filled up cannot hang ``sendall``
+_SEND_TIMEOUT_S = 60.0
+
+#: ``reconnect=True``: dial ``k`` of a dead host waits
+#: ``min(_MAX_BACKOFF_S, _INITIAL_BACKOFF_S * _BACKOFF_FACTOR**(k-1))`` seconds,
+#: for at most ``_RECONNECT_ATTEMPTS`` dials (0.05, 0.1, 0.2, 0.4, 0.8 s)
+_RECONNECT_ATTEMPTS = 5
+_INITIAL_BACKOFF_S = 0.05
+_BACKOFF_FACTOR = 2.0
+_MAX_BACKOFF_S = 2.0
 
 #: sentinel ``conn_index`` of an orphaned in-flight job awaiting redispatch
 _UNROUTED = -1
@@ -131,69 +145,23 @@ def normalize_hosts(hosts: Any) -> tuple[str, ...]:
     return tuple(normalized)
 
 
-def _check_number(value: Any, field: str, low: float = 0.0, *, above: bool = False) -> None:
-    """A duration or factor is a finite number: ``nan < 0`` is false, and a NaN
-    or infinite wait is a ``time.sleep`` / selector error in mid-campaign."""
-    if (
-        not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or (value <= low if above else value < low)
-    ):
-        bound = ">" if above else ">="
-        raise ClusterError(f"{field} must be a finite number {bound} {low:g}, got {value!r}")
+def _check_duration(value: Any, field: str) -> None:
+    """A duration is a finite number > 0: ``nan <= 0`` is false, and a NaN or
+    infinite wait is a ``time.sleep`` / selector error in mid-campaign."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value) or value <= 0:
+        raise ClusterError(f"{field} must be a finite number > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ReconnectPolicy:
-    """How (and how hard) the master re-dials a dead worker host.
-
-    A host that drops mid-run is retried with capped exponential backoff:
-    the ``k``-th dial waits ``initial_backoff * backoff_factor**(k-1)``
-    seconds (at most ``max_backoff``) after the previous failure, for up to
-    ``max_attempts`` dials.  Re-dialing happens from the *blocking* backend
-    calls (``dispatch``/``collect``), never from ``poll()``, so the
-    non-blocking surface stays non-blocking.  A host that comes back gets
-    its original logical worker slots again; one that exhausts its attempts
-    stays buried, and only when *no* host is live or re-dialable does
-    :class:`~repro.errors.WorkerLostError` surface.
-    """
-
-    max_attempts: int = 5
-    initial_backoff: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        check_count(self.max_attempts, "ReconnectPolicy.max_attempts", error=ClusterError,
-                    floats=False)
-        _check_number(self.initial_backoff, "ReconnectPolicy.initial_backoff")
-        _check_number(self.backoff_factor, "ReconnectPolicy.backoff_factor", 1.0)
-        _check_number(self.max_backoff, "ReconnectPolicy.max_backoff", self.initial_backoff)
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before dial number ``attempt`` (1-based)."""
-        return min(
-            self.max_backoff,
-            self.initial_backoff * self.backoff_factor ** max(0, attempt - 1),
-        )
+def _backoff(attempt: int) -> float:
+    """Seconds to wait before re-dial number ``attempt`` (1-based) of a dead host."""
+    return min(_MAX_BACKOFF_S, _INITIAL_BACKOFF_S * _BACKOFF_FACTOR ** max(0, attempt - 1))
 
 
-def _coerce_reconnect(value: Any) -> ReconnectPolicy | None:
-    """Accept the spellings a backend option can arrive in."""
-    if value is None or value is False:
-        return None
-    if value is True:
-        return ReconnectPolicy()
-    if isinstance(value, ReconnectPolicy):
-        return value
-    if isinstance(value, int):
-        return ReconnectPolicy(max_attempts=value)
-    if isinstance(value, Mapping):
-        return ReconnectPolicy(**value)
-    raise ClusterError(
-        f"reconnect must be a ReconnectPolicy, True, a max-attempts int or "
-        f"a mapping of policy fields, got {type(value).__name__}"
-    )
+def check_reconnect(value: Any) -> bool:
+    """``reconnect`` is a plain ``True`` / ``False``; the schedule is fixed."""
+    if not isinstance(value, bool):
+        raise ClusterError(f"reconnect must be True or False, got {value!r}")
+    return value
 
 
 @dataclass
@@ -243,20 +211,13 @@ class RemoteBackend(WorkerBackend):
         Worker addresses (``"host:port"`` strings or ``(host, port)``
         pairs); one logical worker per address.  The scheduler-facing
         ``n_workers`` is ``len(hosts)``.
-    connect_timeout:
-        Seconds allowed for each TCP connect + protocol handshake (also
-        per reconnect dial).
-    send_timeout:
-        Seconds a single frame send may block before the worker is declared
-        lost (its jobs are requeued).  Bounds ``collect(timeout=...)``: a
-        network-partitioned worker whose TCP buffer filled up cannot hang
-        the master forever on ``sendall``.
     reconnect:
-        ``None`` (default) keeps the PR-4 behaviour: a dead host stays
-        dead.  A :class:`ReconnectPolicy` (or ``True`` for the defaults, an
-        int for ``max_attempts``, or a mapping of policy fields) re-dials
-        dead hosts from the blocking calls and remaps their logical slots
-        back on success.
+        ``False`` (default): a dead host stays dead.  ``True`` re-dials dead
+        hosts from the blocking calls -- dial ``k`` waits
+        ``min(2, 0.05 * 2**(k-1))`` seconds, for at most five dials -- and
+        remaps their logical slots back on success.  A re-dial
+        never starts from ``poll()``, so the non-blocking surface stays
+        non-blocking; a host that exhausts its dials stays buried.
     liveness_timeout:
         Seconds of in-campaign silence after which a connection with jobs
         in flight is PINGed; a worker that then answers neither the pong
@@ -275,22 +236,16 @@ class RemoteBackend(WorkerBackend):
     def __init__(
         self,
         hosts: Any,
-        connect_timeout: float = 10.0,
-        send_timeout: float = 60.0,
         *,
-        reconnect: Any = None,
+        reconnect: bool = False,
         liveness_timeout: float | None = None,
         secret: str | None = None,
     ):
         addresses = normalize_hosts(hosts)
-        _check_number(connect_timeout, "connect_timeout", above=True)
-        _check_number(send_timeout, "send_timeout", above=True)
         if liveness_timeout is not None:
-            _check_number(liveness_timeout, "liveness_timeout", above=True)
+            _check_duration(liveness_timeout, "liveness_timeout")
         self._n_workers = len(addresses)
-        self._connect_timeout = connect_timeout
-        self._send_timeout = send_timeout
-        self._reconnect_policy = _coerce_reconnect(reconnect)
+        self._reconnect = check_reconnect(reconnect)
         self._liveness_timeout = liveness_timeout
         self._secret = secret
         self._selector = selectors.DefaultSelector()
@@ -319,7 +274,7 @@ class RemoteBackend(WorkerBackend):
         self._finalized = False
         try:
             for index, address in enumerate(addresses):
-                conn = self._connect(address, connect_timeout)
+                conn = self._connect(address)
                 self._conns.append(conn)
                 self._selector.register(conn.sock, selectors.EVENT_READ, index)
         except Exception:
@@ -328,10 +283,10 @@ class RemoteBackend(WorkerBackend):
             self._selector.close()
             raise
 
-    def _connect(self, address: str, timeout: float) -> _Connection:
+    def _connect(self, address: str) -> _Connection:
         host, _, port_text = address.rpartition(":")
         try:
-            sock = socket.create_connection((host, int(port_text)), timeout=timeout)
+            sock = socket.create_connection((host, int(port_text)), timeout=_CONNECT_TIMEOUT_S)
         except OSError as exc:
             raise ClusterError(f"cannot connect to worker {address}: {exc}") from exc
         try:
@@ -346,7 +301,7 @@ class RemoteBackend(WorkerBackend):
                 )
             self._handshake(sock, address, frame[1])
         except (SerializationError, OSError) as exc:
-            # OSError covers the silent peer: connect_timeout is still armed,
+            # OSError covers the silent peer: the connect timeout is still armed,
             # so a listener that never greets surfaces here, wrapped
             sock.close()
             raise ClusterError(f"handshake with worker {address} failed: {exc}") from exc
@@ -355,7 +310,7 @@ class RemoteBackend(WorkerBackend):
             raise
         # bounds every later sendall; recv never blocks on it because the
         # selector only hands over sockets with data pending
-        sock.settimeout(self._send_timeout)
+        sock.settimeout(_SEND_TIMEOUT_S)
         return _Connection(address=address, sock=sock, last_recv=time.monotonic())
 
     def _handshake(self, sock: socket.socket, address: str, hello: bytes) -> None:
@@ -627,7 +582,8 @@ class RemoteBackend(WorkerBackend):
 
     def _absorb_result(self, payload: bytes) -> None:
         answer = xdr.decode(payload)
-        job_id = int(answer["job_id"])
+        job_id = check_count(answer["job_id"], "job_id", 0, error=SerializationError,
+                             floats=False)
         entry = self._inflight.pop(job_id, None)
         if entry is None:
             # duplicate after a redispatch race: the job was already answered
@@ -672,11 +628,8 @@ class RemoteBackend(WorkerBackend):
         except (KeyError, ValueError):  # pragma: no cover - defensive
             pass
         conn.sock.close()
-        if self._reconnect_policy is not None and not self._finalized:
-            self._redial[index] = _ReconnectState(
-                attempts=0,
-                next_try=time.monotonic() + self._reconnect_policy.backoff(1),
-            )
+        if self._reconnect and not self._finalized:
+            self._redial[index] = _ReconnectState(next_try=time.monotonic() + _backoff(1))
         for job_id, entry in self._inflight.items():
             if entry.conn_index == index:
                 # park the orphan: no connection holds it until the next
@@ -692,11 +645,9 @@ class RemoteBackend(WorkerBackend):
 
     # -- reconnect ---------------------------------------------------------------
     def _redial_candidates(self) -> list[int]:
-        if self._reconnect_policy is None:
-            return []
-        limit = self._reconnect_policy.max_attempts
         return sorted(
-            index for index, state in self._redial.items() if state.attempts < limit
+            index for index, state in self._redial.items()
+            if state.attempts < _RECONNECT_ATTEMPTS
         )
 
     def _reconnect_pending(self) -> bool:
@@ -709,20 +660,17 @@ class RemoteBackend(WorkerBackend):
 
     def _maybe_reconnect(self) -> None:
         """Re-dial dead hosts whose backoff expired (blocking contexts only)."""
-        if self._reconnect_policy is None or self._finalized:
+        if self._finalized:
             return
         for index in self._redial_candidates():
             state = self._redial[index]
             if state.next_try > time.monotonic():
                 continue
-            address = self._conns[index].address
             try:
-                conn = self._connect(address, self._connect_timeout)
+                conn = self._connect(self._conns[index].address)
             except ClusterError:
                 state.attempts += 1
-                state.next_try = time.monotonic() + self._reconnect_policy.backoff(
-                    state.attempts + 1
-                )
+                state.next_try = time.monotonic() + _backoff(state.attempts + 1)
                 continue
             self._conns[index] = conn
             self._selector.register(conn.sock, selectors.EVENT_READ, index)

@@ -38,7 +38,8 @@ import threading
 from typing import Any, Sequence
 
 from repro._version import __version__
-from repro.errors import ClusterError, SerializationError
+from repro.errors import ClusterError, ReproError, SerializationError
+from repro.pricing.validation import check_count
 from repro.serial import xdr
 from repro.serial.frames import (
     FRAME_AUTH,
@@ -276,7 +277,10 @@ def _handle_connection(
                 continue
             try:
                 entry = xdr.decode(payload)
-                parsed = int(entry["job_id"]), entry["kind"], entry["payload"]
+                # the id travels back in the result frame: an int that fits it
+                job_id = check_count(entry["job_id"], "job_id", 0, error=SerializationError,
+                                     floats=False)
+                parsed = job_id, entry["kind"], entry["payload"]
             except (SerializationError, KeyError, TypeError, ValueError) as exc:
                 log(f"dropping connection on undecodable job frame: {exc}")
                 return False
@@ -368,8 +372,10 @@ def serve(
     start method (Linux/macOS).
     """
     log = _make_log(quiet)
-    if workers < 1:
-        raise ClusterError("serve needs workers >= 1")
+    port = check_count(port, "port", 0, error=ClusterError, floats=False)
+    if port > 65535:
+        raise ClusterError(f"port must be <= 65535, got {port!r}")
+    workers = check_count(workers, "workers", error=ClusterError, floats=False)
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     try:
@@ -422,47 +428,66 @@ def serve(
         server.close()
 
 
+#: seconds a spawned worker server has to report the port it bound
+_STARTUP_TIMEOUT_S = 30.0
+
+
 def _spawned_worker(
-    index: int,
-    host: str,
-    port_queue: Any,
-    cache_dir: str | None,
-    workers: int = 1,
-    port: int = 0,
-    secret: str | None = None,
+    index: int, port: int, port_queue: Any, cache_dir: str | None, secret: str | None
 ) -> None:
     """Entry point of one :func:`spawn_local_workers` process."""
-    if workers > 1:
-        # lead a fresh process group so LocalWorkerPool.kill() can SIGKILL
-        # the whole server -- the accepting parent *and* its forked pricing
-        # children -- in one os.killpg() (a plain kill() on the parent would
-        # orphan the children onto the shared listening socket)
-        try:
-            os.setpgid(0, 0)
-        except OSError:  # pragma: no cover - already a group leader
-            pass
-        # a multi-process server cannot be daemonic (it forks children), so
-        # if the caller dies without pool.stop() nothing reaps it; watch for
-        # reparenting and tear down via the SIGTERM path serve() installs
-        import threading as _threading
-        import time
-
-        original_ppid = os.getppid()
-
-        def _exit_when_orphaned() -> None:
-            while os.getppid() == original_ppid:
-                time.sleep(1.0)
-            os.kill(os.getpid(), signal.SIGTERM)
-
-        _threading.Thread(target=_exit_when_orphaned, daemon=True).start()
     serve(
-        host=host,
         port=port,
         cache_dir=cache_dir,
-        workers=workers,
         secret=secret,
         ready=lambda bound: port_queue.put((index, bound)),
     )
+
+
+def _stop_processes(processes: list[Any]) -> None:
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    for process in processes:
+        process.join(timeout=10.0)
+        if process.is_alive():  # pragma: no cover - defensive cleanup
+            process.kill()
+            process.join(timeout=5.0)
+
+
+def _start_servers(
+    ports: list[int], cache_dir: str | None, secret: str | None
+) -> tuple[list[Any], list[int]]:
+    """One loopback server process per entry of ``ports`` (``0``: ephemeral),
+    and the port each one bound.
+
+    Ports arrive in whichever-bound-first order; they are keyed back to the
+    spawn index, so the ``i``-th port returned is the ``i``-th process's.  A server that has
+    not reported by the start-up timeout is a :class:`ClusterError`, and
+    every process started here is stopped first.
+    """
+    ctx = mp.get_context()
+    port_queue = ctx.Queue()
+    processes: list[Any] = []
+    try:
+        for index, port in enumerate(ports):
+            process = ctx.Process(
+                target=_spawned_worker,
+                args=(index, port, port_queue, cache_dir, secret),
+                daemon=True,
+            )
+            process.start()
+            processes.append(process)
+        bound = dict(port_queue.get(timeout=_STARTUP_TIMEOUT_S) for _ in ports)
+    except BaseException as exc:
+        _stop_processes(processes)
+        if isinstance(exc, queue.Empty):
+            raise ClusterError(
+                f"a worker server on 127.0.0.1 did not report its port within the "
+                f"{_STARTUP_TIMEOUT_S:g} s start-up timeout"
+            ) from None
+        raise
+    return processes, [bound[index] for index in range(len(ports))]
 
 
 class LocalWorkerPool:
@@ -480,16 +505,12 @@ class LocalWorkerPool:
         processes: list[Any],
         hosts: list[str],
         *,
-        ctx: Any = None,
         cache_dir: str | None = None,
-        workers_per_server: int = 1,
         secret: str | None = None,
     ):
         self._processes = processes
         self.hosts = list(hosts)
-        self._ctx = ctx if ctx is not None else mp.get_context()
         self._cache_dir = cache_dir
-        self._workers_per_server = workers_per_server
         self._secret = secret
 
     def __len__(self) -> int:
@@ -502,78 +523,35 @@ class LocalWorkerPool:
         return self.hosts[index]
 
     def kill(self, index: int) -> None:
-        """Hard-kill one worker server (simulates a node failure).
-
-        A single-process server dies from one SIGKILL.  A multi-process
-        server (``workers_per_server > 1``) leads its own process group, so
-        the kill lands on the whole group -- the accepting parent *and* its
-        forked pricing children -- instead of silently orphaning the
-        children onto the shared listening socket.
-        """
+        """Hard-kill one worker server (simulates a node failure)."""
         process = self._processes[index]
-        if self._workers_per_server > 1 and process.pid is not None:
-            try:
-                os.killpg(process.pid, signal.SIGKILL)
-            except (OSError, ProcessLookupError):  # already collapsed
-                pass
         process.kill()
         process.join(timeout=10.0)
 
-    def restart(self, index: int, *, timeout: float = 30.0) -> str:
+    def restart(self, index: int) -> str:
         """Respawn a killed worker server on its original port.
 
         The listening sockets bind with ``SO_REUSEADDR``, so the address in
         ``hosts[index]`` comes straight back -- which is exactly what a
-        master-side :class:`~repro.cluster.backends.remote.ReconnectPolicy`
-        needs to re-dial.  Returns the (unchanged) ``"host:port"`` address.
-        Raises :class:`~repro.errors.ClusterError` if the worker it replaces
-        is still alive or the new server does not come up in ``timeout``
-        seconds (e.g. another process grabbed the port meanwhile).
+        master built with ``reconnect=True`` needs to re-dial.  Returns the
+        (unchanged) ``"host:port"`` address.  Raises
+        :class:`~repro.errors.ClusterError` if the worker it replaces is
+        still alive or the new server does not come up within the start-up
+        timeout (e.g. another process grabbed the port meanwhile).
         """
-        process = self._processes[index]
-        if process.is_alive():
+        if self._processes[index].is_alive():
             raise ClusterError(
                 f"worker {index} ({self.hosts[index]}) is still alive; "
                 f"kill() it before restart()"
             )
-        host, _, port_text = self.hosts[index].rpartition(":")
-        port_queue = self._ctx.Queue()
-        replacement = self._ctx.Process(
-            target=_spawned_worker,
-            args=(
-                index,
-                host,
-                port_queue,
-                self._cache_dir,
-                self._workers_per_server,
-                int(port_text),
-                self._secret,
-            ),
-            daemon=self._workers_per_server == 1,
-        )
-        replacement.start()
-        try:
-            port_queue.get(timeout=timeout)
-        except Exception:
-            replacement.terminate()
-            replacement.join(timeout=5.0)
-            raise ClusterError(
-                f"restarted worker {index} did not come back on "
-                f"{self.hosts[index]} within {timeout}s"
-            ) from None
-        self._processes[index] = replacement
+        port = int(self.hosts[index].rpartition(":")[2])
+        processes, _ = _start_servers([port], self._cache_dir, self._secret)
+        self._processes[index] = processes[0]
         return self.hosts[index]
 
     def stop(self) -> None:
         """Terminate every worker process still alive."""
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-        for process in self._processes:
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - defensive cleanup
-                process.kill()
-                process.join(timeout=5.0)
+        _stop_processes(self._processes)
 
     def __enter__(self) -> "LocalWorkerPool":
         return self
@@ -583,13 +561,7 @@ class LocalWorkerPool:
 
 
 def spawn_local_workers(
-    n: int,
-    *,
-    cache_dir: str | None = None,
-    start_method: str | None = None,
-    timeout: float = 30.0,
-    workers_per_server: int = 1,
-    secret: str | None = None,
+    n: int, *, cache_dir: str | None = None, secret: str | None = None
 ) -> LocalWorkerPool:
     """Start ``n`` worker servers on ``127.0.0.1`` and return their pool.
 
@@ -598,61 +570,11 @@ def spawn_local_workers(
     ``ValuationSession(backend="remote", backend_options={"hosts": pool.hosts})``
     can connect immediately.  Stop the pool with :meth:`LocalWorkerPool.stop`
     or a ``with`` block.
-
-    ``workers_per_server`` forwards ``serve(workers=N)``: each server forks
-    ``N`` pricing processes behind its one listening socket (the
-    ``repro-worker --workers N`` deployment).  ``pool.hosts`` still has one
-    address per *server*; list an address once per desired connection on the
-    master side (e.g. ``hosts=pool.hosts * N``).
     """
-    if n < 1:
-        raise ClusterError("spawn_local_workers needs n >= 1")
-    if workers_per_server < 1:
-        raise ClusterError("spawn_local_workers needs workers_per_server >= 1")
-    ctx = mp.get_context(start_method) if start_method else mp.get_context()
-    port_queue = ctx.Queue()
-    processes = []
-    try:
-        for index in range(n):
-            process = ctx.Process(
-                target=_spawned_worker,
-                args=(index, "127.0.0.1", port_queue, cache_dir, workers_per_server,
-                      0, secret),
-                # a multi-process server must fork children, which daemonic
-                # processes may not do
-                daemon=workers_per_server == 1,
-            )
-            process.start()
-            processes.append(process)
-        # ports arrive in whichever-bound-first order; key them back to the
-        # spawn index so hosts[i] is always the address of _processes[i]
-        # (kill(i) must sabotage the worker it names)
-        ports: dict[int, int] = {}
-        for _ in range(n):
-            index, port = port_queue.get(timeout=timeout)
-            ports[index] = port
-        hosts = [f"127.0.0.1:{ports[index]}" for index in range(n)]
-    except Exception:
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        raise
-    pool = LocalWorkerPool(
-        processes,
-        hosts,
-        ctx=ctx,
-        cache_dir=cache_dir,
-        workers_per_server=workers_per_server,
-        secret=secret,
-    )
-    if workers_per_server > 1:
-        # non-daemonic servers would otherwise block multiprocessing's
-        # exit-time join if the caller forgets pool.stop(); atexit handlers
-        # run LIFO, so this stop() lands before that join
-        import atexit
-
-        atexit.register(pool.stop)
-    return pool
+    n = check_count(n, "spawn_local_workers n", error=ClusterError, floats=False)
+    processes, ports = _start_servers([0] * n, cache_dir, secret)
+    hosts = [f"127.0.0.1:{port}" for port in ports]
+    return LocalWorkerPool(processes, hosts, cache_dir=cache_dir, secret=secret)
 
 
 def probe_worker(address: str, *, timeout: float = 5.0) -> bool:
@@ -730,19 +652,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point of the ``repro-worker`` console script."""
+    """Entry point of the ``repro-worker`` console script; bad options are one
+    ``error: ...`` line on stderr and exit code 2, as for ``repro-bench``."""
     args = build_parser().parse_args(argv)
     secret = args.secret if args.secret is not None else os.environ.get(SECRET_ENV_VAR)
-    serve(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        once=args.once,
-        quiet=args.quiet,
-        workers=args.workers,
-        secret=secret or None,
-        ready=lambda port: print(f"repro-worker listening on {args.host}:{port}"),
-    )
+    try:
+        serve(
+            host=args.host,
+            port=args.port,
+            cache_dir=args.cache_dir,
+            once=args.once,
+            quiet=args.quiet,
+            workers=args.workers,
+            secret=secret or None,
+            ready=lambda port: print(f"repro-worker listening on {args.host}:{port}",
+                                     flush=True),
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

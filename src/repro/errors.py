@@ -49,13 +49,13 @@ class CollectTimeoutError(ClusterError):
 class WorkerLostError(ClusterError):
     """Raised when the worker pool is lost with jobs still unanswered.
 
-    As long as at least one worker survives (or a
-    :class:`~repro.cluster.backends.remote.ReconnectPolicy` can still re-dial
-    a dead host), the remote backend requeues the lost worker's in-flight
-    jobs transparently; this error surfaces only when the *whole* pool is
-    gone for good.  The multiprocessing backend, whose survivors cannot be
-    trusted after a death, raises it as soon as one worker process dies
-    holding dispatched jobs.  It is retryable in the scheduling sense:
+    As long as at least one worker survives (or a remote backend built with
+    ``reconnect=True`` can still re-dial a dead host), the remote backend
+    requeues the lost worker's in-flight jobs transparently; this error
+    surfaces only when the *whole* pool is gone for good.  The
+    multiprocessing backend, whose survivors cannot be trusted after a
+    death, raises it as soon as one worker process dies holding dispatched
+    jobs.  It is retryable in the scheduling sense:
     :attr:`job_ids` lists the jobs that were in flight, so a caller can
     rebuild a backend against fresh workers and resubmit exactly those jobs
     -- which is what the session layer does automatically under

@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         default="local",
-        help="execution backend: local, sequential, multiprocessing or remote",
+        help="execution backend: local, multiprocessing or remote",
     )
     parser.add_argument(
         "--workers", type=int, default=2, help="worker count (spawned backends)"

@@ -21,7 +21,7 @@ __all__ = ["SERVABLE_BACKENDS", "ServerConfig"]
 
 #: backends the daemon may own: every *executing* backend (the simulated
 #: cluster prices nothing, so serving it would answer with empty results)
-SERVABLE_BACKENDS = ("local", "sequential", "multiprocessing", "remote")
+SERVABLE_BACKENDS = ("local", "multiprocessing", "remote")
 
 
 @dataclass(frozen=True)

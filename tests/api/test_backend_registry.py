@@ -19,18 +19,22 @@ from repro.errors import ClusterError
 class TestRegistryContents:
     def test_builtin_backends_registered(self):
         names = list_backends()
-        assert {"local", "sequential", "multiprocessing", "simulated"} <= set(names)
+        assert {"local", "multiprocessing", "remote", "simulated"} <= set(names)
 
     def test_names_are_sorted(self):
         assert list_backends() == sorted(list_backends())
 
 
 class TestCreateBackend:
-    def test_local_and_sequential_are_aliases(self):
-        for name in ("local", "sequential"):
-            backend = create_backend(name, n_workers=2)
-            assert isinstance(backend, SequentialBackend)
-            assert backend.n_workers == 2
+    def test_local(self):
+        backend = create_backend("local", n_workers=2)
+        assert isinstance(backend, SequentialBackend)
+        assert backend.n_workers == 2
+
+    def test_the_sequential_alias_is_gone(self):
+        assert "sequential" not in list_backends()
+        with pytest.raises(ClusterError, match="unknown backend 'sequential'"):
+            create_backend("sequential")
 
     def test_multiprocessing(self):
         backend = create_backend("multiprocessing", n_workers=2)

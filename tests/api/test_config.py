@@ -20,8 +20,8 @@ class TestBackendSpec:
             spec.name = "simulated"
 
     def test_options_mapping_normalised_and_hashable(self):
-        spec = BackendSpec("multiprocessing", 2, options={"start_method": "fork"})
-        assert spec.options == (("start_method", "fork"),)
+        spec = BackendSpec("multiprocessing", 2, options={"cache_dir": "a"})
+        assert spec.options == (("cache_dir", "a"),)
         assert hash(spec)  # fully frozen specs can key caches
 
     def test_invalid_worker_count(self):
@@ -51,19 +51,25 @@ class TestBackendSpec:
         with pytest.raises(ValuationError, match="registered backends"):
             BackendSpec.coerce("warp_drive")
 
+    def test_the_sequential_alias_is_gone(self):
+        with pytest.raises(ValuationError, match="unknown backend 'sequential'"):
+            BackendSpec.coerce("sequential")
+        with pytest.raises(ValuationError, match="unknown backend 'sequential'"):
+            ValuationSession(backend="sequential")
+
     def test_coerce_passes_instances_through(self):
         backend = SequentialBackend()
         assert BackendSpec.coerce(backend) is backend
 
     def test_coerce_rejects_options_for_instances(self):
         with pytest.raises(ValuationError, match="already-built"):
-            BackendSpec.coerce(SequentialBackend(), options={"start_method": "spawn"})
+            BackendSpec.coerce(SequentialBackend(), options={"cache_dir": "b"})
 
     def test_coerce_merges_options_into_existing_spec(self):
-        spec = BackendSpec("multiprocessing", 2, options={"start_method": "fork"})
-        merged = BackendSpec.coerce(spec, options={"start_method": "spawn"})
-        assert merged.options == (("start_method", "spawn"),)
-        untouched = BackendSpec.coerce(spec, options={"start_method": "fork"})
+        spec = BackendSpec("multiprocessing", 2, options={"cache_dir": "a"})
+        merged = BackendSpec.coerce(spec, options={"cache_dir": "b"})
+        assert merged.options == (("cache_dir", "b"),)
+        untouched = BackendSpec.coerce(spec, options={"cache_dir": "a"})
         assert untouched is spec
 
     def test_coerce_resizes_existing_spec(self):

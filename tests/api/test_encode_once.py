@@ -195,7 +195,7 @@ def test_risk_retry_after_pool_loss_adds_no_encodes(encodes, monkeypatch):
     )
     with spawn_local_workers(1) as pool:
         spec = BackendSpec("remote", options={
-            "hosts": pool.hosts, "connect_timeout": 5.0, "send_timeout": 30.0})
+            "hosts": pool.hosts})
         clean = ValuationSession(backend=spec).risk(_book(), spot_returns=RETURNS)
         clean_encodes = dict(encodes)
         encodes.clear()
@@ -217,7 +217,7 @@ def test_retry_after_pool_loss_adds_no_encodes(encodes):
     ])
     with spawn_local_workers(1) as pool:
         spec = BackendSpec("remote", options={
-            "hosts": pool.hosts, "connect_timeout": 5.0, "send_timeout": 30.0})
+            "hosts": pool.hosts})
         session = ValuationSession(backend=spec)
         config = RunConfig(
             retry=RetryPolicy(max_attempts=5, backoff=0.6, backoff_factor=1.5),

@@ -17,7 +17,7 @@ from repro.api import RunConfig, ValuationSession
 from repro.api.config import RetryPolicy
 from repro.cluster import worker
 from repro.cluster.backends import _BACKEND_REGISTRY, MultiprocessingBackend, SequentialBackend
-from repro.cluster.backends.remote import ReconnectPolicy, RemoteBackend
+from repro.cluster.backends.remote import RemoteBackend
 from repro.cluster.simcluster import SimulatedClusterBackend
 from repro.core.scheduler import simulate_hierarchical
 from repro.pricing.batch import plan_batches, price_problems
@@ -66,36 +66,29 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
         "host", "port", "backend", "n_workers", "hosts", "cache_dir", "cache_entries",
         "auth_token", "rate_limit", "rate_burst", "keepalive_interval", "worker_secret",
         "max_body_bytes", "max_events_per_job", "verbose")),
-    # The backend and worker surface.  Census of the values nothing outside
-    # tests/ sets (src/ only forwards them), the baseline for the next one:
-    # connect_timeout, send_timeout, start_method, workers_per_server and
-    # spawn_local_workers' timeout (set by no one); the four ReconnectPolicy
-    # fields appear outside tests/ only in a docs/fault_tolerance.md example.
+    # The backend and worker surface.  Removed, 13 slots: the four
+    # ReconnectPolicy fields (max_attempts, initial_backoff, backoff_factor,
+    # max_backoff: ``reconnect`` is a bool over a fixed schedule);
+    # connect_timeout and send_timeout of RemoteBackend and its factory;
+    # start_method of MultiprocessingBackend and its factory; and
+    # spawn_local_workers' start_method, timeout and workers_per_server.
     'create_backend("local")': (_BACKEND_REGISTRY["local"], (
         "n_workers", "strategy", "cache_dir")),
-    # only tests/ set: start_method
     'create_backend("multiprocessing")': (_BACKEND_REGISTRY["multiprocessing"], (
-        "n_workers", "strategy", "start_method", "cache_dir")),
-    # only tests/ set: connect_timeout, send_timeout
+        "n_workers", "strategy", "cache_dir")),
     'create_backend("remote")': (_BACKEND_REGISTRY["remote"], (
-        "n_workers", "strategy", "hosts", "connect_timeout", "send_timeout", "reconnect",
-        "liveness_timeout", "secret")),
+        "n_workers", "strategy", "hosts", "reconnect", "liveness_timeout", "secret")),
     "SequentialBackend": (SequentialBackend.__init__, ("n_workers", "cache_dir")),
-    # only tests/ set: start_method
-    "MultiprocessingBackend": (MultiprocessingBackend.__init__, (
-        "n_workers", "start_method", "cache_dir")),
-    # only tests/ set: connect_timeout, send_timeout
+    "MultiprocessingBackend": (MultiprocessingBackend.__init__, ("n_workers", "cache_dir")),
     "RemoteBackend": (RemoteBackend.__init__, (
-        "hosts", "connect_timeout", "send_timeout", "reconnect", "liveness_timeout",
-        "secret")),
-    # only tests/ set: start_method, workers_per_server; no one sets timeout
-    "spawn_local_workers": (worker.spawn_local_workers, (
-        "n", "cache_dir", "start_method", "timeout", "workers_per_server", "secret")),
+        "hosts", "reconnect", "liveness_timeout", "secret")),
+    "spawn_local_workers": (worker.spawn_local_workers, ("n", "cache_dir", "secret")),
+    # workers stays: ``repro-worker --workers N`` is a deployment setting
     "cluster.worker.serve": (worker.serve, (
         "host", "port", "cache_dir", "once", "ready", "quiet", "workers", "secret")),
-    # only tests/ (and a docs example) set: all four
-    "ReconnectPolicy": (ReconnectPolicy, (
-        "max_attempts", "initial_backoff", "backoff_factor", "max_backoff")),
+    # The census for the next round -- still set only by tests/: the three
+    # RetryPolicy fields; liveness_timeout, whose one value outside tests/ is
+    # repro-serve's 30 s.
     "RetryPolicy": (RetryPolicy, ("max_attempts", "backoff", "backoff_factor")),
 }
 
@@ -112,4 +105,9 @@ def _settable(target: object) -> tuple[str, ...]:
 def test_the_settable_surface_is_the_reviewed_list(name):
     target, expected = SURFACE[name]
     assert _settable(target) == expected
+
+
+def test_the_surface_has_127_slots():
+    # 93 before the backend and worker census joined the list, 140 with it
+    assert sum(len(slots) for _target, slots in SURFACE.values()) == 127
 

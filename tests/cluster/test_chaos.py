@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.backends import Job, PAYLOAD_SERIAL, PreparedMessage
-from repro.cluster.backends.remote import RemoteBackend, ReconnectPolicy
+from repro.cluster.backends import remote
+from repro.cluster.backends.remote import RemoteBackend
 from repro.cluster.chaos import (
     ChaosProxy,
     ChaosRule,
@@ -193,17 +194,15 @@ class TestChaosProxy:
                 assert proxy.stats["frames_forwarded"] > 0
                 assert proxy.stats["kills"] == 0
 
-    def test_scheduled_kill_survived_through_reconnect(self):
+    def test_scheduled_kill_survived_through_reconnect(self, monkeypatch):
         """The CI chaos lifecycle: link killed mid-campaign, master re-dials
         through the proxy and the campaign finishes bit-identical."""
+        monkeypatch.setattr(remote, "_RECONNECT_ATTEMPTS", 10)
         problems = [_make_problem(k) for k in (85.0, 95.0, 105.0, 115.0, 125.0, 135.0)]
         reference = [p.compute().price for p in problems]
         with spawn_local_workers(1) as pool:
             with ChaosProxy(pool.hosts[0], rules=[kill_after(6)]) as proxy:
-                backend = RemoteBackend(
-                    [proxy.address],
-                    reconnect=ReconnectPolicy(max_attempts=10, initial_backoff=0.05),
-                )
+                backend = RemoteBackend([proxy.address], reconnect=True)
                 for index, problem in enumerate(problems):
                     _dispatch(backend, 0, index, problem)
                 collected = sorted(
@@ -251,7 +250,7 @@ class TestChaosProxy:
                 backend.finalize()
                 assert proxy.stats["truncations"] == 1
 
-    def test_a_reply_record_cut_mid_column_costs_no_cell(self):
+    def test_a_reply_record_cut_mid_column_costs_no_cell(self, monkeypatch):
         """A scenario-grid slice answers one ``ResultColumns`` record per
         frame: truncating one mid-array buries the link, the master re-dials
         and the re-sent slices fill the table exactly as a clean run does."""
@@ -264,6 +263,7 @@ class TestChaosProxy:
                 for strike in (85.0, 95.0, 105.0, 115.0)
             ])
 
+        monkeypatch.setattr(remote, "_RECONNECT_ATTEMPTS", 10)
         returns = [0.001 * (k - 20) for k in range(40)]
         reference = ValuationSession(backend="local").risk(book(), spot_returns=returns)
         with spawn_local_workers(1) as pool:
@@ -271,7 +271,7 @@ class TestChaosProxy:
             with ChaosProxy(pool.hosts[0], rules=[truncate_frame(2, direction="s2c")]) as proxy:
                 session = ValuationSession(backend="remote", backend_options={
                     "hosts": [proxy.address],
-                    "reconnect": ReconnectPolicy(max_attempts=10, initial_backoff=0.05),
+                    "reconnect": True,
                 })
                 assert session.risk(book(), spot_returns=returns) == reference
                 assert proxy.stats["truncations"] == 1

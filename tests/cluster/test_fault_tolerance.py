@@ -18,7 +18,8 @@ import pytest
 from repro.api import BackendSpec, ValuationSession
 from repro.api.config import RetryPolicy, RunConfig
 from repro.cluster.backends import Job, PAYLOAD_SERIAL, PreparedMessage
-from repro.cluster.backends.remote import ReconnectPolicy, RemoteBackend
+from repro.cluster.backends import remote
+from repro.cluster.backends.remote import RemoteBackend
 from repro.cluster.worker import probe_worker, serve, spawn_local_workers
 from repro.core.portfolio import Portfolio, Position
 from repro.errors import (
@@ -140,45 +141,47 @@ class _ForeignWorker:
         self._thread.join(timeout=5.0)
 
 
-class TestReconnectPolicy:
-    def test_backoff_is_capped_exponential(self):
-        policy = ReconnectPolicy(
-            max_attempts=6, initial_backoff=0.1, backoff_factor=2.0, max_backoff=0.5
-        )
-        assert policy.backoff(1) == 0.1
-        assert policy.backoff(2) == 0.2
-        assert policy.backoff(3) == 0.4
-        assert policy.backoff(4) == 0.5  # capped
-        assert policy.backoff(10) == 0.5
+class TestReconnectSchedule:
+    def test_reconnect_true_is_the_old_default_policy(self):
+        """``reconnect=True`` dials a dead host 5 times, after 0.05, 0.1, 0.2,
+        0.4 and 0.8 s, with each wait capped at 2 s: the schedule the default
+        ``ReconnectPolicy()`` had."""
+        assert remote._RECONNECT_ATTEMPTS == 5
+        assert [remote._backoff(k) for k in range(1, 6)] == [0.05, 0.1, 0.2, 0.4, 0.8]
+        assert remote._backoff(6) == 1.6
+        assert remote._backoff(7) == remote._backoff(40) == remote._MAX_BACKOFF_S == 2.0
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(max_attempts=0),
-            dict(initial_backoff=-0.1),
-            dict(backoff_factor=0.9),
-            dict(initial_backoff=1.0, max_backoff=0.5),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ClusterError):
-            ReconnectPolicy(**kwargs)
+    def test_a_dead_host_is_dialed_five_times_then_buried(self, monkeypatch):
+        dials = []
+        mute = _MuteWorker()
+        try:
+            backend = RemoteBackend([mute.address], reconnect=True)
+            monkeypatch.setattr(remote, "_backoff", lambda attempt: dials.append(attempt) or 0.0)
+            _dispatch(backend, 0, 0, _make_problem())
+            mute.close()  # the host is gone for good: every re-dial is refused
+            with pytest.raises(WorkerLostError) as excinfo:
+                backend.collect(timeout=30.0)
+            backend.finalize()
+        finally:
+            mute.close()
+        assert dials == [1, 2, 3, 4, 5, 6]  # the first wait, then one after each failed dial
+        assert excinfo.value.job_ids == (0,)
 
 
 class TestKillAndRestart:
-    def test_campaign_survives_a_worker_restart(self):
+    def test_campaign_survives_a_worker_restart(self, monkeypatch):
         """The acceptance e2e: the only worker is hard-killed mid-campaign
-        and restarted on the same port; the reconnect policy finishes the
-        run bit-identical, with no WorkerLostError and >= 1 reconnect."""
+        and restarted on the same port; ``reconnect=True`` finishes the run
+        bit-identical, with no WorkerLostError and >= 1 reconnect."""
+        # more dials than the five of the fixed schedule: a loaded machine
+        # may take seconds to restart a worker process
+        monkeypatch.setattr(remote, "_RECONNECT_ATTEMPTS", 30)
+        monkeypatch.setattr(remote, "_INITIAL_BACKOFF_S", 0.1)
+        monkeypatch.setattr(remote, "_MAX_BACKOFF_S", 0.5)
         problems = [_make_problem(80.0 + 5 * k) for k in range(6)]
         reference = [p.compute().price for p in problems]
         with spawn_local_workers(1) as pool:
-            backend = RemoteBackend(
-                pool.hosts,
-                reconnect=ReconnectPolicy(
-                    max_attempts=30, initial_backoff=0.1, max_backoff=0.5
-                ),
-            )
+            backend = RemoteBackend(pool.hosts, reconnect=True)
             for index in range(2):
                 _dispatch(backend, 0, index, problems[index])
             first = _collect_sorted(backend, 2)
@@ -214,7 +217,7 @@ class TestCascadingFailures:
         reference = [p.compute().price for p in problems]
         mutes = [_MuteWorker() for _ in range(3)]
         try:
-            backend = RemoteBackend([m.address for m in mutes], connect_timeout=5.0)
+            backend = RemoteBackend([m.address for m in mutes])
             for index, problem in enumerate(problems):
                 _dispatch(backend, index % 3, index, problem)
 
@@ -279,17 +282,17 @@ class TestAuthenticatedHandshake:
         # loud, at connect time -- before a single job frame is sent
         with spawn_local_workers(1) as pool:
             with pytest.raises(ClusterError, match="refused the shared-secret"):
-                RemoteBackend(pool.hosts, secret="tok-123", connect_timeout=5.0)
+                RemoteBackend(pool.hosts, secret="tok-123")
 
     def test_wrong_secret_refused(self):
         with spawn_local_workers(1, secret="right-secret") as pool:
             with pytest.raises(ClusterError, match="refused the shared-secret"):
-                RemoteBackend(pool.hosts, secret="wrong-secret", connect_timeout=5.0)
+                RemoteBackend(pool.hosts, secret="wrong-secret")
 
     def test_secretless_master_refused_by_secret_worker(self):
         with spawn_local_workers(1, secret="right-secret") as pool:
             with pytest.raises(ClusterError, match="requires a shared secret"):
-                RemoteBackend(pool.hosts, connect_timeout=5.0)
+                RemoteBackend(pool.hosts)
 
 
 #: every stamp but PROTOCOL_VERSION is foreign: both old generations and a future one
@@ -317,7 +320,7 @@ class TestForeignPeerRefused:
         worker = _ForeignWorker(hello)
         try:
             with pytest.raises(ClusterError, match="handshake|hello"):
-                RemoteBackend([worker.address], connect_timeout=5.0)
+                RemoteBackend([worker.address])
             assert probe_worker(worker.address, timeout=5.0) is False
         finally:
             worker.close()
@@ -397,11 +400,7 @@ class TestSessionRetry:
     def test_pool_loss_is_retried_transparently(self):
         portfolio, reference = self._portfolio_and_reference()
         with spawn_local_workers(1) as pool:
-            spec = BackendSpec(
-                "remote",
-                options={"hosts": pool.hosts, "connect_timeout": 5.0,
-                         "send_timeout": 30.0},
-            )
+            spec = BackendSpec("remote", options={"hosts": pool.hosts})
             session = ValuationSession(backend=spec, strategy="serialized_load")
             killed = threading.Event()
 
@@ -427,11 +426,7 @@ class TestSessionRetry:
     def test_pool_loss_without_retry_raises(self):
         portfolio, _reference = self._portfolio_and_reference()
         with spawn_local_workers(1) as pool:
-            spec = BackendSpec(
-                "remote",
-                options={"hosts": pool.hosts, "connect_timeout": 5.0,
-                         "send_timeout": 30.0},
-            )
+            spec = BackendSpec("remote", options={"hosts": pool.hosts})
             session = ValuationSession(backend=spec, strategy="serialized_load")
             killed = threading.Event()
 

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
+import re
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.api import BackendSpec, ValuationSession
 from repro.cluster.backends import Job, PreparedMessage, PAYLOAD_SERIAL, create_backend
-from repro.cluster.backends.remote import ReconnectPolicy, RemoteBackend, normalize_hosts
+from repro.cluster import worker
+from repro.cluster.backends.remote import RemoteBackend, normalize_hosts
 from repro.cluster.worker import spawn_local_workers
 from repro.core import build_toy_portfolio
 from repro.errors import (
@@ -93,58 +100,41 @@ class TestBackendSpecValidation:
         port = probe.getsockname()[1]
         probe.close()
         with pytest.raises(ClusterError, match="cannot connect"):
-            RemoteBackend([f"127.0.0.1:{port}"], connect_timeout=2.0)
+            RemoteBackend([f"127.0.0.1:{port}"])
 
 
 NAN, INF = float("nan"), float("inf")
 
 
 class TestNumbersAreCheckedWhereTheyAreGiven:
-    """``nan < 0`` is false: a NaN backoff or timeout used to construct and
-    then fail as a ``time.sleep`` / selector ``ValueError`` mid-campaign."""
+    """``nan <= 0`` is false: a NaN timeout used to construct and then fail
+    as a selector ``ValueError`` mid-campaign."""
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("max_backoff", NAN),
-            ("max_backoff", INF),
-            ("initial_backoff", NAN),
-            ("backoff_factor", NAN),
-            ("backoff_factor", INF),
-            ("max_attempts", 2.5),
-            ("max_attempts", True),
-            ("max_attempts", NAN),
-        ],
-    )
-    def test_reconnect_policy_names_the_field(self, field, value):
-        with pytest.raises(ClusterError, match=f"ReconnectPolicy.{field}"):
-            ReconnectPolicy(**{field: value})
-        with pytest.raises(ClusterError, match=field):  # the option spelling
-            RemoteBackend(["127.0.0.1:1"], reconnect={field: value})
-
-    def test_valid_policies_still_construct(self):
-        assert ReconnectPolicy(max_attempts=3, initial_backoff=0, max_backoff=0).backoff(2) == 0
-        assert ReconnectPolicy(max_backoff=0.5).backoff(40) == 0.5
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("liveness_timeout", NAN),
-            ("liveness_timeout", INF),
-            ("liveness_timeout", 0),
-            ("connect_timeout", NAN),
-            ("connect_timeout", 0),
-            ("send_timeout", -1),
-            ("send_timeout", INF),
-        ],
-    )
-    def test_timeouts_are_refused_before_any_connect(self, field, value):
+    @pytest.mark.parametrize("value", [NAN, INF, 0, -1])
+    def test_liveness_timeout_is_refused_before_any_connect(self, value):
         # nothing listens on port 1: a "cannot connect" would mean the check came late
-        with pytest.raises(ClusterError, match=f"{field} must be a finite number > 0"):
-            RemoteBackend(["127.0.0.1:1"], **{field: value})
-        spec = BackendSpec("remote", options={"hosts": ["127.0.0.1:1"], field: value})
-        with pytest.raises(ClusterError, match=field):
+        with pytest.raises(ClusterError, match="liveness_timeout must be a finite number > 0"):
+            RemoteBackend(["127.0.0.1:1"], liveness_timeout=value)
+        spec = BackendSpec("remote", options={"hosts": ["127.0.0.1:1"], "liveness_timeout": value})
+        with pytest.raises(ClusterError, match="liveness_timeout"):
             spec.create()
+
+    @pytest.mark.parametrize("value", [5, 0, None, {"max_attempts": 5}, "yes"])
+    def test_reconnect_is_a_bool(self, value):
+        """The schedule is fixed: the old ``int`` and mapping spellings of a
+        policy are refused, naming the value, before any connect."""
+        message = re.escape(f"reconnect must be True or False, got {value!r}")
+        with pytest.raises(ClusterError, match=message):
+            RemoteBackend(["127.0.0.1:1"], reconnect=value)
+        with pytest.raises(ClusterError, match="reconnect must be True or False"):
+            create_backend("remote", hosts=["127.0.0.1:1"], reconnect=value)
+        with pytest.raises(ValuationError, match="reconnect must be True or False"):
+            BackendSpec("remote", options={"hosts": ["127.0.0.1:1"], "reconnect": value})
+
+    @pytest.mark.parametrize("name", ["connect_timeout", "send_timeout"])
+    def test_the_timeouts_are_not_options(self, name):
+        with pytest.raises(TypeError, match=name):
+            create_backend("remote", hosts=["127.0.0.1:1"], **{name: 5.0})
 
 
 class TestLoopbackPool:
@@ -333,9 +323,7 @@ class TestWorkerDeath:
             thread.start()
             threads.append(thread)
         try:
-            backend = RemoteBackend(
-                [f"127.0.0.1:{port}" for port in ports], connect_timeout=5.0
-            )
+            backend = RemoteBackend([f"127.0.0.1:{port}" for port in ports])
             problem = _make_problem()
             with pytest.raises(WorkerLostError) as excinfo:
                 _dispatch(backend, 0, 0, problem)
@@ -372,7 +360,7 @@ class TestWorkerDeath:
         thread = threading.Thread(target=_confused_worker, daemon=True)
         thread.start()
         try:
-            backend = RemoteBackend([f"127.0.0.1:{port}"], connect_timeout=5.0)
+            backend = RemoteBackend([f"127.0.0.1:{port}"])
             _dispatch(backend, 0, 0, _make_problem())
             with pytest.raises(WorkerLostError):
                 backend.collect(timeout=30.0)
@@ -397,7 +385,7 @@ class TestWorkerDeath:
         thread = threading.Thread(target=_mute_worker, daemon=True)
         thread.start()
         try:
-            backend = RemoteBackend([f"127.0.0.1:{port}"], connect_timeout=5.0)
+            backend = RemoteBackend([f"127.0.0.1:{port}"])
             _dispatch(backend, 0, 0, _make_problem())
             with pytest.raises(CollectTimeoutError):
                 backend.collect(timeout=0.2)
@@ -422,47 +410,102 @@ class TestWorkerDeath:
         thread.start()
         try:
             with pytest.raises(ClusterError, match="handshake|hello"):
-                RemoteBackend([f"127.0.0.1:{port}"], connect_timeout=5.0)
+                RemoteBackend([f"127.0.0.1:{port}"])
         finally:
             server.close()
             thread.join(timeout=5.0)
 
 
+_WORKER_MAIN = "import sys; from repro.cluster.worker import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _start_server(*args: str) -> tuple[subprocess.Popen, str]:
+    """A ``repro-worker`` command line of its own, and its listening address."""
+    src = str(Path(worker.__file__).resolve().parents[2])
+    process = subprocess.Popen(
+        [sys.executable, "-c", _WORKER_MAIN, "--port", "0", "--quiet", *args],
+        stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    line = process.stdout.readline()
+    assert line.startswith("repro-worker listening on "), line
+    return process, line.split()[-1]
+
+
 class TestMultiProcessServer:
     """repro-worker --workers N: several pricing processes, one socket."""
 
-    def test_one_server_serves_two_parallel_slaves(self):
+    @pytest.fixture
+    def two_process_server(self):
+        process, address = _start_server("--workers", "2")
+        with process:  # closes the stdout pipe
+            try:
+                yield address
+            finally:
+                process.terminate()  # SIGTERM: the server stops its children
+                assert process.wait(timeout=10.0) == 0
+
+    def test_one_server_serves_two_parallel_slaves(self, two_process_server):
         portfolio = build_toy_portfolio(n_options=8)
         reference = ValuationSession(backend="local").run(portfolio)
-        with spawn_local_workers(1, workers_per_server=2) as pool:
-            # the master lists the single address twice: the kernel load-
-            # balances the two connections across the forked children
-            session = ValuationSession(
-                backend="remote", backend_options={"hosts": pool.hosts * 2}
-            )
-            remote = session.run(portfolio)
-            assert remote.prices() == reference.prices()
-            assert remote.report.n_workers == 2
+        # the master lists the single address twice: the kernel load-balances
+        # the two connections across the forked children
+        session = ValuationSession(
+            backend="remote", backend_options={"hosts": [two_process_server] * 2}
+        )
+        remote = session.run(portfolio)
+        assert remote.prices() == reference.prices()
+        assert remote.report.n_workers == 2
 
-    def test_chunked_scheduling_over_a_multi_process_server(self):
+    def test_chunked_scheduling_over_a_multi_process_server(self, two_process_server):
         from repro.core.scheduler import ChunkedPolicy
 
         portfolio = build_toy_portfolio(n_options=8)
         reference = ValuationSession(backend="local").run(portfolio)
-        with spawn_local_workers(1, workers_per_server=2) as pool:
-            session = ValuationSession(
-                backend="remote",
-                backend_options={"hosts": pool.hosts * 2},
-                scheduler=ChunkedPolicy,
-            )
-            assert session.run(portfolio).prices() == reference.prices()
+        session = ValuationSession(
+            backend="remote",
+            backend_options={"hosts": [two_process_server] * 2},
+            scheduler=ChunkedPolicy,
+        )
+        assert session.run(portfolio).prices() == reference.prices()
 
     def test_workers_must_be_positive(self):
-        from repro.cluster.worker import serve
-
         with pytest.raises(ClusterError, match="workers"):
-            serve(port=0, workers=0)
+            worker.serve(port=0, workers=0)
 
-    def test_spawn_rejects_bad_workers_per_server(self):
-        with pytest.raises(ClusterError, match="workers_per_server"):
-            spawn_local_workers(1, workers_per_server=0)
+
+class TestWorkerCommandLine:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--port", "70000"], "port must be <= 65535, got 70000"),
+            (["--port", "-1"], "port must be >= 0, got -1"),
+            (["--port", "0", "--workers", "0"], "workers must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_input_is_one_error_line_and_exit_2(self, argv, message, capsys):
+        assert worker.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"  # no traceback
+
+    @pytest.mark.parametrize("kwargs", [{"port": 2.5}, {"port": True}, {"workers": 1.5}])
+    def test_serve_refuses_non_integers_before_binding(self, kwargs):
+        with pytest.raises(ClusterError, match="must be an int"):
+            worker.serve(**{"port": 0, **kwargs})
+
+
+class TestSpawnLocalWorkers:
+    @pytest.mark.parametrize("n", [2.5, True, 0, -1, "2"])
+    def test_the_count_is_checked_before_any_spawn(self, n):
+        """``2.5`` used to raise a bare ``TypeError`` and ``True`` to start one worker."""
+        before = set(mp.active_children())
+        with pytest.raises(ClusterError, match="spawn_local_workers n must be"):
+            spawn_local_workers(n)
+        assert set(mp.active_children()) <= before
+
+    def test_a_server_that_never_reports_is_a_typed_error(self, monkeypatch):
+        """A bare ``queue.Empty`` used to escape, with the processes left running."""
+        monkeypatch.setattr(worker, "_STARTUP_TIMEOUT_S", 0.0)
+        before = set(mp.active_children())
+        with pytest.raises(ClusterError, match="within the 0 s start-up timeout"):
+            spawn_local_workers(2)
+        assert set(mp.active_children()) <= before

@@ -87,7 +87,7 @@ class TestRemoteWindow:
         try:
             with spawn_local_workers(1) as pool:
                 address = f"127.0.0.1:{server.getsockname()[1]}"
-                backend = RemoteBackend([address, pool.hosts[0]], connect_timeout=5.0)
+                backend = RemoteBackend([address, pool.hosts[0]])
                 for job_id, problem in enumerate(problems):
                     _dispatch(backend, 0, job_id, problem)  # all into the mute worker
                 release.set()  # the connection drops with its window unanswered
@@ -219,7 +219,7 @@ class TestGridSlicesSurviveADeath:
     def test_a_killed_remote_worker(self, monkeypatch):
         with spawn_local_workers(2) as pool:
             session = ValuationSession(
-                backend="remote", backend_options={"hosts": pool.hosts, "connect_timeout": 5.0})
+                backend="remote", backend_options={"hosts": pool.hosts})
             self._check(session, lambda: pool.kill(0), monkeypatch)
 
 
@@ -279,7 +279,7 @@ class TestBookSlicesSurviveADeath:
     def test_a_killed_remote_worker(self, monkeypatch):
         with spawn_local_workers(2) as pool:
             session = ValuationSession(
-                backend="remote", backend_options={"hosts": pool.hosts, "connect_timeout": 5.0})
+                backend="remote", backend_options={"hosts": pool.hosts})
             self._check(session, lambda: pool.kill(0), monkeypatch)
 
 
@@ -333,7 +333,7 @@ class TestAMalformedReplyRecord:
         try:
             address = f"127.0.0.1:{server.getsockname()[1]}"
             session = ValuationSession(backend="remote", backend_options={
-                "hosts": [address, *hosts_after_confused], "connect_timeout": 5.0})
+                "hosts": [address, *hosts_after_confused]})
             return session.risk(
                 TestGridSlicesSurviveADeath._book(), spot_returns=self.RETURNS,
                 config=RunConfig(retry=retry))

@@ -25,6 +25,10 @@ class TestServerConfig:
         with pytest.raises(ServeError, match="simulated"):
             ServerConfig(backend="simulated")
 
+    def test_the_sequential_alias_is_not_servable(self):
+        with pytest.raises(ServeError, match="'sequential' cannot be served"):
+            ServerConfig(backend="sequential")
+
     def test_serve_error_is_a_repro_error(self):
         with pytest.raises(ReproError):
             ServerConfig(backend="nope")
