@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 from collections import OrderedDict
@@ -33,7 +34,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import PricingError
+from repro.errors import PricingError, SerializationError
+from repro.pricing.validation import check_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pricing.engine import PricingProblem
@@ -171,8 +173,9 @@ class ResultCache:
         directory (files are written atomically via ``os.replace`` of a
         per-process temporary, so readers only ever see complete entries).
         A corrupt / truncated entry file -- e.g. left behind by a crashed
-        writer -- is treated as a miss: it is deleted (the next ``put``
-        rewrites it) and counted in :attr:`CacheStats.corrupt`.
+        writer, or one that does not rebuild a result with a finite price --
+        is treated as a miss: it is deleted (the next ``put`` rewrites it)
+        and counted in :attr:`CacheStats.corrupt`.
 
     Instances are thread-safe: a long-lived daemon may share one cache
     between concurrent request handlers.
@@ -183,8 +186,9 @@ class ResultCache:
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            raise PricingError("ResultCache.max_entries must be >= 1")
+        # a NaN bound would never evict: the LRU would grow without limit
+        self.max_entries = check_count(self.max_entries, "ResultCache.max_entries",
+                                       floats=False)
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._lock = threading.RLock()
         if self.directory is not None:
@@ -206,24 +210,26 @@ class ResultCache:
 
         with self._lock:
             entry = self._entries.get(digest)
-            if entry is None:
-                entry = self._read_disk(digest)
-                if entry is not None:
-                    self.stats.disk_hits += 1
-                    self._remember(digest, entry, write_disk=False)
-            if entry is None:
-                self.stats.misses += 1
-                return None
+            if entry is not None:
+                result = PricingResult.from_dict(entry)
+            else:
+                loaded = self._read_disk(digest)
+                if loaded is None:
+                    self.stats.misses += 1
+                    return None
+                entry, result = loaded
+                self.stats.disk_hits += 1
+                self._remember(digest, entry, write_disk=False)
             self._entries.move_to_end(digest)
             self.stats.hits += 1
-            return PricingResult.from_dict(entry)
+            return result
 
     def put(self, digest: str, result: "PricingResult | dict[str, Any]") -> None:
         """Store ``result`` (a :class:`PricingResult` or its ``as_dict()``)."""
         entry = dict(result) if isinstance(result, dict) else result.as_dict()
         entry.pop("cache_hit", None)  # transport marker, not part of the result
-        if entry.get("price") is None:
-            raise PricingError("refusing to cache a result without a price")
+        if entry.get("price") is None or not math.isfinite(entry["price"]):
+            raise PricingError("refusing to cache a result without a finite price")
         with self._lock:
             self.stats.puts += 1
             self._remember(digest, entry, write_disk=True)
@@ -262,27 +268,32 @@ class ResultCache:
             return path
         return None
 
-    def _read_disk(self, digest: str) -> dict[str, Any] | None:
+    def _read_disk(self, digest: str) -> "tuple[dict[str, Any], PricingResult] | None":
+        """The entry stored for ``digest`` on disk and the result it rebuilds."""
+        from repro.pricing.methods.base import PricingResult
+
         path = self._disk_path(digest)
         if path is None:
             return None
         try:
             entry = json.loads(path.read_text())
+            result = PricingResult.from_dict(entry)
         except OSError:
             return None
-        except json.JSONDecodeError:
-            entry = None
-        if not isinstance(entry, dict) or entry.get("price") is None:
-            # truncated / partially-written / garbage entry: a daemon sharing
-            # one cache dir across requests must treat this as a miss, not an
-            # error -- delete the file so the next put rewrites it cleanly
+        except (json.JSONDecodeError, SerializationError):
+            result = None
+        if result is None or not math.isfinite(result.price):
+            # truncated / partially-written / garbage entry, or one without a
+            # finite price: a daemon sharing one cache dir across requests
+            # must treat this as a miss, not an error -- delete the file so
+            # the next put rewrites it cleanly
             self.stats.corrupt += 1
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - already removed by a peer
                 pass
             return None
-        return entry
+        return entry, result
 
     def _write_disk(self, digest: str, entry: dict[str, Any]) -> None:
         path = self._disk_file(digest)

@@ -211,6 +211,21 @@ class TestSessionCache:
         assert replay.prices() == warm.prices()
         assert second.cache.stats.disk_hits == len(family)
 
+    @pytest.mark.parametrize(
+        "garbage", ['{"price": NaN}', '{"price": 1.0, "n_evaluations": "many"}'],
+        ids=["nan-price", "bad-field"],
+    )
+    def test_a_corrupt_entry_is_priced_again_not_a_failed_run(self, tmp_path, garbage):
+        """An entry that does not rebuild a finite result used to fail its
+        position (NaN) or raise out of ``run`` (a field of the wrong type)."""
+        family = _mc_family(3)
+        cold = ValuationSession(backend="local", cache=tmp_path).run(family)
+        next(tmp_path.glob("*.json")).write_text(garbage)
+        session = ValuationSession(backend="local", cache=tmp_path)
+        warm = session.run(family)
+        assert warm.ok and warm.prices() == cold.prices()
+        assert session.cache.stats.corrupt == 1
+
     def test_with_options_carries_the_cache(self):
         session = ValuationSession(backend="local", cache=True)
         derived = session.with_options(strategy="full_load")

@@ -248,13 +248,17 @@ class TestResultCache:
         assert cache.get("a").price == 1.0
         assert cache.get("c").price == 3.0
 
-    def test_max_entries_validated(self):
-        with pytest.raises(PricingError):
-            ResultCache(max_entries=0)
+    @pytest.mark.parametrize("bound", [0, -1, float("nan"), 2.5, 8.0, True, "8"])
+    def test_max_entries_validated(self, bound):
+        """A NaN bound used to build a cache that never evicts, ``2.5`` one
+        that held 3 entries."""
+        with pytest.raises(PricingError, match="ResultCache.max_entries"):
+            ResultCache(max_entries=bound)
 
-    def test_refuses_priceless_results(self):
-        with pytest.raises(PricingError):
-            ResultCache().put("x", {"std_error": 0.1})
+    @pytest.mark.parametrize("price", [None, float("nan"), float("inf")])
+    def test_refuses_priceless_results(self, price):
+        with pytest.raises(PricingError, match="finite price"):
+            ResultCache().put("x", {"price": price, "std_error": 0.1})
 
     def test_disk_store_round_trip(self, tmp_path):
         first = ResultCache(directory=tmp_path)

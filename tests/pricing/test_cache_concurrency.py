@@ -163,8 +163,11 @@ class TestCorruptEntries:
 
     @pytest.mark.parametrize(
         "garbage",
-        [b"", b"{\"price\": 1.0", b"not json at all", b"[1, 2, 3]", b"{\"no\": 1}"],
-        ids=["empty", "truncated", "garbage", "non-object", "priceless"],
+        [b"", b"{\"price\": 1.0", b"not json at all", b"[1, 2, 3]", b"{\"no\": 1}",
+         b"{\"price\": NaN}", b"{\"price\": Infinity}", b"{\"price\": \"cheap\"}",
+         b"{\"price\": 1.0, \"n_evaluations\": \"many\"}"],
+        ids=["empty", "truncated", "garbage", "non-object", "priceless",
+             "nan-price", "inf-price", "text-price", "bad-field"],
     )
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, garbage):
         cache, digest, path = self._cache_with_entry(tmp_path)
