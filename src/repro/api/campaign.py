@@ -7,6 +7,9 @@ and writes every collected event -- a plain result, the
 slice), a worker error, a cancellation -- into its
 :class:`~repro.core.runner.ResultTable`.
 Cache hits never enter the stream: their rows are written at construction.
+Nor does a repeat of a position the run cache missed: the row its leader
+settles is copied to it, and every freshly priced row enters the run cache as
+it lands (:meth:`Campaign._settled`).
 The table is the only per-position record: a
 :class:`~repro.api.futures.PricingFuture` is a view of one row, minted for
 whoever asks for one, and :meth:`Campaign.finish` hands the table to the final
@@ -126,7 +129,11 @@ class Campaign:
         return self._run_result is not None
 
     def _settled(self, job_ids: Sequence[int], cancelled: bool = False) -> None:
-        """Rows just written: wake the futures minted for them, tick ``progress``."""
+        """Rows just written: with a run cache, keep the fresh ones in it and
+        copy them to their repeats; wake the futures minted for them all,
+        tick ``progress``."""
+        if self.plan.digests:
+            job_ids = (*job_ids, *self._share(job_ids))
         if self._progress is None and not self._minted:
             self._n_reported += len(job_ids)
             return
@@ -151,6 +158,22 @@ class Campaign:
                         cancelled=cancelled,
                     )
                 )
+
+    def _share(self, job_ids: Sequence[int]) -> tuple[int, ...]:
+        """Put the rows of ``job_ids`` priced by this run into the run cache,
+        settle each leader's repeats as it was settled; the repeats."""
+        plan, table = self.plan, self.table
+        assert plan.run_cache is not None
+        rows = table.rows_of(job_ids)
+        columns = table.columns
+        for row in rows[(table.status[rows] == table.DONE) & ~columns.cache_hit[rows]].tolist():
+            plan.run_cache.put(plan.digests[int(table.ids[row])], columns.row(row))
+        pairs = [(job_id, repeat) for job_id in job_ids for repeat in plan.repeats.get(job_id, ())]
+        if not pairs:
+            return ()
+        leaders, repeats = zip(*pairs)
+        table.copy_rows(leaders, repeats)
+        return repeats
 
     def _awaited(self, job_id: int) -> bool:
         """Whether the dispatch unit ``job_id`` is still to be answered: its
@@ -192,10 +215,11 @@ class Campaign:
         A position that travels alone is taken off the master's queue.  A
         member of a book slice is left out of the slice while that is still
         queued (its bytes are made at its first dispatch), and the slice is
-        withdrawn with its last member.  ``False`` for anything a worker may
-        already hold, and for a member that cannot leave its job: one of a
-        dispatched slice, of a :class:`~repro.pricing.batch.ProblemBatch`, or
-        a cell of a scenario-grid slice.
+        withdrawn with its last member.  The position's repeats are cancelled
+        with it.  ``False`` for anything a worker may already hold, for a
+        member that cannot leave its job: one of a dispatched slice, of a
+        :class:`~repro.pricing.batch.ProblemBatch`, or a cell of a
+        scenario-grid slice, and for a repeat, which travels with its leader.
         """
         if self._stream is None:
             return False
@@ -217,6 +241,8 @@ class Campaign:
         else:
             return False
         self.table.mark((job_id,), self.table.CANCELLED)
+        if job_id in self.plan.repeats:
+            self._settled(self._share((job_id,)), cancelled=True)
         return True
 
     def _apply_cancel_token(self) -> None:
@@ -324,11 +350,6 @@ class Campaign:
         pending = table.ids[table.status == table.PENDING]
         if len(pending):
             raise SchedulingError(f"job {int(pending[0])} was neither answered nor cancelled")
-        if plan.digests:
-            assert plan.run_cache is not None
-            for job_id, entry in table.computed():
-                if job_id in plan.digests:
-                    plan.run_cache.put(plan.digests[job_id], entry)
         report = replace(
             RunReport.from_outcome(outcome, dispatched, self._strategy.name),
             n_jobs=len(plan.original_ids),

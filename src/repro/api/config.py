@@ -170,10 +170,9 @@ class RunConfig:
     ``batch=True`` turns on shared-path batch pricing: positions with equal
     simulation signatures (see :mod:`repro.pricing.batch`) are coalesced into
     :class:`~repro.pricing.batch.ProblemBatch` jobs that workers price
-    against one simulated path set.  ``cache`` overrides the session's
-    result-cache usage for this run (``None`` keeps the session default,
-    ``False`` bypasses the cache, ``True`` requires the session to have one).
-    A family is never split: it travels as one batch job.
+    against one simulated path set.  A family is never split: it travels as
+    one batch job.  The result cache is the session's (a run without it is
+    ``session.with_options(cache=None).run(...)``).
 
     Two streaming-lifecycle hooks ride along (excluded from equality/hash):
     ``progress`` is called once per collected position
@@ -205,7 +204,6 @@ class RunConfig:
     #: (:mod:`repro.pricing.scenarios`) set 1 so even singleton cells ride
     #: the batch path and the stacked kernel's shared-draw cohorts.
     min_group_size: int | None = None
-    cache: bool | None = None
     progress: Callable[..., None] | None = field(default=None, compare=False)
     cancel: Any | None = field(default=None, compare=False)
     retry: RetryPolicy | None = None

@@ -31,13 +31,17 @@ __all__ = ["CampaignPlan", "build_plan"]
 class CampaignPlan:
     """Everything one campaign needs, prepared before anything executes."""
 
-    #: jobs to dispatch (cache hits removed, batches coalesced)
+    #: jobs to dispatch (cache hits and repeats removed, batches coalesced)
     jobs: list[Job]
     #: submission-ordered ids of every position (pre-coalescing, pre-cache)
     original_ids: list[int]
     problem_by_id: dict[int, PricingProblem]
     cached_results: dict[int, dict[str, Any]] = field(default_factory=dict)
     digests: dict[int, str] = field(default_factory=dict)
+    #: id of the first position of a digest the run cache missed (its
+    #: *leader*, which is dispatched) -> the later positions with that digest,
+    #: which are not: each is answered by a copy of its leader's row
+    repeats: dict[int, tuple[int, ...]] = field(default_factory=dict)
     #: id of a job that travels with members -> the positions it still has to
     #: answer: the family of a :class:`ProblemBatch`, the cells of a
     #: scenario-grid slice, the positions of a book slice.  The job goes by
@@ -104,7 +108,9 @@ def build_plan(
     are made when it is first dispatched (:meth:`Job.wire_bytes`), so a
     position folded into a :class:`ProblemBatch` is only ever written as a
     member of its batch.  With a ``run_cache`` on an executing backend,
-    positions already priced are answered here and never dispatched.
+    positions already priced are answered here and never dispatched, and a
+    position repeating the digest of an earlier one is not dispatched either
+    (:attr:`CampaignPlan.repeats`).
 
     A :class:`~repro.pricing.scenarios.ScenarioGrid` is planned into slices
     of its scenario list (:func:`_plan_grid`), sized for ``n_workers``; so are
@@ -143,14 +149,14 @@ def build_plan(
         portfolio=portfolio,
     )
 
-    # cache pass: positions already priced never reach the backend
+    # cache pass: positions already priced, and repeats, never reach the backend
     if run_cache is not None and executing:
-        _cache_pass(
+        answered = _cache_pass(
             plan,
             {job_id: problem_digest(problem) for job_id, problem in problem_by_id.items()},
         )
-        if plan.cached_results:
-            plan.jobs = [job for job in jobs if job.job_id not in plan.cached_results]
+        if answered:
+            plan.jobs = [job for job in jobs if job.job_id not in answered]
 
     if _travels_in_slices(plan, options, queues_jobs, store, strategy, new_policy):
         _slice_book(plan, options, n_workers)
@@ -207,14 +213,26 @@ def _travels_in_slices(
     )
 
 
-def _cache_pass(plan: CampaignPlan, digests: dict[int, str]) -> None:
-    """Answer from ``plan.run_cache`` every position whose digest it holds."""
+def _cache_pass(plan: CampaignPlan, digests: dict[int, str]) -> set[int]:
+    """Answer from ``plan.run_cache`` every position whose digest it holds,
+    and record every later position with the digest of a miss as a repeat of
+    the first; the ids of both, which are not to be dispatched."""
     assert plan.run_cache is not None
     plan.digests = digests
+    leader_of: dict[str, int] = {}
+    repeats: dict[int, list[int]] = {}
     for job_id, digest in digests.items():
+        leader = leader_of.get(digest)
+        if leader is not None:
+            repeats.setdefault(leader, []).append(job_id)
+            continue
         hit = plan.run_cache.get(digest)
         if hit is not None:
             plan.cached_results[job_id] = {**hit.as_dict(), "cache_hit": True}
+        else:
+            leader_of[digest] = job_id
+    plan.repeats = {leader: tuple(ids) for leader, ids in repeats.items()}
+    return plan.cached_results.keys() | {job_id for ids in repeats.values() for job_id in ids}
 
 
 def _cut_slices(
@@ -291,7 +309,8 @@ def _plan_grid(
     each); the jobs are :meth:`ScenarioGrid.slice` s over one base book whose
     bytes every slice re-sends, cut by :func:`_cut_slices`: a scenario costs
     one shared-simulation batch over the cells it still has to price.
-    With a ``run_cache``, cells already priced are answered here; each slice
+    With a ``run_cache``, cells already priced are answered here and a cell
+    repeating an earlier cell's digest is answered by that cell; each slice
     is told which of its cells to leave out, a slice with none left is not
     sent, and :attr:`CampaignPlan.digests` lets the campaign write the new
     cells back under the digests a plain run of the same problems would use.
@@ -306,9 +325,11 @@ def _plan_grid(
     )
     if not plan.original_ids:
         raise SchedulingError("cannot schedule an empty job list")
+    answered: set[int] = set()
     if run_cache is not None:
-        _cache_pass(plan, {cell: grid.cell_digest(cell) for cell in plan.original_ids})
-    answered = plan.cached_results
+        answered = _cache_pass(
+            plan, {cell: grid.cell_digest(cell) for cell in plan.original_ids}
+        )
     base_costs = [cost_model.estimate(problem) for problem in grid.problems]
     full_cost = cost_model.estimate_batch_jobs(base_costs)
     costs = []

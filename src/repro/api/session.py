@@ -63,10 +63,6 @@ from repro.pricing.scenarios import Scenario, ScenarioGrid
 
 __all__ = ["ValuationSession"]
 
-#: backend names whose workers execute payloads in this process tree and can
-#: therefore share an on-disk result cache via the ``cache_dir`` option
-_EXECUTING_BACKENDS = ("local", "multiprocessing")
-
 
 def _coerce_cache(cache: "ResultCache | str | Path | bool | None") -> ResultCache | None:
     """Normalise the session ``cache=`` option into a :class:`ResultCache`."""
@@ -124,10 +120,12 @@ class ValuationSession:
     cache:
         Digest-keyed result cache (see :mod:`repro.pricing.cache`).
         ``True`` builds an in-memory LRU, a path string / :class:`~pathlib.Path`
-        builds a disk-backed cache (also shared with multiprocessing workers
-        through the backend's ``cache_dir`` option), a ready-made
+        builds a disk-backed cache, a ready-made
         :class:`~repro.pricing.cache.ResultCache` is used as given, and
-        ``None``/``False`` (default) disables caching.
+        ``None``/``False`` (default) disables caching.  The cache is the
+        master's: a run's cache pass answers every position already priced,
+        prices a position repeated within the run once, and keeps what it
+        prices as it lands; the workers price what they are sent.
     """
 
     def __init__(
@@ -192,19 +190,7 @@ class ValuationSession:
         chosen = strategy if strategy is not None else self.strategy
         return get_strategy(chosen) if isinstance(chosen, str) else chosen
 
-    def _resolve_run_cache(self, cache: bool | None) -> ResultCache | None:
-        if cache is False:
-            return None
-        if cache is True and self._cache is None:
-            raise ValuationError(
-                "cache=True was requested but the session has no result cache; "
-                "construct the session with cache=True / a directory / a ResultCache"
-            )
-        return self._cache
-
-    def _acquire_backend(
-        self, strategy_name: str, cache: ResultCache | None = None
-    ) -> WorkerBackend:
+    def _acquire_backend(self, strategy_name: str) -> WorkerBackend:
         if self._backend_instance is not None:
             if self._backend_consumed:
                 raise ValuationError(
@@ -218,15 +204,6 @@ class ValuationSession:
         extra: dict[str, Any] = {}
         if self._backend_spec.name == "simulated" and self.comm is not None:
             extra["comm"] = self.comm
-        if (
-            cache is not None
-            and cache.directory is not None
-            and self._backend_spec.name in _EXECUTING_BACKENDS
-            and "cache_dir" not in dict(self._backend_spec.options)
-        ):
-            # share the run's disk-backed cache with the workers (skipped
-            # when the run bypasses caching via cache=False)
-            extra["cache_dir"] = str(cache.directory)
         return self._backend_spec.create(strategy=strategy_name, **extra)
 
     # -- pricing -----------------------------------------------------------------
@@ -320,8 +297,7 @@ class ValuationSession:
             strategy if strategy is not None else options.strategy
         )
         new_policy = policy_factory(options.scheduler or self.scheduler)
-        run_cache = self._resolve_run_cache(options.cache)
-        new_backend = partial(self._acquire_backend, strategy_obj.name, run_cache)
+        new_backend = partial(self._acquire_backend, strategy_obj.name)
         backend = new_backend()
         try:
             executing = getattr(backend, "requires_payload", True)
@@ -343,7 +319,7 @@ class ValuationSession:
                 options,
                 executing=executing,
                 cost_model=self.cost_model,
-                run_cache=run_cache,
+                run_cache=self._cache,
                 store=store,
                 n_workers=backend.n_workers,
                 queues_jobs=getattr(backend, "queues_jobs", False),
@@ -380,7 +356,6 @@ class ValuationSession:
         batch: bool | None = None,
         kernel: str | None = None,
         min_group_size: int | None = None,
-        cache: bool | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
     ) -> RunResult:
@@ -400,7 +375,7 @@ class ValuationSession:
         return self._open_campaign(
             source, strategy=strategy, scheduler=scheduler, store=store,
             config=config, batch=batch, kernel=kernel,
-            min_group_size=min_group_size, cache=cache,
+            min_group_size=min_group_size,
             progress=progress, cancel=cancel,
         ).finish()
 
@@ -415,7 +390,6 @@ class ValuationSession:
         batch: bool | None = None,
         kernel: str | None = None,
         min_group_size: int | None = None,
-        cache: bool | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
     ) -> StreamingRun:
@@ -434,7 +408,7 @@ class ValuationSession:
             self._open_campaign(
                 source, strategy=strategy, scheduler=scheduler, store=store,
                 config=config, batch=batch, kernel=kernel,
-                min_group_size=min_group_size, cache=cache,
+                min_group_size=min_group_size,
                 progress=progress, cancel=cancel,
             )
         )

@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="back the result cache with an on-disk store shared by the "
-        "workers (implies --cache)",
+        help="back the master's result cache with an on-disk store in DIR, "
+        "kept across runs (implies --cache)",
     )
     run.add_argument(
         "--repeat",
@@ -328,9 +328,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 # remote path is exercisable from a single machine
                 from repro.cluster.worker import spawn_local_workers
 
-                pool = stack.enter_context(
-                    spawn_local_workers(args.workers, cache_dir=args.cache_dir)
-                )
+                pool = stack.enter_context(spawn_local_workers(args.workers))
                 print(f"spawned {len(pool)} loopback workers: {', '.join(pool)}")
                 hosts = pool.hosts
             backend_options = {"hosts": hosts}

@@ -129,19 +129,15 @@ def create_backend(
 
 
 @register_backend("local")
-def _make_local(
-    n_workers: int = 1, strategy: str = "serialized_load", cache_dir: str | None = None
-) -> WorkerBackend:
-    return SequentialBackend(n_workers=n_workers, cache_dir=cache_dir)
+def _make_local(n_workers: int = 1, strategy: str = "serialized_load") -> WorkerBackend:
+    return SequentialBackend(n_workers=n_workers)
 
 
 @register_backend("multiprocessing")
 def _make_multiprocessing(
-    n_workers: int = 2,
-    strategy: str = "serialized_load",
-    cache_dir: str | None = None,
+    n_workers: int = 2, strategy: str = "serialized_load"
 ) -> WorkerBackend:
-    return MultiprocessingBackend(n_workers=n_workers, cache_dir=cache_dir)
+    return MultiprocessingBackend(n_workers=n_workers)
 
 
 @register_backend("remote")

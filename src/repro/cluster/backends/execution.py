@@ -12,21 +12,19 @@ After rebuilding the problem the worker calls ``compute()`` and returns the
 result as a plain dictionary, which is what ``MPI_Send_Obj(L(1)(3), 0, ...)``
 ships back in the paper's script.
 
-Two extensions ride on the same payload plumbing:
+A payload may also decode to a *payload with members*: a
+:class:`~repro.pricing.batch.ProblemBatch` (a whole shared-simulation family
+shipped as one message, priced against one path set) or a
+:class:`~repro.pricing.scenarios.ScenarioGrid` (a base book and a slice of
+scenarios, expanded and priced on the worker).  Either answers ``compute()``
+with one :class:`~repro.pricing.methods.base.ResultColumns` record -- a column
+per result field, a row per member -- which travels back as it is and which
+the master scatters into its per-position table
+(:class:`~repro.core.runner.ResultTable`).
 
-* a payload may decode to a *payload with members*: a
-  :class:`~repro.pricing.batch.ProblemBatch` (a whole shared-simulation
-  family shipped as one message, priced against one path set) or a
-  :class:`~repro.pricing.scenarios.ScenarioGrid` (a base book and a slice of
-  scenarios, expanded and priced on the worker).  Either answers
-  ``compute(cache=)`` with one
-  :class:`~repro.pricing.methods.base.ResultColumns` record -- a column per
-  result field, a row per member -- which travels back as it is and which
-  the master scatters into its per-position table
-  (:class:`~repro.core.runner.ResultTable`);
-* an optional worker-side :class:`~repro.pricing.cache.ResultCache` answers
-  digest hits without pricing (hits are marked ``"cache_hit": True`` so hit
-  rates can be reported).
+A worker prices what it is sent.  The result cache is the master's: its
+cache pass answers a position already priced, or repeated within the run,
+before anything is dispatched (:mod:`repro.api.plan`).
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from typing import Any
 from repro.cluster.backends.base import PAYLOAD_PATH, PAYLOAD_SERIAL
 from repro.errors import ClusterError
 from repro.pricing.batch import ProblemBatch
-from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.methods.base import ResultColumns
 from repro.pricing.scenarios import ScenarioGrid
@@ -47,15 +44,7 @@ from repro.serial import load as load_problem_file
 __all__ = [
     "materialize_problem",
     "execute_payload",
-    "make_worker_cache",
 ]
-
-
-def make_worker_cache(cache_dir: str | None) -> ResultCache | None:
-    """Build the disk-backed worker cache for a ``cache_dir`` option."""
-    if not cache_dir:
-        return None
-    return ResultCache(directory=cache_dir)
 
 
 #: the payloads that carry several positions and answer them in one reply
@@ -85,7 +74,7 @@ def materialize_problem(
 
 
 def execute_payload(
-    kind: str, payload: Any, cache: ResultCache | None = None
+    kind: str, payload: Any
 ) -> tuple[dict[str, Any] | ResultColumns | None, float, str | None]:
     """Rebuild and compute a problem (or a payload with members).
 
@@ -98,18 +87,9 @@ def execute_payload(
     try:
         problem = materialize_problem(kind, payload)
         if isinstance(problem, _MEMBER_PAYLOADS):
-            members = problem.compute(cache=cache)
+            members = problem.compute()
             return members, time.perf_counter() - start, None
-        if cache is not None:
-            cached = cache.get(problem_digest(problem))
-            if cached is not None:
-                elapsed = time.perf_counter() - start
-                entry = cached.as_dict()
-                entry["cache_hit"] = True
-                return entry, elapsed, None
         result = problem.compute()
-        if cache is not None:
-            cache.put(problem_digest(problem), result)
         elapsed = time.perf_counter() - start
         return result.as_dict(), elapsed, None
     except Exception as exc:  # noqa: BLE001 - worker must survive bad jobs

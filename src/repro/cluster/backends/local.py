@@ -17,7 +17,7 @@ from repro.cluster.backends.base import (
     PreparedMessage,
     WorkerBackend,
 )
-from repro.cluster.backends.execution import execute_payload, make_worker_cache
+from repro.cluster.backends.execution import execute_payload
 from repro.errors import ClusterError
 from repro.pricing.validation import check_count
 
@@ -29,13 +29,10 @@ class SequentialBackend(WorkerBackend):
 
     ``n_workers`` pretends to be the requested pool size so that schedulers
     behave identically, but every dispatch executes synchronously.
-    ``cache_dir`` (optional) points at a shared on-disk result cache checked
-    before each computation (see :mod:`repro.pricing.cache`).
     """
 
-    def __init__(self, n_workers: int = 1, cache_dir: str | None = None):
+    def __init__(self, n_workers: int = 1):
         self._n_workers = check_count(n_workers, "n_workers", error=ClusterError, floats=False)
-        self._cache = make_worker_cache(cache_dir)
         self._pending: list[CompletedJob] = []
         self._start = time.perf_counter()
         self._n_jobs = 0
@@ -53,7 +50,7 @@ class SequentialBackend(WorkerBackend):
     def dispatch(self, worker_id: int, job: Job, message: PreparedMessage) -> None:
         if not 0 <= worker_id < self._n_workers:
             raise ClusterError(f"invalid worker id {worker_id}")
-        result, elapsed, error = execute_payload(message.kind, message.payload, cache=self._cache)
+        result, elapsed, error = execute_payload(message.kind, message.payload)
         self._busy[worker_id] += elapsed
         self._bytes_sent += message.nbytes
         self._n_jobs += 1

@@ -27,7 +27,7 @@ from repro.cluster.backends.base import (
     PreparedMessage,
     WorkerBackend,
 )
-from repro.cluster.backends.execution import execute_payload, make_worker_cache
+from repro.cluster.backends.execution import execute_payload
 from repro.errors import ClusterError, CollectTimeoutError, WorkerLostError
 from repro.pricing.validation import check_count
 
@@ -40,28 +40,20 @@ _STOP = "__stop__"
 _DEATH_CHECK_S = 0.5
 
 
-def worker_main(
-    worker_id: int,
-    task_queue: Any,
-    result_queue: Any,
-    cache_dir: str | None = None,
-) -> None:
+def worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
     """Slave loop: receive payloads, price them, send results back.
 
     The loop mirrors the slave part of the paper's Fig. 4 script: it blocks
     on its queue, treats an empty job name (our ``_STOP`` sentinel) as the
     signal to stop working, and otherwise rebuilds the problem, computes it
-    and returns the results to the master.  With a ``cache_dir`` every
-    worker opens the same on-disk result cache, so repeated problems are
-    answered without pricing.
+    and returns the results to the master.
     """
-    cache = make_worker_cache(cache_dir)
     while True:
         item = task_queue.get()
         if item == _STOP:
             break
         job_id, kind, payload = item
-        result, elapsed, error = execute_payload(kind, payload, cache=cache)
+        result, elapsed, error = execute_payload(kind, payload)
         result_queue.put((job_id, worker_id, result, elapsed, error))
 
 
@@ -73,18 +65,11 @@ class MultiprocessingBackend(WorkerBackend):
     n_workers:
         Number of slave processes to start (the platform's default
         ``multiprocessing`` context).
-    cache_dir:
-        Optional shared on-disk result-cache directory opened by every
-        worker (see :mod:`repro.pricing.cache`).
     """
 
     queues_jobs = True  # each process blocks on its own task queue
 
-    def __init__(
-        self,
-        n_workers: int = 2,
-        cache_dir: str | None = None,
-    ):
+    def __init__(self, n_workers: int = 2):
         self._n_workers = check_count(n_workers, "n_workers", error=ClusterError, floats=False)
         ctx = mp.get_context()
         self._result_queue: Any = ctx.Queue()
@@ -92,7 +77,7 @@ class MultiprocessingBackend(WorkerBackend):
         self._processes = [
             ctx.Process(
                 target=worker_main,
-                args=(i, self._task_queues[i], self._result_queue, cache_dir),
+                args=(i, self._task_queues[i], self._result_queue),
                 daemon=True,
             )
             for i in range(self._n_workers)

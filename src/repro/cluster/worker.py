@@ -21,8 +21,8 @@ Three entry points:
 A worker prices jobs through the same
 :func:`~repro.cluster.backends.execution.execute_payload` as the sequential
 and multiprocessing backends -- including :class:`~repro.pricing.batch.ProblemBatch`
-super-jobs and the optional on-disk result cache (``--cache-dir``) -- so
-every payload kind that works locally works across the wire.
+super-jobs and scenario-grid slices -- so every payload kind that works
+locally works across the wire.
 """
 
 from __future__ import annotations
@@ -133,9 +133,8 @@ class _ComputeLane:
     the wire.
     """
 
-    def __init__(self, conn: socket.socket, cache: Any, send_lock: threading.Lock):
+    def __init__(self, conn: socket.socket, send_lock: threading.Lock):
         self._conn = conn
-        self._cache = cache
         self._send_lock = send_lock
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._dead = False  # set when the socket broke under a result send
@@ -171,9 +170,7 @@ class _ComputeLane:
             if item is None:
                 return
             job_id, payload_kind, payload = item
-            result, elapsed, error = execute_payload(
-                payload_kind, payload, cache=self._cache
-            )
+            result, elapsed, error = execute_payload(payload_kind, payload)
             self._send(_result_frame(job_id, result, elapsed, error))
 
 
@@ -229,7 +226,7 @@ def _authenticate_master(
 
 
 def _handle_connection(
-    conn: socket.socket, cache: Any, log, secret: str | None = None
+    conn: socket.socket, log, secret: str | None = None
 ) -> bool:
     """Run the slave loop over one master connection.
 
@@ -242,7 +239,7 @@ def _handle_connection(
     if secret is not None and not _authenticate_master(conn, secret, nonce, log):
         return False
     send_lock = threading.Lock()
-    lane = _ComputeLane(conn, cache, send_lock)
+    lane = _ComputeLane(conn, send_lock)
     try:
         while True:
             try:
@@ -301,11 +298,7 @@ def _make_log(quiet: bool):
 
 
 def _accept_loop(
-    server: socket.socket,
-    cache_dir: str | None,
-    once: bool,
-    quiet: bool,
-    secret: str | None = None,
+    server: socket.socket, once: bool, quiet: bool, secret: str | None = None
 ) -> None:
     """Accept master connections on an already-listening socket, forever.
 
@@ -314,10 +307,7 @@ def _accept_loop(
     socket, so the kernel load-balances incoming master connections across
     the children.
     """
-    from repro.cluster.backends.execution import make_worker_cache
-
     log = _make_log(quiet)
-    cache = make_worker_cache(cache_dir)
     while True:
         try:
             conn, peer = server.accept()
@@ -334,7 +324,7 @@ def _accept_loop(
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             log(f"master connected from {peer[0]}:{peer[1]}")
             try:
-                stopped = _handle_connection(conn, cache, log, secret=secret)
+                stopped = _handle_connection(conn, log, secret=secret)
             except (BrokenPipeError, ConnectionResetError, OSError) as exc:
                 log(f"connection lost: {exc}")
                 stopped = False
@@ -347,7 +337,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    cache_dir: str | None = None,
     once: bool = False,
     ready: Any = None,
     quiet: bool = True,
@@ -359,9 +348,7 @@ def serve(
     ``port=0`` binds an ephemeral port; ``ready`` (a callable) receives the
     actually-bound port once the server is listening.  ``once=True`` exits
     after the first connection ends -- useful for tests and one-shot
-    deployments.  ``cache_dir`` opens the shared on-disk result cache every
-    other executing backend understands (see :mod:`repro.pricing.cache`).
-    ``secret`` arms the HMAC-SHA256 handshake: every master connection
+    deployments.  ``secret`` arms the HMAC-SHA256 handshake: every master connection
     must prove knowledge of the shared secret before any job is accepted.
 
     ``workers=N`` forks ``N`` pricing processes behind the one listening
@@ -386,7 +373,7 @@ def serve(
             ready(bound_port)
         log(f"listening on {host}:{bound_port} ({workers} pricing process(es))")
         if workers == 1:
-            _accept_loop(server, cache_dir, once, quiet, secret)
+            _accept_loop(server, once, quiet, secret)
             return
         if "fork" not in mp.get_all_start_methods():
             raise ClusterError(
@@ -404,7 +391,7 @@ def serve(
         children = [
             ctx.Process(
                 target=_accept_loop,
-                args=(server, cache_dir, once, quiet, secret),
+                args=(server, once, quiet, secret),
                 # daemonic: multiprocessing also reaps them if this parent
                 # exits through a path that skips the finally block below
                 daemon=True,
@@ -432,13 +419,10 @@ def serve(
 _STARTUP_TIMEOUT_S = 30.0
 
 
-def _spawned_worker(
-    index: int, port: int, port_queue: Any, cache_dir: str | None, secret: str | None
-) -> None:
+def _spawned_worker(index: int, port: int, port_queue: Any, secret: str | None) -> None:
     """Entry point of one :func:`spawn_local_workers` process."""
     serve(
         port=port,
-        cache_dir=cache_dir,
         secret=secret,
         ready=lambda bound: port_queue.put((index, bound)),
     )
@@ -455,9 +439,7 @@ def _stop_processes(processes: list[Any]) -> None:
             process.join(timeout=5.0)
 
 
-def _start_servers(
-    ports: list[int], cache_dir: str | None, secret: str | None
-) -> tuple[list[Any], list[int]]:
+def _start_servers(ports: list[int], secret: str | None) -> tuple[list[Any], list[int]]:
     """One loopback server process per entry of ``ports`` (``0``: ephemeral),
     and the port each one bound.
 
@@ -473,7 +455,7 @@ def _start_servers(
         for index, port in enumerate(ports):
             process = ctx.Process(
                 target=_spawned_worker,
-                args=(index, port, port_queue, cache_dir, secret),
+                args=(index, port, port_queue, secret),
                 daemon=True,
             )
             process.start()
@@ -500,17 +482,9 @@ class LocalWorkerPool:
     port** so the master's reconnect path can be exercised too.
     """
 
-    def __init__(
-        self,
-        processes: list[Any],
-        hosts: list[str],
-        *,
-        cache_dir: str | None = None,
-        secret: str | None = None,
-    ):
+    def __init__(self, processes: list[Any], hosts: list[str], *, secret: str | None = None):
         self._processes = processes
         self.hosts = list(hosts)
-        self._cache_dir = cache_dir
         self._secret = secret
 
     def __len__(self) -> int:
@@ -545,7 +519,7 @@ class LocalWorkerPool:
                 f"kill() it before restart()"
             )
         port = int(self.hosts[index].rpartition(":")[2])
-        processes, _ = _start_servers([port], self._cache_dir, self._secret)
+        processes, _ = _start_servers([port], self._secret)
         self._processes[index] = processes[0]
         return self.hosts[index]
 
@@ -560,9 +534,7 @@ class LocalWorkerPool:
         self.stop()
 
 
-def spawn_local_workers(
-    n: int, *, cache_dir: str | None = None, secret: str | None = None
-) -> LocalWorkerPool:
+def spawn_local_workers(n: int, *, secret: str | None = None) -> LocalWorkerPool:
     """Start ``n`` worker servers on ``127.0.0.1`` and return their pool.
 
     Each worker is a real OS process running :func:`serve` on an ephemeral
@@ -572,9 +544,9 @@ def spawn_local_workers(
     or a ``with`` block.
     """
     n = check_count(n, "spawn_local_workers n", error=ClusterError, floats=False)
-    processes, ports = _start_servers([0] * n, cache_dir, secret)
+    processes, ports = _start_servers([0] * n, secret)
     hosts = [f"127.0.0.1:{port}" for port in ports]
-    return LocalWorkerPool(processes, hosts, cache_dir=cache_dir, secret=secret)
+    return LocalWorkerPool(processes, hosts, secret=secret)
 
 
 def probe_worker(address: str, *, timeout: float = 5.0) -> bool:
@@ -636,8 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "listening socket; a master that lists this address "
                         "N times gets N parallel slaves (needs the 'fork' "
                         "start method)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="open the shared on-disk result cache in DIR")
     parser.add_argument("--secret", default=None, metavar="SECRET",
                         help="require masters to prove this shared secret in "
                         "an HMAC-SHA256 handshake before any "
@@ -660,7 +630,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         serve(
             host=args.host,
             port=args.port,
-            cache_dir=args.cache_dir,
             once=args.once,
             quiet=args.quiet,
             workers=args.workers,

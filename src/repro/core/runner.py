@@ -175,6 +175,20 @@ class ResultTable(Mapping):
         if len(missing):
             self._settle(missing, self.FAILED, "missing from batch reply")
 
+    def copy_rows(self, sources: Sequence[int], targets: Sequence[int]) -> None:
+        """Settle each of ``targets`` as its ``sources`` entry was settled:
+        the same status, error and result, flagged ``cache_hit``."""
+        source, target = self.rows_of(sources), self.rows_of(targets)
+        columns = self.columns  # folds the answers set aside
+        for name in (*FLOAT_COLUMNS, "n_evaluations", "method"):
+            column = getattr(columns, name)
+            column[target] = column[source]
+        columns.cache_hit[target] = True
+        self.status[target] = self.status[source]
+        for row, copy in zip(source.tolist(), target.tolist()):
+            if row in self._errors:
+                self._errors[copy] = self._errors[row]
+
     def mark(self, job_ids: Sequence[int], status: int, error: str | None = None) -> None:
         """Settle ``job_ids`` without a result: failed (with ``error``),
         cancelled, or answered by a timing-only backend."""
@@ -212,13 +226,6 @@ class ResultTable(Mapping):
         """``{job id: price}`` of every priced position, in submission order."""
         done = self.status == self.DONE
         return dict(zip(self.ids[done].tolist(), self.columns.price[done].tolist()))
-
-    def computed(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """``(job id, result dictionary)`` of every position priced by this
-        run rather than answered from a cache."""
-        fresh = (self.status == self.DONE) & ~self.columns.cache_hit
-        for row in np.flatnonzero(fresh).tolist():
-            yield int(self.ids[row]), self.columns.row(row)
 
 
 @dataclass

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from repro.errors import PricingError, SerializationError
 from repro.pricing.cache import problem_digest, stable_digest
@@ -47,9 +47,6 @@ from repro.pricing.engine import PricingProblem
 from repro.pricing.kernel import resolve_kernel
 from repro.pricing.methods.base import PricingResult, ResultColumns
 from repro.pricing.methods.montecarlo import MonteCarloEuropean, price_groups
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pricing.cache import ResultCache
 
 __all__ = [
     "SimulationSignature",
@@ -240,14 +237,8 @@ class ProblemBatch:
         return f"batch[{len(self.problems)}]@{self.signature.model_digest[:12]}"
 
     # -- pricing -----------------------------------------------------------------
-    def compute(self, cache: "ResultCache | None" = None) -> ResultColumns:
+    def compute(self) -> ResultColumns:
         """Price all members and answer one :class:`ResultColumns` keyed by ``keys``.
-
-        With a ``cache``, members whose digest is already stored are answered
-        from the cache and **excluded from the simulation** -- dropping
-        members never changes the other members' prices, because each payoff
-        is an independent read-only consumer of the shared paths.  Freshly
-        computed results are written back to the cache.
 
         If the shared pass fails (e.g. one member's payoff produces a
         non-finite price), the batch degrades to per-member pricing so a
@@ -255,25 +246,16 @@ class ProblemBatch:
         still answer a row, the bad one an entry of ``errors`` (matching
         what an unbatched run would have reported).
         """
-        hits: list[tuple[int, PricingResult]] = []
-        pending: list[tuple[int, PricingProblem]] = []
-        for key, problem in zip(self.keys, self.problems):
-            cached = cache.get(problem_digest(problem)) if cache is not None else None
-            if cached is not None:
-                problem._result = cached
-                hits.append((key, cached))
-            else:
-                pending.append((key, problem))
-        results: Sequence[PricingResult | None] = []
-        if pending:
-            method, model = pending[0][1].method, pending[0][1].model
-            try:
-                results = method.price_many(
-                    model, [p.product for _, p in pending], kernel=self.kernel
-                )
-            except Exception:  # noqa: BLE001 - isolate the failing member below
-                results = [None] * len(pending)
-        return answer_members(hits, pending, results, cache)
+        members = list(zip(self.keys, self.problems))
+        method, model = self.problems[0].method, self.problems[0].model
+        results: Sequence[PricingResult | None]
+        try:
+            results = method.price_many(
+                model, [problem.product for problem in self.problems], kernel=self.kernel
+            )
+        except Exception:  # noqa: BLE001 - isolate the failing member below
+            results = [None] * len(members)
+        return answer_members(members, results)
 
     # -- serialization ----------------------------------------------------------
     def wire_view(self) -> dict[str, Any]:
@@ -412,23 +394,20 @@ def _is_count(value: Any) -> bool:
 
 
 def answer_members(
-    hits: Sequence[tuple[int, PricingResult]],
-    pending: Sequence[tuple[int, PricingProblem]],
+    members: Sequence[tuple[int, PricingProblem]],
     results: "Sequence[PricingResult | None]",
-    cache: "ResultCache | None" = None,
 ) -> ResultColumns:
     """The one reply of a payload with members.
 
-    ``hits`` were answered from the worker's cache; ``pending[i]`` was priced
-    to ``results[i]`` by the shared pass, or ``None`` where that pass failed:
-    such a member is priced alone here (bit-identical either way -- same
-    seeds, same code), so only the bad ones land in ``errors``.  Fresh
-    results are written back to ``cache``.
+    ``members[i]`` (a key and its problem) was priced to ``results[i]`` by the
+    shared pass, or ``None`` where that pass failed: such a member is priced
+    alone here (bit-identical either way -- same seeds, same code), so only
+    the bad ones land in ``errors``.
     """
-    ids = [key for key, _ in hits]
-    answered = [result for _, result in hits]
+    ids: list[int] = []
+    answered: list[PricingResult] = []
     errors: dict[int, str] = {}
-    for (key, problem), result in zip(pending, results):
+    for (key, problem), result in zip(members, results):
         if result is None:
             try:
                 result = problem.compute()
@@ -437,12 +416,9 @@ def answer_members(
                 continue
         else:
             problem._result = result
-        if cache is not None:
-            cache.put(problem_digest(problem), result)
         ids.append(key)
         answered.append(result)
-    cache_hits = [True] * len(hits) + [False] * (len(ids) - len(hits))
-    return ResultColumns.from_results(ids, answered, cache_hits, errors)
+    return ResultColumns.from_results(ids, answered, errors)
 
 
 def batch_digest(batch: ProblemBatch) -> str:
@@ -469,8 +445,6 @@ def price_problems(
     of each re-drawing the same stream; ``kernel="loop"`` gives each group
     its own.  Prices are bit-identical either way.  If that call fails, each
     group is priced again on its own so the error names the failing member.
-    A worker's result cache is consulted by the payloads
-    (:meth:`ProblemBatch.compute`, ``ScenarioGrid.compute``), not here.
     """
     kernel = resolve_kernel(kernel)
     problems = list(problems)

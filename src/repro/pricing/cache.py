@@ -9,8 +9,8 @@ digest-keyed store (:class:`ResultCache`):
 
 * an in-memory LRU (bounded by ``max_entries``), and
 * an optional on-disk JSON store (one ``<digest>.json`` file per result),
-  shared between processes -- the multiprocessing workers open the same
-  directory, so a warm sweep skips pricing entirely.
+  which several processes may share and which outlives the process, so a
+  warm rerun skips pricing entirely.
 
 Digests are *content* addresses: two problems built independently, or round
 tripped through ``to_params()`` / ``from_params()`` / the XDR serializer,
@@ -168,7 +168,8 @@ class ResultCache:
         when the bound is exceeded.  The disk store (when configured) is not
         bounded -- one small JSON file per result.
     directory:
-        Optional directory for the on-disk JSON store.  Results evicted from
+        Optional directory for the on-disk JSON store (an empty or blank
+        string is refused).  Results evicted from
         memory remain readable from disk; several processes may share one
         directory (files are written atomically via ``os.replace`` of a
         per-process temporary, so readers only ever see complete entries).
@@ -191,6 +192,11 @@ class ResultCache:
                                        floats=False)
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._lock = threading.RLock()
+        if isinstance(self.directory, str) and not self.directory.strip():
+            # Path("") is the working directory: one JSON file per result there
+            raise PricingError(
+                f"ResultCache.directory must name a directory, got {self.directory!r}"
+            )
         if self.directory is not None:
             self.directory = Path(self.directory)
             self.directory.mkdir(parents=True, exist_ok=True)

@@ -196,7 +196,6 @@ class ResultColumns(Mapping):
         cls,
         ids: Sequence[int],
         results: "Sequence[PricingResult]",
-        cache_hits: Sequence[bool] | None = None,
         errors: "Mapping[int, str] | None" = None,
     ) -> "ResultColumns":
         """One pass over ``results``: ``ids[i]`` was answered by ``results[i]``."""
@@ -222,8 +221,7 @@ class ResultColumns(Mapping):
         columns["ids"] = np.array(ids, dtype=np.int64).reshape(-1)
         columns["n_evaluations"] = np.array(counts, dtype=np.int64)
         columns["method"] = np.array(methods, dtype=np.int64)
-        hits = [False] * len(floats) if cache_hits is None else cache_hits
-        columns["cache_hit"] = np.array(hits, dtype=np.bool_).reshape(-1)
+        columns["cache_hit"] = np.zeros(len(floats), dtype=np.bool_)
         return cls(columns, list(names), errors)
 
     # -- the mapping view ------------------------------------------------------

@@ -67,13 +67,12 @@ from repro.pricing.batch import (
     book_view,
     price_problems,
 )
-from repro.pricing.cache import legs_digest, problem_digest
+from repro.pricing.cache import legs_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.greeks import GreekReport, _vol_param, bump_model, maturity_step
 from repro.pricing.kernel import resolve_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pricing.cache import ResultCache
     from repro.pricing.methods.base import ResultColumns
     from repro.pricing.models.base import Model
     from repro.pricing.products.base import Product
@@ -575,35 +574,28 @@ class ScenarioGrid:
         return True
 
     # -- pricing -----------------------------------------------------------------
-    def compute(self, cache: "ResultCache | None" = None) -> "ResultColumns":
+    def compute(self) -> "ResultColumns":
         """Expand, price as one stacked campaign, answer one
         :class:`~repro.pricing.methods.base.ResultColumns` keyed by cell id.
 
-        With a ``cache``, cells already stored are answered from it and left
-        out of the simulation; fresh results are written back.  If the
-        shared pass fails, the cells are priced one by one so only the bad
-        ones land in ``errors`` (as a :class:`ProblemBatch` does).
+        Cells in :attr:`answered` are left out.  If the shared pass fails,
+        the cells are priced one by one so only the bad ones land in
+        ``errors`` (as a :class:`ProblemBatch` does).
         """
         expanded, cells = expand_scenarios(self.problems, self.scenarios, self.on_missing)
         first_cells = self._first_cells()
-        hits: list[tuple[int, Any]] = []
-        pending: list[tuple[int, PricingProblem]] = []
+        members: list[tuple[int, PricingProblem]] = []
         for problem, cell in zip(expanded, cells):
             cell_id = first_cells[cell.problem_index] + cell.scenario_index
-            if cell_id in self.answered:
-                continue
-            cached = cache.get(problem_digest(problem)) if cache is not None else None
-            if cached is not None:
-                hits.append((cell_id, cached))
-            else:
-                pending.append((cell_id, problem))
+            if cell_id not in self.answered:
+                members.append((cell_id, problem))
         try:
             results: Sequence[Any] = price_problems(
-                [problem for _, problem in pending], min_group_size=1, kernel=self.kernel
+                [problem for _, problem in members], min_group_size=1, kernel=self.kernel
             )
         except Exception:  # noqa: BLE001 - isolate the failing cells below
-            results = [None] * len(pending)
-        return answer_members(hits, pending, results, cache)
+            results = [None] * len(members)
+        return answer_members(members, results)
 
     def price_rows(self, ids: np.ndarray, prices: np.ndarray) -> list[dict[str, float]]:
         """Fold a whole grid's cell prices into one ``{scenario name: price}``

@@ -47,7 +47,8 @@ class ServerConfig:
     cache_dir:
         Directory of the shared on-disk result cache.  ``None`` keeps the
         cache in memory only -- still shared across requests, gone on
-        restart.
+        restart.  An empty path is refused (it would name the working
+        directory).
     cache_entries:
         Bound of the in-memory LRU of the shared cache.
     auth_token:
@@ -110,6 +111,8 @@ class ServerConfig:
             ):
                 raise ServeError(f"{name} must be a finite number >= 0 (0 disables it), "
                                  f"got {value!r}")
+        if self.cache_dir is not None and not str(self.cache_dir).strip():
+            raise ServeError(f"cache_dir must name a directory, got {self.cache_dir!r}")
         if self.hosts and self.backend != "remote":
             raise ServeError("explicit worker hosts need backend='remote'")
         if self.worker_secret is not None and self.backend != "remote":

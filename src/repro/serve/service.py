@@ -94,9 +94,7 @@ class PricingService:
             from repro.cluster.worker import spawn_local_workers
 
             self._pool = spawn_local_workers(
-                self.config.n_workers,
-                cache_dir=self.config.cache_dir,
-                secret=self.config.worker_secret,
+                self.config.n_workers, secret=self.config.worker_secret
             )
             self._hosts = tuple(self._pool.hosts)
         self._executor = threading.Thread(

@@ -20,8 +20,8 @@ class TestBackendSpec:
             spec.name = "simulated"
 
     def test_options_mapping_normalised_and_hashable(self):
-        spec = BackendSpec("multiprocessing", 2, options={"cache_dir": "a"})
-        assert spec.options == (("cache_dir", "a"),)
+        spec = BackendSpec("simulated", 2, options={"churn": "a"})
+        assert spec.options == (("churn", "a"),)
         assert hash(spec)  # fully frozen specs can key caches
 
     def test_invalid_worker_count(self):
@@ -63,13 +63,13 @@ class TestBackendSpec:
 
     def test_coerce_rejects_options_for_instances(self):
         with pytest.raises(ValuationError, match="already-built"):
-            BackendSpec.coerce(SequentialBackend(), options={"cache_dir": "b"})
+            BackendSpec.coerce(SequentialBackend(), options={"churn": "b"})
 
     def test_coerce_merges_options_into_existing_spec(self):
-        spec = BackendSpec("multiprocessing", 2, options={"cache_dir": "a"})
-        merged = BackendSpec.coerce(spec, options={"cache_dir": "b"})
-        assert merged.options == (("cache_dir", "b"),)
-        untouched = BackendSpec.coerce(spec, options={"cache_dir": "a"})
+        spec = BackendSpec("simulated", 2, options={"churn": "a"})
+        merged = BackendSpec.coerce(spec, options={"churn": "b"})
+        assert merged.options == (("churn", "b"),)
+        untouched = BackendSpec.coerce(spec, options={"churn": "a"})
         assert untouched is spec
 
     def test_coerce_resizes_existing_spec(self):

@@ -78,8 +78,8 @@ def _lossy(transform):
     """``execute_payload`` of the local backend with its replies passed through ``transform``."""
     from repro.cluster.backends.execution import execute_payload
 
-    def patched(kind, payload, cache=None):
-        result, elapsed, error = execute_payload(kind, payload, cache=cache)
+    def patched(kind, payload):
+        result, elapsed, error = execute_payload(kind, payload)
         if isinstance(result, ResultColumns):
             result = transform(result)
         return result, elapsed, error

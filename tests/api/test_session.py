@@ -450,8 +450,8 @@ def _book(problems: list[PricingProblem]) -> Portfolio:
 @DRAINS
 def test_missing_batch_member_is_reported_not_dropped(monkeypatch, drain):
     # submit_many campaigns never coalesce, so run/stream are the batch paths
-    def lossy(kind, payload, cache=None):
-        result, elapsed, error = execute_payload(kind, payload, cache=cache)
+    def lossy(kind, payload):
+        result, elapsed, error = execute_payload(kind, payload)
         if isinstance(result, ResultColumns):
             keep = result.ids != 3
             result = ResultColumns(

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ResultCache, RunConfig, ValuationSession
+from repro.api import BackendSpec, CancelToken, ResultCache, RunConfig, ValuationSession
 from repro.cli import build_parser
 from repro.core import build_realistic_portfolio
-from repro.core.portfolio import Portfolio, Position
+from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
 from repro.errors import ValuationError
-from repro.pricing import PricingProblem
+from repro.pricing import PricingProblem, problem_digest
 
 
 def _mc_family(n: int = 6, n_paths: int = 1_500) -> Portfolio:
@@ -178,29 +178,42 @@ class TestSessionCache:
         assert session.cache.stats.hits == 1
         assert session.cache.stats.puts == 1
 
-    def test_run_config_cache_flag(self):
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    def test_a_run_without_the_cache_is_a_session_without_it(self, tmp_path, store):
+        """No per-run override: ``with_options(cache=None)`` neither reads nor
+        feeds the session's cache, in memory or on disk."""
         family = _mc_family(3)
-        session = ValuationSession(backend="local", cache=True)
-        session.run(family)
-        bypassed = session.run(family, config=RunConfig(cache=False))
-        assert session.cache.stats.hits == 0  # second run bypassed the cache
-        assert bypassed.ok
-
-        with pytest.raises(ValuationError, match="no result cache"):
-            ValuationSession(backend="local").run(family, config=RunConfig(cache=True))
-
-    def test_run_cache_false_bypasses_the_worker_disk_cache(self, tmp_path):
-        family = _mc_family(3)
-        session = ValuationSession(backend="local", cache=tmp_path)
-        session.run(family)  # populates the shared on-disk store
-        bypassed = session.run(family, cache=False)
-        assert bypassed.ok
-        # neither the master pass nor the worker-side cache may answer hits
+        session = ValuationSession(
+            backend="local", cache=True if store == "memory" else tmp_path
+        )
+        warm = session.run(family)
+        bypassed = session.with_options(cache=None).run(family)
+        assert bypassed.ok and bypassed.prices() == warm.prices()
+        assert session.cache.stats.hits == 0 and session.cache.stats.puts == len(family)
         assert not any(
             entry.get("cache_hit")
             for entry in bypassed.report.results.values()
             if entry is not None
         )
+
+    def test_a_half_warm_cache_sends_a_batch_only_its_missing_members(self):
+        """``batch=True`` plans its families after the cache pass: the one
+        :class:`ProblemBatch` carries the members the cache does not hold,
+        and their prices do not move."""
+        from repro.pricing.batch import ProblemBatch
+
+        family = _mc_family(6)
+        session = ValuationSession(backend="local", cache=True)
+        assert session.run(family.subset(3), batch=True).ok  # members 0, 1, 2
+        campaign = session._open_campaign(family, batch=True)
+        (job,) = campaign.plan.jobs
+        assert isinstance(job.problem, ProblemBatch)
+        assert campaign.plan.batch_members[job.job_id] == (3, 4, 5)
+        result = campaign.finish()
+        assert result.prices() == ValuationSession(backend="local").run(family).prices()
+        hits = [job_id for job_id, entry in result.report.results.items()
+                if entry.get("cache_hit")]
+        assert hits == [0, 1, 2]
 
     def test_disk_cache_shared_across_sessions(self, tmp_path):
         family = _mc_family(3)
@@ -306,6 +319,162 @@ class TestRiskCampaignCache:
         other.run(book)
         assert other.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75) == summary
         assert dispatched[3] == []
+
+
+def _base_book() -> Portfolio:
+    """Closed forms and a Monte-Carlo family: twenty distinct digests."""
+    from tests.oracles.books import mixed_book
+
+    return Portfolio(name="base", positions=[
+        *build_toy_portfolio(16).positions, *mixed_book().positions])
+
+
+def _twice(layout: str) -> Portfolio:
+    """Every position of :func:`_base_book` twice: in a row, or a book apart."""
+    first, second = _base_book().positions, _base_book().positions
+    if layout == "adjacent":
+        positions = [position for pair in zip(first, second) for position in pair]
+    else:
+        positions = [*first, *second]
+    return Portfolio(name=f"twice_{layout}", positions=positions)
+
+
+@pytest.fixture(scope="module")
+def loopback_pool():
+    from repro.cluster.worker import spawn_local_workers
+
+    with spawn_local_workers(2) as pool:
+        yield pool
+
+
+@pytest.fixture(scope="module")
+def uncached() -> dict[str, dict[int, float]]:
+    return {layout: ValuationSession(backend="local").run(_twice(layout)).prices()
+            for layout in ("adjacent", "far")}
+
+
+class TestRepeatsArePricedOnce:
+    """With a run cache, the cache pass sends the first position of each
+    digest it misses and copies the row it settles to the later ones."""
+
+    @staticmethod
+    def _session(backend: str, pool, cache) -> ValuationSession:
+        if backend == "remote":
+            spec = BackendSpec("remote", options={"hosts": pool.hosts})
+            return ValuationSession(backend=spec, cache=cache)
+        return ValuationSession(backend=backend, n_workers=2, cache=cache)
+
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    @pytest.mark.parametrize("layout", ["adjacent", "far"])
+    @pytest.mark.parametrize("mode", ["robin_hood", "chunked_robin_hood", "priority", "batch"])
+    @pytest.mark.parametrize("backend", ["local", "multiprocessing", "remote"])
+    def test_each_digest_is_dispatched_once(
+        self, backend, mode, layout, store, loopback_pool, uncached, tmp_path
+    ):
+        book = _twice(layout)
+        digests = [problem_digest(position.problem) for position in book]
+        leaders = sorted({digest: job_id for job_id, digest in reversed(list(
+            enumerate(digests)))}.values())
+        assert len(leaders) == 20 and len(book) == 40
+        cache = ResultCache(directory=tmp_path if store == "disk" else None)
+        session = self._session(backend, loopback_pool, cache)
+        if mode == "batch":
+            campaign = session._open_campaign(book, batch=True)
+        else:
+            campaign = session._open_campaign(book, scheduler=mode)
+        plan = campaign.plan
+        sent = [member for job in plan.jobs
+                for member in plan.batch_members.get(job.job_id, (job.job_id,))]
+        assert sorted(sent) == leaders
+        result = campaign.finish()
+        assert result.ok and result.prices() == uncached[layout]
+        assert cache.stats.puts == len(leaders) == len(cache)
+        hits = [job_id for job_id, entry in result.report.results.items()
+                if entry.get("cache_hit")]
+        assert hits == sorted(set(range(len(book))) - set(leaders))
+
+    @pytest.mark.parametrize("backend", ["local", "multiprocessing"])
+    def test_stream_yields_every_position_once(self, backend, uncached):
+        session = ValuationSession(backend=backend, n_workers=2, cache=True)
+        streamed = session.stream(_twice("adjacent"))
+        seen = [price.job_id for price in streamed]
+        assert sorted(seen) == list(range(40))
+        result = streamed.result()
+        assert result.prices() == uncached["adjacent"]
+        assert {price.job_id: price.price for price in session.stream(_twice("adjacent"))} \
+            == uncached["adjacent"]  # a warm rerun: every position a cache hit
+
+    @pytest.mark.parametrize("backend", ["local", "multiprocessing"])
+    def test_a_failing_leader_fails_its_repeats(self, backend):
+        from repro.pricing.engine import register_product
+        from repro.pricing.products.vanilla import EuropeanCall
+
+        class FailingRepeatedCall(EuropeanCall):
+            option_name = "FailingRepeatedCallTest"
+
+            def terminal_payoff(self, spot):
+                raise ArithmeticError("payoff exploded")
+
+        register_product(FailingRepeatedCall)
+        positions = []
+        for _ in range(3):
+            bad = _mc_family(1).positions[0].problem
+            bad.set_option(FailingRepeatedCall(strike=100.0, maturity=1.0))
+            positions += [Position(problem=bad), *_mc_family(2).positions]
+        book = Portfolio(name="poisoned", positions=positions)
+        session = ValuationSession(backend=backend, n_workers=2, cache=True)
+        result = session.run(book)
+        assert sorted(result.errors) == [0, 3, 6]
+        assert len(set(result.errors.values())) == 1
+        assert "payoff exploded" in result.errors[0]
+        assert session.cache.stats.puts == 2  # the two healthy digests
+
+    def test_a_cancel_token_cancels_the_repeats_with_their_leader(self):
+        token = CancelToken()
+        token.cancel()
+        book = _twice("adjacent")
+        session = ValuationSession(backend="local", n_workers=2, cache=True)
+        result = session.run(book, cancel=token)
+        table = result.report.results
+        # the first wave (leaders 0 and 2) had left; everything after is withdrawn
+        assert sorted(result.prices()) == [0, 1, 2, 3]
+        assert sorted(result.errors) == list(range(4, 40))
+        assert set(result.errors.values()) == {"cancelled before dispatch"}
+        assert (table.status[4:] == table.CANCELLED).all()
+
+    def test_cancel_job_takes_a_leader_and_its_repeats_not_a_repeat(self):
+        session = ValuationSession(backend="local", n_workers=1, cache=True)
+        campaign = session._open_campaign(_twice("adjacent"), scheduler="priority")
+        leader, repeat = 38, 39
+        fired = []
+        campaign.future(repeat).add_done_callback(fired.append)
+        assert campaign.cancel_job(repeat) is False
+        assert campaign.cancel_job(leader) is True
+        assert campaign.future(repeat).cancelled() and fired == [campaign.future(repeat)]
+        result = campaign.finish()
+        assert sorted(result.errors) == [leader, repeat]
+        assert len(result.prices()) == 38
+
+    def test_a_lost_pool_leaves_what_was_collected_in_the_run_cache(self, monkeypatch):
+        from repro.cluster.backends import SequentialBackend
+        from repro.errors import WorkerLostError
+
+        collects = []
+        collect = SequentialBackend.collect
+
+        def dying(self, timeout=None):
+            collects.append(self)
+            if len(collects) == 3:
+                raise WorkerLostError("pool died")
+            return collect(self, timeout)
+
+        monkeypatch.setattr(SequentialBackend, "collect", dying)
+        family = _mc_family(6)
+        cache = ResultCache()
+        with pytest.raises(WorkerLostError):
+            ValuationSession(backend="local", cache=cache).run(family)
+        collected = [problem_digest(position.problem) for position in family.positions[:2]]
+        assert cache.stats.puts == 2 and all(digest in cache for digest in collected)
 
 
 class TestCliFlags:

@@ -25,14 +25,16 @@ from repro.pricing.greeks import compute_greeks
 from repro.pricing.scenarios import greek_ladder
 from repro.serve import ServerConfig
 
+# removed from both: cache (a run without the session's cache is
+# ``session.with_options(cache=None).run(...)``)
 _RUN_KEYWORDS = ("source", "strategy", "scheduler", "store", "config", "batch", "kernel",
-                 "min_group_size", "cache", "progress", "cancel")
+                 "min_group_size", "progress", "cancel")
 
 SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     # removed: cost_model (the session's is the one), batch_group_size (a
-    # family is never split)
+    # family is never split), cache (as for run and stream)
     "RunConfig": (RunConfig, ("strategy", "scheduler", "batch", "kernel", "min_group_size",
-                              "cache", "progress", "cancel", "retry")),
+                              "progress", "cancel", "retry")),
     # removed: comm_factory (a cold run takes a cold_copy() of ``comm``)
     "ValuationSession": (ValuationSession.__init__, (
         "backend", "strategy", "n_workers", "scheduler", "cost_model", "comm",
@@ -58,7 +60,7 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
         "spot_bump", "vol_bump", "rate_bump", "theta_bump", "vol_param")),
     # removed: max_group_size
     "plan_batches": (plan_batches, ("problems", "min_group_size")),
-    # removed: max_group_size, cache (the payloads keep the worker cache)
+    # removed: max_group_size, cache (the master's cache pass is the one cache)
     "price_problems": (price_problems, ("problems", "min_group_size", "kernel")),
     # removed: strategy_name, comm, worker_speed
     "simulate_hierarchical": (simulate_hierarchical, ("jobs", "n_workers", "n_groups")),
@@ -72,20 +74,23 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     # connect_timeout and send_timeout of RemoteBackend and its factory;
     # start_method of MultiprocessingBackend and its factory; and
     # spawn_local_workers' start_method, timeout and workers_per_server.
-    'create_backend("local")': (_BACKEND_REGISTRY["local"], (
-        "n_workers", "strategy", "cache_dir")),
+    # Removed, 6 slots: cache_dir of the local and multiprocessing backends
+    # and their factories, of spawn_local_workers and of serve (with
+    # ``repro-worker --cache-dir``): a worker prices what it is sent, the
+    # master's cache pass answers hits and prices a repeat once.
+    'create_backend("local")': (_BACKEND_REGISTRY["local"], ("n_workers", "strategy")),
     'create_backend("multiprocessing")': (_BACKEND_REGISTRY["multiprocessing"], (
-        "n_workers", "strategy", "cache_dir")),
+        "n_workers", "strategy")),
     'create_backend("remote")': (_BACKEND_REGISTRY["remote"], (
         "n_workers", "strategy", "hosts", "reconnect", "liveness_timeout", "secret")),
-    "SequentialBackend": (SequentialBackend.__init__, ("n_workers", "cache_dir")),
-    "MultiprocessingBackend": (MultiprocessingBackend.__init__, ("n_workers", "cache_dir")),
+    "SequentialBackend": (SequentialBackend.__init__, ("n_workers",)),
+    "MultiprocessingBackend": (MultiprocessingBackend.__init__, ("n_workers",)),
     "RemoteBackend": (RemoteBackend.__init__, (
         "hosts", "reconnect", "liveness_timeout", "secret")),
-    "spawn_local_workers": (worker.spawn_local_workers, ("n", "cache_dir", "secret")),
+    "spawn_local_workers": (worker.spawn_local_workers, ("n", "secret")),
     # workers stays: ``repro-worker --workers N`` is a deployment setting
     "cluster.worker.serve": (worker.serve, (
-        "host", "port", "cache_dir", "once", "ready", "quiet", "workers", "secret")),
+        "host", "port", "once", "ready", "quiet", "workers", "secret")),
     # The census for the next round -- still set only by tests/: the three
     # RetryPolicy fields; liveness_timeout, whose one value outside tests/ is
     # repro-serve's 30 s.
@@ -107,7 +112,9 @@ def test_the_settable_surface_is_the_reviewed_list(name):
     assert _settable(target) == expected
 
 
-def test_the_surface_has_127_slots():
-    # 93 before the backend and worker census joined the list, 140 with it
-    assert sum(len(slots) for _target, slots in SURFACE.values()) == 127
+def test_the_surface_has_118_slots():
+    # 93 before the backend and worker census joined the list, 140 with it;
+    # 127 before the nine cache slots (RunConfig.cache, run and stream cache,
+    # six cache_dir) left
+    assert sum(len(slots) for _target, slots in SURFACE.values()) == 118
 

@@ -92,7 +92,7 @@ def worker_address():
 
     def _run() -> None:
         try:
-            worker._accept_loop(server, None, False, True)
+            worker._accept_loop(server, once=False, quiet=True)
         except BaseException as exc:  # noqa: BLE001 - reported by the tests
             crashed.append(exc)
 

@@ -184,7 +184,7 @@ class TestLoopbackPool:
 
         monkeypatch.setattr(
             execution, "execute_payload",
-            lambda kind, payload, cache=None: ({"price": object()}, 0.0, None),
+            lambda kind, payload: ({"price": object()}, 0.0, None),
         )
         ports: list[int] = []
         listening = threading.Event()

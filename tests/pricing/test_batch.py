@@ -10,7 +10,6 @@ from repro.pricing import (
     MonteCarloEuropean,
     PricingProblem,
     ProblemBatch,
-    ResultCache,
     plan_batches,
     price_problems,
     simulation_signature,
@@ -223,22 +222,6 @@ class TestProblemBatch:
         assert ProblemBatch.from_dict(wire).kernel == DEFAULT_KERNEL
         assert RunConfig().kernel == DEFAULT_KERNEL
         assert ProblemBatch([_mc_problem(90.0)], kernel="loop").kernel == "loop"
-
-    def test_compute_with_cache_skips_members(self):
-        cache = ResultCache()
-        batch = ProblemBatch([_mc_problem(90.0), _mc_problem(110.0)])
-        cold = batch.compute(cache=cache)
-        assert not any(entry.get("cache_hit") for entry in cold.values())
-
-        # warm pass: one member cached, one new -- the shared simulation
-        # shrinks but the fresh member's price must not move
-        warm_batch = ProblemBatch(
-            [_mc_problem(90.0), _mc_problem(100.0)], keys=[0, 1]
-        )
-        warm = warm_batch.compute(cache=cache)
-        assert warm[0]["cache_hit"] is True
-        assert warm[0]["price"] == cold[0]["price"]
-        assert warm[1]["price"] == _mc_problem(100.0).compute().price
 
 
 class TestMemberFailureIsolation:

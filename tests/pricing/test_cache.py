@@ -248,12 +248,21 @@ class TestResultCache:
         assert cache.get("a").price == 1.0
         assert cache.get("c").price == 3.0
 
-    @pytest.mark.parametrize("bound", [0, -1, float("nan"), 2.5, 8.0, True, "8"])
-    def test_max_entries_validated(self, bound):
+    @pytest.mark.parametrize(
+        "options",
+        [*({"max_entries": bound} for bound in (0, -1, float("nan"), 2.5, 8.0, True, "8")),
+         {"directory": ""}, {"directory": "  "}],
+        ids=["0", "-1", "nan", "2.5", "8.0", "True", "8", "empty-directory", "blank-directory"],
+    )
+    def test_options_validated(self, options, tmp_path, monkeypatch):
         """A NaN bound used to build a cache that never evicts, ``2.5`` one
-        that held 3 entries."""
-        with pytest.raises(PricingError, match="ResultCache.max_entries"):
-            ResultCache(max_entries=bound)
+        that held 3 entries; an empty directory was ``Path(".")``, and a run
+        wrote one JSON file per result into the working directory."""
+        monkeypatch.chdir(tmp_path)
+        (field,) = options
+        with pytest.raises(PricingError, match=f"ResultCache.{field}"):
+            ResultCache(**options)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("price", [None, float("nan"), float("inf")])
     def test_refuses_priceless_results(self, price):

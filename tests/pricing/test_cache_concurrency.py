@@ -1,10 +1,10 @@
-"""Shared-cache races: two sessions in one ``cache_dir``, corrupt entries.
+"""Shared-cache races: two processes in one cache directory, corrupt entries.
 
 The serve daemon shares one :class:`ResultCache` between HTTP handler
-threads, and the multiprocessing/remote workers share its ``cache_dir``
-between processes -- so get/put on overlapping digests must never corrupt
-an entry, and a half-written or garbage file on disk must read as a miss
-(counted in ``CacheStats.corrupt``), not as an exception.
+threads, and two sessions or daemons may open one cache directory from two
+processes -- so get/put on overlapping digests must never corrupt an entry,
+and a half-written or garbage file on disk must read as a miss (counted in
+``CacheStats.corrupt``), not as an exception.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ results = st.builds(
     n_evaluations=st.integers(min_value=0, max_value=2**62),
     elapsed=st.floats(min_value=0.0, max_value=1e6),
 )
-#: per member: a result (and whether the worker's cache answered it) or an error message
+#: per member: a result (and whether the row is flagged ``cache_hit``) or an error message
 outcomes = st.lists(st.tuples(results, st.booleans()) | st.text(max_size=20), max_size=12)
 
 
@@ -68,8 +68,10 @@ def test_rows_equal_as_dict_bit_for_bit_through_pickle_and_xdr(outcomes, first_i
             hits.append(hit)
             expected[job_id] = {**result.as_dict(), **({"cache_hit": True} if hit else {})}
     record = ResultColumns.from_results(
-        [job_id for job_id, _ in priced], [result for _, result in priced], hits, errors
+        [job_id for job_id, _ in priced], [result for _, result in priced], errors
     )
+    assert not record.cache_hit.any()
+    record.cache_hit[:] = hits  # the flag a master-side copy of a row carries
     for copy in (record, pickle.loads(pickle.dumps(record)), xdr.decode(xdr.encode(record))):
         assert isinstance(copy, ResultColumns) and len(copy) == len(expected)
         assert set(copy) == set(expected)

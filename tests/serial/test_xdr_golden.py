@@ -16,7 +16,7 @@ import pytest
 
 from repro.pricing import PricingProblem
 from repro.pricing.batch import ProblemBatch
-from repro.pricing.methods.base import PricingResult, ResultColumns
+from repro.pricing.methods.base import ResultColumns
 from repro.pricing.scenarios import Scenario, ScenarioGrid, historical_scenarios
 from repro.serial import xdr
 
@@ -40,17 +40,23 @@ def _mc_call(strike: float) -> PricingProblem:
 
 def _reply() -> ResultColumns:
     """One reply with every kind of row: a full closed-form row, a Monte-Carlo
-    row without ``delta``, a cache hit and a failed member."""
-    return ResultColumns.from_results(
-        [12, 7, 30],
-        [
-            PricingResult(price=10.450583572185565, delta=0.6368306511756191,
-                          method_name="CF_Call", n_evaluations=1, elapsed=2.5e-05),
-            PricingResult(price=8.02, std_error=0.25, confidence_interval=(7.53, 8.51),
-                          method_name="MC_European", n_evaluations=1000, elapsed=0.0015),
-            PricingResult(price=-0.0, delta=5e-324, method_name="CF_Call"),
-        ],
-        cache_hits=[False, False, True],
+    row without ``delta`` (NaN), a row flagged ``cache_hit`` and a failed
+    member."""
+    nan = float("nan")
+    return ResultColumns(
+        {
+            "ids": np.array([12, 7, 30], dtype=np.int64),
+            "price": np.array([10.450583572185565, 8.02, -0.0]),
+            "delta": np.array([0.6368306511756191, nan, 5e-324]),
+            "std_error": np.array([nan, 0.25, nan]),
+            "ci_low": np.array([nan, 7.53, nan]),
+            "ci_high": np.array([nan, 8.51, nan]),
+            "elapsed": np.array([2.5e-05, 0.0015, 0.0]),
+            "n_evaluations": np.array([1, 1000, 0], dtype=np.int64),
+            "method": np.array([0, 1, 0], dtype=np.int64),
+            "cache_hit": np.array([False, False, True]),
+        },
+        ["CF_Call", "MC_European"],
         errors={19: "ArithmeticError: payoff exploded"},
     )
 

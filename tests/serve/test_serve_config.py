@@ -75,6 +75,8 @@ class TestServerConfig:
             ("max_body_bytes", -5),
             ("max_body_bytes", 0),
             ("max_events_per_job", 0),
+            # used to name the working directory: a JSON file per result there
+            ("cache_dir", ""),
         ],
     )
     def test_every_number_is_checked_and_named(self, field, value):
@@ -100,6 +102,7 @@ class TestCommandLine:
             (["--keepalive", "inf"], "keepalive_interval"),
             (["--workers", "0"], "n_workers"),
             (["--cache-entries", "0"], "cache_entries"),
+            (["--cache-dir", ""], "cache_dir"),
             (["--backend", "simulated"], "simulated"),
         ],
     )
