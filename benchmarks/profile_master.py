@@ -13,8 +13,12 @@ answers -- and what the workers made of it: their idle share and the
 in-flight window the run reached (``RunReport.peak_window``).
 ``cProfile`` taxes every
 Python call, so read the table for its ranking and call counts, not for
-absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The numbers
-in ``docs/performance.md`` are this script's output.
+absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The one
+absolute figure printed is the master's book write -- the columnar book of
+each dispatched slice or batch (:func:`repro.pricing.book.write_book`) and its
+XDR encode, in microseconds and bytes a position -- timed again on the
+campaign's own books after the profiled repeat, outside the profiler.  The
+numbers in ``docs/performance.md`` are this script's output.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import cProfile
 import pstats
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,21 +36,27 @@ from benchmarks.e2e.harness import execute, make_session, set_up  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
 from repro.api.futures import PricingFuture  # noqa: E402
 from repro.core.runner import ResultTable  # noqa: E402
+from repro.pricing.book import write_book  # noqa: E402
 from repro.pricing.methods.base import ResultColumns  # noqa: E402
+from repro.serial import xdr  # noqa: E402
 
 #: cumulative time of every function of that name (in the file ending so,
 #: where the name alone is ambiguous): the layers of one campaign, outbound
 #: (``columns`` decides which cells of a risk grid exist, ``build_plan`` turns
-#: a book or a grid into jobs, ``Job.wire_bytes`` is ``book_view`` of a slice's
-#: positions and the XDR encode of the view) and back (the queue's unpickle,
-#: the write into the result table, the report)
+#: a book or a grid into jobs, ``job encode`` is ``Job.wire_bytes``, a job's
+#: bytes made at its first dispatch; of that, ``book encode`` is a grid's or
+#: book slice's book -- ``write_book``'s columns and their XDR encode -- and
+#: ``write_book`` the columns of every book, a batch's members included) and
+#: back (the queue's unpickle, the write into the result table, the report)
 LAYERS = {
     "columns": ("columns", ""),
     "build_plan": ("build_plan", ""),
     "_acquire_backend": ("_acquire_backend", ""),
     "Campaign.__init__": ("__init__", "api/campaign.py"),
     "prepare": ("prepare", ""),
-    "book encode": ("wire_bytes", "backends/base.py"),
+    "job encode": ("wire_bytes", "backends/base.py"),
+    "book encode": ("wire_bytes", "pricing/scenarios.py"),
+    "write_book": ("write_book", "pricing/book.py"),
     "dispatch": ("dispatch", ""),
     "queue unpickle": ("<built-in method _pickle.loads>", ""),
     "_resolve_completed": ("_resolve_completed", ""),
@@ -73,6 +84,21 @@ def _count_calls(counted: dict[str, tuple]) -> dict[str, int]:
 
         setattr(owner, name, counting)
     return counts
+
+
+def book_write(jobs) -> tuple[float, float, int, int]:
+    """Microseconds and bytes a position of writing the books of ``jobs``
+    (each distinct book once: a risk campaign's slices share theirs) as the
+    master does on dispatch, timed outside the profiler; positions, books."""
+    books = {id(job.problem.problems): job.problem.problems for job in jobs
+             if job.problem is not None and hasattr(job.problem, "problems")}
+    seconds, nbytes = 0.0, 0
+    for problems in books.values():
+        start = time.perf_counter()
+        nbytes += len(xdr.encode(write_book(problems)))
+        seconds += time.perf_counter() - start
+    positions = sum(map(len, books.values()))
+    return 1e6 * seconds / max(positions, 1), nbytes / max(positions, 1), positions, len(books)
 
 
 #: where the master sleeps: queue reads poll(), the remote selector epoll()s
@@ -120,6 +146,10 @@ def main(name: str) -> None:
         print(f"  {len(jobs)} jobs dispatched for {report.n_jobs} positions, "
               f"{report.bytes_sent / report.n_jobs:.1f} B sent per position"
               + (f"; positions answered per slice {members}" if members else ""))
+        us, per_position, positions, books = book_write(jobs)
+        if books:
+            print(f"  book write {us:.1f} us and {per_position:.0f} B a position "
+                  f"({positions} positions in {books} books, timed again unprofiled)")
         idle = 1.0 - sum(report.worker_busy.values()) / (report.total_time * report.n_workers)
         print(f"  workers idle {idle:.1%} of {report.total_time:.2f} s x {report.n_workers}; "
               f"peak in-flight window {report.peak_window}")

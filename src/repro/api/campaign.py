@@ -166,7 +166,7 @@ class Campaign:
         assert plan.run_cache is not None
         rows = table.rows_of(job_ids)
         columns = table.columns
-        for row in rows[(table.status[rows] == table.DONE) & ~columns.cache_hit[rows]].tolist():
+        for row in rows[(table.status[rows] == table.DONE) & ~table.cache_hit[rows]].tolist():
             plan.run_cache.put(plan.digests[int(table.ids[row])], columns.row(row))
         pairs = [(job_id, repeat) for job_id in job_ids for repeat in plan.repeats.get(job_id, ())]
         if not pairs:

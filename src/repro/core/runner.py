@@ -41,9 +41,11 @@ class ResultTable(Mapping):
     -- the columns of a :class:`~repro.pricing.methods.base.ResultColumns`
     sized to the campaign, a ``status`` byte (:attr:`PENDING`, :attr:`DONE`,
     :attr:`NO_RESULT` for timing-only backends, :attr:`FAILED`,
-    :attr:`CANCELLED`) and a sparse error table.  A slice's reply is one
-    vectorised :meth:`scatter`, a single job's reply :meth:`write` s one row;
-    a row is written once (the campaign answers a dispatch unit once).
+    :attr:`CANCELLED`), a ``cache_hit`` flag (a row answered by the master's
+    cache or copied from its leader) and a sparse error table.  A slice's
+    reply is one vectorised :meth:`scatter`, a single job's reply
+    :meth:`write` s one row; a row is written once (the campaign answers a
+    dispatch unit once).
     Single answers are set aside as they arrive, between two results of the
     master loop, and folded into the columns in one pass by the first read.
 
@@ -62,12 +64,12 @@ class ResultTable(Mapping):
                 **{name: np.full(len(ids), _NAN) for name in FLOAT_COLUMNS},
                 "n_evaluations": np.zeros(len(ids), dtype=np.int64),
                 "method": np.zeros(len(ids), dtype=np.int64),
-                "cache_hit": np.zeros(len(ids), dtype=np.bool_),
             },
             [""],  # the method name of a row nothing was written to
         )
         self.ids = ids
         self.status = np.zeros(len(ids), dtype=np.uint8)
+        self.cache_hit = np.zeros(len(ids), dtype=np.bool_)
         #: row number -> the position's error message
         self._errors: dict[int, str] = {}
         self._row_by_id = {job_id: row for row, job_id in enumerate(ids.tolist())}
@@ -97,7 +99,6 @@ class ResultTable(Mapping):
             columns.n_evaluations[rows] = counts
             codes = {name: self._method_code(name) for name in set(names)}
             columns.method[rows] = [codes[name] for name in names]
-            columns.cache_hit[rows] = [bool(entry.get("cache_hit")) for entry in entries]
         return self._columns
 
     # -- where a position lives --------------------------------------------------
@@ -142,6 +143,8 @@ class ResultTable(Mapping):
         else:
             self._kept.append((row, entry))
             self.status[row] = self.DONE
+            if entry.get("cache_hit"):
+                self.cache_hit[row] = True
         return True
 
     def scatter(self, reply: ResultColumns, members: Sequence[int]) -> None:
@@ -165,7 +168,7 @@ class ResultTable(Mapping):
             raise ClusterError("reply answers one id twice")
         done = rows[: len(reply.ids)]
         columns = self._columns  # a row is written once: none of these is set aside
-        for name in (*FLOAT_COLUMNS, "n_evaluations", "cache_hit"):
+        for name in (*FLOAT_COLUMNS, "n_evaluations"):
             getattr(columns, name)[done] = getattr(reply, name)
         codes = np.array([self._method_code(name) for name in reply.method_names], dtype=np.int64)
         columns.method[done] = codes[reply.method]
@@ -183,7 +186,7 @@ class ResultTable(Mapping):
         for name in (*FLOAT_COLUMNS, "n_evaluations", "method"):
             column = getattr(columns, name)
             column[target] = column[source]
-        columns.cache_hit[target] = True
+        self.cache_hit[target] = True
         self.status[target] = self.status[source]
         for row, copy in zip(source.tolist(), target.tolist()):
             if row in self._errors:
@@ -202,7 +205,12 @@ class ResultTable(Mapping):
     # -- reading -------------------------------------------------------------------
     def __getitem__(self, job_id: int) -> dict[str, Any] | None:
         row = self.row_of(job_id)
-        return self.columns.row(row) if self.status[row] == self.DONE else None
+        if self.status[row] != self.DONE:
+            return None
+        entry = self.columns.row(row)
+        if self.cache_hit[row]:
+            entry["cache_hit"] = True
+        return entry
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.ids.tolist())

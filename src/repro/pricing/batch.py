@@ -21,8 +21,8 @@ This module provides the planning layer on top of
 * :class:`ProblemBatch` -- a serializable bundle of grouped problems that
   cluster workers price as one unit (registered with the XDR codec registry,
   so it ships over every transmission strategy that serializes problems),
-  written as :func:`book_view` -- the one book format, which a scenario
-  grid's base book shares;
+  written as a columnar book (:mod:`repro.pricing.book`) -- the one book
+  format, which a scenario grid's base book shares;
 * :func:`price_problems` -- the one-call convenience: plan, price groups via
   the shared-path engine, price singletons individually, return results in
   input order.
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import PricingError, SerializationError
+from repro.pricing.book import read_book, write_book
 from repro.pricing.cache import problem_digest, stable_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.kernel import resolve_kernel
@@ -190,11 +191,12 @@ class ProblemBatch:
     registered in :mod:`repro.serial`), so every transmission strategy that
     serializes problems can carry batches unchanged.
 
-    The wire form (:meth:`wire_view`) is the members' :func:`book_view`, the
-    one book format a scenario grid writes too: equal signatures mean equal
-    model and method parameters, so it carries **one** model and **one**
-    method header, and the rebuilt members share one :class:`Model` and one
-    :class:`PricingMethod` object.
+    The wire form (:meth:`wire_view`) is the members' columnar book
+    (:mod:`repro.pricing.book`), the one book format a scenario grid writes
+    too: equal signatures mean equal model and method parameters, so it
+    carries one model and one method header where the members were written
+    with equal parameters, and the rebuilt members share their
+    :class:`Model` and :class:`PricingMethod` objects.
     """
 
     def __init__(
@@ -260,9 +262,9 @@ class ProblemBatch:
     # -- serialization ----------------------------------------------------------
     def wire_view(self) -> dict[str, Any]:
         """The batch as the codec writes it (read-only, like
-        :meth:`PricingProblem.wire_view`): the members' :func:`book_view`,
-        their keys and the kernel."""
-        return {"book": book_view(self.problems), "keys": self.keys, "kernel": self.kernel}
+        :meth:`PricingProblem.wire_view`): the members' columnar book
+        (:func:`~repro.pricing.book.write_book`), their keys and the kernel."""
+        return {"book": write_book(self.problems), "keys": self.keys, "kernel": self.kernel}
 
     def to_dict(self) -> dict[str, Any]:
         """An independent deep copy of :meth:`wire_view`."""
@@ -272,7 +274,7 @@ class ProblemBatch:
     def from_dict(cls, data: dict[str, Any]) -> "ProblemBatch":
         """Rebuild a batch; a payload of the wrong shape raises
         :class:`~repro.errors.SerializationError` naming the field."""
-        problems, keys = _problems_from_book(data.get("book")), data.get("keys")
+        problems, keys = read_book(data.get("book"), "ProblemBatch"), data.get("keys")
         if (
             not isinstance(keys, list)
             or len(keys) != len(problems)
@@ -288,109 +290,6 @@ class ProblemBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"ProblemBatch(n={len(self.problems)}, signature={self.signature.mode!r})"
-
-
-def _named_leg(
-    data: dict[str, Any], field: str, where: str = "", payload: str = "ProblemBatch"
-) -> dict[str, Any]:
-    """The ``{name, params}`` entry ``data[field]`` of a ``payload`` body."""
-    entry = data.get(field)
-    if (
-        not isinstance(entry, dict)
-        or not isinstance(entry.get("name"), str)
-        or not isinstance(entry.get("params"), dict)
-    ):
-        raise SerializationError(
-            f"{payload} payload: '{where}{field}' must be a {{name, params}} dict"
-        )
-    return entry
-
-
-def _member(
-    header: PricingProblem, entry: Any, where: str, payload: str = "ProblemBatch"
-) -> PricingProblem:
-    """A shallow copy of ``header`` (one model, one method) carrying the
-    ``{label, asset, option}`` of the ``payload`` entry at ``where``."""
-    if not isinstance(entry, dict):
-        raise SerializationError(f"{payload} payload: {where} must be a dict")
-    option = _named_leg(entry, "option", f"{where}.", payload)
-    problem = copy.copy(header)
-    problem.label = entry.get("label")
-    problem.set_asset(entry.get("asset", "equity"))
-    problem.set_leg_from_wire("option", option, f"{payload} payload: {where}.")
-    return problem
-
-
-def book_view(problems: Sequence[PricingProblem]) -> dict[str, Any]:
-    """Problems as the codec writes them (read-only, like
-    :meth:`PricingProblem.wire_view`): every distinct model and method header
-    once, then one ``{label, asset, model, method, option}`` entry per problem
-    naming its headers by index.  The one book format: a
-    :class:`ProblemBatch` and a scenario grid's base book both write it."""
-    models: list[dict[str, Any]] = []
-    methods: list[dict[str, Any]] = []
-    model_index: dict[str, int] = {}
-    method_index: dict[tuple[str, str], int] = {}
-    entries = []
-    for problem in problems:
-        model_key = problem.model.param_digest()
-        method_key = (problem.method.method_name, problem.method.param_digest())
-        if model_key not in model_index:
-            model_index[model_key] = len(models)
-            models.append(problem.wire_view()["model"])
-        if method_key not in method_index:
-            method_index[method_key] = len(methods)
-            methods.append(problem.wire_view()["method"])
-        entries.append({
-            "label": problem.label, "asset": problem.asset,
-            "model": model_index[model_key], "method": method_index[method_key],
-            "option": problem._option_view(),
-        })
-    return {"models": models, "methods": methods, "problems": entries}
-
-
-def _problems_from_book(view: Any, payload: str = "ProblemBatch") -> list[PricingProblem]:
-    """Rebuild the problems of :func:`book_view` read off a ``payload`` body;
-    problems naming the same headers share one :class:`Model` and one
-    :class:`PricingMethod` object."""
-    if not isinstance(view, dict):
-        raise SerializationError(f"{payload} payload: 'book' must hold a dict")
-    entries = view.get("problems")
-    if not isinstance(entries, list) or not entries:
-        raise SerializationError(f"{payload} payload: 'book.problems' must be a non-empty list")
-    legs: dict[str, list[dict[str, Any]]] = {}
-    for leg in ("model", "method"):
-        table = view.get(f"{leg}s")
-        if not isinstance(table, list):
-            raise SerializationError(f"{payload} payload: 'book.{leg}s' must be a list")
-        legs[leg] = [
-            _named_leg({leg: entry}, leg, f"book.{leg}s[{index}].", payload)
-            for index, entry in enumerate(table)
-        ]
-    # every problem is a shallow copy of its (model, method) header with its
-    # own option
-    headers: dict[tuple[int, int], PricingProblem] = {}
-    problems = []
-    for index, entry in enumerate(entries):
-        where = f"book.problems[{index}]"
-        if not isinstance(entry, dict):
-            raise SerializationError(f"{payload} payload: {where} must be a dict")
-        pair = (entry.get("model"), entry.get("method"))
-        for leg, number in zip(legs, pair):
-            if not _is_count(number) or number >= len(legs[leg]):
-                raise SerializationError(
-                    f"{payload} payload: '{where}.{leg}' must index 'book.{leg}s'"
-                )
-        if pair not in headers:
-            headers[pair] = PricingProblem.from_dict(
-                {"model": legs["model"][pair[0]], "method": legs["method"][pair[1]]}
-            )
-        problems.append(_member(headers[pair], entry, where, payload))
-    return problems
-
-
-def _is_count(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def answer_members(

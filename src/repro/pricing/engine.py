@@ -50,7 +50,9 @@ __all__ = [
 
 #: asset classes recognised by :meth:`PricingProblem.set_asset`; the paper's
 #: experiments are restricted to equity derivatives but Premia also covers
-#: rates, credit, commodities and inflation.
+#: rates, credit, commodities and inflation.  A book on the wire numbers
+#: each position's class by its place here (:mod:`repro.pricing.book`):
+#: append a class, never reorder them, or bump the protocol version.
 ASSET_CLASSES = ("equity", "interest_rate", "credit", "commodity", "inflation")
 
 # ---------------------------------------------------------------------------
@@ -359,24 +361,39 @@ class PricingProblem:
         parameter dictionaries are the problem's own, shared for an encoder
         that only reads them.  :meth:`to_dict` is the copy callers may edit.
         """
+        (model, model_params), (method, method_params), (option, option_params) = (
+            self.wire_legs()
+        )
+        return {
+            "asset": self.asset,
+            "label": self.label,
+            "model": {"name": model, "params": model_params},
+            "option": {"name": option, "params": option_params},
+            "method": {"name": method, "params": method_params},
+            "result": None if self._result is None else self._result.as_dict(),
+        }
+
+    def wire_legs(self) -> tuple[tuple[str | None, dict[str, Any]], ...]:
+        """``(name, params)`` of the model, method and option legs, as
+        :meth:`wire_view` writes them (read-only: the problem's own dicts)."""
         if self._model_params is None:
             self._model_params = self.model.to_params()
         if self._method_params is None:
             self._method_params = self.method.to_params()
-        return {
-            "asset": self.asset,
-            "label": self.label,
-            "model": {"name": self._model_name, "params": self._model_params},
-            "option": self._option_view(),
-            "method": {"name": self._method_name, "params": self._method_params},
-            "result": None if self._result is None else self._result.as_dict(),
-        }
-
-    def _option_view(self) -> dict[str, Any]:
-        """The option leg of :meth:`wire_view` (all a batch member writes)."""
         if self._product_params is None:
             self._product_params = self.product.to_params()
-        return {"name": self._product_name, "params": self._product_params}
+        return (
+            (self._model_name, self._model_params),
+            (self._method_name, self._method_params),
+            (self._product_name, self._product_params),
+        )
+
+    def share_leg(self, leg: str, source: "PricingProblem") -> None:
+        """Take ``source``'s ``model`` or ``method`` leg as it is: the same
+        object, name and parameters (the members of one book header)."""
+        for name in (f"_{leg}", f"_{leg}_name", f"_{leg}_params"):
+            setattr(self, name, getattr(source, name))
+        self._leg_replaced()
 
     def to_dict(self) -> dict[str, Any]:
         """An independent deep copy of :meth:`wire_view`."""

@@ -114,7 +114,6 @@ _COLUMN_DTYPES: dict[str, np.dtype] = {
     **{name: np.dtype(np.float64) for name in FLOAT_COLUMNS},
     "n_evaluations": np.dtype(np.int64),
     "method": np.dtype(np.int64),
-    "cache_hit": np.dtype(np.bool_),
 }
 
 
@@ -126,8 +125,8 @@ class ResultColumns(Mapping):
     master's per-position store is made of: row ``i`` is the
     :meth:`PricingResult.as_dict` of position ``ids[i]``, field by field --
     ``price`` / ``delta`` / ``std_error`` / ``ci_low`` / ``ci_high`` /
-    ``elapsed`` (float64, carried bit for bit), ``n_evaluations`` (int64),
-    ``method`` (an index into ``method_names``) and ``cache_hit`` (bool).  A
+    ``elapsed`` (float64, carried bit for bit), ``n_evaluations`` (int64) and
+    ``method`` (an index into ``method_names``).  A
     position that failed has no row: it sits in the sparse ``errors``
     ``{id: message}`` side-table.
 
@@ -153,7 +152,6 @@ class ResultColumns(Mapping):
     elapsed: np.ndarray
     n_evaluations: np.ndarray
     method: np.ndarray
-    cache_hit: np.ndarray
 
     def __init__(
         self,
@@ -221,15 +219,13 @@ class ResultColumns(Mapping):
         columns["ids"] = np.array(ids, dtype=np.int64).reshape(-1)
         columns["n_evaluations"] = np.array(counts, dtype=np.int64)
         columns["method"] = np.array(methods, dtype=np.int64)
-        columns["cache_hit"] = np.zeros(len(floats), dtype=np.bool_)
         return cls(columns, list(names), errors)
 
     # -- the mapping view ------------------------------------------------------
     def row(self, number: int) -> dict[str, Any]:
-        """Row ``number`` as the result dictionary :meth:`PricingResult.as_dict`
-        gives (plus ``"cache_hit": True`` where flagged)."""
+        """Row ``number`` as the result dictionary :meth:`PricingResult.as_dict` gives."""
         delta, std_error, low = self.delta[number], self.std_error[number], self.ci_low[number]
-        entry = {
+        return {
             "price": float(self.price[number]),
             "delta": None if delta != delta else float(delta),
             "std_error": None if std_error != std_error else float(std_error),
@@ -240,9 +236,6 @@ class ResultColumns(Mapping):
             "n_evaluations": int(self.n_evaluations[number]),
             "elapsed": float(self.elapsed[number]),
         }
-        if self.cache_hit[number]:
-            entry["cache_hit"] = True
-        return entry
 
     def __getitem__(self, key: int) -> dict[str, Any]:
         if key in self.errors:

@@ -60,13 +60,8 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import PricingError, SerializationError
-from repro.pricing.batch import (
-    _is_count,
-    _problems_from_book,
-    answer_members,
-    book_view,
-    price_problems,
-)
+from repro.pricing.batch import answer_members, price_problems
+from repro.pricing.book import _is_count, read_book, write_book
 from repro.pricing.cache import legs_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.greeks import GreekReport, _vol_param, bump_model, maturity_step
@@ -415,7 +410,7 @@ class _Book:
             # imported lazily: repro.serial registers this module's codec
             from repro.serial import xdr
 
-            self._wire = xdr.encode(book_view(self.problems))
+            self._wire = xdr.encode(write_book(self.problems))
         return self._wire
 
 
@@ -665,7 +660,7 @@ class ScenarioGrid:
         book = data.get("book")
         if not isinstance(book, bytes):
             raise SerializationError("ScenarioGrid payload: 'book' must be a byte block")
-        problems = _problems_from_book(xdr.decode(book), "ScenarioGrid")
+        problems = read_book(xdr.decode(book), "ScenarioGrid")
         try:
             return cls(
                 _Book(problems, wire=book), scenarios, on_missing=data.get("on_missing"),

@@ -47,6 +47,13 @@ _ARRAY_DTYPES: dict[str, np.dtype] = {
     "i8": np.dtype(">i8"),
     "b1": np.dtype("bool"),
 }
+#: the code and wire dtype an array is written with, by its dtype's kind
+_ARRAY_KINDS: dict[str, tuple[bytes, np.dtype]] = {
+    "f": (b"f8", _ARRAY_DTYPES["f8"]),
+    "i": (b"i8", _ARRAY_DTYPES["i8"]),
+    "u": (b"i8", _ARRAY_DTYPES["i8"]),
+    "b": (b"b1", _ARRAY_DTYPES["b1"]),
+}
 
 # object codec registry -------------------------------------------------------
 _CODECS: dict[str, tuple[type, Callable[[Any], dict], Callable[[dict], Any]]] = {}
@@ -130,8 +137,24 @@ def _encode_dict(value: dict, chunks: list[bytes]) -> None:
         _ENCODERS.get(type(item), _encode_other)(item, chunks)
 
 
-#: encoder by *exact* type; everything else (numpy scalars and arrays,
-#: subclasses such as ``IntEnum``, registered codecs) takes ``_encode_other``
+def _encode_array(value: np.ndarray, chunks: list[bytes]) -> None:
+    kind = _ARRAY_KINDS.get(value.dtype.kind)
+    if kind is None:
+        raise SerializationError(f"unsupported array dtype: {value.dtype}")
+    code, dtype = kind
+    data = np.ascontiguousarray(value, dtype=dtype).tobytes()
+    header = (
+        _TAG_ARRAY
+        + code
+        + _pack_u32(value.ndim)
+        + b"".join(map(_pack_u32, value.shape))
+        + _pack_u32(len(data))
+    )
+    chunks.append(header + data + _PADDING[len(data) & 3])
+
+
+#: encoder by *exact* type; everything else (numpy scalars, subclasses such
+#: as ``IntEnum`` or an array subclass, registered codecs) takes ``_encode_other``
 _ENCODERS: dict[type, Callable[[Any, list[bytes]], None]] = {
     type(None): _encode_none,
     bool: _encode_bool,
@@ -143,6 +166,7 @@ _ENCODERS: dict[type, Callable[[Any, list[bytes]], None]] = {
     list: _encode_list,
     tuple: _encode_list,
     dict: _encode_dict,
+    np.ndarray: _encode_array,
 }
 
 
@@ -183,26 +207,6 @@ def _encode_other(value: Any, chunks: list[bytes]) -> None:
 
 def _encode_into(value: Any, chunks: list[bytes]) -> None:
     _ENCODERS.get(type(value), _encode_other)(value, chunks)
-
-
-def _encode_array(value: np.ndarray, chunks: list[bytes]) -> None:
-    if value.dtype.kind == "f":
-        code, dtype = "f8", _ARRAY_DTYPES["f8"]
-    elif value.dtype.kind in "iu":
-        code, dtype = "i8", _ARRAY_DTYPES["i8"]
-    elif value.dtype.kind == "b":
-        code, dtype = "b1", _ARRAY_DTYPES["b1"]
-    else:
-        raise SerializationError(f"unsupported array dtype: {value.dtype}")
-    data = np.ascontiguousarray(value, dtype=dtype).tobytes()
-    header = (
-        _TAG_ARRAY
-        + code.encode("ascii")
-        + _pack_u32(value.ndim)
-        + b"".join(_pack_u32(int(dim)) for dim in value.shape)
-        + _pack_u32(len(data))
-    )
-    chunks.append(header + data + _PADDING[len(data) & 3])
 
 
 def encode(value: Any) -> bytes:

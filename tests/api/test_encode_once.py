@@ -23,9 +23,10 @@ from repro.api.config import RetryPolicy
 from repro.api.plan import build_plan
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.worker import spawn_local_workers
-from repro.core.portfolio import Portfolio, Position
+from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
 from repro.core.scheduler import cut_chunks
-from repro.pricing import PricingProblem, scenarios
+from repro.pricing import PricingProblem, cache, scenarios
+from repro.pricing.scenarios import ScenarioGrid
 from repro.serial import xdr
 
 N_FAMILIES = 2
@@ -68,11 +69,11 @@ def encodes(monkeypatch) -> Counter:
 
         monkeypatch.setitem(xdr._CODECS, name, (cls, counting, from_dict))
 
-    def counting_book(problems, _book_view=scenarios.book_view):
+    def counting_book(problems, _write_book=scenarios.write_book):
         counts["book"] += 1
-        return _book_view(problems)
+        return _write_book(problems)
 
-    monkeypatch.setattr(scenarios, "book_view", counting_book)
+    monkeypatch.setattr(scenarios, "write_book", counting_book)
     return counts
 
 
@@ -154,6 +155,34 @@ def test_simulated_plan_sizes_members_once_and_sends_nothing(encodes):
     session = ValuationSession(backend="simulated", n_workers=2)
     assert session.run(_book(), batch=True).n_jobs == N_POSITIONS
     assert encodes == {"PricingProblem": N_POSITIONS}
+
+
+def test_a_sliced_book_is_written_without_a_digest_one_encode_a_slice(monkeypatch):
+    """The master's book write on cold problems: no ``stable_digest`` (the
+    header dedup key is exact bytes, not a digest) and one XDR encode of
+    each slice's book, next to the one of the slice that carries it."""
+    book = build_toy_portfolio(3000)
+    plan = build_plan(book, RunConfig(), executing=True, cost_model=paper_cost_model(),
+                      n_workers=2, queues_jobs=True)
+    assert 1 < len(plan.jobs) < 100
+    assert all(isinstance(job.problem, ScenarioGrid) for job in plan.jobs)
+    calls: Counter = Counter()
+
+    def digest(value, _digest=cache.stable_digest):
+        calls["stable_digest"] += 1
+        return _digest(value)
+
+    def encode(value, _encode=xdr.encode):
+        calls["book" if isinstance(value, dict) and "labels" in value
+              else type(value).__name__] += 1
+        return _encode(value)
+
+    monkeypatch.setattr(cache, "stable_digest", digest)
+    monkeypatch.setattr(xdr, "encode", encode)
+    sent = sum(len(job.wire_bytes()) for job in plan.jobs)
+    assert calls == {"book": len(plan.jobs), "ScenarioGrid": len(plan.jobs)}
+    assert all("_digest_cache" not in position.problem.model.__dict__ for position in book)
+    assert sent / len(book) < 100  # bytes a position, the book's wrapper included
 
 
 RETURNS = [0.01 * (k - 6) for k in range(12)]

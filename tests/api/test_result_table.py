@@ -229,8 +229,8 @@ def test_a_half_warm_cache_dispatches_the_missing_cells_and_risk_feeds_run():
     dispatched = {c for members in campaign.plan.batch_members.values() for c in members}
     assert dispatched == set(campaign.table) - answered
     table = campaign.finish().report.results
-    assert table.columns.cache_hit[table.rows_of(sorted(answered))].all()
-    assert not table.columns.cache_hit[table.rows_of(sorted(dispatched))].any()
+    assert table.cache_hit[table.rows_of(sorted(answered))].all()
+    assert not table.cache_hit[table.rows_of(sorted(dispatched))].any()
     assert cache.stats.puts == len(table)  # only the fresh cells were written back
 
     # the base cell of a risk campaign is the plain problem: session.run hits

@@ -1,20 +1,23 @@
-"""The :class:`ProblemBatch` wire form: the one book format (one model/method
-header), typed decode errors."""
+"""The :class:`ProblemBatch` wire form and the columnar book it writes: one
+model/method header, exact header dedup, typed decode errors."""
 
 from __future__ import annotations
 
+import math
 import struct
 
+import numpy as np
 import pytest
 
 from repro.cluster.backends import PAYLOAD_SERIAL, execute_payload
 from repro.errors import SerializationError
 from repro.pricing import PricingProblem, ProblemBatch
-from repro.pricing.batch import book_view
+from repro.pricing.book import read_book, write_book
 from repro.serial import serialize, unserialize, xdr
 
 #: the encoding of the 50-member batch below when every member carried its own
-#: model and method (483 B per member)
+#: model and method (483 B per member); the row-per-member book of protocol
+#: v11 wrote it in 215 B a member
 _PARENT_BATCH_BYTES = 24_131
 
 
@@ -56,30 +59,108 @@ class TestWireForm:
             key: entry["price"] for key, entry in batch.compute().items()
         }
 
-    def test_the_members_are_written_as_a_book_with_one_header(self):
+    def test_the_members_are_written_as_a_columnar_book_with_one_header(self):
         problems = _var_ladder()
         batch = ProblemBatch(problems)
         wire = batch.to_dict()
         assert set(wire) == {"book", "keys", "kernel"}
-        assert wire["book"] == book_view(problems)  # the format a grid's base book has
-        assert len(wire["book"]["models"]) == len(wire["book"]["methods"]) == 1
-        assert all(
-            set(entry) == {"label", "asset", "model", "method", "option"}
-            for entry in wire["book"]["problems"]
-        )
-        # the header indices cost 42 B a member over v10's header-less entries
+        book = wire["book"]
+        assert set(book) == {"labels", "assets", "model", "method", "option"}
+        assert book["labels"] == [problem.label for problem in problems]
+        model, method, option = book["model"], book["method"], book["option"]
+        assert [table["rows"] for table in model["tables"]] == [1]
+        assert [table["rows"] for table in method["tables"]] == [1]
+        assert model["index"].tolist() == method["index"].tolist() == [0] * 50
+        assert option["index"].dtype == np.int64 and option["index"].tolist() == list(range(50))
+        (calls,) = option["tables"]
+        assert calls["name"] == "CallEuro" and calls["rows"] == 50
+        assert calls["params"]["strike"].dtype == np.float64  # a column, not 50 floats
+        assert method["tables"][0]["params"]["n_paths"].dtype == np.int64
+        assert method["tables"][0]["params"]["antithetic"] == [False]  # a bool is no i8
         nbytes = len(serialize(batch).to_bytes())
-        assert nbytes <= 0.45 * _PARENT_BATCH_BYTES
-        assert nbytes / len(batch) <= 0.45 * 483
+        assert nbytes <= 0.2 * _PARENT_BATCH_BYTES
+        assert nbytes / len(batch) <= 100
 
     def test_to_dict_is_a_copy_of_the_read_only_view(self):
         batch = ProblemBatch(_var_ladder(2))
         wire = batch.to_dict()
-        wire["book"]["models"][0]["params"]["spot"] = -1.0
-        wire["book"]["problems"][0]["option"]["params"]["strike"] = -1.0
-        assert batch.to_dict()["book"]["models"][0]["params"]["spot"] == 101.3
+        wire["book"]["model"]["tables"][0]["params"]["spot"][0] = -1.0
+        wire["book"]["option"]["tables"][0]["params"]["strike"][0] = -1.0
+        assert batch.to_dict()["book"]["model"]["tables"][0]["params"]["spot"][0] == 101.3
         assert batch.problems[0].product.strike == 80.0
         assert batch.problems[0].to_dict()["option"]["params"]["strike"] == 80.0
+
+
+def _call(label: str = "call", strike: float = 100.0, **model) -> PricingProblem:
+    problem = PricingProblem(label=label)
+    problem.set_model("BlackScholes1D", **{"spot": 100.0, "rate": 0.05, "volatility": 0.2,
+                                           **model})
+    problem.set_option("CallEuro", strike=strike, maturity=1.0)
+    return problem.set_method("CF_Call")
+
+
+def _round_trip(problems: list[PricingProblem]) -> tuple[dict, list[PricingProblem]]:
+    book = write_book(problems)
+    return book, read_book(xdr.decode(xdr.encode(book)), "test")
+
+
+class TestExactHeaders:
+    """Two headers are one only if their written bytes would be equal."""
+
+    def test_signed_zeros_stay_apart(self):
+        book, rebuilt = _round_trip([_call(dividend=0.0), _call(dividend=-0.0)])
+        assert book["model"]["index"].tolist() == [0, 1]
+        assert [math.copysign(1.0, p.wire_view()["model"]["params"]["dividend"])
+                for p in rebuilt] == [1.0, -1.0]
+
+    def test_an_int_is_not_its_float(self):
+        book, rebuilt = _round_trip([_call(spot=100), _call(spot=100.0), _call(spot=100)])
+        assert book["model"]["index"].tolist() == [0, 1, 0]
+        assert [type(p.wire_view()["model"]["params"]["spot"]) for p in rebuilt] == [
+            int, float, int]
+        assert rebuilt[0].model is rebuilt[2].model and rebuilt[0].model is not rebuilt[1].model
+
+    def test_a_numpy_float_is_the_float_it_holds(self):
+        book, rebuilt = _round_trip([_call(spot=np.float64(100.0)), _call(spot=100.0)])
+        assert book["model"]["index"].tolist() == [0, 0]
+        assert rebuilt[0].model is rebuilt[1].model
+
+    def test_equal_looking_arrays_are_compared_in_full(self):
+        spot = np.full(1001, 100.0)
+        other = spot.copy()
+        other[500] = 100.5
+        assert str(spot) == str(other)  # numpy summarises past 1,000 elements
+
+        def basket(spot: np.ndarray) -> PricingProblem:
+            problem = PricingProblem(label="basket")
+            problem.set_model("BlackScholesND", spot=spot, rate=0.05, volatilities=0.2)
+            problem.set_option("BasketPutEuro", strike=100.0, maturity=1.0,
+                               weights=np.full(1001, 1 / 1001))
+            return problem.set_method("MC_European", n_paths=100, n_steps=1)
+
+        book, rebuilt = _round_trip([basket(spot), basket(other), basket(spot.copy())])
+        assert book["model"]["index"].tolist() == [0, 1, 0]
+        assert [p.model.spot[500] for p in rebuilt] == [100.0, 100.5, 100.0]
+
+    def test_a_column_mixing_ints_and_floats_is_a_list_and_keeps_each_type(self):
+        book, rebuilt = _round_trip([_call(strike=100), _call(strike=100.5)])
+        assert book["option"]["tables"][0]["params"]["strike"] == [100, 100.5]
+        assert [type(p.wire_view()["option"]["params"]["strike"]) for p in rebuilt] == [
+            int, float]
+
+    def test_members_of_one_header_share_one_model_and_one_method(self):
+        problems = [_call(f"c{k}", 90.0 + k) for k in range(6)]
+        problems[3].set_method("CF_Call")  # its own method dict, the same header
+        _book, rebuilt = _round_trip(problems)
+        assert len({id(p.model) for p in rebuilt}) == len({id(p.method) for p in rebuilt}) == 1
+        assert rebuilt == problems
+        assert [p.compute().price for p in rebuilt] == [p.compute().price for p in problems]
+
+    def test_an_alias_keeps_its_name(self):
+        problem = _call()
+        problem.set_method("CF_CallEuro_BlackScholes")
+        _book, (rebuilt,) = _round_trip([problem])
+        assert rebuilt.method_name == "CF_CallEuro_BlackScholes" and rebuilt == problem
 
 
 def _good() -> dict:
@@ -102,35 +183,37 @@ def _book_with(**changes) -> dict:
     return wire
 
 
-def _entry_with(**changes) -> dict:
+def _leg_with(leg: str, **changes) -> dict:
     wire = _good()
-    wire["book"]["problems"][1] = {**wire["book"]["problems"][1], **changes}
+    wire["book"][leg] = {**wire["book"][leg], **changes}
     return wire
 
 
 def _two_models() -> dict:
     """Members that name different models: no shared simulation signature."""
     wire = _good()
-    other = {**wire["book"]["models"][0]}
-    other["params"] = {**other["params"], "spot": 99.0}
-    wire["book"]["models"].append(other)
-    wire["book"]["problems"][1]["model"] = 1
+    table = wire["book"]["model"]["tables"][0]
+    table["rows"] = 2
+    table["params"] = {key: np.repeat(column, 2) for key, column in table["params"].items()}
+    table["params"]["spot"][1] = 99.0
+    wire["book"]["model"]["index"] = np.array([0, 1])
     return wire
 
 
 MALFORMED = [
     pytest.param({}, "'book'", id="empty"),
     pytest.param(_with(book=[1, 2]), "'book'", id="book-not-a-dict"),
-    pytest.param(_book_with(problems=[]), r"book\.problems", id="no-members"),
+    pytest.param(_book_with(labels=[], assets=[]), r"book\.labels", id="no-members"),
     pytest.param(_with(keys=[0]), "keys", id="keys-disagree"),
-    pytest.param(_book_with(problems=[_good()["book"]["problems"][0], 7]),
-                 r"book\.problems\[1\]", id="member-not-a-dict"),
-    pytest.param(_book_with(models=None), r"book\.models", id="no-model"),
-    pytest.param(_book_with(methods=[{"name": "MC_European"}]), r"book\.methods\[0\]\.method",
-                 id="method-without-params"),
-    pytest.param(_entry_with(method=3), r"book\.problems\[1\]\.method", id="method-out-of-range"),
-    pytest.param(_entry_with(option=None), r"book\.problems\[1\]\.option",
-                 id="member-without-option"),
+    pytest.param(_book_with(labels=["a", 7]), r"book\.labels", id="label-not-a-string"),
+    pytest.param(_book_with(assets=["equity"]), r"book\.assets", id="assets-too-few"),
+    pytest.param(_book_with(model=None), r"book\.model", id="no-model"),
+    pytest.param(_leg_with("method", tables=[{"name": "MC_European"}]),
+                 r"book\.method\.tables\[0\]\.rows", id="method-without-rows"),
+    pytest.param(_leg_with("method", index=np.array([0, 3])), r"book\.method\.index",
+                 id="method-out-of-range"),
+    pytest.param(_leg_with("option", index=np.array([0])), r"book\.option\.index",
+                 id="option-index-too-short"),
     pytest.param(_two_models(), "simulation signature", id="members-not-one-family"),
     pytest.param(_with(kernel="nope"), "kernel", id="unknown-kernel"),
 ]
@@ -160,3 +243,24 @@ class TestMalformedPayload:
         result, _elapsed, error = execute_payload(PAYLOAD_SERIAL, _as_wire_bytes(payload))
         assert result is None
         assert error is not None and error.startswith("SerializationError")
+
+
+class TestPricesSurviveTheBook:
+    """A book slice and a batch price, after the wire, what their problems
+    price at home: ``==``, member for member."""
+
+    def test_a_book_slice_of_a_mixed_book(self):
+        from repro.pricing.scenarios import Scenario, ScenarioGrid
+        from tests.oracles.books import mixed_book
+
+        problems = [position.problem for position in mixed_book()]
+        rows = list(range(100, 100 + 3 * len(problems), 3))
+        part = ScenarioGrid(problems, [Scenario(name="base")], rows=rows)
+        reply = unserialize(serialize(part)).compute()
+        assert reply.ids.tolist() == rows and not reply.errors
+        assert reply.price.tolist() == [problem.compute().price for problem in problems]
+
+    def test_a_batch(self):
+        problems = _var_ladder(8)
+        reply = unserialize(serialize(ProblemBatch(problems))).compute()
+        assert reply.price.tolist() == [problem.compute().price for problem in problems]

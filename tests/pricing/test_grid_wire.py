@@ -10,11 +10,11 @@ import pytest
 
 from repro.cluster.backends import PAYLOAD_SERIAL, execute_payload
 from repro.errors import PricingError, SerializationError
+from repro.pricing.book import write_book
 from repro.pricing.methods.base import ResultColumns
 from repro.pricing.scenarios import (
     Scenario,
     ScenarioGrid,
-    book_view,
     greek_ladder,
     historical_scenarios,
     price_scenarios,
@@ -52,8 +52,8 @@ class TestWireForm:
             "base", "loop", frozenset([3]))
         for before, after in zip(grid.problems, rebuilt.problems):
             assert after == before and after.label == before.label
-        # one Model and one PricingMethod object per (model, method) header pair
-        assert len({id(problem.model) for problem in rebuilt.problems}) == 3
+        # one Model object per model header, one PricingMethod per method header
+        assert len({id(problem.model) for problem in rebuilt.problems}) == 2
         assert rebuilt.problems[0].model is rebuilt.problems[1].model
         assert rebuilt.problems[0].method is rebuilt.problems[1].method
         assert {cell: entry["price"] for cell, entry in rebuilt.compute().items()} == {
@@ -62,10 +62,9 @@ class TestWireForm:
 
     def test_the_book_is_written_once_and_every_slice_resends_its_bytes(self):
         grid = ScenarioGrid(_problems(), historical_scenarios(RETURNS))
-        view = book_view(grid.problems)
-        assert (len(view["models"]), len(view["methods"])) == (2, 2)
-        assert all(set(entry) == {"label", "asset", "model", "method", "option"}
-                   for entry in view["problems"])
+        view = write_book(grid.problems)
+        assert sum(table["rows"] for table in view["model"]["tables"]) == 2
+        assert sum(table["rows"] for table in view["option"]["tables"]) == len(grid.problems)
         first, second = grid.slice(0, 4).wire_view(), grid.slice(4, 8).wire_view()
         assert first["book"] is second["book"]  # the same bytes object, not a re-encode
         assert first["book"] == xdr.encode(view)
@@ -226,9 +225,9 @@ def _book_with(**changes) -> dict:
     return _with(book=xdr.encode({**xdr.decode(_good()["book"]), **changes}))
 
 
-def _book_entry_with(**changes) -> dict:
+def _leg_with(leg: str, **changes) -> dict:
     book = xdr.decode(_good()["book"])
-    book["problems"][1] = {**book["problems"][1], **changes}
+    book[leg] = {**book[leg], **changes}
     return _with(book=xdr.encode(book))
 
 
@@ -252,15 +251,16 @@ MALFORMED = [
     pytest.param(_with(rows={"first": 0}), "'rows'", id="rows-not-a-column"),
     pytest.param(_without("book"), "'book'", id="no-book"),
     pytest.param(_with(book=xdr.encode([1, 2])), "'book'", id="book-not-a-dict"),
-    pytest.param(_book_with(problems=[]), r"book\.problems", id="empty-book"),
-    pytest.param(_book_with(models="BlackScholes1D"), r"book\.models", id="models-not-a-list"),
-    pytest.param(_book_with(methods=[{"name": "CF_Put"}]), r"book\.methods\[0\]\.method",
-                 id="method-without-params"),
-    pytest.param(_book_with(problems=[7]), r"book\.problems\[0\] must be a dict",
-                 id="problem-not-a-dict"),
-    pytest.param(_book_entry_with(model=9), r"book\.problems\[1\]\.model", id="model-out-of-range"),
-    pytest.param(_book_entry_with(option=None), r"book\.problems\[1\]\.option",
-                 id="problem-without-option"),
+    pytest.param(_book_with(labels=[], assets=[]), r"book\.labels", id="empty-book"),
+    pytest.param(_leg_with("model", tables="BlackScholes1D"), r"book\.model",
+                 id="model-tables-not-a-list"),
+    pytest.param(_leg_with("method", tables=[{"name": "CF_Put", "rows": 1}]),
+                 r"book\.method\.tables\[0\]\.params", id="method-without-params"),
+    pytest.param(_leg_with("option", tables=[7]), r"book\.option\.tables\[0\]",
+                 id="table-not-a-dict"),
+    pytest.param(_leg_with("model", index=np.array([0, 0, 9, 1])), r"book\.model\.index",
+                 id="model-out-of-range"),
+    pytest.param(_book_with(option=None), r"book\.option", id="book-without-options"),
 ]
 
 

@@ -49,29 +49,27 @@ results = st.builds(
     n_evaluations=st.integers(min_value=0, max_value=2**62),
     elapsed=st.floats(min_value=0.0, max_value=1e6),
 )
-#: per member: a result (and whether the row is flagged ``cache_hit``) or an error message
-outcomes = st.lists(st.tuples(results, st.booleans()) | st.text(max_size=20), max_size=12)
+#: per member: a result or an error message
+outcomes = st.lists(results | st.text(max_size=20), max_size=12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(outcomes=outcomes, first_id=st.integers(min_value=0, max_value=2**40))
 def test_rows_equal_as_dict_bit_for_bit_through_pickle_and_xdr(outcomes, first_id):
     ids = [first_id + 3 * number for number in range(len(outcomes))]
-    expected, priced, hits, errors = {}, [], [], {}
+    expected, priced, errors = {}, [], {}
     for job_id, outcome in zip(ids, outcomes):
         if isinstance(outcome, str):
             errors[job_id] = outcome
             expected[job_id] = {"error": outcome}
         else:
-            result, hit = outcome
-            priced.append((job_id, result))
-            hits.append(hit)
-            expected[job_id] = {**result.as_dict(), **({"cache_hit": True} if hit else {})}
+            priced.append((job_id, outcome))
+            expected[job_id] = outcome.as_dict()
     record = ResultColumns.from_results(
         [job_id for job_id, _ in priced], [result for _, result in priced], errors
     )
-    assert not record.cache_hit.any()
-    record.cache_hit[:] = hits  # the flag a master-side copy of a row carries
+    # a worker never answers from a cache: the flag is the master's table's
+    assert "cache_hit" not in record.to_dict()
     for copy in (record, pickle.loads(pickle.dumps(record)), xdr.decode(xdr.encode(record))):
         assert isinstance(copy, ResultColumns) and len(copy) == len(expected)
         assert set(copy) == set(expected)
@@ -132,7 +130,6 @@ MALFORMED = [
     pytest.param(_with(delta=[0.5, 0.5]), "'delta'", id="column-not-an-array"),
     pytest.param(_with(price=np.array([1, 2])), "'price' must be a 1-d float64", id="wrong-dtype"),
     pytest.param(_with(ids=np.array([3.0, 5.0])), "'ids' must be a 1-d int64", id="float-ids"),
-    pytest.param(_with(cache_hit=np.array([0, 1])), "'cache_hit'", id="hits-not-bool"),
     pytest.param(_with(elapsed=np.zeros((2, 1))), "'elapsed'", id="not-1-d"),
     pytest.param(_with(std_error=np.zeros(3)), "'std_error' has 3 rows for 2 ids",
                  id="unequal-length"),

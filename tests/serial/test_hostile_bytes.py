@@ -9,6 +9,10 @@ byte string at all, by returning a value or raising a
 :class:`~repro.errors.ReproError` subclass -- never a raw ``UnicodeDecodeError``
 out of a string field or a ``TypeError`` out of a leg's constructor -- and
 without allocating past the limit the frame layer enforces on the stream.
+A columnar book with one malformed column -- a column shorter or longer
+than its rows, an index out of range or negative or not ``int64``, a ragged
+list, a keyword its class does not take, no position at all -- is a
+:class:`~repro.errors.SerializationError` naming the field.
 The frame layer itself lets through the header of one protocol version and
 eight frame kinds, and refuses every other before a payload byte is read.
 """
@@ -18,14 +22,16 @@ from __future__ import annotations
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.portfolio import build_toy_portfolio
 from repro.errors import ReproError, SerializationError
-from repro.pricing import PricingProblem
+from repro.pricing import ASSET_CLASSES, PricingProblem
 from repro.pricing.batch import ProblemBatch
+from repro.pricing.book import read_book, write_book
 from repro.pricing.methods.base import PricingResult, ResultColumns
 from repro.pricing.scenarios import Scenario, ScenarioGrid, historical_scenarios
 from repro.serial import xdr
@@ -138,16 +144,16 @@ class TestTheReproducedLeaks:
     @pytest.mark.parametrize("name", ["grid_slice", "book_slice"])
     def test_an_option_keyword_its_class_does_not_take(self, name):
         book = xdr.decode(xdr.decode(ENCODED[name][len(b"O") + 4 + len(b"ScenarioGrid"):])["book"])
-        book["problems"][2]["option"]["params"]["stqike"] = (
-            book["problems"][2]["option"]["params"].pop("strike"))
+        params = book["option"]["tables"][0]["params"]
+        params["stqike"] = params.pop("strike")
         view = {**SEEDS[name].wire_view(), "book": xdr.encode(book)}
-        with pytest.raises(SerializationError, match=r"book\.problems\[2\]\.'option'.*stqike"):
+        with pytest.raises(SerializationError, match=r"book\.option\[0\]: 'option'.*stqike"):
             ScenarioGrid.from_dict(view)
 
     def test_a_batch_member_and_a_problem_leg(self):
         view = SEEDS["batch"].to_dict()
-        view["book"]["problems"][1]["option"]["params"]["stqike"] = 1.0
-        with pytest.raises(SerializationError, match=r"book\.problems\[1\]\.'option'.*stqike"):
+        view["book"]["option"]["tables"][0]["params"]["stqike"] = np.ones(2)
+        with pytest.raises(SerializationError, match=r"book\.option\[0\]: 'option'.*stqike"):
             ProblemBatch.from_dict(view)
         view = SEEDS["problem"].to_dict()
         view["method"]["params"]["n_paths"] = "many"
@@ -167,6 +173,69 @@ class TestTheReproducedLeaks:
             xdr.decode((b"L" + struct.pack(">I", 1)) * 100_000 + b"N")
 
 
+def _books() -> dict[str, dict]:
+    """Fresh books: closed-form vanillas (``f8`` option columns) and a
+    Monte-Carlo family (``i8`` and list method columns)."""
+    return {"vanillas": write_book(_toy_problems()),
+            "family": write_book([_mc_call(90.0), _mc_call(100.0), _mc_call(110.0)])}
+
+
+@st.composite
+def malformed_books(draw) -> tuple[dict, str]:
+    """A book with one malformed column and the field its error must name."""
+    book = _books()[draw(st.sampled_from(["vanillas", "family"]))]
+    n = len(book["labels"])
+    kind = draw(st.sampled_from([
+        "short-or-long", "index-out-of-range", "index-negative", "index-f8",
+        "ragged-list", "unknown-key", "asset-out-of-range", "empty",
+    ]))
+    leg = draw(st.sampled_from(["model", "method", "option"]))
+    table = book[leg]["tables"][0]
+    if kind == "short-or-long":
+        key = draw(st.sampled_from(sorted(table["params"]) or ["missing"]))
+        rows = table["rows"]
+        size = draw(st.integers(0, rows + 3).filter(lambda size: size != rows))
+        table["params"][key] = np.resize(np.asarray(table["params"].get(key, [0.0])), size)
+        return book, rf"book\.{leg}\.tables\[0\]\.params\.{key}' has {size} values"
+    if kind in ("index-out-of-range", "index-negative"):
+        rows = sum(entry["rows"] for entry in book[leg]["tables"])
+        bad = draw(st.integers(rows, 2**62) if kind == "index-out-of-range"
+                   else st.integers(-(2**62), -1))
+        book[leg]["index"][draw(st.integers(0, n - 1))] = bad
+        return book, rf"book\.{leg}\.index' must name rows"
+    if kind == "index-f8":
+        book[leg]["index"] = book[leg]["index"].astype(np.float64)
+        return book, rf"book\.{leg}\.index' must be an int64 column"
+    if kind == "ragged-list":
+        key = draw(st.sampled_from(sorted(table["params"]) or ["missing"]))
+        column = list(np.asarray(table["params"].get(key, [0.0])).tolist())
+        extra = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
+        table["params"][key] = draw(st.sampled_from([column + extra, column[1:]]))
+        size = len(table["params"][key])
+        return book, rf"book\.{leg}\.tables\[0\]\.params\.{key}' has {size} values"
+    if kind == "unknown-key":
+        # no leg takes a ``zz_`` keyword
+        key = "zz_" + draw(st.text("abcdefghijklmnopqrstuvwxyz_", max_size=12))
+        table["params"][key] = np.zeros(table["rows"])
+        return book, rf"book\.{leg}\[\d+\]: '{leg}' does not build.*{key}"
+    if kind == "asset-out-of-range":
+        book["assets"][draw(st.integers(0, n - 1))] = draw(
+            st.integers(-(2**62), -1) | st.integers(len(ASSET_CLASSES), 2**62))
+        return book, r"book\.assets' must number one of"
+    return {**book, "labels": [], "assets": []}, r"book\.labels' must list one label"
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_books())
+def test_a_malformed_book_column_is_a_serialization_error_naming_it(case):
+    book, field = case
+    with pytest.raises(SerializationError, match=field):
+        read_book(book, "ScenarioGrid")
+    grid = {**SEEDS["book_slice"].wire_view(), "book": xdr.encode(book)}
+    with pytest.raises(SerializationError, match=field):
+        xdr.decode(b"O" + struct.pack(">I", 12) + b"ScenarioGrid" + xdr.encode(grid))
+
+
 #: hello, job, result, stop, ping, pong, challenge, auth (5 and 10, the chunk
 #: frames of protocol v9, are unknown kinds like any other)
 FRAME_KINDS = {1, 2, 3, 4, 6, 7, 8, 9}
@@ -180,12 +249,12 @@ FRAME_KINDS = {1, 2, 3, 4, 6, 7, 8, 9}
 )
 def test_a_header_of_another_version_or_kind_is_refused(version, kind, length):
     header = struct.pack(">4sHHI", b"RWF\x01", version, kind, length)
-    if version == PROTOCOL_VERSION == 11 and kind in FRAME_KINDS and length <= MAX_BYTES:
+    if version == PROTOCOL_VERSION == 12 and kind in FRAME_KINDS and length <= MAX_BYTES:
         assert decode_header(header, max_bytes=MAX_BYTES) == (kind, length)
         return
     with pytest.raises(SerializationError) as refused:
         decode_header(header, max_bytes=MAX_BYTES)
     if version != PROTOCOL_VERSION:
-        assert f"v{version}" in str(refused.value) and "v11" in str(refused.value)
+        assert f"v{version}" in str(refused.value) and "v12" in str(refused.value)
     with pytest.raises(SerializationError):
         FrameAssembler(max_bytes=MAX_BYTES).feed(header)

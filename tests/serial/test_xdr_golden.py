@@ -40,8 +40,8 @@ def _mc_call(strike: float) -> PricingProblem:
 
 def _reply() -> ResultColumns:
     """One reply with every kind of row: a full closed-form row, a Monte-Carlo
-    row without ``delta`` (NaN), a row flagged ``cache_hit`` and a failed
-    member."""
+    row without ``delta`` (NaN), a row of signed zero and a subnormal, and a
+    failed member."""
     nan = float("nan")
     return ResultColumns(
         {
@@ -54,7 +54,6 @@ def _reply() -> ResultColumns:
             "elapsed": np.array([2.5e-05, 0.0015, 0.0]),
             "n_evaluations": np.array([1, 1000, 0], dtype=np.int64),
             "method": np.array([0, 1, 0], dtype=np.int64),
-            "cache_hit": np.array([False, False, True]),
         },
         ["CF_Call", "MC_European"],
         errors={19: "ArithmeticError: payoff exploded"},
@@ -140,16 +139,18 @@ GOLDEN = {
     "array_bool": "38bcaa0ceeb6fd8718740eab0a2cc5c5721eaa949557b4af2bffda45afe830ef",
     "array_empty": "cee297e7dcc01773e78ec25df779ee8b4dfe7e80dd3fcfd4605e84e20875aee7",
     "problem": "55655ab2fdf2f352065ebb49082be86536c8bb9c78d035ec24fbde1b8e197ede",
-    # re-pinned at wire protocol v11, when a batch's members became a book
-    # (the format of a grid's base book); the encoder did not change
-    "nested_batch": "2ba7f908177e5c5e4af85a7029c07f012fb78a0d4941c65b42be2ead3176637f",
-    # pinned when the payload was introduced (wire protocol v7); a grid that
-    # names no rows is still written so
-    "grid_slice": "999301cfbe1c8cc6381f16f23d7e3bb7f7ccf46a66af63c37fef1f56ed705908",
-    # a book slice: the same payload with its ``rows`` column (wire protocol v9)
-    "book_slice": "b63ed20e440a65cc0a591e4aa7cbc90b6f1ee96b80c334f25c2a7229676d23d1",
-    # the reply of a payload with members, in its result frame (wire protocol v8)
-    "result_columns": "492ff3402fd2654a1e4c8155b6bf19554b34db44692f0304776897938b14b526",
+    # re-pinned at wire protocol v12, when a book became parameter columns
+    # (a batch's members are a book since v11); the encoder did not change
+    "nested_batch": "fac2014b17d36635e478cef30653ac627dda5ae1410df10c8473c6d7a995c909",
+    # pinned when the payload was introduced (wire protocol v7), re-pinned at
+    # v12 for its columnar base book; a grid that names no rows writes no rows
+    "grid_slice": "418f5b5955928dab9bda8f8681442db986215d9dedcfce6775dca334cf910765",
+    # a book slice: the same payload with its ``rows`` column (wire protocol
+    # v9), re-pinned at v12 for its columnar book
+    "book_slice": "b6c4643b83e1bdc15d127c3eebbdcdadbbd889891d807ec04a97930d6fdcf0c9",
+    # the reply of a payload with members, in its result frame (wire protocol
+    # v8), re-pinned at v12 when the always-false cache_hit column left it
+    "result_columns": "107c3a4a395f4ddb0274a0a7f80d71d44f02c6a9d5ad9358baeef833ecbb3a59",
 }
 
 
@@ -167,7 +168,7 @@ def test_the_pinned_reply_reads_back_row_for_row():
     assert isinstance(reply, ResultColumns) and list(reply) == [12, 7, 30, 19]
     assert reply[12]["delta"] == 0.6368306511756191 and reply[12]["std_error"] is None
     assert reply[7]["delta"] is None and reply[7]["confidence_interval"] == [7.53, 8.51]
-    assert reply[30]["cache_hit"] is True and "cache_hit" not in reply[7]
+    assert all("cache_hit" not in reply[row] for row in (12, 7, 30))
     assert str(reply[30]["price"]) == "-0.0" and reply[30]["delta"] == 5e-324
     assert reply[19] == {"error": "ArithmeticError: payoff exploded"}
 
