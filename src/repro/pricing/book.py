@@ -9,7 +9,7 @@ or re-serialise on each dispatch; a book is that message with its
 positions turned into parameter columns, so the writer touches each value
 once and the XDR encoder writes a column of floats as one array::
 
-    {"labels": [str | None, ...],           # one per position
+    {"labels": [label, ...],                # one per position, as the problem holds it
      "assets": int64[positions],            # each position's number in ASSET_CLASSES
      "model":  leg, "method": leg, "option": leg}
 
@@ -51,8 +51,6 @@ LEGS = ("model", "method", "option")
 #: an asset class as the book writes it: its number in ``ASSET_CLASSES``
 _ASSET_NUMBER = {name: number for number, name in enumerate(ASSET_CLASSES)}
 _FLOATS = frozenset({float, np.float64})
-#: scalars the codec writes from their type and value alone
-_PLAIN = frozenset({int, bool, str, type(None)})
 _pack_f64 = struct.Struct(">d").pack
 
 
@@ -69,61 +67,35 @@ def _column(values: list[Any]) -> Any:
     return values
 
 
-#: ``struct`` packers of n big-endian doubles, by n
-_PACKERS: dict[int, Any] = {}
-
-
-def _packer(count: int) -> Any:
-    """The ``struct`` packer of ``count`` big-endian doubles."""
-    pack = _PACKERS.get(count)
-    if pack is None:
-        pack = _PACKERS[count] = struct.Struct(f">{count}d").pack
-    return pack
-
-
-def _value_key(value: Any, keys: dict[int, tuple[Any, Any]]) -> Any:
-    """Equal for two values only if the codec writes them to equal bytes: a
-    float as its bytes, a plain scalar as its type and value, a list as its
-    items' keys (a list of floats packed whole), anything else as its encoded
-    bytes.  A list or array is keyed once per object and write (``keys``): a
-    correlation matrix shared by a whole book costs one key."""
-    kind = type(value)
-    if kind is float or kind is np.float64:
-        return b"D" + _pack_f64(value)
-    if kind in _PLAIN:
-        return (kind, value)
-    held = keys.get(id(value))
-    if held is None:
-        if kind is list or kind is tuple:  # both are written as a list
-            if set(map(type, value)) <= _FLOATS:
-                key: Any = (b"L", _packer(len(value))(*value))
-            else:
-                key = (b"L", tuple([_value_key(item, keys) for item in value]))
-        else:
-            from repro.serial import xdr  # lazily: repro.serial imports the payloads
-
-            key = xdr.encode(value)
-        # kept with its key, so the id is not reused within the write
-        held = keys[id(value)] = (value, key)
-    return held[1]
-
-
-def _header_key(name: Any, params: dict[str, Any], keys: dict[int, tuple[Any, Any]]) -> Any:
-    """Equal for two headers only if their written bytes would be equal."""
-    if not params:
-        return name
+def _header_key(name: Any, params: dict[str, Any], encoded: dict[int, bytes]) -> Any:
+    """Equal for two headers only if their written bytes would be equal: all
+    floats as their packed bytes, else each value's encoding.  ``encoded``
+    holds the encoding of each value object but a float for the write (every
+    value is held by its problem until the write ends, so an id is not
+    reused): a correlation matrix shared by a whole book is encoded once."""
     values = tuple(params.values())
     if set(map(type, values)) <= _FLOATS:
-        return (name, tuple(params), _packer(len(values))(*values))
-    return (name, tuple(params), tuple([_value_key(value, keys) for value in values]))
+        return (name, tuple(params), struct.pack(f">{len(values)}d", *values))
+    key = []
+    for value in values:
+        if type(value) in _FLOATS:
+            key.append(b"D" + _pack_f64(value))  # the codec's float
+            continue
+        held = encoded.get(id(value))
+        if held is None:
+            from repro.serial import xdr  # lazily: repro.serial imports the payloads
+
+            held = encoded[id(value)] = xdr.encode(value)
+        key.append(held)
+    return (name, tuple(params), tuple(key))
 
 
 def _write_leg(
-    entries: list[tuple[Any, dict[str, Any]]], keys: dict[int, tuple[Any, Any]] | None
+    entries: list[tuple[Any, dict[str, Any]]], encoded: dict[int, bytes] | None
 ) -> dict[str, Any]:
     """One leg of a book from each position's ``(name, params)``.
 
-    With the write's value ``keys`` (model, method) each distinct header is
+    With the write's value encodings (model, method) each distinct header is
     written once; the option leg (``None``) writes a row per position.
     """
     #: (name, parameter names) -> [table number, columns, rows]
@@ -131,8 +103,8 @@ def _write_leg(
     header_rows: dict[Any, tuple[int, int]] = {}
     at_table, at_row = [], []
     for name, params in entries:
-        if keys is not None:
-            key = _header_key(name, params, keys)
+        if encoded is not None:
+            key = _header_key(name, params, encoded)
             at = header_rows.get(key)
             if at is not None:
                 at_table.append(at[0])
@@ -145,7 +117,7 @@ def _write_leg(
         number, columns, row = table
         for column, value in zip(columns, params.values()):
             column.append(value)
-        if keys is not None:
+        if encoded is not None:
             header_rows[key] = (number, row)
         at_table.append(number)
         at_row.append(row)
@@ -166,12 +138,12 @@ def _write_leg(
 def write_book(problems: Sequence[PricingProblem]) -> dict[str, Any]:
     """``problems`` as the book the codec writes (see the module docstring)."""
     legs = [problem.wire_legs() for problem in problems]
-    keys: dict[int, tuple[Any, Any]] = {}
+    encoded: dict[int, bytes] = {}
     return {
         "labels": [problem.label for problem in problems],
         "assets": np.array([_ASSET_NUMBER[problem.asset] for problem in problems],
                            dtype=np.int64),
-        **{leg: _write_leg([entry[number] for entry in legs], None if leg == "option" else keys)
+        **{leg: _write_leg([entry[number] for entry in legs], None if leg == "option" else encoded)
            for number, leg in enumerate(LEGS)},
     }
 
@@ -240,8 +212,6 @@ def read_book(view: Any, payload: str) -> list[PricingProblem]:
     if not isinstance(labels, list) or not labels:
         raise SerializationError(
             f"{payload} payload: 'book.labels' must list one label per position")
-    if not all(label is None or isinstance(label, str) for label in labels):
-        raise SerializationError(f"{payload} payload: 'book.labels' must hold strings or None")
     n = len(labels)
     if not (isinstance(assets, np.ndarray) and assets.dtype == np.int64 and assets.shape == (n,)
             and 0 <= assets.min() and assets.max() < len(ASSET_CLASSES)):

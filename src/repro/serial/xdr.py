@@ -47,13 +47,6 @@ _ARRAY_DTYPES: dict[str, np.dtype] = {
     "i8": np.dtype(">i8"),
     "b1": np.dtype("bool"),
 }
-#: the code and wire dtype an array is written with, by its dtype's kind
-_ARRAY_KINDS: dict[str, tuple[bytes, np.dtype]] = {
-    "f": (b"f8", _ARRAY_DTYPES["f8"]),
-    "i": (b"i8", _ARRAY_DTYPES["i8"]),
-    "u": (b"i8", _ARRAY_DTYPES["i8"]),
-    "b": (b"b1", _ARRAY_DTYPES["b1"]),
-}
 
 # object codec registry -------------------------------------------------------
 _CODECS: dict[str, tuple[type, Callable[[Any], dict], Callable[[dict], Any]]] = {}
@@ -138,16 +131,20 @@ def _encode_dict(value: dict, chunks: list[bytes]) -> None:
 
 
 def _encode_array(value: np.ndarray, chunks: list[bytes]) -> None:
-    kind = _ARRAY_KINDS.get(value.dtype.kind)
-    if kind is None:
+    if value.dtype.kind == "f":
+        code, dtype = "f8", _ARRAY_DTYPES["f8"]
+    elif value.dtype.kind in "iu":
+        code, dtype = "i8", _ARRAY_DTYPES["i8"]
+    elif value.dtype.kind == "b":
+        code, dtype = "b1", _ARRAY_DTYPES["b1"]
+    else:
         raise SerializationError(f"unsupported array dtype: {value.dtype}")
-    code, dtype = kind
     data = np.ascontiguousarray(value, dtype=dtype).tobytes()
     header = (
         _TAG_ARRAY
-        + code
+        + code.encode("ascii")
         + _pack_u32(value.ndim)
-        + b"".join(map(_pack_u32, value.shape))
+        + b"".join(_pack_u32(int(dim)) for dim in value.shape)
         + _pack_u32(len(data))
     )
     chunks.append(header + data + _PADDING[len(data) & 3])

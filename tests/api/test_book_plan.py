@@ -326,6 +326,20 @@ def test_naming_robin_hood_is_not_a_switch():
     assert prices[0] == prices[1] == prices[2] == prices[3] and len(prices[0]) == 40
 
 
+def test_a_label_of_any_type_travels_in_a_slice():
+    """A problem's label is whatever its caller gave (the HTTP service passes
+    a JSON label through): a slice carrying an ``int`` or ``float`` label
+    prices on worker processes what it prices at home."""
+    book = build_toy_portfolio(40)
+    for number, position in enumerate(book):
+        position.problem.label = (number, float(number), None, f"p{number}")[number % 4]
+    reference = ValuationSession(backend="local").run(book)
+    campaign = ValuationSession(backend="multiprocessing", n_workers=2)._open_campaign(book)
+    result = campaign.finish()
+    assert campaign.plan.batch_members
+    assert result.ok and result.prices() == reference.prices()
+
+
 @pytest.mark.parametrize("backend", ["local", "simulated"])
 def test_in_process_and_simulated_backends_plan_per_position(backend):
     campaign = ValuationSession(backend=backend, n_workers=2)._open_campaign(
