@@ -6,8 +6,8 @@ Testing Parallel Architecture"* (Chancelier, Lapeyre, Lelong).  It provides:
 
 ``repro.api``
     The **unified entry point**: the :class:`~repro.api.session.ValuationSession`
-    facade plus typed configuration (``BackendSpec``, ``RunConfig``) and a
-    normalized result hierarchy, unifying pricing,
+    facade, configured by keywords (a backend by name or ``BackendSpec``),
+    and a normalized result hierarchy, unifying pricing,
     portfolio runs, batch submission and cluster sweeps the way Premia's
     ``PremiaModel`` object unified pricing.
 
@@ -86,7 +86,6 @@ _LAZY_EXPORTS = {
     "StreamProgress": "repro.api",
     "CancelToken": "repro.api",
     "BackendSpec": "repro.api",
-    "RunConfig": "repro.api",
     "ValuationResult": "repro.api",
     "PriceResult": "repro.api",
     "RunResult": "repro.api",

@@ -1,10 +1,9 @@
 """No mutation of frozen config dataclasses.
 
-``BackendSpec``, ``RunConfig``, ``ServerConfig``, ``RetryPolicy``,
-``PaperTable`` (and every other ``@dataclass(frozen=True)``) are frozen on
-purpose: sessions hash them, retries rebuild backends from them, and a
-mutation anywhere would silently fork the configuration two subsystems
-think they share.  Python only enforces this at runtime -- on the exact
+``BackendSpec``, ``ServerConfig``, ``PaperTable`` (and every other
+``@dataclass(frozen=True)``) are frozen on purpose: sessions hash them,
+retries rebuild backends from them, and a mutation anywhere would silently
+fork the configuration two subsystems think they share.  Python only enforces this at runtime -- on the exact
 line executed -- so this checker enforces it statically:
 
 * inside a frozen dataclass, any plain ``self.attr = ...`` raises
@@ -70,7 +69,7 @@ class FrozenConfigChecker(Checker):
 
     name = "frozen-config"
     description = (
-        "frozen dataclasses (BackendSpec, RunConfig, ServerConfig, ...) are "
+        "frozen dataclasses (BackendSpec, ServerConfig, PaperTable, ...) are "
         "never mutated: no attribute assignment, no setattr"
     )
     rules = {

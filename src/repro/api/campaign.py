@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.api.config import RetryPolicy
 from repro.api.futures import CancelToken, JobSet, PricingFuture, StreamProgress
 from repro.api.plan import CampaignPlan
 from repro.api.results import PriceResult, RunResult
 from repro.cluster.backends import CompletedJob, Job, WorkerBackend
+from repro.cluster.backends.base import REDIAL_DELAYS_S
 from repro.core.runner import ResultTable, RunReport
 from repro.core.scheduler import DispatchPolicy, ScheduleOutcome, ScheduleStream
 from repro.core.strategies import TransmissionStrategy
@@ -52,9 +52,9 @@ class Campaign:
     ``futures`` are positions' pre-existing futures (``submit_many``); any
     other is minted when asked for (:meth:`future`, :attr:`jobs`).
     ``new_policy`` builds the fresh dispatch policy of each stream the
-    campaign opens.  With a ``retry`` policy, :meth:`finish` survives losing
-    the whole worker pool: the dispatch units still pending are re-attached
-    to a stream on a backend built by ``new_backend``.
+    campaign opens.  With ``retry``, :meth:`finish` survives losing the whole
+    worker pool: the dispatch units still pending are re-attached to a stream
+    on a backend built by ``new_backend``.
     """
 
     def __init__(
@@ -67,7 +67,7 @@ class Campaign:
         futures: Mapping[int, PricingFuture] | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
-        retry: RetryPolicy | None = None,
+        retry: bool = False,
         new_backend: Callable[[], WorkerBackend] | None = None,
     ) -> None:
         self.plan = plan
@@ -290,47 +290,43 @@ class Campaign:
     def finish(self) -> RunResult:
         """Drain the stream and assemble the submission-ordered result.
 
-        Under a retry policy each :class:`~repro.errors.WorkerLostError`
-        consumes one attempt and :meth:`_reattach` puts the still-pending
-        dispatch units back out on a fresh backend, so results of every attempt
-        land in one table, bit-identical to a clean run.
+        Under ``retry`` a :class:`~repro.errors.WorkerLostError` makes
+        :meth:`_reattach` put the still-pending dispatch units back out on a
+        fresh backend, so results of every attempt land in one table,
+        bit-identical to a clean run.  The tries to build one are paced by
+        :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`, which the whole
+        campaign shares: once it is spent, the loss is raised.
         """
-        attempt = 1
+        delays = iter(REDIAL_DELAYS_S)
         while self._run_result is None:
             try:
                 self.pump()
             except WorkerLostError:
-                if self._retry is None or attempt >= self._retry.max_attempts:
+                if not (self._retry and self._reattach(delays)):
                     raise
-                attempt = self._reattach(self._retry, attempt)
         return self._run_result
 
-    def _reattach(self, retry: RetryPolicy, attempt: int) -> int:
-        """Stream the unresolved positions on a fresh backend; the attempt now running."""
+    def _reattach(self, delays: Iterator[float]) -> bool:
+        """Stream the unresolved positions on a fresh backend, trying after
+        each of the ``delays`` left until one can be dialed; whether one was."""
         assert self._new_backend is not None
         try:
             self._backend.finalize()
         # repro-lint: disable=except-swallow -- best-effort teardown of a pool that WorkerLostError already proved dead; any error here is noise on the retry path
         except Exception:
             pass  # the pool is already gone; nothing to release
-        while True:
-            delay = retry.delay(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
+        for delay in delays:
+            time.sleep(delay)
             try:
                 self._backend = self._new_backend()
                 self._open_stream(
                     [job for job in self.plan.jobs if self._awaited(job.job_id)]
                 )
             except ClusterError:
-                # the replacement pool could not even be dialed: the attempt
-                # is consumed and the backoff schedule paces the next try
-                if attempt >= retry.max_attempts:
-                    raise
-            else:
-                self._retries += 1
-                return attempt
+                continue  # the replacement pool is not up yet
+            self._retries += 1
+            return True
+        return False
 
     def _assemble(self) -> RunResult:
         """Hand the table to the report; only run statistics come from the stream."""

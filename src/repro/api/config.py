@@ -1,26 +1,22 @@
-"""Typed, immutable configuration objects of the unified API.
+"""The backend recipe of the unified API.
 
-These frozen dataclasses carry everything a
-:class:`~repro.api.session.ValuationSession` needs to build backends
-and schedulers.  They are plain values: hashable-by-content where
-possible, safe to share between sessions and cheap to derive variants from
-with :func:`dataclasses.replace`.
+A :class:`BackendSpec` is the frozen value a
+:class:`~repro.api.session.ValuationSession` builds a fresh backend from for
+every run: hashable by content, safe to share between sessions and cheap to
+derive variants from with :func:`dataclasses.replace`.  Everything else about
+a run is a keyword of the call that starts it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.cluster.backends import WorkerBackend, create_backend, list_backends
-from repro.core.scheduler import DispatchPolicy, policy_factory
-from repro.core.strategies import STRATEGIES
 from repro.errors import ValuationError
-from repro.pricing.kernel import DEFAULT_KERNEL, KERNELS
 from repro.pricing.validation import check_count
 
-__all__ = ["BackendSpec", "RetryPolicy", "RunConfig"]
+__all__ = ["BackendSpec"]
 
 
 def _frozen_options(options: Mapping[str, Any] | None) -> tuple[tuple[str, Any], ...]:
@@ -126,103 +122,3 @@ class BackendSpec:
         return create_backend(
             self.name, n_workers=self.n_workers, strategy=strategy, **merged
         )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """When and how a run survives losing the whole worker pool.
-
-    A :class:`~repro.errors.WorkerLostError` carries the ``job_ids`` that
-    were still unresolved when the pool died.  With a retry policy on the
-    :class:`RunConfig`, the session catches that error, rebuilds a fresh
-    backend from its :class:`BackendSpec` and re-attaches the dispatch units
-    still pending to it -- up to ``max_attempts`` total attempts, with
-    ``backoff * backoff_factor**(k-1)`` seconds before the ``k``-th retry so
-    crashed workers have time to come back.  The report carries the same
-    result table as a clean run and is bit-identical to one.  Applies wherever a
-    campaign is drained: ``run(...)`` and ``stream(...).result()``.
-    """
-
-    max_attempts: int = 3
-    backoff: float = 0.0
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        check_count(self.max_attempts, "RetryPolicy.max_attempts", error=ValuationError,
-                    floats=False)
-        # ``nan < 0`` is false, and a NaN delay is a ``time.sleep`` error mid-retry
-        if not (math.isfinite(self.backoff) and self.backoff >= 0):
-            raise ValuationError("RetryPolicy.backoff must be a finite number >= 0")
-        if not (math.isfinite(self.backoff_factor) and self.backoff_factor >= 1.0):
-            raise ValuationError("RetryPolicy.backoff_factor must be a finite number >= 1")
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to sleep before retry number ``attempt`` (1-based)."""
-        if attempt < 1:
-            return 0.0
-        return self.backoff * self.backoff_factor ** (attempt - 1)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """How one portfolio (or job-list) valuation is executed.
-
-    ``batch=True`` turns on shared-path batch pricing: positions with equal
-    simulation signatures (see :mod:`repro.pricing.batch`) are coalesced into
-    :class:`~repro.pricing.batch.ProblemBatch` jobs that workers price
-    against one simulated path set.  A family is never split: it travels as
-    one batch job.  The result cache is the session's (a run without it is
-    ``session.with_options(cache=None).run(...)``).
-
-    Two streaming-lifecycle hooks ride along (excluded from equality/hash):
-    ``progress`` is called once per collected position
-    with a :class:`~repro.api.futures.StreamProgress`; ``cancel`` is a
-    :class:`~repro.api.futures.CancelToken` that withdraws still-queued
-    positions when fired (in-flight jobs finish; withdrawn positions are
-    marked cancelled in the run result).
-
-    ``retry`` (a :class:`RetryPolicy`) makes the session survive total pool
-    loss: unresolved positions from a :class:`~repro.errors.WorkerLostError`
-    are transparently resubmitted on a fresh backend built from the
-    session's :class:`BackendSpec`.
-    """
-
-    #: transmission strategy; ``None`` (default) keeps the session's
-    strategy: str | None = None
-    #: registered name or a zero-argument factory of fresh policies (a
-    #: configured one is ``partial(MyPolicy, ...)``); ``None`` keeps the session's
-    scheduler: str | Callable[[], DispatchPolicy] | None = None
-    batch: bool = False
-    #: Monte-Carlo evaluation strategy for shared-path batch jobs: "stacked"
-    #: (all groups of a plan as one stacked-array computation) or the
-    #: reference "loop" kernel (per-group, per-member arithmetic).
-    #: Bit-identical prices either way; the kernel never enters simulation
-    #: signatures or cache digests.
-    kernel: str = DEFAULT_KERNEL
-    #: smallest signature family coalesced into a ProblemBatch.  The default
-    #: (``None``) keeps the planner's threshold of 2; scenario-grid campaigns
-    #: (:mod:`repro.pricing.scenarios`) set 1 so even singleton cells ride
-    #: the batch path and the stacked kernel's shared-draw cohorts.
-    min_group_size: int | None = None
-    progress: Callable[..., None] | None = field(default=None, compare=False)
-    cancel: Any | None = field(default=None, compare=False)
-    retry: RetryPolicy | None = None
-
-    def __post_init__(self) -> None:
-        if self.min_group_size is not None and self.min_group_size < 1:
-            raise ValuationError("RunConfig.min_group_size must be >= 1 when given")
-        if self.kernel not in KERNELS:
-            raise ValuationError(
-                f"unknown kernel {self.kernel!r}; known: {list(KERNELS)}"
-            )
-        if self.retry is not None and not isinstance(self.retry, RetryPolicy):
-            raise ValuationError(
-                "RunConfig.retry must be a RetryPolicy (or None), got "
-                f"{type(self.retry).__name__}"
-            )
-        if self.strategy is not None and self.strategy not in STRATEGIES:
-            raise ValuationError(
-                f"unknown strategy {self.strategy!r}; known: {sorted(STRATEGIES)}"
-            )
-        # an unknown name fails here, not mid-campaign
-        policy_factory(self.scheduler)

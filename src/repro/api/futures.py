@@ -16,8 +16,8 @@ of that loop:
   iterable of :class:`~repro.api.results.PriceResult` in completion order
   that still reassembles a deterministic, submission-ordered
   :class:`~repro.api.results.RunResult` at the end;
-* :class:`CancelToken` -- cooperative cancellation threaded through
-  :class:`~repro.api.config.RunConfig`: queued jobs are withdrawn, in-flight
+* :class:`CancelToken` -- cooperative cancellation, the ``cancel=`` keyword
+  of a run, a stream or a risk campaign: queued jobs are withdrawn, in-flight
   jobs finish, the run result marks the withdrawn positions as cancelled.
 
 The :class:`~repro.api.campaign.Campaign` underneath drives the stream and
@@ -59,8 +59,9 @@ FIRST_EXCEPTION = "FIRST_EXCEPTION"
 class CancelToken:
     """Cooperative cancellation flag shared between caller and run.
 
-    Pass one through ``RunConfig(cancel=token)`` (or directly to
-    :meth:`ValuationSession.stream`); calling :meth:`cancel` from a callback
+    Pass one as ``cancel=token`` to :meth:`ValuationSession.run`,
+    :meth:`~ValuationSession.stream`, :meth:`~ValuationSession.greeks` or
+    :meth:`~ValuationSession.risk`; calling :meth:`cancel` from a callback
     or another piece of the program withdraws every job still queued
     master-side.  Jobs already on a worker run to completion -- the paper's
     protocol has no way to interrupt a slave mid-computation.
@@ -84,7 +85,7 @@ class CancelToken:
 
 @dataclass(frozen=True)
 class StreamProgress:
-    """One progress tick, handed to ``RunConfig.progress`` per collection."""
+    """One progress tick, handed to a run's ``progress=`` callback per collection."""
 
     done: int
     total: int

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.api.config import RunConfig
 from repro.cluster.backends import Job
 from repro.cluster.costmodel import CostModel
 from repro.core.portfolio import Portfolio
@@ -88,10 +87,12 @@ class _SliceDealer(RobinHoodPolicy):
 
 def build_plan(
     source: Portfolio | Sequence[Job] | ScenarioGrid,
-    options: RunConfig,
     *,
     executing: bool,
     cost_model: CostModel,
+    batch: bool = False,
+    kernel: str | None = None,
+    min_group_size: int = 2,
     run_cache: ResultCache | None = None,
     store: Any = None,
     n_workers: int = 1,
@@ -103,13 +104,14 @@ def build_plan(
 
     ``executing`` says whether the backend prices the problems (vs. advancing
     virtual time).  Portfolio jobs carry their problem when it does and no
-    ``store`` holds them as files, and whenever ``options.batch`` coalesces
-    them.  Nothing is serialized here on an executing backend: a job's bytes
-    are made when it is first dispatched (:meth:`Job.wire_bytes`), so a
-    position folded into a :class:`ProblemBatch` is only ever written as a
-    member of its batch.  With a ``run_cache`` on an executing backend,
-    positions already priced are answered here and never dispatched, and a
-    position repeating the digest of an earlier one is not dispatched either
+    ``store`` holds them as files, and whenever ``batch`` coalesces them
+    (families of at least ``min_group_size`` positions).  Nothing is
+    serialized here on an executing backend: a job's bytes are made when it
+    is first dispatched (:meth:`Job.wire_bytes`), so a position folded into
+    a :class:`ProblemBatch` is only ever written as a member of its batch.
+    With a ``run_cache`` on an executing backend, positions already priced
+    are answered here and never dispatched, and a position repeating the
+    digest of an earlier one is not dispatched either
     (:attr:`CampaignPlan.repeats`).
 
     A :class:`~repro.pricing.scenarios.ScenarioGrid` is planned into slices
@@ -117,17 +119,18 @@ def build_plan(
     the positions of a plain campaign whose messages cross a process boundary
     (:func:`_travels_in_slices` reads ``queues_jobs``, the transmission
     ``strategy`` and what ``new_policy``, the campaign's factory of dispatch
-    policies, makes for that).
+    policies, makes for that).  Slices and batches are priced by ``kernel``
+    (``None``: the default one).
     """
     if isinstance(source, ScenarioGrid):
         return _plan_grid(
-            source, options, cost_model, run_cache if executing else None, n_workers
+            source, kernel, cost_model, run_cache if executing else None, n_workers
         )
     if isinstance(source, Portfolio):
         jobs = source.build_jobs(
             cost_model=cost_model,
             store=store,
-            attach_problems=store is None and (executing or options.batch),
+            attach_problems=store is None and (executing or batch),
         )
         portfolio: Portfolio | None = source
         problem_by_id = {
@@ -158,18 +161,18 @@ def build_plan(
         if answered:
             plan.jobs = [job for job in jobs if job.job_id not in answered]
 
-    if _travels_in_slices(plan, options, queues_jobs, store, strategy, new_policy):
-        _slice_book(plan, options, n_workers)
-    elif options.batch:
+    if _travels_in_slices(plan, batch, queues_jobs, store, strategy, new_policy):
+        _slice_book(plan, kernel, n_workers)
+    elif batch:
         plan.jobs, plan.batch_members = _coalesce_jobs(
-            plan.jobs, problem_by_id, options, cost_model, executing
+            plan.jobs, problem_by_id, kernel, min_group_size, cost_model, executing
         )
     return plan
 
 
 def _travels_in_slices(
     plan: CampaignPlan,
-    options: RunConfig,
+    batch: bool,
     queues_jobs: bool,
     store: Any,
     strategy: str,
@@ -203,7 +206,7 @@ def _travels_in_slices(
         and store is None
         and strategy != "nfs"
         and type(new_policy()) in (RobinHoodPolicy, ChunkedPolicy)
-        and not options.batch
+        and not batch
         and all(
             isinstance(job.problem, PricingProblem)
             and job.problem.is_complete
@@ -271,7 +274,7 @@ def _cut_slices(
         start = stop
 
 
-def _slice_book(plan: CampaignPlan, options: RunConfig, n_workers: int) -> None:
+def _slice_book(plan: CampaignPlan, kernel: str | None, n_workers: int) -> None:
     """Replace the plan's per-position jobs by book slices of them.
 
     A book slice is a :class:`~repro.pricing.scenarios.ScenarioGrid` of some
@@ -288,7 +291,7 @@ def _slice_book(plan: CampaignPlan, options: RunConfig, n_workers: int) -> None:
         part = jobs[start:stop]
         members = tuple(job.job_id for job in part)
         return members, ScenarioGrid(
-            [job.problem for job in part], base, kernel=options.kernel, rows=members
+            [job.problem for job in part], base, kernel=kernel, rows=members
         )
 
     plan.jobs, plan.members_stand_alone = [], True
@@ -298,7 +301,7 @@ def _slice_book(plan: CampaignPlan, options: RunConfig, n_workers: int) -> None:
 
 def _plan_grid(
     grid: ScenarioGrid,
-    options: RunConfig,
+    kernel: str | None,
     cost_model: CostModel,
     run_cache: ResultCache | None,
     n_workers: int,
@@ -347,7 +350,7 @@ def _plan_grid(
     def cut(start: int, stop: int) -> tuple[tuple[int, ...], ScenarioGrid]:
         cells = [cell for column in columns[start:stop] for cell in column]
         return tuple(cell for cell in cells if cell not in answered), grid.slice(
-            start, stop, kernel=options.kernel,
+            start, stop, kernel=kernel,
             answered=[cell for cell in cells if cell in answered],
         )
 
@@ -358,7 +361,8 @@ def _plan_grid(
 def _coalesce_jobs(
     jobs: list[Job],
     problem_by_id: Mapping[int, PricingProblem],
-    options: RunConfig,
+    kernel: str | None,
+    min_group_size: int,
     cost_model: CostModel,
     executing: bool,
 ) -> tuple[list[Job], dict[int, tuple[int, ...]]]:
@@ -369,10 +373,8 @@ def _coalesce_jobs(
     advances virtual time keeps the sum of its members' stand-alone sizes
     (the simulated tables are pinned to it).
     """
-    min_group_size = options.min_group_size
     batches = plan_batches(
-        [problem_by_id.get(job.job_id) for job in jobs],
-        min_group_size=min_group_size if min_group_size is not None else 2,
+        [problem_by_id.get(job.job_id) for job in jobs], min_group_size=min_group_size
     )
     group_by_first = {group.indices[0]: group for group in batches.groups}
     grouped = {index for group in batches.groups for index in group.indices}
@@ -385,7 +387,7 @@ def _coalesce_jobs(
             bundle = ProblemBatch(
                 [problem_by_id[j.job_id] for j in member_jobs],
                 keys=[j.job_id for j in member_jobs],
-                kernel=options.kernel,
+                kernel=kernel,
             )
             out.append(
                 Job(

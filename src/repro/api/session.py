@@ -33,13 +33,12 @@ of which a :class:`~repro.api.futures.PricingFuture` is a one-row view.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.api.campaign import Campaign
-from repro.api.config import BackendSpec, RunConfig
+from repro.api.config import BackendSpec
 from repro.api.futures import (
     CancelToken,
     JobSet,
@@ -55,10 +54,11 @@ from repro.cluster.simcluster.comm import STRATEGY_NAMES, CommunicationModel
 from repro.core.portfolio import Portfolio
 from repro.core.scheduler import DispatchPolicy, ScheduleStream, policy_factory
 from repro.core.speedup import SpeedupTable
-from repro.core.strategies import TransmissionStrategy, get_strategy
+from repro.core.strategies import STRATEGIES, TransmissionStrategy, get_strategy
 from repro.errors import SchedulingError, ValuationError
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
+from repro.pricing.kernel import KERNELS
 from repro.pricing.scenarios import Scenario, ScenarioGrid
 
 __all__ = ["ValuationSession"]
@@ -281,28 +281,45 @@ class ValuationSession:
         source: Portfolio | Sequence[Job] | ScenarioGrid,
         *,
         strategy: str | TransmissionStrategy | None = None,
+        scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
-        config: RunConfig | None = None,
+        batch: bool | None = None,
+        kernel: str | None = None,
+        min_group_size: int | None = None,
+        progress: Callable[[StreamProgress], None] | None = None,
+        cancel: CancelToken | None = None,
+        retry: bool = False,
         futures: Mapping[int, PricingFuture] | None = None,
-        **overrides: Any,
     ) -> Campaign:
-        """Resolve the options, acquire a backend, plan and open one campaign.
+        """Check the keywords, acquire a backend, plan and open one campaign.
 
-        Precedence, most specific first: a keyword given to the call, the
-        ``config`` field, the session's own choice.
+        An option not given to the call (``None``) is the session's choice,
+        for ``strategy`` and ``scheduler``, or the default: no ``batch``, the
+        default ``kernel``, families of two and more.
         """
-        given = {name: value for name, value in overrides.items() if value is not None}
-        options = replace(config or RunConfig(), **given)
-        strategy_obj = self._resolve_strategy(
-            strategy if strategy is not None else options.strategy
-        )
-        new_policy = policy_factory(options.scheduler or self.scheduler)
+        if isinstance(strategy, str) and strategy not in STRATEGIES:
+            raise ValuationError(
+                f"unknown strategy {strategy!r}; known: {sorted(STRATEGIES)}"
+            )
+        if kernel is not None and kernel not in KERNELS:
+            raise ValuationError(f"unknown kernel {kernel!r}; known: {list(KERNELS)}")
+        if min_group_size is not None and min_group_size < 1:
+            raise ValuationError("min_group_size must be >= 1 when given")
+        if not isinstance(retry, bool):
+            raise ValuationError(f"retry must be True or False, got {retry!r}")
+        if retry and self._backend_spec is None:
+            raise ValuationError(
+                "retry=True needs a session built from a backend name or a "
+                "BackendSpec: only those can rebuild the pool a retry needs"
+            )
+        strategy_obj = self._resolve_strategy(strategy)
+        new_policy = policy_factory(scheduler or self.scheduler)
         new_backend = partial(self._acquire_backend, strategy_obj.name)
         backend = new_backend()
         try:
             executing = getattr(backend, "requires_payload", True)
             if strategy_obj.name == "nfs" and executing:
-                if options.batch or isinstance(source, ScenarioGrid):
+                if batch or isinstance(source, ScenarioGrid):
                     raise ValuationError(
                         "batch=True and risk campaigns cannot be combined with the "
                         "nfs strategy on an executing backend: coalesced batch jobs "
@@ -316,9 +333,11 @@ class ValuationSession:
                     )
             plan = build_plan(
                 source,
-                options,
                 executing=executing,
                 cost_model=self.cost_model,
+                batch=bool(batch),
+                kernel=kernel,
+                min_group_size=2 if min_group_size is None else min_group_size,
                 run_cache=self._cache,
                 store=store,
                 n_workers=backend.n_workers,
@@ -338,10 +357,9 @@ class ValuationSession:
             strategy_obj,
             plan.dealer(new_policy),
             futures=futures,
-            progress=options.progress,
-            cancel=options.cancel,
-            # only a name/spec session can rebuild the pool a retry needs
-            retry=options.retry if self._backend_spec is not None else None,
+            progress=progress,
+            cancel=cancel,
+            retry=retry,
             new_backend=new_backend,
         )
 
@@ -352,31 +370,35 @@ class ValuationSession:
         strategy: str | TransmissionStrategy | None = None,
         scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
-        config: RunConfig | None = None,
         batch: bool | None = None,
         kernel: str | None = None,
         min_group_size: int | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
+        retry: bool = False,
     ) -> RunResult:
         """Value a portfolio (or a prepared job list) on the session backend.
 
         ``stream(...).result()`` in one call: the same campaign, drained to
-        completion.  ``scheduler`` (spelled like the session's) overrides the
-        config's and the session's scheduler for this one run.
+        completion.  ``strategy`` and ``scheduler`` (spelled like the
+        session's) override the session's for this one run.
         ``batch=True`` coalesces positions with equal simulation signatures
-        into shared-path :class:`~repro.pricing.batch.ProblemBatch` jobs;
-        prices are bit-identical to the unbatched run (on the simulated
-        backend the batch-aware cost model prices one shared simulation per
-        group).  ``progress`` is called once per collected position;
-        ``cancel`` (a :class:`CancelToken`) withdraws still-queued positions,
-        which the result marks as ``"cancelled before dispatch"`` errors.
+        -- families of at least ``min_group_size``, two by default -- into
+        shared-path :class:`~repro.pricing.batch.ProblemBatch` jobs priced by
+        ``kernel``; prices are bit-identical to the unbatched run (on the
+        simulated backend the batch-aware cost model prices one shared
+        simulation per group).  ``progress`` is called once per collected
+        position; ``cancel`` (a :class:`CancelToken`) withdraws still-queued
+        positions, which the result marks as ``"cancelled before dispatch"``
+        errors.  ``retry=True`` survives losing the whole worker pool: the
+        positions still unanswered are sent again to a pool rebuilt on the
+        re-dial schedule (:data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`),
+        which only a session built from a backend name or spec can do.
         """
         return self._open_campaign(
             source, strategy=strategy, scheduler=scheduler, store=store,
-            config=config, batch=batch, kernel=kernel,
-            min_group_size=min_group_size,
-            progress=progress, cancel=cancel,
+            batch=batch, kernel=kernel, min_group_size=min_group_size,
+            progress=progress, cancel=cancel, retry=retry,
         ).finish()
 
     def stream(
@@ -386,12 +408,12 @@ class ValuationSession:
         strategy: str | TransmissionStrategy | None = None,
         scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
-        config: RunConfig | None = None,
         batch: bool | None = None,
         kernel: str | None = None,
         min_group_size: int | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
+        retry: bool = False,
     ) -> StreamingRun:
         """Value a portfolio incrementally, yielding results as they land.
 
@@ -402,14 +424,14 @@ class ValuationSession:
         submission-ordered :class:`RunResult` -- bit-identical to what the
         synchronous :meth:`run` returns for the same inputs.  The underlying
         :class:`~repro.api.futures.JobSet` is reachable as ``.jobs`` for
-        ``as_completed()`` / ``wait()`` access to individual futures.
+        ``as_completed()`` / ``wait()`` access to individual futures.  The
+        keywords are :meth:`run`'s; ``retry`` applies to ``result()``.
         """
         return StreamingRun(
             self._open_campaign(
                 source, strategy=strategy, scheduler=scheduler, store=store,
-                config=config, batch=batch, kernel=kernel,
-                min_group_size=min_group_size,
-                progress=progress, cancel=cancel,
+                batch=batch, kernel=kernel, min_group_size=min_group_size,
+                progress=progress, cancel=cancel, retry=retry,
             )
         )
 
@@ -420,7 +442,9 @@ class ValuationSession:
         scenarios: Sequence[Scenario],
         *,
         on_missing: str,
-        config: RunConfig | None,
+        progress: Callable[[StreamProgress], None] | None,
+        cancel: CancelToken | None,
+        retry: bool,
     ) -> list[dict[str, float]]:
         """Price (problems x scenarios) as one campaign of grid slices on the backend.
 
@@ -428,17 +452,18 @@ class ValuationSession:
         that is what travels: :func:`~repro.api.plan.build_plan` cuts the
         scenario list into :class:`~repro.pricing.scenarios.ScenarioGrid`
         slices over one base book, each worker expands its slice next to the
-        kernel of ``config`` and answers one record of columns.  No cell
-        problem, future or result dictionary exists on the master -- the fold
-        reads the result table's price column; a scenario the book cannot
-        realise raises here, before a backend is acquired.  Returns one
+        default kernel and answers one record of columns.  No cell problem,
+        future or result dictionary exists on the master -- the fold reads
+        the result table's price column; a scenario the book cannot realise
+        raises here, before a backend is acquired.  Returns one
         ``{scenario name: price}`` mapping per input problem, exactly like
-        :func:`repro.pricing.scenarios.price_scenarios` -- bound to ``config``
-        it is the ``price_grid`` the :mod:`repro.core.risk` measures take.
+        :func:`repro.pricing.scenarios.price_scenarios` -- bound to the
+        lifecycle keywords it is the ``price_grid`` the :mod:`repro.core.risk`
+        measures take.
         """
         grid = ScenarioGrid(problems, scenarios, on_missing=on_missing)
         grid.columns()  # what the book cannot realise raises before a backend exists
-        campaign = self._open_campaign(grid, config=config)
+        campaign = self._open_campaign(grid, progress=progress, cancel=cancel, retry=retry)
         report, table = campaign.finish().report, campaign.table
         unpriced = table.ids[table.status != table.DONE]
         if len(unpriced):
@@ -456,7 +481,9 @@ class ValuationSession:
         vol_bump: float = 0.01,
         rate_bump: float = 0.0001,
         theta_bump: float = 1.0 / 365.0,
-        config: RunConfig | None = None,
+        progress: Callable[[StreamProgress], None] | None = None,
+        cancel: CancelToken | None = None,
+        retry: bool = False,
     ) -> "Any":
         """Full finite-difference Greek ladder of a portfolio, batched.
 
@@ -464,14 +491,18 @@ class ValuationSession:
         priced as a single campaign on the session backend: same
         :class:`~repro.core.risk.PortfolioRiskReport`, bit-identical
         numbers, and the cells parallelise over workers like any other
-        batched run.
+        batched run.  The campaign takes the session's strategy and
+        scheduler; ``progress``, ``cancel`` and ``retry`` are :meth:`run`'s,
+        ticking and cancelling scenario cells.
         """
         from repro.core.risk import portfolio_greeks
 
         return portfolio_greeks(
             portfolio, spot_bump=spot_bump, vol_bump=vol_bump,
             rate_bump=rate_bump, theta_bump=theta_bump,
-            price_grid=partial(self._run_scenario_grid, config=config),
+            price_grid=partial(
+                self._run_scenario_grid, progress=progress, cancel=cancel, retry=retry
+            ),
         )
 
     def risk(
@@ -483,7 +514,9 @@ class ValuationSession:
         bumps: Sequence[float] | None = None,
         relative: bool = True,
         confidence: float = 0.99,
-        config: RunConfig | None = None,
+        progress: Callable[[StreamProgress], None] | None = None,
+        cancel: CancelToken | None = None,
+        retry: bool = False,
     ) -> dict[Any, Any]:
         """Run a risk campaign (historical VaR or a sensitivity sweep), batched.
 
@@ -491,7 +524,8 @@ class ValuationSession:
         summary dict); ``param`` + ``bumps`` runs
         :func:`repro.core.risk.sensitivity_sweep` (same ``{bump: value}``
         mapping).  Either way the whole (positions x scenarios) grid prices
-        as one batched campaign on the session backend.
+        as one batched campaign on the session backend, with the lifecycle
+        keywords of :meth:`greeks`.
         """
         from repro.core.risk import historical_var, sensitivity_sweep
 
@@ -500,7 +534,9 @@ class ValuationSession:
                 "risk() needs either spot_returns=... (historical VaR) or "
                 "param=... and bumps=... (sensitivity sweep)"
             )
-        price_grid = partial(self._run_scenario_grid, config=config)
+        price_grid = partial(
+            self._run_scenario_grid, progress=progress, cancel=cancel, retry=retry
+        )
         if spot_returns is not None:
             return historical_var(
                 portfolio, spot_returns, confidence, price_grid=price_grid
@@ -720,7 +756,7 @@ class ValuationSession:
     def _simulation_jobs(self, source: Portfolio | Sequence[Job], batch: bool) -> list[Job]:
         """The jobs a simulated sweep replays: planned like a run, never executed."""
         return build_plan(
-            source, RunConfig(batch=batch), executing=False, cost_model=self.cost_model
+            source, executing=False, cost_model=self.cost_model, batch=batch
         ).jobs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience

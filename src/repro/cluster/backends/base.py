@@ -27,6 +27,7 @@ from repro.serial import serialize
 __all__ = [
     "PAYLOAD_SERIAL",
     "PAYLOAD_PATH",
+    "REDIAL_DELAYS_S",
     "Job",
     "PreparedMessage",
     "CompletedJob",
@@ -41,6 +42,12 @@ PAYLOAD_SERIAL = "serial"
 PAYLOAD_PATH = "path"
 
 _VALID_PAYLOAD_KINDS = (PAYLOAD_SERIAL, PAYLOAD_PATH)
+
+#: seconds waited before each try to get a lost worker back, 1.55 s in all:
+#: the remote backend re-dials a dead host on it (``reconnect=True``) and a
+#: session rebuilds a lost pool on it (``retry=True``) -- long enough for a
+#: restarting host to listen again
+REDIAL_DELAYS_S = (0.05, 0.1, 0.2, 0.4, 0.8)
 
 
 class Job:

@@ -22,7 +22,7 @@ A backend is one campaign's pool; these keep it alive for that campaign:
   workers and the run completes (the freed logical worker slot is remapped
   onto a live connection);
 * **rebirth** -- with ``reconnect=True`` a dead host is re-dialed from the
-  blocking calls (a fixed, capped exponential backoff over five dials)
+  blocking calls (five dials, on :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`)
   and, once back, gets its original logical slots again;
 * **liveness** -- a ``liveness_timeout`` turns a wedged-but-connected worker
   (one that answers neither a :data:`~repro.serial.frames.FRAME_PING` nor a
@@ -34,9 +34,8 @@ A backend is one campaign's pool; these keep it alive for that campaign:
 
 Only when the whole pool is gone *and* cannot come back does a retryable
 :class:`~repro.errors.WorkerLostError` surface, carrying the ids of the
-jobs that were in flight so a caller (or the session-layer
-:class:`~repro.api.config.RetryPolicy`) can resubmit them against fresh
-workers.
+jobs that were in flight so a caller (or a session run with ``retry=True``)
+can resubmit them against fresh workers.
 
 Build one through the registry --
 ``create_backend("remote", hosts=["10.0.0.4:9631", ...])`` or
@@ -57,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.cluster.backends.base import (
+    REDIAL_DELAYS_S,
     BackendStats,
     CompletedJob,
     Job,
@@ -93,14 +93,6 @@ _CONNECT_TIMEOUT_S = 10.0
 #: seconds one frame send may block before its worker is declared lost: a
 #: partitioned worker whose TCP buffer filled up cannot hang ``sendall``
 _SEND_TIMEOUT_S = 60.0
-
-#: ``reconnect=True``: dial ``k`` of a dead host waits
-#: ``min(_MAX_BACKOFF_S, _INITIAL_BACKOFF_S * _BACKOFF_FACTOR**(k-1))`` seconds,
-#: for at most ``_RECONNECT_ATTEMPTS`` dials (0.05, 0.1, 0.2, 0.4, 0.8 s)
-_RECONNECT_ATTEMPTS = 5
-_INITIAL_BACKOFF_S = 0.05
-_BACKOFF_FACTOR = 2.0
-_MAX_BACKOFF_S = 2.0
 
 #: sentinel ``conn_index`` of an orphaned in-flight job awaiting redispatch
 _UNROUTED = -1
@@ -150,11 +142,6 @@ def _check_duration(value: Any, field: str) -> None:
     infinite wait is a ``time.sleep`` / selector error in mid-campaign."""
     if not isinstance(value, numbers.Real) or not math.isfinite(value) or value <= 0:
         raise ClusterError(f"{field} must be a finite number > 0, got {value!r}")
-
-
-def _backoff(attempt: int) -> float:
-    """Seconds to wait before re-dial number ``attempt`` (1-based) of a dead host."""
-    return min(_MAX_BACKOFF_S, _INITIAL_BACKOFF_S * _BACKOFF_FACTOR ** max(0, attempt - 1))
 
 
 def check_reconnect(value: Any) -> bool:
@@ -213,8 +200,8 @@ class RemoteBackend(WorkerBackend):
         ``n_workers`` is ``len(hosts)``.
     reconnect:
         ``False`` (default): a dead host stays dead.  ``True`` re-dials dead
-        hosts from the blocking calls -- dial ``k`` waits
-        ``min(2, 0.05 * 2**(k-1))`` seconds, for at most five dials -- and
+        hosts from the blocking calls -- five dials, waiting
+        :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S` -- and
         remaps their logical slots back on success.  A re-dial
         never starts from ``poll()``, so the non-blocking surface stays
         non-blocking; a host that exhausts its dials stays buried.
@@ -629,7 +616,8 @@ class RemoteBackend(WorkerBackend):
             pass
         conn.sock.close()
         if self._reconnect and not self._finalized:
-            self._redial[index] = _ReconnectState(next_try=time.monotonic() + _backoff(1))
+            self._redial[index] = _ReconnectState(
+                next_try=time.monotonic() + REDIAL_DELAYS_S[0])
         for job_id, entry in self._inflight.items():
             if entry.conn_index == index:
                 # park the orphan: no connection holds it until the next
@@ -647,7 +635,7 @@ class RemoteBackend(WorkerBackend):
     def _redial_candidates(self) -> list[int]:
         return sorted(
             index for index, state in self._redial.items()
-            if state.attempts < _RECONNECT_ATTEMPTS
+            if state.attempts < len(REDIAL_DELAYS_S)
         )
 
     def _reconnect_pending(self) -> bool:
@@ -670,7 +658,8 @@ class RemoteBackend(WorkerBackend):
                 conn = self._connect(self._conns[index].address)
             except ClusterError:
                 state.attempts += 1
-                state.next_try = time.monotonic() + _backoff(state.attempts + 1)
+                if state.attempts < len(REDIAL_DELAYS_S):
+                    state.next_try = time.monotonic() + REDIAL_DELAYS_S[state.attempts]
                 continue
             self._conns[index] = conn
             self._selector.register(conn.sock, selectors.EVENT_READ, index)

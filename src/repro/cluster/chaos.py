@@ -26,6 +26,8 @@ format from the outside and the schedule only drives the simulator's clocks.
 
 from __future__ import annotations
 
+import math
+import numbers
 import socket
 import struct
 import threading
@@ -33,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ClusterError
+from repro.pricing.validation import check_count
 from repro.serial.frames import FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES
 
 __all__ = [
@@ -338,6 +341,10 @@ class ChaosProxy:
 # ---------------------------------------------------------------------------
 # ChurnSchedule: virtual-time elasticity for the simulated cluster
 # ---------------------------------------------------------------------------
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ChurnEvent:
     """One worker death or join at a virtual time."""
@@ -350,12 +357,16 @@ class ChurnEvent:
     def __post_init__(self) -> None:
         if self.action not in ("kill", "join"):
             raise ClusterError(f"unknown churn action {self.action!r}")
-        if self.time < 0:
-            raise ClusterError("churn events need time >= 0")
-        if self.action == "kill" and (self.worker_id is None or self.worker_id < 0):
-            raise ClusterError("a kill event needs a worker_id >= 0")
-        if self.action == "join" and self.speed <= 0:
-            raise ClusterError("a join event needs speed > 0")
+        # ``nan < 0`` is false: a sign check alone lets a NaN or an infinity
+        # through to the simulator's clocks
+        if not _is_real(self.time) or self.time < 0:
+            raise ClusterError(f"churn event time must be a finite number >= 0, got {self.time!r}")
+        if self.action == "kill":
+            check_count(self.worker_id, "a kill event's worker_id", 0, error=ClusterError,
+                        floats=False)
+        elif not _is_real(self.speed) or self.speed <= 0:
+            raise ClusterError(f"a join event's speed must be a finite number > 0, "
+                               f"got {self.speed!r}")
 
 
 @dataclass

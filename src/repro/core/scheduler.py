@@ -175,7 +175,7 @@ def register_scheduler(name: str, factory: _Factory | None = None) -> Any:
             name = "mine"
 
     Registered names are accepted wherever a scheduler is spelled as a string
-    (``ValuationSession(scheduler=...)``, ``RunConfig(scheduler=...)``, the
+    (``ValuationSession(scheduler=...)``, ``run(scheduler=...)``, the
     ``repro-bench --scheduler`` flags) and are called with no argument; a
     configured policy is spelled ``partial(MyPolicy, ...)``.
     """
@@ -199,7 +199,7 @@ def policy_factory(
     ``scheduler`` is a name registered in :data:`SCHEDULERS`, a zero-argument
     callable returning a fresh :class:`DispatchPolicy` (a policy class is
     one, so is ``partial(PriorityPolicy, priority=...)``), or ``None`` for
-    the paper's Robin Hood.  The session, the run configuration, the CLI and
+    the paper's Robin Hood.  The session, a run's keyword, the CLI and
     the serving daemon all resolve through this one function.
     """
     if isinstance(scheduler, str):

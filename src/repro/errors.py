@@ -59,7 +59,7 @@ class WorkerLostError(ClusterError):
     :attr:`job_ids` lists the jobs that were in flight, so a caller can
     rebuild a backend against fresh workers and resubmit exactly those jobs
     -- which is what the session layer does automatically under
-    ``RunConfig(retry=RetryPolicy(...))``."""
+    ``run(..., retry=True)``."""
 
     def __init__(self, message: str, job_ids: tuple[int, ...] = ()) -> None:
         super().__init__(message)

@@ -5,7 +5,7 @@ shared-path group of :meth:`~repro.pricing.methods.montecarlo.
 MonteCarloEuropean.price_many`, a :class:`~repro.pricing.batch.ProblemBatch`
 and a whole batch plan -- through :func:`run_groups`, which simulates batch
 by batch and folds every member's payoff into its accumulators.  The
-``kernel`` value (:class:`~repro.api.config.RunConfig`, ``price_many``,
+``kernel`` value (``ValuationSession.run(kernel=...)``, ``price_many``,
 ``ProblemBatch``) does not choose another engine; it sets two properties of
 this one loop:
 
@@ -83,7 +83,7 @@ __all__ = [
     "draw_digest",
 ]
 
-#: the settings of the estimator loop selectable through RunConfig / price_many
+#: the settings of the estimator loop selectable through run(kernel=) / price_many
 KERNELS = ("loop", "stacked")
 
 #: the kernel every entry point runs when the caller names none (the only

@@ -231,7 +231,7 @@ class PricingService:
         if self.config.backend == "remote":
             options["hosts"] = list(self.live_hosts()) or list(self._hosts)
             # a campaign survives a worker restart: re-dial dead hosts with a
-            # capped backoff and bury wedged-but-connected ones in seconds
+            # growing backoff and bury wedged-but-connected ones in seconds
             options["reconnect"] = True
             options["liveness_timeout"] = 30.0
             if self.config.worker_secret is not None:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunConfig, ValuationSession
+from repro.api import ValuationSession
 from repro.api.futures import PricingFuture
 from repro.api.plan import build_plan
 from repro.cluster.backends import Job
@@ -91,9 +91,9 @@ def _jobs(costs: list[float]) -> list[Job]:
     ]
 
 
-def _plan(jobs, cache=None, n_workers=2, options=RunConfig(), **facts):
+def _plan(jobs, cache=None, n_workers=2, **facts):
     return build_plan(
-        jobs, options, executing=True, cost_model=paper_cost_model(), run_cache=cache,
+        jobs, executing=True, cost_model=paper_cost_model(), run_cache=cache,
         n_workers=n_workers, **{**SLICED, **facts},
     )
 
@@ -241,8 +241,8 @@ def test_batch_keeps_its_own_plan():
         Position(problem, label=problem.label)
         for problem in _family(3, seed=1) + _family(2, seed=2) + [_position(7)]
     ])
-    batched = _plan(book, options=RunConfig(batch=True))
-    reference = _plan(book, options=RunConfig(batch=True), queues_jobs=False)
+    batched = _plan(book, batch=True)
+    reference = _plan(book, batch=True, queues_jobs=False)
     assert [type(job.problem) for job in batched.jobs] == [
         ProblemBatch, ProblemBatch, PricingProblem]
     assert batched.batch_members == reference.batch_members == {0: (0, 1, 2), 3: (3, 4)}
@@ -252,7 +252,7 @@ def test_batch_keeps_its_own_plan():
 def test_a_store_or_an_incomplete_problem_keeps_the_per_position_plan(tmp_path):
     book = build_toy_portfolio(6)
     store = book.to_store(tmp_path / "store")
-    plan = build_plan(book, RunConfig(), executing=True, cost_model=paper_cost_model(),
+    plan = build_plan(book, executing=True, cost_model=paper_cost_model(),
                       store=store, n_workers=2, **SLICED)
     assert len(plan.jobs) == 6 and not plan.batch_members
     jobs = _jobs([1.0] * 4)

@@ -1,4 +1,4 @@
-"""Tests of the frozen configuration objects of the unified API."""
+"""Tests of the unified API's backend recipe and scheduler spelling."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import BackendSpec, RunConfig, ValuationSession
-from repro.api.config import RetryPolicy
+from repro.api import BackendSpec, ValuationSession
 from repro.cluster.backends import SequentialBackend
 from repro.core.scheduler import ChunkedPolicy, policy_factory
 from repro.errors import ValuationError
@@ -40,7 +39,6 @@ class TestBackendSpec:
         import numpy as np
 
         assert BackendSpec("local", np.int64(2)).n_workers == 2
-        assert RetryPolicy(max_attempts=np.int64(3)).max_attempts == 3
         with pytest.raises(ValuationError, match="n_workers must be an int"):
             BackendSpec("local", np.bool_(True))
 
@@ -91,41 +89,9 @@ class TestBackendSpec:
         assert first.n_workers == 2
 
 
-class TestRetryPolicy:
-    @pytest.mark.parametrize("max_attempts", [1.5, 2.0, True, 0, -1])
-    def test_max_attempts_is_a_positive_int(self, max_attempts):
-        with pytest.raises(ValuationError, match="RetryPolicy.max_attempts"):
-            RetryPolicy(max_attempts=max_attempts)
-
-    @pytest.mark.parametrize("field", ["backoff", "backoff_factor"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-    def test_backoffs_are_finite(self, field, value):
-        """``nan < 0`` is false: a NaN backoff made ``delay(1)`` NaN, a
-        ``time.sleep`` error in the middle of a retry."""
-        with pytest.raises(ValuationError, match=f"RetryPolicy.{field} must be a finite"):
-            RetryPolicy(**{field: value})
-
-    def test_delays_of_a_valid_policy(self):
-        policy = RetryPolicy(max_attempts=3, backoff=0.5, backoff_factor=2.0)
-        assert [policy.delay(k) for k in (0, 1, 2, 3)] == [0.0, 0.5, 1.0, 2.0]
-
-
-class TestRunConfig:
-    def test_defaults(self):
-        config = RunConfig()
-        assert config.strategy is None  # "the session's strategy"
-        assert config.scheduler is None
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValuationError):
-            RunConfig(strategy="carrier_pigeon")
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValuationError):
-            RunConfig(scheduler="fifo")
-
+class TestSchedulerSpelling:
     def test_policy_factory_builds_fresh_policies(self):
-        factory = policy_factory(RunConfig(scheduler="chunked_robin_hood").scheduler)
+        factory = policy_factory("chunked_robin_hood")
         first, second = factory(), factory()
         assert isinstance(first, ChunkedPolicy)
         assert first is not second
@@ -133,10 +99,6 @@ class TestRunConfig:
     def test_the_scheduler_option_channel_is_gone(self):
         # a configured policy is spelled partial(MyPolicy, ...)
         with pytest.raises(TypeError):
-            RunConfig(scheduler="chunked_robin_hood", scheduler_options={"k": 4})
+            ValuationSession().run([], scheduler="chunked_robin_hood", scheduler_options={"k": 4})
         with pytest.raises(TypeError):
             policy_factory("chunked_robin_hood", {"k": 4})
-
-    def test_policy_instance_rejected(self):
-        with pytest.raises(ValuationError, match="pass a registered name, the policy class"):
-            RunConfig(scheduler=ChunkedPolicy())

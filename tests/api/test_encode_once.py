@@ -17,9 +17,8 @@ from collections import Counter
 
 import pytest
 
-from repro.api import BackendSpec, RunConfig, ValuationSession
+from repro.api import BackendSpec, ValuationSession
 from repro.api.campaign import Campaign
-from repro.api.config import RetryPolicy
 from repro.api.plan import build_plan
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.worker import spawn_local_workers
@@ -162,7 +161,7 @@ def test_a_sliced_book_is_written_without_a_digest_one_encode_a_slice(monkeypatc
     header dedup key is exact bytes, not a digest) and one XDR encode of
     each slice's book, next to the one of the slice that carries it."""
     book = build_toy_portfolio(3000)
-    plan = build_plan(book, RunConfig(), executing=True, cost_model=paper_cost_model(),
+    plan = build_plan(book, executing=True, cost_model=paper_cost_model(),
                       n_workers=2, queues_jobs=True)
     assert 1 < len(plan.jobs) < 100
     assert all(isinstance(job.problem, ScenarioGrid) for job in plan.jobs)
@@ -220,7 +219,7 @@ def test_risk_retry_after_pool_loss_adds_no_encodes(encodes, monkeypatch):
     reattach = Campaign._reattach
     monkeypatch.setattr(
         Campaign, "_reattach",
-        lambda self, retry, attempt: reattached.append(attempt) or reattach(self, retry, attempt),
+        lambda self, delays: reattached.append(self) or reattach(self, delays),
     )
     with spawn_local_workers(1) as pool:
         spec = BackendSpec("remote", options={
@@ -228,12 +227,9 @@ def test_risk_retry_after_pool_loss_adds_no_encodes(encodes, monkeypatch):
         clean = ValuationSession(backend=spec).risk(_book(), spot_returns=RETURNS)
         clean_encodes = dict(encodes)
         encodes.clear()
-        config = RunConfig(
-            retry=RetryPolicy(max_attempts=5, backoff=0.6, backoff_factor=1.5),
-            progress=_kill_first_worker_once(pool, restart_after=0.8),
-        )
         summary = ValuationSession(backend=spec).risk(
-            _book(), spot_returns=RETURNS, config=config)
+            _book(), spot_returns=RETURNS, retry=True,
+            progress=_kill_first_worker_once(pool, restart_after=0.8))
     assert reattached and summary == clean
     # the re-dispatched slices re-send the bytes kept from their first dispatch
     assert encodes == clean_encodes and encodes["book"] == 1
@@ -248,11 +244,8 @@ def test_retry_after_pool_loss_adds_no_encodes(encodes):
         spec = BackendSpec("remote", options={
             "hosts": pool.hosts})
         session = ValuationSession(backend=spec)
-        config = RunConfig(
-            retry=RetryPolicy(max_attempts=5, backoff=0.6, backoff_factor=1.5),
-            progress=_kill_first_worker_once(pool, restart_after=0.8),
-        )
-        result = session.run(book, config=config)
+        result = session.run(
+            book, retry=True, progress=_kill_first_worker_once(pool, restart_after=0.8))
     assert result.ok and result.report.extra.get("retries", 0) >= 1
     # the re-dispatched slices re-send the bytes kept from the first dispatch
     n_slices = _n_book_slices(book, 1)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunConfig
 from repro.api.plan import build_plan
 from repro.cluster.costmodel import paper_cost_model
 from repro.core.scheduler import cut_chunks
@@ -48,7 +47,7 @@ def _scenarios(params: list[int]) -> list[Scenario]:
 def _plan(problems, scenarios, on_missing, n_workers):
     grid = ScenarioGrid(problems, scenarios, on_missing=on_missing)
     plan = build_plan(
-        grid, RunConfig(), executing=True, cost_model=paper_cost_model(), n_workers=n_workers
+        grid, executing=True, cost_model=paper_cost_model(), n_workers=n_workers
     )
     return grid, plan
 

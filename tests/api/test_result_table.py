@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.api import CancelToken, ResultCache, RunConfig, ValuationSession
+from repro.api import CancelToken, ResultCache, ValuationSession
 from repro.api import futures as futures_module
 from repro.api import results as results_module
 from repro.core.portfolio import Portfolio, Position
@@ -170,12 +170,12 @@ class TestNothingPerCellOnTheMaster:
         assert counts["futures"] == 2 * len(book)
 
 
-def _grid_campaign(session: ValuationSession, book: Portfolio, returns=RETURNS, **config):
+def _grid_campaign(session: ValuationSession, book: Portfolio, returns=RETURNS, **keywords):
     grid = ScenarioGrid(
         [position.problem for position in book], historical_scenarios(returns),
         on_missing="base",
     )
-    return grid, session._open_campaign(grid, config=RunConfig(**config))
+    return grid, session._open_campaign(grid, **keywords)
 
 
 def test_a_poisoned_cell_fails_alone_in_the_table(monkeypatch):

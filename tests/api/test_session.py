@@ -19,12 +19,10 @@ from repro.api import (
     ComparisonResult,
     PriceResult,
     ResultCache,
-    RunConfig,
     RunResult,
     SweepResult,
     ValuationSession,
 )
-from repro.api.config import RetryPolicy
 from repro.cluster.backends import SequentialBackend, execute_payload
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import CommunicationModel, NFSModel
@@ -136,10 +134,9 @@ class TestRun:
         with pytest.raises(ValuationError):  # no portfolio to mark to market
             result.value()
 
-    def test_run_with_config_object(self, toy_portfolio):
-        config = RunConfig(strategy="nfs", scheduler="chunked_robin_hood")
+    def test_run_with_strategy_and_scheduler_keywords(self, toy_portfolio):
         session = ValuationSession(backend="simulated", n_workers=2)
-        result = session.run(toy_portfolio, config=config)
+        result = session.run(toy_portfolio, strategy="nfs", scheduler="chunked_robin_hood")
         assert result.strategy == "nfs"
         assert result.report.scheduler == "chunked_robin_hood"
 
@@ -364,6 +361,41 @@ class TestSessionValidation:
         session = ValuationSession(backend=BackendSpec("local", 2))
         assert session.run(toy_portfolio).ok
 
+    @pytest.mark.parametrize("start", ["run", "stream"])
+    @pytest.mark.parametrize(
+        ("keywords", "message"),
+        [
+            ({"kernel": "vectorised"}, "unknown kernel 'vectorised'"),
+            ({"min_group_size": 0}, "min_group_size must be >= 1"),
+            ({"strategy": "carrier_pigeon"}, "unknown strategy 'carrier_pigeon'"),
+            ({"scheduler": "fifo"}, "unknown scheduler 'fifo'"),
+            ({"scheduler": ChunkedPolicy()}, "scheduler= got a ChunkedPolicy instance"),
+            ({"retry": 3}, "retry must be True or False, got 3"),
+            ({"retry": "yes"}, "retry must be True or False, got 'yes'"),
+            ({"retry": object()}, "retry must be True or False, got <object"),
+        ],
+        ids=["kernel", "min_group_size", "strategy", "scheduler-name",
+             "scheduler-instance", "retry-int", "retry-str", "retry-object"],
+    )
+    def test_a_bad_keyword_is_refused_before_a_backend_is_built(
+        self, monkeypatch, toy_portfolio, start, keywords, message
+    ):
+        session = ValuationSession(backend="local")
+        monkeypatch.setattr(session, "_acquire_backend", None)  # never reached
+        with pytest.raises(ValuationError, match=message):
+            getattr(session, start)(toy_portfolio, **keywords)
+
+    @pytest.mark.parametrize("start", ["run", "stream"])
+    def test_retry_is_refused_on_a_session_that_cannot_rebuild_its_pool(
+        self, toy_portfolio, start
+    ):
+        backend = SequentialBackend(2)
+        session = ValuationSession(backend=backend)
+        with pytest.raises(ValuationError, match="only those can rebuild the pool"):
+            getattr(session, start)(toy_portfolio, retry=True)
+        # the refusal consumed nothing: the one-shot backend still runs once
+        assert session.run(toy_portfolio).ok
+
 
 def _stream_result(session, source, **options):
     streamed = session.stream(source, **options)
@@ -378,21 +410,19 @@ class TestOneOptionPath:
     """``run`` and ``stream`` resolve their options through one path."""
 
     @DRAINS
-    def test_the_whole_run_config_is_honoured(self, drain, toy_portfolio):
+    def test_the_scheduler_keyword_is_honoured(self, drain, toy_portfolio):
         session = ValuationSession(backend="simulated")
-        result = drain(session, toy_portfolio, config=RunConfig(scheduler="static_block"))
+        result = drain(session, toy_portfolio, scheduler="static_block")
         assert result.report.scheduler == "static_block"
-        bad = RunConfig(scheduler=partial(PriorityPolicy, priority=3))
         with pytest.raises(SchedulingError):
-            drain(session, toy_portfolio, config=bad)
+            drain(session, toy_portfolio, scheduler=partial(PriorityPolicy, priority=3))
 
     @DRAINS
-    def test_config_does_not_override_the_session_strategy(self, drain, toy_portfolio):
+    def test_a_strategy_not_given_is_the_session_strategy(self, drain, toy_portfolio):
         session = ValuationSession(backend="simulated", strategy="nfs")
-        config = RunConfig(retry=RetryPolicy())
-        assert drain(session, toy_portfolio, config=config).strategy == "nfs"
-        explicit = RunConfig(strategy="full_load")  # explicit values still win
-        assert drain(session, toy_portfolio, config=explicit).strategy == "full_load"
+        assert drain(session, toy_portfolio, retry=True).strategy == "nfs"
+        explicit = drain(session, toy_portfolio, strategy="full_load")  # the keyword wins
+        assert explicit.strategy == "full_load"
 
     @pytest.mark.parametrize(
         ("spec", "name"),
@@ -410,15 +440,11 @@ class TestOneOptionPath:
         assert ran.scheduler == name
 
     @DRAINS
-    def test_scheduler_precedence_keyword_config_session(self, drain, toy_portfolio):
+    def test_scheduler_precedence_keyword_session(self, drain, toy_portfolio):
         session = ValuationSession(backend="simulated", scheduler="static_block")
-        config = RunConfig(scheduler="chunked_robin_hood")
         assert drain(session, toy_portfolio).report.scheduler == "static_block"
-        assert drain(session, toy_portfolio, config=config).report.scheduler == (
-            "chunked_robin_hood"
-        )
-        both = drain(session, toy_portfolio, config=config, scheduler="work_stealing")
-        assert both.report.scheduler == "work_stealing"
+        keyword = drain(session, toy_portfolio, scheduler="work_stealing")
+        assert keyword.report.scheduler == "work_stealing"
         plain = ValuationSession(backend="simulated")
         assert drain(plain, toy_portfolio).report.scheduler == "robin_hood"
 
@@ -484,11 +510,10 @@ def test_pool_loss_is_retried_wherever_the_campaign_is_drained(monkeypatch, spel
 
     monkeypatch.setattr(SequentialBackend, "collect", dying)
     session = ValuationSession(backend="local")
-    config = RunConfig(retry=RetryPolicy(max_attempts=2))
     if spelling == "run":
-        result = session.run(book, config=config)
+        result = session.run(book, retry=True)
     else:
-        result = session.stream(book, config=config).result()
+        result = session.stream(book, retry=True).result()
     assert result.ok and result.report.extra["retries"] == 1
     assert collects[0] is not collects[-1]  # the pending futures moved to a fresh backend
     assert list(result.report.results) == list(range(6))

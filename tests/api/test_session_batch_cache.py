@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import BackendSpec, CancelToken, ResultCache, RunConfig, ValuationSession
+from repro.api import BackendSpec, CancelToken, ResultCache, ValuationSession
 from repro.cli import build_parser
 from repro.core import build_realistic_portfolio
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
@@ -38,10 +38,9 @@ class TestBatchRuns:
         assert batched.prices() == plain.prices()
         assert batched.value() == plain.value()
 
-    def test_run_config_routes_batch_options(self):
+    def test_the_batch_keyword_prices_a_job_list(self):
         family = _mc_family(4)
-        config = RunConfig(batch=True)
-        result = ValuationSession(backend="local").run(family, config=config)
+        result = ValuationSession(backend="local").run(family, batch=True)
         plain = ValuationSession(backend="local").run(family)
         assert result.prices() == plain.prices()
 

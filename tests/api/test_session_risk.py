@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import RunConfig, ValuationSession
+from repro.api import ValuationSession
 from repro.api.plan import build_plan
 from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import Portfolio
 from repro.core.risk import historical_var, portfolio_greeks, sensitivity_sweep
 from repro.errors import PortfolioError, PricingError, ValuationError
+from repro.pricing.kernel import DEFAULT_KERNEL
 from repro.pricing.scenarios import expand_scenarios, greek_ladder, historical_scenarios
 from repro.pricing.scenarios import ScenarioGrid
 from tests.oracles.books import mixed_book
@@ -99,7 +100,7 @@ def test_cell_futures_carry_the_labels_of_the_expanded_problems(session):
         [position.problem for position in book], ladder, on_missing="skip"
     )
     events = []
-    session.greeks(book, config=RunConfig(progress=events.append))
+    session.greeks(book, progress=events.append)
     assert sorted(event.label for event in events) == sorted(p.label for p in expanded)
     assert {event.label for event in events} >= {"mc_K95", "mc_K95|theta_down", "cf_put|vol_up"}
     assert "sigma_only|vol_up" not in {event.label for event in events}  # skipped cell
@@ -111,7 +112,7 @@ def test_cell_futures_carry_the_labels_of_the_expanded_problems(session):
     # on_missing="base": an unrealisable cell keeps the base label it is priced under
     events.clear()
     session.risk(book, param="volatility", bumps=[0.01], relative=False,
-                 config=RunConfig(progress=events.append))
+                 progress=events.append)
     assert sorted(event.label for event in events) == [
         "cf_put|volatility[0]+0.01", "mc_K105|volatility[0]+0.01",
         "mc_K95|volatility[0]+0.01", "sigma_only",
@@ -139,8 +140,7 @@ def test_the_futures_of_a_risk_campaign_are_labelled_like_the_expanded_cells():
     assert jobs[5].price_result().label == labels[jobs[5].job_id]
 
 
-@pytest.mark.parametrize("kernel", ["loop", "stacked"])
-def test_config_kernel_reaches_the_dispatched_grid_slices(monkeypatch, kernel):
+def test_a_risk_campaign_prices_its_slices_with_the_default_kernel(monkeypatch):
     session = ValuationSession(backend="local")
     dispatched: list[ScenarioGrid] = []
 
@@ -151,10 +151,9 @@ def test_config_kernel_reaches_the_dispatched_grid_slices(monkeypatch, kernel):
         return plan
 
     monkeypatch.setattr("repro.api.session.build_plan", spy)
-    config = RunConfig(kernel=kernel)
-    greeks = session.greeks(mixed_book(), config=config)
-    var = session.risk(mixed_book(), spot_returns=RETURNS, confidence=0.75, config=config)
-    assert dispatched and {part.kernel for part in dispatched} == {kernel}
-    # either kernel replays the same IEEE operation sequence
+    greeks = session.greeks(mixed_book())
+    var = session.risk(mixed_book(), spot_returns=RETURNS, confidence=0.75)
+    assert dispatched and {part.kernel for part in dispatched} == {DEFAULT_KERNEL}
+    # the stacked kernel replays the serial references' IEEE operation sequence
     assert greeks == portfolio_greeks(mixed_book())
     assert var == historical_var(mixed_book(), RETURNS, confidence=0.75)

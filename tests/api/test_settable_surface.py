@@ -13,8 +13,7 @@ import inspect
 
 import pytest
 
-from repro.api import RunConfig, ValuationSession
-from repro.api.config import RetryPolicy
+from repro.api import ValuationSession
 from repro.cluster import worker
 from repro.cluster.backends import _BACKEND_REGISTRY, MultiprocessingBackend, SequentialBackend
 from repro.cluster.backends.remote import RemoteBackend
@@ -26,15 +25,16 @@ from repro.pricing.scenarios import greek_ladder
 from repro.serve import ServerConfig
 
 # removed from both: cache (a run without the session's cache is
-# ``session.with_options(cache=None).run(...)``)
-_RUN_KEYWORDS = ("source", "strategy", "scheduler", "store", "config", "batch", "kernel",
-                 "min_group_size", "progress", "cancel")
+# ``session.with_options(cache=None).run(...)``); config, for retry (keywords
+# are the one way to configure a run)
+_RUN_KEYWORDS = ("source", "strategy", "scheduler", "store", "batch", "kernel",
+                 "min_group_size", "progress", "cancel", "retry")
 
 SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
-    # removed: cost_model (the session's is the one), batch_group_size (a
-    # family is never split), cache (as for run and stream)
-    "RunConfig": (RunConfig, ("strategy", "scheduler", "batch", "kernel", "min_group_size",
-                              "progress", "cancel", "retry")),
+    # removed, 11 slots: RunConfig (strategy, scheduler, batch, kernel,
+    # min_group_size, progress, cancel, retry), a second spelling of the run
+    # keywords; and RetryPolicy (max_attempts, backoff, backoff_factor):
+    # ``retry`` is a bool over the re-dial schedule
     # removed: comm_factory (a cold run takes a cold_copy() of ``comm``)
     "ValuationSession": (ValuationSession.__init__, (
         "backend", "strategy", "n_workers", "scheduler", "cost_model", "comm",
@@ -91,10 +91,20 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     # workers stays: ``repro-worker --workers N`` is a deployment setting
     "cluster.worker.serve": (worker.serve, (
         "host", "port", "once", "ready", "quiet", "workers", "secret")),
-    # The census for the next round -- still set only by tests/: the three
-    # RetryPolicy fields; liveness_timeout, whose one value outside tests/ is
-    # repro-serve's 30 s.
-    "RetryPolicy": (RetryPolicy, ("max_attempts", "backoff", "backoff_factor")),
+    # The census for the next round -- still set only by tests/:
+    # liveness_timeout, whose one value outside tests/ is repro-serve's 30 s.
+}
+
+#: unpinned until their ``config=`` left for the lifecycle keywords of a run
+#: (a risk campaign takes the session's strategy and scheduler and the
+#: default kernel); counted apart from SURFACE
+RISK_SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
+    "ValuationSession.greeks": (ValuationSession.greeks, (
+        "portfolio", "spot_bump", "vol_bump", "rate_bump", "theta_bump",
+        "progress", "cancel", "retry")),
+    "ValuationSession.risk": (ValuationSession.risk, (
+        "portfolio", "spot_returns", "param", "bumps", "relative", "confidence",
+        "progress", "cancel", "retry")),
 }
 
 
@@ -106,15 +116,16 @@ def _settable(target: object) -> tuple[str, ...]:
     return tuple(p.name for p in parameters if p.name != "self")
 
 
-@pytest.mark.parametrize("name", sorted(SURFACE))
+@pytest.mark.parametrize("name", sorted({**SURFACE, **RISK_SURFACE}))
 def test_the_settable_surface_is_the_reviewed_list(name):
-    target, expected = SURFACE[name]
+    target, expected = {**SURFACE, **RISK_SURFACE}[name]
     assert _settable(target) == expected
 
 
-def test_the_surface_has_118_slots():
+def test_the_surface_has_107_slots():
     # 93 before the backend and worker census joined the list, 140 with it;
     # 127 before the nine cache slots (RunConfig.cache, run and stream cache,
-    # six cache_dir) left
-    assert sum(len(slots) for _target, slots in SURFACE.values()) == 118
+    # six cache_dir) left, 118 before RunConfig and RetryPolicy left
+    assert sum(len(slots) for _target, slots in SURFACE.values()) == 107
+    assert sum(len(slots) for _target, slots in RISK_SURFACE.values()) == 17
 

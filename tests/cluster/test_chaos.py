@@ -92,6 +92,30 @@ class TestChurnSchedule:
         with pytest.raises(ClusterError):
             ChurnEvent(**event_kwargs)
 
+    @pytest.mark.parametrize(
+        ("build", "field"),
+        [
+            (lambda churn: churn.kill(0, at=float("nan")), "time"),
+            (lambda churn: churn.kill(0, at=float("inf")), "time"),
+            (lambda churn: churn.kill(1.5, at=0.2), "worker_id"),
+            (lambda churn: churn.kill(True, at=0.2), "worker_id"),
+            (lambda churn: churn.kill("0", at=0.2), "worker_id"),
+            (lambda churn: churn.join(at=float("nan")), "time"),
+            (lambda churn: churn.join(at=0.2, speed=float("nan")), "speed"),
+            (lambda churn: churn.join(at=0.2, speed=float("inf")), "speed"),
+            (lambda churn: churn.join(at=0.2, speed=-1.0), "speed"),
+        ],
+        ids=["kill-at-nan", "kill-at-inf", "kill-float-worker", "kill-bool-worker",
+             "kill-str-worker", "join-at-nan", "join-nan-speed", "join-inf-speed",
+             "join-negative-speed"],
+    )
+    def test_a_bad_event_is_refused_where_it_is_built(self, build, field):
+        # refused at construction, naming the field -- not a simulator error
+        # later, nor a kill that never fires or a join that shortens the run
+        with pytest.raises(ClusterError, match=field) as excinfo:
+            build(ChurnSchedule())
+        assert not isinstance(excinfo.value, SimulationError)
+
     def test_kill_of_unknown_worker_rejected_by_simulator(self):
         churn = ChurnSchedule().kill(7, at=1.0)
         with pytest.raises(SimulationError, match="unknown worker"):
@@ -197,7 +221,8 @@ class TestChaosProxy:
     def test_scheduled_kill_survived_through_reconnect(self, monkeypatch):
         """The CI chaos lifecycle: link killed mid-campaign, master re-dials
         through the proxy and the campaign finishes bit-identical."""
-        monkeypatch.setattr(remote, "_RECONNECT_ATTEMPTS", 10)
+        # ten dials, the last five 1.6 s and then 2 s apart
+        monkeypatch.setattr(remote, "REDIAL_DELAYS_S", remote.REDIAL_DELAYS_S + (1.6,) + (2.0,) * 4)
         problems = [_make_problem(k) for k in (85.0, 95.0, 105.0, 115.0, 125.0, 135.0)]
         reference = [p.compute().price for p in problems]
         with spawn_local_workers(1) as pool:
@@ -263,7 +288,8 @@ class TestChaosProxy:
                 for strike in (85.0, 95.0, 105.0, 115.0)
             ])
 
-        monkeypatch.setattr(remote, "_RECONNECT_ATTEMPTS", 10)
+        # ten dials, the last five 1.6 s and then 2 s apart
+        monkeypatch.setattr(remote, "REDIAL_DELAYS_S", remote.REDIAL_DELAYS_S + (1.6,) + (2.0,) * 4)
         returns = [0.001 * (k - 20) for k in range(40)]
         reference = ValuationSession(backend="local").risk(book(), spot_returns=returns)
         with spawn_local_workers(1) as pool:

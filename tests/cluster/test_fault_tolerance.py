@@ -16,16 +16,15 @@ import time
 import pytest
 
 from repro.api import BackendSpec, ValuationSession
-from repro.api.config import RetryPolicy, RunConfig
 from repro.cluster.backends import Job, PAYLOAD_SERIAL, PreparedMessage
 from repro.cluster.backends import remote
+from repro.cluster.backends.base import REDIAL_DELAYS_S
 from repro.cluster.backends.remote import RemoteBackend
 from repro.cluster.worker import probe_worker, serve, spawn_local_workers
 from repro.core.portfolio import Portfolio, Position
 from repro.errors import (
     ClusterError,
     CollectTimeoutError,
-    ValuationError,
     WorkerLostError,
 )
 from repro.pricing import PricingProblem
@@ -144,19 +143,19 @@ class _ForeignWorker:
 class TestReconnectSchedule:
     def test_reconnect_true_is_the_old_default_policy(self):
         """``reconnect=True`` dials a dead host 5 times, after 0.05, 0.1, 0.2,
-        0.4 and 0.8 s, with each wait capped at 2 s: the schedule the default
-        ``ReconnectPolicy()`` had."""
-        assert remote._RECONNECT_ATTEMPTS == 5
-        assert [remote._backoff(k) for k in range(1, 6)] == [0.05, 0.1, 0.2, 0.4, 0.8]
-        assert remote._backoff(6) == 1.6
-        assert remote._backoff(7) == remote._backoff(40) == remote._MAX_BACKOFF_S == 2.0
+        0.4 and 0.8 s: the schedule the default ``ReconnectPolicy()`` had, and
+        the one a session's ``retry=True`` rebuilds a lost pool on."""
+        assert remote.REDIAL_DELAYS_S is REDIAL_DELAYS_S == (0.05, 0.1, 0.2, 0.4, 0.8)
 
     def test_a_dead_host_is_dialed_five_times_then_buried(self, monkeypatch):
         dials = []
         mute = _MuteWorker()
         try:
             backend = RemoteBackend([mute.address], reconnect=True)
-            monkeypatch.setattr(remote, "_backoff", lambda attempt: dials.append(attempt) or 0.0)
+            monkeypatch.setattr(remote, "REDIAL_DELAYS_S", (0.0,) * 5)
+            connect = backend._connect
+            monkeypatch.setattr(
+                backend, "_connect", lambda address: dials.append(address) or connect(address))
             _dispatch(backend, 0, 0, _make_problem())
             mute.close()  # the host is gone for good: every re-dial is refused
             with pytest.raises(WorkerLostError) as excinfo:
@@ -164,7 +163,7 @@ class TestReconnectSchedule:
             backend.finalize()
         finally:
             mute.close()
-        assert dials == [1, 2, 3, 4, 5, 6]  # the first wait, then one after each failed dial
+        assert dials == [mute.address] * 5
         assert excinfo.value.job_ids == (0,)
 
 
@@ -175,9 +174,7 @@ class TestKillAndRestart:
         bit-identical, with no WorkerLostError and >= 1 reconnect."""
         # more dials than the five of the fixed schedule: a loaded machine
         # may take seconds to restart a worker process
-        monkeypatch.setattr(remote, "_RECONNECT_ATTEMPTS", 30)
-        monkeypatch.setattr(remote, "_INITIAL_BACKOFF_S", 0.1)
-        monkeypatch.setattr(remote, "_MAX_BACKOFF_S", 0.5)
+        monkeypatch.setattr(remote, "REDIAL_DELAYS_S", (0.1, 0.2, 0.4) + (0.5,) * 27)
         problems = [_make_problem(80.0 + 5 * k) for k in range(6)]
         reference = [p.compute().price for p in problems]
         with spawn_local_workers(1) as pool:
@@ -367,25 +364,6 @@ class TestForeignPeerRefused:
         assert "version mismatch" in capsys.readouterr().err
 
 
-class TestRetryPolicy:
-    def test_delay_schedule(self):
-        policy = RetryPolicy(max_attempts=4, backoff=0.5, backoff_factor=2.0)
-        assert policy.delay(0) == 0.0
-        assert [policy.delay(k) for k in (1, 2, 3)] == [0.5, 1.0, 2.0]
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(max_attempts=0), dict(backoff=-1.0), dict(backoff_factor=0.5)],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValuationError):
-            RetryPolicy(**kwargs)
-
-    def test_runconfig_rejects_non_policy(self):
-        with pytest.raises(ValuationError, match="retry"):
-            RunConfig(retry=3)
-
-
 class TestSessionRetry:
     def _portfolio_and_reference(self, n: int = 10):
         problems = [
@@ -413,11 +391,7 @@ class TestSessionRetry:
                         daemon=True,
                     ).start()
 
-            config = RunConfig(
-                retry=RetryPolicy(max_attempts=5, backoff=0.6, backoff_factor=1.5),
-                progress=on_progress,
-            )
-            result = session.run(portfolio, config=config)
+            result = session.run(portfolio, retry=True, progress=on_progress)
             report = result.report
             assert not report.errors
             assert report.extra.get("retries", 0) >= 1
@@ -436,4 +410,4 @@ class TestSessionRetry:
                     pool.kill(0)
 
             with pytest.raises(WorkerLostError):
-                session.run(portfolio, config=RunConfig(progress=on_progress))
+                session.run(portfolio, progress=on_progress)

@@ -19,7 +19,6 @@ import time
 import pytest
 
 from repro.api import ValuationSession
-from repro.api.config import RetryPolicy, RunConfig
 from repro.cluster.backends import PAYLOAD_SERIAL, Job, PreparedMessage
 from repro.cluster.backends.multiproc import MultiprocessingBackend
 from repro.cluster.backends.remote import RemoteBackend
@@ -158,8 +157,7 @@ class TestMultiprocessingDeath:
                 os.kill(_started_since(before)[0].pid, signal.SIGKILL)
 
         session = ValuationSession(backend="multiprocessing", n_workers=2)
-        config = RunConfig(retry=RetryPolicy(max_attempts=3), progress=on_progress)
-        report = session.run(portfolio, config=config).report
+        report = session.run(portfolio, retry=True, progress=on_progress).report
         assert not report.errors
         assert report.extra["retries"] == 1
         assert report.prices() == reference
@@ -201,8 +199,8 @@ class TestGridSlicesSurviveADeath:
                 kill()
             answered.append(event.job_id)
 
-        config = RunConfig(retry=RetryPolicy(max_attempts=3), progress=on_progress)
-        summary = session.risk(self._book(), spot_returns=self.RETURNS, config=config)
+        summary = session.risk(
+            self._book(), spot_returns=self.RETURNS, retry=True, progress=on_progress)
         assert summary == reference
         n_cells = 6 * (len(self.RETURNS) + 1)
         assert sorted(answered) == list(range(n_cells))  # every cell, exactly once
@@ -258,8 +256,7 @@ class TestBookSlicesSurviveADeath:
                 kill()
             answered.append(event.job_id)
 
-        config = RunConfig(retry=RetryPolicy(max_attempts=3), progress=on_progress)
-        campaign = session._open_campaign(self._book(), config=config)
+        campaign = session._open_campaign(self._book(), retry=True, progress=on_progress)
         assert len(campaign.plan.jobs) > 8 and campaign.plan.members_stand_alone
         result = campaign.finish()
         assert result.ok and result.prices() == reference.prices()
@@ -324,7 +321,7 @@ class TestAMalformedReplyRecord:
                     for key, value in fields)
                 conn.sendall(encode_frame(FRAME_RESULT, body))
 
-    def _run(self, hosts_after_confused: list[str], retry: RetryPolicy | None = None):
+    def _run(self, hosts_after_confused: list[str]):
         server = socket.create_server(("127.0.0.1", 0))
         stop = threading.Event()
         thread = threading.Thread(
@@ -335,8 +332,7 @@ class TestAMalformedReplyRecord:
             session = ValuationSession(backend="remote", backend_options={
                 "hosts": [address, *hosts_after_confused]})
             return session.risk(
-                TestGridSlicesSurviveADeath._book(), spot_returns=self.RETURNS,
-                config=RunConfig(retry=retry))
+                TestGridSlicesSurviveADeath._book(), spot_returns=self.RETURNS)
         finally:
             stop.set()
             server.close()
@@ -351,4 +347,4 @@ class TestAMalformedReplyRecord:
     def test_without_a_survivor_the_loss_is_typed_and_names_the_slices(self):
         with pytest.raises(WorkerLostError) as excinfo:
             self._run([])
-        assert excinfo.value.job_ids  # the slices it held: what a RetryPolicy resubmits
+        assert excinfo.value.job_ids  # the slices it held: what retry=True resubmits

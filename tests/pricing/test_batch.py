@@ -211,7 +211,6 @@ class TestProblemBatch:
         }
 
     def test_unnamed_kernel_is_the_single_sourced_default(self):
-        from repro.api import RunConfig
         from repro.pricing.kernel import DEFAULT_KERNEL
 
         assert DEFAULT_KERNEL == "stacked"
@@ -220,7 +219,6 @@ class TestProblemBatch:
         wire = batch.to_dict()
         del wire["kernel"]
         assert ProblemBatch.from_dict(wire).kernel == DEFAULT_KERNEL
-        assert RunConfig().kernel == DEFAULT_KERNEL
         assert ProblemBatch([_mc_problem(90.0)], kernel="loop").kernel == "loop"
 
 
