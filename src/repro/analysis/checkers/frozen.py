@@ -3,8 +3,9 @@
 ``BackendSpec``, ``ServerConfig``, ``PaperTable`` (and every other
 ``@dataclass(frozen=True)``) are frozen on purpose: sessions hash them,
 retries rebuild backends from them, and a mutation anywhere would silently
-fork the configuration two subsystems think they share.  Python only enforces this at runtime -- on the exact
-line executed -- so this checker enforces it statically:
+fork the configuration two subsystems think they share.  Python only
+enforces this at runtime -- on the exact line executed -- so this checker
+enforces it statically:
 
 * inside a frozen dataclass, any plain ``self.attr = ...`` raises
   ``FrozenInstanceError`` at runtime, even in ``__post_init__`` (the

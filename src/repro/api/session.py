@@ -54,12 +54,13 @@ from repro.cluster.simcluster.comm import STRATEGY_NAMES, CommunicationModel
 from repro.core.portfolio import Portfolio
 from repro.core.scheduler import DispatchPolicy, ScheduleStream, policy_factory
 from repro.core.speedup import SpeedupTable
-from repro.core.strategies import STRATEGIES, TransmissionStrategy, get_strategy
+from repro.core.strategies import STRATEGIES, TransmissionStrategy
 from repro.errors import SchedulingError, ValuationError
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.kernel import KERNELS
 from repro.pricing.scenarios import Scenario, ScenarioGrid
+from repro.pricing.validation import check_count
 
 __all__ = ["ValuationSession"]
 
@@ -157,7 +158,7 @@ class ValuationSession:
         self._pending_by_digest: dict[str, PricingFuture] = {}
         self._campaigns: list[Campaign] = []
         self._next_job_id = 0
-        self._resolve_strategy()  # raises SchedulingError on bad names
+        self._resolve_strategy()  # raises ValuationError on bad names
         policy_factory(scheduler)  # raises ValuationError on bad spellings
 
     # -- configuration helpers ---------------------------------------------------
@@ -188,7 +189,11 @@ class ValuationSession:
         self, strategy: str | TransmissionStrategy | None = None
     ) -> TransmissionStrategy:
         chosen = strategy if strategy is not None else self.strategy
-        return get_strategy(chosen) if isinstance(chosen, str) else chosen
+        if not isinstance(chosen, str):
+            return chosen
+        if chosen not in STRATEGIES:
+            raise ValuationError(f"unknown strategy {chosen!r}; known: {sorted(STRATEGIES)}")
+        return STRATEGIES[chosen]()
 
     def _acquire_backend(self, strategy_name: str) -> WorkerBackend:
         if self._backend_instance is not None:
@@ -297,14 +302,10 @@ class ValuationSession:
         for ``strategy`` and ``scheduler``, or the default: no ``batch``, the
         default ``kernel``, families of two and more.
         """
-        if isinstance(strategy, str) and strategy not in STRATEGIES:
-            raise ValuationError(
-                f"unknown strategy {strategy!r}; known: {sorted(STRATEGIES)}"
-            )
         if kernel is not None and kernel not in KERNELS:
             raise ValuationError(f"unknown kernel {kernel!r}; known: {list(KERNELS)}")
-        if min_group_size is not None and min_group_size < 1:
-            raise ValuationError("min_group_size must be >= 1 when given")
+        if min_group_size is not None:
+            check_count(min_group_size, "min_group_size", error=ValuationError, floats=False)
         if not isinstance(retry, bool):
             raise ValuationError(f"retry must be True or False, got {retry!r}")
         if retry and self._backend_spec is None:

@@ -45,8 +45,8 @@ _VALID_PAYLOAD_KINDS = (PAYLOAD_SERIAL, PAYLOAD_PATH)
 
 #: seconds waited before each try to get a lost worker back, 1.55 s in all:
 #: the remote backend re-dials a dead host on it (``reconnect=True``) and a
-#: session rebuilds a lost pool on it (``retry=True``) -- long enough for a
-#: restarting host to listen again
+#: session rebuilds a lost pool on it (``retry=True``); a host that is not
+#: listening again by the last try stays lost
 REDIAL_DELAYS_S = (0.05, 0.1, 0.2, 0.4, 0.8)
 
 

@@ -24,11 +24,12 @@ from repro.api import (
     ValuationSession,
 )
 from repro.cluster.backends import SequentialBackend, execute_payload
+from repro.cluster.backends.base import REDIAL_DELAYS_S
 from repro.cluster.costmodel import paper_cost_model
 from repro.cluster.simcluster import CommunicationModel, NFSModel
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
 from repro.core.scheduler import ChunkedPolicy, PriorityPolicy, WorkStealingPolicy
-from repro.errors import SchedulingError, ValuationError, WorkerLostError
+from repro.errors import ClusterError, SchedulingError, ValuationError, WorkerLostError
 from repro.pricing import (
     BlackScholesModel,
     ClosedFormCall,
@@ -339,7 +340,7 @@ class TestSessionValidation:
             ValuationSession(backend="abacus")
 
     def test_unknown_strategy_name(self):
-        with pytest.raises(SchedulingError):
+        with pytest.raises(ValuationError, match="unknown strategy 'osmosis'"):
             ValuationSession(strategy="osmosis")
 
     def test_unknown_scheduler_name(self):
@@ -367,6 +368,8 @@ class TestSessionValidation:
         [
             ({"kernel": "vectorised"}, "unknown kernel 'vectorised'"),
             ({"min_group_size": 0}, "min_group_size must be >= 1"),
+            ({"min_group_size": True}, "min_group_size must be an int, got True"),
+            ({"min_group_size": 1.5}, "min_group_size must be an int, got 1.5"),
             ({"strategy": "carrier_pigeon"}, "unknown strategy 'carrier_pigeon'"),
             ({"scheduler": "fifo"}, "unknown scheduler 'fifo'"),
             ({"scheduler": ChunkedPolicy()}, "scheduler= got a ChunkedPolicy instance"),
@@ -374,8 +377,9 @@ class TestSessionValidation:
             ({"retry": "yes"}, "retry must be True or False, got 'yes'"),
             ({"retry": object()}, "retry must be True or False, got <object"),
         ],
-        ids=["kernel", "min_group_size", "strategy", "scheduler-name",
-             "scheduler-instance", "retry-int", "retry-str", "retry-object"],
+        ids=["kernel", "min_group_size", "min_group_size-bool", "min_group_size-float",
+             "strategy", "scheduler-name", "scheduler-instance", "retry-int", "retry-str",
+             "retry-object"],
     )
     def test_a_bad_keyword_is_refused_before_a_backend_is_built(
         self, monkeypatch, toy_portfolio, start, keywords, message
@@ -518,6 +522,58 @@ def test_pool_loss_is_retried_wherever_the_campaign_is_drained(monkeypatch, spel
     assert collects[0] is not collects[-1]  # the pending futures moved to a fresh backend
     assert list(result.report.results) == list(range(6))
     assert result.prices() == reference
+
+
+def _lose_pool_and_refuse_rebuilds(monkeypatch, session, lost_at, refusals):
+    """Lose the pool at each of the ``lost_at`` collects; refuse the first
+    ``refusals`` rebuilds with a ``ClusterError``; return the recorded sleeps."""
+    collects, builds, sleeps = [], [], []
+    collect = SequentialBackend.collect
+    acquire = session._acquire_backend
+
+    def dying(self, timeout=None):
+        collects.append(self)
+        if len(collects) in lost_at:
+            raise WorkerLostError("pool died")
+        return collect(self, timeout)
+
+    def flaky(strategy_name):
+        builds.append(strategy_name)
+        if 1 < len(builds) <= 1 + refusals:
+            raise ClusterError("connection refused")
+        return acquire(strategy_name)
+
+    monkeypatch.setattr(SequentialBackend, "collect", dying)
+    monkeypatch.setattr(session, "_acquire_backend", flaky)
+    monkeypatch.setattr("repro.api.campaign.time.sleep", sleeps.append)
+    return sleeps
+
+
+@pytest.mark.parametrize(
+    ("lost_at", "refusals", "n_sleeps"),
+    [((3,), 0, 1), ((3,), 4, 5), ((3, 5), 0, 2), ((3, 5), 2, 4)],
+    ids=["rebuilt-at-once", "rebuilt-on-the-last-try", "lost-twice", "lost-twice-refused"],
+)
+def test_a_lost_pool_is_rebuilt_on_the_redial_schedule(monkeypatch, lost_at, refusals, n_sleeps):
+    """A try waits the next delay of ``REDIAL_DELAYS_S`` first, and the
+    campaign's pool losses share one schedule."""
+    book = _book(_mc_family(6))
+    reference = ValuationSession(backend="local").run(book).prices()
+    session = ValuationSession(backend="local")
+    sleeps = _lose_pool_and_refuse_rebuilds(monkeypatch, session, lost_at, refusals)
+    result = session.run(book, retry=True)
+    assert sleeps == list(REDIAL_DELAYS_S[:n_sleeps])
+    assert result.ok and result.report.extra["retries"] == len(lost_at)
+    assert result.prices() == reference
+
+
+@pytest.mark.parametrize(("lost_at", "refusals"), [((3,), 5), ((3, 5), 4)])
+def test_a_spent_redial_schedule_raises_the_pool_loss(monkeypatch, lost_at, refusals):
+    session = ValuationSession(backend="local")
+    sleeps = _lose_pool_and_refuse_rebuilds(monkeypatch, session, lost_at, refusals)
+    with pytest.raises(WorkerLostError, match="pool died"):
+        session.run(_book(_mc_family(6)), retry=True)
+    assert sleeps == list(REDIAL_DELAYS_S)
 
 
 def _failing_call() -> PricingProblem:

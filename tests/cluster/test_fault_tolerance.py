@@ -148,14 +148,22 @@ class TestReconnectSchedule:
         assert remote.REDIAL_DELAYS_S is REDIAL_DELAYS_S == (0.05, 0.1, 0.2, 0.4, 0.8)
 
     def test_a_dead_host_is_dialed_five_times_then_buried(self, monkeypatch):
-        dials = []
+        schedule = (0.001, 0.002, 0.003, 0.004, 0.005)
+        waits, dials = [], []
+
+        class RecordedSchedule(tuple):
+            def __getitem__(self, k):
+                waits.append(tuple.__getitem__(self, k))
+                return waits[-1]
+
         mute = _MuteWorker()
         try:
             backend = RemoteBackend([mute.address], reconnect=True)
-            monkeypatch.setattr(remote, "REDIAL_DELAYS_S", (0.0,) * 5)
+            monkeypatch.setattr(remote, "REDIAL_DELAYS_S", RecordedSchedule(schedule))
             connect = backend._connect
             monkeypatch.setattr(
-                backend, "_connect", lambda address: dials.append(address) or connect(address))
+                backend, "_connect",
+                lambda address: dials.append(time.monotonic()) or connect(address))
             _dispatch(backend, 0, 0, _make_problem())
             mute.close()  # the host is gone for good: every re-dial is refused
             with pytest.raises(WorkerLostError) as excinfo:
@@ -163,7 +171,11 @@ class TestReconnectSchedule:
             backend.finalize()
         finally:
             mute.close()
-        assert dials == [mute.address] * 5
+        # the first wait on the drop, then one after each failed dial but the last
+        assert waits == list(schedule)
+        assert len(dials) == 5
+        gaps = [later - earlier for earlier, later in zip(dials, dials[1:])]
+        assert all(gap >= wait for gap, wait in zip(gaps, schedule[1:]))
         assert excinfo.value.job_ids == (0,)
 
 
