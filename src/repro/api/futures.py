@@ -28,6 +28,7 @@ is a view of one of its rows, minted for whoever asks for one.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -326,25 +327,42 @@ class JobSet(Sequence):
         pending (retryable).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        pending = self._unique()
-        while pending:
-            ready = [future for future in pending if future.done()]
-            for future in ready:
-                pending.remove(future)
-                yield future
-            if not pending:
-                return
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise FutureTimeoutError(
-                        f"{len(pending)} job(s) still pending after {timeout}s"
-                    )
-            head = pending[0]
-            head._ensure_pumpable()
-            if head._campaign is not None and not head.done():
-                head._campaign.pump(remaining)
+        unique = self._unique()
+        # whoever settles a pending future (a pump, a cancel) hands it over
+        # through its callbacks: a pump costs what it settled, not a rescan
+        settled: deque[PricingFuture] = deque()
+        hook = settled.append
+        for future in unique:
+            if future.done():
+                settled.append(future)
+            else:
+                future._callbacks.append(hook)
+        yielded: set[int] = set()
+        head = 0
+        try:
+            while len(yielded) < len(unique):
+                if settled:
+                    future = settled.popleft()
+                    yielded.add(id(future))
+                    yield future
+                    continue
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise FutureTimeoutError(
+                            f"{len(unique) - len(yielded)} job(s) still pending after {timeout}s"
+                        )
+                while id(unique[head]) in yielded:
+                    head += 1
+                future = unique[head]
+                future._ensure_pumpable()
+                if future._campaign is not None and not future.done():
+                    future._campaign.pump(remaining)
+        finally:
+            for future in unique:
+                if hook in future._callbacks:
+                    future._callbacks.remove(hook)
 
     def wait(
         self,
@@ -357,29 +375,17 @@ class JobSet(Sequence):
                 f"unknown return_when {return_when!r}; use ALL_COMPLETED, "
                 f"FIRST_COMPLETED or FIRST_EXCEPTION"
             )
-
-        def _satisfied(done_futures: list[PricingFuture]) -> bool:
-            if not done_futures:
-                return False
-            if return_when == FIRST_COMPLETED:
-                return True
-            if return_when == FIRST_EXCEPTION:
-                return any(
-                    future.cancelled() or future.failed() for future in done_futures
-                ) or len(done_futures) == len(self._unique())
-            return len(done_futures) == len(self._unique())
-
-        done_list: list[PricingFuture] = []
+        unique = self._unique()
         try:
             for future in self.as_completed(timeout):
-                done_list.append(future)
-                if _satisfied(done_list):
+                if return_when == FIRST_COMPLETED or (
+                    return_when == FIRST_EXCEPTION and (future.cancelled() or future.failed())
+                ):
                     break
         except FutureTimeoutError:
             pass
-        not_done = [future for future in self._unique() if not future.done()]
-        done_list = [future for future in self._unique() if future.done()]
-        return done_list, not_done
+        done_list = [future for future in unique if future.done()]
+        return done_list, [future for future in unique if not future.done()]
 
     def cancel(self) -> int:
         """Cancel every future still cancellable; returns how many were."""

@@ -678,6 +678,7 @@ class ValuationSession:
         batch-aware cost model (one shared path simulation plus per-member
         payoff sweeps), regenerating the paper's tables "with batching".
         """
+        cpu_counts = _distinct(cpu_counts, "cpu_counts", _CPU_COUNT)
         strategy_obj = self._resolve_strategy(strategy)
         jobs = self._simulation_jobs(source, batch)
         shared = None
@@ -701,6 +702,10 @@ class ValuationSession:
         history) carrying the session's ``comm`` settings.
         ``batch=True`` regenerates the tables with shared-simulation batching.
         """
+        cpu_counts = _distinct(cpu_counts, "cpu_counts", _CPU_COUNT)
+        strategies = _distinct(
+            strategies, "strategies", lambda name: self._resolve_strategy(name).name
+        )
         jobs = self._simulation_jobs(source, batch)
         return ComparisonResult(
             {
@@ -731,8 +736,6 @@ class ValuationSession:
         ``shared_comm`` carries one NFS cache history through the whole
         column; ``None`` gives every CPU count a cold model of its own.
         """
-        if not cpu_counts:
-            raise SchedulingError("cpu_counts must not be empty")
         sim_options: dict[str, Any] = {}
         if self._backend_spec is not None and self._backend_spec.name == "simulated":
             sim_options.update(self._backend_spec.options)
@@ -770,3 +773,23 @@ class ValuationSession:
             f"ValuationSession(backend={backend!r}, "
             f"strategy={self._resolve_strategy().name!r}, pending={self.n_pending})"
         )
+
+
+#: a sweep's CPU count: the master and at least one slave
+_CPU_COUNT = partial(
+    check_count, field="cpu_counts (at least 2 CPUs: 1 master + 1 worker)", minimum=2,
+    error=SchedulingError, floats=False,
+)
+
+
+def _distinct(values: Iterable[Any], name: str, check: Callable[[Any], Any]) -> list[Any]:
+    """``values`` through ``check``, each once: a table's rows or columns."""
+    checked: list[Any] = []
+    for value in values:
+        value = check(value)
+        if value in checked:
+            raise SchedulingError(f"{name} lists {value!r} twice")
+        checked.append(value)
+    if not checked:
+        raise SchedulingError(f"{name} must not be empty")
+    return checked

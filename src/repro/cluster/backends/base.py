@@ -141,8 +141,6 @@ class PreparedMessage:
     kind: str
     payload: Any
     nbytes: int
-    #: master-side preparation time actually spent (seconds, real backends)
-    prep_elapsed: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in _VALID_PAYLOAD_KINDS:
@@ -245,24 +243,6 @@ class WorkerBackend(abc.ABC):
     @abc.abstractmethod
     def finalize(self) -> BackendStats:
         """Stop all workers and return aggregate statistics."""
-
-    # -- incremental collection --------------------------------------------------
-    def poll(self) -> bool:
-        """Whether :meth:`collect` would return immediately (``MPI_Iprobe``).
-
-        ``True`` means a completed result is ready for collection *now*; for
-        the simulated cluster "now" is virtual time, so any in-flight job is
-        collectable (collecting advances the virtual clock to its completion).
-        Never blocks.  The conservative default (``False``) keeps third-party
-        backends correct -- streaming then degrades to blocking collection.
-        """
-        return False
-
-    def try_collect(self) -> CompletedJob | None:
-        """Collect one result if ready, else return ``None``.  Never blocks."""
-        if self.poll():
-            return self.collect()
-        return None
 
     # -- optional hooks ---------------------------------------------------------
     def on_run_start(self, n_jobs: int) -> None:

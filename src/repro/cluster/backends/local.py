@@ -70,9 +70,6 @@ class SequentialBackend(WorkerBackend):
             raise ClusterError("no job in flight")
         return self._pending.pop(0)
 
-    def poll(self) -> bool:
-        return bool(self._pending)
-
     def finalize(self) -> BackendStats:
         self._finalized = True
         total = time.perf_counter() - self._start

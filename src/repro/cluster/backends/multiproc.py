@@ -17,7 +17,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_module
 import time
-from collections import deque
 from typing import Any
 
 from repro.cluster.backends.base import (
@@ -91,9 +90,6 @@ class MultiprocessingBackend(WorkerBackend):
         self._n_jobs = 0
         self._bytes_sent = 0
         self._busy: dict[int, float] = {i: 0.0 for i in range(self._n_workers)}
-        #: results already pulled off the shared queue by :meth:`poll` but not
-        #: yet handed to the master through :meth:`collect`
-        self._ready: deque[tuple[int, int, Any, float, str | None]] = deque()
         self._start = time.perf_counter()
         self._finalized = False
 
@@ -118,10 +114,7 @@ class MultiprocessingBackend(WorkerBackend):
     def collect(self, timeout: float | None = 300.0) -> CompletedJob:
         if self._in_flight == 0:
             raise ClusterError("no job in flight")
-        if self._ready:
-            job_id, worker_id, result, elapsed, error = self._ready.popleft()
-        else:
-            job_id, worker_id, result, elapsed, error = self._wait_for_result(timeout)
+        job_id, worker_id, result, elapsed, error = self._wait_for_result(timeout)
         self._held[worker_id].discard(job_id)
         self._in_flight -= 1
         self._busy[worker_id] += elapsed
@@ -165,17 +158,6 @@ class MultiprocessingBackend(WorkerBackend):
                 raise CollectTimeoutError(
                     f"timed out after {timeout}s waiting for a worker result"
                 )
-
-    def poll(self) -> bool:
-        if self._in_flight == 0:
-            return False
-        # drain whatever the workers have already pushed, without blocking
-        while True:
-            try:
-                self._ready.append(self._result_queue.get_nowait())
-            except queue_module.Empty:
-                break
-        return bool(self._ready)
 
     def finalize(self) -> BackendStats:
         if not self._finalized:

@@ -10,10 +10,8 @@ result frames with :mod:`selectors`:
   ``FRAME_JOB`` message -- ``MPI_Send_Obj`` in the paper's master script;
 * :meth:`RemoteBackend.collect` blocks on the selector until any connection
   delivers a ``FRAME_RESULT`` -- ``MPI_Probe(-1, -1, ...)`` then
-  ``MPI_Recv_Obj``;
-* :meth:`RemoteBackend.poll` / :meth:`~RemoteBackend.try_collect` drain
-  whatever already arrived without blocking -- ``MPI_Iprobe`` -- which is
-  all the streaming futures API needs to work over the wire unchanged.
+  ``MPI_Recv_Obj`` -- which is all the streaming futures API needs to work
+  over the wire unchanged.
 
 A backend is one campaign's pool; these keep it alive for that campaign:
 
@@ -202,9 +200,8 @@ class RemoteBackend(WorkerBackend):
         ``False`` (default): a dead host stays dead.  ``True`` re-dials dead
         hosts from the blocking calls -- five dials, waiting
         :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S` -- and
-        remaps their logical slots back on success.  A re-dial
-        never starts from ``poll()``, so the non-blocking surface stays
-        non-blocking; a host that exhausts its dials stays buried.
+        remaps their logical slots back on success.  A host that exhausts
+        its dials stays buried.
     liveness_timeout:
         Seconds of in-campaign silence after which a connection with jobs
         in flight is PINGed; a worker that then answers neither the pong
@@ -246,8 +243,8 @@ class RemoteBackend(WorkerBackend):
         #: conn index -> backoff state of a pending re-dial
         self._redial: dict[int, _ReconnectState] = {}
         self._inflight: dict[int, _InFlight] = {}
-        #: orphaned job ids awaiting redispatch; flushed only from blocking
-        #: calls (dispatch/collect) so poll() can never stall on a send
+        #: orphaned job ids awaiting redispatch; flushed by dispatch/collect,
+        #: never inside a death, so a failed send cannot recurse into another
         #: (an insertion-ordered set: a death can orphan a whole window per slot)
         self._redispatch: dict[int, None] = {}
         self._ready: deque[CompletedJob] = deque()
@@ -432,16 +429,6 @@ class RemoteBackend(WorkerBackend):
             caps.append(max(self._next_redial_at() - time.monotonic(), 0.01))
         return min(caps) if caps else None
 
-    def poll(self) -> bool:
-        if self._inflight:
-            self._pump(0.0)
-        return bool(self._ready)
-
-    def try_collect(self) -> CompletedJob | None:
-        if self.poll():
-            return self._ready.popleft()
-        return None
-
     def send_stop(self, worker_id: int) -> None:
         conn = self._conns[self._route[worker_id]]
         self._stop_conn(conn)
@@ -507,7 +494,7 @@ class RemoteBackend(WorkerBackend):
         """
         conn_index = self._route_for(record.worker_id)
         if conn_index is None:
-            # parked: the next blocking call redispatches it once a host is back
+            # parked: the next dispatch/collect re-sends it once a host is back
             record.conn_index = _UNROUTED
             self._inflight[job_id] = record
             self._redispatch.setdefault(job_id)
@@ -621,8 +608,8 @@ class RemoteBackend(WorkerBackend):
         for job_id, entry in self._inflight.items():
             if entry.conn_index == index:
                 # park the orphan: no connection holds it until the next
-                # blocking call flushes it to a survivor (a sendall here
-                # could stall a nominally non-blocking poll())
+                # dispatch/collect step flushes it to a survivor (a sendall
+                # here could fail and bury another connection mid-burial)
                 entry.conn_index = _UNROUTED
                 self._redispatch.setdefault(job_id)
         survivors = self._live_indices()
@@ -647,7 +634,7 @@ class RemoteBackend(WorkerBackend):
         return min(due) if due else time.monotonic()
 
     def _maybe_reconnect(self) -> None:
-        """Re-dial dead hosts whose backoff expired (blocking contexts only)."""
+        """Re-dial dead hosts whose backoff expired (from dispatch/collect)."""
         if self._finalized:
             return
         for index in self._redial_candidates():
@@ -701,7 +688,7 @@ class RemoteBackend(WorkerBackend):
                 conn.ping_sent = now
 
     def _flush_redispatch(self) -> None:
-        """Re-send parked orphans (blocking contexts only)."""
+        """Re-send parked orphans (from dispatch/collect, never mid-burial)."""
         parked, self._redispatch = iter(self._redispatch), {}
         for job_id in parked:
             entry = self._inflight.get(job_id)

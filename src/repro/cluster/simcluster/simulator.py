@@ -199,11 +199,6 @@ class SimulatedClusterBackend(WorkerBackend):
             self._in_flight += 1
             self._n_jobs += 1
 
-    def poll(self) -> bool:
-        # in virtual time the next completion event is always "ready":
-        # collecting it advances the master clock to the completion instant
-        return self._in_flight > 0
-
     def collect(self, timeout: float | None = None) -> CompletedJob:
         if self._in_flight == 0:
             raise ClusterError("no job in flight")

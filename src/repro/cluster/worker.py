@@ -598,9 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     parser.add_argument("--host", default="127.0.0.1",
                         help="interface to listen on (default: loopback only; "
-                        "the protocol is unauthenticated, so expose other "
-                        "interfaces -- e.g. --host 0.0.0.0 -- only on networks "
-                        "you trust)")
+                        "expose others -- e.g. --host 0.0.0.0 -- with --secret "
+                        f"or ${SECRET_ENV_VAR} set, or only on networks you trust)")
     parser.add_argument("--port", type=int, default=9631,
                         help="TCP port to listen on (0 picks an ephemeral port)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",

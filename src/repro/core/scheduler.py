@@ -615,8 +615,8 @@ class ScheduleStream:
       slave for the chunked policy);
     * each :meth:`collect_next` blocks until any worker answers, asks the
       policy how to refill the freed worker, and returns the completed job
-      -- ``MPI_Probe`` on any source followed by ``MPI_Recv_Obj``;
-    * :meth:`try_collect_next` is the non-blocking variant (``MPI_Iprobe``);
+      -- ``MPI_Probe`` on any source followed by ``MPI_Recv_Obj`` -- and is
+      the only way a result reaches the master;
     * :meth:`cancel_job` withdraws a job that is still queued master-side;
     * :meth:`finish` drains whatever is left, sends the stop messages and
       finalizes the backend into the familiar :class:`ScheduleOutcome`.
@@ -717,10 +717,6 @@ class ScheduleStream:
         """Jobs withdrawn from the queue before they were dispatched."""
         return list(self._cancelled)
 
-    def poll(self) -> bool:
-        """Whether :meth:`collect_next` would return without blocking."""
-        return self._in_flight > 0 and self.backend.poll()
-
     # -- collection --------------------------------------------------------------
     def _account(self, done: CompletedJob) -> CompletedJob:
         self._completed.append(done)
@@ -764,15 +760,6 @@ class ScheduleStream:
             # uses 300 s; immediate backends have none)
             return self._account(self.backend.collect())
         return self._account(self.backend.collect(timeout))
-
-    def try_collect_next(self) -> CompletedJob | None:
-        """Collect one result if ready now, else ``None``.  Never blocks."""
-        if self._in_flight == 0:
-            return None
-        done = self.backend.try_collect()
-        if done is None:
-            return None
-        return self._account(done)
 
     def __iter__(self) -> Iterator[CompletedJob]:
         while self.remaining:

@@ -22,7 +22,6 @@ strategy then only contributes its name.
 from __future__ import annotations
 
 import abc
-import time
 
 from repro.cluster.backends.base import (
     PAYLOAD_PATH,
@@ -31,7 +30,7 @@ from repro.cluster.backends.base import (
     PreparedMessage,
 )
 from repro.errors import SchedulingError
-from repro.serial import Serial, serialize, sload
+from repro.serial import serialize, sload
 
 __all__ = [
     "TransmissionStrategy",
@@ -51,15 +50,8 @@ class TransmissionStrategy(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def _prepare(self, job: Job) -> PreparedMessage:
-        """Strategy-specific preparation (no timing)."""
-
     def prepare(self, job: Job) -> PreparedMessage:
-        """Prepare the message and record the master-side preparation time."""
-        start = time.perf_counter()
-        message = self._prepare(job)
-        message.prep_elapsed = time.perf_counter() - start
-        return message
+        """The message the master sends for ``job``."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -70,7 +62,7 @@ class FullLoadStrategy(TransmissionStrategy):
 
     name = "full_load"
 
-    def _prepare(self, job: Job) -> PreparedMessage:
+    def prepare(self, job: Job) -> PreparedMessage:
         if job.path and is_real_file(job):
             # the deliberately wasteful path of the paper: materialise the
             # object only to serialize it again immediately
@@ -91,7 +83,7 @@ class SerializedLoadStrategy(TransmissionStrategy):
 
     name = "serialized_load"
 
-    def _prepare(self, job: Job) -> PreparedMessage:
+    def prepare(self, job: Job) -> PreparedMessage:
         if job.path and is_real_file(job):
             data = sload(job.path).to_bytes()
         elif job.problem is not None:
@@ -110,7 +102,7 @@ class NFSStrategy(TransmissionStrategy):
 
     name = "nfs"
 
-    def _prepare(self, job: Job) -> PreparedMessage:
+    def prepare(self, job: Job) -> PreparedMessage:
         if not job.path:
             raise SchedulingError(
                 f"the NFS strategy needs a problem file for job {job.job_id}"

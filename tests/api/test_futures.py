@@ -135,6 +135,43 @@ class TestJobSet:
         assert sorted(f.job_id for f in collected) == [f.job_id for f in futures]
         assert all(f.done() for f in collected)
 
+    def test_streaming_reads_each_future_a_bounded_number_of_times(self, monkeypatch):
+        # a pump checks only the futures it settled: iterating a stream that
+        # sends positions one by one stays linear in the book's size
+        from repro.core.portfolio import build_toy_portfolio
+
+        reads = 0
+        status = PricingFuture._status
+
+        def counted(future):
+            nonlocal reads
+            reads += 1
+            return status(future)
+
+        monkeypatch.setattr(PricingFuture, "_status", counted)
+        n = 1000
+        streamed = ValuationSession(backend="local").stream(build_toy_portfolio(n_options=n))
+        assert sum(1 for _ in streamed) == n
+        assert reads <= 5 * n
+
+    def test_a_future_cancelled_mid_iteration_is_yielded_once(self):
+        session = ValuationSession(backend="local", n_workers=1)
+        futures = session.submit_many([_call_problem(k) for k in (80.0, 90.0, 100.0, 110.0)])
+        collected = []
+        for future in futures.as_completed():
+            if not collected:
+                assert futures[3].cancel()  # still queued master-side
+            collected.append(future)
+        assert sorted(f.job_id for f in collected) == [f.job_id for f in futures]
+        assert futures[3].cancelled()
+
+    def test_leaving_as_completed_early_leaves_no_callback_behind(self):
+        session = ValuationSession(backend="local", n_workers=1)
+        futures = session.submit_many([_call_problem(k) for k in (90.0, 100.0, 110.0)])
+        done, not_done = futures.wait(return_when=FIRST_COMPLETED)
+        assert done and not_done
+        assert not any(future._callbacks for future in futures)
+
     def test_wait_all_completed(self):
         session = ValuationSession(backend="local")
         futures = session.submit_many([_call_problem(k) for k in (90.0, 110.0)])

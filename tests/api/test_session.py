@@ -259,6 +259,27 @@ class TestSweep:
         with pytest.raises(SchedulingError):
             ValuationSession().sweep(toy_jobs, [])
 
+    @pytest.mark.parametrize(
+        ("method", "cpu_counts", "strategies", "named"),
+        [
+            ("sweep", [2.5], None, "2.5"),
+            ("sweep", [True, 3], None, "True"),
+            ("sweep", [2, 2], None, "2"),
+            ("compare", [2, 2], None, "2"),
+            ("compare", [2, 4], [], "strategies"),
+            ("compare", [2, 4], ["nfs", "nfs"], "'nfs'"),
+        ],
+    )
+    def test_a_cpu_count_or_strategy_list_is_checked_at_the_call(
+        self, toy_jobs, method, cpu_counts, strategies, named
+    ):
+        # a float or a bool is no CPU count, and a table has one row per
+        # CPU count and one column per strategy
+        options = {} if strategies is None else {"strategies": strategies}
+        call = getattr(ValuationSession(), method)
+        with pytest.raises(SchedulingError, match=named):
+            call(toy_jobs, cpu_counts, **options)
+
     def test_warm_cache_artefact_preserved(self, toy_jobs):
         session = ValuationSession()
         shared = session.sweep(toy_jobs, [2, 4], strategy="nfs", share_nfs_cache=True)

@@ -1,10 +1,13 @@
 """A backend is what a campaign calls: ``WorkerBackend`` and nothing more.
 
-The master knows four verbs (send a problem, probe, receive a result, send
-the empty message -- the paper's Fig. 4), and ``cluster/backends/base.py`` is
-the one place that says what a master can do to its pool.  Every registered
-backend is held to that surface here, so the next extra verb on a concrete
-backend is a reviewed line of ``REPORTING`` and not a second contract.
+The master knows three verbs (send a problem, wait for any result and
+receive it, send the empty message -- the paper's Fig. 4), and
+``cluster/backends/base.py`` is the one place that says what a master can do
+to its pool.  That surface is pinned below as ``CONTRACT``: exactly what
+``ScheduleStream`` and the campaign call.  ``ScheduleStream``'s own surface,
+the one master loop, is pinned as ``STREAM``.  Every registered backend is
+held to the contract, so the next extra verb on a concrete backend is a
+reviewed line of ``REPORTING`` and not a second contract.
 """
 
 from __future__ import annotations
@@ -15,6 +18,20 @@ import pytest
 
 from repro.cluster.backends import WorkerBackend, create_backend, list_backends
 from repro.cluster.worker import spawn_local_workers
+from repro.core.scheduler import ScheduleStream
+
+# removed: poll, try_collect (a non-blocking probe, ``MPI_Iprobe``, that no
+# master loop called: every result arrives through a blocking ``collect``)
+CONTRACT = {
+    "n_workers", "dispatch", "dispatch_batch", "collect", "send_stop", "finalize",
+    "on_run_start", "requires_payload", "queues_jobs",
+}
+
+# removed: poll, try_collect_next (the stream's side of the same probe)
+STREAM = {
+    "collect_next", "remaining", "completed", "cancelled_jobs", "cancel_job",
+    "cancel_pending", "finish",
+}
 
 #: read-only reporting, by class: properties and the constructor's own
 #: arguments kept for inspection -- nothing here acts on the pool
@@ -33,6 +50,14 @@ REPORTING = {
 
 def _public(obj: object) -> set[str]:
     return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_the_contract_is_what_the_master_calls():
+    assert _public(WorkerBackend) == CONTRACT
+
+
+def test_the_stream_surface_is_pinned():
+    assert _public(ScheduleStream) == STREAM
 
 
 @pytest.mark.parametrize("name", list_backends())

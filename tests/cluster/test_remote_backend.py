@@ -163,15 +163,16 @@ class TestLoopbackPool:
                 backend.collect(timeout=1.0)
             backend.finalize()
 
-    def test_poll_and_try_collect(self):
+    def test_a_collected_job_leaves_nothing_in_flight(self):
         with spawn_local_workers(1) as pool:
             backend = create_backend("remote", hosts=pool.hosts)
-            assert backend.poll() is False
-            assert backend.try_collect() is None
+            with pytest.raises(ClusterError, match="no job in flight"):
+                backend.collect(timeout=1.0)
             _dispatch(backend, 0, 0, _make_problem())
             done = backend.collect(timeout=60.0)
             assert done.job_id == 0 and done.error is None
-            assert backend.poll() is False
+            with pytest.raises(ClusterError, match="no job in flight"):
+                backend.collect(timeout=1.0)
             backend.finalize()
 
     def test_untransmissible_result_degrades_to_error_answer(self, monkeypatch):
