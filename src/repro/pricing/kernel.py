@@ -319,25 +319,38 @@ def _cohort_key(group: _Group) -> tuple[Any, ...]:
     )
 
 
-def _group_elements(group: _Group) -> int:
-    """Peak float64 elements one batch of this group's simulation holds."""
+def _group_elements(group: _Group) -> tuple[int, int]:
+    """Peak float64 elements one batch of this group's simulation holds:
+    ``(draw, output)``.
+
+    The draw is the base generator's ``(batch, d * steps)`` block -- half as
+    tall under antithetic sampling, plus the mirrored whole beside it; the
+    output is the terminal values or the paths.  The samplers transform
+    the draw in place and write straight into the output, so these two
+    are the whole of a batch (an upper bound: a multi-asset path sampler
+    draws one step at a time).  A cohort's groups share one draw.
+    """
     d = max(group.model.dimension, 1)
     batch = min(group.method.batch_size, group.method.n_paths + 1)
-    if group.mode_paths:
-        return batch * (group.n_steps + 1) * d
-    return batch * d
+    draw = batch * d * (group.n_steps if group.mode_paths else 1)
+    if group.method.antithetic:
+        draw += draw // 2
+    output = batch * d * (group.n_steps + 1 if group.mode_paths else 1)
+    return draw, output
 
 
 def _chunk_groups(groups: list[_Group]) -> list[list[_Group]]:
-    """Split a cohort so each chunk stays under the stack memory budget."""
+    """Split a cohort so each chunk -- one shared draw and every group's
+    output -- stays under the stack memory budget."""
+    draw = _group_elements(groups[0])[0]
     chunks: list[list[_Group]] = []
     current: list[_Group] = []
-    used = 0
+    used = draw
     for group in groups:
-        cost = _group_elements(group)
+        cost = _group_elements(group)[1]
         if current and used + cost > _MAX_STACK_ELEMENTS:
             chunks.append(current)
-            current, used = [], 0
+            current, used = [], draw
         current.append(group)
         used += cost
     if current:
@@ -474,6 +487,16 @@ def _simulate(
 # -- payoff evaluation ---------------------------------------------------------
 
 
+def _intrinsic(x: np.ndarray, strikes: np.ndarray, call: bool) -> np.ndarray:
+    """``max(x - K, 0)`` (call) or ``max(K - x, 0)`` (put) with one strike
+    per row: one new ``(n_members, batch)`` array."""
+    if call:
+        out = np.subtract(x[None, :], strikes[:, None])
+    else:
+        out = np.subtract(strikes[:, None], x[None, :])
+    return np.maximum(out, 0.0, out=out)
+
+
 def _family_payoffs(
     fam: _Family,
     paths: np.ndarray | None,
@@ -486,39 +509,28 @@ def _family_payoffs(
     Each row reproduces the member's ``_fold_member`` payoff expression with
     the member parameter broadcast as a column; the control variate (when
     used) is the fold's ``_control_value`` observable, computed once per
-    family.
+    family.  The matrix is the one ``(n_members, batch)`` array built: every
+    step after the first writes into it.  The simulated arrays are only
+    read -- an opaque cohort hands one array to all its groups.
     """
-    strikes = fam.strikes[:, None]
     if fam.kind == "vanilla":
-        t = terminal[None, :]
-        if fam.sub == "EuropeanCall":
-            payoffs = np.maximum(t - strikes, 0.0)
-        elif fam.sub == "EuropeanPut":
-            payoffs = np.maximum(strikes - t, 0.0)
-        elif fam.sub == "DigitalCall":
-            payoffs = (t > strikes).astype(float)
+        if fam.sub.startswith("Digital"):
+            payoffs = np.empty((len(fam.strikes), len(terminal)))
+            compare = np.greater if fam.sub == "DigitalCall" else np.less
+            compare(terminal[None, :], fam.strikes[:, None], out=payoffs)
         else:
-            payoffs = (t < strikes).astype(float)
+            payoffs = _intrinsic(terminal, fam.strikes, fam.sub == "EuropeanCall")
         return payoffs, (terminal if fam.use_cv else None)
     if fam.kind == "basket":
         basket = fam.product0.basket_value(terminal)
-        b = basket[None, :]
-        if fam.sub == "call":
-            payoffs = np.maximum(b - strikes, 0.0)
-        else:
-            payoffs = np.maximum(strikes - b, 0.0)
+        payoffs = _intrinsic(basket, fam.strikes, fam.sub == "call")
         if not fam.use_cv:
             return payoffs, None
         # mirror _control_value: `terminal @ weights` for (n, d) terminals
         # (== basket_value bit-for-bit), the raw terminal for 1-d baskets
         return payoffs, (basket if terminal.ndim == 2 else terminal)
     if fam.kind == "asian":
-        avg = fam.product0.average(paths)[None, :]
-        if fam.sub == "call":
-            payoffs = np.maximum(avg - strikes, 0.0)
-        else:
-            payoffs = np.maximum(strikes - avg, 0.0)
-        return payoffs, None
+        return _intrinsic(fam.product0.average(paths), fam.strikes, fam.sub == "call"), None
     # barrier: (min <= B) is element-for-element the fold's (paths <= B).any()
     assert fam.barriers is not None and fam.rebates is not None
     ref = lo if fam.is_down else hi
@@ -527,15 +539,11 @@ def _family_payoffs(
         breached = ref[None, :] <= fam.barriers[:, None]
     else:
         breached = ref[None, :] >= fam.barriers[:, None]
-    last = paths[:, -1][None, :]
-    if fam.sub == "call":
-        vanilla = np.maximum(last - strikes, 0.0)
-    else:
-        vanilla = np.maximum(strikes - last, 0.0)
+    payoffs = _intrinsic(paths[:, -1], fam.strikes, fam.sub == "call")
     if fam.is_knock_out:
-        payoffs = np.where(breached, fam.rebates[:, None], vanilla)
+        np.copyto(payoffs, fam.rebates[:, None], where=breached)
     else:
-        payoffs = np.where(breached, vanilla, 0.0)
+        np.copyto(payoffs, 0.0, where=np.logical_not(breached, out=breached))
     return payoffs, None
 
 
@@ -547,7 +555,13 @@ def _accumulate_group(
     half: int,
 ) -> None:
     """Fold one batch into every member's accumulators (bit-identical to
-    folding each member alone with ``_fold_member``)."""
+    folding each member alone with ``_fold_member``).
+
+    A family holds at most two ``(n_members, batch)`` arrays at once: its
+    payoffs (or their pair averages) and one scratch for the squares and
+    cross products.  Both are new each batch, since a sample sink may keep
+    the payoff rows it is handed.
+    """
     antithetic = group.method.antithetic
     lo = hi = None
     if paths is not None and paths.ndim == 2:
@@ -558,15 +572,18 @@ def _accumulate_group(
     for fam in group.families:
         payoffs, control = _family_payoffs(fam, paths, terminal, lo, hi)
         if antithetic:
-            payoffs = 0.5 * (payoffs[:, :half] + payoffs[:, half:])
+            payoffs = np.add(payoffs[:, :half], payoffs[:, half:])
+            payoffs *= 0.5
             if control is not None:
                 control = 0.5 * (control[:half] + control[half:])
         row_sum = payoffs.sum(axis=1)
-        row_sum2 = (payoffs**2).sum(axis=1)
+        scratch = np.multiply(payoffs, payoffs)
+        row_sum2 = scratch.sum(axis=1)
         if control is not None:
             control_sum = control.sum()
             control_sum2 = (control**2).sum()
-            cross = (payoffs * control[None, :]).sum(axis=1)
+            cross = np.multiply(payoffs, control[None, :], out=scratch).sum(axis=1)
+        del scratch  # freed before the next family builds its payoffs
         for i, j in enumerate(fam.indices):
             member = group.members[j]
             member.sum_payoff += row_sum[i]

@@ -225,15 +225,13 @@ class DiffusionModel1D(StackedSampler, Model):
         normals = rng.normals((n_paths, n_steps))
         drifts = np.array([model.rate - model.dividend for model in models])
         sqrt_dts = np.sqrt(dts)
+        log_step = np.empty((n_groups, n_paths))
         for k in range(n_steps):
-            s = paths[:, :, k]
-            sigma = np.stack(
-                [model.local_volatility(times[k], s[g]) for g, model in enumerate(models)]
-            )
-            paths[:, :, k + 1] = s * np.exp(
-                (drifts[:, None] - 0.5 * sigma**2) * dts[k]
-                + sigma * sqrt_dts[k] * normals[None, :, k]
-            )
+            # the next column holds the volatility until it holds the spot
+            s, s_next = paths[:, :, k], paths[:, :, k + 1]
+            _log_euler_step(models, times[k], s, s_next, log_step, drifts, dts[k],
+                            sqrt_dts[k], normals[None, :, k])
+            np.multiply(s, np.exp(log_step, out=log_step), out=s_next)
         return paths
 
     @staticmethod
@@ -257,13 +255,38 @@ class DiffusionModel1D(StackedSampler, Model):
         s = np.empty((len(models), n_paths), dtype=float)
         for g, model in enumerate(models):
             s[g, :] = float(model.spot)
+        sigma = np.empty_like(s)
+        log_step = np.empty_like(s)
         for k in range(n_steps):
             z = rng.normals((n_paths,))
-            sigma = np.stack(
-                [model.local_volatility(k * dt, s[g]) for g, model in enumerate(models)]
-            )
-            s *= np.exp((drifts[:, None] - 0.5 * sigma**2) * dt + sigma * sqrt_dt * z[None, :])
+            _log_euler_step(models, k * dt, s, sigma, log_step, drifts, dt, sqrt_dt, z[None, :])
+            s *= np.exp(log_step, out=log_step)
         return s
+
+
+def _log_euler_step(
+    models: "list[DiffusionModel1D]",
+    t: float,
+    s: np.ndarray,
+    sigma: np.ndarray,
+    out: np.ndarray,
+    drifts: np.ndarray,
+    dt: float,
+    sqrt_dt: float,
+    z: np.ndarray,
+) -> None:
+    """``out = (drifts - 0.5 sigma**2) dt + sigma sqrt_dt z`` for a stack,
+    operation for operation: row ``g`` of ``sigma`` is model ``g``'s local
+    volatility at ``(t, s[g])``, written there and then consumed."""
+    for g, model in enumerate(models):
+        sigma[g] = model.local_volatility(t, s[g])
+    np.multiply(sigma, sigma, out=out)
+    out *= 0.5
+    np.subtract(drifts[:, None], out, out=out)
+    out *= dt
+    sigma *= sqrt_dt
+    sigma *= z
+    out += sigma
 
 
 class MultiAssetModel(Model):

@@ -73,9 +73,11 @@ class BlackScholesModel(DiffusionModel1D):
                 for model in models
             ]
         )
-        return spots[:, None] * np.exp(
-            drifts[:, None] + (vols * np.sqrt(maturity))[:, None] * z[None, :]
-        )
+        s = (vols * np.sqrt(maturity))[:, None] * z[None, :]
+        s += drifts[:, None]
+        np.exp(s, out=s)
+        s *= spots[:, None]
+        return s
 
     @staticmethod
     def stacked_simulate_paths(
@@ -101,12 +103,18 @@ class BlackScholesModel(DiffusionModel1D):
             [model.rate - model.dividend - 0.5 * model.volatility**2 for model in models]
         )
         drift = coefs[:, None] * dts[None, :]  # (G, n_steps)
-        diffusion = (vols[:, None] * np.sqrt(dts)[None, :])[:, None, :] * z[None, :, :]
-        log_increments = drift[:, None, :] + diffusion
-        log_paths = np.concatenate(
-            [np.zeros((n_groups, n_paths, 1)), np.cumsum(log_increments, axis=2)], axis=2
-        )
-        return spots[:, None, None] * np.exp(log_paths)
+        # the log-paths are built in the returned array: increments, their
+        # running sum, then exp and the spot in place (column 0: exp(0) = 1)
+        paths = np.empty((n_groups, n_paths, n_steps + 1))
+        paths[:, :, 0] = 0.0
+        log_paths = paths[:, :, 1:]
+        np.multiply((vols[:, None] * np.sqrt(dts)[None, :])[:, None, :], z[None, :, :],
+                    out=log_paths)
+        log_paths += drift[:, None, :]
+        np.cumsum(log_paths, axis=2, out=log_paths)
+        np.exp(paths, out=paths)
+        paths *= spots[:, None, None]
+        return paths
 
     # -- serialization -------------------------------------------------------
     def to_params(self) -> dict[str, Any]:

@@ -90,40 +90,42 @@ class MultiAssetBlackScholesModel(StackedSampler, MultiAssetModel):
         ``z @ chol.T`` with its :func:`~repro.pricing.rng.cholesky_factor`.
 
         Under an :class:`~repro.pricing.rng.AntitheticGenerator` the raw draw
-        is half as tall and each correlated half is mirrored, so a pair
-        shares its correlated draw up to sign.
+        is half as tall: the correlated half is written into the top of one
+        ``(n_paths, d)`` array and its negation into the bottom, so a pair
+        shares its correlated draw up to sign.  Models with bit-equal
+        correlation matrices get bit-equal factors, so the product is
+        computed once per distinct factor and the *same* array is returned
+        for each of them; the raw draw itself is never written into.
         """
-        chols = [cholesky_factor(model.correlation) for model in models]
         d = models[0].dimension
-        # models with bit-equal correlation matrices get bit-equal factors,
-        # so the (expensive) product is computed once per distinct factor
-        # and the result shared -- downstream code only reads the draws
+        antithetic = isinstance(rng, AntitheticGenerator)
+        if antithetic:
+            AntitheticGenerator._check_even(n_paths)
+            raw = rng.base.normals((n_paths // 2, d))
+        else:
+            raw = rng.normals((n_paths, d))
+        half = len(raw)
         products: dict[bytes, np.ndarray] = {}
-
-        def correlate(raw: np.ndarray, chol: np.ndarray) -> np.ndarray:
+        out = []
+        for model in models:
+            chol = cholesky_factor(model.correlation)
             key = chol.tobytes()
             z = products.get(key)
             if z is None:
-                z = raw @ chol.T
+                z = np.empty((n_paths, d))
+                np.matmul(raw, chol.T, out=z[:half])
+                if antithetic:
+                    np.negative(z[:half], out=z[half:])
                 products[key] = z
-            return z
+            out.append(z)
+        return out
 
-        if isinstance(rng, AntitheticGenerator):
-            AntitheticGenerator._check_even(n_paths)
-            raw = rng.base.normals((n_paths // 2, d))
-            mirrored: dict[bytes, np.ndarray] = {}
-            out = []
-            for chol in chols:
-                key = chol.tobytes()
-                full = mirrored.get(key)
-                if full is None:
-                    half = correlate(raw, chol)
-                    full = np.concatenate([half, -half], axis=0)
-                    mirrored[key] = full
-                out.append(full)
-            return out
-        raw = rng.normals((n_paths, d))
-        return [correlate(raw, chol) for chol in chols]
+    @staticmethod
+    def _owned(zs: "list[np.ndarray]", g: int) -> "np.ndarray | None":
+        """``zs[g]`` if model ``g`` is the last to read it, else ``None``: a
+        correlated draw shared by equal factors may be overwritten only by
+        its last reader (``None`` as a ufunc's ``out`` allocates)."""
+        return zs[g] if all(z is not zs[g] for z in zs[g + 1:]) else None
 
     @staticmethod
     def stacked_sample_terminal(
@@ -134,15 +136,24 @@ class MultiAssetBlackScholesModel(StackedSampler, MultiAssetModel):
     ) -> "list[np.ndarray]":
         """Exact sampling of the terminal vector ``S_T`` for several models
         from one raw draw: one ``(n_paths, d)`` array per model.
+
+        The scale, drift, ``exp`` and spot are applied in place on the
+        correlated draw, which becomes the model's output.
         """
         zs = MultiAssetBlackScholesModel._stacked_correlated(models, rng, n_paths)
         out = []
-        for model, z in zip(models, zs):
+        for g, model in enumerate(models):
             drift = (
                 model.rate - model.dividend_vector - 0.5 * model.volatilities**2
             ) * maturity
-            diffusion = model.volatilities * np.sqrt(maturity) * z
-            out.append(np.asarray(model.spot)[None, :] * np.exp(drift[None, :] + diffusion))
+            s = np.multiply(
+                model.volatilities * np.sqrt(maturity), zs[g],
+                out=MultiAssetBlackScholesModel._owned(zs, g),
+            )
+            s += drift
+            np.exp(s, out=s)
+            s *= model.spot
+            out.append(s)
         return out
 
     @staticmethod
@@ -154,6 +165,9 @@ class MultiAssetBlackScholesModel(StackedSampler, MultiAssetModel):
     ) -> "list[np.ndarray]":
         """Exact simulation on a grid for several models from shared raw
         draws: one ``(n_paths, n_times, d)`` array per model.
+
+        Each model keeps its running log-price in one ``(n_paths, d)``
+        scratch array and writes its ``exp`` straight into the paths.
         """
         times, dts = time_grid_steps(times)
         n_steps = len(dts)
@@ -174,10 +188,13 @@ class MultiAssetBlackScholesModel(StackedSampler, MultiAssetModel):
                 drift_rate = (
                     model.rate - model.dividend_vector - 0.5 * model.volatilities**2
                 )
-                log_s[g] = (
-                    log_s[g] + (drift_rate * dt)[None, :] + model.volatilities * sqrt_dts[k] * zs[g]
+                log_s[g] += drift_rate * dt
+                log_s[g] += np.multiply(
+                    model.volatilities * sqrt_dts[k], zs[g],
+                    out=MultiAssetBlackScholesModel._owned(zs, g),
                 )
-                paths[g][:, k + 1, :] = np.exp(log_s[g])
+                np.exp(log_s[g], out=paths[g][:, k + 1, :])
+            del zs  # free this step's draws before the next step draws
         return paths
 
     # -- analytic helpers ------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy import stats
@@ -198,17 +198,27 @@ class AntitheticGenerator(RandomGenerator):
         if n % 2 != 0:
             raise ValueError("antithetic sampling requires an even number of samples")
 
-    def normals(self, shape: tuple[int, ...]) -> np.ndarray:
+    def _halves(
+        self, shape: tuple[int, ...], draw: Callable[[tuple[int, ...]], np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """An array of ``shape`` with the base generator's half-draw copied
+        into its top, and that half-draw (only ever read) for the mirror."""
         n = shape[0]
         self._check_even(n)
-        half = self.base.normals((n // 2,) + tuple(shape[1:]))
-        return np.concatenate([half, -half], axis=0)
+        half = draw((n // 2,) + tuple(shape[1:]))
+        full = np.empty((n,) + half.shape[1:])
+        full[: n // 2] = half
+        return full, half
+
+    def normals(self, shape: tuple[int, ...]) -> np.ndarray:
+        full, half = self._halves(shape, self.base.normals)
+        np.negative(half, out=full[len(half):])
+        return full
 
     def uniforms(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = shape[0]
-        self._check_even(n)
-        half = self.base.uniforms((n // 2,) + tuple(shape[1:]))
-        return np.concatenate([half, 1.0 - half], axis=0)
+        full, half = self._halves(shape, self.base.uniforms)
+        np.subtract(1.0, half, out=full[len(half):])
+        return full
 
     def spawn(self, n: int) -> list["AntitheticGenerator"]:
         return [AntitheticGenerator(g) for g in self.base.spawn(n)]
