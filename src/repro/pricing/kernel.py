@@ -22,8 +22,8 @@ With ``"stacked"``:
   solo simulation would have drawn exactly the same numbers from its own
   fresh generator, so sharing the draw changes nothing;
 * **stacked simulation** -- the shared draw is expanded into a
-  ``(n_groups, n_paths, n_steps + 1)`` path array in one numpy expression,
-  with per-group drift/vol broadcast down the leading axis (see the
+  ``(n_groups, n_paths, n_steps + 1)`` path array, built in place, with
+  per-group drift/vol broadcast down the leading axis (see the
   ``stacked_*`` samplers on the model classes; a model's solo sampler is
   the same function at one member).
   Models without a stacked sampler (Heston, Merton, custom subclasses)
