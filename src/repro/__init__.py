@@ -6,7 +6,7 @@ Testing Parallel Architecture"* (Chancelier, Lapeyre, Lelong).  It provides:
 
 ``repro.api``
     The **unified entry point**: the :class:`~repro.api.session.ValuationSession`
-    facade, configured by keywords (a backend by name or ``BackendSpec``),
+    facade, configured by keywords (a backend by its registered name),
     and a normalized result hierarchy, unifying pricing,
     portfolio runs, batch submission and cluster sweeps the way Premia's
     ``PremiaModel`` object unified pricing.
@@ -85,7 +85,6 @@ _LAZY_EXPORTS = {
     "StreamingRun": "repro.api",
     "StreamProgress": "repro.api",
     "CancelToken": "repro.api",
-    "BackendSpec": "repro.api",
     "ValuationResult": "repro.api",
     "PriceResult": "repro.api",
     "RunResult": "repro.api",

@@ -1,9 +1,9 @@
 """No mutation of frozen config dataclasses.
 
-``BackendSpec``, ``ServerConfig``, ``PaperTable`` (and every other
-``@dataclass(frozen=True)``) are frozen on purpose: sessions hash them,
-retries rebuild backends from them, and a mutation anywhere would silently
-fork the configuration two subsystems think they share.  Python only
+``ServerConfig``, ``PaperTable`` (and every other
+``@dataclass(frozen=True)``) are frozen on purpose: one value is shared by
+every subsystem that reads it, and a mutation anywhere would silently fork
+the configuration two subsystems think they share.  Python only
 enforces this at runtime -- on the exact line executed -- so this checker
 enforces it statically:
 
@@ -70,7 +70,7 @@ class FrozenConfigChecker(Checker):
 
     name = "frozen-config"
     description = (
-        "frozen dataclasses (BackendSpec, ServerConfig, PaperTable, ...) are "
+        "frozen dataclasses (ServerConfig, PaperTable, ...) are "
         "never mutated: no attribute assignment, no setattr"
     )
     rules = {

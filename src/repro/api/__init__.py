@@ -1,7 +1,7 @@
 """``repro.api`` -- the unified, typed entry point of the package.
 
-One facade (:class:`ValuationSession`), configured by keywords, plus the
-immutable backend recipe (:class:`BackendSpec`), a normalized result hierarchy
+One facade (:class:`ValuationSession`), configured by keywords and a
+registered backend name, plus a normalized result hierarchy
 (:class:`PriceResult`, :class:`RunResult`, :class:`SweepResult`,
 :class:`ComparisonResult`) and the streaming job
 lifecycle (:class:`PricingFuture`, :class:`JobSet`, :class:`StreamingRun`,
@@ -10,7 +10,6 @@ lifecycle (:class:`PricingFuture`, :class:`JobSet`, :class:`StreamingRun`,
 :meth:`ValuationSession.stream` and named backend selection all start here.
 """
 
-from repro.api.config import BackendSpec
 from repro.pricing.cache import ResultCache
 from repro.api.futures import (
     ALL_COMPLETED,
@@ -41,7 +40,6 @@ __all__ = [
     "ALL_COMPLETED",
     "FIRST_COMPLETED",
     "FIRST_EXCEPTION",
-    "BackendSpec",
     "ResultCache",
     "ValuationResult",
     "PriceResult",

@@ -32,13 +32,13 @@ of which a :class:`~repro.api.futures.PricingFuture` is a one-row view.
 
 from __future__ import annotations
 
+import inspect
 from contextlib import suppress
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.api.campaign import Campaign
-from repro.api.config import BackendSpec
 from repro.api.futures import (
     CancelToken,
     JobSet,
@@ -48,14 +48,14 @@ from repro.api.futures import (
 )
 from repro.api.plan import build_plan
 from repro.api.results import ComparisonResult, PriceResult, RunResult, SweepResult
-from repro.cluster.backends import Job, WorkerBackend, create_backend
+from repro.cluster.backends import _BACKEND_REGISTRY, Job, WorkerBackend, create_backend, list_backends
 from repro.cluster.costmodel import CostModel, paper_cost_model
 from repro.cluster.simcluster.comm import STRATEGY_NAMES, CommunicationModel
 from repro.core.portfolio import Portfolio
 from repro.core.scheduler import DispatchPolicy, ScheduleStream, policy_factory
 from repro.core.speedup import SpeedupTable
 from repro.core.strategies import STRATEGIES, TransmissionStrategy
-from repro.errors import SchedulingError, ValuationError
+from repro.errors import ClusterError, SchedulingError, ValuationError
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.engine import PricingProblem
 from repro.pricing.kernel import KERNELS
@@ -81,6 +81,39 @@ def _coerce_cache(cache: "ResultCache | str | Path | bool | None") -> ResultCach
     )
 
 
+def _check_backend_options(backend: str, options: Mapping[str, Any] | None) -> dict[str, Any]:
+    """``options`` bound against ``backend``'s registered factory, before any run.
+
+    The remote backend's ``hosts`` are normalised and its ``reconnect``
+    checked too, so a bad address fails before any socket is opened.
+    """
+    options = dict(options or {})
+    signature = inspect.signature(_BACKEND_REGISTRY[backend])
+    try:
+        signature.bind(n_workers=None, strategy=None, **options)
+    except TypeError as exc:
+        takes = [name for name in signature.parameters if name not in ("n_workers", "strategy")]
+        raise ValuationError(
+            f"backend {backend!r} refuses backend_options {sorted(options)} ({exc}); "
+            f"its factory takes {takes}"
+        ) from None
+    if backend == "remote":
+        from repro.cluster.backends.remote import check_reconnect, normalize_hosts
+
+        if not options.get("hosts"):
+            raise ValuationError(
+                "the remote backend needs a non-empty 'hosts' option, e.g. "
+                "backend_options={'hosts': ['10.0.0.4:9631']}; "
+                "spawn_local_workers(n).hosts gives a loopback pool"
+            )
+        try:
+            options["hosts"] = normalize_hosts(options["hosts"])
+            check_reconnect(options.get("reconnect", False))
+        except ClusterError as exc:
+            raise ValuationError(str(exc)) from exc
+    return options
+
+
 class ValuationSession:
     """Facade bundling backend, strategy, scheduler and cost-model choices.
 
@@ -89,17 +122,14 @@ class ValuationSession:
     backend:
         Registered backend name (any entry of
         :func:`~repro.cluster.backends.list_backends` -- e.g. ``"local"``,
-        ``"multiprocessing"``, ``"remote"``, ``"simulated"``), a
-        :class:`~repro.api.config.BackendSpec`, or a ready-made
-        :class:`~repro.cluster.backends.WorkerBackend` instance.
-        Name/spec sessions build a **fresh** backend per run and are reusable;
-        instance sessions are one-shot (backends are finalized by the
-        scheduler at the end of a run).
+        ``"multiprocessing"``, ``"remote"``, ``"simulated"``).  The session
+        builds a **fresh** backend from it for every run; a new engine joins
+        through :func:`~repro.cluster.backends.register_backend`.
     strategy:
-        Default problem-transmission strategy (``full_load``, ``nfs``,
-        ``serialized_load``) or a :class:`TransmissionStrategy` instance.
+        Default problem-transmission strategy (``full_load``, ``nfs`` or
+        ``serialized_load``).
     n_workers:
-        Worker count for name/spec backends (ignored for instances).
+        Worker count handed to the backend factory.
     scheduler:
         ``None`` (Robin-Hood), a scheduler name from
         :data:`~repro.core.scheduler.SCHEDULERS`, or a zero-argument callable
@@ -117,7 +147,8 @@ class ValuationSession:
         :meth:`~CommunicationModel.cold_copy` of it, custom NFS settings kept.
     backend_options:
         Extra keyword options for the backend factory (e.g.
-        ``{"hosts": pool.hosts, "reconnect": True}`` for remote).
+        ``{"hosts": pool.hosts, "reconnect": True}`` for remote), checked
+        against the factory's keywords here.
     cache:
         Digest-keyed result cache (see :mod:`repro.pricing.cache`).
         ``True`` builds an in-memory LRU, a path string / :class:`~pathlib.Path`
@@ -131,24 +162,23 @@ class ValuationSession:
 
     def __init__(
         self,
-        backend: str | BackendSpec | WorkerBackend = "simulated",
-        strategy: str | TransmissionStrategy = "serialized_load",
+        backend: str = "simulated",
+        strategy: str = "serialized_load",
         *,
-        n_workers: int | None = None,
+        n_workers: int = 2,
         scheduler: str | Callable[[], DispatchPolicy] | None = None,
         cost_model: CostModel | None = None,
         comm: CommunicationModel | None = None,
         backend_options: Mapping[str, Any] | None = None,
         cache: ResultCache | str | Path | bool | None = None,
     ) -> None:
-        coerced = BackendSpec.coerce(backend, n_workers=n_workers, options=backend_options)
-        if isinstance(coerced, WorkerBackend):
-            self._backend_spec: BackendSpec | None = None
-            self._backend_instance: WorkerBackend | None = coerced
-        else:
-            self._backend_spec = coerced
-            self._backend_instance = None
-        self._backend_consumed = False
+        if not isinstance(backend, str) or backend not in _BACKEND_REGISTRY:
+            raise ValuationError(
+                f"unknown backend {backend!r}; registered backends: {list_backends()}"
+            )
+        self.backend = backend
+        self.n_workers = check_count(n_workers, "n_workers", error=ValuationError, floats=False)
+        self.backend_options = _check_backend_options(backend, backend_options)
         self.strategy = strategy
         self.scheduler = scheduler
         self.cost_model = cost_model or paper_cost_model()
@@ -163,19 +193,21 @@ class ValuationSession:
 
     # -- configuration helpers ---------------------------------------------------
     @property
-    def backend_spec(self) -> BackendSpec | None:
-        """The spec used to build backends (``None`` for instance sessions)."""
-        return self._backend_spec
-
-    @property
     def cache(self) -> ResultCache | None:
         """The session's result cache (``None`` when caching is disabled)."""
         return self._cache
 
     def with_options(self, **changes: Any) -> "ValuationSession":
-        """A new session sharing this one's choices, with ``changes`` applied."""
+        """A new session sharing this one's choices, with ``changes`` applied.
+
+        The worker count carries over; the backend options do not follow a
+        change of backend unless they are given anew.
+        """
+        same_backend = changes.get("backend", self.backend) == self.backend
         current: dict[str, Any] = {
-            "backend": self._backend_spec or self._backend_instance,
+            "backend": self.backend,
+            "n_workers": self.n_workers,
+            "backend_options": self.backend_options if same_backend else None,
             "strategy": self.strategy,
             "scheduler": self.scheduler,
             "cost_model": self.cost_model,
@@ -185,31 +217,19 @@ class ValuationSession:
         current.update(changes)
         return ValuationSession(**current)
 
-    def _resolve_strategy(
-        self, strategy: str | TransmissionStrategy | None = None
-    ) -> TransmissionStrategy:
+    def _resolve_strategy(self, strategy: str | None = None) -> TransmissionStrategy:
         chosen = strategy if strategy is not None else self.strategy
-        if not isinstance(chosen, str):
-            return chosen
-        if chosen not in STRATEGIES:
+        if not isinstance(chosen, str) or chosen not in STRATEGIES:
             raise ValuationError(f"unknown strategy {chosen!r}; known: {sorted(STRATEGIES)}")
         return STRATEGIES[chosen]()
 
     def _acquire_backend(self, strategy_name: str) -> WorkerBackend:
-        if self._backend_instance is not None:
-            if self._backend_consumed:
-                raise ValuationError(
-                    "this session wraps a backend instance, which the scheduler "
-                    "finalizes after one run; pass a backend name or BackendSpec "
-                    "for a reusable session"
-                )
-            self._backend_consumed = True
-            return self._backend_instance
-        assert self._backend_spec is not None
-        extra: dict[str, Any] = {}
-        if self._backend_spec.name == "simulated" and self.comm is not None:
-            extra["comm"] = self.comm
-        return self._backend_spec.create(strategy=strategy_name, **extra)
+        options = dict(self.backend_options)
+        if self.backend == "simulated" and self.comm is not None:
+            options["comm"] = self.comm
+        return create_backend(
+            self.backend, n_workers=self.n_workers, strategy=strategy_name, **options
+        )
 
     # -- pricing -----------------------------------------------------------------
     def price(
@@ -285,7 +305,7 @@ class ValuationSession:
         self,
         source: Portfolio | Sequence[Job] | ScenarioGrid,
         *,
-        strategy: str | TransmissionStrategy | None = None,
+        strategy: str | None = None,
         scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
         batch: bool | None = None,
@@ -308,11 +328,6 @@ class ValuationSession:
             check_count(min_group_size, "min_group_size", error=ValuationError, floats=False)
         if not isinstance(retry, bool):
             raise ValuationError(f"retry must be True or False, got {retry!r}")
-        if retry and self._backend_spec is None:
-            raise ValuationError(
-                "retry=True needs a session built from a backend name or a "
-                "BackendSpec: only those can rebuild the pool a retry needs"
-            )
         strategy_obj = self._resolve_strategy(strategy)
         new_policy = policy_factory(scheduler or self.scheduler)
         new_backend = partial(self._acquire_backend, strategy_obj.name)
@@ -347,10 +362,9 @@ class ValuationSession:
                 new_policy=new_policy,
             )
         except BaseException:
-            # nothing was dispatched: stop the workers, if they are the session's
-            if self._backend_spec is not None:
-                with suppress(Exception):  # the planning error is the report
-                    backend.finalize()
+            # nothing was dispatched: stop the workers
+            with suppress(Exception):  # the planning error is the report
+                backend.finalize()
             raise
         return Campaign(
             plan,
@@ -368,7 +382,7 @@ class ValuationSession:
         self,
         source: Portfolio | Sequence[Job],
         *,
-        strategy: str | TransmissionStrategy | None = None,
+        strategy: str | None = None,
         scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
         batch: bool | None = None,
@@ -393,8 +407,7 @@ class ValuationSession:
         positions, which the result marks as ``"cancelled before dispatch"``
         errors.  ``retry=True`` survives losing the whole worker pool: the
         positions still unanswered are sent again to a pool rebuilt on the
-        re-dial schedule (:data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`),
-        which only a session built from a backend name or spec can do.
+        re-dial schedule (:data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`).
         """
         return self._open_campaign(
             source, strategy=strategy, scheduler=scheduler, store=store,
@@ -406,7 +419,7 @@ class ValuationSession:
         self,
         source: Portfolio | Sequence[Job],
         *,
-        strategy: str | TransmissionStrategy | None = None,
+        strategy: str | None = None,
         scheduler: str | Callable[[], DispatchPolicy] | None = None,
         store: Any = None,
         batch: bool | None = None,
@@ -736,9 +749,7 @@ class ValuationSession:
         ``shared_comm`` carries one NFS cache history through the whole
         column; ``None`` gives every CPU count a cold model of its own.
         """
-        sim_options: dict[str, Any] = {}
-        if self._backend_spec is not None and self._backend_spec.name == "simulated":
-            sim_options.update(self._backend_spec.options)
+        sim_options = dict(self.backend_options) if self.backend == "simulated" else {}
         sim_options.pop("comm", None)
         new_policy = policy_factory(self.scheduler)
         times: dict[int, float] = {}
@@ -764,13 +775,8 @@ class ValuationSession:
         ).jobs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        backend = (
-            self._backend_spec.name
-            if self._backend_spec is not None
-            else type(self._backend_instance).__name__
-        )
         return (
-            f"ValuationSession(backend={backend!r}, "
+            f"ValuationSession(backend={self.backend!r}, "
             f"strategy={self._resolve_strategy().name!r}, pending={self.n_pending})"
         )
 

@@ -37,7 +37,7 @@ can resubmit them against fresh workers.
 
 Build one through the registry --
 ``create_backend("remote", hosts=["10.0.0.4:9631", ...])`` or
-``BackendSpec(name="remote", options={"hosts": [...]})`` -- and use
+``ValuationSession("remote", backend_options={"hosts": [...]})`` -- and use
 :func:`repro.cluster.worker.spawn_local_workers` for a loopback pool.
 """
 
@@ -100,8 +100,8 @@ def normalize_hosts(hosts: Any) -> tuple[str, ...]:
     """Normalise a user-supplied worker address list to ``"host:port"`` strings.
 
     Accepts an iterable of ``"host:port"`` strings or ``(host, port)``
-    pairs.  The result is a plain tuple of strings -- hashable, so it can
-    live inside a frozen :class:`~repro.api.config.BackendSpec`.
+    pairs.  The result is a plain tuple of strings, checked before any
+    socket is opened.
     """
     if isinstance(hosts, str):
         hosts = [hosts]

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.api import ValuationSession
 from repro.api.futures import PricingFuture
 from repro.api.plan import build_plan
-from repro.cluster.backends import Job
+from repro.cluster.backends import _BACKEND_REGISTRY, Job
 from repro.cluster.backends.multiproc import MultiprocessingBackend
 from repro.cluster.backends.remote import RemoteBackend
 from repro.cluster.costmodel import paper_cost_model
@@ -193,23 +193,29 @@ def loopback_pool():
     "spelling", ["chunked_robin_hood", ChunkedPolicy, partial(ChunkedPolicy)],
     ids=["name", "class", "partial"],
 )
-def test_chunked_plans_the_defaults_slices(spelling, backend, loopback_pool):
+def test_chunked_plans_the_defaults_slices(spelling, backend, loopback_pool, monkeypatch):
     """On worker processes the slice is the chunk message: same slices, same
     bytes, same prices as no scheduler at all, and a wave is one slice --
     the planner's cut is the only one (400 equal positions on 2 workers is a
     book where a second cut over the slices' summed costs would round apart).
     """
-    def counting():
-        if backend == "remote":
-            return type("Counting", (_Waves, RemoteBackend), {})(loopback_pool.hosts)
-        return type("Counting", (_Waves, MultiprocessingBackend), {})(n_workers=2)
+    built = []
 
+    def counting(n_workers=2, strategy="serialized_load"):
+        if backend == "remote":
+            engine = type("Counting", (_Waves, RemoteBackend), {})(loopback_pool.hosts)
+        else:
+            engine = type("Counting", (_Waves, MultiprocessingBackend), {})(n_workers)
+        built.append(engine)
+        return engine
+
+    monkeypatch.setitem(_BACKEND_REGISTRY, "counting", counting)
     book = build_toy_portfolio(400)
     reference = ValuationSession(backend="local").run(book)
-    default = ValuationSession(backend=counting())._open_campaign(book)
+    default = ValuationSession(backend="counting")._open_campaign(book)
     expected = default.finish()
-    engine = counting()
-    chunked = ValuationSession(backend=engine, scheduler=spelling)._open_campaign(book)
+    chunked = ValuationSession(backend="counting", scheduler=spelling)._open_campaign(book)
+    engine = built[-1]
     result = chunked.finish()
     assert len(default.plan.jobs) > 10
     assert chunked.plan.batch_members == default.plan.batch_members

@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from repro.api import BackendSpec, ValuationSession
+from repro.api import ValuationSession
 from repro.api.campaign import Campaign
 from repro.api.plan import build_plan
 from repro.cluster.costmodel import paper_cost_model
@@ -98,7 +98,7 @@ def loopback_pool():
 
 def _session(backend: str, pool) -> ValuationSession:
     if backend == "remote":
-        return ValuationSession(backend=BackendSpec("remote", options={"hosts": pool.hosts}))
+        return ValuationSession(backend="remote", backend_options={"hosts": pool.hosts})
     return ValuationSession(backend=backend, n_workers=2)
 
 
@@ -222,12 +222,11 @@ def test_risk_retry_after_pool_loss_adds_no_encodes(encodes, monkeypatch):
         lambda self, delays: reattached.append(self) or reattach(self, delays),
     )
     with spawn_local_workers(1) as pool:
-        spec = BackendSpec("remote", options={
-            "hosts": pool.hosts})
-        clean = ValuationSession(backend=spec).risk(_book(), spot_returns=RETURNS)
+        options = {"hosts": pool.hosts}
+        clean = ValuationSession(backend="remote", backend_options=options).risk(_book(), spot_returns=RETURNS)
         clean_encodes = dict(encodes)
         encodes.clear()
-        summary = ValuationSession(backend=spec).risk(
+        summary = ValuationSession(backend="remote", backend_options=options).risk(
             _book(), spot_returns=RETURNS, retry=True,
             progress=_kill_first_worker_once(pool, restart_after=0.8))
     assert reattached and summary == clean
@@ -241,9 +240,7 @@ def test_retry_after_pool_loss_adds_no_encodes(encodes):
         for k in range(10)
     ])
     with spawn_local_workers(1) as pool:
-        spec = BackendSpec("remote", options={
-            "hosts": pool.hosts})
-        session = ValuationSession(backend=spec)
+        session = ValuationSession(backend="remote", backend_options={"hosts": pool.hosts})
         result = session.run(
             book, retry=True, progress=_kill_first_worker_once(pool, restart_after=0.8))
     assert result.ok and result.report.extra.get("retries", 0) >= 1

@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import (
     FIRST_COMPLETED,
-    BackendSpec,
     CancelToken,
     ComparisonResult,
     PriceResult,
@@ -111,13 +110,13 @@ class TestPrice:
 
 
 class TestRun:
-    def test_named_backend_run_matches_instance_backend(self, toy_portfolio):
+    def test_named_backend_run_matches_one_worker_backend(self, toy_portfolio):
         session = ValuationSession(backend="local", strategy="serialized_load")
         result = session.run(toy_portfolio)
-        by_instance = ValuationSession(SequentialBackend()).run(toy_portfolio)
+        one_worker = ValuationSession("local", n_workers=1).run(toy_portfolio)
         assert isinstance(result, RunResult)
         assert result.ok and result.n_errors == 0
-        assert result.prices() == pytest.approx(by_instance.prices())
+        assert result.prices() == pytest.approx(one_worker.prices())
         assert result.value() == pytest.approx(
             sum(
                 pos.quantity * result.prices()[i]
@@ -149,13 +148,6 @@ class TestRun:
         ).run(toy_portfolio)
         assert scaled.total_time > baseline.total_time * 100
 
-    def test_backend_instance_sessions_are_one_shot(self, toy_portfolio):
-        session = ValuationSession(backend=SequentialBackend())
-        assert session.backend_spec is None
-        session.run(toy_portfolio)
-        with pytest.raises(ValuationError, match="one"):
-            session.run(toy_portfolio)
-
     def test_spec_sessions_are_reusable(self, toy_portfolio):
         session = ValuationSession(backend="local")
         first = session.run(toy_portfolio)
@@ -165,9 +157,9 @@ class TestRun:
     def test_with_options_derives_new_session(self, toy_portfolio):
         base = ValuationSession(backend="local", strategy="serialized_load")
         derived = base.with_options(strategy="nfs", backend="simulated")
-        assert derived.backend_spec.name == "simulated"
+        assert derived.backend == "simulated"
         assert derived.strategy == "nfs"
-        assert base.backend_spec.name == "local"
+        assert base.backend == "local"
 
 
 class TestSubmitMany:
@@ -379,10 +371,6 @@ class TestSessionValidation:
         with pytest.raises(ValuationError, match=message):
             session.stream(toy_portfolio, scheduler=WorkStealingPolicy())
 
-    def test_backend_spec_accepted(self, toy_portfolio):
-        session = ValuationSession(backend=BackendSpec("local", 2))
-        assert session.run(toy_portfolio).ok
-
     @pytest.mark.parametrize("start", ["run", "stream"])
     @pytest.mark.parametrize(
         ("keywords", "message"),
@@ -409,17 +397,6 @@ class TestSessionValidation:
         monkeypatch.setattr(session, "_acquire_backend", None)  # never reached
         with pytest.raises(ValuationError, match=message):
             getattr(session, start)(toy_portfolio, **keywords)
-
-    @pytest.mark.parametrize("start", ["run", "stream"])
-    def test_retry_is_refused_on_a_session_that_cannot_rebuild_its_pool(
-        self, toy_portfolio, start
-    ):
-        backend = SequentialBackend(2)
-        session = ValuationSession(backend=backend)
-        with pytest.raises(ValuationError, match="only those can rebuild the pool"):
-            getattr(session, start)(toy_portfolio, retry=True)
-        # the refusal consumed nothing: the one-shot backend still runs once
-        assert session.run(toy_portfolio).ok
 
 
 def _stream_result(session, source, **options):

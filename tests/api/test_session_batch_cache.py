@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import BackendSpec, CancelToken, ResultCache, ValuationSession
+from repro.api import CancelToken, ResultCache, ValuationSession
 from repro.cli import build_parser
 from repro.core import build_realistic_portfolio
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
@@ -86,20 +86,21 @@ class TestBatchRuns:
         assert not multiprocessing.active_children()
         assert all(not position.problem.has_result for position in mixed_portfolio)
 
-    def test_a_refused_run_leaves_the_callers_backend_usable(self, mixed_portfolio):
-        """Only a pool the session built from its spec is stopped on refusal."""
-        from repro.cluster.backends import create_backend
-
-        backend = create_backend("multiprocessing", n_workers=2)
-        try:
-            refused = ValuationSession(backend=backend, strategy="nfs")
-            with pytest.raises(ValuationError, match="store="):
-                refused.run(mixed_portfolio)
-            report = ValuationSession(backend=backend).run(mixed_portfolio)
-        finally:
-            backend.finalize()
+    @pytest.mark.parametrize("backend", ["local", "multiprocessing", "remote"])
+    def test_a_refused_run_leaves_the_session_usable(self, mixed_portfolio, request, backend):
+        """The refused plan stops the backend built for it; the next run
+        builds a fresh one (over the same worker pool, for remote)."""
+        options = None
+        if backend == "remote":
+            options = {"hosts": request.getfixturevalue("loopback_pool").hosts}
+        session = ValuationSession(
+            backend=backend, n_workers=2, strategy="nfs", backend_options=options
+        )
+        with pytest.raises(ValuationError, match="store="):
+            session.run(mixed_portfolio)
+        report = session.run(mixed_portfolio, strategy="serialized_load")
         local = ValuationSession(backend="local").run(mixed_portfolio)
-        assert report.prices() == local.prices()
+        assert report.ok and report.prices() == local.prices()
 
     def test_batched_run_isolates_member_errors(self):
         import numpy as np
@@ -359,8 +360,9 @@ class TestRepeatsArePricedOnce:
     @staticmethod
     def _session(backend: str, pool, cache) -> ValuationSession:
         if backend == "remote":
-            spec = BackendSpec("remote", options={"hosts": pool.hosts})
-            return ValuationSession(backend=spec, cache=cache)
+            return ValuationSession(
+                backend="remote", backend_options={"hosts": pool.hosts}, cache=cache
+            )
         return ValuationSession(backend=backend, n_workers=2, cache=cache)
 
     @pytest.mark.parametrize("store", ["memory", "disk"])

@@ -35,7 +35,10 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     # min_group_size, progress, cancel, retry), a second spelling of the run
     # keywords; and RetryPolicy (max_attempts, backoff, backoff_factor):
     # ``retry`` is a bool over the re-dial schedule
-    # removed: comm_factory (a cold run takes a cold_copy() of ``comm``)
+    # removed: comm_factory (a cold run takes a cold_copy() of ``comm``).
+    # BackendSpec (name, n_workers, options), never pinned here, left too:
+    # its three fields were a second spelling of backend, n_workers and
+    # backend_options, so the counts below did not move
     "ValuationSession": (ValuationSession.__init__, (
         "backend", "strategy", "n_workers", "scheduler", "cost_model", "comm",
         "backend_options", "cache")),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import BackendSpec, ValuationSession
+from repro.api import ValuationSession
 from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
 from repro.pricing import PricingProblem
@@ -30,8 +30,9 @@ def loopback_pool():
 
 def _session(backend: str, pool, **options) -> ValuationSession:
     if backend == "remote":
-        spec = BackendSpec("remote", options={"hosts": pool.hosts})
-        return ValuationSession(backend=spec, **options)
+        return ValuationSession(
+            backend="remote", backend_options={"hosts": pool.hosts}, **options
+        )
     return ValuationSession(backend=backend, n_workers=2, **options)
 
 

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.api import BackendSpec, ValuationSession
+from repro.api import ValuationSession
 from repro.cluster.backends import Job, PAYLOAD_SERIAL, PreparedMessage
 from repro.cluster.backends import remote
 from repro.cluster.backends.base import REDIAL_DELAYS_S
@@ -390,8 +390,10 @@ class TestSessionRetry:
     def test_pool_loss_is_retried_transparently(self):
         portfolio, reference = self._portfolio_and_reference()
         with spawn_local_workers(1) as pool:
-            spec = BackendSpec("remote", options={"hosts": pool.hosts})
-            session = ValuationSession(backend=spec, strategy="serialized_load")
+            session = ValuationSession(
+                backend="remote", strategy="serialized_load",
+                backend_options={"hosts": pool.hosts},
+            )
             killed = threading.Event()
 
             def on_progress(event):
@@ -412,8 +414,10 @@ class TestSessionRetry:
     def test_pool_loss_without_retry_raises(self):
         portfolio, _reference = self._portfolio_and_reference()
         with spawn_local_workers(1) as pool:
-            spec = BackendSpec("remote", options={"hosts": pool.hosts})
-            session = ValuationSession(backend=spec, strategy="serialized_load")
+            session = ValuationSession(
+                backend="remote", strategy="serialized_load",
+                backend_options={"hosts": pool.hosts},
+            )
             killed = threading.Event()
 
             def on_progress(event):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import BackendSpec, ValuationSession
+from repro.api import ValuationSession
 from repro.cluster.backends import Job, PreparedMessage, PAYLOAD_SERIAL, create_backend
 from repro.cluster import worker
 from repro.cluster.backends.remote import RemoteBackend, normalize_hosts
@@ -73,21 +73,22 @@ class TestNormalizeHosts:
             normalize_hosts(bad)
 
 
-class TestBackendSpecValidation:
-    def test_remote_spec_needs_hosts(self):
+class TestSessionRemoteValidation:
+    def test_remote_session_needs_hosts(self):
         with pytest.raises(ValuationError, match="hosts"):
-            BackendSpec(name="remote")
+            ValuationSession(backend="remote")
         with pytest.raises(ValuationError, match="hosts"):
-            BackendSpec(name="remote", options={"hosts": []})
+            ValuationSession(backend="remote", backend_options={"hosts": []})
 
-    def test_remote_spec_normalizes_and_stays_hashable(self):
-        spec = BackendSpec(name="remote", options={"hosts": [("10.0.0.4", 9631)]})
-        assert dict(spec.options)["hosts"] == ("10.0.0.4:9631",)
-        hash(spec)  # a raw list value would make the frozen spec unhashable
+    def test_remote_session_normalizes_hosts(self):
+        session = ValuationSession(
+            backend="remote", backend_options={"hosts": [("10.0.0.4", 9631)]}
+        )
+        assert session.backend_options["hosts"] == ("10.0.0.4:9631",)
 
-    def test_remote_spec_bad_address_fails_at_spec_time(self):
+    def test_remote_session_bad_address_fails_at_construction(self):
         with pytest.raises(ValuationError, match="not 'host:port'"):
-            BackendSpec(name="remote", options={"hosts": ["noport"]})
+            ValuationSession(backend="remote", backend_options={"hosts": ["noport"]})
 
     def test_factory_without_hosts(self):
         with pytest.raises(ClusterError, match="hosts"):
@@ -115,9 +116,12 @@ class TestNumbersAreCheckedWhereTheyAreGiven:
         # nothing listens on port 1: a "cannot connect" would mean the check came late
         with pytest.raises(ClusterError, match="liveness_timeout must be a finite number > 0"):
             RemoteBackend(["127.0.0.1:1"], liveness_timeout=value)
-        spec = BackendSpec("remote", options={"hosts": ["127.0.0.1:1"], "liveness_timeout": value})
+        session = ValuationSession(
+            backend="remote",
+            backend_options={"hosts": ["127.0.0.1:1"], "liveness_timeout": value},
+        )
         with pytest.raises(ClusterError, match="liveness_timeout"):
-            spec.create()
+            session._acquire_backend("serialized_load")
 
     @pytest.mark.parametrize("value", [5, 0, None, {"max_attempts": 5}, "yes"])
     def test_reconnect_is_a_bool(self, value):
@@ -129,7 +133,9 @@ class TestNumbersAreCheckedWhereTheyAreGiven:
         with pytest.raises(ClusterError, match="reconnect must be True or False"):
             create_backend("remote", hosts=["127.0.0.1:1"], reconnect=value)
         with pytest.raises(ValuationError, match="reconnect must be True or False"):
-            BackendSpec("remote", options={"hosts": ["127.0.0.1:1"], "reconnect": value})
+            ValuationSession(
+                backend="remote", backend_options={"hosts": ["127.0.0.1:1"], "reconnect": value}
+            )
 
     @pytest.mark.parametrize("name", ["connect_timeout", "send_timeout"])
     def test_the_timeouts_are_not_options(self, name):
@@ -272,7 +278,7 @@ class TestSessionOverRemote:
             session.gather()
 
     def test_multiple_runs_reuse_the_worker_pool(self):
-        # a name/spec session builds a fresh backend per run; the workers
+        # a session builds a fresh backend per run; the workers
         # must keep accepting connections after a clean stop frame
         portfolio = build_toy_portfolio(n_options=4)
         with spawn_local_workers(2) as pool:

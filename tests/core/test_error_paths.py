@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ValuationSession
-from repro.cluster.backends import Job, SequentialBackend
+from repro.cluster.backends import Job
 from repro.core.runner import RunReport
 from repro.core.scheduler import ScheduleOutcome, ScheduleStream
 from repro.cluster.backends.base import BackendStats
@@ -62,7 +62,7 @@ def _job(job_id: int, problem: PricingProblem) -> Job:
 class TestRunReportErrors:
     def test_worker_error_lands_in_report_errors(self):
         jobs = [_job(0, _good_problem()), _job(1, _failing_problem())]
-        report = ValuationSession(SequentialBackend(), "serialized_load").run(jobs).report
+        report = ValuationSession("local", "serialized_load", n_workers=1).run(jobs).report
         assert report.n_jobs == 2
         assert set(report.errors) == {1}
         assert "IncompatibleMethodError" in report.errors[1]
@@ -88,7 +88,7 @@ class TestRunReportErrors:
 
     def test_from_outcome_splits_errors_and_categories(self):
         jobs = [_job(0, _good_problem()), _job(1, _failing_problem())]
-        report = ValuationSession(SequentialBackend()).run(jobs).report
+        report = ValuationSession("local", n_workers=1).run(jobs).report
         assert isinstance(report, RunReport)
         assert report.category_times["error_paths"] >= 0.0
 
@@ -124,13 +124,13 @@ class TestPartialCompletion:
         monkeypatch.setattr("repro.api.campaign.ScheduleStream", _DroppingStream)
         jobs = [_job(i, _good_problem()) for i in range(3)]
         with pytest.raises(SchedulingError, match="2 results for 3 dispatched jobs"):
-            ValuationSession(SequentialBackend()).run(jobs)
+            ValuationSession("local", n_workers=1).run(jobs)
 
     def test_empty_outcome_raises_scheduling_error(self, monkeypatch):
         monkeypatch.setattr("repro.api.campaign.ScheduleStream", _EmptyingStream)
         jobs = [_job(0, _good_problem())]
         with pytest.raises(SchedulingError, match="0 results for 1 dispatched jobs"):
-            ValuationSession(SequentialBackend()).run(jobs)
+            ValuationSession("local", n_workers=1).run(jobs)
 
     def test_session_path_raises_identically(self, monkeypatch):
         monkeypatch.setattr("repro.api.campaign.ScheduleStream", _DroppingStream)

@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ValuationSession
-from repro.cluster.backends import MultiprocessingBackend, SequentialBackend
 from repro.cluster.costmodel import paper_cost_model
-from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.core.portfolio import build_toy_portfolio
 from repro.core.runner import RunReport
 from repro.core.scheduler import ChunkedPolicy
@@ -22,7 +20,7 @@ def toy_jobs():
 class TestRunPortfolio:
     def test_sequential_execution_produces_prices(self):
         portfolio = build_toy_portfolio(n_options=12)
-        report = ValuationSession(SequentialBackend(), "serialized_load").run(portfolio).report
+        report = ValuationSession("local", "serialized_load", n_workers=1).run(portfolio).report
         assert report.n_jobs == 12
         assert not report.errors
         prices = report.prices()
@@ -34,20 +32,21 @@ class TestRunPortfolio:
 
     def test_multiprocessing_matches_sequential(self):
         portfolio = build_toy_portfolio(n_options=16)
-        sequential = ValuationSession(SequentialBackend()).run(portfolio)
-        parallel = ValuationSession(MultiprocessingBackend(n_workers=2)).run(portfolio)
+        sequential = ValuationSession("local", n_workers=1).run(portfolio)
+        parallel = ValuationSession("multiprocessing", n_workers=2).run(portfolio)
         assert parallel.prices() == pytest.approx(sequential.prices())
 
     def test_store_based_run_with_nfs_strategy(self, tmp_path):
         portfolio = build_toy_portfolio(n_options=10)
         store = portfolio.to_store(tmp_path / "store")
-        report = ValuationSession(SequentialBackend(), "nfs").run(portfolio, store=store)
+        report = ValuationSession("local", "nfs", n_workers=1).run(portfolio, store=store)
         assert not report.errors
         assert len(report.prices()) == 10
 
     def test_simulated_run_reports_virtual_time(self, toy_jobs):
-        backend = SimulatedClusterBackend(ClusterSpec.from_cpu_count(4))
-        report = ValuationSession(backend, "serialized_load").run(toy_jobs).report
+        report = ValuationSession("simulated", "serialized_load", n_workers=3).run(
+            toy_jobs
+        ).report
         assert report.total_time > 0
         assert report.n_workers == 3
         assert report.results[0] is None  # timing-only simulation
@@ -55,8 +54,7 @@ class TestRunPortfolio:
         assert 0.0 < report.mean_worker_utilisation <= 1.0
 
     def test_report_from_outcome_consistency(self, toy_jobs):
-        backend = SimulatedClusterBackend(ClusterSpec.from_cpu_count(4))
-        report = ValuationSession(backend).run(toy_jobs).report
+        report = ValuationSession("simulated", n_workers=3).run(toy_jobs).report
         assert isinstance(report, RunReport)
         assert report.n_jobs == len(toy_jobs)
         assert report.bytes_sent > 0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import ValuationSession
-from repro.cluster import MultiprocessingBackend, SequentialBackend, paper_cost_model
+from repro.cluster import paper_cost_model
 from repro.core import (
     build_realistic_portfolio,
     build_toy_portfolio,
@@ -32,7 +32,7 @@ class TestPortfolioAcrossBackends:
 
     @pytest.fixture(scope="class")
     def reference_prices(self, portfolio, store):
-        report = ValuationSession(SequentialBackend(), "serialized_load").run(
+        report = ValuationSession("local", "serialized_load", n_workers=1).run(
             portfolio, store=store
         )
         assert not report.errors
@@ -40,14 +40,15 @@ class TestPortfolioAcrossBackends:
 
     @pytest.mark.parametrize("strategy", ["full_load", "nfs", "serialized_load"])
     def test_sequential_strategies_agree(self, portfolio, store, reference_prices, strategy):
-        report = ValuationSession(SequentialBackend(), strategy).run(portfolio, store=store)
+        report = ValuationSession("local", strategy, n_workers=1).run(portfolio, store=store)
         assert not report.errors
         assert report.prices() == pytest.approx(reference_prices)
 
     @pytest.mark.parametrize("strategy", ["full_load", "nfs", "serialized_load"])
     def test_multiprocessing_strategies_agree(self, portfolio, store, reference_prices, strategy):
-        backend = MultiprocessingBackend(n_workers=2)
-        report = ValuationSession(backend, strategy).run(portfolio, store=store)
+        report = ValuationSession("multiprocessing", strategy, n_workers=2).run(
+            portfolio, store=store
+        )
         assert not report.errors
         assert report.prices() == pytest.approx(reference_prices)
 
