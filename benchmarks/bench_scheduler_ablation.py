@@ -16,7 +16,7 @@ work stealing must land in the same league as robin hood, and the derived
 chunks must stay within a tenth of it.
 
 A second axis stresses the same policies under **churn**: a
-:class:`~repro.cluster.chaos.ChurnSchedule` kills a slice of the workers
+:class:`~repro.cluster.simcluster.ChurnSchedule` kills a slice of the workers
 mid-run and joins a replacement later, all in deterministic virtual time, so
 the benchmark answers "how gracefully does each policy degrade when the
 cluster shrinks under it?" without a single real socket.
@@ -50,8 +50,11 @@ for entry in (str(_ROOT), str(_ROOT / "src")):
 
 from benchmarks.conftest import write_bench_json  # noqa: E402
 from repro.cluster.backends.base import Job  # noqa: E402
-from repro.cluster.chaos import ChurnSchedule  # noqa: E402
-from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend  # noqa: E402
+from repro.cluster.simcluster import (  # noqa: E402
+    ChurnSchedule,
+    ClusterSpec,
+    SimulatedClusterBackend,
+)
 from repro.cluster.costmodel import paper_cost_model  # noqa: E402
 from repro.core.portfolio import build_realistic_portfolio, build_toy_portfolio  # noqa: E402
 from repro.core.scheduler import (  # noqa: E402

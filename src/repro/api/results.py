@@ -272,17 +272,6 @@ class ComparisonResult(ValuationResult):
     def __iter__(self) -> Iterator[str]:
         return iter(self.tables)
 
-    def fastest_strategy(self, n_cpus: int) -> str:
-        """Strategy with the smallest time at a given CPU count."""
-        candidates: dict[str, float] = {}
-        for name, table in self.tables.items():
-            times = table.times()
-            if n_cpus in times:
-                candidates[name] = times[n_cpus]
-        if not candidates:
-            raise ValuationError(f"no strategy was swept at {n_cpus} CPUs")
-        return min(candidates, key=candidates.__getitem__)
-
     def format(self) -> str:
         return format_comparison_table(self.tables.values())
 

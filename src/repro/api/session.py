@@ -85,9 +85,17 @@ def _check_backend_options(backend: str, options: Mapping[str, Any] | None) -> d
     """``options`` bound against ``backend``'s registered factory, before any run.
 
     The remote backend's ``hosts`` are normalised and its ``reconnect``
-    checked too, so a bad address fails before any socket is opened.
+    checked too, so a bad address fails before any socket is opened.  The
+    simulated cluster's communication model is the session's ``comm=``, so
+    ``run``, ``sweep`` and ``compare`` all price with it.
     """
     options = dict(options or {})
+    if backend == "simulated" and "comm" in options:
+        raise ValuationError(
+            "the simulated cluster's communication model is the session's comm= "
+            "keyword, not a backend option: "
+            "ValuationSession('simulated', comm=CommunicationModel(...))"
+        )
     signature = inspect.signature(_BACKEND_REGISTRY[backend])
     try:
         signature.bind(n_workers=None, strategy=None, **options)
@@ -145,6 +153,7 @@ class ValuationSession:
         Shared :class:`CommunicationModel` for sweeps (warm NFS cache
         semantics, the paper's experimental artefact); a cold run gets a
         :meth:`~CommunicationModel.cold_copy` of it, custom NFS settings kept.
+        It is the one spelling: a ``comm`` backend option is refused.
     backend_options:
         Extra keyword options for the backend factory (e.g.
         ``{"hosts": pool.hosts, "reconnect": True}`` for remote), checked
@@ -749,8 +758,7 @@ class ValuationSession:
         ``shared_comm`` carries one NFS cache history through the whole
         column; ``None`` gives every CPU count a cold model of its own.
         """
-        sim_options = dict(self.backend_options) if self.backend == "simulated" else {}
-        sim_options.pop("comm", None)
+        sim_options = self.backend_options if self.backend == "simulated" else {}
         new_policy = policy_factory(self.scheduler)
         times: dict[int, float] = {}
         for n_cpus in cpu_counts:

@@ -23,12 +23,13 @@ built-in registrations are:
     TCP servers, possibly on other machines (the paper's actual deployment
     shape); needs a ``hosts`` option listing the worker addresses (see
     :func:`repro.cluster.worker.spawn_local_workers` for a loopback pool)
-    and takes ``reconnect``, ``liveness_timeout`` and ``secret``.
+    and takes ``reconnect`` and ``secret``.
 ``"simulated"``
     :class:`~repro.cluster.simcluster.simulator.SimulatedClusterBackend` -- the
     discrete-event cluster model reproducing the paper's tables; accepts
     ``comm`` (a :class:`~repro.cluster.simcluster.comm.CommunicationModel`)
-    and ``churn`` (a :class:`~repro.cluster.chaos.ChurnSchedule`) options.
+    and ``churn`` (a :class:`~repro.cluster.simcluster.simulator.ChurnSchedule`)
+    options.
 
 Use :func:`create_backend` to build one, :func:`list_backends` to enumerate
 the registered names and :func:`register_backend` (usable as a decorator
@@ -146,7 +147,6 @@ def _make_remote(
     strategy: str = "serialized_load",
     hosts: Any = None,
     reconnect: bool = False,
-    liveness_timeout: float | None = None,
     secret: str | None = None,
 ) -> WorkerBackend:
     # imported lazily so plain backend users do not pay for the socket layer
@@ -159,9 +159,7 @@ def _make_remote(
             "use repro.cluster.worker.spawn_local_workers for a loopback pool"
         )
     # one logical worker per address: the addresses, not n_workers, size the pool
-    return RemoteBackend(
-        hosts, reconnect=reconnect, liveness_timeout=liveness_timeout, secret=secret
-    )
+    return RemoteBackend(hosts, reconnect=reconnect, secret=secret)
 
 
 @register_backend("simulated")

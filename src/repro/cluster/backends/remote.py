@@ -22,10 +22,11 @@ A backend is one campaign's pool; these keep it alive for that campaign:
 * **rebirth** -- with ``reconnect=True`` a dead host is re-dialed from the
   blocking calls (five dials, on :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`)
   and, once back, gets its original logical slots again;
-* **liveness** -- a ``liveness_timeout`` turns a wedged-but-connected worker
-  (one that answers neither a :data:`~repro.serial.frames.FRAME_PING` nor a
-  result inside the window) into an ordinary death within seconds, instead
-  of stalling ``collect`` for its full timeout;
+* **liveness** -- a busy connection silent for :data:`_LIVENESS_TIMEOUT_S`
+  is PINGed, and a wedged-but-connected worker (one that answers neither a
+  :data:`~repro.serial.frames.FRAME_PING` nor a result inside another window)
+  becomes an ordinary death, instead of stalling ``collect`` for its full
+  timeout;
 * **identity** -- a ``secret`` arms the HMAC-SHA256 handshake,
   so the master only dispatches jobs to workers that proved knowledge of
   the shared secret (and vice versa).
@@ -43,8 +44,6 @@ Build one through the registry --
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import selectors
 import socket
@@ -91,6 +90,10 @@ _CONNECT_TIMEOUT_S = 10.0
 #: seconds one frame send may block before its worker is declared lost: a
 #: partitioned worker whose TCP buffer filled up cannot hang ``sendall``
 _SEND_TIMEOUT_S = 60.0
+#: seconds of silence after which a busy connection is PINGed, and then the
+#: wait for its pong or a result before it is buried (a worker answers a ping
+#: while a job computes, so a long job is not taken for a wedged worker)
+_LIVENESS_TIMEOUT_S = 30.0
 
 #: sentinel ``conn_index`` of an orphaned in-flight job awaiting redispatch
 _UNROUTED = -1
@@ -133,13 +136,6 @@ def normalize_hosts(hosts: Any) -> tuple[str, ...]:
     if not normalized:
         raise ClusterError("the remote backend needs at least one worker address")
     return tuple(normalized)
-
-
-def _check_duration(value: Any, field: str) -> None:
-    """A duration is a finite number > 0: ``nan <= 0`` is false, and a NaN or
-    infinite wait is a ``time.sleep`` / selector error in mid-campaign."""
-    if not isinstance(value, numbers.Real) or not math.isfinite(value) or value <= 0:
-        raise ClusterError(f"{field} must be a finite number > 0, got {value!r}")
 
 
 def check_reconnect(value: Any) -> bool:
@@ -202,12 +198,6 @@ class RemoteBackend(WorkerBackend):
         :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S` -- and
         remaps their logical slots back on success.  A host that exhausts
         its dials stays buried.
-    liveness_timeout:
-        Seconds of in-campaign silence after which a connection with jobs
-        in flight is PINGed; a worker that then answers neither the pong
-        nor a result within another window is buried like a dropped
-        socket.  ``None`` disables the probe (a wedged worker then costs
-        the full ``collect`` timeout).
     secret:
         Shared secret arming the HMAC-SHA256 handshake: every
         worker must prove knowledge of the secret at connect time, before
@@ -222,15 +212,11 @@ class RemoteBackend(WorkerBackend):
         hosts: Any,
         *,
         reconnect: bool = False,
-        liveness_timeout: float | None = None,
         secret: str | None = None,
     ):
         addresses = normalize_hosts(hosts)
-        if liveness_timeout is not None:
-            _check_duration(liveness_timeout, "liveness_timeout")
         self._n_workers = len(addresses)
         self._reconnect = check_reconnect(reconnect)
-        self._liveness_timeout = liveness_timeout
         self._secret = secret
         self._selector = selectors.DefaultSelector()
         self._conns: list[_Connection] = []
@@ -420,14 +406,14 @@ class RemoteBackend(WorkerBackend):
             self._pump(self._cap_wait(wait))
         return self._ready.popleft()
 
-    def _cap_wait(self, wait: float | None) -> float | None:
+    def _cap_wait(self, wait: float | None) -> float:
         """Bound a selector wait so liveness/reconnect timers keep firing."""
-        caps = [wait] if wait is not None else []
-        if self._liveness_timeout is not None:
-            caps.append(max(self._liveness_timeout / 4.0, 0.01))
+        caps = [_LIVENESS_TIMEOUT_S / 4.0]
+        if wait is not None:
+            caps.append(wait)
         if self._reconnect_pending():
             caps.append(max(self._next_redial_at() - time.monotonic(), 0.01))
-        return min(caps) if caps else None
+        return min(caps)
 
     def send_stop(self, worker_id: int) -> None:
         conn = self._conns[self._route[worker_id]]
@@ -660,8 +646,6 @@ class RemoteBackend(WorkerBackend):
     # -- liveness ----------------------------------------------------------------
     def _check_liveness(self) -> None:
         """PING silent busy connections; bury the ones that never answer."""
-        if self._liveness_timeout is None:
-            return
         now = time.monotonic()
         busy = {entry.conn_index for entry in self._inflight.values()}
         for index in self._live_indices():
@@ -670,14 +654,14 @@ class RemoteBackend(WorkerBackend):
                 conn.ping_token = None  # idle connections owe us nothing
                 continue
             if conn.ping_token is not None:
-                if now - conn.ping_sent > self._liveness_timeout:
+                if now - conn.ping_sent > _LIVENESS_TIMEOUT_S:
                     # neither a pong nor a result inside the window: the
                     # worker is wedged -- bury it like a dropped socket so
                     # its jobs move on within seconds, not collect-timeouts
                     self._liveness_buried += 1
                     self._on_conn_dead(index)
                 continue
-            if now - conn.last_recv > self._liveness_timeout:
+            if now - conn.last_recv > _LIVENESS_TIMEOUT_S:
                 token = os.urandom(8)
                 try:
                     conn.sock.sendall(encode_frame(FRAME_PING, token))

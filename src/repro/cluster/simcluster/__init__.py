@@ -5,7 +5,12 @@ from repro.cluster.simcluster.events import Event, EventQueue
 from repro.cluster.simcluster.network import NetworkModel, gigabit_ethernet
 from repro.cluster.simcluster.nfs import NFSModel
 from repro.cluster.simcluster.node import ClusterSpec, NodeSpec
-from repro.cluster.simcluster.simulator import SimulatedClusterBackend, SimulationTrace
+from repro.cluster.simcluster.simulator import (
+    ChurnEvent,
+    ChurnSchedule,
+    SimulatedClusterBackend,
+    SimulationTrace,
+)
 
 __all__ = [
     "ClusterSpec",
@@ -17,6 +22,8 @@ __all__ = [
     "STRATEGY_NAMES",
     "SimulatedClusterBackend",
     "SimulationTrace",
+    "ChurnSchedule",
+    "ChurnEvent",
     "Event",
     "EventQueue",
 ]

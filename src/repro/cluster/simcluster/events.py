@@ -53,12 +53,6 @@ class EventQueue:
             raise SimulationError("event queue is empty")
         return heapq.heappop(self._heap)
 
-    def peek(self) -> Event:
-        """Return (without removing) the earliest event."""
-        if not self._heap:
-            raise SimulationError("event queue is empty")
-        return self._heap[0]
-
     def __len__(self) -> int:
         return len(self._heap)
 

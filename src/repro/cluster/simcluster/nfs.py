@@ -74,12 +74,6 @@ class NFSModel:
         return self.cache_enabled and path in self._cache
 
     # -- cache management ----------------------------------------------------------
-    def warm_up(self, paths: list[str]) -> None:
-        """Pre-populate the cache (e.g. to model a sweep that starts after an
-        earlier experiment already touched every file)."""
-        if self.cache_enabled:
-            self._cache.update(paths)
-
     def flush(self) -> None:
         """Empty the cache -- the "clean run with a new portfolio" scenario."""
         self._cache.clear()

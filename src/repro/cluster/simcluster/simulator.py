@@ -26,7 +26,9 @@ The simulated cluster prices nothing: a collected job carries no result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster.backends.base import (
@@ -40,8 +42,92 @@ from repro.cluster.simcluster.comm import CommunicationModel
 from repro.cluster.simcluster.events import EventQueue
 from repro.cluster.simcluster.node import ClusterSpec
 from repro.errors import ClusterError, SimulationError, WorkerLostError
+from repro.pricing.validation import check_count
 
-__all__ = ["SimulatedClusterBackend", "SimulationTrace"]
+__all__ = ["ChurnEvent", "ChurnSchedule", "SimulatedClusterBackend", "SimulationTrace"]
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+@dataclass(frozen=True)
+class ChurnEvent:
+    """One worker death or join at a virtual time."""
+
+    time: float
+    action: str  # "kill" | "join"
+    worker_id: int | None = None  # kill only
+    speed: float = 1.0  # join only
+
+    def __post_init__(self) -> None:
+        if self.action not in ("kill", "join"):
+            raise ClusterError(f"unknown churn action {self.action!r}")
+        # ``nan < 0`` is false: a sign check alone lets a NaN or an infinity
+        # through to the simulator's clocks
+        if not _is_real(self.time) or self.time < 0:
+            raise ClusterError(f"churn event time must be a finite number >= 0, got {self.time!r}")
+        if self.action == "kill":
+            check_count(self.worker_id, "a kill event's worker_id", 0, error=ClusterError,
+                        floats=False)
+        elif not _is_real(self.speed) or self.speed <= 0:
+            raise ClusterError(f"a join event's speed must be a finite number > 0, "
+                               f"got {self.speed!r}")
+
+
+@dataclass
+class ChurnSchedule:
+    """A declarative timetable of worker deaths and joins in virtual time.
+
+    Build one fluently and hand it to the simulated backend::
+
+        churn = ChurnSchedule().kill(0, at=5.0).kill(3, at=9.0).join(at=12.0)
+        backend = SimulatedClusterBackend(spec, churn=churn)
+
+    Deaths take effect on the simulator's clocks: a dispatch routed to a
+    dead worker is deterministically redirected to the live worker that
+    frees up earliest, and a job computing when its worker dies restarts on
+    a survivor at the death instant (the paper's master never loses a job,
+    it just pays for the lost work).  Joins append extra workers whose
+    clocks only start at the join time.  Everything is a pure function of
+    the schedule -- no randomness, no real time.
+    """
+
+    events: list[ChurnEvent] = field(default_factory=list)
+
+    def kill(self, worker_id: int, at: float) -> "ChurnSchedule":
+        """Worker ``worker_id`` dies at virtual time ``at`` (fluent)."""
+        self.events.append(ChurnEvent(time=at, action="kill", worker_id=worker_id))
+        return self
+
+    def join(self, at: float, speed: float = 1.0) -> "ChurnSchedule":
+        """A new worker joins at virtual time ``at`` (fluent)."""
+        self.events.append(ChurnEvent(time=at, action="join", speed=speed))
+        return self
+
+    @property
+    def kills(self) -> dict[int, float]:
+        """Death time per worker id (the earliest kill wins)."""
+        deaths: dict[int, float] = {}
+        for event in self.events:
+            if event.action != "kill":
+                continue
+            assert event.worker_id is not None
+            current = deaths.get(event.worker_id)
+            if current is None or event.time < current:
+                deaths[event.worker_id] = event.time
+        return deaths
+
+    @property
+    def joins(self) -> list[tuple[float, float]]:
+        """``(birth_time, speed)`` per joining worker, in join order."""
+        return [
+            (event.time, event.speed)
+            for event in sorted(
+                (e for e in self.events if e.action == "join"),
+                key=lambda e: e.time,
+            )
+        ]
 
 
 @dataclass
@@ -84,14 +170,14 @@ class SimulatedClusterBackend(WorkerBackend):
         sweep to let the NFS cache persist between runs (the paper's Table II
         artefact); pass a fresh instance for independent runs.
     churn:
-        Optional :class:`~repro.cluster.chaos.ChurnSchedule`: workers die or
-        join at virtual times.  A dispatch routed to a dead worker is
-        deterministically redirected to the live worker that frees up
-        earliest; a job computing when its worker dies restarts on a
-        survivor at the death instant (charging the lost partial work); a
-        joining worker's clock starts at its join time.  The scheduler sees
-        the joiners in ``n_workers`` from the start -- jobs sent to an
-        unborn worker simply wait for its birth.
+        Optional :class:`ChurnSchedule`: workers die or join at virtual
+        times.  A dispatch routed to a dead worker is deterministically
+        redirected to the live worker that frees up earliest; a job
+        computing when its worker dies restarts on a survivor at the death
+        instant (charging the lost partial work); a joining worker's clock
+        starts at its join time.  The scheduler sees the joiners in
+        ``n_workers`` from the start -- jobs sent to an unborn worker simply
+        wait for its birth.
     """
 
     requires_payload = False
@@ -101,7 +187,7 @@ class SimulatedClusterBackend(WorkerBackend):
         cluster: ClusterSpec,
         strategy: str = "serialized_load",
         comm: CommunicationModel | None = None,
-        churn: Any = None,
+        churn: ChurnSchedule | None = None,
     ):
         self.cluster = cluster
         self.strategy = strategy
@@ -298,20 +384,13 @@ class SimulatedClusterBackend(WorkerBackend):
     ) -> tuple[int, float, float, float]:
         """Put one job on a worker; returns ``(worker, start, done, compute)``.
 
-        Without churn this is the original placement arithmetic verbatim.
-        With churn, a dispatch aimed at a dead worker is redirected to the
-        earliest-free survivor, and a worker dying mid-compute charges the
-        lost partial work and restarts the job on a survivor at the death
-        instant -- the master never loses a job, it just pays for it.
+        A dispatch aimed at a dead worker is redirected to the earliest-free
+        survivor, and a worker dying mid-compute charges the lost partial
+        work and restarts the job on a survivor at the death instant -- the
+        master never loses a job, it just pays for it.  Without churn no
+        worker dies and every birth is 0.0, so the first attempt places the
+        job where it was sent.
         """
-        if self.churn is None:
-            compute = job.compute_cost / self._speed_of(worker_id)
-            start = max(arrival, self._worker_free[worker_id])
-            done = start + worker_prep + compute
-            self._worker_free[worker_id] = done
-            self._worker_busy[worker_id] += worker_prep + compute
-            return worker_id, start, done, compute
-
         wid, now = worker_id, arrival
         for _attempt in range(2 * self.n_workers + 4):
             death = self._death.get(wid)
@@ -322,7 +401,6 @@ class SimulatedClusterBackend(WorkerBackend):
             start = max(now, self._worker_free[wid], self._birth[wid])
             compute = job.compute_cost / self._speed_of(wid)
             done = start + worker_prep + compute
-            death = self._death.get(wid)
             if death is None or done <= death:
                 self._worker_free[wid] = done
                 self._worker_busy[wid] += worker_prep + compute

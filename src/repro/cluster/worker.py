@@ -561,7 +561,7 @@ def probe_worker(address: str, *, timeout: float = 5.0) -> bool:
 
     This is how an idle daemon (``repro-serve``) notices dead TCP workers
     *between* campaigns instead of at next dispatch; inside a campaign the
-    backend's ``liveness_timeout`` pings its own connections.
+    remote backend pings its own silent busy connections.
     """
     host, _, port_text = address.rpartition(":")
     token = os.urandom(8)

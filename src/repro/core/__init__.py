@@ -30,7 +30,7 @@ from repro.core.portfolio import (
     build_regression_portfolio,
     build_toy_portfolio,
 )
-from repro.core.regression import RegressionSuite, generate_regression_problems
+from repro.core.regression import generate_regression_problems
 from repro.core.risk import (
     PortfolioRiskReport,
     historical_var,
@@ -96,7 +96,6 @@ __all__ = [
     "speedup_ratio",
     "format_comparison_table",
     # regression / risk
-    "RegressionSuite",
     "generate_regression_problems",
     "portfolio_value",
     "portfolio_greeks",

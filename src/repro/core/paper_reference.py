@@ -193,11 +193,6 @@ class ShapeComparison:
     max_ratio_difference: float
     mean_ratio_difference: float
 
-    @property
-    def within_factor_two(self) -> bool:
-        """Whether every common row's time is within a factor 2 of the paper."""
-        return self.max_time_ratio <= 2.0 and self.max_time_ratio >= 0.0
-
 
 def compare_with_paper(measured: SpeedupTable, reference: SpeedupTable) -> ShapeComparison:
     """Compare a measured sweep against a published column.

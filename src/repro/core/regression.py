@@ -6,23 +6,15 @@ algorithm.  These non-regression tests consist in a single instance of any
 pricing problem which can be solved using Premia ... Several sets of these
 tests exist with different parameters and are run at least once a day."
 
-This module provides
-
-* :func:`generate_regression_problems` -- one problem per compatible
-  (model, option, method) combination registered in the pricing engine, with
-  either the paper-scale parameters (``profile="paper"``, used by the
-  simulated Table I benchmark) or laptop-scale parameters
-  (``profile="fast"``, which the test-suite actually executes);
-* :class:`RegressionSuite` -- run the fast suite, store reference values, and
-  compare a new run against the stored reference (the actual non-regression
-  check).
+:func:`generate_regression_problems` yields one problem per compatible
+(model, option, method) combination registered in the pricing engine, with
+either the paper-scale parameters (``profile="paper"``, used by the simulated
+Table I benchmark) or laptop-scale parameters (``profile="fast"``, which the
+test-suite executes and checks against ``tests/data/regression_fast.json``).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import PortfolioError
@@ -31,8 +23,6 @@ from repro.pricing.models.multi_asset import flat_correlation
 
 __all__ = [
     "generate_regression_problems",
-    "RegressionSuite",
-    "RegressionMismatch",
     "REGRESSION_MODEL_SPECS",
     "REGRESSION_PRODUCT_SPECS",
 ]
@@ -171,13 +161,9 @@ def generate_regression_problems(
         probe.set_model(model_name, **model_params)
         model = probe.model
         for product_name, product_params, product_tag in REGRESSION_PRODUCT_SPECS:
-            # multi-asset products only make sense on the multi-asset model
-            try:
-                probe.set_option(product_name, **product_params)
-            # repro-lint: disable=except-swallow -- defensive skip of product specs the registry cannot build; the regression grid drops the spec rather than aborting the whole sweep
-            except Exception:  # pragma: no cover - registry always succeeds
-                continue
+            probe.set_option(product_name, **product_params)
             product = probe.product
+            # multi-asset products only make sense on the multi-asset model
             if product.dimension != model.dimension:
                 continue
             for method_name in compatible_methods(model, product):
@@ -190,81 +176,3 @@ def generate_regression_problems(
                 problem.set_option(product_name, **product_params)
                 problem.set_method(method_name, **params)
                 yield problem, problem.label
-
-
-# ---------------------------------------------------------------------------
-# reference-value management
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RegressionMismatch:
-    """One regression failure: the price moved beyond the tolerance."""
-
-    label: str
-    reference: float
-    computed: float
-    relative_error: float
-
-
-class RegressionSuite:
-    """Run the (fast-profile) regression problems and diff against a reference.
-
-    The reference file is JSON mapping problem labels to prices; it plays the
-    role of the expected outputs of Premia's daily non-regression runs.
-    """
-
-    def __init__(self, profile: str = "fast"):
-        self.profile = profile
-        self.problems = [problem for problem, _ in generate_regression_problems(profile)]
-
-    def __len__(self) -> int:
-        return len(self.problems)
-
-    def run(self) -> dict[str, float]:
-        """Execute every problem and return ``label -> price``."""
-        prices: dict[str, float] = {}
-        for problem in self.problems:
-            result = problem.compute()
-            prices[problem.label] = float(result.price)
-        return prices
-
-    def generate_reference(self, path: str | Path) -> dict[str, float]:
-        """Run the suite and store the prices as the new reference."""
-        prices = self.run()
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(prices, indent=2, sort_keys=True))
-        return prices
-
-    def check_against_reference(
-        self, path: str | Path, rtol: float = 1e-9, atol: float = 1e-12
-    ) -> list[RegressionMismatch]:
-        """Re-run the suite and report entries that moved beyond the tolerance.
-
-        Deterministic methods (closed form, PDE, trees, COS, seeded
-        Monte-Carlo) must reproduce the stored values exactly up to floating
-        point noise, which is why the default tolerance is tight.
-        """
-        reference = json.loads(Path(path).read_text())
-        current = self.run()
-        mismatches: list[RegressionMismatch] = []
-        for label, ref_price in reference.items():
-            if label not in current:
-                mismatches.append(
-                    RegressionMismatch(label=label, reference=ref_price, computed=float("nan"),
-                                       relative_error=float("inf"))
-                )
-                continue
-            value = current[label]
-            scale = max(abs(ref_price), atol)
-            diff = abs(value - ref_price)
-            # a zero reference under atol=0: any difference is infinitely relative
-            rel = diff / scale if scale else (float("inf") if diff else 0.0)
-            if diff > atol + rtol * scale:
-                mismatches.append(
-                    RegressionMismatch(
-                        label=label, reference=ref_price, computed=value, relative_error=rel
-                    )
-                )
-        return mismatches

@@ -264,14 +264,6 @@ class RunReport:
         """The paper's "number of CPUs" = workers + the master."""
         return self.n_workers + 1
 
-    @property
-    def mean_worker_utilisation(self) -> float:
-        """Average fraction of the makespan the workers spent busy."""
-        if not self.worker_busy or self.total_time <= 0:
-            return 0.0
-        busy = sum(self.worker_busy.values()) / len(self.worker_busy)
-        return busy / self.total_time
-
     def prices(self) -> dict[int, float]:
         """Job id -> price, for runs that actually executed the problems."""
         if isinstance(self.results, ResultTable):

@@ -134,10 +134,6 @@ class BatchPlan:
     singles: tuple[int, ...]
 
     @property
-    def n_grouped(self) -> int:
-        return sum(len(group) for group in self.groups)
-
-    @property
     def n_simulations_saved(self) -> int:
         """Path simulations avoided versus per-problem pricing."""
         return sum(len(group) - 1 for group in self.groups)

@@ -245,14 +245,6 @@ class ResultCache:
         with self._lock:
             self._entries.clear()
 
-    # -- problem-level convenience -------------------------------------------------
-    def get_problem(self, problem: "PricingProblem") -> "PricingResult | None":
-        """Cache lookup keyed on :func:`problem_digest`."""
-        return self.get(problem_digest(problem))
-
-    def put_problem(self, problem: "PricingProblem", result: "PricingResult") -> None:
-        self.put(problem_digest(problem), result)
-
     # -- internals ----------------------------------------------------------------
     def _remember(self, digest: str, entry: dict[str, Any], write_disk: bool) -> None:
         self._entries[digest] = entry

@@ -455,27 +455,15 @@ class PDEBarrier(_PDEBase):
 
 
 class PDEAmerican(_PDEBase):
-    """Theta-scheme pricer for American options with early exercise."""
+    """Theta-scheme pricer for American options with early exercise.
+
+    The obstacle solve follows from the payoff: a put's exercise region
+    touches the lower end of the grid, so it takes the exact Brennan-Schwartz
+    tridiagonal solve; a call's lies at high spot, so it is projected on the
+    obstacle after each step.
+    """
 
     method_name = "FD_American"
-
-    def __init__(
-        self,
-        n_space: int = 400,
-        n_time: int = 200,
-        theta: float = 0.5,
-        n_std: float = 6.0,
-        american_mode: str = "brennan_schwartz",
-    ):
-        super().__init__(n_space=n_space, n_time=n_time, theta=theta, n_std=n_std)
-        if american_mode not in ("projected", "brennan_schwartz"):
-            raise PricingError(f"unknown american_mode: {american_mode!r}")
-        self.american_mode = american_mode
-
-    def to_params(self) -> dict[str, Any]:
-        params = super().to_params()
-        params["american_mode"] = self.american_mode
-        return params
 
     def supports(self, model: Model, product: Product) -> bool:
         return isinstance(model, DiffusionModel1D) and isinstance(
@@ -498,12 +486,10 @@ class PDEAmerican(_PDEBase):
             # the intrinsic value
             lower_bc = lambda tau: k - s_lo
             upper_bc = lambda tau: 0.0
-            mode = self.american_mode
+            mode = "brennan_schwartz"
         else:
             lower_bc = lambda tau: 0.0
             upper_bc = lambda tau: s_hi - k
-            # Brennan-Schwartz assumes a lower-contact obstacle; for calls the
-            # contact region is at high spot, so fall back to projection.
             mode = "projected"
 
         values = _theta_scheme_solve(

@@ -124,16 +124,3 @@ class BlackScholesModel(DiffusionModel1D):
             "volatility": self.volatility,
             "dividend": self.dividend,
         }
-
-    # -- convenience ----------------------------------------------------------
-    def with_spot(self, spot: float) -> "BlackScholesModel":
-        """Return a copy of the model with a bumped spot (used for Greeks)."""
-        return BlackScholesModel(
-            spot=spot, rate=self.rate, volatility=self.volatility, dividend=self.dividend
-        )
-
-    def with_volatility(self, volatility: float) -> "BlackScholesModel":
-        """Return a copy of the model with a bumped volatility (vega bumps)."""
-        return BlackScholesModel(
-            spot=self.spot, rate=self.rate, volatility=volatility, dividend=self.dividend
-        )

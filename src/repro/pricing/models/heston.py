@@ -76,12 +76,6 @@ class HestonModel(Model):
         self.sigma_v = float(sigma_v)
         self.rho = float(rho)
 
-    @property
-    def feller_satisfied(self) -> bool:
-        """Whether the Feller condition ``2 kappa theta >= sigma_v^2`` holds
-        (variance stays strictly positive in continuous time)."""
-        return 2.0 * self.kappa * self.theta >= self.sigma_v**2
-
     # -- characteristic function ---------------------------------------------
     def log_char_function(self, u: np.ndarray, maturity: float) -> np.ndarray:
         """Characteristic function of ``log(S_T / S_0)``.

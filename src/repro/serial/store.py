@@ -111,9 +111,6 @@ class ProblemStore:
     def sload(self, index: int) -> Serial:
         return sload(self.path_for(index))
 
-    def load_all(self) -> list[Any]:
-        return [load(path) for path in self.paths()]
-
     def __len__(self) -> int:
         return len(self.paths())
 

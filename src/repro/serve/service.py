@@ -231,9 +231,8 @@ class PricingService:
         if self.config.backend == "remote":
             options["hosts"] = list(self.live_hosts()) or list(self._hosts)
             # a campaign survives a worker restart: re-dial dead hosts with a
-            # growing backoff and bury wedged-but-connected ones in seconds
+            # growing backoff (wedged-but-connected ones are always buried)
             options["reconnect"] = True
-            options["liveness_timeout"] = 30.0
             if self.config.worker_secret is not None:
                 options["secret"] = self.config.worker_secret
         session_kwargs: dict[str, Any] = {

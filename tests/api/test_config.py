@@ -87,7 +87,7 @@ class TestBackendOptions:
         [
             ("local", "[]"),
             ("multiprocessing", "[]"),
-            ("remote", "['hosts', 'reconnect', 'liveness_timeout', 'secret']"),
+            ("remote", "['hosts', 'reconnect', 'secret']"),
             ("simulated", "['comm', 'churn']"),
         ],
     )

@@ -243,6 +243,11 @@ class TestSweep:
         with pytest.raises(TypeError, match=removed):
             ValuationSession().sweep(toy_jobs, [2, 4], **{removed: None})
 
+    def test_the_comm_model_is_only_the_sessions_keyword(self):
+        # as a backend option it priced run(), and sweep() / compare() dropped it
+        with pytest.raises(ValuationError, match="session's comm="):
+            ValuationSession("simulated", backend_options={"comm": CommunicationModel()})
+
     def test_compare_takes_no_comm_factory(self, toy_jobs):
         with pytest.raises(TypeError, match="comm_factory"):
             ValuationSession().compare(toy_jobs, [2, 4], comm_factory=CommunicationModel)
@@ -340,11 +345,8 @@ class TestCompare:
             toy_portfolio, [2, 4], strategies=("full_load", "serialized_load")
         )
         assert "full_load" in result.format()
-        assert result.fastest_strategy(4) == "serialized_load"
         with pytest.raises(ValuationError):
             result["nfs"]
-        with pytest.raises(ValuationError):
-            result.fastest_strategy(512)
 
 
 class TestSessionValidation:

@@ -77,6 +77,9 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     # connect_timeout and send_timeout of RemoteBackend and its factory;
     # start_method of MultiprocessingBackend and its factory; and
     # spawn_local_workers' start_method, timeout and workers_per_server.
+    # Removed, 2 slots: liveness_timeout of RemoteBackend and its factory,
+    # whose one value outside tests/ was repro-serve's 30 s (the probe is
+    # always on, at that window).
     # Removed, 6 slots: cache_dir of the local and multiprocessing backends
     # and their factories, of spawn_local_workers and of serve (with
     # ``repro-worker --cache-dir``): a worker prices what it is sent, the
@@ -85,17 +88,15 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     'create_backend("multiprocessing")': (_BACKEND_REGISTRY["multiprocessing"], (
         "n_workers", "strategy")),
     'create_backend("remote")': (_BACKEND_REGISTRY["remote"], (
-        "n_workers", "strategy", "hosts", "reconnect", "liveness_timeout", "secret")),
+        "n_workers", "strategy", "hosts", "reconnect", "secret")),
     "SequentialBackend": (SequentialBackend.__init__, ("n_workers",)),
     "MultiprocessingBackend": (MultiprocessingBackend.__init__, ("n_workers",)),
     "RemoteBackend": (RemoteBackend.__init__, (
-        "hosts", "reconnect", "liveness_timeout", "secret")),
+        "hosts", "reconnect", "secret")),
     "spawn_local_workers": (worker.spawn_local_workers, ("n", "secret")),
     # workers stays: ``repro-worker --workers N`` is a deployment setting
     "cluster.worker.serve": (worker.serve, (
         "host", "port", "once", "ready", "quiet", "workers", "secret")),
-    # The census for the next round -- still set only by tests/:
-    # liveness_timeout, whose one value outside tests/ is repro-serve's 30 s.
 }
 
 #: unpinned until their ``config=`` left for the lifecycle keywords of a run
@@ -125,10 +126,11 @@ def test_the_settable_surface_is_the_reviewed_list(name):
     assert _settable(target) == expected
 
 
-def test_the_surface_has_107_slots():
+def test_the_surface_has_105_slots():
     # 93 before the backend and worker census joined the list, 140 with it;
     # 127 before the nine cache slots (RunConfig.cache, run and stream cache,
-    # six cache_dir) left, 118 before RunConfig and RetryPolicy left
-    assert sum(len(slots) for _target, slots in SURFACE.values()) == 107
+    # six cache_dir) left, 118 before RunConfig and RetryPolicy left, 107
+    # before liveness_timeout left
+    assert sum(len(slots) for _target, slots in SURFACE.values()) == 105
     assert sum(len(slots) for _target, slots in RISK_SURFACE.values()) == 17
 

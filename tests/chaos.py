@@ -1,52 +1,27 @@
-"""Deterministic fault injection for the cluster layer.
+"""A frame-aware TCP proxy that injects faults into real-socket tests.
 
-Two complementary harnesses live here, one per kind of cluster:
-
-:class:`ChaosProxy`
-    A frame-aware TCP interposer for **real-socket** tests.  It sits between
-    a :class:`~repro.cluster.backends.remote.RemoteBackend` master and a
-    ``repro-worker`` server, forwards RWF frames in both directions, and
-    injects faults on a per-frame schedule: kill the link, delay a frame, or
-    truncate one mid-header.  Because faults trigger on *frame counts*, not
-    wall-clock timers, the same test script exercises the same code path on
-    every run -- the chaos is reproducible.
-
-:class:`ChurnSchedule`
-    A declarative death/join timetable for the **simulated** cluster.
-    Workers die or join at *virtual* times, so scheduler behaviour under
-    elasticity (redirected dispatches, mid-compute restarts) is evaluated in
-    deterministic virtual time with zero real sockets -- the same trick the
-    paper's speedup tables use, applied to fault tolerance.  Pass one to
-    :class:`~repro.cluster.simcluster.simulator.SimulatedClusterBackend` via
-    its ``churn=`` option.
-
-Neither harness touches the production code path: the proxy speaks the wire
-format from the outside and the schedule only drives the simulator's clocks.
+:class:`ChaosProxy` sits between a
+:class:`~repro.cluster.backends.remote.RemoteBackend` master and a
+``repro-worker`` server, forwards RWF frames in both directions, and injects
+faults on a per-frame schedule: kill the link, delay a frame, or truncate one
+mid-header.  Because faults trigger on *frame counts*, not wall-clock timers,
+the same test script exercises the same code path on every run -- the chaos
+is reproducible.  The proxy speaks the wire format from the outside; no
+production code path knows it exists.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ClusterError
-from repro.pricing.validation import check_count
 from repro.serial.frames import FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES
 
-__all__ = [
-    "ChaosProxy",
-    "ChaosRule",
-    "ChurnEvent",
-    "ChurnSchedule",
-    "delay_frame",
-    "kill_after",
-    "truncate_frame",
-]
+__all__ = ["ChaosProxy", "ChaosRule", "delay_frame", "kill_after", "truncate_frame"]
 
 _HEADER = struct.Struct(">4sHHI")
 
@@ -56,9 +31,6 @@ S2C = "s2c"  # worker -> master frames
 BOTH = "both"
 
 
-# ---------------------------------------------------------------------------
-# ChaosProxy: real-socket fault injection
-# ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ChaosRule:
     """One fault on the frame schedule of a proxied link.
@@ -336,89 +308,3 @@ class ChaosProxy:
         with self._lock:
             self.stats["frames_forwarded"] += 1
         return True
-
-
-# ---------------------------------------------------------------------------
-# ChurnSchedule: virtual-time elasticity for the simulated cluster
-# ---------------------------------------------------------------------------
-def _is_real(value: object) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """One worker death or join at a virtual time."""
-
-    time: float
-    action: str  # "kill" | "join"
-    worker_id: int | None = None  # kill only
-    speed: float = 1.0  # join only
-
-    def __post_init__(self) -> None:
-        if self.action not in ("kill", "join"):
-            raise ClusterError(f"unknown churn action {self.action!r}")
-        # ``nan < 0`` is false: a sign check alone lets a NaN or an infinity
-        # through to the simulator's clocks
-        if not _is_real(self.time) or self.time < 0:
-            raise ClusterError(f"churn event time must be a finite number >= 0, got {self.time!r}")
-        if self.action == "kill":
-            check_count(self.worker_id, "a kill event's worker_id", 0, error=ClusterError,
-                        floats=False)
-        elif not _is_real(self.speed) or self.speed <= 0:
-            raise ClusterError(f"a join event's speed must be a finite number > 0, "
-                               f"got {self.speed!r}")
-
-
-@dataclass
-class ChurnSchedule:
-    """A declarative timetable of worker deaths and joins in virtual time.
-
-    Build one fluently and hand it to the simulated backend::
-
-        churn = ChurnSchedule().kill(0, at=5.0).kill(3, at=9.0).join(at=12.0)
-        backend = SimulatedClusterBackend(spec, churn=churn)
-
-    Deaths take effect on the simulator's clocks: a dispatch routed to a
-    dead worker is deterministically redirected to the live worker that
-    frees up earliest, and a job computing when its worker dies restarts on
-    a survivor at the death instant (the paper's master never loses a job,
-    it just pays for the lost work).  Joins append extra workers whose
-    clocks only start at the join time.  Everything is a pure function of
-    the schedule -- no randomness, no real time.
-    """
-
-    events: list[ChurnEvent] = field(default_factory=list)
-
-    def kill(self, worker_id: int, at: float) -> "ChurnSchedule":
-        """Worker ``worker_id`` dies at virtual time ``at`` (fluent)."""
-        self.events.append(ChurnEvent(time=at, action="kill", worker_id=worker_id))
-        return self
-
-    def join(self, at: float, speed: float = 1.0) -> "ChurnSchedule":
-        """A new worker joins at virtual time ``at`` (fluent)."""
-        self.events.append(ChurnEvent(time=at, action="join", speed=speed))
-        return self
-
-    @property
-    def kills(self) -> dict[int, float]:
-        """Death time per worker id (the earliest kill wins)."""
-        deaths: dict[int, float] = {}
-        for event in self.events:
-            if event.action != "kill":
-                continue
-            assert event.worker_id is not None
-            current = deaths.get(event.worker_id)
-            if current is None or event.time < current:
-                deaths[event.worker_id] = event.time
-        return deaths
-
-    @property
-    def joins(self) -> list[tuple[float, float]]:
-        """``(birth_time, speed)`` per joining worker, in join order."""
-        return [
-            (event.time, event.speed)
-            for event in sorted(
-                (e for e in self.events if e.action == "join"),
-                key=lambda e: e.time,
-            )
-        ]

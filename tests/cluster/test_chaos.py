@@ -13,20 +13,23 @@ import pytest
 from repro.cluster.backends import Job, PAYLOAD_SERIAL, PreparedMessage
 from repro.cluster.backends import remote
 from repro.cluster.backends.remote import RemoteBackend
-from repro.cluster.chaos import (
-    ChaosProxy,
-    ChaosRule,
+from repro.cluster.simcluster import (
     ChurnEvent,
     ChurnSchedule,
-    delay_frame,
-    kill_after,
-    truncate_frame,
+    ClusterSpec,
+    SimulatedClusterBackend,
 )
-from repro.cluster.simcluster import ClusterSpec, SimulatedClusterBackend
 from repro.cluster.worker import spawn_local_workers
 from repro.errors import ClusterError, SimulationError, WorkerLostError
 from repro.pricing import PricingProblem
 from repro.serial import serialize
+from tests.chaos import (
+    ChaosProxy,
+    ChaosRule,
+    delay_frame,
+    kill_after,
+    truncate_frame,
+)
 
 
 def _make_problem(strike: float = 100.0) -> PricingProblem:
@@ -248,7 +251,7 @@ class TestChaosProxy:
         (seen once as ``reconnects == 0`` in the test above)."""
         import socket
 
-        from repro.cluster.chaos import _Link
+        from tests.chaos import _Link
 
         ends = socket.socketpair()
         try:

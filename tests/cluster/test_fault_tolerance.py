@@ -255,15 +255,14 @@ class TestCascadingFailures:
             assert [done.error for done in collected] == [None] * 6
             assert [done.result["price"] for done in collected] == reference
 
-    def test_liveness_timeout_buries_mid_campaign(self):
-        """With liveness_timeout set, collect() itself notices the wedged
-        worker."""
+    def test_liveness_timeout_buries_mid_campaign(self, monkeypatch):
+        """collect() itself notices the wedged worker (the window shortened
+        from its 30 s)."""
+        monkeypatch.setattr(remote, "_LIVENESS_TIMEOUT_S", 0.4)
         mute = _MuteWorker()
         try:
             with spawn_local_workers(1) as pool:
-                backend = RemoteBackend(
-                    [mute.address, pool.hosts[0]], liveness_timeout=0.4
-                )
+                backend = RemoteBackend([mute.address, pool.hosts[0]])
                 problems = [_make_problem(95.0), _make_problem(105.0)]
                 _dispatch(backend, 0, 0, problems[0])  # wedged worker
                 _dispatch(backend, 1, 1, problems[1])

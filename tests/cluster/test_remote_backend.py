@@ -108,20 +108,20 @@ NAN, INF = float("nan"), float("inf")
 
 
 class TestNumbersAreCheckedWhereTheyAreGiven:
-    """``nan <= 0`` is false: a NaN timeout used to construct and then fail
-    as a selector ``ValueError`` mid-campaign."""
+    """A bad option is refused, naming the value, before any connect (nothing
+    listens on port 1: a "cannot connect" would mean the check came late)."""
 
     @pytest.mark.parametrize("value", [NAN, INF, 0, -1])
     def test_liveness_timeout_is_refused_before_any_connect(self, value):
-        # nothing listens on port 1: a "cannot connect" would mean the check came late
-        with pytest.raises(ClusterError, match="liveness_timeout must be a finite number > 0"):
+        """The liveness timeout is a module constant: a value given for it,
+        sane or not, is refused by the constructor and by the session."""
+        with pytest.raises(TypeError, match="liveness_timeout"):
             RemoteBackend(["127.0.0.1:1"], liveness_timeout=value)
-        session = ValuationSession(
-            backend="remote",
-            backend_options={"hosts": ["127.0.0.1:1"], "liveness_timeout": value},
-        )
-        with pytest.raises(ClusterError, match="liveness_timeout"):
-            session._acquire_backend("serialized_load")
+        with pytest.raises(ValuationError, match="liveness_timeout"):
+            ValuationSession(
+                backend="remote",
+                backend_options={"hosts": ["127.0.0.1:1"], "liveness_timeout": value},
+            )
 
     @pytest.mark.parametrize("value", [5, 0, None, {"max_attempts": 5}, "yes"])
     def test_reconnect_is_a_bool(self, value):
@@ -137,7 +137,7 @@ class TestNumbersAreCheckedWhereTheyAreGiven:
                 backend="remote", backend_options={"hosts": ["127.0.0.1:1"], "reconnect": value}
             )
 
-    @pytest.mark.parametrize("name", ["connect_timeout", "send_timeout"])
+    @pytest.mark.parametrize("name", ["connect_timeout", "send_timeout", "liveness_timeout"])
     def test_the_timeouts_are_not_options(self, name):
         with pytest.raises(TypeError, match=name):
             create_backend("remote", hosts=["127.0.0.1:1"], **{name: 5.0})

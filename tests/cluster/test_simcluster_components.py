@@ -32,19 +32,11 @@ class TestEventQueue:
         assert queue.pop().kind == "first"
         assert queue.pop().kind == "second"
 
-    def test_peek_does_not_remove(self):
-        queue = EventQueue()
-        queue.push(1.0, "only")
-        assert queue.peek().kind == "only"
-        assert len(queue) == 1
-
     def test_empty_queue_errors(self):
         queue = EventQueue()
         assert not queue
         with pytest.raises(SimulationError):
             queue.pop()
-        with pytest.raises(SimulationError):
-            queue.peek()
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
@@ -123,7 +115,8 @@ class TestNFSModel:
 
     def test_warm_up_and_flush(self):
         nfs = NFSModel()
-        nfs.warm_up(["/a", "/b"])
+        nfs.read_time("/a", 100)
+        nfs.read_time("/b", 100)
         assert nfs.cached_count == 2
         nfs.flush()
         assert nfs.cached_count == 0

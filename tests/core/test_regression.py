@@ -6,11 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.regression import (
-    RegressionSuite,
-    generate_regression_problems,
-)
+from repro.core.regression import generate_regression_problems
 from repro.errors import PortfolioError
+from tests.oracles.regression import RegressionSuite
 
 
 class TestGeneration:

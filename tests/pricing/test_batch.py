@@ -114,7 +114,6 @@ class TestPlanBatches:
         plan = plan_batches(problems)
         assert [group.indices for group in plan.groups] == [(0, 2, 5)]
         assert plan.singles == (1, 3, 4)
-        assert plan.n_grouped == 3
         assert plan.n_simulations_saved == 2
 
     def test_a_family_is_never_split(self):

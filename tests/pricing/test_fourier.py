@@ -14,8 +14,8 @@ from repro.pricing import (
     EuropeanCall,
     EuropeanPut,
     FourierCOS,
-    analytics,
 )
+from tests.oracles import analytics
 
 
 class TestCOSBlackScholes:

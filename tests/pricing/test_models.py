@@ -78,10 +78,6 @@ class TestBlackScholesModel:
         assert clone == bs_model
         assert hash(clone) == hash(bs_model)
 
-    def test_bump_helpers(self, bs_model):
-        assert bs_model.with_spot(110.0).spot == 110.0
-        assert bs_model.with_volatility(0.3).volatility == 0.3
-
 
 class TestLocalVolModels:
     def test_cev_validation(self):
@@ -131,12 +127,6 @@ class TestHestonModel:
             HestonModel(spot=100, rate=0.03, v0=-0.1, kappa=2, theta=0.04, sigma_v=0.4, rho=0.0)
         with pytest.raises(PricingError):
             HestonModel(spot=100, rate=0.03, v0=0.04, kappa=2, theta=0.04, sigma_v=0.4, rho=-1.5)
-
-    def test_feller_condition_flag(self):
-        good = HestonModel(spot=100, rate=0.0, v0=0.04, kappa=2, theta=0.04, sigma_v=0.2, rho=0.0)
-        bad = HestonModel(spot=100, rate=0.0, v0=0.04, kappa=1, theta=0.04, sigma_v=0.9, rho=0.0)
-        assert good.feller_satisfied
-        assert not bad.feller_satisfied
 
     def test_char_function_at_zero(self, heston_model):
         value = heston_model.log_char_function(np.array([0.0]), 1.0)[0]

@@ -26,7 +26,7 @@ from repro.pricing import (
     SmileLocalVolModel,
     UpOutCall,
 )
-from repro.pricing.methods.pde import PDEGrid
+from repro.pricing.methods.pde import PDEGrid, _theta_scheme_solve
 
 
 class TestGrid:
@@ -152,13 +152,44 @@ class TestBarrierPDE:
         assert 0.0 < result.price < 20.0
 
 
+def _solve_american_put(model, product, n_space, n_time, american_mode):
+    """Price an American put by the theta-scheme solve with the given obstacle
+    solve, on the grid and boundaries ``PDEAmerican`` uses for a put."""
+    grid = PDEGrid.build(
+        model.spot, model.volatility, product.maturity, n_space, anchor=product.strike
+    )
+    s_lo = grid.s[0]
+    values = _theta_scheme_solve(
+        model,
+        product.maturity,
+        grid,
+        product.terminal_payoff(grid.s),
+        lambda tau: product.strike - s_lo,
+        lambda tau: 0.0,
+        n_time,
+        0.5,
+        obstacle=product.intrinsic_value(grid.s),
+        american_mode=american_mode,
+    )
+    return float(np.interp(model.spot, grid.s, values))
+
+
 class TestAmericanPDE:
     @pytest.mark.parametrize("mode", ["projected", "brennan_schwartz"])
     def test_american_put_matches_binomial(self, bs_model, mode):
+        """``PDEAmerican`` takes Brennan-Schwartz for a put; the projected
+        solve it keeps for calls is checked on the put too, where the tree
+        gives the price."""
         product = AmericanPut(strike=100.0, maturity=1.0)
-        pde = PDEAmerican(n_space=500, n_time=400, american_mode=mode).price(bs_model, product)
+        if mode == "brennan_schwartz":
+            price = PDEAmerican(n_space=500, n_time=400).price(bs_model, product).price
+            assert price == pytest.approx(
+                _solve_american_put(bs_model, product, 500, 400, mode), rel=1e-12
+            )
+        else:
+            price = _solve_american_put(bs_model, product, 500, 400, mode)
         tree = BinomialTree(n_steps=2000).price(bs_model, product)
-        assert pde.price == pytest.approx(tree.price, rel=2e-3)
+        assert price == pytest.approx(tree.price, rel=2e-3)
 
     def test_american_put_worth_more_than_european(self, bs_model, atm_put):
         european = ClosedFormPut().price(bs_model, atm_put).price
@@ -195,9 +226,10 @@ class TestAmericanPDE:
         boundary = result.extra["exercise_boundary"]
         assert 40.0 < boundary < 100.0
 
-    def test_invalid_mode(self):
-        with pytest.raises(PricingError):
-            PDEAmerican(american_mode="penalty")
+    def test_invalid_mode(self, bs_model):
+        product = AmericanPut(strike=100.0, maturity=1.0)
+        with pytest.raises(PricingError, match="unknown american_mode"):
+            _solve_american_put(bs_model, product, 50, 10, "penalty")
 
     def test_local_vol_american(self):
         model = SmileLocalVolModel(spot=100, rate=0.05, base_volatility=0.2, skew=0.3, term=0.1)

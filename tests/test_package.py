@@ -89,3 +89,16 @@ class TestPublicAPI:
 
         for name in serial.__all__:
             assert hasattr(serial, name), name
+
+    def test_code_only_tests_reach_lives_in_tests(self):
+        # the chaos proxy, the non-regression checker and the implied-vol
+        # inversion are test code
+        import importlib
+
+        from repro.core import regression
+        from repro.pricing import analytics
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.cluster.chaos")
+        assert not hasattr(regression, "RegressionSuite")
+        assert not hasattr(analytics, "bs_implied_volatility")
