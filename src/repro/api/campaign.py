@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,9 +52,8 @@ class Campaign:
     ``futures`` are positions' pre-existing futures (``submit_many``); any
     other is minted when asked for (:meth:`future`, :attr:`jobs`).
     ``new_policy`` builds the fresh dispatch policy of each stream the
-    campaign opens.  With ``retry``, :meth:`finish` survives losing the whole
-    worker pool: the dispatch units still pending are re-attached to a stream
-    on a backend built by ``new_backend``.
+    campaign opens, and ``new_backend`` the pool that replaces a lost one:
+    :meth:`pump` survives losing a whole pool of real workers.
     """
 
     def __init__(
@@ -63,22 +62,28 @@ class Campaign:
         backend: WorkerBackend,
         strategy: TransmissionStrategy,
         new_policy: Callable[[], DispatchPolicy],
+        new_backend: Callable[[], WorkerBackend],
         *,
         futures: Mapping[int, PricingFuture] | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
-        retry: bool = False,
-        new_backend: Callable[[], WorkerBackend] | None = None,
     ) -> None:
         self.plan = plan
         self._backend = backend
         self._strategy = strategy
         self._new_policy = new_policy
+        self._new_backend = new_backend
         self._progress = progress
         self._cancel = cancel
-        self._retry = retry
-        self._new_backend = new_backend
-        self._retries = 0
+        self._began = time.perf_counter()
+        #: the waits before each try to rebuild a lost pool, for the whole campaign
+        self._delays = iter(REDIAL_DELAYS_S)
+        #: the streams of the pools lost so far, in the order they were lost
+        self._lost: list[ScheduleStream] = []
+        #: the loss of the pool being rebuilt, and the wait left before the
+        #: next try to build one (``None`` once the schedule is spent)
+        self._loss: WorkerLostError | None = None
+        self._wait: float | None = None
         self._n_reported = 0
         self._run_result: RunResult | None = None
         self.table = ResultTable(plan.original_ids)
@@ -89,7 +94,6 @@ class Campaign:
             self.table.write(job_id, entry, None)
         self._settled(tuple(plan.cached_results))
         self._stream: ScheduleStream | None = None
-        self._dispatched: list[Job] = []
         #: member id -> the job it travels in, built by the first cancel_job
         self._carriers: dict[int, Job] | None = None
         if plan.jobs:
@@ -100,10 +104,7 @@ class Campaign:
             self._assemble()
 
     def _open_stream(self, jobs: Sequence[Job]) -> None:
-        self._dispatched = list(jobs)
-        self._stream = ScheduleStream(
-            self._dispatched, self._backend, self._strategy, self._new_policy()
-        )
+        self._stream = ScheduleStream(jobs, self._backend, self._strategy, self._new_policy())
 
     # -- bookkeeping -------------------------------------------------------------
     def future(self, job_id: int) -> PricingFuture:
@@ -255,15 +256,31 @@ class Campaign:
 
     # -- pumping -----------------------------------------------------------------
     def pump(self, timeout: float | None = None) -> None:
-        """Collect one event from the stream and resolve its futures."""
+        """Collect one event from the stream and resolve its futures.
+
+        Every reader of the campaign collects through here, so here a lost
+        pool is rebuilt (:meth:`_rebuild`), within ``timeout`` as the wait
+        for an event is.
+        """
         self._apply_cancel_token()
-        if not self.exhausted:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if self._loss is not None:
+            self._rebuild(deadline)
+        elif not self.exhausted:
             assert self._stream is not None
             try:
                 done = self._stream.collect_next(timeout)
             except CollectTimeoutError as exc:
                 raise FutureTimeoutError(str(exc)) from exc
-            self._resolve_completed(done)
+            except WorkerLostError as loss:
+                # only the simulator, which advances a virtual clock, runs no
+                # payload: its loss is the simulation's result
+                if not self._backend.requires_payload:
+                    raise
+                self._lose(loss)
+                self._rebuild(deadline)
+            else:
+                self._resolve_completed(done)
         if self.exhausted:
             # the last event was just collected: stop the workers and
             # finalize the backend now, so campaigns drained through
@@ -288,76 +305,113 @@ class Campaign:
             self.pump(remaining)
 
     def finish(self) -> RunResult:
-        """Drain the stream and assemble the submission-ordered result.
-
-        Under ``retry`` a :class:`~repro.errors.WorkerLostError` makes
-        :meth:`_reattach` put the still-pending dispatch units back out on a
-        fresh backend, so results of every attempt land in one table,
-        bit-identical to a clean run.  The tries to build one are paced by
-        :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`, which the whole
-        campaign shares: once it is spent, the loss is raised.
-        """
-        delays = iter(REDIAL_DELAYS_S)
+        """Drain the stream and assemble the submission-ordered result."""
         while self._run_result is None:
-            try:
-                self.pump()
-            except WorkerLostError:
-                if not (self._retry and self._reattach(delays)):
-                    raise
+            self.pump()
         return self._run_result
 
-    def _reattach(self, delays: Iterator[float]) -> bool:
-        """Stream the unresolved positions on a fresh backend, trying after
-        each of the ``delays`` left until one can be dialed; whether one was."""
-        assert self._new_backend is not None
-        try:
-            self._backend.finalize()
-        # repro-lint: disable=except-swallow -- best-effort teardown of a pool that WorkerLostError already proved dead; any error here is noise on the retry path
-        except Exception:
-            pass  # the pool is already gone; nothing to release
-        for delay in delays:
-            time.sleep(delay)
+    def _lose(self, loss: WorkerLostError) -> None:
+        """Close the stream of a pool just lost, keeping what it collected."""
+        stream = self._stream
+        assert stream is not None
+        self._lost.append(stream)
+        self._loss = loss
+        self._wait = next(self._delays, None)
+        collected = stream.close().completed
+        if collected:
+            # a loss met while refilling comes after the answer just collected
+            self._resolve_completed(collected[-1])
+
+    def _rebuild(self, deadline: float | None) -> None:
+        """Put the dispatch units still pending after a lost pool back out on
+        a new one, tried after each wait left of the campaign's
+        :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S` until one is up.
+
+        Raises the loss once the schedule is spent, and
+        :class:`~repro.errors.FutureTimeoutError` at ``deadline``, keeping
+        the rest of the wait for the next call.
+        """
+        loss = self._loss
+        assert loss is not None
+        while True:
+            if self._wait is None:
+                raise loss
+            if deadline is not None:
+                left = max(0.0, deadline - time.monotonic())
+                if self._wait > left:
+                    time.sleep(left)
+                    self._wait -= left
+                    raise FutureTimeoutError(f"the lost pool is not rebuilt yet ({loss})")
+            time.sleep(self._wait)
+            backend = None
             try:
-                self._backend = self._new_backend()
-                self._open_stream(
-                    [job for job in self.plan.jobs if self._awaited(job.job_id)]
-                )
+                backend = self._backend = self._new_backend()
+                # a stream dispatches as it is built: the new pool may be lost here too
+                self._open_stream([job for job in self.plan.jobs if self._awaited(job.job_id)])
             except ClusterError:
-                continue  # the replacement pool is not up yet
-            self._retries += 1
-            return True
-        return False
+                if backend is not None:
+                    backend.finalize()
+                self._wait = next(self._delays, None)
+                continue
+            self._loss = None
+            return
 
     def _assemble(self) -> RunResult:
-        """Hand the table to the report; only run statistics come from the stream."""
+        """Hand the table to the report; only run statistics come from the streams."""
         if self._run_result is not None:
             return self._run_result
-        plan, dispatched, table = self.plan, self._dispatched, self.table
+        plan, table = self.plan, self.table
         if self._stream is None:
             outcome = ScheduleOutcome([], self._backend.finalize(), "cache")
         else:
             outcome = self._stream.finish()
             n_cancelled = len(self._stream.cancelled_jobs)
-            if len(outcome.completed) + n_cancelled != len(dispatched):
+            if self._lost:
+                # a lost stream's outcome was fixed when it was closed
+                outcome = self._folded([*(lost.finish() for lost in self._lost), outcome])
+                n_cancelled += sum(len(lost.cancelled_jobs) for lost in self._lost)
+            if len(outcome.completed) + n_cancelled != len(plan.jobs):
                 raise SchedulingError(
                     f"stream collected {len(outcome.completed)} results for "
-                    f"{len(dispatched)} dispatched jobs ({n_cancelled} cancelled)"
+                    f"{len(plan.jobs)} dispatched jobs ({n_cancelled} cancelled)"
                 )
         pending = table.ids[table.status == table.PENDING]
         if len(pending):
             raise SchedulingError(f"job {int(pending[0])} was neither answered nor cancelled")
         report = replace(
-            RunReport.from_outcome(outcome, dispatched, self._strategy.name),
+            RunReport.from_outcome(outcome, plan.jobs, self._strategy.name),
             n_jobs=len(plan.original_ids),
             results=table,
             errors=table.errors(),
         )
         if plan.member_categories:
             report.category_times = self._member_category_times(outcome)
-        if self._retries:
-            report.extra["retries"] = self._retries
+        if self._lost:
+            report.extra["retries"] = len(self._lost)
         self._run_result = RunResult(report=report, portfolio=plan.portfolio)
         return self._run_result
+
+    def _folded(self, outcomes: Sequence[ScheduleOutcome]) -> ScheduleOutcome:
+        """One outcome for every pool the campaign ran on: the answers each
+        collected, the work, bytes and counters each reported, and the wall
+        clock from the campaign's start, the waits for a new pool included."""
+        busy: dict[int, float] = {}
+        peak: dict[int, int] = {}
+        extra: dict[str, Any] = {}  # counters add up; the rest is the last pool's
+        for outcome in outcomes:
+            for worker_id, seconds in outcome.stats.worker_busy.items():
+                busy[worker_id] = busy.get(worker_id, 0.0) + seconds
+            for worker_id, held in outcome.peak_window.items():
+                peak[worker_id] = max(peak.get(worker_id, 0), held)
+            for key, value in outcome.stats.extra.items():
+                extra[key] = extra[key] + value if isinstance(value, int) and key in extra else value
+        stats = replace(
+            outcomes[-1].stats, total_time=time.perf_counter() - self._began, worker_busy=busy,
+            master_busy=sum(outcome.stats.master_busy for outcome in outcomes),
+            bytes_sent=sum(outcome.stats.bytes_sent for outcome in outcomes), extra=extra,
+        )
+        completed = [done for outcome in outcomes for done in outcome.completed]
+        return ScheduleOutcome(completed, stats, outcomes[-1].scheduler_name, peak_window=peak)
 
     def _member_category_times(self, outcome: ScheduleOutcome) -> dict[str, float]:
         """Compute time by the positions' own categories, for book slices.

@@ -84,10 +84,10 @@ def _coerce_cache(cache: "ResultCache | str | Path | bool | None") -> ResultCach
 def _check_backend_options(backend: str, options: Mapping[str, Any] | None) -> dict[str, Any]:
     """``options`` bound against ``backend``'s registered factory, before any run.
 
-    The remote backend's ``hosts`` are normalised and its ``reconnect``
-    checked too, so a bad address fails before any socket is opened.  The
-    simulated cluster's communication model is the session's ``comm=``, so
-    ``run``, ``sweep`` and ``compare`` all price with it.
+    The remote backend's ``hosts`` are normalised too, so a bad address
+    fails before any socket is opened.  The simulated cluster's
+    communication model is the session's ``comm=``, so ``run``, ``sweep``
+    and ``compare`` all price with it.
     """
     options = dict(options or {})
     if backend == "simulated" and "comm" in options:
@@ -106,7 +106,7 @@ def _check_backend_options(backend: str, options: Mapping[str, Any] | None) -> d
             f"its factory takes {takes}"
         ) from None
     if backend == "remote":
-        from repro.cluster.backends.remote import check_reconnect, normalize_hosts
+        from repro.cluster.backends.remote import normalize_hosts
 
         if not options.get("hosts"):
             raise ValuationError(
@@ -116,7 +116,6 @@ def _check_backend_options(backend: str, options: Mapping[str, Any] | None) -> d
             )
         try:
             options["hosts"] = normalize_hosts(options["hosts"])
-            check_reconnect(options.get("reconnect", False))
         except ClusterError as exc:
             raise ValuationError(str(exc)) from exc
     return options
@@ -156,8 +155,8 @@ class ValuationSession:
         It is the one spelling: a ``comm`` backend option is refused.
     backend_options:
         Extra keyword options for the backend factory (e.g.
-        ``{"hosts": pool.hosts, "reconnect": True}`` for remote), checked
-        against the factory's keywords here.
+        ``{"hosts": pool.hosts}`` for remote), checked against the factory's
+        keywords here.
     cache:
         Digest-keyed result cache (see :mod:`repro.pricing.cache`).
         ``True`` builds an in-memory LRU, a path string / :class:`~pathlib.Path`
@@ -322,7 +321,6 @@ class ValuationSession:
         min_group_size: int | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
-        retry: bool = False,
         futures: Mapping[int, PricingFuture] | None = None,
     ) -> Campaign:
         """Check the keywords, acquire a backend, plan and open one campaign.
@@ -335,8 +333,6 @@ class ValuationSession:
             raise ValuationError(f"unknown kernel {kernel!r}; known: {list(KERNELS)}")
         if min_group_size is not None:
             check_count(min_group_size, "min_group_size", error=ValuationError, floats=False)
-        if not isinstance(retry, bool):
-            raise ValuationError(f"retry must be True or False, got {retry!r}")
         strategy_obj = self._resolve_strategy(strategy)
         new_policy = policy_factory(scheduler or self.scheduler)
         new_backend = partial(self._acquire_backend, strategy_obj.name)
@@ -380,11 +376,10 @@ class ValuationSession:
             backend,
             strategy_obj,
             plan.dealer(new_policy),
+            new_backend,
             futures=futures,
             progress=progress,
             cancel=cancel,
-            retry=retry,
-            new_backend=new_backend,
         )
 
     def run(
@@ -399,7 +394,6 @@ class ValuationSession:
         min_group_size: int | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
-        retry: bool = False,
     ) -> RunResult:
         """Value a portfolio (or a prepared job list) on the session backend.
 
@@ -414,14 +408,16 @@ class ValuationSession:
         simulation per group).  ``progress`` is called once per collected
         position; ``cancel`` (a :class:`CancelToken`) withdraws still-queued
         positions, which the result marks as ``"cancelled before dispatch"``
-        errors.  ``retry=True`` survives losing the whole worker pool: the
-        positions still unanswered are sent again to a pool rebuilt on the
-        re-dial schedule (:data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`).
+        errors.  A campaign survives losing its whole pool of real workers:
+        the positions still unanswered are sent again to a pool rebuilt on
+        the re-dial schedule (:data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`);
+        a simulated cluster that loses every worker raises, its loss being
+        the simulation's result.
         """
         return self._open_campaign(
             source, strategy=strategy, scheduler=scheduler, store=store,
             batch=batch, kernel=kernel, min_group_size=min_group_size,
-            progress=progress, cancel=cancel, retry=retry,
+            progress=progress, cancel=cancel,
         ).finish()
 
     def stream(
@@ -436,7 +432,6 @@ class ValuationSession:
         min_group_size: int | None = None,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
-        retry: bool = False,
     ) -> StreamingRun:
         """Value a portfolio incrementally, yielding results as they land.
 
@@ -448,13 +443,14 @@ class ValuationSession:
         synchronous :meth:`run` returns for the same inputs.  The underlying
         :class:`~repro.api.futures.JobSet` is reachable as ``.jobs`` for
         ``as_completed()`` / ``wait()`` access to individual futures.  The
-        keywords are :meth:`run`'s; ``retry`` applies to ``result()``.
+        keywords are :meth:`run`'s, and iteration, the futures and
+        ``result()`` all survive a lost pool as :meth:`run` does.
         """
         return StreamingRun(
             self._open_campaign(
                 source, strategy=strategy, scheduler=scheduler, store=store,
                 batch=batch, kernel=kernel, min_group_size=min_group_size,
-                progress=progress, cancel=cancel, retry=retry,
+                progress=progress, cancel=cancel,
             )
         )
 
@@ -467,7 +463,6 @@ class ValuationSession:
         on_missing: str,
         progress: Callable[[StreamProgress], None] | None,
         cancel: CancelToken | None,
-        retry: bool,
     ) -> list[dict[str, float]]:
         """Price (problems x scenarios) as one campaign of grid slices on the backend.
 
@@ -486,7 +481,7 @@ class ValuationSession:
         """
         grid = ScenarioGrid(problems, scenarios, on_missing=on_missing)
         grid.columns()  # what the book cannot realise raises before a backend exists
-        campaign = self._open_campaign(grid, progress=progress, cancel=cancel, retry=retry)
+        campaign = self._open_campaign(grid, progress=progress, cancel=cancel)
         report, table = campaign.finish().report, campaign.table
         unpriced = table.ids[table.status != table.DONE]
         if len(unpriced):
@@ -506,7 +501,6 @@ class ValuationSession:
         theta_bump: float = 1.0 / 365.0,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
-        retry: bool = False,
     ) -> "Any":
         """Full finite-difference Greek ladder of a portfolio, batched.
 
@@ -515,7 +509,7 @@ class ValuationSession:
         :class:`~repro.core.risk.PortfolioRiskReport`, bit-identical
         numbers, and the cells parallelise over workers like any other
         batched run.  The campaign takes the session's strategy and
-        scheduler; ``progress``, ``cancel`` and ``retry`` are :meth:`run`'s,
+        scheduler; ``progress`` and ``cancel`` are :meth:`run`'s,
         ticking and cancelling scenario cells.
         """
         from repro.core.risk import portfolio_greeks
@@ -523,9 +517,7 @@ class ValuationSession:
         return portfolio_greeks(
             portfolio, spot_bump=spot_bump, vol_bump=vol_bump,
             rate_bump=rate_bump, theta_bump=theta_bump,
-            price_grid=partial(
-                self._run_scenario_grid, progress=progress, cancel=cancel, retry=retry
-            ),
+            price_grid=partial(self._run_scenario_grid, progress=progress, cancel=cancel),
         )
 
     def risk(
@@ -539,7 +531,6 @@ class ValuationSession:
         confidence: float = 0.99,
         progress: Callable[[StreamProgress], None] | None = None,
         cancel: CancelToken | None = None,
-        retry: bool = False,
     ) -> dict[Any, Any]:
         """Run a risk campaign (historical VaR or a sensitivity sweep), batched.
 
@@ -557,9 +548,7 @@ class ValuationSession:
                 "risk() needs either spot_returns=... (historical VaR) or "
                 "param=... and bumps=... (sensitivity sweep)"
             )
-        price_grid = partial(
-            self._run_scenario_grid, progress=progress, cancel=cancel, retry=retry
-        )
+        price_grid = partial(self._run_scenario_grid, progress=progress, cancel=cancel)
         if spot_returns is not None:
             return historical_var(
                 portfolio, spot_returns, confidence, price_grid=price_grid

@@ -23,7 +23,7 @@ built-in registrations are:
     TCP servers, possibly on other machines (the paper's actual deployment
     shape); needs a ``hosts`` option listing the worker addresses (see
     :func:`repro.cluster.worker.spawn_local_workers` for a loopback pool)
-    and takes ``reconnect`` and ``secret``.
+    and takes ``secret``; a dead host is re-dialed while another is live.
 ``"simulated"``
     :class:`~repro.cluster.simcluster.simulator.SimulatedClusterBackend` -- the
     discrete-event cluster model reproducing the paper's tables; accepts
@@ -146,7 +146,6 @@ def _make_remote(
     n_workers: int = 2,
     strategy: str = "serialized_load",
     hosts: Any = None,
-    reconnect: bool = False,
     secret: str | None = None,
 ) -> WorkerBackend:
     # imported lazily so plain backend users do not pay for the socket layer
@@ -159,7 +158,7 @@ def _make_remote(
             "use repro.cluster.worker.spawn_local_workers for a loopback pool"
         )
     # one logical worker per address: the addresses, not n_workers, size the pool
-    return RemoteBackend(hosts, reconnect=reconnect, secret=secret)
+    return RemoteBackend(hosts, secret=secret)
 
 
 @register_backend("simulated")

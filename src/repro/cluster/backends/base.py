@@ -44,9 +44,9 @@ PAYLOAD_PATH = "path"
 _VALID_PAYLOAD_KINDS = (PAYLOAD_SERIAL, PAYLOAD_PATH)
 
 #: seconds waited before each try to get a lost worker back, 1.55 s in all:
-#: the remote backend re-dials a dead host on it (``reconnect=True``) and a
-#: session rebuilds a lost pool on it (``retry=True``); a host that is not
-#: listening again by the last try stays lost
+#: while another host is live the remote backend re-dials a dead one on it,
+#: and a session's campaign rebuilds a lost pool of real workers on it; a
+#: host that is not listening again by the last try stays lost
 REDIAL_DELAYS_S = (0.05, 0.1, 0.2, 0.4, 0.8)
 
 
@@ -75,7 +75,7 @@ class Job:
 
     The serialized form of ``problem`` is made once, on first need, and kept
     with the job (:meth:`wire_bytes`): the size is read off it, the
-    serialized-load strategy sends it, and a retry or re-dispatch re-sends
+    serialized-load strategy sends it, and a rebuilt pool or re-dispatch re-sends
     it -- the paper's ``sload`` argument applied to in-memory problems.
     """
 

@@ -19,9 +19,13 @@ A backend is one campaign's pool; these keep it alive for that campaign:
   when a connection drops its jobs are redispatched to the surviving
   workers and the run completes (the freed logical worker slot is remapped
   onto a live connection);
-* **rebirth** -- with ``reconnect=True`` a dead host is re-dialed from the
-  blocking calls (five dials, on :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`)
-  and, once back, gets its original logical slots again;
+* **rebirth** -- while another host is live, a dead host is re-dialed
+  (five dials, on :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`) and,
+  once back, gets its original logical slots again.  A dial is a
+  non-blocking connect and handshake that the selector advances with the
+  survivors' results, given up after :data:`_CONNECT_TIMEOUT_S`; the five
+  dials are a host's until it answers a job, so one that greets and then
+  drops every connection is dialed five times, not forever;
 * **liveness** -- a busy connection silent for :data:`_LIVENESS_TIMEOUT_S`
   is PINGed, and a wedged-but-connected worker (one that answers neither a
   :data:`~repro.serial.frames.FRAME_PING` nor a result inside another window)
@@ -31,10 +35,11 @@ A backend is one campaign's pool; these keep it alive for that campaign:
   so the master only dispatches jobs to workers that proved knowledge of
   the shared secret (and vice versa).
 
-Only when the whole pool is gone *and* cannot come back does a retryable
-:class:`~repro.errors.WorkerLostError` surface, carrying the ids of the
-jobs that were in flight so a caller (or a session run with ``retry=True``)
-can resubmit them against fresh workers.
+Once no host is live the pool is lost: a
+:class:`~repro.errors.WorkerLostError` surfaces at once, carrying the ids of
+the jobs that were in flight.  A session's campaign then builds a new pool on
+the same schedule and sends them again; any other caller can resubmit them
+against fresh workers.
 
 Build one through the registry --
 ``create_backend("remote", hosts=["10.0.0.4:9631", ...])`` or
@@ -44,13 +49,14 @@ Build one through the registry --
 
 from __future__ import annotations
 
+import errno
 import os
 import selectors
 import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from repro.cluster.backends.base import (
     REDIAL_DELAYS_S,
@@ -77,7 +83,6 @@ from repro.serial.frames import (
     FrameAssembler,
     auth_proof,
     encode_frame,
-    read_frame,
     verify_proof,
 )
 
@@ -85,7 +90,8 @@ __all__ = ["RemoteBackend", "normalize_hosts"]
 
 _RECV_BYTES = 1 << 16
 
-#: seconds allowed for each TCP connect + handshake, re-dials included
+#: seconds allowed for each TCP connect + handshake, re-dials included (a
+#: re-dial waits in the selector, so only the pool's first dials block)
 _CONNECT_TIMEOUT_S = 10.0
 #: seconds one frame send may block before its worker is declared lost: a
 #: partitioned worker whose TCP buffer filled up cannot hang ``sendall``
@@ -138,20 +144,13 @@ def normalize_hosts(hosts: Any) -> tuple[str, ...]:
     return tuple(normalized)
 
 
-def check_reconnect(value: Any) -> bool:
-    """``reconnect`` is a plain ``True`` / ``False``; the schedule is fixed."""
-    if not isinstance(value, bool):
-        raise ClusterError(f"reconnect must be True or False, got {value!r}")
-    return value
-
-
 @dataclass
 class _Connection:
     """Master-side state of one worker link."""
 
     address: str
     sock: socket.socket
-    assembler: FrameAssembler = field(default_factory=FrameAssembler)
+    assembler: FrameAssembler  # the handshake's, with whatever followed the hello
     alive: bool = True
     stop_sent: bool = False
     #: monotonic time of the last byte received (liveness bookkeeping)
@@ -162,11 +161,33 @@ class _Connection:
 
 
 @dataclass
-class _ReconnectState:
-    """Backoff bookkeeping for one dead, re-dialable connection slot."""
+class _Dial:
+    """A connect and handshake in progress, advanced as its socket is ready."""
 
-    attempts: int = 0  # failed dials so far
+    address: str
+    sock: socket.socket
+    deadline: float  # monotonic time it is given up at
+    assembler: FrameAssembler = field(default_factory=FrameAssembler)
+    connected: bool = False
+    greeted: bool = False
+    #: the master's nonce, once the shared-secret challenge is sent
+    nonce: bytes = b""
+
+    @property
+    def events(self) -> int:
+        return selectors.EVENT_READ if self.connected else selectors.EVENT_WRITE
+
+
+@dataclass
+class _Redial:
+    """Re-dial bookkeeping of one host: kept from its burial until it
+    answers a job, so dials that reach a host which then drops again count
+    against the same budget."""
+
+    index: int  # its connection slot
+    dials: int = 0  # dials so far, those that got through included
     next_try: float = 0.0  # monotonic time of the next allowed dial
+    dial: _Dial | None = None  # the dial in progress
 
 
 @dataclass
@@ -192,12 +213,6 @@ class RemoteBackend(WorkerBackend):
         Worker addresses (``"host:port"`` strings or ``(host, port)``
         pairs); one logical worker per address.  The scheduler-facing
         ``n_workers`` is ``len(hosts)``.
-    reconnect:
-        ``False`` (default): a dead host stays dead.  ``True`` re-dials dead
-        hosts from the blocking calls -- five dials, waiting
-        :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S` -- and
-        remaps their logical slots back on success.  A host that exhausts
-        its dials stays buried.
     secret:
         Shared secret arming the HMAC-SHA256 handshake: every
         worker must prove knowledge of the secret at connect time, before
@@ -211,12 +226,10 @@ class RemoteBackend(WorkerBackend):
         self,
         hosts: Any,
         *,
-        reconnect: bool = False,
         secret: str | None = None,
     ):
         addresses = normalize_hosts(hosts)
         self._n_workers = len(addresses)
-        self._reconnect = check_reconnect(reconnect)
         self._secret = secret
         self._selector = selectors.DefaultSelector()
         self._conns: list[_Connection] = []
@@ -227,7 +240,7 @@ class RemoteBackend(WorkerBackend):
         #: spectator behind the remapped survivors
         self._home: list[int] = list(range(self._n_workers))
         #: conn index -> backoff state of a pending re-dial
-        self._redial: dict[int, _ReconnectState] = {}
+        self._redial: dict[int, _Redial] = {}
         self._inflight: dict[int, _InFlight] = {}
         #: orphaned job ids awaiting redispatch; flushed by dispatch/collect,
         #: never inside a death, so a failed send cannot recurse into another
@@ -254,42 +267,103 @@ class RemoteBackend(WorkerBackend):
             raise
 
     def _connect(self, address: str) -> _Connection:
+        """Dial ``address`` and wait for its handshake: the pool's first dials."""
+        dial = self._dial(address)
+        try:
+            with selectors.DefaultSelector() as waiting:
+                waiting.register(dial.sock, dial.events)
+                while True:
+                    wait = dial.deadline - time.monotonic()
+                    if wait <= 0 or not waiting.select(wait):
+                        raise ClusterError(
+                            f"worker {address} did not connect and greet within "
+                            f"{_CONNECT_TIMEOUT_S:g} s")
+                    conn = self._advance(dial)
+                    if conn is not None:
+                        return conn
+                    waiting.modify(dial.sock, dial.events)
+        except BaseException:
+            dial.sock.close()
+            raise
+
+    @staticmethod
+    def _dial(address: str) -> _Dial:
+        """Start a non-blocking connect to ``address``."""
         host, _, port_text = address.rpartition(":")
         try:
-            sock = socket.create_connection((host, int(port_text)), timeout=_CONNECT_TIMEOUT_S)
+            family, kind, proto, _name, where = socket.getaddrinfo(
+                host, int(port_text), type=socket.SOCK_STREAM)[0]
+            sock = socket.socket(family, kind, proto)
         except OSError as exc:
             raise ClusterError(f"cannot connect to worker {address}: {exc}") from exc
-        try:
+        sock.setblocking(False)
+        error = sock.connect_ex(where)
+        if error not in (0, errno.EINPROGRESS):
+            sock.close()
+            raise ClusterError(f"cannot connect to worker {address}: {os.strerror(error)}")
+        return _Dial(address, sock, time.monotonic() + _CONNECT_TIMEOUT_S)
+
+    def _advance(self, dial: _Dial) -> _Connection | None:
+        """Take ``dial``, whose socket is ready, one step on: its connection
+        once the handshake is done, else ``None``.
+
+        Raises :class:`~repro.errors.ClusterError` on a refused connect, a
+        peer that does not greet as a repro-worker, an unreadable or
+        foreign-version hello and any authentication problem -- before a
+        single job frame is sent.
+        """
+        sock, address = dial.sock, dial.address
+        if not dial.connected:
+            error = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if error:
+                raise ClusterError(f"cannot connect to worker {address}: {os.strerror(error)}")
+            dial.connected = True
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # the worker greets first; a version mismatch fails here, loudly,
-            # before any job is dispatched
-            frame = read_frame(sock.recv)
-            if frame is None or frame[0] != FRAME_HELLO:
-                raise ClusterError(
-                    f"worker {address} did not greet with a hello frame "
-                    f"(is it a repro-worker?)"
-                )
-            self._handshake(sock, address, frame[1])
-        except (SerializationError, OSError) as exc:
-            # OSError covers the silent peer: the connect timeout is still armed,
-            # so a listener that never greets surfaces here, wrapped
-            sock.close()
+            return None
+        try:
+            data = sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return None  # woken with nothing to read yet
+        except OSError as exc:
             raise ClusterError(f"handshake with worker {address} failed: {exc}") from exc
-        except Exception:
-            sock.close()
-            raise
+        try:
+            dial.assembler.feed(data)
+            frame = dial.assembler.pop()
+            if frame is None and data:
+                return None  # a frame is on its way
+            if frame is None and dial.assembler.pending_bytes:
+                raise SerializationError(
+                    f"connection closed mid-frame ({dial.assembler.pending_bytes} bytes)")
+            if not dial.greeted:
+                # the worker greets first; a version mismatch fails here,
+                # loudly, before any job is dispatched
+                if frame is None or frame[0] != FRAME_HELLO:
+                    raise ClusterError(
+                        f"worker {address} did not greet with a hello frame "
+                        f"(is it a repro-worker?)"
+                    )
+                dial.greeted = True
+                dial.nonce = self._greeted(sock, address, frame[1])
+                if dial.nonce:
+                    return None  # the shared-secret challenge is out
+            elif frame is None or frame[0] != FRAME_AUTH:
+                raise ClusterError(
+                    f"worker {address} refused the shared-secret handshake "
+                    f"(secret mismatch, or the worker has no --secret configured)"
+                )
+            else:
+                self._authenticated(address, frame[1], dial.nonce)
+        except (SerializationError, OSError) as exc:
+            raise ClusterError(f"handshake with worker {address} failed: {exc}") from exc
         # bounds every later sendall; recv never blocks on it because the
         # selector only hands over sockets with data pending
         sock.settimeout(_SEND_TIMEOUT_S)
-        return _Connection(address=address, sock=sock, last_recv=time.monotonic())
+        return _Connection(
+            address=address, sock=sock, assembler=dial.assembler, last_recv=time.monotonic())
 
-    def _handshake(self, sock: socket.socket, address: str, hello: bytes) -> None:
-        """Finish the greeting: check the hello, run the shared-secret auth.
-
-        Raises :class:`~repro.errors.ClusterError` on an unreadable or
-        foreign-version hello and on any authentication problem -- before a
-        single job frame is sent.
-        """
+    def _greeted(self, sock: socket.socket, address: str, hello: bytes) -> bytes:
+        """Check the hello and, with a secret, send the challenge: its nonce,
+        or ``b""`` when no shared-secret handshake follows."""
         greeting = decode_hello(hello)
         if greeting is None:
             raise ClusterError(
@@ -304,7 +378,7 @@ class RemoteBackend(WorkerBackend):
                     f"secret=... to the remote backend (or unset the "
                     f"worker's --secret)"
                 )
-            return
+            return b""
         worker_nonce = greeting.get("nonce")
         if not isinstance(worker_nonce, bytes):
             raise ClusterError(
@@ -312,6 +386,7 @@ class RemoteBackend(WorkerBackend):
                 f"worker {address} carries no handshake nonce"
             )
         master_nonce = os.urandom(16)
+        # a few dozen bytes into a fresh socket's empty send buffer
         sock.sendall(
             encode_frame(
                 FRAME_CHALLENGE,
@@ -323,14 +398,13 @@ class RemoteBackend(WorkerBackend):
                 ),
             )
         )
-        answer = read_frame(sock.recv)
-        if answer is None or answer[0] != FRAME_AUTH:
-            raise ClusterError(
-                f"worker {address} refused the shared-secret handshake "
-                f"(secret mismatch, or the worker has no --secret configured)"
-            )
+        return master_nonce
+
+    def _authenticated(self, address: str, answer: bytes, master_nonce: bytes) -> None:
+        """Check the worker's proof of the shared secret."""
+        assert self._secret is not None
         try:
-            proof = xdr.decode(answer[1]).get("proof")
+            proof = xdr.decode(answer).get("proof")
         except (SerializationError, AttributeError):
             proof = None
         if not verify_proof(self._secret, master_nonce, proof):
@@ -395,14 +469,7 @@ class RemoteBackend(WorkerBackend):
                         f"timed out after {timeout}s waiting for a remote worker result"
                     )
             if not self._live_indices():
-                # nothing to select on: sleep toward the next re-dial
-                if not self._reconnect_pending():
-                    self._raise_pool_lost()
-                pause = max(0.0, self._next_redial_at() - time.monotonic())
-                if wait is not None:
-                    pause = min(pause, wait)
-                time.sleep(min(max(pause, 0.005), 0.5))
-                continue
+                self._raise_pool_lost()  # nothing to select on
             self._pump(self._cap_wait(wait))
         return self._ready.popleft()
 
@@ -411,8 +478,9 @@ class RemoteBackend(WorkerBackend):
         caps = [_LIVENESS_TIMEOUT_S / 4.0]
         if wait is not None:
             caps.append(wait)
-        if self._reconnect_pending():
-            caps.append(max(self._next_redial_at() - time.monotonic(), 0.01))
+        due = self._next_redial_at()
+        if due is not None:
+            caps.append(max(due - time.monotonic(), 0.01))
         return min(caps)
 
     def send_stop(self, worker_id: int) -> None:
@@ -422,7 +490,7 @@ class RemoteBackend(WorkerBackend):
     def finalize(self) -> BackendStats:
         if not self._finalized:
             self._finalized = True
-            self._redial.clear()
+            self._drop_redials()
             for conn in self._conns:
                 self._stop_conn(conn)
                 if conn.alive:
@@ -453,43 +521,21 @@ class RemoteBackend(WorkerBackend):
     def _live_indices(self) -> list[int]:
         return [index for index, conn in enumerate(self._conns) if conn.alive]
 
-    def _route_for(self, worker_id: int) -> int | None:
-        """The live connection index a logical worker currently routes to.
-
-        ``None`` when no connection is live at all (the caller parks the
-        job for redispatch, or raises if the pool can never come back).
-        """
-        conn_index = self._route[worker_id]
-        if self._conns[conn_index].alive:
-            return conn_index
-        survivors = self._live_indices()
-        if not survivors:
-            return None
-        # the routed connection died between collects; remap first
-        self._remap_route(conn_index, survivors)
-        return self._route[worker_id]
-
     def _send(self, job_id: int, record: _InFlight) -> bool:
         """Record ``job_id`` as in flight and push its frame down the wire.
 
-        Returns ``False`` when the job could not be sent: either no live
-        connection exists (the job is parked; raises
-        :class:`~repro.errors.WorkerLostError` instead if no reconnect can
-        ever succeed) or the target connection died under the send (the
-        job is parked among its orphans).
+        Returns ``False`` when the target connection died under the send
+        (the job is parked among its orphans); raises
+        :class:`~repro.errors.WorkerLostError`, naming the job, when no
+        connection is live -- while one is, a burial has routed every
+        logical worker to a live one.
         """
-        conn_index = self._route_for(record.worker_id)
-        if conn_index is None:
-            # parked: the next dispatch/collect re-sends it once a host is back
-            record.conn_index = _UNROUTED
-            self._inflight[job_id] = record
-            self._redispatch.setdefault(job_id)
-            if not self._reconnect_pending():
-                self._raise_pool_lost()
-            return False
-        conn = self._conns[conn_index]
-        record.conn_index = conn_index
         self._inflight[job_id] = record
+        conn_index = record.conn_index = self._route[record.worker_id]
+        conn = self._conns[conn_index]
+        if not conn.alive:
+            record.conn_index = _UNROUTED
+            self._raise_pool_lost()
         if record.frame is None:
             record.frame = encode_frame(FRAME_JOB, xdr.encode(record.entry))
         frame = record.frame
@@ -506,6 +552,9 @@ class RemoteBackend(WorkerBackend):
         events = self._selector.select(timeout)
         now = time.monotonic()
         for key, _mask in events:
+            if isinstance(key.data, _Redial):
+                self._step_redial(key.data)
+                continue
             index = key.data
             conn = self._conns[index]
             if not conn.alive:  # closed while handling an earlier event
@@ -536,6 +585,8 @@ class RemoteBackend(WorkerBackend):
                         # confused, not the run -- bury it, requeue its jobs
                         self._on_conn_dead(index)
                         break
+                    if self._redial:
+                        self._redial.pop(index, None)  # answered: its dials are its own again
                 elif kind == FRAME_PONG:
                     continue  # answered the liveness ping by arriving (above)
                 # hello frames (reconnect chatter) and anything else: ignore
@@ -561,7 +612,7 @@ class RemoteBackend(WorkerBackend):
             )
         )
 
-    def _raise_pool_lost(self) -> None:
+    def _raise_pool_lost(self) -> NoReturn:
         lost = tuple(sorted(self._inflight))
         raise WorkerLostError(
             f"all {self._n_workers} remote workers are gone; "
@@ -588,9 +639,10 @@ class RemoteBackend(WorkerBackend):
         except (KeyError, ValueError):  # pragma: no cover - defensive
             pass
         conn.sock.close()
-        if self._reconnect and not self._finalized:
-            self._redial[index] = _ReconnectState(
-                next_try=time.monotonic() + REDIAL_DELAYS_S[0])
+        if not self._finalized:
+            state = self._redial.setdefault(index, _Redial(index))
+            if state.dials < len(REDIAL_DELAYS_S):
+                state.next_try = time.monotonic() + REDIAL_DELAYS_S[state.dials]
         for job_id, entry in self._inflight.items():
             if entry.conn_index == index:
                 # park the orphan: no connection holds it until the next
@@ -601,47 +653,84 @@ class RemoteBackend(WorkerBackend):
         survivors = self._live_indices()
         if survivors:
             self._remap_route(index, survivors)
-        elif self._inflight and not self._reconnect_pending():
+            return
+        # no host is live: the pool is lost, and rebuilding it is its
+        # campaign's to do, not a re-dial's
+        self._drop_redials()
+        if self._inflight:
             self._raise_pool_lost()
 
     # -- reconnect ---------------------------------------------------------------
-    def _redial_candidates(self) -> list[int]:
-        return sorted(
-            index for index, state in self._redial.items()
-            if state.attempts < len(REDIAL_DELAYS_S)
-        )
-
-    def _reconnect_pending(self) -> bool:
-        """Is any dead host still allowed another dial?"""
-        return bool(self._redial_candidates())
-
-    def _next_redial_at(self) -> float:
-        due = [self._redial[index].next_try for index in self._redial_candidates()]
-        return min(due) if due else time.monotonic()
+    def _next_redial_at(self) -> float | None:
+        """When a re-dial next needs the master: a dial to start or give up."""
+        due = [
+            state.dial.deadline if state.dial is not None else state.next_try
+            for state in self._redial.values()
+            if state.dial is not None
+            or (not self._conns[state.index].alive and state.dials < len(REDIAL_DELAYS_S))
+        ]
+        return min(due, default=None)
 
     def _maybe_reconnect(self) -> None:
-        """Re-dial dead hosts whose backoff expired (from dispatch/collect)."""
-        if self._finalized:
-            return
-        for index in self._redial_candidates():
-            state = self._redial[index]
-            if state.next_try > time.monotonic():
+        """Start the re-dials that are due and give up the overdue ones (from
+        dispatch/collect); the selector advances the rest (:meth:`_step_redial`)."""
+        now = time.monotonic()
+        for state in list(self._redial.values()):
+            if state.dial is not None:
+                if now > state.dial.deadline:
+                    self._redial_failed(state)
+                continue
+            if (self._conns[state.index].alive or state.dials >= len(REDIAL_DELAYS_S)
+                    or state.next_try > now):
                 continue
             try:
-                conn = self._connect(self._conns[index].address)
+                state.dial = self._dial(self._conns[state.index].address)
             except ClusterError:
-                state.attempts += 1
-                if state.attempts < len(REDIAL_DELAYS_S):
-                    state.next_try = time.monotonic() + REDIAL_DELAYS_S[state.attempts]
+                self._redial_failed(state)
                 continue
-            self._conns[index] = conn
-            self._selector.register(conn.sock, selectors.EVENT_READ, index)
-            del self._redial[index]
-            self._reconnects += 1
-            # hand the reborn host its original logical slots back
-            for worker_id, home in enumerate(self._home):
-                if home == index:
-                    self._route[worker_id] = index
+            self._selector.register(state.dial.sock, state.dial.events, state)
+
+    def _step_redial(self, state: _Redial) -> None:
+        """Advance a re-dial whose socket is ready; once it is through, the
+        reborn host gets its original logical slots back."""
+        dial = state.dial
+        if dial is None:
+            return  # given up earlier in the same select
+        try:
+            conn = self._advance(dial)
+        except ClusterError:
+            self._redial_failed(state)
+            return
+        if conn is None:
+            self._selector.modify(dial.sock, dial.events, state)
+            return
+        state.dial = None
+        state.dials += 1
+        index = state.index
+        self._conns[index] = conn
+        self._selector.modify(conn.sock, selectors.EVENT_READ, index)
+        self._reconnects += 1
+        for worker_id, home in enumerate(self._home):
+            if home == index:
+                self._route[worker_id] = index
+
+    def _redial_failed(self, state: _Redial) -> None:
+        """Count a dial that did not get through; wait the next delay, if any."""
+        if state.dial is not None:
+            self._selector.unregister(state.dial.sock)
+            state.dial.sock.close()
+            state.dial = None
+        state.dials += 1
+        if state.dials < len(REDIAL_DELAYS_S):
+            state.next_try = time.monotonic() + REDIAL_DELAYS_S[state.dials]
+
+    def _drop_redials(self) -> None:
+        """Abandon every re-dial, closing the dials in progress."""
+        for state in self._redial.values():
+            if state.dial is not None:
+                self._selector.unregister(state.dial.sock)
+                state.dial.sock.close()
+        self._redial.clear()
 
     # -- liveness ----------------------------------------------------------------
     def _check_liveness(self) -> None:
@@ -682,8 +771,8 @@ class RemoteBackend(WorkerBackend):
             if self._send(job_id, entry):
                 self._redispatches += 1
             else:
-                # no live route (re-parked) or the target died mid-send
-                # (re-parked among its orphans): stop flushing this round
+                # the target died mid-send (re-parked among its orphans):
+                # stop flushing this round
                 break
         # whatever was not attempted stays parked for the next flush
         for job_id in parked:

@@ -507,7 +507,7 @@ class LocalWorkerPool:
 
         The listening sockets bind with ``SO_REUSEADDR``, so the address in
         ``hosts[index]`` comes straight back -- which is exactly what a
-        master built with ``reconnect=True`` needs to re-dial.  Returns the
+        master's re-dial of a dead host needs.  Returns the
         (unchanged) ``"host:port"`` address.  Raises
         :class:`~repro.errors.ClusterError` if the worker it replaces is
         still alive or the new server does not come up within the start-up

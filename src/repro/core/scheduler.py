@@ -209,7 +209,7 @@ def policy_factory(
     if scheduler is None:
         return RobinHoodPolicy
     if isinstance(scheduler, DispatchPolicy) or not callable(scheduler):
-        # policies hold per-stream state and a retry opens a second stream
+        # policies hold per-stream state and a rebuilt pool opens a second stream
         raise ValuationError(
             f"scheduler= got a {type(scheduler).__name__} instance; pass a "
             "registered name, the policy class or a zero-argument factory "
@@ -783,19 +783,24 @@ class ScheduleStream:
     # -- termination -------------------------------------------------------------
     def finish(self) -> ScheduleOutcome:
         """Drain remaining results, stop the slaves, finalize the backend."""
-        if self._outcome is not None:
-            return self._outcome
-        while self.remaining:
-            self.collect_next()
-        # tell every slave to stop working (the empty message of Fig. 4)
-        for worker_id in range(self.backend.n_workers):
-            self.backend.send_stop(worker_id)
-        self._outcome = ScheduleOutcome(
-            self._completed,
-            self.backend.finalize(),
-            self.policy.name,
-            peak_window=dict(enumerate(self._peak)),
-        )
+        if self._outcome is None:
+            while self.remaining:
+                self.collect_next()
+            # tell every slave to stop working (the empty message of Fig. 4)
+            for worker_id in range(self.backend.n_workers):
+                self.backend.send_stop(worker_id)
+        return self.close()
+
+    def close(self) -> ScheduleOutcome:
+        """Finalize the backend and keep what was collected: how :meth:`finish`
+        ends, and all a stream whose workers are gone gets."""
+        if self._outcome is None:
+            self._outcome = ScheduleOutcome(
+                self._completed,
+                self.backend.finalize(),
+                self.policy.name,
+                peak_window=dict(enumerate(self._peak)),
+            )
         return self._outcome
 
 

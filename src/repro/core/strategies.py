@@ -88,7 +88,7 @@ class SerializedLoadStrategy(TransmissionStrategy):
             data = sload(job.path).to_bytes()
         elif job.problem is not None:
             # no file: the bytes kept with the job play its part -- made
-            # once, re-sent as they are on a retry or re-dispatch
+            # once, re-sent as they are to a rebuilt pool or on a re-dispatch
             data = job.wire_bytes()
         else:
             raise SchedulingError(

@@ -49,17 +49,18 @@ class CollectTimeoutError(ClusterError):
 class WorkerLostError(ClusterError):
     """Raised when the worker pool is lost with jobs still unanswered.
 
-    As long as at least one worker survives (or a remote backend built with
-    ``reconnect=True`` can still re-dial a dead host), the remote backend
-    requeues the lost worker's in-flight jobs transparently; this error
-    surfaces only when the *whole* pool is gone for good.  The
+    As long as at least one worker survives, the remote backend requeues
+    the lost worker's in-flight jobs transparently (and re-dials the dead
+    host); this error surfaces when the *whole* pool is gone.  The
     multiprocessing backend, whose survivors cannot be trusted after a
     death, raises it as soon as one worker process dies holding dispatched
-    jobs.  It is retryable in the scheduling sense:
-    :attr:`job_ids` lists the jobs that were in flight, so a caller can
-    rebuild a backend against fresh workers and resubmit exactly those jobs
-    -- which is what the session layer does automatically under
-    ``run(..., retry=True)``."""
+    jobs.  It is retryable in the scheduling sense: :attr:`job_ids` lists
+    the jobs that were in flight, so a caller can rebuild a backend against
+    fresh workers and resubmit exactly those jobs -- which every session
+    campaign does by itself, on
+    :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`.  From a session it
+    surfaces only once that schedule is spent, or at once from the simulated
+    cluster, whose loss is the simulation's result."""
 
     def __init__(self, message: str, job_ids: tuple[int, ...] = ()) -> None:
         super().__init__(message)

@@ -230,9 +230,6 @@ class PricingService:
         options: dict[str, Any] = {}
         if self.config.backend == "remote":
             options["hosts"] = list(self.live_hosts()) or list(self._hosts)
-            # a campaign survives a worker restart: re-dial dead hosts with a
-            # growing backoff (wedged-but-connected ones are always buried)
-            options["reconnect"] = True
             if self.config.worker_secret is not None:
                 options["secret"] = self.config.worker_secret
         session_kwargs: dict[str, Any] = {
@@ -263,10 +260,13 @@ class PricingService:
             return
         report = result.report
         extra = getattr(report, "extra", None) or {}
+        # the hosts the campaign dialed, by logical worker id: the live ones
+        hosts = extra.get("hosts", ())
         with self._state_lock:
             self._campaign_wall_s += float(report.total_time)
             for worker_id, busy in report.worker_busy.items():
-                name = self._worker_name(int(worker_id))
+                worker_id = int(worker_id)
+                name = hosts[worker_id] if worker_id < len(hosts) else f"worker-{worker_id}"
                 self._busy_s[name] = self._busy_s.get(name, 0.0) + float(busy)
             for key in ("reconnects", "redispatches"):
                 if extra.get(key):
@@ -275,11 +275,6 @@ class PricingService:
             self.count("cache_only_runs")
         record.finish(self._run_payload(result), cancelled=record.cancel.cancelled)
         self.count("runs_cancelled" if record.cancel.cancelled else "runs_completed")
-
-    def _worker_name(self, worker_id: int) -> str:
-        if self.config.backend == "remote" and worker_id < len(self._hosts):
-            return self._hosts[worker_id]
-        return f"worker-{worker_id}"
 
     @staticmethod
     def _run_payload(result: Any) -> dict[str, Any]:

@@ -77,7 +77,7 @@ class TestBackendOptions:
         with pytest.raises(ValuationError, match="reconect") as refused:
             ValuationSession(backend="local", backend_options={"reconect": True})
         assert "takes []" in str(refused.value)
-        with pytest.raises(ValuationError, match=r"takes \['hosts', 'reconnect', "):
+        with pytest.raises(ValuationError, match=r"takes \['hosts', 'secret'\]"):
             ValuationSession(
                 backend="remote", backend_options={"hosts": ["h:1"], "reconect": True}
             )
@@ -87,7 +87,7 @@ class TestBackendOptions:
         [
             ("local", "[]"),
             ("multiprocessing", "[]"),
-            ("remote", "['hosts', 'reconnect', 'secret']"),
+            ("remote", "['hosts', 'secret']"),
             ("simulated", "['comm', 'churn']"),
         ],
     )

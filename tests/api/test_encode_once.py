@@ -2,7 +2,7 @@
 
 The master keeps the wire bytes of a job from its first dispatch on
 (:meth:`repro.cluster.backends.Job.wire_bytes`), so neither planning, nor a
-retry, nor folding a position into a :class:`~repro.pricing.batch.ProblemBatch`
+rebuilt pool, nor folding a position into a :class:`~repro.pricing.batch.ProblemBatch`
 or a book slice may encode a problem a second time.  The spy counts calls of the codec
 registry's ``PricingProblem`` / ``ProblemBatch`` / ``ScenarioGrid`` encoders
 and of the base-book writer in the master process (worker processes decode,
@@ -214,35 +214,34 @@ def _kill_first_worker_once(pool, restart_after: float):
     return on_progress
 
 
-def test_risk_retry_after_pool_loss_adds_no_encodes(encodes, monkeypatch):
-    reattached = []
-    reattach = Campaign._reattach
+def test_risk_recovery_after_pool_loss_adds_no_encodes(encodes, monkeypatch):
+    rebuilt = []
+    rebuild = Campaign._rebuild
     monkeypatch.setattr(
-        Campaign, "_reattach",
-        lambda self, delays: reattached.append(self) or reattach(self, delays),
-    )
+        Campaign, "_rebuild",
+        lambda self, deadline: rebuilt.append(self) or rebuild(self, deadline))
     with spawn_local_workers(1) as pool:
         options = {"hosts": pool.hosts}
         clean = ValuationSession(backend="remote", backend_options=options).risk(_book(), spot_returns=RETURNS)
         clean_encodes = dict(encodes)
         encodes.clear()
         summary = ValuationSession(backend="remote", backend_options=options).risk(
-            _book(), spot_returns=RETURNS, retry=True,
+            _book(), spot_returns=RETURNS,
             progress=_kill_first_worker_once(pool, restart_after=0.8))
-    assert reattached and summary == clean
+    assert rebuilt and summary == clean
     # the re-dispatched slices re-send the bytes kept from their first dispatch
     assert encodes == clean_encodes and encodes["book"] == 1
 
 
-def test_retry_after_pool_loss_adds_no_encodes(encodes):
-    book = Portfolio(name="retry", positions=[
+def test_recovery_after_pool_loss_adds_no_encodes(encodes):
+    book = Portfolio(name="recovery", positions=[
         Position(_problem(80.0 + 3 * k, "MC_European", seed=7), label=f"p{k}")
         for k in range(10)
     ])
     with spawn_local_workers(1) as pool:
         session = ValuationSession(backend="remote", backend_options={"hosts": pool.hosts})
         result = session.run(
-            book, retry=True, progress=_kill_first_worker_once(pool, restart_after=0.8))
+            book, progress=_kill_first_worker_once(pool, restart_after=0.8))
     assert result.ok and result.report.extra.get("retries", 0) >= 1
     # the re-dispatched slices re-send the bytes kept from the first dispatch
     n_slices = _n_book_slices(book, 1)

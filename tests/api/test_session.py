@@ -7,6 +7,7 @@ through the session alone.
 
 from __future__ import annotations
 
+import time
 from functools import partial
 
 import numpy as np
@@ -25,10 +26,16 @@ from repro.api import (
 from repro.cluster.backends import SequentialBackend, execute_payload
 from repro.cluster.backends.base import REDIAL_DELAYS_S
 from repro.cluster.costmodel import paper_cost_model
-from repro.cluster.simcluster import CommunicationModel, NFSModel
+from repro.cluster.simcluster import ChurnSchedule, CommunicationModel, NFSModel
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
 from repro.core.scheduler import ChunkedPolicy, PriorityPolicy, WorkStealingPolicy
-from repro.errors import ClusterError, SchedulingError, ValuationError, WorkerLostError
+from repro.errors import (
+    ClusterError,
+    FutureTimeoutError,
+    SchedulingError,
+    ValuationError,
+    WorkerLostError,
+)
 from repro.pricing import (
     BlackScholesModel,
     ClosedFormCall,
@@ -363,7 +370,7 @@ class TestSessionValidation:
             ValuationSession(scheduler="fifo")
 
     def test_policy_instance_rejected_everywhere(self, toy_portfolio):
-        # policies hold per-stream state and a retry opens a second stream
+        # policies hold per-stream state and a rebuilt pool opens a second stream
         message = "pass a registered name, the policy class or a zero-argument factory"
         with pytest.raises(ValuationError, match=message):
             ValuationSession(scheduler=WorkStealingPolicy())
@@ -384,13 +391,9 @@ class TestSessionValidation:
             ({"strategy": "carrier_pigeon"}, "unknown strategy 'carrier_pigeon'"),
             ({"scheduler": "fifo"}, "unknown scheduler 'fifo'"),
             ({"scheduler": ChunkedPolicy()}, "scheduler= got a ChunkedPolicy instance"),
-            ({"retry": 3}, "retry must be True or False, got 3"),
-            ({"retry": "yes"}, "retry must be True or False, got 'yes'"),
-            ({"retry": object()}, "retry must be True or False, got <object"),
         ],
         ids=["kernel", "min_group_size", "min_group_size-bool", "min_group_size-float",
-             "strategy", "scheduler-name", "scheduler-instance", "retry-int", "retry-str",
-             "retry-object"],
+             "strategy", "scheduler-name", "scheduler-instance"],
     )
     def test_a_bad_keyword_is_refused_before_a_backend_is_built(
         self, monkeypatch, toy_portfolio, start, keywords, message
@@ -399,6 +402,25 @@ class TestSessionValidation:
         monkeypatch.setattr(session, "_acquire_backend", None)  # never reached
         with pytest.raises(ValuationError, match=message):
             getattr(session, start)(toy_portfolio, **keywords)
+
+    @pytest.mark.parametrize("start", ["run", "stream", "greeks", "risk"])
+    def test_recovery_is_no_option_of_a_campaign(self, monkeypatch, toy_portfolio, start):
+        """Every campaign recovers from a lost pool: ``retry`` is refused by
+        the signature itself, before a backend is built."""
+        session = ValuationSession(backend="local")
+        monkeypatch.setattr(session, "_acquire_backend", None)  # never reached
+        with pytest.raises(TypeError, match="retry"):
+            getattr(session, start)(toy_portfolio, retry=True)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_redialing_is_no_option_of_the_remote_backend(self, value):
+        """Re-dialing is no option: ``reconnect`` is refused by the
+        session's option check (nothing listens on port 1)."""
+        with pytest.raises(ValuationError, match="reconnect"):
+            ValuationSession(
+                backend="remote",
+                backend_options={"hosts": ["127.0.0.1:1"], "reconnect": value},
+            )
 
 
 def _stream_result(session, source, **options):
@@ -424,7 +446,7 @@ class TestOneOptionPath:
     @DRAINS
     def test_a_strategy_not_given_is_the_session_strategy(self, drain, toy_portfolio):
         session = ValuationSession(backend="simulated", strategy="nfs")
-        assert drain(session, toy_portfolio, retry=True).strategy == "nfs"
+        assert drain(session, toy_portfolio).strategy == "nfs"
         explicit = drain(session, toy_portfolio, strategy="full_load")  # the keyword wins
         assert explicit.strategy == "full_load"
 
@@ -499,37 +521,36 @@ def test_missing_batch_member_is_reported_not_dropped(monkeypatch, drain):
     assert result.errors == {3: "missing from batch reply"}
 
 
-@pytest.mark.parametrize("spelling", ["run", "stream_result"])
-def test_pool_loss_is_retried_wherever_the_campaign_is_drained(monkeypatch, spelling):
-    book = _book(_mc_family(6))
-    reference = ValuationSession(backend="local").run(book).prices()
+def _read(reader: str, session: ValuationSession, book: Portfolio) -> list[float]:
+    """The prices of ``book`` read through ``reader``, in submission order."""
+    problems = [position.problem for position in book.positions]
+    if reader == "run":
+        return list(session.run(book).prices().values())
+    if reader == "stream_result":
+        return list(session.stream(book).result().prices().values())
+    if reader == "stream":
+        landed = {result.job_id: result.price for result in session.stream(book)}
+        return [landed[job_id] for job_id in sorted(landed)]
+    if reader == "future_result":
+        return [future.price() for future in session.submit_many(problems)]
+    if reader == "as_completed":
+        landed = {
+            future.job_id: future.price()
+            for future in session.submit_many(problems).as_completed()
+        }
+        return [landed[job_id] for job_id in sorted(landed)]
+    assert reader == "gather"
+    session.submit_many(problems)
+    return list(session.gather().prices().values())
+
+
+READERS = ["run", "stream_result", "stream", "future_result", "as_completed", "gather"]
+
+
+def _lose_pool(monkeypatch, lost_at=(3,)) -> list:
+    """Lose the pool at each of the ``lost_at`` collects; the backends collected from."""
     collects = []
     collect = SequentialBackend.collect
-
-    def dying(self, timeout=None):
-        collects.append(self)
-        if len(collects) == 3:
-            raise WorkerLostError("pool died")
-        return collect(self, timeout)
-
-    monkeypatch.setattr(SequentialBackend, "collect", dying)
-    session = ValuationSession(backend="local")
-    if spelling == "run":
-        result = session.run(book, retry=True)
-    else:
-        result = session.stream(book, retry=True).result()
-    assert result.ok and result.report.extra["retries"] == 1
-    assert collects[0] is not collects[-1]  # the pending futures moved to a fresh backend
-    assert list(result.report.results) == list(range(6))
-    assert result.prices() == reference
-
-
-def _lose_pool_and_refuse_rebuilds(monkeypatch, session, lost_at, refusals):
-    """Lose the pool at each of the ``lost_at`` collects; refuse the first
-    ``refusals`` rebuilds with a ``ClusterError``; return the recorded sleeps."""
-    collects, builds, sleeps = [], [], []
-    collect = SequentialBackend.collect
-    acquire = session._acquire_backend
 
     def dying(self, timeout=None):
         collects.append(self)
@@ -537,13 +558,84 @@ def _lose_pool_and_refuse_rebuilds(monkeypatch, session, lost_at, refusals):
             raise WorkerLostError("pool died")
         return collect(self, timeout)
 
+    monkeypatch.setattr(SequentialBackend, "collect", dying)
+    return collects
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_pool_loss_is_recovered_by_every_reader(monkeypatch, reader):
+    """``Campaign.pump`` rebuilds the pool, so a loss met while iterating a
+    stream or reading a future is survived as it is by ``run``."""
+    book = _book(_mc_family(6))
+    reference = list(ValuationSession(backend="local").run(book).prices().values())
+    collects = _lose_pool(monkeypatch)
+    assert _read(reader, ValuationSession(backend="local"), book) == reference
+    assert collects[0] is not collects[-1]  # the pending futures moved to a fresh backend
+
+
+def test_a_recovered_report_covers_every_pool(monkeypatch):
+    """Bytes and busy time add up over the lost pool and its replacement,
+    every answered position is timed once, and the wall clock spans the
+    whole campaign, the wait for the new pool included."""
+    book = _book(_mc_family(6))
+    sent = []
+    dispatch = SequentialBackend.dispatch
+
+    def counted(self, worker_id, job, message):
+        sent.append(message.nbytes)
+        return dispatch(self, worker_id, job, message)
+
+    def one_second(kind, payload):  # every position takes 1 s of (claimed) compute
+        result, _elapsed, error = execute_payload(kind, payload)
+        return result, 1.0, error
+
+    _lose_pool(monkeypatch)
+    monkeypatch.setattr(SequentialBackend, "dispatch", counted)
+    monkeypatch.setattr("repro.cluster.backends.local.execute_payload", one_second)
+    began = time.perf_counter()
+    report = ValuationSession(backend="local").run(book).report
+    wall = time.perf_counter() - began
+    assert report.extra["retries"] == 1
+    # two positions answered by the lost pool, two more lost in it and sent again
+    assert len(sent) == 8 and report.bytes_sent == sum(sent)
+    assert sum(report.worker_busy.values()) == 8.0
+    assert report.category_times == {"mc": 6.0}
+    assert REDIAL_DELAYS_S[0] <= report.total_time <= wall
+
+
+def test_a_simulated_cluster_that_loses_every_worker_is_never_rebuilt(monkeypatch):
+    """The simulator only advances a virtual clock: a rebuild would restart
+    the remaining jobs at virtual time 0 and report a makespan that never
+    happened, so its loss is the result."""
+    book = build_toy_portfolio(400)
+    calm = ValuationSession(backend="simulated").run(book).report.total_time
+    doomed = 0.6 * calm
+    session = ValuationSession(
+        backend="simulated",
+        backend_options={"churn": ChurnSchedule().kill(0, at=doomed).kill(1, at=doomed)},
+    )
+    builds = []
+    acquire = session._acquire_backend
+    monkeypatch.setattr(
+        session, "_acquire_backend", lambda name: builds.append(name) or acquire(name))
+    with pytest.raises(WorkerLostError, match="killed the whole simulated cluster"):
+        session.run(book)
+    assert len(builds) == 1
+
+
+def _lose_pool_and_refuse_rebuilds(monkeypatch, session, lost_at, refusals):
+    """Lose the pool at each of the ``lost_at`` collects; refuse the first
+    ``refusals`` rebuilds with a ``ClusterError``; return the recorded sleeps."""
+    builds, sleeps = [], []
+    acquire = session._acquire_backend
+
     def flaky(strategy_name):
         builds.append(strategy_name)
         if 1 < len(builds) <= 1 + refusals:
             raise ClusterError("connection refused")
         return acquire(strategy_name)
 
-    monkeypatch.setattr(SequentialBackend, "collect", dying)
+    _lose_pool(monkeypatch, lost_at)
     monkeypatch.setattr(session, "_acquire_backend", flaky)
     monkeypatch.setattr("repro.api.campaign.time.sleep", sleeps.append)
     return sleeps
@@ -561,7 +653,7 @@ def test_a_lost_pool_is_rebuilt_on_the_redial_schedule(monkeypatch, lost_at, ref
     reference = ValuationSession(backend="local").run(book).prices()
     session = ValuationSession(backend="local")
     sleeps = _lose_pool_and_refuse_rebuilds(monkeypatch, session, lost_at, refusals)
-    result = session.run(book, retry=True)
+    result = session.run(book)
     assert sleeps == list(REDIAL_DELAYS_S[:n_sleeps])
     assert result.ok and result.report.extra["retries"] == len(lost_at)
     assert result.prices() == reference
@@ -572,8 +664,53 @@ def test_a_spent_redial_schedule_raises_the_pool_loss(monkeypatch, lost_at, refu
     session = ValuationSession(backend="local")
     sleeps = _lose_pool_and_refuse_rebuilds(monkeypatch, session, lost_at, refusals)
     with pytest.raises(WorkerLostError, match="pool died"):
-        session.run(_book(_mc_family(6)), retry=True)
+        session.run(_book(_mc_family(6)))
     assert sleeps == list(REDIAL_DELAYS_S)
+
+
+def test_a_rebuild_keeps_the_readers_deadline(monkeypatch):
+    """A reader's timeout bounds the wait for a new pool as it bounds the
+    wait for a result: it raises at its deadline, and the next read goes on
+    with the rest of the delay."""
+    book = _book(_mc_family(6))
+    reference = list(ValuationSession(backend="local").run(book).prices().values())
+    session = ValuationSession(backend="local")
+    _lose_pool(monkeypatch)
+    monkeypatch.setattr("repro.api.campaign.REDIAL_DELAYS_S", (0.5,) * 5)
+    futures = session.submit_many([position.problem for position in book.positions])
+    start = time.monotonic()
+    with pytest.raises(FutureTimeoutError, match="not rebuilt yet"):
+        futures[-1].result(timeout=0.1)
+    assert time.monotonic() - start < 0.4  # not the 0.5 s wait for the new pool
+    assert [future.price() for future in futures] == reference
+
+
+def test_a_new_pool_lost_as_its_stream_opens_costs_a_rebuild_try(monkeypatch):
+    """A stream dispatches as it is built: a new pool lost there is
+    finalized, and the next delay of the schedule is tried."""
+    book = _book(_mc_family(6))
+    reference = ValuationSession(backend="local").run(book).prices()
+    session = ValuationSession(backend="local")
+    builds, finalized, sleeps = [], [], []
+    acquire = session._acquire_backend
+    monkeypatch.setattr(
+        session, "_acquire_backend", lambda name: builds.append(acquire(name)) or builds[-1])
+    dispatch, finalize = SequentialBackend.dispatch, SequentialBackend.finalize
+
+    def dying(self, worker_id, job, message):
+        if len(builds) == 2 and self is builds[1]:
+            raise WorkerLostError("lost as its stream opened")
+        return dispatch(self, worker_id, job, message)
+
+    _lose_pool(monkeypatch)
+    monkeypatch.setattr(SequentialBackend, "dispatch", dying)
+    monkeypatch.setattr(
+        SequentialBackend, "finalize", lambda self: finalized.append(self) or finalize(self))
+    monkeypatch.setattr("repro.api.campaign.time.sleep", sleeps.append)
+    result = session.run(book)
+    assert result.ok and result.prices() == reference
+    assert len(builds) == 3 and builds[1] in finalized
+    assert sleeps == list(REDIAL_DELAYS_S[:2])
 
 
 def _failing_call() -> PricingProblem:

@@ -457,8 +457,9 @@ class TestRepeatsArePricedOnce:
         assert len(result.prices()) == 38
 
     def test_a_lost_pool_leaves_what_was_collected_in_the_run_cache(self, monkeypatch):
+        """The pool is lost for good: every try to rebuild it is refused."""
         from repro.cluster.backends import SequentialBackend
-        from repro.errors import WorkerLostError
+        from repro.errors import ClusterError, WorkerLostError
 
         collects = []
         collect = SequentialBackend.collect
@@ -469,11 +470,23 @@ class TestRepeatsArePricedOnce:
                 raise WorkerLostError("pool died")
             return collect(self, timeout)
 
-        monkeypatch.setattr(SequentialBackend, "collect", dying)
         family = _mc_family(6)
         cache = ResultCache()
+        session = ValuationSession(backend="local", cache=cache)
+        builds, acquire = [], session._acquire_backend
+
+        def refused(strategy_name):
+            builds.append(strategy_name)
+            if len(builds) > 1:
+                raise ClusterError("connection refused")
+            return acquire(strategy_name)
+
+        monkeypatch.setattr(SequentialBackend, "collect", dying)
+        monkeypatch.setattr(session, "_acquire_backend", refused)
+        monkeypatch.setattr("repro.api.campaign.time.sleep", lambda _delay: None)
         with pytest.raises(WorkerLostError):
-            ValuationSession(backend="local", cache=cache).run(family)
+            session.run(family)
+        assert len(builds) == 6  # the pool, then five refused tries
         collected = [problem_digest(position.problem) for position in family.positions[:2]]
         assert cache.stats.puts == 2 and all(digest in cache for digest in collected)
 

@@ -26,9 +26,10 @@ from repro.serve import ServerConfig
 
 # removed from both: cache (a run without the session's cache is
 # ``session.with_options(cache=None).run(...)``); config, for retry (keywords
-# are the one way to configure a run)
+# are the one way to configure a run); retry (every campaign rebuilds a lost
+# pool of real workers)
 _RUN_KEYWORDS = ("source", "strategy", "scheduler", "store", "batch", "kernel",
-                 "min_group_size", "progress", "cancel", "retry")
+                 "min_group_size", "progress", "cancel")
 
 SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     # removed, 11 slots: RunConfig (strategy, scheduler, batch, kernel,
@@ -84,15 +85,17 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     # and their factories, of spawn_local_workers and of serve (with
     # ``repro-worker --cache-dir``): a worker prices what it is sent, the
     # master's cache pass answers hits and prices a repeat once.
+    # Removed, 2 slots: reconnect of RemoteBackend and its factory, whose one
+    # value outside tests/ was repro-serve's True (a dead host is always
+    # re-dialed).
     'create_backend("local")': (_BACKEND_REGISTRY["local"], ("n_workers", "strategy")),
     'create_backend("multiprocessing")': (_BACKEND_REGISTRY["multiprocessing"], (
         "n_workers", "strategy")),
     'create_backend("remote")': (_BACKEND_REGISTRY["remote"], (
-        "n_workers", "strategy", "hosts", "reconnect", "secret")),
+        "n_workers", "strategy", "hosts", "secret")),
     "SequentialBackend": (SequentialBackend.__init__, ("n_workers",)),
     "MultiprocessingBackend": (MultiprocessingBackend.__init__, ("n_workers",)),
-    "RemoteBackend": (RemoteBackend.__init__, (
-        "hosts", "reconnect", "secret")),
+    "RemoteBackend": (RemoteBackend.__init__, ("hosts", "secret")),
     "spawn_local_workers": (worker.spawn_local_workers, ("n", "secret")),
     # workers stays: ``repro-worker --workers N`` is a deployment setting
     "cluster.worker.serve": (worker.serve, (
@@ -101,14 +104,14 @@ SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
 
 #: unpinned until their ``config=`` left for the lifecycle keywords of a run
 #: (a risk campaign takes the session's strategy and scheduler and the
-#: default kernel); counted apart from SURFACE
+#: default kernel); counted apart from SURFACE.  Removed from both: retry
 RISK_SURFACE: dict[str, tuple[object, tuple[str, ...]]] = {
     "ValuationSession.greeks": (ValuationSession.greeks, (
         "portfolio", "spot_bump", "vol_bump", "rate_bump", "theta_bump",
-        "progress", "cancel", "retry")),
+        "progress", "cancel")),
     "ValuationSession.risk": (ValuationSession.risk, (
         "portfolio", "spot_returns", "param", "bumps", "relative", "confidence",
-        "progress", "cancel", "retry")),
+        "progress", "cancel")),
 }
 
 
@@ -126,11 +129,12 @@ def test_the_settable_surface_is_the_reviewed_list(name):
     assert _settable(target) == expected
 
 
-def test_the_surface_has_105_slots():
+def test_the_surface_has_101_slots():
     # 93 before the backend and worker census joined the list, 140 with it;
     # 127 before the nine cache slots (RunConfig.cache, run and stream cache,
     # six cache_dir) left, 118 before RunConfig and RetryPolicy left, 107
-    # before liveness_timeout left
-    assert sum(len(slots) for _target, slots in SURFACE.values()) == 105
-    assert sum(len(slots) for _target, slots in RISK_SURFACE.values()) == 17
+    # before liveness_timeout left, 105 before retry and reconnect left (17
+    # risk slots before retry left)
+    assert sum(len(slots) for _target, slots in SURFACE.values()) == 101
+    assert sum(len(slots) for _target, slots in RISK_SURFACE.values()) == 15
 

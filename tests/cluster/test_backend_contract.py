@@ -27,10 +27,11 @@ CONTRACT = {
     "on_run_start", "requires_payload", "queues_jobs",
 }
 
-# removed: poll, try_collect_next (the stream's side of the same probe)
+# removed: poll, try_collect_next (the stream's side of the same probe).
+# close: how finish ends, and all a stream whose pool was lost gets
 STREAM = {
     "collect_next", "remaining", "completed", "cancelled_jobs", "cancel_job",
-    "cancel_pending", "finish",
+    "cancel_pending", "finish", "close",
 }
 
 #: read-only reporting, by class: properties and the constructor's own

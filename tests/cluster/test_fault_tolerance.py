@@ -1,9 +1,9 @@
-"""Remote-pool fault tolerance: reconnects, liveness burials, the
-authenticated handshake, and the session retry layer.
+"""Remote-pool fault tolerance: re-dials, liveness burials, the
+authenticated handshake, and the campaign that rebuilds a lost pool.
 
 The acceptance shape throughout: a campaign that loses workers mid-run must
-either finish bit-identical to an undisturbed run (when the reconnect /
-liveness machinery can save it) or fail loudly with a resubmittable
+either finish bit-identical to an undisturbed run (when the re-dial /
+rebuild / liveness machinery can save it) or fail loudly with a resubmittable
 :class:`~repro.errors.WorkerLostError` (when it cannot).
 """
 
@@ -87,8 +87,9 @@ class _MuteWorker:
             self._release.wait(60.0)
 
     def drop(self) -> None:
-        """Close the connection, jobs still unanswered (a crash, seen from
-        the master)."""
+        """Close the connection, jobs still unanswered.  The host keeps
+        listening but never accepts again, so a re-dial connects and is
+        never greeted: a wedged worker, seen from the master."""
         self._release.set()
 
     def close(self) -> None:
@@ -106,6 +107,52 @@ def _hello(version: int = PROTOCOL_VERSION) -> bytes:
     return encode_frame(
         FRAME_HELLO, xdr.encode({"role": "repro-worker", "pid": 0, "version": version})
     )
+
+
+class _ListeningHost:
+    """Accepts every connection until closed, counting them.  It greets the
+    first like a repro-worker and drops it at the first job frame; with
+    ``greet`` every later one too (a host that crashes on every job), and
+    without, it holds each later one in silence (a wedged host whose
+    listener the kernel still serves)."""
+
+    def __init__(self, greet: bool):
+        self._greet = greet
+        self.connections = 0
+        self._held: list[socket.socket] = []
+        self._server = socket.create_server(("127.0.0.1", 0))
+        self._server.settimeout(0.1)  # wakes to see ``close``
+        self.address = f"127.0.0.1:{self._server.getsockname()[1]}"
+        self._closed = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._closed.is_set():
+            try:
+                conn, _ = self._server.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            self.connections += 1
+            if not self._greet and self.connections > 1:
+                self._held.append(conn)
+                continue
+            with conn:
+                conn.settimeout(10.0)
+                try:
+                    conn.sendall(_hello())
+                    read_frame(conn.recv)  # the first job, never answered
+                except (OSError, ClusterError):
+                    pass
+
+    def close(self) -> None:
+        self._closed.set()
+        self._thread.join(timeout=5.0)
+        self._server.close()
+        for conn in self._held:
+            conn.close()
 
 
 class _ForeignWorker:
@@ -141,11 +188,34 @@ class _ForeignWorker:
 
 
 class TestReconnectSchedule:
-    def test_reconnect_true_is_the_old_default_policy(self):
-        """``reconnect=True`` dials a dead host 5 times, after 0.05, 0.1, 0.2,
-        0.4 and 0.8 s: the schedule the default ``ReconnectPolicy()`` had, and
-        the one a session's ``retry=True`` rebuilds a lost pool on."""
+    def test_the_schedule_is_the_old_default_policy(self):
+        """A dead host is re-dialed 5 times, after 0.05, 0.1, 0.2, 0.4 and
+        0.8 s: the schedule the default ``ReconnectPolicy()`` had, and the one
+        a session's campaign rebuilds a lost pool on."""
         assert remote.REDIAL_DELAYS_S is REDIAL_DELAYS_S == (0.05, 0.1, 0.2, 0.4, 0.8)
+
+    def test_a_pool_with_no_live_host_is_lost_at_once_naming_its_jobs(self, monkeypatch):
+        """Rebuilding a whole pool is its campaign's to do: the backend
+        re-dials no one and raises the loss as the last host is buried."""
+        dials = []
+        mute = _MuteWorker()
+        try:
+            backend = RemoteBackend([mute.address])
+            dial = backend._dial
+            monkeypatch.setattr(
+                backend, "_dial", lambda address: dials.append(address) or dial(address))
+            for job_id in range(2):
+                _dispatch(backend, 0, job_id, _make_problem(100.0 + job_id))
+            mute.drop()
+            start = time.monotonic()
+            with pytest.raises(WorkerLostError) as excinfo:
+                backend.collect(timeout=30.0)
+            waited = time.monotonic() - start
+            backend.finalize()
+        finally:
+            mute.close()
+        assert excinfo.value.job_ids == (0, 1)
+        assert dials == [] and waited < REDIAL_DELAYS_S[0] + 1.0
 
     def test_a_dead_host_is_dialed_five_times_then_buried(self, monkeypatch):
         schedule = (0.001, 0.002, 0.003, 0.004, 0.005)
@@ -156,41 +226,106 @@ class TestReconnectSchedule:
                 waits.append(tuple.__getitem__(self, k))
                 return waits[-1]
 
-        mute = _MuteWorker()
+        mute, survivor = _MuteWorker(), _MuteWorker()
         try:
-            backend = RemoteBackend([mute.address], reconnect=True)
+            backend = RemoteBackend([mute.address, survivor.address])
             monkeypatch.setattr(remote, "REDIAL_DELAYS_S", RecordedSchedule(schedule))
-            connect = backend._connect
+            dial = backend._dial
             monkeypatch.setattr(
-                backend, "_connect",
-                lambda address: dials.append(time.monotonic()) or connect(address))
+                backend, "_dial",
+                lambda address: dials.append(time.monotonic()) or dial(address))
             _dispatch(backend, 0, 0, _make_problem())
             mute.close()  # the host is gone for good: every re-dial is refused
-            with pytest.raises(WorkerLostError) as excinfo:
-                backend.collect(timeout=30.0)
+            with pytest.raises(CollectTimeoutError):  # the survivor holds job 0
+                backend.collect(timeout=1.0)
             backend.finalize()
         finally:
             mute.close()
+            survivor.close()
         # the first wait on the drop, then one after each failed dial but the last
         assert waits == list(schedule)
         assert len(dials) == 5
         gaps = [later - earlier for earlier, later in zip(dials, dials[1:])]
         assert all(gap >= wait for gap, wait in zip(gaps, schedule[1:]))
-        assert excinfo.value.job_ids == (0,)
+
+
+def _price_on_worker_0(backend: RemoteBackend, problems, first_id: int, until) -> list:
+    """Send ``problems[k % len]`` to logical worker 0 and collect it, one at
+    a time, until ``until()`` holds: what each collect returned, and how long."""
+    collected = []
+    job_id = first_id
+    while not until():
+        start = time.monotonic()
+        _dispatch(backend, 0, job_id, problems[job_id % len(problems)])
+        done = backend.collect(timeout=60.0)
+        collected.append((done, time.monotonic() - start))
+        job_id += 1
+        time.sleep(0.02)
+    return collected
+
+
+class TestAHostThatKeepsListening:
+    """A re-dial reaches a host that is listening, but it is no worker any
+    more.  The survivor's work never waits on it, and it is dialed five times
+    until it answers a job -- not once more per dial that got through."""
+
+    PROBLEMS = [_make_problem(80.0 + 5 * k) for k in range(6)]
+
+    def _run_beside_a_survivor(self, host: _ListeningHost, seconds: float) -> list:
+        reference = [problem.compute().price for problem in self.PROBLEMS]
+        with spawn_local_workers(1) as pool:
+            backend = RemoteBackend([host.address, pool.hosts[0]])
+            stop_at = time.monotonic() + seconds
+            collected = _price_on_worker_0(
+                backend, self.PROBLEMS, 0, lambda: time.monotonic() > stop_at)
+            backend.finalize()
+        assert [done.error for done, _ in collected] == [None] * len(collected)
+        assert [done.result["price"] for done, _ in collected] == [
+            reference[done.job_id % len(reference)] for done, _ in collected]
+        return collected
+
+    def test_one_that_greets_and_drops_is_dialed_five_times(self):
+        host = _ListeningHost(greet=True)
+        try:
+            self._run_beside_a_survivor(host, 3.0)
+        finally:
+            host.close()
+        assert 2 <= host.connections <= 1 + len(REDIAL_DELAYS_S)
+
+    def test_one_that_never_greets_holds_no_one_up(self):
+        """A dial connects and waits for a hello that never comes: the
+        survivor's results keep landing within their own time, not after the
+        10 s that dial may wait."""
+        host = _ListeningHost(greet=False)
+        try:
+            collected = self._run_beside_a_survivor(host, 1.0)
+        finally:
+            host.close()
+        assert host.connections == 2  # the pool's dial, and the re-dial still waiting
+        assert max(seconds for _, seconds in collected) < 2.0
+
+    def test_a_dial_that_is_never_greeted_is_given_up_at_its_deadline(self, monkeypatch):
+        monkeypatch.setattr(remote, "_CONNECT_TIMEOUT_S", 0.2)
+        host = _ListeningHost(greet=False)
+        try:
+            self._run_beside_a_survivor(host, 1.55 + 5 * 0.2 + 1.0)
+        finally:
+            host.close()
+        assert host.connections == 1 + len(REDIAL_DELAYS_S)
 
 
 class TestKillAndRestart:
-    def test_campaign_survives_a_worker_restart(self, monkeypatch):
-        """The acceptance e2e: the only worker is hard-killed mid-campaign
-        and restarted on the same port; ``reconnect=True`` finishes the run
-        bit-identical, with no WorkerLostError and >= 1 reconnect."""
+    def test_a_restarted_host_gets_its_slots_back(self, monkeypatch):
+        """A worker is hard-killed while another carries on and is restarted
+        on the same port: the backend re-dials it and routes its slot back
+        to it, and every job lands bit-identical."""
         # more dials than the five of the fixed schedule: a loaded machine
         # may take seconds to restart a worker process
         monkeypatch.setattr(remote, "REDIAL_DELAYS_S", (0.1, 0.2, 0.4) + (0.5,) * 27)
         problems = [_make_problem(80.0 + 5 * k) for k in range(6)]
         reference = [p.compute().price for p in problems]
-        with spawn_local_workers(1) as pool:
-            backend = RemoteBackend(pool.hosts, reconnect=True)
+        with spawn_local_workers(2) as pool:
+            backend = RemoteBackend(pool.hosts)
             for index in range(2):
                 _dispatch(backend, 0, index, problems[index])
             first = _collect_sorted(backend, 2)
@@ -201,20 +336,23 @@ class TestKillAndRestart:
                 target=lambda: (time.sleep(0.6), pool.restart(0)), daemon=True
             )
             reviver.start()
-            # dispatched into the dead pool: the backend parks/redials and
-            # completes once the worker is back on its original port
-            for index in range(2, 6):
-                _dispatch(backend, 0, index, problems[index])
-            rest = _collect_sorted(backend, 4)
+            # sent to worker 0 meanwhile: the survivor answers until the
+            # reborn host is dialed back
+            stop_at = time.monotonic() + 30.0
+            rest = _price_on_worker_0(
+                backend, problems, 2,
+                lambda: backend.reconnects >= 1 or time.monotonic() > stop_at)
+            assert backend._route[0] == 0  # its logical slot is its own again
+            _dispatch(backend, 0, 2 + len(rest), problems[(2 + len(rest)) % 6])
+            last = backend.collect(timeout=60.0)
             stats = backend.finalize()
             reviver.join(timeout=10.0)
 
-            collected = first + rest
-            assert [done.job_id for done in collected] == list(range(6))
-            assert [done.error for done in collected] == [None] * 6
-            assert [done.result["price"] for done in collected] == reference
+            collected = first + [done for done, _ in rest] + [last]
+            assert [done.error for done in collected] == [None] * len(collected)
+            assert [done.result["price"] for done in collected] == [
+                reference[done.job_id % 6] for done in collected]
             assert stats.extra["reconnects"] >= 1
-            assert backend.reconnects >= 1
 
 
 class TestCascadingFailures:
@@ -387,6 +525,8 @@ class TestSessionRetry:
         return portfolio, [p.compute().price for p in problems]
 
     def test_pool_loss_is_retried_transparently(self):
+        """The only worker is back 0.8 s after the kill, inside the
+        campaign's tries to rebuild the pool."""
         portfolio, reference = self._portfolio_and_reference()
         with spawn_local_workers(1) as pool:
             session = ValuationSession(
@@ -404,14 +544,24 @@ class TestSessionRetry:
                         daemon=True,
                     ).start()
 
-            result = session.run(portfolio, retry=True, progress=on_progress)
+            result = session.run(portfolio, progress=on_progress)
             report = result.report
             assert not report.errors
-            assert report.extra.get("retries", 0) >= 1
+            assert report.extra.get("retries", 0) == 1
             assert [entry["price"] for entry in report.results.values()] == reference
 
-    def test_pool_loss_without_retry_raises(self):
+    def test_a_pool_that_never_comes_back_is_reported_lost_after_the_schedule(
+        self, monkeypatch
+    ):
+        """The backend re-dials no one once its only host is gone; the
+        campaign tries 5 times to build a new pool, 1.55 s in all, before the
+        loss surfaces naming the positions still owed."""
         portfolio, _reference = self._portfolio_and_reference()
+        dials = []
+        dial = RemoteBackend._dial
+        monkeypatch.setattr(
+            RemoteBackend, "_dial",
+            staticmethod(lambda address: dials.append(address) or dial(address)))
         with spawn_local_workers(1) as pool:
             session = ValuationSession(
                 backend="remote", strategy="serialized_load",
@@ -422,7 +572,31 @@ class TestSessionRetry:
             def on_progress(event):
                 if not killed.is_set():
                     killed.set()
-                    pool.kill(0)
+                    pool.kill(0)  # and never restarted
 
-            with pytest.raises(WorkerLostError):
+            start = time.monotonic()
+            with pytest.raises(WorkerLostError) as excinfo:
                 session.run(portfolio, progress=on_progress)
+            waited = time.monotonic() - start
+        assert len(dials) == 1 + len(REDIAL_DELAYS_S)  # the pool, the rebuilds
+        assert waited >= sum(REDIAL_DELAYS_S)
+        assert excinfo.value.job_ids
+
+    def test_a_lone_host_that_greets_and_drops_is_reported_lost(self):
+        """Each new pool greets and then loses its job: the campaign builds
+        five, one per delay of its schedule, and reports the loss -- it does
+        not loop until a collect timeout."""
+        portfolio, _reference = self._portfolio_and_reference(4)
+        host = _ListeningHost(greet=True)
+        try:
+            session = ValuationSession(
+                backend="remote", backend_options={"hosts": [host.address]})
+            start = time.monotonic()
+            with pytest.raises(WorkerLostError) as excinfo:
+                session.run(portfolio)
+            waited = time.monotonic() - start
+        finally:
+            host.close()
+        assert host.connections == 1 + len(REDIAL_DELAYS_S)
+        assert sum(REDIAL_DELAYS_S) <= waited < 10.0
+        assert excinfo.value.job_ids

@@ -157,7 +157,7 @@ class TestMultiprocessingDeath:
                 os.kill(_started_since(before)[0].pid, signal.SIGKILL)
 
         session = ValuationSession(backend="multiprocessing", n_workers=2)
-        report = session.run(portfolio, retry=True, progress=on_progress).report
+        report = session.run(portfolio, progress=on_progress).report
         assert not report.errors
         assert report.extra["retries"] == 1
         assert report.prices() == reference
@@ -200,7 +200,7 @@ class TestGridSlicesSurviveADeath:
             answered.append(event.job_id)
 
         summary = session.risk(
-            self._book(), spot_returns=self.RETURNS, retry=True, progress=on_progress)
+            self._book(), spot_returns=self.RETURNS, progress=on_progress)
         assert summary == reference
         n_cells = 6 * (len(self.RETURNS) + 1)
         assert sorted(answered) == list(range(n_cells))  # every cell, exactly once
@@ -256,7 +256,7 @@ class TestBookSlicesSurviveADeath:
                 kill()
             answered.append(event.job_id)
 
-        campaign = session._open_campaign(self._book(), retry=True, progress=on_progress)
+        campaign = session._open_campaign(self._book(), progress=on_progress)
         assert len(campaign.plan.jobs) > 8 and campaign.plan.members_stand_alone
         result = campaign.finish()
         assert result.ok and result.prices() == reference.prices()
@@ -300,26 +300,41 @@ class TestAMalformedReplyRecord:
         name = b"ResultColumns"
         malformed = (b"O" + len(name).to_bytes(4, "big") + name + b"\x00" * 3
                      + xdr.encode(record))
-        conn, _ = server.accept()
-        with conn:
-            conn.sendall(encode_frame(FRAME_HELLO, xdr.encode(
-                {"role": "repro-worker", "pid": 0, "version": PROTOCOL_VERSION})))
-            while not stop.is_set():
-                frame = read_frame(conn.recv)
-                if frame is None:
-                    return
-                kind, payload = frame
-                if kind != FRAME_JOB:
-                    continue
-                job_id = xdr.decode(payload)["job_id"]
-                # {"job_id": ..., "result": <the malformed object>, ...} by hand:
-                # xdr.encode would refuse to build it
-                fields = (("job_id", xdr.encode(job_id)), ("result", malformed),
-                          ("elapsed", xdr.encode(0.01)), ("error", xdr.encode(None)))
-                body = b"H" + len(fields).to_bytes(4, "big") + b"".join(
-                    len(key).to_bytes(4, "big") + key.encode() + b"\x00" * (-len(key) % 4) + value
-                    for key, value in fields)
-                conn.sendall(encode_frame(FRAME_RESULT, body))
+        server.settimeout(0.1)  # wakes to see ``stop``
+        while not stop.is_set():  # every dial, the re-dials and rebuilds too
+            try:
+                conn, _ = server.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            conn.settimeout(None)
+            with conn:
+                conn.sendall(encode_frame(FRAME_HELLO, xdr.encode(
+                    {"role": "repro-worker", "pid": 0, "version": PROTOCOL_VERSION})))
+                while not stop.is_set():
+                    try:
+                        frame = read_frame(conn.recv)
+                    except OSError:
+                        frame = None
+                    if frame is None:
+                        break
+                    kind, payload = frame
+                    if kind != FRAME_JOB:
+                        continue
+                    job_id = xdr.decode(payload)["job_id"]
+                    # {"job_id": ..., "result": <the malformed object>, ...} by
+                    # hand: xdr.encode would refuse to build it
+                    fields = (("job_id", xdr.encode(job_id)), ("result", malformed),
+                              ("elapsed", xdr.encode(0.01)), ("error", xdr.encode(None)))
+                    body = b"H" + len(fields).to_bytes(4, "big") + b"".join(
+                        len(key).to_bytes(4, "big") + key.encode()
+                        + b"\x00" * (-len(key) % 4) + value
+                        for key, value in fields)
+                    try:
+                        conn.sendall(encode_frame(FRAME_RESULT, body))
+                    except OSError:
+                        break
 
     def _run(self, hosts_after_confused: list[str]):
         server = socket.create_server(("127.0.0.1", 0))
@@ -347,4 +362,4 @@ class TestAMalformedReplyRecord:
     def test_without_a_survivor_the_loss_is_typed_and_names_the_slices(self):
         with pytest.raises(WorkerLostError) as excinfo:
             self._run([])
-        assert excinfo.value.job_ids  # the slices it held: what retry=True resubmits
+        assert excinfo.value.job_ids  # the slices it held: what a campaign sends again

@@ -498,6 +498,30 @@ class TestCancellation:
         assert service.stats()["requests"]["runs_cancelled"] == 1
 
 
+class TestRemoteWorkers:
+    def test_busy_time_is_credited_to_the_hosts_the_campaign_dialed(self):
+        """With its first host found dead, a campaign dials the other two:
+        the busy time is theirs, named from the report's own host list, not
+        shifted onto the dead host by an index into the configured list."""
+        from repro.cluster.worker import spawn_local_workers
+
+        with spawn_local_workers(3) as pool:
+            service = PricingService(
+                ServerConfig(port=0, backend="remote", hosts=tuple(pool.hosts)))
+            pool.kill(0)
+            assert service.check_workers(timeout=5.0)[pool.hosts[0]] is False
+            service.start()
+            try:
+                record = service.submit_run(
+                    {"positions": [_slow_position_body(90.0 + k) for k in range(8)]})
+                assert record.wait_terminal(timeout=120.0) and record.state == "done"
+                busy = service.stats()["workers"]["busy_s"]
+            finally:
+                service.close()
+        assert set(busy) == set(pool.hosts[1:])
+        assert all(seconds > 0.0 for seconds in busy.values())
+
+
 class TestRateLimit:
     def test_429_with_retry_after(self):
         config = ServerConfig(port=0, rate_limit=1.0, rate_burst=2)
