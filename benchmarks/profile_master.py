@@ -13,12 +13,15 @@ answers -- and what the workers made of it: their idle share and the
 in-flight window the run reached (``RunReport.peak_window``).
 ``cProfile`` taxes every
 Python call, so read the table for its ranking and call counts, not for
-absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The one
-absolute figure printed is the master's book write -- the columnar book of
-each dispatched slice or batch (:func:`repro.pricing.book.write_book`) and its
-XDR encode, in microseconds and bytes a position -- timed again on the
-campaign's own books after the profiled repeat, outside the profiler.  The
-numbers in ``docs/performance.md`` are this script's output.
+absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The
+absolute figures printed are three layers of the master, each timed again on
+the campaign's own inputs after the profiled repeat, outside the profiler:
+the plan (:func:`repro.api.plan.build_plan` on the arguments the session gave
+it), the book write -- the columnar book of each dispatched slice or batch
+(:func:`repro.pricing.book.write_book`) and its XDR encode, in microseconds
+and bytes a position -- and the scatter of the replies the campaign received
+into a fresh result table (:meth:`repro.core.runner.ResultTable.scatter`).
+The numbers in ``docs/performance.md`` are this script's output.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ import pstats
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from benchmarks.e2e.harness import execute, make_session, set_up  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
+import repro.api.session  # noqa: E402
 from repro.api.futures import PricingFuture  # noqa: E402
 from repro.core.runner import ResultTable  # noqa: E402
 from repro.pricing.book import write_book  # noqa: E402
@@ -72,18 +77,45 @@ _OBJECTS = {
 }
 
 
-def _count_calls(counted: dict[str, tuple]) -> dict[str, int]:
-    """Count, per label, the calls of the ``(owner, method name)`` it names."""
-    counts = dict.fromkeys(counted, 0)
-    for label, (owner, name) in counted.items():
-        original = getattr(owner, name)
+def _record_calls(owner, name: str) -> tuple[list[tuple[tuple, dict]], Callable]:
+    """The ``(args, kwargs)`` of every call of ``owner.name`` from now on,
+    and the function itself."""
+    calls: list[tuple[tuple, dict]] = []
+    original = getattr(owner, name)
 
-        def counting(*args, _label=label, _original=original, **kwargs):
-            counts[_label] += 1
-            return _original(*args, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
 
-        setattr(owner, name, counting)
-    return counts
+    setattr(owner, name, recording)
+    return calls, original
+
+
+def plan_again(plans, build_plan: Callable) -> float:
+    """Microseconds a position of making each recorded plan again (a scenario
+    grid keeps which cells it has, so a risk plan does not decide it again)."""
+    seconds, positions = 0.0, 0
+    for args, kwargs in plans:
+        start = time.perf_counter()
+        plan = build_plan(*args, **kwargs)
+        seconds += time.perf_counter() - start
+        positions += len(plan.original_ids)
+    return 1e6 * seconds / max(positions, 1)
+
+
+def scatter_again(scatters, scatter: Callable) -> float:
+    """Microseconds a position of scattering each recorded reply again, into
+    a fresh table with the ids of the one it went into."""
+    fresh: dict[int, ResultTable] = {}
+    seconds, positions = 0.0, 0
+    for (table, reply, members), _ in scatters:
+        if id(table) not in fresh:
+            fresh[id(table)] = ResultTable(table.ids)
+        start = time.perf_counter()
+        scatter(fresh[id(table)], reply, members)
+        seconds += time.perf_counter() - start
+        positions += len(members)
+    return 1e6 * seconds / max(positions, 1)
 
 
 def book_write(jobs) -> tuple[float, float, int, int]:
@@ -117,7 +149,9 @@ def main(name: str) -> None:
         return campaigns[-1]
 
     session._open_campaign = recording
-    objects = _count_calls(_OBJECTS)
+    objects = {label: _record_calls(owner, name)[0] for label, (owner, name) in _OBJECTS.items()}
+    plans, build_plan = _record_calls(repro.api.session, "build_plan")
+    scatters, scatter = _record_calls(ResultTable, "scatter")
     profile = cProfile.Profile()
     try:
         profile.runcall(execute, workload, session, inputs)
@@ -138,7 +172,7 @@ def main(name: str) -> None:
     for layer, seconds in sorted(rows.items(), key=lambda item: -item[1]):
         print(f"  {layer:26s} {seconds:6.3f} s  {seconds / busy:6.1%}")
     print("  per-position objects built: "
-          + ", ".join(f"{count} {label}" for label, count in objects.items()))
+          + ", ".join(f"{len(calls)} {label}" for label, calls in objects.items()))
     for campaign in campaigns:
         report, jobs = campaign.finish().report, campaign.plan.jobs
         members = [len(campaign.plan.batch_members[job.job_id]) for job in jobs
@@ -153,6 +187,8 @@ def main(name: str) -> None:
         idle = 1.0 - sum(report.worker_busy.values()) / (report.total_time * report.n_workers)
         print(f"  workers idle {idle:.1%} of {report.total_time:.2f} s x {report.n_workers}; "
               f"peak in-flight window {report.peak_window}")
+    print(f"  build_plan {plan_again(plans, build_plan):.1f} us and ResultTable.scatter "
+          f"{scatter_again(scatters, scatter):.1f} us a position (timed again unprofiled)")
 
 
 if __name__ == "__main__":

@@ -421,16 +421,20 @@ class Campaign:
         ``elapsed`` their results carry (evenly where none carries any), so
         the breakdown sums to what the per-position route would report.
         """
-        categories = self.plan.member_categories
-        elapsed = np.nan_to_num(self.table.columns.elapsed)
-        times: dict[str, float] = {}
+        categories, table = self.plan.member_categories, self.table
+        number: dict[str, int] = {}  # a category's number, in first-appearance order
+        category_of = np.zeros(len(table), dtype=np.intp)
+        category_of[table.rows_of(list(categories))] = [
+            number.setdefault(category, len(number)) for category in categories.values()
+        ]
+        elapsed = np.nan_to_num(table.columns.elapsed)
+        times, answered = np.zeros(len(number)), np.zeros(len(number), dtype=np.bool_)
         for done in outcome.completed:
-            members = self.plan.batch_members[done.job_id]
-            weights = elapsed[self.table.rows_of(members)]
+            rows = table.rows_of(self.plan.batch_members[done.job_id])
+            weights = elapsed[rows]
             if not weights.sum() > 0.0:
                 weights = np.ones_like(weights)
             shares = weights * (done.compute_time / weights.sum())
-            for member, share in zip(members, shares.tolist()):
-                category = categories[member]
-                times[category] = times.get(category, 0.0) + share
-        return times
+            times += np.bincount(category_of[rows], shares, minlength=len(number))
+            answered[category_of[rows]] = True
+        return {category: float(times[at]) for category, at in number.items() if answered[at]}

@@ -10,6 +10,8 @@ is plain data that a :class:`~repro.api.campaign.Campaign` executes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.cluster.backends import Job
@@ -127,58 +129,84 @@ def build_plan(
             source, kernel, cost_model, run_cache if executing else None, n_workers
         )
     if isinstance(source, Portfolio):
+        # a book's positions become jobs only where they travel one by one
+        jobs: list[Job] | None = None
+        positions = list(source)
+        problems = [position.problem for position in positions]
+        plan = CampaignPlan(
+            jobs=[],
+            original_ids=list(range(len(positions))),
+            problem_by_id=dict(enumerate(problems)),
+            run_cache=run_cache,
+            portfolio=source,
+        )
+    else:
+        jobs = list(source)
+        plan = CampaignPlan(
+            jobs=jobs,
+            original_ids=[job.job_id for job in jobs],
+            problem_by_id={job.job_id: job.problem for job in jobs if job.problem is not None},
+            run_cache=run_cache,
+        )
+    if not plan.original_ids:
+        raise SchedulingError("cannot schedule an empty job list")
+
+    # cache pass: positions already priced, and repeats, never reach the backend
+    answered: set[int] = set()
+    if run_cache is not None and executing:
+        answered = _cache_pass(
+            plan,
+            {job_id: problem_digest(problem) for job_id, problem in plan.problem_by_id.items()},
+        )
+
+    if jobs is None:
+        members = plan.original_ids
+        if answered:
+            members = [index for index in members if index not in answered]
+            problems = [problems[index] for index in members]
+    else:
+        if answered:
+            jobs = [job for job in jobs if job.job_id not in answered]
+        problems = [job.problem for job in jobs]
+    if _travels_in_slices(problems, jobs, batch, queues_jobs, store, strategy, new_policy):
+        if jobs is None:
+            costs = [cost_model.estimate(problem) for problem in problems]
+            categories = [positions[index].category for index in members]
+        else:
+            members = [job.job_id for job in jobs]
+            costs = [job.compute_cost for job in jobs]
+            categories = [job.category for job in jobs]
+        _slice_book(plan, members, problems, costs, categories, kernel, n_workers)
+        return plan
+
+    if jobs is None:
         jobs = source.build_jobs(
             cost_model=cost_model,
             store=store,
             attach_problems=store is None and (executing or batch),
         )
-        portfolio: Portfolio | None = source
-        problem_by_id = {
-            job.job_id: position.problem for job, position in zip(jobs, source)
-        }
-    else:
-        jobs = list(source)
-        portfolio = None
-        problem_by_id = {
-            job.job_id: job.problem for job in jobs if job.problem is not None
-        }
-    if not jobs:
-        raise SchedulingError("cannot schedule an empty job list")
-    plan = CampaignPlan(
-        jobs=jobs,
-        original_ids=[job.job_id for job in jobs],
-        problem_by_id=problem_by_id,
-        run_cache=run_cache,
-        portfolio=portfolio,
-    )
-
-    # cache pass: positions already priced, and repeats, never reach the backend
-    if run_cache is not None and executing:
-        answered = _cache_pass(
-            plan,
-            {job_id: problem_digest(problem) for job_id, problem in problem_by_id.items()},
-        )
         if answered:
-            plan.jobs = [job for job in jobs if job.job_id not in answered]
-
-    if _travels_in_slices(plan, batch, queues_jobs, store, strategy, new_policy):
-        _slice_book(plan, kernel, n_workers)
-    elif batch:
+            jobs = [job for job in jobs if job.job_id not in answered]
+    plan.jobs = jobs
+    if batch:
         plan.jobs, plan.batch_members = _coalesce_jobs(
-            plan.jobs, problem_by_id, kernel, min_group_size, cost_model, executing
+            plan.jobs, plan.problem_by_id, kernel, min_group_size, cost_model, executing
         )
     return plan
 
 
 def _travels_in_slices(
-    plan: CampaignPlan,
+    problems: Sequence[Any],
+    jobs: Sequence[Job] | None,
     batch: bool,
     queues_jobs: bool,
     store: Any,
     strategy: str,
     new_policy: Callable[[], DispatchPolicy],
 ) -> bool:
-    """Whether a plain campaign's positions are sent as book slices.
+    """Whether a plain campaign's positions are sent as book slices:
+    ``problems`` are those of the positions the cache pass left, ``jobs``
+    their prepared jobs (``None`` for a book, which names no problem file).
 
     "It is always advisable to send a single large message rather [than]
     several smaller messages" (the paper's conclusion) -- where there is a
@@ -207,12 +235,9 @@ def _travels_in_slices(
         and strategy != "nfs"
         and type(new_policy()) in (RobinHoodPolicy, ChunkedPolicy)
         and not batch
-        and all(
-            isinstance(job.problem, PricingProblem)
-            and job.problem.is_complete
-            and (plan.portfolio is not None or not is_real_file(job))
-            for job in plan.jobs
-        )
+        and all(map(isinstance, problems, repeat(PricingProblem)))
+        and all(map(attrgetter("is_complete"), problems))
+        and (jobs is None or not any(map(is_real_file, jobs)))
     )
 
 
@@ -274,29 +299,35 @@ def _cut_slices(
         start = stop
 
 
-def _slice_book(plan: CampaignPlan, kernel: str | None, n_workers: int) -> None:
-    """Replace the plan's per-position jobs by book slices of them.
+def _slice_book(
+    plan: CampaignPlan,
+    members: list[int],
+    problems: list[PricingProblem],
+    costs: list[float],
+    categories: list[str],
+    kernel: str | None,
+    n_workers: int,
+) -> None:
+    """Plan the positions ``members`` (with their ``problems``, estimated
+    ``costs`` and ``categories``) as book slices.
 
     A book slice is a :class:`~repro.pricing.scenarios.ScenarioGrid` of some
     positions under the base scenario alone, its ``rows`` the positions' ids:
     every distinct model and method header travels once per slice, the worker
     prices the slice as one stacked campaign (Monte-Carlo families that meet
     in it share their draws, bit-identically) and answers one record of
-    columns.  The positions are those the cache pass left, cut by their jobs'
+    columns.  The positions are those the cache pass left, cut by their
     estimated costs.
     """
-    jobs, base = plan.jobs, (Scenario(name="base"),)
+    base = (Scenario(name="base"),)
 
     def cut(start: int, stop: int) -> tuple[tuple[int, ...], ScenarioGrid]:
-        part = jobs[start:stop]
-        members = tuple(job.job_id for job in part)
-        return members, ScenarioGrid(
-            [job.problem for job in part], base, kernel=kernel, rows=members
-        )
+        part = tuple(members[start:stop])
+        return part, ScenarioGrid(problems[start:stop], base, kernel=kernel, rows=part)
 
     plan.jobs, plan.members_stand_alone = [], True
-    plan.member_categories = {job.job_id: job.category for job in jobs}
-    _cut_slices(plan, [job.compute_cost for job in jobs], n_workers, "book", cut)
+    plan.member_categories = dict(zip(members, categories))
+    _cut_slices(plan, costs, n_workers, "book", cut)
 
 
 def _plan_grid(

@@ -43,11 +43,11 @@ def estimate_work_units(problem: PricingProblem) -> tuple[float, str]:
     * closed form / Fourier: a constant.
     """
     method_name = problem.method_name or ""
-    params = problem.method.to_params()
-    dimension = max(problem.model.dimension, 1)
-
+    model = problem.model  # a problem without a model has no estimate
     if method_name.startswith("CF_"):
         return 1.0, "closed_form"
+    params = problem.method.to_params()
+    dimension = max(model.dimension, 1)
     if method_name.startswith("FFT"):
         return float(params.get("n_terms", 256)), "fourier"
     if method_name.startswith("TR_"):

@@ -9,7 +9,7 @@ object every execution path folds its :class:`ScheduleOutcome` into, and the
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import index, itemgetter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
@@ -72,7 +72,11 @@ class ResultTable(Mapping):
         self.cache_hit = np.zeros(len(ids), dtype=np.bool_)
         #: row number -> the position's error message
         self._errors: dict[int, str] = {}
-        self._row_by_id = {job_id: row for row, job_id in enumerate(ids.tolist())}
+        #: job id -> row; ``None`` where each id is its row (a portfolio's
+        #: ``0..n-1``), which an id array maps to rows as it is
+        self._row_by_id: dict[int, int] | None = None
+        if not np.array_equal(ids, np.arange(len(ids))):
+            self._row_by_id = {job_id: row for row, job_id in enumerate(ids.tolist())}
         #: (row, result dictionary) of the single answers not folded yet
         self._kept: list[tuple[int, dict[str, Any]]] = []
 
@@ -103,14 +107,31 @@ class ResultTable(Mapping):
 
     # -- where a position lives --------------------------------------------------
     def row_of(self, job_id: int) -> int:
-        return self._row_by_id[job_id]
-
-    def rows_of(self, job_ids: Sequence[int]) -> np.ndarray:
-        """Row numbers of ``job_ids``; an id the campaign never submitted is a
-        :class:`~repro.errors.ClusterError`."""
-        row_by_id = self._row_by_id
+        if self._row_by_id is not None:
+            return self._row_by_id[job_id]
         try:
-            return np.array([row_by_id[job_id] for job_id in job_ids], dtype=np.intp)
+            row = index(job_id)
+        except TypeError:
+            raise KeyError(job_id) from None
+        if not 0 <= row < len(self.ids):
+            raise KeyError(job_id)
+        return row
+
+    def rows_of(self, job_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Row numbers of ``job_ids``; an id the campaign never submitted is a
+        :class:`~repro.errors.ClusterError`.  Where each id is its row, an
+        array of ids in range is its own rows."""
+        if self._row_by_id is None:
+            rows = np.asarray(job_ids)
+            if rows.dtype.kind in "iu" and rows.ndim == 1:
+                rows = rows.astype(np.intp, copy=False)
+                if not len(rows) or (rows.min() >= 0 and rows.max() < len(self.ids)):
+                    return rows
+        if isinstance(job_ids, np.ndarray):
+            job_ids = job_ids.tolist()
+        row_of = self.row_of
+        try:
+            return np.array([row_of(job_id) for job_id in job_ids], dtype=np.intp)
         except KeyError as exc:
             raise ClusterError(
                 f"reply answers id {exc.args[0]}, which this campaign never submitted"
@@ -128,7 +149,7 @@ class ResultTable(Mapping):
         timing-only backend).  An answer without a finite price is an error:
         the columns keep NaN for *absent*.  ``False``, and nothing written,
         if the row was settled before."""
-        row = self._row_by_id[job_id]
+        row = self.row_of(job_id)
         if self.status[row] != self.PENDING:
             return False
         if error is None and entry is not None:
@@ -156,7 +177,7 @@ class ResultTable(Mapping):
         member it leaves out fails as ``"missing from batch reply"``.
         """
         expected = self.rows_of(members)
-        rows = self.rows_of(reply.ids.tolist() + list(reply.errors))
+        rows = self.rows_of([*reply.ids.tolist(), *reply.errors] if reply.errors else reply.ids)
         unanswered = np.zeros(len(self.ids), dtype=np.bool_)
         unanswered[expected] = True
         if not unanswered[rows].all():

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import copy
 import struct
+from operator import itemgetter
 from typing import Any, Sequence
 
 import numpy as np
@@ -52,6 +53,8 @@ LEGS = ("model", "method", "option")
 _ASSET_NUMBER = {name: number for number, name in enumerate(ASSET_CLASSES)}
 _FLOATS = frozenset({float, np.float64})
 _pack_f64 = struct.Struct(">d").pack
+#: ``struct.Struct(">{width}d").pack`` by width, made as a width is first met
+_PACK_FLOATS: dict[int, Any] = {}
 
 
 def _column(values: list[Any]) -> Any:
@@ -67,17 +70,27 @@ def _column(values: list[Any]) -> Any:
     return values
 
 
+def _pack_floats(width: int) -> Any:
+    """The packer of ``width`` big-endian doubles, made once per width."""
+    pack = _PACK_FLOATS.get(width)
+    if pack is None:
+        pack = _PACK_FLOATS[width] = struct.Struct(f">{width}d").pack
+    return pack
+
+
 def _header_key(name: Any, params: dict[str, Any], encoded: dict[int, bytes]) -> Any:
-    """Equal for two headers only if their written bytes would be equal: all
-    floats as their packed bytes, else each value's encoding.  ``encoded``
-    holds the encoding of each value object but a float for the write (every
-    value is held by its problem until the write ends, so an id is not
-    reused): a correlation matrix shared by a whole book is encoded once."""
-    values = tuple(params.values())
-    if set(map(type, values)) <= _FLOATS:
-        return (name, tuple(params), struct.pack(f">{len(values)}d", *values))
+    """Equal for two headers only if their written bytes would be equal: no
+    parameters as the name alone, all floats as their packed bytes, else each
+    value's encoding.  ``encoded`` holds the encoding of each value object but
+    a float for the write (every value is held by its problem until the write
+    ends, so an id is not reused): a correlation matrix shared by a whole book
+    is encoded once."""
+    if not params:
+        return (name, ())
+    if _FLOATS.issuperset(map(type, params.values())):
+        return (name, tuple(params), _pack_floats(len(params))(*params.values()))
     key = []
-    for value in values:
+    for value in params.values():
         if type(value) in _FLOATS:
             key.append(b"D" + _pack_f64(value))  # the codec's float
             continue
@@ -91,60 +104,62 @@ def _header_key(name: Any, params: dict[str, Any], encoded: dict[int, bytes]) ->
 
 
 def _write_leg(
-    entries: list[tuple[Any, dict[str, Any]]], encoded: dict[int, bytes] | None
+    entries: Sequence[tuple[Any, dict[str, Any]]], encoded: dict[int, bytes] | None
 ) -> dict[str, Any]:
     """One leg of a book from each position's ``(name, params)``.
 
     With the write's value encodings (model, method) each distinct header is
     written once; the option leg (``None``) writes a row per position.
     """
-    #: (name, parameter names) -> [table number, columns, rows]
-    tables: dict[tuple[Any, tuple[str, ...]], list[Any]] = {}
-    header_rows: dict[Any, tuple[int, int]] = {}
-    at_table, at_row = [], []
+    #: (name, *parameter names) -> (table number, its rows' parameters)
+    tables: dict[tuple[Any, ...], tuple[int, list[dict[str, Any]]]] = {}
+    #: the table of each row, rows numbered as they are met
+    row_table: list[int] = []
+    #: header key -> its row, and the same for a header's value objects:
+    #: the same objects are the same bytes, so their key is made once
+    header_rows: dict[Any, int] = {}
+    held_rows: dict[tuple[Any, ...], int] = {}
+    at_row: list[int] = []  # each position's row (header legs only)
     for name, params in entries:
         if encoded is not None:
-            key = _header_key(name, params, encoded)
-            at = header_rows.get(key)
-            if at is not None:
-                at_table.append(at[0])
-                at_row.append(at[1])
+            held = (name, *params, *map(id, params.values()))
+            row = held_rows.get(held)
+            if row is None:
+                key = _header_key(name, params, encoded)
+                row = held_rows[held] = header_rows.setdefault(key, len(row_table))
+            at_row.append(row)
+            if row < len(row_table):  # a header met before
                 continue
-        names = tuple(params)
-        table = tables.get((name, names))
+        table = tables.get((name, *params))
         if table is None:
-            table = tables[(name, names)] = [len(tables), [[] for _ in names], 0]
-        number, columns, row = table
-        for column, value in zip(columns, params.values()):
-            column.append(value)
-        if encoded is not None:
-            header_rows[key] = (number, row)
-        at_table.append(number)
-        at_row.append(row)
-        table[2] = row + 1
-    index = np.array(at_row, dtype=np.int64)
-    if len(tables) > 1:  # a row of a later table follows the rows before it
-        index += np.cumsum([0] + [table[2] for table in tables.values()])[at_table]
+            table = tables[(name, *params)] = (len(tables), [])
+        row_table.append(table[0])
+        table[1].append(params)
+    # a leg's rows are its tables' rows in table order, each table's rows in
+    # the order they were met: the rank of a row in a stable sort by table
+    index = np.arange(len(row_table), dtype=np.int64)
+    if len(tables) > 1:
+        index[np.argsort(row_table, kind="stable")] = index.copy()
     return {
         "tables": [
-            {"name": name, "rows": rows,
-             "params": {key: _column(values) for key, values in zip(names, columns)}}
-            for (name, names), (_, columns, rows) in tables.items()
+            {"name": name, "rows": len(rows),
+             "params": {key: _column(list(map(itemgetter(key), rows))) for key in names}}
+            for (name, *names), (_, rows) in tables.items()
         ],
-        "index": index,
+        "index": index if encoded is None else index[at_row],
     }
 
 
 def write_book(problems: Sequence[PricingProblem]) -> dict[str, Any]:
     """``problems`` as the book the codec writes (see the module docstring)."""
-    legs = [problem.wire_legs() for problem in problems]
+    legs = zip(*(problem.wire_legs() for problem in problems))
     encoded: dict[int, bytes] = {}
     return {
         "labels": [problem.label for problem in problems],
         "assets": np.array([_ASSET_NUMBER[problem.asset] for problem in problems],
                            dtype=np.int64),
-        **{leg: _write_leg([entry[number] for entry in legs], None if leg == "option" else encoded)
-           for number, leg in enumerate(LEGS)},
+        **{leg: _write_leg(entries, None if leg == "option" else encoded)
+           for leg, entries in zip(LEGS, legs)},
     }
 
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
@@ -336,7 +337,7 @@ def _check_grid(
     names = [scenario.name for scenario in scenarios]
     if len(set(names)) != len(names):
         raise PricingError("scenario names must be unique within one grid")
-    if not all(problem.is_complete for problem in problems):
+    if not all(map(attrgetter("is_complete"), problems)):
         raise PricingError("scenario expansion needs fully-specified problems")
 
 
@@ -389,7 +390,8 @@ def _checked_rows(rows: Any, n_problems: int) -> np.ndarray:
         column = np.empty(0)
     if column.dtype.kind in "iu" and column.shape == (n_problems,):
         column = column.astype(np.int64)
-        if column.min() >= 0 and len(np.unique(column)) == n_problems:
+        ordered = np.sort(column)
+        if ordered[0] >= 0 and (ordered[1:] != ordered[:-1]).all():
             return column
     raise PricingError("'rows' must name one distinct non-negative row per base problem")
 

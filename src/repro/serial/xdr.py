@@ -130,24 +130,25 @@ def _encode_dict(value: dict, chunks: list[bytes]) -> None:
         _ENCODERS.get(type(item), _encode_other)(item, chunks)
 
 
+#: an array's tag and dtype code, and the dtype it is written in, by dtype kind
+_ARRAY_KINDS: dict[str, tuple[bytes, np.dtype]] = {
+    "f": (_TAG_ARRAY + b"f8", _ARRAY_DTYPES["f8"]),
+    "i": (_TAG_ARRAY + b"i8", _ARRAY_DTYPES["i8"]),
+    "u": (_TAG_ARRAY + b"i8", _ARRAY_DTYPES["i8"]),
+    "b": (_TAG_ARRAY + b"b1", _ARRAY_DTYPES["b1"]),
+}
+
+
 def _encode_array(value: np.ndarray, chunks: list[bytes]) -> None:
-    if value.dtype.kind == "f":
-        code, dtype = "f8", _ARRAY_DTYPES["f8"]
-    elif value.dtype.kind in "iu":
-        code, dtype = "i8", _ARRAY_DTYPES["i8"]
-    elif value.dtype.kind == "b":
-        code, dtype = "b1", _ARRAY_DTYPES["b1"]
-    else:
+    kind = _ARRAY_KINDS.get(value.dtype.kind)
+    if kind is None:
         raise SerializationError(f"unsupported array dtype: {value.dtype}")
+    head, dtype = kind
     data = np.ascontiguousarray(value, dtype=dtype).tobytes()
-    header = (
-        _TAG_ARRAY
-        + code.encode("ascii")
-        + _pack_u32(value.ndim)
-        + b"".join(_pack_u32(int(dim)) for dim in value.shape)
-        + _pack_u32(len(data))
-    )
-    chunks.append(header + data + _PADDING[len(data) & 3])
+    # the rank, each dimension and the byte count, as big-endian u32s
+    shape = value.shape
+    sizes = struct.pack(f">{len(shape) + 2}I", len(shape), *shape, len(data))
+    chunks.append(head + sizes + data + _PADDING[len(data) & 3])
 
 
 #: encoder by *exact* type; everything else (numpy scalars, subclasses such

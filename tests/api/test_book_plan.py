@@ -28,7 +28,7 @@ from repro.api.plan import build_plan
 from repro.cluster.backends import _BACKEND_REGISTRY, Job
 from repro.cluster.backends.multiproc import MultiprocessingBackend
 from repro.cluster.backends.remote import RemoteBackend
-from repro.cluster.costmodel import paper_cost_model
+from repro.cluster.costmodel import CostModel, paper_cost_model
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
 from repro.core.runner import ResultTable
 from repro.cluster.worker import spawn_local_workers
@@ -39,7 +39,8 @@ from repro.core.scheduler import (
     RobinHoodPolicy,
     cut_chunks,
 )
-from repro.pricing import PricingProblem
+from repro.errors import ProblemStateError
+from repro.pricing import PricingProblem, flat_correlation
 from repro.pricing.batch import ProblemBatch
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.methods.base import PricingResult
@@ -280,6 +281,72 @@ def test_the_sizing_of_a_toy_book():
     assert widths[0] in (74, 75) and widths[2:5] == [42, 31, 24] and widths[-3:] == [1, 1, 1]
     assert sum(widths) == 300 and 20 <= len(widths) <= 24
     assert {job.category for job in plan.jobs} == {"book"}
+
+
+#: the slice widths of the 3,000-position toy book on 2 workers
+TOY_WIDTHS = [750, 562, 422, 316, 237, 178, 133, 100, 75, 56, 42, 32, 24, 18, 13,
+              10, 8, 6, 4, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1]
+
+
+def _costed(option: str, method: str, dimension: int = 1, **params) -> PricingProblem:
+    problem = PricingProblem()
+    if dimension == 1:
+        problem.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.2)
+        problem.set_option(option, strike=100.0, maturity=1.0)
+    else:
+        problem.set_model("BlackScholesND", spot=[100.0] * dimension, rate=0.05,
+                          volatilities=[0.2] * dimension,
+                          correlation=flat_correlation(dimension, 0.3).tolist(), dividends=0.0)
+        problem.set_option(option, strike=100.0, maturity=1.0,
+                           weights=[1.0 / dimension] * dimension)
+    problem.set_method(method, **params)
+    return problem
+
+
+#: one problem of each cost family and its estimate under
+#: ``(paper_cost_model(), CostModel())``
+FAMILY_COSTS = [
+    (_costed("CallEuro", "CF_Call"), (0.00030000000000000003, 0.0004)),
+    (_costed("CallEuro", "FFT_COS", n_terms=128), (0.000612, 0.000456)),
+    (_costed("PutAmer", "TR_CoxRossRubinstein", n_steps=200), (0.0017000000000000001, 0.001)),
+    (_costed("CallEuro", "FD_European", n_space=200, n_time=100), (0.050100000000000006, 0.0032)),
+    (_costed("PutAmer", "FD_American", n_space=300, n_time=100), (0.1051, 0.0062)),
+    (_costed("BasketPutEuro", "MC_European", dimension=3, n_paths=1000, n_steps=10),
+     (0.00058, 0.0005600000000000001)),
+    (_costed("BasketPutAmer", "MC_AM_LongstaffSchwartz", dimension=2, n_paths=2000, n_steps=10),
+     (0.0017000000000000001, 0.0012000000000000001)),
+]
+
+
+def test_the_plan_of_the_benchmark_toy_book():
+    """Three toy chunks of 1,000 positions, each with its own spot and
+    volatility (as the end-to-end benchmark builds its book), on 2 workers:
+    the slice widths, the members each slice answers and its cost are
+    pinned, and so is the cost model that sizes them."""
+    book = Portfolio(name="toy")
+    for chunk, (spot, volatility) in enumerate([(101.0, 0.2), (97.5, 0.25), (103.2, 0.19)]):
+        book.extend(build_toy_portfolio(1000, spot=spot, volatility=volatility,
+                                        name=f"toy{chunk}").positions)
+    plan = _plan(book)
+    assert [len(plan.batch_members[job.job_id]) for job in plan.jobs] == TOY_WIDTHS
+    start = 0
+    for job, width in zip(plan.jobs, TOY_WIDTHS):
+        members = tuple(range(start, start + width))
+        assert job.job_id == start and plan.batch_members[start] == members
+        assert job.problem.rows.tolist() == list(members)
+        assert job.problem.problems == [book[index].problem for index in members]
+        assert job.compute_cost == sum([FAMILY_COSTS[0][1][0]] * width)
+        start += width
+    assert plan.member_categories == dict.fromkeys(range(3000), "vanilla_cf")
+
+    for problem, expected in FAMILY_COSTS:
+        assert (paper_cost_model().estimate(problem), CostModel().estimate(problem)) == expected
+    no_method, no_model = PricingProblem(), PricingProblem()
+    no_method.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.2)
+    no_model.set_method("CF_Call")
+    for incomplete in (no_method, no_model):
+        with pytest.raises(ProblemStateError):
+            paper_cost_model().estimate(incomplete)
 
 
 def test_a_toy_campaign_on_worker_processes_is_a_few_messages(monkeypatch):

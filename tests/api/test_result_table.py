@@ -59,8 +59,10 @@ class TestScatterIsCheckedAgainstTheJobsMembers:
             ([0, 1], {1: "boom"}, "one id twice"),  # answered and failed
         ],
     )
-    def test_a_reply_that_strays_is_rejected_whole(self, ids, errors, message):
-        table = ResultTable([0, 1, 2, 3])
+    # each id its row (a portfolio's), or ids mapped to rows through a table
+    @pytest.mark.parametrize("submitted", [[0, 1, 2, 3], [3, 2, 1, 0]])
+    def test_a_reply_that_strays_is_rejected_whole(self, ids, errors, message, submitted):
+        table = ResultTable(submitted)
         with pytest.raises(ClusterError, match=message):
             table.scatter(_reply(ids, errors), members=(0, 1, 2))
         assert not table.status.any()  # nothing was written

@@ -10,6 +10,9 @@ from repro.core import build_realistic_portfolio
 from repro.core.portfolio import Portfolio, Position, build_toy_portfolio
 from repro.errors import ValuationError
 from repro.pricing import PricingProblem, problem_digest
+# at import, before the module-scoped loopback pool forks its workers: the
+# import registers the book's test model, which the workers must know
+from tests.oracles.books import mixed_book
 
 
 def _mc_family(n: int = 6, n_paths: int = 1_500) -> Portfolio:
@@ -278,8 +281,6 @@ class TestRiskCampaignCache:
 
     @pytest.mark.parametrize("backend", ["local", "multiprocessing"])
     def test_second_campaign_dispatches_nothing(self, backend, dispatched):
-        from tests.oracles.books import mixed_book
-
         session = ValuationSession(backend=backend, n_workers=2, cache=True)
         first = session.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75)
         second = session.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75)
@@ -291,7 +292,6 @@ class TestRiskCampaignCache:
 
     def test_half_warm_cache_dispatches_only_the_missing_cells(self, dispatched):
         from repro.core.risk import historical_var
-        from tests.oracles.books import mixed_book
 
         session = ValuationSession(backend="local", cache=True)
         session.risk(mixed_book(), spot_returns=self.RETURNS[:3], confidence=0.75)
@@ -302,7 +302,6 @@ class TestRiskCampaignCache:
 
     def test_a_cell_priced_by_risk_is_a_hit_for_run_and_vice_versa(self, dispatched):
         from repro.pricing.scenarios import expand_scenarios, historical_scenarios
-        from tests.oracles.books import mixed_book
 
         session = ValuationSession(backend="local", cache=True)
         summary = session.risk(mixed_book(), spot_returns=self.RETURNS, confidence=0.75)
@@ -323,8 +322,6 @@ class TestRiskCampaignCache:
 
 def _base_book() -> Portfolio:
     """Closed forms and a Monte-Carlo family: twenty distinct digests."""
-    from tests.oracles.books import mixed_book
-
     return Portfolio(name="base", positions=[
         *build_toy_portfolio(16).positions, *mixed_book().positions])
 

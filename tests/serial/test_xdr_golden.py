@@ -38,6 +38,17 @@ def _mc_call(strike: float) -> PricingProblem:
     return problem
 
 
+def _cf_vanilla(strike: float, call: bool, dividend: float, spot: float = 100.0) -> PricingProblem:
+    """A position of the toy book: a closed-form call or put, whose method
+    header has no parameters."""
+    problem = PricingProblem(label=f"{'call' if call else 'put'}_K{strike:.0f}")
+    problem.set_asset("equity")
+    problem.set_model("BlackScholes1D", spot=spot, rate=0.045, volatility=0.22, dividend=dividend)
+    problem.set_option("CallEuro" if call else "PutEuro", strike=strike, maturity=0.75)
+    problem.set_method("CF_Call" if call else "CF_Put")
+    return problem
+
+
 def _reply() -> ResultColumns:
     """One reply with every kind of row: a full closed-form row, a Monte-Carlo
     row without ``delta`` (NaN), a row of signed zero and a subnormal, and a
@@ -104,6 +115,15 @@ def golden_values() -> dict[str, object]:
             [_mc_call(90.0), _mc_call(110.0), _mc_call(100.0)], [Scenario(name="base")],
             kernel="loop", answered=[12], rows=[1004, 12, 7],
         ),
+        # closed-form positions under three model headers, two of them apart
+        # only by the sign of a zero dividend (the last position's zero is
+        # another float object of the same bytes), and two parameter-less methods
+        "toy_book_slice": ScenarioGrid(
+            [_cf_vanilla(90.0, True, 0.0), _cf_vanilla(95.0, False, -0.0),
+             _cf_vanilla(100.0, True, -0.0), _cf_vanilla(105.0, False, 0.0),
+             _cf_vanilla(110.0, True, 0.0, spot=104.0), _cf_vanilla(80.0, False, float("0"))],
+            [Scenario(name="base")], rows=[0, 1, 2, 3, 4, 5],
+        ),
         "result_columns": {"job_id": 7, "result": _reply(), "elapsed": 0.25, "error": None},
     }
 
@@ -148,6 +168,9 @@ GOLDEN = {
     # a book slice: the same payload with its ``rows`` column (wire protocol
     # v9), re-pinned at v12 for its columnar book
     "book_slice": "b6c4643b83e1bdc15d127c3eebbdcdadbbd889891d807ec04a97930d6fdcf0c9",
+    # a closed-form book slice, pinned at wire protocol v12 before the book
+    # writer keyed parameter-less and all-float headers by faster paths
+    "toy_book_slice": "8013135e73f7eb07cc4be584a9fbaccb67547cf448ad52554e301731aa34be85",
     # the reply of a payload with members, in its result frame (wire protocol
     # v8), re-pinned at v12 when the always-false cache_hit column left it
     "result_columns": "107c3a4a395f4ddb0274a0a7f80d71d44f02c6a9d5ad9358baeef833ecbb3a59",
