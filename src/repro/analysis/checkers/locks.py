@@ -1,7 +1,7 @@
 """Lock discipline in the threaded layers (``serve``, ``cluster``).
 
 The serving daemon and the worker run real threads around shared state:
-``PricingService`` has an executor and a keepalive monitor, ``JobTable``
+``PricingService`` has an executor thread beside the HTTP handlers, ``JobTable``
 records are touched by HTTP handlers, the executor and SSE streamers, and
 each worker connection prices jobs on a compute lane next to its receive
 loop.  Two mistakes are easy to make and expensive to debug:

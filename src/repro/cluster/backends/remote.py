@@ -25,7 +25,10 @@ A backend is one campaign's pool; these keep it alive for that campaign:
   non-blocking connect and handshake that the selector advances with the
   survivors' results, given up after :data:`_CONNECT_TIMEOUT_S`; the five
   dials are a host's until it answers a job, so one that greets and then
-  drops every connection is dialed five times, not forever;
+  drops every connection is dialed five times, not forever.  The pool's
+  first dials are dials like these, all at once: a host that is down when
+  the pool is built (refused, unreachable, or silent until the timeout) is
+  treated as one that died at once;
 * **liveness** -- a busy connection silent for :data:`_LIVENESS_TIMEOUT_S`
   is PINGed, and a wedged-but-connected worker (one that answers neither a
   :data:`~repro.serial.frames.FRAME_PING` nor a result inside another window)
@@ -35,7 +38,10 @@ A backend is one campaign's pool; these keep it alive for that campaign:
   so the master only dispatches jobs to workers that proved knowledge of
   the shared secret (and vice versa).
 
-Once no host is live the pool is lost: a
+A peer that answers wrongly -- an address that does not resolve, a peer that
+is not a current ``repro-worker``, a failed shared-secret handshake -- fails
+the pool's construction loudly, before any job frame, as does a pool none of
+whose hosts greets.  Once no host is live the pool is lost: a
 :class:`~repro.errors.WorkerLostError` surfaces at once, carrying the ids of
 the jobs that were in flight.  A session's campaign then builds a new pool on
 the same schedule and sends them again; any other caller can resubmit them
@@ -90,8 +96,8 @@ __all__ = ["RemoteBackend", "normalize_hosts"]
 
 _RECV_BYTES = 1 << 16
 
-#: seconds allowed for each TCP connect + handshake, re-dials included (a
-#: re-dial waits in the selector, so only the pool's first dials block)
+#: seconds allowed for each TCP connect + handshake, the pool's first dials
+#: included (they run at once, so building a pool waits one timeout at most)
 _CONNECT_TIMEOUT_S = 10.0
 #: seconds one frame send may block before its worker is declared lost: a
 #: partitioned worker whose TCP buffer filled up cannot hang ``sendall``
@@ -144,14 +150,19 @@ def normalize_hosts(hosts: Any) -> tuple[str, ...]:
     return tuple(normalized)
 
 
+class _HostDown(ClusterError):
+    """A dial that found no worker to talk to: refused, unreachable, closed
+    before its hello, or silent until the timeout.  The host is down, not
+    wrong, and is re-dialed like one that died."""
+
+
 @dataclass
 class _Connection:
-    """Master-side state of one worker link."""
+    """Master-side state of one live worker link."""
 
     address: str
     sock: socket.socket
     assembler: FrameAssembler  # the handshake's, with whatever followed the hello
-    alive: bool = True
     stop_sent: bool = False
     #: monotonic time of the last byte received (liveness bookkeeping)
     last_recv: float = 0.0
@@ -180,14 +191,15 @@ class _Dial:
 
 @dataclass
 class _Redial:
-    """Re-dial bookkeeping of one host: kept from its burial until it
-    answers a job, so dials that reach a host which then drops again count
-    against the same budget."""
+    """Dial bookkeeping of one host: kept from its first dial or its burial
+    until it answers a job, so dials that reach a host which then drops
+    again count against the same budget."""
 
     index: int  # its connection slot
-    dials: int = 0  # dials so far, those that got through included
+    dials: int = 0  # re-dials started so far (the pool's first dial is none)
     next_try: float = 0.0  # monotonic time of the next allowed dial
     dial: _Dial | None = None  # the dial in progress
+    failure: ClusterError | None = None  # why its last dial failed
 
 
 @dataclass
@@ -228,11 +240,12 @@ class RemoteBackend(WorkerBackend):
         *,
         secret: str | None = None,
     ):
-        addresses = normalize_hosts(hosts)
-        self._n_workers = len(addresses)
+        self._hosts = normalize_hosts(hosts)
+        self._n_workers = len(self._hosts)
         self._secret = secret
         self._selector = selectors.DefaultSelector()
-        self._conns: list[_Connection] = []
+        #: connection slot -> its live link; a slot whose host is down has none
+        self._conns: dict[int, _Connection] = {}
         #: logical worker id -> index into ``_conns`` (remapped on death)
         self._route: list[int] = list(range(self._n_workers))
         #: logical worker id -> its *original* connection slot, so a host
@@ -252,39 +265,47 @@ class RemoteBackend(WorkerBackend):
         self._reconnects = 0
         self._redispatches = 0
         self._liveness_buried = 0
+        #: compute seconds by the connection slot whose host answered
         self._busy: dict[int, float] = {i: 0.0 for i in range(self._n_workers)}
+        #: the hosts whose slots had no live link when the pool was finalized
+        self._dead_hosts: list[str] = []
         self._start = time.perf_counter()
         self._finalized = False
         try:
-            for index, address in enumerate(addresses):
-                conn = self._connect(address)
-                self._conns.append(conn)
-                self._selector.register(conn.sock, selectors.EVENT_READ, index)
-        except Exception:
-            for conn in self._conns:
+            self._dial_all()
+        except BaseException:
+            self._drop_redials()
+            for conn in self._conns.values():
                 conn.sock.close()
             self._selector.close()
             raise
 
-    def _connect(self, address: str) -> _Connection:
-        """Dial ``address`` and wait for its handshake: the pool's first dials."""
-        dial = self._dial(address)
-        try:
-            with selectors.DefaultSelector() as waiting:
-                waiting.register(dial.sock, dial.events)
-                while True:
-                    wait = dial.deadline - time.monotonic()
-                    if wait <= 0 or not waiting.select(wait):
-                        raise ClusterError(
-                            f"worker {address} did not connect and greet within "
-                            f"{_CONNECT_TIMEOUT_S:g} s")
-                    conn = self._advance(dial)
-                    if conn is not None:
-                        return conn
-                    waiting.modify(dial.sock, dial.events)
-        except BaseException:
-            dial.sock.close()
-            raise
+    def _dial_all(self) -> None:
+        """The pool's first dials: every host at once, advanced by the
+        selector until each has greeted or failed (one
+        :data:`_CONNECT_TIMEOUT_S` at most).  A host that is down is buried
+        as if it had died at once; a peer that answers wrongly raises, and so
+        does a pool none of whose hosts greeted."""
+        self._redial = {index: _Redial(index) for index in range(self._n_workers)}
+        states = list(self._redial.values())
+        for state in states:
+            self._start_dial(state)
+        while dials := [state.dial for state in states if state.dial is not None]:
+            wait = min(dial.deadline for dial in dials) - time.monotonic()
+            if wait > 0:
+                self._pump(wait)
+            else:
+                self._give_up_overdue()
+        if not self._conns:
+            raise ClusterError("no worker of the pool greeted: " + "; ".join(
+                str(state.failure or f"worker {self._hosts[state.index]} dropped its link")
+                for state in states))
+        survivors = sorted(self._conns)
+        for index in range(self._n_workers):
+            if index in self._conns:
+                self._redial.pop(index, None)
+            else:
+                self._remap_route(index, survivors)
 
     @staticmethod
     def _dial(address: str) -> _Dial:
@@ -300,14 +321,15 @@ class RemoteBackend(WorkerBackend):
         error = sock.connect_ex(where)
         if error not in (0, errno.EINPROGRESS):
             sock.close()
-            raise ClusterError(f"cannot connect to worker {address}: {os.strerror(error)}")
+            raise _HostDown(f"cannot connect to worker {address}: {os.strerror(error)}")
         return _Dial(address, sock, time.monotonic() + _CONNECT_TIMEOUT_S)
 
     def _advance(self, dial: _Dial) -> _Connection | None:
         """Take ``dial``, whose socket is ready, one step on: its connection
         once the handshake is done, else ``None``.
 
-        Raises :class:`~repro.errors.ClusterError` on a refused connect, a
+        Raises :class:`_HostDown` on a refused connect and a link closed
+        before a byte of hello, and :class:`~repro.errors.ClusterError` on a
         peer that does not greet as a repro-worker, an unreadable or
         foreign-version hello and any authentication problem -- before a
         single job frame is sent.
@@ -316,16 +338,21 @@ class RemoteBackend(WorkerBackend):
         if not dial.connected:
             error = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
             if error:
-                raise ClusterError(f"cannot connect to worker {address}: {os.strerror(error)}")
+                raise _HostDown(f"cannot connect to worker {address}: {os.strerror(error)}")
             dial.connected = True
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return None
+        # a link that ends before a byte of hello reached no worker
+        silent = not dial.greeted and not dial.assembler.pending_bytes
         try:
             data = sock.recv(_RECV_BYTES)
         except BlockingIOError:
             return None  # woken with nothing to read yet
         except OSError as exc:
-            raise ClusterError(f"handshake with worker {address} failed: {exc}") from exc
+            failure = _HostDown if silent else ClusterError
+            raise failure(f"handshake with worker {address} failed: {exc}") from exc
+        if silent and not data:
+            raise _HostDown(f"worker {address} closed the connection before greeting")
         try:
             dial.assembler.feed(data)
             frame = dial.assembler.pop()
@@ -468,7 +495,7 @@ class RemoteBackend(WorkerBackend):
                     raise CollectTimeoutError(
                         f"timed out after {timeout}s waiting for a remote worker result"
                     )
-            if not self._live_indices():
+            if not self._conns:
                 self._raise_pool_lost()  # nothing to select on
             self._pump(self._cap_wait(wait))
         return self._ready.popleft()
@@ -484,22 +511,21 @@ class RemoteBackend(WorkerBackend):
         return min(caps)
 
     def send_stop(self, worker_id: int) -> None:
-        conn = self._conns[self._route[worker_id]]
-        self._stop_conn(conn)
+        conn = self._conns.get(self._route[worker_id])
+        if conn is not None:
+            self._stop_conn(conn)
 
     def finalize(self) -> BackendStats:
         if not self._finalized:
             self._finalized = True
+            self._dead_hosts = [address for index, address in enumerate(self._hosts)
+                                if index not in self._conns]
             self._drop_redials()
-            for conn in self._conns:
+            for conn in self._conns.values():
                 self._stop_conn(conn)
-                if conn.alive:
-                    try:
-                        self._selector.unregister(conn.sock)
-                    except (KeyError, ValueError):  # pragma: no cover - defensive
-                        pass
-                    conn.sock.close()
-                    conn.alive = False
+                self._selector.unregister(conn.sock)
+                conn.sock.close()
+            self._conns.clear()
             self._selector.close()
         total = time.perf_counter() - self._start
         return BackendStats(
@@ -510,7 +536,8 @@ class RemoteBackend(WorkerBackend):
             master_busy=total,
             bytes_sent=self._bytes_sent,
             extra={
-                "hosts": [conn.address for conn in self._conns],
+                "hosts": list(self._hosts),
+                "dead_hosts": self._dead_hosts,
                 "reconnects": self._reconnects,
                 "redispatches": self._redispatches,
                 "liveness_buried": self._liveness_buried,
@@ -518,9 +545,6 @@ class RemoteBackend(WorkerBackend):
         )
 
     # -- wire plumbing -----------------------------------------------------------
-    def _live_indices(self) -> list[int]:
-        return [index for index, conn in enumerate(self._conns) if conn.alive]
-
     def _send(self, job_id: int, record: _InFlight) -> bool:
         """Record ``job_id`` as in flight and push its frame down the wire.
 
@@ -532,8 +556,8 @@ class RemoteBackend(WorkerBackend):
         """
         self._inflight[job_id] = record
         conn_index = record.conn_index = self._route[record.worker_id]
-        conn = self._conns[conn_index]
-        if not conn.alive:
+        conn = self._conns.get(conn_index)
+        if conn is None:
             record.conn_index = _UNROUTED
             self._raise_pool_lost()
         if record.frame is None:
@@ -556,8 +580,8 @@ class RemoteBackend(WorkerBackend):
                 self._step_redial(key.data)
                 continue
             index = key.data
-            conn = self._conns[index]
-            if not conn.alive:  # closed while handling an earlier event
+            conn = self._conns.get(index)
+            if conn is None:  # closed while handling an earlier event
                 continue
             try:
                 data = conn.sock.recv(_RECV_BYTES)
@@ -579,7 +603,7 @@ class RemoteBackend(WorkerBackend):
             for kind, payload in conn.assembler:
                 if kind == FRAME_RESULT:
                     try:
-                        self._absorb_result(payload)
+                        self._absorb_result(payload, index)
                     except (SerializationError, KeyError, TypeError, ValueError):
                         # well-framed but undecodable answer: the peer is
                         # confused, not the run -- bury it, requeue its jobs
@@ -591,7 +615,8 @@ class RemoteBackend(WorkerBackend):
                     continue  # answered the liveness ping by arriving (above)
                 # hello frames (reconnect chatter) and anything else: ignore
 
-    def _absorb_result(self, payload: bytes) -> None:
+    def _absorb_result(self, payload: bytes, index: int) -> None:
+        """Take one result frame that arrived on connection slot ``index``."""
         answer = xdr.decode(payload)
         job_id = check_count(answer["job_id"], "job_id", 0, error=SerializationError,
                              floats=False)
@@ -600,7 +625,7 @@ class RemoteBackend(WorkerBackend):
             # duplicate after a redispatch race: the job was already answered
             return
         elapsed = float(answer.get("elapsed") or 0.0)
-        self._busy[entry.worker_id] += elapsed
+        self._busy[index] += elapsed  # the host that answered, not the logical slot
         self._ready.append(
             CompletedJob(
                 job_id=job_id,
@@ -629,20 +654,13 @@ class RemoteBackend(WorkerBackend):
 
     def _on_conn_dead(self, index: int) -> None:
         """Bury a connection; queue its in-flight jobs for redispatch."""
-        conn = self._conns[index]
-        if not conn.alive:
+        conn = self._conns.pop(index, None)
+        if conn is None:
             return
-        conn.alive = False
-        conn.ping_token = None
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):  # pragma: no cover - defensive
-            pass
+        self._selector.unregister(conn.sock)
         conn.sock.close()
         if not self._finalized:
-            state = self._redial.setdefault(index, _Redial(index))
-            if state.dials < len(REDIAL_DELAYS_S):
-                state.next_try = time.monotonic() + REDIAL_DELAYS_S[state.dials]
+            self._schedule(self._redial.setdefault(index, _Redial(index)))
         for job_id, entry in self._inflight.items():
             if entry.conn_index == index:
                 # park the orphan: no connection holds it until the next
@@ -650,14 +668,13 @@ class RemoteBackend(WorkerBackend):
                 # here could fail and bury another connection mid-burial)
                 entry.conn_index = _UNROUTED
                 self._redispatch.setdefault(job_id)
-        survivors = self._live_indices()
+        survivors = sorted(self._conns)
         if survivors:
             self._remap_route(index, survivors)
-            return
-        # no host is live: the pool is lost, and rebuilding it is its
-        # campaign's to do, not a re-dial's
-        self._drop_redials()
-        if self._inflight:
+        elif self._inflight:
+            # no host is live: the pool is lost, and rebuilding it is its
+            # campaign's to do, not a re-dial's
+            self._drop_redials()
             self._raise_pool_lost()
 
     # -- reconnect ---------------------------------------------------------------
@@ -667,60 +684,78 @@ class RemoteBackend(WorkerBackend):
             state.dial.deadline if state.dial is not None else state.next_try
             for state in self._redial.values()
             if state.dial is not None
-            or (not self._conns[state.index].alive and state.dials < len(REDIAL_DELAYS_S))
+            or (state.index not in self._conns and state.dials < len(REDIAL_DELAYS_S))
         ]
         return min(due, default=None)
 
     def _maybe_reconnect(self) -> None:
         """Start the re-dials that are due and give up the overdue ones (from
         dispatch/collect); the selector advances the rest (:meth:`_step_redial`)."""
+        self._give_up_overdue()
         now = time.monotonic()
         for state in list(self._redial.values()):
-            if state.dial is not None:
-                if now > state.dial.deadline:
-                    self._redial_failed(state)
-                continue
-            if (self._conns[state.index].alive or state.dials >= len(REDIAL_DELAYS_S)
-                    or state.next_try > now):
-                continue
-            try:
-                state.dial = self._dial(self._conns[state.index].address)
-            except ClusterError:
-                self._redial_failed(state)
-                continue
-            self._selector.register(state.dial.sock, state.dial.events, state)
+            if (state.dial is None and state.index not in self._conns
+                    and state.dials < len(REDIAL_DELAYS_S) and state.next_try <= now):
+                state.dials += 1
+                self._start_dial(state)
+
+    def _start_dial(self, state: _Redial) -> None:
+        """Start a dial of the host of ``state``, for the selector to advance."""
+        try:
+            state.dial = self._dial(self._hosts[state.index])
+        except ClusterError as failure:
+            self._dial_failed(state, failure)
+            return
+        self._selector.register(state.dial.sock, state.dial.events, state)
+
+    def _give_up_overdue(self) -> None:
+        """Fail every dial whose host has not greeted by its deadline."""
+        now = time.monotonic()
+        for state in list(self._redial.values()):
+            if state.dial is not None and now > state.dial.deadline:
+                self._dial_failed(state, _HostDown(
+                    f"worker {state.dial.address} did not connect and greet within "
+                    f"{_CONNECT_TIMEOUT_S:g} s"))
 
     def _step_redial(self, state: _Redial) -> None:
-        """Advance a re-dial whose socket is ready; once it is through, the
-        reborn host gets its original logical slots back."""
+        """Advance a dial whose socket is ready; once it is through, a reborn
+        host gets its original logical slots back."""
         dial = state.dial
         if dial is None:
             return  # given up earlier in the same select
         try:
             conn = self._advance(dial)
-        except ClusterError:
-            self._redial_failed(state)
+        except ClusterError as failure:
+            self._dial_failed(state, failure)
             return
         if conn is None:
             self._selector.modify(dial.sock, dial.events, state)
             return
         state.dial = None
-        state.dials += 1
         index = state.index
         self._conns[index] = conn
         self._selector.modify(conn.sock, selectors.EVENT_READ, index)
-        self._reconnects += 1
+        if state.dials:
+            self._reconnects += 1
         for worker_id, home in enumerate(self._home):
             if home == index:
                 self._route[worker_id] = index
 
-    def _redial_failed(self, state: _Redial) -> None:
-        """Count a dial that did not get through; wait the next delay, if any."""
+    def _dial_failed(self, state: _Redial, failure: ClusterError) -> None:
+        """Close a dial that did not get through and wait the next delay, if
+        any.  A peer that answered the pool's first dial wrongly raises."""
         if state.dial is not None:
             self._selector.unregister(state.dial.sock)
             state.dial.sock.close()
             state.dial = None
-        state.dials += 1
+        if not state.dials and not isinstance(failure, _HostDown):
+            raise failure
+        state.failure = failure
+        self._schedule(state)
+
+    @staticmethod
+    def _schedule(state: _Redial) -> None:
+        """Set the next dial of a host that is down after its next delay, if any."""
         if state.dials < len(REDIAL_DELAYS_S):
             state.next_try = time.monotonic() + REDIAL_DELAYS_S[state.dials]
 
@@ -730,6 +765,7 @@ class RemoteBackend(WorkerBackend):
             if state.dial is not None:
                 self._selector.unregister(state.dial.sock)
                 state.dial.sock.close()
+                state.dial = None
         self._redial.clear()
 
     # -- liveness ----------------------------------------------------------------
@@ -737,8 +773,7 @@ class RemoteBackend(WorkerBackend):
         """PING silent busy connections; bury the ones that never answer."""
         now = time.monotonic()
         busy = {entry.conn_index for entry in self._inflight.values()}
-        for index in self._live_indices():
-            conn = self._conns[index]
+        for index, conn in list(self._conns.items()):
             if index not in busy:
                 conn.ping_token = None  # idle connections owe us nothing
                 continue
@@ -779,7 +814,7 @@ class RemoteBackend(WorkerBackend):
             self._redispatch.setdefault(job_id)
 
     def _stop_conn(self, conn: _Connection) -> None:
-        if not conn.alive or conn.stop_sent:
+        if conn.stop_sent:
             return
         conn.stop_sent = True
         try:

@@ -57,7 +57,7 @@ from repro.serial.frames import (
     verify_proof,
 )
 
-__all__ = ["serve", "spawn_local_workers", "LocalWorkerPool", "probe_worker", "main"]
+__all__ = ["serve", "spawn_local_workers", "LocalWorkerPool", "main"]
 
 #: environment variable consulted when ``repro-worker --secret`` is absent
 SECRET_ENV_VAR = "REPRO_WORKER_SECRET"
@@ -83,7 +83,7 @@ def decode_hello(payload: bytes) -> dict[str, Any] | None:
 
     A hello that does not decode, is not a dictionary or announces another
     ``version`` is not a peer this end can talk to: the master refuses the
-    connection and :func:`probe_worker` reports the worker dead.
+    connection.
     """
     try:
         greeting = xdr.decode(payload)
@@ -181,48 +181,43 @@ def _authenticate_master(
 
     The master must open with a :data:`FRAME_CHALLENGE` whose proof is
     HMAC-SHA256(secret, our hello ``nonce``); we answer its challenge nonce
-    the same way.  Liveness probes (:data:`FRAME_PING`) and clean goodbyes
-    (:data:`FRAME_STOP`) stay allowed before authentication -- an echo leaks
-    nothing -- but no job frame is accepted from an unproven peer.
+    the same way.  A clean goodbye (:data:`FRAME_STOP`) stays allowed before
+    authentication, but nothing else is answered for an unproven peer.
     """
-    while True:
-        try:
-            frame = read_frame(conn.recv)
-        except SerializationError as exc:
-            log(f"dropping connection during handshake: {exc}")
-            return False
-        if frame is None:
-            return False
-        kind, payload = frame
-        if kind == FRAME_PING:
-            conn.sendall(encode_frame(FRAME_PONG, payload))
-            continue
-        if kind == FRAME_STOP:
-            return False  # clean goodbye; nothing was authenticated
-        if kind != FRAME_CHALLENGE:
-            log(
-                "dropping connection: this worker requires a shared secret "
-                f"but the master sent frame kind {kind} instead of a challenge"
-            )
-            return False
-        try:
-            challenge = xdr.decode(payload)
-            master_nonce = challenge["nonce"]
-            proof = challenge["proof"]
-        except (SerializationError, KeyError, TypeError, ValueError) as exc:
-            log(f"dropping connection on malformed challenge: {exc}")
-            return False
-        if not isinstance(master_nonce, bytes) or not verify_proof(
-            secret, nonce, proof
-        ):
-            log("dropping connection: master failed the shared-secret handshake")
-            return False
-        conn.sendall(
-            encode_frame(
-                FRAME_AUTH, xdr.encode({"proof": auth_proof(secret, master_nonce)})
-            )
+    try:
+        frame = read_frame(conn.recv)
+    except SerializationError as exc:
+        log(f"dropping connection during handshake: {exc}")
+        return False
+    if frame is None:
+        return False
+    kind, payload = frame
+    if kind == FRAME_STOP:
+        return False  # clean goodbye; nothing was authenticated
+    if kind != FRAME_CHALLENGE:
+        log(
+            "dropping connection: this worker requires a shared secret "
+            f"but the master sent frame kind {kind} instead of a challenge"
         )
-        return True
+        return False
+    try:
+        challenge = xdr.decode(payload)
+        master_nonce = challenge["nonce"]
+        proof = challenge["proof"]
+    except (SerializationError, KeyError, TypeError, ValueError) as exc:
+        log(f"dropping connection on malformed challenge: {exc}")
+        return False
+    if not isinstance(master_nonce, bytes) or not verify_proof(
+        secret, nonce, proof
+    ):
+        log("dropping connection: master failed the shared-secret handshake")
+        return False
+    conn.sendall(
+        encode_frame(
+            FRAME_AUTH, xdr.encode({"proof": auth_proof(secret, master_nonce)})
+        )
+    )
+    return True
 
 
 def _handle_connection(
@@ -253,9 +248,9 @@ def _handle_connection(
             if kind == FRAME_STOP:
                 return True
             if kind == FRAME_PING:
-                # keepalive: echo the opaque token straight back
-                # -- answered here, off the compute lane, so a master's
-                # liveness probe is not stuck behind a long job
+                # liveness: echo the opaque token straight back -- answered
+                # here, off the compute lane, so a master's ping of a busy
+                # connection is not stuck behind a long job
                 with send_lock:
                     # repro-lint: disable=lock-blocking-call -- the pong must not interleave with a result frame the compute lane is writing; the lock is the write serializer
                     conn.sendall(encode_frame(FRAME_PONG, payload))
@@ -547,46 +542,6 @@ def spawn_local_workers(n: int, *, secret: str | None = None) -> LocalWorkerPool
     processes, ports = _start_servers([0] * n, secret)
     hosts = [f"127.0.0.1:{port}" for port in ports]
     return LocalWorkerPool(processes, hosts, secret=secret)
-
-
-def probe_worker(address: str, *, timeout: float = 5.0) -> bool:
-    """Liveness-probe one worker over a throwaway connection.
-
-    Connects to ``"host:port"``, waits for the worker's HELLO, sends a
-    :data:`FRAME_PING` and expects the token echoed back in a
-    :data:`FRAME_PONG`, then leaves with a clean stop frame (the worker's
-    accept loop survives, exactly like after a campaign).  Returns ``True``
-    for a live protocol-compatible worker and ``False`` for anything else:
-    refused connection, dead endpoint, timeout, version mismatch.
-
-    This is how an idle daemon (``repro-serve``) notices dead TCP workers
-    *between* campaigns instead of at next dispatch; inside a campaign the
-    remote backend pings its own silent busy connections.
-    """
-    host, _, port_text = address.rpartition(":")
-    token = os.urandom(8)
-    try:
-        with socket.create_connection((host, int(port_text)), timeout=timeout) as conn:
-            conn.settimeout(timeout)
-            frame = read_frame(conn.recv)
-            if (
-                frame is None
-                or frame[0] != FRAME_HELLO
-                or decode_hello(frame[1]) is None
-            ):
-                return False
-            conn.sendall(encode_frame(FRAME_PING, token))
-            while True:
-                frame = read_frame(conn.recv)
-                if frame is None:
-                    return False
-                if frame[0] == FRAME_PONG:
-                    if frame[1] != token:
-                        return False
-                    conn.sendall(encode_frame(FRAME_STOP))
-                    return True
-    except (OSError, ValueError, SerializationError):
-        return False
 
 
 def build_parser() -> argparse.ArgumentParser:

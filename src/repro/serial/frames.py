@@ -78,10 +78,10 @@ FRAME_RESULT = 3
 #: master -> worker: no more work, close the connection (empty payload) --
 #: the paper's empty message of Fig. 4
 FRAME_STOP = 4
-#: master -> worker: liveness probe (payload: opaque token bytes, echoed
-#: back verbatim); cheap enough to send between campaigns
+#: master -> worker: liveness probe of a busy, silent connection (payload:
+#: opaque token bytes, echoed back verbatim)
 FRAME_PING = 6
-#: worker -> master: keepalive answer carrying the ping's token unchanged
+#: worker -> master: liveness answer carrying the ping's token unchanged
 FRAME_PONG = 7
 #: master -> worker: authentication challenge.  Payload:
 #: ``{"nonce": master_nonce, "proof": HMAC-SHA256(secret, worker_nonce)}`` --

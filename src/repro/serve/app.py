@@ -409,12 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-burst", type=int, default=20, help="token-bucket burst capacity"
     )
     parser.add_argument(
-        "--keepalive",
-        type=float,
-        default=0.0,
-        help="seconds between idle PING probes of remote workers (0 disables)",
-    )
-    parser.add_argument(
         "--worker-secret",
         default=None,
         help="shared secret of the worker handshake (remote backend; "
@@ -442,7 +436,6 @@ def main(argv: list[str] | None = None) -> int:
             auth_token=args.auth_token or os.environ.get("REPRO_SERVE_TOKEN") or None,
             rate_limit=args.rate_limit,
             rate_burst=args.rate_burst,
-            keepalive_interval=args.keepalive,
             worker_secret=(
                 args.worker_secret or os.environ.get("REPRO_WORKER_SECRET") or None
             )

@@ -60,10 +60,6 @@ class ServerConfig:
         on the pricing endpoints; ``0`` disables rate limiting.
     rate_burst:
         Token-bucket burst capacity per client.
-    keepalive_interval:
-        Seconds between liveness probes of idle remote workers
-        (:func:`~repro.cluster.worker.probe_worker`); ``0`` disables the
-        monitor.  Only meaningful with ``backend="remote"``.
     worker_secret:
         Shared secret of the protocol-v4 worker handshake.  When set, the
         daemon authenticates every remote worker connection
@@ -88,7 +84,6 @@ class ServerConfig:
     auth_token: str | None = None
     rate_limit: float = 0.0
     rate_burst: int = 20
-    keepalive_interval: float = 0.0
     worker_secret: str | None = None
     max_body_bytes: int = 8 * 1024 * 1024
     max_events_per_job: int = 10_000
@@ -103,14 +98,13 @@ class ServerConfig:
         for name in ("n_workers", "cache_entries", "rate_burst", "max_body_bytes",
                      "max_events_per_job"):
             check_count(getattr(self, name), name, error=ServeError, floats=False)
-        # ``nan < 0`` is false: a NaN rate or interval would switch its feature off
-        for name in ("rate_limit", "keepalive_interval"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                math.isfinite(value) and value >= 0
-            ):
-                raise ServeError(f"{name} must be a finite number >= 0 (0 disables it), "
-                                 f"got {value!r}")
+        # ``nan < 0`` is false: a NaN rate would switch rate limiting off
+        value = self.rate_limit
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            math.isfinite(value) and value >= 0
+        ):
+            raise ServeError(f"rate_limit must be a finite number >= 0 (0 disables it), "
+                             f"got {value!r}")
         if self.cache_dir is not None and not str(self.cache_dir).strip():
             raise ServeError(f"cache_dir must name a directory, got {self.cache_dir!r}")
         if self.hosts and self.backend != "remote":

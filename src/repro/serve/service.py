@@ -14,10 +14,11 @@ service amortizes it across *requests*.  It owns
   (cross-request ordering), each run driven through a fresh
   :class:`~repro.api.session.ValuationSession` whose per-position priorities
   ride the :class:`~repro.core.scheduler.PriorityPolicy`
-  (within-request ordering);
-* an optional keepalive monitor that pings idle remote workers
-  (:func:`~repro.cluster.worker.probe_worker`, protocol v3) so dead TCP
-  endpoints are noticed between campaigns, not at next dispatch.
+  (within-request ordering).
+
+Every campaign dials the whole remote pool: the backend routes around a host
+that is down and re-dials it, so the service keeps no liveness of its own --
+the hosts the last campaign ended without are its dead workers.
 
 The HTTP layer (:mod:`repro.serve.app`) is a thin routing shell over this
 object; everything observable lands in :meth:`PricingService.stats`.
@@ -34,7 +35,7 @@ from typing import Any, Mapping
 
 from repro.api.session import ValuationSession
 from repro.core.scheduler import PriorityPolicy
-from repro.errors import ReproError, ServeError
+from repro.errors import ClusterError, ReproError, ServeError
 from repro.pricing.cache import ResultCache, problem_digest
 from repro.pricing.greeks import compute_greeks
 from repro.serve.config import ServerConfig
@@ -61,11 +62,11 @@ class PricingService:
         self._ticket = itertools.count()
         self._stop = threading.Event()
         self._executor: threading.Thread | None = None
-        self._monitor: threading.Thread | None = None
         self._pool: Any = None
         self._hosts: tuple[str, ...] = tuple(config.hosts)
         self._state_lock = threading.Lock()
-        self._dead_hosts: set[str] = set()
+        #: the hosts the last campaign ended without
+        self._dead_hosts: list[str] = []
         self._running_job: str | None = None
         self._busy_s: dict[str, float] = {}
         self._campaign_wall_s = 0.0
@@ -101,20 +102,14 @@ class PricingService:
             target=self._executor_loop, name="repro-serve-executor", daemon=True
         )
         self._executor.start()
-        if self.config.backend == "remote" and self.config.keepalive_interval > 0:
-            self._monitor = threading.Thread(
-                target=self._monitor_loop, name="repro-serve-keepalive", daemon=True
-            )
-            self._monitor.start()
 
     def close(self) -> None:
         """Stop the executor and tear the warm pool down."""
         self._stop.set()
         with self._queue_cond:
             self._queue_cond.notify_all()
-        for thread in (self._executor, self._monitor):
-            if thread is not None:
-                thread.join(timeout=10.0)
+        if self._executor is not None:
+            self._executor.join(timeout=10.0)
         if self._pool is not None:
             self._pool.stop()
             self._pool = None
@@ -229,7 +224,7 @@ class PricingService:
     def _make_session(self) -> ValuationSession:
         options: dict[str, Any] = {}
         if self.config.backend == "remote":
-            options["hosts"] = list(self.live_hosts()) or list(self._hosts)
+            options["hosts"] = list(self._hosts)
             if self.config.worker_secret is not None:
                 options["secret"] = self.config.worker_secret
         session_kwargs: dict[str, Any] = {
@@ -255,18 +250,22 @@ class PricingService:
                 cancel=record.cancel,
             )
         except Exception as exc:  # noqa: BLE001 - one bad run must not kill the daemon
+            if isinstance(exc, ClusterError):  # no pool could be built, or kept
+                with self._state_lock:
+                    self._dead_hosts = list(self._hosts)
             record.fail(f"{type(exc).__name__}: {exc}")
             self.count("runs_failed")
             return
         report = result.report
         extra = getattr(report, "extra", None) or {}
-        # the hosts the campaign dialed, by logical worker id: the live ones
+        # the hosts the campaign dialed, by the connection slot that answered
         hosts = extra.get("hosts", ())
         with self._state_lock:
+            self._dead_hosts = list(extra.get("dead_hosts", ()))
             self._campaign_wall_s += float(report.total_time)
-            for worker_id, busy in report.worker_busy.items():
-                worker_id = int(worker_id)
-                name = hosts[worker_id] if worker_id < len(hosts) else f"worker-{worker_id}"
+            for slot, busy in report.worker_busy.items():
+                slot = int(slot)
+                name = hosts[slot] if slot < len(hosts) else f"worker-{slot}"
                 self._busy_s[name] = self._busy_s.get(name, 0.0) + float(busy)
             for key in ("reconnects", "redispatches"):
                 if extra.get(key):
@@ -298,38 +297,6 @@ class PricingService:
             payload["value"] = None
         return payload
 
-    # -- worker liveness ---------------------------------------------------------------
-    def live_hosts(self) -> tuple[str, ...]:
-        with self._state_lock:
-            return tuple(h for h in self._hosts if h not in self._dead_hosts)
-
-    def check_workers(self, timeout: float = 5.0) -> dict[str, bool]:
-        """Probe every remote worker once; update the dead set.
-
-        A worker that answers the v3 PING keepalive rejoins the live set --
-        ``repro-worker`` accept loops survive connection loss, so a "dead"
-        address may simply have been restarted.
-        """
-        if self.config.backend != "remote":
-            return {}
-        from repro.cluster.worker import probe_worker
-
-        liveness = {
-            host: probe_worker(host, timeout=timeout) for host in self._hosts
-        }
-        with self._state_lock:
-            self._dead_hosts = {host for host, ok in liveness.items() if not ok}
-        return liveness
-
-    def _monitor_loop(self) -> None:
-        interval = self.config.keepalive_interval
-        while not self._stop.wait(interval):
-            with self._state_lock:
-                busy = self._running_job is not None
-            if busy:
-                continue  # campaign traffic already proves liveness
-            self.check_workers(timeout=min(interval, 5.0))
-
     # -- observability (GET /healthz, /v1/stats) -----------------------------------------
     @property
     def uptime_s(self) -> float:
@@ -338,8 +305,8 @@ class PricingService:
     def healthz(self) -> dict[str, Any]:
         from repro._version import __version__
 
-        dead = len(self._hosts) - len(self.live_hosts()) if self._hosts else 0
         with self._state_lock:
+            dead = len(self._dead_hosts)
             reconnects = self._counters.get("reconnects", 0)
             redispatches = self._counters.get("redispatches", 0)
         return {
@@ -360,7 +327,7 @@ class PricingService:
             counters = dict(self._counters)
             busy_s = dict(self._busy_s)
             wall = self._campaign_wall_s
-            dead_hosts = sorted(self._dead_hosts)
+            dead_hosts = list(self._dead_hosts)
             running = self._running_job
         utilization = {
             name: (busy / wall if wall > 0 else 0.0) for name, busy in busy_s.items()

@@ -1,5 +1,6 @@
-"""Remote-pool fault tolerance: re-dials, liveness burials, the
-authenticated handshake, and the campaign that rebuilds a lost pool.
+"""Remote-pool fault tolerance: re-dials -- the pool's first dials among
+them -- liveness burials, the authenticated handshake, and the campaign that
+rebuilds a lost pool.
 
 The acceptance shape throughout: a campaign that loses workers mid-run must
 either finish bit-identical to an undisturbed run (when the re-dial /
@@ -20,7 +21,7 @@ from repro.cluster.backends import Job, PAYLOAD_SERIAL, PreparedMessage
 from repro.cluster.backends import remote
 from repro.cluster.backends.base import REDIAL_DELAYS_S
 from repro.cluster.backends.remote import RemoteBackend
-from repro.cluster.worker import probe_worker, serve, spawn_local_workers
+from repro.cluster.worker import serve, spawn_local_workers
 from repro.core.portfolio import Portfolio, Position
 from repro.errors import (
     ClusterError,
@@ -156,7 +157,7 @@ class _ListeningHost:
 
 
 class _ForeignWorker:
-    """Greets every connection with fixed hello bytes and records whatever
+    """Greets the master's dial with fixed hello bytes and records whatever
     the master writes afterwards (nothing, if it refuses the peer)."""
 
     def __init__(self, hello: bytes):
@@ -168,23 +169,41 @@ class _ForeignWorker:
         self._thread.start()
 
     def _serve(self) -> None:
-        while True:
+        try:
+            conn, _ = self._server.accept()
+        except OSError:
+            return
+        with conn:
+            conn.settimeout(5.0)
             try:
-                conn, _ = self._server.accept()
+                conn.sendall(self._hello)
+                while data := conn.recv(65536):
+                    self.received += data
             except OSError:
-                return
-            with conn:
-                conn.settimeout(5.0)
-                try:
-                    conn.sendall(self._hello)
-                    while data := conn.recv(65536):
-                        self.received += data
-                except OSError:
-                    pass
+                pass
 
     def close(self) -> None:
         self._server.close()
         self._thread.join(timeout=5.0)
+
+
+class _SilentHost:
+    """A listener that never accepts: the kernel completes every connect,
+    and no hello ever comes (a wedged worker, seen from the master)."""
+
+    def __init__(self):
+        self._server = socket.create_server(("127.0.0.1", 0), backlog=16)
+        self.address = f"127.0.0.1:{self._server.getsockname()[1]}"
+
+    def close(self) -> None:
+        self._server.close()
+
+
+def _refused_address() -> str:
+    """An address nothing listens on."""
+    with socket.socket() as placeholder:
+        placeholder.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{placeholder.getsockname()[1]}"
 
 
 class TestReconnectSchedule:
@@ -314,6 +333,108 @@ class TestAHostThatKeepsListening:
         assert host.connections == 1 + len(REDIAL_DELAYS_S)
 
 
+class TestAHostDownAtTheStart:
+    """A pool's first dials are dials like its re-dials: a host that is down
+    when the pool is built is treated as one that died at once."""
+
+    def test_its_slots_are_answered_by_the_live_host(self):
+        problems = [_make_problem(90.0), _make_problem(110.0)]
+        refused = _refused_address()
+        with spawn_local_workers(1) as pool:
+            backend = RemoteBackend([refused, pool.hosts[0]])
+            for worker_id, problem in enumerate(problems):
+                _dispatch(backend, worker_id, worker_id, problem)
+            collected = _collect_sorted(backend, 2, timeout=30.0)
+            stats = backend.finalize()
+        assert [done.worker_id for done in collected] == [0, 1]
+        assert [done.error for done in collected] == [None, None]
+        assert [done.result["price"] for done in collected] == [
+            problem.compute().price for problem in problems]
+        assert stats.extra["hosts"] == [refused, pool.hosts[0]]
+        assert stats.extra["dead_hosts"] == [refused]
+        assert stats.extra["reconnects"] == 0
+
+    def test_its_slot_is_credited_no_busy_time(self):
+        """Busy time goes to the host that answered: the dead host's slot
+        reads 0.0 though its logical worker was sent half the jobs."""
+        problem = _make_problem(method="MC_European", n_paths=20_000, seed=3)
+        with spawn_local_workers(1) as pool:
+            backend = RemoteBackend([_refused_address(), pool.hosts[0]])
+            for job_id in range(6):
+                _dispatch(backend, job_id % 2, job_id, problem)
+            collected = _collect_sorted(backend, 6, timeout=30.0)
+            stats = backend.finalize()
+        assert [done.error for done in collected] == [None] * 6
+        assert stats.worker_busy[0] == 0.0
+        assert stats.worker_busy[1] > 0.0
+
+    def test_a_session_prices_as_local_does(self):
+        portfolio = Portfolio(positions=[
+            Position(_make_problem(80.0 + 3 * k)) for k in range(12)])
+        reference = ValuationSession(backend="local").run(portfolio).prices()
+        with spawn_local_workers(1) as pool:
+            session = ValuationSession(
+                backend="remote", backend_options={"hosts": [_refused_address(), pool.hosts[0]]})
+            result = session.run(portfolio)
+        assert result.prices() == reference
+        assert "retries" not in result.report.extra
+
+    def test_it_takes_its_slots_back_when_it_greets(self, monkeypatch):
+        # more dials than the five of the fixed schedule: a loaded machine
+        # may take seconds to restart a worker process
+        monkeypatch.setattr(remote, "REDIAL_DELAYS_S", (0.1, 0.2, 0.4) + (0.5,) * 27)
+        problems = [_make_problem(95.0)]
+        with spawn_local_workers(2) as pool:
+            pool.kill(0)
+            backend = RemoteBackend(pool.hosts)
+            assert backend._route == [1, 1]
+            pool.restart(0)
+            stop_at = time.monotonic() + 30.0
+            rest = _price_on_worker_0(
+                backend, problems, 0,
+                lambda: backend.reconnects >= 1 or time.monotonic() > stop_at)
+            assert backend._route == [0, 1]  # its logical slot is its own again
+            _dispatch(backend, 0, len(rest), problems[0])
+            last = backend.collect(timeout=30.0)
+            stats = backend.finalize()
+        assert [done.error for done, _ in rest] + [last.error] == [None] * (len(rest) + 1)
+        assert last.result["price"] == problems[0].compute().price
+        assert stats.extra["reconnects"] == 1
+        assert stats.extra["dead_hosts"] == []
+        assert stats.worker_busy[0] > 0.0
+
+    def test_three_silent_hosts_cost_one_timeout(self, monkeypatch):
+        """Three listeners that never greet beside one worker: the first
+        dials run at once, so the pool is built in one connect timeout, not
+        three, and the run completes."""
+        monkeypatch.setattr(remote, "_CONNECT_TIMEOUT_S", 0.5)
+        silent = [_SilentHost() for _ in range(3)]
+        portfolio = Portfolio(positions=[
+            Position(_make_problem(80.0 + 3 * k)) for k in range(8)])
+        reference = ValuationSession(backend="local").run(portfolio).prices()
+        try:
+            with spawn_local_workers(1) as pool:
+                hosts = [pool.hosts[0], *(host.address for host in silent)]
+                start = time.monotonic()
+                RemoteBackend(hosts).finalize()
+                built_in = time.monotonic() - start
+                session = ValuationSession(backend="remote", backend_options={"hosts": hosts})
+                result = session.run(portfolio)
+        finally:
+            for host in silent:
+                host.close()
+        assert 0.5 <= built_in < 1.0
+        assert result.prices() == reference
+        assert result.report.extra["dead_hosts"] == [host.address for host in silent]
+
+    def test_a_pool_none_of_whose_hosts_greets_names_each_failure(self):
+        refused = [_refused_address(), _refused_address()]
+        with pytest.raises(ClusterError, match="no worker of the pool greeted") as excinfo:
+            RemoteBackend(refused)
+        for address in refused:
+            assert f"cannot connect to worker {address}" in str(excinfo.value)
+
+
 class TestKillAndRestart:
     def test_a_restarted_host_gets_its_slots_back(self, monkeypatch):
         """A worker is hard-killed while another carries on and is restarted
@@ -440,6 +561,11 @@ class TestAuthenticatedHandshake:
             with pytest.raises(ClusterError, match="requires a shared secret"):
                 RemoteBackend(pool.hosts)
 
+    def test_a_mismatch_beside_a_down_host_still_fails_the_pool(self):
+        with spawn_local_workers(1, secret="right-secret") as pool:
+            with pytest.raises(ClusterError, match="refused the shared-secret"):
+                RemoteBackend([_refused_address(), pool.hosts[0]], secret="wrong-secret")
+
 
 #: every stamp but PROTOCOL_VERSION is foreign: both old generations and a future one
 FOREIGN_VERSIONS = [3, 4, PROTOCOL_VERSION + 1]
@@ -467,10 +593,19 @@ class TestForeignPeerRefused:
         try:
             with pytest.raises(ClusterError, match="handshake|hello"):
                 RemoteBackend([worker.address])
-            assert probe_worker(worker.address, timeout=5.0) is False
         finally:
             worker.close()
         # not a byte -- let alone a FRAME_JOB* -- was written to the peer
+        assert worker.received == b""
+
+    def test_a_foreign_peer_beside_a_worker_fails_the_pool(self):
+        worker = _ForeignWorker(_hello(PROTOCOL_VERSION + 1))
+        try:
+            with spawn_local_workers(1) as pool:
+                with pytest.raises(ClusterError, match="hello"):
+                    RemoteBackend([pool.hosts[0], worker.address])
+        finally:
+            worker.close()
         assert worker.received == b""
 
     @pytest.mark.parametrize("version", FOREIGN_VERSIONS)
@@ -524,11 +659,14 @@ class TestSessionRetry:
         )
         return portfolio, [p.compute().price for p in problems]
 
-    def test_pool_loss_is_retried_transparently(self):
-        """The only worker is back 0.8 s after the kill, inside the
-        campaign's tries to rebuild the pool."""
+    @pytest.mark.parametrize("n_hosts, back_after", [(1, 0.8), (2, 0.2)])
+    def test_pool_loss_is_retried_transparently(self, n_hosts, back_after):
+        """Every host is killed at the first answer and the first is back
+        ``back_after`` s later, inside the campaign's tries to rebuild the
+        pool: a try needs only one host to greet, so with two hosts the pool
+        comes back on the restarted one and the other is routed around."""
         portfolio, reference = self._portfolio_and_reference()
-        with spawn_local_workers(1) as pool:
+        with spawn_local_workers(n_hosts) as pool:
             session = ValuationSession(
                 backend="remote", strategy="serialized_load",
                 backend_options={"hosts": pool.hosts},
@@ -538,9 +676,10 @@ class TestSessionRetry:
             def on_progress(event):
                 if not killed.is_set():
                     killed.set()
-                    pool.kill(0)
+                    for index in range(n_hosts):
+                        pool.kill(index)
                     threading.Thread(
-                        target=lambda: (time.sleep(0.8), pool.restart(0)),
+                        target=lambda: (time.sleep(back_after), pool.restart(0)),
                         daemon=True,
                     ).start()
 
@@ -549,6 +688,7 @@ class TestSessionRetry:
             assert not report.errors
             assert report.extra.get("retries", 0) == 1
             assert [entry["price"] for entry in report.results.values()] == reference
+            assert report.extra["dead_hosts"] == pool.hosts[1:]
 
     def test_a_pool_that_never_comes_back_is_reported_lost_after_the_schedule(
         self, monkeypatch

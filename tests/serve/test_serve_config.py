@@ -47,7 +47,6 @@ class TestServerConfig:
             {"n_workers": 0},
             {"rate_limit": -1.0},
             {"rate_burst": 0},
-            {"keepalive_interval": -5.0},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -61,9 +60,6 @@ class TestServerConfig:
             ("rate_limit", float("nan")),
             ("rate_limit", float("inf")),
             ("rate_limit", "10"),
-            # a NaN interval used to switch the keepalive monitor off
-            ("keepalive_interval", float("nan")),
-            ("keepalive_interval", float("inf")),
             ("n_workers", 2.5),
             ("n_workers", True),
             ("rate_burst", 2.5),
@@ -83,9 +79,12 @@ class TestServerConfig:
         with pytest.raises(ServeError, match=field):
             ServerConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["rate_limit", "keepalive_interval"])
-    def test_zero_still_disables_a_rate_or_an_interval(self, field):
-        assert getattr(ServerConfig(**{field: 0}), field) == 0
+    def test_zero_still_disables_the_rate_limit(self):
+        assert ServerConfig(rate_limit=0).rate_limit == 0
+
+    def test_the_keepalive_monitor_is_gone(self):
+        with pytest.raises(TypeError, match="keepalive_interval"):
+            ServerConfig(keepalive_interval=30.0)
 
     def test_frozen(self):
         config = ServerConfig()
@@ -99,7 +98,6 @@ class TestCommandLine:
         [
             (["--rate-limit", "nan"], "rate_limit"),
             (["--rate-burst", "0"], "rate_burst"),
-            (["--keepalive", "inf"], "keepalive_interval"),
             (["--workers", "0"], "n_workers"),
             (["--cache-entries", "0"], "cache_entries"),
             (["--cache-dir", ""], "cache_dir"),
@@ -114,3 +112,11 @@ class TestCommandLine:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
+
+    def test_the_keepalive_flag_is_gone(self, capsys):
+        from repro.serve.app import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--port", "0", "--keepalive", "30"])
+        assert excinfo.value.code == 2
+        assert "--keepalive" in capsys.readouterr().err

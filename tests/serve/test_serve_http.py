@@ -499,27 +499,50 @@ class TestCancellation:
 
 
 class TestRemoteWorkers:
-    def test_busy_time_is_credited_to_the_hosts_the_campaign_dialed(self):
-        """With its first host found dead, a campaign dials the other two:
-        the busy time is theirs, named from the report's own host list, not
-        shifted onto the dead host by an index into the configured list."""
+    def test_a_host_dead_before_start_is_routed_around_and_reported(self):
+        """Host 0 is dead before the daemon starts: the campaign dials all
+        three, routes host 0's slot to the other two and finishes; the busy
+        time is theirs, credited by the host that answered, and the health
+        check reads the host the campaign ended without."""
         from repro.cluster.worker import spawn_local_workers
 
         with spawn_local_workers(3) as pool:
             service = PricingService(
                 ServerConfig(port=0, backend="remote", hosts=tuple(pool.hosts)))
             pool.kill(0)
-            assert service.check_workers(timeout=5.0)[pool.hosts[0]] is False
             service.start()
             try:
+                assert service.healthz()["status"] == "ok"  # no campaign yet
                 record = service.submit_run(
                     {"positions": [_slow_position_body(90.0 + k) for k in range(8)]})
                 assert record.wait_terminal(timeout=120.0) and record.state == "done"
-                busy = service.stats()["workers"]["busy_s"]
+                health, workers = service.healthz(), service.stats()["workers"]
             finally:
                 service.close()
-        assert set(busy) == set(pool.hosts[1:])
-        assert all(seconds > 0.0 for seconds in busy.values())
+        busy = workers["busy_s"]
+        assert {host for host, seconds in busy.items() if seconds > 0.0} == set(pool.hosts[1:])
+        assert busy.get(pool.hosts[0], 0.0) == 0.0
+        assert health["status"] == "degraded" and health["workers_dead"] == 1
+        assert workers["dead"] == [pool.hosts[0]]
+
+    def test_a_campaign_that_reaches_no_host_reports_every_host_dead(self):
+        from repro.cluster.worker import spawn_local_workers
+
+        with spawn_local_workers(2) as pool:
+            service = PricingService(
+                ServerConfig(port=0, backend="remote", hosts=tuple(pool.hosts)))
+            pool.kill(0)
+            pool.kill(1)
+            service.start()
+            try:
+                record = service.submit_run({"positions": [_position_body(100.0)]})
+                assert record.wait_terminal(timeout=60.0) and record.state == "failed"
+                health, workers = service.healthz(), service.stats()["workers"]
+            finally:
+                service.close()
+        assert "no worker of the pool greeted" in record.error
+        assert health["status"] == "degraded" and health["workers_dead"] == 2
+        assert workers["dead"] == pool.hosts
 
 
 class TestRateLimit:
