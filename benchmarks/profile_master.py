@@ -6,11 +6,12 @@ Runs the workload's warm-up, then one full-size repeat on its real backend
 under ``cProfile`` (the master thread only; the workers are other processes)
 and prints where the master's non-waiting time went, how many per-position
 Python objects it built (futures minted, result dictionaries received or
-materialised), then what was sent -- jobs dispatched,
-``RunReport.bytes_sent`` per position (per cell of a risk campaign) and how
-many positions each of its slices (of a scenario grid, of a plain book)
-answers -- and what the workers made of it: their idle share and the
-in-flight window the run reached (``RunReport.peak_window``).
+materialised) and how many parameter digests it computed
+(:func:`repro.pricing.cache.stable_digest` calls), then what was sent --
+jobs dispatched, ``RunReport.bytes_sent`` per position (per cell of a risk
+campaign) and how many positions each of its slices (of a scenario grid, of
+a plain book) answers -- and what the workers made of it: their idle share
+and the in-flight window the run reached (``RunReport.peak_window``).
 ``cProfile`` taxes every
 Python call, so read the table for its ranking and call counts, not for
 absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The
@@ -18,9 +19,10 @@ absolute figures printed are three layers of the master, each timed again on
 the campaign's own inputs after the profiled repeat, outside the profiler:
 the plan (:func:`repro.api.plan.build_plan` on the arguments the session gave
 it), the book write -- the columnar book of each dispatched slice or batch
-(:func:`repro.pricing.book.write_book`) and its XDR encode, in microseconds
-and bytes a position -- and the scatter of the replies the campaign received
-into a fresh result table (:meth:`repro.core.runner.ResultTable.scatter`).
+(:func:`repro.pricing.book.write_book`, a batch's under its leader's headers)
+and its XDR encode, in microseconds and bytes a position -- and the scatter
+of the replies the campaign received into a fresh result table
+(:meth:`repro.core.runner.ResultTable.scatter`).
 Each of those lines is the fastest of :data:`PASSES` passes over the same
 inputs, so one cold pass does not set it.
 The numbers in ``docs/performance.md`` are this script's output.
@@ -43,6 +45,7 @@ from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
 import repro.api.session  # noqa: E402
 from repro.api.futures import PricingFuture  # noqa: E402
 from repro.core.runner import ResultTable  # noqa: E402
+from repro.pricing.batch import ProblemBatch  # noqa: E402
 from repro.pricing.book import write_book  # noqa: E402
 from repro.pricing.methods.base import ResultColumns  # noqa: E402
 from repro.serial import xdr  # noqa: E402
@@ -50,14 +53,19 @@ from repro.serial import xdr  # noqa: E402
 #: cumulative time of every function of that name (in the file ending so,
 #: where the name alone is ambiguous): the layers of one campaign, outbound
 #: (``columns`` decides which cells of a risk grid exist, ``build_plan`` turns
-#: a book or a grid into jobs, ``job encode`` is ``Job.wire_bytes``, a job's
-#: bytes made at its first dispatch; of that, ``book encode`` is a grid's or
-#: book slice's book -- ``write_book``'s columns and their XDR encode -- and
-#: ``write_book`` the columns of every book, a batch's members included) and
-#: back (the queue's unpickle, the write into the result table, the report)
+#: a book or a grid into jobs -- of that, ``plan_batches`` groups a batch
+#: run's problems by simulation signature, and ``param_digest`` is every model
+#: and method digest, wherever it is made -- ``job encode`` is
+#: ``Job.wire_bytes``, a job's bytes made at its first dispatch; of that,
+#: ``book encode`` is a grid's or book slice's book -- ``write_book``'s columns
+#: and their XDR encode -- and ``write_book`` the columns of every book, a
+#: batch's members included) and back (the queue's unpickle, the write into
+#: the result table, the report)
 LAYERS = {
     "columns": ("columns", ""),
     "build_plan": ("build_plan", ""),
+    "plan_batches": ("plan_batches", "pricing/batch.py"),
+    "param_digest": ("param_digest", ""),
     "_acquire_backend": ("_acquire_backend", ""),
     "Campaign.__init__": ("__init__", "api/campaign.py"),
     "prepare": ("prepare", ""),
@@ -131,21 +139,28 @@ def scatter_again(scatters, scatter: Callable) -> float:
     return 1e6 * _fastest(one_pass) / max(positions, 1)
 
 
+def _book_of(payload) -> dict:
+    """The book ``payload`` writes: a batch's under its leader's headers."""
+    if isinstance(payload, ProblemBatch):
+        return payload.wire_view()["book"]
+    return write_book(payload.problems)
+
+
 def book_write(jobs) -> tuple[float, float, int, int]:
     """Microseconds and bytes a position of writing the books of ``jobs``
     (each distinct book once: a risk campaign's slices share theirs) as the
     master does on dispatch, timed outside the profiler; positions, books."""
-    books = {id(job.problem.problems): job.problem.problems for job in jobs
+    books = {id(job.problem.problems): job.problem for job in jobs
              if job.problem is not None and hasattr(job.problem, "problems")}
-    nbytes = sum(len(xdr.encode(write_book(problems))) for problems in books.values())
+    nbytes = sum(len(xdr.encode(_book_of(payload))) for payload in books.values())
 
     def one_pass() -> float:
         start = time.perf_counter()
-        for problems in books.values():
-            xdr.encode(write_book(problems))
+        for payload in books.values():
+            xdr.encode(_book_of(payload))
         return time.perf_counter() - start
 
-    positions = sum(map(len, books.values()))
+    positions = sum(len(payload.problems) for payload in books.values())
     return (1e6 * _fastest(one_pass) / max(positions, 1), nbytes / max(positions, 1),
             positions, len(books))
 
@@ -190,6 +205,10 @@ def main(name: str) -> None:
         print(f"  {layer:26s} {seconds:6.3f} s  {seconds / busy:6.1%}")
     print("  per-position objects built: "
           + ", ".join(f"{len(calls)} {label}" for label, calls in objects.items()))
+    digests = sum(row[1] for key, row in stats.items()
+                  if key[2] == "stable_digest" and key[0].endswith("pricing/cache.py"))
+    print(f"  digests computed: {digests} for "
+          f"{sum(len(campaign.plan.original_ids) for campaign in campaigns)} members")
     for campaign in campaigns:
         report, jobs = campaign.finish().report, campaign.plan.jobs
         members = [len(campaign.plan.batch_members[job.job_id]) for job in jobs

@@ -24,6 +24,8 @@ from repro.pricing.methods.base import FLOAT_COLUMNS, ResultColumns
 __all__ = ["RunReport", "ResultTable"]
 
 _NAN = float("nan")
+#: ids below this many times their number map to rows through an array
+_SPAN = 4
 
 
 #: the fields of a result dictionary, in the order :meth:`ResultTable.columns`
@@ -72,11 +74,21 @@ class ResultTable(Mapping):
         self.cache_hit = np.zeros(len(ids), dtype=np.bool_)
         #: row number -> the position's error message
         self._errors: dict[int, str] = {}
-        #: job id -> row; ``None`` where each id is its row (a portfolio's
-        #: ``0..n-1``), which an id array maps to rows as it is
+        #: job id -> row, ``-1`` for an id not submitted: an array where the
+        #: ids are distinct, non-negative and below ``_SPAN`` x their number
+        #: (a risk grid's permuted cell ids), so an id array is mapped to rows
+        #: by one gather, else a dict; neither where each id is its row (a
+        #: portfolio's ``0..n-1``), which an id array maps to rows as it is
+        self._row_at: np.ndarray | None = None
         self._row_by_id: dict[int, int] | None = None
         if not np.array_equal(ids, np.arange(len(ids))):
-            self._row_by_id = {job_id: row for row, job_id in enumerate(ids.tolist())}
+            if ids.min() >= 0 and ids.max() < _SPAN * len(ids):
+                self._row_at = np.full(ids.max() + 1, -1, dtype=np.intp)
+                self._row_at[ids] = np.arange(len(ids))
+                if np.count_nonzero(self._row_at >= 0) < len(ids):  # an id twice
+                    self._row_at = None
+            if self._row_at is None:
+                self._row_by_id = {job_id: row for row, job_id in enumerate(ids.tolist())}
         #: (row, result dictionary) of the single answers not folded yet
         self._kept: list[tuple[int, dict[str, Any]]] = []
 
@@ -113,6 +125,10 @@ class ResultTable(Mapping):
             row = index(job_id)
         except TypeError:
             raise KeyError(job_id) from None
+        if self._row_at is not None:
+            if not 0 <= row < len(self._row_at) or self._row_at[row] < 0:
+                raise KeyError(job_id)
+            return int(self._row_at[row])
         if not 0 <= row < len(self.ids):
             raise KeyError(job_id)
         return row
@@ -120,13 +136,21 @@ class ResultTable(Mapping):
     def rows_of(self, job_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Row numbers of ``job_ids``; an id the campaign never submitted is a
         :class:`~repro.errors.ClusterError`.  Where each id is its row, an
-        array of ids in range is its own rows."""
+        array of ids in range is its own rows; where the ids map to rows
+        through an array, it is one gather."""
         if self._row_by_id is None:
             rows = np.asarray(job_ids)
             if rows.dtype.kind in "iu" and rows.ndim == 1:
                 rows = rows.astype(np.intp, copy=False)
-                if not len(rows) or (rows.min() >= 0 and rows.max() < len(self.ids)):
+                if not len(rows):
                     return rows
+                row_at = self._row_at
+                if rows.min() >= 0 and rows.max() < len(self.ids if row_at is None else row_at):
+                    if row_at is None:
+                        return rows
+                    rows = row_at[rows]
+                    if rows.min() >= 0:
+                        return rows
         if isinstance(job_ids, np.ndarray):
             job_ids = job_ids.tolist()
         row_of = self.row_of

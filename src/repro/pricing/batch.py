@@ -38,6 +38,7 @@ enable.
 from __future__ import annotations
 
 import copy
+import pickle
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -81,6 +82,10 @@ class SimulationSignature:
     maturity: float
 
 
+#: a leg's class and pickled parameters -> their digest, for one planning call
+_Digests = dict[tuple[type, bytes], str]
+
+
 def simulation_signature(problem: PricingProblem) -> SimulationSignature | None:
     """The problem's shared-simulation grouping key, or ``None``.
 
@@ -89,12 +94,48 @@ def simulation_signature(problem: PricingProblem) -> SimulationSignature | None:
     then priced individually by the fallback path of :func:`price_problems`.
     Memoized on the problem until one of its legs is replaced.
     """
+    return _signature(problem, None)
+
+
+def _signature(
+    problem: PricingProblem, digests: _Digests | None
+) -> SimulationSignature | None:
+    """:func:`simulation_signature`, its leg digests shared through ``digests``
+    (see :func:`_leg_digest`) where that is a dict."""
     if problem._signature_cache is None:
-        problem._signature_cache = (_compute_signature(problem),)
+        problem._signature_cache = (_compute_signature(problem, digests),)
     return problem._signature_cache[0]
 
 
-def _compute_signature(problem: PricingProblem) -> SimulationSignature | None:
+def _leg_digest(leg: Any, digests: _Digests | None) -> str:
+    """``leg.param_digest()``, taken from ``digests`` where an earlier leg of
+    the same class had the same parameters.
+
+    A digest is a JSON rendering of every parameter (tens of microseconds for
+    a 10-d basket model), and a book of families repeats a few model and
+    method values over many problems, each holding its own objects.  Legs are
+    matched by their pickled ``to_params()``: it tells ``-0.0`` from ``0.0``
+    and ``1`` from ``1.0``, so it never merges two legs whose digests differ
+    (it keeps apart some whose digests are equal -- a list and an array of
+    the same values -- which only costs a digest).
+    """
+    if digests is None or leg.__dict__.get("_digest_cache") is not None:
+        return leg.param_digest()
+    try:
+        key = (type(leg), pickle.dumps(leg.to_params()))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return leg.param_digest()  # nothing to share; the digest says what is wrong
+    digest = digests.get(key)
+    if digest is None:
+        digest = digests[key] = leg.param_digest()
+    else:
+        leg.__dict__["_digest_cache"] = digest  # the memo param_digest() reads
+    return digest
+
+
+def _compute_signature(
+    problem: PricingProblem, digests: _Digests | None
+) -> SimulationSignature | None:
     if not problem.is_complete:
         return None
     method = problem.method
@@ -106,9 +147,9 @@ def _compute_signature(problem: PricingProblem) -> SimulationSignature | None:
     n_steps = method._effective_steps(model, product)
     mode = "paths" if (product.path_dependent or n_steps > 1) else "terminal"
     return SimulationSignature(
-        model_digest=model.param_digest(),
+        model_digest=_leg_digest(model, digests),
         method_name=method.method_name,
-        method_digest=method.param_digest(),
+        method_digest=_leg_digest(method, digests),
         mode=mode,
         n_steps=n_steps,
         maturity=product.maturity,
@@ -156,13 +197,17 @@ def plan_batches(
     digest) but stackable schemes share one draw cohort across groups, so
     even one-member groups belong in the stacked plan rather than the
     per-problem fallback.
+
+    Each distinct model and method value is digested once per call: legs with
+    exactly equal parameters take the first one's digest (:func:`_leg_digest`).
     """
     if min_group_size < 1:
         raise PricingError("min_group_size must be >= 1")
     by_signature: dict[SimulationSignature, list[int]] = {}
     singles: list[int] = []
+    digests: _Digests = {}
     for index, problem in enumerate(problems):
-        signature = None if problem is None else simulation_signature(problem)
+        signature = None if problem is None else _signature(problem, digests)
         if signature is None:
             singles.append(index)
         else:
@@ -189,9 +234,10 @@ class ProblemBatch:
 
     The wire form (:meth:`wire_view`) is the members' columnar book
     (:mod:`repro.pricing.book`), the one book format a scenario grid writes
-    too: equal signatures mean equal model and method parameters, so it
-    carries one model and one method header where the members were written
-    with equal parameters, and the rebuilt members share their
+    too.  :meth:`compute` prices every member with the first member's model
+    and method (equal signatures mean equal model and method digests), so the
+    book carries that leader's model and method headers, one row each, and an
+    option row per member; the rebuilt members share the leader's
     :class:`Model` and :class:`PricingMethod` objects.
     """
 
@@ -258,9 +304,11 @@ class ProblemBatch:
     # -- serialization ----------------------------------------------------------
     def wire_view(self) -> dict[str, Any]:
         """The batch as the codec writes it (read-only, like
-        :meth:`PricingProblem.wire_view`): the members' columnar book
-        (:func:`~repro.pricing.book.write_book`), their keys and the kernel."""
-        return {"book": write_book(self.problems), "keys": self.keys, "kernel": self.kernel}
+        :meth:`PricingProblem.wire_view`): the members' columnar book under
+        the leader's headers (:func:`~repro.pricing.book.write_book`), their
+        keys and the kernel."""
+        return {"book": write_book(self.problems, self.problems[0].wire_legs()[:2]),
+                "keys": self.keys, "kernel": self.kernel}
 
     def to_dict(self) -> dict[str, Any]:
         """An independent deep copy of :meth:`wire_view`."""

@@ -25,7 +25,9 @@ plain list otherwise (basket weights, correlation matrices).  Option rows
 are one per position; model and method rows are the *distinct* headers,
 merged only when their written bytes would be equal -- ``-0.0`` is not
 ``0.0``, ``1`` is not ``1.0``, and arrays are compared in full -- so a
-position reads back exactly the parameters it was written with.
+position reads back exactly the parameters it was written with.  A
+:class:`~repro.pricing.batch.ProblemBatch`, priced with its first member's
+model and method, writes that leader's headers for every position.
 
 The reader rebuilds one :class:`~repro.pricing.models.base.Model` and one
 :class:`~repro.pricing.methods.base.PricingMethod` per header (their digests
@@ -150,9 +152,22 @@ def _write_leg(
     }
 
 
-def write_book(problems: Sequence[PricingProblem]) -> dict[str, Any]:
-    """``problems`` as the book the codec writes (see the module docstring)."""
-    legs = zip(*(problem.wire_legs() for problem in problems))
+def write_book(
+    problems: Sequence[PricingProblem],
+    headers: Sequence[tuple[Any, dict[str, Any]]] | None = None,
+) -> dict[str, Any]:
+    """``problems`` as the book the codec writes (see the module docstring).
+
+    ``headers``, the ``(name, params)`` of a model and a method leg as
+    :meth:`~repro.pricing.engine.PricingProblem.wire_legs` gives them, are
+    written for every position in place of its own: a family priced with its
+    leader's model and method (:class:`~repro.pricing.batch.ProblemBatch`)
+    carries one row of each.
+    """
+    legs: list[Sequence[tuple[Any, dict[str, Any]]]] = list(
+        zip(*(problem.wire_legs() for problem in problems)))
+    if headers is not None:
+        legs[:2] = ([header] * len(problems) for header in headers)
     encoded: dict[int, bytes] = {}
     return {
         "labels": [problem.label for problem in problems],

@@ -67,6 +67,23 @@ class TestScatterIsCheckedAgainstTheJobsMembers:
             table.scatter(_reply(ids, errors), members=(0, 1, 2))
         assert not table.status.any()  # nothing was written
 
+    def test_a_grids_permuted_cell_ids_map_to_rows_by_one_gather(self):
+        cells = np.random.default_rng(5).permutation(48)[:40]  # some cells of the span
+        table = ResultTable(cells)
+        assert table._row_by_id is None  # no id -> row dict
+        members = cells[8:16].tolist()
+        answered = [cell for cell in members[::-1] if cell != members[3]]
+        table.scatter(_reply(answered, errors={members[3]: "boom"}), members=members)
+        assert table.rows_of(np.array(members)).tolist() == list(range(8, 16))
+        assert table.prices() == {cell: float(cell) for cell in members if cell != members[3]}
+        assert table.errors() == {members[3]: "boom"}
+        absent = int(np.setdiff1d(np.arange(48), cells)[0])
+        for stray in (absent, 48, -1):
+            with pytest.raises(KeyError):
+                table.row_of(stray)
+            with pytest.raises(ClusterError, match=f"id {stray}, which this campaign never"):
+                table.rows_of([members[0], stray])
+
     def test_a_result_without_a_finite_price_is_an_error_not_a_nan_row(self):
         table = ResultTable([0, 1, 2])
         table.write(0, {"price": float("nan")}, None)

@@ -1,13 +1,13 @@
-"""The book the risk differentials run on."""
+"""The books the risk differentials and the batch tests run on."""
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.portfolio import Portfolio, Position
-from repro.pricing import BlackScholesModel, PricingProblem, register_model
+from repro.pricing import BlackScholesModel, PricingProblem, flat_correlation, register_model
 
-__all__ = ["SigmaOnlyModel", "mixed_book"]
+__all__ = ["SigmaOnlyModel", "basket_family", "mixed_book"]
 
 
 @register_model
@@ -52,3 +52,22 @@ def mixed_book(rng_kind: str = "pcg64", antithetic: bool = True) -> Portfolio:
         ("TestSigmaOnly1D", {"spot": 100.0, "rate": 0.03, "sigma": 0.2}),
         ("CallEuro", {"strike": 100.0, "maturity": 1.0}), mc)
     return book
+
+
+def basket_family(spots: Sequence[Any], family: int = 0) -> list[PricingProblem]:
+    """A family of ``benchmarks/e2e`` ``basket_grid_mp`` (under its ``family``-th
+    volatility vector): 10-d Sobol basket puts, one per spot vector of
+    ``spots``, every member its own model and method objects."""
+    correlation = flat_correlation(10, 0.3).tolist()
+    volatilities = [0.12 + 0.01 * k + 0.004 * family for k in range(10)]
+    problems = []
+    for number, spot in enumerate(spots):
+        strike = 80.0 + 40.0 * number / max(len(spots) - 1, 1)
+        problem = PricingProblem(label=f"put_K{strike:.2f}")
+        problem.set_model("BlackScholesND", spot=spot, rate=0.045, volatilities=volatilities,
+                          correlation=correlation, dividends=0.0)
+        problem.set_option("BasketPutEuro", strike=strike, maturity=1.0, weights=[0.1] * 10)
+        problem.set_method("MC_European", n_paths=512, n_steps=1, antithetic=False,
+                           control_variate=False, seed=11, rng_kind="sobol")
+        problems.append(problem)
+    return problems

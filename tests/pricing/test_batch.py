@@ -14,7 +14,9 @@ from repro.pricing import (
     price_problems,
     simulation_signature,
 )
+from repro.pricing import cache as cache_module
 from repro.serial import serialize
+from tests.oracles.books import basket_family
 
 
 def _mc_problem(
@@ -135,6 +137,52 @@ class TestPlanBatches:
         assert len(plan.groups) == 2
         assert all(len(group.indices) == 1 for group in plan.groups)
         assert plan.singles == ()
+
+
+class TestEachDistinctLegIsDigestedOnce:
+    """``plan_batches`` digests each distinct model and method value once."""
+
+    def test_a_book_of_k_families_costs_k_plus_one_digests(self, monkeypatch):
+        calls = []
+        digest = cache_module.stable_digest
+        monkeypatch.setattr(cache_module, "stable_digest",
+                            lambda value: calls.append(value) or digest(value))
+        problems = [problem for family in range(5)
+                    for problem in basket_family([[100.0] * 10 for _ in range(7)], family)]
+        plan = plan_batches(problems)
+        assert len(calls) == 5 + 1  # not 2 x 35: five models, one method
+        assert [len(group) for group in plan.groups] == [7] * 5 and plan.singles == ()
+
+    @pytest.mark.parametrize(
+        ("model", "first", "second"),
+        [
+            ("BlackScholes1D", {"dividend": 0.0}, {"dividend": -0.0}),
+            ("CEV1D", {"beta": 1}, {"beta": 1.0}),
+            ("BlackScholesND", {"spot": [100.0, 100.0]}, {"spot": np.array([100.0, 100.0])}),
+        ],
+    )
+    def test_a_shared_digest_is_the_one_each_leg_gives_alone(self, model, first, second):
+        base = {
+            "BlackScholes1D": {"spot": 100.0, "rate": 0.05, "volatility": 0.2},
+            "CEV1D": {"spot": 100.0, "rate": 0.05, "volatility": 0.2},
+            "BlackScholesND": {"spot": [100.0, 100.0], "rate": 0.05, "volatilities": 0.2},
+        }[model]
+        option = ("CallEuro", {}) if model != "BlackScholesND" else (
+            "BasketPutEuro", {"weights": [0.5, 0.5]})
+        problems = []
+        for params in (first, second, first, second):
+            problem = PricingProblem()
+            problem.set_model(model, **{**base, **params})
+            problem.set_option(option[0], strike=100.0, maturity=1.0, **option[1])
+            problem.set_method("MC_European", n_paths=100, n_steps=1, seed=3)
+            problems.append(problem)
+        plan = plan_batches(problems, min_group_size=1)
+        for problem in problems:
+            assert problem.model.param_digest() == cache_module.model_digest(problem.model)
+            assert problem.method.param_digest() == cache_module.stable_digest(
+                problem.method.to_params())
+        fresh = [cache_module.model_digest(problem.model) for problem in problems]
+        assert len(plan.groups) == len(set(fresh))
 
 
 class TestSharedPathPricing:

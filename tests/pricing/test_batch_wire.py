@@ -3,6 +3,7 @@ model/method header, exact header dedup, typed decode errors."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 
@@ -14,6 +15,7 @@ from repro.errors import SerializationError
 from repro.pricing import PricingProblem, ProblemBatch, flat_correlation
 from repro.pricing.book import read_book, write_book
 from repro.serial import serialize, unserialize, xdr
+from tests.oracles.books import basket_family
 
 #: the encoding of the 50-member batch below when every member carried its own
 #: model and method (483 B per member); the row-per-member book of protocol
@@ -89,6 +91,37 @@ class TestWireForm:
         assert batch.to_dict()["book"]["model"]["tables"][0]["params"]["spot"][0] == 101.3
         assert batch.problems[0].product.strike == 80.0
         assert batch.problems[0].to_dict()["option"]["params"]["strike"] == 80.0
+
+
+class TestAFamilyBookCarriesItsLeadersHeaders:
+    """A batch is priced with its first member's model and method, so its book
+    writes those headers once and an option row per member."""
+
+    #: sha256 of the seven-member basket family below, as protocol v12 wrote it
+    #: when every member's headers were keyed
+    BASKET_FAMILY_SHA256 = "7fb092dc3d8ceb362866d5d4b6a2dfc2893aae875f4753b0c4c79b678e578aec"
+
+    @pytest.mark.parametrize("family", ["ladder", "basket"])
+    def test_bytes_equal_headers_write_the_bytes_of_their_own_book(self, family):
+        problems = _var_ladder() if family == "ladder" else basket_family(
+            [[100.0] * 10 for _ in range(7)])
+        batch = ProblemBatch(problems, keys=range(7, 7 + len(problems)))
+        own = {"book": write_book(problems), "keys": batch.keys, "kernel": batch.kernel}
+        assert xdr.encode(batch.wire_view()) == xdr.encode(own)
+        if family == "basket":
+            digest = hashlib.sha256(serialize(batch).to_bytes()).hexdigest()
+            assert digest == self.BASKET_FAMILY_SHA256
+
+    def test_a_family_apart_only_by_list_and_array_prices_as_its_members_alone(self):
+        problems = basket_family([[100.0] * 10, np.full(10, 100.0), [100.0] * 10,
+                                   np.full(10, 100.0)])
+        assert len(write_book(problems)["model"]["tables"][0]["params"]["spot"]) == 2
+        batch = ProblemBatch(problems)
+        book = batch.wire_view()["book"]
+        assert [table["rows"] for table in book["model"]["tables"]] == [1]
+        assert book["model"]["index"].tolist() == [0] * 4
+        reply = unserialize(serialize(batch)).compute()
+        assert reply.price.tolist() == [problem.compute().price for problem in problems]
 
 
 def _call(label: str = "call", strike: float = 100.0, **model) -> PricingProblem:
