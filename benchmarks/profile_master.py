@@ -14,28 +14,37 @@ a plain book) answers -- and what the workers made of it: their idle share
 and the in-flight window the run reached (``RunReport.peak_window``).
 ``cProfile`` taxes every
 Python call, so read the table for its ranking and call counts, not for
-absolute seconds -- those come from ``benchmarks/e2e/bench.py``.  The
-absolute figures printed are three layers of the master, each timed again on
-the campaign's own inputs after the profiled repeat, outside the profiler:
-the plan (:func:`repro.api.plan.build_plan` on the arguments the session gave
-it), the book write -- the columnar book of each dispatched slice or batch
-(:func:`repro.pricing.book.write_book`, a batch's under its leader's headers)
-and its XDR encode, in microseconds and bytes a position -- and the scatter
-of the replies the campaign received into a fresh result table
-(:meth:`repro.core.runner.ResultTable.scatter`).
-Each of those lines is the fastest of :data:`PASSES` passes over the same
-inputs, so one cold pass does not set it.
+absolute seconds -- those come from ``benchmarks/e2e/bench.py``.
+
+The absolute figures come from two kinds of unprofiled reading.  First, each
+layer's CPU *in situ*: :data:`IN_SITU_REPEATS` repeats on fresh inputs, before
+the profiled one, with :func:`time.thread_time` deltas around the book write
+(:func:`repro.pricing.book.write_book`), the XDR encode outside it
+(:func:`repro.serial.xdr.encode`: labels, keys, arrays, the job and frame
+records), the XDR decode (on a remote pool, the replies) and the plan
+(:func:`repro.api.plan.build_plan`), each net of the others nested inside it,
+as the median in ms a repeat and us a position.  These are the costs a
+campaign pays; warm loops over the same inputs read 2-3x lower.  Second, three
+layers timed again after the profiled repeat, each the fastest of
+:data:`PASSES` passes: the plan (``build_plan`` on the arguments the session
+gave it, over freshly built problems, so digests and signatures are made
+again), the book write -- the columnar book of each dispatched slice or batch
+(a batch's under its leader's headers) and its XDR encode, in microseconds and
+bytes a position -- and the scatter of the replies the campaign received into
+a fresh result table (:meth:`repro.core.runner.ResultTable.scatter`).
 The numbers in ``docs/performance.md`` are this script's output.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
+import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -43,11 +52,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from benchmarks.e2e.harness import execute, make_session, set_up  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
 import repro.api.session  # noqa: E402
+import repro.pricing.batch  # noqa: E402
+import repro.pricing.scenarios  # noqa: E402
 from repro.api.futures import PricingFuture  # noqa: E402
+from repro.core.portfolio import Portfolio  # noqa: E402
 from repro.core.runner import ResultTable  # noqa: E402
 from repro.pricing.batch import ProblemBatch  # noqa: E402
 from repro.pricing.book import write_book  # noqa: E402
 from repro.pricing.methods.base import ResultColumns  # noqa: E402
+from repro.pricing.scenarios import ScenarioGrid  # noqa: E402
 from repro.serial import xdr  # noqa: E402
 
 #: cumulative time of every function of that name (in the file ending so,
@@ -59,8 +72,8 @@ from repro.serial import xdr  # noqa: E402
 #: ``Job.wire_bytes``, a job's bytes made at its first dispatch; of that,
 #: ``book encode`` is a grid's or book slice's book -- ``write_book``'s columns
 #: and their XDR encode -- and ``write_book`` the columns of every book, a
-#: batch's members included) and back (the queue's unpickle, the write into
-#: the result table, the report)
+#: batch's members included) and back (the queue's unpickle, a remote
+#: pool's reply decode, the write into the result table, the report)
 LAYERS = {
     "columns": ("columns", ""),
     "build_plan": ("build_plan", ""),
@@ -74,6 +87,7 @@ LAYERS = {
     "write_book": ("write_book", "pricing/book.py"),
     "dispatch": ("dispatch", ""),
     "queue unpickle": ("<built-in method _pickle.loads>", ""),
+    "reply decode": ("decode", "serial/xdr.py"),
     "_resolve_completed": ("_resolve_completed", ""),
     "_assemble": ("_assemble", ""),
     "deepcopy": ("deepcopy", ""),
@@ -89,6 +103,72 @@ _OBJECTS = {
 
 #: passes over the same inputs each unprofiled line takes the fastest of
 PASSES = 7
+
+#: the layers timed in situ: name -> the modules whose attribute of that name
+#: the master calls (``write_book`` is imported by name where books are made)
+IN_SITU = {
+    "book write": ((repro.pricing.scenarios, repro.pricing.batch), "write_book"),
+    "xdr encode outside the book": ((xdr,), "encode"),
+    "xdr decode (replies)": ((xdr,), "decode"),
+    "build_plan": ((repro.api.session,), "build_plan"),
+}
+#: unprofiled repeats the in-situ lines take the median of
+IN_SITU_REPEATS = 5
+
+
+class _LayerClock:
+    """The master thread's CPU in each :data:`IN_SITU` layer, net of the
+    layers called inside it (a grid's encode holds its book's write and
+    encode: the write is the book's, the two encodes the codec's)."""
+
+    def __init__(self) -> None:
+        self.spent = dict.fromkeys(IN_SITU, 0.0)
+        self._open: list[list[float]] = []  # [start, time in nested layers]
+
+    def timed(self, layer: str, function: Callable) -> Callable:
+        def timed_call(*args, **kwargs):
+            call = [time.thread_time(), 0.0]
+            self._open.append(call)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self._open.pop()
+                total = time.thread_time() - call[0]
+                self.spent[layer] += total - call[1]
+                if self._open:
+                    self._open[-1][1] += total
+
+        return timed_call
+
+
+def in_situ(workload, pool) -> tuple[dict[str, float], float, int]:
+    """Median CPU seconds a repeat of each :data:`IN_SITU` layer and of the
+    whole master thread, over :data:`IN_SITU_REPEATS` unprofiled repeats on
+    fresh inputs (as each round of ``bench.py`` builds its own); positions."""
+    clock = _LayerClock()
+    originals = [(module, name, getattr(module, name))
+                 for modules, name in IN_SITU.values() for module in modules]
+    for layer, (modules, name) in IN_SITU.items():
+        for module in modules:
+            setattr(module, name, clock.timed(layer, getattr(module, name)))
+    samples: dict[str, list[float]] = {layer: [] for layer in IN_SITU}
+    totals = []
+    try:
+        for _ in range(IN_SITU_REPEATS):
+            inputs = workload.build_profile(1, False)
+            session = make_session(workload, pool)
+            gc.collect()
+            clock.spent = dict.fromkeys(IN_SITU, 0.0)
+            start = time.thread_time()
+            execute(workload, session, inputs)
+            totals.append(time.thread_time() - start)
+            for layer, seconds in clock.spent.items():
+                samples[layer].append(seconds)
+    finally:
+        for module, name, original in originals:
+            setattr(module, name, original)
+    medians = {layer: statistics.median(values) for layer, values in samples.items()}
+    return medians, statistics.median(totals), inputs.n_positions
 
 
 def _fastest(one_pass: Callable[[], float]) -> float:
@@ -110,14 +190,35 @@ def _record_calls(owner, name: str) -> tuple[list[tuple[tuple, dict]], Callable]
     return calls, original
 
 
-def plan_again(plans, build_plan: Callable) -> float:
-    """Microseconds a position of making each recorded plan again (a scenario
-    grid keeps which cells it has, so a risk plan does not decide it again)."""
+def _fresh(source: Any, portfolio: Portfolio) -> Any:
+    """``source`` of a recorded plan rebuilt from ``portfolio``, fresh
+    inputs of the same seed: problems that hold no digest, signature or
+    written parameters yet.  A scenario grid keeps its scenarios and which
+    cells it has (a risk plan does not decide that; ``columns`` is its own
+    row); a prepared job list is taken as recorded."""
+    if isinstance(source, Portfolio):
+        return portfolio
+    if isinstance(source, ScenarioGrid) and len(source.problems) == len(portfolio):
+        grid = ScenarioGrid(
+            [position.problem for position in portfolio], source.scenarios,
+            on_missing=source.on_missing, kernel=source.kernel, offset=source.offset,
+            n_scenarios=source.n_scenarios, answered=source.answered, rows=source.rows,
+        )
+        grid.columns()
+        return grid
+    return source
+
+
+def plan_again(plans, build_plan: Callable, workload) -> float:
+    """Microseconds a position of making each recorded plan again, each pass
+    over freshly built inputs (:func:`_fresh`), built outside the timing."""
     positions = sum(len(build_plan(*args, **kwargs).original_ids) for args, kwargs in plans)
 
     def one_pass() -> float:
+        fresh = [((_fresh(args[0], workload.build_profile(1, False).portfolio), *args[1:]),
+                  kwargs) for args, kwargs in plans]
         start = time.perf_counter()
-        for args, kwargs in plans:
+        for args, kwargs in fresh:
             build_plan(*args, **kwargs)
         return time.perf_counter() - start
 
@@ -172,20 +273,22 @@ _WAITS = ("<method 'poll' of 'select.poll' objects>", "<method 'poll' of 'select
 def main(name: str) -> None:
     workload = WORKLOADS[name]
     pool, inputs = set_up(workload, seed=1, smoke=False)
-    session = make_session(workload, pool)
     campaigns = []
-    open_campaign = session._open_campaign
-
-    def recording(*args, **kwargs):  # a risk campaign returns a summary, not its report
-        campaigns.append(open_campaign(*args, **kwargs))
-        return campaigns[-1]
-
-    session._open_campaign = recording
-    objects = {label: _record_calls(owner, name)[0] for label, (owner, name) in _OBJECTS.items()}
-    plans, build_plan = _record_calls(repro.api.session, "build_plan")
-    scatters, scatter = _record_calls(ResultTable, "scatter")
     profile = cProfile.Profile()
     try:
+        layers, master, units = in_situ(workload, pool)
+        session = make_session(workload, pool)
+        open_campaign = session._open_campaign
+
+        def recording(*args, **kwargs):  # a risk campaign returns a summary, not its report
+            campaigns.append(open_campaign(*args, **kwargs))
+            return campaigns[-1]
+
+        session._open_campaign = recording
+        objects = {label: _record_calls(owner, name)[0]
+                   for label, (owner, name) in _OBJECTS.items()}
+        plans, build_plan = _record_calls(repro.api.session, "build_plan")
+        scatters, scatter = _record_calls(ResultTable, "scatter")
         profile.runcall(execute, workload, session, inputs)
     finally:
         if pool is not None:
@@ -224,9 +327,14 @@ def main(name: str) -> None:
         idle = 1.0 - sum(report.worker_busy.values()) / (report.total_time * report.n_workers)
         print(f"  workers idle {idle:.1%} of {report.total_time:.2f} s x {report.n_workers}; "
               f"peak in-flight window {report.peak_window}")
-    print(f"  build_plan {plan_again(plans, build_plan):.1f} us and ResultTable.scatter "
-          f"{scatter_again(scatters, scatter):.1f} us a position (best of {PASSES} "
-          f"unprofiled passes)")
+    print(f"  build_plan {plan_again(plans, build_plan, workload):.1f} us (fresh inputs) and "
+          f"ResultTable.scatter {scatter_again(scatters, scatter):.1f} us a position (best of "
+          f"{PASSES} unprofiled passes)")
+    print(f"  in situ, median of {IN_SITU_REPEATS} unprofiled repeats: master thread "
+          f"{1e3 * master:.1f} ms a repeat, of which")
+    for layer, seconds in layers.items():
+        print(f"    {layer:28s} {1e3 * seconds:6.1f} ms a repeat {1e6 * seconds / units:6.2f} "
+              f"us a position {seconds / master:6.1%}")
 
 
 if __name__ == "__main__":

@@ -170,7 +170,7 @@ def build_plan(
         problems = [job.problem for job in jobs]
     if _travels_in_slices(problems, jobs, batch, queues_jobs, store, strategy, new_policy):
         if jobs is None:
-            costs = [cost_model.estimate(problem) for problem in problems]
+            costs = cost_model.estimate_all(problems)
             categories = [positions[index].category for index in members]
         else:
             members = [job.job_id for job in jobs]
@@ -364,7 +364,7 @@ def _plan_grid(
         answered = _cache_pass(
             plan, {cell: grid.cell_digest(cell) for cell in plan.original_ids}
         )
-    base_costs = [cost_model.estimate(problem) for problem in grid.problems]
+    base_costs = cost_model.estimate_all(grid.problems)
     full_cost = cost_model.estimate_batch_jobs(base_costs)
     costs = []
     for column in columns:

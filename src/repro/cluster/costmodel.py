@@ -22,11 +22,16 @@ Tables I-III.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Sequence
 
 from repro.pricing.engine import PricingProblem
 
 __all__ = ["CostModel", "paper_cost_model", "measured_cost", "estimate_work_units"]
+
+
+def _named_closed_form(method_name: str | None) -> bool:
+    """Whether a method is a closed form, whose work its name alone decides."""
+    return (method_name or "").startswith("CF_")
 
 
 def estimate_work_units(problem: PricingProblem) -> tuple[float, str]:
@@ -44,7 +49,7 @@ def estimate_work_units(problem: PricingProblem) -> tuple[float, str]:
     """
     method_name = problem.method_name or ""
     model = problem.model  # a problem without a model has no estimate
-    if method_name.startswith("CF_"):
+    if _named_closed_form(method_name):
         return 1.0, "closed_form"
     params = problem.method.to_params()
     dimension = max(model.dimension, 1)
@@ -119,6 +124,18 @@ class CostModel:
         if family == "closed_form":
             return self.scale * (self.overhead + self.closed_form)
         return self.scale * (self.overhead + work * self.rate_for(family))
+
+    def estimate_all(self, problems: Sequence[PricingProblem]) -> list[float]:
+        """:meth:`estimate` of each of ``problems``.  A closed form's cost
+        follows from its method's name, so it is estimated once per name (a
+        whole toy book is two estimates); every other problem on its own."""
+        names = [problem.method_name for problem in problems]
+        # each name's first problem: the last one a backward walk meets
+        firsts = dict(zip(reversed(names), reversed(problems)))
+        by_name = {name: self.estimate(problem) for name, problem in firsts.items()
+                   if _named_closed_form(name) and problem.is_complete}
+        return [by_name[name] if name in by_name and problem.is_complete
+                else self.estimate(problem) for name, problem in zip(names, problems)]
 
     def with_scale(self, scale: float) -> "CostModel":
         """Return a copy with a different global scale factor."""

@@ -308,7 +308,8 @@ _FACTORING = 2
 
 def _weighable(costs: Iterable[float]) -> bool:
     """Whether every cost is a positive finite number (else: cut by count)."""
-    return all(math.isfinite(cost) and cost > 0 for cost in costs)
+    values = list(costs)
+    return all(map(math.isfinite, values)) and (not values or min(values) > 0)
 
 
 def cut_chunk(head: Iterable[float], queued: float, n_workers: int) -> tuple[int, float]:
@@ -332,13 +333,14 @@ def cut_chunk(head: Iterable[float], queued: float, n_workers: int) -> tuple[int
 def cut_chunks(costs: Sequence[float], n_workers: int) -> list[int]:
     """The lengths of all the chunks :func:`cut_chunk` cuts from ``costs``, in
     order -- for a planner that must cut before anything is dispatched."""
-    weights = deque(costs if _weighable(costs) else [1.0] * len(costs))
+    weights = costs if _weighable(costs) else [1.0] * len(costs)
     queued = math.fsum(weights)
-    lengths = []
-    while weights:
-        count, cost = cut_chunk(weights, queued, n_workers)
-        for _ in range(count):
-            weights.popleft()
+    lengths: list[int] = []
+    start = 0
+    while start < len(weights):
+        count, cost = cut_chunk(
+            map(weights.__getitem__, range(start, len(weights))), queued, n_workers)
+        start += count
         queued -= cost
         lengths.append(count)
     return lengths

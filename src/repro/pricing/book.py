@@ -21,11 +21,13 @@ once and the XDR encoder writes a column of floats as one array::
 A leg's rows are its tables' rows, in table order; a table holds the rows of
 one class name and one parameter list.  A column is ``f8`` when every value
 is a Python or NumPy float, ``i8`` when every value is an ``int``, and a
-plain list otherwise (basket weights, correlation matrices).  Option rows
-are one per position; model and method rows are the *distinct* headers,
-merged only when their written bytes would be equal -- ``-0.0`` is not
-``0.0``, ``1`` is not ``1.0``, and arrays are compared in full -- so a
-position reads back exactly the parameters it was written with.  A
+plain list otherwise (basket weights, correlation matrices), decided over
+the rows a table writes.  Option rows are one per position; model and method
+rows are the *distinct* headers, two rows of a table merged exactly when
+their written bytes would be equal -- ``-0.0`` is not ``0.0``, ``1`` is not
+``1.0``, and arrays are compared in full -- so a position reads back exactly
+the parameters it was written with.  The writer works a column at a time
+(:func:`_write_leg`): no Python call and no key is made per position.  A
 :class:`~repro.pricing.batch.ProblemBatch`, priced with its first member's
 model and method, writes that leader's headers for every position.
 
@@ -39,8 +41,8 @@ constructor check, and turns a malformed column into a
 from __future__ import annotations
 
 import copy
-import struct
-from operator import itemgetter
+from itertools import repeat
+from operator import is_, itemgetter
 from typing import Any, Sequence
 
 import numpy as np
@@ -54,9 +56,6 @@ LEGS = ("model", "method", "option")
 #: an asset class as the book writes it: its number in ``ASSET_CLASSES``
 _ASSET_NUMBER = {name: number for number, name in enumerate(ASSET_CLASSES)}
 _FLOATS = frozenset({float, np.float64})
-_pack_f64 = struct.Struct(">d").pack
-#: ``struct.Struct(">{width}d").pack`` by width, made as a width is first met
-_PACK_FLOATS: dict[int, Any] = {}
 
 
 def _column(values: list[Any]) -> Any:
@@ -72,84 +71,140 @@ def _column(values: list[Any]) -> Any:
     return values
 
 
-def _pack_floats(width: int) -> Any:
-    """The packer of ``width`` big-endian doubles, made once per width."""
-    pack = _PACK_FLOATS.get(width)
-    if pack is None:
-        pack = _PACK_FLOATS[width] = struct.Struct(f">{width}d").pack
-    return pack
+def _encoding_numbers(values: list[Any], encoded: dict[int, bytes]) -> list[int]:
+    """Each value's number among the distinct encodings of its column.
+    ``encoded`` holds the encoding of each value object for the write (every
+    value is held by its problem until the write ends, so an id is not
+    reused): a correlation matrix shared by a whole book is encoded once."""
+    from repro.serial import xdr  # lazily: repro.serial imports the payloads
 
-
-def _header_key(name: Any, params: dict[str, Any], encoded: dict[int, bytes]) -> Any:
-    """Equal for two headers only if their written bytes would be equal: no
-    parameters as the name alone, all floats as their packed bytes, else each
-    value's encoding.  ``encoded`` holds the encoding of each value object but
-    a float for the write (every value is held by its problem until the write
-    ends, so an id is not reused): a correlation matrix shared by a whole book
-    is encoded once."""
-    if not params:
-        return (name, ())
-    if _FLOATS.issuperset(map(type, params.values())):
-        return (name, tuple(params), _pack_floats(len(params))(*params.values()))
-    key = []
-    for value in params.values():
-        if type(value) in _FLOATS:
-            key.append(b"D" + _pack_f64(value))  # the codec's float
-            continue
+    numbers: dict[bytes, int] = {}
+    out = []
+    for value in values:
         held = encoded.get(id(value))
         if held is None:
-            from repro.serial import xdr  # lazily: repro.serial imports the payloads
-
             held = encoded[id(value)] = xdr.encode(value)
-        key.append(held)
-    return (name, tuple(params), tuple(key))
+        out.append(numbers.setdefault(held, len(numbers)))
+    return out
+
+
+#: the dtype that reads a row of ``width`` 64-bit codes as one byte string
+_ROW_KEYS: dict[int, np.dtype] = {}
+
+
+def _distinct(
+    columns: list[list[Any]], n: int, encoded: dict[int, bytes]
+) -> tuple[np.ndarray, list[int]]:
+    """Number the ``n`` rows of a table's parameter ``columns`` by their
+    written bytes: each row's number among the distinct rows, numbered as
+    first met, and the first row of each distinct one.
+
+    A row's key is one byte string of a 64-bit code per value, equal for two
+    values only if their written bytes are: a float's bits (``-0.0`` is not
+    ``0.0``), an ``int`` itself, anything else the number of its encoding
+    (:func:`_encoding_numbers`).  A table of no parameters, of one row or of
+    rows all equal to the first -- first checked by identity, as a book's
+    builders share value objects -- is one row.
+    """
+    if n == 1 or not columns or all(
+            all(map(is_, column, repeat(column[0]))) for column in columns):
+        return np.zeros(n, dtype=np.int64), [0]
+    codes = np.empty((n, len(columns)), dtype=np.int64)
+    bits = codes.view(np.float64)
+    for number, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds <= _FLOATS:
+            bits[:, number] = column
+            continue
+        if kinds == {int}:
+            try:
+                codes[:, number] = column
+                continue
+            except OverflowError:  # past 64 bits: compared by encoding, refused by the codec
+                pass
+        codes[:, number] = _encoding_numbers(column, encoded)
+    if (codes == codes[0]).all():
+        return np.zeros(n, dtype=np.int64), [0]
+    width = 8 * len(columns)
+    row_key = _ROW_KEYS.get(width)
+    if row_key is None:
+        row_key = _ROW_KEYS[width] = np.dtype((np.void, width))
+    keys = codes.view(row_key).ravel().tolist()
+    # the last write of a key is its first row: the rows are walked backwards
+    firsts = sorted(dict(zip(reversed(keys), range(n - 1, -1, -1))).values())
+    number = dict(zip(map(keys.__getitem__, firsts), range(len(firsts))))
+    return np.fromiter(map(number.__getitem__, keys), dtype=np.int64, count=n), firsts
+
+
+def _tables(
+    names: list[Any], params: list[dict[str, Any]]
+) -> tuple[list[tuple[Any, tuple[str, ...]]], list[np.ndarray | None]]:
+    """A leg's tables, ``(name, parameter names)`` in the order they are met,
+    and the positions of each, in order (``None``: every position).
+
+    Where the leg has one parameter list -- every header of a class written
+    with the same names in the same order, as a book's builders write them --
+    a table is a name: the list is checked a parameter at a time, with no key
+    made per position.
+    """
+    n = len(names)
+    keys = tuple(params[0])
+    if len(set(map(len, params))) == 1 and all(
+        at.count(key) == n for at, key in zip(zip(*params), keys)
+    ):
+        shapes: list[Any] = names
+        tables = {name: (name, keys) for name in dict.fromkeys(names)}
+    else:
+        shapes = list(zip(names, map(tuple, params)))
+        tables = {shape: shape for shape in dict.fromkeys(shapes)}
+    if len(tables) == 1:
+        return list(tables.values()), [None]
+    number = dict(zip(tables, range(len(tables))))
+    table_of = np.fromiter(map(number.__getitem__, shapes), dtype=np.int64, count=n)
+    order = np.argsort(table_of, kind="stable")  # by table, each in position order
+    groups: list[np.ndarray | None] = []
+    start = 0
+    for count in np.bincount(table_of).tolist():
+        groups.append(order[start:start + count])
+        start += count
+    return list(tables.values()), groups
 
 
 def _write_leg(
-    entries: Sequence[tuple[Any, dict[str, Any]]], encoded: dict[int, bytes] | None
+    names: list[Any], params: list[dict[str, Any]], encoded: dict[int, bytes] | None
 ) -> dict[str, Any]:
-    """One leg of a book from each position's ``(name, params)``.
+    """One leg of a book from each position's ``names`` and ``params``.
 
-    With the write's value encodings (model, method) each distinct header is
-    written once; the option leg (``None``) writes a row per position.
+    A table holds the positions of one name and one parameter list
+    (:func:`_tables`).  With the write's value encodings (model, method) a
+    table writes each distinct header once; the option leg (``None``) writes
+    a row per position.  The work is done column by column -- a column per
+    parameter of a table, each checked and coded in one pass -- with no
+    Python call and no key made per position.
     """
-    #: (name, *parameter names) -> (table number, its rows' parameters)
-    tables: dict[tuple[Any, ...], tuple[int, list[dict[str, Any]]]] = {}
-    #: the table of each row, rows numbered as they are met
-    row_table: list[int] = []
-    #: header key -> its row, and the same for a header's value objects:
-    #: the same objects are the same bytes, so their key is made once
-    header_rows: dict[Any, int] = {}
-    held_rows: dict[tuple[Any, ...], int] = {}
-    at_row: list[int] = []  # each position's row (header legs only)
-    for name, params in entries:
-        if encoded is not None:
-            held = (name, *params, *map(id, params.values()))
-            row = held_rows.get(held)
-            if row is None:
-                key = _header_key(name, params, encoded)
-                row = held_rows[held] = header_rows.setdefault(key, len(row_table))
-            at_row.append(row)
-            if row < len(row_table):  # a header met before
-                continue
-        table = tables.get((name, *params))
-        if table is None:
-            table = tables[(name, *params)] = (len(tables), [])
-        row_table.append(table[0])
-        table[1].append(params)
-    # a leg's rows are its tables' rows in table order, each table's rows in
-    # the order they were met: the rank of a row in a stable sort by table
-    index = np.arange(len(row_table), dtype=np.int64)
-    if len(tables) > 1:
-        index[np.argsort(row_table, kind="stable")] = index.copy()
-    return {
-        "tables": [
-            {"name": name, "rows": len(rows),
-             "params": {key: _column(list(map(itemgetter(key), rows))) for key in names}}
-            for (name, *names), (_, rows) in tables.items()
-        ],
-        "index": index if encoded is None else index[at_row],
-    }
+    n = len(names)
+    index = np.empty(n, dtype=np.int64)
+    if not n:
+        return {"tables": [], "index": index}
+    written: list[dict[str, Any]] = []
+    offset = 0
+    for (name, keys), positions in zip(*_tables(names, params)):
+        count = n if positions is None else len(positions)
+        at = slice(None) if positions is None else positions
+        rows = params if positions is None or not keys else list(
+            map(params.__getitem__, positions.tolist()))
+        columns = [list(map(itemgetter(key), rows)) for key in keys]
+        if encoded is None:  # a row per position, in position order
+            index[at] = np.arange(offset, offset + count)
+        else:
+            local, firsts = _distinct(columns, count, encoded)
+            index[at] = local + offset
+            columns = [list(map(column.__getitem__, firsts)) for column in columns]
+            count = len(firsts)
+        written.append({"name": name, "rows": count,
+                        "params": {key: _column(column) for key, column in zip(keys, columns)}})
+        offset += count
+    return {"tables": written, "index": index}
 
 
 def write_book(
@@ -164,17 +219,17 @@ def write_book(
     leader's model and method (:class:`~repro.pricing.batch.ProblemBatch`)
     carries one row of each.
     """
-    legs: list[Sequence[tuple[Any, dict[str, Any]]]] = list(
-        zip(*(problem.wire_legs() for problem in problems)))
+    labels, assets, *legs = PricingProblem.wire_columns(problems)
     if headers is not None:
-        legs[:2] = ([header] * len(problems) for header in headers)
+        for number, (name, params) in enumerate(headers):
+            legs[2 * number:2 * number + 2] = [name] * len(problems), [params] * len(problems)
     encoded: dict[int, bytes] = {}
     return {
-        "labels": [problem.label for problem in problems],
-        "assets": np.array([_ASSET_NUMBER[problem.asset] for problem in problems],
-                           dtype=np.int64),
-        **{leg: _write_leg(entries, None if leg == "option" else encoded)
-           for leg, entries in zip(LEGS, legs)},
+        "labels": labels,
+        "assets": np.array(list(map(_ASSET_NUMBER.__getitem__, assets)), dtype=np.int64),
+        **{leg: _write_leg(legs[2 * number], legs[2 * number + 1],
+                           None if leg == "option" else encoded)
+           for number, leg in enumerate(LEGS)},
     }
 
 

@@ -26,7 +26,7 @@ architecture-independent problem files.
 from __future__ import annotations
 
 import copy
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import ProblemStateError, RegistryError, ReproError, SerializationError
 from repro.pricing.methods import METHOD_CLASSES, PricingMethod, PricingResult
@@ -219,10 +219,16 @@ class PricingProblem:
         """Forget what was derived from the (model, option, method) triple:
         the result and the memos of :func:`repro.pricing.cache.problem_digest`
         and :func:`repro.pricing.batch.simulation_signature` (the latter a
-        1-tuple, ``None`` being a valid signature)."""
+        1-tuple, ``None`` being a valid signature); say again whether the
+        triple is complete."""
         self._result = None
         self._digest_cache: str | None = None
         self._signature_cache: tuple[Any] | None = None
+        #: whether the problem has a model, an option and a method (a plain
+        #: attribute, so a planner reads a whole book's without a call each)
+        self.is_complete = (
+            self._model is not None and self._product is not None and self._method is not None
+        )
 
     def set_asset(self, name: str) -> "PricingProblem":
         if name not in ASSET_CLASSES:
@@ -316,15 +322,6 @@ class PricingProblem:
         return self._method_name
 
     @property
-    def is_complete(self) -> bool:
-        """Whether the problem has a model, an option and a method."""
-        return (
-            self._model is not None
-            and self._product is not None
-            and self._method is not None
-        )
-
-    @property
     def has_result(self) -> bool:
         return self._result is not None
 
@@ -387,6 +384,32 @@ class PricingProblem:
             (self._method_name, self._method_params),
             (self._product_name, self._product_params),
         )
+
+    @staticmethod
+    def wire_columns(problems: Sequence["PricingProblem"]) -> list[list[Any]]:
+        """Every problem's label, asset class and :meth:`wire_legs`, as eight
+        columns: labels, assets, then the name and the parameters of the
+        model, the method and the option legs.  A pass per column, and the
+        parameter columns again where a leg set from an instance had not been
+        asked for its parameters yet."""
+
+        def parameters() -> list[list[Any]]:
+            return [[problem._model_params for problem in problems],
+                    [problem._method_params for problem in problems],
+                    [problem._product_params for problem in problems]]
+
+        params = parameters()
+        if any(None in column for column in params):
+            for problem in problems:
+                problem.wire_legs()
+            params = parameters()
+        return [
+            [problem.label for problem in problems],
+            [problem.asset for problem in problems],
+            [problem._model_name for problem in problems], params[0],
+            [problem._method_name for problem in problems], params[1],
+            [problem._product_name for problem in problems], params[2],
+        ]
 
     def share_leg(self, leg: str, source: "PricingProblem") -> None:
         """Take ``source``'s ``model`` or ``method`` leg as it is: the same

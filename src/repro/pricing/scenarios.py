@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import PricingError, SerializationError
-from repro.pricing.batch import answer_members, price_problems
+from repro.pricing.batch import _Digests, _leg_digest, answer_members, price_problems
 from repro.pricing.book import _is_count, read_book, write_book
 from repro.pricing.cache import legs_digest
 from repro.pricing.engine import PricingProblem
@@ -487,13 +487,17 @@ class ScenarioGrid:
         scenario) -- never per cell: an unrealisable scenario raises under
         ``on_missing="raise"``, empties its cells under ``"skip"`` and keeps
         them (priced unbumped) under ``"base"``; a bump that invalidates the
-        model raises here, before anything is dispatched.
+        model raises here, before anything is dispatched.  Models are told
+        apart by digest, one digest made per model value
+        (:func:`~repro.pricing.batch._leg_digest`: equal parameters held by
+        separate objects share it).
         """
         if self._columns is None:
             by_model: dict[str, tuple["Model", list[int]]] = {}
+            digests: _Digests = {}
             for problem, first in zip(self.problems, self._first_cells()):
                 by_model.setdefault(
-                    problem.model.param_digest(), (problem.model, [])
+                    _leg_digest(problem.model, digests), (problem.model, [])
                 )[1].append(first)
             columns: list[list[int]] = [[] for _ in self.scenarios]
             for model, rows in by_model.values():

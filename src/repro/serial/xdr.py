@@ -77,6 +77,8 @@ def registered_type_names() -> list[str]:
 _pack_u32 = struct.Struct(">I").pack
 _pack_i64 = struct.Struct(">q").pack
 _pack_f64 = struct.Struct(">d").pack
+#: a one-byte tag and a length: the head of a string, a type name
+_pack_tagged_u32 = struct.Struct(">cI").pack
 
 #: the zero bytes that bring a block of ``len % 4 == index`` to a 4-byte
 #: boundary, XDR style
@@ -103,20 +105,30 @@ def _encode_float(value: float, chunks: list[bytes]) -> None:
 
 def _encode_str(value: str, chunks: list[bytes], tag: bytes = _TAG_STRING) -> None:
     raw = value.encode("utf-8")
-    chunks.append(tag + _pack_u32(len(raw)) + raw + _PADDING[len(raw) & 3])
+    chunks += (_pack_tagged_u32(tag, len(raw)), raw, _PADDING[len(raw) & 3])
 
 
 def _encode_bytes(value: bytes | bytearray, chunks: list[bytes]) -> None:
     # three chunks, so a job payload is not copied again just to be padded
-    chunks.append(_TAG_BYTES + _pack_u32(len(value)))
-    chunks.append(bytes(value))
-    chunks.append(_PADDING[len(value) & 3])
+    chunks += (_TAG_BYTES + _pack_u32(len(value)), bytes(value), _PADDING[len(value) & 3])
 
 
 def _encode_list(value: list | tuple, chunks: list[bytes]) -> None:
     chunks.append(_TAG_LIST + _pack_u32(len(value)))
+    if set(map(type, value)) == {str}:  # a book's labels: no call per string
+        for text in value:
+            raw = text.encode("utf-8")
+            chunks += (_pack_tagged_u32(_TAG_STRING, len(raw)), raw, _PADDING[len(raw) & 3])
+        return
     for item in value:
         _ENCODERS.get(type(item), _encode_other)(item, chunks)
+
+
+#: the written form of a dictionary key (its length, UTF-8 bytes and
+#: padding), for the first :data:`_KEYS_HELD` keys met: field names recur in
+#: every record, and a key that does not recur cannot grow the table
+_KEYS: dict[str, bytes] = {}
+_KEYS_HELD = 4096
 
 
 def _encode_dict(value: dict, chunks: list[bytes]) -> None:
@@ -126,7 +138,13 @@ def _encode_dict(value: dict, chunks: list[bytes]) -> None:
             raise SerializationError(
                 f"dictionary keys must be strings, got {type(key).__name__}"
             )
-        _encode_str(key, chunks, tag=b"")
+        written = _KEYS.get(key)
+        if written is None:
+            raw = key.encode("utf-8")
+            written = _pack_u32(len(raw)) + raw + _PADDING[len(raw) & 3]
+            if len(_KEYS) < _KEYS_HELD:
+                _KEYS[key] = written
+        chunks.append(written)
         _ENCODERS.get(type(item), _encode_other)(item, chunks)
 
 
@@ -139,16 +157,22 @@ _ARRAY_KINDS: dict[str, tuple[bytes, np.dtype]] = {
 }
 
 
+#: the packer of an array's rank, dimensions and byte count (big-endian
+#: u32s), by rank
+_PACK_SIZES: dict[int, Callable[..., bytes]] = {}
+
+
 def _encode_array(value: np.ndarray, chunks: list[bytes]) -> None:
     kind = _ARRAY_KINDS.get(value.dtype.kind)
     if kind is None:
         raise SerializationError(f"unsupported array dtype: {value.dtype}")
     head, dtype = kind
     data = np.ascontiguousarray(value, dtype=dtype).tobytes()
-    # the rank, each dimension and the byte count, as big-endian u32s
     shape = value.shape
-    sizes = struct.pack(f">{len(shape) + 2}I", len(shape), *shape, len(data))
-    chunks.append(head + sizes + data + _PADDING[len(data) & 3])
+    pack = _PACK_SIZES.get(len(shape))
+    if pack is None:
+        pack = _PACK_SIZES[len(shape)] = struct.Struct(f">{len(shape) + 2}I").pack
+    chunks += (head + pack(len(shape), *shape, len(data)), data, _PADDING[len(data) & 3])
 
 
 #: encoder by *exact* type; everything else (numpy scalars, subclasses such
@@ -214,110 +238,166 @@ def encode(value: Any) -> bytes:
     return b"".join(chunks)
 
 
-class _Reader:
-    """Cursor over an encoded byte string."""
+_unpack_u32 = struct.Struct(">I").unpack_from
+_unpack_i64 = struct.Struct(">q").unpack_from
+_unpack_f64 = struct.Struct(">d").unpack_from
+#: a 1-d array's dimension and byte count, read together
+_unpack_u32_pair = struct.Struct(">II").unpack_from
 
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise SerializationError("truncated XDR stream")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def take_padded(self, n: int) -> bytes:
-        out = self.take(n)
-        remainder = n % 4
-        if remainder:
-            self.take(4 - remainder)
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def text(self, what: str) -> str:
-        """A length-prefixed padded UTF-8 string: a string value, a
-        dictionary key, the type name of a registered object."""
-        raw = self.take_padded(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SerializationError(f"{what} {raw[:40]!r} is not UTF-8: {exc}") from exc
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
+#: the wire dtype of an array and the native dtype it is read into, by code
+_ARRAY_READS: dict[bytes, tuple[np.dtype, np.dtype]] = {
+    code.encode("latin-1"): (dtype, dtype.newbyteorder("="))
+    for code, dtype in _ARRAY_DTYPES.items()
+}
+# the tags as the integers ``data[pos]`` gives
+_N, _T, _F, _I, _D, _S, _B, _L, _H, _A, _O = (
+    tag[0] for tag in (_TAG_NONE, _TAG_TRUE, _TAG_FALSE, _TAG_INT, _TAG_FLOAT, _TAG_STRING,
+                       _TAG_BYTES, _TAG_LIST, _TAG_DICT, _TAG_ARRAY, _TAG_OBJECT)
+)
 
 
-def _decode_from(reader: _Reader) -> Any:
-    tag = reader.take(1)
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_FALSE:
-        return False
-    if tag == _TAG_INT:
-        return struct.unpack(">q", reader.take(8))[0]
-    if tag == _TAG_FLOAT:
-        return struct.unpack(">d", reader.take(8))[0]
-    if tag == _TAG_STRING:
-        return reader.text("string")
-    if tag == _TAG_BYTES:
-        length = reader.u32()
-        return reader.take_padded(length)
-    if tag == _TAG_LIST:
-        length = reader.u32()
-        return [_decode_from(reader) for _ in range(length)]
-    if tag == _TAG_DICT:
-        length = reader.u32()
+def _truncated() -> SerializationError:
+    return SerializationError("truncated XDR stream")
+
+
+def _text(data: bytes, pos: int, end: int, what: str) -> tuple[str, int]:
+    """The length-prefixed padded UTF-8 string at ``pos`` -- a string value, a
+    dictionary key, the type name of a registered object -- and the
+    position after its padding."""
+    if pos + 4 > end:
+        raise _truncated()
+    size = _unpack_u32(data, pos)[0]
+    pos += 4
+    after = pos + size + (-size & 3)
+    if after > end:
+        raise _truncated()
+    raw = data[pos:pos + size]
+    try:
+        return raw.decode("utf-8"), after
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"{what} {raw[:40]!r} is not UTF-8: {exc}") from exc
+
+
+def _read(data: bytes, pos: int, end: int) -> tuple[Any, int]:
+    """The value encoded at ``data[pos]`` and the position after it.
+
+    Offsets into the one byte string, never a copy of the rest of it: fixed
+    fields are unpacked where they lie and an array is read straight out of
+    the stream into its native-order copy.  Every length is checked against
+    ``end`` before anything of that length is made.
+    """
+    if pos >= end:
+        raise _truncated()
+    tag = data[pos]
+    pos += 1
+    if tag == _D:
+        if pos + 8 > end:
+            raise _truncated()
+        return _unpack_f64(data, pos)[0], pos + 8
+    if tag == _S:
+        return _text(data, pos, end, "string")
+    if tag == _A:
+        return _read_array(data, pos, end)
+    if tag == _I:
+        if pos + 8 > end:
+            raise _truncated()
+        return _unpack_i64(data, pos)[0], pos + 8
+    if tag == _H:
+        if pos + 4 > end:
+            raise _truncated()
+        length = _unpack_u32(data, pos)[0]
+        pos += 4
         out = {}
         for _ in range(length):
-            key = reader.text("dictionary key")
-            out[key] = _decode_from(reader)
-        return out
-    if tag == _TAG_ARRAY:
-        code = reader.take(2).decode("latin-1")
-        if code not in _ARRAY_DTYPES:
-            raise SerializationError(f"unknown array dtype code {code!r}")
-        ndim = reader.u32()
-        shape = tuple(reader.u32() for _ in range(ndim))
-        nbytes = reader.u32()
-        raw = reader.take_padded(nbytes)
+            key, pos = _text(data, pos, end, "dictionary key")
+            out[key], pos = _read(data, pos, end)
+        return out, pos
+    if tag == _L:
+        if pos + 4 > end:
+            raise _truncated()
+        length = _unpack_u32(data, pos)[0]
+        pos += 4
+        items = []
+        for _ in range(length):
+            item, pos = _read(data, pos, end)
+            items.append(item)
+        return items, pos
+    if tag == _N:
+        return None, pos
+    if tag == _T:
+        return True, pos
+    if tag == _F:
+        return False, pos
+    if tag == _B:
+        if pos + 4 > end:
+            raise _truncated()
+        size = _unpack_u32(data, pos)[0]
+        pos += 4
+        after = pos + size + (-size & 3)
+        if after > end:
+            raise _truncated()
+        return data[pos:pos + size], after
+    if tag == _O:
+        type_name, pos = _text(data, pos, end, "object type name")
+        if type_name not in _CODECS:
+            raise SerializationError(f"no codec registered for object type {type_name!r}")
+        payload, pos = _read(data, pos, end)
+        if not isinstance(payload, dict):
+            raise SerializationError("object payload must decode to a dictionary")
+        return _CODECS[type_name][2](payload), pos
+    raise SerializationError(f"unknown XDR tag {data[pos - 1:pos]!r} at position {pos - 1}")
+
+
+def _read_array(data: bytes, pos: int, end: int) -> tuple[np.ndarray, int]:
+    """The array after an array tag: dtype code, rank, dimensions, byte count
+    and the padded bytes, read into a native-order array of its own."""
+    if pos + 6 > end:
+        raise _truncated()
+    code = data[pos:pos + 2]
+    dtypes = _ARRAY_READS.get(code)
+    if dtypes is None:
+        raise SerializationError(f"unknown array dtype code {code.decode('latin-1')!r}")
+    ndim = _unpack_u32(data, pos + 2)[0]
+    pos += 6
+    if pos + 4 * ndim + 4 > end:
+        raise _truncated()
+    if ndim == 1:
+        size, nbytes = _unpack_u32_pair(data, pos)
+        shape: tuple[int, ...] = (size,)
+    else:
+        shape = struct.unpack_from(f">{ndim}I", data, pos)
+        nbytes = _unpack_u32(data, pos + 4 * ndim)[0]
+        size = 1
+        for dimension in shape:
+            size *= dimension
+    pos += 4 * ndim + 4
+    after = pos + nbytes + (-nbytes & 3)
+    if after > end:
+        raise _truncated()
+    wire, native = dtypes
+    if size * wire.itemsize != nbytes:
+        raise SerializationError(
+            f"array of shape {shape} does not fit its {nbytes} bytes: "
+            f"{size} items of {wire.itemsize} bytes"
+        )
+    array = np.frombuffer(data, dtype=wire, count=size, offset=pos).astype(native)
+    if ndim != 1:
         try:
-            arr = np.frombuffer(raw, dtype=_ARRAY_DTYPES[code]).reshape(shape)
-        except ValueError as exc:
+            array = array.reshape(shape)
+        except ValueError as exc:  # more dimensions than NumPy takes
             raise SerializationError(
                 f"array of shape {shape} does not fit its {nbytes} bytes: {exc}"
             ) from exc
-        # convert back to native byte order
-        return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("="))
-    if tag == _TAG_OBJECT:
-        type_name = reader.text("object type name")
-        if type_name not in _CODECS:
-            raise SerializationError(f"no codec registered for object type {type_name!r}")
-        _, _, from_dict = _CODECS[type_name]
-        payload = _decode_from(reader)
-        if not isinstance(payload, dict):
-            raise SerializationError("object payload must decode to a dictionary")
-        return from_dict(payload)
-    raise SerializationError(f"unknown XDR tag {tag!r} at position {reader.pos - 1}")
+    return array, after
 
 
 def decode(data: bytes) -> Any:
     """Decode a byte string produced by :func:`encode`."""
-    reader = _Reader(bytes(data))
+    data = bytes(data)
     try:
-        value = _decode_from(reader)
+        value, pos = _read(data, 0, len(data))
     except RecursionError as exc:
         raise SerializationError("XDR stream nests deeper than the decoder recurses") from exc
-    if not reader.exhausted:
-        raise SerializationError(
-            f"trailing bytes after decoding ({len(data) - reader.pos} left)"
-        )
+    if pos < len(data):
+        raise SerializationError(f"trailing bytes after decoding ({len(data) - pos} left)")
     return value

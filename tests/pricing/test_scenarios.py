@@ -23,11 +23,13 @@ import pytest
 
 from repro.errors import PricingError
 from repro.pricing import PricingProblem, compute_greeks
+from repro.pricing import cache as cache_module
 from repro.pricing.models.black_scholes import BlackScholesModel
 from repro.pricing.scenarios import (
     VOL_PARAM,
     Scenario,
     ScenarioCell,
+    ScenarioGrid,
     apply_scenario,
     collect_cell_prices,
     expand_scenarios,
@@ -362,3 +364,45 @@ class TestCollectValidation:
         assert report.rho is None
         assert report.theta is None
         assert report.delta == pytest.approx((10.6 - 9.4) / 2.0)
+
+
+class TestColumnsDigestEachModelValueOnce:
+    """``ScenarioGrid.columns`` tells base models apart by digest, made once per
+    model value however many problems hold it as their own object."""
+
+    @staticmethod
+    def _ladder(dividends):
+        problems = []
+        for index, dividend in enumerate(dividends):
+            problem = PricingProblem(label=f"call_{index}")
+            problem.set_model("BlackScholes1D", spot=100.0, rate=0.05, volatility=0.2,
+                              dividend=dividend)
+            problem.set_option("CallEuro", strike=80.0 + index, maturity=1.0)
+            problem.set_method("CF_Call")
+            problems.append(problem)
+        return problems
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        digest = cache_module.stable_digest
+        monkeypatch.setattr(cache_module, "stable_digest",
+                            lambda value: calls.append(value) or digest(value))
+        return calls
+
+    def test_a_ladder_under_one_model_value_costs_one_digest(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        grid = ScenarioGrid(self._ladder([0.0] * 50), historical_scenarios([0.01, -0.02]),
+                            on_missing="base")
+        columns = grid.columns()
+        assert len(calls) == 1  # not 50
+        assert [len(column) for column in columns] == [50] * len(grid.scenarios)
+
+    def test_models_apart_by_a_signed_zero_keep_their_own_digests(self, monkeypatch):
+        problems = self._ladder([0.0, -0.0, 0.0, -0.0])
+        calls = self._counted(monkeypatch)
+        ScenarioGrid(problems, historical_scenarios([0.01]), on_missing="base").columns()
+        assert len(calls) == 2
+        monkeypatch.undo()
+        for problem in problems:
+            assert problem.model.param_digest() == cache_module.model_digest(problem.model)
