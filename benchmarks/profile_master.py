@@ -18,13 +18,18 @@ absolute seconds -- those come from ``benchmarks/e2e/bench.py``.
 
 The absolute figures come from two kinds of unprofiled reading.  First, each
 layer's CPU *in situ*: :data:`IN_SITU_REPEATS` repeats on fresh inputs, before
-the profiled one, with :func:`time.thread_time` deltas around the book write
+the profiled one, with :func:`time.thread_time` deltas around the plan
+(:func:`repro.api.plan.build_plan`), the ``sload`` load pass
+(:meth:`repro.core.strategies.SerializedLoadStrategy.load`), the start of a
+``multiprocessing`` pool's processes, the book write
 (:func:`repro.pricing.book.write_book`), the XDR encode outside it
 (:func:`repro.serial.xdr.encode`: labels, keys, arrays, the job and frame
-records), the XDR decode (on a remote pool, the replies) and the plan
-(:func:`repro.api.plan.build_plan`), each net of the others nested inside it,
-as the median in ms a repeat and us a position.  These are the costs a
-campaign pays; warm loops over the same inputs read 2-3x lower.  Second, three
+records) and the XDR decode (on a remote pool, the replies), each net of the
+others nested inside it, as the median in ms a repeat and us a position,
+beside the minor page faults the master thread took in it
+(``getrusage(RUSAGE_THREAD).ru_minflt`` deltas) and the CPU it spent there
+after the pool started.  These are the costs a campaign pays; warm loops over
+the same inputs read 2-3x lower.  Second, three
 layers timed again after the profiled repeat, each the fastest of
 :data:`PASSES` passes: the plan (``build_plan`` on the arguments the session
 gave it, over freshly built problems, so digests and signatures are made
@@ -40,6 +45,7 @@ from __future__ import annotations
 import cProfile
 import gc
 import pstats
+import resource
 import statistics
 import sys
 import time
@@ -55,8 +61,10 @@ import repro.api.session  # noqa: E402
 import repro.pricing.batch  # noqa: E402
 import repro.pricing.scenarios  # noqa: E402
 from repro.api.futures import PricingFuture  # noqa: E402
+from repro.cluster.backends import MultiprocessingBackend  # noqa: E402
 from repro.core.portfolio import Portfolio  # noqa: E402
 from repro.core.runner import ResultTable  # noqa: E402
+from repro.core.strategies import SerializedLoadStrategy  # noqa: E402
 from repro.pricing.batch import ProblemBatch  # noqa: E402
 from repro.pricing.book import write_book  # noqa: E402
 from repro.pricing.methods.base import ResultColumns  # noqa: E402
@@ -104,71 +112,100 @@ _OBJECTS = {
 #: passes over the same inputs each unprofiled line takes the fastest of
 PASSES = 7
 
-#: the layers timed in situ: name -> the modules whose attribute of that name
-#: the master calls (``write_book`` is imported by name where books are made)
+#: the layers timed in situ: name -> the modules (or classes) whose attribute
+#: of that name the master calls (``write_book`` is imported by name where
+#: books are made)
 IN_SITU = {
+    "build_plan": ((repro.api.session,), "build_plan"),
+    "load pass": ((SerializedLoadStrategy,), "load"),
+    "pool start": ((MultiprocessingBackend,), "_start_processes"),
     "book write": ((repro.pricing.scenarios, repro.pricing.batch), "write_book"),
     "xdr encode outside the book": ((xdr,), "encode"),
     "xdr decode (replies)": ((xdr,), "decode"),
-    "build_plan": ((repro.api.session,), "build_plan"),
 }
 #: unprofiled repeats the in-situ lines take the median of
 IN_SITU_REPEATS = 5
 
 
+def _thread_now() -> tuple[float, int]:
+    """The master thread's CPU seconds and minor page faults so far."""
+    return time.thread_time(), resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+
+
 class _LayerClock:
-    """The master thread's CPU in each :data:`IN_SITU` layer, net of the
-    layers called inside it (a grid's encode holds its book's write and
-    encode: the write is the book's, the two encodes the codec's)."""
+    """The master thread's CPU and minor faults in each :data:`IN_SITU`
+    layer, net of the layers called inside it (a grid's encode holds its
+    book's write and encode: the write is the book's, the two encodes the
+    codec's), and the CPU of each spent after the repeat's pool started."""
 
     def __init__(self) -> None:
+        self.reset()
+        self._open: list[list[float]] = []  # [cpu, faults at start, cpu, faults nested]
+
+    def reset(self) -> None:
         self.spent = dict.fromkeys(IN_SITU, 0.0)
-        self._open: list[list[float]] = []  # [start, time in nested layers]
+        self.faults = dict.fromkeys(IN_SITU, 0)
+        self.after_start = dict.fromkeys(IN_SITU, 0.0)
+        self.started = False
 
     def timed(self, layer: str, function: Callable) -> Callable:
         def timed_call(*args, **kwargs):
-            call = [time.thread_time(), 0.0]
+            after_start = self.started
+            call = [*_thread_now(), 0.0, 0]
             self._open.append(call)
             try:
                 return function(*args, **kwargs)
             finally:
                 self._open.pop()
-                total = time.thread_time() - call[0]
-                self.spent[layer] += total - call[1]
+                cpu, faults = _thread_now()
+                cpu, faults = cpu - call[0], faults - call[1]
+                self.spent[layer] += cpu - call[2]
+                self.faults[layer] += faults - call[3]
+                if after_start:
+                    self.after_start[layer] += cpu - call[2]
                 if self._open:
-                    self._open[-1][1] += total
+                    self._open[-1][2] += cpu
+                    self._open[-1][3] += faults
+                self.started |= layer == "pool start"
 
         return timed_call
 
 
-def in_situ(workload, pool) -> tuple[dict[str, float], float, int]:
-    """Median CPU seconds a repeat of each :data:`IN_SITU` layer and of the
-    whole master thread, over :data:`IN_SITU_REPEATS` unprofiled repeats on
-    fresh inputs (as each round of ``bench.py`` builds its own); positions."""
+def in_situ(workload, pool) -> tuple[dict[str, tuple[float, float, float]], float, float, int]:
+    """Median CPU seconds, minor faults and CPU seconds after the pool start
+    a repeat of each :data:`IN_SITU` layer; median CPU seconds and minor
+    faults of the whole master thread, over :data:`IN_SITU_REPEATS`
+    unprofiled repeats on fresh inputs (as each round of ``bench.py`` builds
+    its own); positions."""
     clock = _LayerClock()
     originals = [(module, name, getattr(module, name))
                  for modules, name in IN_SITU.values() for module in modules]
     for layer, (modules, name) in IN_SITU.items():
         for module in modules:
             setattr(module, name, clock.timed(layer, getattr(module, name)))
-    samples: dict[str, list[float]] = {layer: [] for layer in IN_SITU}
-    totals = []
+    samples: dict[str, list[tuple[float, int, float]]] = {layer: [] for layer in IN_SITU}
+    totals, total_faults = [], []
     try:
         for _ in range(IN_SITU_REPEATS):
             inputs = workload.build_profile(1, False)
             session = make_session(workload, pool)
             gc.collect()
-            clock.spent = dict.fromkeys(IN_SITU, 0.0)
-            start = time.thread_time()
+            clock.reset()
+            start, faults = _thread_now()
             execute(workload, session, inputs)
-            totals.append(time.thread_time() - start)
-            for layer, seconds in clock.spent.items():
-                samples[layer].append(seconds)
+            end, end_faults = _thread_now()
+            totals.append(end - start)
+            total_faults.append(end_faults - faults)
+            for layer in IN_SITU:
+                samples[layer].append(
+                    (clock.spent[layer], clock.faults[layer], clock.after_start[layer]))
     finally:
         for module, name, original in originals:
             setattr(module, name, original)
-    medians = {layer: statistics.median(values) for layer, values in samples.items()}
-    return medians, statistics.median(totals), inputs.n_positions
+    medians = {layer: tuple(map(statistics.median, zip(*values)))
+               for layer, values in samples.items()}
+    return (medians, statistics.median(totals), statistics.median(total_faults),
+            inputs.n_positions)
 
 
 def _fastest(one_pass: Callable[[], float]) -> float:
@@ -276,7 +313,7 @@ def main(name: str) -> None:
     campaigns = []
     profile = cProfile.Profile()
     try:
-        layers, master, units = in_situ(workload, pool)
+        layers, master, master_faults, units = in_situ(workload, pool)
         session = make_session(workload, pool)
         open_campaign = session._open_campaign
 
@@ -331,10 +368,12 @@ def main(name: str) -> None:
           f"ResultTable.scatter {scatter_again(scatters, scatter):.1f} us a position (best of "
           f"{PASSES} unprofiled passes)")
     print(f"  in situ, median of {IN_SITU_REPEATS} unprofiled repeats: master thread "
-          f"{1e3 * master:.1f} ms a repeat, of which")
-    for layer, seconds in layers.items():
+          f"{1e3 * master:.1f} ms and {master_faults:.0f} minor faults a repeat, of which")
+    forks = layers["pool start"][0] > 0  # a remote pool was up before the repeat
+    for layer, (seconds, faults, after_start) in layers.items():
         print(f"    {layer:28s} {1e3 * seconds:6.1f} ms a repeat {1e6 * seconds / units:6.2f} "
-              f"us a position {seconds / master:6.1%}")
+              f"us a position {seconds / master:6.1%} {faults:6.0f} minor faults"
+              + (f" {1e3 * after_start:6.1f} ms after the pool start" if forks else ""))
 
 
 if __name__ == "__main__":

@@ -215,10 +215,11 @@ class Campaign:
 
         A position that travels alone is taken off the master's queue.  A
         member of a book slice is left out of the slice while that is still
-        queued (its bytes are made at its first dispatch), and the slice is
-        withdrawn with its last member.  The position's repeats are cancelled
-        with it.  ``False`` for anything a worker may already hold, for a
-        member that cannot leave its job: one of a dispatched slice, of a
+        queued: the slice's bytes, made by the load pass, are made again at
+        its dispatch (its book's bytes are kept), and the slice is withdrawn
+        with its last member.  The position's repeats are cancelled with it.
+        ``False`` for anything a worker may already hold, for a member that
+        cannot leave its job: one of a dispatched slice, of a
         :class:`~repro.pricing.batch.ProblemBatch`, or a cell of a
         scenario-grid slice, and for a repeat, which travels with its leader.
         """
@@ -234,7 +235,9 @@ class Campaign:
         if carrier is None:
             if not self._stream.cancel_job(job_id):
                 return False
-        elif self.plan.members_stand_alone and carrier.problem.leave_out(job_id):
+        elif self.plan.members_stand_alone and self._stream.queued(carrier.job_id):
+            carrier.problem.leave_out(job_id)
+            carrier.forget_bytes()
             left = tuple(member for member in members_of[carrier.job_id] if member != job_id)
             members_of[carrier.job_id] = left
             if not left:

@@ -108,9 +108,10 @@ def build_plan(
     virtual time).  Portfolio jobs carry their problem when it does and no
     ``store`` holds them as files, and whenever ``batch`` coalesces them
     (families of at least ``min_group_size`` positions).  Nothing is
-    serialized here on an executing backend: a job's bytes are made when it
-    is first dispatched (:meth:`Job.wire_bytes`), so a position folded into
-    a :class:`ProblemBatch` is only ever written as a member of its batch.
+    serialized here on an executing backend: a job's bytes are made by the
+    strategy's load pass before the first dispatch (:meth:`Job.wire_bytes`),
+    so a position folded into a :class:`ProblemBatch` is only ever written
+    as a member of its batch.
     With a ``run_cache`` on an executing backend, positions already priced
     are answered here and never dispatched, and a position repeating the
     digest of an earlier one is not dispatched either

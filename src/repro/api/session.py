@@ -323,7 +323,8 @@ class ValuationSession:
         cancel: CancelToken | None = None,
         futures: Mapping[int, PricingFuture] | None = None,
     ) -> Campaign:
-        """Check the keywords, acquire a backend, plan and open one campaign.
+        """Check the keywords, acquire a backend, plan and open one campaign
+        (a pool of worker processes starts only then, after the plan).
 
         An option not given to the call (``None``) is the session's choice,
         for ``strategy`` and ``scheduler``, or the default: no ``batch``, the
@@ -366,21 +367,22 @@ class ValuationSession:
                 strategy=strategy_obj.name,
                 new_policy=new_policy,
             )
+            # the campaign's stream makes the jobs' bytes, then starts the pool
+            return Campaign(
+                plan,
+                backend,
+                strategy_obj,
+                plan.dealer(new_policy),
+                new_backend,
+                futures=futures,
+                progress=progress,
+                cancel=cancel,
+            )
         except BaseException:
-            # nothing was dispatched: stop the workers
-            with suppress(Exception):  # the planning error is the report
+            # a planning or load error: stop whatever workers started
+            with suppress(Exception):  # the error is the report
                 backend.finalize()
             raise
-        return Campaign(
-            plan,
-            backend,
-            strategy_obj,
-            plan.dealer(new_policy),
-            new_backend,
-            futures=futures,
-            progress=progress,
-            cancel=cancel,
-        )
 
     def run(
         self,

@@ -75,8 +75,9 @@ class Job:
 
     The serialized form of ``problem`` is made once, on first need, and kept
     with the job (:meth:`wire_bytes`): the size is read off it, the
-    serialized-load strategy sends it, and a rebuilt pool or re-dispatch re-sends
-    it -- the paper's ``sload`` argument applied to in-memory problems.
+    serialized-load strategy makes it before its loop starts and sends it,
+    and a rebuilt pool or re-dispatch re-sends it -- the paper's ``sload``
+    argument applied to in-memory problems.
     """
 
     __slots__ = ("job_id", "path", "compute_cost", "category", "_problem", "_file_size", "_wire")
@@ -113,6 +114,11 @@ class Job:
                 raise ClusterError(f"job {self.job_id} has no in-memory problem to serialize")
             self._wire = serialize(self.problem).to_bytes()
         return self._wire
+
+    def forget_bytes(self) -> None:
+        """Forget the bytes made of ``problem``, which changed since (a
+        member left a still-queued slice): they are made again on next need."""
+        self._wire = None
 
     @property
     def file_size(self) -> int:

@@ -56,33 +56,36 @@ def worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
         result_queue.put((job_id, worker_id, result, elapsed, error))
 
 
+def _context() -> Any:
+    """``fork`` where the platform offers it, else the platform's default:
+    a forked worker shares the pages the master wrote before the pool
+    started (the plan, every job's bytes) and is the master's own child."""
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+
+
 class MultiprocessingBackend(WorkerBackend):
     """Master-side driver of a pool of worker processes.
+
+    The queues are made at construction; the processes start at
+    :meth:`on_run_start` (or at the first :meth:`dispatch` of a backend
+    driven directly), so a campaign's plan and its load pass are written
+    before the fork, and a pool that never ran starts none.
 
     Parameters
     ----------
     n_workers:
-        Number of slave processes to start (the platform's default
-        ``multiprocessing`` context).
+        Number of slave processes to start (``fork``ed where the platform
+        can fork).
     """
 
     queues_jobs = True  # each process blocks on its own task queue
 
     def __init__(self, n_workers: int = 2):
         self._n_workers = check_count(n_workers, "n_workers", error=ClusterError, floats=False)
-        ctx = mp.get_context()
-        self._result_queue: Any = ctx.Queue()
-        self._task_queues: list[Any] = [ctx.Queue() for _ in range(self._n_workers)]
-        self._processes = [
-            ctx.Process(
-                target=worker_main,
-                args=(i, self._task_queues[i], self._result_queue),
-                daemon=True,
-            )
-            for i in range(self._n_workers)
-        ]
-        for process in self._processes:
-            process.start()
+        self._context = _context()
+        self._result_queue: Any = self._context.Queue()
+        self._task_queues: list[Any] = [self._context.Queue() for _ in range(self._n_workers)]
+        self._processes: list[Any] = []
         self._in_flight = 0
         #: ids dispatched to each worker and not answered yet: what a dead
         #: process strands
@@ -97,7 +100,21 @@ class MultiprocessingBackend(WorkerBackend):
     def n_workers(self) -> int:
         return self._n_workers
 
+    def _start_processes(self) -> None:
+        self._processes = [
+            self._context.Process(
+                target=worker_main,
+                args=(i, self._task_queues[i], self._result_queue),
+                daemon=True,
+            )
+            for i in range(self._n_workers)
+        ]
+        for process in self._processes:
+            process.start()
+
     def on_run_start(self, n_jobs: int) -> None:
+        if not self._processes and not self._finalized:
+            self._start_processes()
         self._start = time.perf_counter()
 
     def dispatch(self, worker_id: int, job: Job, message: PreparedMessage) -> None:
@@ -105,6 +122,8 @@ class MultiprocessingBackend(WorkerBackend):
             raise ClusterError(f"invalid worker id {worker_id}")
         if self._finalized:
             raise ClusterError("backend already finalized")
+        if not self._processes:
+            self._start_processes()
         self._task_queues[worker_id].put((job.job_id, message.kind, message.payload))
         self._held[worker_id].add(job.job_id)
         self._in_flight += 1
@@ -166,8 +185,9 @@ class MultiprocessingBackend(WorkerBackend):
             # shared write lock for ever and the survivors block behind it:
             # after a death the run is lost anyway, so nobody is waited for
             died = any(process.exitcode is not None for process in self._processes)
-            for task_queue in self._task_queues:
-                task_queue.put(_STOP)
+            if self._processes:  # a pool that never started has no one to stop
+                for task_queue in self._task_queues:
+                    task_queue.put(_STOP)
             for process in self._processes:
                 process.join(timeout=0.0 if died else 30.0)
                 if process.is_alive():

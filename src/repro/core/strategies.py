@@ -14,14 +14,17 @@ to a slave:
 
 Each strategy implements :meth:`TransmissionStrategy.prepare`, the *real*
 master-side work performed before a dispatch on the executing backends
-(sequential / multiprocessing).  On the simulated backend the same costs are
-modelled by :class:`repro.cluster.simcluster.comm.CommunicationModel`; the
+(sequential / multiprocessing), and may do work once for the whole campaign
+before the loop starts (:meth:`TransmissionStrategy.load`: ``sload`` makes
+every in-memory job's bytes there).  On the simulated backend the same costs
+are modelled by :class:`repro.cluster.simcluster.comm.CommunicationModel`; the
 strategy then only contributes its name.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import Sequence
 
 from repro.cluster.backends.base import (
     PAYLOAD_PATH,
@@ -53,6 +56,12 @@ class TransmissionStrategy(abc.ABC):
     def prepare(self, job: Job) -> PreparedMessage:
         """The message the master sends for ``job``."""
 
+    def load(self, jobs: Sequence[Job]) -> None:
+        """The master's work on ``jobs`` before the first dispatch to worker
+        processes or hosts, done once before a campaign's loop starts (and
+        before a pool of worker processes forks).  Default: none, everything
+        happens in :meth:`prepare`."""
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -79,16 +88,29 @@ class FullLoadStrategy(TransmissionStrategy):
 
 
 class SerializedLoadStrategy(TransmissionStrategy):
-    """``sload``: send bytes that are already in serial form, as they are."""
+    """``sload``: send bytes that are already in serial form, as they are.
+
+    The paper's master serializes the problems before its Robin-Hood loop,
+    which then only sends bytes: :meth:`load` makes the bytes of every job
+    held in memory (a book slice, a :class:`~repro.pricing.batch.ProblemBatch`,
+    a scenario-grid slice, a single position) before the first dispatch.
+    A job read from a problem file keeps the file route of :meth:`prepare`.
+    """
 
     name = "serialized_load"
+
+    def load(self, jobs: Sequence[Job]) -> None:
+        for job in jobs:
+            if job.problem is not None and not is_real_file(job):
+                job.wire_bytes()
 
     def prepare(self, job: Job) -> PreparedMessage:
         if job.path and is_real_file(job):
             data = sload(job.path).to_bytes()
         elif job.problem is not None:
             # no file: the bytes kept with the job play its part -- made
-            # once, re-sent as they are to a rebuilt pool or on a re-dispatch
+            # by the load pass, re-sent as they are to a rebuilt pool or on
+            # a re-dispatch
             data = job.wire_bytes()
         else:
             raise SchedulingError(

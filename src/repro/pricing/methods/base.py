@@ -19,6 +19,7 @@ import abc
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -104,6 +105,8 @@ class PricingResult:
 
 
 _NAN = float("nan")
+_UNSIGNED = np.dtype(np.uint64)
+_max = np.maximum.reduce
 
 #: the float64 columns of a :class:`ResultColumns`; all but ``price`` and
 #: ``elapsed`` are optional fields, absent (``None``) where they hold NaN
@@ -115,6 +118,17 @@ _COLUMN_DTYPES: dict[str, np.dtype] = {
     "n_evaluations": np.dtype(np.int64),
     "method": np.dtype(np.int64),
 }
+
+
+def _malformed(name: str, column: Any, dtype: np.dtype, n_rows: int) -> SerializationError:
+    """What is wrong with ``column``, which failed :class:`ResultColumns`'s check."""
+    if not isinstance(column, np.ndarray) or column.dtype != dtype or column.ndim != 1:
+        return SerializationError(
+            f"ResultColumns record: '{name}' must be a 1-d {dtype.name} array"
+        )
+    return SerializationError(
+        f"ResultColumns record: '{name}' has {len(column)} rows for {n_rows} ids"
+    )
 
 
 class ResultColumns(Mapping):
@@ -160,29 +174,27 @@ class ResultColumns(Mapping):
         errors: "Mapping[int, str] | None" = None,
     ) -> None:
         """Check and adopt ``columns``; a record of the wrong shape raises
-        :class:`~repro.errors.SerializationError` naming the field."""
+        :class:`~repro.errors.SerializationError` naming the field.
+
+        Every reply a master receives comes through here, so each column is
+        checked with one test, and the method indices with one reduction."""
+        ids = columns.get("ids")
+        n_rows = len(ids) if isinstance(ids, np.ndarray) and ids.ndim == 1 else -1
         for name, dtype in _COLUMN_DTYPES.items():
             column = columns.get(name)
-            if not isinstance(column, np.ndarray) or column.dtype != dtype or column.ndim != 1:
-                raise SerializationError(
-                    f"ResultColumns record: '{name}' must be a 1-d {dtype.name} array"
-                )
-            if len(column) != len(columns["ids"]):
-                raise SerializationError(
-                    f"ResultColumns record: '{name}' has {len(column)} rows "
-                    f"for {len(columns['ids'])} ids"
-                )
+            if not (isinstance(column, np.ndarray) and column.dtype == dtype
+                    and column.ndim == 1 and len(column) == n_rows):
+                raise _malformed(name, column, dtype, n_rows)
             setattr(self, name, column)
         if not isinstance(method_names, (list, tuple)) or not all(
-            isinstance(name, str) for name in method_names
+            map(isinstance, method_names, repeat(str))
         ):
             raise SerializationError(
                 "ResultColumns record: 'method_names' must be a list of strings"
             )
         self.method_names = list(method_names)
-        if len(self.ids) and not (
-            0 <= self.method.min() and self.method.max() < len(self.method_names)
-        ):
+        # read as unsigned, a negative index is past every name
+        if n_rows and not _max(self.method.view(_UNSIGNED)) < len(self.method_names):
             raise SerializationError(
                 "ResultColumns record: 'method' must index 'method_names'"
             )
@@ -266,7 +278,7 @@ class ResultColumns(Mapping):
         :class:`~repro.errors.SerializationError` naming the field."""
         errors = data.get("errors")
         if not isinstance(errors, dict) or not all(
-            isinstance(message, str) for message in errors.values()
+            map(isinstance, errors.values(), repeat(str))
         ):
             raise SerializationError(
                 "ResultColumns record: 'errors' must map ids to messages"

@@ -468,7 +468,6 @@ class ScenarioGrid:
         self.answered = frozenset(answered)
         self._bumps = _Bumps()
         self._columns: list[list[int]] | None = None
-        self._written = False
 
     @property
     def problems(self) -> list[PricingProblem]:
@@ -562,17 +561,16 @@ class ScenarioGrid:
         part._bumps = self._bumps  # what the book can realise was decided once
         return part
 
-    def leave_out(self, cell_id: int) -> bool:
+    def leave_out(self, cell_id: int) -> None:
         """Stop pricing ``cell_id``, as if it had been ``answered``.
 
-        ``False`` once :meth:`wire_view` has written the grid for a worker: a
-        job's bytes are made at its first dispatch and re-sent as they are.
+        Bytes written of the grid before (:meth:`wire_view`) still list the
+        cell, and are to be written again; the book's bytes are kept, they
+        do not depend on which cells are answered.  Whether a cell may still
+        leave is its campaign's to say: not once its job was dispatched.
         """
-        if self._written:
-            return False
         self.answered |= {cell_id}
         self._columns = None
-        return True
 
     # -- pricing -----------------------------------------------------------------
     def compute(self) -> "ResultColumns":
@@ -618,7 +616,6 @@ class ScenarioGrid:
     def wire_view(self) -> dict[str, Any]:
         """The grid as the codec writes it: the book's bytes as they are, the
         slice's scenarios as plain records, ``rows`` where the grid names them."""
-        self._written = True
         view: dict[str, Any] = {
             "book": self._book.wire_bytes(),
             "scenarios": [

@@ -28,10 +28,12 @@ CONTRACT = {
 }
 
 # removed: poll, try_collect_next (the stream's side of the same probe).
-# close: how finish ends, and all a stream whose pool was lost gets
+# close: how finish ends, and all a stream whose pool was lost gets.
+# queued: whether a job is still master-side, which says whether a member may
+# leave its book slice (the load pass made the slice's bytes, so they cannot)
 STREAM = {
     "collect_next", "remaining", "completed", "cancelled_jobs", "cancel_job",
-    "cancel_pending", "finish", "close",
+    "cancel_pending", "finish", "close", "queued",
 }
 
 #: read-only reporting, by class: properties and the constructor's own

@@ -195,7 +195,7 @@ class TestCancellingAMember:
             problems, historical_scenarios([0.01 * (k - 5) for k in range(10)]))
         campaign = session._open_campaign(grid)
         queued = campaign.plan.jobs[-1]
-        assert not queued.problem._written
+        assert campaign._stream.queued(queued.job_id)
         assert not any(campaign.cancel_job(cell)
                        for cell in campaign.plan.batch_members[queued.job_id])
         assert campaign.finish().ok

@@ -111,6 +111,7 @@ class TestMultiprocessingDeath:
     def test_a_killed_worker_surfaces_within_two_seconds(self):
         before = set(mp.active_children())
         backend = MultiprocessingBackend(n_workers=1)
+        backend.on_run_start(3)  # the pool starts with the run
         try:
             (process,) = _started_since(before)
             _kill(process)
@@ -127,6 +128,7 @@ class TestMultiprocessingDeath:
     def test_a_death_beside_a_live_worker_names_only_its_own_jobs(self):
         before = set(mp.active_children())
         backend = MultiprocessingBackend(n_workers=2)
+        backend.on_run_start(3)  # the pool starts with the run
         try:
             _kill(_started_since(before)[1])
             _dispatch(backend, 0, 0, _problem(100.0))

@@ -117,6 +117,29 @@ class TestKeptWireBytes:
         assert Serial.from_bytes(job.wire_bytes()).unserialize() == other
 
 
+class TestLoadPass:
+    """The work a strategy does once, before the loop: ``sload`` makes the
+    bytes of every job held in memory, and nothing else does anything."""
+
+    def test_serialized_load_makes_every_in_memory_jobs_bytes(self, memory_job, file_job):
+        SerializedLoadStrategy().load([memory_job, file_job])
+        assert memory_job._wire is not None
+        assert file_job._wire is None  # a file is sent as it is read
+        assert SerializedLoadStrategy().prepare(memory_job).payload is memory_job._wire
+
+    @pytest.mark.parametrize("strategy", [FullLoadStrategy, NFSStrategy])
+    def test_the_other_strategies_load_nothing(self, strategy, memory_job):
+        strategy().load([memory_job])
+        assert memory_job._wire is None
+
+    def test_forgotten_bytes_are_made_again_from_the_problem(self, memory_job, problem):
+        made = memory_job.wire_bytes()
+        problem.set_option("PutEuro", strike=90.0, maturity=0.5)
+        assert memory_job.wire_bytes() is made
+        memory_job.forget_bytes()
+        assert Serial.from_bytes(memory_job.wire_bytes()).unserialize() == problem
+
+
 class TestNFS:
     def test_prepare_sends_only_the_name(self, file_job):
         message = NFSStrategy().prepare(file_job)

@@ -166,14 +166,19 @@ class TestRows:
         with pytest.raises(PricingError, match="'rows' must name one distinct"):
             ScenarioGrid(_problems(), [Scenario(name="base")], rows=rows)
 
-    def test_a_cell_can_be_left_out_until_the_grid_is_written(self):
+    def test_a_cell_left_out_after_the_grid_is_written_is_answered_in_its_next_bytes(self):
         part = ScenarioGrid(_problems(), [Scenario(name="base")], rows=self.ROWS)
-        assert part.leave_out(19) and part.columns() == [[40, 7, 3]]
-        wire = serialize(part).to_bytes()
-        assert not part.leave_out(7)  # the bytes are made, and re-sent as they are
+        part.leave_out(19)
         assert part.columns() == [[40, 7, 3]]
-        reply, _elapsed, error = execute_payload(PAYLOAD_SERIAL, wire)
-        assert error is None and reply.ids.tolist() == [40, 7, 3]
+        wire = serialize(part).to_bytes()
+        book = part._book.wire_bytes()
+        part.leave_out(7)  # a campaign lets a member leave only a queued slice
+        assert part.columns() == [[40, 3]]
+        rewritten = serialize(part).to_bytes()
+        assert part._book.wire_bytes() is book  # the book's bytes are kept
+        replies = [execute_payload(PAYLOAD_SERIAL, data) for data in (wire, rewritten)]
+        assert [error for _reply, _elapsed, error in replies] == [None, None]
+        assert [reply.ids.tolist() for reply, _elapsed, _error in replies] == [[40, 7, 3], [40, 3]]
 
 
 class TestConstruction:

@@ -28,7 +28,6 @@ from repro.pricing.models.black_scholes import BlackScholesModel
 from repro.pricing.scenarios import (
     VOL_PARAM,
     Scenario,
-    ScenarioCell,
     ScenarioGrid,
     apply_scenario,
     collect_cell_prices,

@@ -40,7 +40,7 @@ _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 #: Python calls of ``xdr.encode(write_book(book[:width]))``, by width
 BOOK_CALLS = {1: 62, 2: 80, 750: 80}
 #: Python calls of ``xdr.decode`` of a reply's result frame record, by rows
-REPLY_CALLS = {1: 50, 750: 53}
+REPLY_CALLS = {1: 47, 750: 49}
 SEEDS = (1, 2)
 
 
