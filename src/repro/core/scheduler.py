@@ -659,10 +659,11 @@ class ScheduleStream:
         self.policy = policy if policy is not None else RobinHoodPolicy()
         # real payloads are prepared only for backends that execute them
         self._executing: bool = getattr(backend, "requires_payload", True)
+        queues: bool = getattr(backend, "queues_jobs", False)
         # no worker-side queue, no hand-off to hide: the simulated cluster and
         # the in-process backend keep Fig. 4's one job per slave, and so do
         # the policies whose refill is bookkeeping
-        self._windowed: bool = getattr(backend, "queues_jobs", False) and self.policy.windowed
+        self._windowed: bool = queues and self.policy.windowed
         self._in_flight = 0
         self._held = [0] * backend.n_workers  # jobs in flight, per worker
         self._peak = [0] * backend.n_workers
@@ -677,7 +678,7 @@ class ScheduleStream:
         #: ids of the jobs neither dispatched nor withdrawn yet
         self._unsent = {job.job_id for job in jobs}
         load = getattr(strategy, "load", None)  # a duck-typed strategy may have none
-        if self._executing and getattr(backend, "queues_jobs", False) and load is not None:
+        if self._executing and queues and load is not None:
             # the strategy's work before the loop (sload: every job's bytes),
             # done before a pool of worker processes forks.  Not in-process,
             # where dispatch prices at once: there it would only hold the

@@ -96,17 +96,6 @@ def test_a_member_cancelled_after_the_load_pass_leaves_its_queued_slice():
     assert result.prices() == {k: v for k, v in reference.items() if k != gone}
 
 
-def test_a_dispatched_slice_keeps_its_members():
-    session = ValuationSession(backend="multiprocessing", n_workers=1)
-    campaign = session._open_campaign(build_toy_portfolio(400))
-    sent = campaign.plan.jobs[0]
-    made = sent.wire_bytes()
-    assert not campaign._stream.queued(sent.job_id)
-    assert not campaign.cancel_job(campaign.plan.batch_members[sent.job_id][1])
-    assert sent.wire_bytes() is made
-    assert campaign.finish().ok
-
-
 def test_a_planning_error_starts_no_process(monkeypatch):
     starts: list[BaseProcess] = []
     original = BaseProcess.start
