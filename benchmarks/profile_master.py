@@ -28,7 +28,9 @@ records) and the XDR decode (on a remote pool, the replies), each net of the
 others nested inside it, as the median in ms a repeat and us a position,
 beside the minor page faults the master thread took in it
 (``getrusage(RUSAGE_THREAD).ru_minflt`` deltas) and the CPU it spent there
-after the pool started.  These are the costs a campaign pays; warm loops over
+after the pool started, then the master's CPU off its main thread
+(:func:`time.process_time` less :func:`time.thread_time`: a transport's
+helper threads).  These are the costs a campaign pays; warm loops over
 the same inputs read 2-3x lower.  Second, three
 layers timed again after the profiled repeat, each the fastest of
 :data:`PASSES` passes: the plan (``build_plan`` on the arguments the session
@@ -80,8 +82,9 @@ from repro.serial import xdr  # noqa: E402
 #: ``Job.wire_bytes``, a job's bytes made at its first dispatch; of that,
 #: ``book encode`` is a grid's or book slice's book -- ``write_book``'s columns
 #: and their XDR encode -- and ``write_book`` the columns of every book, a
-#: batch's members included) and back (the queue's unpickle, a remote
-#: pool's reply decode, the write into the result table, the report)
+#: batch's members included) and back (a worker process's replies read off
+#: its socket pair and unpickled, a remote pool's reply decode, the write into
+#: the result table, the report)
 LAYERS = {
     "columns": ("columns", ""),
     "build_plan": ("build_plan", ""),
@@ -94,7 +97,7 @@ LAYERS = {
     "book encode": ("wire_bytes", "pricing/scenarios.py"),
     "write_book": ("write_book", "pricing/book.py"),
     "dispatch": ("dispatch", ""),
-    "queue unpickle": ("<built-in method _pickle.loads>", ""),
+    "socket-pair reply read": ("_receive", "backends/multiproc.py"),
     "reply decode": ("decode", "serial/xdr.py"),
     "_resolve_completed": ("_resolve_completed", ""),
     "_assemble": ("_assemble", ""),
@@ -171,12 +174,14 @@ class _LayerClock:
         return timed_call
 
 
-def in_situ(workload, pool) -> tuple[dict[str, tuple[float, float, float]], float, float, int]:
+def in_situ(workload, pool) -> tuple[dict[str, tuple[float, float, float]], float, float,
+                                     float, int]:
     """Median CPU seconds, minor faults and CPU seconds after the pool start
     a repeat of each :data:`IN_SITU` layer; median CPU seconds and minor
-    faults of the whole master thread, over :data:`IN_SITU_REPEATS`
-    unprofiled repeats on fresh inputs (as each round of ``bench.py`` builds
-    its own); positions."""
+    faults of the whole master thread, and CPU seconds of the master's other
+    threads (:func:`time.process_time` less :func:`time.thread_time`), over
+    :data:`IN_SITU_REPEATS` unprofiled repeats on fresh inputs (as each round
+    of ``bench.py`` builds its own); positions."""
     clock = _LayerClock()
     originals = [(module, name, getattr(module, name))
                  for modules, name in IN_SITU.values() for module in modules]
@@ -184,17 +189,18 @@ def in_situ(workload, pool) -> tuple[dict[str, tuple[float, float, float]], floa
         for module in modules:
             setattr(module, name, clock.timed(layer, getattr(module, name)))
     samples: dict[str, list[tuple[float, int, float]]] = {layer: [] for layer in IN_SITU}
-    totals, total_faults = [], []
+    totals, total_faults, off_main = [], [], []
     try:
         for _ in range(IN_SITU_REPEATS):
             inputs = workload.build_profile(1, False)
             session = make_session(workload, pool)
             gc.collect()
             clock.reset()
-            start, faults = _thread_now()
+            process_start, (start, faults) = time.process_time(), _thread_now()
             execute(workload, session, inputs)
             end, end_faults = _thread_now()
             totals.append(end - start)
+            off_main.append(time.process_time() - process_start - totals[-1])
             total_faults.append(end_faults - faults)
             for layer in IN_SITU:
                 samples[layer].append(
@@ -205,7 +211,7 @@ def in_situ(workload, pool) -> tuple[dict[str, tuple[float, float, float]], floa
     medians = {layer: tuple(map(statistics.median, zip(*values)))
                for layer, values in samples.items()}
     return (medians, statistics.median(totals), statistics.median(total_faults),
-            inputs.n_positions)
+            statistics.median(off_main), inputs.n_positions)
 
 
 def _fastest(one_pass: Callable[[], float]) -> float:
@@ -303,7 +309,7 @@ def book_write(jobs) -> tuple[float, float, int, int]:
             positions, len(books))
 
 
-#: where the master sleeps: queue reads poll(), the remote selector epoll()s
+#: where the master sleeps: in its backend's selector (epoll on Linux)
 _WAITS = ("<method 'poll' of 'select.poll' objects>", "<method 'poll' of 'select.epoll' objects>")
 
 
@@ -313,7 +319,7 @@ def main(name: str) -> None:
     campaigns = []
     profile = cProfile.Profile()
     try:
-        layers, master, master_faults, units = in_situ(workload, pool)
+        layers, master, master_faults, off_main, units = in_situ(workload, pool)
         session = make_session(workload, pool)
         open_campaign = session._open_campaign
 
@@ -374,6 +380,8 @@ def main(name: str) -> None:
         print(f"    {layer:28s} {1e3 * seconds:6.1f} ms a repeat {1e6 * seconds / units:6.2f} "
               f"us a position {seconds / master:6.1%} {faults:6.0f} minor faults"
               + (f" {1e3 * after_start:6.1f} ms after the pool start" if forks else ""))
+    print(f"  master CPU off the main thread {1e3 * off_main:.1f} ms a repeat "
+          f"(process less main-thread CPU)")
 
 
 if __name__ == "__main__":

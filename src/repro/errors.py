@@ -52,9 +52,8 @@ class WorkerLostError(ClusterError):
     As long as at least one worker survives, the remote backend requeues
     the lost worker's in-flight jobs transparently (and re-dials the dead
     host); this error surfaces when the *whole* pool is gone.  The
-    multiprocessing backend, whose survivors cannot be trusted after a
-    death, raises it as soon as one worker process dies holding dispatched
-    jobs.  It is retryable in the scheduling sense: :attr:`job_ids` lists
+    multiprocessing backend raises it as soon as one worker process dies
+    holding dispatched jobs, naming those jobs only.  It is retryable in the scheduling sense: :attr:`job_ids` lists
     the jobs that were in flight, so a caller can rebuild a backend against
     fresh workers and resubmit exactly those jobs -- which every session
     campaign does by itself, on

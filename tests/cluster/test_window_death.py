@@ -134,10 +134,10 @@ class TestMultiprocessingDeath:
             _dispatch(backend, 0, 0, _problem(100.0))
             _dispatch(backend, 1, 1, _problem(101.0))
             _dispatch(backend, 1, 2, _problem(102.0))
-            assert backend.collect(timeout=30.0).job_id == 0  # the live worker answers
             with pytest.raises(WorkerLostError) as excinfo:
-                backend.collect(timeout=60.0)
+                backend.collect(timeout=60.0)  # at once, not after the survivor's answer
             assert excinfo.value.job_ids == (1, 2)
+            assert backend.collect(timeout=30.0).job_id == 0  # the live worker still answers
         finally:
             backend.finalize()
 

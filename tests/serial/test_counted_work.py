@@ -12,7 +12,10 @@ not counted: calls into NumPy are C work here.
   width 1, a few more at width 2 (a put beside a call: one more table in the
   method and option legs) and no more at width 750 -- none per position;
 * decoding a :class:`~repro.pricing.methods.base.ResultColumns` reply makes
-  as many calls for 750 rows as for one (a second method name aside).
+  as many calls for 750 rows as for one (a second method name aside);
+* one ``dispatch`` + ``collect`` of a job on worker processes makes one
+  ``select`` and a handful of other Python calls on the master's main
+  thread, and no other thread of the master makes any call at all.
 
 Any loop that makes a call per position or per row moves these pins by
 hundreds; two seeds of the book's spot and volatility give the same counts.
@@ -20,7 +23,10 @@ hundreds; two seeds of the book's spot and volatility give the same counts.
 
 from __future__ import annotations
 
+import selectors
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -28,10 +34,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cluster.backends import PAYLOAD_SERIAL, Job, MultiprocessingBackend, PreparedMessage
 from repro.core.portfolio import build_toy_portfolio
 from repro.pricing.book import write_book
 from repro.pricing.methods.base import PricingResult, ResultColumns
-from repro.serial import xdr
+from repro.serial import serialize, xdr
 
 _PACKAGE = str(Path(repro.__file__).parent)
 #: the code objects Python 3.12 inlines into their caller
@@ -41,6 +48,10 @@ _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 BOOK_CALLS = {1: 62, 2: 80, 750: 80}
 #: Python calls of ``xdr.decode`` of a reply's result frame record, by rows
 REPLY_CALLS = {1: 47, 750: 49}
+#: Python calls on the master's main thread of one ``dispatch`` + ``collect``
+#: on worker processes: the selector's ``select``, and every call outside the
+#: selector module (whose own helpers Python 3.12 inlined into ``select``)
+LINK_CALLS = {"select": 1, "other": 5}
 SEEDS = (1, 2)
 
 
@@ -92,3 +103,48 @@ def test_a_reply_is_decoded_with_no_call_per_row(seed):
     replies = {rows: _reply(seed, rows) for rows in REPLY_CALLS}
     counted = {rows: python_calls(lambda: xdr.decode(data)) for rows, data in replies.items()}
     assert counted == REPLY_CALLS
+
+
+def test_a_job_on_worker_processes_costs_the_master_a_handful_of_calls():
+    """Counted from before the pool starts, so a thread it started is seen."""
+    main, counting = threading.get_ident(), False
+    counted: Counter = Counter()
+    elsewhere: list[str] = []
+
+    def on_main(frame, event, _arg) -> None:
+        if event == "call" and counting:
+            code = frame.f_code
+            if code.co_filename != selectors.__file__:
+                counted["other"] += 1
+            elif code.co_name == "select":
+                counted["select"] += 1
+
+    def off_main(frame, event, _arg) -> None:
+        if event == "call" and threading.get_ident() != main:
+            elsewhere.append(frame.f_code.co_name)
+
+    data = serialize(_toy_book(1)[0]).to_bytes()
+    units = [(Job(job_id=job_id, path="", file_size=len(data)),
+              PreparedMessage(kind=PAYLOAD_SERIAL, payload=data, nbytes=len(data)))
+             for job_id in range(4)]
+    backend = MultiprocessingBackend(n_workers=1)
+    previous = sys.getprofile()
+    threading.setprofile(off_main)
+    sys.setprofile(on_main)
+    per_unit = []
+    try:
+        backend.on_run_start(len(units))
+        for index, (job, message) in enumerate(units):
+            counting = index > 0  # the first unit warms up
+            backend.dispatch(0, job, message)
+            backend.collect(timeout=30.0)
+            counting = False
+            if index:
+                per_unit.append(dict(counted))
+                counted.clear()
+    finally:
+        sys.setprofile(previous)
+        threading.setprofile(None)  # type: ignore[arg-type]
+        backend.finalize()
+    assert per_unit == [LINK_CALLS] * (len(units) - 1)
+    assert elsewhere == []
