@@ -18,6 +18,8 @@ worked example.
 from __future__ import annotations
 
 import abc
+import selectors
+import socket
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -32,6 +34,8 @@ __all__ = [
     "PreparedMessage",
     "CompletedJob",
     "WorkerBackend",
+    "flush_outbox",
+    "remap_route",
 ]
 
 #: the master sends serialized problem bytes (full-load and serialized-load
@@ -48,6 +52,32 @@ _VALID_PAYLOAD_KINDS = (PAYLOAD_SERIAL, PAYLOAD_PATH)
 #: and a session's campaign rebuilds a lost pool of real workers on it; a
 #: host that is not listening again by the last try stays lost
 REDIAL_DELAYS_S = (0.05, 0.1, 0.2, 0.4, 0.8)
+
+_READ, _READ_WRITE = selectors.EVENT_READ, selectors.EVENT_READ | selectors.EVENT_WRITE
+
+
+def flush_outbox(selector: selectors.BaseSelector, sock: socket.socket,
+                 outbox: bytearray, data: Any, watched: bool) -> bool:
+    """Write what the non-blocking ``sock`` takes now off the front of
+    ``outbox``, and watch it for room while bytes are left (``watched``: it
+    is watched already): the worker-process backends never block on a send.
+    ``False`` once the peer is gone."""
+    try:
+        del outbox[:sock.send(outbox)]
+    except BlockingIOError:
+        pass
+    except OSError:  # EPIPE, ECONNRESET: the worker at the other end died
+        return False
+    if outbox or watched:
+        selector.modify(sock, _READ_WRITE if outbox else _READ, data)
+    return True
+
+
+def remap_route(route: list[int], dead: int, survivors: list[int]) -> None:
+    """Point the logical workers routed at ``dead`` to ``survivors``, spread."""
+    for worker_id, target in enumerate(route):
+        if target == dead:
+            route[worker_id] = survivors[worker_id % len(survivors)]
 
 
 class Job:

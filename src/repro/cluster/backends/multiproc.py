@@ -7,7 +7,8 @@ joined to it by its own socket pair (Fig. 4's point-to-point ``MPI_Send_Obj``
 file names for the NFS-style strategy), prices it for real and writes one
 reply frame back.  The master never blocks on a send; one selector over its
 ends and the process sentinels writes what waits, reads the replies and
-sees a death as it happens.
+sees a death as it happens.  A dead process's jobs go to the survivors, as
+a dead remote host's do; the loss is reported only when no process is left.
 
 Because the workers are genuine OS processes, the measured wall-clock times
 show real speedup on multi-core machines; the discrete-event simulator
@@ -33,6 +34,8 @@ from repro.cluster.backends.base import (
     Job,
     PreparedMessage,
     WorkerBackend,
+    flush_outbox,
+    remap_route,
 )
 from repro.cluster.backends.execution import execute_payload
 from repro.errors import ClusterError, CollectTimeoutError, WorkerLostError
@@ -44,7 +47,6 @@ __all__ = ["MultiprocessingBackend", "worker_main"]
 _LENGTH = struct.Struct("!Q")
 #: the empty frame: no more work (the empty job name of Fig. 4)
 _STOP = _LENGTH.pack(0)
-_READ, _READ_WRITE = selectors.EVENT_READ, selectors.EVENT_READ | selectors.EVENT_WRITE
 
 
 def worker_main(worker_id: int, link: socket.socket) -> None:
@@ -96,18 +98,23 @@ class MultiprocessingBackend(WorkerBackend):
         self._context = _context()
         self._selector = selectors.DefaultSelector()
         self._processes: list[Any] = []
-        #: the master's end of each worker's socket pair (``None`` once lost), the
-        #: bytes its worker has not taken yet and those read but not decoded yet
+        #: the master's end of each process's socket pair (``None`` once dead), the
+        #: bytes its process has not taken yet and those read but not decoded yet
         self._links: list[socket.socket | None] = []
         self._outboxes = [bytearray() for _ in range(self._n_workers)]
         self._inboxes = [bytearray() for _ in range(self._n_workers)]
-        self._replies: deque[tuple[int, int, Any, float, str | None]] = deque()
-        self._in_flight = 0
-        #: ids dispatched to each worker and not answered yet: what a dead
-        #: process strands
-        self._held: list[set[int]] = [set() for _ in range(self._n_workers)]
+        #: the processes still alive, and the one each logical worker's jobs go to
+        self._live = list(range(self._n_workers))
+        self._route = list(range(self._n_workers))
+        #: job id -> (its logical worker, the process that holds it, kind,
+        #: payload): what a death sends again
+        self._jobs: dict[int, tuple[int, int, str, Any]] = {}
+        #: (logical worker, reply) of each answer read and not collected yet
+        self._replies: deque[tuple[int, tuple[int, int, Any, float, str | None]]] = deque()
         self._n_jobs = 0
         self._bytes_sent = 0
+        self._redispatches = 0
+        #: compute seconds by the process that answered
         self._busy: dict[int, float] = {i: 0.0 for i in range(self._n_workers)}
         self._start = time.perf_counter()
         self._finalized = False
@@ -126,8 +133,8 @@ class MultiprocessingBackend(WorkerBackend):
             link.setblocking(False)
             self._processes.append(process)
             self._links.append(link)
-            self._selector.register(link, _READ, worker_id)
-            self._selector.register(process.sentinel, _READ, worker_id)
+            self._selector.register(link, selectors.EVENT_READ, worker_id)
+            self._selector.register(process.sentinel, selectors.EVENT_READ, worker_id)
 
     def on_run_start(self, n_jobs: int) -> None:
         if not self._processes and not self._finalized:
@@ -141,44 +148,30 @@ class MultiprocessingBackend(WorkerBackend):
             raise ClusterError("backend already finalized")
         if not self._processes:
             self._start_processes()
-        frame = pickle.dumps((job.job_id, message.kind, message.payload), pickle.HIGHEST_PROTOCOL)
-        outbox = self._outboxes[worker_id]
-        waiting = bool(outbox)
-        outbox += _LENGTH.pack(len(frame))
-        outbox += frame
-        self._held[worker_id].add(job.job_id)
-        self._in_flight += 1
+        process = self._route[worker_id]
+        self._jobs[job.job_id] = (worker_id, process, message.kind, message.payload)
         self._n_jobs += 1
         self._bytes_sent += message.nbytes
-        if not waiting:  # else the selector writes once the worker's end has room
-            self._flush(worker_id, watched=False)
-
-    def _flush(self, worker_id: int, watched: bool) -> None:
-        """Write what the worker's end takes now; watch it while bytes are left."""
-        link, outbox = self._links[worker_id], self._outboxes[worker_id]
-        if link is None:  # a lost worker: the job waits for its WorkerLostError
-            outbox.clear()
+        link = self._links[process]
+        if link is None:  # no process is left: the next collect names the job
             return
-        try:
-            sent = link.send(outbox)
-        except BlockingIOError:
-            sent = 0
-        except (BrokenPipeError, ConnectionResetError):
-            self._drop(worker_id, link)
-            return
-        del outbox[:sent]
-        if outbox or watched:
-            self._selector.modify(link, _READ_WRITE if outbox else _READ, worker_id)
+        frame = pickle.dumps((job.job_id, message.kind, message.payload), pickle.HIGHEST_PROTOCOL)
+        outbox = self._outboxes[process]
+        waiting = bool(outbox)  # then the selector writes once the end has room
+        outbox += _LENGTH.pack(len(frame))
+        outbox += frame
+        if not waiting and not flush_outbox(self._selector, link, outbox, process, False):
+            self._bury(process)
 
-    def _receive(self, worker_id: int, link: socket.socket) -> bool:
-        """Decode each whole reply read off the worker's end; False at its EOF."""
+    def _receive(self, process: int, link: socket.socket) -> bool:
+        """Decode each whole reply read off the process's end; False at its EOF."""
         try:
             chunk = link.recv(1 << 16)
         except BlockingIOError:
             return True
         except ConnectionResetError:
             chunk = b""
-        inbox = self._inboxes[worker_id]
+        inbox = self._inboxes[process]
         inbox += chunk
         while len(inbox) >= _LENGTH.size:
             end = _LENGTH.size + _LENGTH.unpack_from(inbox)[0]
@@ -186,61 +179,72 @@ class MultiprocessingBackend(WorkerBackend):
                 break
             reply = pickle.loads(inbox[_LENGTH.size:end])
             del inbox[:end]
-            self._held[worker_id].discard(reply[0])
-            self._replies.append(reply)
+            self._replies.append((self._jobs.pop(reply[0])[0], reply))
         return bool(chunk)
 
-    def _drop(self, worker_id: int, link: socket.socket) -> None:
-        """Stop watching a worker that is gone; the jobs it holds are lost."""
+    def _bury(self, dead: int) -> None:
+        """Stop watching a dead process and send the jobs it held to the
+        survivors, under the same logical workers; with no survivor they wait
+        for the next collect's loss."""
+        link = self._links[dead]
+        assert link is not None
         self._selector.unregister(link)
-        self._selector.unregister(self._processes[worker_id].sentinel)
+        self._selector.unregister(self._processes[dead].sentinel)
         link.close()
-        self._links[worker_id] = None
-        self._outboxes[worker_id].clear()
+        self._links[dead] = None
+        self._outboxes[dead].clear()
+        self._live.remove(dead)
+        if not self._live:
+            return
+        remap_route(self._route, dead, self._live)
+        for job_id, (worker_id, holder, kind, payload) in self._jobs.items():
+            if holder == dead:
+                process = self._route[worker_id]
+                self._jobs[job_id] = (worker_id, process, kind, payload)
+                frame = pickle.dumps((job_id, kind, payload), pickle.HIGHEST_PROTOCOL)
+                self._outboxes[process] += _LENGTH.pack(len(frame)) + frame
+                self._selector.modify(self._links[process],
+                                      selectors.EVENT_READ | selectors.EVENT_WRITE, process)
+                self._redispatches += 1
 
     def collect(self, timeout: float | None = 300.0) -> CompletedJob:
-        if self._in_flight == 0:
+        if not self._replies and not self._jobs:
             raise ClusterError("no job in flight")
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._replies:
-            if None in self._links:
-                self._raise_stranded()
+            if not self._live:
+                lost = tuple(sorted(self._jobs))
+                self._jobs.clear()
+                raise WorkerLostError(f"every worker process died; {len(lost)} jobs were in "
+                                      "flight (resubmit them against a fresh backend)", lost)
             wait = None if deadline is None else max(0.0, deadline - time.monotonic())
             for key, events in self._selector.select(wait):
-                worker_id, link = key.data, self._links[key.data]
+                process, link = key.data, self._links[key.data]
                 if link is None:
-                    continue  # dropped by an earlier event of this round
-                died = key.fileobj is not link  # its sentinel; its last replies are read first
-                if events & _READ and (not self._receive(worker_id, link) or died):
-                    self._drop(worker_id, link)
-                elif events & selectors.EVENT_WRITE:
-                    self._flush(worker_id, watched=True)
+                    continue  # buried by an earlier event of this round
+                if key.fileobj is not link:  # its sentinel: the replies it wrote are read first
+                    self._receive(process, link)
+                    self._bury(process)
+                elif events & selectors.EVENT_READ and not self._receive(process, link):
+                    self._bury(process)
+                elif events & selectors.EVENT_WRITE and not flush_outbox(
+                        self._selector, link, self._outboxes[process], process, True):
+                    self._bury(process)
             if not self._replies and deadline is not None and time.monotonic() >= deadline:
                 raise CollectTimeoutError(
                     f"timed out after {timeout}s waiting for a worker result"
                 )
-        job_id, worker_id, result, elapsed, error = self._replies.popleft()
-        self._in_flight -= 1
-        self._busy[worker_id] += elapsed
+        worker_id, (job_id, process, result, elapsed, error) = self._replies.popleft()
+        self._busy[process] += elapsed
         return CompletedJob(job_id, worker_id, result, elapsed,
                             time.perf_counter() - self._start, error)
-
-    def _raise_stranded(self) -> None:
-        """Name every job a lost worker holds: they are in flight no more."""
-        lost = [held for held, link in zip(self._held, self._links) if link is None]
-        stranded = tuple(sorted(set().union(*lost)))
-        if stranded:
-            for held in lost:
-                held.clear()
-            self._in_flight -= len(stranded)
-            raise WorkerLostError(f"a worker process died holding {len(stranded)} dispatched "
-                                  "jobs (resubmit them against a fresh backend)", stranded)
 
     def finalize(self) -> BackendStats:
         if not self._finalized:
             self._finalized = True
-            for worker_id, (process, link) in enumerate(zip(self._processes, self._links)):
-                if self._held[worker_id]:
+            held = {holder for _, holder, _, _ in self._jobs.values()}
+            for index, (process, link) in enumerate(zip(self._processes, self._links)):
+                if index in held:
                     process.terminate()  # its jobs are abandoned: nobody collects them
                 elif link is not None:
                     with contextlib.suppress(OSError):  # gone already
@@ -261,4 +265,5 @@ class MultiprocessingBackend(WorkerBackend):
             worker_busy=dict(self._busy),
             master_busy=total,
             bytes_sent=self._bytes_sent,
+            extra={"redispatches": self._redispatches},
         )

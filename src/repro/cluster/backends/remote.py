@@ -7,18 +7,22 @@ length-prefixed XDR frames (:mod:`repro.serial.frames`) and collecting
 result frames with :mod:`selectors`:
 
 * :meth:`RemoteBackend.dispatch` serializes the prepared payload into one
-  ``FRAME_JOB`` message -- ``MPI_Send_Obj`` in the paper's master script;
+  ``FRAME_JOB`` message -- ``MPI_Send_Obj`` in the paper's master script --
+  and writes what the non-blocking socket takes; the rest waits in that
+  connection's outbox, so the master never blocks on a send;
 * :meth:`RemoteBackend.collect` blocks on the selector until any connection
   delivers a ``FRAME_RESULT`` -- ``MPI_Probe(-1, -1, ...)`` then
-  ``MPI_Recv_Obj`` -- which is all the streaming futures API needs to work
-  over the wire unchanged.
+  ``MPI_Recv_Obj`` -- writing the outboxes as their sockets take more,
+  which is all the streaming futures API needs to work over the wire
+  unchanged.
 
 A backend is one campaign's pool; these keep it alive for that campaign:
 
-* **death** -- the master keeps the wire entry of every in-flight job, so
-  when a connection drops its jobs are redispatched to the surviving
-  workers and the run completes (the freed logical worker slot is remapped
-  onto a live connection);
+* **death** -- the master keeps the frame of every in-flight job, so when a
+  connection drops its logical worker slots are remapped onto live
+  connections and its jobs are queued on their outboxes: the survivors
+  answer them and the run completes (as a dead multiprocessing worker's
+  jobs go to the processes left);
 * **rebirth** -- while another host is live, a dead host is re-dialed
   (five dials, on :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`) and,
   once back, gets its original logical slots again.  A dial is a
@@ -41,11 +45,11 @@ A backend is one campaign's pool; these keep it alive for that campaign:
 A peer that answers wrongly -- an address that does not resolve, a peer that
 is not a current ``repro-worker``, a failed shared-secret handshake -- fails
 the pool's construction loudly, before any job frame, as does a pool none of
-whose hosts greets.  Once no host is live the pool is lost: a
-:class:`~repro.errors.WorkerLostError` surfaces at once, carrying the ids of
-the jobs that were in flight.  A session's campaign then builds a new pool on
-the same schedule and sends them again; any other caller can resubmit them
-against fresh workers.
+whose hosts greets.  Once no host is live the pool is lost: the next
+:meth:`~RemoteBackend.collect` raises a :class:`~repro.errors.WorkerLostError`
+carrying the ids of the jobs that were in flight (``dispatch`` never does).
+A session's campaign then builds a new pool on the same schedule and sends
+them again; any other caller can resubmit them against fresh workers.
 
 Build one through the registry --
 ``create_backend("remote", hosts=["10.0.0.4:9631", ...])`` or
@@ -55,6 +59,7 @@ Build one through the registry --
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
 import selectors
@@ -71,6 +76,8 @@ from repro.cluster.backends.base import (
     Job,
     PreparedMessage,
     WorkerBackend,
+    flush_outbox,
+    remap_route,
 )
 from repro.cluster.worker import decode_hello
 from repro.errors import ClusterError, CollectTimeoutError, SerializationError, WorkerLostError
@@ -99,16 +106,10 @@ _RECV_BYTES = 1 << 16
 #: seconds allowed for each TCP connect + handshake, the pool's first dials
 #: included (they run at once, so building a pool waits one timeout at most)
 _CONNECT_TIMEOUT_S = 10.0
-#: seconds one frame send may block before its worker is declared lost: a
-#: partitioned worker whose TCP buffer filled up cannot hang ``sendall``
-_SEND_TIMEOUT_S = 60.0
 #: seconds of silence after which a busy connection is PINGed, and then the
 #: wait for its pong or a result before it is buried (a worker answers a ping
 #: while a job computes, so a long job is not taken for a wedged worker)
 _LIVENESS_TIMEOUT_S = 30.0
-
-#: sentinel ``conn_index`` of an orphaned in-flight job awaiting redispatch
-_UNROUTED = -1
 
 
 def normalize_hosts(hosts: Any) -> tuple[str, ...]:
@@ -163,6 +164,8 @@ class _Connection:
     address: str
     sock: socket.socket
     assembler: FrameAssembler  # the handshake's, with whatever followed the hello
+    #: bytes queued for the worker that its socket has not taken yet
+    outbox: bytearray = field(default_factory=bytearray)
     stop_sent: bool = False
     #: monotonic time of the last byte received (liveness bookkeeping)
     last_recv: float = 0.0
@@ -204,16 +207,12 @@ class _Redial:
 
 @dataclass
 class _InFlight:
-    """A dispatched, not-yet-answered job (kept for redispatch on death).
-
-    Every record keeps the wire ``entry`` dictionary; its frame is encoded
-    at the first send and kept for a death redispatch.
-    """
+    """A dispatched, not-yet-answered job: its logical worker, the connection
+    slot that holds it, and its frame, queued again if that connection dies."""
 
     worker_id: int
     conn_index: int
-    entry: dict[str, Any]
-    frame: bytes | None = None
+    frame: bytes
 
 
 class RemoteBackend(WorkerBackend):
@@ -255,10 +254,6 @@ class RemoteBackend(WorkerBackend):
         #: conn index -> backoff state of a pending re-dial
         self._redial: dict[int, _Redial] = {}
         self._inflight: dict[int, _InFlight] = {}
-        #: orphaned job ids awaiting redispatch; flushed by dispatch/collect,
-        #: never inside a death, so a failed send cannot recurse into another
-        #: (an insertion-ordered set: a death can orphan a whole window per slot)
-        self._redispatch: dict[int, None] = {}
         self._ready: deque[CompletedJob] = deque()
         self._n_jobs = 0
         self._bytes_sent = 0
@@ -305,7 +300,7 @@ class RemoteBackend(WorkerBackend):
             if index in self._conns:
                 self._redial.pop(index, None)
             else:
-                self._remap_route(index, survivors)
+                remap_route(self._route, index, survivors)
 
     @staticmethod
     def _dial(address: str) -> _Dial:
@@ -382,9 +377,6 @@ class RemoteBackend(WorkerBackend):
                 self._authenticated(address, frame[1], dial.nonce)
         except (SerializationError, OSError) as exc:
             raise ClusterError(f"handshake with worker {address} failed: {exc}") from exc
-        # bounds every later sendall; recv never blocks on it because the
-        # selector only hands over sockets with data pending
-        sock.settimeout(_SEND_TIMEOUT_S)
         return _Connection(
             address=address, sock=sock, assembler=dial.assembler, last_recv=time.monotonic())
 
@@ -471,11 +463,15 @@ class RemoteBackend(WorkerBackend):
             raise ClusterError(f"invalid worker id {worker_id}")
         if self._finalized:
             raise ClusterError("backend already finalized")
-        record = _InFlight(worker_id, _UNROUTED, entry=self._wire_entry(job, message))
+        frame = encode_frame(FRAME_JOB, xdr.encode(self._wire_entry(job, message)))
+        index = self._route[worker_id]
+        self._inflight[job.job_id] = _InFlight(worker_id, index, frame)
         self._n_jobs += 1
-        self._send(job.job_id, record)
+        conn = self._conns.get(index)
+        if conn is not None:  # else no host is live: the next collect names the job
+            self._bytes_sent += len(frame)
+            self._post(index, conn, frame)
         self._maybe_reconnect()
-        self._flush_redispatch()
 
     def collect(self, timeout: float | None = 300.0) -> CompletedJob:
         if not self._ready and not self._inflight:
@@ -483,10 +479,9 @@ class RemoteBackend(WorkerBackend):
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._ready:
             self._maybe_reconnect()
-            self._flush_redispatch()
             self._check_liveness()
-            if self._ready:
-                break  # a liveness burial can orphan+answer via redispatch
+            if not self._conns:
+                self._raise_pool_lost()  # nothing to select on
             if deadline is None:
                 wait: float | None = None
             else:
@@ -495,8 +490,6 @@ class RemoteBackend(WorkerBackend):
                     raise CollectTimeoutError(
                         f"timed out after {timeout}s waiting for a remote worker result"
                     )
-            if not self._conns:
-                self._raise_pool_lost()  # nothing to select on
             self._pump(self._cap_wait(wait))
         return self._ready.popleft()
 
@@ -511,9 +504,11 @@ class RemoteBackend(WorkerBackend):
         return min(caps)
 
     def send_stop(self, worker_id: int) -> None:
-        conn = self._conns.get(self._route[worker_id])
-        if conn is not None:
-            self._stop_conn(conn)
+        index = self._route[worker_id]
+        conn = self._conns.get(index)
+        if conn is not None and not conn.stop_sent:
+            conn.stop_sent = True
+            self._post(index, conn, encode_frame(FRAME_STOP))
 
     def finalize(self) -> BackendStats:
         if not self._finalized:
@@ -522,7 +517,11 @@ class RemoteBackend(WorkerBackend):
                                 if index not in self._conns]
             self._drop_redials()
             for conn in self._conns.values():
-                self._stop_conn(conn)
+                if not conn.stop_sent:
+                    conn.outbox += encode_frame(FRAME_STOP)
+                # best effort: a worker that is gone, or not reading, stops at the close
+                with contextlib.suppress(OSError):
+                    conn.sock.send(conn.outbox)
                 self._selector.unregister(conn.sock)
                 conn.sock.close()
             self._conns.clear()
@@ -545,37 +544,19 @@ class RemoteBackend(WorkerBackend):
         )
 
     # -- wire plumbing -----------------------------------------------------------
-    def _send(self, job_id: int, record: _InFlight) -> bool:
-        """Record ``job_id`` as in flight and push its frame down the wire.
-
-        Returns ``False`` when the target connection died under the send
-        (the job is parked among its orphans); raises
-        :class:`~repro.errors.WorkerLostError`, naming the job, when no
-        connection is live -- while one is, a burial has routed every
-        logical worker to a live one.
-        """
-        self._inflight[job_id] = record
-        conn_index = record.conn_index = self._route[record.worker_id]
-        conn = self._conns.get(conn_index)
-        if conn is None:
-            record.conn_index = _UNROUTED
-            self._raise_pool_lost()
-        if record.frame is None:
-            record.frame = encode_frame(FRAME_JOB, xdr.encode(record.entry))
-        frame = record.frame
-        try:
-            conn.sock.sendall(frame)
-        except OSError:
-            self._on_conn_dead(conn_index)
-            return False
-        self._bytes_sent += len(frame)
-        return True
+    def _post(self, index: int, conn: _Connection, frame: bytes) -> None:
+        """Queue ``frame`` on connection slot ``index`` and write what its
+        socket takes now, unless earlier bytes already wait for the selector."""
+        waiting = bool(conn.outbox)
+        conn.outbox += frame
+        if not waiting and not flush_outbox(self._selector, conn.sock, conn.outbox, index, False):
+            self._on_conn_dead(index)
 
     def _pump(self, timeout: float | None) -> None:
         """Wait up to ``timeout`` for socket activity and absorb it."""
         events = self._selector.select(timeout)
         now = time.monotonic()
-        for key, _mask in events:
+        for key, mask in events:
             if isinstance(key.data, _Redial):
                 self._step_redial(key.data)
                 continue
@@ -583,9 +564,17 @@ class RemoteBackend(WorkerBackend):
             conn = self._conns.get(index)
             if conn is None:  # closed while handling an earlier event
                 continue
+            if mask & selectors.EVENT_WRITE and not flush_outbox(
+                    self._selector, conn.sock, conn.outbox, index, True):
+                self._on_conn_dead(index)
+                continue
+            if not mask & selectors.EVENT_READ:
+                continue
             try:
                 data = conn.sock.recv(_RECV_BYTES)
-            except (ConnectionResetError, OSError):
+            except BlockingIOError:
+                continue  # woken with nothing to read yet
+            except OSError:
                 data = b""
             if not data:
                 self._on_conn_dead(index)
@@ -622,7 +611,7 @@ class RemoteBackend(WorkerBackend):
                              floats=False)
         entry = self._inflight.pop(job_id, None)
         if entry is None:
-            # duplicate after a redispatch race: the job was already answered
+            # not in flight: a confused peer's answer, or the pool's loss named it
             return
         elapsed = float(answer.get("elapsed") or 0.0)
         self._busy[index] += elapsed  # the host that answered, not the logical slot
@@ -638,7 +627,10 @@ class RemoteBackend(WorkerBackend):
         )
 
     def _raise_pool_lost(self) -> NoReturn:
+        """Name every job in flight, which is then in flight no more."""
         lost = tuple(sorted(self._inflight))
+        self._inflight.clear()
+        self._drop_redials()
         raise WorkerLostError(
             f"all {self._n_workers} remote workers are gone; "
             f"{len(lost)} jobs were in flight (resubmit them against a "
@@ -646,36 +638,30 @@ class RemoteBackend(WorkerBackend):
             job_ids=lost,
         )
 
-    def _remap_route(self, dead_index: int, survivors: list[int]) -> None:
-        """Point logical workers routed at ``dead_index`` to live connections."""
-        for worker_id, conn_index in enumerate(self._route):
-            if conn_index == dead_index:
-                self._route[worker_id] = survivors[worker_id % len(survivors)]
-
     def _on_conn_dead(self, index: int) -> None:
-        """Bury a connection; queue its in-flight jobs for redispatch."""
+        """Bury a connection: remap its logical slots and queue its in-flight
+        jobs on the survivors' outboxes.  A burial sends nothing, so a failed
+        write cannot bury another connection inside it; with no survivor the
+        jobs wait for the next collect's loss."""
         conn = self._conns.pop(index, None)
         if conn is None:
             return
         self._selector.unregister(conn.sock)
         conn.sock.close()
-        if not self._finalized:
-            self._schedule(self._redial.setdefault(index, _Redial(index)))
-        for job_id, entry in self._inflight.items():
-            if entry.conn_index == index:
-                # park the orphan: no connection holds it until the next
-                # dispatch/collect step flushes it to a survivor (a sendall
-                # here could fail and bury another connection mid-burial)
-                entry.conn_index = _UNROUTED
-                self._redispatch.setdefault(job_id)
+        self._schedule(self._redial.setdefault(index, _Redial(index)))
         survivors = sorted(self._conns)
-        if survivors:
-            self._remap_route(index, survivors)
-        elif self._inflight:
-            # no host is live: the pool is lost, and rebuilding it is its
-            # campaign's to do, not a re-dial's
-            self._drop_redials()
-            self._raise_pool_lost()
+        if not survivors:
+            return
+        remap_route(self._route, index, survivors)
+        for record in self._inflight.values():
+            if record.conn_index == index:
+                target = record.conn_index = self._route[record.worker_id]
+                heir = self._conns[target]
+                heir.outbox += record.frame
+                self._selector.modify(heir.sock, selectors.EVENT_READ | selectors.EVENT_WRITE,
+                                      target)
+                self._bytes_sent += len(record.frame)
+                self._redispatches += 1
 
     # -- reconnect ---------------------------------------------------------------
     def _next_redial_at(self) -> float | None:
@@ -786,38 +772,6 @@ class RemoteBackend(WorkerBackend):
                     self._on_conn_dead(index)
                 continue
             if now - conn.last_recv > _LIVENESS_TIMEOUT_S:
-                token = os.urandom(8)
-                try:
-                    conn.sock.sendall(encode_frame(FRAME_PING, token))
-                except OSError:
-                    self._on_conn_dead(index)
-                    continue
-                conn.ping_token = token
+                conn.ping_token = os.urandom(8)
                 conn.ping_sent = now
-
-    def _flush_redispatch(self) -> None:
-        """Re-send parked orphans (from dispatch/collect, never mid-burial)."""
-        parked, self._redispatch = iter(self._redispatch), {}
-        for job_id in parked:
-            entry = self._inflight.get(job_id)
-            if entry is None or entry.conn_index != _UNROUTED:
-                continue  # answered meanwhile, or already re-sent
-            # same logical worker slot, surviving connection
-            if self._send(job_id, entry):
-                self._redispatches += 1
-            else:
-                # the target died mid-send (re-parked among its orphans):
-                # stop flushing this round
-                break
-        # whatever was not attempted stays parked for the next flush
-        for job_id in parked:
-            self._redispatch.setdefault(job_id)
-
-    def _stop_conn(self, conn: _Connection) -> None:
-        if conn.stop_sent:
-            return
-        conn.stop_sent = True
-        try:
-            conn.sock.sendall(encode_frame(FRAME_STOP))
-        except OSError:  # the worker is already gone; nothing left to stop
-            pass
+                self._post(index, conn, encode_frame(FRAME_PING, conn.ping_token))

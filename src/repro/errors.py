@@ -49,17 +49,15 @@ class CollectTimeoutError(ClusterError):
 class WorkerLostError(ClusterError):
     """Raised when the worker pool is lost with jobs still unanswered.
 
-    As long as at least one worker survives, the remote backend requeues
-    the lost worker's in-flight jobs transparently (and re-dials the dead
-    host); this error surfaces when the *whole* pool is gone.  The
-    multiprocessing backend raises it as soon as one worker process dies
-    holding dispatched jobs, naming those jobs only.  It is retryable in the scheduling sense: :attr:`job_ids` lists
-    the jobs that were in flight, so a caller can rebuild a backend against
-    fresh workers and resubmit exactly those jobs -- which every session
-    campaign does by itself, on
-    :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`.  From a session it
-    surfaces only once that schedule is spent, or at once from the simulated
-    cluster, whose loss is the simulation's result."""
+    As long as one worker survives, the remote and multiprocessing backends
+    send a dead worker's in-flight jobs to the survivors; only ``collect``
+    raises this error, once *no* worker is live (``dispatch`` never does).
+    It is retryable in the scheduling sense: :attr:`job_ids` lists every job
+    that was in flight, so a caller can rebuild a backend against fresh
+    workers and resubmit exactly those jobs -- which every session campaign
+    does by itself, on :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`.
+    From a session it surfaces only once that schedule is spent, or at once
+    from the simulated cluster, whose loss is the simulation's result."""
 
     def __init__(self, message: str, job_ids: tuple[int, ...] = ()) -> None:
         super().__init__(message)

@@ -3,10 +3,11 @@
 ``Campaign.pump`` is the one call through which ``run``, stream iteration,
 ``future.result()``, ``as_completed``, ``gather``, ``greeks`` and ``risk``
 collect, and it is where a lost pool is recovered.  Each reader is driven
-through a worker killed mid-read -- a multiprocessing worker, and the only
-worker of a loopback pool restarted on its port -- and must return exactly
-what an undisturbed ``local`` run returns, from a pool the campaign built
-once more.
+through a pool lost mid-read -- every worker of a multiprocessing pool
+killed, and the only worker of a loopback pool restarted on its port -- and
+must return exactly what an undisturbed ``local`` run returns, from a pool
+the campaign built once more.  A pool that keeps a worker is not lost: the
+survivor takes the dead worker's jobs, and nothing is rebuilt.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Any, Callable
 import pytest
 
 from repro.api import ValuationSession
+from repro.cluster.backends.multiproc import MultiprocessingBackend
 from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import Portfolio, Position
 from repro.pricing import PricingProblem
@@ -106,17 +108,40 @@ def _count_builds(session: ValuationSession, monkeypatch) -> list:
 
 @pytest.mark.parametrize("reader", list(READERS))
 def test_recover_a_killed_multiprocessing_worker(reader, monkeypatch):
+    """Every worker of the pool is killed: the pool is lost and rebuilt."""
     reference = _read(reader, ValuationSession(backend="local"), lambda _event: None)
     session = ValuationSession(backend="multiprocessing", n_workers=2)
     builds = _count_builds(session, monkeypatch)
     before = set(mp.active_children())
 
-    def kill_a_worker() -> None:
-        started = sorted(set(mp.active_children()) - before, key=lambda p: p.pid)
-        os.kill(started[0].pid, signal.SIGKILL)
+    def kill_every_worker() -> None:
+        for process in set(mp.active_children()) - before:
+            os.kill(process.pid, signal.SIGKILL)
 
-    assert _read(reader, session, _once(kill_a_worker)) == reference
+    assert _read(reader, session, _once(kill_every_worker)) == reference
     assert len(builds) == 2  # the campaign rebuilt the pool once
+
+
+def test_a_multiprocessing_pool_that_keeps_a_worker_is_not_rebuilt(monkeypatch):
+    """The first worker is frozen as the pool starts, so it still holds its
+    jobs when it is killed at the first answer: the survivor answers them."""
+    reference = ValuationSession(backend="local").run(_book(16)).prices()
+    start = MultiprocessingBackend.on_run_start
+    frozen: list = []
+
+    def start_and_freeze(backend: MultiprocessingBackend, n_jobs: int) -> None:
+        start(backend, n_jobs)
+        frozen.append(backend._processes[0])
+        os.kill(frozen[0].pid, signal.SIGSTOP)
+
+    monkeypatch.setattr(MultiprocessingBackend, "on_run_start", start_and_freeze)
+    session = ValuationSession(backend="multiprocessing", n_workers=2)
+    builds = _count_builds(session, monkeypatch)
+    report = session.run(
+        _book(16), progress=_once(lambda: os.kill(frozen[0].pid, signal.SIGKILL))).report
+    assert report.prices() == reference
+    assert len(builds) == 1
+    assert "retries" not in report.extra and report.extra["redispatches"] >= 1
 
 
 @pytest.mark.parametrize("reader", list(READERS))

@@ -15,7 +15,9 @@ not counted: calls into NumPy are C work here.
   as many calls for 750 rows as for one (a second method name aside);
 * one ``dispatch`` + ``collect`` of a job on worker processes makes one
   ``select`` and a handful of other Python calls on the master's main
-  thread, and no other thread of the master makes any call at all.
+  thread, and no other thread of the master makes any call at all; over a
+  loopback ``repro-worker`` it makes one ``select`` too, and a fixed number
+  of other calls (the XDR of the job and of its reply among them).
 
 Any loop that makes a call per position or per row moves these pins by
 hundreds; two seeds of the book's spot and volatility give the same counts.
@@ -35,6 +37,8 @@ import pytest
 
 import repro
 from repro.cluster.backends import PAYLOAD_SERIAL, Job, MultiprocessingBackend, PreparedMessage
+from repro.cluster.backends.remote import RemoteBackend
+from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import build_toy_portfolio
 from repro.pricing.book import write_book
 from repro.pricing.methods.base import PricingResult, ResultColumns
@@ -51,7 +55,10 @@ REPLY_CALLS = {1: 47, 750: 49}
 #: Python calls on the master's main thread of one ``dispatch`` + ``collect``
 #: on worker processes: the selector's ``select``, and every call outside the
 #: selector module (whose own helpers Python 3.12 inlined into ``select``)
+#: but a comprehension's
 LINK_CALLS = {"select": 1, "other": 5}
+#: the same over one loopback TCP connection to a ``repro-worker``
+REMOTE_CALLS = {"select": 1, "other": 55}
 SEEDS = (1, 2)
 
 
@@ -105,8 +112,10 @@ def test_a_reply_is_decoded_with_no_call_per_row(seed):
     assert counted == REPLY_CALLS
 
 
-def test_a_job_on_worker_processes_costs_the_master_a_handful_of_calls():
-    """Counted from before the pool starts, so a thread it started is seen."""
+def _calls_per_job(backend) -> tuple[list[dict[str, int]], list[str]]:
+    """Python calls of each ``dispatch`` + ``collect`` on the main thread
+    after a first one that warms up, and the calls made on any other thread,
+    counted from ``on_run_start``: a thread the pool starts there is seen."""
     main, counting = threading.get_ident(), False
     counted: Counter = Counter()
     elsewhere: list[str] = []
@@ -115,7 +124,7 @@ def test_a_job_on_worker_processes_costs_the_master_a_handful_of_calls():
         if event == "call" and counting:
             code = frame.f_code
             if code.co_filename != selectors.__file__:
-                counted["other"] += 1
+                counted["other"] += code.co_name not in _INLINED
             elif code.co_name == "select":
                 counted["select"] += 1
 
@@ -127,7 +136,6 @@ def test_a_job_on_worker_processes_costs_the_master_a_handful_of_calls():
     units = [(Job(job_id=job_id, path="", file_size=len(data)),
               PreparedMessage(kind=PAYLOAD_SERIAL, payload=data, nbytes=len(data)))
              for job_id in range(4)]
-    backend = MultiprocessingBackend(n_workers=1)
     previous = sys.getprofile()
     threading.setprofile(off_main)
     sys.setprofile(on_main)
@@ -146,5 +154,17 @@ def test_a_job_on_worker_processes_costs_the_master_a_handful_of_calls():
         sys.setprofile(previous)
         threading.setprofile(None)  # type: ignore[arg-type]
         backend.finalize()
-    assert per_unit == [LINK_CALLS] * (len(units) - 1)
+    return per_unit, elsewhere
+
+
+def test_a_job_on_worker_processes_costs_the_master_a_handful_of_calls():
+    per_unit, elsewhere = _calls_per_job(MultiprocessingBackend(n_workers=1))
+    assert per_unit == [LINK_CALLS] * 3
+    assert elsewhere == []
+
+
+def test_a_job_on_a_remote_worker_costs_the_master_a_fixed_count_of_calls():
+    with spawn_local_workers(1) as pool:
+        per_unit, elsewhere = _calls_per_job(RemoteBackend(pool.hosts))
+    assert per_unit == [REMOTE_CALLS] * 3
     assert elsewhere == []
