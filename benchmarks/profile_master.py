@@ -24,7 +24,8 @@ the profiled one, with :func:`time.thread_time` deltas around the plan
 ``multiprocessing`` pool's processes, the book write
 (:func:`repro.pricing.book.write_book`), the XDR encode outside it
 (:func:`repro.serial.xdr.encode`: labels, keys, arrays, the job and frame
-records) and the XDR decode (on a remote pool, the replies), each net of the
+records) and the reply decode (:func:`pickle.loads` of a worker process's
+reply, :func:`repro.serial.xdr.decode` of a remote worker's), each net of the
 others nested inside it, as the median in ms a repeat and us a position,
 beside the minor page faults the master thread took in it
 (``getrusage(RUSAGE_THREAD).ru_minflt`` deltas) and the CPU it spent there
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import cProfile
 import gc
+import pickle
 import pstats
 import resource
 import statistics
@@ -83,8 +85,8 @@ from repro.serial import xdr  # noqa: E402
 #: ``book encode`` is a grid's or book slice's book -- ``write_book``'s columns
 #: and their XDR encode -- and ``write_book`` the columns of every book, a
 #: batch's members included) and back (a worker process's replies read off
-#: its socket pair and unpickled, a remote pool's reply decode, the write into
-#: the result table, the report)
+#: its socket pair -- of that, their unpickling -- a remote pool's reply
+#: decode, the write into the result table, the report)
 LAYERS = {
     "columns": ("columns", ""),
     "build_plan": ("build_plan", ""),
@@ -98,6 +100,7 @@ LAYERS = {
     "write_book": ("write_book", "pricing/book.py"),
     "dispatch": ("dispatch", ""),
     "socket-pair reply read": ("_receive", "backends/multiproc.py"),
+    "reply unpickle": ("<built-in method _pickle.loads>", "~"),
     "reply decode": ("decode", "serial/xdr.py"),
     "_resolve_completed": ("_resolve_completed", ""),
     "_assemble": ("_assemble", ""),
@@ -115,16 +118,17 @@ _OBJECTS = {
 #: passes over the same inputs each unprofiled line takes the fastest of
 PASSES = 7
 
-#: the layers timed in situ: name -> the modules (or classes) whose attribute
-#: of that name the master calls (``write_book`` is imported by name where
-#: books are made)
+#: the layers timed in situ: name -> the (module or class, attribute) pairs
+#: the master calls (``write_book`` is imported by name where books are made;
+#: a reply is unpickled off a worker process's socket pair, or decoded out of
+#: a remote worker's result frame)
 IN_SITU = {
-    "build_plan": ((repro.api.session,), "build_plan"),
-    "load pass": ((SerializedLoadStrategy,), "load"),
-    "pool start": ((MultiprocessingBackend,), "_start_processes"),
-    "book write": ((repro.pricing.scenarios, repro.pricing.batch), "write_book"),
-    "xdr encode outside the book": ((xdr,), "encode"),
-    "xdr decode (replies)": ((xdr,), "decode"),
+    "build_plan": ((repro.api.session, "build_plan"),),
+    "load pass": ((SerializedLoadStrategy, "load"),),
+    "pool start": ((MultiprocessingBackend, "_start_processes"),),
+    "book write": ((repro.pricing.scenarios, "write_book"), (repro.pricing.batch, "write_book")),
+    "xdr encode outside the book": ((xdr, "encode"),),
+    "reply decode": ((pickle, "loads"), (xdr, "decode")),
 }
 #: unprofiled repeats the in-situ lines take the median of
 IN_SITU_REPEATS = 5
@@ -183,11 +187,11 @@ def in_situ(workload, pool) -> tuple[dict[str, tuple[float, float, float]], floa
     :data:`IN_SITU_REPEATS` unprofiled repeats on fresh inputs (as each round
     of ``bench.py`` builds its own); positions."""
     clock = _LayerClock()
-    originals = [(module, name, getattr(module, name))
-                 for modules, name in IN_SITU.values() for module in modules]
-    for layer, (modules, name) in IN_SITU.items():
-        for module in modules:
-            setattr(module, name, clock.timed(layer, getattr(module, name)))
+    originals = [(owner, name, getattr(owner, name))
+                 for pairs in IN_SITU.values() for owner, name in pairs]
+    for layer, pairs in IN_SITU.items():
+        for owner, name in pairs:
+            setattr(owner, name, clock.timed(layer, getattr(owner, name)))
     samples: dict[str, list[tuple[float, int, float]]] = {layer: [] for layer in IN_SITU}
     totals, total_faults, off_main = [], [], []
     try:

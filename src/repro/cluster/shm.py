@@ -36,7 +36,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.pricing.methods.base import ResultColumns
 
 try:  # pragma: no cover - import guard exercised via monkeypatching in tests
     from multiprocessing import shared_memory as _shared_memory
@@ -59,9 +58,6 @@ SHM_MIN_BYTES = 1 << 18
 #: marker keys of the transport handles (dicts so they serialize anywhere)
 _ARRAY_KEY = "__shm_array__"
 _BYTES_KEY = "__shm_bytes__"
-#: a :class:`~repro.pricing.methods.base.ResultColumns` reply travels as its
-#: columns under this key, so each column is a buffer like any other
-_COLUMNS_KEY = "__result_columns__"
 
 
 def shm_available() -> bool:
@@ -276,8 +272,6 @@ def encode_result(
     """
     if not shm_available():
         return obj
-    if type(obj) is ResultColumns:  # exact: an ABC isinstance per leaf is not free
-        return {_COLUMNS_KEY: encode_result(obj.to_dict(), registry, min_bytes)}
     if isinstance(obj, dict):
         return {key: encode_result(value, registry, min_bytes) for key, value in obj.items()}
     if isinstance(obj, list):
@@ -301,8 +295,6 @@ def decode_result(obj: Any, registry: SegmentRegistry) -> Any:
                 return registry.consume_array(obj[_ARRAY_KEY])
             if _BYTES_KEY in obj:
                 return registry.consume_bytes(obj[_BYTES_KEY])
-            if _COLUMNS_KEY in obj:
-                return ResultColumns.from_dict(decode_result(obj[_COLUMNS_KEY], registry))
         return {key: decode_result(value, registry) for key, value in obj.items()}
     if isinstance(obj, list):
         return [decode_result(value, registry) for value in obj]

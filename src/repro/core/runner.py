@@ -60,13 +60,10 @@ class ResultTable(Mapping):
 
     def __init__(self, ids: Sequence[int]) -> None:
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        zeros = np.zeros_like(ids)  # the record copies each column into its blocks
         self._columns = ResultColumns(
-            {
-                "ids": ids,
-                **{name: np.full(len(ids), _NAN) for name in FLOAT_COLUMNS},
-                "n_evaluations": np.zeros(len(ids), dtype=np.int64),
-                "method": np.zeros(len(ids), dtype=np.int64),
-            },
+            {"ids": ids, **dict.fromkeys(FLOAT_COLUMNS, np.full(len(ids), _NAN)),
+             "n_evaluations": zeros, "method": zeros},
             [""],  # the method name of a row nothing was written to
         )
         self.ids = ids
@@ -105,13 +102,9 @@ class ResultTable(Mapping):
                 fields = [_FIELDS({**_DEFAULTS, **entry}) for entry in entries]
             price, delta, std_error, interval, elapsed, counts, names = zip(*fields)
             columns = self._columns
-            columns.price[rows] = price
-            columns.delta[rows] = delta  # numpy stores a None as NaN
-            columns.std_error[rows] = std_error
-            columns.ci_low[rows], columns.ci_high[rows] = zip(
-                *(pair or (_NAN, _NAN) for pair in interval)
-            )
-            columns.elapsed[rows] = elapsed
+            columns.floats[:, rows] = (  # numpy stores a None as NaN
+                price, delta, std_error, *zip(*(pair or (_NAN, _NAN) for pair in interval)),
+                elapsed)
             columns.n_evaluations[rows] = counts
             codes = {name: self._method_code(name) for name in set(names)}
             columns.method[rows] = [codes[name] for name in names]
@@ -213,6 +206,8 @@ class ResultTable(Mapping):
             raise ClusterError("reply answers one id twice")
         done = rows[: len(reply.ids)]
         columns = self._columns  # a row is written once: none of these is set aside
+        # a 1-d assignment a column: one 2-d assignment of the float block takes
+        # numpy's mixed-index path, slower on the cold caches a master meets it in
         for name in (*FLOAT_COLUMNS, "n_evaluations"):
             getattr(columns, name)[done] = getattr(reply, name)
         codes = np.array([self._method_code(name) for name in reply.method_names], dtype=np.int64)
@@ -228,9 +223,8 @@ class ResultTable(Mapping):
         the same status, error and result, flagged ``cache_hit``."""
         source, target = self.rows_of(sources), self.rows_of(targets)
         columns = self.columns  # folds the answers set aside
-        for name in (*FLOAT_COLUMNS, "n_evaluations", "method"):
-            column = getattr(columns, name)
-            column[target] = column[source]
+        columns.floats[:, target] = columns.floats[:, source]
+        columns.ints[1:, target] = columns.ints[1:, source]  # n_evaluations, method
         self.cache_hit[target] = True
         self.status[target] = self.status[source]
         for row, copy in zip(source.tolist(), target.tolist()):

@@ -16,6 +16,7 @@ method implements
 from __future__ import annotations
 
 import abc
+import struct
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from repro.pricing.models.base import Model
 from repro.pricing.products.base import Product
 from repro.pricing.validation import FiniteParams
 
-__all__ = ["PricingResult", "ResultColumns", "FLOAT_COLUMNS", "PricingMethod"]
+__all__ = ["PricingResult", "ResultColumns", "FLOAT_COLUMNS", "INT_COLUMNS", "PricingMethod"]
 
 
 @dataclass
@@ -105,30 +106,38 @@ class PricingResult:
 
 
 _NAN = float("nan")
-_UNSIGNED = np.dtype(np.uint64)
-_max = np.maximum.reduce
 
-#: the float64 columns of a :class:`ResultColumns`; all but ``price`` and
+#: the rows of a :class:`ResultColumns`'s float64 block; all but ``price`` and
 #: ``elapsed`` are optional fields, absent (``None``) where they hold NaN
 FLOAT_COLUMNS = ("price", "delta", "std_error", "ci_low", "ci_high", "elapsed")
-#: every column with its dtype, in wire order
-_COLUMN_DTYPES: dict[str, np.dtype] = {
-    "ids": np.dtype(np.int64),
-    **{name: np.dtype(np.float64) for name in FLOAT_COLUMNS},
-    "n_evaluations": np.dtype(np.int64),
-    "method": np.dtype(np.int64),
-}
+#: the rows of its int64 block
+INT_COLUMNS = ("ids", "n_evaluations", "method")
+#: every column with its dtype, in the order the constructor checks them
+_COLUMN_DTYPES: dict[str, np.dtype] = {**dict.fromkeys(INT_COLUMNS, np.dtype(np.int64)),
+                                       **dict.fromkeys(FLOAT_COLUMNS, np.dtype(np.float64))}
+#: the byte layout, all little-endian: a header of four counts (rows, method
+#: names, error entries, bytes of text), the float block, the int block, then
+#: the text -- a u32 length in characters per string, then the UTF-8 of the
+#: method names and of each error's id and message, one after the other
+_HEAD = struct.Struct("<4Q")
+_FLOATS, _INTS = np.dtype("<f8"), np.dtype("<i8")
 
 
 def _malformed(name: str, column: Any, dtype: np.dtype, n_rows: int) -> SerializationError:
     """What is wrong with ``column``, which failed :class:`ResultColumns`'s check."""
     if not isinstance(column, np.ndarray) or column.dtype != dtype or column.ndim != 1:
-        return SerializationError(
-            f"ResultColumns record: '{name}' must be a 1-d {dtype.name} array"
-        )
-    return SerializationError(
-        f"ResultColumns record: '{name}' has {len(column)} rows for {n_rows} ids"
-    )
+        return _refused(f"'{name}' must be a 1-d {dtype.name} array")
+    return _refused(f"'{name}' has {len(column)} rows for {n_rows} ids")
+
+
+def _refused(problem: str) -> SerializationError:
+    return SerializationError(f"ResultColumns record: {problem}")
+
+
+def _check_methods(method: np.ndarray, n_names: int) -> None:
+    # one unsigned max over a contiguous row, in C: -1 reads as 2**64 - 1
+    if len(method) and not max(memoryview(method).cast("B").cast("Q")) < n_names:
+        raise _refused("'method' must index 'method_names'")
 
 
 class ResultColumns(Mapping):
@@ -144,6 +153,10 @@ class ResultColumns(Mapping):
     position that failed has no row: it sits in the sparse ``errors``
     ``{id: message}`` side-table.
 
+    The columns are the rows of two blocks, ``floats`` (6 x n) and ``ints``
+    (3 x n); the record travels as one byte string, :meth:`to_bytes`, read
+    back as views of it by :meth:`from_bytes`, the one reader.
+
     An optional field that is ``None`` in the result (``delta`` of a
     Monte-Carlo price, ``std_error`` of a PDE) is stored as NaN and reads
     back as ``None``.  That encoding is lossless for ``price`` because
@@ -155,7 +168,7 @@ class ResultColumns(Mapping):
     failed position) on access and stores nothing.
     """
 
-    __slots__ = (*_COLUMN_DTYPES, "method_names", "errors", "_index")
+    __slots__ = ("floats", "ints", *_COLUMN_DTYPES, "method_names", "errors", "_index")
 
     ids: np.ndarray
     price: np.ndarray
@@ -173,11 +186,8 @@ class ResultColumns(Mapping):
         method_names: Sequence[str] = (),
         errors: "Mapping[int, str] | None" = None,
     ) -> None:
-        """Check and adopt ``columns``; a record of the wrong shape raises
-        :class:`~repro.errors.SerializationError` naming the field.
-
-        Every reply a master receives comes through here, so each column is
-        checked with one test, and the method indices with one reduction."""
+        """Check ``columns`` and copy them into the blocks; a record of the wrong
+        shape raises :class:`~repro.errors.SerializationError` naming the field."""
         ids = columns.get("ids")
         n_rows = len(ids) if isinstance(ids, np.ndarray) and ids.ndim == 1 else -1
         for name, dtype in _COLUMN_DTYPES.items():
@@ -185,21 +195,24 @@ class ResultColumns(Mapping):
             if not (isinstance(column, np.ndarray) and column.dtype == dtype
                     and column.ndim == 1 and len(column) == n_rows):
                 raise _malformed(name, column, dtype, n_rows)
-            setattr(self, name, column)
-        if not isinstance(method_names, (list, tuple)) or not all(
-            map(isinstance, method_names, repeat(str))
-        ):
-            raise SerializationError(
-                "ResultColumns record: 'method_names' must be a list of strings"
-            )
-        self.method_names = list(method_names)
-        # read as unsigned, a negative index is past every name
-        if n_rows and not _max(self.method.view(_UNSIGNED)) < len(self.method_names):
-            raise SerializationError(
-                "ResultColumns record: 'method' must index 'method_names'"
-            )
-        self.errors: dict[int, str] = dict(errors or {})
+        if not (isinstance(method_names, (list, tuple))
+                and all(map(isinstance, method_names, repeat(str)))):
+            raise _refused("'method_names' must be a list of strings")
+        ints = np.array([columns[name] for name in INT_COLUMNS])
+        _check_methods(ints[2], len(method_names))
+        self._hold(np.array([columns[name] for name in FLOAT_COLUMNS]), ints,
+                   list(method_names), dict(errors or {}))
+
+    def _hold(self, floats: np.ndarray, ints: np.ndarray, method_names: list[str],
+              errors: dict[int, str]) -> "ResultColumns":
+        """Adopt the two blocks and name their rows."""
+        self.floats, self.ints = floats, ints
+        self.price, self.delta, self.std_error = floats[0], floats[1], floats[2]
+        self.ci_low, self.ci_high, self.elapsed = floats[3], floats[4], floats[5]
+        self.ids, self.n_evaluations, self.method = ints[0], ints[1], ints[2]
+        self.method_names, self.errors = method_names, errors
         self._index: dict[int, int] | None = None
+        return self
 
     @classmethod
     def from_results(
@@ -223,15 +236,76 @@ class ResultColumns(Mapping):
             ))
             counts.append(result.n_evaluations)
             methods.append(names.setdefault(result.method_name, len(names)))
-        block = np.array(floats, dtype=np.float64).reshape(len(floats), len(FLOAT_COLUMNS))
-        columns: dict[str, np.ndarray] = {
-            name: np.ascontiguousarray(block[:, number])
-            for number, name in enumerate(FLOAT_COLUMNS)
-        }
-        columns["ids"] = np.array(ids, dtype=np.int64).reshape(-1)
-        columns["n_evaluations"] = np.array(counts, dtype=np.int64)
-        columns["method"] = np.array(methods, dtype=np.int64)
-        return cls(columns, list(names), errors)
+        return cls.__new__(cls)._hold(
+            np.array(floats, dtype=np.float64).reshape(-1, len(FLOAT_COLUMNS)).T.copy(),
+            np.array([list(ids), counts, methods], dtype=np.int64), list(names),
+            dict(errors or {}))
+
+    # -- the byte layout ----------------------------------------------------------
+    def to_bytes(self) -> bytes:
+        """The record as it travels: the header, the two blocks and the text."""
+        strings = [*self.method_names]
+        for job_id, message in self.errors.items():
+            strings += (str(job_id), message)
+        # a lone surrogate (an exception text can hold one) travels escaped: UTF-8 has none
+        strings = [string.encode(errors="backslashreplace").decode() for string in strings]
+        text = struct.pack(f"<{len(strings)}I", *map(len, strings)) + "".join(strings).encode()
+        return b"".join((
+            _HEAD.pack(len(self.ids), len(self.method_names), len(self.errors), len(text)),
+            self.floats.astype(_FLOATS, copy=False).tobytes(),
+            self.ints.astype(_INTS, copy=False).tobytes(),
+            text,
+        ))
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ResultColumns":
+        """Read what :meth:`to_bytes` wrote, the columns as views of ``data``;
+        bytes that are not such a record raise
+        :class:`~repro.errors.SerializationError` naming the field."""
+        if type(data) is not bytes:
+            raise _refused(f"must be bytes, not {type(data).__name__}")
+        if len(data) < _HEAD.size:
+            raise _refused(f"truncated header ({len(data)} of {_HEAD.size} bytes)")
+        n_rows, n_names, n_errors, n_text = _HEAD.unpack_from(data)
+        pos = _HEAD.size + 72 * n_rows  # 8 bytes a column of a row
+        if len(data) != pos + n_text:
+            raise _refused(f"{len(data)} bytes, not the {pos + n_text} its header counts "
+                           f"({n_rows} rows, {n_text} bytes of text)")
+        count = n_names + 2 * n_errors
+        if 4 * count > n_text:
+            raise _refused(f"{n_names} 'method_names' and {n_errors} 'errors' overflow "
+                           f"{n_text} bytes of text")
+        lengths = struct.unpack_from(f"<{count}I", data, pos)
+        try:
+            text = data[pos + 4 * count:].decode()
+        except UnicodeDecodeError as exc:
+            raise _refused(f"'method_names' and 'errors' are not UTF-8: {exc}") from None
+        at = 0  # each string a slice of the one text: no call a string
+        strings = [text[at:(at := at + length)] for length in lengths]
+        if at != len(text):
+            raise _refused(f"'method_names' and 'errors' are {at} characters long, "
+                           f"not the {len(text)} of the text")
+        errors: dict[int, str] = {}
+        if n_errors:
+            keys = strings[n_names::2]
+            try:
+                errors = dict(zip(map(int, keys), strings[n_names + 1::2]))
+            except ValueError as exc:
+                raise _refused(f"'errors' key is not an id: {exc}") from exc
+            if list(map(str, errors)) != keys:  # "08", "+8", an id twice: not as written
+                raise _refused(f"'errors' keys {keys} are not distinct ids as written")
+        floats = np.frombuffer(data, _FLOATS, len(FLOAT_COLUMNS) * n_rows,
+                               _HEAD.size).reshape(len(FLOAT_COLUMNS), n_rows)
+        ints = np.frombuffer(data, _INTS, len(INT_COLUMNS) * n_rows,
+                             _HEAD.size + floats.nbytes).reshape(len(INT_COLUMNS), n_rows)
+        if not _FLOATS.isnative:  # a big-endian host
+            floats, ints = floats.astype(np.float64), ints.astype(np.int64)
+        _check_methods(ints[2], n_names)
+        return cls.__new__(cls)._hold(floats, ints, strings[:n_names], errors)
+
+    def __reduce__(self) -> tuple[Any, tuple[Any]]:
+        # pickled through the same checked door as the codec uses
+        return type(self).from_bytes, (self.to_bytes(),)
 
     # -- the mapping view ------------------------------------------------------
     def row(self, number: int) -> dict[str, Any]:
@@ -262,38 +336,6 @@ class ResultColumns(Mapping):
 
     def __len__(self) -> int:
         return len(self.ids) + len(self.errors)
-
-    # -- serialization ----------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """The record as the codec writes it: the columns as they are, the
-        error table under string keys."""
-        view: dict[str, Any] = {name: getattr(self, name) for name in _COLUMN_DTYPES}
-        view["method_names"] = self.method_names
-        view["errors"] = {str(job_id): message for job_id, message in self.errors.items()}
-        return view
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ResultColumns":
-        """Rebuild a record; one of the wrong shape raises
-        :class:`~repro.errors.SerializationError` naming the field."""
-        errors = data.get("errors")
-        if not isinstance(errors, dict) or not all(
-            map(isinstance, errors.values(), repeat(str))
-        ):
-            raise SerializationError(
-                "ResultColumns record: 'errors' must map ids to messages"
-            )
-        try:
-            by_id = {int(job_id): message for job_id, message in errors.items()}
-        except ValueError as exc:
-            raise SerializationError(
-                f"ResultColumns record: 'errors' key is not an id: {exc}"
-            ) from exc
-        return cls(data, data.get("method_names"), by_id)
-
-    def __reduce__(self) -> tuple[Any, tuple[Any]]:
-        # pickled through the same checked door as the codec uses
-        return type(self).from_dict, (self.to_dict(),)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"ResultColumns({len(self.ids)} rows, {len(self.errors)} errors)"

@@ -63,11 +63,12 @@ register_codec(
     ScenarioGrid.wire_view,
     ScenarioGrid.from_dict,
 )
+# a record is one opaque block: the bytes of its own layout, read by its one reader
 register_codec(
     "ResultColumns",
     ResultColumns,
-    ResultColumns.to_dict,
-    ResultColumns.from_dict,
+    lambda record: {"record": record.to_bytes()},
+    lambda payload: ResultColumns.from_bytes(payload.get("record")),
 )
 
 __all__ = [

@@ -20,7 +20,7 @@ from repro.core.portfolio import Portfolio, Position
 from repro.core.runner import ResultTable
 from repro.errors import ClusterError, ValuationError
 from repro.pricing import PricingProblem
-from repro.pricing.methods.base import PricingResult, ResultColumns
+from repro.pricing.methods.base import FLOAT_COLUMNS, INT_COLUMNS, PricingResult, ResultColumns
 from repro.pricing.scenarios import ScenarioGrid, historical_scenarios
 from tests.oracles.books import mixed_book
 
@@ -108,8 +108,7 @@ def _lossy(transform):
 
 def test_a_malformed_reply_fails_its_jobs_members_not_the_master_loop(monkeypatch):
     def stray(reply: ResultColumns) -> ResultColumns:
-        columns = {name: column for name, column in reply.to_dict().items()
-                   if isinstance(column, np.ndarray)}
+        columns = {name: getattr(reply, name) for name in (*INT_COLUMNS, *FLOAT_COLUMNS)}
         columns["ids"] = columns["ids"] + 10_000
         return ResultColumns(columns, reply.method_names)
 
@@ -137,16 +136,15 @@ class TestNothingPerCellOnTheMaster:
         counting(futures_module.PricingFuture, "__init__", "futures")
         counting(results_module.PriceResult, "__init__", "price_results")
         counting(ResultColumns, "row", "row_dicts")
-        # a record pickles as ``getattr(ResultColumns, "from_dict")``: the counter
-        # must stay a classmethod of that name, or no worker could put a reply
-        # on the queue
-        uncounted = ResultColumns.from_dict.__func__
+        # a record pickles as ``getattr(ResultColumns, "from_bytes")``: the counter
+        # must stay a classmethod of that name, or no worker could send a reply
+        uncounted = ResultColumns.from_bytes.__func__
 
-        def from_dict(cls, data):
+        def from_bytes(cls, data):
             counts["records_decoded"] += 1
             return uncounted(cls, data)
 
-        monkeypatch.setattr(ResultColumns, "from_dict", classmethod(from_dict))
+        monkeypatch.setattr(ResultColumns, "from_bytes", classmethod(from_bytes))
         return counts
 
     def test_a_risk_campaign_mints_no_future_and_builds_no_cell_object(self, counts):

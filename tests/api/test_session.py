@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from functools import partial
 
-import numpy as np
 import pytest
 
 from repro.api import (
@@ -42,7 +41,7 @@ from repro.pricing import (
     EuropeanCall,
     PricingProblem,
 )
-from repro.pricing.methods.base import ResultColumns
+from repro.pricing.methods.base import FLOAT_COLUMNS, INT_COLUMNS, ResultColumns
 
 BS_PARAMS = {"spot": 100.0, "rate": 0.05, "volatility": 0.2}
 CALL_PARAMS = {"strike": 100.0, "maturity": 1.0}
@@ -507,8 +506,7 @@ def test_missing_batch_member_is_reported_not_dropped(monkeypatch, drain):
         if isinstance(result, ResultColumns):
             keep = result.ids != 3
             result = ResultColumns(
-                {name: column[keep] for name, column in result.to_dict().items()
-                 if isinstance(column, np.ndarray)},
+                {name: getattr(result, name)[keep] for name in (*INT_COLUMNS, *FLOAT_COLUMNS)},
                 result.method_names,
             )
         return result, elapsed, error

@@ -295,15 +295,14 @@ class TestAMalformedReplyRecord:
 
     @staticmethod
     def _confused_worker(server: socket.socket, stop: threading.Event) -> None:
-        """Greets like a repro-worker; answers every job with columns of unequal length."""
+        """Greets like a repro-worker; answers every job with a record cut short."""
         from repro.pricing.methods.base import PricingResult, ResultColumns
 
         record = ResultColumns.from_results(
-            [0, 1], [PricingResult(price=1.0), PricingResult(price=2.0)]).to_dict()
-        record["price"] = record["price"][:1]
+            [0, 1], [PricingResult(price=1.0), PricingResult(price=2.0)]).to_bytes()
         name = b"ResultColumns"
         malformed = (b"O" + len(name).to_bytes(4, "big") + name + b"\x00" * 3
-                     + xdr.encode(record))
+                     + xdr.encode({"record": record[:-8]}))
         server.settimeout(0.1)  # wakes to see ``stop``
         while not stop.is_set():  # every dial, the re-dials and rebuilds too
             try:

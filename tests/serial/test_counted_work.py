@@ -12,7 +12,9 @@ not counted: calls into NumPy are C work here.
   width 1, a few more at width 2 (a put beside a call: one more table in the
   method and option legs) and no more at width 750 -- none per position;
 * decoding a :class:`~repro.pricing.methods.base.ResultColumns` reply makes
-  as many calls for 750 rows as for one (a second method name aside);
+  as many calls for 750 rows as for one, through either door: the XDR of a
+  remote worker's result frame, and the unpickling of a worker process's
+  reply, where the C functions called (``c_call`` events) are counted too;
 * one ``dispatch`` + ``collect`` of a job on worker processes makes one
   ``select`` and a handful of other Python calls on the master's main
   thread, and no other thread of the master makes any call at all; over a
@@ -25,6 +27,7 @@ hundreds; two seeds of the book's spot and volatility give the same counts.
 
 from __future__ import annotations
 
+import pickle
 import selectors
 import sys
 import threading
@@ -51,7 +54,10 @@ _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 #: Python calls of ``xdr.encode(write_book(book[:width]))``, by width
 BOOK_CALLS = {1: 62, 2: 80, 750: 80}
 #: Python calls of ``xdr.decode`` of a reply's result frame record, by rows
-REPLY_CALLS = {1: 47, 750: 49}
+REPLY_CALLS = {1: 18, 750: 18}
+#: Python calls and C calls of ``pickle.loads`` of a worker process's reply
+#: tuple, by rows
+PICKLED_REPLY_CALLS = {1: (3, 21), 750: (3, 21)}
 #: Python calls on the master's main thread of one ``dispatch`` + ``collect``
 #: on worker processes: the selector's ``select``, and every call outside the
 #: selector module (whose own helpers Python 3.12 inlined into ``select``)
@@ -62,15 +68,18 @@ REMOTE_CALLS = {"select": 1, "other": 55}
 SEEDS = (1, 2)
 
 
-def python_calls(work: Callable[[], Any]) -> int:
-    """The Python functions of :mod:`repro` ``work`` enters (or resumes)."""
-    count = 0
+def counted_calls(work: Callable[[], Any]) -> tuple[int, int]:
+    """The Python functions of :mod:`repro` ``work`` enters (or resumes), and
+    the C functions any Python code in it calls (``c_call`` events)."""
+    python = c = 0
 
     def profile(frame, event, _arg) -> None:
-        nonlocal count
+        nonlocal python, c
         if event == "call":
             code = frame.f_code
-            count += code.co_filename.startswith(_PACKAGE) and code.co_name not in _INLINED
+            python += code.co_filename.startswith(_PACKAGE) and code.co_name not in _INLINED
+        elif event == "c_call":
+            c += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -78,7 +87,12 @@ def python_calls(work: Callable[[], Any]) -> int:
         work()
     finally:
         sys.setprofile(previous)
-    return count
+    return python, c
+
+
+def python_calls(work: Callable[[], Any]) -> int:
+    """The Python functions of :mod:`repro` ``work`` enters (or resumes)."""
+    return counted_calls(work)[0]
 
 
 def _toy_book(seed: int) -> list:
@@ -88,12 +102,16 @@ def _toy_book(seed: int) -> list:
     return [position.problem for position in book]
 
 
-def _reply(seed: int, rows: int) -> bytes:
+def _record(seed: int, rows: int) -> ResultColumns:
     rng = np.random.default_rng(seed)
     results = [PricingResult(price=float(rng.uniform(1.0, 20.0)), delta=0.5,
                              method_name="CF_Put" if row % 2 else "CF_Call")
                for row in range(rows)]
-    record = ResultColumns.from_results(list(range(rows)), results)
+    return ResultColumns.from_results(list(range(rows)), results)
+
+
+def _reply(seed: int, rows: int) -> bytes:
+    record = _record(seed, rows)
     return xdr.encode({"job_id": 0, "result": record, "elapsed": 0.01, "error": None})
 
 
@@ -110,6 +128,16 @@ def test_a_reply_is_decoded_with_no_call_per_row(seed):
     replies = {rows: _reply(seed, rows) for rows in REPLY_CALLS}
     counted = {rows: python_calls(lambda: xdr.decode(data)) for rows, data in replies.items()}
     assert counted == REPLY_CALLS
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_pickled_reply_is_read_with_no_call_per_row(seed):
+    """What a worker process writes: ``(job_id, worker_id, record, elapsed, error)``."""
+    replies = {rows: pickle.dumps((0, 0, _record(seed, rows), 0.01, None),
+                                  pickle.HIGHEST_PROTOCOL)
+               for rows in PICKLED_REPLY_CALLS}
+    counted = {rows: counted_calls(lambda: pickle.loads(data)) for rows, data in replies.items()}
+    assert counted == PICKLED_REPLY_CALLS
 
 
 def _calls_per_job(backend) -> tuple[list[dict[str, int]], list[str]]:

@@ -243,18 +243,18 @@ FRAME_KINDS = {1, 2, 3, 4, 6, 7, 8, 9}
 
 @settings(max_examples=300, deadline=None)
 @given(
-    version=st.one_of(st.integers(0, 12), st.integers(0, 0xFFFF)),
+    version=st.one_of(st.integers(0, 13), st.integers(0, 0xFFFF)),
     kind=st.one_of(st.integers(0, 12), st.integers(0, 0xFFFF)),
     length=st.integers(0, 0xFFFFFFFF),
 )
 def test_a_header_of_another_version_or_kind_is_refused(version, kind, length):
     header = struct.pack(">4sHHI", b"RWF\x01", version, kind, length)
-    if version == PROTOCOL_VERSION == 12 and kind in FRAME_KINDS and length <= MAX_BYTES:
+    if version == PROTOCOL_VERSION == 13 and kind in FRAME_KINDS and length <= MAX_BYTES:
         assert decode_header(header, max_bytes=MAX_BYTES) == (kind, length)
         return
     with pytest.raises(SerializationError) as refused:
         decode_header(header, max_bytes=MAX_BYTES)
     if version != PROTOCOL_VERSION:
-        assert f"v{version}" in str(refused.value) and "v12" in str(refused.value)
+        assert f"v{version}" in str(refused.value) and "v13" in str(refused.value)
     with pytest.raises(SerializationError):
         FrameAssembler(max_bytes=MAX_BYTES).feed(header)

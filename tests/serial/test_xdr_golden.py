@@ -172,8 +172,10 @@ GOLDEN = {
     # writer keyed parameter-less and all-float headers by faster paths
     "toy_book_slice": "8013135e73f7eb07cc4be584a9fbaccb67547cf448ad52554e301731aa34be85",
     # the reply of a payload with members, in its result frame (wire protocol
-    # v8), re-pinned at v12 when the always-false cache_hit column left it
-    "result_columns": "107c3a4a395f4ddb0274a0a7f80d71d44f02c6a9d5ad9358baeef833ecbb3a59",
+    # v8), re-pinned at v12 when the always-false cache_hit column left it and
+    # at v13 when the record became one block of bytes: a header, the float
+    # block, the int block and the text
+    "result_columns": "ccf756640abc848c9d3f509e777310547970f21ffaeba6e4326162fab2c1d6dc",
 }
 
 
