@@ -193,21 +193,23 @@ class ResultTable(Mapping):
         with a :class:`~repro.errors.ClusterError` (nothing is written); a
         member it leaves out fails as ``"missing from batch reply"``.
         """
-        expected = self.rows_of(members)
-        rows = self.rows_of([*reply.ids.tolist(), *reply.errors] if reply.errors else reply.ids)
-        unanswered = np.zeros(len(self.ids), dtype=np.bool_)
-        unanswered[expected] = True
-        if not unanswered[rows].all():
-            stray = self.ids[rows[~unanswered[rows]][0]]
-            raise ClusterError(f"reply answers id {int(stray)}, outside its job's members")
-        unanswered[rows] = False
-        missing = np.flatnonzero(unanswered)
-        if len(missing) != len(expected) - len(rows):
-            raise ClusterError("reply answers one id twice")
+        answered = reply.ids.tolist()
+        rows = self.rows_of([*answered, *reply.errors] if reply.errors else reply.ids)
+        missing: Any = ()
+        if reply.errors or answered != list(members):  # else every member, in order: no mask
+            expected = self.rows_of(members)
+            unanswered = np.zeros(len(self.ids), dtype=np.bool_)
+            unanswered[expected] = True
+            if not unanswered[rows].all():
+                stray = self.ids[rows[~unanswered[rows]][0]]
+                raise ClusterError(f"reply answers id {int(stray)}, outside its job's members")
+            unanswered[rows] = False
+            missing = np.flatnonzero(unanswered)
+            if len(missing) != len(expected) - len(rows):
+                raise ClusterError("reply answers one id twice")
         done = rows[: len(reply.ids)]
         columns = self._columns  # a row is written once: none of these is set aside
-        # a 1-d assignment a column: one 2-d assignment of the float block takes
-        # numpy's mixed-index path, slower on the cold caches a master meets it in
+        # a 1-d assignment a column: a 2-d one of the float block reads slower cold
         for name in (*FLOAT_COLUMNS, "n_evaluations"):
             getattr(columns, name)[done] = getattr(reply, name)
         codes = np.array([self._method_code(name) for name in reply.method_names], dtype=np.int64)

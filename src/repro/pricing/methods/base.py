@@ -259,9 +259,8 @@ class ResultColumns(Mapping):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ResultColumns":
-        """Read what :meth:`to_bytes` wrote, the columns as views of ``data``;
-        bytes that are not such a record raise
-        :class:`~repro.errors.SerializationError` naming the field."""
+        """Read what :meth:`to_bytes` wrote, as views of ``data``; other bytes
+        raise :class:`~repro.errors.SerializationError` naming the field."""
         if type(data) is not bytes:
             raise _refused(f"must be bytes, not {type(data).__name__}")
         if len(data) < _HEAD.size:
