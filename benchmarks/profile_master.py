@@ -84,9 +84,10 @@ from repro.serial import xdr  # noqa: E402
 #: ``Job.wire_bytes``, a job's bytes made at its first dispatch; of that,
 #: ``book encode`` is a grid's or book slice's book -- ``write_book``'s columns
 #: and their XDR encode -- and ``write_book`` the columns of every book, a
-#: batch's members included) and back (a worker process's replies read off
-#: its socket pair -- of that, their unpickling -- a remote pool's reply
-#: decode, the write into the result table, the report)
+#: batch's members included) and back (the replies read off a worker's link,
+#: a process's socket pair or a remote host's connection -- of that, a
+#: process's replies unpickled, a remote pool's decoded -- the write into the
+#: result table, the report)
 LAYERS = {
     "columns": ("columns", ""),
     "build_plan": ("build_plan", ""),
@@ -99,7 +100,7 @@ LAYERS = {
     "book encode": ("wire_bytes", "pricing/scenarios.py"),
     "write_book": ("write_book", "pricing/book.py"),
     "dispatch": ("dispatch", ""),
-    "socket-pair reply read": ("_receive", "backends/multiproc.py"),
+    "link reply read": ("_read", "backends/base.py"),
     "reply unpickle": ("<built-in method _pickle.loads>", "~"),
     "reply decode": ("decode", "serial/xdr.py"),
     "_resolve_completed": ("_resolve_completed", ""),

@@ -20,10 +20,12 @@ from __future__ import annotations
 import abc
 import selectors
 import socket
+import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, CollectTimeoutError, SerializationError, WorkerLostError
 from repro.serial import serialize
 
 __all__ = [
@@ -34,8 +36,7 @@ __all__ = [
     "PreparedMessage",
     "CompletedJob",
     "WorkerBackend",
-    "flush_outbox",
-    "remap_route",
+    "LinkPool",
 ]
 
 #: the master sends serialized problem bytes (full-load and serialized-load
@@ -54,30 +55,11 @@ _VALID_PAYLOAD_KINDS = (PAYLOAD_SERIAL, PAYLOAD_PATH)
 REDIAL_DELAYS_S = (0.05, 0.1, 0.2, 0.4, 0.8)
 
 _READ, _READ_WRITE = selectors.EVENT_READ, selectors.EVENT_READ | selectors.EVENT_WRITE
-
-
-def flush_outbox(selector: selectors.BaseSelector, sock: socket.socket,
-                 outbox: bytearray, data: Any, watched: bool) -> bool:
-    """Write what the non-blocking ``sock`` takes now off the front of
-    ``outbox``, and watch it for room while bytes are left (``watched``: it
-    is watched already): the worker-process backends never block on a send.
-    ``False`` once the peer is gone."""
-    try:
-        del outbox[:sock.send(outbox)]
-    except BlockingIOError:
-        pass
-    except OSError:  # EPIPE, ECONNRESET: the worker at the other end died
-        return False
-    if outbox or watched:
-        selector.modify(sock, _READ_WRITE if outbox else _READ, data)
-    return True
-
-
-def remap_route(route: list[int], dead: int, survivors: list[int]) -> None:
-    """Point the logical workers routed at ``dead`` to ``survivors``, spread."""
-    for worker_id, target in enumerate(route):
-        if target == dead:
-            route[worker_id] = survivors[worker_id % len(survivors)]
+#: bytes a link is read by at a time
+_RECV_BYTES = 1 << 16
+#: what a codec raises on bytes that are no reply: a frame or record that does
+#: not decode, a reply without its fields or with fields of the wrong type
+_NO_REPLY = (SerializationError, KeyError, TypeError, ValueError)
 
 
 class Job:
@@ -200,7 +182,13 @@ class CompletedJob:
 
 @dataclass
 class BackendStats:
-    """Aggregate statistics reported by a backend at the end of a run."""
+    """Aggregate statistics reported by a backend at the end of a run.
+
+    ``bytes_sent`` is the payload of every job sent to a live worker
+    (``PreparedMessage.nbytes``; the simulated cluster's modelled message
+    size), once per send -- a job sent again after a death counts again --
+    without the framing a transport adds around it.
+    """
 
     total_time: float
     n_jobs: int
@@ -297,3 +285,218 @@ class WorkerBackend(abc.ABC):
             self.finalize()
         except ClusterError:
             pass
+
+
+class LinkPool(WorkerBackend):
+    """The master of a pool of workers behind one socket each (a *link*).
+
+    The multiprocessing and the remote backend are this master over two
+    transports.  It keeps what the master loop of Fig. 4 needs whatever
+    carries the bytes: the link each logical worker's jobs go to, one outbox
+    per link, and an in-flight record of each job holding its frame.  The
+    master never blocks on a send: :meth:`dispatch` writes what the
+    non-blocking link takes, and the selector of :meth:`collect` writes the
+    rest as it reads the replies.  A dead link is buried (:meth:`_bury`): its
+    logical workers go to the survivors, which are sent the frames it held,
+    and only :meth:`collect` reports a loss -- once no link is left, naming
+    every job in flight.
+
+    A backend supplies its links (:meth:`_attach`, one plain socket per
+    slot) and its codec: :meth:`_frame` encodes a job, :meth:`_decode` the
+    replies read off a link.  What else it watches on the same selector (a
+    process sentinel, a dial) it registers with data that is no slot, and
+    handles in :meth:`_watched`; timers of its own run in :attr:`_tend`.
+    """
+
+    queues_jobs = True  # each worker reads its jobs off its own link, in order
+
+    #: the backend's own timers, run before each wait of :meth:`collect`
+    #: (``None``: it keeps none): they take the wait left and return it cut
+    #: short for when they next need to run
+    _tend: Callable[[float | None], float | None] | None = None
+
+    def __init__(self, n_workers: int) -> None:
+        self._n_workers = n_workers
+        self._selector = selectors.DefaultSelector()
+        #: slot -> its live link (a slot whose worker is dead has none), and
+        #: the bytes each slot's link has not taken yet
+        self._links: dict[int, socket.socket] = {}
+        self._outboxes = [bytearray() for _ in range(n_workers)]
+        #: logical worker -> the slot its jobs go to (remapped at a death)
+        self._route = list(range(n_workers))
+        #: job id -> (its logical worker, the slot that holds it, its frame,
+        #: its payload's size): what a death sends again
+        self._inflight: dict[int, tuple[int, int, bytes, int]] = {}
+        #: answers read and not collected yet
+        self._ready: deque[CompletedJob] = deque()
+        self._n_jobs = 0
+        self._bytes_sent = 0
+        self._redispatches = 0
+        #: compute seconds by the slot whose worker answered
+        self._busy = {slot: 0.0 for slot in range(n_workers)}
+        self._start = time.perf_counter()
+        self._finalized = False
+
+    # -- what a backend supplies ---------------------------------------------------
+    @abc.abstractmethod
+    def _frame(self, job: Job, message: PreparedMessage) -> bytes:
+        """The bytes that carry ``job`` to a worker."""
+
+    @abc.abstractmethod
+    def _decode(self, slot: int, data: bytes) -> list[tuple[int, Any, float, str | None]]:
+        """``(job_id, result, elapsed, error)`` of each reply that ``data``,
+        just read off ``slot``'s link, completes.  Bytes that are no reply
+        raise (:data:`_NO_REPLY`), and the link is buried."""
+
+    @abc.abstractmethod
+    def _watched(self, key: selectors.SelectorKey) -> None:
+        """Handle an event of what the backend watches beside its links."""
+
+    @abc.abstractmethod
+    def _closed(self, slot: int) -> None:
+        """Forget what the backend keeps for ``slot``'s link, just buried."""
+
+    # -- WorkerBackend contract ----------------------------------------------------
+    @property
+    def n_workers(self) -> int:
+        return self._n_workers
+
+    def on_run_start(self, n_jobs: int) -> None:
+        self._start = time.perf_counter()
+
+    def dispatch(self, worker_id: int, job: Job, message: PreparedMessage) -> None:
+        if not 0 <= worker_id < self._n_workers:
+            raise ClusterError(f"invalid worker id {worker_id}")
+        if self._finalized:
+            raise ClusterError("backend already finalized")
+        frame = self._frame(job, message)
+        slot = self._route[worker_id]
+        self._inflight[job.job_id] = (worker_id, slot, frame, message.nbytes)
+        self._n_jobs += 1
+        if slot in self._links:  # else no worker is live: the next collect names the job
+            self._bytes_sent += message.nbytes
+            if not self._write(slot, frame):
+                self._bury(slot)
+
+    def collect(self, timeout: float | None = 300.0) -> CompletedJob:
+        if not self._ready and not self._inflight:
+            raise ClusterError("no job in flight")
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._ready:
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+            if self._tend is not None:
+                wait = self._tend(wait)
+            if not self._links:
+                lost = tuple(sorted(self._inflight))
+                self._inflight.clear()
+                raise WorkerLostError(f"every worker of the pool is gone; {len(lost)} jobs were "
+                                      "in flight (resubmit them against a fresh backend)", lost)
+            for key, events in self._selector.select(wait):
+                slot = key.data
+                if not isinstance(slot, int):
+                    self._watched(key)
+                elif slot in self._links and (  # else buried earlier in this round
+                        events & selectors.EVENT_WRITE and not self._write(slot)
+                        or events & selectors.EVENT_READ and not self._read(slot)):
+                    self._bury(slot)
+            if not self._ready and deadline is not None and time.monotonic() >= deadline:
+                raise CollectTimeoutError(f"timed out after {timeout}s waiting for a worker result")
+        return self._ready.popleft()
+
+    def finalize(self) -> BackendStats:
+        if not self._finalized:
+            self._finalized = True
+            for link in self._links.values():
+                link.close()
+            self._links.clear()
+            self._selector.close()
+        total = time.perf_counter() - self._start
+        return BackendStats(
+            total_time=total,
+            n_jobs=self._n_jobs,
+            n_workers=self._n_workers,
+            worker_busy=dict(self._busy),
+            master_busy=total,
+            bytes_sent=self._bytes_sent,
+            extra={"redispatches": self._redispatches},
+        )
+
+    # -- links ---------------------------------------------------------------------
+    def _attach(self, slot: int, link: socket.socket) -> None:
+        """Take ``link`` as ``slot``'s: non-blocking, watched for replies."""
+        link.setblocking(False)
+        self._links[slot] = link
+        self._selector.register(link, _READ, slot)
+
+    def _write(self, slot: int, frame: bytes = b"") -> bool:
+        """Queue ``frame`` on ``slot``'s outbox and write what its link takes
+        now; the selector watches the link for room while bytes are left.
+        ``False`` once the worker at the other end is gone."""
+        link, outbox = self._links[slot], self._outboxes[slot]
+        watched = bool(outbox)
+        outbox += frame
+        try:
+            del outbox[:link.send(outbox)]
+        except BlockingIOError:
+            pass
+        except OSError:  # EPIPE, ECONNRESET: the worker died
+            return False
+        if bool(outbox) != watched:
+            self._selector.modify(link, _READ_WRITE if outbox else _READ, slot)
+        return True
+
+    def _read(self, slot: int) -> bool:
+        """Read what ``slot``'s link holds and take each reply it completes:
+        its busy time goes to ``slot``, and an answer to a job not in flight
+        (a confused worker's, or one a loss named) is dropped.  ``False`` once
+        the link is to be buried: at its end, or at bytes that are no reply."""
+        try:
+            data = self._links[slot].recv(_RECV_BYTES)
+        except BlockingIOError:
+            return True  # woken with nothing to read yet
+        except OSError:  # ECONNRESET: the worker died
+            return False
+        if not data:
+            return False
+        try:
+            answers = self._decode(slot, data)
+        except _NO_REPLY:  # the worker is confused, not the run
+            return False
+        collected_at = time.perf_counter() - self._start
+        for job_id, result, elapsed, error in answers:
+            entry = self._inflight.pop(job_id, None)
+            if entry is not None:
+                self._busy[slot] += elapsed
+                self._ready.append(
+                    CompletedJob(job_id, entry[0], result, elapsed, collected_at, error))
+        return True
+
+    def _bury(self, dead: int) -> None:
+        """Close a dead link and send the jobs it held to the survivors, under
+        the same logical workers: their frames are queued on the survivors'
+        outboxes for the selector to write, so a failed write cannot bury
+        another link inside a burial.  With no survivor they wait for the
+        next collect's loss."""
+        link = self._links.pop(dead)
+        self._selector.unregister(link)
+        link.close()
+        self._outboxes[dead].clear()
+        self._closed(dead)
+        if not self._links:
+            return
+        self._remap(dead)
+        for job_id, (worker_id, holder, frame, nbytes) in self._inflight.items():
+            if holder == dead:
+                heir = self._route[worker_id]
+                self._inflight[job_id] = (worker_id, heir, frame, nbytes)
+                self._outboxes[heir] += frame
+                self._selector.modify(self._links[heir], _READ_WRITE, heir)
+                self._bytes_sent += nbytes
+                self._redispatches += 1
+
+    def _remap(self, dead: int) -> None:
+        """Route the logical workers of slot ``dead`` to the live links, spread."""
+        survivors = sorted(self._links)
+        for worker_id, target in enumerate(self._route):
+            if target == dead:
+                self._route[worker_id] = survivors[worker_id % len(survivors)]

@@ -5,10 +5,12 @@ one master process (the scheduler) plus ``n_workers`` slave processes, each
 joined to it by its own socket pair (Fig. 4's point-to-point ``MPI_Send_Obj``
 / ``MPI_Recv_Obj``): a worker reads one job frame (serialized problems, or
 file names for the NFS-style strategy), prices it for real and writes one
-reply frame back.  The master never blocks on a send; one selector over its
-ends and the process sentinels writes what waits, reads the replies and
-sees a death as it happens.  A dead process's jobs go to the survivors, as
-a dead remote host's do; the loss is reported only when no process is left.
+reply frame back.  The master is :class:`~repro.cluster.backends.base.LinkPool`,
+the remote backend's too: it never blocks on a send, its one selector
+writes what waits and reads the replies, a dead process's jobs go to the
+survivors, and the loss is reported only when no process is left.  This
+module adds the fork, the socket pairs, the process sentinels (the
+selector sees a death as it happens), the pickle frames and the teardown.
 
 Because the workers are genuine OS processes, the measured wall-clock times
 show real speedup on multi-core machines; the discrete-event simulator
@@ -24,21 +26,11 @@ import pickle
 import selectors
 import socket
 import struct
-import time
-from collections import deque
 from typing import Any
 
-from repro.cluster.backends.base import (
-    BackendStats,
-    CompletedJob,
-    Job,
-    PreparedMessage,
-    WorkerBackend,
-    flush_outbox,
-    remap_route,
-)
+from repro.cluster.backends.base import BackendStats, Job, LinkPool, PreparedMessage
 from repro.cluster.backends.execution import execute_payload
-from repro.errors import ClusterError, CollectTimeoutError, WorkerLostError
+from repro.errors import ClusterError, SerializationError
 from repro.pricing.validation import check_count
 
 __all__ = ["MultiprocessingBackend", "worker_main"]
@@ -76,13 +68,15 @@ def _context() -> Any:
     return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
 
 
-class MultiprocessingBackend(WorkerBackend):
+class MultiprocessingBackend(LinkPool):
     """Master-side driver of a pool of worker processes.
 
     The processes start at :meth:`on_run_start` (or at the first
     :meth:`dispatch` of a backend driven directly), so a campaign's plan and
     its load pass are written before the fork, and a pool that never ran
-    starts none.
+    starts none.  :class:`~repro.cluster.backends.base.LinkPool` is the
+    master; this backend adds the fork, a socket pair and a sentinel per
+    process, length-prefixed pickle frames and the teardown.
 
     Parameters
     ----------
@@ -91,179 +85,74 @@ class MultiprocessingBackend(WorkerBackend):
         can fork).
     """
 
-    queues_jobs = True  # each process reads its jobs off its own socket, in order
-
     def __init__(self, n_workers: int = 2):
-        self._n_workers = check_count(n_workers, "n_workers", error=ClusterError, floats=False)
+        super().__init__(check_count(n_workers, "n_workers", error=ClusterError, floats=False))
         self._context = _context()
-        self._selector = selectors.DefaultSelector()
         self._processes: list[Any] = []
-        #: the master's end of each process's socket pair (``None`` once dead), the
-        #: bytes its process has not taken yet and those read but not decoded yet
-        self._links: list[socket.socket | None] = []
-        self._outboxes = [bytearray() for _ in range(self._n_workers)]
+        #: the bytes read off each slot's link and not decoded yet
         self._inboxes = [bytearray() for _ in range(self._n_workers)]
-        #: the processes still alive, and the one each logical worker's jobs go to
-        self._live = list(range(self._n_workers))
-        self._route = list(range(self._n_workers))
-        #: job id -> (its logical worker, the process that holds it, kind,
-        #: payload): what a death sends again
-        self._jobs: dict[int, tuple[int, int, str, Any]] = {}
-        #: (logical worker, reply) of each answer read and not collected yet
-        self._replies: deque[tuple[int, tuple[int, int, Any, float, str | None]]] = deque()
-        self._n_jobs = 0
-        self._bytes_sent = 0
-        self._redispatches = 0
-        #: compute seconds by the process that answered
-        self._busy: dict[int, float] = {i: 0.0 for i in range(self._n_workers)}
-        self._start = time.perf_counter()
-        self._finalized = False
-
-    @property
-    def n_workers(self) -> int:
-        return self._n_workers
 
     def _start_processes(self) -> None:
-        for worker_id in range(self._n_workers):
+        for slot in range(self._n_workers):
             link, worker_end = socket.socketpair()
             process = self._context.Process(
-                target=worker_main, args=(worker_id, worker_end), daemon=True)
+                target=worker_main, args=(slot, worker_end), daemon=True)
             process.start()
             worker_end.close()  # the worker's alone: its death closes the pair
-            link.setblocking(False)
             self._processes.append(process)
-            self._links.append(link)
-            self._selector.register(link, selectors.EVENT_READ, worker_id)
-            self._selector.register(process.sentinel, selectors.EVENT_READ, worker_id)
+            self._attach(slot, link)
+            self._selector.register(process.sentinel, selectors.EVENT_READ, process)
 
     def on_run_start(self, n_jobs: int) -> None:
         if not self._processes and not self._finalized:
             self._start_processes()
-        self._start = time.perf_counter()
+        super().on_run_start(n_jobs)
 
-    def dispatch(self, worker_id: int, job: Job, message: PreparedMessage) -> None:
-        if not 0 <= worker_id < self._n_workers:
-            raise ClusterError(f"invalid worker id {worker_id}")
-        if self._finalized:
-            raise ClusterError("backend already finalized")
-        if not self._processes:
+    def _frame(self, job: Job, message: PreparedMessage) -> bytes:
+        if not self._processes:  # a backend driven directly starts at its first dispatch
             self._start_processes()
-        process = self._route[worker_id]
-        self._jobs[job.job_id] = (worker_id, process, message.kind, message.payload)
-        self._n_jobs += 1
-        self._bytes_sent += message.nbytes
-        link = self._links[process]
-        if link is None:  # no process is left: the next collect names the job
-            return
         frame = pickle.dumps((job.job_id, message.kind, message.payload), pickle.HIGHEST_PROTOCOL)
-        outbox = self._outboxes[process]
-        waiting = bool(outbox)  # then the selector writes once the end has room
-        outbox += _LENGTH.pack(len(frame))
-        outbox += frame
-        if not waiting and not flush_outbox(self._selector, link, outbox, process, False):
-            self._bury(process)
+        return _LENGTH.pack(len(frame)) + frame
 
-    def _receive(self, process: int, link: socket.socket) -> bool:
-        """Decode each whole reply read off the process's end; False at its EOF."""
-        try:
-            chunk = link.recv(1 << 16)
-        except BlockingIOError:
-            return True
-        except ConnectionResetError:
-            chunk = b""
-        inbox = self._inboxes[process]
-        inbox += chunk
+    def _decode(self, slot: int, data: bytes) -> list[tuple[int, Any, float, str | None]]:
+        inbox = self._inboxes[slot]
+        inbox += data
+        answers = []
         while len(inbox) >= _LENGTH.size:
             end = _LENGTH.size + _LENGTH.unpack_from(inbox)[0]
             if len(inbox) < end:
                 break
-            reply = pickle.loads(inbox[_LENGTH.size:end])
+            try:
+                job_id, _, result, elapsed, error = pickle.loads(inbox[_LENGTH.size:end])
+            except (pickle.UnpicklingError, EOFError) as exc:
+                raise SerializationError(f"worker process {slot} sent no reply: {exc}") from exc
             del inbox[:end]
-            self._replies.append((self._jobs.pop(reply[0])[0], reply))
-        return bool(chunk)
+            answers.append((job_id, result, elapsed, error))
+        return answers
 
-    def _bury(self, dead: int) -> None:
-        """Stop watching a dead process and send the jobs it held to the
-        survivors, under the same logical workers; with no survivor they wait
-        for the next collect's loss."""
-        link = self._links[dead]
-        assert link is not None
-        self._selector.unregister(link)
-        self._selector.unregister(self._processes[dead].sentinel)
-        link.close()
-        self._links[dead] = None
-        self._outboxes[dead].clear()
-        self._live.remove(dead)
-        if not self._live:
-            return
-        remap_route(self._route, dead, self._live)
-        for job_id, (worker_id, holder, kind, payload) in self._jobs.items():
-            if holder == dead:
-                process = self._route[worker_id]
-                self._jobs[job_id] = (worker_id, process, kind, payload)
-                frame = pickle.dumps((job_id, kind, payload), pickle.HIGHEST_PROTOCOL)
-                self._outboxes[process] += _LENGTH.pack(len(frame)) + frame
-                self._selector.modify(self._links[process],
-                                      selectors.EVENT_READ | selectors.EVENT_WRITE, process)
-                self._redispatches += 1
+    def _watched(self, key: selectors.SelectorKey) -> None:
+        """A process sentinel: the process died; the replies it wrote are read first."""
+        slot = self._processes.index(key.data)
+        if slot in self._links:  # else buried earlier in this round
+            self._read(slot)
+            self._bury(slot)
 
-    def collect(self, timeout: float | None = 300.0) -> CompletedJob:
-        if not self._replies and not self._jobs:
-            raise ClusterError("no job in flight")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._replies:
-            if not self._live:
-                lost = tuple(sorted(self._jobs))
-                self._jobs.clear()
-                raise WorkerLostError(f"every worker process died; {len(lost)} jobs were in "
-                                      "flight (resubmit them against a fresh backend)", lost)
-            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-            for key, events in self._selector.select(wait):
-                process, link = key.data, self._links[key.data]
-                if link is None:
-                    continue  # buried by an earlier event of this round
-                if key.fileobj is not link:  # its sentinel: the replies it wrote are read first
-                    self._receive(process, link)
-                    self._bury(process)
-                elif events & selectors.EVENT_READ and not self._receive(process, link):
-                    self._bury(process)
-                elif events & selectors.EVENT_WRITE and not flush_outbox(
-                        self._selector, link, self._outboxes[process], process, True):
-                    self._bury(process)
-            if not self._replies and deadline is not None and time.monotonic() >= deadline:
-                raise CollectTimeoutError(
-                    f"timed out after {timeout}s waiting for a worker result"
-                )
-        worker_id, (job_id, process, result, elapsed, error) = self._replies.popleft()
-        self._busy[process] += elapsed
-        return CompletedJob(job_id, worker_id, result, elapsed,
-                            time.perf_counter() - self._start, error)
+    def _closed(self, slot: int) -> None:
+        self._selector.unregister(self._processes[slot].sentinel)
+        self._inboxes[slot].clear()
 
     def finalize(self) -> BackendStats:
         if not self._finalized:
-            self._finalized = True
-            held = {holder for _, holder, _, _ in self._jobs.values()}
-            for index, (process, link) in enumerate(zip(self._processes, self._links)):
-                if index in held:
+            held = {holder for _, holder, _, _ in self._inflight.values()}
+            for slot, process in enumerate(self._processes):
+                if slot in held:
                     process.terminate()  # its jobs are abandoned: nobody collects them
-                elif link is not None:
+                elif slot in self._links:
                     with contextlib.suppress(OSError):  # gone already
-                        link.send(_STOP)
-            for process, link in zip(self._processes, self._links):
+                        self._links[slot].send(_STOP)
+            for process in self._processes:
                 process.join(timeout=30.0)
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=5.0)
-                if link is not None:
-                    link.close()
-            self._selector.close()
-        total = time.perf_counter() - self._start
-        return BackendStats(
-            total_time=total,
-            n_jobs=self._n_jobs,
-            n_workers=self._n_workers,
-            worker_busy=dict(self._busy),
-            master_busy=total,
-            bytes_sent=self._bytes_sent,
-            extra={"redispatches": self._redispatches},
-        )
+        return super().finalize()

@@ -8,24 +8,23 @@ result frames with :mod:`selectors`:
 
 * :meth:`RemoteBackend.dispatch` serializes the prepared payload into one
   ``FRAME_JOB`` message -- ``MPI_Send_Obj`` in the paper's master script --
-  and writes what the non-blocking socket takes; the rest waits in that
-  connection's outbox, so the master never blocks on a send;
-* :meth:`RemoteBackend.collect` blocks on the selector until any connection
-  delivers a ``FRAME_RESULT`` -- ``MPI_Probe(-1, -1, ...)`` then
-  ``MPI_Recv_Obj`` -- writing the outboxes as their sockets take more,
-  which is all the streaming futures API needs to work over the wire
-  unchanged.
+  and :meth:`RemoteBackend.collect` waits on the selector until any
+  connection delivers a ``FRAME_RESULT`` -- ``MPI_Probe(-1, -1, ...)`` then
+  ``MPI_Recv_Obj``.  Both are :class:`~repro.cluster.backends.base.LinkPool`'s,
+  the multiprocessing backend's master too, which never blocks on a send
+  (what a socket does not take waits in its connection's outbox for the
+  selector to write); this module adds the dials, the XDR codec, the
+  liveness PING and STOP.
 
 A backend is one campaign's pool; these keep it alive for that campaign:
 
 * **death** -- the master keeps the frame of every in-flight job, so when a
   connection drops its logical worker slots are remapped onto live
   connections and its jobs are queued on their outboxes: the survivors
-  answer them and the run completes (as a dead multiprocessing worker's
-  jobs go to the processes left);
+  answer them and the run completes (the one rule of ``LinkPool``);
 * **rebirth** -- while another host is live, a dead host is re-dialed
   (five dials, on :data:`~repro.cluster.backends.base.REDIAL_DELAYS_S`) and,
-  once back, gets its original logical slots again.  A dial is a
+  once back, gets its own logical slot again.  A dial is a
   non-blocking connect and handshake that the selector advances with the
   survivors' results, given up after :data:`_CONNECT_TIMEOUT_S`; the five
   dials are a host's until it answers a job, so one that greets and then
@@ -65,22 +64,18 @@ import os
 import selectors
 import socket
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NoReturn, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.cluster.backends.base import (
     REDIAL_DELAYS_S,
     BackendStats,
-    CompletedJob,
     Job,
+    LinkPool,
     PreparedMessage,
-    WorkerBackend,
-    flush_outbox,
-    remap_route,
 )
 from repro.cluster.worker import decode_hello
-from repro.errors import ClusterError, CollectTimeoutError, SerializationError, WorkerLostError
+from repro.errors import ClusterError, SerializationError
 from repro.pricing.validation import check_count
 from repro.serial import Serial, xdr
 from repro.serial.frames import (
@@ -159,16 +154,12 @@ class _HostDown(ClusterError):
 
 @dataclass
 class _Connection:
-    """Master-side state of one live worker link."""
+    """Master-side state of one live worker link, beside the link itself."""
 
-    address: str
-    sock: socket.socket
     assembler: FrameAssembler  # the handshake's, with whatever followed the hello
-    #: bytes queued for the worker that its socket has not taken yet
-    outbox: bytearray = field(default_factory=bytearray)
-    stop_sent: bool = False
     #: monotonic time of the last byte received (liveness bookkeeping)
-    last_recv: float = 0.0
+    last_recv: float
+    stop_sent: bool = False
     #: outstanding liveness-ping token (None when not probing)
     ping_token: bytes | None = None
     ping_sent: float = 0.0
@@ -205,18 +196,12 @@ class _Redial:
     failure: ClusterError | None = None  # why its last dial failed
 
 
-@dataclass
-class _InFlight:
-    """A dispatched, not-yet-answered job: its logical worker, the connection
-    slot that holds it, and its frame, queued again if that connection dies."""
-
-    worker_id: int
-    conn_index: int
-    frame: bytes
-
-
-class RemoteBackend(WorkerBackend):
+class RemoteBackend(LinkPool):
     """Master-side driver of a pool of ``repro-worker`` TCP servers.
+
+    :class:`~repro.cluster.backends.base.LinkPool` is the master; this
+    backend adds the dials and their handshake, the re-dials that give a
+    host back its slot, the liveness PING, XDR frames and STOP.
 
     Parameters
     ----------
@@ -231,8 +216,6 @@ class RemoteBackend(WorkerBackend):
         when ``secret`` is ``None`` -- loudly, at connect.
     """
 
-    queues_jobs = True  # each connection's compute lane is a FIFO
-
     def __init__(
         self,
         hosts: Any,
@@ -240,38 +223,22 @@ class RemoteBackend(WorkerBackend):
         secret: str | None = None,
     ):
         self._hosts = normalize_hosts(hosts)
-        self._n_workers = len(self._hosts)
+        super().__init__(len(self._hosts))
         self._secret = secret
-        self._selector = selectors.DefaultSelector()
-        #: connection slot -> its live link; a slot whose host is down has none
+        #: slot -> the protocol state of its live link
         self._conns: dict[int, _Connection] = {}
-        #: logical worker id -> index into ``_conns`` (remapped on death)
-        self._route: list[int] = list(range(self._n_workers))
-        #: logical worker id -> its *original* connection slot, so a host
-        #: that reconnects gets its own slots back instead of staying a
-        #: spectator behind the remapped survivors
-        self._home: list[int] = list(range(self._n_workers))
-        #: conn index -> backoff state of a pending re-dial
+        #: slot -> backoff state of a pending re-dial
         self._redial: dict[int, _Redial] = {}
-        self._inflight: dict[int, _InFlight] = {}
-        self._ready: deque[CompletedJob] = deque()
-        self._n_jobs = 0
-        self._bytes_sent = 0
         self._reconnects = 0
-        self._redispatches = 0
         self._liveness_buried = 0
-        #: compute seconds by the connection slot whose host answered
-        self._busy: dict[int, float] = {i: 0.0 for i in range(self._n_workers)}
         #: the hosts whose slots had no live link when the pool was finalized
         self._dead_hosts: list[str] = []
-        self._start = time.perf_counter()
-        self._finalized = False
         try:
             self._dial_all()
         except BaseException:
             self._drop_redials()
-            for conn in self._conns.values():
-                conn.sock.close()
+            for link in self._links.values():
+                link.close()
             self._selector.close()
             raise
 
@@ -287,20 +254,23 @@ class RemoteBackend(WorkerBackend):
             self._start_dial(state)
         while dials := [state.dial for state in states if state.dial is not None]:
             wait = min(dial.deadline for dial in dials) - time.monotonic()
-            if wait > 0:
-                self._pump(wait)
-            else:
+            if wait <= 0:
                 self._give_up_overdue()
-        if not self._conns:
+                continue
+            for key, _ in self._selector.select(wait):
+                if isinstance(key.data, _Redial):
+                    self._watched(key)
+                elif key.data in self._links and not self._read(key.data):
+                    self._bury(key.data)  # a host that greeted, then dropped its link
+        if not self._links:
             raise ClusterError("no worker of the pool greeted: " + "; ".join(
                 str(state.failure or f"worker {self._hosts[state.index]} dropped its link")
                 for state in states))
-        survivors = sorted(self._conns)
         for index in range(self._n_workers):
-            if index in self._conns:
+            if index in self._links:
                 self._redial.pop(index, None)
             else:
-                remap_route(self._route, index, survivors)
+                self._remap(index)
 
     @staticmethod
     def _dial(address: str) -> _Dial:
@@ -377,8 +347,7 @@ class RemoteBackend(WorkerBackend):
                 self._authenticated(address, frame[1], dial.nonce)
         except (SerializationError, OSError) as exc:
             raise ClusterError(f"handshake with worker {address} failed: {exc}") from exc
-        return _Connection(
-            address=address, sock=sock, assembler=dial.assembler, last_recv=time.monotonic())
+        return _Connection(dial.assembler, last_recv=time.monotonic())
 
     def _greeted(self, sock: socket.socket, address: str, hello: bytes) -> bytes:
         """Check the hello and, with a secret, send the challenge: its nonce,
@@ -432,11 +401,7 @@ class RemoteBackend(WorkerBackend):
                 f"(wrong secret)"
             )
 
-    # -- WorkerBackend contract --------------------------------------------------
-    @property
-    def n_workers(self) -> int:
-        return self._n_workers
-
+    # -- reporting -----------------------------------------------------------------
     @property
     def reconnects(self) -> int:
         """Dead hosts successfully re-dialed so far."""
@@ -447,54 +412,73 @@ class RemoteBackend(WorkerBackend):
         """Orphaned in-flight jobs re-sent to another connection so far."""
         return self._redispatches
 
-    def on_run_start(self, n_jobs: int) -> None:
-        self._start = time.perf_counter()
-
-    @staticmethod
-    def _wire_entry(job: Job, message: PreparedMessage) -> dict[str, Any]:
-        """The XDR-encodable job dictionary a worker expects on the wire."""
+    # -- the link's codec --------------------------------------------------------------
+    def _frame(self, job: Job, message: PreparedMessage) -> bytes:
+        """One ``FRAME_JOB`` of the XDR job dictionary a worker expects."""
         payload = message.payload
         if isinstance(payload, Serial):
             payload = payload.to_bytes()
-        return {"job_id": job.job_id, "kind": message.kind, "payload": payload}
+        return encode_frame(FRAME_JOB, xdr.encode(
+            {"job_id": job.job_id, "kind": message.kind, "payload": payload}))
 
-    def dispatch(self, worker_id: int, job: Job, message: PreparedMessage) -> None:
-        if not 0 <= worker_id < self._n_workers:
-            raise ClusterError(f"invalid worker id {worker_id}")
-        if self._finalized:
-            raise ClusterError("backend already finalized")
-        frame = encode_frame(FRAME_JOB, xdr.encode(self._wire_entry(job, message)))
-        index = self._route[worker_id]
-        self._inflight[job.job_id] = _InFlight(worker_id, index, frame)
-        self._n_jobs += 1
-        conn = self._conns.get(index)
-        if conn is not None:  # else no host is live: the next collect names the job
-            self._bytes_sent += len(frame)
-            self._post(index, conn, frame)
+    def _decode(self, slot: int, data: bytes) -> list[tuple[int, Any, float, str | None]]:
+        conn = self._conns[slot]
+        # any received byte proves the worker is alive and making progress;
+        # an outstanding liveness probe is thereby answered
+        conn.last_recv = time.monotonic()
+        conn.ping_token = None
+        conn.assembler.feed(data)
+        answers = []
+        for kind, payload in conn.assembler:
+            if kind == FRAME_RESULT:
+                answer = xdr.decode(payload)
+                answers.append((
+                    check_count(answer["job_id"], "job_id", 0, error=SerializationError,
+                                floats=False),
+                    answer.get("result"), float(answer.get("elapsed") or 0.0),
+                    answer.get("error")))
+            elif kind == FRAME_PONG:
+                continue  # answered the liveness ping by arriving (above)
+            # hello frames (reconnect chatter) and anything else: ignore
+        if answers and self._redial:
+            self._redial.pop(slot, None)  # answered: its dials are its own again
+        return answers
+
+    def _closed(self, slot: int) -> None:
+        del self._conns[slot]
+        self._schedule(self._redial.setdefault(slot, _Redial(slot)))
+
+    def send_stop(self, worker_id: int) -> None:
+        slot = self._route[worker_id]
+        conn = self._conns.get(slot)
+        if conn is not None and not conn.stop_sent:
+            conn.stop_sent = True
+            if not self._write(slot, encode_frame(FRAME_STOP)):
+                self._bury(slot)
+
+    def finalize(self) -> BackendStats:
+        if not self._finalized:
+            self._dead_hosts = [address for index, address in enumerate(self._hosts)
+                                if index not in self._links]
+            self._drop_redials()
+            for slot, conn in self._conns.items():
+                outbox = self._outboxes[slot]
+                if not conn.stop_sent:
+                    outbox += encode_frame(FRAME_STOP)
+                # best effort: a worker that is gone, or not reading, stops at the close
+                with contextlib.suppress(OSError):
+                    self._links[slot].send(outbox)
+        stats = super().finalize()
+        stats.extra.update(hosts=list(self._hosts), dead_hosts=self._dead_hosts,
+                           reconnects=self._reconnects, liveness_buried=self._liveness_buried)
+        return stats
+
+    # -- timers ------------------------------------------------------------------------
+    def _tend(self, wait: float | None) -> float:
+        """Start the re-dials that are due, PING or bury silent busy links, and
+        cut ``wait`` short for when a re-dial or a liveness check is next due."""
         self._maybe_reconnect()
-
-    def collect(self, timeout: float | None = 300.0) -> CompletedJob:
-        if not self._ready and not self._inflight:
-            raise ClusterError("no job in flight")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._ready:
-            self._maybe_reconnect()
-            self._check_liveness()
-            if not self._conns:
-                self._raise_pool_lost()  # nothing to select on
-            if deadline is None:
-                wait: float | None = None
-            else:
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    raise CollectTimeoutError(
-                        f"timed out after {timeout}s waiting for a remote worker result"
-                    )
-            self._pump(self._cap_wait(wait))
-        return self._ready.popleft()
-
-    def _cap_wait(self, wait: float | None) -> float:
-        """Bound a selector wait so liveness/reconnect timers keep firing."""
+        self._check_liveness()
         caps = [_LIVENESS_TIMEOUT_S / 4.0]
         if wait is not None:
             caps.append(wait)
@@ -503,166 +487,6 @@ class RemoteBackend(WorkerBackend):
             caps.append(max(due - time.monotonic(), 0.01))
         return min(caps)
 
-    def send_stop(self, worker_id: int) -> None:
-        index = self._route[worker_id]
-        conn = self._conns.get(index)
-        if conn is not None and not conn.stop_sent:
-            conn.stop_sent = True
-            self._post(index, conn, encode_frame(FRAME_STOP))
-
-    def finalize(self) -> BackendStats:
-        if not self._finalized:
-            self._finalized = True
-            self._dead_hosts = [address for index, address in enumerate(self._hosts)
-                                if index not in self._conns]
-            self._drop_redials()
-            for conn in self._conns.values():
-                if not conn.stop_sent:
-                    conn.outbox += encode_frame(FRAME_STOP)
-                # best effort: a worker that is gone, or not reading, stops at the close
-                with contextlib.suppress(OSError):
-                    conn.sock.send(conn.outbox)
-                self._selector.unregister(conn.sock)
-                conn.sock.close()
-            self._conns.clear()
-            self._selector.close()
-        total = time.perf_counter() - self._start
-        return BackendStats(
-            total_time=total,
-            n_jobs=self._n_jobs,
-            n_workers=self._n_workers,
-            worker_busy=dict(self._busy),
-            master_busy=total,
-            bytes_sent=self._bytes_sent,
-            extra={
-                "hosts": list(self._hosts),
-                "dead_hosts": self._dead_hosts,
-                "reconnects": self._reconnects,
-                "redispatches": self._redispatches,
-                "liveness_buried": self._liveness_buried,
-            },
-        )
-
-    # -- wire plumbing -----------------------------------------------------------
-    def _post(self, index: int, conn: _Connection, frame: bytes) -> None:
-        """Queue ``frame`` on connection slot ``index`` and write what its
-        socket takes now, unless earlier bytes already wait for the selector."""
-        waiting = bool(conn.outbox)
-        conn.outbox += frame
-        if not waiting and not flush_outbox(self._selector, conn.sock, conn.outbox, index, False):
-            self._on_conn_dead(index)
-
-    def _pump(self, timeout: float | None) -> None:
-        """Wait up to ``timeout`` for socket activity and absorb it."""
-        events = self._selector.select(timeout)
-        now = time.monotonic()
-        for key, mask in events:
-            if isinstance(key.data, _Redial):
-                self._step_redial(key.data)
-                continue
-            index = key.data
-            conn = self._conns.get(index)
-            if conn is None:  # closed while handling an earlier event
-                continue
-            if mask & selectors.EVENT_WRITE and not flush_outbox(
-                    self._selector, conn.sock, conn.outbox, index, True):
-                self._on_conn_dead(index)
-                continue
-            if not mask & selectors.EVENT_READ:
-                continue
-            try:
-                data = conn.sock.recv(_RECV_BYTES)
-            except BlockingIOError:
-                continue  # woken with nothing to read yet
-            except OSError:
-                data = b""
-            if not data:
-                self._on_conn_dead(index)
-                continue
-            # any received byte proves the worker is alive and making
-            # progress; an outstanding liveness probe is thereby answered
-            conn.last_recv = now
-            conn.ping_token = None
-            try:
-                conn.assembler.feed(data)
-            except SerializationError:
-                # corrupted stream: treat the worker as lost, requeue its jobs
-                self._on_conn_dead(index)
-                continue
-            for kind, payload in conn.assembler:
-                if kind == FRAME_RESULT:
-                    try:
-                        self._absorb_result(payload, index)
-                    except (SerializationError, KeyError, TypeError, ValueError):
-                        # well-framed but undecodable answer: the peer is
-                        # confused, not the run -- bury it, requeue its jobs
-                        self._on_conn_dead(index)
-                        break
-                    if self._redial:
-                        self._redial.pop(index, None)  # answered: its dials are its own again
-                elif kind == FRAME_PONG:
-                    continue  # answered the liveness ping by arriving (above)
-                # hello frames (reconnect chatter) and anything else: ignore
-
-    def _absorb_result(self, payload: bytes, index: int) -> None:
-        """Take one result frame that arrived on connection slot ``index``."""
-        answer = xdr.decode(payload)
-        job_id = check_count(answer["job_id"], "job_id", 0, error=SerializationError,
-                             floats=False)
-        entry = self._inflight.pop(job_id, None)
-        if entry is None:
-            # not in flight: a confused peer's answer, or the pool's loss named it
-            return
-        elapsed = float(answer.get("elapsed") or 0.0)
-        self._busy[index] += elapsed  # the host that answered, not the logical slot
-        self._ready.append(
-            CompletedJob(
-                job_id=job_id,
-                worker_id=entry.worker_id,
-                result=answer.get("result"),
-                compute_time=elapsed,
-                collected_at=time.perf_counter() - self._start,
-                error=answer.get("error"),
-            )
-        )
-
-    def _raise_pool_lost(self) -> NoReturn:
-        """Name every job in flight, which is then in flight no more."""
-        lost = tuple(sorted(self._inflight))
-        self._inflight.clear()
-        self._drop_redials()
-        raise WorkerLostError(
-            f"all {self._n_workers} remote workers are gone; "
-            f"{len(lost)} jobs were in flight (resubmit them against a "
-            f"fresh backend)",
-            job_ids=lost,
-        )
-
-    def _on_conn_dead(self, index: int) -> None:
-        """Bury a connection: remap its logical slots and queue its in-flight
-        jobs on the survivors' outboxes.  A burial sends nothing, so a failed
-        write cannot bury another connection inside it; with no survivor the
-        jobs wait for the next collect's loss."""
-        conn = self._conns.pop(index, None)
-        if conn is None:
-            return
-        self._selector.unregister(conn.sock)
-        conn.sock.close()
-        self._schedule(self._redial.setdefault(index, _Redial(index)))
-        survivors = sorted(self._conns)
-        if not survivors:
-            return
-        remap_route(self._route, index, survivors)
-        for record in self._inflight.values():
-            if record.conn_index == index:
-                target = record.conn_index = self._route[record.worker_id]
-                heir = self._conns[target]
-                heir.outbox += record.frame
-                self._selector.modify(heir.sock, selectors.EVENT_READ | selectors.EVENT_WRITE,
-                                      target)
-                self._bytes_sent += len(record.frame)
-                self._redispatches += 1
-
     # -- reconnect ---------------------------------------------------------------
     def _next_redial_at(self) -> float | None:
         """When a re-dial next needs the master: a dial to start or give up."""
@@ -670,17 +494,17 @@ class RemoteBackend(WorkerBackend):
             state.dial.deadline if state.dial is not None else state.next_try
             for state in self._redial.values()
             if state.dial is not None
-            or (state.index not in self._conns and state.dials < len(REDIAL_DELAYS_S))
+            or (state.index not in self._links and state.dials < len(REDIAL_DELAYS_S))
         ]
         return min(due, default=None)
 
     def _maybe_reconnect(self) -> None:
-        """Start the re-dials that are due and give up the overdue ones (from
-        dispatch/collect); the selector advances the rest (:meth:`_step_redial`)."""
+        """Start the re-dials that are due and give up the overdue ones; the
+        selector advances the rest (:meth:`_watched`)."""
         self._give_up_overdue()
         now = time.monotonic()
         for state in list(self._redial.values()):
-            if (state.dial is None and state.index not in self._conns
+            if (state.dial is None and state.index not in self._links
                     and state.dials < len(REDIAL_DELAYS_S) and state.next_try <= now):
                 state.dials += 1
                 self._start_dial(state)
@@ -703,9 +527,10 @@ class RemoteBackend(WorkerBackend):
                     f"worker {state.dial.address} did not connect and greet within "
                     f"{_CONNECT_TIMEOUT_S:g} s"))
 
-    def _step_redial(self, state: _Redial) -> None:
+    def _watched(self, key: selectors.SelectorKey) -> None:
         """Advance a dial whose socket is ready; once it is through, a reborn
-        host gets its original logical slots back."""
+        host gets its own logical slot back."""
+        state = key.data
         dial = state.dial
         if dial is None:
             return  # given up earlier in the same select
@@ -719,13 +544,12 @@ class RemoteBackend(WorkerBackend):
             return
         state.dial = None
         index = state.index
+        self._selector.unregister(dial.sock)
+        self._attach(index, dial.sock)
         self._conns[index] = conn
-        self._selector.modify(conn.sock, selectors.EVENT_READ, index)
         if state.dials:
             self._reconnects += 1
-        for worker_id, home in enumerate(self._home):
-            if home == index:
-                self._route[worker_id] = index
+        self._route[index] = index
 
     def _dial_failed(self, state: _Redial, failure: ClusterError) -> None:
         """Close a dial that did not get through and wait the next delay, if
@@ -758,9 +582,9 @@ class RemoteBackend(WorkerBackend):
     def _check_liveness(self) -> None:
         """PING silent busy connections; bury the ones that never answer."""
         now = time.monotonic()
-        busy = {entry.conn_index for entry in self._inflight.values()}
-        for index, conn in list(self._conns.items()):
-            if index not in busy:
+        busy = {holder for _, holder, _, _ in self._inflight.values()}
+        for slot, conn in list(self._conns.items()):
+            if slot not in busy:
                 conn.ping_token = None  # idle connections owe us nothing
                 continue
             if conn.ping_token is not None:
@@ -769,9 +593,10 @@ class RemoteBackend(WorkerBackend):
                     # worker is wedged -- bury it like a dropped socket so
                     # its jobs move on within seconds, not collect-timeouts
                     self._liveness_buried += 1
-                    self._on_conn_dead(index)
+                    self._bury(slot)
                 continue
             if now - conn.last_recv > _LIVENESS_TIMEOUT_S:
                 conn.ping_token = os.urandom(8)
                 conn.ping_sent = now
-                self._post(index, conn, encode_frame(FRAME_PING, conn.ping_token))
+                if not self._write(slot, encode_frame(FRAME_PING, conn.ping_token)):
+                    self._bury(slot)

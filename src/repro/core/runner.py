@@ -191,7 +191,8 @@ class ResultTable(Mapping):
         ``members`` are the positions the unit was sent to price.  A reply
         that answers an id outside them, or one id twice, is rejected whole
         with a :class:`~repro.errors.ClusterError` (nothing is written); a
-        member it leaves out fails as ``"missing from batch reply"``.
+        member it leaves out fails as ``"missing from batch reply"``, and a
+        row without a finite price fails as in :meth:`write`.
         """
         answered = reply.ids.tolist()
         rows = self.rows_of([*answered, *reply.errors] if reply.errors else reply.ids)
@@ -215,6 +216,11 @@ class ResultTable(Mapping):
         codes = np.array([self._method_code(name) for name in reply.method_names], dtype=np.int64)
         columns.method[done] = codes[reply.method]
         self.status[done] = self.DONE
+        if not np.isfinite(reply.price).all():
+            unpriced = ~np.isfinite(reply.price)
+            for row, job_id in zip(done[unpriced].tolist(), reply.ids[unpriced].tolist()):
+                self._settle(row, self.FAILED,
+                             f"ClusterError: the result of job {job_id} carries no finite price")
         for row, message in zip(rows[len(reply.ids):].tolist(), reply.errors.values()):
             self._settle(row, self.FAILED, message)
         if len(missing):

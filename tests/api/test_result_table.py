@@ -92,6 +92,15 @@ class TestScatterIsCheckedAgainstTheJobsMembers:
         assert table.status.tolist() == [table.FAILED, table.FAILED, table.NO_RESULT]
         assert "no finite price" in table.error_of(0) and table[2] is None
 
+    @pytest.mark.parametrize("price", [float("nan"), float("inf")])
+    def test_a_reply_row_without_a_finite_price_fails_as_a_dict_reply_does(self, price):
+        table, reply = ResultTable([0, 1, 2]), _reply([0, 1, 2])
+        reply.price[1] = price
+        table.scatter(reply, members=(0, 1, 2))
+        assert table.status.tolist() == [table.DONE, table.FAILED, table.DONE]
+        assert table.prices() == {0: 0.0, 2: 2.0} and table[1] is None
+        assert table.errors() == {1: "ClusterError: the result of job 1 carries no finite price"}
+
 
 def _lossy(transform):
     """``execute_payload`` of the local backend with its replies passed through ``transform``."""

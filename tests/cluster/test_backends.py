@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ValuationSession
 from repro.cluster.backends import (
     PAYLOAD_PATH,
     PAYLOAD_SERIAL,
@@ -15,6 +16,8 @@ from repro.cluster.backends import (
     execute_payload,
     materialize_problem,
 )
+from repro.cluster.worker import spawn_local_workers
+from repro.core.portfolio import build_toy_portfolio
 from repro.errors import ClusterError
 from repro.pricing import PricingProblem
 from repro.serial import save, serialize
@@ -228,3 +231,21 @@ class TestDispatchBatch:
         assert stats.n_jobs == 4
         for index, price in enumerate(reference):
             assert collected[index].result["price"] == price
+
+
+def test_bytes_sent_is_the_payload_whatever_carries_it():
+    """``bytes_sent`` counts each job's payload once a send, not its framing:
+    a position at a time, every backend reports the same bytes; in book
+    slices (the local backend's route differs) both process backends do."""
+    book = build_toy_portfolio(40)
+    with spawn_local_workers(2) as pool:
+        def sent(name: str, **run) -> int:
+            options = {"hosts": pool.hosts} if name == "remote" else {}
+            session = ValuationSession(backend=name, n_workers=2, backend_options=options)
+            return session.run(book, **run).report.bytes_sent
+
+        per_position = {name: sent(name, scheduler="priority")
+                        for name in ("local", "multiprocessing", "remote")}
+        sliced = {name: sent(name) for name in ("multiprocessing", "remote")}
+    assert len(set(per_position.values())) == 1, per_position
+    assert len(set(sliced.values())) == 1, sliced

@@ -16,7 +16,6 @@ import multiprocessing as mp
 import os
 import signal
 import threading
-import time
 from typing import Any, Callable
 
 import pytest
@@ -146,16 +145,22 @@ def test_a_multiprocessing_pool_that_keeps_a_worker_is_not_rebuilt(monkeypatch):
 
 @pytest.mark.parametrize("reader", list(READERS))
 def test_recover_a_restarted_remote_worker(reader, monkeypatch):
+    """The only worker is killed mid-read and comes back, on its port, as
+    the campaign makes its third try at a pool: the try before is refused."""
     reference = _read(reader, ValuationSession(backend="local"), lambda _event: None)
     with spawn_local_workers(1) as pool:
         session = ValuationSession(backend="remote", backend_options={"hosts": pool.hosts})
+        tries: list[str] = []
+        acquire = session._acquire_backend
+
+        def restart_at_the_third_try(name: str):
+            tries.append(name)
+            if len(tries) == 3:  # the first build, then one refused rebuild
+                pool.restart(0)
+            return acquire(name)
+
+        monkeypatch.setattr(session, "_acquire_backend", restart_at_the_third_try)
         builds = _count_builds(session, monkeypatch)
-
-        def kill_and_restart() -> None:
-            pool.kill(0)
-            threading.Thread(
-                target=lambda: (time.sleep(0.8), pool.restart(0)), daemon=True
-            ).start()
-
-        assert _read(reader, session, _once(kill_and_restart)) == reference
-    assert len(builds) == 2  # the tries before the restart were refused
+        assert _read(reader, session, _once(lambda: pool.kill(0))) == reference
+    assert len(tries) == 3
+    assert len(builds) == 2  # the try before the restart was refused

@@ -62,9 +62,9 @@ PICKLED_REPLY_CALLS = {1: (3, 21), 750: (3, 21)}
 #: on worker processes: the selector's ``select``, and every call outside the
 #: selector module (whose own helpers Python 3.12 inlined into ``select``)
 #: but a comprehension's
-LINK_CALLS = {"select": 1, "other": 5}
+LINK_CALLS = {"select": 1, "other": 7}
 #: the same over one loopback TCP connection to a ``repro-worker``
-REMOTE_CALLS = {"select": 1, "other": 55}
+REMOTE_CALLS = {"select": 1, "other": 51}
 SEEDS = (1, 2)
 
 
