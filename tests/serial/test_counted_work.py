@@ -45,6 +45,7 @@ from repro.cluster.worker import spawn_local_workers
 from repro.core.portfolio import build_toy_portfolio
 from repro.pricing.book import write_book
 from repro.pricing.methods.base import PricingResult, ResultColumns
+from repro.pricing.scenarios import Scenario, ScenarioGrid
 from repro.serial import serialize, xdr
 
 _PACKAGE = str(Path(repro.__file__).parent)
@@ -53,6 +54,9 @@ _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 #: Python calls of ``xdr.encode(write_book(book[:width]))``, by width
 BOOK_CALLS = {1: 62, 2: 80, 750: 80}
+#: Python calls and C calls of ``serialize(...).to_bytes()`` of a book slice
+#: of one toy position and of the lone position, warm
+SLICE_CALLS = {"slice": (95, 457), "position": (32, 156)}
 #: Python calls of ``xdr.decode`` of a reply's result frame record, by rows
 REPLY_CALLS = {1: 18, 750: 18}
 #: Python calls and C calls of ``pickle.loads`` of a worker process's reply
@@ -121,6 +125,19 @@ def test_a_book_is_written_and_encoded_with_no_call_per_position(seed):
     counted = {width: python_calls(lambda: xdr.encode(write_book(problems[:width])))
                for width in BOOK_CALLS}
     assert counted == BOOK_CALLS
+
+
+def test_a_width_one_slice_costs_what_its_lone_position_costs():
+    """A slice's fixed part: the book, the grid's envelope and the codec's wrapper."""
+    problem = _toy_book(1)[0]
+    work = {
+        "slice": lambda: serialize(
+            ScenarioGrid([problem], (Scenario(name="base"),), rows=(0,))).to_bytes(),
+        "position": lambda: serialize(problem).to_bytes(),
+    }
+    for run in work.values():
+        run()  # the codec's first write of a shape fills its caches
+    assert {name: counted_calls(run) for name, run in work.items()} == SLICE_CALLS
 
 
 @pytest.mark.parametrize("seed", SEEDS)
