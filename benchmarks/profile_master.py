@@ -22,9 +22,9 @@ the profiled one, with :func:`time.thread_time` deltas around the plan
 (:func:`repro.api.plan.build_plan`), the ``sload`` load pass
 (:meth:`repro.core.strategies.SerializedLoadStrategy.load`), the start of a
 ``multiprocessing`` pool's processes, the book write
-(:func:`repro.pricing.book.write_book`), the XDR encode outside it
-(:func:`repro.serial.xdr.encode`: labels, keys, arrays, the job and frame
-records) and the reply decode (:func:`pickle.loads` of a worker process's
+(:func:`repro.pricing.book.write_book`: its bytes), the XDR encode outside it
+(:func:`repro.serial.xdr.encode`: a slice's or batch's envelope, the job and
+frame records) and the reply decode (:func:`pickle.loads` of a worker process's
 reply, :func:`repro.serial.xdr.decode` of a remote worker's), each net of the
 others nested inside it, as the median in ms a repeat and us a position,
 beside the minor page faults the master thread took in it
@@ -36,10 +36,13 @@ the same inputs read 2-3x lower.  Second, three
 layers timed again after the profiled repeat, each the fastest of
 :data:`PASSES` passes: the plan (``build_plan`` on the arguments the session
 gave it, over freshly built problems, so digests and signatures are made
-again), the book write -- the columnar book of each dispatched slice or batch
-(a batch's under its leader's headers) and its XDR encode, in microseconds and
-bytes a position -- and the scatter of the replies the campaign received into
+again), the book write -- the bytes of the book of each dispatched slice or
+batch (a batch's under its leader's headers), in microseconds and bytes a
+position -- and the scatter of the replies the campaign received into
 a fresh result table (:meth:`repro.core.runner.ResultTable.scatter`).
+Last, one line of what a book slice costs the master whatever the run:
+toy slices of 1, 4 and 750 positions against a lone position, in
+microseconds, Python calls and bytes (:func:`slice_costs`).
 The numbers in ``docs/performance.md`` are this script's output.
 """
 
@@ -66,14 +69,14 @@ import repro.pricing.batch  # noqa: E402
 import repro.pricing.scenarios  # noqa: E402
 from repro.api.futures import PricingFuture  # noqa: E402
 from repro.cluster.backends import MultiprocessingBackend  # noqa: E402
-from repro.core.portfolio import Portfolio  # noqa: E402
+from repro.core.portfolio import Portfolio, build_toy_portfolio  # noqa: E402
 from repro.core.runner import ResultTable  # noqa: E402
 from repro.core.strategies import SerializedLoadStrategy  # noqa: E402
 from repro.pricing.batch import ProblemBatch  # noqa: E402
 from repro.pricing.book import write_book  # noqa: E402
 from repro.pricing.methods.base import ResultColumns  # noqa: E402
-from repro.pricing.scenarios import ScenarioGrid  # noqa: E402
-from repro.serial import xdr  # noqa: E402
+from repro.pricing.scenarios import Scenario, ScenarioGrid  # noqa: E402
+from repro.serial import serialize, xdr  # noqa: E402
 
 #: cumulative time of every function of that name (in the file ending so,
 #: where the name alone is ambiguous): the layers of one campaign, outbound
@@ -82,9 +85,8 @@ from repro.serial import xdr  # noqa: E402
 #: run's problems by simulation signature, and ``param_digest`` is every model
 #: and method digest, wherever it is made -- ``job encode`` is
 #: ``Job.wire_bytes``, a job's bytes made at its first dispatch; of that,
-#: ``book encode`` is a grid's or book slice's book -- ``write_book``'s columns
-#: and their XDR encode -- and ``write_book`` the columns of every book, a
-#: batch's members included) and back (the replies read off a worker's link,
+#: ``book encode`` is a grid's or book slice's book and ``write_book`` the
+#: bytes of every book, a batch's members included) and back (the replies read off a worker's link,
 #: a process's socket pair or a remote host's connection -- of that, a
 #: process's replies unpickled, a remote pool's decoded -- the write into the
 #: result table, the report)
@@ -288,7 +290,7 @@ def scatter_again(scatters, scatter: Callable) -> float:
     return 1e6 * _fastest(one_pass) / max(positions, 1)
 
 
-def _book_of(payload) -> dict:
+def _book_of(payload) -> bytes:
     """The book ``payload`` writes: a batch's under its leader's headers."""
     if isinstance(payload, ProblemBatch):
         return payload.wire_view()["book"]
@@ -301,17 +303,63 @@ def book_write(jobs) -> tuple[float, float, int, int]:
     master does on dispatch, timed outside the profiler; positions, books."""
     books = {id(job.problem.problems): job.problem for job in jobs
              if job.problem is not None and hasattr(job.problem, "problems")}
-    nbytes = sum(len(xdr.encode(_book_of(payload))) for payload in books.values())
+    nbytes = sum(len(_book_of(payload)) for payload in books.values())
 
     def one_pass() -> float:
         start = time.perf_counter()
         for payload in books.values():
-            xdr.encode(_book_of(payload))
+            _book_of(payload)
         return time.perf_counter() - start
 
     positions = sum(len(payload.problems) for payload in books.values())
     return (1e6 * _fastest(one_pass) / max(positions, 1), nbytes / max(positions, 1),
             positions, len(books))
+
+
+#: the widths of the toy book slices :func:`slice_costs` makes
+SLICE_WIDTHS = (1, 4, 750)
+
+
+def _python_calls(work: Callable[[], Any]) -> int:
+    """The Python functions of :mod:`repro` that ``work`` enters."""
+    package, calls = str(ROOT / "src" / "repro"), 0
+
+    def profile(frame, event, _arg) -> None:
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_filename.startswith(package)
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def slice_costs() -> str:
+    """The master's cost of a toy book slice of each of :data:`SLICE_WIDTHS`
+    positions -- the grid built, serialized and made bytes, as a plan's load
+    pass makes it -- next to the first position's sent alone: microseconds
+    (best of :data:`PASSES` warm passes), Python calls and bytes each."""
+    problems = [position.problem for position in build_toy_portfolio(max(SLICE_WIDTHS))]
+    base = (Scenario(name="base"),)
+    works = {"lone position": lambda: serialize(problems[0]).to_bytes()}
+    for width in SLICE_WIDTHS:
+        works[f"width {width}"] = (
+            lambda part=problems[:width], rows=tuple(range(width)):
+            serialize(ScenarioGrid(part, base, rows=rows)).to_bytes())
+    cells = []
+    for name, work in works.items():
+        nbytes = len(work())
+        seconds = min(_fastest(lambda: _timed(work)) for _ in range(20))
+        cells.append(f"{name} {1e6 * seconds:.1f} us {_python_calls(work)} calls {nbytes} B")
+    return "; ".join(cells)
+
+
+def _timed(work: Callable[[], Any]) -> float:
+    start = time.perf_counter()
+    work()
+    return time.perf_counter() - start
 
 
 #: where the master sleeps: in its backend's selector (epoll on Linux)
@@ -387,6 +435,7 @@ def main(name: str) -> None:
               + (f" {1e3 * after_start:6.1f} ms after the pool start" if forks else ""))
     print(f"  master CPU off the main thread {1e3 * off_main:.1f} ms a repeat "
           f"(process less main-thread CPU)")
+    print(f"  toy book slices (best of {PASSES} x 20 warm passes): {slice_costs()}")
 
 
 if __name__ == "__main__":

@@ -425,11 +425,11 @@ class Campaign:
         the breakdown sums to what the per-position route would report.
         """
         categories, table = self.plan.member_categories, self.table
-        number: dict[str, int] = {}  # a category's number, in first-appearance order
+        # a category's number, in first-appearance order: two C passes, no call a position
+        number = dict(zip(dict.fromkeys(categories.values()), range(len(categories))))
         category_of = np.zeros(len(table), dtype=np.intp)
-        category_of[table.rows_of(list(categories))] = [
-            number.setdefault(category, len(number)) for category in categories.values()
-        ]
+        category_of[table.rows_of(list(categories))] = list(
+            map(number.__getitem__, categories.values()))
         elapsed = np.nan_to_num(table.columns.elapsed)
         times, answered = np.zeros(len(number)), np.zeros(len(number), dtype=np.bool_)
         for done in outcome.completed:

@@ -18,7 +18,6 @@ from repro.cluster.backends import Job
 from repro.cluster.costmodel import CostModel
 from repro.core.portfolio import Portfolio
 from repro.core.scheduler import ChunkedPolicy, DispatchPolicy, RobinHoodPolicy, cut_chunks
-from repro.core.strategies import is_real_file
 from repro.errors import SchedulingError
 from repro.pricing.batch import ProblemBatch, plan_batches
 from repro.pricing.cache import ResultCache, problem_digest
@@ -238,7 +237,7 @@ def _travels_in_slices(
         and not batch
         and all(map(isinstance, problems, repeat(PricingProblem)))
         and all(map(attrgetter("is_complete"), problems))
-        and (jobs is None or not any(map(is_real_file, jobs)))
+        and (jobs is None or not any(map(attrgetter("real_file"), jobs)))
     )
 
 
@@ -291,6 +290,7 @@ def _cut_slices(
                 Job(
                     job_id=members[0],
                     path=f"/virtual/{kind}/{start:06d}_{width:04d}.sg",
+                    real_file=False,
                     compute_cost=sum(costs[start:stop]),
                     category=kind,
                     problem=payload,
@@ -425,6 +425,7 @@ def _coalesce_jobs(
                 Job(
                     job_id=job.job_id,
                     path=f"/virtual/batch/{group.signature.model_digest[:16]}_{job.job_id:06d}.pb",
+                    real_file=False,
                     file_size=(
                         None if executing else sum(j.file_size for j in member_jobs)
                     ),

@@ -18,6 +18,7 @@ worked example.
 from __future__ import annotations
 
 import abc
+import os
 import selectors
 import socket
 import time
@@ -84,6 +85,11 @@ class Job:
         Optional in-memory :class:`~repro.pricing.engine.PricingProblem` (or
         :class:`~repro.pricing.batch.ProblemBatch`); required by executing
         backends when no file was written.
+    real_file:
+        Whether ``path`` names a file on disk, which the file-reading
+        strategies then send instead of ``problem``: told by whoever made the
+        path (a store's file, a planner's ``/virtual/...`` name), else looked
+        up once, at first need (:attr:`real_file`).
 
     The serialized form of ``problem`` is made once, on first need, and kept
     with the job (:meth:`wire_bytes`): the size is read off it, the
@@ -92,7 +98,8 @@ class Job:
     argument applied to in-memory problems.
     """
 
-    __slots__ = ("job_id", "path", "compute_cost", "category", "_problem", "_file_size", "_wire")
+    __slots__ = ("job_id", "path", "compute_cost", "category", "_problem", "_file_size", "_wire",
+                 "_real_file")
 
     def __init__(
         self,
@@ -102,13 +109,23 @@ class Job:
         compute_cost: float = 0.0,
         category: str = "generic",
         problem: Any | None = None,
+        real_file: bool | None = None,
     ) -> None:
         self.job_id = job_id
         self.path = path
+        self._real_file = real_file
         self.compute_cost = compute_cost
         self.category = category
         self._file_size = file_size
         self.problem = problem
+
+    @property
+    def real_file(self) -> bool:
+        """Whether ``path`` names a file on disk: as told, or one ``stat`` the
+        first time it is asked, never again for this job."""
+        if self._real_file is None:
+            self._real_file = bool(self.path) and os.path.exists(self.path)
+        return self._real_file
 
     @property
     def problem(self) -> Any | None:

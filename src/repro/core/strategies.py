@@ -41,7 +41,6 @@ __all__ = [
     "SerializedLoadStrategy",
     "NFSStrategy",
     "get_strategy",
-    "is_real_file",
     "STRATEGIES",
 ]
 
@@ -72,7 +71,7 @@ class FullLoadStrategy(TransmissionStrategy):
     name = "full_load"
 
     def prepare(self, job: Job) -> PreparedMessage:
-        if job.path and is_real_file(job):
+        if job.real_file:
             # the deliberately wasteful path of the paper: materialise the
             # object only to serialize it again immediately
             problem = sload(job.path).unserialize()
@@ -101,11 +100,11 @@ class SerializedLoadStrategy(TransmissionStrategy):
 
     def load(self, jobs: Sequence[Job]) -> None:
         for job in jobs:
-            if job.problem is not None and not is_real_file(job):
+            if job.problem is not None and not job.real_file:
                 job.wire_bytes()
 
     def prepare(self, job: Job) -> PreparedMessage:
-        if job.path and is_real_file(job):
+        if job.real_file:
             data = sload(job.path).to_bytes()
         elif job.problem is not None:
             # no file: the bytes kept with the job play its part -- made
@@ -132,14 +131,6 @@ class NFSStrategy(TransmissionStrategy):
         return PreparedMessage(
             kind=PAYLOAD_PATH, payload=job.path, nbytes=len(job.path.encode("utf-8"))
         )
-
-
-def is_real_file(job: Job) -> bool:
-    """Whether the job's path points at an actual readable file (which the
-    file-reading strategies then send instead of ``job.problem``)."""
-    import os
-
-    return bool(job.path) and os.path.exists(job.path)
 
 
 #: registry of the paper's three strategies, by name

@@ -390,8 +390,8 @@ def _checked_rows(rows: Any, n_problems: int) -> np.ndarray:
         column = np.empty(0)
     if column.dtype.kind in "iu" and column.shape == (n_problems,):
         column = column.astype(np.int64)
-        ordered = np.sort(column)
-        if ordered[0] >= 0 and (ordered[1:] != ordered[:-1]).all():
+        values = column.tolist()  # checked in C passes: no array operation a check
+        if min(values) >= 0 and len(set(values)) == n_problems:
             return column
     raise PricingError("'rows' must name one distinct non-negative row per base problem")
 
@@ -409,10 +409,7 @@ class _Book:
 
     def wire_bytes(self) -> bytes:
         if self._wire is None:
-            # imported lazily: repro.serial registers this module's codec
-            from repro.serial import xdr
-
-            self._wire = xdr.encode(write_book(self.problems))
+            self._wire = write_book(self.problems)
         return self._wire
 
 
@@ -464,7 +461,9 @@ class ScenarioGrid:
         self.offset = offset
         self.n_scenarios = offset + len(self.scenarios) if n_scenarios is None else n_scenarios
         if self.n_scenarios < offset + len(self.scenarios):
-            raise PricingError("a ScenarioGrid slice must lie inside its full scenario list")
+            raise PricingError(
+                "a ScenarioGrid slice must lie inside its full scenario list: "
+                f"'n_scenarios' {self.n_scenarios} < 'offset' {offset} + {len(self.scenarios)}")
         self.answered = frozenset(answered)
         self._bumps = _Bumps()
         self._columns: list[list[int]] | None = None
@@ -637,8 +636,6 @@ class ScenarioGrid:
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioGrid":
         """Rebuild a grid; a payload of the wrong shape raises
         :class:`~repro.errors.SerializationError` naming the field."""
-        from repro.serial import xdr
-
         records = data.get("scenarios")
         if not isinstance(records, list):
             raise SerializationError("ScenarioGrid payload: 'scenarios' must be a list")
@@ -661,9 +658,7 @@ class ScenarioGrid:
                 "ScenarioGrid payload: 'answered' must list non-negative cell ids"
             )
         book = data.get("book")
-        if not isinstance(book, bytes):
-            raise SerializationError("ScenarioGrid payload: 'book' must be a byte block")
-        problems = read_book(xdr.decode(book), "ScenarioGrid")
+        problems = read_book(book, "ScenarioGrid")
         try:
             return cls(
                 _Book(problems, wire=book), scenarios, on_missing=data.get("on_missing"),

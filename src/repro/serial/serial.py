@@ -45,7 +45,7 @@ class Serial:
     __slots__ = ("_payload", "_compressed")
 
     def __init__(self, payload: bytes, compressed: bool = False) -> None:
-        self._payload = bytes(payload)
+        self._payload = payload if type(payload) is bytes else bytes(payload)
         self._compressed = bool(compressed)
 
     # -- constructors ------------------------------------------------------------

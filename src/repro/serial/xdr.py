@@ -67,6 +67,15 @@ def register_codec(
     """
     _CODECS[type_name] = (cls, to_dict, from_dict)
     _CLASS_TO_NAME[cls] = type_name
+    raw = type_name.encode("utf-8")
+    head = _pack_tagged_u32(_TAG_OBJECT, len(raw)) + raw + _PADDING[len(raw) & 3]
+
+    def encode_object(value: Any, chunks: list[bytes]) -> None:
+        chunks.append(head)
+        _encode_dict(_CODECS[type_name][1](value), chunks)
+
+    # the class itself is written without the ``isinstance`` ladder; a subclass takes it
+    _ENCODERS[cls] = encode_object
 
 
 def registered_type_names() -> list[str]:

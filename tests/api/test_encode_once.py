@@ -158,8 +158,9 @@ def test_simulated_plan_sizes_members_once_and_sends_nothing(encodes):
 
 def test_a_sliced_book_is_written_without_a_digest_one_encode_a_slice(monkeypatch):
     """The master's book write on cold problems: no ``stable_digest`` (the
-    header dedup key is exact bytes, not a digest) and one XDR encode of
-    each slice's book, next to the one of the slice that carries it."""
+    header dedup key is exact bytes, not a digest), one write of each slice's
+    book -- bytes of its own layout, with no XDR encode -- and one XDR encode
+    of the slice that carries it."""
     book = build_toy_portfolio(3000)
     plan = build_plan(book, executing=True, cost_model=paper_cost_model(),
                       n_workers=2, queues_jobs=True)
@@ -172,12 +173,16 @@ def test_a_sliced_book_is_written_without_a_digest_one_encode_a_slice(monkeypatc
         return _digest(value)
 
     def encode(value, _encode=xdr.encode):
-        calls["book" if isinstance(value, dict) and "labels" in value
-              else type(value).__name__] += 1
+        calls[type(value).__name__] += 1
         return _encode(value)
+
+    def write(problems, _write=scenarios.write_book):
+        calls["book"] += 1
+        return _write(problems)
 
     monkeypatch.setattr(cache, "stable_digest", digest)
     monkeypatch.setattr(xdr, "encode", encode)
+    monkeypatch.setattr(scenarios, "write_book", write)
     sent = sum(len(job.wire_bytes()) for job in plan.jobs)
     assert calls == {"book": len(plan.jobs), "ScenarioGrid": len(plan.jobs)}
     assert all("_digest_cache" not in position.problem.model.__dict__ for position in book)

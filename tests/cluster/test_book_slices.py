@@ -236,3 +236,23 @@ class TestTheRunCache:
         summary = session.risk(mixed_book(), spot_returns=returns)
         assert summary == ValuationSession(backend="local").risk(
             mixed_book(), spot_returns=returns)
+
+
+def test_the_categories_are_numbered_with_no_call_a_position():
+    """Numbering the positions' categories for the report makes as many C
+    calls for 400 positions as for 40 (the slices' own shares left out)."""
+    from types import SimpleNamespace
+
+    from tests.serial.test_counted_work import counted_calls
+
+    counts = []
+    for n in (40, 400):
+        book = Portfolio(name="two", positions=[
+            Position(position.problem, category=("even", "odd", "third")[index % 3])
+            for index, position in enumerate(build_toy_portfolio(n))
+        ])
+        campaign = _session("multiprocessing", None)._open_campaign(book)
+        assert campaign.finish().ok and len(campaign.plan.member_categories) == n
+        no_slice = SimpleNamespace(completed=[])
+        counts.append(counted_calls(lambda: campaign._member_category_times(no_slice)))
+    assert counts[0] == counts[1]

@@ -169,3 +169,38 @@ class TestRegistry:
         from repro.cluster.simcluster.comm import STRATEGY_NAMES
 
         assert set(STRATEGIES) == set(STRATEGY_NAMES)
+
+
+def test_a_job_s_path_is_looked_up_at_most_once(monkeypatch):
+    """A position planned without a store has a ``/virtual/...`` path, which
+    the planner says is no file: a per-position run on worker processes
+    looks up no path at load or dispatch, where it once made two ``stat``
+    calls a position."""
+    import os
+
+    from repro.api import ValuationSession
+    from repro.core.portfolio import build_toy_portfolio
+
+    looked_up = []
+    exists, stat = os.path.exists, os.stat
+    monkeypatch.setattr(os.path, "exists", lambda path: looked_up.append(path) or exists(path))
+    monkeypatch.setattr(os, "stat", lambda path, *args, **kwargs: looked_up.append(path)
+                        or stat(path, *args, **kwargs))
+    session = ValuationSession(backend="multiprocessing", n_workers=2, scheduler="priority")
+    result = session.run(build_toy_portfolio(40))
+    assert result.ok and len(result.report.results) == 40
+    assert len(looked_up) <= 40
+    assert not [path for path in looked_up if str(path).startswith("/virtual/")]
+
+
+def test_a_store_file_is_still_sent_as_its_file(tmp_path):
+    from repro.core.portfolio import build_toy_portfolio
+    from repro.serial import ProblemStore
+
+    book = build_toy_portfolio(3)
+    store = ProblemStore(tmp_path)
+    store.write_all([position.problem for position in book])
+    jobs = book.build_jobs(store=store)
+    assert all(job.real_file for job in jobs)
+    message = SerializedLoadStrategy().prepare(jobs[0])
+    assert message.payload == store.path_for(0).read_bytes()

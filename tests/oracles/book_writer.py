@@ -1,14 +1,30 @@
-"""The position-by-position book writer that :mod:`repro.pricing.book` replaced.
+"""The position-by-position book writer that :mod:`repro.pricing.book` replaced,
+and the book's byte layout written and read a second way.
 
-It walks the positions one at a time: a ``wire_legs()`` call per problem, a
-key tuple per position and header, a header keyed by its packed floats or
-its values' encodings.  It is kept, unchanged but for its imports, as the
-reference the column-at-a-time writer is tested against: on any book of
-problems built by name the two write the same bytes.  (Where one table's
-column mixes a float with a NumPy float of another width, or an ``int`` with
-a NumPy integer, whose encodings coincide, this writer keeps the two rows
-apart and the production writer merges them; no builder writes such a
-column, and the generated books here do not.)
+:func:`write_book` walks the positions one at a time: a ``wire_legs()`` call
+per problem, a key tuple per position and header, a header keyed by its
+packed floats or its values' encodings.  It writes the book as the
+dictionary of columns that travelled before the byte layout (wire protocol
+v12 and v13)::
+
+    {"labels": [label, ...], "assets": int64[n],
+     "model": leg, "method": leg, "option": leg}
+    leg = {"tables": [{"name": str, "rows": int, "params": {name: column}}, ...],
+           "index": int64[n]}
+
+It is kept, unchanged but for its imports, as the reference the
+column-at-a-time writer is tested against: on any book of problems built by
+name, :func:`pack` of its dictionary is the bytes the production writer
+writes.  (Where one table's column mixes a float with a NumPy float of
+another width, or an ``int`` with a NumPy integer, whose encodings coincide,
+this writer keeps the two rows apart and the production writer merges them;
+no builder writes such a column, and the generated books here do not.)
+
+:func:`pack` writes such a dictionary as the layout's bytes whatever it
+holds -- a column shorter than its rows, an index naming no row -- so a test
+can hand the one reader, :func:`repro.pricing.book.read_book`, a malformed
+book; :func:`unpack` reads the bytes back as the dictionary, checking
+nothing, so a test can look at what was written.
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ import numpy as np
 
 from repro.pricing.engine import ASSET_CLASSES, PricingProblem
 
-__all__ = ["write_book"]
+__all__ = ["write_book", "pack", "unpack"]
 
 LEGS = ("model", "method", "option")
 #: an asset class as the book writes it: its number in ``ASSET_CLASSES``
@@ -151,3 +167,97 @@ def write_book(
     }
 
 
+#: the layout's header (see :mod:`repro.pricing.book`): positions, the tables
+#: of each leg, columns, f8 values, i8 values, bytes of text, bytes listed
+_HEAD = struct.Struct("<9Q")
+
+
+def pack(book: dict[str, Any]) -> bytes:
+    """The bytes of the layout for the dictionary ``book``, as it is."""
+    from repro.serial import xdr
+
+    labels = list(book["labels"])
+    directory, kinds, strings, floats, ints, listed = [], [], [], [], [], []
+    tables = []
+    for leg in LEGS:
+        tables.append(len(book[leg]["tables"]))
+        for table in book[leg]["tables"]:
+            directory += [table["rows"], len(table["params"])]
+            strings += [table["name"], *table["params"]]
+            for column in table["params"].values():
+                if isinstance(column, np.ndarray) and column.dtype == np.float64:
+                    kinds.append(0)
+                    floats += column.tolist()
+                elif isinstance(column, np.ndarray) and column.dtype == np.int64:
+                    kinds.append(1)
+                    ints += column.tolist()
+                else:
+                    kinds.append(2)
+                    listed.append(list(column))
+    written = [label for label in labels if isinstance(label, str)]
+    if len(written) < len(labels):
+        listed.append([label for label in labels if not isinstance(label, str)])
+    lengths = [len(label) if isinstance(label, str) else -1 for label in labels]
+    text = "".join(written + strings).encode()
+    other = xdr.encode(listed) if listed else b""
+    block = [*np.asarray(book["assets"]).tolist()]
+    for leg in LEGS:
+        block += np.asarray(book[leg]["index"]).tolist()
+    block += directory + kinds + lengths + [len(string) for string in strings] + ints
+    return b"".join((
+        _HEAD.pack(len(labels), *tables, len(kinds), len(floats), len(ints), len(text),
+                   len(other)),
+        struct.pack(f"<{len(block)}q", *block),
+        struct.pack(f"<{len(floats)}d", *floats),
+        text,
+        other,
+    ))
+
+
+def unpack(data: bytes) -> dict[str, Any]:
+    """The dictionary of the bytes ``data``, read as the layout says and
+    checked for nothing."""
+    from repro.serial import xdr
+
+    n, *tables, n_columns, n_floats, n_ints, n_text, n_listed = _HEAD.unpack_from(data)
+    n_tables = sum(tables)
+    n_block = 5 * n + 3 * n_tables + 2 * n_columns + n_ints
+    block = list(struct.unpack_from(f"<{n_block}q", data, _HEAD.size))
+    at = _HEAD.size + 8 * n_block
+    floats = list(struct.unpack_from(f"<{n_floats}d", data, at))
+    at += 8 * n_floats
+    text = data[at:at + n_text].decode()
+    listed = xdr.decode(data[at + n_text:]) if n_listed else []
+    assets, indexes = block[:n], [block[(1 + leg) * n:(2 + leg) * n] for leg in range(3)]
+    directory = block[4 * n:4 * n + 2 * n_tables]
+    kinds = block[4 * n + 2 * n_tables:4 * n + 2 * n_tables + n_columns]
+    lengths = block[4 * n + 2 * n_tables + n_columns:5 * n + 3 * n_tables + 2 * n_columns]
+    ints = block[5 * n + 3 * n_tables + 2 * n_columns:]
+    strings, spot = [], 0
+    for length in lengths:
+        strings.append(None if length < 0 else text[spot:spot + length])
+        spot += max(length, 0)
+    others = iter(listed.pop() if None in strings[:n] else [])
+    book: dict[str, Any] = {
+        "labels": [next(others) if label is None else label for label in strings[:n]],
+        "assets": np.array(assets, dtype=np.int64),
+    }
+    names, columns = iter(strings[n:]), iter(listed)
+    kind_of, table = iter(kinds), 0
+    for number, leg in enumerate(LEGS):
+        written = []
+        for _ in range(tables[number]):
+            rows, width = directory[2 * table], directory[2 * table + 1]
+            table += 1
+            name, params = next(names), {}
+            for key in [next(names) for _ in range(width)]:
+                kind = next(kind_of)
+                if kind == 0:
+                    params[key], floats = np.array(floats[:rows]), floats[rows:]
+                elif kind == 1:
+                    params[key], ints = np.array(ints[:rows], dtype=np.int64), ints[rows:]
+                else:
+                    params[key] = next(columns)
+            written.append({"name": name, "rows": rows, "params": params})
+        book[leg] = {"tables": written, "index": np.array(indexes[number], dtype=np.int64)}
+    return book

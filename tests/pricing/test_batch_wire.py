@@ -15,6 +15,7 @@ from repro.errors import SerializationError
 from repro.pricing import PricingProblem, ProblemBatch, flat_correlation
 from repro.pricing.book import read_book, write_book
 from repro.serial import serialize, unserialize, xdr
+from tests.oracles.book_writer import pack, unpack
 from tests.oracles.books import basket_family
 
 #: the encoding of the 50-member batch below when every member carried its own
@@ -66,7 +67,7 @@ class TestWireForm:
         batch = ProblemBatch(problems)
         wire = batch.to_dict()
         assert set(wire) == {"book", "keys", "kernel"}
-        book = wire["book"]
+        book = unpack(wire["book"])
         assert set(book) == {"labels", "assets", "model", "method", "option"}
         assert book["labels"] == [problem.label for problem in problems]
         model, method, option = book["model"], book["method"], book["option"]
@@ -86,9 +87,10 @@ class TestWireForm:
     def test_to_dict_is_a_copy_of_the_read_only_view(self):
         batch = ProblemBatch(_var_ladder(2))
         wire = batch.to_dict()
-        wire["book"]["model"]["tables"][0]["params"]["spot"][0] = -1.0
-        wire["book"]["option"]["tables"][0]["params"]["strike"][0] = -1.0
-        assert batch.to_dict()["book"]["model"]["tables"][0]["params"]["spot"][0] == 101.3
+        wire["keys"][0] = -1
+        assert batch.to_dict()["keys"] == [0, 1] and batch.keys == [0, 1]
+        assert isinstance(wire["book"], bytes)  # the book is bytes: nothing to edit in place
+        assert unpack(wire["book"])["model"]["tables"][0]["params"]["spot"][0] == 101.3
         assert batch.problems[0].product.strike == 80.0
         assert batch.problems[0].to_dict()["option"]["params"]["strike"] == 80.0
 
@@ -97,9 +99,10 @@ class TestAFamilyBookCarriesItsLeadersHeaders:
     """A batch is priced with its first member's model and method, so its book
     writes those headers once and an option row per member."""
 
-    #: sha256 of the seven-member basket family below, as protocol v12 wrote it
-    #: when every member's headers were keyed
-    BASKET_FAMILY_SHA256 = "7fb092dc3d8ceb362866d5d4b6a2dfc2893aae875f4753b0c4c79b678e578aec"
+    #: sha256 of the seven-member basket family below, pinned at protocol v12
+    #: when every member's headers were keyed, re-pinned at v14 when the book
+    #: became one block of bytes of its own layout
+    BASKET_FAMILY_SHA256 = "974136cd8ed6ac3d7e528ee38ed7f1ab0c1dfe946e389974c7b7b3058d790e18"
 
     @pytest.mark.parametrize("family", ["ladder", "basket"])
     def test_bytes_equal_headers_write_the_bytes_of_their_own_book(self, family):
@@ -115,9 +118,9 @@ class TestAFamilyBookCarriesItsLeadersHeaders:
     def test_a_family_apart_only_by_list_and_array_prices_as_its_members_alone(self):
         problems = basket_family([[100.0] * 10, np.full(10, 100.0), [100.0] * 10,
                                    np.full(10, 100.0)])
-        assert len(write_book(problems)["model"]["tables"][0]["params"]["spot"]) == 2
+        assert len(unpack(write_book(problems))["model"]["tables"][0]["params"]["spot"]) == 2
         batch = ProblemBatch(problems)
-        book = batch.wire_view()["book"]
+        book = unpack(batch.wire_view()["book"])
         assert [table["rows"] for table in book["model"]["tables"]] == [1]
         assert book["model"]["index"].tolist() == [0] * 4
         reply = unserialize(serialize(batch)).compute()
@@ -134,7 +137,7 @@ def _call(label: str = "call", strike: float = 100.0, **model) -> PricingProblem
 
 def _round_trip(problems: list[PricingProblem]) -> tuple[dict, list[PricingProblem]]:
     book = write_book(problems)
-    return book, read_book(xdr.decode(xdr.encode(book)), "test")
+    return unpack(book), read_book(book, "test")
 
 
 class TestExactHeaders:
@@ -190,10 +193,10 @@ class TestExactHeaders:
         encode = xdr.encode
         monkeypatch.setattr(xdr, "encode", lambda value: encoded.append(value) or encode(value))
         book = write_book(problems)
-        assert book["model"]["index"].tolist() == [0, 0, 1, 0]
+        assert unpack(book)["model"]["index"].tolist() == [0, 0, 1, 0]
         assert sum(value is correlation for value in encoded) == 1
         monkeypatch.undo()
-        assert read_book(xdr.decode(xdr.encode(book)), "test") == problems
+        assert read_book(book, "test") == problems
 
     def test_a_column_mixing_ints_and_floats_is_a_list_and_keeps_each_type(self):
         book, rebuilt = _round_trip([_call(strike=100), _call(strike=100.5)])
@@ -232,40 +235,52 @@ def _with(**changes) -> dict:
 
 def _book_with(**changes) -> dict:
     wire = _good()
-    wire["book"] = {**wire["book"], **changes}
+    wire["book"] = pack({**unpack(wire["book"]), **changes})
     return wire
 
 
 def _leg_with(leg: str, **changes) -> dict:
     wire = _good()
-    wire["book"][leg] = {**wire["book"][leg], **changes}
+    book = unpack(wire["book"])
+    book[leg] = {**book[leg], **changes}
+    wire["book"] = pack(book)
     return wire
 
 
 def _two_models() -> dict:
     """Members that name different models: no shared simulation signature."""
     wire = _good()
-    table = wire["book"]["model"]["tables"][0]
+    book = unpack(wire["book"])
+    table = book["model"]["tables"][0]
     table["rows"] = 2
     table["params"] = {key: np.repeat(column, 2) for key, column in table["params"].items()}
     table["params"]["spot"][1] = 99.0
-    wire["book"]["model"]["index"] = np.array([0, 1])
+    book["model"]["index"] = np.array([0, 1])
+    wire["book"] = pack(book)
+    return wire
+
+
+def _method_table_of_no_rows() -> dict:
+    wire = _good()
+    book = unpack(wire["book"])
+    book["method"]["tables"][0]["rows"] = 0
+    wire["book"] = pack(book)
     return wire
 
 
 MALFORMED = [
     pytest.param({}, "'book'", id="empty"),
-    pytest.param(_with(book=[1, 2]), "'book'", id="book-not-a-dict"),
+    pytest.param(_with(book=[1, 2]), "'book'", id="book-not-bytes"),
     pytest.param(_book_with(labels=[], assets=[]), r"book\.labels", id="no-members"),
     pytest.param(_with(keys=[0]), "keys", id="keys-disagree"),
-    pytest.param(_book_with(assets=["equity"]), r"book\.assets", id="assets-too-few"),
-    pytest.param(_book_with(model=None), r"book\.model", id="no-model"),
-    pytest.param(_leg_with("method", tables=[{"name": "MC_European"}]),
-                 r"book\.method\.tables\[0\]\.rows", id="method-without-rows"),
+    pytest.param(_book_with(assets=np.array([0, 99])), r"book\.assets", id="asset-out-of-range"),
+    pytest.param(_leg_with("model", tables=[]), r"book\.model", id="no-model"),
+    pytest.param(_method_table_of_no_rows(), r"book\.method\.tables\[0\]",
+                 id="method-table-of-no-rows"),
     pytest.param(_leg_with("method", index=np.array([0, 3])), r"book\.method\.index",
                  id="method-out-of-range"),
-    pytest.param(_leg_with("option", index=np.array([0])), r"book\.option\.index",
-                 id="option-index-too-short"),
+    pytest.param(_leg_with("option", index=np.array([0, 0])), r"book\.option\.index",
+                 id="option-row-named-twice"),
     pytest.param(_two_models(), "simulation signature", id="members-not-one-family"),
     pytest.param(_with(kernel="nope"), "kernel", id="unknown-kernel"),
 ]

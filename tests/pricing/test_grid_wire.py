@@ -21,6 +21,7 @@ from repro.pricing.scenarios import (
 )
 from repro.serial import serialize, unserialize, xdr
 from tests.oracles import solo_cell_pricer
+from tests.oracles.book_writer import pack, unpack
 from tests.oracles.books import mixed_book
 
 RETURNS = [0.01, -0.02, 0.004, -0.013, 0.007, -0.03, 0.011]
@@ -62,12 +63,12 @@ class TestWireForm:
 
     def test_the_book_is_written_once_and_every_slice_resends_its_bytes(self):
         grid = ScenarioGrid(_problems(), historical_scenarios(RETURNS))
-        view = write_book(grid.problems)
+        view = unpack(write_book(grid.problems))
         assert sum(table["rows"] for table in view["model"]["tables"]) == 2
         assert sum(table["rows"] for table in view["option"]["tables"]) == len(grid.problems)
         first, second = grid.slice(0, 4).wire_view(), grid.slice(4, 8).wire_view()
         assert first["book"] is second["book"]  # the same bytes object, not a re-encode
-        assert first["book"] == xdr.encode(view)
+        assert first["book"] == write_book(grid.problems) == pack(view)
         # a slice is its book plus tens of bytes per scenario
         assert len(serialize(grid.slice(4, 8)).to_bytes()) - len(first["book"]) < 4 * 120 + 200
 
@@ -227,13 +228,26 @@ def _scenario_with(**changes) -> dict:
 
 
 def _book_with(**changes) -> dict:
-    return _with(book=xdr.encode({**xdr.decode(_good()["book"]), **changes}))
+    return _with(book=pack({**unpack(_good()["book"]), **changes}))
 
 
 def _leg_with(leg: str, **changes) -> dict:
-    book = xdr.decode(_good()["book"])
+    book = unpack(_good()["book"])
     book[leg] = {**book[leg], **changes}
-    return _with(book=xdr.encode(book))
+    return _with(book=pack(book))
+
+
+def _table_with(leg: str, number: int, **changes) -> dict:
+    book = unpack(_good()["book"])
+    tables = book[leg]["tables"]
+    tables[number] = {**tables[number], **changes}
+    return _with(book=pack(book))
+
+
+def _option_table_twice() -> dict:
+    book = unpack(_good()["book"])
+    book["option"]["tables"].append(book["option"]["tables"][0])
+    return _with(book=pack(book))
 
 
 MALFORMED = [
@@ -255,17 +269,17 @@ MALFORMED = [
     pytest.param(_with(rows=np.array([0.0, 1.0, 2.0, 3.0])), "'rows'", id="rows-not-integers"),
     pytest.param(_with(rows={"first": 0}), "'rows'", id="rows-not-a-column"),
     pytest.param(_without("book"), "'book'", id="no-book"),
-    pytest.param(_with(book=xdr.encode([1, 2])), "'book'", id="book-not-a-dict"),
+    pytest.param(_with(book=xdr.encode([1, 2])), "'book'", id="book-not-a-layout"),
     pytest.param(_book_with(labels=[], assets=[]), r"book\.labels", id="empty-book"),
-    pytest.param(_leg_with("model", tables="BlackScholes1D"), r"book\.model",
-                 id="model-tables-not-a-list"),
-    pytest.param(_leg_with("method", tables=[{"name": "CF_Put", "rows": 1}]),
-                 r"book\.method\.tables\[0\]\.params", id="method-without-params"),
-    pytest.param(_leg_with("option", tables=[7]), r"book\.option\.tables\[0\]",
-                 id="table-not-a-dict"),
+    pytest.param(_table_with("model", 0, rows=0), r"book\.model\.tables\[0\]",
+                 id="model-table-of-no-rows"),
+    pytest.param(_table_with("method", 0, params={"zz_paths": np.ones(1)}),
+                 r"book\.method\[0\]: 'method' does not build.*zz_paths",
+                 id="method-with-an-unknown-parameter"),
+    pytest.param(_option_table_twice(), r"book\.option\.tables\[\d\]", id="option-table-twice"),
     pytest.param(_leg_with("model", index=np.array([0, 0, 9, 1])), r"book\.model\.index",
                  id="model-out-of-range"),
-    pytest.param(_book_with(option=None), r"book\.option", id="book-without-options"),
+    pytest.param(_leg_with("option", tables=[]), r"book\.option", id="book-without-options"),
 ]
 
 

@@ -76,17 +76,18 @@ class TestHeaderValidation:
         with pytest.raises(SerializationError, match="bad frame magic"):
             decode_header(bytes(frame))
 
-    @pytest.mark.parametrize("version", [1, 3, 4, 9, 10, 11, 12, PROTOCOL_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 3, 4, 9, 10, 11, 12, 13, PROTOCOL_VERSION + 1])
     def test_version_mismatch(self, version):
         # any stamp but ours is refused at the header, before a payload byte
         # (9: the last protocol with chunk frames; 10: the last whose batch
         # payload was not a book; 11: the last with a row per book position
         # and a cache_hit reply column; 12: the last whose ResultColumns reply
-        # was a dictionary of arrays), naming both versions
-        assert PROTOCOL_VERSION == 13
+        # was a dictionary of arrays; 13: the last whose book was a dictionary
+        # of columns), naming both versions
+        assert PROTOCOL_VERSION == 14
         header = struct.pack(">4sHHI", b"RWF\x01", version, FRAME_JOB, 0)
         with pytest.raises(
-            SerializationError, match=f"version mismatch: peer speaks v{version}, .* v13"
+            SerializationError, match=f"version mismatch: peer speaks v{version}, .* v14"
         ):
             decode_header(header)
 

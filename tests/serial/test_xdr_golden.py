@@ -160,17 +160,20 @@ GOLDEN = {
     "array_empty": "cee297e7dcc01773e78ec25df779ee8b4dfe7e80dd3fcfd4605e84e20875aee7",
     "problem": "55655ab2fdf2f352065ebb49082be86536c8bb9c78d035ec24fbde1b8e197ede",
     # re-pinned at wire protocol v12, when a book became parameter columns
-    # (a batch's members are a book since v11); the encoder did not change
-    "nested_batch": "fac2014b17d36635e478cef30653ac627dda5ae1410df10c8473c6d7a995c909",
+    # (a batch's members are a book since v11), and at v14, when the book
+    # became one block of bytes of its own layout
+    "nested_batch": "3bbe84202b80850a4f4d6b145ec335b1f42e0467f3d14ba50143ef7d985f0ec5",
     # pinned when the payload was introduced (wire protocol v7), re-pinned at
-    # v12 for its columnar base book; a grid that names no rows writes no rows
-    "grid_slice": "418f5b5955928dab9bda8f8681442db986215d9dedcfce6775dca334cf910765",
+    # v12 for its columnar base book and at v14 for the book's byte layout; a
+    # grid that names no rows writes no rows
+    "grid_slice": "9ffe05000bc8a3667b1a61a80f682687ba9e695c9fa04e5d58ca70da542efda7",
     # a book slice: the same payload with its ``rows`` column (wire protocol
-    # v9), re-pinned at v12 for its columnar book
-    "book_slice": "b6c4643b83e1bdc15d127c3eebbdcdadbbd889891d807ec04a97930d6fdcf0c9",
+    # v9), re-pinned at v12 for its columnar book and at v14 for its layout
+    "book_slice": "d2483b03f9b321662aabcd1147da7502adc05049ec7d2e01f6c2edc517b0586a",
     # a closed-form book slice, pinned at wire protocol v12 before the book
-    # writer keyed parameter-less and all-float headers by faster paths
-    "toy_book_slice": "8013135e73f7eb07cc4be584a9fbaccb67547cf448ad52554e301731aa34be85",
+    # writer keyed parameter-less and all-float headers by faster paths,
+    # re-pinned at v14 for the book's byte layout
+    "toy_book_slice": "7f3321ce2e82bf00f6fe0da1641bd96445022aab1dee9a7559f2a7a93a1140e4",
     # the reply of a payload with members, in its result frame (wire protocol
     # v8), re-pinned at v12 when the always-false cache_hit column left it and
     # at v13 when the record became one block of bytes: a header, the float
