@@ -290,7 +290,6 @@ def _cut_slices(
                 Job(
                     job_id=members[0],
                     path=f"/virtual/{kind}/{start:06d}_{width:04d}.sg",
-                    real_file=False,
                     compute_cost=sum(costs[start:stop]),
                     category=kind,
                     problem=payload,
@@ -425,7 +424,6 @@ def _coalesce_jobs(
                 Job(
                     job_id=job.job_id,
                     path=f"/virtual/batch/{group.signature.model_digest[:16]}_{job.job_id:06d}.pb",
-                    real_file=False,
                     file_size=(
                         None if executing else sum(j.file_size for j in member_jobs)
                     ),

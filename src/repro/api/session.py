@@ -634,7 +634,6 @@ class ValuationSession:
             Job(
                 job_id=future.job_id,
                 path=f"/virtual/session/{future.job_id:06d}.pb",
-                real_file=False,
                 compute_cost=self.cost_model.estimate(problem),
                 category=category,
                 problem=problem,

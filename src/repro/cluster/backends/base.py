@@ -85,11 +85,6 @@ class Job:
         Optional in-memory :class:`~repro.pricing.engine.PricingProblem` (or
         :class:`~repro.pricing.batch.ProblemBatch`); required by executing
         backends when no file was written.
-    real_file:
-        Whether ``path`` names a file on disk, which the file-reading
-        strategies then send instead of ``problem``: told by whoever made the
-        path (a store's file, a planner's ``/virtual/...`` name), else looked
-        up once, at first need (:attr:`real_file`).
 
     The serialized form of ``problem`` is made once, on first need, and kept
     with the job (:meth:`wire_bytes`): the size is read off it, the
@@ -109,11 +104,10 @@ class Job:
         compute_cost: float = 0.0,
         category: str = "generic",
         problem: Any | None = None,
-        real_file: bool | None = None,
     ) -> None:
         self.job_id = job_id
         self.path = path
-        self._real_file = real_file
+        self._real_file: bool | None = None
         self.compute_cost = compute_cost
         self.category = category
         self._file_size = file_size
@@ -121,8 +115,9 @@ class Job:
 
     @property
     def real_file(self) -> bool:
-        """Whether ``path`` names a file on disk: as told, or one ``stat`` the
-        first time it is asked, never again for this job."""
+        """Whether ``path`` names a file on disk, which the file-reading
+        strategies then send instead of ``problem``: one ``stat`` the first
+        time it is asked, never again for this job."""
         if self._real_file is None:
             self._real_file = bool(self.path) and os.path.exists(self.path)
         return self._real_file

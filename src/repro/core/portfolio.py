@@ -203,7 +203,6 @@ class Portfolio:
                 compute_cost=model.estimate(position.problem),
                 category=position.category,
                 problem=position.problem,
-                real_file=paths is not None,
             )
             if not attach_problems:
                 job.drop_problem()

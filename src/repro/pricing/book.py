@@ -30,13 +30,14 @@ little-endian, the job-side twin of a
 A leg's rows are its tables' rows, in table order; a table holds the rows of
 one class name and one parameter list, and its columns are the values of one
 parameter each, column after column.  A column is ``f8`` when every value is
-a Python or NumPy float, ``i8`` when every value is an ``int`` that fits 64
-bits, and *listed* otherwise (a ``bool``, basket weights, a correlation
-matrix).  Option rows are one per position; model and method rows are the
-*distinct* headers, two rows of a table merged exactly when their written
-bytes would be equal -- ``-0.0`` is not ``0.0``, ``1`` is not ``1.0``, and
-arrays are compared in full -- so a position reads back exactly the
-parameters it was written with.  Tables come in the order the positions
+a Python or NumPy float, ``i8`` when every value is an ``int`` or a NumPy
+integer that fits 64 bits, and *listed* otherwise (a ``bool``, basket
+weights, a correlation matrix) -- each value taken as the codec writes it,
+so a column reads back as the kind it was written as.  Option rows are one
+per position; model and method rows are the *distinct* headers, two rows of
+a table merged exactly when their written bytes would be equal -- ``-0.0``
+is not ``0.0``, ``1`` is not ``1.0``, and arrays are compared in full -- so
+a position reads back exactly the parameters it was written with.  Tables come in the order the positions
 first name them, and a table's rows too.  The writer works a column at a
 time (:func:`_write_leg`): no Python call and no key is made per position.
 A :class:`~repro.pricing.batch.ProblemBatch`, priced with its first
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import copy
 import struct
-from itertools import chain, repeat
+from itertools import repeat
 from operator import is_, itemgetter
 from typing import Any, Sequence
 
@@ -73,6 +74,8 @@ LEGS = ("model", "method", "option")
 #: an asset class as the book writes it: its number in ``ASSET_CLASSES``
 _ASSET_NUMBER = {name: number for number, name in enumerate(ASSET_CLASSES)}
 _FLOATS = frozenset({float, np.float64})
+#: types whose values XDR writes as that type, or as a float for ``np.float64``
+_PLAIN = _FLOATS | {int, bool, str, bytes, list, tuple, dict, np.ndarray, type(None)}
 #: the header: positions, the tables of each leg, columns, f8 values, i8
 #: values, bytes of text, bytes of listed columns
 _HEAD = struct.Struct("<9Q")
@@ -125,6 +128,8 @@ def _distinct(
     bits = codes.view(np.float64)
     for number, column in enumerate(columns):
         kinds = set(map(type, column))
+        if not kinds <= _PLAIN:
+            kinds = _as_written(kinds)
         if kinds <= _FLOATS:
             bits[:, number] = column
             continue
@@ -148,9 +153,20 @@ def _distinct(
     return np.fromiter(map(number.__getitem__, keys), dtype=np.int64, count=n), firsts
 
 
+def _as_written(kinds: set[type]) -> set[type]:
+    """The types of ``kinds`` as XDR writes their values: a NumPy number or a
+    subclass of ``int`` or ``float`` as the Python number (a ``bool`` stays
+    one), so that a column is written as the kind it is read back as."""
+    return {int if issubclass(kind, (int, np.integer)) and kind is not bool
+            else float if issubclass(kind, (float, np.floating)) else kind
+            for kind in kinds}
+
+
 def _kind(column: list[Any]) -> int:
     """The kind a column is written as: :data:`F8`, :data:`I8` or :data:`LISTED`."""
     kinds = set(map(type, column))
+    if not kinds <= _PLAIN:
+        kinds = _as_written(kinds)
     if kinds <= _FLOATS:
         return F8
     if kinds == {int} and _INT_MIN <= min(column) and max(column) <= _INT_MAX:
@@ -173,15 +189,15 @@ def _tables(
     keys = tuple(params[0])
     if len(set(map(len, params))) == 1 and all(
             map(n.__eq__, map(tuple.count, zip(*params), keys))):
-        if names.count(names[0]) == n:
-            return [(names[0], keys)], [None]
         shapes: list[Any] = names
-        tables = {name: (name, keys) for name in dict.fromkeys(names)}
+        named = dict.fromkeys(names)
+        tables = dict(zip(named, zip(named, repeat(keys))))
     else:
         shapes = list(zip(names, map(tuple, params)))
-        tables = {shape: shape for shape in dict.fromkeys(shapes)}
-        if len(tables) == 1:
-            return list(tables.values()), [None]
+        named = dict.fromkeys(shapes)
+        tables = dict(zip(named, named))
+    if len(tables) == 1:
+        return list(tables.values()), [None]
     number = dict(zip(tables, range(len(tables))))
     table_of = np.fromiter(map(number.__getitem__, shapes), dtype=np.int64, count=n)
     order = np.argsort(table_of, kind="stable")  # by table, each in position order
@@ -206,8 +222,8 @@ def _write_leg(
     (:func:`_tables`).  With the write's value encodings (model, method) a
     table writes each distinct header once; the option leg (``None``) writes
     a row per position.  The work is done column by column -- a column per
-    parameter of a table, each checked and coded in one pass, a table of
-    floats alone in one -- with no Python call and no key made per position.
+    parameter of a table, each checked and coded in one pass -- with no
+    Python call and no key made per position.
     """
     directory, kinds, strings, floats, ints, listed = out
     n = len(names)
@@ -237,17 +253,13 @@ def _write_leg(
         directory += (count, len(keys))
         strings += (name, *keys)
         offset += count
-        if set(map(type, chain.from_iterable(columns))) <= _FLOATS:
-            kinds += repeat(F8, len(keys))
-            floats += chain.from_iterable(columns)
-            continue
         for column in columns:
             kind = _kind(column)
             kinds.append(kind)
             if kind == F8:
                 floats += column
             elif kind == I8:
-                ints += column
+                ints += map(int, column)
             else:
                 listed.append(list(column))
     return len(tables)

@@ -10,6 +10,7 @@ although the unit that travels is now the slice.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import ValuationSession
@@ -123,6 +124,26 @@ def _poisoned() -> PricingProblem:
     problem.set_option("CallEuro", strike=100.0, maturity=1.0)
     problem.set_method("CF_Call")
     return problem
+
+
+@pytest.mark.parametrize("backend", ["multiprocessing", "remote"])
+def test_spots_held_as_numpy_integers_price_as_in_process(backend, loopback_pool):
+    """A model built with a NumPy integer spot, alone in a table or beside
+    plain ones, travels in a slice and prices as the in-process run does."""
+    positions = list(build_toy_portfolio(30).positions)
+    for index in (3, 4, 17):
+        problem = PricingProblem(label=f"int_spot_{index}")
+        problem.set_model("BlackScholes1D", spot=np.int64(100 + index), rate=0.05,
+                          volatility=0.2)
+        problem.set_option("CallEuro", strike=100.0, maturity=1.0)
+        problem.set_method("CF_Call")
+        positions[index] = Position(problem, label=problem.label)
+    book = Portfolio(name="numpy_spots", positions=positions)
+    reference = ValuationSession(backend="local").run(book)
+    campaign = _session(backend, loopback_pool)._open_campaign(book)
+    result = campaign.finish()
+    assert campaign.plan.batch_members
+    assert reference.ok and result.ok and _fields(result) == _fields(reference)
 
 
 @pytest.mark.parametrize("backend", ["multiprocessing", "remote"])

@@ -172,25 +172,37 @@ class TestRegistry:
 
 
 def test_a_job_s_path_is_looked_up_at_most_once(monkeypatch):
-    """A position planned without a store has a ``/virtual/...`` path, which
-    the planner says is no file: a per-position run on worker processes
-    looks up no path at load or dispatch, where it once made two ``stat``
-    calls a position."""
+    """A per-position run on worker processes asks whether each job's path
+    is a file at load and at dispatch: the job looks it up once and keeps
+    the answer, where each ask once made a ``stat`` call."""
     import os
+    from collections import Counter
 
     from repro.api import ValuationSession
     from repro.core.portfolio import build_toy_portfolio
 
-    looked_up = []
-    exists, stat = os.path.exists, os.stat
-    monkeypatch.setattr(os.path, "exists", lambda path: looked_up.append(path) or exists(path))
-    monkeypatch.setattr(os, "stat", lambda path, *args, **kwargs: looked_up.append(path)
-                        or stat(path, *args, **kwargs))
+    looked_up: Counter = Counter()
+    stat = os.stat
+
+    def exists(path):  # ``os.path.exists``, counted as one lookup
+        looked_up[str(path)] += 1
+        try:
+            stat(path)
+        except (OSError, ValueError):
+            return False
+        return True
+
+    def counted_stat(path, *args, **kwargs):
+        looked_up[str(path)] += 1
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os.path, "exists", exists)
+    monkeypatch.setattr(os, "stat", counted_stat)
     session = ValuationSession(backend="multiprocessing", n_workers=2, scheduler="priority")
     result = session.run(build_toy_portfolio(40))
     assert result.ok and len(result.report.results) == 40
-    assert len(looked_up) <= 40
-    assert not [path for path in looked_up if str(path).startswith("/virtual/")]
+    assert looked_up and max(looked_up.values()) == 1
+    assert sum(looked_up.values()) <= 40
 
 
 def test_a_store_file_is_still_sent_as_its_file(tmp_path):

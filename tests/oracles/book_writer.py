@@ -15,10 +15,12 @@ v12 and v13)::
 It is kept, unchanged but for its imports, as the reference the
 column-at-a-time writer is tested against: on any book of problems built by
 name, :func:`pack` of its dictionary is the bytes the production writer
-writes.  (Where one table's column mixes a float with a NumPy float of
-another width, or an ``int`` with a NumPy integer, whose encodings coincide,
-this writer keeps the two rows apart and the production writer merges them;
-no builder writes such a column, and the generated books here do not.)
+writes.  (Where one table's column holds a NumPy float of another width
+than ``float64`` or a NumPy integer, this writer lists the column and keeps
+apart rows whose encodings coincide, while the production writer writes the
+column as the ``f8`` or ``i8`` block the reader reads back and merges those
+rows; the generated books here hold no such column, and
+``tests/serial/test_hostile_bytes.py`` reads them back.)
 
 :func:`pack` writes such a dictionary as the layout's bytes whatever it
 holds -- a column shorter than its rows, an index naming no row -- so a test

@@ -56,10 +56,10 @@ _PACKAGE = str(Path(repro.__file__).parent)
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 #: Python calls of ``write_book(book[:width])``, by width
-BOOK_CALLS = {1: 15, 2: 21, 750: 21}
+BOOK_CALLS = {1: 21, 2: 29, 750: 29}
 #: Python calls and C calls of ``serialize(...).to_bytes()`` of a book slice
 #: of one toy position and of the lone position, warm
-SLICE_CALLS = {"slice": (46, 173), "position": (30, 143)}
+SLICE_CALLS = {"slice": (52, 176), "position": (30, 143)}
 #: Python calls of ``xdr.decode`` of a reply's result frame record, by rows
 REPLY_CALLS = {1: 18, 750: 18}
 #: Python calls and C calls of ``pickle.loads`` of a worker process's reply

@@ -352,3 +352,32 @@ def test_the_unmutated_slice_reads_through_both_doors():
         grid = door(SLICE_BYTES)
         assert grid.problems == SLICE.problems and grid.answered == {9}
         assert serialize(grid).to_bytes() == SLICE_BYTES
+
+
+def _spot_call(spot: Any, index: int) -> PricingProblem:
+    problem = PricingProblem(label=f"call_{index}")
+    problem.set_model("BlackScholes1D", spot=spot, rate=0.05, volatility=0.2)
+    problem.set_option("CallEuro", strike=100.0, maturity=1.0)
+    problem.set_method("CF_Call")
+    return problem
+
+
+@pytest.mark.parametrize("spots", [
+    [np.int64(100)], [np.float32(99.1)], [np.int64(100), 100, np.int32(90)],
+    [np.float32(99.5), 100.0, np.float64(98.0), np.float16(2.5)],
+], ids=["int64", "float32", "int64-among-ints", "float32-among-floats"])
+def test_a_numpy_number_is_written_as_the_kind_it_is_read_back_as(spots):
+    """A parameter held as a NumPy number travels as the ``int`` or
+    ``float`` the codec writes it as: read by the one reader and through
+    both doors, a book of such spots reads back and writes its own bytes."""
+    problems = [_spot_call(spot, index) for index, spot in enumerate(spots)]
+    book = write_book(problems)
+    read = read_book(book, "ProblemBatch")
+    assert write_book(read) == book
+    assert [problem.model.spot for problem in read] == [float(spot) for spot in spots]
+    data = serialize(ScenarioGrid(problems, [Scenario(name="base")],
+                                  rows=list(range(len(problems))))).to_bytes()
+    for door in (_through_remote, _through_pickle):
+        grid = door(data)
+        assert grid.wire_view()["book"] == book
+        assert [problem.model.spot for problem in grid.problems] == [float(spot) for spot in spots]
